@@ -333,7 +333,7 @@ func filteredAggPlan(b *testing.B) (*core.Hybrid, *semop.Plan) {
 // BenchmarkPreFederationFilteredAggregate.
 func BenchmarkFederatedFilteredAggregate(b *testing.B) {
 	h, plan := filteredAggPlan(b)
-	prepared := h.Federation().Prepare(plan)
+	opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(h.Catalog()))
 	want, err := semop.Exec(plan, h.Catalog())
 	if err != nil {
 		b.Fatal(err)
@@ -341,7 +341,7 @@ func BenchmarkFederatedFilteredAggregate(b *testing.B) {
 	var scanned int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, run, err := prepared.Execute()
+		res, run, err := h.Federation().ExecuteIR(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func sumScanned(run *federate.Run) int {
 // (and ns/op) against BenchmarkPreIRJoinAggregate.
 func BenchmarkFederatedJoinAggregate(b *testing.B) {
 	h, plan := joinAggPlan(b)
-	prepared := h.Federation().Prepare(plan)
+	opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(h.Catalog()))
 	want, err := semop.Exec(plan, h.Catalog())
 	if err != nil {
 		b.Fatal(err)
@@ -419,7 +419,7 @@ func BenchmarkFederatedJoinAggregate(b *testing.B) {
 	var scanned int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, run, err := prepared.Execute()
+		res, run, err := h.Federation().ExecuteIR(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -436,7 +436,7 @@ func BenchmarkFederatedJoinAggregate(b *testing.B) {
 // whole table.
 func BenchmarkPreIRJoinAggregate(b *testing.B) {
 	h, plan := joinAggPlan(b)
-	opt := logical.Unoptimized(semop.Compile(plan))
+	opt := &logical.Optimized{Root: semop.Compile(plan)}
 	var scanned int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -595,7 +595,8 @@ func BenchmarkEstimateAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		maxQ = 0
 		for _, it := range items {
-			_, run, err := it.h.Federation().Execute(it.plan)
+			opt := logical.Optimize(semop.Compile(it.plan), logical.CatalogStats(it.h.Catalog()))
+			_, run, err := it.h.Federation().ExecuteIR(opt)
 			if err != nil {
 				b.Fatal(err)
 			}

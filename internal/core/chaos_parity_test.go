@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/federate"
+	"repro/internal/logical"
 	"repro/internal/semop"
 	"repro/internal/slm"
 	"repro/internal/workload"
@@ -87,7 +88,7 @@ func TestChaosParityAcrossCorpora(t *testing.T) {
 							}
 							bound++
 							want, wantErr := semop.Exec(plan, cat)
-							got, _, err := h.Federation().Execute(plan)
+							got, _, err := h.Federation().ExecuteIR(logical.Optimize(semop.Compile(plan), logical.CatalogStats(cat)))
 							if wantErr != nil {
 								if err == nil {
 									t.Errorf("%q (workers=%d): fault-free executor errored (%v) but chaos run succeeded",

@@ -171,7 +171,7 @@ func TestIRMatchesLegacyExecutor(t *testing.T) {
 					t.Errorf("%q: IR result diverges from legacy:\n%s\nvs\n%s",
 						q.Text, renderTable(got), renderTable(want))
 				}
-				fed, _, err := h.Federation().Execute(plan)
+				fed, _, err := h.Federation().ExecuteIR(logical.Optimize(semop.Compile(plan), logical.CatalogStats(cat)))
 				if err != nil {
 					t.Errorf("%q: federated exec: %v", q.Text, err)
 					continue
@@ -230,7 +230,7 @@ func TestNLAndSQLShareOnePhysicalPlan(t *testing.T) {
 			}
 
 			// One cache entry serves both entries.
-			nlRes, _, err := h.Federation().Execute(plan)
+			nlRes, _, err := h.Federation().ExecuteIR(logical.Optimize(semop.Compile(plan), st))
 			if err != nil {
 				t.Fatal(err)
 			}

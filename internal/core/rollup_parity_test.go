@@ -109,10 +109,6 @@ func TestRollupRoutingParityAcrossCorpus(t *testing.T) {
 						q.Text, opt.Rollups, renderTable(got), renderTable(want))
 					continue
 				}
-				if !logical.Vectorizable(opt.Root) {
-					t.Errorf("%q: routed plan reported non-vectorizable — every operator has a columnar kernel", q.Text)
-					continue
-				}
 				for _, workers := range []int{1, 2, 8} {
 					vec, err := logical.ExecVec(opt.Root, cat, workers)
 					if err != nil {

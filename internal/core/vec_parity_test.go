@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/logical"
@@ -10,26 +9,13 @@ import (
 	"repro/internal/workload"
 )
 
-// vecParitySkips is the exact set of workload questions excluded from
-// vectorized parity per domain, keyed by question text with the plan
-// shape that justifies the exclusion. Every operator now has a
-// columnar kernel (Sort and Compare were the last two), so the set is
-// empty in both domains. Pinning it empty makes silent coverage loss
-// fail loudly: a question newly skipped means kernel coverage
-// regressed, and that surfaces as a diff against this map.
-var vecParitySkips = map[string]map[string]string{
-	"ecommerce":  {},
-	"healthcare": {},
-}
-
 // TestVectorizedMatchesRowExecutor holds the vectorized executor to
 // bit-identity with the row interpreter on every bound workload
 // question across both domains: for each optimized plan, ExecVec must
 // return a table identical in schema, row order and cell values to
 // logical.Exec — at one worker and at several, since output order
-// must not depend on parallelism. A plan that reports itself
-// non-vectorizable is tracked, not dropped: the skip set must equal
-// vecParitySkips (empty) exactly.
+// must not depend on parallelism. Every bound plan is checked: there
+// is no dispatch gate a plan could be skipped behind.
 func TestVectorizedMatchesRowExecutor(t *testing.T) {
 	corpora := map[string]*workload.Corpus{
 		"ecommerce":  workload.ECommerce(workload.DefaultECommerceOptions()),
@@ -44,8 +30,7 @@ func TestVectorizedMatchesRowExecutor(t *testing.T) {
 				t.Fatal(err)
 			}
 			cat := h.Catalog()
-			bound, vectorized := 0, 0
-			skipped := map[string]string{}
+			bound := 0
 			for _, q := range c.Queries {
 				plan, err := semop.Bind(semop.Parse(q.Text, ner), cat)
 				if err != nil {
@@ -54,21 +39,6 @@ func TestVectorizedMatchesRowExecutor(t *testing.T) {
 				bound++
 				opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(cat))
 				want, wantErr := logical.Exec(opt.Root, cat)
-				if !logical.Vectorizable(opt.Root) {
-					// Every IR operator has a columnar kernel now, so no
-					// bound plan should land here; any that does is tracked
-					// and fails the empty-set assertion below.
-					switch {
-					case hasOp(opt.Root, logical.OpSort):
-						skipped[q.Text] = "sort"
-					case hasOp(opt.Root, logical.OpCompare):
-						skipped[q.Text] = "compare"
-					default:
-						t.Errorf("%q: plan reported non-vectorizable", q.Text)
-					}
-					continue
-				}
-				vectorized++
 				for _, workers := range []int{1, 2, 8} {
 					got, err := logical.ExecVec(opt.Root, cat, workers)
 					if wantErr != nil {
@@ -91,31 +61,7 @@ func TestVectorizedMatchesRowExecutor(t *testing.T) {
 			if bound == 0 {
 				t.Fatal("no workload question bound — parity test vacuous")
 			}
-			if vectorized == 0 {
-				t.Fatal("no plan took the vectorized path — parity test vacuous")
-			}
-			if !reflect.DeepEqual(skipped, vecParitySkips[domain]) {
-				t.Errorf("vectorized-parity skip set drifted:\ngot:  %v\nwant: %v\n(update vecParitySkips only for a deliberate kernel-coverage change)",
-					skipped, vecParitySkips[domain])
-			}
-			t.Logf("%s: %d/%d bound questions verified through the vectorized executor (%d tracked skips)",
-				domain, vectorized, bound, len(skipped))
+			t.Logf("%s: %d bound questions verified through the vectorized executor", domain, bound)
 		})
 	}
-}
-
-// hasOp reports whether any node in the tree has the given op.
-func hasOp(n *logical.Node, op logical.Op) bool {
-	if n == nil {
-		return false
-	}
-	if n.Op == op {
-		return true
-	}
-	for _, in := range n.In {
-		if hasOp(in, op) {
-			return true
-		}
-	}
-	return false
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/logical"
 	"repro/internal/par"
@@ -39,78 +38,20 @@ type Run struct {
 	Replans   int // stale-registry re-plans before this execution succeeded
 }
 
-// Execute compiles the bound plan to the shared logical IR, runs the
-// rule-based optimizer against the federated schema surface, and
-// executes the result. Results are identical to semop.Exec over a
-// single catalog holding the same tables.
-func (e *Executor) Execute(p *semop.Plan) (*table.Table, *Run, error) {
-	if p == nil {
-		return nil, nil, semop.ErrEmptyPlan
-	}
-	opt := logical.Optimize(semop.Compile(p), e.Stats())
-	return e.executeKeyed(opt, logical.Fingerprint(opt.Root))
-}
-
-// ExecuteIR runs an already-optimized logical tree — the entry point
-// the NL and SQL front ends share. Because the physical-plan cache is
-// keyed by the canonical IR fingerprint, the NL and SQL compilations
-// of the same question land on one cached physical plan.
+// ExecuteIR runs an already-optimized logical tree — the one entry
+// point, shared by the NL and SQL front ends; opt.Stats is the only
+// statistics source consulted. Because the physical-plan cache is keyed
+// by the canonical IR fingerprint, the NL and SQL compilations of the
+// same question land on one cached physical plan. The residual tree is
+// interpreted over the fragment outputs through the same operator loop
+// the single-store executors use, so joins, comparisons, residual
+// filters, aggregation, sort, limit and projection apply in exactly the
+// order the unfederated path applies them.
 func (e *Executor) ExecuteIR(opt *logical.Optimized) (*table.Table, *Run, error) {
 	if opt == nil || opt.Root == nil {
 		return nil, nil, semop.ErrEmptyPlan
 	}
-	return e.executeKeyed(opt, logical.Fingerprint(opt.Root))
-}
-
-// Prepared is a reusable execution handle: compilation, optimization
-// and fingerprinting are computed once per (data epoch, backend
-// registry generation) and reused, so repeated executions pay only the
-// epoch checks and the cache lookup before scanning. When the epoch or
-// registry moves, the next Execute re-optimizes from the original
-// bound plan — stale retyped literals, pruned column sets and seeded
-// join predicates never outlive the schemas and cardinalities they
-// were derived from. The underlying plan must not be mutated after
-// Prepare. Safe for concurrent Execute calls.
-type Prepared struct {
-	e *Executor
-	p *semop.Plan
-
-	mu    sync.Mutex
-	epoch uint64
-	gen   uint64
-	opt   *logical.Optimized
-	key   string
-}
-
-// Prepare returns a reusable handle for the plan.
-func (e *Executor) Prepare(p *semop.Plan) *Prepared {
-	return &Prepared{e: e, p: p}
-}
-
-// Execute runs the prepared plan against the current epoch.
-func (pr *Prepared) Execute() (*table.Table, *Run, error) {
-	if pr.p == nil {
-		return nil, nil, semop.ErrEmptyPlan
-	}
-	epoch, gen := pr.e.epochFn(), pr.e.generation()
-	pr.mu.Lock()
-	if pr.opt == nil || pr.epoch != epoch || pr.gen != gen {
-		pr.opt = logical.Optimize(semop.Compile(pr.p), pr.e.Stats())
-		pr.key = logical.Fingerprint(pr.opt.Root)
-		pr.epoch, pr.gen = epoch, gen
-	}
-	opt, key := pr.opt, pr.key
-	pr.mu.Unlock()
-	return pr.e.executeKeyed(opt, key)
-}
-
-// executeKeyed lowers (or re-uses) the physical plan, scans every
-// fragment with bounded parallelism, and interprets the residual tree
-// over the fragment outputs through the same operator loop the
-// single-store executors use — so the federation layer applies joins,
-// comparisons, residual filters, aggregation, sort, limit and
-// projection in exactly the order the unfederated path does.
-func (e *Executor) executeKeyed(opt *logical.Optimized, key string) (*table.Table, *Run, error) {
+	key := logical.Fingerprint(opt.Root)
 	// A backend can vanish between planning and execution (Unregister
 	// racing the query). Routing already validated the plan's backends,
 	// so that is a stale plan, not a missing backend: re-plan against
@@ -138,7 +79,7 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) 
 		// breakers count sat-out queries toward their half-open probe.
 		e.health.tick(e.opts.Breaker)
 	}
-	pp, _, err := e.plan(opt, key)
+	pp, err := e.plan(opt, key)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -180,16 +121,14 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) 
 	leaf := func(leaf *logical.Node) (*table.Table, error) {
 		if leaf.Op == logical.OpEmpty {
 			// emptyfold proved the scan selects no rows; no fragment was
-			// routed. The binding schema stands in for the scan's output.
-			schema, ok := e.Stats().Schema(leaf.Table)
-			if !ok {
-				return nil, fmt.Errorf("federate: no schema for empty leaf %s", leaf.Table)
+			// routed. The schema the passes folded against stands in for
+			// the scan's output.
+			if opt.Stats != nil {
+				if schema, ok := opt.Stats.Schema(leaf.Table); ok {
+					return table.New(leaf.Table, schema), nil
+				}
 			}
-			empty := table.New(leaf.Table, schema)
-			if len(leaf.Cols) > 0 {
-				return table.Project(empty, leaf.Cols...)
-			}
-			return empty, nil
+			return nil, fmt.Errorf("federate: no schema for empty leaf %s", leaf.Table)
 		}
 		if leaf.Op != logical.OpInput || leaf.Index >= len(results) {
 			return nil, fmt.Errorf("federate: unresolved %v leaf", leaf.Op)
@@ -198,9 +137,8 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) 
 	}
 	var out *table.Table
 	if pp.VecResidual {
-		// Every residual operator has a columnar kernel: run the
-		// vectorized executor, reusing fragment batches the backends
-		// attached to pass-through scans. Bit-identical to Run.
+		// Run the vectorized executor, reusing fragment batches the
+		// backends attached to pass-through scans. Bit-identical to Run.
 		out, err = logical.RunVec(pp.Residual, logical.VecEnv{
 			Leaf: leaf,
 			Frags: func(l *logical.Node) *table.Frags {

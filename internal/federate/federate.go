@@ -13,11 +13,11 @@
 // derived from.
 //
 // The residual tree executes through either of internal/logical's
-// bit-identical engines: the vectorized columnar executor when every
-// residual operator has a kernel and the estimates promise enough
-// boundary-crossing rows to amortize column extraction, the row
-// interpreter otherwise. The dispatch is decided once at plan time
-// (PhysicalPlan.VecResidual) and reported on EXPLAIN's "exec:" line.
+// bit-identical engines: the vectorized columnar executor when the
+// estimates promise enough boundary-crossing rows to amortize column
+// extraction, the row interpreter otherwise. The dispatch is decided
+// once at plan time (PhysicalPlan.VecResidual) and reported on
+// EXPLAIN's "exec:" line.
 //
 // Three backends ship with the system: the in-memory catalog (with
 // lazy per-column equality indexes), a SQL backend that round-trips

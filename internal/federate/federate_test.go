@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/logical"
 	"repro/internal/semop"
 	"repro/internal/table"
 )
@@ -61,6 +62,13 @@ func render(t *table.Table) string {
 
 func newTestExecutor(c *table.Catalog, workers int) *Executor {
 	return New(c.Epoch, Options{Workers: workers}, NewMemory(c), NewSQL(c))
+}
+
+// execPlan runs a bound plan through the production composition:
+// compile to the shared IR, optimize against the catalog that bound it
+// (nil for no statistics), execute.
+func execPlan(e *Executor, p *semop.Plan, c *table.Catalog) (*table.Table, *Run, error) {
+	return e.ExecuteIR(logical.Optimize(semop.Compile(p), logical.CatalogStats(c)))
 }
 
 func TestMemoryIndexScanMatchesFilter(t *testing.T) {
@@ -147,7 +155,7 @@ func TestExecuteMatchesSemopExec(t *testing.T) {
 		},
 	}
 	for name, p := range plans {
-		got, run, err := e.Execute(p)
+		got, run, err := execPlan(e, p, c)
 		if err != nil {
 			t.Fatalf("%s: execute: %v", name, err)
 		}
@@ -172,7 +180,7 @@ func TestAggregatePushdownScansBucketOnly(t *testing.T) {
 		Filters: []table.Pred{{Col: "product", Op: table.OpEq, Val: table.S("Gamma")}},
 		Aggs:    []table.Agg{{Func: table.AggSum, Col: "units", As: "result"}},
 	}
-	_, run, err := e.Execute(p)
+	_, run, err := execPlan(e, p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +221,7 @@ func TestPlannerRoutesToCheapestBackend(t *testing.T) {
 		costBackend{Backend: NewSQL(c), name: "bargain", cost: 1},
 	)
 	p := &semop.Plan{Table: "sales", MetricCol: "units", LimitRows: 10}
-	_, run, err := e.Execute(p)
+	_, run, err := execPlan(e, p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +232,7 @@ func TestPlannerRoutesToCheapestBackend(t *testing.T) {
 	// Re-registering the expensive backend as cheap must flush cached
 	// plans and flip the routing.
 	e.Register(costBackend{Backend: NewMemory(c), name: "pricey", cost: 0.5})
-	_, run, err = e.Execute(p)
+	_, run, err = execPlan(e, p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +249,10 @@ func TestPlanCacheHitsAndEpochInvalidation(t *testing.T) {
 		Filters: []table.Pred{{Col: "product", Op: table.OpEq, Val: table.S("Alpha")}},
 		Aggs:    []table.Agg{{Func: table.AggSum, Col: "units", As: "result"}},
 	}
-	if _, _, err := e.Execute(p); err != nil {
+	if _, _, err := execPlan(e, p, c); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Execute(p); err != nil {
+	if _, _, err := execPlan(e, p, c); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses, size := e.PlanCacheStats()
@@ -254,7 +262,7 @@ func TestPlanCacheHitsAndEpochInvalidation(t *testing.T) {
 
 	tbl, _ := c.Get("sales")
 	c.Put(tbl) // epoch bump invalidates the cached physical plan
-	if _, _, err := e.Execute(p); err != nil {
+	if _, _, err := execPlan(e, p, c); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses, _ = e.PlanCacheStats()
@@ -315,13 +323,14 @@ func TestSQLCanPushRejectsUnlexableLiterals(t *testing.T) {
 		}
 	}
 	// The planner must fall back to federation-side filtering, not fail.
-	e := New(nil, Options{}, NewSQL(testCatalog()))
+	c := testCatalog()
+	e := New(nil, Options{}, NewSQL(c))
 	p := &semop.Plan{
 		Table: "sales", MetricCol: "units",
 		Filters:   []table.Pred{{Col: "units", Op: table.OpLt, Val: table.F(1e6)}},
 		LimitRows: 50,
 	}
-	res, run, err := e.Execute(p)
+	res, run, err := execPlan(e, p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +361,7 @@ func TestGraphEvidenceBackend(t *testing.T) {
 		Filters: []table.Pred{{Col: "etype", Op: table.OpEq, Val: table.S("drug")}},
 		Aggs:    []table.Agg{{Func: table.AggCount, Col: "", As: "result"}},
 	}
-	res, run, err := e.Execute(p)
+	res, run, err := execPlan(e, p, e.BindingCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +383,7 @@ func TestGraphEvidenceBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch++
-	res, _, err = e.Execute(p)
+	res, _, err = execPlan(e, p, e.BindingCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,13 +413,115 @@ func TestBindingCatalogSpansBackends(t *testing.T) {
 	}
 }
 
+// bindingStats is the statistics source of a query that only binds
+// against the federated schema surface — Hybrid's unbound-name fallback.
+func bindingStats(e *Executor) logical.Stats {
+	return logical.CatalogStats(e.BindingCatalog())
+}
+
+// TestBindingCatalogNotCachedAfterFailedScan pins the fallback
+// surface's fault handling: a transient scan failure while
+// materializing must not be cached for the epoch. The chaos schedule
+// (seed 1) injects exactly one transient fault on the sole provider's
+// unfiltered scan of sales.
+func TestBindingCatalogNotCachedAfterFailedScan(t *testing.T) {
+	c := testCatalog()
+	e := New(c.Epoch, Options{}, NewChaos(NewMemory(c), ChaosOptions{Seed: 1, MaxTransient: 1, Tables: []string{"sales"}}))
+	epoch := c.Epoch()
+	first := e.BindingCatalog()
+	if _, err := first.Get("sales"); !errors.Is(err, table.ErrNoTable) {
+		t.Fatalf("first materialization: sales err = %v, want ErrNoTable (schedule should fail the scan)", err)
+	}
+	if _, err := first.Get("metric_changes"); err != nil {
+		t.Errorf("untargeted table missing from the partial catalog: %v", err)
+	}
+	second := e.BindingCatalog()
+	if _, err := second.Get("sales"); err != nil {
+		t.Fatalf("second materialization still misses sales: %v (incomplete catalog was cached)", err)
+	}
+	if c.Epoch() != epoch {
+		t.Fatal("epoch moved; the test must recover without an ingest")
+	}
+	if e.BindingCatalog() != second {
+		t.Error("complete binding catalog not cached")
+	}
+}
+
+// TestPlanningConsultsOnlyThePlansStatistics pins that lowering reads
+// the statistics the plan was optimized against and nothing else: a
+// pushed aggregate over the memory backend, planned at a fresh epoch,
+// must not materialize the graph backend's views.
+func TestPlanningConsultsOnlyThePlansStatistics(t *testing.T) {
+	c := testCatalog()
+	ge := NewGraphEvidence(graph.New(), c.Epoch)
+	e := New(c.Epoch, Options{}, NewMemory(c), ge)
+	before := ge.Remats()
+	tbl, _ := c.Get("sales")
+	c.Put(tbl) // epoch bump: nothing cached may serve the plan below
+	p := &semop.Plan{
+		Table: "sales", MetricCol: "units",
+		GroupBy: []string{"product"},
+		Aggs:    []table.Agg{{Func: table.AggSum, Col: "units", As: "result"}},
+	}
+	_, run, err := execPlan(e, p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run.Plan.AggPushed {
+		t.Fatal("aggregate not pushed; the test needs the group-estimate path")
+	}
+	if got := run.Fragments[0].Est.Out; got != 4 {
+		t.Errorf("pushed aggregate est out = %d, want the 4 product groups", got)
+	}
+	if got := ge.Remats(); got != before {
+		t.Errorf("planning materialized the graph views (%d -> %d): a second statistics source was consulted", before, got)
+	}
+}
+
+// TestExecuteIRWithoutStatistics pins the nil-Stats contract: a plan
+// carrying no statistics source lowers and runs (estimates fall back
+// to the backends' own), and an Empty leaf, which only a schema source
+// can materialize, fails with the no-schema error instead of panicking.
+func TestExecuteIRWithoutStatistics(t *testing.T) {
+	c := testCatalog()
+	e := newTestExecutor(c, 1)
+	p := &semop.Plan{
+		Table: "sales", MetricCol: "units",
+		GroupBy: []string{"product"},
+		Aggs:    []table.Agg{{Func: table.AggSum, Col: "units", As: "result"}},
+	}
+	got, run, err := e.ExecuteIR(&logical.Optimized{Root: semop.Compile(p)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := semop.Exec(p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(got) != render(want) || !run.Plan.AggPushed {
+		t.Errorf("statistics-free run diverges (pushed=%v):\n%s\nvs\n%s", run.Plan.AggPushed, render(got), render(want))
+	}
+
+	empty := &logical.Node{Op: logical.OpEmpty, Table: "sales", Cols: []string{"units"}}
+	if _, _, err := e.ExecuteIR(&logical.Optimized{Root: empty}); err == nil || !strings.Contains(err.Error(), "no schema for empty leaf sales") {
+		t.Errorf("empty leaf without a schema source: err = %v, want the no-schema error", err)
+	}
+	res, _, err := e.ExecuteIR(&logical.Optimized{Root: empty, Stats: logical.CatalogStats(c)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 0 || strings.Join(res.Schema.Names(), ",") != "units" {
+		t.Errorf("empty leaf = %d rows over %v, want 0 rows over [units]", res.Len(), res.Schema.Names())
+	}
+}
+
 func TestNoBackendServesTable(t *testing.T) {
 	e := New(nil, Options{}, NewMemory(table.NewCatalog()))
-	_, _, err := e.Execute(&semop.Plan{Table: "missing"})
+	_, _, err := execPlan(e, &semop.Plan{Table: "missing"}, nil)
 	if !errors.Is(err, ErrNoBackend) {
 		t.Errorf("err = %v, want ErrNoBackend", err)
 	}
-	if _, _, err := e.Execute(nil); !errors.Is(err, semop.ErrEmptyPlan) {
+	if _, _, err := execPlan(e, nil, nil); !errors.Is(err, semop.ErrEmptyPlan) {
 		t.Errorf("nil plan err = %v, want ErrEmptyPlan", err)
 	}
 }
@@ -427,7 +538,7 @@ func TestExplainDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		c := testCatalog()
 		e := newTestExecutor(c, workers)
-		_, run, err := e.Execute(p)
+		_, run, err := execPlan(e, p, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ type Options struct {
 
 // Executor is the federation engine: it owns the backend registry, the
 // cost-based physical planner, and the epoch-keyed plan cache. Safe
-// for concurrent use; Register may interleave with Execute.
+// for concurrent use; Register may interleave with ExecuteIR.
 type Executor struct {
 	opts    Options
 	epochFn func() uint64
@@ -93,9 +93,10 @@ func New(epochFn func() uint64, opts Options, backends ...Backend) *Executor {
 }
 
 // Register adds a backend (replacing any with the same name) and
-// flushes plan and binding caches, since routing decisions may change.
-// The registry generation bump also invalidates any plan an in-flight
-// Execute computed against the old registry but has not cached yet.
+// flushes the plan cache, since routing decisions may change. The
+// registry generation bump also invalidates the binding catalog and any
+// plan an in-flight ExecuteIR computed against the old registry but has
+// not cached yet.
 func (e *Executor) Register(b Backend) {
 	e.mu.Lock()
 	kept := e.backends[:0]
@@ -110,16 +111,14 @@ func (e *Executor) Register(b Backend) {
 	e.mu.Unlock()
 
 	e.plans.flush()
-	e.bindMu.Lock()
-	e.binding = nil
-	e.bindMu.Unlock()
 }
 
 // Unregister removes the named backend (simulating a store taken out
-// of service) and flushes plan and binding caches exactly as Register
-// does. Reports whether the backend was present. In-flight queries
-// planned against the old registry observe the generation bump and
-// re-plan rather than failing with a stale-routing error.
+// of service), invalidating cached plans and the binding catalog
+// exactly as Register does. Reports whether the backend was present.
+// In-flight queries planned against the old registry observe the
+// generation bump and re-plan rather than failing with a stale-routing
+// error.
 func (e *Executor) Unregister(name string) bool {
 	e.mu.Lock()
 	kept := e.backends[:0]
@@ -140,9 +139,6 @@ func (e *Executor) Unregister(name string) bool {
 	e.mu.Unlock()
 
 	e.plans.flush()
-	e.bindMu.Lock()
-	e.binding = nil
-	e.bindMu.Unlock()
 	return true
 }
 
@@ -182,11 +178,12 @@ func (e *Executor) PlanCacheStats() (hits, misses int64, size int) {
 }
 
 // BindingCatalog returns a catalog spanning every backend's tables —
-// the schema surface semantic-operator binding sees when the primary
-// catalog cannot answer a query, and the statistics source for the
-// logical optimizer when the executor plans a bare semop.Plan.
-// Materialized once per epoch; when two backends serve the same table
-// name, the first in name order wins.
+// the schema surface semantic-operator binding falls back to when the
+// primary catalog cannot answer a query. Materialized once per epoch;
+// when two backends serve the same table name, the first in name order
+// wins. A catalog built while some backend's scan failed is returned
+// but not cached, so a transient fault cannot leave that backend's
+// tables unbindable until the next epoch.
 func (e *Executor) BindingCatalog() *table.Catalog {
 	epoch := e.epochFn()
 	gen := e.generation()
@@ -199,6 +196,7 @@ func (e *Executor) BindingCatalog() *table.Catalog {
 	e.mu.RLock()
 	backends := append([]Backend(nil), e.backends...)
 	e.mu.RUnlock()
+	complete := true
 	for _, b := range backends {
 		for _, name := range b.Tables() {
 			if _, err := c.Get(name); err == nil {
@@ -206,19 +204,16 @@ func (e *Executor) BindingCatalog() *table.Catalog {
 			}
 			res, err := b.Scan(Fragment{Backend: b.Name(), Table: name})
 			if err != nil {
+				complete = false
 				continue
 			}
 			c.Put(res.Table)
 		}
 	}
-	e.binding, e.bindEpoch, e.bindGen = c, epoch, gen
+	if complete {
+		e.binding, e.bindEpoch, e.bindGen = c, epoch, gen
+	}
 	return c
-}
-
-// Stats exposes the federated schema surface as the logical
-// optimizer's statistics source.
-func (e *Executor) Stats() logical.Stats {
-	return logical.CatalogStats(e.BindingCatalog())
 }
 
 // PhysicalPlan is an optimized logical tree lowered onto backends: one
@@ -243,19 +238,16 @@ type PhysicalPlan struct {
 	AggPushed   bool         // aggregation absorbed by the driving fragment's backend
 
 	// VecResidual records the executor dispatch decision, made once at
-	// plan time: true when every residual operator has a vectorized
-	// kernel (logical.Vectorizable) AND at least one fragment is
-	// estimated to deliver vecResidualMinRows rows across the boundary
-	// — below that, column extraction cannot amortize and the row
-	// interpreter is cheaper. Both executors are bit-identical, so the
-	// dispatch never changes results; EXPLAIN renders it as
-	// "exec: vectorized|row".
+	// plan time: true when at least one fragment is estimated to
+	// deliver vecResidualMinRows rows across the boundary — below that,
+	// column extraction cannot amortize and the row interpreter is
+	// cheaper. Both executors are bit-identical, so the dispatch never
+	// changes results; EXPLAIN renders it as "exec: vectorized|row".
 	VecResidual bool
 
 	Epoch uint64
 	gen   uint64 // registry generation the routing was decided at
 	hver  uint64 // breaker-state version the routing was decided at
-	key   string
 }
 
 // splitPush partitions preds into the subset backend b absorbs and the
@@ -274,6 +266,29 @@ func splitPush(b Backend, tbl string, preds []table.Pred) (push, rest []table.Pr
 	return push, rest
 }
 
+// price offers preds to backend b for a scan of tbl: the pushdown
+// split, plus b's estimate with Cost replaced by the comparable routing
+// cost. Planned routing and failover ordering both rank by it, so the
+// two cannot drift. ok is false when b does not serve tbl.
+func (e *Executor) price(b Backend, tbl string, preds []table.Pred) (push, rest []table.Pred, est Estimate, ok bool) {
+	push, rest = splitPush(b, tbl, preds)
+	est, ok = b.Estimate(tbl, push)
+	if !ok {
+		return nil, nil, Estimate{}, false
+	}
+	// Residual predicates cost the federation layer one evaluation
+	// per returned row; fold that into the comparable cost.
+	est.Cost += float64(est.Out) * 0.25 * float64(len(rest))
+	// An open breaker deprioritizes the backend without excluding
+	// it: health is a planning input, exactly like cost. The plan
+	// cache keys on the breaker-state version, so a transition
+	// re-routes on the next plan rather than serving a stale choice.
+	if e.health.isOpen(b.Name()) {
+		est.Cost += breakerPenalty
+	}
+	return push, rest, est, true
+}
+
 // route picks the cheapest backend serving tbl, offering preds for
 // pushdown. Ties resolve to the first backend in name order.
 func (e *Executor) route(tbl string, preds []table.Pred) (Fragment, []table.Pred, error) {
@@ -281,42 +296,21 @@ func (e *Executor) route(tbl string, preds []table.Pred) (Fragment, []table.Pred
 	backends := append([]Backend(nil), e.backends...)
 	e.mu.RUnlock()
 
-	var (
-		best     Backend
-		bestPush []table.Pred
-		bestRest []table.Pred
-		bestEst  Estimate
-	)
+	var best Fragment
+	var bestRest []table.Pred
+	found := false
 	for _, b := range backends {
-		push, rest := splitPush(b, tbl, preds)
-		est, ok := b.Estimate(tbl, push)
-		if !ok {
-			continue
-		}
-		// Residual predicates cost the federation layer one evaluation
-		// per returned row; fold that into the comparable cost.
-		cost := est.Cost + float64(est.Out)*0.25*float64(len(rest))
-		// An open breaker deprioritizes the backend without excluding
-		// it: health is a planning input, exactly like cost. The plan
-		// cache keys on the breaker-state version, so a transition
-		// re-routes on the next plan rather than serving a stale choice.
-		if e.health.isOpen(b.Name()) {
-			cost += breakerPenalty
-		}
-		if best == nil || cost < bestEst.Cost {
-			best, bestPush, bestRest, bestEst = b, push, rest, est
-			bestEst.Cost = cost
+		push, rest, est, ok := e.price(b, tbl, preds)
+		if ok && (!found || est.Cost < best.Est.Cost) {
+			best, bestRest, found = Fragment{Backend: b.Name(), Table: tbl, Preds: push, Est: est}, rest, true
 		}
 	}
-	if best == nil {
+	if !found {
 		return Fragment{}, nil, fmt.Errorf("%w: %s", ErrNoBackend, tbl)
 	}
-	return Fragment{Backend: best.Name(), Table: tbl, Preds: bestPush, Est: bestEst}, bestRest, nil
+	return best, bestRest, nil
 }
 
-// plan lowers the optimized tree, consulting the epoch-keyed cache.
-// key is the tree's canonical fingerprint (computed by the caller so
-// prepared plans amortize it).
 // vecResidualMinRows is the plan-time vectorization threshold: the
 // residual runs the columnar executor only when some fragment is
 // estimated to deliver at least this many rows across the federation
@@ -338,7 +332,10 @@ func maxEstOut(frags []Fragment) int {
 	return m
 }
 
-func (e *Executor) plan(opt *logical.Optimized, key string) (*PhysicalPlan, bool, error) {
+// plan lowers the optimized tree, consulting the epoch-keyed cache.
+// key is the tree's canonical fingerprint (computed once per query, so
+// stale-registry re-plans do not re-derive it).
+func (e *Executor) plan(opt *logical.Optimized, key string) (*PhysicalPlan, error) {
 	epoch := e.epochFn()
 	// Snapshot the registry generation before routing: if a Register
 	// lands mid-plan, the generation mismatch keeps the stale plan out
@@ -349,27 +346,28 @@ func (e *Executor) plan(opt *logical.Optimized, key string) (*PhysicalPlan, bool
 	e.health.sync(gen)
 	hver := e.health.version()
 	if pp := e.plans.get(key, epoch, gen, hver); pp != nil {
-		return pp, true, nil
+		return pp, nil
 	}
 
-	pp := &PhysicalPlan{Root: opt.Root, Trace: opt.Trace, Rollups: opt.Rollups, Epoch: epoch, gen: gen, hver: hver, key: key}
-	residual, err := e.lower(opt.Root, pp)
+	pp := &PhysicalPlan{Root: opt.Root, Trace: opt.Trace, Rollups: opt.Rollups, Epoch: epoch, gen: gen, hver: hver}
+	residual, err := e.lower(opt.Root, opt.Stats, pp)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	pp.Residual = residual
-	pp.VecResidual = logical.Vectorizable(residual) && maxEstOut(pp.Frags) >= vecResidualMinRows
+	pp.VecResidual = maxEstOut(pp.Frags) >= vecResidualMinRows
 
 	e.plans.put(key, pp, e.generation(), e.health.version())
-	return pp, false, nil
+	return pp, nil
 }
 
 // lower recursively rewrites the tree: every Scan leaf becomes a
 // routed fragment plus an Input node, and the operators a fragment's
 // backend absorbs — pushable predicates, pruned or explicitly
 // projected columns, a whole directly-stacked aggregation — disappear
-// from the residual the federation layer interprets.
-func (e *Executor) lower(n *logical.Node, pp *PhysicalPlan) (*logical.Node, error) {
+// from the residual the federation layer interprets. st is the
+// statistics source the tree was optimized against (nil for none).
+func (e *Executor) lower(n *logical.Node, st logical.Stats, pp *PhysicalPlan) (*logical.Node, error) {
 	switch n.Op {
 	case logical.OpScan:
 		input, _, rest, err := e.lowerScan(n, nil, pp)
@@ -409,7 +407,11 @@ func (e *Executor) lower(n *logical.Node, pp *PhysicalPlan) (*logical.Node, erro
 					// The fragment now returns group rows, not filtered
 					// rows: re-estimate its output from the group keys'
 					// distinct counts.
-					frag.Est.Out = logical.EstimateGroupRows(e.Stats().TableStats(frag.Table), frag.Est.Out, n.GroupBy)
+					var ts *table.TableStats
+					if st != nil {
+						ts = st.TableStats(frag.Table)
+					}
+					frag.Est.Out = logical.EstimateGroupRows(ts, frag.Est.Out, n.GroupBy)
 					pp.AggPushed = true
 					return input, nil
 				}
@@ -462,7 +464,7 @@ func (e *Executor) lower(n *logical.Node, pp *PhysicalPlan) (*logical.Node, erro
 	out := n.Clone()
 	out.In = make([]*logical.Node, len(n.In))
 	for i, in := range n.In {
-		low, err := e.lower(in, pp)
+		low, err := e.lower(in, st, pp)
 		if err != nil {
 			return nil, err
 		}

@@ -219,7 +219,7 @@ func TestGraphBackendPrunesViews(t *testing.T) {
 	root := filterScan(GraphEntitiesTable,
 		table.Pred{Col: "etype", Op: table.OpEq, Val: table.S("drug")},
 		table.Pred{Col: "entity", Op: table.OpGe, Val: table.S(fmt.Sprintf("E%04d", table.FragmentRows))})
-	opt := logical.Optimize(root, e.Stats())
+	opt := logical.Optimize(root, bindingStats(e))
 	res, run, err := e.ExecuteIR(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestGraphBackendPrunesViews(t *testing.T) {
 	// An impossible degree bound is refuted by the view's table-wide
 	// statistics: emptyfold collapses the scan and no fragment is routed.
 	opt = logical.Optimize(filterScan(GraphEntitiesTable,
-		table.Pred{Col: "degree", Op: table.OpGt, Val: table.I(1 << 40)}), e.Stats())
+		table.Pred{Col: "degree", Op: table.OpGt, Val: table.I(1 << 40)}), bindingStats(e))
 	res, run, err = e.ExecuteIR(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestGraphViewsRematerializeOncePerEpoch(t *testing.T) {
 
 	root := filterScan(GraphEntitiesTable, table.Pred{Col: "etype", Op: table.OpEq, Val: table.S("drug")})
 	for i := 0; i < 5; i++ {
-		if _, _, err := e.ExecuteIR(logical.Optimize(root, e.Stats())); err != nil {
+		if _, _, err := e.ExecuteIR(logical.Optimize(root, bindingStats(e))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +269,7 @@ func TestGraphViewsRematerializeOncePerEpoch(t *testing.T) {
 		t.Fatalf("views materialized %d times at one epoch, want 1", got)
 	}
 	epoch++
-	if _, _, err := e.ExecuteIR(logical.Optimize(root, e.Stats())); err != nil {
+	if _, _, err := e.ExecuteIR(logical.Optimize(root, bindingStats(e))); err != nil {
 		t.Fatal(err)
 	}
 	if got := ge.Remats(); got != 2 {
@@ -298,7 +298,7 @@ func TestPrunedExecutionMatchesUnprunedWorkload(t *testing.T) {
 				continue
 			}
 			bound++
-			got, _, err := e.Execute(plan)
+			got, _, err := execPlan(e, plan, cat)
 			if err != nil {
 				t.Fatalf("%s: %q: %v", c.Name, q.Text, err)
 			}

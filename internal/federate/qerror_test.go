@@ -92,7 +92,7 @@ func WorkloadMaxQError(tb testing.TB) (maxQ float64, fragments int) {
 				continue
 			}
 			bound++
-			_, run, err := e.Execute(plan)
+			_, run, err := execPlan(e, plan, cat)
 			if err != nil {
 				tb.Fatalf("%s: %q: %v", c.Name, q.Text, err)
 			}

@@ -369,16 +369,11 @@ func (e *Executor) failoverCandidates(f Fragment) []Backend {
 		if b.Name() == f.Backend {
 			continue
 		}
-		push, rest := splitPush(b, f.Table, f.Preds)
-		est, ok := b.Estimate(f.Table, push)
+		_, _, est, ok := e.price(b, f.Table, f.Preds)
 		if !ok {
 			continue
 		}
-		cost := est.Cost + float64(est.Out)*0.25*float64(len(rest))
-		if e.health.isOpen(b.Name()) {
-			cost += breakerPenalty
-		}
-		cands = append(cands, cand{b, cost})
+		cands = append(cands, cand{b, est.Cost})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].cost != cands[j].cost {

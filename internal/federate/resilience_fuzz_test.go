@@ -29,8 +29,8 @@ func FuzzFaultSchedule(f *testing.F) {
 		memDown := downMask&1 != 0
 		sqlDown := downMask&2 != 0
 
+		c := testCatalog() // read-only: shared by both executors and the reference
 		build := func() *Executor {
-			c := testCatalog()
 			clock := fault.NewFakeClock()
 			return New(c.Epoch, Options{Workers: w, Clock: clock},
 				NewChaos(NewMemory(c), ChaosOptions{Seed: seed, MaxTransient: mt, Down: memDown, Clock: clock}),
@@ -48,7 +48,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		run := func(e *Executor) []string {
 			out := make([]string, 0, len(names))
 			for _, name := range names {
-				got, _, err := e.Execute(plans[name])
+				got, _, err := execPlan(e, plans[name], c)
 				if err != nil {
 					out = append(out, name+" ERR "+err.Error())
 					continue
@@ -75,7 +75,6 @@ func FuzzFaultSchedule(f *testing.F) {
 			return
 		}
 		// At least one backend survives per table: parity must hold.
-		c := testCatalog()
 		for i, name := range names {
 			want, err := semop.Exec(plans[name], c)
 			if err != nil {

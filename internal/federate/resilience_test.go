@@ -63,7 +63,7 @@ func TestTransientFaultsRetryToParity(t *testing.T) {
 			NewChaos(NewSQL(c), ChaosOptions{Seed: 43, MaxTransient: 3, Latency: time.Millisecond, Clock: clock}),
 		)
 		for name, p := range resilienceTestPlans() {
-			got, run, err := e.Execute(p)
+			got, run, err := execPlan(e, p, c)
 			if err != nil {
 				t.Fatalf("workers=%d %s: %v", workers, name, err)
 			}
@@ -107,7 +107,7 @@ func TestDownBackendFailsOver(t *testing.T) {
 
 	sawFailover, sawRerouted := false, false
 	for q := 0; q < 6; q++ {
-		got, run, err := e.Execute(p)
+		got, run, err := execPlan(e, p, c)
 		if err != nil {
 			t.Fatalf("query %d: %v", q, err)
 		}
@@ -155,7 +155,7 @@ func TestFailoverCompensation(t *testing.T) {
 		Filters: []table.Pred{{Col: "units", Op: table.OpLt, Val: table.F(1e6)}},
 		Aggs:    []table.Agg{{Func: table.AggSum, Col: "units", As: "result"}},
 	}
-	got, run, err := e.Execute(p)
+	got, run, err := execPlan(e, p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	p := resilienceTestPlans()["list"]
 	exec := func(q int) FragmentRun {
 		t.Helper()
-		_, run, err := e.Execute(p)
+		_, run, err := execPlan(e, p, c)
 		if err != nil {
 			t.Fatalf("query %d: %v", q, err)
 		}
@@ -327,7 +327,7 @@ func TestOpenBreakerSoleProviderForcesProbe(t *testing.T) {
 	e := New(c.Epoch, Options{Workers: 1, Counters: counters}, NewMemory(c))
 	e.health.sync(e.generation())
 	e.health.reportFailure("memory", 1)
-	got, run, err := e.Execute(resilienceTestPlans()["list"])
+	got, run, err := execPlan(e, resilienceTestPlans()["list"], c)
 	if err != nil {
 		t.Fatalf("sole-provider query failed with open breaker: %v", err)
 	}
@@ -350,7 +350,7 @@ func TestQueryDeadlineCancelsHangingScan(t *testing.T) {
 		NewChaos(NewMemory(c), ChaosOptions{Hang: true}),
 	)
 	start := time.Now()
-	_, _, err := e.Execute(resilienceTestPlans()["list"])
+	_, _, err := execPlan(e, resilienceTestPlans()["list"], c)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -374,7 +374,7 @@ func TestSiblingCancellationOnPermanentError(t *testing.T) {
 	)
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := e.Execute(resilienceTestPlans()["join"])
+		_, _, err := execPlan(e, resilienceTestPlans()["join"], c)
 		done <- err
 	}()
 	select {
@@ -402,7 +402,7 @@ func TestDeterministicErrorSelection(t *testing.T) {
 			NewChaos(NewMemory(c), ChaosOptions{Down: true}),
 			NewChaos(NewSQL(c), ChaosOptions{Down: true}),
 		)
-		_, _, err := e.Execute(resilienceTestPlans()["join"])
+		_, _, err := execPlan(e, resilienceTestPlans()["join"], c)
 		if err == nil {
 			t.Fatalf("workers=%d: query succeeded with every backend down", workers)
 		}
@@ -443,7 +443,7 @@ func TestStaleRegistryReplans(t *testing.T) {
 	e.Register(u)
 
 	p := resilienceTestPlans()["list"]
-	got, run, err := e.Execute(p)
+	got, run, err := execPlan(e, p, c)
 	if err != nil {
 		t.Fatalf("stale-registry execute: %v", err)
 	}
@@ -482,7 +482,7 @@ func TestUnregisterRemovesBackend(t *testing.T) {
 		t.Errorf("Backends() = %v, want [memory]", got)
 	}
 	// Queries keep working against the remaining backend.
-	if _, _, err := e.Execute(resilienceTestPlans()["list"]); err != nil {
+	if _, _, err := execPlan(e, resilienceTestPlans()["list"], c); err != nil {
 		t.Fatal(err)
 	}
 }

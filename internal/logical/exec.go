@@ -8,8 +8,29 @@ import (
 
 // Source resolves a leaf node (Scan or Input) to its rows. The
 // single-store executor resolves Scans from a catalog; the federation
-// layer resolves Inputs from fragment results.
+// layer resolves Inputs from fragment results. For an Empty leaf the
+// source returns any table carrying the folded scan's full schema (its
+// rows are never read); the evaluators materialise the leaf from it.
 type Source func(leaf *Node) (*table.Table, error)
+
+// emptyLeaf materialises an Empty leaf from the table src resolved it
+// to: zero rows under the folded scan's schema (an already-empty table
+// is reused as is), narrowed to the leaf's pruned column set. The proof
+// that no rows survive already happened at plan time.
+func emptyLeaf(leaf *Node, src Source) (*table.Table, error) {
+	base, err := src(leaf)
+	if err != nil {
+		return nil, err
+	}
+	empty := base
+	if base.Len() > 0 {
+		empty = table.New(base.Name, base.Schema)
+	}
+	if len(leaf.Cols) > 0 {
+		return table.Project(empty, leaf.Cols...)
+	}
+	return empty, nil
+}
 
 // Run interprets the tree, resolving leaves through src. This is the
 // one operator loop of the system: semop.Exec, sql.ExecStmt and the
@@ -20,8 +41,10 @@ func Run(n *Node, src Source) (*table.Table, error) {
 		return nil, ErrEmptyPlan
 	}
 	switch n.Op {
-	case OpScan, OpInput, OpEmpty:
+	case OpScan, OpInput:
 		return src(n)
+	case OpEmpty:
+		return emptyLeaf(n, src)
 	case OpJoin:
 		left, err := Run(n.In[0], src)
 		if err != nil {
@@ -110,17 +133,7 @@ func Exec(n *Node, c *table.Catalog) (*table.Table, error) {
 			}
 			return t, nil
 		case OpEmpty:
-			// The folded scan's table supplies the schema; the proof that
-			// no rows survive already happened at plan time.
-			t, err := c.Get(leaf.Table)
-			if err != nil {
-				return nil, err
-			}
-			empty := table.New(t.Name, t.Schema)
-			if len(leaf.Cols) > 0 {
-				return table.Project(empty, leaf.Cols...)
-			}
-			return empty, nil
+			return c.Get(leaf.Table) // the folded scan's table supplies the schema
 		default:
 			return nil, fmt.Errorf("logical: unresolved %v leaf", leaf.Op)
 		}

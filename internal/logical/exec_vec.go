@@ -29,38 +29,17 @@ import (
 // without boxing a Value per comparison. Compare reuses the filter
 // and aggregate kernels, running each CompareBranches arm over the
 // child stream and appending per-item results in branch order.
-// Every operator of the IR has a columnar form; Vectorizable remains
-// the dispatch gate for operators added in the future, and the
-// federated executor records the plan-time decision in EXPLAIN as
+// Every operator of the IR has a columnar form; the federated executor
+// records its plan-time dispatch decision in EXPLAIN as
 // "exec: vectorized|row".
-
-// Vectorizable reports whether the whole tree can run on the
-// vectorized executor. Every current operator can; only a future
-// operator without a columnar kernel forces the row interpreter.
-func Vectorizable(n *Node) bool {
-	if n == nil {
-		return false
-	}
-	switch n.Op {
-	case OpScan, OpInput, OpEmpty, OpFilter, OpProject, OpJoin,
-		OpAggregate, OpSort, OpLimit, OpDistinct, OpCompare:
-		for _, in := range n.In {
-			if !Vectorizable(in) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
 
 // VecEnv supplies the vectorized executor's environment: how leaves
 // resolve to tables, where cached columnar fragments for a leaf's
 // table live, and the morsel parallelism budget.
 type VecEnv struct {
 	// Leaf resolves a leaf node to its table, with the same contract
-	// as Run's Source: the returned table is the leaf's final output.
+	// as Run's Source: the returned table is the leaf's final output
+	// (for an Empty leaf, the table supplying its schema).
 	Leaf Source
 	// Scan, when set, resolves OpScan leaves to the raw base table
 	// plus its columnar fragments; the executor then applies the
@@ -75,8 +54,8 @@ type VecEnv struct {
 	Workers int
 }
 
-// RunVec interprets the tree with the vectorized kernels. Trees must
-// satisfy Vectorizable; other operators return an error. Results are
+// RunVec interprets the tree with the vectorized kernels; an operator
+// without one returns a "cannot execute" error. Results are
 // bit-identical to Run over the same sources.
 func RunVec(n *Node, env VecEnv) (*table.Table, error) {
 	if n == nil {
@@ -106,15 +85,7 @@ func ExecVec(n *Node, c *table.Catalog, workers int) (*table.Table, error) {
 			if leaf.Op != OpEmpty {
 				return nil, fmt.Errorf("logical: unresolved %v leaf", leaf.Op)
 			}
-			t, err := c.Get(leaf.Table)
-			if err != nil {
-				return nil, err
-			}
-			empty := table.New(t.Name, t.Schema)
-			if len(leaf.Cols) > 0 {
-				return table.Project(empty, leaf.Cols...)
-			}
-			return empty, nil
+			return c.Get(leaf.Table) // the folded scan's table supplies the schema
 		},
 		Workers: workers,
 	})
@@ -254,8 +225,14 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 			return v.scanStream(n)
 		}
 		return v.leafStream(n)
-	case OpInput, OpEmpty:
+	case OpInput:
 		return v.leafStream(n)
+	case OpEmpty:
+		t, err := emptyLeaf(n, v.env.Leaf)
+		if err != nil {
+			return nil, err
+		}
+		return passthrough(t, nil), nil
 	case OpJoin:
 		ls, err := v.eval(n.In[0])
 		if err != nil {
@@ -295,7 +272,7 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 	case OpCompare:
 		return v.compareStream(n, s)
 	default:
-		return nil, fmt.Errorf("logical: %v is not vectorizable", n.Op)
+		return nil, fmt.Errorf("logical: cannot execute %v node", n.Op)
 	}
 }
 

@@ -72,9 +72,6 @@ func nullCatalog() *table.Catalog {
 // schema, row order and cell values — or the identical error outcome.
 func assertVecParity(t *testing.T, root *Node, c *table.Catalog) {
 	t.Helper()
-	if !Vectorizable(root) {
-		t.Fatalf("plan unexpectedly not vectorizable: %s", root.String())
-	}
 	want, wantErr := Exec(root, c)
 	for _, workers := range []int{1, 4} {
 		got, err := ExecVec(root, c, workers)

@@ -18,10 +18,9 @@
 // aggregates over grouped columns, sorts via a stable permutation
 // over typed key arrays, morsel-parallel via internal/par) and is
 // bit-identical to Run — same schema, row order, cell values and
-// errors, at any worker count. Every current operator has a columnar
-// kernel; Vectorizable guards only operators added in the future, and
-// callers choose an executor per plan knowing results never depend on
-// the choice.
+// errors, at any worker count. Every operator has a columnar kernel,
+// and callers choose an executor per plan knowing results never depend
+// on the choice.
 package logical
 
 import (

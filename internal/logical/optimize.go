@@ -61,11 +61,12 @@ type Optimized struct {
 	// preformatted "base -> rollup (mode)" line per rewrite — the
 	// source of EXPLAIN's "rollup:" line. Empty when nothing routed.
 	Rollups []string
+	// Stats is the statistics source the passes ran against, carried
+	// with the plan so whoever lowers or executes it consults the same
+	// source descriptions rather than a copy of the sources. Nil means
+	// "no statistics", exactly as the passes treat it.
+	Stats Stats
 }
-
-// Unoptimized wraps a tree without running any pass; baselines and
-// benchmarks use it to measure what the rules buy.
-func Unoptimized(root *Node) *Optimized { return &Optimized{Root: root} }
 
 // Optimize clones the tree and runs the rule passes in a fixed order:
 //
@@ -89,7 +90,7 @@ func Optimize(root *Node, st Stats) *Optimized {
 	if root == nil {
 		return &Optimized{}
 	}
-	o := &Optimized{Root: root.Clone()}
+	o := &Optimized{Root: root.Clone(), Stats: st}
 	passes := []struct {
 		name string
 		run  func(*Optimized, Stats) []string

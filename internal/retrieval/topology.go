@@ -34,14 +34,13 @@ type Retriever interface {
 
 // TopologyOptions configures the graph retriever.
 type TopologyOptions struct {
-	MaxDepth         int     // traversal hop limit (default 3)
-	Budget           int     // max settled nodes (default 256)
-	Decay            float64 // per-hop decay (default 0.7)
-	DisableCentral   bool    // ablation: no centrality prior
-	DisableCueEdges  bool    // ablation: skip relates/cue edges
-	LexicalFallback  bool    // fall back to lexical scan when no anchors (default true)
-	AnchorsPerEntity int     // unused entities beyond this are ignored
-	Workers          int     // PageRank workers; 0 = GOMAXPROCS, 1 = sequential
+	MaxDepth        int     // traversal hop limit (default 3)
+	Budget          int     // max settled nodes (default 256)
+	Decay           float64 // per-hop decay (default 0.7)
+	DisableCentral  bool    // ablation: no centrality prior
+	DisableCueEdges bool    // ablation: skip relates/cue edges
+	LexicalFallback bool    // fall back to lexical scan when no anchors (default true)
+	Workers         int     // PageRank workers; 0 = GOMAXPROCS, 1 = sequential
 }
 
 // DefaultTopologyOptions returns the standard configuration.

@@ -24,16 +24,6 @@ func (b Bitmap) Get(i int) bool {
 	return b != nil && b[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Any reports whether any bit is set.
-func (b Bitmap) Any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // ColVec is one column of a Batch in typed array form. Exactly one of
 // the typed slices (or Boxed) is populated, chosen by the column's
 // schema type; Nulls marks NULL rows (typed slots of NULL rows hold

@@ -209,7 +209,7 @@ func HashJoinHint(left, right *Table, leftCol, rightCol string, hint int) (*Tabl
 	if ri < 0 {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, right.Name, rightCol)
 	}
-	out := New(left.Name+"_join_"+right.Name, joinSchema(left, right))
+	out := New(left.Name+"_join_"+right.Name, JoinedSchema(left.Schema, right.Name, right.Schema))
 	if hint > 0 {
 		out.Rows = make([][]Value, 0, hint)
 	}
@@ -251,24 +251,6 @@ func HashJoinHint(left, right *Table, leftCol, rightCol string, hint int) (*Tabl
 		}
 	}
 	return out, nil
-}
-
-// NestedLoopJoin joins on an arbitrary row predicate; used for
-// non-equi conditions. on receives (leftRow, rightRow).
-func NestedLoopJoin(left, right *Table, on func(l, r []Value) bool) *Table {
-	out := New(left.Name+"_join_"+right.Name, joinSchema(left, right))
-	for _, lr := range left.Rows {
-		for _, rr := range right.Rows {
-			if on(lr, rr) {
-				out.Rows = append(out.Rows, concatRows(lr, rr))
-			}
-		}
-	}
-	return out
-}
-
-func joinSchema(left, right *Table) Schema {
-	return JoinedSchema(left.Schema, right.Name, right.Schema)
 }
 
 // JoinedSchema computes the output schema of a join without executing

@@ -172,25 +172,6 @@ func TestHashJoinMissingColumn(t *testing.T) {
 	}
 }
 
-func TestNestedLoopJoin(t *testing.T) {
-	sales := salesTable(t)
-	// Non-equi: pair each sale with strictly higher-revenue sales.
-	out := NestedLoopJoin(sales, sales, func(l, r []Value) bool {
-		return Compare(l[2], r[2]) < 0
-	})
-	want := 0
-	for _, a := range sales.Rows {
-		for _, b := range sales.Rows {
-			if Compare(a[2], b[2]) < 0 {
-				want++
-			}
-		}
-	}
-	if out.Len() != want {
-		t.Errorf("nested loop rows = %d, want %d", out.Len(), want)
-	}
-}
-
 func TestAggregateGlobal(t *testing.T) {
 	got, err := Aggregate(salesTable(t), nil, []Agg{
 		{Func: AggSum, Col: "revenue", As: "total"},
