@@ -280,6 +280,30 @@ func BenchmarkAnswerAll(b *testing.B) {
 	b.ReportMetric(float64(len(questions))*float64(b.N)/b.Elapsed().Seconds(), "q/s")
 }
 
+// BenchmarkTopologyRetrieve measures one topology retrieval (anchor,
+// expand, score) on the repository benchmark's e-commerce corpus
+// (48 products × 12 reviews), the generator's queries in rotation —
+// the stage that dominates an Ask.
+func BenchmarkTopologyRetrieve(b *testing.B) {
+	opts := workload.DefaultECommerceOptions()
+	opts.Products, opts.ReviewsPerProduct = 48, 12
+	c := workload.ECommerce(opts)
+	ner := slm.NewNER()
+	c.Register(ner)
+	g, _, err := index.NewBuilder(ner, index.DefaultOptions()).Build(c.Sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := retrieval.NewTopology(g, ner, retrieval.DefaultTopologyOptions())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ev := r.Retrieve(c.Queries[i%len(c.Queries)].Text, 8); len(ev) == 0 {
+			b.Fatal("no evidence")
+		}
+	}
+}
+
 // BenchmarkAnswerAllSequential is the single-worker baseline for
 // BenchmarkAnswerAll.
 func BenchmarkAnswerAllSequential(b *testing.B) {

@@ -3,6 +3,7 @@ package unisem
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +113,71 @@ func TestConcurrentIngestAndAsk(t *testing.T) {
 	}
 	if ans, err := sys.Ask("What was the revenue of Product Alpha in Q3?"); err != nil || ans.Text != "1500" {
 		t.Errorf("post-ingest ask = (%q, %v)", ans.Text, err)
+	}
+}
+
+// AskAll(parallel 8) racing Ingest shares the retriever's pooled
+// scratch state across calls that see views of different sizes. Once
+// the writer is done, a parallel batch on the raced system must equal a
+// sequential batch on a system that ingested the same documents and
+// never ran two retrievals at once: no score leaks between calls (run
+// with -race).
+func TestAskAllRacingIngestMatchesSequential(t *testing.T) {
+	questions := []string{
+		"What was the revenue of Product Alpha in Q3?",
+		"What is the average rating of Product Alpha?",
+		"What is the average rating of Product Beta?",
+		"Which side effects were reported for Drug A?",
+		"Compare total revenue for Product Alpha and Product Beta in Q2",
+		"what happened with the battery",
+	}
+	ingestAll := func(sys *System) error {
+		for i := 0; i < 12; i++ {
+			doc := fmt.Sprintf("Customer C-9%d rated Product Beta %d stars. Battery life was fine.", i, i%5+1)
+			if err := sys.Ingest("live", fmt.Sprintf("live-%d", i), doc); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	raced, sequential := buildDemo(t), buildDemo(t)
+	done := make(chan error, 1)
+	go func() { done <- ingestAll(raced) }()
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		if _, err := raced.AskAll(questions, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ingestAll(sequential); err != nil {
+		t.Fatal(err)
+	}
+	got, err := raced.AskAll(questions, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sequential.AskAll(questions, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range questions {
+		if got[i].Text != want[i].Text || len(got[i].Evidence) != len(want[i].Evidence) {
+			t.Errorf("%q: raced (%q, %d evidence) vs sequential (%q, %d evidence)",
+				q, got[i].Text, len(got[i].Evidence), want[i].Text, len(want[i].Evidence))
+			continue
+		}
+		for j, e := range got[i].Evidence {
+			if w := want[i].Evidence[j]; e.ID != w.ID || math.Float64bits(e.Score) != math.Float64bits(w.Score) {
+				t.Errorf("%q evidence[%d]: raced %s %v vs sequential %s %v", q, j, e.ID, e.Score, w.ID, w.Score)
+			}
+		}
 	}
 }
 

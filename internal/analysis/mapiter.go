@@ -232,7 +232,7 @@ func sameExpr(a, b ast.Expr) bool {
 // body, target is passed (possibly wrapped, e.g. sort.Sort(byLen(s)))
 // to a sorting call: a sort.* / slices.* function, or any function
 // whose own name mentions "sort" (in-package helpers like
-// sortEvidence).
+// sortedItems).
 func sortedAfter(pass *Pass, body *ast.BlockStmt, pos token.Pos, target string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

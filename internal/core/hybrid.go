@@ -341,14 +341,15 @@ func NewHybridFromState(g *graph.Graph, catalog *table.Catalog, ner *slm.NER, op
 	}
 	h.retriever = retrieval.NewTopology(g, ner, opts.Topology)
 	h.initFederation()
+	byType := g.CountByType()
 	h.IndexStats = index.Stats{
 		Nodes:     g.NodeCount(),
 		Edges:     g.EdgeCount(),
-		Entities:  len(g.NodesOfType(graph.NodeEntity)),
-		Chunks:    len(g.NodesOfType(graph.NodeChunk)),
-		Cues:      len(g.NodesOfType(graph.NodeCue)),
-		Rows:      len(g.NodesOfType(graph.NodeRow)),
-		Docs:      len(g.NodesOfType(graph.NodeDoc)),
+		Entities:  byType[graph.NodeEntity],
+		Chunks:    byType[graph.NodeChunk],
+		Cues:      byType[graph.NodeCue],
+		Rows:      byType[graph.NodeRow],
+		Docs:      byType[graph.NodeDoc],
 		SizeBytes: g.SizeBytes(),
 	}
 	return h

@@ -2,28 +2,9 @@ package graph
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/par"
 )
-
-// DegreeCentrality returns normalized out-degree per node: degree
-// divided by (n-1). For n <= 1 all values are 0.
-func (g *Graph) DegreeCentrality() map[string]float64 {
-	n := len(g.vs)
-	out := make(map[string]float64, n)
-	if n <= 1 {
-		for id := range g.vs {
-			out[id] = 0
-		}
-		return out
-	}
-	denom := float64(n - 1)
-	for id, v := range g.vs {
-		out[id] = float64(len(v.out)) / denom
-	}
-	return out
-}
 
 // PageRankOptions configures PageRank.
 type PageRankOptions struct {
@@ -38,20 +19,20 @@ func DefaultPageRankOptions() PageRankOptions {
 	return PageRankOptions{Damping: 0.85, Iterations: 40, Tolerance: 1e-8}
 }
 
-// PageRank computes weighted PageRank over the directed graph. Edge
-// weights bias the random walk; dangling mass is redistributed
-// uniformly. Scores sum to 1 over all nodes. This is the "centrality
-// measure[] to identify influential nodes" of Section III.B.
+// PageRank computes weighted PageRank over the directed graph, one
+// score per view index. Edge weights bias the random walk; dangling
+// mass is redistributed uniformly. Scores sum to 1 over all nodes. This
+// is the "centrality measure[] to identify influential nodes" of
+// Section III.B.
 //
-// The iteration runs pull-style over a dense index-space copy of the
-// graph: each node gathers from its in-edges in list order, so every
-// node's score is independent of how nodes are partitioned across
-// workers — results are bit-identical at any worker count.
-func (g *Graph) PageRank(opts PageRankOptions) map[string]float64 {
-	n := len(g.vs)
-	out := make(map[string]float64, n)
+// The iteration runs pull-style: each node gathers from its in-edges in
+// list order, so every node's score is independent of how nodes are
+// partitioned across workers — results are bit-identical at any worker
+// count.
+func (v *View) PageRank(opts PageRankOptions) []float64 {
+	n := len(v.verts)
 	if n == 0 {
-		return out
+		return nil
 	}
 	if opts.Damping <= 0 || opts.Damping >= 1 {
 		opts.Damping = 0.85
@@ -59,30 +40,17 @@ func (g *Graph) PageRank(opts PageRankOptions) map[string]float64 {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 40
 	}
-	ids := g.NodeIDs()
-	idx := make(map[string]int, n)
-	for i, id := range ids {
-		idx[id] = i
-	}
 
-	// CSR-style reverse adjacency plus per-node total outgoing weight:
-	// the hot loop then touches only flat slices, no string hashing.
+	// Per-node total outgoing weight, and the in-edge weights flattened
+	// beside src so the hot loop touches only flat slices.
 	outWeight := make([]float64, n)
-	offs := make([]int, n+1)
-	for i, id := range ids {
-		v := g.vs[id]
-		for _, e := range v.out {
+	ws := make([]float64, len(v.src))
+	for i, vx := range v.verts {
+		for _, e := range vx.out[:v.outOff[i+1]-v.outOff[i]] {
 			outWeight[i] += e.Weight
 		}
-		offs[i+1] = offs[i] + len(v.in)
-	}
-	srcs := make([]int32, offs[n])
-	ws := make([]float64, offs[n])
-	for i, id := range ids {
-		base := offs[i]
-		for j, e := range g.vs[id].in {
-			srcs[base+j] = int32(idx[e.From])
-			ws[base+j] = e.Weight
+		for j, e := range vx.in[:v.inOff[i+1]-v.inOff[i]] {
+			ws[int(v.inOff[i])+j] = e.Weight
 		}
 	}
 
@@ -108,12 +76,12 @@ func (g *Graph) PageRank(opts PageRankOptions) map[string]float64 {
 		base := (1-d)/float64(n) + d*dangling/float64(n)
 
 		par.ForRange(n, opts.Workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
+			for u := lo; u < hi; u++ {
 				var s float64
-				for k := offs[v]; k < offs[v+1]; k++ {
-					s += contrib[srcs[k]] * ws[k]
+				for k := v.inOff[u]; k < v.inOff[u+1]; k++ {
+					s += contrib[v.src[k]] * ws[k]
 				}
-				next[v] = base + d*s
+				next[u] = base + d*s
 			}
 		})
 
@@ -128,63 +96,5 @@ func (g *Graph) PageRank(opts PageRankOptions) map[string]float64 {
 			break
 		}
 	}
-	for i, id := range ids {
-		out[id] = ranks[i]
-	}
-	return out
-}
-
-// ClosenessSample estimates closeness centrality by running BFS from a
-// deterministic sample of k source nodes. Exact closeness is O(V·E);
-// the sampled estimate is enough for traversal priors on large graphs.
-func (g *Graph) ClosenessSample(k int) map[string]float64 {
-	ids := g.NodeIDs()
-	n := len(ids)
-	out := make(map[string]float64, n)
-	if n == 0 {
-		return out
-	}
-	if k <= 0 || k > n {
-		k = n
-	}
-	stride := n / k
-	if stride == 0 {
-		stride = 1
-	}
-	sumDist := make(map[string]float64, n)
-	reached := make(map[string]int, n)
-	for i := 0; i < n; i += stride {
-		src := ids[i]
-		for _, v := range g.BFS([]string{src}, n) {
-			sumDist[v.ID] += float64(v.Depth)
-			reached[v.ID]++
-		}
-	}
-	for _, id := range ids {
-		if reached[id] == 0 || sumDist[id] == 0 {
-			out[id] = 0
-			continue
-		}
-		out[id] = float64(reached[id]) / sumDist[id]
-	}
-	return out
-}
-
-// TopK returns the k highest-scoring ids from a score map, ties broken
-// by id for determinism.
-func TopK(scores map[string]float64, k int) []string {
-	ids := make([]string, 0, len(scores))
-	for id := range scores {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if scores[ids[i]] != scores[ids[j]] {
-			return scores[ids[i]] > scores[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	if k < len(ids) {
-		ids = ids[:k]
-	}
-	return ids
+	return ranks
 }

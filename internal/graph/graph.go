@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -82,12 +83,29 @@ type vertex struct {
 type Graph struct {
 	vs    map[string]*vertex
 	edges int
+	// Running index statistics, kept by every insertion so that reading
+	// them never walks the graph. Nodes are immutable once inserted.
+	byType map[NodeType]int
+	size   int64
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{vs: make(map[string]*vertex)}
+	return &Graph{vs: make(map[string]*vertex), byType: make(map[NodeType]int)}
 }
+
+// insert stores a new vertex for n and accounts for it.
+func (g *Graph) insert(n *Node) {
+	g.vs[n.ID] = &vertex{node: n}
+	g.byType[n.Type]++
+	g.size += int64(len(n.ID) + len(n.Label) + 16)
+	for k, av := range n.Attrs {
+		g.size += int64(len(k) + len(av) + 16)
+	}
+}
+
+// edgeSize is an edge record's share of SizeBytes.
+func edgeSize(e Edge) int64 { return int64(len(e.From) + len(e.To) + len(e.Type) + 8) }
 
 // AddNode inserts a node. It returns ErrNodeExists if the id is taken.
 func (g *Graph) AddNode(n Node) error {
@@ -97,7 +115,7 @@ func (g *Graph) AddNode(n Node) error {
 	if _, ok := g.vs[n.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrNodeExists, n.ID)
 	}
-	g.vs[n.ID] = &vertex{node: &n}
+	g.insert(&n)
 	return nil
 }
 
@@ -108,7 +126,7 @@ func (g *Graph) EnsureNode(n Node) *Node {
 	if existing, ok := g.vs[n.ID]; ok {
 		return existing.node
 	}
-	g.vs[n.ID] = &vertex{node: &n}
+	g.insert(&n)
 	return &n
 }
 
@@ -140,6 +158,7 @@ func (g *Graph) AddEdge(e Edge) error {
 	from.out = appendEdge(from.out, e)
 	to.in = appendEdge(to.in, e)
 	g.edges++
+	g.size += edgeSize(e)
 	return nil
 }
 
@@ -164,6 +183,7 @@ func (g *Graph) AddUndirected(e Edge) error {
 	to.out = appendEdge(to.out, rev)
 	from.in = appendEdge(from.in, rev)
 	g.edges += 2
+	g.size += 2 * edgeSize(e)
 	return nil
 }
 
@@ -273,26 +293,9 @@ func (g *Graph) NodesOfType(t NodeType) []*Node {
 
 // CountByType returns node counts per type, for index statistics.
 func (g *Graph) CountByType() map[NodeType]int {
-	m := make(map[NodeType]int)
-	for _, v := range g.vs {
-		m[v.node.Type]++
-	}
-	return m
+	return maps.Clone(g.byType)
 }
 
 // SizeBytes estimates the resident size of the index: node labels and
 // attrs plus edge records. Used by experiment E1 (index size).
-func (g *Graph) SizeBytes() int64 {
-	var b int64
-	for _, v := range g.vs {
-		n := v.node
-		b += int64(len(n.ID) + len(n.Label) + 16)
-		for k, av := range n.Attrs {
-			b += int64(len(k) + len(av) + 16)
-		}
-		for _, e := range v.out {
-			b += int64(len(e.From) + len(e.To) + len(e.Type) + 8)
-		}
-	}
-	return b
-}
+func (g *Graph) SizeBytes() int64 { return g.size }

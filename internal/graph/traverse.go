@@ -1,180 +1,156 @@
 package graph
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
-// Visit is one node reached by a traversal, with the depth at which it
-// was first seen and the accumulated path score.
+// Visit is one node settled by View.Expand: its view index, the depth
+// at which it settled and its path score.
 type Visit struct {
-	ID    string
-	Depth int
+	Node  int32
+	Depth int32
 	Score float64
 }
 
-// BFS performs breadth-first expansion from the anchor nodes up to
-// maxDepth hops, following only the given edge types (nil = all).
-// Each node is visited once, at its minimum depth; anchors are depth 0.
-// Results are ordered by (depth, id) for determinism.
-func (g *Graph) BFS(anchors []string, maxDepth int, types ...EdgeType) []Visit {
-	var filter map[EdgeType]bool
-	if len(types) > 0 {
-		filter = make(map[EdgeType]bool, len(types))
-		for _, t := range types {
-			filter[t] = true
-		}
-	}
-	depth := make(map[string]int)
-	var frontier []string
-	for _, a := range anchors {
-		if !g.HasNode(a) {
-			continue
-		}
-		if _, ok := depth[a]; !ok {
-			depth[a] = 0
-			frontier = append(frontier, a)
-		}
-	}
-	d := 0
-	for len(frontier) > 0 && d < maxDepth {
-		var next []string
-		for _, id := range frontier {
-			for _, e := range g.Out(id) {
-				if filter != nil && !filter[e.Type] {
-					continue
-				}
-				if _, seen := depth[e.To]; !seen {
-					depth[e.To] = d + 1
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier = next
-		d++
-	}
-	visits := make([]Visit, 0, len(depth))
-	for id, dd := range depth {
-		visits = append(visits, Visit{ID: id, Depth: dd, Score: 1.0 / float64(1+dd)})
-	}
-	sort.Slice(visits, func(i, j int) bool {
-		if visits[i].Depth != visits[j].Depth {
-			return visits[i].Depth < visits[j].Depth
-		}
-		return visits[i].ID < visits[j].ID
-	})
-	return visits
-}
-
-// expandItem is a priority-queue entry for WeightedExpand.
-type expandItem struct {
-	id    string
-	score float64
-	depth int
-	index int
-}
-
-type expandQueue []*expandItem
-
-func (q expandQueue) Len() int           { return len(q) }
-func (q expandQueue) Less(i, j int) bool { return q[i].score > q[j].score }
-func (q expandQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
-func (q *expandQueue) Push(x interface{}) {
-	it := x.(*expandItem)
-	it.index = len(*q)
-	*q = append(*q, it)
-}
-func (q *expandQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
-}
-
-// ExpandOptions parameterizes WeightedExpand.
+// ExpandOptions parameterizes View.Expand.
 type ExpandOptions struct {
-	MaxDepth   int                  // hop limit (0 = anchors only)
-	Budget     int                  // max nodes to settle; <=0 = unlimited
-	Decay      float64              // per-hop score decay in (0, 1]
-	NodeWeight func(*Node) float64  // multiplicative node prior (nil = 1)
-	EdgeTypes  map[EdgeType]float64 // per-type edge multiplier (nil = 1)
+	MaxDepth int     // hop limit (0 = anchor only)
+	Budget   int     // max nodes to settle; <=0 = unlimited
+	Decay    float64 // per-hop score decay in (0, 1]
+	// Prior is a multiplicative node prior by view index, typically a
+	// centrality measure (nil = 1).
+	Prior []float64
+	// EdgeTypes is a per-type edge multiplier; unlisted types are not
+	// traversed (nil = every type at 1). Only the edge types this
+	// package declares can be listed.
+	EdgeTypes map[EdgeType]float64
 }
 
-// WeightedExpand is the topology-enhanced traversal of Section III.B:
-// a best-first expansion from the anchors where a node's score is the
-// best product of edge weights, per-hop decay, and a node prior
-// (typically a centrality measure). The highest-scoring nodes settle
-// first, so a budget yields the most topologically relevant subgraph.
-func (g *Graph) WeightedExpand(anchors []string, opts ExpandOptions) []Visit {
+// Expander is the scratch state of View.Expand, reusable across calls
+// and views so that an expansion allocates nothing once it has grown to
+// the view's size. The zero value is ready; one Expander serves one
+// goroutine at a time.
+type Expander struct {
+	best    []float64 // best score pushed per node; 0 = never pushed
+	settled []bool
+	pushed  []int32 // nodes with best != 0, reset by the next Expand
+	heap    []Visit
+	visits  []Visit
+}
+
+// reset clears what the previous expansion marked and sizes the
+// per-node state for a view of n nodes.
+func (x *Expander) reset(n int) {
+	for _, i := range x.pushed {
+		x.best[i] = 0
+		x.settled[i] = false
+	}
+	x.pushed, x.heap, x.visits = x.pushed[:0], x.heap[:0], x.visits[:0]
+	if len(x.best) < n {
+		x.best = make([]float64, n)
+		x.settled = make([]bool, n)
+	}
+}
+
+// push and pop sift exactly like container/heap under Less(i, j) =
+// score[i] > score[j]: with a settle budget, the order in which equal
+// scores leave the queue decides which nodes settle.
+func (x *Expander) push(it Visit) {
+	h := append(x.heap, it)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].Score > h[i].Score) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	x.heap = h
+}
+
+func (x *Expander) pop() Visit {
+	h := x.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].Score > h[j].Score {
+			j = j2
+		}
+		if !(h[j].Score > h[i].Score) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	x.heap = h[:n]
+	return h[n]
+}
+
+// Expand is the topology-enhanced traversal of Section III.B: a
+// best-first expansion from the anchor where a node's score is the best
+// product of edge weights, per-hop decay, and a node prior. The
+// highest-scoring nodes settle first, so a budget yields the most
+// topologically relevant subgraph. Visits come back in settle order and
+// belong to x: they are valid until its next Expand.
+func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 	if opts.Decay <= 0 || opts.Decay > 1 {
 		opts.Decay = 0.7
 	}
-	nodePrior := func(n *Node) float64 { return 1 }
-	if opts.NodeWeight != nil {
-		nodePrior = opts.NodeWeight
-	}
-	edgeMult := func(t EdgeType) float64 { return 1 }
-	if opts.EdgeTypes != nil {
-		edgeMult = func(t EdgeType) float64 {
-			if m, ok := opts.EdgeTypes[t]; ok {
-				return m
-			}
-			return 0 // unlisted types are not traversed
+	var mult [edgeCodes]float64 // multiplier by edge-type code
+	if opts.EdgeTypes == nil {
+		for c := range mult {
+			mult[c] = 1
 		}
 	}
-
-	settled := make(map[string]Visit)
-	best := make(map[string]float64)
-	q := &expandQueue{}
-	heap.Init(q)
-	for _, a := range anchors {
-		if !g.HasNode(a) {
+	for t, m := range opts.EdgeTypes {
+		if c := edgeCode(t); c != 0 {
+			mult[c] = m
+		}
+	}
+	x.reset(len(v.verts))
+	x.best[anchor] = 1
+	x.pushed = append(x.pushed, int32(anchor))
+	x.push(Visit{Node: int32(anchor), Score: 1})
+	for len(x.heap) > 0 {
+		it := x.pop()
+		if x.settled[it.Node] {
 			continue
 		}
-		if best[a] < 1 {
-			best[a] = 1
-			heap.Push(q, &expandItem{id: a, score: 1, depth: 0})
-		}
-	}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*expandItem)
-		if _, done := settled[it.id]; done {
-			continue
-		}
-		settled[it.id] = Visit{ID: it.id, Depth: it.depth, Score: it.score}
-		if opts.Budget > 0 && len(settled) >= opts.Budget {
+		x.settled[it.Node] = true
+		x.visits = append(x.visits, it)
+		if opts.Budget > 0 && len(x.visits) >= opts.Budget {
 			break
 		}
-		if it.depth >= opts.MaxDepth {
+		if int(it.Depth) >= opts.MaxDepth {
 			continue
 		}
-		for _, e := range g.Out(it.id) {
-			mult := edgeMult(e.Type)
-			if mult == 0 {
+		lo, hi := v.outOff[it.Node], v.outOff[it.Node+1]
+		out := v.verts[it.Node].out
+		for k := lo; k < hi; k++ {
+			m := mult[v.typ[k]]
+			if m == 0 {
 				continue
 			}
-			n := g.Node(e.To)
-			s := it.score * opts.Decay * e.Weight * mult * nodePrior(n)
-			if s <= best[e.To] {
+			to := v.dst[k]
+			// Evaluated in this order, factor by factor: scores are
+			// compared bit for bit with the reference expansion.
+			s := it.Score * opts.Decay * out[k-lo].Weight * m
+			if opts.Prior != nil {
+				s *= opts.Prior[to]
+			}
+			if s <= x.best[to] {
 				continue
 			}
-			best[e.To] = s
-			heap.Push(q, &expandItem{id: e.To, score: s, depth: it.depth + 1})
+			if x.best[to] == 0 {
+				x.pushed = append(x.pushed, to)
+			}
+			x.best[to] = s
+			x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
 		}
 	}
-	visits := make([]Visit, 0, len(settled))
-	for _, v := range settled {
-		visits = append(visits, v)
-	}
-	sort.Slice(visits, func(i, j int) bool {
-		if visits[i].Score != visits[j].Score {
-			return visits[i].Score > visits[j].Score
-		}
-		return visits[i].ID < visits[j].ID
-	})
-	return visits
+	return x.visits
 }
 
 // ShortestPath returns one minimum-hop path between two nodes following

@@ -26,20 +26,28 @@ func randomGraph(edges []uint8) *Graph {
 	return g
 }
 
-// WeightedExpand invariants: scores are in (0, 1], anchors score 1,
-// every settled node is reachable within MaxDepth, budget is obeyed.
+// Expand invariants: scores are in (0, 1], anchors score 1, every
+// settled node is reachable within MaxDepth (no shallower than the BFS
+// oracle finds it), budget is obeyed.
 func TestWeightedExpandInvariantsProperty(t *testing.T) {
 	f := func(edges []uint8, depth, budget uint8) bool {
 		g := randomGraph(edges)
 		d := int(depth%4) + 1
 		b := int(budget%20) + 1
-		visits := g.WeightedExpand([]string{"n0"}, ExpandOptions{
+		visits := expandByID(g, "n0", ExpandOptions{
 			MaxDepth: d, Budget: b, Decay: 0.7,
 		})
 		if len(visits) > b {
 			return false
 		}
+		minDepth := map[string]int{}
+		for _, v := range g.BFS([]string{"n0"}, d) {
+			minDepth[v.ID] = v.Depth
+		}
 		for _, v := range visits {
+			if md, ok := minDepth[v.ID]; !ok || v.Depth < md {
+				return false
+			}
 			if v.Score <= 0 || v.Score > 1.0000001 {
 				return false
 			}

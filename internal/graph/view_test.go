@@ -1,0 +1,210 @@
+package graph
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+	"testing/quick"
+)
+
+// expandByID runs View.Expand from the named anchor over a fresh view
+// and reports the visits the way the reference does: by id, best score
+// first, ties by id.
+func expandByID(g *Graph, anchor string, opts ExpandOptions) []refVisit {
+	return expandView(g.View(), &Expander{}, anchor, opts)
+}
+
+func expandView(v *View, x *Expander, anchor string, opts ExpandOptions) []refVisit {
+	a, ok := v.Index(anchor)
+	if !ok {
+		return nil
+	}
+	var out []refVisit
+	for _, vis := range v.Expand(x, a, opts) {
+		out = append(out, refVisit{ID: v.Node(int(vis.Node)).ID, Depth: int(vis.Depth), Score: vis.Score})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// tiedGraph builds a random 12-node graph whose weights come from at
+// most `levels` values and whose edges mix declared and undeclared
+// types, so equal scores — the case where heap order decides what a
+// budget keeps — are common.
+func tiedGraph(edges []uint8, levels int) *Graph {
+	g := New()
+	const n = 12
+	types := []EdgeType{EdgeMentions, EdgeNextTo, EdgeRelates, "custom"}
+	for i := 0; i < n; i++ {
+		g.AddNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
+	}
+	for i := 0; i+2 < len(edges); i += 3 {
+		from, to := int(edges[i])%n, int(edges[i+1])%n
+		if from == to {
+			continue
+		}
+		e := Edge{From: fmt.Sprintf("n%d", from), To: fmt.Sprintf("n%d", to),
+			Type: types[int(edges[i+2]/10)%len(types)], Weight: 0.1 + float64(int(edges[i+2])%levels)/10}
+		if edges[i+2]%2 == 0 {
+			g.AddUndirected(e)
+		} else {
+			g.AddEdge(e)
+		}
+	}
+	return g
+}
+
+func sameVisits(a, b []refVisit) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Depth != b[i].Depth || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// View.Expand settles the same nodes at the same depths with the same
+// score bits as the string-keyed reference, under every option, with
+// one Expander reused across all of them.
+func TestExpandMatchesReference(t *testing.T) {
+	x := &Expander{}
+	gates := []map[EdgeType]float64{
+		nil,
+		{EdgeMentions: 1, EdgeNextTo: 0.4},
+		{EdgeMentions: 1, EdgeNextTo: 0.4, EdgeRelates: 0.5, "custom": 0.9},
+	}
+	f := func(edges []uint8, depth, budget, gate, anchor, levels uint8, withPrior bool) bool {
+		g := tiedGraph(edges, []int{1, 2, 10}[levels%3])
+		v := g.View()
+		opts := ExpandOptions{MaxDepth: int(depth % 5), Budget: int(budget % 14), Decay: 0.7, EdgeTypes: gates[int(gate)%len(gates)]}
+		ref := refExpandOptions{MaxDepth: opts.MaxDepth, Budget: opts.Budget, Decay: opts.Decay, EdgeTypes: gates[int(gate)%len(gates)]}
+		if ref.EdgeTypes != nil {
+			// An undeclared type cannot be listed for the view; the
+			// reference must not traverse it either.
+			ref.EdgeTypes = map[EdgeType]float64{}
+			for k, m := range opts.EdgeTypes {
+				if k != "custom" {
+					ref.EdgeTypes[k] = m
+				}
+			}
+		}
+		if withPrior {
+			opts.Prior = make([]float64, v.Len())
+			for i := range opts.Prior {
+				opts.Prior[i] = 0.5 + float64((i*7+int(gate))%5)/4
+			}
+			ref.NodeWeight = func(n *Node) float64 {
+				i, _ := v.Index(n.ID)
+				return opts.Prior[i]
+			}
+		}
+		start := fmt.Sprintf("n%d", anchor%12)
+		return sameVisits(expandView(v, x, start, opts), g.WeightedExpand([]string{start}, ref))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// View.PageRank returns, index by index, the bits the map-returning
+// reference computes, at any worker count.
+func TestPageRankMatchesReference(t *testing.T) {
+	f := func(edges []uint8, workers uint8) bool {
+		g := tiedGraph(edges, 10)
+		opts := DefaultPageRankOptions()
+		opts.Workers = int(workers%4) + 1
+		v := g.View()
+		got, want := v.PageRank(opts), g.referencePageRank(DefaultPageRankOptions())
+		if len(got) != len(want) {
+			return false
+		}
+		for i, r := range got {
+			if math.Float64bits(r) != math.Float64bits(want[v.Node(i).ID]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Every declared edge type has its own code below edgeCodes; anything
+// else shares code 0.
+func TestEdgeCodes(t *testing.T) {
+	seen := map[uint8]EdgeType{}
+	for _, et := range []EdgeType{EdgeMentions, EdgeRelates, EdgeCueArg, EdgeCueIn, EdgeNextTo, EdgePartOf, EdgeHasValue, EdgeSameAs} {
+		c := edgeCode(et)
+		if c == 0 || c >= edgeCodes || seen[c] != "" {
+			t.Errorf("edgeCode(%q) = %d (taken by %q)", et, c, seen[c])
+		}
+		seen[c] = et
+	}
+	if edgeCode("custom") != 0 {
+		t.Error("undeclared type must map to code 0")
+	}
+}
+
+func TestViewIndex(t *testing.T) {
+	v := chainGraph(t).View()
+	if v.Len() != 5 {
+		t.Fatalf("len = %d", v.Len())
+	}
+	for i := 0; i < v.Len(); i++ {
+		if j, ok := v.Index(v.Node(i).ID); !ok || j != i {
+			t.Errorf("Index(%q) = %d, %v; want %d", v.Node(i).ID, j, ok, i)
+		}
+		if i > 0 && v.Node(i-1).ID >= v.Node(i).ID {
+			t.Errorf("view not in id order at %d", i)
+		}
+	}
+	for _, id := range []string{"", "aa", "zzz"} {
+		if _, ok := v.Index(id); ok {
+			t.Errorf("Index(%q) found", id)
+		}
+	}
+}
+
+// A view taken before a mutation is blind to it and stays in range: the
+// node and edges added afterwards exist only for the next view, even
+// when an adjacency list the view reads through was reallocated.
+func TestViewBlindToLaterMutation(t *testing.T) {
+	g := chainGraph(t)
+	old := g.View()
+	opts := ExpandOptions{MaxDepth: 3}
+	before := expandView(old, &Expander{}, "hub", opts)
+	wantRank := old.PageRank(DefaultPageRankOptions())
+
+	g.AddNode(Node{ID: "aa", Type: NodeChunk}) // sorts between a and b
+	g.Reserve("hub", 64, 64)
+	for i := 0; i < 20; i++ {
+		if err := g.AddUndirected(Edge{From: "hub", To: "aa", Type: EdgeMentions}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := expandView(old, &Expander{}, "hub", opts); !sameVisits(before, after) {
+		t.Errorf("old view saw the mutation:\n before %v\n after  %v", before, after)
+	}
+	for i, r := range old.PageRank(DefaultPageRankOptions()) {
+		if math.Float64bits(r) != math.Float64bits(wantRank[i]) {
+			t.Errorf("old view's rank[%d] moved: %v -> %v", i, wantRank[i], r)
+		}
+	}
+	if _, ok := old.Index("aa"); ok {
+		t.Error("old view indexes the new node")
+	}
+	fresh := expandByID(g, "hub", opts)
+	if len(fresh) != len(before)+1 || fresh[2].ID != "aa" { // hub, a, aa, b, c, d
+		t.Errorf("fresh view misses the new node: %v", fresh)
+	}
+}

@@ -44,7 +44,7 @@ func (b *Builder) IndexRecord(g *graph.Graph, rec store.Record) (Stats, error) {
 	}
 	stats.Nodes = g.NodeCount()
 	stats.Edges = g.EdgeCount()
-	stats.Entities = len(g.NodesOfType(graph.NodeEntity))
+	stats.Entities = g.CountByType()[graph.NodeEntity]
 	stats.SizeBytes = g.SizeBytes()
 	return stats, nil
 }

@@ -124,7 +124,7 @@ func (b *Builder) Build(m *store.Multi) (*graph.Graph, Stats, error) {
 
 	stats.Nodes = g.NodeCount()
 	stats.Edges = g.EdgeCount()
-	stats.Entities = len(g.NodesOfType(graph.NodeEntity))
+	stats.Entities = g.CountByType()[graph.NodeEntity]
 	stats.SizeBytes = g.SizeBytes()
 	stats.BuildTime = time.Since(start)
 	if b.cost != nil {

@@ -31,9 +31,11 @@ func (f *Fusion) Retrieve(query string, k int) []Evidence {
 		score float64
 	}
 	scores := map[string]*acc{}
-	fetch := k * 2
-	if fetch < 20 {
-		fetch = 20
+	// Each member is asked for a deeper list than the fused one; k < 0
+	// means all, for the members as for the fusion.
+	fetch := k
+	if k >= 0 {
+		fetch = max(2*k, 20)
 	}
 	for _, r := range f.retrievers {
 		for rank, ev := range r.Retrieve(query, fetch) {

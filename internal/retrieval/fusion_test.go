@@ -1,8 +1,10 @@
 package retrieval
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/slm"
 	"repro/internal/vector"
 )
@@ -88,6 +90,30 @@ func TestFusionDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].NodeID != b[i].NodeID {
 			t.Fatal("order differs")
+		}
+	}
+}
+
+// k < 0 means all evidence for every retriever; the fusion must hand it
+// to its members, not a 20-item window.
+func TestFusionNegativeKReturnsAll(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 30; i++ {
+		g.AddNode(graph.Node{ID: fmt.Sprintf("chunk:d%02d", i), Type: graph.NodeChunk,
+			Attrs: map[string]string{"text": fmt.Sprintf("shipment %d arrived late", i)}})
+	}
+	bm := NewBM25(g)
+	all := bm.Retrieve("late shipment", -1)
+	if len(all) != 30 {
+		t.Fatalf("member returns %d of 30 documents", len(all))
+	}
+	fused := map[string]bool{}
+	for _, e := range NewFusion(bm, NewTopology(g, testNER(), DefaultTopologyOptions())).Retrieve("late shipment", -1) {
+		fused[e.NodeID] = true
+	}
+	for _, e := range all {
+		if !fused[e.NodeID] {
+			t.Errorf("fused result misses %s", e.NodeID)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package retrieval
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -107,7 +109,7 @@ func TestTopologyAblationNoCentrality(t *testing.T) {
 	opts := DefaultTopologyOptions()
 	opts.DisableCentral = true
 	r := NewTopology(g, testNER(), opts)
-	if r.rank != nil {
+	if r.prior != nil {
 		t.Error("pagerank computed despite ablation")
 	}
 	if ev := r.Retrieve("Product Alpha units", 3); len(ev) == 0 {
@@ -250,4 +252,68 @@ func TestTopKRespected(t *testing.T) {
 			t.Errorf("%s returned %d > k", r.Name(), len(ev))
 		}
 	}
+}
+
+// The retriever reads the graph through the view its last Refresh took:
+// what is indexed afterwards is invisible — and harmless — until the
+// next Refresh, even with the centrality prior disabled.
+func TestTopologyStaleUntilRefresh(t *testing.T) {
+	for _, disableCentral := range []bool{false, true} {
+		g := testGraph(t)
+		ner := testNER()
+		opts := DefaultTopologyOptions()
+		opts.DisableCentral = disableCentral
+		r := NewTopology(g, ner, opts)
+		const query = "How is Widget Pro selling? Product Alpha too"
+		before := r.Retrieve(query, -1)
+
+		rec := store.Record{ID: "doc-widget", Source: "notes", Kind: store.KindText,
+			Text: "Widget Pro sold 7 units in Q2. Product Alpha and Widget Pro shipped together."}
+		if _, err := index.NewBuilder(ner, index.DefaultOptions()).IndexRecord(g, rec); err != nil {
+			t.Fatal(err)
+		}
+		stale := r.Retrieve(query, -1)
+		if len(stale) != len(before) {
+			t.Fatalf("central=%v: stale view returned %d evidence, %d before the mutation", !disableCentral, len(stale), len(before))
+		}
+		for i := range stale {
+			if stale[i] != before[i] {
+				t.Errorf("central=%v: stale evidence[%d] = %+v, before the mutation %+v", !disableCentral, i, stale[i], before[i])
+			}
+		}
+
+		r.Refresh()
+		found := false
+		for _, e := range r.Retrieve(query, -1) {
+			found = found || strings.Contains(e.Text, "Widget Pro")
+		}
+		if !found {
+			t.Errorf("central=%v: document indexed before Refresh not retrieved after it", !disableCentral)
+		}
+	}
+}
+
+// Concurrent Retrieve calls share pooled scratch state; each must return
+// exactly what it returns alone (run with -race).
+func TestTopologyConcurrentRetrieveMatchesSequential(t *testing.T) {
+	c, g, ner := benchCorpus(t, "ecommerce", 42)
+	r := NewTopology(g, ner, DefaultTopologyOptions())
+	want := make([][]Evidence, len(c.Queries))
+	for i, q := range c.Queries {
+		want[i] = r.Retrieve(q.Text, -1)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 3*len(c.Queries); n++ {
+				i := (w*5 + n) % len(c.Queries)
+				if got := r.Retrieve(c.Queries[i].Text, -1); !slices.Equal(got, want[i]) {
+					t.Errorf("worker %d: %q differs from its sequential result", w, c.Queries[i].Text)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -8,8 +8,11 @@
 package retrieval
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"repro/internal/graph"
 	"repro/internal/index"
@@ -51,16 +54,34 @@ func DefaultTopologyOptions() TopologyOptions {
 // Topology is the paper's retriever: anchor the query's entities in the
 // graph, expand best-first along typed edges weighted by PageRank
 // centrality, and collect the chunks and rows reached.
+//
+// It reads the graph through an index-space view taken by NewTopology
+// and Refresh and immutable in between: a node added to the graph after
+// the last Refresh is invisible to Retrieve until the next one. Retrieve
+// is safe for concurrent use; Refresh must not run beside it.
 type Topology struct {
-	g    *graph.Graph
-	ner  *slm.NER
-	opts TopologyOptions
-	rank map[string]float64 // PageRank prior, computed once
-	norm float64            // max rank, for normalization
+	g         *graph.Graph
+	ner       *slm.NER
+	opts      TopologyOptions
+	edgeTypes map[graph.EdgeType]float64 // traversal multiplier per edge type
+	view      *graph.View
+	prior     []float64 // 0.5 + rank/max rank per view index; nil = no prior
 }
 
-// NewTopology builds the retriever over a finished graph. PageRank is
-// computed eagerly so query-time cost is traversal only.
+// retrieveScratch is the per-call state of Retrieve, pooled so that
+// concurrent calls stay independent and a call allocates no per-node
+// state. It is tied to no view: total is all zero whenever the scratch
+// sits in the pool, and both parts grow to the view they meet.
+type retrieveScratch struct {
+	expander graph.Expander
+	total    []float64 // summed per-anchor score by view index
+	reached  []int32   // indices with total != 0
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(retrieveScratch) }}
+
+// NewTopology builds the retriever over a finished graph. The view and
+// PageRank are computed eagerly so query-time cost is traversal only.
 func NewTopology(g *graph.Graph, ner *slm.NER, opts TopologyOptions) *Topology {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 3
@@ -69,40 +90,51 @@ func NewTopology(g *graph.Graph, ner *slm.NER, opts TopologyOptions) *Topology {
 		opts.Budget = 256
 	}
 	t := &Topology{g: g, ner: ner, opts: opts}
-	if !opts.DisableCentral {
-		t.rank = g.PageRank(t.pageRankOptions())
-		for _, v := range t.rank {
-			if v > t.norm {
-				t.norm = v
-			}
-		}
+	t.edgeTypes = map[graph.EdgeType]float64{
+		graph.EdgeMentions: 1.0,
+		graph.EdgeNextTo:   0.4,
+		graph.EdgePartOf:   0.2,
 	}
+	if !opts.DisableCueEdges {
+		// Cue edges widen reach to related entities; they carry lower
+		// multipliers than direct mentions so they add paths without
+		// drowning them.
+		t.edgeTypes[graph.EdgeRelates] = 0.5
+		t.edgeTypes[graph.EdgeCueArg] = 0.4
+		t.edgeTypes[graph.EdgeCueIn] = 0.6
+	}
+	t.Refresh()
 	return t
-}
-
-// pageRankOptions forwards the retriever's worker bound to PageRank.
-func (t *Topology) pageRankOptions() graph.PageRankOptions {
-	opts := graph.DefaultPageRankOptions()
-	opts.Workers = t.opts.Workers
-	return opts
 }
 
 // Name implements Retriever.
 func (t *Topology) Name() string { return "topology" }
 
-// Refresh recomputes the centrality prior after the graph has been
-// mutated (incremental ingestion). Cheap relative to a rebuild: one
-// PageRank pass.
+// Refresh retakes the view and recomputes the centrality prior after
+// the graph has been mutated (incremental ingestion). Cheap relative to
+// a rebuild: one PageRank pass.
 func (t *Topology) Refresh() {
+	t.view = t.g.View()
+	t.prior = nil
 	if t.opts.DisableCentral {
 		return
 	}
-	t.rank = t.g.PageRank(t.pageRankOptions())
-	t.norm = 0
-	for _, v := range t.rank {
-		if v > t.norm {
-			t.norm = v
+	pr := graph.DefaultPageRankOptions()
+	pr.Workers = t.opts.Workers
+	rank := t.view.PageRank(pr)
+	var norm float64
+	for _, r := range rank {
+		if r > norm {
+			norm = r
 		}
+	}
+	if norm > 0 {
+		// Map rank into [0.5, 1.5] so the prior biases rather than
+		// dominates path scores.
+		for i, r := range rank {
+			rank[i] = 0.5 + r/norm
+		}
+		t.prior = rank
 	}
 }
 
@@ -114,7 +146,8 @@ func (t *Topology) Refresh() {
 // Alpha" AND "Q2") dominates evidence connected to only one — the
 // "dynamically assesses and connects nodes representing the sales
 // data ... as well as any associated temporal nodes" behaviour of
-// Section III.B.
+// Section III.B. Anchors are summed in id order, which fixes the bits
+// of every total.
 func (t *Topology) Retrieve(query string, k int) []Evidence {
 	anchors := t.anchors(query)
 	if len(anchors) == 0 {
@@ -123,81 +156,86 @@ func (t *Topology) Retrieve(query string, k int) []Evidence {
 		}
 		return t.lexicalScan(query, k)
 	}
-	edgeWeights := map[graph.EdgeType]float64{
-		graph.EdgeMentions: 1.0,
-		graph.EdgeNextTo:   0.4,
-		graph.EdgePartOf:   0.2,
-	}
-	if !t.opts.DisableCueEdges {
-		// Cue edges widen reach to related entities; they carry lower
-		// multipliers than direct mentions so they add paths without
-		// drowning them.
-		edgeWeights[graph.EdgeRelates] = 0.5
-		edgeWeights[graph.EdgeCueArg] = 0.4
-		edgeWeights[graph.EdgeCueIn] = 0.6
-	}
-	nodePrior := func(n *graph.Node) float64 { return 1 }
-	if t.rank != nil && t.norm > 0 {
-		nodePrior = func(n *graph.Node) float64 {
-			// Map rank into [0.5, 1.5] so the prior biases rather than
-			// dominates path scores.
-			return 0.5 + t.rank[n.ID]/t.norm
-		}
-	}
 	opts := graph.ExpandOptions{
-		MaxDepth:   t.opts.MaxDepth,
-		Budget:     t.opts.Budget,
-		Decay:      t.opts.Decay,
-		NodeWeight: nodePrior,
-		EdgeTypes:  edgeWeights,
+		MaxDepth:  t.opts.MaxDepth,
+		Budget:    t.opts.Budget,
+		Decay:     t.opts.Decay,
+		Prior:     t.prior,
+		EdgeTypes: t.edgeTypes,
 	}
-	total := make(map[string]float64)
+	sc := scratchPool.Get().(*retrieveScratch)
+	if len(sc.total) < t.view.Len() {
+		sc.total = make([]float64, t.view.Len())
+	}
 	for _, a := range anchors {
-		for _, v := range t.g.WeightedExpand([]string{a}, opts) {
-			total[v.ID] += v.Score
+		for _, v := range t.view.Expand(&sc.expander, a, opts) {
+			// Path scores are positive, so zero means not yet reached.
+			if sc.total[v.Node] == 0 {
+				sc.reached = append(sc.reached, v.Node)
+			}
+			sc.total[v.Node] += v.Score
 		}
 	}
-	qTerms := queryTerms(query)
-	var out []Evidence
-	for id, s := range total {
-		n := t.g.Node(id)
-		if n == nil {
-			continue
-		}
-		var kind string
-		switch n.Type {
-		case graph.NodeChunk:
-			kind = "chunk"
-		case graph.NodeRow:
-			kind = "row"
-		default:
+	terms := newTermSet(query)
+	out := make([]Evidence, 0, len(sc.reached))
+	for _, i := range sc.reached {
+		s := sc.total[i]
+		sc.total[i] = 0
+		n := t.view.Node(int(i))
+		kind := evidenceKind(n.Type)
+		if kind == "" {
 			continue
 		}
 		text := n.Attrs["text"]
 		// Blend topology score with lexical affinity so that among
 		// equally-reachable items the on-topic one wins.
-		score := s * (1 + 2*lexicalOverlap(qTerms, text))
-		out = append(out, Evidence{NodeID: id, Text: text, Score: score, Kind: kind})
+		score := s * (1 + 2*terms.overlap(text))
+		out = append(out, Evidence{NodeID: n.ID, Text: text, Score: score, Kind: kind})
 	}
-	sortEvidence(out)
+	sc.reached = sc.reached[:0]
+	scratchPool.Put(sc)
+	return topEvidence(out, k)
+}
+
+// evidenceKind names the evidence a node of the given type yields, or
+// "" for the types that carry no text.
+func evidenceKind(t graph.NodeType) string {
+	switch t {
+	case graph.NodeChunk:
+		return "chunk"
+	case graph.NodeRow:
+		return "row"
+	}
+	return ""
+}
+
+// topEvidence sorts evidence best first (ties by node id) and keeps the
+// top k; k < 0 keeps all. No evidence is nil.
+func topEvidence(out []Evidence, k int) []Evidence {
+	if len(out) == 0 {
+		return nil
+	}
+	slices.SortFunc(out, func(a, b Evidence) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		return strings.Compare(a.NodeID, b.NodeID)
+	})
 	if k >= 0 && k < len(out) {
 		out = out[:k]
 	}
 	return out
 }
 
-// anchors maps query entities to existing graph entity nodes.
-func (t *Topology) anchors(query string) []string {
-	var out []string
-	seen := map[string]bool{}
+// anchors maps query entities to the view's entity nodes, in id order.
+func (t *Topology) anchors(query string) []int {
+	var out []int
 	for _, e := range t.ner.Recognize(query) {
-		id := index.EntityNodeID(e.Canonical)
-		if !seen[id] && t.g.HasNode(id) {
-			seen[id] = true
-			out = append(out, id)
+		if i, ok := t.view.Index(index.EntityNodeID(e.Canonical)); ok && !slices.Contains(out, i) {
+			out = append(out, i)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -205,71 +243,96 @@ func (t *Topology) anchors(query string) []string {
 // query-term overlap. It keeps recall non-zero for queries whose
 // entities never appear in the corpus.
 func (t *Topology) lexicalScan(query string, k int) []Evidence {
-	qTerms := queryTerms(query)
+	terms := newTermSet(query)
 	var out []Evidence
-	for _, typ := range []graph.NodeType{graph.NodeChunk, graph.NodeRow} {
-		kind := "chunk"
-		if typ == graph.NodeRow {
-			kind = "row"
+	for i := 0; i < t.view.Len(); i++ {
+		n := t.view.Node(i)
+		kind := evidenceKind(n.Type)
+		if kind == "" {
+			continue
 		}
-		for _, n := range t.g.NodesOfType(typ) {
-			text := n.Attrs["text"]
-			s := lexicalOverlap(qTerms, text)
-			if s > 0 {
-				out = append(out, Evidence{NodeID: n.ID, Text: text, Score: s, Kind: kind})
-			}
+		text := n.Attrs["text"]
+		if s := terms.overlap(text); s > 0 {
+			out = append(out, Evidence{NodeID: n.ID, Text: text, Score: s, Kind: kind})
 		}
 	}
-	sortEvidence(out)
-	if k >= 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
+	return topEvidence(out, k)
 }
 
 // ExplainPath returns a hop-by-hop path from any query anchor to the
 // given evidence node, for answer provenance.
 func (t *Topology) ExplainPath(query, evidenceID string) []string {
 	for _, a := range t.anchors(query) {
-		if p := t.g.ShortestPath(a, evidenceID); p != nil {
+		if p := t.g.ShortestPath(t.view.Node(a).ID, evidenceID); p != nil {
 			return p
 		}
 	}
 	return nil
 }
 
-func queryTerms(q string) map[string]bool {
-	terms := make(map[string]bool)
-	for _, w := range slm.Words(slm.Tokenize(q)) {
-		if !slm.IsStopword(w) {
-			terms[w] = true
-		}
-	}
-	return terms
+// termSet is a query's distinct non-stopword terms, lower-cased, with
+// the per-term mark overlap uses to count each at most once per text.
+type termSet struct {
+	terms []string
+	seen  []int // serial of the last text found to contain terms[i]
+	texts int   // serial of the text being scanned
 }
 
-func lexicalOverlap(qTerms map[string]bool, text string) float64 {
-	if len(qTerms) == 0 {
+func newTermSet(query string) *termSet {
+	ts := &termSet{}
+	for _, w := range slm.Words(slm.Tokenize(query)) {
+		if !slm.IsStopword(w) && !slices.Contains(ts.terms, w) {
+			ts.terms = append(ts.terms, w)
+		}
+	}
+	ts.seen = make([]int, len(ts.terms))
+	return ts
+}
+
+// overlap returns the fraction of the query's terms that occur among
+// the words of text — what a set intersection over
+// slm.Words(slm.Tokenize(text)) yields — without materializing them.
+func (ts *termSet) overlap(text string) float64 {
+	if len(ts.terms) == 0 {
 		return 0
 	}
+	ts.texts++
 	hits := 0
-	seen := map[string]bool{}
-	for _, w := range slm.Words(slm.Tokenize(text)) {
-		if qTerms[w] && !seen[w] {
-			seen[w] = true
+	for start, end := slm.NextWord(text, 0); start >= 0; start, end = slm.NextWord(text, end) {
+		if i := ts.find(text[start:end]); i >= 0 && ts.seen[i] != ts.texts {
+			ts.seen[i] = ts.texts
 			hits++
 		}
 	}
-	return float64(hits) / float64(len(qTerms))
+	return float64(hits) / float64(len(ts.terms))
 }
 
-func sortEvidence(out []Evidence) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+// find returns the index of the term equal to the lower-cased word, or
+// -1. ASCII words, the common case, are compared in place; a word with
+// other bytes goes through strings.ToLower like the tokenizer's Words.
+func (ts *termSet) find(word string) int {
+	for i := 0; i < len(word); i++ {
+		if word[i] >= utf8.RuneSelf {
+			return slices.Index(ts.terms, strings.ToLower(word))
 		}
-		return out[i].NodeID < out[j].NodeID
-	})
+	}
+next:
+	for i, term := range ts.terms {
+		if len(term) != len(word) {
+			continue
+		}
+		for j := 0; j < len(word); j++ {
+			c := word[j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != term[j] {
+				continue next
+			}
+		}
+		return i
+	}
+	return -1
 }
 
 // Texts extracts the evidence texts in order.

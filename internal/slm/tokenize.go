@@ -64,37 +64,13 @@ func Tokenize(text string) []Token {
 		switch {
 		case unicode.IsSpace(c):
 			i++
-		case isDigit(byte(text[i])):
+		case isDigit(text[i]):
 			start := i
-			i++
-			for i < n && (isDigit(text[i]) || text[i] == '.' || text[i] == ',') {
-				// A trailing '.' or ',' belongs to the sentence, not the number.
-				if (text[i] == '.' || text[i] == ',') && (i+1 >= n || !isDigit(text[i+1])) {
-					break
-				}
-				i++
-			}
-			if i < n && text[i] == '%' {
-				i++
-			}
+			i = scanNumber(text, i)
 			tokens = append(tokens, Token{Text: text[start:i], Kind: TokenNumber, Start: start, End: i})
 		case isWordStart(c):
 			start := i
-			i++
-			for i < n {
-				r := rune(text[i])
-				if isWordPart(r) {
-					i++
-					continue
-				}
-				// Keep internal hyphen/apostrophe when followed by a
-				// letter or digit ("patient-reported", "P-1042").
-				if (r == '-' || r == '\'') && i+1 < n && isWordPart(rune(text[i+1])) {
-					i += 2
-					continue
-				}
-				break
-			}
+			i = scanWord(text, i)
 			tokens = append(tokens, Token{Text: text[start:i], Kind: TokenWord, Start: start, End: i})
 		case isPunct(c):
 			tokens = append(tokens, Token{Text: string(c), Kind: TokenPunct, Start: i, End: i + 1})
@@ -105,6 +81,63 @@ func Tokenize(text string) []Token {
 		}
 	}
 	return tokens
+}
+
+// scanNumber returns the end of the number token that starts at the
+// digit text[i].
+func scanNumber(text string, i int) int {
+	n := len(text)
+	i++
+	for i < n && (isDigit(text[i]) || text[i] == '.' || text[i] == ',') {
+		// A trailing '.' or ',' belongs to the sentence, not the number.
+		if (text[i] == '.' || text[i] == ',') && (i+1 >= n || !isDigit(text[i+1])) {
+			break
+		}
+		i++
+	}
+	if i < n && text[i] == '%' {
+		i++
+	}
+	return i
+}
+
+// scanWord returns the end of the word token that starts at text[i].
+func scanWord(text string, i int) int {
+	n := len(text)
+	i++
+	for i < n {
+		r := rune(text[i])
+		if isWordPart(r) {
+			i++
+			continue
+		}
+		// Keep internal hyphen/apostrophe when followed by a
+		// letter or digit ("patient-reported", "P-1042").
+		if (r == '-' || r == '\'') && i+1 < n && isWordPart(rune(text[i+1])) {
+			i += 2
+			continue
+		}
+		break
+	}
+	return i
+}
+
+// NextWord returns the span [start, end) of the first word or number
+// token of text at or after byte offset from — the tokens Words keeps,
+// in the same order — or start = -1 when none is left. It allocates
+// nothing: callers that only need to look at a text's words scan with
+// it instead of materializing Words(Tokenize(text)).
+func NextWord(text string, from int) (start, end int) {
+	for i := from; i < len(text); i++ {
+		// Every token that is neither number nor word is one byte long.
+		switch {
+		case isDigit(text[i]):
+			return i, scanNumber(text, i)
+		case isWordStart(rune(text[i])):
+			return i, scanWord(text, i)
+		}
+	}
+	return -1, -1
 }
 
 // Words returns just the lower-cased word and number texts of tokens,

@@ -136,6 +136,36 @@ func TestSplitSentencesEmpty(t *testing.T) {
 
 // Property: tokenization covers every non-space byte of ASCII inputs
 // exactly once, in order.
+// nextWords collects the spans NextWord yields, lower-cased.
+func nextWords(text string) []string {
+	out := []string{}
+	for start, end := NextWord(text, 0); start >= 0; start, end = NextWord(text, end) {
+		out = append(out, strings.ToLower(text[start:end]))
+	}
+	return out
+}
+
+// NextWord walks exactly the tokens Words keeps, for any bytes.
+func TestNextWordMatchesWords(t *testing.T) {
+	for _, text := range []string{
+		"", "   \t\n ", "Compare Sales for Q2, please!", "$1,234.56 revenue, up 20%.",
+		"patient-reported P-1042 don't -x x- 'q'", "3.5 stars. 7, 8", "caf\u00e9 na\u00efve \u2014 r\u00e9sum\u00e9", "a\xffb \xc3",
+	} {
+		if got, want := nextWords(text), Words(Tokenize(text)); !equalStrings(got, want) {
+			t.Errorf("NextWord over %q = %q, Words = %q", text, got, want)
+		}
+	}
+	f := func(raw []byte) bool {
+		return equalStrings(nextWords(string(raw)), Words(Tokenize(string(raw))))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if start, end := NextWord("ab cd", 5); start != -1 || end != -1 {
+		t.Errorf("NextWord past the end = %d, %d", start, end)
+	}
+}
+
 func TestTokenizeCoverageProperty(t *testing.T) {
 	f := func(raw []byte) bool {
 		// Restrict to printable ASCII to keep the property crisp.
