@@ -91,8 +91,7 @@ func (r *RAG) Answer(question string) Answer {
 		greedy := &slm.Generator{Temperature: 0}
 		ans.Text = greedy.Generate(cands, r.rng).Canonical
 	}
-	ans.Uncertainty = assessUncertainty(ans.Text, nil, ans.Evidence, question,
-		r.ner, r.gen, r.clusterer, r.opts.EntropyM, r.rng)
+	ans.Uncertainty = assessUncertainty(ans.Text, nil, cands, r.gen, r.clusterer, r.opts.EntropyM, r.rng)
 	ans.Latency = time.Since(start)
 	return ans
 }

@@ -109,16 +109,17 @@ func synthesize(p *semop.Plan, q semop.Query, res *table.Table) (string, error) 
 // differently — the paper's "conflicting training data" case). When
 // present, they compete on their observed counts and the final answer
 // gets no confidence boost: the disagreement is real. Otherwise the
-// produced answer dominates evidence-derived alternatives.
-func assessUncertainty(answerText string, conflicts []slm.Candidate,
-	evidence []retrieval.Evidence, question string,
-	ner *slm.NER, gen *slm.Generator, clusterer *entropy.Clusterer, samples int, rng *slm.RNG) entropy.Report {
+// produced answer dominates derived, the evidence-derived alternatives
+// (slm.DeriveCandidates over the answer's evidence — the caller derives
+// them once and shares them with its generative fallback).
+func assessUncertainty(answerText string, conflicts, derived []slm.Candidate,
+	gen *slm.Generator, clusterer *entropy.Clusterer, samples int, rng *slm.RNG) entropy.Report {
 
 	var cands []slm.Candidate
 	if len(conflicts) > 1 {
 		cands = conflicts
 	} else {
-		cands = slm.DeriveCandidates(question, retrieval.Texts(evidence), ner)
+		cands = derived
 		if len(cands) > 3 {
 			cands = cands[:3]
 		}

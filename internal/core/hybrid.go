@@ -557,11 +557,17 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 	}
 	h.mu.RUnlock()
 
+	// Evidence-derived candidates feed both the generative fallback and
+	// the uncertainty sample, so they are derived once — and not at all
+	// when the result's own conflicts (which imply an answer) replace them.
+	var cands []slm.Candidate
+	if len(conflicts) < 2 {
+		cands = slm.DeriveCandidates(question, retrieval.Texts(ans.Evidence), h.ner)
+	}
 	if ans.Text == "" {
 		// Generative fallback over retrieved evidence, decoded through
 		// the cost-instrumented greedy generator so fallback answers
 		// show up in cost accounting like every other generation.
-		cands := slm.DeriveCandidates(question, retrieval.Texts(ans.Evidence), h.ner)
 		if len(cands) > 0 {
 			ans.Text = h.greedy.Generate(cands, rng).Canonical
 		} else if err != nil {
@@ -571,8 +577,7 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 		}
 	}
 
-	ans.Uncertainty = assessUncertainty(ans.Text, conflicts, ans.Evidence, question,
-		h.ner, h.gen, h.clusterer, h.opts.EntropyM, rng)
+	ans.Uncertainty = assessUncertainty(ans.Text, conflicts, cands, h.gen, h.clusterer, h.opts.EntropyM, rng)
 	ans.Latency = time.Since(start)
 	if h.cache != nil {
 		h.cache.put(key, ans, epoch)

@@ -60,6 +60,24 @@ func render(t *table.Table) string {
 	return b.String()
 }
 
+// drivingResidue returns the predicates the federation layer evaluates
+// over the driving fragment's output: the residual Filter directly
+// above Input 0, nil when the backend absorbed the whole conjunction.
+func drivingResidue(n *logical.Node) []table.Pred {
+	if n == nil {
+		return nil
+	}
+	if c := n.Child(); n.Op == logical.OpFilter && c != nil && c.Op == logical.OpInput && c.Index == 0 {
+		return n.Preds
+	}
+	for _, in := range n.In {
+		if preds := drivingResidue(in); preds != nil {
+			return preds
+		}
+	}
+	return nil
+}
+
 func newTestExecutor(c *table.Catalog, workers int) *Executor {
 	return New(c.Epoch, Options{Workers: workers}, NewMemory(c), NewSQL(c))
 }
@@ -188,7 +206,7 @@ func TestAggregatePushdownScansBucketOnly(t *testing.T) {
 	if fr.Backend != "memory" {
 		t.Errorf("backend = %s, want memory (cheapest)", fr.Backend)
 	}
-	if len(fr.Aggs) == 0 || !run.Plan.AggPushed {
+	if len(fr.Aggs) == 0 {
 		t.Error("aggregate was not pushed down")
 	}
 	if fr.ActScanned != 12 {
@@ -337,9 +355,9 @@ func TestSQLCanPushRejectsUnlexableLiterals(t *testing.T) {
 	if res.Len() != 48 {
 		t.Errorf("rows = %d, want all 48 under the huge threshold", res.Len())
 	}
-	if len(run.Fragments[0].Preds) != 0 || len(run.Plan.PostFilters) != 1 {
+	if post := drivingResidue(run.Plan.Residual); len(run.Fragments[0].Preds) != 0 || len(post) != 1 {
 		t.Errorf("unpushable predicate not kept federation-side: push=%v post=%v",
-			run.Fragments[0].Preds, run.Plan.PostFilters)
+			run.Fragments[0].Preds, post)
 	}
 }
 
@@ -370,7 +388,7 @@ func TestGraphEvidenceBackend(t *testing.T) {
 	}
 	// The graph backend is scan+filter only: the planner must keep the
 	// aggregate in the federation layer.
-	if run.Plan.AggPushed {
+	if len(run.Fragments[0].Aggs) > 0 {
 		t.Error("aggregate pushed to a CapFilter-only backend")
 	}
 	if len(run.Fragments[0].Preds) == 0 {
@@ -467,7 +485,7 @@ func TestPlanningConsultsOnlyThePlansStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !run.Plan.AggPushed {
+	if len(run.Fragments[0].Aggs) == 0 {
 		t.Fatal("aggregate not pushed; the test needs the group-estimate path")
 	}
 	if got := run.Fragments[0].Est.Out; got != 4 {
@@ -498,8 +516,8 @@ func TestExecuteIRWithoutStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if render(got) != render(want) || !run.Plan.AggPushed {
-		t.Errorf("statistics-free run diverges (pushed=%v):\n%s\nvs\n%s", run.Plan.AggPushed, render(got), render(want))
+	if pushed := len(run.Fragments[0].Aggs) > 0; render(got) != render(want) || !pushed {
+		t.Errorf("statistics-free run diverges (pushed=%v):\n%s\nvs\n%s", pushed, render(got), render(want))
 	}
 
 	empty := &logical.Node{Op: logical.OpEmpty, Table: "sales", Cols: []string{"units"}}

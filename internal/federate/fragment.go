@@ -1,0 +1,101 @@
+package federate
+
+import (
+	"repro/internal/logical"
+	"repro/internal/table"
+)
+
+// The fragment contract. A Fragment's operators always mean
+// filter → aggregate → project, and two functions are its whole
+// implementation: absorb decides which of them a backend takes, and
+// evaluate runs them. The planner, failover and every built-in
+// backend's Scan call these and nothing else, so a planned fragment, a
+// failed-over one and the federation-side remainder cannot disagree.
+
+// absorb splits the operators want offers for a scan of want.Table into
+// the fragment backend b takes and the remainder the federation layer
+// must evaluate over b's output (left carries operators only). The
+// rule, in the fragment's operator order:
+//
+//   - each predicate b can push (CapFilter and CanPush) is taken, the
+//     others are left;
+//   - the aggregate is taken only with no predicate left, CapAggregate
+//     and every function pushable; an aggregate left behind keeps the
+//     projection above it behind too;
+//   - the projection is taken only with CapProject and every left
+//     predicate's column inside the projected set, so the remainder can
+//     still evaluate over the narrowed rows.
+func absorb(b Backend, want Fragment) (got, left Fragment) {
+	caps := b.Caps()
+	got = Fragment{Backend: b.Name(), Table: want.Table}
+	for _, p := range want.Preds {
+		if caps.Has(CapFilter) && b.CanPush(want.Table, p) {
+			got.Preds = append(got.Preds, p)
+		} else {
+			left.Preds = append(left.Preds, p)
+		}
+	}
+	if len(want.Aggs) > 0 {
+		if len(left.Preds) > 0 || !caps.Has(CapAggregate) || !aggsPushable(b, want.Aggs) {
+			left.GroupBy, left.Aggs, left.Columns = want.GroupBy, want.Aggs, want.Columns
+			return got, left
+		}
+		got.GroupBy, got.Aggs = want.GroupBy, want.Aggs
+	}
+	if len(want.Columns) > 0 {
+		if caps.Has(CapProject) && logical.PredsCovered(left.Preds, want.Columns) {
+			got.Columns = want.Columns
+		} else {
+			left.Columns = want.Columns
+		}
+	}
+	return got, left
+}
+
+// evaluate runs f's operators over candidate rows t in the contract's
+// order — filter (f.Preds, restricted to f.Ranges when non-nil), then
+// aggregate, then project. Selecting the candidates is the caller's
+// job; fr optionally carries cached columnar fragments covering exactly
+// t. Each stage picks its kernel by one observable size rule: cached
+// fragments present or at least table.FragmentRows input rows run the
+// vectorized kernel, anything smaller the row kernel (column extraction
+// cannot amortize). The kernels are bit-identical, so the choice never
+// shows in results. Scanned counts the candidate rows visited; Frags is
+// set only when t passes through untouched.
+func evaluate(t *table.Table, fr *table.Frags, f Fragment) (Result, error) {
+	vec := func() bool { return fr != nil || t.Len() >= table.FragmentRows }
+	scanned := t.Len()
+	var err error
+	if f.Ranges != nil || len(f.Preds) > 0 {
+		switch {
+		case vec():
+			t, scanned, err = logical.VecFilterTable(t, fr, f.Ranges, f.Preds, 1)
+		case f.Ranges != nil:
+			t, scanned, err = table.FilterRanges(t, f.Ranges, f.Preds...)
+		default:
+			t, err = table.Filter(t, f.Preds...)
+		}
+		if err != nil {
+			return Result{}, err
+		}
+		fr = nil
+	}
+	if len(f.Aggs) > 0 {
+		if vec() {
+			t, err = logical.VecAggregateTable(t, fr, f.GroupBy, f.Aggs, 0, 1)
+		} else {
+			t, err = table.Aggregate(t, f.GroupBy, f.Aggs)
+		}
+		if err != nil {
+			return Result{}, err
+		}
+		fr = nil
+	}
+	if len(f.Columns) > 0 {
+		if t, err = table.Project(t, f.Columns...); err != nil {
+			return Result{}, err
+		}
+		fr = nil
+	}
+	return Result{Table: t, Scanned: scanned, Frags: fr}, nil
+}

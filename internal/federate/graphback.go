@@ -34,18 +34,15 @@ type GraphEvidence struct {
 	epochFn func() uint64
 
 	mu     sync.Mutex
-	epoch  uint64                       // guarded by mu
-	fresh  bool                         // guarded by mu
-	remats int                          // guarded by mu; materialization count, for the epoch-guard tests
-	tables map[string]*table.Table      // guarded by mu
-	stats  map[string]*table.TableStats // guarded by mu
-	zones  map[string]*table.Zones      // guarded by mu
+	epoch  uint64         // guarded by mu
+	remats int            // guarded by mu; materialization count, for the epoch-guard tests
+	views  *table.Catalog // guarded by mu; both evidence tables at epoch, nil before the first build
 }
 
 // NewGraphEvidence returns a backend over g. epochFn versions the
 // graph: materialized tables are reused only while it is unchanged.
 func NewGraphEvidence(g *graph.Graph, epochFn func() uint64) *GraphEvidence {
-	return &GraphEvidence{g: g, epochFn: epochFn, tables: make(map[string]*table.Table)}
+	return &GraphEvidence{g: g, epochFn: epochFn}
 }
 
 // Name implements Backend.
@@ -62,40 +59,31 @@ func (ge *GraphEvidence) Caps() Caps { return CapFilter }
 // CanPush implements Backend.
 func (ge *GraphEvidence) CanPush(string, table.Pred) bool { return true }
 
-// materialize returns the named evidence table and its per-column
-// statistics, rebuilding the set only when the supplied epoch has
-// moved since the last build — consecutive plans over an unchanged
-// graph reuse the same views, stats and zone maps (Remats counts
-// rebuilds so tests can pin that). Unserved names return immediately —
-// the planner probes every backend for every table, and a miss must
-// not trigger an O(graph) rebuild on the answer hot path. Statistics
-// and zone maps are built with the same table.BuildStats/BuildZones
-// the catalog uses, so graph-view estimates and pruning share the one
-// cost model.
-func (ge *GraphEvidence) materialize(name string) (*table.Table, *table.TableStats, bool) {
-	name = strings.ToLower(name)
-	if name != GraphEntitiesTable && name != GraphTriplesTable {
+// materialize returns the named evidence view and the catalog holding
+// both, rebuilding them only when the supplied epoch has moved since
+// the last build — consecutive plans over an unchanged graph reuse the
+// same views, statistics, zone maps and columnar fragments (Remats
+// counts rebuilds so tests can pin that). Unserved names return
+// immediately — the planner probes every backend for every table, and a
+// miss must not trigger an O(graph) rebuild on the answer hot path.
+// Everything derived from a view comes from Catalog.Put, the derive
+// path every catalog table takes, so graph-view estimates and pruning
+// share the one cost model. A returned catalog is never mutated again.
+func (ge *GraphEvidence) materialize(name string) (*table.Table, *table.Catalog, bool) {
+	if !strings.EqualFold(name, GraphEntitiesTable) && !strings.EqualFold(name, GraphTriplesTable) {
 		return nil, nil, false
 	}
 	ge.mu.Lock()
 	defer ge.mu.Unlock()
-	if e := ge.epochFn(); !ge.fresh || e != ge.epoch {
+	if e := ge.epochFn(); ge.views == nil || e != ge.epoch {
 		ge.epoch = e
-		ge.fresh = true
 		ge.remats++
-		ge.tables = map[string]*table.Table{
-			GraphEntitiesTable: ge.buildEntities(),
-			GraphTriplesTable:  ge.buildTriples(),
-		}
-		ge.stats = make(map[string]*table.TableStats, len(ge.tables))
-		ge.zones = make(map[string]*table.Zones, len(ge.tables))
-		for n, t := range ge.tables {
-			ge.stats[n] = table.BuildStats(t)
-			ge.zones[n] = table.BuildZones(t)
-		}
+		ge.views = table.NewCatalog()
+		ge.views.Put(ge.buildEntities())
+		ge.views.Put(ge.buildTriples())
 	}
-	t, ok := ge.tables[name]
-	return t, ge.stats[name], ok
+	t, err := ge.views.Get(name)
+	return t, ge.views, err == nil
 }
 
 // Remats reports how many times the evidence views have been
@@ -109,12 +97,11 @@ func (ge *GraphEvidence) Remats() int {
 // Zones implements ZoneMapped: the materialized view's fragment zone
 // maps, built alongside the view at the current epoch.
 func (ge *GraphEvidence) Zones(tbl string) *table.Zones {
-	if _, _, ok := ge.materialize(tbl); !ok {
+	_, c, ok := ge.materialize(tbl)
+	if !ok {
 		return nil
 	}
-	ge.mu.Lock()
-	defer ge.mu.Unlock()
-	return ge.zones[strings.ToLower(tbl)]
+	return c.ZonesOf(tbl)
 }
 
 func (ge *GraphEvidence) buildEntities() *table.Table {
@@ -157,35 +144,21 @@ func (ge *GraphEvidence) buildTriples() *table.Table {
 // output estimated from the view's per-column statistics through the
 // shared estimator.
 func (ge *GraphEvidence) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
-	t, ts, ok := ge.materialize(tbl)
+	t, c, ok := ge.materialize(tbl)
 	if !ok {
 		return Estimate{}, false
 	}
-	return estimateFromStats(ts, t.Len(), preds, 16, 1), true
+	return estimateFromStats(c.StatsOf(tbl), t.Len(), preds, 16, 1), true
 }
 
-// Scan implements Backend. Zone-pruned fragments read only the
-// surviving row ranges of the materialized view, in ascending order —
-// identical rows to a full filtered scan, fewer rows visited.
+// Scan implements Backend: the materialized view is the candidate set,
+// the shared evaluator does the rest. Zone-pruned fragments read only
+// the surviving row ranges, in ascending order — identical rows to a
+// full filtered scan, fewer rows visited.
 func (ge *GraphEvidence) Scan(f Fragment) (Result, error) {
-	t, _, ok := ge.materialize(f.Table)
+	t, c, ok := ge.materialize(f.Table)
 	if !ok {
 		return Result{}, ErrNoBackend
 	}
-	if f.Ranges != nil {
-		cur, scanned, err := table.FilterRanges(t, f.Ranges, f.Preds...)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Table: cur, Scanned: scanned}, nil
-	}
-	cur := t
-	if len(f.Preds) > 0 {
-		var err error
-		cur, err = table.Filter(t, f.Preds...)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	return Result{Table: cur, Scanned: t.Len()}, nil
+	return evaluate(t, c.FragsOf(f.Table), f)
 }

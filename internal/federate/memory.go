@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/logical"
 	"repro/internal/table"
 )
 
@@ -97,6 +96,9 @@ func (m *Memory) indexForLocked(t *table.Table, col string) *colIndex {
 // lock acquisition covers the epoch check and every index touched.
 func (m *Memory) pickIndex(t *table.Table, preds []table.Pred) (best int, bucket []int) {
 	best = -1
+	if len(preds) == 0 {
+		return best, nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e := m.catalog.Epoch(); e != m.epoch {
@@ -160,106 +162,34 @@ func estEqBucket(ts *table.TableStats, total int, p table.Pred) int {
 	return ts.EstimateRows(total, []table.Pred{p})
 }
 
-// Scan implements Backend: zone-pruned, index-accelerated filter, then
-// aggregation, then projection — the same operator order as the
-// unfederated executor, over the same engine, so results are
-// identical. When the planner restricted the fragment to surviving row
-// ranges, only those rows are read (an equality-index bucket is
-// intersected with the ranges first); the pruned fragments are
-// provably empty under the pushed conjunction, so skipping them cannot
-// change the output.
+// Scan implements Backend by selecting candidate rows — the smallest
+// equality-index bucket a pushed predicate offers (intersected with the
+// planner's surviving row ranges), else the whole table with its cached
+// columnar fragments — and handing them to the shared evaluator. Bucket
+// rows are ascending and the pruned fragments are provably empty under
+// the pushed conjunction, so neither shortcut can change the output.
 func (m *Memory) Scan(f Fragment) (Result, error) {
 	t, err := m.catalog.Get(f.Table)
 	if err != nil {
 		return Result{}, err
 	}
-
-	cur := t
-	scanned := t.Len()
-	if f.Ranges != nil && len(f.Ranges) == 0 {
-		// Every fragment was refuted at plan time: nothing to read.
-		cur, scanned = table.New(t.Name, t.Schema), 0
-	} else if len(f.Preds) > 0 {
-		pick, bucket := m.pickIndex(t, f.Preds)
-		if pick >= 0 {
-			if f.Ranges != nil {
-				bucket = intersectAscending(bucket, f.Ranges)
-			}
-			// Bucket rows already satisfy preds[pick]; evaluate only the
-			// residue, in ascending row order (== full-filter order).
-			var rest []table.Pred
-			if len(f.Preds) > 1 {
-				rest = append(append(make([]table.Pred, 0, len(f.Preds)-1), f.Preds[:pick]...), f.Preds[pick+1:]...)
-			}
-			out := table.New(t.Name, t.Schema)
-			out.Rows = make([][]table.Value, 0, len(bucket))
-			for _, ri := range bucket {
-				row := t.Rows[ri]
-				keep := true
-				for _, p := range rest {
-					ok, err := p.Eval(t.Schema, row)
-					if err != nil {
-						return Result{}, err
-					}
-					if !ok {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					out.Rows = append(out.Rows, row)
-				}
-			}
-			cur, scanned = out, len(bucket)
-		} else {
-			// Unindexed filter: run the vectorized kernel over the
-			// catalog's cached columnar fragments, honoring the
-			// zone-pruned row ranges. Results (rows, order, scanned
-			// accounting) are bit-identical to the row kernels.
-			cur, scanned, err = logical.VecFilterTable(t, m.catalog.FragsOf(f.Table), f.Ranges, f.Preds, 1)
-			if err != nil {
-				return Result{}, err
-			}
-		}
-	} else if f.Ranges != nil {
-		cur, scanned, err = logical.VecFilterTable(t, m.catalog.FragsOf(f.Table), f.Ranges, nil, 1)
-		if err != nil {
-			return Result{}, err
-		}
+	pick, bucket := m.pickIndex(t, f.Preds)
+	if pick < 0 {
+		return evaluate(t, m.catalog.FragsOf(f.Table), f)
 	}
-	if len(f.Aggs) > 0 {
-		// Vectorize only when the catalog's cached fragments cover the
-		// input or the input is at least a fragment long — on smaller
-		// intermediates the row kernel wins because column extraction
-		// cannot amortize. Both kernels are bit-identical, so the
-		// dispatch is invisible in results.
-		var fr *table.Frags
-		if cur == t {
-			fr = m.catalog.FragsOf(f.Table)
-		}
-		if fr != nil || cur.Len() >= table.FragmentRows {
-			cur, err = logical.VecAggregateTable(cur, fr, f.GroupBy, f.Aggs, 0, 1)
-		} else {
-			cur, err = table.Aggregate(cur, f.GroupBy, f.Aggs)
-		}
-		if err != nil {
-			return Result{}, err
-		}
+	if f.Ranges != nil {
+		bucket = intersectAscending(bucket, f.Ranges)
 	}
-	if len(f.Columns) > 0 {
-		cur, err = table.Project(cur, f.Columns...)
-		if err != nil {
-			return Result{}, err
-		}
+	cand := table.New(t.Name, t.Schema)
+	cand.Rows = make([][]table.Value, len(bucket))
+	for i, ri := range bucket {
+		cand.Rows[i] = t.Rows[ri]
 	}
-	res := Result{Table: cur, Scanned: scanned}
-	if cur == t {
-		// Pass-through scan: hand the residual executor the table's
-		// columnar fragments so it probes and filters without
-		// re-extracting columns.
-		res.Frags = m.catalog.FragsOf(f.Table)
-	}
-	return res, nil
+	// Bucket rows already satisfy preds[pick] and lie inside the ranges;
+	// only the other predicates remain to evaluate.
+	f.Preds = append(append(make([]table.Pred, 0, len(f.Preds)-1), f.Preds[:pick]...), f.Preds[pick+1:]...)
+	f.Ranges = nil
+	return evaluate(cand, nil, f)
 }
 
 // intersectAscending keeps the row indexes that fall inside the

@@ -228,14 +228,14 @@ type PhysicalPlan struct {
 	Rollups  []string      // rollup routings (EXPLAIN "rollup:"), empty when none
 	Frags    []Fragment    // scan fragments in left-to-right tree order
 
-	// PostFilters are the driving fragment's non-pushable predicate
-	// residue, evaluated in the federation layer. Main-side filters of
-	// join plans never reach the fragment at all: they stay above the
-	// join in the residual tree, preserving the unfederated operator
-	// order (join, then filter) so row order and results are identical.
-	PostFilters []table.Pred
-	JoinRes     []table.Pred // join-side residue (EXPLAIN "residual=")
-	AggPushed   bool         // aggregation absorbed by the driving fragment's backend
+	// JoinRes is the joined side's non-pushable predicate residue
+	// (EXPLAIN "residual="). The driving side's residue needs no field:
+	// it is the Filter directly above Input 0 in Residual. Main-side
+	// filters of join plans never reach the fragment at all — they stay
+	// above the join in the residual tree, preserving the unfederated
+	// operator order (join, then filter) so row order and results are
+	// identical.
+	JoinRes []table.Pred
 
 	// VecResidual records the executor dispatch decision, made once at
 	// plan time: true when at least one fragment is estimated to
@@ -250,65 +250,52 @@ type PhysicalPlan struct {
 	hver  uint64 // breaker-state version the routing was decided at
 }
 
-// splitPush partitions preds into the subset backend b absorbs and the
-// residue the federation layer must evaluate.
-func splitPush(b Backend, tbl string, preds []table.Pred) (push, rest []table.Pred) {
-	if !b.Caps().Has(CapFilter) {
-		return nil, preds
-	}
-	for _, p := range preds {
-		if b.CanPush(tbl, p) {
-			push = append(push, p)
-		} else {
-			rest = append(rest, p)
-		}
-	}
-	return push, rest
-}
-
-// price offers preds to backend b for a scan of tbl: the pushdown
-// split, plus b's estimate with Cost replaced by the comparable routing
-// cost. Planned routing and failover ordering both rank by it, so the
-// two cannot drift. ok is false when b does not serve tbl.
-func (e *Executor) price(b Backend, tbl string, preds []table.Pred) (push, rest []table.Pred, est Estimate, ok bool) {
-	push, rest = splitPush(b, tbl, preds)
-	est, ok = b.Estimate(tbl, push)
-	if !ok {
-		return nil, nil, Estimate{}, false
+// price offers preds and the column set cols to backend b for a scan of
+// tbl: what b absorbs of them (the fragment, with b's estimate and Cost
+// replaced by the comparable routing cost) and the predicate residue.
+// Planned routing and failover ordering both rank by it, so the two
+// cannot drift. ok is false when b does not serve tbl.
+func (e *Executor) price(b Backend, tbl string, preds []table.Pred, cols []string) (f Fragment, rest []table.Pred, ok bool) {
+	f, left := absorb(b, Fragment{Table: tbl, Preds: preds, Columns: cols})
+	if f.Est, ok = b.Estimate(tbl, f.Preds); !ok {
+		return Fragment{}, nil, false
 	}
 	// Residual predicates cost the federation layer one evaluation
 	// per returned row; fold that into the comparable cost.
-	est.Cost += float64(est.Out) * 0.25 * float64(len(rest))
+	f.Est.Cost += float64(f.Est.Out) * 0.25 * float64(len(left.Preds))
 	// An open breaker deprioritizes the backend without excluding
 	// it: health is a planning input, exactly like cost. The plan
 	// cache keys on the breaker-state version, so a transition
 	// re-routes on the next plan rather than serving a stale choice.
 	if e.health.isOpen(b.Name()) {
-		est.Cost += breakerPenalty
+		f.Est.Cost += breakerPenalty
 	}
-	return push, rest, est, true
+	return f, left.Preds, true
 }
 
-// route picks the cheapest backend serving tbl, offering preds for
-// pushdown. Ties resolve to the first backend in name order.
-func (e *Executor) route(tbl string, preds []table.Pred) (Fragment, []table.Pred, error) {
+// route picks the cheapest backend serving tbl, offering preds and the
+// column set cols for pushdown. Ties resolve to the first backend in
+// name order.
+func (e *Executor) route(tbl string, preds []table.Pred, cols []string) (Backend, Fragment, []table.Pred, error) {
 	e.mu.RLock()
 	backends := append([]Backend(nil), e.backends...)
 	e.mu.RUnlock()
 
-	var best Fragment
-	var bestRest []table.Pred
-	found := false
+	var (
+		best     Backend
+		bestFrag Fragment
+		bestRest []table.Pred
+	)
 	for _, b := range backends {
-		push, rest, est, ok := e.price(b, tbl, preds)
-		if ok && (!found || est.Cost < best.Est.Cost) {
-			best, bestRest, found = Fragment{Backend: b.Name(), Table: tbl, Preds: push, Est: est}, rest, true
+		f, rest, ok := e.price(b, tbl, preds, cols)
+		if ok && (best == nil || f.Est.Cost < bestFrag.Est.Cost) {
+			best, bestFrag, bestRest = b, f, rest
 		}
 	}
-	if !found {
-		return Fragment{}, nil, fmt.Errorf("%w: %s", ErrNoBackend, tbl)
+	if best == nil {
+		return nil, Fragment{}, nil, fmt.Errorf("%w: %s", ErrNoBackend, tbl)
 	}
-	return best, bestRest, nil
+	return best, bestFrag, bestRest, nil
 }
 
 // vecResidualMinRows is the plan-time vectorization threshold: the
@@ -368,99 +355,9 @@ func (e *Executor) plan(opt *logical.Optimized, key string) (*PhysicalPlan, erro
 // from the residual the federation layer interprets. st is the
 // statistics source the tree was optimized against (nil for none).
 func (e *Executor) lower(n *logical.Node, st logical.Stats, pp *PhysicalPlan) (*logical.Node, error) {
-	switch n.Op {
-	case logical.OpScan:
-		input, _, rest, err := e.lowerScan(n, nil, pp)
-		if err != nil {
-			return nil, err
-		}
-		return wrapFilter(input, rest), nil
-
-	case logical.OpFilter:
-		if scan := directScan(n); scan != nil {
-			input, _, rest, err := e.lowerScan(scan, n.Preds, pp)
-			if err != nil {
-				return nil, err
-			}
-			return wrapFilter(input, rest), nil
-		}
-
-	case logical.OpAggregate:
-		// A group-by stacked directly on a (possibly filtered) scan can
-		// evaluate entirely inside a capable backend — but only when
-		// every predicate pushed and the scan's column set did too, so
-		// the fragment output is exactly the aggregate.
-		if scan, filter := chainScan(n.Child()); scan != nil {
-			var offer []table.Pred
-			if filter != nil {
-				offer = filter.Preds
-			}
-			input, frag, rest, err := e.lowerScan(scan, offer, pp)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) == 0 && input.Op == logical.OpInput {
-				if b := e.backend(frag.Backend); b != nil && b.Caps().Has(CapAggregate) && aggsPushable(b, n.Aggs) {
-					frag.GroupBy = n.GroupBy
-					frag.Aggs = n.Aggs
-					frag.Columns = nil // aggregation already minimizes the output
-					// The fragment now returns group rows, not filtered
-					// rows: re-estimate its output from the group keys'
-					// distinct counts.
-					var ts *table.TableStats
-					if st != nil {
-						ts = st.TableStats(frag.Table)
-					}
-					frag.Est.Out = logical.EstimateGroupRows(ts, frag.Est.Out, n.GroupBy)
-					pp.AggPushed = true
-					return input, nil
-				}
-			}
-			out := n.Clone()
-			out.In = []*logical.Node{wrapFilter(input, rest)}
-			return out, nil
-		}
-
-	case logical.OpProject:
-		// An alias-free projection over a fully-pushed scan (the
-		// semi-join key projection, or a plain SQL SELECT list) rides
-		// into the fragment: only the projected columns cross the wire.
-		if scan, filter := chainScan(n.Child()); scan != nil && len(n.Aliases) == 0 {
-			var offer []table.Pred
-			if filter != nil {
-				offer = filter.Preds
-			}
-			input, frag, rest, err := e.lowerScan(scan, offer, pp)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) == 0 && input.Op == logical.OpInput {
-				if b := e.backend(frag.Backend); b != nil && b.Caps().Has(CapProject) {
-					frag.Columns = append([]string(nil), n.Proj...)
-					return input, nil
-				}
-			}
-			out := n.Clone()
-			out.In = []*logical.Node{wrapFilter(input, rest)}
-			return out, nil
-		}
-
-	case logical.OpCompare:
-		// The comparison's common predicates are the pushdown offer;
-		// the residue stays inside the residual Compare node, applied
-		// per branch exactly as the single-store executor applies it.
-		if scan := directScanNode(n.Child()); scan != nil {
-			input, _, rest, err := e.lowerScan(scan, n.Preds, pp)
-			if err != nil {
-				return nil, err
-			}
-			out := n.Clone()
-			out.Preds = rest
-			out.In = []*logical.Node{input}
-			return out, nil
-		}
+	if scan, preds, top := chain(n); scan != nil {
+		return e.lowerScan(scan, preds, top, st, pp)
 	}
-
 	out := n.Clone()
 	out.In = make([]*logical.Node, len(n.In))
 	for i, in := range n.In {
@@ -473,73 +370,125 @@ func (e *Executor) lower(n *logical.Node, st logical.Stats, pp *PhysicalPlan) (*
 	return out, nil
 }
 
-// lowerScan routes one Scan leaf: offer preds for pushdown, push the
-// scan's pruned column set when the chosen backend projects, and
-// return the Input leaf (wrapped in a federation-side projection when
-// the backend could not absorb the pruned columns), the fragment, and
-// the predicate residue. The residue is also recorded on the plan —
-// driving fragment (index 0) as PostFilters, joined side as JoinRes —
-// for EXPLAIN's residual annotation and diagnostics.
-func (e *Executor) lowerScan(scan *logical.Node, offer []table.Pred, pp *PhysicalPlan) (*logical.Node, *Fragment, []table.Pred, error) {
-	frag, rest, err := e.route(scan.Table, offer)
+// chain matches the operator stacks a single fragment can serve: a
+// Scan, optionally under a Filter, optionally under one top operator —
+// an Aggregate, an alias-free Project (the semi-join key projection, or
+// a plain SQL SELECT list), or a Compare directly on the Scan, whose
+// common predicates are its pushdown offer. scan is nil for any other
+// shape.
+func chain(n *logical.Node) (scan *logical.Node, preds []table.Pred, top *logical.Node) {
+	below := n
+	switch {
+	case n.Op == logical.OpAggregate && len(n.Aggs) > 0,
+		n.Op == logical.OpProject && len(n.Aliases) == 0 && len(n.Proj) > 0:
+		top, below = n, n.Child()
+	case n.Op == logical.OpCompare:
+		if c := n.Child(); c != nil && c.Op == logical.OpScan {
+			return c, n.Preds, n
+		}
+		return nil, nil, nil
+	}
+	if below != nil && below.Op == logical.OpFilter {
+		preds, below = below.Preds, below.Child()
+	}
+	if below == nil || below.Op != logical.OpScan {
+		return nil, nil, nil
+	}
+	return below, preds, top
+}
+
+// lowerScan routes one chain to its cheapest backend and applies the
+// absorb rule twice: to the scan's own pruned column set (inside
+// route), then to the whole stack including top. A top operator the
+// backend absorbs disappears from the residual — the fragment output is
+// exactly the aggregate, or only the projected columns cross the wire —
+// and one it does not stays above the Input leaf, over a
+// federation-side projection when the pruned columns stayed behind too.
+// A Compare keeps its predicate residue inside the residual Compare
+// node, applied per branch exactly as the single-store executor applies
+// it.
+func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logical.Node, st logical.Stats, pp *PhysicalPlan) (*logical.Node, error) {
+	b, frag, rest, err := e.route(scan.Table, preds, scan.Cols)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if err := e.pruneFragment(&frag, scan); err != nil {
-		return nil, nil, nil, err
+	if err := pruneFragment(b, &frag, scan.RowStart, scan.RowEnd); err != nil {
+		return nil, err
 	}
-	colsPushed := false
-	if len(scan.Cols) > 0 {
-		if b := e.backend(frag.Backend); b != nil && b.Caps().Has(CapProject) {
-			frag.Columns = append([]string(nil), scan.Cols...)
-			colsPushed = true
+	if len(pp.Frags) > 0 {
+		pp.JoinRes = rest
+	}
+	input := &logical.Node{Op: logical.OpInput, Index: len(pp.Frags), Table: scan.Table}
+	topRides := false
+	if top != nil && top.Op != logical.OpCompare {
+		got, left := absorb(b, Fragment{Table: scan.Table, Preds: preds, GroupBy: top.GroupBy, Aggs: top.Aggs, Columns: top.Proj})
+		if topRides = len(left.Aggs) == 0 && len(left.Columns) == 0; topRides {
+			// An absorbed aggregate already minimizes the output, so the
+			// pruned column set is dropped with it.
+			frag.GroupBy, frag.Aggs, frag.Columns = got.GroupBy, got.Aggs, got.Columns
+			if len(got.Aggs) > 0 {
+				// The fragment now returns group rows, not filtered rows:
+				// re-estimate its output from the group keys' distinct
+				// counts.
+				var ts *table.TableStats
+				if st != nil {
+					ts = st.TableStats(frag.Table)
+				}
+				frag.Est.Out = logical.EstimateGroupRows(ts, frag.Est.Out, got.GroupBy)
+			}
 		}
 	}
 	pp.Frags = append(pp.Frags, frag)
-	if len(pp.Frags) == 1 {
-		pp.PostFilters = rest
-	} else {
-		pp.JoinRes = rest
+	if topRides {
+		return wrapFilter(input, rest), nil
 	}
-	input := &logical.Node{Op: logical.OpInput, Index: len(pp.Frags) - 1, Table: scan.Table}
-	if len(scan.Cols) > 0 && !colsPushed {
+	if len(scan.Cols) > 0 && len(frag.Columns) == 0 {
 		input = &logical.Node{Op: logical.OpProject,
 			Proj: append([]string(nil), scan.Cols...), In: []*logical.Node{input}}
 	}
-	return input, &pp.Frags[len(pp.Frags)-1], rest, nil
+	if top == nil {
+		return wrapFilter(input, rest), nil
+	}
+	out := top.Clone()
+	if top.Op == logical.OpCompare {
+		out.Preds, out.In = rest, []*logical.Node{input}
+	} else {
+		out.In = []*logical.Node{wrapFilter(input, rest)}
+	}
+	return out, nil
 }
 
-// pruneFragment consults the chosen backend's zone maps (when it
-// implements ZoneMapped) and restricts the fragment to the row ranges
-// its pushed conjunction cannot be refuted on. Pruning happens at plan
-// time — zone maps are a pure function of the data epoch the plan
-// caches under — so the decision (and EXPLAIN's "pruned:" line) is
-// deterministic at any worker count. A scan carrying an explicit row
-// range (the SQL dialect's ROWS clause) intersects it with the
+// pruneFragment consults backend b's zone maps (when it implements
+// ZoneMapped) and restricts the fragment to the row ranges its pushed
+// conjunction cannot be refuted on. Pruning happens at plan time — zone
+// maps are a pure function of the data epoch the plan caches under — so
+// the decision (and EXPLAIN's "pruned:" line) is deterministic at any
+// worker count. An explicit row range [rowStart, rowEnd) (the SQL
+// dialect's ROWS clause; rowEnd 0 for none) is intersected with the
 // survivors; such a scan requires a range-honoring backend.
-func (e *Executor) pruneFragment(frag *Fragment, scan *logical.Node) error {
-	if scan.RowEnd > 0 {
-		frag.SliceStart, frag.SliceEnd = scan.RowStart, scan.RowEnd
+func pruneFragment(b Backend, frag *Fragment, rowStart, rowEnd int) error {
+	if rowEnd > 0 {
+		frag.SliceStart, frag.SliceEnd = rowStart, rowEnd
 	}
-	zb, _ := e.backend(frag.Backend).(ZoneMapped)
+	zb, _ := b.(ZoneMapped)
 	if zb == nil {
-		if scan.RowEnd > 0 {
-			return fmt.Errorf("federate: backend %s cannot serve row-ranged scan of %s", frag.Backend, scan.Table)
+		if rowEnd > 0 {
+			return fmt.Errorf("federate: backend %s cannot serve row-ranged scan of %s", frag.Backend, frag.Table)
 		}
 		return nil
 	}
 	z := zb.Zones(frag.Table)
 	if z == nil || len(z.Maps) == 0 {
-		if scan.RowEnd > 0 {
-			frag.Ranges = []table.RowRange{{Start: scan.RowStart, End: scan.RowEnd}}
+		if rowEnd > 0 {
+			frag.Ranges = []table.RowRange{{Start: rowStart, End: rowEnd}}
 		}
 		return nil
 	}
 	keep, pruned := z.Prune(frag.Preds)
 	frag.ZoneTotal = len(z.Maps)
 	frag.ZonePruned = pruned
-	if scan.RowEnd > 0 {
-		keep = table.IntersectRanges(keep, []table.RowRange{{Start: scan.RowStart, End: scan.RowEnd}})
+	if rowEnd > 0 {
+		keep = table.IntersectRanges(keep, []table.RowRange{{Start: rowStart, End: rowEnd}})
 	} else if pruned == 0 {
 		return nil // nothing refuted: plain full scan, no range plumbing
 	}
@@ -559,38 +508,6 @@ func wrapFilter(in *logical.Node, preds []table.Pred) *logical.Node {
 		return in
 	}
 	return &logical.Node{Op: logical.OpFilter, Preds: preds, In: []*logical.Node{in}}
-}
-
-// directScan returns the Scan directly under a Filter node, nil
-// otherwise.
-func directScan(filter *logical.Node) *logical.Node {
-	if c := filter.Child(); c != nil && c.Op == logical.OpScan {
-		return c
-	}
-	return nil
-}
-
-func directScanNode(n *logical.Node) *logical.Node {
-	if n != nil && n.Op == logical.OpScan {
-		return n
-	}
-	return nil
-}
-
-// chainScan matches the (Filter →) Scan tail of a pushable chain.
-func chainScan(n *logical.Node) (scan, filter *logical.Node) {
-	if n == nil {
-		return nil, nil
-	}
-	if n.Op == logical.OpScan {
-		return n, nil
-	}
-	if n.Op == logical.OpFilter {
-		if s := directScan(n); s != nil {
-			return s, n
-		}
-	}
-	return nil, nil
 }
 
 // planCache is a bounded map of physical plans keyed by the canonical

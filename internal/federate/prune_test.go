@@ -173,7 +173,7 @@ func TestSQLBackendFragmentRangedSelects(t *testing.T) {
 		Aggs:    []table.Agg{{Func: table.AggSum, Col: "amount", As: "total"}},
 		In:      []*logical.Node{filterScan("events", table.Pred{Col: "seq", Op: table.OpGe, Val: table.I(int64(2 * table.FragmentRows))})}}
 	run = runPruned(t, e, c, agg)
-	if !run.Plan.AggPushed {
+	if len(run.Fragments[0].Aggs) == 0 {
 		t.Error("aggregate not pushed into the pruned sql fragment")
 	}
 	if fr := run.Fragments[0]; fr.ActScanned != rows-2*table.FragmentRows {

@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/fault"
-	"repro/internal/logical"
-	"repro/internal/table"
 )
 
 // errStaleRegistry signals that a fragment's planned backend vanished
@@ -297,7 +295,7 @@ func (e *Executor) scanFragment(ctx context.Context, f Fragment, fr *FragmentRun
 		if e.health.isOpen(c.Name()) {
 			continue
 		}
-		nf, rest, ok := e.refragment(c, f)
+		nf, left, ok := refragment(c, f)
 		if !ok {
 			continue
 		}
@@ -311,13 +309,17 @@ func (e *Executor) scanFragment(ctx context.Context, f Fragment, fr *FragmentRun
 			}
 			continue
 		}
-		res, err = compensate(res, f, nf, rest)
+		// Whatever c did not absorb runs federation-side through the
+		// same evaluator every backend's Scan ends in, so the output is
+		// bit-identical to the planned backend's.
+		out, err := evaluate(res.Table, res.Frags, left)
 		if err != nil {
 			return Result{}, err
 		}
+		out.Scanned = res.Scanned
 		fr.FailedOver = c.Name()
 		e.opts.Counters.Inc("scan.failover")
-		return res, nil
+		return out, nil
 	}
 	if primaryErr == nil {
 		primaryErr = fmt.Errorf("federate: breaker open for %s and no failover candidate serves %s", f.Backend, f.Table)
@@ -369,11 +371,11 @@ func (e *Executor) failoverCandidates(f Fragment) []Backend {
 		if b.Name() == f.Backend {
 			continue
 		}
-		_, _, est, ok := e.price(b, f.Table, f.Preds)
+		pf, _, ok := e.price(b, f.Table, f.Preds, nil)
 		if !ok {
 			continue
 		}
-		cands = append(cands, cand{b, est.Cost})
+		cands = append(cands, cand{b, pf.Est.Cost})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].cost != cands[j].cost {
@@ -388,80 +390,18 @@ func (e *Executor) failoverCandidates(f Fragment) []Backend {
 	return out
 }
 
-// refragment re-plans fragment f for failover candidate c: the pushed
-// predicate set is re-split against c's capabilities, zone pruning and
-// any explicit row slice are re-derived from c's own zone maps, and
-// aggregation/projection ride along only when c absorbs them with zero
-// predicate residue. Whatever c cannot absorb, compensate applies
-// federation-side, so the fragment's output is bit-identical to the
-// planned backend's. ok is false when c cannot serve the fragment at
-// all (a row-sliced scan on a backend without range support).
-func (e *Executor) refragment(c Backend, f Fragment) (nf Fragment, rest []table.Pred, ok bool) {
-	var push []table.Pred
-	push, rest = splitPush(c, f.Table, f.Preds)
-	nf = Fragment{Backend: c.Name(), Table: f.Table, Preds: push}
-	scan := &logical.Node{Op: logical.OpScan, Table: f.Table, RowStart: f.SliceStart, RowEnd: f.SliceEnd}
-	if err := e.pruneFragment(&nf, scan); err != nil {
-		return Fragment{}, nil, false
+// refragment re-plans fragment f for failover candidate c through the
+// same absorb rule the planner applied: nf is what c takes of f's
+// operators, left what the federation layer evaluates over c's output.
+// Zone pruning and any explicit row slice are re-derived from c's own
+// zone maps. ok is false when c cannot serve the fragment at all (a
+// row-sliced scan on a backend without range support).
+func refragment(c Backend, f Fragment) (nf, left Fragment, ok bool) {
+	nf, left = absorb(c, f)
+	if err := pruneFragment(c, &nf, f.SliceStart, f.SliceEnd); err != nil {
+		return Fragment{}, Fragment{}, false
 	}
-	if len(f.Aggs) > 0 {
-		if len(rest) == 0 && c.Caps().Has(CapAggregate) && aggsPushable(c, f.Aggs) {
-			nf.GroupBy = append([]string(nil), f.GroupBy...)
-			nf.Aggs = append([]table.Agg(nil), f.Aggs...)
-		}
-	} else if len(f.Columns) > 0 && c.Caps().Has(CapProject) {
-		nf.Columns = append([]string(nil), f.Columns...)
-	}
-	return nf, rest, true
-}
-
-// compensate applies federation-side whatever the failover backend
-// could not absorb, in the same operator order every backend's Scan
-// uses — filter, then aggregate, then project — so the compensated
-// output is bit-identical to the planned fragment's.
-func compensate(res Result, f, nf Fragment, rest []table.Pred) (Result, error) {
-	cur := res.Table
-	if len(rest) > 0 {
-		out := table.New(cur.Name, cur.Schema)
-		for _, row := range cur.Rows {
-			keep := true
-			for _, p := range rest {
-				ok, err := p.Eval(cur.Schema, row)
-				if err != nil {
-					return Result{}, err
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-		cur = out
-	}
-	if len(f.Aggs) > 0 && len(nf.Aggs) == 0 {
-		var err error
-		cur, err = table.Aggregate(cur, f.GroupBy, f.Aggs)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	if len(f.Columns) > 0 && len(nf.Columns) == 0 {
-		var err error
-		cur, err = table.Project(cur, f.Columns...)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	if cur != res.Table {
-		// The cached columnar fragments covered the backend's raw
-		// output, not the compensated table.
-		res.Frags = nil
-	}
-	res.Table = cur
-	return res, nil
+	return nf, left, true
 }
 
 // firstScanError picks the deterministic query error from per-fragment

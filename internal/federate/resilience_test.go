@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/logical"
 	"repro/internal/metrics"
 	"repro/internal/semop"
 	"repro/internal/table"
@@ -565,5 +566,107 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Errorf("seeds 7 and 8 injected identical schedules %v — seed not mixed in", c1)
+	}
+}
+
+// TestFailoverProjectedResidue pins the failover half of the absorb
+// rule: a fragment planned as push=[units < 1e+06] project=[product] on
+// memory fails over to SQL, which cannot lex the literal. The predicate
+// stays federation-side, so the projection must too — pushing it would
+// drop the very column the residue filters on.
+func TestFailoverProjectedResidue(t *testing.T) {
+	c := testCatalog()
+	root := &logical.Node{Op: logical.OpProject, Proj: []string{"product"},
+		In: []*logical.Node{filterScan("sales", table.Pred{Col: "units", Op: table.OpLt, Val: table.F(1e6)})}}
+	opt := logical.Optimize(root, logical.CatalogStats(c))
+
+	want, _, err := New(c.Epoch, Options{Workers: 1}, NewMemory(c), NewSQL(c)).ExecuteIR(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := New(c.Epoch, Options{Workers: 1}, NewChaos(NewMemory(c), ChaosOptions{Down: true}), NewSQL(c))
+	got, run, err := down.ExecuteIR(opt)
+	if err != nil {
+		t.Fatalf("failover of a projected fragment with predicate residue: %v", err)
+	}
+	if fr := run.Fragments[0]; fr.FailedOver != "sql" || strings.Join(fr.Columns, ",") != "product" {
+		t.Fatalf("fragment %+v: want planned project=[product] failed over to sql", fr.Fragment)
+	}
+	if render(got) != render(want) || got.Len() != 48 {
+		t.Errorf("failover rows diverge from the healthy run's 48:\n%s\nvs\n%s", render(got), render(want))
+	}
+}
+
+// capBackend is a substitute store with a chosen capability mask and
+// predicate pushability over a full-capability inner backend, priced
+// out of planned routing so it only ever serves failover.
+type capBackend struct {
+	*Memory
+	caps     Caps
+	pushable bool
+}
+
+func (cb capBackend) Name() string                    { return "substitute" }
+func (cb capBackend) Caps() Caps                      { return cb.caps }
+func (cb capBackend) CanPush(string, table.Pred) bool { return cb.pushable }
+func (cb capBackend) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
+	est, ok := cb.Memory.Estimate(tbl, preds)
+	est.Cost = 1e9
+	return est, ok
+}
+
+// TestFailoverEqualsHealthyAcrossCapabilities is the fragment
+// contract's end-to-end check: whatever subset of a planned fragment a
+// failover backend absorbs, absorb leaves the rest to the evaluator and
+// the rows equal the healthy run's bit for bit. The table spans several
+// zone-mapped fragments, so ranged and vectorized evaluation both run.
+func TestFailoverEqualsHealthyAcrossCapabilities(t *testing.T) {
+	c := prunableCatalog(3*table.FragmentRows + 50)
+	pred := table.Pred{Col: "seq", Op: table.OpGe, Val: table.I(int64(table.FragmentRows + 7))}
+	shapes := map[string]func() *logical.Node{
+		"plain": func() *logical.Node { return filterScan("events", pred) },
+		"projected": func() *logical.Node {
+			return &logical.Node{Op: logical.OpProject, Proj: []string{"region"}, In: []*logical.Node{filterScan("events", pred)}}
+		},
+		"aggregated": func() *logical.Node {
+			return &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"region"},
+				Aggs: []table.Agg{{Func: table.AggSum, Col: "amount", As: "total"}},
+				In:   []*logical.Node{filterScan("events", pred)}}
+		},
+		"sliced": func() *logical.Node {
+			n := filterScan("events", pred)
+			n.In[0].RowStart, n.In[0].RowEnd = 100, 2*table.FragmentRows+9
+			return n
+		},
+	}
+	healthy := New(c.Epoch, Options{Workers: 1}, NewMemory(c))
+	for _, caps := range []Caps{CapFilter, CapFilter | CapProject, CapFilter | CapAggregate, CapFilter | CapProject | CapAggregate} {
+		for _, pushable := range []bool{true, false} {
+			// Breaking disabled: every query must take the failover path,
+			// not get planned onto the substitute once memory's breaker opens.
+			down := New(c.Epoch, Options{Workers: 1, Breaker: BreakerConfig{FailThreshold: -1}},
+				NewChaos(NewMemory(c), ChaosOptions{Down: true}),
+				capBackend{Memory: NewMemory(c), caps: caps, pushable: pushable})
+			for name, shape := range shapes {
+				opt := logical.Optimize(shape(), logical.CatalogStats(c))
+				want, _, err := healthy.ExecuteIR(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, run, err := down.ExecuteIR(opt)
+				if err != nil {
+					t.Errorf("%s caps=%s pushable=%v: %v", name, caps, pushable, err)
+					continue
+				}
+				if fr := run.Fragments[0]; fr.Backend != "memory" || fr.FailedOver != "substitute" {
+					t.Errorf("%s caps=%s pushable=%v: backend=%s failedOver=%q, want memory->substitute",
+						name, caps, pushable, fr.Backend, fr.FailedOver)
+				}
+				if render(got) != render(want) {
+					t.Errorf("%s caps=%s pushable=%v: failover rows diverge from healthy:\n%s\nvs\n%s",
+						name, caps, pushable, render(got), render(want))
+				}
+			}
+		}
 	}
 }

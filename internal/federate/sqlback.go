@@ -188,58 +188,43 @@ func renderPred(p table.Pred) string {
 // order — the same row multiset and order a full filtered scan
 // produces, reading only the surviving rows. Aggregation cannot be
 // split across ranges (an aggregate of per-range aggregates is not the
-// aggregate of the union), so the ranged SELECTs carry only filters
-// and the backend aggregates the assembled rows locally through the
-// identical engine.
+// aggregate of the union), so the ranged SELECTs carry only the filters
+// and the shared evaluator finishes the assembled rows.
 func (s *SQL) Scan(f Fragment) (Result, error) {
 	t, err := s.catalog.Get(f.Table)
 	if err != nil {
 		return Result{}, err
 	}
 	if f.Ranges == nil {
-		res, err := sql.Exec(s.catalog, s.Render(f))
+		out, err := s.exec(f, nil)
 		if err != nil {
-			return Result{}, fmt.Errorf("federate: sql backend: %w", err)
-		}
-		return Result{Table: res, Scanned: t.Len()}, nil
-	}
-
-	ranged := Fragment{Table: f.Table, Preds: f.Preds}
-	if len(f.Aggs) == 0 {
-		ranged.Columns = f.Columns
-	}
-	var cur *table.Table
-	scanned := 0
-	for _, r := range f.Ranges {
-		r := r
-		part, err := sql.Exec(s.catalog, s.render(ranged, &r))
-		if err != nil {
-			return Result{}, fmt.Errorf("federate: sql backend: %w", err)
-		}
-		scanned += r.Len()
-		if cur == nil {
-			cur = part
-		} else {
-			cur.Rows = append(cur.Rows, part.Rows...)
-		}
-	}
-	if cur == nil { // every fragment pruned: empty result, zero rows read
-		cur = table.New(t.Name, t.Schema)
-		if len(f.Aggs) == 0 && len(f.Columns) > 0 {
-			if cur, err = table.Project(cur, f.Columns...); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	if len(f.Aggs) > 0 {
-		if cur, err = table.Aggregate(cur, f.GroupBy, f.Aggs); err != nil {
 			return Result{}, err
 		}
-		if len(f.Columns) > 0 {
-			if cur, err = table.Project(cur, f.Columns...); err != nil {
-				return Result{}, err
-			}
-		}
+		return Result{Table: out, Scanned: t.Len()}, nil
 	}
-	return Result{Table: cur, Scanned: scanned}, nil
+	cur := table.New(t.Name, t.Schema)
+	scanned := 0
+	for i := range f.Ranges {
+		part, err := s.exec(Fragment{Table: f.Table, Preds: f.Preds}, &f.Ranges[i])
+		if err != nil {
+			return Result{}, err
+		}
+		cur.Rows = append(cur.Rows, part.Rows...)
+		scanned += f.Ranges[i].Len()
+	}
+	res, err := evaluate(cur, nil, Fragment{GroupBy: f.GroupBy, Aggs: f.Aggs, Columns: f.Columns})
+	if err != nil {
+		return Result{}, err
+	}
+	res.Scanned = scanned
+	return res, nil
+}
+
+// exec round-trips one statement through the dialect as text.
+func (s *SQL) exec(f Fragment, r *table.RowRange) (*table.Table, error) {
+	out, err := sql.Exec(s.catalog, s.render(f, r))
+	if err != nil {
+		return nil, fmt.Errorf("federate: sql backend: %w", err)
+	}
+	return out, nil
 }

@@ -310,7 +310,7 @@ func pushdownPass(o *Optimized, _ Stats) []string {
 		case OpSort, OpDistinct:
 			sinkable = true
 		case OpProject:
-			sinkable = len(c.Aliases) == 0 && predsCovered(f.Preds, c.Proj)
+			sinkable = len(c.Aliases) == 0 && PredsCovered(f.Preds, c.Proj)
 		}
 		if !sinkable {
 			return f
@@ -377,7 +377,11 @@ func emptyfoldPass(o *Optimized, st Stats) []string {
 	return notes
 }
 
-func predsCovered(preds []table.Pred, cols []string) bool {
+// PredsCovered reports whether every predicate's column is one of cols
+// (case-insensitively, as Schema.ColIndex resolves names) — the
+// condition under which a filter still evaluates after projecting to
+// cols.
+func PredsCovered(preds []table.Pred, cols []string) bool {
 	for _, p := range preds {
 		found := false
 		for _, c := range cols {

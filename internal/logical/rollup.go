@@ -171,7 +171,7 @@ func rollupFilterCovered(filter *Node, def table.RollupDef) bool {
 	if filter == nil {
 		return true
 	}
-	return predsCovered(filter.Preds, def.GroupBy)
+	return PredsCovered(filter.Preds, def.GroupBy)
 }
 
 // aggOutName is the output column name an aggregate produces, mirroring

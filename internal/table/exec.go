@@ -106,28 +106,32 @@ func Filter(t *Table, preds ...Pred) (*Table, error) {
 func FilterHint(t *Table, hint int, preds ...Pred) (*Table, error) {
 	out := New(t.Name, t.Schema)
 	if hint > 0 {
-		if hint > len(t.Rows) {
-			hint = len(t.Rows)
-		}
-		out.Rows = make([][]Value, 0, hint)
+		out.Rows = make([][]Value, 0, min(hint, len(t.Rows)))
 	}
-	for _, row := range t.Rows {
-		keep := true
+	var err error
+	if out.Rows, err = appendMatching(out.Rows, t.Schema, t.Rows, preds); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// appendMatching appends the rows satisfying every predicate to dst, in
+// row order — the engine's one predicate-conjunction loop.
+func appendMatching(dst [][]Value, schema Schema, rows [][]Value, preds []Pred) ([][]Value, error) {
+rows:
+	for _, row := range rows {
 		for _, p := range preds {
-			ok, err := p.Eval(t.Schema, row)
+			ok, err := p.Eval(schema, row)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
-				keep = false
-				break
+				continue rows
 			}
 		}
-		if keep {
-			out.Rows = append(out.Rows, row)
-		}
+		dst = append(dst, row)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // FilterRanges filters only the rows inside the given ascending,
@@ -139,27 +143,13 @@ func FilterHint(t *Table, hint int, preds ...Pred) (*Table, error) {
 func FilterRanges(t *Table, ranges []RowRange, preds ...Pred) (out *Table, scanned int, err error) {
 	out = New(t.Name, t.Schema)
 	for _, r := range ranges {
-		end := r.End
-		if end > len(t.Rows) {
-			end = len(t.Rows)
+		end := min(r.End, len(t.Rows))
+		if r.Start >= end {
+			continue
 		}
-		for ri := r.Start; ri < end; ri++ {
-			scanned++
-			row := t.Rows[ri]
-			keep := true
-			for _, p := range preds {
-				ok, err := p.Eval(t.Schema, row)
-				if err != nil {
-					return nil, scanned, err
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out.Rows = append(out.Rows, row)
-			}
+		scanned += end - r.Start
+		if out.Rows, err = appendMatching(out.Rows, t.Schema, t.Rows[r.Start:end], preds); err != nil {
+			return nil, scanned, err
 		}
 	}
 	return out, scanned, nil

@@ -76,13 +76,7 @@ func LoadWithOptions(dir string, opts Options, configure func(*System)) (*System
 		return nil, fmt.Errorf("unisem: load catalog: %w", err)
 	}
 
-	hopts := core.DefaultHybridOptions()
-	hopts.EvidenceK = sys.opts.EvidenceK
-	hopts.EntropyM = sys.opts.EntropySamples
-	hopts.Seed = sys.opts.Seed
-	hopts.Workers = sys.opts.Workers
-	hopts.CacheSize = sys.opts.AnswerCache
-	sys.hybrid = core.NewHybridFromState(g, catalog, sys.ner, hopts)
+	sys.hybrid = core.NewHybridFromState(g, catalog, sys.ner, sys.hybridOptions())
 	for _, b := range sys.backends {
 		sys.hybrid.RegisterBackend(b)
 	}

@@ -1,10 +1,17 @@
 package unisem
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/fault"
+	"repro/internal/federate"
+	"repro/internal/table"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -94,5 +101,66 @@ func TestLoadCorruptCatalog(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "catalog.json"), []byte("{bad"), 0o644)
 	if _, err := Load(dir, nil); err == nil {
 		t.Error("corrupt catalog accepted")
+	}
+}
+
+// blipBackend undercuts the built-in backends' price for sales and then
+// fails every scan transiently, so each query through it either retries
+// (recording scan.retry) or, with retries disabled, fails straight over
+// to the memory backend.
+type blipBackend struct{ staticBackend }
+
+func (blipBackend) Name() string { return "blip" }
+func (blipBackend) Scan(federate.Fragment) (federate.Result, error) {
+	return federate.Result{}, fault.Transient(errors.New("blip: try again"))
+}
+
+// TestLoadKeepsResilienceOptions pins that a loaded system runs under
+// the same QueryTimeout and ScanRetries a built one does: both
+// constructors translate the public options through hybridOptions.
+func TestLoadKeepsResilienceOptions(t *testing.T) {
+	dir := t.TempDir()
+	if err := buildDemo(t).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	sales := table.New("sales", table.Schema{{Name: "product", Type: table.TypeString}})
+	sales.MustAppend([]table.Value{table.S("Product Alpha")})
+	opts := DefaultOptions()
+	opts.QueryTimeout = 30 * time.Millisecond
+	opts.ScanRetries = -1
+
+	// built and loaded construct the same system the two ways.
+	built := func(b federate.Backend) *System {
+		sys := NewWithOptions(opts)
+		if err := sys.AddCSV("sales", strings.NewReader("product,quarter,revenue\nProduct Alpha,Q2,1200\n")); err != nil {
+			t.Fatal(err)
+		}
+		sys.RegisterBackend(b)
+		if err := sys.Build(); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	loaded := func(b federate.Backend) *System {
+		sys, err := LoadWithOptions(dir, opts, func(s *System) { s.RegisterBackend(b) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	for name, construct := range map[string]func(federate.Backend) *System{"built": built, "loaded": loaded} {
+		hung := construct(federate.NewChaos(staticBackend{tbl: sales}, federate.ChaosOptions{Hang: true}))
+		if _, err := hung.Query("SELECT product FROM sales"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: hanging backend under QueryTimeout: err = %v, want DeadlineExceeded", name, err)
+		}
+
+		flaky := construct(blipBackend{staticBackend{tbl: sales}})
+		if _, err := flaky.Query("SELECT product FROM sales"); err != nil {
+			t.Errorf("%s: failover past the blipping backend: %v", name, err)
+		}
+		metrics := strings.Join(flaky.Metrics(), " ")
+		if strings.Contains(metrics, "scan.retry") || !strings.Contains(metrics, "scan.failover=1") {
+			t.Errorf("%s: metrics = %q, want one failover and no retry under ScanRetries -1", name, metrics)
+		}
 	}
 }

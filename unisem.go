@@ -125,9 +125,9 @@ func DefaultOptions() Options {
 type System struct {
 	opts     Options
 	ner      *slm.NER
-	texts    map[string]*store.TextStore
-	jsons    map[string]*store.JSONStore
-	xmls     map[string]*store.XMLStore
+	texts    []*store.TextStore // first-Add order, like jsons and xmls: Build indexes in it
+	jsons    []*store.JSONStore
+	xmls     []*store.XMLStore
 	catalog  *table.Catalog
 	built    bool
 	hybrid   *core.Hybrid
@@ -151,9 +151,6 @@ func NewWithOptions(opts Options) *System {
 	return &System{
 		opts:    opts,
 		ner:     slm.NewNER(),
-		texts:   make(map[string]*store.TextStore),
-		jsons:   make(map[string]*store.JSONStore),
-		xmls:    make(map[string]*store.XMLStore),
 		catalog: table.NewCatalog(),
 	}
 }
@@ -169,15 +166,27 @@ func (s *System) Vocabulary(kind VocabKind, phrases ...string) {
 	s.ner.AddGazetteer(et, phrases...)
 }
 
+// named returns the source called name, or the zero S. Sources live in
+// slices, not maps, because their order is the build order; a handful
+// of entries makes the linear scan free.
+func named[S interface{ Name() string }](sources []S, name string) (found S) {
+	for _, x := range sources {
+		if x.Name() == name {
+			return x
+		}
+	}
+	return found
+}
+
 // AddDocument adds one unstructured document to the named text source.
 func (s *System) AddDocument(source, id, text string) error {
 	if s.built {
 		return ErrAlreadyBuilt
 	}
-	ts, ok := s.texts[source]
-	if !ok {
+	ts := named(s.texts, source)
+	if ts == nil {
 		ts = store.NewTextStore(source)
-		s.texts[source] = ts
+		s.texts = append(s.texts, ts)
 	}
 	ts.Add(id, text)
 	return nil
@@ -202,10 +211,10 @@ func (s *System) AddJSONLines(source string, r io.Reader) error {
 	if s.built {
 		return ErrAlreadyBuilt
 	}
-	js, ok := s.jsons[source]
-	if !ok {
+	js := named(s.jsons, source)
+	if js == nil {
 		js = store.NewJSONStore(source)
-		s.jsons[source] = js
+		s.jsons = append(s.jsons, js)
 	}
 	if err := js.LoadLines(r); err != nil {
 		return fmt.Errorf("unisem: %w", err)
@@ -218,10 +227,10 @@ func (s *System) AddXML(source string, r io.Reader) error {
 	if s.built {
 		return ErrAlreadyBuilt
 	}
-	xs, ok := s.xmls[source]
-	if !ok {
+	xs := named(s.xmls, source)
+	if xs == nil {
 		xs = store.NewXMLStore(source)
-		s.xmls[source] = xs
+		s.xmls = append(s.xmls, xs)
 	}
 	if err := xs.Load(r); err != nil {
 		return fmt.Errorf("unisem: %w", err)
@@ -231,7 +240,9 @@ func (s *System) AddXML(source string, r io.Reader) error {
 
 // Build indexes everything added so far: graph construction, entity
 // tagging, cue inference, and relational table generation. It must be
-// called exactly once, after all sources are added.
+// called exactly once, after all sources are added. Sources are indexed
+// relational → text → JSON → XML, each kind in first-Add order, so the
+// same Add sequence always builds the same graph, tables and answers.
 func (s *System) Build() error {
 	if s.built {
 		return ErrAlreadyBuilt
@@ -249,15 +260,7 @@ func (s *System) Build() error {
 	for _, xs := range s.xmls {
 		multi.Add(xs)
 	}
-	opts := core.DefaultHybridOptions()
-	opts.EvidenceK = s.opts.EvidenceK
-	opts.EntropyM = s.opts.EntropySamples
-	opts.Seed = s.opts.Seed
-	opts.Workers = s.opts.Workers
-	opts.CacheSize = s.opts.AnswerCache
-	opts.QueryTimeout = s.opts.QueryTimeout
-	opts.ScanRetries = s.opts.ScanRetries
-	h, err := core.NewHybrid(multi, s.ner, opts)
+	h, err := core.NewHybrid(multi, s.ner, s.hybridOptions())
 	if err != nil {
 		return fmt.Errorf("unisem: build: %w", err)
 	}
@@ -267,6 +270,20 @@ func (s *System) Build() error {
 	s.hybrid = h
 	s.built = true
 	return nil
+}
+
+// hybridOptions translates the public options for the core engine —
+// the one translation Build and LoadWithOptions share.
+func (s *System) hybridOptions() core.HybridOptions {
+	opts := core.DefaultHybridOptions()
+	opts.EvidenceK = s.opts.EvidenceK
+	opts.EntropyM = s.opts.EntropySamples
+	opts.Seed = s.opts.Seed
+	opts.Workers = s.opts.Workers
+	opts.CacheSize = s.opts.AnswerCache
+	opts.QueryTimeout = s.opts.QueryTimeout
+	opts.ScanRetries = s.opts.ScanRetries
+	return opts
 }
 
 // RegisterBackend attaches a federated execution backend — an extra

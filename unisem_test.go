@@ -2,6 +2,8 @@ package unisem
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -282,5 +284,55 @@ func TestRollupSurface(t *testing.T) {
 	}
 	if !strings.Contains(ans.Explain, "rollup:   ratings -> ratings_by_product") {
 		t.Errorf("EXPLAIN missing rollup routing line:\n%s", ans.Explain)
+	}
+}
+
+// TestBuildIsDeterministicAcrossSources pins the source-order half of
+// the determinism contract: sources are indexed relational → text →
+// JSON → XML, each kind in first-Add order, so the same Add sequence
+// builds the same tables, answers and evidence every time. Five text
+// sources disagree about each customer's rating; ranging over a map of
+// sources made the extracted row order — and with it the lookup answer
+// — change from build to build.
+func TestBuildIsDeterministicAcrossSources(t *testing.T) {
+	const question = "What rating did Customer C-1 give?"
+	snapshot := func() string {
+		sys := New()
+		sys.Vocabulary(VocabProduct, "Product Alpha", "Product Beta")
+		for s := 0; s < 5; s++ {
+			for d := 0; d < 4; d++ {
+				product := []string{"Product Alpha", "Product Beta"}[d%2]
+				if err := sys.AddDocument(fmt.Sprintf("src%d", s), fmt.Sprintf("s%d-d%d", s, d),
+					fmt.Sprintf("Customer C-%d rated %s %d stars.", d, product, (s+d)%5+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := sys.Build(); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, name := range sys.Tables() {
+			rendered, err := sys.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(rendered)
+		}
+		ans, err := sys.Ask(question)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "answer %q\n", ans.Text)
+		for _, e := range ans.Evidence {
+			fmt.Fprintf(&b, "evidence %s %016x\n", e.ID, math.Float64bits(e.Score))
+		}
+		return b.String()
+	}
+	first := snapshot()
+	for build := 1; build < 20; build++ {
+		if got := snapshot(); got != first {
+			t.Fatalf("build %d differs from build 0:\n%s\nvs\n%s", build, got, first)
+		}
 	}
 }
