@@ -11,6 +11,7 @@ package unisem
 // tables.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -738,8 +739,10 @@ func BenchmarkRowScanFilterAggregate(b *testing.B) {
 
 // BenchmarkVecSortLimit runs the 8192-row ORDER BY + LIMIT shape
 // through the sort kernel: key columns extracted once to typed arrays,
-// then a stable permutation sort — no Value boxing per comparison.
-// Compare ns/op and allocs/op against BenchmarkRowSortLimit.
+// then a bounded selection — a 100-entry heap ordered by (keys, row
+// index) keeps the first 100 rows of the stable order without sorting
+// the other 8092, and no Value is boxed per comparison. Compare ns/op
+// and allocs/op against BenchmarkRowSortLimit.
 func BenchmarkVecSortLimit(b *testing.B) {
 	c, root := vecSortBenchSetup(b)
 	if _, err := logical.ExecVec(root, c, 1); err != nil { // warm fragment cache
@@ -766,6 +769,94 @@ func BenchmarkRowSortLimit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchFederatedAnalytic times one analytic statement shape over a
+// 65 536-row fact table (256 fragments, NULL revenue every 67th row)
+// the way production runs it: optimized, then through
+// Executor.ExecuteIR on the memory backend — planning, the fragment
+// scan, the boundary and the vectorized residual together, which the
+// logical.ExecVec benches above never cross. Each execution must scan
+// the whole table exactly once and return wantRows rows.
+func benchFederatedAnalytic(b *testing.B, wantRows int, root func(scan *logical.Node) *logical.Node) {
+	b.Helper()
+	c := table.NewCatalog()
+	t := table.New("facts", table.Schema{
+		{Name: "region", Type: table.TypeString},
+		{Name: "sku", Type: table.TypeString},
+		{Name: "units", Type: table.TypeInt},
+		{Name: "revenue", Type: table.TypeFloat},
+	})
+	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "island"}
+	for i := 0; i < 65536; i++ {
+		rev := table.F(float64((i*7919)%10007) * 0.5)
+		if i%67 == 66 {
+			rev = table.Null(table.TypeFloat)
+		}
+		t.MustAppend([]table.Value{
+			table.S(regions[(i*31)%len(regions)]),
+			table.S(fmt.Sprintf("SKU-%04d", i/64)),
+			table.I(int64(1 + (i*13)%100)),
+			rev,
+		})
+	}
+	c.Put(t)
+	opt := logical.Optimize(root(&logical.Node{Op: logical.OpScan, Table: "facts"}), logical.CatalogStats(c))
+	fed := federate.New(c.Epoch, federate.Options{}, federate.NewMemory(c))
+	var scanned int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, run, err := fed.ExecuteIR(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scanned = sumScanned(run)
+		if res.Len() != wantRows {
+			b.Fatalf("result rows = %d, want %d", res.Len(), wantRows)
+		}
+	}
+	b.StopTimer()
+	if scanned != t.Len() {
+		b.Fatalf("scanned %d rows, want the full %d", scanned, t.Len())
+	}
+	b.ReportMetric(float64(scanned), "rows_scanned/op")
+}
+
+// BenchmarkFederatedTopK is SELECT sku, revenue ... ORDER BY revenue
+// DESC LIMIT 100: the projection crosses the fragment boundary as a
+// column mapping and Sort→Limit runs as a bounded selection, so 100
+// rows materialize, not 65 536.
+func BenchmarkFederatedTopK(b *testing.B) {
+	benchFederatedAnalytic(b, 100, func(scan *logical.Node) *logical.Node {
+		return &logical.Node{Op: logical.OpLimit, N: 100, In: []*logical.Node{{Op: logical.OpSort,
+			Keys: []table.SortKey{{Col: "revenue", Desc: true}},
+			In:   []*logical.Node{{Op: logical.OpProject, Proj: []string{"sku", "revenue"}, In: []*logical.Node{scan}}}}}}
+	})
+}
+
+// BenchmarkFederatedDistinct is SELECT DISTINCT region: the pending
+// projection plus the selection-vector distinct kernel over the cached
+// fragments — 8 rows materialize.
+func BenchmarkFederatedDistinct(b *testing.B) {
+	benchFederatedAnalytic(b, 8, func(scan *logical.Node) *logical.Node {
+		return &logical.Node{Op: logical.OpDistinct,
+			In: []*logical.Node{{Op: logical.OpProject, Proj: []string{"region"}, In: []*logical.Node{scan}}}}
+	})
+}
+
+// BenchmarkFederatedFilteredGroupBy is SELECT region, SUM(revenue) ...
+// WHERE units > 10 GROUP BY region, wholly pushed into the fragment:
+// the filter's selection vectors feed the aggregate in place over the
+// cached fragments, with no row table between them.
+func BenchmarkFederatedFilteredGroupBy(b *testing.B) {
+	benchFederatedAnalytic(b, 8, func(scan *logical.Node) *logical.Node {
+		return &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"region"},
+			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue", As: "result"}},
+			In: []*logical.Node{{Op: logical.OpFilter,
+				Preds: []table.Pred{{Col: "units", Op: table.OpGt, Val: table.I(10)}},
+				In:    []*logical.Node{scan}}}}
+	})
 }
 
 // rollupBenchSetup builds the dashboard-aggregate fixture: an 8192-row

@@ -118,39 +118,49 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) 
 		runs[i].ActOut = results[i].Table.Len()
 	}
 
-	leaf := func(leaf *logical.Node) (*table.Table, error) {
-		if leaf.Op == logical.OpEmpty {
-			// emptyfold proved the scan selects no rows; no fragment was
-			// routed. The schema the passes folded against stands in for
-			// the scan's output.
-			if opt.Stats != nil {
-				if schema, ok := opt.Stats.Schema(leaf.Table); ok {
-					return table.New(leaf.Table, schema), nil
+	// leaf resolves the residual's leaves to fragment outputs: as row
+	// tables with any pending projection applied (rows), or as the raw
+	// Tables the vectorized executor composes projections over.
+	leaf := func(rows bool) logical.Source {
+		return func(leaf *logical.Node) (*table.Table, error) {
+			if leaf.Op == logical.OpEmpty {
+				// emptyfold proved the scan selects no rows; no fragment
+				// was routed. The schema the passes folded against stands
+				// in for the scan's output.
+				if opt.Stats != nil {
+					if schema, ok := opt.Stats.Schema(leaf.Table); ok {
+						return table.New(leaf.Table, schema), nil
+					}
 				}
+				return nil, fmt.Errorf("federate: no schema for empty leaf %s", leaf.Table)
 			}
-			return nil, fmt.Errorf("federate: no schema for empty leaf %s", leaf.Table)
+			if leaf.Op != logical.OpInput || leaf.Index >= len(results) {
+				return nil, fmt.Errorf("federate: unresolved %v leaf", leaf.Op)
+			}
+			if rows {
+				return results[leaf.Index].Rows()
+			}
+			return results[leaf.Index].Table, nil
 		}
-		if leaf.Op != logical.OpInput || leaf.Index >= len(results) {
-			return nil, fmt.Errorf("federate: unresolved %v leaf", leaf.Op)
-		}
-		return results[leaf.Index].Table, nil
 	}
 	var out *table.Table
 	if pp.VecResidual {
-		// Run the vectorized executor, reusing fragment batches the
-		// backends attached to pass-through scans. Bit-identical to Run.
+		// Run the vectorized executor over the fragments' raw tables,
+		// reusing the batches backends attached to pass-through scans
+		// and composing their pending projections as column mappings.
+		// Bit-identical to Run.
 		out, err = logical.RunVec(pp.Residual, logical.VecEnv{
-			Leaf: leaf,
-			Frags: func(l *logical.Node) *table.Frags {
+			Leaf: leaf(false),
+			Columnar: func(l *logical.Node) (*table.Frags, []string) {
 				if l.Op == logical.OpInput && l.Index < len(results) {
-					return results[l.Index].Frags
+					return results[l.Index].Frags, results[l.Index].Columns
 				}
-				return nil
+				return nil, nil
 			},
 			Workers: e.opts.Workers,
 		})
 	} else {
-		out, err = logical.Run(pp.Residual, leaf)
+		out, err = logical.Run(pp.Residual, leaf(true))
 	}
 	if err != nil {
 		return nil, nil, err

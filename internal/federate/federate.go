@@ -12,6 +12,11 @@
 // single cached plan and no plan outlives the catalog state it was
 // derived from.
 //
+// Rows materialize once: a fragment runs as one selection-vector
+// pipeline (fragment.go), and a pass-through projection crosses the
+// fragment boundary as a column mapping (Result.Columns) that the
+// vectorized residual composes instead of copying the table.
+//
 // The residual tree executes through either of internal/logical's
 // bit-identical engines: the vectorized columnar executor when the
 // estimates promise enough boundary-crossing rows to amortize column
@@ -153,6 +158,8 @@ type ZoneMapped interface {
 // Result is a fragment's output plus scan accounting: Scanned counts
 // the base-table rows the backend actually read (the number pushdown
 // exists to minimize), Table holds the rows that crossed the boundary.
+// Read the output through Rows; Table alone is the output only while
+// Columns is nil.
 type Result struct {
 	Table   *table.Table
 	Scanned int
@@ -161,6 +168,23 @@ type Result struct {
 	// the vectorized residual executor reuses them instead of
 	// re-extracting columns. Nil is always valid.
 	Frags *table.Frags
+	// Columns, when non-nil, is the fragment's projection left pending
+	// over Table: an in-process backend whose scan is otherwise a
+	// pass-through returns its base table untouched, and the projection
+	// crosses the boundary as these names — a column mapping for the
+	// vectorized executor, table.Project for everyone else (Rows). Nil,
+	// which is all a backend that never sets it produces, means Table
+	// is already the output.
+	Columns []string
+}
+
+// Rows returns the fragment's output as a row table, applying the
+// pending projection if one is set.
+func (r Result) Rows() (*table.Table, error) {
+	if r.Columns == nil {
+		return r.Table, nil
+	}
+	return table.Project(r.Table, r.Columns...)
 }
 
 // Backend is one executor in the federation: a store that can scan its

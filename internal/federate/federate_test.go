@@ -45,6 +45,17 @@ func testCatalog() *table.Catalog {
 }
 
 // render flattens a table to a comparable string (schema + all rows).
+// rowsOf reads a scan's output the way every row-shaped consumer must:
+// through Result.Rows, which applies a pending projection.
+func rowsOf(t *testing.T, r Result) *table.Table {
+	t.Helper()
+	rows, err := r.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func render(t *table.Table) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Schema.Names(), ","))
@@ -105,8 +116,8 @@ func TestMemoryIndexScanMatchesFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if render(res.Table) != render(want) {
-		t.Errorf("index scan diverges from filter:\n%s\nvs\n%s", render(res.Table), render(want))
+	if got := render(rowsOf(t, res)); got != render(want) {
+		t.Errorf("index scan diverges from filter:\n%s\nvs\n%s", got, render(want))
 	}
 	if res.Scanned >= tbl.Len() {
 		t.Errorf("scanned %d rows, want fewer than %d (index not used)", res.Scanned, tbl.Len())
@@ -310,8 +321,8 @@ func TestSQLBackendParityWithMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frag %d: memory scan: %v", i, err)
 		}
-		if render(sr.Table) != render(mr.Table) {
-			t.Errorf("frag %d: sql and memory disagree:\n%s\nvs\n%s", i, render(sr.Table), render(mr.Table))
+		if got, want := render(rowsOf(t, sr)), render(rowsOf(t, mr)); got != want {
+			t.Errorf("frag %d: sql and memory disagree:\n%s\nvs\n%s", i, got, want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package federate
 
 import (
+	"fmt"
+
 	"repro/internal/logical"
 	"repro/internal/table"
 )
@@ -56,46 +58,54 @@ func absorb(b Backend, want Fragment) (got, left Fragment) {
 // order — filter (f.Preds, restricted to f.Ranges when non-nil), then
 // aggregate, then project. Selecting the candidates is the caller's
 // job; fr optionally carries cached columnar fragments covering exactly
-// t. Each stage picks its kernel by one observable size rule: cached
-// fragments present or at least table.FragmentRows input rows run the
-// vectorized kernel, anything smaller the row kernel (column extraction
-// cannot amortize). The kernels are bit-identical, so the choice never
-// shows in results. Scanned counts the candidate rows visited; Frags is
-// set only when t passes through untouched.
+// t. One observable size rule picks the kernels for the whole fragment:
+// cached fragments present or at least table.FragmentRows candidates
+// run logical.VecFragment — one selection-vector pipeline in which rows
+// materialize once, at the end — anything smaller the row kernels
+// (column extraction cannot amortize). The two are bit-identical, so
+// the choice never shows in results. Scanned counts the candidate rows
+// visited, by the one definition both sides share (table.RowsVisited).
+//
+// Rows do not materialize at all for a projection-only fragment over
+// cached fragments: t passes through with Frags and the projection
+// stays pending in Result.Columns (validated here, so an unknown column
+// still fails the scan). Frags is set only when t passes through.
 func evaluate(t *table.Table, fr *table.Frags, f Fragment) (Result, error) {
-	vec := func() bool { return fr != nil || t.Len() >= table.FragmentRows }
 	scanned := t.Len()
+	if f.Ranges != nil {
+		scanned = table.RowsVisited(f.Ranges, t.Len())
+	}
+	project := len(f.Columns) > 0
+	if f.Ranges == nil && len(f.Preds) == 0 && len(f.Aggs) == 0 && (fr != nil || !project) {
+		res := Result{Table: t, Scanned: scanned, Frags: fr}
+		if project {
+			for _, c := range f.Columns {
+				if t.Schema.ColIndex(c) < 0 {
+					return Result{}, fmt.Errorf("%w: %s", table.ErrNoColumn, c)
+				}
+			}
+			res.Columns = f.Columns
+		}
+		return res, nil
+	}
 	var err error
-	if f.Ranges != nil || len(f.Preds) > 0 {
-		switch {
-		case vec():
-			t, scanned, err = logical.VecFilterTable(t, fr, f.Ranges, f.Preds, 1)
-		case f.Ranges != nil:
-			t, scanned, err = table.FilterRanges(t, f.Ranges, f.Preds...)
-		default:
+	if fr != nil || t.Len() >= table.FragmentRows {
+		t, err = logical.VecFragment(t, fr, f.Ranges, f.Preds, f.GroupBy, f.Aggs, f.Columns)
+	} else {
+		if f.Ranges != nil {
+			t, _, err = table.FilterRanges(t, f.Ranges, f.Preds...)
+		} else if len(f.Preds) > 0 {
 			t, err = table.Filter(t, f.Preds...)
 		}
-		if err != nil {
-			return Result{}, err
-		}
-		fr = nil
-	}
-	if len(f.Aggs) > 0 {
-		if vec() {
-			t, err = logical.VecAggregateTable(t, fr, f.GroupBy, f.Aggs, 0, 1)
-		} else {
+		if err == nil && len(f.Aggs) > 0 {
 			t, err = table.Aggregate(t, f.GroupBy, f.Aggs)
 		}
-		if err != nil {
-			return Result{}, err
+		if err == nil && project {
+			t, err = table.Project(t, f.Columns...)
 		}
-		fr = nil
 	}
-	if len(f.Columns) > 0 {
-		if t, err = table.Project(t, f.Columns...); err != nil {
-			return Result{}, err
-		}
-		fr = nil
+	if err != nil {
+		return Result{}, err
 	}
-	return Result{Table: t, Scanned: scanned, Frags: fr}, nil
+	return Result{Table: t, Scanned: scanned}, nil
 }

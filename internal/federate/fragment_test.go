@@ -1,0 +1,248 @@
+package federate
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/logical"
+	"repro/internal/table"
+)
+
+// fragmentTable builds an n-row table with NULLs in every column the
+// fragment operators read.
+func fragmentTable(n int) *table.Table {
+	t := table.New("ft", table.Schema{
+		{Name: "g", Type: table.TypeString},
+		{Name: "k", Type: table.TypeInt},
+		{Name: "v", Type: table.TypeFloat},
+	})
+	for i := 0; i < n; i++ {
+		row := []table.Value{
+			table.S(fmt.Sprintf("g%d", i%5)),
+			table.I(int64(i % 17)),
+			table.F(float64(i%23) * 0.25),
+		}
+		if i%13 == 0 {
+			row[0] = table.Null(table.TypeString)
+		}
+		if i%19 == 0 {
+			row[2] = table.Null(table.TypeFloat)
+		}
+		t.MustAppend(row)
+	}
+	return t
+}
+
+// rowFragment is the fragment contract spelled with the row kernels
+// alone — the reference every other evaluation must equal.
+func rowFragment(t *table.Table, f Fragment) (*table.Table, int, error) {
+	scanned := t.Len()
+	var err error
+	if f.Ranges != nil {
+		t, scanned, err = table.FilterRanges(t, f.Ranges, f.Preds...)
+	} else {
+		t, err = table.Filter(t, f.Preds...)
+	}
+	if err == nil && len(f.Aggs) > 0 {
+		t, err = table.Aggregate(t, f.GroupBy, f.Aggs)
+	}
+	if err == nil && len(f.Columns) > 0 {
+		t, err = table.Project(t, f.Columns...)
+	}
+	return t, scanned, err
+}
+
+// stagedFragment is the composition the evaluator used before the
+// single pipeline: each stage through the vectorized kernels on its
+// own, a row table materialized between every two.
+func stagedFragment(t *table.Table, fr *table.Frags, f Fragment) (*table.Table, error) {
+	var err error
+	if f.Ranges != nil || len(f.Preds) > 0 {
+		if t, err = logical.VecFragment(t, fr, f.Ranges, f.Preds, nil, nil, nil); err != nil {
+			return nil, err
+		}
+		fr = nil
+	}
+	if len(f.Aggs) > 0 {
+		if t, err = logical.VecFragment(t, fr, nil, nil, f.GroupBy, f.Aggs, nil); err != nil {
+			return nil, err
+		}
+	}
+	if len(f.Columns) > 0 {
+		return table.Project(t, f.Columns...)
+	}
+	return t, nil
+}
+
+// TestFragmentPipelineMatchesRowKernels crosses every fragment shape
+// with the sizes on both sides of the kernel size rule: evaluate (with
+// and without cached fragments, so both the single pipeline and the
+// row kernels run), the stage-by-stage vectorized composition and the
+// row-kernel reference agree on rows, schema, Scanned and error.
+func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
+	type agg struct {
+		groupBy []string
+		aggs    []table.Agg
+		cols    []string // a projection valid over this shape's output
+	}
+	sum := table.Agg{Func: table.AggSum, Col: "v", As: "total"}
+	cnt := table.Agg{Func: table.AggCount, As: "n"}
+	aggShapes := map[string]agg{
+		"none":    {cols: []string{"v", "g"}},
+		"global":  {aggs: []table.Agg{sum, cnt}, cols: []string{"n"}},
+		"grouped": {groupBy: []string{"g"}, aggs: []table.Agg{cnt, sum, {Func: table.AggMin, Col: "k"}}, cols: []string{"total", "g"}},
+	}
+	predShapes := map[string][]table.Pred{
+		"none": nil,
+		"one":  {{Col: "k", Op: table.OpGt, Val: table.I(3)}},
+		"two":  {{Col: "k", Op: table.OpLe, Val: table.I(12)}, {Col: "v", Op: table.OpGe, Val: table.F(1.5)}},
+		// Errors lazily: only when a row survives to reach it.
+		"error": {{Col: "k", Op: table.OpGe, Val: table.I(0)}, {Col: "nope", Op: table.OpEq, Val: table.I(1)}},
+	}
+	for _, n := range []int{255, 256, 257, 65536} {
+		tb := fragmentTable(n)
+		cached := table.BuildFrags(tb)
+		rangeShapes := map[string][]table.RowRange{
+			"none":  nil,
+			"empty": {},
+			// A partial batch, whole batches, a range past the table and
+			// an inverted one.
+			"some": {{Start: 3, End: 40}, {Start: 200, End: n - 1}, {Start: n - 1, End: n + 500}, {Start: n + 9, End: n + 2}},
+		}
+		for rname, ranges := range rangeShapes {
+			for pname, preds := range predShapes {
+				for aname, a := range aggShapes {
+					for _, project := range []bool{false, true} {
+						f := Fragment{Table: "ft", Ranges: ranges, Preds: preds, GroupBy: a.groupBy, Aggs: a.aggs}
+						if project {
+							f.Columns = a.cols
+						}
+						label := fmt.Sprintf("n=%d ranges=%s preds=%s agg=%s project=%v", n, rname, pname, aname, project)
+						want, wantScanned, wantErr := rowFragment(tb, f)
+
+						for _, fr := range []*table.Frags{nil, cached} {
+							res, err := evaluate(tb, fr, f)
+							if !sameOutcome(t, label+" evaluate", err, wantErr) || err != nil {
+								continue
+							}
+							got := rowsOf(t, res)
+							if render(got) != render(want) || fmt.Sprint(got.Schema) != fmt.Sprint(want.Schema) {
+								t.Errorf("%s cached=%v: rows diverge from the row kernels:\n%s\nvs\n%s", label, fr != nil, render(got), render(want))
+							}
+							if res.Scanned != wantScanned {
+								t.Errorf("%s cached=%v: scanned %d, row kernels %d", label, fr != nil, res.Scanned, wantScanned)
+							}
+							passThrough := ranges == nil && preds == nil && a.aggs == nil
+							if (res.Frags != nil) != (passThrough && fr != nil && res.Table == tb) {
+								t.Errorf("%s cached=%v: Frags set = %v on a table that is not the untouched input", label, fr != nil, res.Frags != nil)
+							}
+							if pending := res.Columns != nil; pending != (passThrough && project && fr != nil) {
+								t.Errorf("%s cached=%v: pending projection = %v", label, fr != nil, pending)
+							}
+						}
+
+						staged, err := stagedFragment(tb, cached, f)
+						if sameOutcome(t, label+" staged", err, wantErr) && err == nil && render(staged) != render(want) {
+							t.Errorf("%s: staged composition diverges:\n%s\nvs\n%s", label, render(staged), render(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameOutcome reports (and fails on a mismatch) whether two error
+// outcomes are the same error text or both nil.
+func sameOutcome(t *testing.T, label string, got, want error) bool {
+	t.Helper()
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		t.Errorf("%s: error %v, row kernels %v", label, got, want)
+		return false
+	}
+	return true
+}
+
+// TestPendingProjectionUnknownColumn: leaving the projection pending
+// must not defer its validation past the scan.
+func TestPendingProjectionUnknownColumn(t *testing.T) {
+	tb := fragmentTable(300)
+	_, err := evaluate(tb, table.BuildFrags(tb), Fragment{Table: "ft", Columns: []string{"g", "nope"}})
+	_, want := table.Project(tb, "g", "nope")
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("error %v, want %v", err, want)
+	}
+}
+
+// eagerBackend is a third-party store written against the Backend
+// contract as it stood before Result.Columns existed: it hands back
+// finished rows and sets nothing else.
+type eagerBackend struct{ *Memory }
+
+func (eagerBackend) Name() string { return "eager" }
+func (eb eagerBackend) Scan(f Fragment) (Result, error) {
+	res, err := eb.Memory.Scan(f)
+	if err != nil {
+		return Result{}, err
+	}
+	rows, err := res.Rows()
+	return Result{Table: rows, Scanned: res.Scanned}, err
+}
+
+// TestBoundaryContractThirdPartyBackend runs the shapes whose
+// projection the memory backend now leaves pending — under a top-K
+// sort, a distinct, a join, a bare projection, on both executors —
+// through the memory backend and through a backend that never sets
+// Result.Columns: same rows, same EXPLAIN but for the backend's name.
+func TestBoundaryContractThirdPartyBackend(t *testing.T) {
+	c := table.NewCatalog()
+	tb := fragmentTable(3*table.FragmentRows + 11)
+	c.Put(tb)
+	small := table.New("dim", table.Schema{{Name: "g", Type: table.TypeString}, {Name: "label", Type: table.TypeString}})
+	for i := 0; i < 5; i++ {
+		small.MustAppend([]table.Value{table.S(fmt.Sprintf("g%d", i)), table.S(fmt.Sprintf("label-%d", i))})
+	}
+	c.Put(small)
+
+	scan := func(tbl string) *logical.Node { return &logical.Node{Op: logical.OpScan, Table: tbl} }
+	project := func(in *logical.Node, cols ...string) *logical.Node {
+		return &logical.Node{Op: logical.OpProject, Proj: cols, In: []*logical.Node{in}}
+	}
+	shapes := map[string]*logical.Node{
+		"projection": project(scan("ft"), "v", "g"),
+		"top_k": {Op: logical.OpLimit, N: 20, In: []*logical.Node{{Op: logical.OpSort,
+			Keys: []table.SortKey{{Col: "v", Desc: true}, {Col: "g"}},
+			In:   []*logical.Node{project(scan("ft"), "g", "v")}}}},
+		"distinct": {Op: logical.OpDistinct, In: []*logical.Node{project(scan("ft"), "g", "k")}},
+		"join": project(&logical.Node{Op: logical.OpJoin, LeftCol: "g", RightCol: "g",
+			In: []*logical.Node{scan("ft"), scan("dim")}}, "label", "v"),
+		"small_row_path": project(scan("dim"), "label"),
+	}
+	memory := New(c.Epoch, Options{Workers: 1}, NewMemory(c))
+	eager := New(c.Epoch, Options{Workers: 1}, eagerBackend{NewMemory(c)})
+	for name, root := range shapes {
+		opt := logical.Optimize(root, logical.CatalogStats(c))
+		want, wantRun, err := memory.ExecuteIR(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, gotRun, err := eager.ExecuteIR(opt)
+		if err != nil {
+			t.Fatalf("%s: eager backend: %v", name, err)
+		}
+		ref, err := logical.Exec(opt.Root, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(want) != render(ref) {
+			t.Errorf("%s: memory backend diverges from the row interpreter:\n%s\nvs\n%s", name, render(want), render(ref))
+		}
+		if render(got) != render(ref) {
+			t.Errorf("%s: eager backend diverges from the row interpreter:\n%s\nvs\n%s", name, render(got), render(ref))
+		}
+		if g, w := strings.ReplaceAll(Explain(gotRun), "backend=eager", "backend=memory"), Explain(wantRun); g != w {
+			t.Errorf("%s: EXPLAIN differs beyond the backend name:\n%s\nvs\n%s", name, g, w)
+		}
+	}
+}

@@ -511,8 +511,8 @@ func TestRowSlicedFailoverPreservesSlice(t *testing.T) {
 	if fr.FailedOver != "sql" {
 		t.Fatalf("failedOver = %q, want sql", fr.FailedOver)
 	}
-	if render(res.Table) != want {
-		t.Errorf("sliced failover rows diverge:\n%s\nvs\n%s", render(res.Table), want)
+	if got := render(rowsOf(t, res)); got != want {
+		t.Errorf("sliced failover rows diverge:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -627,6 +627,12 @@ func TestFailoverEqualsHealthyAcrossCapabilities(t *testing.T) {
 		"plain": func() *logical.Node { return filterScan("events", pred) },
 		"projected": func() *logical.Node {
 			return &logical.Node{Op: logical.OpProject, Proj: []string{"region"}, In: []*logical.Node{filterScan("events", pred)}}
+		},
+		// No filter: a substitute that takes the projection leaves it
+		// pending over its base table, and failover must carry it on.
+		"projected_only": func() *logical.Node {
+			return &logical.Node{Op: logical.OpProject, Proj: []string{"amount", "region"},
+				In: []*logical.Node{{Op: logical.OpScan, Table: "events"}}}
 		},
 		"aggregated": func() *logical.Node {
 			return &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"region"},

@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,14 +22,25 @@ import (
 // result emission) stays in fragment order — so results are
 // bit-identical to the row interpreter at any worker count.
 //
+// Rows materialize once, at the end: filter, project and distinct only
+// refine a stream's selection vectors and column mapping, aggregate
+// reads them in place, and a projection a backend left pending over its
+// base table (VecEnv.Columnar) is composed into the mapping rather than
+// copied — VecFragment runs a backend's whole filter → aggregate →
+// project fragment this way.
+//
 // Sort runs as a columnar kernel too: the key columns are extracted
 // to per-kind typed arrays over the selected rows (nulls first,
 // cross-kind int/float via float64, generic Values only for
-// mixed-kind columns) and a stable permutation sort reorders row
-// references — the exact ordering and tie stability of table.Sort
-// without boxing a Value per comparison. Compare reuses the filter
-// and aggregate kernels, running each CompareBranches arm over the
-// child stream and appending per-item results in branch order.
+// mixed-kind or NaN-bearing columns) and a stable permutation sort
+// reorders row references — the exact ordering and tie stability of
+// table.Sort without boxing a Value per comparison. A Limit directly
+// over a Sort is one bounded selection: a k-entry heap ordered by
+// (keys, row index) keeps the first k rows of that stable order without
+// sorting the rest. Distinct is a selection-vector kernel keyed by the
+// aggregate's group-key encoding, first occurrence kept. Compare reuses
+// the filter and aggregate kernels, running each CompareBranches arm
+// over the child stream and appending per-item results in branch order.
 // Every operator of the IR has a columnar form; the federated executor
 // records its plan-time dispatch decision in EXPLAIN as
 // "exec: vectorized|row".
@@ -47,9 +59,12 @@ type VecEnv struct {
 	// vectors and column index mappings) instead of copying rows.
 	// When nil, OpScan leaves go through Leaf.
 	Scan func(leaf *Node) (*table.Table, *table.Frags, error)
-	// Frags, when set, returns cached columnar fragments covering
-	// exactly the table Leaf returned for this leaf (or nil).
-	Frags func(leaf *Node) *table.Frags
+	// Columnar, when set, describes the table Leaf returned for this
+	// leaf: cached columnar fragments covering exactly it (or nil), and
+	// a pass-through projection still pending over it (nil = none),
+	// which the executor composes into the stream's column mapping
+	// instead of copying rows.
+	Columnar func(leaf *Node) (fr *table.Frags, cols []string)
 	// Workers bounds fragment parallelism (par.Workers convention).
 	Workers int
 }
@@ -98,9 +113,10 @@ type vecRun struct {
 
 // vstream is an operator's in-flight result: backing rows plus a lazy
 // columnar view, an optional column projection (schema[i] reads base
-// column cols[i]) and optional per-batch selection vectors. Streams
-// defer row materialization so scan → filter → aggregate pipelines
-// never copy rows at all.
+// column cols[i]) and optional per-batch selection vectors. Filter and
+// distinct refine sels, project rewrites cols, aggregate and sort read
+// both in place; rows are copied only by materialize, once, for the
+// consumer that needs them (a join input, the final result).
 type vstream struct {
 	name   string
 	schema table.Schema
@@ -248,6 +264,15 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		}
 		return passthrough(out, nil), nil
 	}
+	if n.Op == OpLimit && n.Child() != nil && n.Child().Op == OpSort {
+		// Limit directly over Sort: select the first N rows of the
+		// stable order without ordering the rest.
+		s, err := v.eval(n.Child().Child())
+		if err != nil {
+			return nil, err
+		}
+		return v.sortStream(s, n.Child().Keys, max(n.N, 0))
+	}
 	s, err := v.eval(n.Child())
 	if err != nil {
 		return nil, err
@@ -264,11 +289,11 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		}
 		return passthrough(out, nil), nil
 	case OpSort:
-		return v.sortStream(s, n.Keys)
+		return v.sortStream(s, n.Keys, math.MaxInt)
 	case OpLimit:
 		return passthrough(table.Limit(s.materialize(), n.N), nil), nil
 	case OpDistinct:
-		return passthrough(table.Distinct(s.materialize()), nil), nil
+		return v.distinctStream(s), nil
 	case OpCompare:
 		return v.compareStream(n, s)
 	default:
@@ -281,11 +306,15 @@ func (v *vecRun) leafStream(leaf *Node) (*vstream, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fr *table.Frags
-	if v.env.Frags != nil {
-		fr = v.env.Frags(leaf)
+	if v.env.Columnar == nil {
+		return passthrough(t, nil), nil
 	}
-	return passthrough(t, fr), nil
+	fr, cols := v.env.Columnar(leaf)
+	s := passthrough(t, fr)
+	if cols == nil {
+		return s, nil
+	}
+	return v.project(s, cols, nil)
 }
 
 // scanStream resolves an OpScan leaf natively: the row range becomes
@@ -434,7 +463,8 @@ func (v *vecRun) filter(s *vstream, preds []table.Pred) (*vstream, error) {
 // filterBatch applies the predicate conjunction to one batch,
 // pipelining each predicate over the survivors of the previous one —
 // the same short-circuit shape (and therefore the same lazy error
-// semantics) as the row interpreter.
+// semantics) as the row interpreter. An empty conjunction returns the
+// incoming selection unchanged (nil stays "whole batch").
 func filterBatch(b *table.Batch, in []int32, cps []vecPred) ([]int32, error) {
 	cand := in
 	for pi := range cps {
@@ -457,18 +487,7 @@ func filterBatch(b *table.Batch, in []int32, cps []vecPred) ([]int32, error) {
 		}
 		cand = next
 	}
-	if cand == nil {
-		cand = fullSel(b.Len)
-	}
 	return cand, nil
-}
-
-func fullSel(n int) []int32 {
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return sel
 }
 
 // evalPred evaluates one predicate over the candidate rows of a batch
@@ -949,8 +968,8 @@ type sortCol struct {
 // compare orders the selected rows a and b on this key with
 // table.Compare's exact semantics: NULL sorts before every non-NULL
 // value, two NULLs tie, and non-NULL cells dispatch on the column
-// class. NaN floats tie with everything NaN-adjacent exactly as the
-// row path's float comparison does.
+// class. NaN floats live only in kcGeneric columns, where
+// table.Compare itself ties them with every number.
 func (sc *sortCol) compare(a, b int) int {
 	an, bn := sc.nulls.Get(a), sc.nulls.Get(b)
 	switch {
@@ -973,14 +992,18 @@ func (sc *sortCol) compare(a, b int) int {
 	}
 }
 
-// sortStream is the vectorized Sort kernel: it gathers the stream's
-// selected rows in row order, extracts each key column into typed
-// arrays, stable-sorts a row permutation, and emits the rows in
-// sorted order (applying any pending projection) — bit-identical to
-// table.Sort over the materialized stream, including tie stability,
-// because the permutation starts in row order and the comparator
-// reproduces table.Compare exactly.
-func (v *vecRun) sortStream(s *vstream, keys []table.SortKey) (*vstream, error) {
+// sortStream is the vectorized Sort kernel, with the Limit above it
+// (math.MaxInt = none) folded in: it gathers the stream's selected rows
+// in row order, extracts each key column into typed arrays, orders a
+// row permutation and emits its first limit rows (applying any pending
+// projection) — bit-identical to table.Limit over table.Sort over the
+// materialized stream, ties included. When the limit cuts rows and the
+// keys form a total preorder (no kcGeneric column: mixed kinds and NaN
+// compare intransitively, where only the stable sort's own comparison
+// sequence reproduces table.Sort), the permutation is a bounded
+// selection; otherwise a stable sort from row order with the comparator
+// that reproduces table.Compare exactly.
+func (v *vecRun) sortStream(s *vstream, keys []table.SortKey, limit int) (*vstream, error) {
 	keyIdx := make([]int, len(keys))
 	for i, k := range keys {
 		idx := s.schema.ColIndex(k.Col)
@@ -1009,29 +1032,39 @@ func (v *vecRun) sortStream(s *vstream, keys []table.SortKey) (*vstream, error) 
 		})
 	}
 	cols := make([]*sortCol, len(keys))
+	total := true
 	for k := range keys {
 		cols[k] = extractSortCol(bs, rowB, rowR, keyIdx[k])
+		total = total && cols[k].class != kcGeneric
 	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(i, j int) bool {
-		a, b := int(perm[i]), int(perm[j])
+	// cmp orders two selected rows on the keys alone (0 = tie).
+	cmp := func(a, b int32) int {
 		for k := range keys {
-			c := cols[k].compare(a, b)
-			if c == 0 {
-				continue
+			if c := cols[k].compare(int(a), int(b)); c != 0 {
+				if keys[k].Desc {
+					return -c
+				}
+				return c
 			}
-			if keys[k].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
-	})
+		return 0
+	}
+	var perm []int32
+	if limit < n && total {
+		perm = topK(n, limit, func(a, b int32) bool {
+			c := cmp(a, b)
+			return c > 0 || (c == 0 && a > b)
+		})
+	} else {
+		perm = make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		sort.SliceStable(perm, func(i, j int) bool { return cmp(perm[i], perm[j]) < 0 })
+		perm = perm[:min(limit, n)]
+	}
 	out := table.New(s.name, s.schema)
-	out.Rows = make([][]Value, 0, n)
+	out.Rows = make([][]Value, 0, len(perm))
 	for _, pi := range perm {
 		row := s.base.Rows[int(rowB[pi])*table.FragmentRows+int(rowR[pi])]
 		if s.cols != nil {
@@ -1046,10 +1079,55 @@ func (v *vecRun) sortStream(s *vstream, keys []table.SortKey) (*vstream, error) 
 	return passthrough(out, nil), nil
 }
 
+// topK returns, in order, the first k of the indexes 0..n-1 under the
+// strict total order whose inverse is after (after(a, b): a sorts after
+// b), 0 <= k < n. A k-entry heap holds the best rows seen so far with
+// the last of them on top; each later row replaces the top only when it
+// sorts before it, so the work is n comparisons plus a sift per
+// replacement instead of a full sort.
+func topK(n, k int, after func(a, b int32) bool) []int32 {
+	if k == 0 {
+		return nil
+	}
+	h := make([]int32, k)
+	for i := range h {
+		h[i] = int32(i)
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && after(h[c+1], h[c]) {
+				c++
+			}
+			if !after(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := int32(k); i < int32(n); i++ {
+		if after(h[0], i) {
+			h[0] = i
+			down(0)
+		}
+	}
+	sort.Slice(h, func(x, y int) bool { return after(h[y], h[x]) })
+	return h
+}
+
 // extractSortCol pulls one key column of the selected rows into typed
 // form. The first non-NULL cell fixes the column class; a later cell
-// of a different class demotes the whole column to exact Values, whose
-// pairwise table.Compare reproduces the row path on any kind mixture.
+// of a different class, or a NaN, demotes the whole column to exact
+// Values, whose pairwise table.Compare reproduces the row path on any
+// kind mixture — so every typed class is a total preorder and
+// kcGeneric alone marks the columns that may not be.
 func extractSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
 	n := len(rowB)
 	sc := &sortCol{class: kcEmpty, nulls: table.NewBitmap(n)}
@@ -1082,7 +1160,7 @@ func extractSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
 				}
 				sc.nums[i] = float64(col.Ints[ri])
 			case col.Floats != nil:
-				if !ensure(kcNum) {
+				if f := col.Floats[ri]; f != f || !ensure(kcNum) {
 					return genericSortCol(bs, rowB, rowR, ci)
 				}
 				sc.nums[i] = col.Floats[ri]
@@ -1106,7 +1184,7 @@ func extractSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
 		}
 		switch {
 		case bv.IsNumeric():
-			if !ensure(kcNum) {
+			if f := bv.Float(); f != f || !ensure(kcNum) {
 				return genericSortCol(bs, rowB, rowR, ci)
 			}
 			sc.nums[i] = bv.Float()
@@ -1394,43 +1472,74 @@ func appendKeyBytes(kb []byte, col *table.ColVec, ri int) []byte {
 	}
 }
 
-// ---- table-level kernel entries (backend scans) ----
+// ---- distinct ----
 
-// VecFilterTable is the vectorized counterpart of table.Filter /
-// table.FilterRanges for backend scans: it evaluates the predicate
-// conjunction over the table's columnar fragments (fr may be nil to
-// extract on the fly), restricted to the given row ranges (nil = all
-// rows), and returns the surviving rows (shared slices, row order)
-// plus the visited-row count — the same scanned accounting the row
-// kernels report.
-func VecFilterTable(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds []table.Pred, workers int) (*table.Table, int, error) {
-	v := &vecRun{env: VecEnv{Workers: workers}}
-	s := passthrough(t, fr)
-	scanned := t.Len()
-	if ranges != nil {
-		bs := v.batches(s)
-		s.sels = rangeSels(bs, ranges)
-		scanned = 0
-		for _, r := range ranges {
-			end := r.End
-			if end > t.Len() {
-				end = t.Len()
-			}
-			if end > r.Start {
-				scanned += end - r.Start
-			}
+// distinctStream is the vectorized Distinct kernel: it keeps the first
+// selected row of every distinct key — the Value.Key encoding of the
+// stream's (mapped) columns, exactly table.Distinct's row key — as a
+// refined selection, copying no row.
+func (v *vecRun) distinctStream(s *vstream) *vstream {
+	bs := v.batches(s)
+	seen := make(map[string]struct{})
+	kb := make([]byte, 0, 64)
+	nsels := make([][]int32, len(bs))
+	for bi, b := range bs {
+		keep := []int32{}
+		var sel []int32
+		if s.sels != nil {
+			sel = s.sels[bi]
 		}
+		forSel(b.Len, sel, func(ri int) {
+			kb = kb[:0]
+			for i := range s.schema {
+				kb = appendKeyBytes(kb, &b.Cols[s.baseCol(i)], ri)
+				kb = append(kb, '\x1f')
+			}
+			if _, dup := seen[string(kb)]; !dup {
+				seen[string(kb)] = struct{}{}
+				keep = append(keep, int32(ri))
+			}
+		})
+		nsels[bi] = keep
 	}
-	fs, err := v.filter(s, preds)
-	if err != nil {
-		return nil, scanned, err
+	return &vstream{
+		name: s.name, schema: s.schema, base: s.base,
+		fr: s.fr, cols: s.cols, bs: bs, sels: nsels,
 	}
-	return fs.materialize(), scanned, nil
 }
 
-// VecAggregateTable is the vectorized counterpart of
-// table.AggregateHint for backend scans that push aggregation down.
-func VecAggregateTable(t *table.Table, fr *table.Frags, groupBy []string, aggs []table.Agg, hint, workers int) (*table.Table, error) {
-	v := &vecRun{env: VecEnv{Workers: workers}}
-	return v.aggregate(passthrough(t, fr), groupBy, aggs, hint)
+// ---- fragment entry (backend scans) ----
+
+// VecFragment runs one scan fragment — filter (preds, restricted to the
+// ascending disjoint row ranges when non-nil), then aggregate, then
+// project — over candidate table t as a single stream: the ranges and
+// predicates refine selection vectors, the aggregate reads them in
+// place over the columnar fragments (fr caches them for exactly t; nil
+// extracts on the fly), the projection is a column mapping, and rows
+// materialize once at the end. Bit-identical to table.FilterRanges →
+// table.Aggregate → table.Project over the same input, errors included.
+func VecFragment(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds []table.Pred, groupBy []string, aggs []table.Agg, cols []string) (*table.Table, error) {
+	v := &vecRun{env: VecEnv{Workers: 1}}
+	s := passthrough(t, fr)
+	if ranges != nil {
+		s.sels = rangeSels(v.batches(s), ranges)
+	}
+	var err error
+	if len(preds) > 0 {
+		if s, err = v.filter(s, preds); err != nil {
+			return nil, err
+		}
+	}
+	if len(aggs) > 0 {
+		if t, err = v.aggregate(s, groupBy, aggs, 0); err != nil {
+			return nil, err
+		}
+		s = passthrough(t, nil)
+	}
+	if len(cols) > 0 {
+		if s, err = v.project(s, cols, nil); err != nil {
+			return nil, err
+		}
+	}
+	return s.materialize(), nil
 }

@@ -37,6 +37,10 @@ func FuzzVecParity(f *testing.F) {
 		{"SELECT * FROM sales WHERE units > 5 ORDER BY quarter, units DESC LIMIT 7", ""},
 		{"SELECT product, SUM(revenue) AS r FROM sales GROUP BY product ORDER BY r DESC", ""},
 		{"SELECT quarter FROM sales ORDER BY nope", ""},
+		{"SELECT product, score FROM ratings ORDER BY score DESC LIMIT 3", ""},
+		{"SELECT product, score FROM ratings ORDER BY score, product DESC LIMIT 9", ""},
+		{"SELECT DISTINCT product, quarter FROM sales", ""},
+		{"SELECT DISTINCT product, score FROM ratings", ""},
 		{"SELECT FROM WHERE", ""},
 		{"", ""},
 		{"SELECT * FROM sales", "Alpha,Beta"},
@@ -49,7 +53,7 @@ func FuzzVecParity(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, query, items string) {
-		catalog := testCatalog()
+		catalog := fuzzCatalog()
 		stmt, err := Parse(query)
 		if err == nil {
 			if node, err := Compile(stmt, catalog); err == nil {
@@ -71,6 +75,26 @@ func FuzzVecParity(f *testing.F) {
 			assertVecMatchesRow(t, opt.Root, catalog, "COMPARE "+items)
 		}
 	})
+}
+
+// fuzzCatalog is testCatalog plus ratings, whose score column carries
+// NULLs and ties — what a bounded ORDER BY ... LIMIT and a multi-column
+// DISTINCT must order and deduplicate exactly like the row interpreter.
+func fuzzCatalog() *table.Catalog {
+	c := testCatalog()
+	ratings := table.New("ratings", table.Schema{
+		{Name: "product", Type: table.TypeString},
+		{Name: "score", Type: table.TypeFloat},
+	})
+	for i, p := range []string{"Alpha", "Beta", "Alpha", "Gamma", "Beta", "Alpha", "Gamma", "Beta"} {
+		score := table.F(float64(i%3) + 0.5)
+		if i%4 == 1 {
+			score = table.Null(table.TypeFloat)
+		}
+		ratings.MustAppend([]table.Value{table.S(p), score})
+	}
+	c.Put(ratings)
+	return c
 }
 
 // assertVecMatchesRow executes one optimized tree through both engines

@@ -142,12 +142,12 @@ rows:
 // actually visited.
 func FilterRanges(t *Table, ranges []RowRange, preds ...Pred) (out *Table, scanned int, err error) {
 	out = New(t.Name, t.Schema)
+	scanned = RowsVisited(ranges, len(t.Rows))
 	for _, r := range ranges {
 		end := min(r.End, len(t.Rows))
 		if r.Start >= end {
 			continue
 		}
-		scanned += end - r.Start
 		if out.Rows, err = appendMatching(out.Rows, t.Schema, t.Rows[r.Start:end], preds); err != nil {
 			return nil, scanned, err
 		}

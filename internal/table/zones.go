@@ -283,6 +283,22 @@ func RangesLen(ranges []RowRange) int {
 	return n
 }
 
+// RowsVisited counts the rows of an n-row table a scan restricted to
+// the ranges reads: each range clamped to the table, inverted or
+// out-of-table ranges counting zero. It is the one definition of
+// "scanned under ranges" — FilterRanges and the vectorized fragment
+// pipeline both report it, so the count cannot depend on which side of
+// the kernel size rule a scan lands.
+func RowsVisited(ranges []RowRange, n int) int {
+	visited := 0
+	for _, r := range ranges {
+		if end := min(r.End, n); end > r.Start {
+			visited += end - r.Start
+		}
+	}
+	return visited
+}
+
 // Describe renders the zone maps for diagnostics (uniquery -stats):
 // one line per fragment with each column's bounds, null count and
 // exact value set.

@@ -153,6 +153,30 @@ func countRanges(keep []RowRange, z *Zones) int {
 	return n
 }
 
+// TestRowsVisited pins the one definition of "scanned under ranges":
+// ranges clamp to the table, and inverted or out-of-table ranges count
+// nothing.
+func TestRowsVisited(t *testing.T) {
+	cases := []struct {
+		ranges []RowRange
+		n      int
+		want   int
+	}{
+		{nil, 10, 0},
+		{[]RowRange{}, 10, 0},
+		{[]RowRange{{0, 10}}, 10, 10},
+		{[]RowRange{{2, 5}, {7, 9}}, 10, 5},
+		{[]RowRange{{8, 500}}, 10, 2},
+		{[]RowRange{{10, 12}, {40, 30}, {9, 3}}, 10, 0},
+		{[]RowRange{{0, 4}}, 0, 0},
+	}
+	for _, c := range cases {
+		if got := RowsVisited(c.ranges, c.n); got != c.want {
+			t.Errorf("RowsVisited(%v, %d) = %d, want %d", c.ranges, c.n, got, c.want)
+		}
+	}
+}
+
 func TestIntersectRanges(t *testing.T) {
 	a := []RowRange{{0, 256}, {512, 768}}
 	b := []RowRange{{100, 600}}
