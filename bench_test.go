@@ -11,7 +11,9 @@ package unisem
 // tables.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -19,12 +21,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/federate"
+	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/logical"
 	"repro/internal/retrieval"
 	"repro/internal/semop"
 	"repro/internal/slm"
 	"repro/internal/sql"
+	"repro/internal/store"
 	"repro/internal/table"
 	"repro/internal/vector"
 	"repro/internal/workload"
@@ -301,6 +305,71 @@ func BenchmarkTopologyRetrieve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ev := r.Retrieve(c.Queries[i%len(c.Queries)].Text, 8); len(ev) == 0 {
 			b.Fatal("no evidence")
+		}
+	}
+}
+
+// snapshotBenchGraph builds the graph the serialiser benchmarks share:
+// the repository benchmark's e-commerce corpus (48 products × 12
+// reviews) plus a 16 384-row relational table, so row nodes with field
+// attrs outnumber everything else the way they do in a saved system.
+func snapshotBenchGraph(b *testing.B) *graph.Graph {
+	b.Helper()
+	opts := workload.DefaultECommerceOptions()
+	opts.Products, opts.ReviewsPerProduct = 48, 12
+	c := workload.ECommerce(opts)
+	ner := slm.NewNER()
+	c.Register(ner)
+	facts := table.New("facts", table.Schema{
+		{Name: "region", Type: table.TypeString},
+		{Name: "sku", Type: table.TypeString},
+		{Name: "units", Type: table.TypeInt},
+		{Name: "revenue", Type: table.TypeFloat},
+	})
+	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "island"}
+	for i := 0; i < 16384; i++ {
+		rev := table.F(float64(i%1009) * 0.75)
+		if i%67 == 66 {
+			rev = table.Null(table.TypeFloat)
+		}
+		facts.MustAppend([]table.Value{table.S(regions[i%len(regions)]), table.S(fmt.Sprintf("SKU-%04d", i/64)),
+			table.I(int64(1 + i%100)), rev})
+	}
+	cat := table.NewCatalog()
+	cat.Put(facts)
+	c.Sources.Add(store.NewRelationalStore("warehouse", cat))
+	g, _, err := index.NewBuilder(ner, index.DefaultOptions()).Build(c.Sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkGraphWriteJSON measures Graph.WriteJSON, the stage that
+// dominates System.Save.
+func BenchmarkGraphWriteJSON(b *testing.B) {
+	g := snapshotBenchGraph(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGraphReadJSON measures graph.ReadJSON over the bytes
+// BenchmarkGraphWriteJSON writes, the stage that dominates unisem.Load.
+func BenchmarkGraphReadJSON(b *testing.B) {
+	var buf bytes.Buffer
+	if err := snapshotBenchGraph(b).WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.ReadJSON(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

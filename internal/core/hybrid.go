@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -416,6 +417,19 @@ func (h *Hybrid) Ingest(source, id, text string) error {
 	}
 	h.retriever.Refresh()
 	return nil
+}
+
+// WriteState serializes the index to gw and the catalog to cw under one
+// read lock, so the pair is of one epoch: no Ingest lands between the
+// two or inside either. The two serializers run at once, the catalog's
+// on a second goroutine; each writer's error is its own.
+func (h *Hybrid) WriteState(gw, cw io.Writer) (graphErr, catalogErr error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	done := make(chan error, 1)
+	go func() { done <- h.catalog.WriteJSON(cw) }()
+	graphErr = h.graph.WriteJSON(gw)
+	return graphErr, <-done
 }
 
 // QueryResult is the outcome of a SQL-entry query: the result table

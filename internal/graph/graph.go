@@ -97,6 +97,11 @@ func New() *Graph {
 // insert stores a new vertex for n and accounts for it.
 func (g *Graph) insert(n *Node) {
 	g.vs[n.ID] = &vertex{node: n}
+	g.account(n)
+}
+
+// account adds n to the running statistics.
+func (g *Graph) account(n *Node) {
 	g.byType[n.Type]++
 	g.size += int64(len(n.ID) + len(n.Label) + 16)
 	for k, av := range n.Attrs {

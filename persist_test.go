@@ -3,9 +3,13 @@ package unisem
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -164,3 +168,192 @@ func TestLoadKeepsResilienceOptions(t *testing.T) {
 		}
 	}
 }
+
+// readSnapshot returns the two files of a saved system.
+func readSnapshot(t *testing.T, dir string) (graphJSON, catalogJSON string) {
+	t.Helper()
+	g, err := os.ReadFile(filepath.Join(dir, "graph.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(g), string(c)
+}
+
+// TestSaveRacingIngest runs Ingest, Ask and Save at once (run it under
+// -race): every directory saved holds the graph and the catalog of one
+// and the same number of ingests — byte for byte the two files a twin
+// system saves after ingesting that prefix alone — and loads.
+func TestSaveRacingIngest(t *testing.T) {
+	const ingests = 12
+	doc := func(i int) (id, text string) {
+		return fmt.Sprintf("live-%d", i), fmt.Sprintf("Customer C-%d rated Product Beta %d stars. Customer C-%d praised Product Alpha.", 100+i, 1+i%5, 100+i)
+	}
+	// The twin's snapshot after each prefix; every ingest changes both files.
+	twin := buildDemo(t)
+	var graphs, catalogs []string
+	for i := 0; ; i++ {
+		dir := t.TempDir()
+		if err := twin.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		g, c := readSnapshot(t, dir)
+		if i > 0 && (g == graphs[i-1] || c == catalogs[i-1]) {
+			t.Fatalf("ingest %d left a file as it was", i)
+		}
+		graphs, catalogs = append(graphs, g), append(catalogs, c)
+		if i == ingests {
+			break
+		}
+		id, text := doc(i)
+		if err := twin.Ingest("reviews", id, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sys := buildDemo(t)
+	root := t.TempDir()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	var saved []string
+	go func() { // saves until the ingests are over, and once after
+		defer wg.Done()
+		for last := false; !last; {
+			select {
+			case <-done:
+				last = true
+			default:
+			}
+			dir := filepath.Join(root, fmt.Sprint("save-", len(saved)))
+			if err := sys.Save(dir); err != nil {
+				t.Error(err)
+				return
+			}
+			saved = append(saved, dir)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := sys.Ask("What is the average rating of Product Beta?"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < ingests; i++ {
+		id, text := doc(i)
+		if err := sys.Ingest("reviews", id, text); err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	prefixes := map[int]bool{}
+	for _, dir := range saved {
+		g, c := readSnapshot(t, dir)
+		k := slices.Index(graphs, g)
+		if k < 0 {
+			t.Fatalf("%s: graph.json is the graph of no prefix of the ingests", dir)
+		}
+		if c != catalogs[k] {
+			t.Fatalf("%s: graph.json is of %d ingests, catalog.json of %d", dir, k, slices.Index(catalogs, c))
+		}
+		prefixes[k] = true
+		loaded, err := Load(dir, func(s *System) { s.Vocabulary(VocabProduct, "Product Alpha", "Product Beta") })
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		if got, want := loaded.Stats().Nodes, twin.Stats().Nodes; k == ingests && got != want {
+			t.Errorf("%s: %d nodes loaded, the twin has %d", dir, got, want)
+		}
+	}
+	if !prefixes[ingests] {
+		t.Errorf("the save after the last ingest is of prefixes %v", prefixes)
+	}
+	t.Logf("%d saves, of prefixes %v", len(saved), prefixes)
+}
+
+// TestSaveReportsWriteErrors points the snapshot files at a device that
+// takes no byte: Save returns the failed write's error (which the
+// graph's buffered writer holds until its flush), and the graph's when
+// both files fail.
+func TestSaveReportsWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	sys := buildDemo(t)
+	for _, c := range []struct {
+		full []string
+		want string
+	}{
+		{[]string{"graph.json", "catalog.json"}, "unisem: save graph: "},
+		{[]string{"catalog.json"}, "unisem: save catalog: "},
+		{[]string{"graph.json"}, "unisem: save graph: "},
+	} {
+		dir := t.TempDir()
+		for _, name := range c.full {
+			if err := os.Symlink("/dev/full", filepath.Join(dir, name)); err != nil {
+				t.Skip(err)
+			}
+		}
+		for i := 0; i < 5; i++ { // the two writers race; the report does not
+			err := sys.Save(dir)
+			if err == nil || !strings.HasPrefix(err.Error(), c.want) || !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("%v on /dev/full: err = %v, want %s…: %v", c.full, err, c.want, syscall.ENOSPC)
+			}
+		}
+	}
+}
+
+// TestLoadReportsGraphFirst pins which error Load returns now that it
+// reads the two files at once: the graph's whenever the graph fails.
+func TestLoadReportsGraphFirst(t *testing.T) {
+	good := t.TempDir()
+	if err := buildDemo(t).Save(good); err != nil {
+		t.Fatal(err)
+	}
+	goodGraph, goodCatalog := readSnapshot(t, good)
+	for _, c := range []struct {
+		name           string
+		graph, catalog *string // nil: no such file
+		want           string
+	}{
+		{"both corrupt", ptr("{bad"), ptr("{bad"), "unisem: load graph: "},
+		{"corrupt graph, no catalog", ptr("{bad"), nil, "unisem: load graph: "},
+		{"no graph, corrupt catalog", nil, ptr("{bad"), "unisem: load: open "},
+		{"corrupt catalog", &goodGraph, ptr("{bad"), "unisem: load catalog: "},
+		{"no catalog", &goodGraph, nil, "unisem: load: open "},
+		{"trailing bytes after the graph", ptr(goodGraph + "{}"), &goodCatalog, "unisem: load graph: "},
+	} {
+		dir := t.TempDir()
+		for name, content := range map[string]*string{"graph.json": c.graph, "catalog.json": c.catalog} {
+			if content != nil {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(*content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 5; i++ {
+			_, err := Load(dir, nil)
+			if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Fatalf("%s: err = %v, want %s…", c.name, err, c.want)
+			}
+			if c.graph == nil && !strings.Contains(err.Error(), "graph.json") {
+				t.Fatalf("%s: err = %v, want the graph's", c.name, err)
+			}
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
