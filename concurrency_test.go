@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // Ask must be safe from multiple goroutines after Build (run with
@@ -113,6 +115,57 @@ func TestConcurrentIngestAndAsk(t *testing.T) {
 	}
 	if ans, err := sys.Ask("What was the revenue of Product Alpha in Q3?"); err != nil || ans.Text != "1500" {
 		t.Errorf("post-ingest ask = (%q, %v)", ans.Text, err)
+	}
+}
+
+// Introspection reads the catalog, graph and retriever that Ingest
+// writes; beside 40 Ingests it must neither race (run with -race) nor
+// kill the process with a concurrent map read and map write.
+func TestIntrospectionRacingIngest(t *testing.T) {
+	sys := buildDemo(t)
+	if err := sys.AddRollup(table.RollupDef{Name: "ratings_by_product", Base: "ratings",
+		GroupBy: []string{"product"}, Aggs: []table.Agg{{Func: table.AggAvg, Col: "stars"}}}); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := sys.Ask("What is the average rating of Product Alpha?")
+	if err != nil || len(ans.Evidence) == 0 {
+		t.Fatalf("ask = (%+v, %v)", ans, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 40; i++ {
+			doc := fmt.Sprintf("Customer C-7%d rated Product Beta %d stars. Customer C-7%d praised Product Alpha.", i, i%5+1, i)
+			if err := sys.Ingest("live", fmt.Sprintf("live-%d", i), doc); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		for _, name := range sys.Tables() {
+			if _, err := sys.Table(name); err != nil {
+				t.Error(err)
+			}
+			if _, err := sys.DescribeTable(name); err != nil {
+				t.Error(err)
+			}
+		}
+		if _, err := sys.DescribeRollup("no_such_rollup"); err == nil {
+			t.Error("unknown rollup described")
+		}
+		if len(sys.GraphComponents()) == 0 {
+			t.Error("no graph components")
+		}
+		sys.ExplainEvidence("What is the average rating of Product Alpha?", ans.Evidence[0].ID)
 	}
 }
 

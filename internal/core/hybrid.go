@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -102,9 +103,12 @@ type Hybrid struct {
 	ExtractCount int         // guarded by mu; extracted rows merged into the catalog
 }
 
-// NewHybrid ingests the sources and returns a ready system. The
-// recognizer should already carry the domain gazetteer.
-func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid, error) {
+// init is the part of construction NewHybrid and NewHybridFromState
+// share: option defaulting, the Workers fan-out, and every field that
+// does not depend on where the graph and catalog come from. It fills a
+// Hybrid its caller has just allocated and returns the defaulted
+// options.
+func (h *Hybrid) init(ner *slm.NER, opts HybridOptions) HybridOptions {
 	if opts.EvidenceK <= 0 {
 		opts.EvidenceK = 8
 	}
@@ -119,8 +123,9 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 			opts.Topology.Workers = opts.Workers
 		}
 	}
-	h := &Hybrid{
+	*h = Hybrid{
 		ner:       ner,
+		builder:   index.NewBuilder(ner, opts.Index),
 		gen:       slm.NewGenerator(),
 		greedy:    &slm.Generator{Temperature: 0},
 		clusterer: entropy.NewClusterer(slm.NewEmbedder(slm.DefaultEmbeddingDim)),
@@ -130,6 +135,17 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 	if opts.CacheSize > 0 {
 		h.cache = newAnswerCache(opts.CacheSize)
 	}
+	if !opts.DisableExtraction {
+		h.extractor = extract.NewEngine(ner, extract.Rules()...)
+	}
+	return opts
+}
+
+// NewHybrid ingests the sources and returns a ready system. The
+// recognizer should already carry the domain gazetteer.
+func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid, error) {
+	h := new(Hybrid)
+	opts = h.init(ner, opts)
 
 	// Relational Table Generation reads only the source text, so it can
 	// run concurrently with the graph build and the centrality prior;
@@ -138,7 +154,6 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 	var extractions []extract.Extraction
 	var extractDone chan struct{}
 	if !opts.DisableExtraction {
-		h.extractor = extract.NewEngine(ner, extract.Rules()...)
 		var docs []extract.Doc
 		for _, s := range sources.Sources() {
 			if s.Kind() != store.KindText {
@@ -160,7 +175,6 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 	}
 
 	// 1. Graph index over every source.
-	h.builder = index.NewBuilder(ner, opts.Index)
 	g, stats, err := h.builder.Build(sources)
 	if err != nil {
 		return nil, fmt.Errorf("core: hybrid index: %w", err)
@@ -297,11 +311,64 @@ func (h *Hybrid) Rollups() []table.RollupDef {
 }
 
 // DescribeRollup renders one registered rollup (definition, row count,
-// epoch). Safe to call concurrently with Ingest.
+// epoch); an unknown name lists the known rollups. Safe to call
+// concurrently with Ingest.
 func (h *Hybrid) DescribeRollup(name string) (string, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.catalog.DescribeRollup(name)
+	out, err := h.catalog.DescribeRollup(name)
+	if err != nil {
+		return "", fmt.Errorf("%w (known rollups: %s)", err, strings.Join(h.catalog.RollupNames(), ", "))
+	}
+	return out, nil
+}
+
+// Tables lists the catalog's table names, sorted. Safe to call
+// concurrently with Ingest.
+func (h *Hybrid) Tables() []string {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.catalog.Names()
+}
+
+// RenderTable returns a rendered preview of a catalog table. Safe to
+// call concurrently with Ingest.
+func (h *Hybrid) RenderTable(name string) (string, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	t, err := h.catalog.Get(name)
+	if err != nil {
+		return "", err
+	}
+	return t.String(), nil
+}
+
+// DescribeTable renders a catalog table's per-column statistics and
+// per-fragment zone maps; an unknown name lists the known tables. Safe
+// to call concurrently with Ingest.
+func (h *Hybrid) DescribeTable(name string) (string, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if _, err := h.catalog.Get(name); err != nil {
+		return "", fmt.Errorf("%w (known tables: %s)", err, strings.Join(h.catalog.Names(), ", "))
+	}
+	return h.catalog.StatsOf(name).Describe() + "\n" + h.catalog.ZonesOf(name).Describe(), nil
+}
+
+// ExplainEvidence returns the graph path connecting the question's
+// entities to an evidence item. Safe to call concurrently with Ingest.
+func (h *Hybrid) ExplainEvidence(question, evidenceID string) []string {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.retriever.ExplainPath(question, evidenceID)
+}
+
+// GraphComponents returns the index's weakly connected components.
+// Safe to call concurrently with Ingest.
+func (h *Hybrid) GraphComponents() [][]string {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.graph.ConnectedComponents()
 }
 
 // NewHybridFromState reconstructs a hybrid system from a previously
@@ -309,37 +376,9 @@ func (h *Hybrid) DescribeRollup(name string) (string, error) {
 // serializers) without re-ingesting sources. The recognizer must carry
 // the same gazetteer used at build time, or query anchoring degrades.
 func NewHybridFromState(g *graph.Graph, catalog *table.Catalog, ner *slm.NER, opts HybridOptions) *Hybrid {
-	if opts.EvidenceK <= 0 {
-		opts.EvidenceK = 8
-	}
-	if opts.EntropyM <= 0 {
-		opts.EntropyM = 5
-	}
-	if opts.Workers != 0 {
-		if opts.Index.Workers == 0 {
-			opts.Index.Workers = opts.Workers
-		}
-		if opts.Topology.Workers == 0 {
-			opts.Topology.Workers = opts.Workers
-		}
-	}
-	h := &Hybrid{
-		ner:       ner,
-		graph:     g,
-		builder:   index.NewBuilder(ner, opts.Index),
-		catalog:   catalog,
-		gen:       slm.NewGenerator(),
-		greedy:    &slm.Generator{Temperature: 0},
-		clusterer: entropy.NewClusterer(slm.NewEmbedder(slm.DefaultEmbeddingDim)),
-		opts:      opts,
-		rng:       slm.NewRNG(opts.Seed),
-	}
-	if opts.CacheSize > 0 {
-		h.cache = newAnswerCache(opts.CacheSize)
-	}
-	if !opts.DisableExtraction {
-		h.extractor = extract.NewEngine(ner, extract.Rules()...)
-	}
+	h := new(Hybrid)
+	opts = h.init(ner, opts)
+	h.graph, h.catalog = g, catalog
 	h.retriever = retrieval.NewTopology(g, ner, opts.Topology)
 	h.initFederation()
 	byType := g.CountByType()
@@ -370,7 +409,8 @@ func (h *Hybrid) WithCost(c *slm.CostModel) *Hybrid {
 func (h *Hybrid) Name() string { return "hybrid" }
 
 // Catalog exposes the combined catalog (native + extracted), used by
-// examples and the extraction-quality experiment.
+// the extraction-quality experiment. Like Graph and Retriever it hands
+// out what mu guards: safe only when no Ingest can run concurrently.
 func (h *Hybrid) Catalog() *table.Catalog { return h.catalog }
 
 // Graph exposes the built index for inspection.

@@ -12,10 +12,11 @@
 // single cached plan and no plan outlives the catalog state it was
 // derived from.
 //
-// Rows materialize once: a fragment runs as one selection-vector
-// pipeline (fragment.go), and a pass-through projection crosses the
-// fragment boundary as a column mapping (Result.Columns) that the
-// vectorized residual composes instead of copying the table.
+// Rows materialize once: every fragment, of any size, runs as one
+// selection-vector pipeline (fragment.go), and a pass-through
+// projection crosses the fragment boundary as a column mapping
+// (Result.Columns) that the vectorized residual composes instead of
+// copying the table.
 //
 // The residual tree executes through either of internal/logical's
 // bit-identical engines: the vectorized columnar executor when the

@@ -56,15 +56,12 @@ func absorb(b Backend, want Fragment) (got, left Fragment) {
 
 // evaluate runs f's operators over candidate rows t in the contract's
 // order — filter (f.Preds, restricted to f.Ranges when non-nil), then
-// aggregate, then project. Selecting the candidates is the caller's
-// job; fr optionally carries cached columnar fragments covering exactly
-// t. One observable size rule picks the kernels for the whole fragment:
-// cached fragments present or at least table.FragmentRows candidates
-// run logical.VecFragment — one selection-vector pipeline in which rows
-// materialize once, at the end — anything smaller the row kernels
-// (column extraction cannot amortize). The two are bit-identical, so
-// the choice never shows in results. Scanned counts the candidate rows
-// visited, by the one definition both sides share (table.RowsVisited).
+// aggregate, then project — as logical.VecFragment: one
+// selection-vector pipeline in which rows materialize once, at the end.
+// Selecting the candidates is the caller's job; fr optionally carries
+// cached columnar fragments covering exactly t (without them the
+// pipeline extracts batches as it goes). Scanned counts the candidate
+// rows visited (table.RowsVisited).
 //
 // Rows do not materialize at all for a projection-only fragment over
 // cached fragments: t passes through with Frags and the projection
@@ -88,22 +85,7 @@ func evaluate(t *table.Table, fr *table.Frags, f Fragment) (Result, error) {
 		}
 		return res, nil
 	}
-	var err error
-	if fr != nil || t.Len() >= table.FragmentRows {
-		t, err = logical.VecFragment(t, fr, f.Ranges, f.Preds, f.GroupBy, f.Aggs, f.Columns)
-	} else {
-		if f.Ranges != nil {
-			t, _, err = table.FilterRanges(t, f.Ranges, f.Preds...)
-		} else if len(f.Preds) > 0 {
-			t, err = table.Filter(t, f.Preds...)
-		}
-		if err == nil && len(f.Aggs) > 0 {
-			t, err = table.Aggregate(t, f.GroupBy, f.Aggs)
-		}
-		if err == nil && project {
-			t, err = table.Project(t, f.Columns...)
-		}
-	}
+	t, err := logical.VecFragment(t, fr, f.Ranges, f.Preds, f.GroupBy, f.Aggs, f.Columns)
 	if err != nil {
 		return Result{}, err
 	}

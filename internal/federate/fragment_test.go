@@ -34,6 +34,13 @@ func fragmentTable(n int) *table.Table {
 	return t
 }
 
+// fragsOf is the columnar form a catalog derives for t.
+func fragsOf(t *table.Table) *table.Frags {
+	c := table.NewCatalog()
+	c.Put(t)
+	return c.FragsOf(t.Name)
+}
+
 // rowFragment is the fragment contract spelled with the row kernels
 // alone — the reference every other evaluation must equal.
 func rowFragment(t *table.Table, f Fragment) (*table.Table, int, error) {
@@ -76,10 +83,10 @@ func stagedFragment(t *table.Table, fr *table.Frags, f Fragment) (*table.Table, 
 }
 
 // TestFragmentPipelineMatchesRowKernels crosses every fragment shape
-// with the sizes on both sides of the kernel size rule: evaluate (with
-// and without cached fragments, so both the single pipeline and the
-// row kernels run), the stage-by-stage vectorized composition and the
-// row-kernel reference agree on rows, schema, Scanned and error.
+// with sizes around the fragment boundary: evaluate (with and without
+// cached fragments — one pipeline either way), the stage-by-stage
+// vectorized composition and the row-kernel reference agree on rows,
+// schema, Scanned and error.
 func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 	type agg struct {
 		groupBy []string
@@ -102,7 +109,7 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 	}
 	for _, n := range []int{255, 256, 257, 65536} {
 		tb := fragmentTable(n)
-		cached := table.BuildFrags(tb)
+		cached := fragsOf(tb)
 		rangeShapes := map[string][]table.RowRange{
 			"none":  nil,
 			"empty": {},
@@ -168,7 +175,7 @@ func sameOutcome(t *testing.T, label string, got, want error) bool {
 // must not defer its validation past the scan.
 func TestPendingProjectionUnknownColumn(t *testing.T) {
 	tb := fragmentTable(300)
-	_, err := evaluate(tb, table.BuildFrags(tb), Fragment{Table: "ft", Columns: []string{"g", "nope"}})
+	_, err := evaluate(tb, fragsOf(tb), Fragment{Table: "ft", Columns: []string{"g", "nope"}})
 	_, want := table.Project(tb, "g", "nope")
 	if err == nil || err.Error() != want.Error() {
 		t.Errorf("error %v, want %v", err, want)

@@ -168,7 +168,7 @@ func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 
 		// The projection pending at the leaf, as an in-process backend
 		// leaves it: the leaf table is the unprojected base.
-		fr := table.BuildFrags(base)
+		fr := c.FragsOf(base.Name)
 		for _, withFrags := range []bool{true, false} {
 			env := VecEnv{
 				Leaf: func(*Node) (*table.Table, error) { return base, nil },

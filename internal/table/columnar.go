@@ -149,48 +149,12 @@ func boxedCol(t *Table, ci int, col Column, start, n int) ColVec {
 }
 
 // Frags is the per-fragment columnar form of one table, aligned to the
-// same FragmentRows grid as the zone maps so zone-pruned row ranges map
-// directly onto batches. Like Zones, a Frags value is immutable once
-// published: appends extend into a fresh Frags that shares the sealed
-// batches.
+// same FragmentRows grid as the zone maps — both come from the same
+// walk (fragmentsFrom) — so zone-pruned row ranges map directly onto
+// batches. Like Zones, a Frags value is immutable once published:
+// appends extend into a fresh Frags that shares the sealed batches.
 type Frags struct {
 	Table   string
 	Rows    int // rows covered
 	Batches []*Batch
-}
-
-// BuildFrags extracts every fragment of t. Deterministic for fixed
-// rows.
-func BuildFrags(t *Table) *Frags {
-	f := &Frags{Table: t.Name}
-	return extendFragsFrom(f, t, 0)
-}
-
-// ExtendFrags extends f with the rows appended since it was built,
-// reusing every sealed fragment's batch and re-extracting only the
-// open tail fragment — the same incremental contract as ExtendZones.
-// The caller must have established that the first f.Rows rows are
-// unchanged; a nil f builds from scratch.
-func ExtendFrags(f *Frags, t *Table) *Frags {
-	if f == nil || f.Rows > len(t.Rows) {
-		return BuildFrags(t)
-	}
-	sealed := len(f.Batches)
-	if sealed > 0 && f.Batches[sealed-1].Len < FragmentRows {
-		sealed-- // partial tail fragment: re-extract with the new rows
-	}
-	nf := &Frags{Table: t.Name, Batches: f.Batches[:sealed:sealed]}
-	return extendFragsFrom(nf, t, sealed*FragmentRows)
-}
-
-func extendFragsFrom(f *Frags, t *Table, from int) *Frags {
-	for start := from; start < len(t.Rows); start += FragmentRows {
-		end := start + FragmentRows
-		if end > len(t.Rows) {
-			end = len(t.Rows)
-		}
-		f.Batches = append(f.Batches, BatchRange(t, start, end))
-	}
-	f.Rows = len(t.Rows)
-	return f
 }

@@ -8,31 +8,17 @@ import (
 
 // persistTable is the on-disk form of one table: schema plus rows in
 // display encoding (NULL as JSON null), plus the per-column statistics
-// and per-fragment zone maps built at its last Put, so a loaded
-// catalog plans — and prunes — with the same estimates it was saved
-// with.
+// built at its last Put, so a loaded catalog plans with the same
+// estimates it was saved with without paying the build's sort again.
+// Nothing else derived is stored: zone maps and fragments are cheap to
+// derive and, derived, cannot disagree with the rows beside them.
+// Files written when zone maps were stored carry a "zones" key, which
+// is ignored.
 type persistTable struct {
 	Name    string         `json:"name"`
 	Columns []Column       `json:"columns"`
 	Rows    [][]*string    `json:"rows"`
 	Stats   []persistStats `json:"stats,omitempty"`
-	Zones   []persistZone  `json:"zones,omitempty"`
-}
-
-// persistZone is the on-disk form of one fragment's zone map.
-type persistZone struct {
-	Start int              `json:"lo"`
-	End   int              `json:"hi"`
-	Cols  []persistZoneCol `json:"cols"`
-}
-
-type persistZoneCol struct {
-	Col   string   `json:"col"`
-	Nulls int      `json:"nulls,omitempty"`
-	Min   *string  `json:"min,omitempty"`
-	Max   *string  `json:"max,omitempty"`
-	Vals  []string `json:"vals,omitempty"`
-	Exact bool     `json:"exact,omitempty"`
 }
 
 // persistStats is the on-disk form of one column's statistics. Values
@@ -122,7 +108,6 @@ func (c *Catalog) WriteJSON(w io.Writer) error {
 			pt.Rows = append(pt.Rows, pr)
 		}
 		pt.Stats = persistTableStats(c.StatsOf(name))
-		pt.Zones = persistTableZones(c.ZonesOf(name))
 		p.Tables = append(p.Tables, pt)
 	}
 	if err := json.NewEncoder(w).Encode(p); err != nil {
@@ -159,38 +144,16 @@ func persistTableStats(ts *TableStats) []persistStats {
 	return out
 }
 
-func persistTableZones(z *Zones) []persistZone {
-	if z == nil {
-		return nil
-	}
-	out := make([]persistZone, len(z.Maps))
-	for i, zm := range z.Maps {
-		pz := persistZone{Start: zm.Start, End: zm.End, Cols: make([]persistZoneCol, len(zm.Cols))}
-		for ci, zc := range zm.Cols {
-			pc := persistZoneCol{Col: zc.Col, Nulls: zc.Nulls, Exact: zc.Exact}
-			if !zc.Min.IsNull() {
-				s := zc.Min.String()
-				pc.Min = &s
-			}
-			if !zc.Max.IsNull() {
-				s := zc.Max.String()
-				pc.Max = &s
-			}
-			for _, v := range zc.Vals {
-				pc.Vals = append(pc.Vals, v.String())
-			}
-			pz.Cols[ci] = pc
-		}
-		out[i] = pz
-	}
-	return out
-}
-
-// ReadCatalogJSON reconstructs a catalog written by WriteJSON,
-// restoring serialized per-column statistics and fragment zone maps
-// (or rebuilding them for files written before they existed) so
-// planning over a loaded catalog reproduces the saved system's
-// physical plans, including its fragment-pruning decisions.
+// ReadCatalogJSON reconstructs a catalog written by WriteJSON. Every
+// table registers through the catalog's one derive path, exactly as a
+// Put would: serialized statistics are restored (files written before
+// they existed rebuild them) so planning reproduces the saved system's
+// estimates; zone maps and fragments are derived from the rows, so
+// pruning decisions cannot depend on what a file claims; rollups
+// re-materialize from their definitions. A later append-only Put of a
+// loaded table is incremental like any other, except that its
+// statistics rebuild once — the distinct runs they merge into are not
+// in the snapshot.
 func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 	var p persistCatalog
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
@@ -219,19 +182,15 @@ func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 				return nil, fmt.Errorf("table: read catalog %s row %d: %w", pt.Name, ri, err)
 			}
 		}
-		if pt.Stats == nil {
-			c.Put(t)
-			continue
+		var stored *TableStats
+		if pt.Stats != nil {
+			ts, err := parseTableStats(t, pt.Stats)
+			if err != nil {
+				return nil, fmt.Errorf("table: read catalog %s: %w", pt.Name, err)
+			}
+			stored = ts
 		}
-		ts, err := parseTableStats(t, pt.Stats)
-		if err != nil {
-			return nil, fmt.Errorf("table: read catalog %s: %w", pt.Name, err)
-		}
-		z, err := parseTableZones(t, pt.Zones)
-		if err != nil {
-			return nil, fmt.Errorf("table: read catalog %s: %w", pt.Name, err)
-		}
-		c.putWithStats(t, ts, z, nil)
+		c.derive(t, stored)
 	}
 	for _, pr := range p.Rollups {
 		def := RollupDef{Name: pr.Name, Base: pr.Base, GroupBy: append([]string(nil), pr.GroupBy...)}
@@ -247,54 +206,6 @@ func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 		}
 	}
 	return c, nil
-}
-
-// parseTableZones restores serialized zone maps; files written before
-// zone maps existed rebuild them from the rows (BuildZones is a pure
-// function of the rows, so the rebuilt maps — and every pruning
-// decision — match the saved system's exactly).
-func parseTableZones(t *Table, zones []persistZone) (*Zones, error) {
-	if zones == nil {
-		return BuildZones(t), nil
-	}
-	z := &Zones{Table: t.Name, Rows: t.Len(), Maps: make([]ZoneMap, len(zones))}
-	prevEnd := 0
-	for i, pz := range zones {
-		// Fragment ranges index straight into the rows at scan time, so
-		// a corrupt file must be rejected here, like every other
-		// malformed field: in-bounds, non-empty, ascending and disjoint.
-		if pz.Start < prevEnd || pz.End <= pz.Start || pz.End > t.Len() {
-			return nil, fmt.Errorf("table: zone fragment [%d,%d) out of order or bounds (rows %d)",
-				pz.Start, pz.End, t.Len())
-		}
-		prevEnd = pz.End
-		zm := ZoneMap{Start: pz.Start, End: pz.End, Cols: make([]ZoneCol, len(pz.Cols))}
-		for ci, pc := range pz.Cols {
-			idx := t.Schema.ColIndex(pc.Col)
-			if idx < 0 {
-				return nil, fmt.Errorf("zone map for unknown column %s: %w", pc.Col, ErrNoColumn)
-			}
-			typ := t.Schema[idx].Type
-			zc := ZoneCol{Col: pc.Col, Nulls: pc.Nulls, Exact: pc.Exact}
-			var err error
-			if zc.Min, err = parseStatValue(typ, pc.Min); err != nil {
-				return nil, err
-			}
-			if zc.Max, err = parseStatValue(typ, pc.Max); err != nil {
-				return nil, err
-			}
-			for _, raw := range pc.Vals {
-				v, err := Parse(typ, raw)
-				if err != nil {
-					return nil, err
-				}
-				zc.Vals = append(zc.Vals, v)
-			}
-			zm.Cols[ci] = zc
-		}
-		z.Maps[i] = zm
-	}
-	return z, nil
 }
 
 func parseTableStats(t *Table, cols []persistStats) (*TableStats, error) {

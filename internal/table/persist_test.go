@@ -121,6 +121,8 @@ func TestReadCatalogJSONErrors(t *testing.T) {
 	}
 }
 
+// TestCatalogJSONRoundTripsZones: zone maps are not in the file — they
+// are derived on load — and still equal the saved catalog's.
 func TestCatalogJSONRoundTripsZones(t *testing.T) {
 	c := NewCatalog()
 	c.Put(zonesFixture(2*FragmentRows + 9))
@@ -128,8 +130,8 @@ func TestCatalogJSONRoundTripsZones(t *testing.T) {
 	if err := c.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"zones"`) {
-		t.Fatal("zone maps not serialized")
+	if strings.Contains(buf.String(), `"zones"`) {
+		t.Fatal("zone maps serialized")
 	}
 	back, err := ReadCatalogJSON(&buf)
 	if err != nil {
@@ -142,30 +144,75 @@ func TestCatalogJSONRoundTripsZones(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("zone maps drifted through persistence:\n%+v\nvs\n%+v", got, want)
 	}
-	// Pre-zones files rebuild deterministically from rows, so pruning
-	// decisions cannot depend on file vintage.
-	legacy := `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}],"rows":[["1"],["2"],["2"]],"stats":[{"col":"a","rows":3,"ndv":2,"min":"1","max":"2"}]}]}`
-	lc, err := ReadCatalogJSON(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, _ := lc.Get("t")
-	if z := lc.ZonesOf("t"); z == nil || !reflect.DeepEqual(z, BuildZones(lt)) {
-		t.Errorf("legacy file did not rebuild zone maps: %+v", z)
-	}
 }
 
-func TestReadCatalogJSONRejectsCorruptZones(t *testing.T) {
+// TestStoredZonesCannotPrune loads a file in the format that stored
+// zone maps, whose stored bounds lie about the rows beside them (and a
+// second whose fragment ranges are malformed): both load, the zone maps
+// come from the rows, and a predicate matching those rows keeps their
+// fragment and returns them.
+func TestStoredZonesCannotPrune(t *testing.T) {
 	for _, zones := range []string{
-		`[{"lo":-1,"hi":2,"cols":[]}]`,                          // negative start
-		`[{"lo":0,"hi":9,"cols":[]}]`,                           // end past the rows
-		`[{"lo":2,"hi":2,"cols":[]}]`,                           // empty fragment
-		`[{"lo":0,"hi":2,"cols":[]},{"lo":1,"hi":3,"cols":[]}]`, // overlap
+		`[{"lo":0,"hi":3,"cols":[{"col":"a","min":"100","max":"200","vals":["100","200"],"exact":true}]}]`,
+		`[{"lo":2,"hi":9,"cols":[]},{"lo":-1,"hi":1,"cols":[]}]`,
 	} {
 		in := `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}],"rows":[["1"],["2"],["3"]],` +
 			`"stats":[{"col":"a","rows":3,"ndv":3,"min":"1","max":"3"}],"zones":` + zones + `}]}`
-		if _, err := ReadCatalogJSON(strings.NewReader(in)); err == nil {
-			t.Errorf("corrupt zones %s loaded without error", zones)
+		c, err := ReadCatalogJSON(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("stored zones %s: %v", zones, err)
+		}
+		tb, _ := c.Get("t")
+		if got, want := c.ZonesOf("t"), freshCatalog(t, tb).ZonesOf("t"); !reflect.DeepEqual(got, want) {
+			t.Errorf("stored zones %s: loaded zone maps are not the rows':\n%+v\nvs\n%+v", zones, got, want)
+		}
+		pred := Pred{Col: "a", Op: OpEq, Val: I(2)}
+		keep, pruned := c.ZonesOf("t").Prune([]Pred{pred})
+		got, _, err := FilterRanges(tb, keep, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned != 0 || got.Len() != 1 {
+			t.Errorf("stored zones %s: pruned %d fragments, returned %d rows; want 0 and 1", zones, pruned, got.Len())
 		}
 	}
+}
+
+// TestAppendAfterLoadStaysIncremental: a loaded table is registered
+// like any other, so the first append-only Put after a load shares the
+// sealed fragments and folds only the delta into the rollup — and still
+// equals a fresh catalog's Put of the same rows.
+func TestAppendAfterLoadStaysIncremental(t *testing.T) {
+	c := NewCatalog()
+	c.Put(zonesFixture(2*FragmentRows + 9))
+	def := RollupDef{Name: "by_product", Base: "sales", GroupBy: []string{"product"},
+		Aggs: []Agg{{Func: AggSum, Col: "revenue"}, {Func: AggCount}}}
+	if err := c.AddRollup(def); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadCatalogJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, _ := loaded.Get("sales")
+	sealed := append([]*Batch(nil), loaded.FragsOf("sales").Batches[:2]...)
+	acc := loaded.entries["sales"].rollups[0].acc
+
+	for i := 0; i < 5; i++ {
+		tb.MustAppend([]Value{S("Delta"), I(int64(9000 + i)), F(float64(i))})
+	}
+	loaded.Put(tb)
+	for i, b := range sealed {
+		if loaded.FragsOf("sales").Batches[i] != b {
+			t.Errorf("sealed batch %d reallocated by the first Put after a load", i)
+		}
+	}
+	if loaded.entries["sales"].rollups[0].acc != acc {
+		t.Error("rollup accumulator rebuilt instead of folding the appended rows")
+	}
+	assertMatchesFresh(t, loaded, tb, def, "append after load")
 }

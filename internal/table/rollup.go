@@ -3,6 +3,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -40,22 +41,20 @@ func (d RollupDef) String() string {
 		d.Name, strings.Join(cols, ", "), d.Base, strings.Join(d.GroupBy, ", "))
 }
 
-// rollupState is the maintainer's retained state for one rollup. It is
-// cache-shaped — derived from base-table contents — so it carries the
-// epoch its materialization was registered at; staleness is structurally
-// impossible because maintenance runs synchronously inside Put, but the
-// epoch lets introspection (and the epochkey analyzer) verify that.
+// rollupState is the maintainer's retained state for one rollup, held
+// by the base table's catalog entry (and by the materialization's own).
+// Which base rows acc has folded is the base entry's row snapshot — the
+// rollup keeps no second copy. It is cache-shaped — derived from
+// base-table contents — so it carries the epoch its materialization was
+// registered at; staleness is structurally impossible because
+// maintenance runs synchronously inside Put, but the epoch lets
+// introspection (and the epochkey analyzer) verify that.
 type rollupState struct {
 	def RollupDef
 	// acc is the live accumulator; folding only a Put's appended rows
 	// into it reproduces the from-scratch accumulation bit-for-bit
 	// (FuzzRollupMaintenance).
 	acc *aggAcc
-	// rows snapshots the base-table row-slice headers acc has folded,
-	// and schema the base schema at that fold — the same delta
-	// detection tableState serves for incremental statistics.
-	rows   [][]Value
-	schema Schema
 	// epoch is the catalog epoch at which the current materialization
 	// was registered.
 	epoch uint64
@@ -103,20 +102,15 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 	if def.Name == "" {
 		return errors.New("table: rollup needs a name")
 	}
-	key := strings.ToLower(def.Name)
-	if _, ok := c.tables[key]; ok {
+	if _, ok := c.entries[strings.ToLower(def.Name)]; ok {
 		return fmt.Errorf("table: rollup %s collides with existing table", def.Name)
 	}
-	if _, ok := c.rollups[key]; ok {
-		return fmt.Errorf("table: rollup %s already registered", def.Name)
-	}
-	baseKey := strings.ToLower(def.Base)
-	if _, ok := c.rollups[baseKey]; ok {
-		return fmt.Errorf("table: rollup %s cannot use rollup %s as base", def.Name, def.Base)
-	}
-	base, ok := c.tables[baseKey]
+	base, ok := c.entries[strings.ToLower(def.Base)]
 	if !ok {
 		return fmt.Errorf("%w: %s (rollup %s base)", ErrNoTable, def.Base, def.Name)
+	}
+	if base.rollup != nil {
+		return fmt.Errorf("table: rollup %s cannot use rollup %s as base", def.Name, def.Base)
 	}
 	if len(def.GroupBy) == 0 {
 		return fmt.Errorf("table: rollup %s needs at least one group-by column", def.Name)
@@ -129,7 +123,7 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 			return fmt.Errorf("table: rollup %s: %s is not distributive/algebraic", def.Name, a.Func)
 		}
 	}
-	outSchema := AggregateSchema(base.Schema, def.GroupBy, def.Aggs)
+	outSchema := AggregateSchema(base.schema, def.GroupBy, def.Aggs)
 	seen := make(map[string]bool, len(outSchema))
 	for _, col := range outSchema {
 		n := strings.ToLower(col.Name)
@@ -138,92 +132,73 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 		}
 		seen[n] = true
 	}
-	acc, err := newAggAcc(base.Schema, def.GroupBy, def.Aggs, 0)
+	acc, err := newAggAcc(base.schema, def.GroupBy, def.Aggs, 0)
 	if err != nil {
 		return fmt.Errorf("table: rollup %s: %w", def.Name, err)
 	}
-	acc.fold(base.Rows)
-	rs := &rollupState{
-		def:    def,
-		acc:    acc,
-		rows:   append([][]Value(nil), base.Rows...),
-		schema: append(Schema(nil), base.Schema...),
-	}
-	c.rollups[key] = rs
-	c.putTable(acc.emit(def.Name))
-	rs.epoch = c.epoch
+	// Fold the rows the base was registered with, not whatever the live
+	// table holds now: the base's next Put hands this rollup a verdict
+	// relative to that snapshot.
+	acc.fold(base.rows)
+	rs := &rollupState{def: def, acc: acc}
+	mat, _ := c.derive(acc.emit(def.Name), nil)
+	mat.rollup, rs.epoch = rs, c.epoch
+	base.rollups = append(base.rollups, rs)
+	slices.SortFunc(base.rollups, func(a, b *rollupState) int {
+		return strings.Compare(strings.ToLower(a.def.Name), strings.ToLower(b.def.Name))
+	})
 	return nil
 }
 
 // maintainRollups re-materializes, in sorted name order, every rollup
-// whose base is the table just registered under baseKey. An append-only
-// Put (schema unchanged, retained row-slice headers identical, rows
-// only appended) folds only the delta rows into the retained
-// accumulator; any other mutation rebuilds the accumulator from scratch
-// — deterministically, and bit-identically to the incremental path. A
+// over the table just registered in e, under derive's verdict for it:
+// an unchanged prefix of k rows folds only the rows after it into the
+// retained accumulator; a rebuild refolds from scratch —
+// deterministically, and bit-identically to the incremental path. A
 // rebuild the new schema can no longer satisfy (a group or aggregate
 // column vanished) deregisters the rollup and drops its
-// materialization.
-func (c *Catalog) maintainRollups(baseKey string, t *Table) {
-	var names []string
-	for name, rs := range c.rollups {
-		if strings.ToLower(rs.def.Base) == baseKey {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rs := c.rollups[name]
-		if schemaEqual(rs.schema, t.Schema) && rowsPrefixUnchanged(t.Rows, rs.rows) {
-			rs.acc.fold(t.Rows[len(rs.rows):])
+// materialization, advancing the epoch so cached plans that routed
+// onto it are invalidated.
+func (c *Catalog) maintainRollups(e *entry, k int) {
+	kept := e.rollups[:0]
+	for _, rs := range e.rollups {
+		if k >= 0 {
+			rs.acc.fold(e.table.Rows[k:])
 		} else {
-			acc, err := newAggAcc(t.Schema, rs.def.GroupBy, rs.def.Aggs, len(rs.acc.order))
+			acc, err := newAggAcc(e.table.Schema, rs.def.GroupBy, rs.def.Aggs, len(rs.acc.order))
 			if err != nil {
-				c.dropRollup(name)
+				delete(c.entries, strings.ToLower(rs.def.Name))
+				c.epoch++
 				continue
 			}
-			acc.fold(t.Rows)
+			acc.fold(e.table.Rows)
 			rs.acc = acc
 		}
-		rs.rows = append([][]Value(nil), t.Rows...)
-		rs.schema = append(Schema(nil), t.Schema...)
-		c.putTable(rs.acc.emit(rs.def.Name))
+		c.derive(rs.acc.emit(rs.def.Name), nil)
 		rs.epoch = c.epoch
+		kept = append(kept, rs)
 	}
-}
-
-// dropRollup deregisters a rollup and removes its materialization from
-// the catalog, advancing the epoch so cached plans that routed onto it
-// are invalidated.
-func (c *Catalog) dropRollup(key string) {
-	delete(c.rollups, key)
-	delete(c.tables, key)
-	delete(c.stats, key)
-	delete(c.zones, key)
-	delete(c.frags, key)
-	delete(c.state, key)
-	c.epoch++
+	clear(e.rollups[len(kept):])
+	e.rollups = kept
 }
 
 // Rollups returns every registered rollup definition, sorted by name.
 func (c *Catalog) Rollups() []RollupDef {
-	names := make([]string, 0, len(c.rollups))
-	for name := range c.rollups {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]RollupDef, 0, len(names))
-	for _, name := range names {
-		out = append(out, c.rollups[name].def)
+	names := c.RollupNames()
+	out := make([]RollupDef, len(names))
+	for i, name := range names {
+		out[i] = c.entries[name].rollup.def
 	}
 	return out
 }
 
 // RollupNames returns registered rollup names, sorted.
 func (c *Catalog) RollupNames() []string {
-	names := make([]string, 0, len(c.rollups))
-	for name := range c.rollups {
-		names = append(names, name)
+	names := []string{}
+	for name, e := range c.entries {
+		if e.rollup != nil {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -231,8 +206,8 @@ func (c *Catalog) RollupNames() []string {
 
 // RollupByName returns the named rollup's definition.
 func (c *Catalog) RollupByName(name string) (RollupDef, bool) {
-	rs, ok := c.rollups[strings.ToLower(name)]
-	if !ok {
+	rs := c.lookup(name).rollup
+	if rs == nil {
 		return RollupDef{}, false
 	}
 	return rs.def, true
@@ -241,17 +216,10 @@ func (c *Catalog) RollupByName(name string) (RollupDef, bool) {
 // RollupsFor returns the definitions of every rollup over the named
 // base table, sorted by rollup name.
 func (c *Catalog) RollupsFor(base string) []RollupDef {
-	baseKey := strings.ToLower(base)
-	var names []string
-	for name, rs := range c.rollups {
-		if strings.ToLower(rs.def.Base) == baseKey {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	out := make([]RollupDef, 0, len(names))
-	for _, name := range names {
-		out = append(out, c.rollups[name].def)
+	rollups := c.lookup(base).rollups
+	out := make([]RollupDef, len(rollups))
+	for i, rs := range rollups {
+		out[i] = rs.def
 	}
 	return out
 }
@@ -260,13 +228,9 @@ func (c *Catalog) RollupsFor(base string) []RollupDef {
 // materialized row count, and the epoch its materialization was
 // registered at — or ErrNoRollup.
 func (c *Catalog) DescribeRollup(name string) (string, error) {
-	rs, ok := c.rollups[strings.ToLower(name)]
-	if !ok {
+	e := c.lookup(name)
+	if e.rollup == nil {
 		return "", fmt.Errorf("%w: %s", ErrNoRollup, name)
 	}
-	rows := 0
-	if t, ok := c.tables[strings.ToLower(rs.def.Name)]; ok {
-		rows = t.Len()
-	}
-	return fmt.Sprintf("rollup %s rows=%d epoch=%d", rs.def, rows, rs.epoch), nil
+	return fmt.Sprintf("rollup %s rows=%d epoch=%d", e.rollup.def, e.table.Len(), e.rollup.epoch), nil
 }

@@ -2,7 +2,7 @@ package table
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -80,21 +80,28 @@ func (ts *TableStats) Col(name string) *ColStats {
 // Compare order and every derived quantity (NDV, bucket boundaries,
 // exact counts) follows from that order alone.
 func BuildStats(t *Table) *TableStats {
-	ts, _ := buildStatsRuns(t)
+	ts, _ := statsFrom(nil, nil, t, 0)
 	return ts
 }
 
-// buildStatsRuns is BuildStats plus the per-column distinct runs
-// (ascending (value, count) pairs covering every non-null cell) the
-// statistics derive from. Catalog.Put retains the runs so an
-// append-only re-Put can merge only the appended rows instead of
-// re-sorting the whole column.
-func buildStatsRuns(t *Table) (*TableStats, [][]ValueCount) {
+// statsFrom derives the statistics of t plus the per-column distinct
+// runs (ascending (value, count) pairs covering every non-null cell)
+// they derive from, given that the first k rows are unchanged since
+// prev and prevRuns were derived: only rows from k on are collected and
+// sorted, then merged into the retained runs — O(d log d + NDV) per
+// column for d appended rows instead of the full O(n log n) re-sort.
+// The full build is the k = 0 case, with no prev to merge into; both
+// produce bit-equal statistics for the same final rows.
+func statsFrom(prev *TableStats, prevRuns [][]ValueCount, t *Table, k int) (*TableStats, [][]ValueCount) {
 	ts := &TableStats{Table: t.Name, Rows: len(t.Rows), Cols: make([]ColStats, len(t.Schema))}
 	runs := make([][]ValueCount, len(t.Schema))
 	for ci, col := range t.Schema {
-		vals, nulls := collectCol(t.Rows, ci)
+		vals, nulls := collectCol(t.Rows[k:], ci)
 		runs[ci] = runsOf(vals)
+		if k > 0 {
+			runs[ci] = mergeRuns(prevRuns[ci], runs[ci])
+			nulls += prev.Cols[ci].Nulls
+		}
 		ts.Cols[ci] = finishColStats(col.Name, len(t.Rows), nulls, runs[ci])
 	}
 	return ts, runs
@@ -111,7 +118,7 @@ func collectCol(rows [][]Value, ci int) (vals []Value, nulls int) {
 		}
 		vals = append(vals, r[ci])
 	}
-	sort.SliceStable(vals, func(i, j int) bool { return Compare(vals[i], vals[j]) < 0 })
+	slices.SortStableFunc(vals, Compare)
 	return vals, nulls
 }
 
@@ -201,23 +208,6 @@ func finishColStats(name string, totalRows, nulls int, runs []ValueCount) ColSta
 		}
 	}
 	return cs
-}
-
-// extendStatsRuns rebuilds the statistics of a table whose first
-// oldRows rows are unchanged since prev was built: only the appended
-// rows are collected and sorted, then merged into the retained runs.
-// For d appended rows this costs O(d log d + NDV) per column instead
-// of the full O(n log n) re-sort, and produces statistics bit-equal to
-// BuildStats over the final rows.
-func extendStatsRuns(prev *TableStats, prevRuns [][]ValueCount, t *Table, oldRows int) (*TableStats, [][]ValueCount) {
-	ts := &TableStats{Table: t.Name, Rows: len(t.Rows), Cols: make([]ColStats, len(t.Schema))}
-	runs := make([][]ValueCount, len(t.Schema))
-	for ci, col := range t.Schema {
-		vals, deltaNulls := collectCol(t.Rows[oldRows:], ci)
-		runs[ci] = mergeRuns(prevRuns[ci], runsOf(vals))
-		ts.Cols[ci] = finishColStats(col.Name, len(t.Rows), prev.Cols[ci].Nulls+deltaNulls, runs[ci])
-	}
-	return ts, runs
 }
 
 // EqCount returns the exact number of rows equal to v when the column

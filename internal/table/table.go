@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -242,98 +243,126 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 // Catalog is a named collection of tables — the structured half of the
-// heterogeneous database. Alongside every table it keeps the
-// per-column statistics (BuildStats) and per-fragment zone maps
-// (BuildZones) the cost-based planning stack consumes, maintained
-// incrementally: an append-only re-Put merges delta statistics for
-// only the rows it appended and extends the zone maps of only the
-// fragments it touched, while any other mutation falls back to a full
-// rebuild.
+// heterogeneous database. It keeps one record per table (entry) and
+// fills it through one function (derive), so what the planning stack
+// reads beside a table — statistics, zone maps, columnar fragments,
+// rollup materializations — always comes from the same rows by the same
+// rule, whether the table arrived by Put, as a rollup's output or from
+// a snapshot.
 type Catalog struct {
-	tables  map[string]*Table
-	stats   map[string]*TableStats
-	zones   map[string]*Zones
-	frags   map[string]*Frags
-	state   map[string]*tableState
-	rollups map[string]*rollupState
+	entries map[string]*entry // by lower-cased table name
 	epoch   uint64
 }
 
-// tableState is what Put retains to recognize (and serve) the
-// append-only fast path: an independent snapshot of the row-slice
-// headers the current statistics were built from, the schema at build
-// time, and the per-column distinct runs the incremental merge extends.
-type tableState struct {
+// entry is everything the catalog holds for one table. rows and schema
+// are an independent snapshot of the row-slice headers and schema the
+// derived fields were computed from; the next derive compares against
+// them to recognize an append.
+type entry struct {
+	table  *Table
 	rows   [][]Value
 	schema Schema
-	runs   [][]ValueCount
+	stats  *TableStats
+	// runs are the per-column distinct runs stats derive from. They are
+	// not serialized, so they are nil after a load and the first derive
+	// after it rebuilds statistics (and nothing else) in full.
+	runs  [][]ValueCount
+	zones *Zones
+	frags *Frags
+	// rollups are the rollups over this table, sorted by name; rollup is
+	// set when this table is itself a rollup's materialization.
+	rollups []*rollupState
+	rollup  *rollupState
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{
-		tables:  make(map[string]*Table),
-		stats:   make(map[string]*TableStats),
-		zones:   make(map[string]*Zones),
-		frags:   make(map[string]*Frags),
-		state:   make(map[string]*tableState),
-		rollups: make(map[string]*rollupState),
-	}
+	return &Catalog{entries: make(map[string]*entry)}
 }
 
 // Put registers a table, replacing any existing table of that name,
-// advances the catalog epoch, and refreshes the table's per-column
-// statistics and fragment zone maps (stamped with the new epoch).
-// Callers that mutate a registered table in place must re-Put it so
-// epoch-keyed consumers (plan caches, scan indexes, statistics, zone
-// maps) observe the change.
+// advances the catalog epoch, and refreshes everything derived from the
+// table: statistics (stamped with the new epoch), zone maps, columnar
+// fragments and the rollups over it. Callers that mutate a registered
+// table in place must re-Put it so epoch-keyed consumers (plan caches,
+// scan indexes) and the derived state observe the change.
 //
 // When the re-Put is append-only — the schema is unchanged and the
 // previously registered rows are the same row slices, with new rows
 // only appended (the engine never edits a row after Append, so
-// identical headers mean identical content) — statistics merge only
-// the appended rows' delta and zone maps extend only the open tail
-// fragment: O(delta) work instead of the O(n log n) full rebuild,
-// which remains the slow path for every other mutation shape. Both
-// paths yield bit-identical results (FuzzIncrementalStats).
+// identical headers mean identical content) — the work is O(delta):
+// statistics merge only the appended rows, zone maps and fragments
+// re-derive only the open tail fragment, rollups fold only the appended
+// rows. Any other mutation rebuilds. Both paths yield bit-identical
+// results (FuzzIncrementalStats, FuzzRollupMaintenance).
 func (c *Catalog) Put(t *Table) {
-	key := strings.ToLower(t.Name)
-	if _, ok := c.rollups[key]; ok {
+	if e := c.entries[strings.ToLower(t.Name)]; e != nil && e.rollup != nil {
 		// The caller is reclaiming a rollup's name for an ordinary
 		// table: deregister the rollup so its maintainer never
 		// overwrites the caller's data.
-		delete(c.rollups, key)
+		base := c.entries[strings.ToLower(e.rollup.def.Base)]
+		base.rollups = slices.DeleteFunc(base.rollups, func(rs *rollupState) bool { return rs == e.rollup })
+		e.rollup = nil
 	}
-	c.putTable(t)
-	c.maintainRollups(key, t)
+	e, k := c.derive(t, nil)
+	c.maintainRollups(e, k)
 }
 
-// putTable is Put without the rollup hooks: the shared registration
-// path for base tables and rollup materializations (which must not
-// re-trigger maintenance).
-func (c *Catalog) putTable(t *Table) {
+// rebuild is derive's verdict when the registered rows are not an
+// unchanged prefix of the new ones.
+const rebuild = -1
+
+// derive is the one registration path: base tables, rollup
+// materializations and loaded tables (stored carries their serialized
+// statistics) all pass through it. It decides once whether t extends
+// what is registered — k ≥ 0 rows of unchanged prefix, or rebuild — and
+// derives every per-table artifact from row k on, a rebuild being the
+// same derivation from row 0 with nothing to share. The verdict is
+// returned for the caller to hand to the table's rollups.
+func (c *Catalog) derive(t *Table, stored *TableStats) (*entry, int) {
 	key := strings.ToLower(t.Name)
-	var (
-		ts   *TableStats
-		runs [][]ValueCount
-		z    *Zones
-		fr   *Frags
-	)
-	if st := c.state[key]; st != nil && schemaEqual(st.schema, t.Schema) && rowsPrefixUnchanged(t.Rows, st.rows) {
-		ts, runs = extendStatsRuns(c.stats[key], st.runs, t, len(st.rows))
-		z = ExtendZones(c.zones[key], t)
-		fr = ExtendFrags(c.frags[key], t)
-	} else {
-		ts, runs = buildStatsRuns(t)
-		z = BuildZones(t)
-		fr = BuildFrags(t)
+	e, k := c.entries[key], rebuild
+	if e == nil {
+		e = &entry{}
+		c.entries[key] = e
+	} else if slices.Equal(e.schema, t.Schema) && rowsPrefixUnchanged(t.Rows, e.rows) {
+		k = len(e.rows)
 	}
-	c.state[key] = &tableState{
-		rows:   append([][]Value(nil), t.Rows...),
-		schema: append(Schema(nil), t.Schema...),
-		runs:   runs,
+	switch {
+	case stored != nil:
+		e.stats, e.runs = stored, nil
+	case e.runs != nil && k > 0:
+		e.stats, e.runs = statsFrom(e.stats, e.runs, t, k)
+	default:
+		e.stats, e.runs = statsFrom(nil, nil, t, 0)
 	}
-	c.putWithStats(t, ts, z, fr)
+	e.zones, e.frags = fragmentsFrom(e.zones, e.frags, t, max(k, 0))
+	e.table = t
+	e.rows = append([][]Value(nil), t.Rows...)
+	e.schema = append(Schema(nil), t.Schema...)
+	c.epoch++
+	e.stats.Epoch = c.epoch
+	return e, k
+}
+
+// fragmentsFrom walks the FragmentRows grid of t once, from the
+// fragment holding row from, producing the zone map and the columnar
+// batch of each fragment. Fragments wholly below from are sealed — full
+// and unchanged — and shared with the previous z and f; the open tail
+// is derived again with the new rows. Zones and Frags are immutable
+// once published, so the result is always a fresh pair.
+func fragmentsFrom(z *Zones, f *Frags, t *Table, from int) (*Zones, *Frags) {
+	nz := &Zones{Table: t.Name, Rows: len(t.Rows)}
+	nf := &Frags{Table: t.Name, Rows: len(t.Rows)}
+	if sealed := from / FragmentRows; sealed > 0 {
+		nz.Maps, nf.Batches = z.Maps[:sealed:sealed], f.Batches[:sealed:sealed]
+	}
+	for start := len(nz.Maps) * FragmentRows; start < len(t.Rows); start += FragmentRows {
+		end := min(start+FragmentRows, len(t.Rows))
+		nz.Maps = append(nz.Maps, buildZoneMap(t, start, end))
+		nf.Batches = append(nf.Batches, BatchRange(t, start, end))
+	}
+	return nz, nf
 }
 
 // rowsPrefixUnchanged reports whether cur still starts with exactly
@@ -361,55 +390,29 @@ func sameRowSlice(a, b []Value) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
-func schemaEqual(a, b Schema) bool {
-	if len(a) != len(b) {
-		return false
+// lookup returns the named table's record, or an empty one for an
+// unknown table so accessors read nil fields instead of branching.
+func (c *Catalog) lookup(name string) *entry {
+	if e := c.entries[strings.ToLower(name)]; e != nil {
+		return e
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// putWithStats registers a table with precomputed statistics, zone
-// maps and columnar fragments — the persistence loader's entry, which
-// restores what it serialized instead of rebuilding. A nil fr extracts
-// fragments here (columnar form is derived data and never serialized).
-func (c *Catalog) putWithStats(t *Table, ts *TableStats, z *Zones, fr *Frags) {
-	key := strings.ToLower(t.Name)
-	if fr == nil {
-		fr = BuildFrags(t)
-	}
-	c.tables[key] = t
-	c.epoch++
-	ts.Epoch = c.epoch
-	c.stats[key] = ts
-	c.zones[key] = z
-	c.frags[key] = fr
+	return &entry{}
 }
 
 // StatsOf returns the per-column statistics built at the named table's
 // last Put, or nil for an unknown table. The returned statistics are
 // shared and must not be mutated.
-func (c *Catalog) StatsOf(name string) *TableStats {
-	return c.stats[strings.ToLower(name)]
-}
+func (c *Catalog) StatsOf(name string) *TableStats { return c.lookup(name).stats }
 
 // ZonesOf returns the fragment zone maps built at the named table's
 // last Put, or nil for an unknown table. The returned zones are shared
 // and must not be mutated.
-func (c *Catalog) ZonesOf(name string) *Zones {
-	return c.zones[strings.ToLower(name)]
-}
+func (c *Catalog) ZonesOf(name string) *Zones { return c.lookup(name).zones }
 
 // FragsOf returns the columnar fragments extracted at the named
 // table's last Put, or nil for an unknown table. The returned
 // fragments are shared and must not be mutated.
-func (c *Catalog) FragsOf(name string) *Frags {
-	return c.frags[strings.ToLower(name)]
-}
+func (c *Catalog) FragsOf(name string) *Frags { return c.lookup(name).frags }
 
 // Epoch counts catalog mutations. Anything derived from catalog
 // contents (physical plans, per-column scan indexes) is valid only for
@@ -418,17 +421,17 @@ func (c *Catalog) Epoch() uint64 { return c.epoch }
 
 // Get returns the named table or ErrNoTable.
 func (c *Catalog) Get(name string) (*Table, error) {
-	t, ok := c.tables[strings.ToLower(name)]
+	e, ok := c.entries[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
-	return t, nil
+	return e.table, nil
 }
 
 // Names returns registered table names, sorted.
 func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
+	out := make([]string, 0, len(c.entries))
+	for n := range c.entries {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -436,4 +439,4 @@ func (c *Catalog) Names() []string {
 }
 
 // Len returns the number of tables.
-func (c *Catalog) Len() int { return len(c.tables) }
+func (c *Catalog) Len() int { return len(c.entries) }

@@ -4,17 +4,31 @@
 // interchange. It is the "TableQA engine" that the paper's hybrid
 // pipeline feeds with SLM-generated tables (Section III.C).
 //
-// Beyond the row-oriented operators, the Catalog maintains three
-// derived, epoch-stamped artifacts per registered table, each updated
-// incrementally on append-only Puts and rebuilt otherwise: per-column
-// statistics (TableStats — the planner's cost inputs), per-fragment
-// zone maps (Zones — plan-time pruning proofs over 256-row fragments,
-// FragmentRows), and columnar fragments (Frags — typed column arrays
-// with null bitmaps, the batch form internal/logical's vectorized
-// executor consumes). The catalog's Epoch is the repo-wide
-// invalidation convention: everything derived from table contents
-// carries the epoch it was computed at and is re-derived when the
-// epoch moves.
+// Beyond the row-oriented operators, the Catalog keeps one record per
+// registered table and fills it by one rule (Catalog.Put): a single
+// snapshot of the table's row headers and schema decides whether a
+// registration extends the last one — an unchanged prefix of k rows —
+// or replaces it, and everything derived follows that one verdict from
+// row k on (k = 0 being the full build). Derived are per-column
+// statistics (TableStats — the planner's cost inputs, stamped with the
+// catalog epoch), and, from one walk of the 256-row fragment grid
+// (FragmentRows), per-fragment zone maps (Zones — plan-time pruning
+// proofs) and columnar fragments (Frags — typed column arrays with null
+// bitmaps, the batch form internal/logical's vectorized executor
+// consumes); the rollups over the table fold the same rows. Rollup
+// materializations and tables read from a snapshot register the same
+// way.
+//
+// Of the derived state only statistics are serialized: on the
+// benchmark's 65 536 × 4 table a full statistics build is ≈ 115 ms (a
+// sort per column), the fragment walk ≈ 23 ms (zone maps ≈ 16, batches
+// ≈ 5), and parsing stored statistics under a millisecond. Zone maps,
+// fragments and rollup materializations are derived again on load, so
+// they cannot disagree with the rows stored beside them.
+//
+// The catalog's Epoch is the repo-wide invalidation convention:
+// everything derived from table contents carries the epoch it was
+// computed at and is re-derived when the epoch moves.
 package table
 
 import (

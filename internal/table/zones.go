@@ -45,52 +45,14 @@ type ZoneMap struct {
 	Cols       []ZoneCol // schema order
 }
 
-// Zones is the per-fragment zone-map set of one table, built (and
-// extended incrementally for append-only Puts) by Catalog.Put. Like
-// TableStats, a Zones value is immutable once published: extension
+// Zones is the per-fragment zone-map set of one table, derived by the
+// catalog's one fragment walk (fragmentsFrom) at every registration.
+// Like TableStats, a Zones value is immutable once published: an append
 // produces a fresh Zones sharing the sealed fragments.
 type Zones struct {
 	Table string
 	Rows  int // rows covered
 	Maps  []ZoneMap
-}
-
-// BuildZones computes the zone maps of every fragment. Deterministic
-// for fixed rows.
-func BuildZones(t *Table) *Zones {
-	z := &Zones{Table: t.Name}
-	return extendZonesFrom(z, t, 0)
-}
-
-// ExtendZones extends z with the rows appended since it was built,
-// reusing every sealed fragment's map and rebuilding only the open
-// tail fragment. The caller must have established that the first
-// z.Rows rows are unchanged (Catalog.Put's append-only check); any
-// other shape must rebuild with BuildZones. A nil z builds from
-// scratch.
-func ExtendZones(z *Zones, t *Table) *Zones {
-	if z == nil || z.Rows > len(t.Rows) {
-		return BuildZones(t)
-	}
-	sealed := len(z.Maps)
-	if sealed > 0 && z.Maps[sealed-1].End-z.Maps[sealed-1].Start < FragmentRows {
-		sealed-- // partial tail fragment: rebuild it with the new rows
-	}
-	nz := &Zones{Table: t.Name, Maps: z.Maps[:sealed:sealed]}
-	return extendZonesFrom(nz, t, sealed*FragmentRows)
-}
-
-// extendZonesFrom appends fragment maps covering rows [from, len).
-func extendZonesFrom(z *Zones, t *Table, from int) *Zones {
-	for start := from; start < len(t.Rows); start += FragmentRows {
-		end := start + FragmentRows
-		if end > len(t.Rows) {
-			end = len(t.Rows)
-		}
-		z.Maps = append(z.Maps, buildZoneMap(t, start, end))
-	}
-	z.Rows = len(t.Rows)
-	return z
 }
 
 func buildZoneMap(t *Table, start, end int) ZoneMap {
@@ -286,9 +248,8 @@ func RangesLen(ranges []RowRange) int {
 // RowsVisited counts the rows of an n-row table a scan restricted to
 // the ranges reads: each range clamped to the table, inverted or
 // out-of-table ranges counting zero. It is the one definition of
-// "scanned under ranges" — FilterRanges and the vectorized fragment
-// pipeline both report it, so the count cannot depend on which side of
-// the kernel size rule a scan lands.
+// "scanned under ranges": FilterRanges and the vectorized fragment
+// pipeline both report it.
 func RowsVisited(ranges []RowRange, n int) int {
 	visited := 0
 	for _, r := range ranges {

@@ -27,9 +27,49 @@ func zonesFixture(rows int) *Table {
 	return t
 }
 
+// freshCatalog registers a deep copy of tb (and the rollups over it) in
+// a new catalog: the from-scratch derivation every incremental state
+// must equal.
+func freshCatalog(t testing.TB, tb *Table, defs ...RollupDef) *Catalog {
+	t.Helper()
+	c := NewCatalog()
+	c.Put(tb.Clone())
+	for _, def := range defs {
+		if err := c.AddRollup(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// assertMatchesFresh pins everything c derived for tb — statistics,
+// zone maps, columnar fragments and the rollup's materialization — to a
+// fresh catalog's Put of cloned rows.
+func assertMatchesFresh(t testing.TB, c *Catalog, tb *Table, def RollupDef, step string) {
+	t.Helper()
+	want := freshCatalog(t, tb, def)
+	if got, want := clearEpochs(c.StatsOf(tb.Name)), clearEpochs(want.StatsOf(tb.Name)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: incremental stats diverge from a fresh catalog:\n%+v\nvs\n%+v", step, got, want)
+	}
+	if got, want := c.ZonesOf(tb.Name), want.ZonesOf(tb.Name); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: incremental zones diverge from a fresh catalog:\n%+v\nvs\n%+v", step, got, want)
+	}
+	if got, want := c.FragsOf(tb.Name), want.FragsOf(tb.Name); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: incremental fragments diverge from a fresh catalog:\n%+v\nvs\n%+v", step, got, want)
+	}
+	got, err := c.Get(def.Name)
+	if err != nil {
+		t.Fatalf("%s: materialization missing: %v", step, err)
+	}
+	mat, _ := want.Get(def.Name)
+	if !reflect.DeepEqual(got.Schema, mat.Schema) || !reflect.DeepEqual(got.Rows, mat.Rows) {
+		t.Fatalf("%s: maintained rollup diverges from a fresh catalog:\n%v\nvs\n%v", step, got, mat)
+	}
+}
+
 func TestBuildZonesFragments(t *testing.T) {
 	tb := zonesFixture(2*FragmentRows + 40)
-	z := BuildZones(tb)
+	z := freshCatalog(t, tb).ZonesOf("sales")
 	if len(z.Maps) != 3 {
 		t.Fatalf("fragments = %d, want 3", len(z.Maps))
 	}
@@ -58,7 +98,7 @@ func TestBuildZonesFragments(t *testing.T) {
 
 func TestZoneRefutes(t *testing.T) {
 	tb := zonesFixture(FragmentRows)
-	zm := BuildZones(tb).Maps[0]
+	zm := freshCatalog(t, tb).ZonesOf("sales").Maps[0]
 	cases := []struct {
 		pred    Pred
 		refuted bool
@@ -102,7 +142,7 @@ func TestZoneRefutes(t *testing.T) {
 // rows a full-table filter returns, in the same order.
 func TestPruneMatchesFilter(t *testing.T) {
 	tb := zonesFixture(3*FragmentRows + 17)
-	z := BuildZones(tb)
+	z := freshCatalog(t, tb).ZonesOf("sales")
 	preds := [][]Pred{
 		{{Col: "seq", Op: OpLt, Val: I(100)}},
 		{{Col: "seq", Op: OpGe, Val: I(700)}},
@@ -191,22 +231,18 @@ func TestIntersectRanges(t *testing.T) {
 }
 
 // TestCatalogPutIncrementalBitEquivalence drives the append-only fast
-// path directly through Catalog.Put and pins its statistics and zone
-// maps to the full rebuild, including across the fragment-seal
-// boundary and after an in-place mutation forces the slow path.
+// path directly through Catalog.Put and pins everything the one derive
+// walk produces — statistics, zone maps, fragments, a rollup — to a
+// fresh catalog's, including across the fragment-seal boundary and
+// after an in-place mutation forces the slow path.
 func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 	tb := zonesFixture(FragmentRows - 5)
 	c := NewCatalog()
 	c.Put(tb)
-
-	assertEqualFullBuild := func(step string) {
-		t.Helper()
-		if got, want := clearEpochs(c.StatsOf("sales")), clearEpochs(BuildStats(tb)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: incremental stats diverge from full rebuild:\n%+v\nvs\n%+v", step, got, want)
-		}
-		if got, want := c.ZonesOf("sales"), BuildZones(tb); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: incremental zones diverge from full rebuild:\n%+v\nvs\n%+v", step, got, want)
-		}
+	def := RollupDef{Name: "by_product", Base: "sales", GroupBy: []string{"product"},
+		Aggs: []Agg{{Func: AggSum, Col: "revenue"}, {Func: AggCount}, {Func: AggMin, Col: "seq"}}}
+	if err := c.AddRollup(def); err != nil {
+		t.Fatal(err)
 	}
 
 	// Appends crossing the fragment boundary, re-Put each batch.
@@ -215,7 +251,7 @@ func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 			tb.MustAppend([]Value{S("Delta"), I(int64(10000 + batch*10 + i)), F(float64(batch))})
 		}
 		c.Put(tb)
-		assertEqualFullBuild(fmt.Sprintf("append batch %d", batch))
+		assertMatchesFresh(t, c, tb, def, fmt.Sprintf("append batch %d", batch))
 	}
 
 	// In-place mutation (replaced row slice) must fall back to the full
@@ -223,7 +259,7 @@ func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 	tb.Rows[3] = append([]Value(nil), tb.Rows[3]...)
 	tb.Rows[3][0] = S("Mutated")
 	c.Put(tb)
-	assertEqualFullBuild("in-place mutation")
+	assertMatchesFresh(t, c, tb, def, "in-place mutation")
 
 	// Schema widening (extract.Merge's shape: new column, rows extended
 	// in place) must also fall back.
@@ -232,15 +268,16 @@ func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 		tb.Rows[i] = append(tb.Rows[i], Null(TypeInt))
 	}
 	c.Put(tb)
-	assertEqualFullBuild("schema widening")
+	assertMatchesFresh(t, c, tb, def, "schema widening")
 }
 
 // FuzzIncrementalStats pins bit-equivalence between the incremental
-// statistics/zone-map maintenance and the full rebuild across random
-// Put sequences: appends (the fast path), in-place row replacements
-// and re-Puts of rebuilt tables (the slow path), interleaved
-// arbitrarily. After every Put the catalog's statistics and zone maps
-// must equal a from-scratch BuildStats/BuildZones of the final rows.
+// maintenance of everything derived from a table — statistics, zone
+// maps, fragments, a rollup — and the full rebuild across random Put
+// sequences: appends (the fast path), in-place row replacements and
+// re-Puts of rebuilt tables (the slow path), interleaved arbitrarily.
+// After every Put the catalog's state must equal a fresh catalog's Put
+// of the final rows.
 func FuzzIncrementalStats(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 251, 0, 9}, uint8(3))
 	f.Add(bytes.Repeat([]byte{7, 130, 255, 0, 64, 65}, 120), uint8(1))
@@ -253,6 +290,11 @@ func FuzzIncrementalStats(f *testing.F) {
 		})
 		c := NewCatalog()
 		c.Put(tb)
+		def := RollupDef{Name: "fuzz_by_k", Base: "fuzz", GroupBy: []string{"k"},
+			Aggs: []Agg{{Func: AggSum, Col: "f"}, {Func: AggCount, As: "rows"}, {Func: AggMin, Col: "n"}}}
+		if err := c.AddRollup(def); err != nil {
+			t.Fatal(err)
+		}
 		every := int(step%7) + 1
 		for i, b := range data {
 			switch {
@@ -282,12 +324,7 @@ func FuzzIncrementalStats(f *testing.F) {
 			}
 			if (i+1)%every == 0 {
 				c.Put(tb)
-				if got, want := clearEpochs(c.StatsOf("fuzz")), clearEpochs(BuildStats(tb)); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d: incremental stats diverge from full rebuild:\n%+v\nvs\n%+v", i, got, want)
-				}
-				if got, want := c.ZonesOf("fuzz"), BuildZones(tb); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d: incremental zones diverge from full rebuild:\n%+v\nvs\n%+v", i, got, want)
-				}
+				assertMatchesFresh(t, c, tb, def, fmt.Sprintf("op %d", i))
 			}
 		}
 	})

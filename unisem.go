@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -448,7 +447,7 @@ func (s *System) Tables() []string {
 	if !s.built {
 		return nil
 	}
-	return s.hybrid.Catalog().Names()
+	return s.hybrid.Tables()
 }
 
 // Table returns a rendered preview of a catalog table.
@@ -456,11 +455,7 @@ func (s *System) Table(name string) (string, error) {
 	if !s.built {
 		return "", ErrNotBuilt
 	}
-	t, err := s.hybrid.Catalog().Get(name)
-	if err != nil {
-		return "", err
-	}
-	return t.String(), nil
+	return s.hybrid.RenderTable(name)
 }
 
 // DescribeTable renders a catalog table's planner metadata — the
@@ -471,11 +466,7 @@ func (s *System) DescribeTable(name string) (string, error) {
 	if !s.built {
 		return "", ErrNotBuilt
 	}
-	cat := s.hybrid.Catalog()
-	if _, err := cat.Get(name); err != nil {
-		return "", fmt.Errorf("%w (known tables: %s)", err, strings.Join(cat.Names(), ", "))
-	}
-	return cat.StatsOf(name).Describe() + "\n" + cat.ZonesOf(name).Describe(), nil
+	return s.hybrid.DescribeTable(name)
 }
 
 // AddRollup registers a materialized rollup on a *built* system: a
@@ -506,12 +497,7 @@ func (s *System) DescribeRollup(name string) (string, error) {
 	if !s.built {
 		return "", ErrNotBuilt
 	}
-	out, err := s.hybrid.DescribeRollup(name)
-	if err != nil {
-		return "", fmt.Errorf("%w (known rollups: %s)", err,
-			strings.Join(s.hybrid.Catalog().RollupNames(), ", "))
-	}
-	return out, nil
+	return s.hybrid.DescribeRollup(name)
 }
 
 // Ingest adds one unstructured document to a *built* system without a
@@ -558,7 +544,7 @@ func (s *System) ExplainEvidence(question, evidenceID string) []string {
 	if !s.built {
 		return nil
 	}
-	return s.hybrid.Retriever().ExplainPath(question, evidenceID)
+	return s.hybrid.ExplainEvidence(question, evidenceID)
 }
 
 // GraphComponents returns the sizes of the index's weakly connected
@@ -568,7 +554,7 @@ func (s *System) GraphComponents() []int {
 	if !s.built {
 		return nil
 	}
-	comps := s.hybrid.Graph().ConnectedComponents()
+	comps := s.hybrid.GraphComponents()
 	out := make([]int, len(comps))
 	for i, c := range comps {
 		out[i] = len(c)
