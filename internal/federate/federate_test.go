@@ -377,7 +377,7 @@ func TestGraphEvidenceBackend(t *testing.T) {
 	for i, name := range []string{"Drug A", "Drug B", "nausea"} {
 		id := fmt.Sprintf("entity:%d", i)
 		if err := g.AddNode(graph.Node{ID: id, Type: graph.NodeEntity, Label: name,
-			Attrs: map[string]string{"etype": "drug"}}); err != nil {
+			EType: "drug"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,7 +408,7 @@ func TestGraphEvidenceBackend(t *testing.T) {
 
 	// Epoch move re-materializes the views.
 	if err := g.AddNode(graph.Node{ID: "entity:3", Type: graph.NodeEntity, Label: "Drug C",
-		Attrs: map[string]string{"etype": "drug"}}); err != nil {
+		EType: "drug"}); err != nil {
 		t.Fatal(err)
 	}
 	epoch++

@@ -115,7 +115,7 @@ func (ge *GraphEvidence) buildEntities() *table.Table {
 	for _, n := range nodes {
 		t.MustAppend([]table.Value{
 			table.S(n.Label),
-			table.S(n.Attrs["etype"]),
+			table.S(n.EType),
 			table.I(int64(ge.g.Degree(n.ID))),
 		})
 	}

@@ -205,7 +205,7 @@ func TestGraphBackendPrunesViews(t *testing.T) {
 			etype = "gene"
 		}
 		if err := g.AddNode(graph.Node{ID: fmt.Sprintf("entity:%04d", i), Type: graph.NodeEntity,
-			Label: fmt.Sprintf("E%04d", i), Attrs: map[string]string{"etype": etype}}); err != nil {
+			Label: fmt.Sprintf("E%04d", i), EType: etype}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestGraphBackendPrunesViews(t *testing.T) {
 func TestGraphViewsRematerializeOncePerEpoch(t *testing.T) {
 	g := graph.New()
 	if err := g.AddNode(graph.Node{ID: "entity:0", Type: graph.NodeEntity, Label: "Drug A",
-		Attrs: map[string]string{"etype": "drug"}}); err != nil {
+		EType: "drug"}); err != nil {
 		t.Fatal(err)
 	}
 	epoch := uint64(1)

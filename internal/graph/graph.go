@@ -24,9 +24,7 @@ const (
 	NodeEntity NodeType = "entity" // named entity (canonical)
 	NodeCue    NodeType = "cue"    // inferred relational cue
 	NodeRow    NodeType = "row"    // structured table row
-	NodeTable  NodeType = "table"  // table schema node
 	NodeDoc    NodeType = "doc"    // source document
-	NodeValue  NodeType = "value"  // semi-structured field value
 )
 
 // EdgeType classifies a relationship between nodes.
@@ -34,23 +32,28 @@ type EdgeType string
 
 // Edge types in the unified index.
 const (
-	EdgeMentions EdgeType = "mentions" // chunk -> entity
+	EdgeMentions EdgeType = "mentions" // chunk or row <-> entity
 	EdgeRelates  EdgeType = "relates"  // entity <-> entity via a cue
 	EdgeCueArg   EdgeType = "cue_arg"  // cue -> entity argument
 	EdgeCueIn    EdgeType = "cue_in"   // cue -> supporting chunk
 	EdgeNextTo   EdgeType = "next"     // chunk -> following chunk
-	EdgePartOf   EdgeType = "part_of"  // chunk -> doc, row -> table
-	EdgeHasValue EdgeType = "value"    // row -> value node
-	EdgeSameAs   EdgeType = "same_as"  // cross-modal identity link
+	EdgePartOf   EdgeType = "part_of"  // chunk -> doc
 )
 
-// Node is a graph vertex. Attrs carries type-specific payload (e.g. a
-// chunk's text, an entity's type, a row's table and index).
+// Node is a graph vertex. The fields after Label are its payload, each
+// set on the node types that have it and empty on the rest: a chunk has
+// Text and Doc, a row Text, an entity EType, a cue Verb, Arg1 and Arg2.
 type Node struct {
-	ID    string            `json:"id"`
-	Type  NodeType          `json:"type"`
-	Label string            `json:"label"`
-	Attrs map[string]string `json:"attrs,omitempty"`
+	ID    string
+	Type  NodeType
+	Label string
+
+	Text  string // chunk text, or a row rendered as text
+	Doc   string // id of the document a chunk is part of
+	EType string // entity type, as the recognizer names it
+	Verb  string // a cue's relation
+	Arg1  string // a cue's canonical entities, Arg1 < Arg2
+	Arg2  string
 }
 
 // Edge is a typed, weighted, directed connection. Undirected semantics
@@ -94,18 +97,23 @@ func New() *Graph {
 	return &Graph{vs: make(map[string]*vertex), byType: make(map[NodeType]int)}
 }
 
-// insert stores a new vertex for n and accounts for it.
-func (g *Graph) insert(n *Node) {
-	g.vs[n.ID] = &vertex{node: n}
-	g.account(n)
+// insert stores a new vertex for a copy of n, accounts for it and
+// returns the copy. Taking n by value keeps the allocation here, off the
+// path where EnsureNode finds the node present.
+func (g *Graph) insert(n Node) *Node {
+	g.vs[n.ID] = &vertex{node: &n}
+	g.account(&n)
+	return &n
 }
 
 // account adds n to the running statistics.
 func (g *Graph) account(n *Node) {
 	g.byType[n.Type]++
 	g.size += int64(len(n.ID) + len(n.Label) + 16)
-	for k, av := range n.Attrs {
-		g.size += int64(len(k) + len(av) + 16)
+	for _, p := range n.payload() {
+		if *p != "" {
+			g.size += int64(len(*p) + 16)
+		}
 	}
 }
 
@@ -120,7 +128,7 @@ func (g *Graph) AddNode(n Node) error {
 	if _, ok := g.vs[n.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrNodeExists, n.ID)
 	}
-	g.insert(&n)
+	g.insert(n)
 	return nil
 }
 
@@ -131,8 +139,7 @@ func (g *Graph) EnsureNode(n Node) *Node {
 	if existing, ok := g.vs[n.ID]; ok {
 		return existing.node
 	}
-	g.insert(&n)
-	return &n
+	return g.insert(n)
 }
 
 // Node returns the node with id, or nil if absent.
@@ -302,5 +309,5 @@ func (g *Graph) CountByType() map[NodeType]int {
 }
 
 // SizeBytes estimates the resident size of the index: node labels and
-// attrs plus edge records. Used by experiment E1 (index size).
+// payload plus edge records. Used by experiment E1 (index size).
 func (g *Graph) SizeBytes() int64 { return g.size }

@@ -309,7 +309,7 @@ func TestPageRankPropertyNonNegative(t *testing.T) {
 
 func TestSerializationRoundTrip(t *testing.T) {
 	g := chainGraph(t)
-	g.Node("a").Attrs = map[string]string{"text": "hello"}
+	g.Node("a").Text = "hello"
 	var buf bytes.Buffer
 	if err := g.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -322,8 +322,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Errorf("round trip: %d/%d nodes, %d/%d edges",
 			g2.NodeCount(), g.NodeCount(), g2.EdgeCount(), g.EdgeCount())
 	}
-	if g2.Node("a").Attrs["text"] != "hello" {
-		t.Error("attrs lost in round trip")
+	if g2.Node("a").Text != "hello" {
+		t.Error("payload lost in round trip")
 	}
 }
 

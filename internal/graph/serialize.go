@@ -17,13 +17,23 @@ import (
 //	{"nodes":[{"id":…,"type":…,"label":…,"attrs":{…}},…],
 //	 "edges":[{"from":…,"to":…,"type":…,"weight":…},…]}
 //
-// followed by a newline: nodes in id order, attrs (omitted when empty)
-// in key order, edges in (from, to, type) order with ties in adjacency
-// order, "edges":null when there are none. The bytes are those
+// followed by a newline: nodes in id order, attrs — the non-empty
+// payload fields under payloadKeys, omitted when there are none — in
+// key order, edges in (from, to, type) order with ties in
+// adjacency order, "edges":null when there are none. The bytes are those
 // encoding/json's Encoder produces for the same records, HTML escaping
 // included; the codec below is written for this one schema, and the
 // encoding/json pair it replaced is the oracle in
 // serialize_reference_test.go.
+
+// payloadKeys are the attrs keys of a node's payload fields, in the
+// order WriteJSON writes them. No other code spells one.
+var payloadKeys = [...]string{"arg1", "arg2", "doc", "etype", "text", "verb"}
+
+// payload returns n's payload fields in payloadKeys' order.
+func (n *Node) payload() [len(payloadKeys)]*string {
+	return [...]*string{&n.Arg1, &n.Arg2, &n.Doc, &n.EType, &n.Text, &n.Verb}
+}
 
 // WriteJSON serializes the graph as deterministic JSON (nodes and edges
 // sorted), suitable for persistence and for diffing index builds. The
@@ -33,9 +43,8 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	ids := g.NodeIDs()
 	var (
-		buf   []byte      // one record, reused
-		attrs [][2]string // one node's attrs, reused
-		out   []Edge      // one vertex's edges when they need sorting, reused
+		buf []byte // one record, reused
+		out []Edge // one vertex's edges when they need sorting, reused
 	)
 	bw.WriteString(`{"nodes":[`)
 	for i, id := range ids {
@@ -50,21 +59,18 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		buf = appendString(buf, string(n.Type))
 		buf = append(buf, `,"label":`...)
 		buf = appendString(buf, n.Label)
-		if len(n.Attrs) > 0 {
-			attrs = attrs[:0]
-			for k, v := range n.Attrs {
-				attrs = append(attrs, [2]string{k, v})
+		sep := `,"attrs":{`
+		for i, p := range n.payload() {
+			if *p == "" {
+				continue
 			}
-			slices.SortFunc(attrs, func(a, b [2]string) int { return cmp.Compare(a[0], b[0]) })
-			sep := byte('{')
-			buf = append(buf, `,"attrs":`...)
-			for _, kv := range attrs {
-				buf = append(buf, sep)
-				sep = ','
-				buf = appendString(buf, kv[0])
-				buf = append(buf, ':')
-				buf = appendString(buf, kv[1])
-			}
+			buf = append(buf, sep...)
+			sep = ","
+			buf = appendString(buf, payloadKeys[i])
+			buf = append(buf, ':')
+			buf = appendString(buf, *p)
+		}
+		if sep == "," {
 			buf = append(buf, '}')
 		}
 		buf = append(buf, '}')
@@ -203,9 +209,11 @@ func appendFloat(dst []byte, f float64) []byte {
 }
 
 // ReadJSON reconstructs a graph written by WriteJSON. It accepts the
-// object's keys in any order, any JSON whitespace and escape, and null
-// for an array or for attrs; it rejects what WriteJSON never writes and
-// a lenient decoder would let pass: unknown or repeated keys, null for a
+// object's keys in any order, any JSON whitespace and escape, null for
+// an array or for attrs, and in attrs any key that is no payload field,
+// whose string value it checks and drops (earlier versions wrote such
+// keys); it rejects what WriteJSON never writes and a lenient decoder
+// would let pass: unknown keys elsewhere, repeated keys, null for a
 // string or a number, invalid UTF-8, unpaired surrogate escapes, and
 // anything but whitespace after the object.
 func ReadJSON(r io.Reader) (*Graph, error) {
@@ -261,13 +269,6 @@ type pendingEdge struct {
 	weight   float64
 }
 
-// attrSpan is one attr of the node being decoded: its interned key and
-// where its value lies in decoder.text.
-type attrSpan struct {
-	key        string
-	start, end int
-}
-
 // decoder is a single pass over one snapshot. Nodes are collected, then
 // inserted together; edges are resolved to vertices as they are read and
 // put into the adjacency lists together at the end.
@@ -283,9 +284,8 @@ type decoder struct {
 	lastFrom *vertex // source of the previous edge: edges arrive grouped by source
 
 	scratch []byte     // the unescaped form of the last string that had escapes
-	text    []byte     // the node being decoded: its id, label and attr values, end to end
-	attrs   []attrSpan // the node being decoded
-	names   [64]string // node types, edge types and attr keys: a few strings, repeated by every record
+	text    []byte     // the node being decoded: its id, label and payload, end to end
+	names   [64]string // node and edge types: a few strings, repeated by every record
 }
 
 func (d *decoder) fail(msg string) error {
@@ -559,7 +559,7 @@ func (d *decoder) number() (float64, error) {
 }
 
 // intern returns s as a string without allocating when it is the last
-// string seen with its length and end bytes. A snapshot has a few dozen
+// string seen with its length and end bytes. A snapshot has a dozen
 // names; when two of them share a slot each evicts the other and is
 // allocated anew, which is what not interning would cost.
 func (d *decoder) intern(s []byte) string {
@@ -581,7 +581,7 @@ const (
 	kID
 	kType
 	kLabel
-	kAttrs
+	kPayload
 	kFrom
 	kTo
 	kWeight
@@ -649,16 +649,17 @@ func (d *decoder) document() error {
 }
 
 // node consumes one node object. Its strings are gathered in d.text and
-// become one allocation that the node's id, label and attr values share.
+// become one allocation that the node's id, label and payload share.
 func (d *decoder) node() error {
 	if len(d.slab) == cap(d.slab) {
 		d.slab = make([]Node, 0, 1024)
 	}
 	d.slab = d.slab[:len(d.slab)+1]
 	n := &d.slab[len(d.slab)-1]
-	d.text, d.attrs = d.text[:0], d.attrs[:0]
-	var seen uint
+	d.text = d.text[:0]
+	var seen, seenPayload uint
 	var id, label [2]int
+	var fields [len(payloadKeys)][2]int
 	take := func(span *[2]int) error {
 		s, err := d.str()
 		span[0] = len(d.text)
@@ -667,15 +668,17 @@ func (d *decoder) node() error {
 		return err
 	}
 	attr := func(key []byte) error {
-		a := attrSpan{key: d.intern(key)}
-		s, err := d.str()
-		a.start = len(d.text)
-		d.text = append(d.text, s...)
-		a.end = len(d.text)
-		d.attrs = append(d.attrs, a)
+		for i, k := range payloadKeys {
+			if string(key) == k {
+				if err := d.key(&seenPayload, 1<<i); err != nil {
+					return err
+				}
+				return take(&fields[i])
+			}
+		}
+		_, err := d.str()
 		return err
 	}
-	hasAttrs := false
 	err := d.object(func(key []byte) error {
 		switch string(key) {
 		case "id":
@@ -696,13 +699,12 @@ func (d *decoder) node() error {
 			n.Type = NodeType(d.intern(s))
 			return err
 		case "attrs":
-			if err := d.key(&seen, kAttrs); err != nil {
+			if err := d.key(&seen, kPayload); err != nil {
 				return err
 			}
 			if d.null() {
 				return nil
 			}
-			hasAttrs = true
 			return d.object(attr)
 		}
 		return d.unknownKey(key)
@@ -712,14 +714,8 @@ func (d *decoder) node() error {
 	}
 	text := string(d.text)
 	n.ID, n.Label = text[id[0]:id[1]], text[label[0]:label[1]]
-	if hasAttrs {
-		n.Attrs = make(map[string]string, len(d.attrs))
-		for _, a := range d.attrs {
-			n.Attrs[a.key] = text[a.start:a.end]
-		}
-		if len(n.Attrs) != len(d.attrs) {
-			return d.fail("repeated key in the attrs of node " + strconv.Quote(n.ID))
-		}
+	for i, p := range n.payload() {
+		*p = text[fields[i][0]:fields[i][1]]
 	}
 	d.nodes = append(d.nodes, n)
 	return nil

@@ -7,21 +7,44 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 )
 
 // refSerialized is the on-disk form of a graph.
 type refSerialized struct {
-	Nodes []Node `json:"nodes"`
-	Edges []Edge `json:"edges"`
+	Nodes []refNode `json:"nodes"`
+	Edges []Edge    `json:"edges"`
+}
+
+// refNode is the on-disk form of a node: its payload is an open object,
+// of which a Node keeps six keys.
+type refNode struct {
+	ID      string            `json:"id"`
+	Type    NodeType          `json:"type"`
+	Label   string            `json:"label"`
+	Payload map[string]string `json:"attrs,omitempty"`
+}
+
+func refNodeOf(n *Node) refNode {
+	r := refNode{ID: n.ID, Type: n.Type, Label: n.Label, Payload: map[string]string{
+		"text": n.Text, "doc": n.Doc, "etype": n.EType, "verb": n.Verb, "arg1": n.Arg1, "arg2": n.Arg2}}
+	maps.DeleteFunc(r.Payload, func(_, v string) bool { return v == "" })
+	return r
+}
+
+func (r refNode) node() Node {
+	p := r.Payload
+	return Node{ID: r.ID, Type: r.Type, Label: r.Label,
+		Text: p["text"], Doc: p["doc"], EType: p["etype"], Verb: p["verb"], Arg1: p["arg1"], Arg2: p["arg2"]}
 }
 
 // refWriteJSON is WriteJSON through encoding/json: nodes by id, edges by
 // (from, to, type), ties in adjacency order.
 func refWriteJSON(g *Graph, w io.Writer) error {
-	s := refSerialized{Nodes: make([]Node, 0, len(g.vs))}
+	s := refSerialized{Nodes: make([]refNode, 0, len(g.vs))}
 	for _, id := range g.NodeIDs() {
-		s.Nodes = append(s.Nodes, *g.vs[id].node)
+		s.Nodes = append(s.Nodes, refNodeOf(g.vs[id].node))
 	}
 	for _, id := range g.NodeIDs() {
 		s.Edges = append(s.Edges, g.vs[id].out...)
@@ -48,7 +71,7 @@ func refReadJSON(r io.Reader) (*Graph, error) {
 	}
 	g := New()
 	for _, n := range s.Nodes {
-		if err := g.AddNode(n); err != nil {
+		if err := g.AddNode(n.node()); err != nil {
 			return nil, err
 		}
 	}

@@ -37,22 +37,22 @@ func setWeight(g *Graph, from string, i int, w float64) {
 	e.Weight = w
 }
 
-// hostileGraph has every hostile string as an id, a label, a type, an
-// attr key and an attr value, and the weights whose text form is
-// special.
+// hostileGraph has every hostile string as an id, a label, a type and
+// in each payload field, and the weights whose text form is special.
 func hostileGraph(t testing.TB) *Graph {
 	g := New()
 	for i, s := range hostile {
-		attrs := map[string]string{}
-		for j, k := range hostile {
-			attrs[k] = hostile[(i+j)%len(hostile)]
+		n := Node{Type: NodeType(s), Label: s}
+		for j, p := range n.payload() {
+			*p = hostile[(i+j)%len(hostile)]
 		}
 		// One id only may be invalid UTF-8: two would read back as one.
 		id := fmt.Sprintf("n%d:%s", i, strings.ToValidUTF8(s, "?"))
 		if i == 7 {
 			id = s
 		}
-		if err := g.AddNode(Node{ID: id, Type: NodeType(s), Label: s, Attrs: attrs}); err != nil {
+		n.ID = id
+		if err := g.AddNode(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func parallelGraph(t testing.TB) *Graph {
 	for _, e := range []Edge{
 		{"a", "c", EdgeRelates, 3}, {"a", "b", EdgeRelates, 0.25}, {"a", "b", EdgeRelates, 9},
 		{"a", "b", EdgeMentions, 2}, {"a", "b", EdgeRelates, 0.5}, {"c", "a", EdgeNextTo, 7},
-		{"a", "b", EdgeRelates, 0.25}, {"a", "a", EdgeSameAs, 1}, {"c", "a", EdgeNextTo, 4},
+		{"a", "b", EdgeRelates, 0.25}, {"a", "a", "same_as", 1}, {"c", "a", EdgeNextTo, 4},
 	} {
 		if err := g.AddEdge(e); err != nil {
 			t.Fatal(err)
@@ -93,21 +93,18 @@ func parallelGraph(t testing.TB) *Graph {
 	return g
 }
 
-// indexLikeGraph is a seeded graph shaped like an index: typed nodes, a
-// few attrs under recurring keys, skewed degrees.
+// indexLikeGraph is a seeded graph shaped like an index: typed nodes,
+// some of the payload fields, skewed degrees.
 func indexLikeGraph(seed int64, nodes, edges int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := New()
-	types := []NodeType{NodeChunk, NodeEntity, NodeCue, NodeRow, NodeTable, NodeDoc, NodeValue, "custom"}
-	etypes := []EdgeType{EdgeMentions, EdgeRelates, EdgeCueArg, EdgeCueIn, EdgeNextTo, EdgePartOf, EdgeHasValue, EdgeSameAs, "other"}
-	keys := []string{"text", "source", "kind", "f:region", "f:sku", "etype", "doc"}
+	types := []NodeType{NodeChunk, NodeEntity, NodeCue, NodeRow, "table", NodeDoc, "value", "custom"}
+	etypes := []EdgeType{EdgeMentions, EdgeRelates, EdgeCueArg, EdgeCueIn, EdgeNextTo, EdgePartOf, "value", "same_as", "other"}
 	for i := 0; i < nodes; i++ {
 		n := Node{ID: fmt.Sprintf("%s:%d", types[i%len(types)], rng.Intn(1<<20)*nodes+i), Type: types[i%len(types)], Label: fmt.Sprint("label ", i)}
-		if k := rng.Intn(len(keys) + 1); k > 0 {
-			n.Attrs = map[string]string{}
-			for _, key := range keys[:k] {
-				n.Attrs[key] = fmt.Sprintf("%s of %d", strings.ToValidUTF8(hostile[rng.Intn(len(hostile))], "?"), rng.Intn(100))
-			}
+		fields := n.payload()
+		for _, p := range fields[:rng.Intn(len(fields)+1)] {
+			*p = fmt.Sprintf("%s of %d", strings.ToValidUTF8(hostile[rng.Intn(len(hostile))], "?"), rng.Intn(100))
 		}
 		g.AddNode(n)
 	}
@@ -130,16 +127,16 @@ func indexLikeGraph(seed int64, nodes, edges int) *Graph {
 
 func codecGraphs(t testing.TB) map[string]*Graph {
 	lone := New()
-	lone.AddNode(Node{ID: "only", Type: NodeDoc, Label: "no edges", Attrs: map[string]string{}})
+	lone.AddNode(Node{ID: "only", Type: NodeDoc, Label: "no edges"})
 	chain := New()
 	for _, id := range []string{"a", "b", "c"} {
-		chain.AddNode(Node{ID: id, Type: NodeChunk, Label: id, Attrs: map[string]string{"text": "chunk " + id}})
+		chain.AddNode(Node{ID: id, Type: NodeChunk, Label: id, Text: "chunk " + id})
 	}
 	chain.AddEdge(Edge{From: "a", To: "b", Type: EdgeNextTo})
 	chain.AddUndirected(Edge{From: "c", To: "a", Type: EdgeMentions, Weight: 0.5})
 	// One node and a self-loop, each escape class somewhere.
 	small := New()
-	small.AddNode(Node{ID: hostile[2], Type: NodeCue, Label: hostile[3], Attrs: map[string]string{hostile[5]: hostile[6], hostile[4]: hostile[7]}})
+	small.AddNode(Node{ID: hostile[2], Type: NodeCue, Label: hostile[3], Verb: hostile[5], Arg1: hostile[6], Arg2: hostile[7], Text: hostile[4]})
 	small.AddEdge(Edge{From: hostile[2], To: hostile[2], Type: EdgeType(hostile[4]), Weight: 1e-7})
 	return map[string]*Graph{
 		"empty":    New(),
@@ -302,8 +299,10 @@ func TestSnapshotFixedPoint(t *testing.T) {
 
 // variant spells the snapshot of g another way: keys in reverse order,
 // whitespace wherever JSON allows it, every string character as a \u
-// escape, null for empty arrays and attrs, or {} for empty attrs.
-type variant struct{ rekey, space, escape, nulls, emptyAttrs bool }
+// escape, null for empty arrays and attrs, {} for empty attrs, or with
+// the attrs keys that are no payload field, as earlier versions wrote
+// them — one of them twice.
+type variant struct{ rekey, space, escape, nulls, emptyObject, legacy bool }
 
 func (v variant) snapshot(t testing.TB, g *Graph) []byte {
 	var s refSerialized
@@ -354,11 +353,22 @@ func (v variant) snapshot(t testing.TB, g *Graph) []byte {
 	for _, n := range s.Nodes {
 		members := [][2]string{{"id", str(n.ID)}, {"type", str(string(n.Type))}, {"label", str(n.Label)}}
 		var attrs [][2]string
-		for _, k := range slices.Sorted(maps.Keys(n.Attrs)) {
-			attrs = append(attrs, [2]string{k, str(n.Attrs[k])})
+		if v.legacy {
+			if n.Payload == nil {
+				n.Payload = map[string]string{}
+			}
+			for i, k := range append(hostile[:4:4], "source", "kind", "f:region", "Text", "text ") {
+				n.Payload[k] = hostile[(i+len(n.ID))%len(hostile)]
+			}
+		}
+		for _, k := range slices.Sorted(maps.Keys(n.Payload)) {
+			attrs = append(attrs, [2]string{k, str(n.Payload[k])})
+		}
+		if v.legacy {
+			attrs = append(attrs, [2]string{"kind", `""`})
 		}
 		switch {
-		case len(attrs) > 0 || v.emptyAttrs:
+		case len(attrs) > 0 || v.emptyObject:
 			members = append(members, [2]string{"attrs", object(attrs)})
 		case v.nulls:
 			members = append(members, [2]string{"attrs", "null"})
@@ -384,9 +394,10 @@ var variants = map[string]variant{
 	"respaced":  {space: true},
 	"escaped":   {escape: true},
 	"nulls":     {nulls: true},
-	"empty":     {emptyAttrs: true},
+	"empty":     {emptyObject: true},
+	"legacy":    {legacy: true},
 	"all":       {rekey: true, space: true, escape: true, nulls: true},
-	"all-empty": {rekey: true, space: true, escape: true, emptyAttrs: true},
+	"all-empty": {rekey: true, space: true, escape: true, emptyObject: true, legacy: true},
 }
 
 // readBoth reads data with the codec and with the reference and fails
@@ -413,9 +424,7 @@ func TestReadJSONMatchesReference(t *testing.T) {
 			if v.rekey && g.EdgeCount() > 0 && bytes.Index(data, []byte("edges")) > bytes.Index(data, []byte("nodes")) {
 				t.Fatalf("%s/%s: edges do not come first", name, vname)
 			}
-			if got := readBoth(t, name+"/"+vname, data); !v.emptyAttrs { // {} reads as an empty map, absent as none
-				sameGraph(t, got, loaded)
-			}
+			sameGraph(t, readBoth(t, name+"/"+vname, data), loaded)
 		}
 	}
 	// A reader that says nothing of its length, one byte at a time.
@@ -435,7 +444,7 @@ func TestReadJSONMatchesReference(t *testing.T) {
 // some of it pass (it matches keys in any case, keeps the last of
 // repeated keys, ignores unknown ones and whatever follows the object,
 // replaces invalid UTF-8): the codec accepts only what it would write,
-// spelled any valid way.
+// spelled any valid way, and in attrs the keys it would not.
 func TestReadJSONRejects(t *testing.T) {
 	node := func(id string) string { return `{"id":"` + id + `","type":"doc","label":""}` }
 	doc := func(nodes, edges string) string { return `{"nodes":[` + nodes + `],"edges":[` + edges + `]}` }
@@ -456,9 +465,14 @@ func TestReadJSONRejects(t *testing.T) {
 		"unknown node key":     doc(`{"id":"a","type":"doc","label":"","extra":"x"}`, ""),
 		"repeated node key":    doc(`{"id":"a","type":"doc","label":"","id":"b"}`, ""),
 		"repeated attrs":       doc(`{"id":"a","attrs":{},"attrs":{}}`, ""),
-		"repeated attr key":    doc(`{"id":"a","attrs":{"k":"1","k":"2"}}`, ""),
+		"repeated attr key":    doc(`{"id":"a","attrs":{"text":"1","k":"","text":"2"}}`, ""),
+		"repeated as empty":    doc(`{"id":"a","attrs":{"doc":"","doc":""}}`, ""),
 		"null id":              doc(`{"id":null}`, ""),
-		"null attr value":      doc(`{"id":"a","attrs":{"k":null}}`, ""),
+		"null attr value":      doc(`{"id":"a","attrs":{"etype":null}}`, ""),
+		"null unknown attr":    doc(`{"id":"a","attrs":{"k":null}}`, ""),
+		"number for an attr":   doc(`{"id":"a","attrs":{"k":7}}`, ""),
+		"object for an attr":   doc(`{"id":"a","attrs":{"k":{}}}`, ""),
+		"bad escape in attr":   doc(`{"id":"a","attrs":{"k":"\x"}}`, ""),
 		"number for a string":  doc(`{"id":7}`, ""),
 		"nodes not an array":   `{"nodes":{},"edges":null}`,
 		"node not an object":   doc(`"a"`, ""),
@@ -533,6 +547,15 @@ func TestReadJSONRejects(t *testing.T) {
 	g := readBoth(t, "defaults", []byte(`{"nodes":[{"id":"a"},{"id":"b","attrs":null}],"edges":[{"from":"a","to":"b"},{"to":"a","from":"b","weight":-0.0}]}`))
 	if e := g.Out("a")[0]; e != (Edge{From: "a", To: "b", Weight: 1}) || g.Out("b")[0].Weight != 1 {
 		t.Errorf("defaults: %v %v", g.Out("a"), g.Out("b"))
+	}
+	// An attrs key that is no payload field is checked and dropped, even
+	// a repeated one; an empty value is an absent one.
+	g = readBoth(t, "other attrs", []byte(`{"nodes":[{"id":"a","attrs":{"source":"s","text":"t","f:x":"1","doc":"","f:x":"2"}}]}`))
+	if n := g.Node("a"); *n != (Node{ID: "a", Text: "t"}) || g.SizeBytes() != int64(len("a")+16+len("t")+16) {
+		t.Errorf("other attrs: %#v, %d bytes", n, g.SizeBytes())
+	}
+	if out := string(encode(t, g.WriteJSON)); out != `{"nodes":[{"id":"a","type":"","label":"","attrs":{"text":"t"}}],"edges":null}`+"\n" {
+		t.Errorf("other attrs: written as %s", out)
 	}
 	readBoth(t, "no keys", []byte(`{}`))
 	readBoth(t, "nodes only", []byte(`{"nodes":[{"id":"a"}]}`))

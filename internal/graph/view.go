@@ -24,7 +24,7 @@ type View struct {
 
 // edgeCodes is the number of edge-type codes: one per edge type this
 // package declares, and code 0 for any other type.
-const edgeCodes = 9
+const edgeCodes = 7
 
 func edgeCode(t EdgeType) uint8 {
 	switch t {
@@ -40,10 +40,6 @@ func edgeCode(t EdgeType) uint8 {
 		return 5
 	case EdgePartOf:
 		return 6
-	case EdgeHasValue:
-		return 7
-	case EdgeSameAs:
-		return 8
 	}
 	return 0
 }

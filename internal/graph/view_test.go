@@ -143,15 +143,18 @@ func TestPageRankMatchesReference(t *testing.T) {
 // else shares code 0.
 func TestEdgeCodes(t *testing.T) {
 	seen := map[uint8]EdgeType{}
-	for _, et := range []EdgeType{EdgeMentions, EdgeRelates, EdgeCueArg, EdgeCueIn, EdgeNextTo, EdgePartOf, EdgeHasValue, EdgeSameAs} {
+	for _, et := range []EdgeType{EdgeMentions, EdgeRelates, EdgeCueArg, EdgeCueIn, EdgeNextTo, EdgePartOf} {
 		c := edgeCode(et)
 		if c == 0 || c >= edgeCodes || seen[c] != "" {
 			t.Errorf("edgeCode(%q) = %d (taken by %q)", et, c, seen[c])
 		}
 		seen[c] = et
 	}
-	if edgeCode("custom") != 0 {
-		t.Error("undeclared type must map to code 0")
+	// "value" and "same_as" had codes of their own once, and no writer.
+	for _, et := range []EdgeType{"custom", "value", "same_as", ""} {
+		if edgeCode(et) != 0 {
+			t.Errorf("undeclared type %q must map to code 0", et)
+		}
 	}
 }
 

@@ -138,8 +138,7 @@ func (b *Builder) Build(m *store.Multi) (*graph.Graph, Stats, error) {
 // All SLM work already happened in analyzeRecord; this function only
 // mutates the graph and must run single-threaded in record order.
 func (b *Builder) applyDocument(g *graph.Graph, rec store.Record, an recordAnalysis, cueCounts map[string]int, stats *Stats) error {
-	docNode := graph.Node{ID: "doc:" + rec.ID, Type: graph.NodeDoc, Label: rec.ID,
-		Attrs: map[string]string{"source": rec.Source}}
+	docNode := graph.Node{ID: "doc:" + rec.ID, Type: graph.NodeDoc, Label: rec.ID}
 	g.EnsureNode(docNode)
 	stats.Docs++
 
@@ -148,7 +147,7 @@ func (b *Builder) applyDocument(g *graph.Graph, rec store.Record, an recordAnaly
 		chunkID := "chunk:" + ca.chunk.ID
 		g.EnsureNode(graph.Node{
 			ID: chunkID, Type: graph.NodeChunk, Label: ca.chunk.ID,
-			Attrs: map[string]string{"text": ca.chunk.Text, "doc": rec.ID, "source": rec.Source},
+			Text: ca.chunk.Text, Doc: rec.ID,
 		})
 		stats.Chunks++
 		if err := g.AddEdge(graph.Edge{From: chunkID, To: docNode.ID, Type: graph.EdgePartOf}); err != nil {
@@ -170,10 +169,7 @@ func (b *Builder) applyDocument(g *graph.Graph, rec store.Record, an recordAnaly
 		for _, sa := range ca.sents {
 			for _, e := range sa.ents {
 				entID := EntityNodeID(e.Canonical)
-				g.EnsureNode(graph.Node{
-					ID: entID, Type: graph.NodeEntity, Label: e.Canonical,
-					Attrs: map[string]string{"etype": string(e.Type)},
-				})
+				g.EnsureNode(graph.Node{ID: entID, Type: graph.NodeEntity, Label: e.Canonical, EType: string(e.Type)})
 				if !mentioned[entID] {
 					mentioned[entID] = true
 					if err := g.AddUndirected(graph.Edge{From: chunkID, To: entID, Type: graph.EdgeMentions}); err != nil {
@@ -193,18 +189,14 @@ func (b *Builder) applyDocument(g *graph.Graph, rec store.Record, an recordAnaly
 // a row node linked to entity nodes matching its field values.
 func (b *Builder) applyRecord(g *graph.Graph, rec store.Record, an recordAnalysis, stats *Stats) error {
 	rowID := "row:" + rec.ID
-	attrs := map[string]string{"source": rec.Source, "kind": string(rec.Kind), "text": rec.Text}
-	for k, v := range rec.Fields {
-		attrs["f:"+k] = v
-	}
-	g.EnsureNode(graph.Node{ID: rowID, Type: graph.NodeRow, Label: rec.ID, Attrs: attrs})
+	g.EnsureNode(graph.Node{ID: rowID, Type: graph.NodeRow, Label: rec.ID, Text: rec.Text})
 	stats.Rows++
 
 	if b.opts.DisableEntityNodes {
 		return nil
 	}
-	// Link the row to entities recognized in its rendered text and to
-	// value nodes for its fields, giving cross-modal connectivity.
+	// Link the row to entities recognized in its rendered text, giving
+	// cross-modal connectivity.
 	seen := map[string]bool{}
 	for _, e := range an.ents {
 		entID := EntityNodeID(e.Canonical)
@@ -212,10 +204,7 @@ func (b *Builder) applyRecord(g *graph.Graph, rec store.Record, an recordAnalysi
 			continue
 		}
 		seen[entID] = true
-		g.EnsureNode(graph.Node{
-			ID: entID, Type: graph.NodeEntity, Label: e.Canonical,
-			Attrs: map[string]string{"etype": string(e.Type)},
-		})
+		g.EnsureNode(graph.Node{ID: entID, Type: graph.NodeEntity, Label: e.Canonical, EType: string(e.Type)})
 		if err := g.AddUndirected(graph.Edge{From: rowID, To: entID, Type: graph.EdgeMentions}); err != nil {
 			return fmt.Errorf("index: %w", err)
 		}
@@ -320,10 +309,7 @@ func (b *Builder) materializeCues(g *graph.Graph, cueCounts map[string]int, stat
 		// only create the node and its entity edges once.
 		fresh := !g.HasNode(cueID)
 		if fresh {
-			g.EnsureNode(graph.Node{
-				ID: cueID, Type: graph.NodeCue, Label: r.verb,
-				Attrs: map[string]string{"arg1": r.e1, "arg2": r.e2, "verb": r.verb},
-			})
+			g.EnsureNode(graph.Node{ID: cueID, Type: graph.NodeCue, Label: r.verb, Verb: r.verb, Arg1: r.e1, Arg2: r.e2})
 			stats.Cues++
 			g.Reserve(cueID, 2+len(group), 2+len(group))
 			w := 1.0 + float64(total)*0.1

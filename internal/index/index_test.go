@@ -98,7 +98,7 @@ func TestBuildCueNodes(t *testing.T) {
 	cues := g.NodesOfType(graph.NodeCue)
 	foundReceived := false
 	for _, c := range cues {
-		if c.Attrs["verb"] == "received" {
+		if c.Verb == "received" {
 			foundReceived = true
 		}
 	}

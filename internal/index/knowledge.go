@@ -28,9 +28,9 @@ func Triples(g *graph.Graph) []Triple {
 	var out []Triple
 	for _, cue := range g.NodesOfType(graph.NodeCue) {
 		t := Triple{
-			Subject:   cue.Attrs["arg1"],
-			Predicate: cue.Attrs["verb"],
-			Object:    cue.Attrs["arg2"],
+			Subject:   cue.Arg1,
+			Predicate: cue.Verb,
+			Object:    cue.Arg2,
 		}
 		seen := map[string]bool{}
 		for _, nb := range g.Neighbors(cue.ID, graph.EdgeCueIn) {
@@ -38,7 +38,7 @@ func Triples(g *graph.Graph) []Triple {
 			if n == nil || n.Type != graph.NodeChunk {
 				continue
 			}
-			doc := n.Attrs["doc"]
+			doc := n.Doc
 			if doc == "" {
 				doc = n.Label
 			}

@@ -13,7 +13,7 @@ import (
 
 // walkStats recomputes CountByType and SizeBytes the way they were
 // defined before the graph kept them running: one walk over every
-// node, attribute and out-edge.
+// node, payload field and out-edge.
 func walkStats(g *graph.Graph) (map[graph.NodeType]int, int64) {
 	counts := map[graph.NodeType]int{}
 	var size int64
@@ -21,8 +21,10 @@ func walkStats(g *graph.Graph) (map[graph.NodeType]int, int64) {
 		n := g.Node(id)
 		counts[n.Type]++
 		size += int64(len(n.ID) + len(n.Label) + 16)
-		for k, v := range n.Attrs {
-			size += int64(len(k) + len(v) + 16)
+		for _, v := range []string{n.Text, n.Doc, n.EType, n.Verb, n.Arg1, n.Arg2} {
+			if v != "" {
+				size += int64(len(v) + 16)
+			}
 		}
 		for _, e := range g.Out(id) {
 			size += int64(len(e.From) + len(e.To) + len(e.Type) + 8)

@@ -36,7 +36,7 @@ func NewBM25(g *graph.Graph) *BM25 {
 			kind = "row"
 		}
 		for _, n := range g.NodesOfType(typ) {
-			text := n.Attrs["text"]
+			text := n.Text
 			if text == "" {
 				continue
 			}

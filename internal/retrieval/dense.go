@@ -33,7 +33,7 @@ func NewDense(g *graph.Graph, embedder *slm.Embedder, ix vector.Index) (*Dense, 
 			kind = "row"
 		}
 		for _, n := range g.NodesOfType(typ) {
-			text := n.Attrs["text"]
+			text := n.Text
 			if text == "" {
 				continue
 			}

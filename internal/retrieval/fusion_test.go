@@ -100,7 +100,7 @@ func TestFusionNegativeKReturnsAll(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 30; i++ {
 		g.AddNode(graph.Node{ID: fmt.Sprintf("chunk:d%02d", i), Type: graph.NodeChunk,
-			Attrs: map[string]string{"text": fmt.Sprintf("shipment %d arrived late", i)}})
+			Text: fmt.Sprintf("shipment %d arrived late", i)})
 	}
 	bm := NewBM25(g)
 	all := bm.Retrieve("late shipment", -1)

@@ -124,7 +124,7 @@ func referenceRetrieve(g *graph.Graph, ner *slm.NER, opts TopologyOptions, rank 
 		}
 		for _, typ := range []graph.NodeType{graph.NodeChunk, graph.NodeRow} {
 			for _, n := range g.NodesOfType(typ) {
-				text := n.Attrs["text"]
+				text := n.Text
 				if s := lexicalOverlap(qTerms, text); s > 0 {
 					out = append(out, Evidence{NodeID: n.ID, Text: text, Score: s, Kind: string(typ)})
 				}
@@ -162,7 +162,7 @@ func referenceRetrieve(g *graph.Graph, ner *slm.NER, opts TopologyOptions, rank 
 			if n.Type != graph.NodeChunk && n.Type != graph.NodeRow {
 				continue
 			}
-			text := n.Attrs["text"]
+			text := n.Text
 			score := s * (1 + 2*lexicalOverlap(qTerms, text))
 			out = append(out, Evidence{NodeID: id, Text: text, Score: score, Kind: string(n.Type)})
 		}

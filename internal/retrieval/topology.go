@@ -186,7 +186,7 @@ func (t *Topology) Retrieve(query string, k int) []Evidence {
 		if kind == "" {
 			continue
 		}
-		text := n.Attrs["text"]
+		text := n.Text
 		// Blend topology score with lexical affinity so that among
 		// equally-reachable items the on-topic one wins.
 		score := s * (1 + 2*terms.overlap(text))
@@ -251,7 +251,7 @@ func (t *Topology) lexicalScan(query string, k int) []Evidence {
 		if kind == "" {
 			continue
 		}
-		text := n.Attrs["text"]
+		text := n.Text
 		if s := terms.overlap(text); s > 0 {
 			out = append(out, Evidence{NodeID: n.ID, Text: text, Score: s, Kind: kind})
 		}

@@ -12,7 +12,7 @@ type Op int
 
 // Operation classes recorded by the cost model.
 const (
-	OpTag Op = iota // NER / POS tagging pass
+	OpTag Op = iota // NER tagging pass
 	OpEmbed
 	OpGenerate
 	opCount

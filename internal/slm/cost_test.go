@@ -96,38 +96,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestTagCoarse(t *testing.T) {
-	tagged := Tag(Tokenize("The patient received Drug treatment in Q2 and improved quickly."))
-	byText := map[string]POS{}
-	for _, tt := range tagged {
-		byText[tt.Text] = tt.POS
-	}
-	if byText["The"] != POSDeterminer {
-		t.Errorf("The = %v", byText["The"])
-	}
-	if byText["received"] != POSVerb {
-		t.Errorf("received = %v", byText["received"])
-	}
-	if byText["patient"] != POSNoun {
-		t.Errorf("patient = %v", byText["patient"])
-	}
-	if byText["Drug"] != POSProperNoun {
-		t.Errorf("Drug = %v", byText["Drug"])
-	}
-	if byText["and"] != POSConjunction {
-		t.Errorf("and = %v", byText["and"])
-	}
-	if byText["in"] != POSPreposition {
-		t.Errorf("in = %v", byText["in"])
-	}
-}
-
-func TestPOSString(t *testing.T) {
-	if POSNoun.String() != "NOUN" || POSProperNoun.String() != "PROPN" || POS(99).String() != "X" {
-		t.Error("POS String mapping broken")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(9), NewRNG(9)
 	for i := 0; i < 100; i++ {

@@ -270,6 +270,14 @@ func looksProper(tokens []Token, i int) bool {
 	return i+1 < len(tokens) && tokens[i+1].Kind == TokenWord && isUpperInitial(tokens[i+1].Text)
 }
 
+func isUpperInitial(s string) bool {
+	if s == "" {
+		return false
+	}
+	c := s[0]
+	return c >= 'A' && c <= 'Z'
+}
+
 func looksLikeID(s string) bool {
 	hasLetter, hasDigit, hasSep := false, false, false
 	for i := 0; i < len(s); i++ {
@@ -367,6 +375,12 @@ func isUnitWord(s string) bool {
 		return true
 	}
 	return false
+}
+
+var determiners = map[string]bool{
+	"the": true, "a": true, "an": true, "this": true, "that": true,
+	"these": true, "those": true, "all": true, "each": true, "every": true,
+	"some": true, "any": true, "no": true,
 }
 
 // canonicalize lower-cases, collapses whitespace, and strips leading

@@ -268,6 +268,9 @@ func (s *System) Build() error {
 	}
 	s.hybrid = h
 	s.built = true
+	// The engine derived its own catalog from the tables; nothing reads
+	// the staging one, or the statistics it holds, again.
+	s.catalog = nil
 	return nil
 }
 
