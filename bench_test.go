@@ -607,11 +607,9 @@ func statsPutRows(n int) [][]table.Value {
 }
 
 // benchStatsPuts measures the append-heavy ingest shape: one base Put
-// of 1024 rows, then 32 batches of 8 appended rows each followed by a
-// re-Put. With poison, every re-Put first replaces a prefix row slice,
-// defeating the append-only detection and forcing the full O(n log n)
-// statistics rebuild — the pre-incremental cost.
-func benchStatsPuts(b *testing.B, poison bool) {
+// of 1024 rows, then 32 batches of 8 rows each, which reach the catalog
+// through grow.
+func benchStatsPuts(b *testing.B, grow func(c *table.Catalog, t *table.Table, batch [][]table.Value)) {
 	const base, batches, perBatch = 1024, 32, 8
 	rows := statsPutRows(base + batches*perBatch)
 	schema := table.Schema{
@@ -626,11 +624,7 @@ func benchStatsPuts(b *testing.B, poison bool) {
 		c := table.NewCatalog()
 		c.Put(t)
 		for batch := 0; batch < batches; batch++ {
-			t.Rows = append(t.Rows, rows[base+batch*perBatch:base+(batch+1)*perBatch]...)
-			if poison {
-				t.Rows[0] = append([]table.Value(nil), t.Rows[0]...)
-			}
-			c.Put(t)
+			grow(c, t, rows[base+batch*perBatch:base+(batch+1)*perBatch])
 		}
 		if c.StatsOf("puts").Rows != len(rows) {
 			b.Fatal("stats out of date")
@@ -638,17 +632,28 @@ func benchStatsPuts(b *testing.B, poison bool) {
 	}
 }
 
-// BenchmarkIncrementalPut is the append-only ingest path: statistics
-// merge only each batch's delta and zone maps extend only the open
+// BenchmarkIncrementalPut is the ingest path, Catalog.Append:
+// statistics merge only each batch and zone maps extend only the open
 // tail fragment. Compare ns/op against BenchmarkFullRebuildPut — the
 // benchguard baseline pins the incremental path staying a multiple
 // cheaper.
-func BenchmarkIncrementalPut(b *testing.B) { benchStatsPuts(b, false) }
+func BenchmarkIncrementalPut(b *testing.B) {
+	benchStatsPuts(b, func(c *table.Catalog, _ *table.Table, batch [][]table.Value) {
+		if err := c.Append("puts", batch); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
 
-// BenchmarkFullRebuildPut forces the slow path on every re-Put (an
-// in-place row replacement invalidates the append-only detection), so
-// each Put pays the full statistics rebuild.
-func BenchmarkFullRebuildPut(b *testing.B) { benchStatsPuts(b, true) }
+// BenchmarkFullRebuildPut grows the same table by replacing it: every
+// batch is a Put of a table holding all rows so far, so each pays the
+// full statistics build.
+func BenchmarkFullRebuildPut(b *testing.B) {
+	benchStatsPuts(b, func(c *table.Catalog, t *table.Table, batch [][]table.Value) {
+		t.Rows = append(t.Rows, batch...)
+		c.Put(t)
+	})
+}
 
 // BenchmarkEstimateAccuracy runs every bindable workload question of
 // both domains through the federated planner and reports the maximum

@@ -12,6 +12,7 @@ package extract
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -100,7 +101,10 @@ func (e *Engine) ExtractDocs(docs []Doc, workers int) []Extraction {
 // Merge folds extractions into the catalog, creating tables with
 // induced schemas on first sight and appending rows thereafter. Rows
 // are deduplicated per table on their full cell content. Columns added
-// by later extractions extend the schema with NULL backfill.
+// by later extractions extend the schema with NULL backfill. A table
+// the catalog holds is only read here: rows reach it through
+// Catalog.Append, and a new or widened table is built aside and Put
+// once.
 func Merge(c *table.Catalog, extractions []Extraction) error {
 	// Group by table, collect the union of columns per table.
 	byTable := make(map[string][]Extraction)
@@ -117,47 +121,57 @@ func Merge(c *table.Catalog, extractions []Extraction) error {
 		cols, types := unionColumns(xs)
 		tbl, err := c.Get(name)
 		if err != nil {
-			schema := make(table.Schema, len(cols))
-			for i, col := range cols {
-				schema[i] = table.Column{Name: col, Type: types[col]}
+			tbl = table.New(name, nil)
+		}
+		schema := tbl.Schema
+		for _, col := range cols {
+			if schema.ColIndex(col) < 0 {
+				schema = append(slices.Clip(schema), table.Column{Name: col, Type: types[col]})
 			}
-			tbl = table.New(name, schema)
-			c.Put(tbl)
-		} else {
-			for _, col := range cols {
-				if tbl.Schema.ColIndex(col) < 0 {
-					tbl.Schema = append(tbl.Schema, table.Column{Name: col, Type: types[col]})
-					for i := range tbl.Rows {
-						tbl.Rows[i] = append(tbl.Rows[i], table.Null(types[col]))
-					}
-				}
+		}
+		replace := err != nil || len(schema) > len(tbl.Schema)
+		if replace {
+			var pad []table.Value
+			for _, col := range schema[len(tbl.Schema):] {
+				pad = append(pad, table.Null(col.Type))
 			}
+			wide := table.New(name, schema)
+			for _, row := range tbl.Rows {
+				wide.Rows = append(wide.Rows, append(slices.Clip(row), pad...))
+			}
+			tbl = wide
 		}
 		seen := make(map[string]bool, tbl.Len())
 		for _, row := range tbl.Rows {
 			seen[rowKey(row)] = true
 		}
+		var rows [][]table.Value
 		for _, x := range xs {
-			row := make([]table.Value, len(tbl.Schema))
-			for i, col := range tbl.Schema {
+			row := make([]table.Value, len(schema))
+			for i, col := range schema {
 				if v, ok := x.Cells[col.Name]; ok {
 					row[i] = coerce(v, col.Type)
 				} else {
 					row[i] = table.Null(col.Type)
 				}
 			}
-			k := rowKey(row)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if err := tbl.Append(row); err != nil {
-				return fmt.Errorf("extract: merge into %s: %w", name, err)
+			if k := rowKey(row); !seen[k] {
+				seen[k] = true
+				rows = append(rows, row)
 			}
 		}
-		// Re-register even when mutated in place so the catalog epoch
-		// advances and epoch-keyed plan/index caches invalidate.
-		c.Put(tbl)
+		// Either way the catalog epoch advances, so epoch-keyed plan and
+		// index caches invalidate even when every row was a duplicate.
+		if replace {
+			for _, row := range rows {
+				if err := tbl.Append(row); err != nil {
+					return fmt.Errorf("extract: merge into %s: %w", name, err)
+				}
+			}
+			c.Put(tbl)
+		} else if err := c.Append(name, rows); err != nil {
+			return fmt.Errorf("extract: merge into %s: %w", name, err)
+		}
 	}
 	return nil
 }

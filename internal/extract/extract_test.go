@@ -205,6 +205,55 @@ func TestMergeSchemaExtension(t *testing.T) {
 	}
 }
 
+// TestMergeOnlyReadsRegisteredTables: rows reach a table the catalog
+// holds through Catalog.Append (same pointer, statistics following),
+// a widened schema is a new table Put beside the old one, which keeps
+// its shape, and every Merge of a known table advances the epoch —
+// also one whose rows were all duplicates.
+func TestMergeOnlyReadsRegisteredTables(t *testing.T) {
+	c := table.NewCatalog()
+	row := func(a string) Extraction {
+		return Extraction{Table: "t", Cells: map[string]table.Value{"a": table.S(a)}}
+	}
+	if err := Merge(c, []Extraction{row("x")}); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := c.Get("t")
+	epoch := c.Epoch()
+
+	if err := Merge(c, []Extraction{row("y"), row("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Get("t"); got != first || first.Len() != 2 {
+		t.Fatalf("append replaced the table (%v) or left %d rows, want the same pointer with 2", got != first, first.Len())
+	}
+	if ts := c.StatsOf("t"); ts.Rows != 2 || ts.Refutes([]table.Pred{{Col: "a", Op: table.OpEq, Val: table.S("y")}}) {
+		t.Errorf("statistics did not follow the append: %+v", ts)
+	}
+	if c.Epoch() <= epoch {
+		t.Error("append did not advance the epoch")
+	}
+	epoch = c.Epoch()
+	if err := Merge(c, []Extraction{row("y")}); err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != 2 || c.Epoch() <= epoch {
+		t.Errorf("all-duplicate merge: %d rows, epoch %d -> %d", first.Len(), epoch, c.Epoch())
+	}
+
+	wide := Extraction{Table: "t", Cells: map[string]table.Value{"a": table.S("x"), "b": table.I(1)}}
+	if err := Merge(c, []Extraction{wide}); err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Schema) != 1 || first.Len() != 2 || len(first.Rows[0]) != 1 {
+		t.Errorf("widening edited the table the catalog held: schema %v, %d rows of %d cells",
+			first.Schema.Names(), first.Len(), len(first.Rows[0]))
+	}
+	if got, _ := c.Get("t"); got == first || len(got.Schema) != 2 || got.Len() != 3 {
+		t.Errorf("widened table: same pointer %v, schema %v, %d rows", got == first, got.Schema.Names(), got.Len())
+	}
+}
+
 func TestMergeMixedNumericWidensToFloat(t *testing.T) {
 	c := table.NewCatalog()
 	xs := []Extraction{

@@ -150,10 +150,10 @@ func persistTableStats(ts *TableStats) []persistStats {
 // they existed rebuild them) so planning reproduces the saved system's
 // estimates; zone maps and fragments are derived from the rows, so
 // pruning decisions cannot depend on what a file claims; rollups
-// re-materialize from their definitions. A later append-only Put of a
-// loaded table is incremental like any other, except that its
-// statistics rebuild once — the distinct runs they merge into are not
-// in the snapshot.
+// re-materialize from their definitions. A later Append to a loaded
+// table is incremental like any other, except that its statistics
+// rebuild once — the distinct runs they merge into are not in the
+// snapshot.
 func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 	var p persistCatalog
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
@@ -190,7 +190,7 @@ func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 			}
 			stored = ts
 		}
-		c.derive(t, stored)
+		c.derive(t, 0, stored)
 	}
 	for _, pr := range p.Rollups {
 		def := RollupDef{Name: pr.Name, Base: pr.Base, GroupBy: append([]string(nil), pr.GroupBy...)}

@@ -179,8 +179,8 @@ func TestStoredZonesCannotPrune(t *testing.T) {
 }
 
 // TestAppendAfterLoadStaysIncremental: a loaded table is registered
-// like any other, so the first append-only Put after a load shares the
-// sealed fragments and folds only the delta into the rollup — and still
+// like any other, so the first Append after a load shares the sealed
+// fragments and folds only the new rows into the rollup — and still
 // equals a fresh catalog's Put of the same rows.
 func TestAppendAfterLoadStaysIncremental(t *testing.T) {
 	c := NewCatalog()
@@ -202,13 +202,16 @@ func TestAppendAfterLoadStaysIncremental(t *testing.T) {
 	sealed := append([]*Batch(nil), loaded.FragsOf("sales").Batches[:2]...)
 	acc := loaded.entries["sales"].rollups[0].acc
 
+	var rows [][]Value
 	for i := 0; i < 5; i++ {
-		tb.MustAppend([]Value{S("Delta"), I(int64(9000 + i)), F(float64(i))})
+		rows = append(rows, []Value{S("Delta"), I(int64(9000 + i)), F(float64(i))})
 	}
-	loaded.Put(tb)
+	if err := loaded.Append("sales", rows); err != nil {
+		t.Fatal(err)
+	}
 	for i, b := range sealed {
 		if loaded.FragsOf("sales").Batches[i] != b {
-			t.Errorf("sealed batch %d reallocated by the first Put after a load", i)
+			t.Errorf("sealed batch %d reallocated by the first Append after a load", i)
 		}
 	}
 	if loaded.entries["sales"].rollups[0].acc != acc {

@@ -43,16 +43,16 @@ func (d RollupDef) String() string {
 
 // rollupState is the maintainer's retained state for one rollup, held
 // by the base table's catalog entry (and by the materialization's own).
-// Which base rows acc has folded is the base entry's row snapshot — the
-// rollup keeps no second copy. It is cache-shaped — derived from
-// base-table contents — so it carries the epoch its materialization was
-// registered at; staleness is structurally impossible because
-// maintenance runs synchronously inside Put, but the epoch lets
-// introspection (and the epochkey analyzer) verify that.
+// acc has folded every row of the base table, which only the catalog
+// changes. It is cache-shaped — derived from base-table contents — so
+// it carries the epoch its materialization was registered at; staleness
+// is structurally impossible because maintenance runs synchronously
+// inside Put and Append, but the epoch lets introspection (and the
+// epochkey analyzer) verify that.
 type rollupState struct {
 	def RollupDef
-	// acc is the live accumulator; folding only a Put's appended rows
-	// into it reproduces the from-scratch accumulation bit-for-bit
+	// acc is the live accumulator; folding only an Append's rows into
+	// it reproduces the from-scratch accumulation bit-for-bit
 	// (FuzzRollupMaintenance).
 	acc *aggAcc
 	// epoch is the catalog epoch at which the current materialization
@@ -95,9 +95,9 @@ func rollupFuncOK(f AggFunc) bool {
 // AddRollup validates def against the current catalog, materializes it
 // from the base table's rows, and registers the materialization as a
 // normal table (gaining statistics, zone maps and columnar fragments
-// like any other Put). From then on every Put of the base table
-// re-materializes it: incrementally when the Put is append-only, by
-// deterministic full rebuild otherwise.
+// like any other Put). From then on every change to the base table
+// re-materializes it: an Append folds the new rows into the retained
+// accumulator, a Put refolds from scratch, deterministically.
 func (c *Catalog) AddRollup(def RollupDef) error {
 	if def.Name == "" {
 		return errors.New("table: rollup needs a name")
@@ -123,7 +123,7 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 			return fmt.Errorf("table: rollup %s: %s is not distributive/algebraic", def.Name, a.Func)
 		}
 	}
-	outSchema := AggregateSchema(base.schema, def.GroupBy, def.Aggs)
+	outSchema := AggregateSchema(base.table.Schema, def.GroupBy, def.Aggs)
 	seen := make(map[string]bool, len(outSchema))
 	for _, col := range outSchema {
 		n := strings.ToLower(col.Name)
@@ -132,16 +132,13 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 		}
 		seen[n] = true
 	}
-	acc, err := newAggAcc(base.schema, def.GroupBy, def.Aggs, 0)
+	acc, err := newAggAcc(base.table.Schema, def.GroupBy, def.Aggs, 0)
 	if err != nil {
 		return fmt.Errorf("table: rollup %s: %w", def.Name, err)
 	}
-	// Fold the rows the base was registered with, not whatever the live
-	// table holds now: the base's next Put hands this rollup a verdict
-	// relative to that snapshot.
-	acc.fold(base.rows)
+	acc.fold(base.table.Rows)
 	rs := &rollupState{def: def, acc: acc}
-	mat, _ := c.derive(acc.emit(def.Name), nil)
+	mat := c.derive(acc.emit(def.Name), 0, nil)
 	mat.rollup, rs.epoch = rs, c.epoch
 	base.rollups = append(base.rollups, rs)
 	slices.SortFunc(base.rollups, func(a, b *rollupState) int {
@@ -151,30 +148,28 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 }
 
 // maintainRollups re-materializes, in sorted name order, every rollup
-// over the table just registered in e, under derive's verdict for it:
-// an unchanged prefix of k rows folds only the rows after it into the
-// retained accumulator; a rebuild refolds from scratch —
-// deterministically, and bit-identically to the incremental path. A
-// rebuild the new schema can no longer satisfy (a group or aggregate
-// column vanished) deregisters the rollup and drops its
-// materialization, advancing the epoch so cached plans that routed
-// onto it are invalidated.
-func (c *Catalog) maintainRollups(e *entry, k int) {
+// over e's table after derive ran on it from row from: each folds the
+// rows from that one on. Folding from row 0 starts over with an empty
+// accumulator made against the schema the table has now, which yields
+// the materialization an Append-grown accumulator holds bit for bit.
+// When the new schema can no longer satisfy a rollup (a group or
+// aggregate column vanished) the rollup is deregistered and its
+// materialization dropped, advancing the epoch so cached plans that
+// routed onto it are invalidated.
+func (c *Catalog) maintainRollups(e *entry, from int) {
 	kept := e.rollups[:0]
 	for _, rs := range e.rollups {
-		if k >= 0 {
-			rs.acc.fold(e.table.Rows[k:])
-		} else {
+		if from == 0 {
 			acc, err := newAggAcc(e.table.Schema, rs.def.GroupBy, rs.def.Aggs, len(rs.acc.order))
 			if err != nil {
 				delete(c.entries, strings.ToLower(rs.def.Name))
 				c.epoch++
 				continue
 			}
-			acc.fold(e.table.Rows)
 			rs.acc = acc
 		}
-		c.derive(rs.acc.emit(rs.def.Name), nil)
+		rs.acc.fold(e.table.Rows[from:])
+		c.derive(rs.acc.emit(rs.def.Name), 0, nil)
 		rs.epoch = c.epoch
 		kept = append(kept, rs)
 	}

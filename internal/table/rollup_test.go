@@ -136,17 +136,25 @@ func TestRollupIncrementalMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Append-only Put: the incremental fold must equal a fresh build.
-	base.MustAppend([]Value{S("north"), S("alpha"), F(300), I(7)})
-	base.MustAppend([]Value{S("east"), Null(TypeString), Null(TypeFloat), I(2)})
-	c.Put(base)
-	assertRollupFresh(t, c, base, def, "append-only maintenance")
+	// Append: the incremental fold into the retained accumulator must
+	// equal a fresh build.
+	acc := c.entries["sales"].rollups[0].acc
+	if err := c.Append("sales", [][]Value{
+		{S("north"), S("alpha"), F(300), I(7)},
+		{S("east"), Null(TypeString), Null(TypeFloat), I(2)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if c.entries["sales"].rollups[0].acc != acc {
+		t.Error("Append rebuilt the rollup accumulator instead of folding into it")
+	}
+	assertRollupFresh(t, c, base, def, "append maintenance")
 	epochAfterAppend := c.Epoch()
 
-	// In-place replacement: full-rebuild path, still equal.
-	row := append([]Value(nil), base.Rows[0]...)
-	row[2] = F(999)
-	base.Rows[0] = row
+	// Put of a rebuilt table with one row changed: refold from row 0,
+	// still equal.
+	base = base.Clone()
+	base.Rows[0][2] = F(999)
 	c.Put(base)
 	assertRollupFresh(t, c, base, def, "replacement rebuild")
 	if c.Epoch() <= epochAfterAppend {
@@ -231,8 +239,9 @@ func TestPutReclaimsRollupName(t *testing.T) {
 	if got := len(c.Rollups()); got != 0 {
 		t.Fatalf("rollups = %d after name reclaim, want 0", got)
 	}
-	base.MustAppend([]Value{S("south"), S("beta"), F(10), I(1)})
-	c.Put(base)
+	if err := c.Append("sales", [][]Value{{S("south"), S("beta"), F(10), I(1)}}); err != nil {
+		t.Fatal(err)
+	}
 	got, err := c.Get(def.Name)
 	if err != nil || got.Len() != 1 || !reflect.DeepEqual(got.Rows[0], []Value{I(42)}) {
 		t.Fatalf("reclaimed table overwritten: %v %v", got, err)
@@ -274,9 +283,10 @@ func TestRollupPersistRoundTrip(t *testing.T) {
 		t.Fatalf("rematerialization diverged:\n%v\nvs\n%v", got, want)
 	}
 	// Maintenance still runs on the loaded catalog.
+	if err := loaded.Append("sales", [][]Value{{S("south"), S("beta"), F(10), I(1)}}); err != nil {
+		t.Fatal(err)
+	}
 	lb, _ := loaded.Get("sales")
-	lb.MustAppend([]Value{S("south"), S("beta"), F(10), I(1)})
-	loaded.Put(lb)
 	assertRollupFresh(t, loaded, lb, def, "post-load maintenance")
 }
 
@@ -294,22 +304,16 @@ func TestParseAggFunc(t *testing.T) {
 
 // FuzzRollupMaintenance pins bit-equivalence between incrementally
 // maintained rollup materializations and a from-scratch aggregation of
-// the final rows, across random Put sequences: appends (the
-// incremental fold), in-place row replacements and wholesale table
-// rebuilds (the deterministic full-rebuild path), interleaved
-// arbitrarily — the rollup mirror of FuzzIncrementalStats.
+// the final rows, across the random Put/Append sequences of
+// drivePutAppend: appends (the incremental fold) and every shape of
+// replacement (the refold from row 0), interleaved arbitrarily — the
+// rollup mirror of FuzzIncrementalStats.
 func FuzzRollupMaintenance(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 251, 0, 9}, uint8(3))
+	f.Add([]byte{1, 2, 231, 3, 255, 4, 254, 5, 6, 240, 7}, uint8(0))
 	f.Add(bytes.Repeat([]byte{7, 130, 255, 0, 64, 65}, 120), uint8(1))
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
-		tb := New("fuzz", Schema{
-			{Name: "k", Type: TypeString},
-			{Name: "n", Type: TypeInt},
-			{Name: "f", Type: TypeFloat},
-		})
-		c := NewCatalog()
-		c.Put(tb)
 		def := RollupDef{
 			Name:    "fuzz_by_k",
 			Base:    "fuzz",
@@ -323,47 +327,8 @@ func FuzzRollupMaintenance(f *testing.F) {
 				{Func: AggCount, Col: "", As: "rows"},
 			},
 		}
-		if err := c.AddRollup(def); err != nil {
-			t.Fatal(err)
-		}
-		every := int(step%7) + 1
-		for i, b := range data {
-			switch {
-			case b < 230 || tb.Len() == 0:
-				k := S(fmt.Sprintf("v%d", b%23))
-				n := I(int64(int(b) - 100))
-				fv := F(float64(b) / 3)
-				if b%19 == 0 {
-					k = Null(TypeString)
-				}
-				if b%11 == 0 {
-					fv = Null(TypeFloat)
-				}
-				tb.MustAppend([]Value{k, n, fv})
-			case b < 243:
-				ri := int(b) % tb.Len()
-				row := append([]Value(nil), tb.Rows[ri]...)
-				row[1] = I(int64(b))
-				tb.Rows[ri] = row
-			default:
-				nt := New("fuzz", tb.Schema)
-				nt.Rows = append([][]Value(nil), tb.Rows...)
-				tb = nt
-			}
-			if (i+1)%every == 0 {
-				c.Put(tb)
-				mat, err := c.Get(def.Name)
-				if err != nil {
-					t.Fatalf("op %d: materialization missing: %v", i, err)
-				}
-				want, err := AggregateHint(tb, def.GroupBy, def.Aggs, 0)
-				if err != nil {
-					t.Fatalf("op %d: reference aggregation: %v", i, err)
-				}
-				if !reflect.DeepEqual(mat.Schema, want.Schema) || !reflect.DeepEqual(mat.Rows, want.Rows) {
-					t.Fatalf("op %d: maintained rollup diverges from full rebuild:\n%v\nvs\n%v", i, mat, want)
-				}
-			}
-		}
+		drivePutAppend(t, data, step, def, func(op int, c *Catalog, tb *Table) {
+			assertRollupFresh(t, c, tb, def, fmt.Sprintf("op %d", op))
+		})
 	})
 }

@@ -283,9 +283,10 @@ func (cs *ColStats) Selectivity(p Pred) (frac float64, ok bool) {
 }
 
 // Refutes reports whether the column statistics prove that no row can
-// satisfy p — the table-level analogue of ZoneCol.Refutes, using the
-// column's min/max bounds and (when kept) exact value counts. Only
-// sound proofs qualify: histogram interpolation never refutes.
+// satisfy p — the table-level analogue of ZoneCol.Refutes and the same
+// rule (refutes), over the column's min/max bounds and (when kept)
+// exact value counts. Only sound proofs qualify: histogram
+// interpolation never refutes.
 func (cs *ColStats) Refutes(p Pred) bool {
 	if cs == nil {
 		return false
@@ -296,40 +297,11 @@ func (cs *ColStats) Refutes(p Pred) bool {
 	if cs.Rows == 0 || cs.Rows == cs.Nulls {
 		return true // no non-null cell to satisfy anything
 	}
-	switch p.Op {
-	case OpEq:
-		if cs.Exact != nil {
-			n, _ := cs.EqCount(p.Val)
-			return n == 0
-		}
-		return Compare(p.Val, cs.Min) < 0 || Compare(p.Val, cs.Max) > 0
-	case OpNe:
-		if cs.Exact != nil {
-			return len(cs.Exact) == 1 && Equal(cs.Exact[0].Val, p.Val)
-		}
-		return Equal(cs.Min, cs.Max) && Equal(cs.Min, p.Val)
-	case OpLt:
-		return Compare(cs.Min, p.Val) >= 0
-	case OpLe:
-		return Compare(cs.Min, p.Val) > 0
-	case OpGt:
-		return Compare(cs.Max, p.Val) <= 0
-	case OpGe:
-		return Compare(cs.Max, p.Val) < 0
-	case OpContains:
-		if cs.Exact == nil {
-			return false
-		}
-		needle := strings.ToLower(p.Val.String())
-		for _, vc := range cs.Exact {
-			if strings.Contains(strings.ToLower(vc.Val.String()), needle) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
+	var vals func(int) Value
+	if cs.Exact != nil {
+		vals = func(i int) Value { return cs.Exact[i].Val }
 	}
+	return refutes(p, cs.Min, cs.Max, len(cs.Exact), vals)
 }
 
 // Refutes reports whether the statistics prove the predicate

@@ -119,11 +119,12 @@ func TestCatalogPutBuildsAndVersionsStats(t *testing.T) {
 	if ts.Epoch != c.Epoch() {
 		t.Errorf("stats epoch %d != catalog epoch %d", ts.Epoch, c.Epoch())
 	}
-	tb.MustAppend([]Value{S("Delta"), F(1), I(99)})
-	c.Put(tb)
+	if err := c.Append("sales", [][]Value{{S("Delta"), F(1), I(99)}}); err != nil {
+		t.Fatal(err)
+	}
 	ts2 := c.StatsOf("sales")
 	if ts2.Epoch != c.Epoch() || ts2 == ts {
-		t.Error("re-Put did not rebuild statistics at the new epoch")
+		t.Error("Append did not derive statistics at the new epoch")
 	}
 	if ts2.Col("product").NDV != 4 {
 		t.Errorf("rebuilt NDV = %d, want 4", ts2.Col("product").NDV)
@@ -141,7 +142,7 @@ func clearEpochs(ts *TableStats) *TableStats {
 	return &cp
 }
 
-// FuzzStats is the histogram-maintenance property test: any Put
+// FuzzStats is the histogram-maintenance property test: any Append
 // sequence arriving at the same final rows yields identical statistics
 // (determinism — the stats are a pure function of table content, which
 // is what makes parallel ingest stats-safe), and the structural
@@ -170,25 +171,23 @@ func FuzzStats(f *testing.F) {
 			_ = i
 		}
 
-		// One-shot build vs incremental re-Puts of growing prefixes
-		// (the ingest pattern: mutate in place, re-Put): final stats
-		// must be identical because they depend only on final rows.
+		// One-shot build vs Appends of the same rows in chunks (the
+		// ingest pattern): final stats must be identical because they
+		// depend only on final rows.
 		c := NewCatalog()
 		c.Put(tb)
 		oneShot := c.StatsOf("fuzz")
 
 		inc := NewCatalog()
+		inc.Put(New("fuzz", tb.Schema))
 		step := int(chunks%8) + 1
-		grow := New("fuzz", tb.Schema)
-		for i, row := range tb.Rows {
-			grow.Rows = append(grow.Rows, row)
-			if (i+1)%step == 0 {
-				inc.Put(grow)
+		for i := 0; i < len(tb.Rows); i += step {
+			if err := inc.Append("fuzz", tb.Rows[i:min(i+step, len(tb.Rows))]); err != nil {
+				t.Fatal(err)
 			}
 		}
-		inc.Put(grow)
 		if !reflect.DeepEqual(clearEpochs(oneShot), clearEpochs(inc.StatsOf("fuzz"))) {
-			t.Fatalf("incremental Put stats diverge from one-shot build:\n%+v\nvs\n%+v",
+			t.Fatalf("incremental Append stats diverge from one-shot build:\n%+v\nvs\n%+v",
 				oneShot, inc.StatsOf("fuzz"))
 		}
 

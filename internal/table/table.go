@@ -61,24 +61,31 @@ func New(name string, schema Schema) *Table {
 // Append adds a row after validating arity and types. NULLs of any
 // declared type are accepted in any column.
 func (t *Table) Append(row []Value) error {
-	if len(row) != len(t.Schema) {
-		return fmt.Errorf("%w: got %d values, want %d", ErrSchemaMismatch, len(row), len(t.Schema))
-	}
-	for i, v := range row {
-		if v.IsNull() {
-			continue
-		}
-		if v.Kind() != t.Schema[i].Type {
-			// Int is acceptable where float is declared.
-			if t.Schema[i].Type == TypeFloat && v.Kind() == TypeInt {
-				row[i] = F(v.Float())
-				continue
-			}
-			return fmt.Errorf("%w: column %s wants %v, got %v",
-				ErrSchemaMismatch, t.Schema[i].Name, t.Schema[i].Type, v.Kind())
-		}
+	if err := t.Schema.conform(row); err != nil {
+		return err
 	}
 	t.Rows = append(t.Rows, row)
+	return nil
+}
+
+// conform is the one row-admission rule: the row has the schema's arity
+// and every non-NULL cell its column's kind, an int cell in a float
+// column being widened in place.
+func (s Schema) conform(row []Value) error {
+	if len(row) != len(s) {
+		return fmt.Errorf("%w: got %d values, want %d", ErrSchemaMismatch, len(row), len(s))
+	}
+	for i, v := range row {
+		if v.IsNull() || v.Kind() == s[i].Type {
+			continue
+		}
+		// Int is acceptable where float is declared.
+		if s[i].Type != TypeFloat || v.Kind() != TypeInt {
+			return fmt.Errorf("%w: column %s wants %v, got %v",
+				ErrSchemaMismatch, s[i].Name, s[i].Type, v.Kind())
+		}
+		row[i] = F(v.Float())
+	}
 	return nil
 }
 
@@ -247,24 +254,22 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // fills it through one function (derive), so what the planning stack
 // reads beside a table — statistics, zone maps, columnar fragments,
 // rollup materializations — always comes from the same rows by the same
-// rule, whether the table arrived by Put, as a rollup's output or from
-// a snapshot.
+// rule, whether the table arrived by Put, grew by Append, is a rollup's
+// output or came from a snapshot. A table handed to the catalog is
+// read-only to its caller from then on: the catalog is told what
+// changes (Put replaces, Append extends), it never finds out.
 type Catalog struct {
 	entries map[string]*entry // by lower-cased table name
 	epoch   uint64
 }
 
-// entry is everything the catalog holds for one table. rows and schema
-// are an independent snapshot of the row-slice headers and schema the
-// derived fields were computed from; the next derive compares against
-// them to recognize an append.
+// entry is everything the catalog holds for one table: the table and
+// what derive computed from its rows.
 type entry struct {
-	table  *Table
-	rows   [][]Value
-	schema Schema
-	stats  *TableStats
+	table *Table
+	stats *TableStats
 	// runs are the per-column distinct runs stats derive from. They are
-	// not serialized, so they are nil after a load and the first derive
+	// not serialized, so they are nil after a load and the first Append
 	// after it rebuilds statistics (and nothing else) in full.
 	runs  [][]ValueCount
 	zones *Zones
@@ -281,20 +286,14 @@ func NewCatalog() *Catalog {
 }
 
 // Put registers a table, replacing any existing table of that name,
-// advances the catalog epoch, and refreshes everything derived from the
-// table: statistics (stamped with the new epoch), zone maps, columnar
-// fragments and the rollups over it. Callers that mutate a registered
-// table in place must re-Put it so epoch-keyed consumers (plan caches,
-// scan indexes) and the derived state observe the change.
+// advances the catalog epoch, and derives everything kept beside the
+// table from its first row on: statistics (stamped with the new epoch),
+// zone maps, columnar fragments and the rollups over it. Put always
+// means "replace", whatever pointer or rows it is handed.
 //
-// When the re-Put is append-only — the schema is unchanged and the
-// previously registered rows are the same row slices, with new rows
-// only appended (the engine never edits a row after Append, so
-// identical headers mean identical content) — the work is O(delta):
-// statistics merge only the appended rows, zone maps and fragments
-// re-derive only the open tail fragment, rollups fold only the appended
-// rows. Any other mutation rebuilds. Both paths yield bit-identical
-// results (FuzzIncrementalStats, FuzzRollupMaintenance).
+// From here on t is read-only to the caller: the catalog hands the same
+// pointer to every reader. Rows are added with Append; any other change
+// is made on a table of the caller's own, which is then Put.
 func (c *Catalog) Put(t *Table) {
 	if e := c.entries[strings.ToLower(t.Name)]; e != nil && e.rollup != nil {
 		// The caller is reclaiming a rollup's name for an ordinary
@@ -304,45 +303,67 @@ func (c *Catalog) Put(t *Table) {
 		base.rollups = slices.DeleteFunc(base.rollups, func(rs *rollupState) bool { return rs == e.rollup })
 		e.rollup = nil
 	}
-	e, k := c.derive(t, nil)
-	c.maintainRollups(e, k)
+	c.maintainRollups(c.derive(t, 0, nil), 0)
 }
 
-// rebuild is derive's verdict when the registered rows are not an
-// unchanged prefix of the new ones.
-const rebuild = -1
+// Append adds rows to the named table and advances the catalog epoch.
+// Every row is validated as Table.Append validates it (arity, then each
+// non-NULL cell's kind, an int widening into a float column) before
+// anything changes: one bad row and the table, the epoch and everything
+// derived are as they were. The work is O(len(rows)): statistics merge
+// only the new rows, zone maps and fragments re-derive only the open
+// tail fragment (sealed ones are shared), rollups fold only the new
+// rows — with results bit-identical to a Put of the final rows
+// (FuzzIncrementalStats, FuzzRollupMaintenance).
+//
+// The rows belong to the catalog afterwards; like a table handed to
+// Put, they are read-only to the caller. A rollup's materialization is
+// maintained by the catalog and cannot be appended to.
+func (c *Catalog) Append(name string, rows [][]Value) error {
+	e := c.entries[strings.ToLower(name)]
+	if e == nil {
+		return fmt.Errorf("%w: %s", ErrNoTable, name)
+	}
+	if e.rollup != nil {
+		return fmt.Errorf("table: %s is the materialization of rollup %s", name, e.rollup.def)
+	}
+	for _, row := range rows {
+		if err := e.table.Schema.conform(row); err != nil {
+			return err
+		}
+	}
+	from := len(e.table.Rows)
+	e.table.Rows = append(e.table.Rows, rows...)
+	c.maintainRollups(c.derive(e.table, from, nil), from)
+	return nil
+}
 
-// derive is the one registration path: base tables, rollup
+// derive is the one registration path: Put, Append, rollup
 // materializations and loaded tables (stored carries their serialized
-// statistics) all pass through it. It decides once whether t extends
-// what is registered — k ≥ 0 rows of unchanged prefix, or rebuild — and
-// derives every per-table artifact from row k on, a rebuild being the
-// same derivation from row 0 with nothing to share. The verdict is
-// returned for the caller to hand to the table's rollups.
-func (c *Catalog) derive(t *Table, stored *TableStats) (*entry, int) {
+// statistics) all pass through it. It is told the first row of t that
+// what the catalog already holds under t's name does not cover — 0 to
+// replace, the old row count to extend — and derives every per-table
+// artifact from that row on.
+func (c *Catalog) derive(t *Table, from int, stored *TableStats) *entry {
 	key := strings.ToLower(t.Name)
-	e, k := c.entries[key], rebuild
+	e := c.entries[key]
 	if e == nil {
 		e = &entry{}
 		c.entries[key] = e
-	} else if slices.Equal(e.schema, t.Schema) && rowsPrefixUnchanged(t.Rows, e.rows) {
-		k = len(e.rows)
 	}
 	switch {
 	case stored != nil:
 		e.stats, e.runs = stored, nil
-	case e.runs != nil && k > 0:
-		e.stats, e.runs = statsFrom(e.stats, e.runs, t, k)
-	default:
+	case e.runs == nil:
 		e.stats, e.runs = statsFrom(nil, nil, t, 0)
+	default:
+		e.stats, e.runs = statsFrom(e.stats, e.runs, t, from)
 	}
-	e.zones, e.frags = fragmentsFrom(e.zones, e.frags, t, max(k, 0))
+	e.zones, e.frags = fragmentsFrom(e.zones, e.frags, t, from)
 	e.table = t
-	e.rows = append([][]Value(nil), t.Rows...)
-	e.schema = append(Schema(nil), t.Schema...)
 	c.epoch++
 	e.stats.Epoch = c.epoch
-	return e, k
+	return e
 }
 
 // fragmentsFrom walks the FragmentRows grid of t once, from the
@@ -363,31 +384,6 @@ func fragmentsFrom(z *Zones, f *Frags, t *Table, from int) (*Zones, *Frags) {
 		nf.Batches = append(nf.Batches, BatchRange(t, start, end))
 	}
 	return nz, nf
-}
-
-// rowsPrefixUnchanged reports whether cur still starts with exactly
-// the row slices of prev: same count or more, with every prefix row
-// being the identical slice header (base pointer and length). Rows are
-// immutable once appended, so header identity implies content
-// identity; a replaced, truncated or widened row changes its header
-// and forces the full rebuild.
-func rowsPrefixUnchanged(cur, prev [][]Value) bool {
-	if len(cur) < len(prev) {
-		return false
-	}
-	for i, p := range prev {
-		if !sameRowSlice(cur[i], p) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameRowSlice(a, b []Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
 }
 
 // lookup returns the named table's record, or an empty one for an

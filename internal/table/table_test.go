@@ -150,6 +150,66 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
+// TestCatalogAppend pins Append's contract beside the bit-equivalence
+// suites: which calls it refuses, that a refused batch changes nothing
+// at all, and that accepted rows are admitted as Table.Append admits
+// them and reach the rollups over the table.
+func TestCatalogAppend(t *testing.T) {
+	c := NewCatalog()
+	base := rollupBase()
+	c.Put(base)
+	def := regionRollup()
+	if err := c.AddRollup(def); err != nil {
+		t.Fatal(err)
+	}
+	good := []Value{S("north"), S("alpha"), I(300), I(7)} // int into the float column
+
+	if err := c.Append("missing", [][]Value{good}); !errors.Is(err, ErrNoTable) {
+		t.Errorf("unknown table: %v, want ErrNoTable", err)
+	}
+	if err := c.Append(def.Name, [][]Value{{S("north"), F(1), I(1), F(1), F(1), F(1)}}); err == nil {
+		t.Error("appended to a rollup's materialization")
+	}
+
+	rows, epoch := base.Len(), c.Epoch()
+	stats, zones, frags := c.StatsOf("sales"), c.ZonesOf("sales"), c.FragsOf("sales")
+	mat, _ := c.Get(def.Name)
+	acc := c.entries["sales"].rollups[0].acc
+	for name, bad := range map[string][]Value{
+		"arity": {S("north"), S("alpha"), F(1)},
+		"kind":  {S("north"), S("alpha"), S("much"), I(1)},
+	} {
+		err := c.Append("sales", [][]Value{append([]Value(nil), good...), bad})
+		if !errors.Is(err, ErrSchemaMismatch) {
+			t.Errorf("%s: %v, want ErrSchemaMismatch", name, err)
+		}
+		if base.Len() != rows || c.Epoch() != epoch {
+			t.Fatalf("%s: refused batch left %d rows at epoch %d, want %d at %d", name, base.Len(), c.Epoch(), rows, epoch)
+		}
+		now, _ := c.Get(def.Name)
+		if c.StatsOf("sales") != stats || c.ZonesOf("sales") != zones || c.FragsOf("sales") != frags || now != mat {
+			t.Fatalf("%s: refused batch re-derived something", name)
+		}
+	}
+
+	if err := c.Append("SALES", [][]Value{good, {S("east"), Null(TypeString), Null(TypeFloat), I(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Get("sales"); got != base || base.Len() != rows+2 || c.Epoch() <= epoch {
+		t.Fatalf("append left %d rows at epoch %d (registered pointer kept: %v)", base.Len(), c.Epoch(), got == base)
+	}
+	if v := base.Rows[rows][2]; v.Kind() != TypeFloat || v.Float() != 300 {
+		t.Errorf("int cell in a float column stored as %+v", v)
+	}
+	if ts := c.StatsOf("sales"); ts.Rows != rows+2 || ts.Epoch <= epoch || ts.Col("region").NDV != 3 {
+		t.Errorf("statistics after append: %+v", ts)
+	}
+	if c.entries["sales"].rollups[0].acc != acc {
+		t.Error("Append rebuilt the rollup accumulator instead of folding the new rows into it")
+	}
+	assertRollupFresh(t, c, base, def, "append")
+}
+
 func TestSchemaColIndexCaseInsensitive(t *testing.T) {
 	s := Schema{{Name: "Revenue", Type: TypeFloat}}
 	if s.ColIndex("revenue") != 0 || s.ColIndex("REVENUE") != 0 {

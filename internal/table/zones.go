@@ -117,10 +117,7 @@ func (zm *ZoneMap) Col(name string) *ZoneCol {
 }
 
 // Refutes reports whether the zone proves that no row of the fragment
-// can satisfy p. The rules are sound with respect to Pred.Eval: NULL
-// cells (and NULL literals) never satisfy any comparison, bounds use
-// the same total Compare order Eval uses, and CONTAINS/equality tests
-// on exact value sets replay Eval's own matching.
+// can satisfy p, by the one refutation rule (refutes).
 func (zc *ZoneCol) Refutes(p Pred) bool {
 	if zc == nil {
 		return false
@@ -131,33 +128,55 @@ func (zc *ZoneCol) Refutes(p Pred) bool {
 	if zc.Min.IsNull() {
 		return true // every cell in the fragment is NULL
 	}
+	var vals func(int) Value
+	if zc.Exact {
+		vals = func(i int) Value { return zc.Vals[i] }
+	}
+	return refutes(p, zc.Min, zc.Max, len(zc.Vals), vals)
+}
+
+// refutes is the one refutation rule, shared by fragment zone maps
+// (ZoneCol) and table statistics (ColStats): whether a column summary —
+// the bounds lo ≤ hi of its non-null cells, of which there is at least
+// one, and, when vals is non-nil, its n distinct non-null values in
+// ascending order — proves that no cell satisfies p, whose literal is
+// not NULL. The rules are sound with respect to Pred.Eval: NULL cells
+// never satisfy any comparison, bounds use the same total Compare order
+// Eval uses, and CONTAINS/equality tests on exact value sets replay
+// Eval's own matching.
+func refutes(p Pred, lo, hi Value, n int, vals func(int) Value) bool {
 	switch p.Op {
 	case OpEq:
-		if zc.Exact {
-			return !zoneHas(zc.Vals, p.Val)
+		if vals == nil {
+			return Compare(p.Val, lo) < 0 || Compare(p.Val, hi) > 0
 		}
-		return Compare(p.Val, zc.Min) < 0 || Compare(p.Val, zc.Max) > 0
+		for i := range n {
+			if Equal(vals(i), p.Val) {
+				return false
+			}
+		}
+		return true
 	case OpNe:
 		// Refuted only when every non-null value equals the literal.
-		if zc.Exact {
-			return len(zc.Vals) == 1 && Equal(zc.Vals[0], p.Val)
+		if vals == nil {
+			return Equal(lo, hi) && Equal(lo, p.Val)
 		}
-		return Equal(zc.Min, zc.Max) && Equal(zc.Min, p.Val)
+		return n == 1 && Equal(vals(0), p.Val)
 	case OpLt:
-		return Compare(zc.Min, p.Val) >= 0
+		return Compare(lo, p.Val) >= 0
 	case OpLe:
-		return Compare(zc.Min, p.Val) > 0
+		return Compare(lo, p.Val) > 0
 	case OpGt:
-		return Compare(zc.Max, p.Val) <= 0
+		return Compare(hi, p.Val) <= 0
 	case OpGe:
-		return Compare(zc.Max, p.Val) < 0
+		return Compare(hi, p.Val) < 0
 	case OpContains:
-		if !zc.Exact {
+		if vals == nil {
 			return false // substring matching needs the value set
 		}
 		needle := strings.ToLower(p.Val.String())
-		for _, v := range zc.Vals {
-			if strings.Contains(strings.ToLower(v.String()), needle) {
+		for i := range n {
+			if strings.Contains(strings.ToLower(vals(i).String()), needle) {
 				return false
 			}
 		}
@@ -165,15 +184,6 @@ func (zc *ZoneCol) Refutes(p Pred) bool {
 	default:
 		return false
 	}
-}
-
-func zoneHas(vals []Value, v Value) bool {
-	for _, x := range vals {
-		if Equal(x, v) {
-			return true
-		}
-	}
-	return false
 }
 
 // Refutes reports whether the fragment's zone map proves the predicate

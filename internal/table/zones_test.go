@@ -230,11 +230,13 @@ func TestIntersectRanges(t *testing.T) {
 	}
 }
 
-// TestCatalogPutIncrementalBitEquivalence drives the append-only fast
-// path directly through Catalog.Put and pins everything the one derive
-// walk produces — statistics, zone maps, fragments, a rollup — to a
-// fresh catalog's, including across the fragment-seal boundary and
-// after an in-place mutation forces the slow path.
+// TestCatalogPutIncrementalBitEquivalence drives Catalog.Append and
+// Catalog.Put directly and pins everything the one derive walk produces
+// — statistics, zone maps, fragments, a rollup — to a fresh catalog's
+// Put of the same rows: appends across the fragment-seal boundary (which
+// must share the sealed batches), then every shape of replacement,
+// including a re-Put of the registered pointer after a cell of a
+// registered row was edited in place.
 func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 	tb := zonesFixture(FragmentRows - 5)
 	c := NewCatalog()
@@ -244,89 +246,165 @@ func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 	if err := c.AddRollup(def); err != nil {
 		t.Fatal(err)
 	}
-
-	// Appends crossing the fragment boundary, re-Put each batch.
-	for batch := 0; batch < 4; batch++ {
+	appendBatch := func(batch int, extra ...Value) {
+		t.Helper()
+		sealed := append([]*Batch(nil), c.FragsOf("sales").Batches[:tb.Len()/FragmentRows]...)
+		var rows [][]Value
 		for i := 0; i < 7; i++ {
-			tb.MustAppend([]Value{S("Delta"), I(int64(10000 + batch*10 + i)), F(float64(batch))})
+			rows = append(rows, append([]Value{S("Delta"), I(int64(10000 + batch*10 + i)), F(float64(batch))}, extra...))
 		}
-		c.Put(tb)
+		if err := c.Append("sales", rows); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range sealed {
+			if c.FragsOf("sales").Batches[i] != b {
+				t.Errorf("append batch %d: sealed batch %d reallocated", batch, i)
+			}
+		}
 		assertMatchesFresh(t, c, tb, def, fmt.Sprintf("append batch %d", batch))
 	}
 
-	// In-place mutation (replaced row slice) must fall back to the full
-	// rebuild and still agree.
-	tb.Rows[3] = append([]Value(nil), tb.Rows[3]...)
+	// Appends crossing the fragment boundary.
+	for batch := 0; batch < 4; batch++ {
+		appendBatch(batch)
+	}
+
+	// A cell of a registered row edited in place, same pointer re-Put:
+	// no row-slice header changed, and Put derives from row 0 all the
+	// same, so no statistic keeps refuting the new value.
 	tb.Rows[3][0] = S("Mutated")
 	c.Put(tb)
-	assertMatchesFresh(t, c, tb, def, "in-place mutation")
-
-	// Schema widening (extract.Merge's shape: new column, rows extended
-	// in place) must also fall back.
-	tb.Schema = append(tb.Schema, Column{Name: "extra", Type: TypeInt})
-	for i := range tb.Rows {
-		tb.Rows[i] = append(tb.Rows[i], Null(TypeInt))
+	if c.StatsOf("sales").Refutes([]Pred{{Col: "product", Op: OpEq, Val: S("Mutated")}}) {
+		t.Error("statistics refute a value the re-Put table holds")
 	}
+	assertMatchesFresh(t, c, tb, def, "in-place cell edit")
+
+	// A row slice replaced in the registered table, same pointer re-Put.
+	tb.Rows[5] = append([]Value(nil), tb.Rows[5]...)
+	tb.Rows[5][0] = S("Replaced")
+	c.Put(tb)
+	assertMatchesFresh(t, c, tb, def, "in-place row replacement")
+
+	// A rebuilt table object under the same name.
+	nt := New("sales", tb.Schema)
+	nt.Rows = append([][]Value(nil), tb.Rows[:FragmentRows+3]...)
+	tb = nt
+	c.Put(tb)
+	assertMatchesFresh(t, c, tb, def, "replaced by a rebuilt table")
+
+	// Schema widening (extract.Merge's shape: a wider table built aside,
+	// NULL backfill), then appends of the wider rows onto it.
+	wide := New("sales", append(tb.Schema[:len(tb.Schema):len(tb.Schema)], Column{Name: "extra", Type: TypeInt}))
+	for _, row := range tb.Rows {
+		wide.Rows = append(wide.Rows, append(row[:len(row):len(row)], Null(TypeInt)))
+	}
+	tb = wide
 	c.Put(tb)
 	assertMatchesFresh(t, c, tb, def, "schema widening")
+	appendBatch(4, I(1))
+}
+
+// drivePutAppend interprets fuzz bytes as an arbitrary sequence of
+// catalog registrations over one table with the rollup def on it and
+// calls check after every one. Rows queue up and reach the catalog
+// through Append; an op that changes anything else — a cell of a
+// registered row edited in place, a row slice replaced, the table
+// object rebuilt, the schema widened by a column — makes the next
+// registration a Put (the queued rows appended first). tb is the
+// pointer the catalog holds, so check sees the final rows in it.
+func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check func(op int, c *Catalog, tb *Table)) {
+	tb := New("fuzz", Schema{
+		{Name: "k", Type: TypeString},
+		{Name: "n", Type: TypeInt},
+		{Name: "f", Type: TypeFloat},
+	})
+	c := NewCatalog()
+	c.Put(tb)
+	if err := c.AddRollup(def); err != nil {
+		t.Fatal(err)
+	}
+	var queued [][]Value
+	replaced := false
+	every := int(step%7) + 1
+	for i, b := range data {
+		switch {
+		case b < 230 || tb.Len() == 0:
+			k := S(fmt.Sprintf("v%d", b%23))
+			n := I(int64(int(b) - 100))
+			fv := F(float64(b) / 3)
+			if b%19 == 0 {
+				k = Null(TypeString)
+			}
+			if b%11 == 0 {
+				fv = Null(TypeFloat)
+			}
+			row := []Value{k, n, fv}
+			for len(row) < len(tb.Schema) {
+				row = append(row, I(int64(b)))
+			}
+			queued = append(queued, row)
+		case b < 236:
+			// A cell of a registered row edited in place: same header.
+			tb.Rows[int(b)%tb.Len()][1] = I(int64(b))
+			replaced = true
+		case b < 243:
+			// In-place replacement: new row slice at an existing index.
+			ri := int(b) % tb.Len()
+			row := append([]Value(nil), tb.Rows[ri]...)
+			row[1] = I(int64(b))
+			tb.Rows[ri] = row
+			replaced = true
+		case b < 254 || len(tb.Schema) > 4:
+			// Rebuild the table object wholesale (same name, copied
+			// rows): the registered pointer and headers all change.
+			nt := New("fuzz", tb.Schema)
+			nt.Rows = append([][]Value(nil), tb.Rows...)
+			tb, replaced = nt, true
+		default:
+			// Widen the schema on a table built aside, NULL backfill.
+			nt := New("fuzz", append(tb.Schema[:len(tb.Schema):len(tb.Schema)],
+				Column{Name: fmt.Sprintf("x%d", len(tb.Schema)), Type: TypeInt}))
+			for _, row := range tb.Rows {
+				nt.Rows = append(nt.Rows, append(row[:len(row):len(row)], Null(TypeInt)))
+			}
+			for qi, row := range queued {
+				queued[qi] = append(row, Null(TypeInt))
+			}
+			tb, replaced = nt, true
+		}
+		if (i+1)%every != 0 {
+			continue
+		}
+		if replaced {
+			for _, row := range queued {
+				tb.MustAppend(row)
+			}
+			c.Put(tb)
+		} else if err := c.Append("fuzz", queued); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		queued, replaced = nil, false
+		check(i, c, tb)
+	}
 }
 
 // FuzzIncrementalStats pins bit-equivalence between the incremental
 // maintenance of everything derived from a table — statistics, zone
-// maps, fragments, a rollup — and the full rebuild across random Put
-// sequences: appends (the fast path), in-place row replacements and
-// re-Puts of rebuilt tables (the slow path), interleaved arbitrarily.
-// After every Put the catalog's state must equal a fresh catalog's Put
-// of the final rows.
+// maps, fragments, a rollup — and the derivation from row 0 across
+// random Put/Append sequences (drivePutAppend). After every
+// registration the catalog's state must equal a fresh catalog's Put of
+// the final rows.
 func FuzzIncrementalStats(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 251, 0, 9}, uint8(3))
+	f.Add([]byte{1, 2, 231, 3, 255, 4, 254, 5, 6, 240, 7}, uint8(0))
 	f.Add(bytes.Repeat([]byte{7, 130, 255, 0, 64, 65}, 120), uint8(1))
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
-		tb := New("fuzz", Schema{
-			{Name: "k", Type: TypeString},
-			{Name: "n", Type: TypeInt},
-			{Name: "f", Type: TypeFloat},
-		})
-		c := NewCatalog()
-		c.Put(tb)
 		def := RollupDef{Name: "fuzz_by_k", Base: "fuzz", GroupBy: []string{"k"},
 			Aggs: []Agg{{Func: AggSum, Col: "f"}, {Func: AggCount, As: "rows"}, {Func: AggMin, Col: "n"}}}
-		if err := c.AddRollup(def); err != nil {
-			t.Fatal(err)
-		}
-		every := int(step%7) + 1
-		for i, b := range data {
-			switch {
-			case b < 230 || tb.Len() == 0:
-				k := S(fmt.Sprintf("v%d", b%23))
-				n := I(int64(int(b) - 100))
-				fv := F(float64(b) / 3)
-				if b%19 == 0 {
-					k = Null(TypeString)
-				}
-				if b%11 == 0 {
-					fv = Null(TypeFloat)
-				}
-				tb.MustAppend([]Value{k, n, fv})
-			case b < 243:
-				// In-place replacement: new row slice at an existing index.
-				ri := int(b) % tb.Len()
-				row := append([]Value(nil), tb.Rows[ri]...)
-				row[1] = I(int64(b))
-				tb.Rows[ri] = row
-			default:
-				// Rebuild the table object wholesale (same name, copied
-				// rows): the registered headers all change.
-				nt := New("fuzz", tb.Schema)
-				nt.Rows = append([][]Value(nil), tb.Rows...)
-				tb = nt
-			}
-			if (i+1)%every == 0 {
-				c.Put(tb)
-				assertMatchesFresh(t, c, tb, def, fmt.Sprintf("op %d", i))
-			}
-		}
+		drivePutAppend(t, data, step, def, func(op int, c *Catalog, tb *Table) {
+			assertMatchesFresh(t, c, tb, def, fmt.Sprintf("op %d", op))
+		})
 	})
 }
 

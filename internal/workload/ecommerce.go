@@ -69,8 +69,6 @@ func ECommerce(opts ECommerceOptions) *Corpus {
 		{Name: "quarter", Type: table.TypeString},
 		{Name: "revenue", Type: table.TypeFloat},
 	})
-	cat.Put(productsTbl)
-	cat.Put(salesTbl)
 
 	reports := store.NewTextStore("reports")
 	reviews := store.NewTextStore("reviews")
@@ -213,11 +211,10 @@ func ECommerce(opts ECommerceOptions) *Corpus {
 			fmt.Sprintf("Rumors claimed sales rose %d%% last year.", 5+k))
 	}
 
-	// Re-register the fully-populated tables: the first Put (empty,
-	// schema registration) built statistics and zone maps over zero
-	// rows, and rows appended in place since are invisible to them.
-	// Stats must describe the final data — refutation proofs
-	// (emptyfold, zone pruning) act on them, not just estimates.
+	// Register the tables once they are fully populated: a table is
+	// read-only to its builder after Put, and statistics must describe
+	// the final data — refutation proofs (emptyfold, zone pruning) act
+	// on them, not just estimates.
 	cat.Put(productsTbl)
 	cat.Put(salesTbl)
 

@@ -53,7 +53,6 @@ func Healthcare(opts HealthcareOptions) *Corpus {
 		{Name: "efficacy_pct", Type: table.TypeFloat},
 		{Name: "enrolled", Type: table.TypeInt},
 	})
-	cat.Put(trials)
 
 	notes := store.NewTextStore("notes")
 	forums := store.NewTextStore("forums")
@@ -138,8 +137,9 @@ func Healthcare(opts HealthcareOptions) *Corpus {
 		panic(fmt.Sprintf("workload: xml fixture: %v", err)) // static fixture; cannot fail
 	}
 
-	// Re-register the populated trials table: the initial Put built
-	// statistics over zero rows, and refutation proofs act on stats.
+	// Register the trials table once it is populated: a table is
+	// read-only to its builder after Put, and refutation proofs act on
+	// the statistics Put derives.
 	cat.Put(trials)
 
 	c.Sources = store.NewMulti().

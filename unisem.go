@@ -475,8 +475,8 @@ func (s *System) DescribeTable(name string) (string, error) {
 // AddRollup registers a materialized rollup on a *built* system: a
 // grouped aggregation over a base table the optimizer transparently
 // routes matching aggregate queries onto, maintained incrementally on
-// append-only ingest and rebuilt deterministically on any other
-// mutation. Routed results are bit-identical to unrouted execution.
+// ingest (Catalog.Append) and rebuilt deterministically when its base
+// table is replaced. Routed results are bit-identical to unrouted execution.
 func (s *System) AddRollup(def table.RollupDef) error {
 	if !s.built {
 		return ErrNotBuilt
