@@ -9,9 +9,9 @@
 // benchmarks) also emit a "<name>|rows_scanned" entry, benchmarks
 // reporting q_error_max (the estimate-accuracy harness) emit a
 // "<name>|q_error_max" entry, and -benchmem runs emit a
-// "<name>|allocs_op" entry per benchmark (gated with the regular
-// tolerance but never machine-normalized — allocation counts do not
-// scale with machine speed).
+// "<name>|allocs_op" and a "<name>|bytes_op" entry per benchmark (gated
+// with the regular tolerance but never machine-normalized — allocation
+// counts and sizes do not scale with machine speed).
 //
 // Compare mode — fail (exit 1) when any benchmark present in both
 // files regressed by more than -tolerance (fraction, default 0.25):
@@ -57,19 +57,36 @@ type Report map[string]float64
 
 // scannedSuffix and qErrorSuffix mark machine-independent entries
 // (scanned rows, estimate-accuracy q-error), which compare exactly
-// (no normalization, zero tolerance). allocsSuffix entries (-benchmem
-// allocs/op) are machine-speed-independent too — they gate with the
-// regular tolerance (allocation counts can shift slightly across Go
-// releases) but are never normalized by the machine factor.
+// (no normalization, zero tolerance). allocsSuffix and bytesSuffix
+// entries (-benchmem allocs/op and B/op) are machine-speed-independent
+// too — they gate with the regular tolerance (allocation counts and
+// sizes can shift slightly across Go releases) but are never normalized
+// by the machine factor.
 const (
 	scannedSuffix = "|rows_scanned"
 	qErrorSuffix  = "|q_error_max"
 	allocsSuffix  = "|allocs_op"
+	bytesSuffix   = "|bytes_op"
 )
+
+// entrySuffix maps each unit of a bench line that becomes an entry to
+// the suffix of that entry's name.
+var entrySuffix = map[string]string{
+	"ns/op":           "",
+	"rows_scanned/op": scannedSuffix,
+	"q_error_max":     qErrorSuffix,
+	"allocs/op":       allocsSuffix,
+	"B/op":            bytesSuffix,
+}
 
 // exactEntry reports whether the named entry gates exactly.
 func exactEntry(name string) bool {
 	return strings.HasSuffix(name, scannedSuffix) || strings.HasSuffix(name, qErrorSuffix)
+}
+
+// memEntry reports whether the named entry is a -benchmem figure.
+func memEntry(name string) bool {
+	return strings.HasSuffix(name, allocsSuffix) || strings.HasSuffix(name, bytesSuffix)
 }
 
 func main() {
@@ -156,32 +173,15 @@ func ParseBench(r io.Reader) (Report, error) {
 			}
 		}
 		for i := 2; i+1 < len(fields); i++ {
-			switch fields[i+1] {
-			case "ns/op":
-				ns, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
-				}
-				report[name] = ns
-			case "rows_scanned/op":
-				rows, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad rows_scanned/op in %q: %w", sc.Text(), err)
-				}
-				report[name+scannedSuffix] = rows
-			case "q_error_max":
-				q, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad q_error_max in %q: %w", sc.Text(), err)
-				}
-				report[name+qErrorSuffix] = q
-			case "allocs/op":
-				a, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad allocs/op in %q: %w", sc.Text(), err)
-				}
-				report[name+allocsSuffix] = a
+			suffix, ok := entrySuffix[fields[i+1]]
+			if !ok {
+				continue
 			}
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad %s in %q: %w", fields[i+1], sc.Text(), err)
+			}
+			report[name+suffix] = v
 		}
 	}
 	return report, sc.Err()
@@ -215,7 +215,7 @@ func Compare(baseline, current Report, tolerance float64, normalize bool) (lines
 	if normalize {
 		logSum, n := 0.0, 0
 		for _, name := range names {
-			if exactEntry(name) || strings.HasSuffix(name, allocsSuffix) {
+			if exactEntry(name) || memEntry(name) {
 				continue // machine-independent: never normalized
 			}
 			if cur, found := current[name]; found && baseline[name] > 0 && cur > 0 {
@@ -233,15 +233,7 @@ func Compare(baseline, current Report, tolerance float64, normalize bool) (lines
 		base := baseline[name]
 		cur, found := current[name]
 		exact := exactEntry(name)
-		unit := "ns/op"
-		switch {
-		case strings.HasSuffix(name, scannedSuffix):
-			unit = "rows"
-		case strings.HasSuffix(name, qErrorSuffix):
-			unit = "q"
-		case strings.HasSuffix(name, allocsSuffix):
-			unit = "allocs"
-		}
+		unit := unitOf(name)
 		if !found {
 			lines = append(lines, fmt.Sprintf("MISSING  %-44s baseline %s %s, absent from current run", name, fmtVal(name, base), unit))
 			ok = false
@@ -249,12 +241,12 @@ func Compare(baseline, current Report, tolerance float64, normalize bool) (lines
 		}
 		// Exact entries are deterministic: compare raw values with zero
 		// tolerance, so any pushdown or cost-model regression fails the
-		// job. allocs/op keeps the tolerance (Go releases shift counts a
-		// little) but never the machine-speed normalization.
+		// job. allocs/op and B/op keep the tolerance (Go releases shift
+		// them a little) but never the machine-speed normalization.
 		tol, adjusted := tolerance, cur/scale
 		if exact {
 			tol, adjusted = 0, cur
-		} else if strings.HasSuffix(name, allocsSuffix) {
+		} else if memEntry(name) {
 			adjusted = cur
 		}
 		delta := (adjusted - base) / base
@@ -281,9 +273,24 @@ func Compare(baseline, current Report, tolerance float64, normalize bool) (lines
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		lines = append(lines, fmt.Sprintf("NEW      %-44s %12.0f ns/op (no baseline)", name, current[name]))
+		lines = append(lines, fmt.Sprintf("NEW      %-44s %12s %s (no baseline)", name, fmtVal(name, current[name]), unitOf(name)))
 	}
 	return lines, ok
+}
+
+// unitOf names the unit of an entry's value in a verdict line.
+func unitOf(name string) string {
+	switch {
+	case strings.HasSuffix(name, scannedSuffix):
+		return "rows"
+	case strings.HasSuffix(name, qErrorSuffix):
+		return "q"
+	case strings.HasSuffix(name, allocsSuffix):
+		return "allocs"
+	case strings.HasSuffix(name, bytesSuffix):
+		return "B/op"
+	}
+	return "ns/op"
 }
 
 // fmtVal renders an entry value: q-error metrics keep their decimals,

@@ -14,6 +14,7 @@ BenchmarkParallelIngest         	      20	  55000000 ns/op	       870.0 docs/s
 BenchmarkAnswerAll-8            	     100	   1265000 ns/op	       790.0 q/s
 BenchmarkFederatedFilteredAggregate-8   	  500000	      2700 ns/op	         3.000 rows_scanned/op
 BenchmarkEstimateAccuracy-8             	      30	   1500000 ns/op	         1.667 q_error_max	     17000 q/s
+BenchmarkGraphReadJSON-8                	      40	  41000000 ns/op	        65.00 MB/s	21600000 B/op	   21654 allocs/op
 PASS
 ok  	repro	4.2s
 `
@@ -31,6 +32,9 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkFederatedFilteredAggregate|rows_scanned": 3,
 		"BenchmarkEstimateAccuracy":                        1500000,
 		"BenchmarkEstimateAccuracy|q_error_max":            1.667,
+		"BenchmarkGraphReadJSON":                           41000000,
+		"BenchmarkGraphReadJSON|bytes_op":                  21600000,
+		"BenchmarkGraphReadJSON|allocs_op":                 21654,
 	}
 	if len(r) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(r), len(want), r)
@@ -148,5 +152,27 @@ func TestCompareQErrorGateExactly(t *testing.T) {
 	// Tighter estimates pass; normalization never applies.
 	if lines, ok := Compare(baseline, Report{"A": 200, "A|q_error_max": 1.5}, 0.25, true); !ok {
 		t.Errorf("q-error improvement should pass under normalization:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// TestCompareBytesGateUnnormalized pins the B/op gate: like allocs/op
+// it keeps the tolerance and is never divided by the machine factor, so
+// a run that is uniformly slower cannot carry a heap regression through,
+// and a uniformly faster one does not turn steady bytes into one.
+func TestCompareBytesGateUnnormalized(t *testing.T) {
+	baseline := Report{"A": 100, "B": 100, "A|bytes_op": 1000, "A|allocs_op": 10}
+
+	if lines, ok := Compare(baseline, Report{"A": 100, "B": 100, "A|bytes_op": 1240, "A|allocs_op": 10}, 0.25, false); !ok {
+		t.Errorf("24%% more bytes should pass at 25%% tolerance:\n%s", strings.Join(lines, "\n"))
+	}
+	lines, ok := Compare(baseline, Report{"A": 200, "B": 200, "A|bytes_op": 1300, "A|allocs_op": 10}, 0.25, true)
+	if ok || !strings.Contains(strings.Join(lines, "\n"), "REGRESSED A|bytes_op") {
+		t.Errorf("30%% more bytes on a 2x slower machine should fail:\n%s", strings.Join(lines, "\n"))
+	}
+	if lines, ok := Compare(baseline, Report{"A": 50, "B": 50, "A|bytes_op": 1000, "A|allocs_op": 10}, 0.25, true); !ok {
+		t.Errorf("unchanged bytes on a 2x faster machine should pass:\n%s", strings.Join(lines, "\n"))
+	}
+	if lines, ok := Compare(baseline, Report{"A": 100, "B": 100, "A|bytes_op": 600, "A|allocs_op": 10}, 0.25, false); !ok {
+		t.Errorf("fewer bytes should pass:\n%s", strings.Join(lines, "\n"))
 	}
 }

@@ -46,11 +46,11 @@ func (v *View) PageRank(opts PageRankOptions) []float64 {
 	outWeight := make([]float64, n)
 	ws := make([]float64, len(v.src))
 	for i, vx := range v.verts {
-		for _, e := range vx.out[:v.outOff[i+1]-v.outOff[i]] {
-			outWeight[i] += e.Weight
+		for _, h := range vx.out[:v.outOff[i+1]-v.outOff[i]] {
+			outWeight[i] += h.w
 		}
-		for j, e := range vx.in[:v.inOff[i+1]-v.inOff[i]] {
-			ws[int(v.inOff[i])+j] = e.Weight
+		for j, h := range vx.in[:v.inOff[i+1]-v.inOff[i]] {
+			ws[int(v.inOff[i])+j] = h.w
 		}
 	}
 

@@ -17,13 +17,14 @@ func (g *Graph) WriteDOT(w io.Writer, maxNodes int) error {
 		return err
 	}
 	fmt.Fprintln(w, `  rankdir=LR; node [fontsize=10];`)
-	included := make(map[string]bool)
-	count := 0
-	for _, id := range g.NodeIDs() {
-		if maxNodes > 0 && count >= maxNodes {
-			break
-		}
-		n := g.vs[id].node
+	ids := g.NodeIDs()
+	if maxNodes > 0 && len(ids) > maxNodes {
+		ids = ids[:maxNodes]
+	}
+	included := make([]bool, len(g.verts)) // by vertex number
+	for _, id := range ids {
+		v := g.vs[id]
+		n := v.node
 		shape := "ellipse"
 		switch n.Type {
 		case NodeChunk:
@@ -40,18 +41,14 @@ func (g *Graph) WriteDOT(w io.Writer, maxNodes int) error {
 			label = label[:32] + "…"
 		}
 		fmt.Fprintf(w, "  %q [shape=%s,label=%q];\n", id, shape, label)
-		included[id] = true
-		count++
+		included[v.num] = true
 	}
-	for _, id := range g.NodeIDs() {
-		if !included[id] {
-			continue
-		}
-		for _, e := range g.vs[id].out {
-			if !included[e.To] {
+	for _, id := range ids {
+		for _, h := range g.vs[id].out {
+			if !included[h.nb] {
 				continue
 			}
-			fmt.Fprintf(w, "  %q -> %q [label=%q,fontsize=8];\n", e.From, e.To, string(e.Type))
+			fmt.Fprintf(w, "  %q -> %q [label=%q,fontsize=8];\n", id, g.verts[h.nb].node.ID, string(g.types[h.typ]))
 		}
 	}
 	_, err := fmt.Fprintln(w, "}")

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -39,6 +41,24 @@ const (
 	EdgeNextTo   EdgeType = "next"     // chunk -> following chunk
 	EdgePartOf   EdgeType = "part_of"  // chunk -> doc
 )
+
+// declared is the one table of the edge types above: a type's position
+// is its code, in every graph's type table and in a View. Code 0 is the
+// empty type; a View also gives it to every type that is not here.
+var declared = [...]EdgeType{"", EdgeMentions, EdgeRelates, EdgeCueArg, EdgeCueIn, EdgeNextTo, EdgePartOf}
+
+// edgeCodes is the number of edge-type codes a View tells apart.
+const edgeCodes = uint8(len(declared))
+
+// edgeCode returns t's position in declared, 0 for any other type.
+func edgeCode(t EdgeType) uint8 {
+	for c := uint8(1); c < edgeCodes; c++ {
+		if declared[c] == t {
+			return c
+		}
+	}
+	return 0
+}
 
 // Node is a graph vertex. The fields after Label are its payload, each
 // set on the node types that have it and empty on the rest: a chunk has
@@ -70,21 +90,39 @@ var (
 	ErrNodeExists   = errors.New("graph: node already exists")
 	ErrNodeNotFound = errors.New("graph: node not found")
 	ErrBadEdge      = errors.New("graph: edge endpoint missing")
+	// ErrEdgeTypes is returned for an edge whose type would be the 257th
+	// distinct one in its graph: a half-edge has one byte for the type.
+	ErrEdgeTypes = errors.New("graph: too many distinct edge types")
 )
+
+// half is one end of an edge as the vertex at that end stores it: the
+// vertex at the other end by number and the type as a code into the
+// graph's type table. An Edge spells both endpoints and the type as
+// strings, 56 bytes against these 16, and every edge is stored twice.
+type half struct {
+	w   float64
+	nb  int32
+	typ uint8
+}
 
 // vertex packs a node with its adjacency so one map lookup reaches
 // both; edge insertion — the hottest build operation — touches exactly
 // two vertices instead of six map slots.
 type vertex struct {
 	node *Node
-	out  []Edge // adjacency by source
-	in   []Edge // reverse adjacency by target
+	out  []half // adjacency by source: nb is the target
+	in   []half // reverse adjacency by target: nb is the source
+	num  int32  // position in Graph.verts
 }
 
 // Graph is an in-memory heterogeneous property graph. It is not safe
 // for concurrent mutation; build once, then read from any goroutine.
 type Graph struct {
 	vs    map[string]*vertex
+	verts []*vertex // by vertex number: insertion order
+	// types is the edge type of each half-edge code: declared, then any
+	// other type in the order edges first used it.
+	types []EdgeType
 	edges int
 	// Running index statistics, kept by every insertion so that reading
 	// them never walks the graph. Nodes are immutable once inserted.
@@ -94,14 +132,18 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{vs: make(map[string]*vertex), byType: make(map[NodeType]int)}
+	// types has no spare capacity, so the first append copies it and
+	// declared itself is never written.
+	return &Graph{vs: make(map[string]*vertex), types: declared[:], byType: make(map[NodeType]int)}
 }
 
 // insert stores a new vertex for a copy of n, accounts for it and
 // returns the copy. Taking n by value keeps the allocation here, off the
 // path where EnsureNode finds the node present.
 func (g *Graph) insert(n Node) *Node {
-	g.vs[n.ID] = &vertex{node: &n}
+	v := &vertex{node: &n, num: int32(len(g.verts))}
+	g.vs[n.ID] = v
+	g.verts = append(g.verts, v)
 	g.account(&n)
 	return &n
 }
@@ -118,7 +160,22 @@ func (g *Graph) account(n *Node) {
 }
 
 // edgeSize is an edge record's share of SizeBytes.
-func edgeSize(e Edge) int64 { return int64(len(e.From) + len(e.To) + len(e.Type) + 8) }
+func edgeSize(from, to string, t EdgeType) int64 { return int64(len(from) + len(to) + len(t) + 8) }
+
+// typeCode returns t's code in the graph's type table, giving a type
+// the graph has not seen the next free one.
+func (g *Graph) typeCode(t EdgeType) (uint8, error) {
+	for c, known := range g.types {
+		if known == t {
+			return uint8(c), nil
+		}
+	}
+	if len(g.types) > math.MaxUint8 {
+		return 0, fmt.Errorf("%w: %q", ErrEdgeTypes, t)
+	}
+	g.types = append(g.types, t)
+	return uint8(len(g.types) - 1), nil
+}
 
 // AddNode inserts a node. It returns ErrNodeExists if the id is taken.
 func (g *Graph) AddNode(n Node) error {
@@ -154,23 +211,33 @@ func (g *Graph) Node(id string) *Node {
 // HasNode reports whether id is present.
 func (g *Graph) HasNode(id string) bool { _, ok := g.vs[id]; return ok }
 
-// AddEdge inserts a directed edge. Both endpoints must exist.
-func (g *Graph) AddEdge(e Edge) error {
-	from, ok := g.vs[e.From]
-	if !ok {
-		return fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
+// resolve looks up what an insertion of e needs — both endpoints, which
+// must exist, and the type's code — and makes the default weight
+// explicit. On an error the graph is as it was.
+func (g *Graph) resolve(e *Edge) (from, to *vertex, typ uint8, err error) {
+	from, to = g.vs[e.From], g.vs[e.To]
+	if from == nil || to == nil {
+		return nil, nil, 0, fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
 	}
-	to, ok := g.vs[e.To]
-	if !ok {
-		return fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
+	if typ, err = g.typeCode(e.Type); err != nil {
+		return nil, nil, 0, err
 	}
 	if e.Weight == 0 {
 		e.Weight = 1
 	}
-	from.out = appendEdge(from.out, e)
-	to.in = appendEdge(to.in, e)
+	return from, to, typ, nil
+}
+
+// AddEdge inserts a directed edge. Both endpoints must exist.
+func (g *Graph) AddEdge(e Edge) error {
+	from, to, typ, err := g.resolve(&e)
+	if err != nil {
+		return err
+	}
+	from.out = append(from.out, half{w: e.Weight, nb: to.num, typ: typ})
+	to.in = append(to.in, half{w: e.Weight, nb: from.num, typ: typ})
 	g.edges++
-	g.size += edgeSize(e)
+	g.size += edgeSize(e.From, e.To, e.Type)
 	return nil
 }
 
@@ -178,34 +245,18 @@ func (g *Graph) AddEdge(e Edge) error {
 // endpoint once, not once per direction — this is the hottest write in
 // index construction.
 func (g *Graph) AddUndirected(e Edge) error {
-	from, ok := g.vs[e.From]
-	if !ok {
-		return fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
+	from, to, typ, err := g.resolve(&e)
+	if err != nil {
+		return err
 	}
-	to, ok := g.vs[e.To]
-	if !ok {
-		return fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
-	}
-	if e.Weight == 0 {
-		e.Weight = 1
-	}
-	rev := Edge{From: e.To, To: e.From, Type: e.Type, Weight: e.Weight}
-	from.out = appendEdge(from.out, e)
-	to.in = appendEdge(to.in, e)
-	to.out = appendEdge(to.out, rev)
-	from.in = appendEdge(from.in, rev)
+	fwd, rev := half{w: e.Weight, nb: to.num, typ: typ}, half{w: e.Weight, nb: from.num, typ: typ}
+	from.out = append(from.out, fwd)
+	to.in = append(to.in, rev)
+	to.out = append(to.out, rev)
+	from.in = append(from.in, fwd)
 	g.edges += 2
-	g.size += 2 * edgeSize(e)
+	g.size += 2 * edgeSize(e.From, e.To, e.Type)
 	return nil
-}
-
-// appendEdge grows an adjacency list, seeding fresh lists with room for
-// a typical node's degree so the first few inserts do not reallocate.
-func appendEdge(es []Edge, e Edge) []Edge {
-	if es == nil {
-		es = make([]Edge, 0, 4)
-	}
-	return append(es, e)
 }
 
 // Reserve grows id's adjacency capacity ahead of a known burst of edge
@@ -217,62 +268,86 @@ func (g *Graph) Reserve(id string, out, in int) {
 		return
 	}
 	if need := len(v.out) + out; need > cap(v.out) {
-		ns := make([]Edge, len(v.out), need)
+		ns := make([]half, len(v.out), need)
 		copy(ns, v.out)
 		v.out = ns
 	}
 	if need := len(v.in) + in; need > cap(v.in) {
-		ns := make([]Edge, len(v.in), need)
+		ns := make([]half, len(v.in), need)
 		copy(ns, v.in)
 		v.in = ns
 	}
 }
 
-// Out returns the outgoing edges of id (shared slice; do not mutate).
+// Out returns the outgoing edges of id in insertion order. The slice is
+// built for the caller, who may keep and change it: the graph stores no
+// Edge.
 func (g *Graph) Out(id string) []Edge {
 	v, ok := g.vs[id]
-	if !ok {
+	if !ok || len(v.out) == 0 {
 		return nil
 	}
-	return v.out
+	es := make([]Edge, len(v.out))
+	for i, h := range v.out {
+		es[i] = Edge{From: id, To: g.verts[h.nb].node.ID, Type: g.types[h.typ], Weight: h.w}
+	}
+	return es
 }
 
-// In returns the incoming edges of id (shared slice; do not mutate).
+// In returns the incoming edges of id in insertion order; like Out's,
+// the slice is the caller's own.
 func (g *Graph) In(id string) []Edge {
 	v, ok := g.vs[id]
-	if !ok {
+	if !ok || len(v.in) == 0 {
 		return nil
 	}
-	return v.in
+	es := make([]Edge, len(v.in))
+	for i, h := range v.in {
+		es[i] = Edge{From: g.verts[h.nb].node.ID, To: id, Type: g.types[h.typ], Weight: h.w}
+	}
+	return es
+}
+
+// HasEdge reports whether an edge of type t runs from one node to the
+// other.
+func (g *Graph) HasEdge(from, to string, t EdgeType) bool {
+	src, dst := g.vs[from], g.vs[to]
+	if src == nil || dst == nil {
+		return false
+	}
+	for _, h := range src.out {
+		if h.nb == dst.num && g.types[h.typ] == t {
+			return true
+		}
+	}
+	return false
 }
 
 // Neighbors returns the distinct node ids reachable over one outgoing
 // edge, optionally filtered to the given edge types (nil = all).
 func (g *Graph) Neighbors(id string, types ...EdgeType) []string {
-	var filter map[EdgeType]bool
-	if len(types) > 0 {
-		filter = make(map[EdgeType]bool, len(types))
-		for _, t := range types {
-			filter[t] = true
-		}
+	v, ok := g.vs[id]
+	if !ok {
+		return nil
 	}
-	seen := make(map[string]bool)
 	var out []string
-	for _, e := range g.Out(id) {
-		if filter != nil && !filter[e.Type] {
-			continue
-		}
-		if !seen[e.To] {
-			seen[e.To] = true
-			out = append(out, e.To)
+	for _, h := range v.out {
+		if len(types) == 0 || slices.Contains(types, g.types[h.typ]) {
+			out = append(out, g.verts[h.nb].node.ID)
 		}
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Degree returns the out-degree of id.
-func (g *Graph) Degree(id string) int { return len(g.Out(id)) }
+func (g *Graph) Degree(id string) int {
+	v, ok := g.vs[id]
+	if !ok {
+		return 0
+	}
+	return len(v.out)
+}
 
 // NodeCount returns the number of nodes.
 func (g *Graph) NodeCount() int { return len(g.vs) }
@@ -308,6 +383,9 @@ func (g *Graph) CountByType() map[NodeType]int {
 	return maps.Clone(g.byType)
 }
 
-// SizeBytes estimates the resident size of the index: node labels and
-// payload plus edge records. Used by experiment E1 (index size).
+// SizeBytes is the logical size of the index, the figure experiment E1
+// reports: the bytes of each node's id, label and payload strings plus
+// 16 per node and per payload field, and of each edge's endpoint ids and
+// type plus 8 for the weight. It says how much the index holds, not how
+// many bytes of heap hold it.
 func (g *Graph) SizeBytes() int64 { return g.size }

@@ -219,17 +219,16 @@ func (g *Graph) referencePageRank(opts PageRankOptions) map[string]float64 {
 	outWeight := make([]float64, n)
 	offs := make([]int, n+1)
 	for i, id := range ids {
-		v := g.vs[id]
-		for _, e := range v.out {
+		for _, e := range g.Out(id) {
 			outWeight[i] += e.Weight
 		}
-		offs[i+1] = offs[i] + len(v.in)
+		offs[i+1] = offs[i] + len(g.In(id))
 	}
 	srcs := make([]int32, offs[n])
 	ws := make([]float64, offs[n])
 	for i, id := range ids {
 		base := offs[i]
-		for j, e := range g.vs[id].in {
+		for j, e := range g.In(id) {
 			srcs[base+j] = int32(idx[e.From])
 			ws[base+j] = e.Weight
 		}

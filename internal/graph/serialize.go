@@ -44,7 +44,7 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	ids := g.NodeIDs()
 	var (
 		buf []byte // one record, reused
-		out []Edge // one vertex's edges when they need sorting, reused
+		out []half // one vertex's edges when they need sorting, reused
 	)
 	bw.WriteString(`{"nodes":[`)
 	for i, id := range ids {
@@ -82,29 +82,30 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	} else {
 		sep := byte('[')
 		for _, id := range ids {
-			// Every edge of v.out has From == id, so visiting vertices in
+			// Every edge of v.out runs from id, so visiting vertices in
 			// id order and each one's edges in (to, type) order is the
 			// global (from, to, type) order.
-			es := g.vs[id].out
-			if !slices.IsSortedFunc(es, compareTarget) {
-				out = append(out[:0], es...)
-				slices.SortStableFunc(out, compareTarget)
-				es = out
+			hs := g.vs[id].out
+			if !slices.IsSortedFunc(hs, g.compareTarget) {
+				out = append(out[:0], hs...)
+				slices.SortStableFunc(out, g.compareTarget)
+				hs = out
 			}
-			for _, e := range es {
-				if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
-					return fmt.Errorf("graph: encode: edge %s -> %s: unsupported weight %v", e.From, e.To, e.Weight)
+			for _, h := range hs {
+				to := g.verts[h.nb].node.ID
+				if math.IsNaN(h.w) || math.IsInf(h.w, 0) {
+					return fmt.Errorf("graph: encode: edge %s -> %s: unsupported weight %v", id, to, h.w)
 				}
 				buf = append(buf[:0], sep)
 				sep = ','
 				buf = append(buf, `{"from":`...)
-				buf = appendString(buf, e.From)
+				buf = appendString(buf, id)
 				buf = append(buf, `,"to":`...)
-				buf = appendString(buf, e.To)
+				buf = appendString(buf, to)
 				buf = append(buf, `,"type":`...)
-				buf = appendString(buf, string(e.Type))
+				buf = appendString(buf, string(g.types[h.typ]))
 				buf = append(buf, `,"weight":`...)
-				buf = appendFloat(buf, e.Weight)
+				buf = appendFloat(buf, h.w)
 				buf = append(buf, '}')
 				bw.Write(buf)
 			}
@@ -116,12 +117,13 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// compareTarget orders one vertex's outgoing edges by (to, type).
-func compareTarget(a, b Edge) int {
-	if c := cmp.Compare(a.To, b.To); c != 0 {
-		return c
+// compareTarget orders one vertex's outgoing edges by (to, type), both
+// as the strings the file spells.
+func (g *Graph) compareTarget(a, b half) int {
+	if a.nb != b.nb {
+		return cmp.Compare(g.verts[a.nb].node.ID, g.verts[b.nb].node.ID)
 	}
-	return cmp.Compare(a.Type, b.Type)
+	return cmp.Compare(g.types[a.typ], g.types[b.typ])
 }
 
 const hexDigits = "0123456789abcdef"
@@ -261,12 +263,13 @@ func readAll(r io.Reader) ([]byte, error) {
 	}
 }
 
-// pendingEdge is an edge whose endpoints are resolved but which is not
-// yet in any adjacency list.
+// pendingEdge is an edge whose endpoints and type are resolved, to
+// vertex numbers and a type code, but which is not yet in any adjacency
+// list.
 type pendingEdge struct {
-	from, to *vertex
-	typ      EdgeType
 	weight   float64
+	from, to int32
+	typ      uint8
 }
 
 // decoder is a single pass over one snapshot. Nodes are collected, then
@@ -726,12 +729,14 @@ func (d *decoder) node() error {
 func (d *decoder) insertNodes() error {
 	g := d.g
 	g.vs = make(map[string]*vertex, len(d.nodes))
+	g.verts = make([]*vertex, len(d.nodes))
 	d.verts = make([]vertex, len(d.nodes))
 	for i, n := range d.nodes {
 		if n.ID == "" {
 			return fmt.Errorf("graph: empty node id: %w", ErrNodeNotFound)
 		}
-		d.verts[i].node = n
+		d.verts[i] = vertex{node: n, num: int32(i)}
+		g.verts[i] = &d.verts[i]
 		g.vs[n.ID] = &d.verts[i]
 		if len(g.vs) == i { // the id was there already
 			return fmt.Errorf("%w: %s", ErrNodeExists, n.ID)
@@ -742,9 +747,13 @@ func (d *decoder) insertNodes() error {
 }
 
 // edge consumes one edge object and, if resolve is set, looks up its
-// endpoints with AddEdge's checks and queues it for link.
+// endpoints and type with AddEdge's checks and queues it for link.
 func (d *decoder) edge(resolve bool) error {
-	var e pendingEdge
+	var e struct {
+		from, to *vertex
+		typ      EdgeType
+		weight   float64
+	}
 	var seen uint
 	var from, to string // an endpoint the graph does not have
 	endpoint := func(prev *vertex, missing *string) (*vertex, error) {
@@ -803,25 +812,30 @@ func (d *decoder) edge(resolve bool) error {
 		}
 		return fmt.Errorf("%w: %s -> %s", ErrBadEdge, from, to)
 	}
+	typ, err := d.g.typeCode(e.typ)
+	if err != nil {
+		return err
+	}
 	if e.weight == 0 {
 		e.weight = 1
 	}
 	d.lastFrom = e.from
-	d.edges = append(d.edges, e)
+	d.edges = append(d.edges, pendingEdge{weight: e.weight, from: e.from.num, to: e.to.num, typ: typ})
 	return nil
 }
 
 // link builds every adjacency list from the queued edges: each vertex's
 // out and in are carved, with exact capacity, from two arrays that hold
-// all edges, and filled in file order. The lists are those AddEdge would
-// have grown one append at a time.
+// all half-edges, and filled in file order. The lists are those AddEdge
+// would have grown one append at a time.
 func (d *decoder) link() {
 	g := d.g
-	out, in := make([]Edge, len(d.edges)), make([]Edge, len(d.edges))
+	out, in := make([]half, len(d.edges)), make([]half, len(d.edges))
 	// Degrees first, kept as the length of each vertex's own slices.
 	for _, e := range d.edges {
-		e.from.out = out[:len(e.from.out)+1]
-		e.to.in = in[:len(e.to.in)+1]
+		from, to := &d.verts[e.from], &d.verts[e.to]
+		from.out = out[:len(from.out)+1]
+		to.in = in[:len(to.in)+1]
 	}
 	for i := range d.verts {
 		v := &d.verts[i]
@@ -832,11 +846,11 @@ func (d *decoder) link() {
 			v.in, in = in[:0:n], in[n:]
 		}
 	}
-	for _, p := range d.edges {
-		e := Edge{From: p.from.node.ID, To: p.to.node.ID, Type: p.typ, Weight: p.weight}
-		p.from.out = append(p.from.out, e)
-		p.to.in = append(p.to.in, e)
-		g.size += edgeSize(e)
+	for _, e := range d.edges {
+		from, to := &d.verts[e.from], &d.verts[e.to]
+		from.out = append(from.out, half{w: e.weight, nb: e.to, typ: e.typ})
+		to.in = append(to.in, half{w: e.weight, nb: e.from, typ: e.typ})
+		g.size += edgeSize(from.node.ID, to.node.ID, g.types[e.typ])
 	}
 	g.edges = len(d.edges)
 }

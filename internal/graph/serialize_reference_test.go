@@ -47,7 +47,7 @@ func refWriteJSON(g *Graph, w io.Writer) error {
 		s.Nodes = append(s.Nodes, refNodeOf(g.vs[id].node))
 	}
 	for _, id := range g.NodeIDs() {
-		s.Edges = append(s.Edges, g.vs[id].out...)
+		s.Edges = append(s.Edges, g.Out(id)...)
 	}
 	sort.SliceStable(s.Edges, func(i, j int) bool {
 		a, b := s.Edges[i], s.Edges[j]

@@ -27,14 +27,16 @@ var hostile = []string{
 // setWeight overwrites the weight of edge i of from's out list and of
 // its twin in the target's in list, to values AddEdge would not store.
 func setWeight(g *Graph, from string, i int, w float64) {
-	e := &g.vs[from].out[i]
-	for j := range g.vs[e.To].in {
-		if in := &g.vs[e.To].in[j]; *in == *e {
-			in.Weight = w
+	src := g.vs[from]
+	h := &src.out[i]
+	twin := half{w: h.w, nb: src.num, typ: h.typ}
+	for j := range g.verts[h.nb].in {
+		if in := &g.verts[h.nb].in[j]; *in == twin {
+			in.w = w
 			break
 		}
 	}
-	e.Weight = w
+	h.w = w
 }
 
 // hostileGraph has every hostile string as an id, a label, a type and

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Visit is one node settled by View.Expand: its view index, the depth
 // at which it settled and its path score.
@@ -136,7 +139,7 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 			to := v.dst[k]
 			// Evaluated in this order, factor by factor: scores are
 			// compared bit for bit with the reference expansion.
-			s := it.Score * opts.Decay * out[k-lo].Weight * m
+			s := it.Score * opts.Decay * out[k-lo].w * m
 			if opts.Prior != nil {
 				s *= opts.Prior[to]
 			}
@@ -157,28 +160,31 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 // any edge type, or nil if disconnected. Used to explain answers
 // ("Patient X —received→ Drug Y —reported→ nausea").
 func (g *Graph) ShortestPath(from, to string) []string {
-	if !g.HasNode(from) || !g.HasNode(to) {
+	src, dst := g.vs[from], g.vs[to]
+	if src == nil || dst == nil {
 		return nil
 	}
 	if from == to {
 		return []string{from}
 	}
-	prev := map[string]string{from: ""}
-	frontier := []string{from}
+	// Breadth-first over vertex numbers; prev holds the predecessor's
+	// number plus one, 0 for a vertex not reached yet.
+	prev := make([]int32, len(g.verts))
+	prev[src.num] = src.num + 1
+	frontier := []int32{src.num}
 	for len(frontier) > 0 {
-		var next []string
-		for _, id := range frontier {
-			// Deterministic neighbor order.
-			edges := g.Out(id)
-			for _, e := range edges {
-				if _, seen := prev[e.To]; seen {
+		var next []int32
+		for _, u := range frontier {
+			// Adjacency order makes the chosen path deterministic.
+			for _, h := range g.verts[u].out {
+				if prev[h.nb] != 0 {
 					continue
 				}
-				prev[e.To] = id
-				if e.To == to {
-					return buildPath(prev, from, to)
+				prev[h.nb] = u + 1
+				if h.nb == dst.num {
+					return g.buildPath(prev, src.num, dst.num)
 				}
-				next = append(next, e.To)
+				next = append(next, h.nb)
 			}
 		}
 		frontier = next
@@ -186,17 +192,15 @@ func (g *Graph) ShortestPath(from, to string) []string {
 	return nil
 }
 
-func buildPath(prev map[string]string, from, to string) []string {
+func (g *Graph) buildPath(prev []int32, from, to int32) []string {
 	var rev []string
-	for cur := to; cur != ""; cur = prev[cur] {
-		rev = append(rev, cur)
+	for cur := to; ; cur = prev[cur] - 1 {
+		rev = append(rev, g.verts[cur].node.ID)
 		if cur == from {
 			break
 		}
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev
 }
 
@@ -204,29 +208,26 @@ func buildPath(prev map[string]string, from, to string) []string {
 // slices of node ids, largest first. Useful as an index sanity check:
 // a well-linked corpus should have one dominant component.
 func (g *Graph) ConnectedComponents() [][]string {
-	seen := make(map[string]bool)
+	seen := make([]bool, len(g.verts))
 	var comps [][]string
-	for _, start := range g.NodeIDs() {
+	var stack []int32
+	for start := range g.verts {
 		if seen[start] {
 			continue
 		}
 		var comp []string
-		stack := []string{start}
+		stack = append(stack[:0], int32(start))
 		seen[start] = true
 		for len(stack) > 0 {
-			id := stack[len(stack)-1]
+			v := g.verts[stack[len(stack)-1]]
 			stack = stack[:len(stack)-1]
-			comp = append(comp, id)
-			for _, e := range g.Out(id) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					stack = append(stack, e.To)
-				}
-			}
-			for _, e := range g.In(id) {
-				if !seen[e.From] {
-					seen[e.From] = true
-					stack = append(stack, e.From)
+			comp = append(comp, v.node.ID)
+			for _, hs := range [2][]half{v.out, v.in} {
+				for _, h := range hs {
+					if !seen[h.nb] {
+						seen[h.nb] = true
+						stack = append(stack, h.nb)
+					}
 				}
 			}
 		}

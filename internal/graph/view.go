@@ -8,7 +8,7 @@ import "sort"
 // it without hashing a string.
 //
 // Edge weights are not copied: they are read through the vertex, whose
-// adjacency lists only ever grow at the end. A view taken before a
+// half-edge lists only ever grow at the end. A view taken before a
 // mutation therefore stays valid and blind to it — nodes and edges
 // added afterwards do not exist for the view — until the caller takes a
 // new one. A view is rebuilt, not patched, because PageRank's
@@ -17,31 +17,9 @@ type View struct {
 	verts  []*vertex
 	outOff []int32 // out-edges of i: verts[i].out[:outOff[i+1]-outOff[i]]
 	dst    []int32 // target index per out-edge
-	typ    []uint8 // edgeCode per out-edge
+	typ    []uint8 // edgeCode per out-edge: the half-edge's code if declared, else 0
 	inOff  []int32 // in-edges of i: verts[i].in[:inOff[i+1]-inOff[i]]
 	src    []int32 // source index per in-edge
-}
-
-// edgeCodes is the number of edge-type codes: one per edge type this
-// package declares, and code 0 for any other type.
-const edgeCodes = 7
-
-func edgeCode(t EdgeType) uint8 {
-	switch t {
-	case EdgeMentions:
-		return 1
-	case EdgeRelates:
-		return 2
-	case EdgeCueArg:
-		return 3
-	case EdgeCueIn:
-		return 4
-	case EdgeNextTo:
-		return 5
-	case EdgePartOf:
-		return 6
-	}
-	return 0
 }
 
 // View builds the index-space snapshot of the graph's current state.
@@ -53,11 +31,11 @@ func (g *Graph) View() *View {
 		outOff: make([]int32, n+1),
 		inOff:  make([]int32, n+1),
 	}
-	idx := make(map[string]int32, n)
+	rank := make([]int32, len(g.verts)) // view index by vertex number
 	for i, id := range ids {
 		vx := g.vs[id]
 		v.verts[i] = vx
-		idx[id] = int32(i)
+		rank[vx.num] = int32(i)
 		v.outOff[i+1] = v.outOff[i] + int32(len(vx.out))
 		v.inOff[i+1] = v.inOff[i] + int32(len(vx.in))
 	}
@@ -66,14 +44,15 @@ func (g *Graph) View() *View {
 	v.src = make([]int32, v.inOff[n])
 	for i, vx := range v.verts {
 		dst, typ := v.dst[v.outOff[i]:v.outOff[i+1]], v.typ[v.outOff[i]:v.outOff[i+1]]
-		for j := range dst {
-			e := &vx.out[j]
-			dst[j] = idx[e.To]
-			typ[j] = edgeCode(e.Type)
+		for j, h := range vx.out[:len(dst)] {
+			dst[j] = rank[h.nb]
+			if h.typ < edgeCodes {
+				typ[j] = h.typ
+			}
 		}
 		src := v.src[v.inOff[i]:v.inOff[i+1]]
-		for j := range src {
-			src[j] = idx[vx.in[j].From]
+		for j, h := range vx.in[:len(src)] {
+			src[j] = rank[h.nb]
 		}
 	}
 	return v

@@ -190,9 +190,17 @@ func TestViewBlindToLaterMutation(t *testing.T) {
 
 	g.AddNode(Node{ID: "aa", Type: NodeChunk}) // sorts between a and b
 	g.Reserve("hub", 64, 64)
+	// d's one out-edge sits in a list with room for just it, and nothing
+	// reserves more: these appends move the list the old view reads
+	// through several times.
+	if c := cap(g.vs["d"].out); c != 1 {
+		t.Fatalf("d's out list has capacity %d, want 1", c)
+	}
 	for i := 0; i < 20; i++ {
-		if err := g.AddUndirected(Edge{From: "hub", To: "aa", Type: EdgeMentions}); err != nil {
-			t.Fatal(err)
+		for _, from := range []string{"hub", "d"} {
+			if err := g.AddUndirected(Edge{From: from, To: "aa", Type: EdgeMentions}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if after := expandView(old, &Expander{}, "hub", opts); !sameVisits(before, after) {

@@ -328,18 +328,9 @@ func (b *Builder) materializeCues(g *graph.Graph, cueCounts map[string]int, stat
 			// this call cannot see the same chunk twice — the linear
 			// duplicate scan is only needed for cues that predate the
 			// call (incremental re-ingest of a related document).
-			if fresh || !hasEdge(g, cueID, gr.chunk, graph.EdgeCueIn) {
+			if fresh || !g.HasEdge(cueID, gr.chunk, graph.EdgeCueIn) {
 				g.AddUndirected(graph.Edge{From: cueID, To: gr.chunk, Type: graph.EdgeCueIn})
 			}
 		}
 	}
-}
-
-func hasEdge(g *graph.Graph, from, to string, t graph.EdgeType) bool {
-	for _, e := range g.Out(from) {
-		if e.To == to && e.Type == t {
-			return true
-		}
-	}
-	return false
 }
