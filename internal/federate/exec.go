@@ -69,10 +69,12 @@ func (e *Executor) ExecuteIR(opt *logical.Optimized) (*table.Table, *Run, error)
 	}
 }
 
-// executeOnce runs one planning + scan + residual pass. Fragment scans
-// share a context: the first scan failure cancels in-flight siblings
-// (no work wasted finishing scans whose query already failed), and the
-// executor's Timeout, when set, bounds the whole pass.
+// executeOnce runs one planning + scan + residual pass. The executor's
+// Timeout, when set, bounds the whole pass; the context scans are handed
+// is also cancelled by the first scan failure, which interrupts
+// in-flight siblings (a hung scan does not outlive the query that
+// already failed) without changing which attempts they make — see
+// scanFragment.
 func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) (*table.Table, *Run, error) {
 	if replans == 0 {
 		// One cooldown-clock tick per query (not per replan): open
@@ -86,16 +88,18 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) 
 
 	frags := pp.Frags
 	ctx := context.Background()
-	var cancel context.CancelFunc
 	if e.opts.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
-	} else if len(frags) > 1 {
-		// Only multi-fragment plans have siblings to cancel; the
-		// single-fragment hot path skips the context allocation.
-		ctx, cancel = context.WithCancel(ctx)
+		var stop context.CancelFunc
+		ctx, stop = context.WithTimeout(ctx, e.opts.Timeout)
+		defer stop()
 	}
-	if cancel != nil {
-		defer cancel()
+	// Only multi-fragment plans have siblings to interrupt; the
+	// single-fragment hot path skips the context allocation.
+	inflight := ctx
+	var abort context.CancelFunc
+	if len(frags) > 1 {
+		inflight, abort = context.WithCancel(ctx)
+		defer abort()
 	}
 
 	results := make([]Result, len(frags))
@@ -103,9 +107,9 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) 
 	runs := make([]FragmentRun, len(frags))
 	par.ForEach(len(frags), e.opts.Workers, func(i int) {
 		runs[i].Fragment = frags[i]
-		results[i], errs[i] = e.scanFragment(ctx, frags[i], &runs[i])
-		if errs[i] != nil && cancel != nil {
-			cancel() // first failure cancels in-flight siblings
+		results[i], errs[i] = e.scanFragment(ctx, inflight, frags[i], &runs[i])
+		if errs[i] != nil && abort != nil {
+			abort() // first failure interrupts in-flight siblings
 		}
 	})
 	if err := firstScanError(errs); err != nil {

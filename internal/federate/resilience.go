@@ -20,20 +20,17 @@ var errStaleRegistry = errors.New("federate: registry changed since plan")
 // ContextScanner is the optional Backend extension for cancellable
 // scans: a backend that can observe ctx mid-scan (to abandon work when
 // a sibling fragment failed or the query deadline passed) implements
-// it. Backends without it stay source-compatible — the executor checks
-// the context before delegating to their plain Scan, which then runs
-// to completion.
+// it. Backends without it stay source-compatible — their plain Scan
+// runs to completion.
 type ContextScanner interface {
 	ScanContext(ctx context.Context, f Fragment) (Result, error)
 }
 
-// scanWithContext scans f on b, honoring cancellation: the context is
-// checked up front, and backends implementing ContextScanner also see
-// it in flight.
+// scanWithContext scans f on b; backends implementing ContextScanner
+// see ctx in flight. Nothing is checked up front: whether an attempt is
+// made at all is the ladder's decision (scanRetrying), taken on the
+// query's context alone.
 func scanWithContext(ctx context.Context, b Backend, f Fragment) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
 	if cs, ok := b.(ContextScanner); ok {
 		return cs.ScanContext(ctx, f)
 	}
@@ -255,7 +252,17 @@ func (e *Executor) reportScanFailure(name string) {
 // then cost-ordered failover across every other backend serving the
 // table. Observability lands on fr (retries, breaker skips, the
 // failover target); health outcomes land on the tracker.
-func (e *Executor) scanFragment(ctx context.Context, f Fragment, fr *FragmentRun) (Result, error) {
+//
+// Two contexts, one rule. ctx is the query's: only its deadline ends
+// it, and once it has, nothing further is attempted. inflight is what
+// scans are handed: a failed sibling cancels it too, which interrupts a
+// scan that is running (a hung one returns at once) but never skips an
+// attempt that has not started — so the attempts a fragment makes, the
+// health verdicts they record and the error it reports do not depend on
+// when a sibling failed. An interrupted scan counts as that attempt's
+// failure without a verdict; the fragment reports the first real fault
+// it met, and context.Canceled only when it met none.
+func (e *Executor) scanFragment(ctx, inflight context.Context, f Fragment, fr *FragmentRun) (Result, error) {
 	b := e.backend(f.Backend)
 	if b == nil {
 		return Result{}, fmt.Errorf("%w: backend %s for table %s", errStaleRegistry, f.Backend, f.Table)
@@ -277,11 +284,11 @@ func (e *Executor) scanFragment(ctx context.Context, f Fragment, fr *FragmentRun
 	}
 
 	if !skipPrimary {
-		res, err := e.scanRetrying(ctx, b, f, fr)
+		res, err := e.scanRetrying(ctx, inflight, b, f, fr)
 		if err == nil {
 			return res, nil
 		}
-		if isCancellation(err) {
+		if errors.Is(err, context.DeadlineExceeded) {
 			return Result{}, err
 		}
 		primaryErr = err
@@ -289,9 +296,6 @@ func (e *Executor) scanFragment(ctx context.Context, f Fragment, fr *FragmentRun
 	}
 
 	for _, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
 		if e.health.isOpen(c.Name()) {
 			continue
 		}
@@ -299,12 +303,12 @@ func (e *Executor) scanFragment(ctx context.Context, f Fragment, fr *FragmentRun
 		if !ok {
 			continue
 		}
-		res, err := e.scanRetrying(ctx, c, nf, fr)
+		res, err := e.scanRetrying(ctx, inflight, c, nf, fr)
 		if err != nil {
-			if isCancellation(err) {
+			if errors.Is(err, context.DeadlineExceeded) {
 				return Result{}, err
 			}
-			if primaryErr == nil {
+			if primaryErr == nil || errors.Is(primaryErr, context.Canceled) {
 				primaryErr = err
 			}
 			continue
@@ -336,11 +340,15 @@ func (e *Executor) scanFragment(ctx context.Context, f Fragment, fr *FragmentRun
 // scanRetrying runs the fragment on one backend under the retry
 // policy: transient failures back off (through the injectable clock)
 // and retry up to the budget; permanent failures and cancellations
-// return immediately. The scan outcome — success, or the final
+// return immediately. Before each attempt the query's deadline is
+// checked, and nothing else. The scan outcome — success, or the final
 // failure — is reported to the health tracker exactly once.
-func (e *Executor) scanRetrying(ctx context.Context, b Backend, f Fragment, fr *FragmentRun) (Result, error) {
+func (e *Executor) scanRetrying(ctx, inflight context.Context, b Backend, f Fragment, fr *FragmentRun) (Result, error) {
 	for attempt := 0; ; attempt++ {
-		res, err := scanWithContext(ctx, b, f)
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+		res, err := scanWithContext(inflight, b, f)
 		if err == nil {
 			e.reportScanSuccess(b.Name())
 			return res, nil

@@ -304,7 +304,7 @@ func TestBreakerSkipWithFailover(t *testing.T) {
 	e.health.reportFailure("memory", 1)
 	var fr FragmentRun
 	fr.Fragment = Fragment{Backend: "memory", Table: "sales"}
-	res, err := e.scanFragment(context.Background(), fr.Fragment, &fr)
+	res, err := e.scanFragment(context.Background(), context.Background(), fr.Fragment, &fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,40 +362,63 @@ func TestQueryDeadlineCancelsHangingScan(t *testing.T) {
 
 // TestSiblingCancellationOnPermanentError: in a join, a fragment whose
 // table is down on every backend fails permanently and must cancel the
-// sibling fragment hung on another backend — the query returns the
-// real error, deterministically, instead of deadlocking.
+// sibling fragment hung on another backend — the query returns a real
+// error, deterministically, instead of deadlocking. Which one: the
+// lowest-index fragment's that met a real fault, and being interrupted
+// is not one. Hung on its planned backend, the sales fragment fails
+// over, is served, and metric_changes' fault is the query's; hung on its
+// failover candidate after a fault on the planned one, it reports that
+// fault, and — index 0 — it is the query's.
 func TestSiblingCancellationOnPermanentError(t *testing.T) {
 	c := testCatalog()
-	e := New(c.Epoch, Options{Workers: 2},
-		NewChaos(
-			NewChaos(NewMemory(c), ChaosOptions{Hang: true, Tables: []string{"sales"}}),
-			ChaosOptions{Down: true, Tables: []string{"metric_changes"}},
-		),
-		NewChaos(NewSQL(c), ChaosOptions{Down: true, Tables: []string{"metric_changes"}}),
-	)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := execPlan(e, resilienceTestPlans()["join"], c)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("query succeeded with a table down on every backend")
+	downFor := func(b Backend, tables ...string) Backend {
+		return NewChaos(b, ChaosOptions{Down: true, Tables: tables})
+	}
+	hungOnSales := func(b Backend) Backend {
+		return NewChaos(b, ChaosOptions{Hang: true, Tables: []string{"sales"}})
+	}
+	for name, tc := range map[string]struct {
+		memory, sql Backend
+		want        string
+	}{
+		"hung on the planned backend": {
+			memory: downFor(hungOnSales(NewMemory(c)), "metric_changes"),
+			sql:    downFor(NewSQL(c), "metric_changes"),
+			want:   "metric_changes",
+		},
+		"hung on the failover candidate": {
+			memory: downFor(NewMemory(c)),
+			sql:    downFor(hungOnSales(NewSQL(c)), "metric_changes"),
+			want:   "memory is down (scan sales)",
+		},
+	} {
+		e := New(c.Epoch, Options{Workers: 2}, tc.memory, tc.sql)
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := execPlan(e, resilienceTestPlans()["join"], c)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%s: query succeeded with a table down on every backend", name)
+			}
+			if errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: surfaced the schedule-dependent cancellation, want the real error: %v", name, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err = %v, want the %s failure", name, err, tc.want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: sibling cancellation never fired: hung scan leaked", name)
 		}
-		if errors.Is(err, context.Canceled) {
-			t.Fatalf("surfaced the schedule-dependent cancellation, want the real error: %v", err)
-		}
-		if !strings.Contains(err.Error(), "metric_changes") {
-			t.Errorf("err = %v, want the metric_changes failure", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("sibling cancellation never fired: hung scan leaked")
 	}
 }
 
 // TestDeterministicErrorSelection: when several fragments fail, the
-// lowest-index real error wins at any worker count.
+// lowest-index real error wins at any worker count, and every fragment
+// has made the attempts — and left the health verdicts — it makes when
+// it runs alone: a sibling that failed first skips none of them.
 func TestDeterministicErrorSelection(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		c := testCatalog()
@@ -410,6 +433,18 @@ func TestDeterministicErrorSelection(t *testing.T) {
 		if !strings.Contains(err.Error(), "(scan sales)") {
 			t.Errorf("workers=%d: err = %v, want the driving fragment's (index 0) sales error", workers, err)
 		}
+		e.health.mu.Lock()
+		for name, s := range e.health.m {
+			// One failed scan per fragment on each backend, planned or
+			// failover.
+			if s.failures != 2 {
+				t.Errorf("workers=%d: %d failed scans recorded against %s, want 2", workers, s.failures, name)
+			}
+		}
+		if len(e.health.m) != 2 {
+			t.Errorf("workers=%d: verdicts on %d backends, want 2", workers, len(e.health.m))
+		}
+		e.health.mu.Unlock()
 	}
 }
 
@@ -504,7 +539,7 @@ func TestRowSlicedFailoverPreservesSlice(t *testing.T) {
 	f := Fragment{Backend: "memory", Table: "sales", SliceStart: 4, SliceEnd: 9,
 		Ranges: []table.RowRange{{Start: 4, End: 9}}}
 	fr.Fragment = f
-	res, err := e.scanFragment(context.Background(), f, &fr)
+	res, err := e.scanFragment(context.Background(), context.Background(), f, &fr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,44 +7,14 @@ import (
 )
 
 // persistTable is the on-disk form of one table: schema plus rows in
-// display encoding (NULL as JSON null), plus the per-column statistics
-// built at its last Put, so a loaded catalog plans with the same
-// estimates it was saved with without paying the build's sort again.
-// Nothing else derived is stored: zone maps and fragments are cheap to
-// derive and, derived, cannot disagree with the rows beside them.
-// Files written when zone maps were stored carry a "zones" key, which
-// is ignored.
+// display encoding (NULL as JSON null). Nothing derived is stored:
+// derived on load, statistics, zone maps and fragments cannot disagree
+// with the rows beside them. Files from builds that stored them carry
+// "stats" and "zones" keys, which are ignored.
 type persistTable struct {
-	Name    string         `json:"name"`
-	Columns []Column       `json:"columns"`
-	Rows    [][]*string    `json:"rows"`
-	Stats   []persistStats `json:"stats,omitempty"`
-}
-
-// persistStats is the on-disk form of one column's statistics. Values
-// round-trip through their display strings, typed by the column they
-// belong to.
-type persistStats struct {
-	Col   string          `json:"col"`
-	Rows  int             `json:"rows"`
-	Nulls int             `json:"nulls,omitempty"`
-	NDV   int             `json:"ndv"`
-	Min   *string         `json:"min,omitempty"`
-	Max   *string         `json:"max,omitempty"`
-	Hist  []persistBucket `json:"hist,omitempty"`
-	Exact []persistCount  `json:"exact,omitempty"`
-}
-
-type persistBucket struct {
-	Lower string `json:"lo"`
-	Upper string `json:"hi"`
-	Count int    `json:"n"`
-	NDV   int    `json:"ndv"`
-}
-
-type persistCount struct {
-	Val   string `json:"v"`
-	Count int    `json:"n"`
+	Name    string      `json:"name"`
+	Columns []Column    `json:"columns"`
+	Rows    [][]*string `json:"rows"`
 }
 
 // persistRollup is the on-disk form of one rollup definition. Only the
@@ -107,7 +77,6 @@ func (c *Catalog) WriteJSON(w io.Writer) error {
 			}
 			pt.Rows = append(pt.Rows, pr)
 		}
-		pt.Stats = persistTableStats(c.StatsOf(name))
 		p.Tables = append(p.Tables, pt)
 	}
 	if err := json.NewEncoder(w).Encode(p); err != nil {
@@ -116,44 +85,14 @@ func (c *Catalog) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-func persistTableStats(ts *TableStats) []persistStats {
-	if ts == nil {
-		return nil
-	}
-	out := make([]persistStats, len(ts.Cols))
-	for i, cs := range ts.Cols {
-		ps := persistStats{Col: cs.Col, Rows: cs.Rows, Nulls: cs.Nulls, NDV: cs.NDV}
-		if !cs.Min.IsNull() {
-			s := cs.Min.String()
-			ps.Min = &s
-		}
-		if !cs.Max.IsNull() {
-			s := cs.Max.String()
-			ps.Max = &s
-		}
-		for _, b := range cs.Hist {
-			ps.Hist = append(ps.Hist, persistBucket{
-				Lower: b.Lower.String(), Upper: b.Upper.String(), Count: b.Count, NDV: b.NDV,
-			})
-		}
-		for _, vc := range cs.Exact {
-			ps.Exact = append(ps.Exact, persistCount{Val: vc.Val.String(), Count: vc.Count})
-		}
-		out[i] = ps
-	}
-	return out
-}
-
 // ReadCatalogJSON reconstructs a catalog written by WriteJSON. Every
 // table registers through the catalog's one derive path, exactly as a
-// Put would: serialized statistics are restored (files written before
-// they existed rebuild them) so planning reproduces the saved system's
-// estimates; zone maps and fragments are derived from the rows, so
-// pruning decisions cannot depend on what a file claims; rollups
-// re-materialize from their definitions. A later Append to a loaded
-// table is incremental like any other, except that its statistics
-// rebuild once — the distinct runs they merge into are not in the
-// snapshot.
+// Put would: statistics, zone maps and fragments are derived from the
+// rows, so planning reproduces the saved system's estimates and no
+// estimate, refutation or pruning decision can depend on what a file
+// claims; rollups re-materialize from their definitions. A later Append
+// to a loaded table is incremental like any other. Files written now
+// load in builds that stored statistics: a missing key meant "derive".
 func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 	var p persistCatalog
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
@@ -182,15 +121,7 @@ func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 				return nil, fmt.Errorf("table: read catalog %s row %d: %w", pt.Name, ri, err)
 			}
 		}
-		var stored *TableStats
-		if pt.Stats != nil {
-			ts, err := parseTableStats(t, pt.Stats)
-			if err != nil {
-				return nil, fmt.Errorf("table: read catalog %s: %w", pt.Name, err)
-			}
-			stored = ts
-		}
-		c.derive(t, 0, stored)
+		c.derive(t, 0)
 	}
 	for _, pr := range p.Rollups {
 		def := RollupDef{Name: pr.Name, Base: pr.Base, GroupBy: append([]string(nil), pr.GroupBy...)}
@@ -206,50 +137,4 @@ func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 		}
 	}
 	return c, nil
-}
-
-func parseTableStats(t *Table, cols []persistStats) (*TableStats, error) {
-	ts := &TableStats{Table: t.Name, Rows: t.Len(), Cols: make([]ColStats, len(cols))}
-	for i, ps := range cols {
-		ci := t.Schema.ColIndex(ps.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("stats for unknown column %s: %w", ps.Col, ErrNoColumn)
-		}
-		typ := t.Schema[ci].Type
-		cs := ColStats{Col: ps.Col, Rows: ps.Rows, Nulls: ps.Nulls, NDV: ps.NDV}
-		var err error
-		if cs.Min, err = parseStatValue(typ, ps.Min); err != nil {
-			return nil, err
-		}
-		if cs.Max, err = parseStatValue(typ, ps.Max); err != nil {
-			return nil, err
-		}
-		for _, pb := range ps.Hist {
-			lo, err := Parse(typ, pb.Lower)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := Parse(typ, pb.Upper)
-			if err != nil {
-				return nil, err
-			}
-			cs.Hist = append(cs.Hist, Bucket{Lower: lo, Upper: hi, Count: pb.Count, NDV: pb.NDV})
-		}
-		for _, pc := range ps.Exact {
-			v, err := Parse(typ, pc.Val)
-			if err != nil {
-				return nil, err
-			}
-			cs.Exact = append(cs.Exact, ValueCount{Val: v, Count: pc.Count})
-		}
-		ts.Cols[i] = cs
-	}
-	return ts, nil
-}
-
-func parseStatValue(typ ColType, s *string) (Value, error) {
-	if s == nil {
-		return Null(typ), nil
-	}
-	return Parse(typ, *s)
 }

@@ -49,19 +49,33 @@ func TestCatalogJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCatalogJSONRoundTripsStats proves per-column statistics
-// serialize and restore identically (modulo the epoch stamp, which is
-// the loaded catalog's own), so a loaded system plans with the exact
-// estimates the saved one used — no rebuild drift.
-func TestCatalogJSONRoundTripsStats(t *testing.T) {
+// reload returns the catalog read back from c's snapshot.
+func reload(t testing.TB, c *Catalog) *Catalog {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCatalogJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// TestCatalogJSONDerivesStats: per-column statistics are not in the
+// file — they are derived on load — and still equal the saved catalog's
+// (modulo the epoch stamp, which is the loaded catalog's own), so a
+// loaded system plans with the exact estimates the saved one used.
+func TestCatalogJSONDerivesStats(t *testing.T) {
 	c := NewCatalog()
 	c.Put(statsFixture())
 	var buf bytes.Buffer
 	if err := c.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"stats"`) {
-		t.Fatal("statistics not serialized")
+	if strings.Contains(buf.String(), `"stats"`) {
+		t.Fatal("statistics serialized")
 	}
 	back, err := ReadCatalogJSON(&buf)
 	if err != nil {
@@ -73,16 +87,6 @@ func TestCatalogJSONRoundTripsStats(t *testing.T) {
 	}
 	if !reflect.DeepEqual(clearEpochs(got), clearEpochs(want)) {
 		t.Errorf("statistics drifted through persistence:\n%+v\nvs\n%+v", got, want)
-	}
-	// Pre-statistics files (no "stats" field) rebuild from rows.
-	legacy := `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}],"rows":[["1"],["2"],["2"]]}]}`
-	lc, err := ReadCatalogJSON(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := lc.StatsOf("t")
-	if ts == nil || ts.Col("a").NDV != 2 {
-		t.Errorf("legacy file did not rebuild statistics: %+v", ts)
 	}
 }
 
@@ -147,26 +151,37 @@ func TestCatalogJSONRoundTripsZones(t *testing.T) {
 }
 
 // TestStoredZonesCannotPrune loads a file in the format that stored
-// zone maps, whose stored bounds lie about the rows beside them (and a
-// second whose fragment ranges are malformed): both load, the zone maps
-// come from the rows, and a predicate matching those rows keeps their
-// fragment and returns them.
+// statistics and zone maps, whose stored bounds lie about the rows
+// beside them (and a second whose fragment ranges are malformed and
+// whose statistics name a column the table does not have): both load,
+// statistics and zone maps come from the rows, and a predicate matching
+// those rows is not refuted, keeps their fragment and returns them.
 func TestStoredZonesCannotPrune(t *testing.T) {
-	for _, zones := range []string{
+	for _, stored := range [][2]string{{
+		`[{"col":"a","rows":3,"ndv":2,"min":"100","max":"200","exact":[{"v":"100","n":2},{"v":"200","n":1}]}]`,
 		`[{"lo":0,"hi":3,"cols":[{"col":"a","min":"100","max":"200","vals":["100","200"],"exact":true}]}]`,
+	}, {
+		`[{"col":"no_such","rows":-1,"ndv":3,"min":"x","hist":[{"lo":"y","hi":"z","n":1,"ndv":1}]}]`,
 		`[{"lo":2,"hi":9,"cols":[]},{"lo":-1,"hi":1,"cols":[]}]`,
-	} {
+	}} {
+		zones := stored[1]
 		in := `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}],"rows":[["1"],["2"],["3"]],` +
-			`"stats":[{"col":"a","rows":3,"ndv":3,"min":"1","max":"3"}],"zones":` + zones + `}]}`
+			`"stats":` + stored[0] + `,"zones":` + zones + `}]}`
 		c, err := ReadCatalogJSON(strings.NewReader(in))
 		if err != nil {
 			t.Fatalf("stored zones %s: %v", zones, err)
 		}
 		tb, _ := c.Get("t")
+		if got, want := c.StatsOf("t"), freshCatalog(t, tb).StatsOf("t"); !reflect.DeepEqual(got, want) {
+			t.Errorf("stored statistics %s: loaded statistics are not the rows':\n%+v\nvs\n%+v", stored[0], got, want)
+		}
 		if got, want := c.ZonesOf("t"), freshCatalog(t, tb).ZonesOf("t"); !reflect.DeepEqual(got, want) {
 			t.Errorf("stored zones %s: loaded zone maps are not the rows':\n%+v\nvs\n%+v", zones, got, want)
 		}
 		pred := Pred{Col: "a", Op: OpEq, Val: I(2)}
+		if c.StatsOf("t").Refutes([]Pred{pred}) {
+			t.Errorf("stored statistics %s: refuted %s, which row 1 satisfies", stored[0], pred)
+		}
 		keep, pruned := c.ZonesOf("t").Prune([]Pred{pred})
 		got, _, err := FilterRanges(tb, keep, pred)
 		if err != nil {
@@ -179,9 +194,10 @@ func TestStoredZonesCannotPrune(t *testing.T) {
 }
 
 // TestAppendAfterLoadStaysIncremental: a loaded table is registered
-// like any other, so the first Append after a load shares the sealed
-// fragments and folds only the new rows into the rollup — and still
-// equals a fresh catalog's Put of the same rows.
+// like any other, so the first Append after a load merges the new rows
+// into the distinct runs the load derived, shares the sealed fragments
+// and folds only the new rows into the rollup — and still equals a
+// fresh catalog's Put of the same rows.
 func TestAppendAfterLoadStaysIncremental(t *testing.T) {
 	c := NewCatalog()
 	c.Put(zonesFixture(2*FragmentRows + 9))
@@ -190,15 +206,11 @@ func TestAppendAfterLoadStaysIncremental(t *testing.T) {
 	if err := c.AddRollup(def); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadCatalogJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reload(t, c)
 	tb, _ := loaded.Get("sales")
+	if loaded.entries["sales"].runs == nil {
+		t.Fatal("a loaded table has no distinct runs for the first Append to merge into")
+	}
 	sealed := append([]*Batch(nil), loaded.FragsOf("sales").Batches[:2]...)
 	acc := loaded.entries["sales"].rollups[0].acc
 

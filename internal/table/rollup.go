@@ -138,7 +138,7 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 	}
 	acc.fold(base.table.Rows)
 	rs := &rollupState{def: def, acc: acc}
-	mat := c.derive(acc.emit(def.Name), 0, nil)
+	mat := c.derive(acc.emit(def.Name), 0)
 	mat.rollup, rs.epoch = rs, c.epoch
 	base.rollups = append(base.rollups, rs)
 	slices.SortFunc(base.rollups, func(a, b *rollupState) int {
@@ -169,7 +169,7 @@ func (c *Catalog) maintainRollups(e *entry, from int) {
 			rs.acc = acc
 		}
 		rs.acc.fold(e.table.Rows[from:])
-		c.derive(rs.acc.emit(rs.def.Name), 0, nil)
+		c.derive(rs.acc.emit(rs.def.Name), 0)
 		rs.epoch = c.epoch
 		kept = append(kept, rs)
 	}

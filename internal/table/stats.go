@@ -89,15 +89,16 @@ func BuildStats(t *Table) *TableStats {
 // they derive from, given that the first k rows are unchanged since
 // prev and prevRuns were derived: only rows from k on are collected and
 // sorted, then merged into the retained runs — O(d log d + NDV) per
-// column for d appended rows instead of the full O(n log n) re-sort.
-// The full build is the k = 0 case, with no prev to merge into; both
+// column for d appended rows. The full build is the k = 0 case, with no
+// prev to merge into; it counts identical cells before it sorts, so its
+// sort is over the column's distinct values and not its rows. Both
 // produce bit-equal statistics for the same final rows.
 func statsFrom(prev *TableStats, prevRuns [][]ValueCount, t *Table, k int) (*TableStats, [][]ValueCount) {
 	ts := &TableStats{Table: t.Name, Rows: len(t.Rows), Cols: make([]ColStats, len(t.Schema))}
 	runs := make([][]ValueCount, len(t.Schema))
 	for ci, col := range t.Schema {
-		vals, nulls := collectCol(t.Rows[k:], ci)
-		runs[ci] = runsOf(vals)
+		var nulls int
+		runs[ci], nulls = colRuns(t.Rows[k:], ci, k == 0)
 		if k > 0 {
 			runs[ci] = mergeRuns(prevRuns[ci], runs[ci])
 			nulls += prev.Cols[ci].Nulls
@@ -107,39 +108,59 @@ func statsFrom(prev *TableStats, prevRuns [][]ValueCount, t *Table, k int) (*Tab
 	return ts, runs
 }
 
-// collectCol gathers a column's non-null values in the engine's total
-// Compare order (stable, so ties keep row order) plus its null count.
-func collectCol(rows [][]Value, ci int) (vals []Value, nulls int) {
-	vals = make([]Value, 0, len(rows))
+// colRuns collapses a column's non-null cells into ascending distinct
+// runs, and counts its nulls. The cells are listed in row order — with
+// count set, cells of one cellKey share the entry of the first — then
+// stable-sorted by the engine's total Compare order, and Compare-equal
+// neighbours (1 and 1.0 in a mixed-kind column) merge under the first.
+// The representative of a run is therefore the earliest-row value among
+// equals, which is what makes incremental merging (older runs first)
+// bit-equivalent to a full rebuild; counting first changes how many
+// values are sorted, never the runs.
+func colRuns(rows [][]Value, ci int, count bool) (runs []ValueCount, nulls int) {
+	var seen map[cellKey]int
+	if count {
+		seen = make(map[cellKey]int)
+	}
 	for _, r := range rows {
-		if r[ci].IsNull() {
+		v := r[ci]
+		if v.IsNull() {
 			nulls++
 			continue
 		}
-		vals = append(vals, r[ci])
+		if count {
+			k := cellKey{kind: v.kind, s: v.s, n: v.Float()}
+			if v.b {
+				k.n = 1
+			}
+			if i, ok := seen[k]; ok {
+				runs[i].Count++
+				continue
+			}
+			seen[k] = len(runs)
+		}
+		runs = append(runs, ValueCount{Val: v, Count: 1})
 	}
-	slices.SortStableFunc(vals, Compare)
-	return vals, nulls
-}
-
-// runsOf collapses sorted values into ascending distinct runs. The
-// representative of a run is its first value in the stable order —
-// i.e. the earliest-row value among equals — which is what makes
-// incremental merging (older runs first) bit-equivalent to a full
-// rebuild.
-func runsOf(vals []Value) []ValueCount {
-	if len(vals) == 0 {
-		return nil
-	}
-	runs := []ValueCount{{Val: vals[0], Count: 1}}
-	for _, v := range vals[1:] {
-		if Equal(v, runs[len(runs)-1].Val) {
-			runs[len(runs)-1].Count++
+	slices.SortStableFunc(runs, func(a, b ValueCount) int { return Compare(a.Val, b.Val) })
+	merged := runs[:0]
+	for _, r := range runs {
+		if n := len(merged); n > 0 && Equal(r.Val, merged[n-1].Val) {
+			merged[n-1].Count += r.Count
 		} else {
-			runs = append(runs, ValueCount{Val: v, Count: 1})
+			merged = append(merged, r)
 		}
 	}
-	return runs
+	return merged, nulls
+}
+
+// cellKey is a non-null value's kind and payload: 32 bytes to hash where
+// a Value is 56. Values with equal keys are Compare-equal, which is all
+// colRuns needs: +0 and -0 share a key, as do two ints one float64 stands
+// for (Compare reads ints through Float), and a NaN's key equals no key.
+type cellKey struct {
+	kind ColType
+	s    string
+	n    float64 // numeric payload; 1 for true
 }
 
 // mergeRuns merges two ascending distinct-run lists into a fresh one.

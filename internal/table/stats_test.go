@@ -2,7 +2,9 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -229,4 +231,96 @@ func FuzzStats(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sortedRuns is the statistics build as it was before cells were
+// counted: stable-sort every non-null cell of the column, then collapse
+// equal neighbours under the first. Kept as the reference colRuns is
+// pinned to.
+func sortedRuns(rows [][]Value, ci int) (runs []ValueCount, nulls int) {
+	var vals []Value
+	for _, r := range rows {
+		if r[ci].IsNull() {
+			nulls++
+			continue
+		}
+		vals = append(vals, r[ci])
+	}
+	slices.SortStableFunc(vals, Compare)
+	for _, v := range vals {
+		if n := len(runs); n > 0 && Equal(v, runs[n-1].Val) {
+			runs[n-1].Count++
+		} else {
+			runs = append(runs, ValueCount{Val: v, Count: 1})
+		}
+	}
+	return runs, nulls
+}
+
+// sameRuns compares runs bit for bit: reflect.DeepEqual would call a NaN
+// unequal to itself and +0 equal to -0.
+func sameRuns(a, b []ValueCount) bool {
+	return slices.EqualFunc(a, b, func(x, y ValueCount) bool {
+		xv, yv := x.Val, y.Val
+		xb, yb := math.Float64bits(xv.f), math.Float64bits(yv.f)
+		xv.f, yv.f = 0, 0
+		return x.Count == y.Count && xv == yv && xb == yb
+	})
+}
+
+// TestCountedRunsEqualSortedRuns: counting cells by cellKey before the
+// sort changes how many values are sorted, not the runs — on the columns
+// where "same key" and "Compare-equal" part ways: +0 and -0 and ints past
+// 2^53 (one key, one run, the earlier row kept), an int among floats and
+// the boxed kinds of a mixed column (Compare-equal under different keys:
+// they merge after the sort, under the earlier row), and NaN (a key
+// equal to nothing, Compare-equal to every number).
+func TestCountedRunsEqualSortedRuns(t *testing.T) {
+	nan, negZero := F(math.NaN()), F(math.Copysign(0, -1))
+	cols := map[string][]Value{
+		"empty":                 {},
+		"all null":              {Null(TypeFloat), Null(TypeFloat)},
+		"negative zero first":   {negZero, F(0), F(1), negZero, Null(TypeFloat), F(0)},
+		"positive zero first":   {F(0), negZero, F(-1), negZero},
+		"int in a float column": {F(2), I(2), F(1.5), I(1), F(1), I(2), F(2)},
+		"int first":             {I(2), F(2), I(3), F(3), F(2)},
+		"ints past 2^53":        {I(1<<53 + 1), I(1 << 53), I(1<<53 + 1), I(1<<53 + 2), I(7)},
+		"mixed kinds": {S("5"), I(5), F(5), B(true), S("true"), D("2024-01-01"), S("2024-01-01"),
+			I(5), S("5"), Null(TypeString), B(true), B(false)},
+		// With a NaN among them Compare is not an order, and what a sort
+		// makes of it depends on the sequence it is handed; the two
+		// builds hand it the same sequence when the other cells are
+		// distinct.
+		"nan":      {F(3), nan, F(1), nan, F(2)},
+		"only nan": {nan, nan, nan},
+	}
+	// Long enough that the stable sort merges blocks instead of inserting.
+	for i := 0; i < 600; i++ {
+		v := Value{}
+		switch n := int64(i * 7919 % 41); {
+		case i%11 == 0:
+			v = Null(TypeFloat)
+		case i%3 == 0:
+			v = I(n - 20)
+		default:
+			v = F(float64(n-20) / 2)
+		}
+		cols["long"] = append(cols["long"], v)
+	}
+	for name, cells := range cols {
+		rows := make([][]Value, len(cells))
+		for i, v := range cells {
+			rows[i] = []Value{v}
+		}
+		want, wantNulls := sortedRuns(rows, 0)
+		got, nulls := colRuns(rows, 0, true)
+		if nulls != wantNulls || !sameRuns(got, want) {
+			t.Errorf("%s: counted runs %v (%d nulls), sorted runs %v (%d nulls)", name, got, nulls, want, wantNulls)
+		}
+		// The per-append delta does not count; it is the reference with
+		// the runs built in place.
+		if got, _ := colRuns(rows, 0, false); !sameRuns(got, want) {
+			t.Errorf("%s: uncounted runs %v, sorted runs %v", name, got, want)
+		}
+	}
 }

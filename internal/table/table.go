@@ -268,10 +268,7 @@ type Catalog struct {
 type entry struct {
 	table *Table
 	stats *TableStats
-	// runs are the per-column distinct runs stats derive from. They are
-	// not serialized, so they are nil after a load and the first Append
-	// after it rebuilds statistics (and nothing else) in full.
-	runs  [][]ValueCount
+	runs  [][]ValueCount // the per-column distinct runs stats derive from
 	zones *Zones
 	frags *Frags
 	// rollups are the rollups over this table, sorted by name; rollup is
@@ -303,7 +300,7 @@ func (c *Catalog) Put(t *Table) {
 		base.rollups = slices.DeleteFunc(base.rollups, func(rs *rollupState) bool { return rs == e.rollup })
 		e.rollup = nil
 	}
-	c.maintainRollups(c.derive(t, 0, nil), 0)
+	c.maintainRollups(c.derive(t, 0), 0)
 }
 
 // Append adds rows to the named table and advances the catalog epoch.
@@ -334,31 +331,23 @@ func (c *Catalog) Append(name string, rows [][]Value) error {
 	}
 	from := len(e.table.Rows)
 	e.table.Rows = append(e.table.Rows, rows...)
-	c.maintainRollups(c.derive(e.table, from, nil), from)
+	c.maintainRollups(c.derive(e.table, from), from)
 	return nil
 }
 
 // derive is the one registration path: Put, Append, rollup
-// materializations and loaded tables (stored carries their serialized
-// statistics) all pass through it. It is told the first row of t that
-// what the catalog already holds under t's name does not cover — 0 to
-// replace, the old row count to extend — and derives every per-table
-// artifact from that row on.
-func (c *Catalog) derive(t *Table, from int, stored *TableStats) *entry {
+// materializations and loaded tables all pass through it. It is told
+// the first row of t that what the catalog already holds under t's name
+// does not cover — 0 to replace, the old row count to extend — and
+// derives every per-table artifact from that row on.
+func (c *Catalog) derive(t *Table, from int) *entry {
 	key := strings.ToLower(t.Name)
 	e := c.entries[key]
 	if e == nil {
 		e = &entry{}
 		c.entries[key] = e
 	}
-	switch {
-	case stored != nil:
-		e.stats, e.runs = stored, nil
-	case e.runs == nil:
-		e.stats, e.runs = statsFrom(nil, nil, t, 0)
-	default:
-		e.stats, e.runs = statsFrom(e.stats, e.runs, t, from)
-	}
+	e.stats, e.runs = statsFrom(e.stats, e.runs, t, from)
 	e.zones, e.frags = fragmentsFrom(e.zones, e.frags, t, from)
 	e.table = t
 	c.epoch++

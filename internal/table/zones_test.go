@@ -310,8 +310,10 @@ func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 // through Append; an op that changes anything else — a cell of a
 // registered row edited in place, a row slice replaced, the table
 // object rebuilt, the schema widened by a column — makes the next
-// registration a Put (the queued rows appended first). tb is the
-// pointer the catalog holds, so check sees the final rows in it.
+// registration a Put (the queued rows appended first). A save-and-load
+// op carries the sequence on against the catalog read back from a
+// snapshot. tb is the pointer the catalog holds, so check sees the final
+// rows in it.
 func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check func(op int, c *Catalog, tb *Table)) {
 	tb := New("fuzz", Schema{
 		{Name: "k", Type: TypeString},
@@ -354,6 +356,13 @@ func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check 
 			row[1] = I(int64(b))
 			tb.Rows[ri] = row
 			replaced = true
+		case b < 246:
+			// Save and load: what the catalog held so far it now derived
+			// from a snapshot. A tb already set aside for a Put stays.
+			c = reload(t, c)
+			if !replaced {
+				tb, _ = c.Get("fuzz")
+			}
 		case b < 254 || len(tb.Schema) > 4:
 			// Rebuild the table object wholesale (same name, copied
 			// rows): the registered pointer and headers all change.

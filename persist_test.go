@@ -183,6 +183,83 @@ func readSnapshot(t *testing.T, dir string) (graphJSON, catalogJSON string) {
 	return string(g), string(c)
 }
 
+// TestLoadIgnoresStoredStatistics: catalog.json holds no statistics,
+// and the "stats" block of a file from when it did — here one whose
+// bounds and exact value sets lie about the rows beside them, so that
+// believing it refutes predicates the rows satisfy — decides nothing:
+// the loaded system's answers, result rows, plans and EXPLAIN (estimates
+// and the optimizer's rules trace included) are the saved system's.
+func TestLoadIgnoresStoredStatistics(t *testing.T) {
+	dir := t.TempDir()
+	orig := buildDemo(t)
+	if err := orig.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, catalog := readSnapshot(t, dir)
+	if strings.Contains(catalog, `"stats"`) {
+		t.Fatal("Save wrote statistics into catalog.json")
+	}
+	const lie = `"stats":[` +
+		`{"col":"product","rows":3,"ndv":1,"min":"Product Zeta","max":"Product Zeta","exact":[{"v":"Product Zeta","n":3}]},` +
+		`{"col":"quarter","rows":3,"ndv":1,"min":"Q9","max":"Q9","exact":[{"v":"Q9","n":3}]},` +
+		`{"col":"revenue","rows":3,"ndv":3,"min":"5000","max":"9000","hist":[{"lo":"5000","hi":"9000","n":3,"ndv":3}]}],`
+	lying := strings.Replace(catalog, `"name":"sales",`, `"name":"sales",`+lie, 1)
+	if lying == catalog {
+		t.Fatal("no sales table in catalog.json to attach statistics to")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte(lying), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir, func(s *System) {
+		s.Vocabulary(VocabProduct, "Product Alpha", "Product Beta")
+		s.Vocabulary(VocabDrug, "Drug A")
+		s.Vocabulary(VocabSideEffect, "nausea", "fatigue")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, q := range []string{
+		"SELECT product FROM sales WHERE revenue < 1400",
+		"SELECT SUM(revenue) AS result FROM sales WHERE product = 'Product Alpha'",
+		"SELECT product, revenue FROM sales WHERE quarter = 'Q2' ORDER BY revenue",
+	} {
+		want, err := orig.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("%s: selects no rows, so it cannot tell a refuted scan from a real one", q)
+		}
+		got, err := loaded.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal[[]string]) {
+			t.Errorf("%s: loaded rows %v, want %v", q, got.Rows, want.Rows)
+		}
+		if got.Plan != want.Plan || got.Explain != want.Explain {
+			t.Errorf("%s: loaded plan and EXPLAIN\n%s\n%s\nwant\n%s\n%s", q, got.Plan, got.Explain, want.Plan, want.Explain)
+		}
+	}
+	for _, q := range []string{
+		"What was the revenue of Product Alpha in Q3?",
+		"What was the total revenue of Product Alpha?",
+	} {
+		want, err := orig.Ask(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.Ask(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if got.Text != want.Text || got.Plan != want.Plan || got.Explain != want.Explain {
+			t.Errorf("%q: loaded %q\n%s\n%s\nwant %q\n%s\n%s", q, got.Text, got.Plan, got.Explain, want.Text, want.Plan, want.Explain)
+		}
+	}
+}
+
 // TestSaveRacingIngest runs Ingest, Ask and Save at once (run it under
 // -race): every directory saved holds the graph and the catalog of one
 // and the same number of ingests — byte for byte the two files a twin
