@@ -1043,3 +1043,96 @@ func BenchmarkUnroutedAggregate(b *testing.B) {
 	}
 	b.ReportMetric(float64(scanned), "rows_scanned/op")
 }
+
+// factsCSV renders n rows of the repository benchmark's facts shape:
+// two low-cardinality string columns, an int, and a float that is NULL
+// on every 67th row.
+func factsCSV(n int) string {
+	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "island"}
+	var buf strings.Builder
+	buf.WriteString("region,sku,units,revenue\n")
+	for i := 0; i < n; i++ {
+		rev := ""
+		if i%67 != 66 {
+			rev = fmt.Sprintf("%d.00", (1+i%100)*(5+i/64%95))
+		}
+		fmt.Fprintf(&buf, "%s,SKU-%04d,%d,%s\n", regions[i*7%len(regions)], i/64, 1+i%100, rev)
+	}
+	return buf.String()
+}
+
+// BenchmarkBuildFacts is sql_analytic's set-up through the public API:
+// the default e-commerce corpus plus a 65 536 × 4 table, Add* then
+// Build. Nearly all of it is the table's rows becoming row vertices —
+// rendered by internal/store, tagged by internal/slm, replayed by
+// internal/index — which is where the allocations it reports are made.
+func BenchmarkBuildFacts(b *testing.B) {
+	c := workload.ECommerce(workload.DefaultECommerceOptions())
+	type csv struct{ name, data string }
+	csvs := []csv{{"facts", factsCSV(65536)}}
+	native := c.NativeCatalog()
+	for _, name := range native.Names() {
+		t, err := native.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := t.WriteCSV(&buf); err != nil {
+			b.Fatal(err)
+		}
+		csvs = append(csvs, csv{name, buf.String()})
+	}
+	docs, vocab := c.UnstructuredDocs(), c.Vocab()
+	var rows int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys := New()
+		for kind, phrases := range vocab {
+			sys.Vocabulary(VocabKind(kind), phrases...)
+		}
+		for _, d := range docs {
+			if err := sys.AddDocument(d.Source, d.ID, d.Text); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, t := range csvs {
+			if err := sys.AddCSV(t.name, strings.NewReader(t.data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sys.Build(); err != nil {
+			b.Fatal(err)
+		}
+		rows = sys.Stats().Rows
+	}
+	b.StopTimer()
+	if rows < 65536 {
+		b.Fatalf("index holds %d row vertices, want the facts table's 65536 and more", rows)
+	}
+}
+
+// BenchmarkRecognizeRowText tags one rendered facts row under the
+// e-commerce vocabulary — the call Build makes once per table row.
+func BenchmarkRecognizeRowText(b *testing.B) {
+	c := workload.ECommerce(workload.DefaultECommerceOptions())
+	ner := slm.NewNER()
+	c.Register(ner)
+	facts, err := table.ReadCSV("facts", strings.NewReader(factsCSV(1)), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := table.NewCatalog()
+	cat.Put(facts)
+	text := store.NewRelationalStore("db", cat).Records()[0].Text
+	var ents []slm.Entity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ents = ner.Recognize(text)
+	}
+	b.StopTimer()
+	if len(ents) != 1 || ents[0].Type != slm.EntID {
+		b.Fatalf("%q tagged %+v, want the sku as its one ID", text, ents)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/table"
@@ -166,6 +167,55 @@ func TestIntrospectionRacingIngest(t *testing.T) {
 			t.Error("no graph components")
 		}
 		sys.ExplainEvidence("What is the average rating of Product Alpha?", ans.Evidence[0].ID)
+	}
+}
+
+// Vocabulary on a built system writes the gazetteer every Ask reads
+// (anchor selection, question parsing, candidate derivation). Without
+// the engine's lock around the write, this test does not fail: the
+// process dies with "fatal error: concurrent map read and map write",
+// race detector or not. With it, answers during the writes are the
+// answers before them, and a phrase registered late tags the documents
+// ingested after it.
+func TestVocabularyRacingAsk(t *testing.T) {
+	sys := buildDemo(t)
+	const q = "What is the average rating of Product Alpha?"
+	want, err := sys.Ask(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asked atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if ans, err := sys.Ask(q); err != nil || ans.Text != want.Text {
+					t.Errorf("Ask beside Vocabulary = (%q, %v), want %q", ans.Text, err, want.Text)
+					return
+				}
+				asked.Add(1)
+			}
+		}()
+	}
+	for i := 0; asked.Load() < 200 && !t.Failed(); i++ {
+		sys.Vocabulary(VocabProduct, fmt.Sprintf("Product Late%d", i%16), fmt.Sprintf("late%d gadget pro", i%16))
+	}
+	close(stop)
+	wg.Wait()
+
+	if err := sys.Ingest("live", "late-1", "Customer C-9 rated late3 gadget pro 4 stars."); err != nil {
+		t.Fatal(err)
+	}
+	if ans, err := sys.Ask("What is the average rating of late3 gadget pro?"); err != nil || ans.Text != "4" {
+		t.Errorf("rating of a product registered after Build = (%q, %v), want 4", ans.Text, err)
 	}
 }
 

@@ -74,7 +74,8 @@ func DefaultHybridOptions() HybridOptions {
 // After construction a Hybrid is safe for concurrent use: Answer and
 // AnswerAll may run from any number of goroutines, interleaved with
 // Ingest calls. Ingest takes the write half of an RWMutex guarding the
-// graph, catalog, retriever and stats; answering takes the read half.
+// graph, catalog, retriever, recognizer vocabulary and stats; answering
+// takes the read half.
 // WithCost is setup-time only and must happen before concurrent use.
 type Hybrid struct {
 	ner       *slm.NER
@@ -94,9 +95,10 @@ type Hybrid struct {
 	cache     *answerCache        // nil when disabled
 	counters  *metrics.CounterSet // federated resilience counters
 
-	// mu guards graph/catalog/retriever/IndexStats/ExtractCount against
-	// Ingest-vs-Answer races. Reading the exported fields directly is
-	// safe only when no Ingest can run concurrently; use Stats otherwise.
+	// mu guards graph/catalog/retriever/IndexStats/ExtractCount, and the
+	// recognizer's gazetteer (AddVocabulary), against writer-vs-Answer
+	// races. Reading the exported fields directly is safe only when no
+	// Ingest can run concurrently; use Stats otherwise.
 	mu sync.RWMutex
 
 	IndexStats   index.Stats // guarded by mu
@@ -190,10 +192,8 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 	for _, s := range sources.Sources() {
 		switch src := s.(type) {
 		case *store.RelationalStore:
-			for _, name := range src.Catalog().Names() {
-				if t, err := src.Catalog().Get(name); err == nil {
-					h.catalog.Put(t)
-				}
+			for _, t := range src.Tables() {
+				h.catalog.Put(t)
 			}
 		default:
 			if s.Kind() == store.KindJSON || s.Kind() == store.KindXML {
@@ -279,6 +279,21 @@ func (h *Hybrid) RegisterBackend(b federate.Backend) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.fed.Register(b)
+	if h.cache != nil {
+		h.cache.purge()
+	}
+}
+
+// AddVocabulary registers gazetteer phrases on the live system. The
+// recognizer's maps are read by every answer (question parsing, anchor
+// selection, candidate derivation) and by Ingest, all under mu, so the
+// write takes mu's write half; cached answers were tagged without the
+// phrases and are dropped. Rows and chunks already indexed keep their
+// tags. Safe to call concurrently with Answer, Query and Ingest.
+func (h *Hybrid) AddVocabulary(t slm.EntityType, phrases ...string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.ner.AddGazetteer(t, phrases...)
 	if h.cache != nil {
 		h.cache.purge()
 	}
@@ -564,8 +579,10 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 		}
 	}
 
-	// The read lock covers every structure Ingest mutates: retriever
-	// (centrality prior), graph (traversal), and catalog (bind/exec).
+	// The read lock covers every structure a writer mutates: retriever
+	// (centrality prior), graph (traversal), catalog (bind/exec), and the
+	// recognizer's gazetteer, which Retrieve, Parse and DeriveCandidates
+	// all read.
 	h.mu.RLock()
 	var epoch uint64
 	if h.cache != nil {
@@ -609,7 +626,6 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 			err = execErr
 		}
 	}
-	h.mu.RUnlock()
 
 	// Evidence-derived candidates feed both the generative fallback and
 	// the uncertainty sample, so they are derived once — and not at all
@@ -618,6 +634,8 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 	if len(conflicts) < 2 {
 		cands = slm.DeriveCandidates(question, retrieval.Texts(ans.Evidence), h.ner)
 	}
+	h.mu.RUnlock()
+
 	if ans.Text == "" {
 		// Generative fallback over retrieved evidence, decoded through
 		// the cost-instrumented greedy generator so fallback answers

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -25,6 +26,16 @@ func hybridWithWorkers(t *testing.T, workers int) (*Hybrid, *workload.Corpus) {
 	return h, c
 }
 
+// graphJSON serializes the hybrid's index.
+func graphJSON(t *testing.T, h *Hybrid) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := h.Graph().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // Parallel ingest must produce exactly the same system as sequential
 // ingest: same stats, same graph, same catalog, same answers.
 func TestParallelBuildDeterminism(t *testing.T) {
@@ -40,10 +51,14 @@ func TestParallelBuildDeterminism(t *testing.T) {
 	if seqExtracted != parExtracted {
 		t.Errorf("ExtractCount: seq %d, par %d", seqExtracted, parExtracted)
 	}
-	if seq.Graph().NodeCount() != par.Graph().NodeCount() || seq.Graph().EdgeCount() != par.Graph().EdgeCount() {
-		t.Errorf("graph shape diverges: seq %d/%d, par %d/%d",
-			seq.Graph().NodeCount(), seq.Graph().EdgeCount(),
-			par.Graph().NodeCount(), par.Graph().EdgeCount())
+	// The graph byte for byte — node payloads and adjacency order, which
+	// counts cannot see — at a pool of two as well.
+	two, _ := hybridWithWorkers(t, 2)
+	want := graphJSON(t, seq)
+	for _, h := range []*Hybrid{two, par} {
+		if got := graphJSON(t, h); !bytes.Equal(got, want) {
+			t.Errorf("graph.json at %d workers (%d bytes) differs from the sequential build's (%d bytes)", h.opts.Workers, len(got), len(want))
+		}
 	}
 	if !reflect.DeepEqual(seq.Catalog().Names(), par.Catalog().Names()) {
 		t.Fatalf("catalog names diverge: seq %v, par %v", seq.Catalog().Names(), par.Catalog().Names())
@@ -170,6 +185,13 @@ func TestAnswerCache(t *testing.T) {
 	}
 	if _, _, size := h.CacheStats(); size != 0 {
 		t.Errorf("size after ingest = %d, want 0", size)
+	}
+
+	// So does new vocabulary: cached answers were tagged without it.
+	h.Answer(q)
+	h.AddVocabulary(slm.EntProduct, "Product Omega")
+	if _, _, size := h.CacheStats(); size != 0 {
+		t.Errorf("size after AddVocabulary = %d, want 0", size)
 	}
 }
 

@@ -1,0 +1,75 @@
+package index
+
+import (
+	"fmt"
+	"hash/fnv"
+	"strings"
+	"testing"
+
+	"repro/internal/slm"
+	"repro/internal/store"
+	"repro/internal/table"
+	"repro/internal/workload"
+)
+
+// factsSources is a table of the repository benchmark's facts shape:
+// two low-cardinality string columns (one of them an id the ID pattern
+// tags), an int, and a float that is NULL on every 67th row.
+func factsSources(t *testing.T, rows int) *store.Multi {
+	t.Helper()
+	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "island"}
+	var b strings.Builder
+	b.WriteString("region,sku,units,revenue\n")
+	x := uint32(42)
+	for i := 0; i < rows; i++ {
+		x = x*1664525 + 1013904223
+		units := 1 + int(x>>16)%100
+		rev := ""
+		if i%67 != 66 {
+			rev = fmt.Sprintf("%d.00", units*(5+i/64%95))
+		}
+		fmt.Fprintf(&b, "%s,SKU-%04d,%d,%s\n", regions[int(x>>8)%len(regions)], i/64, units, rev)
+	}
+	facts, err := table.ReadCSV("facts", strings.NewReader(b.String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := table.NewCatalog()
+	cat.Put(facts)
+	return store.NewMulti().Add(store.NewRelationalStore("db", cat))
+}
+
+// TestGraphBytesPinned pins the built index byte for byte: an FNV-64a of
+// graph.json, recorded at PR 21 (e69bf06) before Build's row rendering
+// and the recognizer's gazetteer pass were rewritten. Node and edge
+// counts cannot see a changed row text, canonical form, entity type or
+// adjacency order; this can. A deliberate change to what the index holds
+// re-records the three numbers and says why.
+func TestGraphBytesPinned(t *testing.T) {
+	ecommerce := workload.ECommerce(workload.DefaultECommerceOptions())
+	healthcare := workload.Healthcare(workload.DefaultHealthcareOptions())
+	for _, tc := range []struct {
+		name    string
+		vocab   *workload.Corpus
+		sources *store.Multi
+		want    uint64
+	}{
+		{"ecommerce", ecommerce, ecommerce.Sources, 0xde18b21964dc421},
+		{"healthcare", healthcare, healthcare.Sources, 0xef0befb1dfd986db},
+		{"facts", ecommerce, factsSources(t, 1000), 0x4e11ecc4a85970e9},
+	} {
+		ner := slm.NewNER()
+		tc.vocab.Register(ner)
+		g, _, err := NewBuilder(ner, DefaultOptions()).Build(tc.sources)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := fnv.New64a()
+		if err := g.WriteJSON(h); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: graph.json FNV-64a = %#x, pinned %#x", tc.name, got, tc.want)
+		}
+	}
+}

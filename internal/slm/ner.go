@@ -42,17 +42,28 @@ type Entity struct {
 
 // NER recognizes entities with a gazetteer plus deterministic surface
 // patterns — the "lightweight SLM-based tagging" of Section III.A.
-// A NER value is safe for concurrent use after construction.
+//
+// Recognize may run from any number of goroutines at once, but not
+// beside AddGazetteer, which writes the maps Recognize reads: register
+// the vocabulary before sharing the value, or order the two with a lock
+// whose read half every Recognize caller holds.
 type NER struct {
 	gazetteer map[string]EntityType // canonical phrase -> type
-	maxLen    int                   // longest gazetteer phrase, in tokens
-	cost      *CostModel
+	// first holds the first word of every gazetteer phrase. A window's
+	// key is its non-punctuation tokens, lower-cased, joined by single
+	// spaces, and no token contains a space, so a key can only equal a
+	// phrase whose text up to its first space is the window's first such
+	// token: a window whose first word is not here matches nothing, and
+	// is rejected before its key is built. Exact, not a heuristic.
+	first  map[string]struct{}
+	maxLen int // longest gazetteer phrase, in tokens
+	cost   *CostModel
 }
 
 // NewNER returns a recognizer with the built-in pattern rules and an
 // empty gazetteer. Domain vocabularies are added with AddGazetteer.
 func NewNER() *NER {
-	return &NER{gazetteer: make(map[string]EntityType), maxLen: 1}
+	return &NER{gazetteer: make(map[string]EntityType), first: make(map[string]struct{}), maxLen: 1}
 }
 
 // WithCost attaches a cost model: each Recognize call is accounted as
@@ -63,7 +74,8 @@ func (n *NER) WithCost(c *CostModel) *NER {
 }
 
 // AddGazetteer registers canonical phrases of a given type. Phrases are
-// matched case-insensitively and greedily (longest match first).
+// matched case-insensitively and greedily (longest match first). It
+// must not run beside Recognize.
 func (n *NER) AddGazetteer(t EntityType, phrases ...string) {
 	for _, p := range phrases {
 		key := canonicalize(p)
@@ -71,6 +83,8 @@ func (n *NER) AddGazetteer(t EntityType, phrases ...string) {
 			continue
 		}
 		n.gazetteer[key] = t
+		head, _, _ := strings.Cut(key, " ")
+		n.first[head] = struct{}{}
 		if l := len(strings.Fields(key)); l > n.maxLen {
 			n.maxLen = l
 		}
@@ -84,22 +98,38 @@ func (n *NER) GazetteerSize() int { return len(n.gazetteer) }
 // (longest-first), then surface patterns (quarters, percents, money,
 // ratings, dates, IDs, quantities), then capitalized-sequence proper
 // nouns. Overlapping matches are resolved in that priority order.
+//
+// The whole text is one model call: a gazetteer window skips
+// punctuation, so a phrase may match across a sentence or cell
+// boundary, and callers must not tag a text piecewise.
 func (n *NER) Recognize(text string) []Entity {
 	tokens := Tokenize(text)
 	if n.cost != nil {
 		n.cost.Record(OpTag, len(tokens))
 	}
-	claimed := make([]bool, len(tokens))
-	var ents []Entity
-
-	add := func(e Entity, from, to int) {
-		for i := from; i < to; i++ {
-			claimed[i] = true
-		}
-		ents = append(ents, e)
+	// Lower-cased once, for the gazetteer and the pattern pass alike.
+	lower := make([]string, len(tokens))
+	for i, t := range tokens {
+		lower[i] = strings.ToLower(t.Text)
 	}
+	claimed := make([]bool, len(tokens))
+	ents := n.gazetteerPass(text, tokens, lower, claimed)
+	return surfacePasses(text, tokens, lower, claimed, ents)
+}
 
-	// Pass 1: gazetteer, longest match first.
+// claim marks tokens [from, to) as belonging to an entity.
+func claim(claimed []bool, from, to int) {
+	for i := from; i < to; i++ {
+		claimed[i] = true
+	}
+}
+
+// gazetteerPass is pass 1: at each unclaimed token, the longest window
+// of at most maxLen tokens whose key is a gazetteer phrase. It claims
+// the tokens of every match.
+func (n *NER) gazetteerPass(text string, tokens []Token, lower []string, claimed []bool) []Entity {
+	var ents []Entity
+	var key []byte
 	for i := 0; i < len(tokens); i++ {
 		if claimed[i] {
 			continue
@@ -108,32 +138,51 @@ func (n *NER) Recognize(text string) []Entity {
 		if i+limit > len(tokens) {
 			limit = len(tokens) - i
 		}
+		// Every window at i opens with the same word: the first token
+		// from i on that is not punctuation.
+		w := i
+		for w < i+limit && tokens[w].Kind == TokenPunct {
+			w++
+		}
+		if w == i+limit {
+			continue // punctuation only: every key is ""
+		}
+		if _, ok := n.first[lower[w]]; !ok {
+			continue
+		}
 		for l := limit; l >= 1; l-- {
 			if anyClaimed(claimed, i, i+l) {
 				continue
 			}
-			key := canonicalTokens(tokens[i : i+l])
-			if t, ok := n.gazetteer[key]; ok {
-				add(Entity{
+			key = appendWindowKey(key[:0], tokens[i:i+l], lower[i:i+l])
+			if t, ok := n.gazetteer[string(key)]; ok {
+				claim(claimed, i, i+l)
+				ents = append(ents, Entity{
 					Type:      t,
 					Text:      text[tokens[i].Start:tokens[i+l-1].End],
-					Canonical: key,
+					Canonical: string(key),
 					Start:     tokens[i].Start,
 					End:       tokens[i+l-1].End,
-				}, i, i+l)
+				})
 				i += l - 1
 				break
 			}
 		}
 	}
+	return ents
+}
 
+// surfacePasses runs passes 2 and 3 over the tokens pass 1 left
+// unclaimed and returns all entities in text order.
+func surfacePasses(text string, tokens []Token, lower []string, claimed []bool, ents []Entity) []Entity {
 	// Pass 2: surface patterns.
 	for i := 0; i < len(tokens); i++ {
 		if claimed[i] {
 			continue
 		}
-		if e, width, ok := matchPattern(text, tokens, i, claimed); ok {
-			add(e, i, i+width)
+		if e, width, ok := matchPattern(text, tokens, lower, i, claimed); ok {
+			claim(claimed, i, i+width)
+			ents = append(ents, e)
 			i += width - 1
 		}
 	}
@@ -151,13 +200,14 @@ func (n *NER) Recognize(text string) []Entity {
 			j++
 		}
 		surface := text[tokens[i].Start:tokens[j-1].End]
-		add(Entity{
+		claim(claimed, i, j)
+		ents = append(ents, Entity{
 			Type:      EntMisc,
 			Text:      surface,
 			Canonical: canonicalize(surface),
 			Start:     tokens[i].Start,
 			End:       tokens[j-1].End,
-		}, i, j)
+		})
 		i = j - 1
 	}
 
@@ -166,9 +216,9 @@ func (n *NER) Recognize(text string) []Entity {
 }
 
 // matchPattern tries the built-in surface patterns at token i.
-func matchPattern(text string, tokens []Token, i int, claimed []bool) (Entity, int, bool) {
+func matchPattern(text string, tokens []Token, lowered []string, i int, claimed []bool) (Entity, int, bool) {
 	t := tokens[i]
-	lower := strings.ToLower(t.Text)
+	lower := lowered[i]
 
 	// Quarter: "Q2", "Q2 2024", "second quarter".
 	if len(lower) == 2 && lower[0] == 'q' && lower[1] >= '1' && lower[1] <= '4' {
@@ -396,15 +446,19 @@ func canonicalize(s string) string {
 	return strings.Join(fields, " ")
 }
 
-func canonicalTokens(tokens []Token) string {
-	parts := make([]string, 0, len(tokens))
-	for _, t := range tokens {
+// appendWindowKey appends a token window's gazetteer key to dst: the
+// lower-cased text of its non-punctuation tokens, joined by one space.
+func appendWindowKey(dst []byte, tokens []Token, lower []string) []byte {
+	for k, t := range tokens {
 		if t.Kind == TokenPunct {
 			continue
 		}
-		parts = append(parts, strings.ToLower(t.Text))
+		if len(dst) > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, lower[k]...)
 	}
-	return strings.Join(parts, " ")
+	return dst
 }
 
 // sortEntities orders entities by start offset (stable, insertion sort —

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/table"
@@ -34,12 +35,20 @@ const (
 
 // Record is the unified view of one item from any source: a document,
 // a log entry, a config element, or a table row.
+//
+// Text is what the index chunks and tags: the document itself for
+// KindText, and for every other kind the record rendered as sentences,
+// "<key> is <value>. <key> is <value>." in sorted key order (see
+// fieldsToText). Fields is the flattened payload of a JSON or XML
+// record, which ToTable types into a relation; it is nil for KindText
+// and for KindRelational, whose typed cells stay in the catalog the
+// rows came from.
 type Record struct {
 	ID     string            // stable id within the source
 	Source string            // source name
 	Kind   Kind              // source kind
-	Text   string            // unstructured content ("" for pure rows)
-	Fields map[string]string // flattened key/value payload
+	Text   string            // the document, or the record rendered as sentences
+	Fields map[string]string // JSON/XML only: flattened key/value payload
 }
 
 // Source is a named collection of records.
@@ -213,15 +222,21 @@ func joinPath(prefix, key string) string {
 	return prefix + "." + key
 }
 
+// keyWords turns a flattened key path or a column name into the words
+// a sentence can carry: "service.host" and "unit_price" read "service
+// host" and "unit price".
+var keyWords = strings.NewReplacer(".", " ", "_", " ")
+
 // fieldsToText renders flattened fields as a deterministic sentence-like
-// string so semi-structured records can also be chunked and tagged.
+// string so semi-structured records can also be chunked and tagged:
+// "<key> is <value>" per non-empty field in sorted key order, joined by
+// ". " and closed by ".". rowText renders table rows to the same rule.
 func fieldsToText(fields map[string]string) string {
 	keys := make([]string, 0, len(fields))
 	for k := range fields {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	keyWords := strings.NewReplacer(".", " ", "_", " ")
 	parts := make([]string, 0, len(keys))
 	for _, k := range keys {
 		if fields[k] == "" {
@@ -318,11 +333,12 @@ func (s *XMLStore) Records() []Record { return append([]Record(nil), s.records..
 
 // --- Structured relational ---
 
-// RelationalStore wraps a table.Catalog as a record source: each row
-// becomes one record with column-name fields.
+// RelationalStore presents typed tables as a record source: each row
+// becomes one record carrying its rendered text.
 type RelationalStore struct {
 	name    string
-	catalog *table.Catalog
+	catalog *table.Catalog // nil for a store over bare tables
+	bare    []*table.Table // NewRelationalTables only, in Catalog.Names order
 }
 
 // NewRelationalStore wraps a catalog. The catalog remains the system
@@ -331,8 +347,47 @@ func NewRelationalStore(name string, c *table.Catalog) *RelationalStore {
 	return &RelationalStore{name: name, catalog: c}
 }
 
+// NewRelationalTables wraps tables that no catalog has registered yet —
+// a system being assembled, whose engine will register them once.
+// Indexing needs their rows and schemas only, so nothing is derived
+// here. Catalog returns nil for such a store. Names are catalog names:
+// they compare lower-cased, and a later table replaces an earlier one of
+// the same name.
+func NewRelationalTables(name string, tables ...*table.Table) *RelationalStore {
+	byName := make(map[string]*table.Table, len(tables))
+	for _, t := range tables {
+		byName[strings.ToLower(t.Name)] = t
+	}
+	names := make([]string, 0, len(byName))
+	for n := range byName {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	bare := make([]*table.Table, len(names))
+	for i, n := range names {
+		bare[i] = byName[n]
+	}
+	return &RelationalStore{name: name, bare: bare}
+}
+
 // Catalog returns the underlying catalog for TableQA execution.
 func (s *RelationalStore) Catalog() *table.Catalog { return s.catalog }
+
+// Tables returns the store's tables in name order, the order Records
+// renders them in.
+func (s *RelationalStore) Tables() []*table.Table {
+	if s.catalog == nil {
+		return s.bare
+	}
+	names := s.catalog.Names()
+	out := make([]*table.Table, 0, len(names))
+	for _, name := range names {
+		if t, err := s.catalog.Get(name); err == nil {
+			out = append(out, t)
+		}
+	}
+	return out
+}
 
 // Name implements Source.
 func (s *RelationalStore) Name() string { return s.name }
@@ -343,40 +398,83 @@ func (s *RelationalStore) Kind() Kind { return KindRelational }
 // Len implements Source.
 func (s *RelationalStore) Len() int {
 	n := 0
-	for _, name := range s.catalog.Names() {
-		t, err := s.catalog.Get(name)
-		if err == nil {
-			n += t.Len()
-		}
+	for _, t := range s.Tables() {
+		n += t.Len()
 	}
 	return n
 }
 
-// Records implements Source.
+// Records implements Source: one record per row of every table, tables
+// in name order, ids "<store>/<table>/<row number>". A record's Text is
+// its row rendered by rowText; its Fields stay nil.
 func (s *RelationalStore) Records() []Record {
-	var out []Record
-	for _, name := range s.catalog.Names() {
-		t, err := s.catalog.Get(name)
-		if err != nil {
-			continue
-		}
+	out := make([]Record, 0, s.Len())
+	var id, text []byte
+	for _, t := range s.Tables() {
+		render := newRowText(t.Schema)
+		prefix := s.name + "/" + t.Name + "/"
 		for i, row := range t.Rows {
-			fields := make(map[string]string, len(row))
-			for c, v := range row {
-				if !v.IsNull() {
-					fields[t.Schema[c].Name] = v.String()
-				}
-			}
-			out = append(out, Record{
-				ID:     fmt.Sprintf("%s/%s/%d", s.name, t.Name, i),
-				Source: s.name,
-				Kind:   KindRelational,
-				Text:   fieldsToText(fields),
-				Fields: fields,
-			})
+			id = strconv.AppendInt(append(id[:0], prefix...), int64(i), 10)
+			text = render.appendRow(text[:0], row)
+			out = append(out, Record{ID: string(id), Source: s.name, Kind: KindRelational, Text: string(text)})
 		}
 	}
 	return out
+}
+
+// rowText renders the rows of one table as fieldsToText renders the map
+// from column name to cell — byte for byte, without the map: the names
+// are sorted and worded once per table, and a row is one pass over its
+// cells. A NULL cell is absent from that map and an empty one is
+// skipped by fieldsToText, so neither contributes a sentence; of several
+// columns sharing a name, the last one that is not NULL speaks for all.
+type rowText []rowField // in sorted name order
+
+// rowField is one distinct column name of a table.
+type rowField struct {
+	head string // the name with '.' and '_' as spaces, then " is "
+	cols []int  // the columns carrying the name, in schema order
+}
+
+func newRowText(schema table.Schema) rowText {
+	byName := make(map[string][]int, len(schema))
+	for c, col := range schema {
+		byName[col.Name] = append(byName[col.Name], c)
+	}
+	names := make([]string, 0, len(byName))
+	for name := range byName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fields := make(rowText, len(names))
+	for i, name := range names {
+		fields[i] = rowField{head: keyWords.Replace(name) + " is ", cols: byName[name]}
+	}
+	return fields
+}
+
+// appendRow appends the row's text to dst.
+func (r rowText) appendRow(dst []byte, row []table.Value) []byte {
+	first := true
+	for _, f := range r {
+		cell := ""
+		for k := len(f.cols) - 1; k >= 0; k-- {
+			if v := row[f.cols[k]]; !v.IsNull() {
+				cell = v.String()
+				break
+			}
+		}
+		if cell == "" {
+			continue
+		}
+		if !first {
+			dst = append(dst, ". "...)
+		}
+		first = false
+		dst = append(dst, f.head...)
+		dst = append(dst, cell...)
+	}
+	return append(dst, '.')
 }
 
 // Multi groups several sources, preserving registration order.
@@ -398,7 +496,7 @@ func (m *Multi) Sources() []Source { return append([]Source(nil), m.sources...) 
 
 // Records returns all records of all sources.
 func (m *Multi) Records() []Record {
-	var out []Record
+	out := make([]Record, 0, m.Len())
 	for _, s := range m.sources {
 		out = append(out, s.Records()...)
 	}

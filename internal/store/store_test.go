@@ -149,11 +149,19 @@ func TestRelationalStore(t *testing.T) {
 	if recs[0].ID != "db/sales/0" {
 		t.Errorf("id = %q", recs[0].ID)
 	}
-	if recs[0].Fields["product"] != "Alpha" || recs[0].Fields["revenue"] != "120" {
-		t.Errorf("fields = %v", recs[0].Fields)
+	if recs[1].ID != "db/sales/1" {
+		t.Errorf("id = %q", recs[1].ID)
 	}
-	if _, ok := recs[1].Fields["revenue"]; ok {
-		t.Error("null cell should be omitted from fields")
+	if recs[0].Text != "product is Alpha. revenue is 120." {
+		t.Errorf("text = %q", recs[0].Text)
+	}
+	if recs[1].Text != "product is Beta." {
+		t.Errorf("text = %q: a NULL cell says nothing", recs[1].Text)
+	}
+	for _, r := range recs {
+		if r.Source != "db" || r.Kind != KindRelational || r.Fields != nil {
+			t.Errorf("record = %+v: want source db, kind relational, no fields", r)
+		}
 	}
 	if s.Catalog() == nil {
 		t.Error("catalog accessor nil")

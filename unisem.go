@@ -127,7 +127,7 @@ type System struct {
 	texts    []*store.TextStore // first-Add order, like jsons and xmls: Build indexes in it
 	jsons    []*store.JSONStore
 	xmls     []*store.XMLStore
-	catalog  *table.Catalog
+	tables   []*table.Table // AddCSV's, bare: the engine Build makes registers them, once
 	built    bool
 	hybrid   *core.Hybrid
 	backends []federate.Backend // registered before Build, attached at Build
@@ -147,20 +147,26 @@ func NewWithOptions(opts Options) *System {
 	if opts.FlagThreshold <= 0 {
 		opts.FlagThreshold = 0.7
 	}
-	return &System{
-		opts:    opts,
-		ner:     slm.NewNER(),
-		catalog: table.NewCatalog(),
-	}
+	return &System{opts: opts, ner: slm.NewNER()}
 }
 
 // Vocabulary registers domain phrases so the tagger recognizes them
 // (e.g. product names, drug names). Unknown kinds register as generic
 // entities.
+//
+// It is normally called before Build. On a built system it is safe
+// beside Ask, Query and Ingest — it waits for answers in flight as
+// Ingest does, and empties the answer cache — and the new phrases apply
+// to questions and ingested documents from then on: rows and chunks
+// already indexed keep the tags they were given.
 func (s *System) Vocabulary(kind VocabKind, phrases ...string) {
 	et, ok := vocabToEntity[kind]
 	if !ok {
 		et = slm.EntMisc
+	}
+	if s.built {
+		s.hybrid.AddVocabulary(et, phrases...)
+		return
 	}
 	s.ner.AddGazetteer(et, phrases...)
 }
@@ -192,7 +198,8 @@ func (s *System) AddDocument(source, id, text string) error {
 }
 
 // AddCSV loads a relational table from CSV (header row required; types
-// inferred).
+// inferred). Table names compare case-insensitively, and a table added
+// under a name already taken replaces the earlier one.
 func (s *System) AddCSV(tableName string, r io.Reader) error {
 	if s.built {
 		return ErrAlreadyBuilt
@@ -201,7 +208,7 @@ func (s *System) AddCSV(tableName string, r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("unisem: %w", err)
 	}
-	s.catalog.Put(t)
+	s.tables = append(s.tables, t)
 	return nil
 }
 
@@ -247,8 +254,8 @@ func (s *System) Build() error {
 		return ErrAlreadyBuilt
 	}
 	multi := store.NewMulti()
-	if s.catalog.Len() > 0 {
-		multi.Add(store.NewRelationalStore("db", s.catalog))
+	if len(s.tables) > 0 {
+		multi.Add(store.NewRelationalTables("db", s.tables...))
 	}
 	for _, ts := range s.texts {
 		multi.Add(ts)
@@ -268,9 +275,7 @@ func (s *System) Build() error {
 	}
 	s.hybrid = h
 	s.built = true
-	// The engine derived its own catalog from the tables; nothing reads
-	// the staging one, or the statistics it holds, again.
-	s.catalog = nil
+	s.tables = nil // the engine's catalog holds them now
 	return nil
 }
 

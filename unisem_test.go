@@ -62,7 +62,7 @@ func TestDoubleBuild(t *testing.T) {
 	if err := sys.AddDocument("x", "y", "z"); !errors.Is(err, ErrAlreadyBuilt) {
 		t.Errorf("add after build: %v", err)
 	}
-	// Build let go of the staging catalog AddCSV fills.
+	// Build let go of the tables AddCSV staged.
 	if err := sys.AddCSV("late", strings.NewReader("a\n1\n")); !errors.Is(err, ErrAlreadyBuilt) {
 		t.Errorf("AddCSV after build: %v", err)
 	}
