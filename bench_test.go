@@ -75,7 +75,7 @@ func BenchmarkTable2RetrievalQuality(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	topo := retrieval.NewTopology(g, ner, retrieval.DefaultTopologyOptions())
+	topo := retrieval.NewTopology(g, ner, retrieval.TopologyOptions{})
 	query := c.Queries[0].Text
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -299,7 +299,7 @@ func BenchmarkTopologyRetrieve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := retrieval.NewTopology(g, ner, retrieval.DefaultTopologyOptions())
+	r := retrieval.NewTopology(g, ner, retrieval.TopologyOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1082,7 +1082,13 @@ func BenchmarkBuildFacts(b *testing.B) {
 		}
 		csvs = append(csvs, csv{name, buf.String()})
 	}
-	docs, vocab := c.UnstructuredDocs(), c.Vocab()
+	var docs []store.Record
+	for _, s := range c.Sources.Sources() {
+		if s.Kind() == store.KindText {
+			docs = append(docs, s.Records()...)
+		}
+	}
+	vocab := c.Vocab()
 	var rows int
 	b.ReportAllocs()
 	b.ResetTimer()

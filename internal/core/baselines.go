@@ -16,19 +16,9 @@ import (
 	"repro/internal/vector"
 )
 
-// RAGOptions configures the conventional-RAG baseline.
-type RAGOptions struct {
-	Chunk     chunk.Options
-	EvidenceK int
-	EntropyM  int
-	UseIVF    bool // approximate index instead of exact scan
-	Seed      uint64
-}
-
-// DefaultRAGOptions returns the standard configuration.
-func DefaultRAGOptions() RAGOptions {
-	return RAGOptions{Chunk: chunk.DefaultOptions(), EvidenceK: 8, EntropyM: 5, Seed: 1}
-}
+// ragSeed seeds the conventional-RAG baseline's sampling; its evidence
+// and sample counts are Hybrid's defaults.
+const ragSeed = 1
 
 // RAG is the conventional dense-retrieval pipeline the paper positions
 // against (Section I): embed everything, retrieve nearest neighbors,
@@ -39,27 +29,14 @@ type RAG struct {
 	dense     *retrieval.Dense
 	gen       *slm.Generator
 	clusterer *entropy.Clusterer
-	opts      RAGOptions
 	rng       *slm.RNG
 }
 
-// NewRAG embeds the sources into a vector index and returns the
-// baseline pipeline.
-func NewRAG(sources *store.Multi, ner *slm.NER, opts RAGOptions) (*RAG, error) {
-	if opts.EvidenceK <= 0 {
-		opts.EvidenceK = 8
-	}
-	if opts.EntropyM <= 0 {
-		opts.EntropyM = 5
-	}
+// NewRAG embeds the sources, chunked the default way, into an exact
+// (flat) vector index and returns the baseline pipeline.
+func NewRAG(sources *store.Multi, ner *slm.NER) (*RAG, error) {
 	embedder := slm.NewEmbedder(slm.DefaultEmbeddingDim)
-	var ix vector.Index
-	if opts.UseIVF {
-		ix = vector.NewIVF(embedder.Dim(), 16, 4)
-	} else {
-		ix = vector.NewFlat(embedder.Dim())
-	}
-	dense, err := retrieval.NewDenseFromRecords(sources.Records(), chunk.New(opts.Chunk), embedder, ix)
+	dense, err := retrieval.NewDenseFromRecords(sources.Records(), chunk.New(chunk.DefaultOptions()), embedder, vector.NewFlat(embedder.Dim()))
 	if err != nil {
 		return nil, fmt.Errorf("core: rag index: %w", err)
 	}
@@ -68,22 +45,18 @@ func NewRAG(sources *store.Multi, ner *slm.NER, opts RAGOptions) (*RAG, error) {
 		dense:     dense,
 		gen:       slm.NewGenerator(),
 		clusterer: entropy.NewClusterer(embedder),
-		opts:      opts,
-		rng:       slm.NewRNG(opts.Seed),
+		rng:       slm.NewRNG(ragSeed),
 	}, nil
 }
 
 // Name implements Pipeline.
 func (r *RAG) Name() string { return "rag" }
 
-// Dense exposes the underlying retriever for the retrieval experiment.
-func (r *RAG) Dense() *retrieval.Dense { return r.dense }
-
 // Answer implements Pipeline: retrieve, then read extractively.
 func (r *RAG) Answer(question string) Answer {
 	start := time.Now()
 	ans := Answer{}
-	ans.Evidence = r.dense.Retrieve(question, r.opts.EvidenceK)
+	ans.Evidence = r.dense.Retrieve(question, defaultEvidenceK)
 	cands := slm.DeriveCandidates(question, retrieval.Texts(ans.Evidence), r.ner)
 	if len(cands) == 0 {
 		ans.Err = fmt.Errorf("%w: %q", ErrNoAnswer, question)
@@ -91,7 +64,7 @@ func (r *RAG) Answer(question string) Answer {
 		greedy := &slm.Generator{Temperature: 0}
 		ans.Text = greedy.Generate(cands, r.rng).Canonical
 	}
-	ans.Uncertainty = assessUncertainty(ans.Text, nil, cands, r.gen, r.clusterer, r.opts.EntropyM, r.rng)
+	ans.Uncertainty = assessUncertainty(ans.Text, nil, cands, r.gen, r.clusterer, defaultEntropyM, r.rng)
 	ans.Latency = time.Since(start)
 	return ans
 }

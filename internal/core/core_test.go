@@ -10,6 +10,17 @@ import (
 	"repro/internal/workload"
 )
 
+// queriesOf returns the corpus queries of one class.
+func queriesOf(c *workload.Corpus, class workload.Class) []workload.Query {
+	var out []workload.Query
+	for _, q := range c.Queries {
+		if q.Class == class {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
 func hybridFor(t *testing.T, c *workload.Corpus) *Hybrid {
 	t.Helper()
 	ner := slm.NewNER()
@@ -105,13 +116,13 @@ func TestRAGAnswersLookupButFailsAggregates(t *testing.T) {
 	c := workload.ECommerce(workload.DefaultECommerceOptions())
 	ner := slm.NewNER()
 	c.Register(ner)
-	r, err := NewRAG(c.Sources, ner, DefaultRAGOptions())
+	r, err := NewRAG(c.Sources, ner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aggEM := 0
 	aggN := 0
-	for _, q := range c.QueriesOf(workload.ClassAggregate) {
+	for _, q := range queriesOf(c, workload.ClassAggregate) {
 		aggN++
 		if ans := r.Answer(q.Text); ans.Answered() && ans.Text == q.Gold {
 			aggEM++
@@ -121,7 +132,7 @@ func TestRAGAnswersLookupButFailsAggregates(t *testing.T) {
 		t.Error("RAG should not ace aggregates — baseline too strong to be real")
 	}
 	// Cross-modal single-fact lookups should at least return evidence.
-	q := c.QueriesOf(workload.ClassCrossModal)[0]
+	q := queriesOf(c, workload.ClassCrossModal)[0]
 	ans := r.Answer(q.Text)
 	if len(ans.Evidence) == 0 {
 		t.Errorf("RAG returned no evidence for %q", q.Text)
@@ -136,7 +147,7 @@ func TestTextToSQLStructuredOnly(t *testing.T) {
 
 	// Structured lookups succeed exactly.
 	okCount := 0
-	lookups := c.QueriesOf(workload.ClassSingleLookup)
+	lookups := queriesOf(c, workload.ClassSingleLookup)
 	for _, q := range lookups {
 		if ans := ts.Answer(q.Text); ans.Answered() && ans.Text == q.Gold {
 			okCount++
@@ -147,7 +158,7 @@ func TestTextToSQLStructuredOnly(t *testing.T) {
 	}
 
 	// Cross-modal rating queries must fail: ratings only exist in text.
-	for _, q := range c.QueriesOf(workload.ClassCrossModal) {
+	for _, q := range queriesOf(c, workload.ClassCrossModal) {
 		ans := ts.Answer(q.Text)
 		if ans.Answered() && ans.Text == q.Gold {
 			t.Errorf("text-to-sql answered cross-modal %q — should be impossible", q.Text)
@@ -161,13 +172,13 @@ func TestEvaluateQAOrdering(t *testing.T) {
 	ner := slm.NewNER()
 	c.Register(ner)
 	h := hybridFor(t, c)
-	r, err := NewRAG(c.Sources, ner, DefaultRAGOptions())
+	r, err := NewRAG(c.Sources, ner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := NewTextToSQL(c.NativeCatalog(), ner)
 
-	cross := c.QueriesOf(workload.ClassCrossModal)
+	cross := queriesOf(c, workload.ClassCrossModal)
 	hStats := EvaluateQA(h, cross)[workload.ClassCrossModal]
 	rStats := EvaluateQA(r, cross)[workload.ClassCrossModal]
 	tStats := EvaluateQA(ts, cross)[workload.ClassCrossModal]
@@ -247,7 +258,7 @@ func TestPipelineNames(t *testing.T) {
 	ner := slm.NewNER()
 	c.Register(ner)
 	h := hybridFor(t, c)
-	r, _ := NewRAG(c.Sources, ner, DefaultRAGOptions())
+	r, _ := NewRAG(c.Sources, ner)
 	ts := NewTextToSQL(c.NativeCatalog(), ner)
 	names := map[string]bool{}
 	for _, p := range []Pipeline{h, r, ts} {
@@ -272,7 +283,7 @@ func TestHybridAblationNoCues(t *testing.T) {
 		t.Error("cues built despite ablation")
 	}
 	// Still answers (structured path unaffected).
-	q := c.QueriesOf(workload.ClassSingleLookup)[0]
+	q := queriesOf(c, workload.ClassSingleLookup)[0]
 	if ans := h.Answer(q.Text); !ans.Answered() {
 		t.Errorf("ablated hybrid failed: %v", ans.Err)
 	}
@@ -281,7 +292,7 @@ func TestHybridAblationNoCues(t *testing.T) {
 func TestAnswerPlanVisible(t *testing.T) {
 	c := workload.ECommerce(workload.DefaultECommerceOptions())
 	h := hybridFor(t, c)
-	ans := h.Answer(c.QueriesOf(workload.ClassAggregate)[0].Text)
+	ans := h.Answer(queriesOf(c, workload.ClassAggregate)[0].Text)
 	if !strings.Contains(ans.Plan, "Scan(") {
 		t.Errorf("plan = %q", ans.Plan)
 	}

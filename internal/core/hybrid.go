@@ -54,14 +54,18 @@ type HybridOptions struct {
 	ScanRetries int
 }
 
+// What a zero EvidenceK and EntropyM mean, and what the RAG baseline
+// runs with.
+const (
+	defaultEvidenceK = 8
+	defaultEntropyM  = 5
+)
+
 // DefaultHybridOptions returns the standard configuration.
 func DefaultHybridOptions() HybridOptions {
 	return HybridOptions{
-		Index:     index.DefaultOptions(),
-		Topology:  retrieval.DefaultTopologyOptions(),
-		EvidenceK: 8,
-		EntropyM:  5,
-		Seed:      1,
+		Index: index.DefaultOptions(),
+		Seed:  1,
 	}
 }
 
@@ -112,10 +116,10 @@ type Hybrid struct {
 // options.
 func (h *Hybrid) init(ner *slm.NER, opts HybridOptions) HybridOptions {
 	if opts.EvidenceK <= 0 {
-		opts.EvidenceK = 8
+		opts.EvidenceK = defaultEvidenceK
 	}
 	if opts.EntropyM <= 0 {
-		opts.EntropyM = 5
+		opts.EntropyM = defaultEntropyM
 	}
 	if opts.Workers != 0 {
 		if opts.Index.Workers == 0 {
@@ -264,8 +268,7 @@ func (h *Hybrid) initFederation() {
 
 // Metrics returns the federated resilience counters as "name=value"
 // lines in sorted name order: scan retries taken, failovers routed,
-// breaker transitions, stale-registry replans. Empty until a
-// resilience event occurs.
+// breaker transitions. Empty until a resilience event occurs.
 func (h *Hybrid) Metrics() []string { return h.counters.Snapshot() }
 
 // Federation exposes the federated executor (EXPLAIN, plan-cache

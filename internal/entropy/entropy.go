@@ -181,14 +181,20 @@ func Assess(gens []slm.Generation, clusterer *Clusterer) Report {
 	}
 	r.MajorityAnswer = r.Clusters[best].Representative
 
-	// Lexical entropy baseline: distribution over exact strings.
+	// Lexical entropy baseline: distribution over exact strings, summed
+	// in the order the strings first occur in gens — float addition is
+	// not associative, and a map's order would move the low bits from
+	// one call to the next.
 	counts := map[string]int{}
 	for _, g := range gens {
 		counts[g.Text]++
 	}
-	for _, n := range counts {
-		p := float64(n) / m
-		r.LexicalH -= p * math.Log(p)
+	for _, g := range gens {
+		if n := counts[g.Text]; n > 0 {
+			counts[g.Text] = 0 // each string once
+			p := float64(n) / m
+			r.LexicalH -= p * math.Log(p)
+		}
 	}
 
 	// Mean NLL baseline.
@@ -203,15 +209,6 @@ func Assess(gens []slm.Generation, clusterer *Clusterer) Report {
 	r.MeanNLL = nll / m
 
 	return r
-}
-
-// MaxEntropy returns the maximum possible entropy for m samples
-// (log m), the bound used by property tests and normalization.
-func MaxEntropy(m int) float64 {
-	if m <= 1 {
-		return 0
-	}
-	return math.Log(float64(m))
 }
 
 // AUROC computes the area under the ROC curve for scores predicting

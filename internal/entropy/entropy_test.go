@@ -103,7 +103,7 @@ func TestEntropyBoundsProperty(t *testing.T) {
 			gens[i] = gen(a, rng.Float64())
 		}
 		r := Assess(gens, c)
-		bound := MaxEntropy(count) + 1e-9
+		bound := math.Log(float64(count)) + 1e-9
 		return r.SemanticH >= -1e-9 && r.SemanticH <= bound &&
 			r.DiscreteH >= -1e-9 && r.DiscreteH <= bound &&
 			!math.IsNaN(r.SemanticH)
@@ -137,12 +137,35 @@ func TestDiscreteVsWeighted(t *testing.T) {
 	}
 }
 
+// m samples reach the most entropy they can, log m, when each is its
+// own cluster with an equal share; one sample has none.
 func TestMaxEntropy(t *testing.T) {
-	if MaxEntropy(1) != 0 || MaxEntropy(0) != 0 {
-		t.Error("degenerate MaxEntropy")
+	if r := Assess([]slm.Generation{gen("yes", 0.5)}, testClusterer()); r.SemanticH != 0 || r.DiscreteH != 0 || r.LexicalH != 0 {
+		t.Errorf("one sample: %+v", r)
 	}
-	if math.Abs(MaxEntropy(4)-math.Log(4)) > 1e-12 {
-		t.Error("MaxEntropy(4)")
+	gens := []slm.Generation{gen("alpha", 0.25), gen("beta", 0.25), gen("gamma", 0.25), gen("delta", 0.25)}
+	r := Assess(gens, testClusterer())
+	for name, h := range map[string]float64{"semantic": r.SemanticH, "discrete": r.DiscreteH, "lexical": r.LexicalH} {
+		if math.Abs(h-math.Log(4)) > 1e-12 {
+			t.Errorf("%s entropy of four equal clusters = %v, want log 4", name, h)
+		}
+	}
+}
+
+// The lexical entropy is a sum over distinct strings, and its bits must
+// not depend on the order a map hands them out in: ten generations, six
+// distinct texts of unequal counts, the same bits on every call.
+func TestLexicalEntropyBitsStable(t *testing.T) {
+	var gens []slm.Generation
+	for i, text := range []string{"alpha", "beta", "alpha", "gamma", "beta", "delta", "alpha", "epsilon", "gamma", "zeta"} {
+		gens = append(gens, gen(text, 0.05*float64(i+1)))
+	}
+	c := testClusterer()
+	want := math.Float64bits(Assess(gens, c).LexicalH)
+	for i := 0; i < 500; i++ {
+		if got := math.Float64bits(Assess(gens, c).LexicalH); got != want {
+			t.Fatalf("call %d: LexicalH bits %#x, first call %#x", i, got, want)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func Table2RetrievalQuality() *metrics.ResultTable {
 		if err != nil {
 			panic(fmt.Sprintf("experiments: table2 dense: %v", err))
 		}
-		topo := retrieval.NewTopology(g, ner, retrieval.DefaultTopologyOptions())
+		topo := retrieval.NewTopology(g, ner, retrieval.TopologyOptions{})
 		bm := retrieval.NewBM25(g)
 		retrievers := []retrieval.Retriever{
 			topo,
@@ -152,7 +152,7 @@ func buildPipelines(c *workload.Corpus) []core.Pipeline {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hybrid: %v", err))
 	}
-	r, err := core.NewRAG(c.Sources, ner, core.DefaultRAGOptions())
+	r, err := core.NewRAG(c.Sources, ner)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: rag: %v", err))
 	}
@@ -306,20 +306,4 @@ func Table6CostProfile() *metrics.ResultTable {
 			float64(cost.SimulatedLatency().Microseconds())/1000, cost.MemoryBytes()>>20)
 	}
 	return t
-}
-
-// All runs every experiment with default parameters, in order.
-func All() []*metrics.ResultTable {
-	return []*metrics.ResultTable{
-		Table1IndexConstruction([]int{100, 400, 1600}),
-		Table2RetrievalQuality(),
-		Table3MultiEntityQA(),
-		Figure2LatencyScaling([]int{100, 400, 1600}),
-		Table4Extraction([]float64{0, 0.3, 0.6, 0.9}),
-		Figure3EntropyCalibration([]int{3, 5, 10}),
-		Table5Ablations(),
-		Table6CostProfile(),
-		TableS1ChunkSize([]int{32, 64, 128, 256}),
-		TableS2VectorIndex([]int{1, 2, 4, 8}),
-	}
 }

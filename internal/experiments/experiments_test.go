@@ -3,15 +3,23 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
+
+// rows counts a table's rendered rows: its "| … |" lines less the header
+// and the separator.
+func rows(tbl *metrics.ResultTable) int {
+	return strings.Count(tbl.String(), "\n| ") - 2
+}
 
 // The experiment suite is exercised end-to-end here at small scale; the
 // root bench_test.go runs the full parameterizations.
 
 func TestTable1Shape(t *testing.T) {
 	tbl := Table1IndexConstruction([]int{40, 80})
-	if tbl.Rows() != 2 {
-		t.Errorf("rows = %d", tbl.Rows())
+	if rows(tbl) != 2 {
+		t.Errorf("rows = %d", rows(tbl))
 	}
 	if !strings.Contains(tbl.String(), "graph_build_ms") {
 		t.Error("missing header")
@@ -26,8 +34,8 @@ func TestTable2ShapeAndOrdering(t *testing.T) {
 			t.Errorf("table 2 missing %q", want)
 		}
 	}
-	if tbl.Rows() != 8 {
-		t.Errorf("rows = %d", tbl.Rows())
+	if rows(tbl) != 8 {
+		t.Errorf("rows = %d", rows(tbl))
 	}
 }
 
@@ -43,22 +51,31 @@ func TestTable3IncludesAllPipelines(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	tbl := Figure2LatencyScaling([]int{40})
-	if tbl.Rows() != 3 { // three pipelines at one size
-		t.Errorf("rows = %d", tbl.Rows())
+	if rows(tbl) != 3 { // three pipelines at one size
+		t.Errorf("rows = %d", rows(tbl))
 	}
 }
 
 func TestTable4NoiseSweep(t *testing.T) {
 	tbl := Table4Extraction([]float64{0, 0.5})
-	if tbl.Rows() != 2 {
-		t.Errorf("rows = %d", tbl.Rows())
+	if rows(tbl) != 2 {
+		t.Errorf("rows = %d", rows(tbl))
 	}
 }
 
 func TestFigure3Calibration(t *testing.T) {
 	tbl := Figure3EntropyCalibration([]int{3, 5})
-	if tbl.Rows() != 2 {
-		t.Errorf("rows = %d", tbl.Rows())
+	if rows(tbl) != 2 {
+		t.Errorf("rows = %d", rows(tbl))
+	}
+}
+
+// Every column of Figure 3 is a function of seeded inputs: two runs
+// render the same table.
+func TestFigure3Deterministic(t *testing.T) {
+	first := Figure3EntropyCalibration([]int{3, 5, 10}).String()
+	if again := Figure3EntropyCalibration([]int{3, 5, 10}).String(); again != first {
+		t.Errorf("Figure 3 differs between two runs:\n%s\nvs\n%s", first, again)
 	}
 }
 

@@ -43,7 +43,6 @@ type Rule interface {
 type Engine struct {
 	ner   *slm.NER
 	rules []Rule
-	cost  *slm.CostModel
 }
 
 // NewEngine returns an engine with the given recognizer and rules.
@@ -52,23 +51,13 @@ func NewEngine(ner *slm.NER, rules ...Rule) *Engine {
 	return &Engine{ner: ner, rules: rules}
 }
 
-// WithCost attaches a cost model accounting each sentence pass as one
-// simulated SLM call. It returns e.
-func (e *Engine) WithCost(c *slm.CostModel) *Engine {
-	e.cost = c
-	return e
-}
-
 // ExtractDoc runs every rule over every sentence of the document. It is
-// safe to call from multiple goroutines: the engine's recognizer, rules
-// and cost model are all read-only or internally synchronized.
+// safe to call from multiple goroutines: the engine's recognizer and
+// rules are read-only or internally synchronized.
 func (e *Engine) ExtractDoc(docID, text string) []Extraction {
 	var out []Extraction
 	for _, sent := range slm.SplitSentences(text) {
 		ents := e.ner.Recognize(sent.Text)
-		if e.cost != nil {
-			e.cost.Record(slm.OpGenerate, len(slm.Tokenize(sent.Text)))
-		}
 		for _, r := range e.rules {
 			out = append(out, r.Apply(docID, sent.Text, ents)...)
 		}

@@ -284,12 +284,14 @@ func TestParseMoney(t *testing.T) {
 	}
 }
 
+// Extraction is accounted through its recognizer: one tagging call per
+// sentence.
 func TestEngineCostAccounting(t *testing.T) {
 	cost := slm.NewCostModel(slm.SLMProfile())
-	e := NewEngine(testNER(), Rules()...).WithCost(cost)
+	e := NewEngine(testNER().WithCost(cost), Rules()...)
 	e.ExtractDoc("d", "One sentence. Two sentences.")
-	if cost.Calls(slm.OpGenerate) != 2 {
-		t.Errorf("calls = %d, want 2", cost.Calls(slm.OpGenerate))
+	if cost.Calls(slm.OpTag) != 2 {
+		t.Errorf("calls = %d, want 2", cost.Calls(slm.OpTag))
 	}
 }
 

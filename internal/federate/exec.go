@@ -2,7 +2,6 @@ package federate
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/logical"
@@ -25,6 +24,12 @@ type FragmentRun struct {
 	Retries     int    // transient-failure retries taken (all backends tried)
 	FailedOver  string // backend that actually served after failover ("" = planned backend)
 	BreakerSkip bool   // planned backend skipped because its breaker was open
+
+	// The health verdicts of the fragment's scans, for healthTracker.apply:
+	// the backends whose scans failed for good, in attempt order, and the
+	// one whose scan succeeded and ended the ladder ("" when none did).
+	failed []string
+	served string
 }
 
 // Run records one federated execution: the physical plan, per-fragment
@@ -35,7 +40,6 @@ type Run struct {
 	Plan      *PhysicalPlan
 	Fragments []FragmentRun
 	RowsOut   int // rows in the final result table
-	Replans   int // stale-registry re-plans before this execution succeeded
 }
 
 // ExecuteIR runs an already-optimized logical tree — the one entry
@@ -51,22 +55,7 @@ func (e *Executor) ExecuteIR(opt *logical.Optimized) (*table.Table, *Run, error)
 	if opt == nil || opt.Root == nil {
 		return nil, nil, semop.ErrEmptyPlan
 	}
-	key := logical.Fingerprint(opt.Root)
-	// A backend can vanish between planning and execution (Unregister
-	// racing the query). Routing already validated the plan's backends,
-	// so that is a stale plan, not a missing backend: re-plan against
-	// the current registry — the generation bump guarantees a cache
-	// miss — instead of failing. Bounded so a registry churning faster
-	// than queries replan still terminates.
-	const maxReplans = 3
-	for replans := 0; ; replans++ {
-		out, run, err := e.executeOnce(opt, key, replans)
-		if err != nil && errors.Is(err, errStaleRegistry) && replans < maxReplans {
-			e.opts.Counters.Inc("plan.replan")
-			continue
-		}
-		return out, run, err
-	}
+	return e.executeOnce(opt, logical.Fingerprint(opt.Root))
 }
 
 // executeOnce runs one planning + scan + residual pass. The executor's
@@ -75,13 +64,17 @@ func (e *Executor) ExecuteIR(opt *logical.Optimized) (*table.Table, *Run, error)
 // in-flight siblings (a hung scan does not outlive the query that
 // already failed) without changing which attempts they make — see
 // scanFragment.
-func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) (*table.Table, *Run, error) {
-	if replans == 0 {
-		// One cooldown-clock tick per query (not per replan): open
-		// breakers count sat-out queries toward their half-open probe.
-		e.health.tick(e.opts.Breaker)
-	}
-	pp, err := e.plan(opt, key)
+//
+// A query sees one breaker state: the open set is taken once, after the
+// cooldown clock's tick for this query, and routing, every fragment's
+// gate and every failover ordering read that value. The verdicts of the
+// scans are applied when all fragments are done, in fragment order, so
+// neither what a fragment does nor what the breakers hold afterwards
+// depends on how its siblings were scheduled.
+func (e *Executor) executeOnce(opt *logical.Optimized, key string) (*table.Table, *Run, error) {
+	gen := e.generation()
+	open, hver := e.health.snapshot(gen, e.opts.Breaker)
+	pp, err := e.plan(opt, key, gen, open, hver)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,16 +100,23 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string, replans int) 
 	runs := make([]FragmentRun, len(frags))
 	par.ForEach(len(frags), e.opts.Workers, func(i int) {
 		runs[i].Fragment = frags[i]
-		results[i], errs[i] = e.scanFragment(ctx, inflight, frags[i], &runs[i])
+		results[i], errs[i] = e.scanFragment(ctx, inflight, frags[i], open, &runs[i])
 		if errs[i] != nil && abort != nil {
 			abort() // first failure interrupts in-flight siblings
 		}
 	})
+	opened, closed := e.health.apply(runs, e.opts.Breaker.FailThreshold)
+	if opened > 0 {
+		e.opts.Counters.Add("breaker.open", opened)
+	}
+	if closed > 0 {
+		e.opts.Counters.Add("breaker.close", closed)
+	}
 	if err := firstScanError(errs); err != nil {
 		return nil, nil, err
 	}
 
-	run := &Run{Plan: pp, Fragments: runs, Replans: replans}
+	run := &Run{Plan: pp, Fragments: runs}
 	for i := range runs {
 		runs[i].ActScanned = results[i].Scanned
 		runs[i].ActOut = results[i].Table.Len()

@@ -110,8 +110,8 @@ func prunedLine(run *Run) string {
 }
 
 // resilienceLine renders the run's resilience events — per-scan
-// retries, breaker skips and failover targets, plus stale-registry
-// re-plans — and returns "" for the fault-free run, so every EXPLAIN
+// retries, breaker skips and failover targets — and returns "" for the
+// fault-free run, so every EXPLAIN
 // golden recorded before fault injection existed stays byte-identical.
 // Under seeded fault injection the counts are a pure function of the
 // fault schedule, making the line golden-stable like every other.
@@ -139,10 +139,6 @@ func resilienceLine(run *Run) string {
 		if fr.FailedOver != "" {
 			fmt.Fprintf(&b, " failover %s->%s", fr.Backend, fr.FailedOver)
 		}
-	}
-	if run.Replans > 0 {
-		item()
-		fmt.Fprintf(&b, "replans %d", run.Replans)
 	}
 	return b.String()
 }

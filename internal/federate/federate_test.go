@@ -315,7 +315,7 @@ func TestSQLBackendParityWithMemory(t *testing.T) {
 	for i, f := range frags {
 		sr, err := s.Scan(f)
 		if err != nil {
-			t.Fatalf("frag %d: sql scan: %v (stmt %q)", i, err, s.Render(f))
+			t.Fatalf("frag %d: sql scan: %v (stmt %q)", i, err, s.render(f, nil))
 		}
 		mr, err := m.Scan(f)
 		if err != nil {
@@ -376,10 +376,8 @@ func TestGraphEvidenceBackend(t *testing.T) {
 	g := graph.New()
 	for i, name := range []string{"Drug A", "Drug B", "nausea"} {
 		id := fmt.Sprintf("entity:%d", i)
-		if err := g.AddNode(graph.Node{ID: id, Type: graph.NodeEntity, Label: name,
-			EType: "drug"}); err != nil {
-			t.Fatal(err)
-		}
+		g.EnsureNode(graph.Node{ID: id, Type: graph.NodeEntity, Label: name,
+			EType: "drug"})
 	}
 	epoch := uint64(1)
 	ge := NewGraphEvidence(g, func() uint64 { return epoch })
@@ -407,10 +405,8 @@ func TestGraphEvidenceBackend(t *testing.T) {
 	}
 
 	// Epoch move re-materializes the views.
-	if err := g.AddNode(graph.Node{ID: "entity:3", Type: graph.NodeEntity, Label: "Drug C",
-		EType: "drug"}); err != nil {
-		t.Fatal(err)
-	}
+	g.EnsureNode(graph.Node{ID: "entity:3", Type: graph.NodeEntity, Label: "Drug C",
+		EType: "drug"})
 	epoch++
 	res, _, err = execPlan(e, p, e.BindingCatalog())
 	if err != nil {
@@ -484,7 +480,7 @@ func TestPlanningConsultsOnlyThePlansStatistics(t *testing.T) {
 	c := testCatalog()
 	ge := NewGraphEvidence(graph.New(), c.Epoch)
 	e := New(c.Epoch, Options{}, NewMemory(c), ge)
-	before := ge.Remats()
+	before := viewsOf(ge)
 	tbl, _ := c.Get("sales")
 	c.Put(tbl) // epoch bump: nothing cached may serve the plan below
 	p := &semop.Plan{
@@ -502,8 +498,8 @@ func TestPlanningConsultsOnlyThePlansStatistics(t *testing.T) {
 	if got := run.Fragments[0].Est.Out; got != 4 {
 		t.Errorf("pushed aggregate est out = %d, want the 4 product groups", got)
 	}
-	if got := ge.Remats(); got != before {
-		t.Errorf("planning materialized the graph views (%d -> %d): a second statistics source was consulted", before, got)
+	if viewsOf(ge) != before {
+		t.Error("planning materialized the graph views: a second statistics source was consulted")
 	}
 }
 

@@ -41,13 +41,33 @@ func fragsOf(t *table.Table) *table.Frags {
 	return c.FragsOf(t.Name)
 }
 
+// filterRanges is table.Filter over the rows inside the given ascending,
+// disjoint ranges only, with the count of rows that meant visiting.
+func filterRanges(t *table.Table, ranges []table.RowRange, preds ...table.Pred) (*table.Table, int, error) {
+	out := table.New(t.Name, t.Schema)
+	for _, r := range ranges {
+		end := min(r.End, t.Len())
+		if r.Start >= end {
+			continue
+		}
+		part := table.New(t.Name, t.Schema)
+		part.Rows = t.Rows[r.Start:end]
+		kept, err := table.Filter(part, preds...)
+		if err != nil {
+			return nil, 0, err
+		}
+		out.Rows = append(out.Rows, kept.Rows...)
+	}
+	return out, table.RowsVisited(ranges, t.Len()), nil
+}
+
 // rowFragment is the fragment contract spelled with the row kernels
 // alone — the reference every other evaluation must equal.
 func rowFragment(t *table.Table, f Fragment) (*table.Table, int, error) {
 	scanned := t.Len()
 	var err error
 	if f.Ranges != nil {
-		t, scanned, err = table.FilterRanges(t, f.Ranges, f.Preds...)
+		t, scanned, err = filterRanges(t, f.Ranges, f.Preds...)
 	} else {
 		t, err = table.Filter(t, f.Preds...)
 	}

@@ -33,10 +33,9 @@ type GraphEvidence struct {
 	g       *graph.Graph
 	epochFn func() uint64
 
-	mu     sync.Mutex
-	epoch  uint64         // guarded by mu
-	remats int            // guarded by mu; materialization count, for the epoch-guard tests
-	views  *table.Catalog // guarded by mu; both evidence tables at epoch, nil before the first build
+	mu    sync.Mutex
+	epoch uint64         // guarded by mu
+	views *table.Catalog // guarded by mu; both evidence tables at epoch, nil before the first build
 }
 
 // NewGraphEvidence returns a backend over g. epochFn versions the
@@ -62,8 +61,8 @@ func (ge *GraphEvidence) CanPush(string, table.Pred) bool { return true }
 // materialize returns the named evidence view and the catalog holding
 // both, rebuilding them only when the supplied epoch has moved since
 // the last build — consecutive plans over an unchanged graph reuse the
-// same views, statistics, zone maps and columnar fragments (Remats
-// counts rebuilds so tests can pin that). Unserved names return
+// same views, statistics, zone maps and columnar fragments (a rebuild
+// makes a new catalog, which is how tests tell). Unserved names return
 // immediately — the planner probes every backend for every table, and a
 // miss must not trigger an O(graph) rebuild on the answer hot path.
 // Everything derived from a view comes from Catalog.Put, the derive
@@ -77,21 +76,12 @@ func (ge *GraphEvidence) materialize(name string) (*table.Table, *table.Catalog,
 	defer ge.mu.Unlock()
 	if e := ge.epochFn(); ge.views == nil || e != ge.epoch {
 		ge.epoch = e
-		ge.remats++
 		ge.views = table.NewCatalog()
 		ge.views.Put(ge.buildEntities())
 		ge.views.Put(ge.buildTriples())
 	}
 	t, err := ge.views.Get(name)
 	return t, ge.views, err == nil
-}
-
-// Remats reports how many times the evidence views have been
-// materialized — exactly once per distinct epoch value observed.
-func (ge *GraphEvidence) Remats() int {
-	ge.mu.Lock()
-	defer ge.mu.Unlock()
-	return ge.remats
 }
 
 // Zones implements ZoneMapped: the materialized view's fragment zone

@@ -1,7 +1,6 @@
 package federate
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/table"
@@ -210,12 +209,4 @@ func intersectAscending(rows []int, ranges []table.RowRange) []int {
 		}
 	}
 	return out
-}
-
-// IndexStats reports how many equality indexes are currently built, for
-// tests and diagnostics.
-func (m *Memory) IndexStats() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fmt.Sprintf("epoch=%d indexes=%d", m.epoch, len(m.idx))
 }

@@ -17,8 +17,6 @@ type Options struct {
 	// Workers bounds fragment-level parallelism (cross-backend scans of
 	// one query run concurrently). 0 means GOMAXPROCS, 1 sequential.
 	Workers int
-	// PlanCacheSize caps the physical-plan cache (default 256).
-	PlanCacheSize int
 	// Timeout bounds each query execution; fragment scans observe the
 	// deadline through their context. 0 means no deadline.
 	Timeout time.Duration
@@ -34,7 +32,7 @@ type Options struct {
 	// Tests inject fault.NewFakeClock so they never sleep for real.
 	Clock fault.Clock
 	// Counters receives resilience instrumentation (scan.retry,
-	// scan.failover, breaker.open, plan.replan, ...). Nil disables
+	// scan.failover, breaker.open, ...). Nil disables
 	// instrumentation; *metrics.CounterSet methods are nil-safe.
 	Counters *metrics.CounterSet
 }
@@ -67,9 +65,6 @@ func New(epochFn func() uint64, opts Options, backends ...Backend) *Executor {
 	if epochFn == nil {
 		epochFn = func() uint64 { return 0 }
 	}
-	if opts.PlanCacheSize <= 0 {
-		opts.PlanCacheSize = 256
-	}
 	if opts.Retry == (fault.Policy{}) {
 		opts.Retry = fault.DefaultPolicy()
 	}
@@ -85,7 +80,7 @@ func New(epochFn func() uint64, opts Options, backends ...Backend) *Executor {
 	if opts.Clock == nil {
 		opts.Clock = fault.RealClock()
 	}
-	e := &Executor{opts: opts, epochFn: epochFn, plans: newPlanCache(opts.PlanCacheSize), health: newHealthTracker()}
+	e := &Executor{opts: opts, epochFn: epochFn, plans: newPlanCache(planCacheSize), health: newHealthTracker()}
 	for _, b := range backends {
 		e.Register(b)
 	}
@@ -111,35 +106,6 @@ func (e *Executor) Register(b Backend) {
 	e.mu.Unlock()
 
 	e.plans.flush()
-}
-
-// Unregister removes the named backend (simulating a store taken out
-// of service), invalidating cached plans and the binding catalog
-// exactly as Register does. Reports whether the backend was present.
-// In-flight queries planned against the old registry observe the
-// generation bump and re-plan rather than failing with a stale-routing
-// error.
-func (e *Executor) Unregister(name string) bool {
-	e.mu.Lock()
-	kept := e.backends[:0]
-	found := false
-	for _, x := range e.backends {
-		if x.Name() == name {
-			found = true
-			continue
-		}
-		kept = append(kept, x)
-	}
-	e.backends = kept
-	if !found {
-		e.mu.Unlock()
-		return false
-	}
-	e.regGen++
-	e.mu.Unlock()
-
-	e.plans.flush()
-	return true
 }
 
 // generation returns the registry version; plans and binding catalogs
@@ -255,7 +221,7 @@ type PhysicalPlan struct {
 // replaced by the comparable routing cost) and the predicate residue.
 // Planned routing and failover ordering both rank by it, so the two
 // cannot drift. ok is false when b does not serve tbl.
-func (e *Executor) price(b Backend, tbl string, preds []table.Pred, cols []string) (f Fragment, rest []table.Pred, ok bool) {
+func (e *Executor) price(b Backend, open openSet, tbl string, preds []table.Pred, cols []string) (f Fragment, rest []table.Pred, ok bool) {
 	f, left := absorb(b, Fragment{Table: tbl, Preds: preds, Columns: cols})
 	if f.Est, ok = b.Estimate(tbl, f.Preds); !ok {
 		return Fragment{}, nil, false
@@ -267,7 +233,7 @@ func (e *Executor) price(b Backend, tbl string, preds []table.Pred, cols []strin
 	// it: health is a planning input, exactly like cost. The plan
 	// cache keys on the breaker-state version, so a transition
 	// re-routes on the next plan rather than serving a stale choice.
-	if e.health.isOpen(b.Name()) {
+	if open.has(b.Name()) {
 		f.Est.Cost += breakerPenalty
 	}
 	return f, left.Preds, true
@@ -276,7 +242,7 @@ func (e *Executor) price(b Backend, tbl string, preds []table.Pred, cols []strin
 // route picks the cheapest backend serving tbl, offering preds and the
 // column set cols for pushdown. Ties resolve to the first backend in
 // name order.
-func (e *Executor) route(tbl string, preds []table.Pred, cols []string) (Backend, Fragment, []table.Pred, error) {
+func (e *Executor) route(open openSet, tbl string, preds []table.Pred, cols []string) (Backend, Fragment, []table.Pred, error) {
 	e.mu.RLock()
 	backends := append([]Backend(nil), e.backends...)
 	e.mu.RUnlock()
@@ -287,7 +253,7 @@ func (e *Executor) route(tbl string, preds []table.Pred, cols []string) (Backend
 		bestRest []table.Pred
 	)
 	for _, b := range backends {
-		f, rest, ok := e.price(b, tbl, preds, cols)
+		f, rest, ok := e.price(b, open, tbl, preds, cols)
 		if ok && (best == nil || f.Est.Cost < bestFrag.Est.Cost) {
 			best, bestFrag, bestRest = b, f, rest
 		}
@@ -320,31 +286,27 @@ func maxEstOut(frags []Fragment) int {
 }
 
 // plan lowers the optimized tree, consulting the epoch-keyed cache.
-// key is the tree's canonical fingerprint (computed once per query, so
-// stale-registry re-plans do not re-derive it).
-func (e *Executor) plan(opt *logical.Optimized, key string) (*PhysicalPlan, error) {
+// key is the tree's canonical fingerprint. gen is the registry
+// generation read before routing: if a Register lands mid-plan, the
+// generation mismatch keeps the stale plan out of the cache (put drops
+// it) and out of future lookups. Breaker states are versioned the same
+// way: routing reads open, so a plan is valid only for the breaker-state
+// version hver that open belongs to.
+func (e *Executor) plan(opt *logical.Optimized, key string, gen uint64, open openSet, hver uint64) (*PhysicalPlan, error) {
 	epoch := e.epochFn()
-	// Snapshot the registry generation before routing: if a Register
-	// lands mid-plan, the generation mismatch keeps the stale plan out
-	// of the cache (put drops it) and out of future lookups. Breaker
-	// states are versioned the same way: route() reads them, so a plan
-	// is valid only for the breaker-state version it was decided at.
-	gen := e.generation()
-	e.health.sync(gen)
-	hver := e.health.version()
 	if pp := e.plans.get(key, epoch, gen, hver); pp != nil {
 		return pp, nil
 	}
 
 	pp := &PhysicalPlan{Root: opt.Root, Trace: opt.Trace, Rollups: opt.Rollups, Epoch: epoch, gen: gen, hver: hver}
-	residual, err := e.lower(opt.Root, opt.Stats, pp)
+	residual, err := e.lower(opt.Root, opt.Stats, open, pp)
 	if err != nil {
 		return nil, err
 	}
 	pp.Residual = residual
 	pp.VecResidual = maxEstOut(pp.Frags) >= vecResidualMinRows
 
-	e.plans.put(key, pp, e.generation(), e.health.version())
+	e.plans.put(key, pp, e.generation())
 	return pp, nil
 }
 
@@ -354,14 +316,14 @@ func (e *Executor) plan(opt *logical.Optimized, key string) (*PhysicalPlan, erro
 // projected columns, a whole directly-stacked aggregation — disappear
 // from the residual the federation layer interprets. st is the
 // statistics source the tree was optimized against (nil for none).
-func (e *Executor) lower(n *logical.Node, st logical.Stats, pp *PhysicalPlan) (*logical.Node, error) {
+func (e *Executor) lower(n *logical.Node, st logical.Stats, open openSet, pp *PhysicalPlan) (*logical.Node, error) {
 	if scan, preds, top := chain(n); scan != nil {
-		return e.lowerScan(scan, preds, top, st, pp)
+		return e.lowerScan(scan, preds, top, st, open, pp)
 	}
 	out := n.Clone()
 	out.In = make([]*logical.Node, len(n.In))
 	for i, in := range n.In {
-		low, err := e.lower(in, st, pp)
+		low, err := e.lower(in, st, open, pp)
 		if err != nil {
 			return nil, err
 		}
@@ -407,8 +369,8 @@ func chain(n *logical.Node) (scan *logical.Node, preds []table.Pred, top *logica
 // A Compare keeps its predicate residue inside the residual Compare
 // node, applied per branch exactly as the single-store executor applies
 // it.
-func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logical.Node, st logical.Stats, pp *PhysicalPlan) (*logical.Node, error) {
-	b, frag, rest, err := e.route(scan.Table, preds, scan.Cols)
+func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logical.Node, st logical.Stats, open openSet, pp *PhysicalPlan) (*logical.Node, error) {
+	b, frag, rest, err := e.route(open, scan.Table, preds, scan.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -510,6 +472,9 @@ func wrapFilter(in *logical.Node, preds []table.Pred) *logical.Node {
 	return &logical.Node{Op: logical.OpFilter, Preds: preds, In: []*logical.Node{in}}
 }
 
+// planCacheSize caps the physical-plan cache.
+const planCacheSize = 256
+
 // planCache is a bounded map of physical plans keyed by the canonical
 // IR fingerprint. Entries carry the epoch they were planned at; a
 // stale hit is treated as a miss and overwritten, so an epoch bump
@@ -539,12 +504,14 @@ func (c *planCache) get(key string, epoch, gen, hver uint64) *PhysicalPlan {
 	return pp
 }
 
-// put caches the plan unless the registry generation or the breaker
-// state moved while it was being computed — a concurrent Register
-// already flushed the cache, and re-inserting a plan routed against
-// the old registry (or old backend health) would undo that flush.
-func (c *planCache) put(key string, pp *PhysicalPlan, gen, hver uint64) {
-	if pp.gen != gen || pp.hver != hver {
+// put caches the plan unless the registry generation moved while it
+// was being computed — a concurrent Register already flushed the cache,
+// and re-inserting a plan routed against the old registry would undo
+// that flush. A breaker transition flushes nothing: a plan routed under
+// an older breaker-state version fails get's hver check and is
+// overwritten by the next plan for its key.
+func (c *planCache) put(key string, pp *PhysicalPlan, gen uint64) {
+	if pp.gen != gen {
 		return
 	}
 	c.mu.Lock()

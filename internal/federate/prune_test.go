@@ -204,10 +204,8 @@ func TestGraphBackendPrunesViews(t *testing.T) {
 		if i >= table.FragmentRows {
 			etype = "gene"
 		}
-		if err := g.AddNode(graph.Node{ID: fmt.Sprintf("entity:%04d", i), Type: graph.NodeEntity,
-			Label: fmt.Sprintf("E%04d", i), EType: etype}); err != nil {
-			t.Fatal(err)
-		}
+		g.EnsureNode(graph.Node{ID: fmt.Sprintf("entity:%04d", i), Type: graph.NodeEntity,
+			Label: fmt.Sprintf("E%04d", i), EType: etype})
 	}
 	e := New(func() uint64 { return 1 }, Options{}, NewGraphEvidence(g, func() uint64 { return 1 }))
 
@@ -246,34 +244,51 @@ func TestGraphBackendPrunesViews(t *testing.T) {
 	}
 }
 
+// viewsOf is the evidence-view catalog ge holds now, nil before the
+// first materialization; each materialization makes a new one.
+func viewsOf(ge *GraphEvidence) *table.Catalog {
+	ge.mu.Lock()
+	defer ge.mu.Unlock()
+	return ge.views
+}
+
 // TestGraphViewsRematerializeOncePerEpoch pins the epoch guard: any
 // number of plans against an unchanged epoch materializes the views
 // exactly once; an epoch move rebuilds exactly once more.
 func TestGraphViewsRematerializeOncePerEpoch(t *testing.T) {
 	g := graph.New()
-	if err := g.AddNode(graph.Node{ID: "entity:0", Type: graph.NodeEntity, Label: "Drug A",
-		EType: "drug"}); err != nil {
-		t.Fatal(err)
-	}
+	g.EnsureNode(graph.Node{ID: "entity:0", Type: graph.NodeEntity, Label: "Drug A",
+		EType: "drug"})
 	epoch := uint64(1)
 	ge := NewGraphEvidence(g, func() uint64 { return epoch })
 	e := New(func() uint64 { return epoch }, Options{}, ge)
 
 	root := filterScan(GraphEntitiesTable, table.Pred{Col: "etype", Op: table.OpEq, Val: table.S("drug")})
+	var first *table.Catalog
 	for i := 0; i < 5; i++ {
 		if _, _, err := e.ExecuteIR(logical.Optimize(root, bindingStats(e))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := ge.Remats(); got != 1 {
-		t.Fatalf("views materialized %d times at one epoch, want 1", got)
+		if i == 0 {
+			first = viewsOf(ge)
+		}
+		if viewsOf(ge) == nil || viewsOf(ge) != first {
+			t.Fatalf("views materialized again at one epoch (plan %d)", i)
+		}
 	}
 	epoch++
 	if _, _, err := e.ExecuteIR(logical.Optimize(root, bindingStats(e))); err != nil {
 		t.Fatal(err)
 	}
-	if got := ge.Remats(); got != 2 {
-		t.Fatalf("views materialized %d times after one epoch move, want 2", got)
+	second := viewsOf(ge)
+	if second == first {
+		t.Fatal("views not materialized after an epoch move")
+	}
+	if _, _, err := e.ExecuteIR(logical.Optimize(root, bindingStats(e))); err != nil {
+		t.Fatal(err)
+	}
+	if viewsOf(ge) != second {
+		t.Fatal("views materialized twice after one epoch move")
 	}
 }
 

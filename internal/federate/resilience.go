@@ -4,18 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/fault"
 )
-
-// errStaleRegistry signals that a fragment's planned backend vanished
-// between planning and execution (an Unregister raced the query).
-// executeKeyed catches it and re-plans against the current registry
-// instead of surfacing ErrNoBackend for a plan routing already
-// validated.
-var errStaleRegistry = errors.New("federate: registry changed since plan")
 
 // ContextScanner is the optional Backend extension for cancellable
 // scans: a backend that can observe ctx mid-scan (to abandon work when
@@ -88,10 +82,15 @@ type breakerState struct {
 // backend is a new instance). The transitions counter versions routing
 // decisions the same way regGen does — route() consults breaker state,
 // so any state change must invalidate cached physical plans, and the
-// plan cache folds version() into its validity check. The cooldown
+// plan cache folds the version into its validity check. The cooldown
 // clock is the executed-query count, ticked once per execution, so an
 // open breaker half-opens after Cooldown queries even when routing has
 // stopped consulting the backend entirely.
+//
+// A query touches the tracker twice: snapshot before it plans, apply
+// after its last scan. In between it reads the value snapshot returned,
+// so concurrent queries and sibling fragments cannot change what it
+// does.
 type healthTracker struct {
 	mu          sync.Mutex
 	gen         uint64                   // guarded by mu; registry generation the states belong to
@@ -106,53 +105,53 @@ func newHealthTracker() *healthTracker {
 	return &healthTracker{m: make(map[string]*breakerState)}
 }
 
-// sync aligns the tracker with the registry generation, resetting all
-// health state when the registry changed. Resetting a non-closed
-// breaker is a state change, so it bumps transitions.
-func (h *healthTracker) sync(gen uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if gen == h.gen {
-		return
-	}
-	h.gen = gen
-	if len(h.m) > 0 {
-		if h.nonClosed > 0 {
-			h.transitions++
-		}
-		h.m = make(map[string]*breakerState)
-		h.names = nil
-		h.nonClosed = 0
-	}
-}
+// openSet is the breaker state one query runs against: the names of
+// the backends whose breaker is open, sorted; nil while every breaker is
+// closed. Half-open reads as not open: the next scan is the probe.
+type openSet []string
 
-// tick advances the cooldown clock by one executed query and
-// transitions any open breaker whose cooldown expired to half-open —
-// its next routed scan becomes the recovery probe. The sweep walks
-// backends in sorted name order; transitions are per-entry independent
-// either way, but a deterministic order keeps the invariant auditable.
-func (h *healthTracker) tick(cfg BreakerConfig) {
+func (o openSet) has(name string) bool { return slices.Contains(o, name) }
+
+// snapshot starts a query: it advances the cooldown clock by one
+// executed query, moving any open breaker whose cooldown expired to
+// half-open (its next routed scan becomes the recovery probe; the sweep
+// walks backends in sorted name order); aligns the tracker with the
+// registry generation, forgiving all health when the registry changed
+// (resetting a non-closed breaker is a state change, so it bumps
+// transitions); and returns the open set with the version it belongs to.
+func (h *healthTracker) snapshot(gen uint64, cfg BreakerConfig) (openSet, uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.queries++
-	if h.nonClosed == 0 {
-		return
-	}
-	for _, name := range h.names {
-		s := h.m[name]
-		if s.state == breakerOpen && h.queries-s.openedAt >= uint64(cfg.Cooldown) {
-			s.state = breakerHalfOpen
-			h.transitions++
+	if h.nonClosed > 0 {
+		for _, name := range h.names {
+			s := h.m[name]
+			if s.state == breakerOpen && h.queries-s.openedAt >= uint64(cfg.Cooldown) {
+				s.state = breakerHalfOpen
+				h.transitions++
+			}
 		}
 	}
-}
-
-// version returns the breaker-state version routing decisions were
-// made against.
-func (h *healthTracker) version() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.transitions
+	if gen != h.gen {
+		h.gen = gen
+		if len(h.m) > 0 {
+			if h.nonClosed > 0 {
+				h.transitions++
+			}
+			h.m = make(map[string]*breakerState)
+			h.names = nil
+			h.nonClosed = 0
+		}
+	}
+	var open openSet
+	if h.nonClosed > 0 {
+		for _, name := range h.names {
+			if h.m[name].state == breakerOpen {
+				open = append(open, name)
+			}
+		}
+	}
+	return open, h.transitions
 }
 
 // stateLocked returns the named backend's record, creating a closed
@@ -170,88 +169,65 @@ func (h *healthTracker) stateLocked(name string) *breakerState {
 	return s
 }
 
-// isOpen reports whether the named backend's breaker is open — the
-// condition under which route() deprioritizes it and scanFragment
-// skips it when an alternative exists. Half-open reads as not open:
-// the next scan is the probe.
-func (h *healthTracker) isOpen(name string) bool {
+// apply ends a query: it records the verdicts its fragments' scans left
+// on runs, in fragment order and within a fragment in attempt order —
+// the failures, then the success that ended the ladder — and returns how
+// many breakers opened and how many closed (the breaker.open and
+// breaker.close counters). A scan that failed for good (permanent error,
+// or transient retries exhausted) counts toward the backend's
+// consecutive failures: a half-open probe failure re-opens immediately;
+// a closed breaker opens at threshold; an already-open breaker (a forced
+// probe on a sole provider) restarts its cooldown. A successful scan
+// resets the failures and closes a non-closed breaker. threshold < 0
+// disables breaking: failures are not recorded at all.
+func (h *healthTracker) apply(runs []FragmentRun, threshold int) (opened, closed int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := h.m[name]
-	return s != nil && s.state == breakerOpen
-}
-
-// reportSuccess records a successful scan: consecutive failures reset
-// and a non-closed breaker closes. Returns true when the breaker
-// closed (for the breaker.close counter).
-func (h *healthTracker) reportSuccess(name string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.stateLocked(name)
-	s.failures = 0
-	if s.state == breakerClosed {
-		return false
-	}
-	s.state = breakerClosed
-	h.nonClosed--
-	h.transitions++
-	return true
-}
-
-// reportFailure records a scan that ultimately failed (permanent
-// error, or transient retries exhausted). A half-open probe failure
-// re-opens immediately; a closed breaker opens at the consecutive-
-// failure threshold; an already-open breaker (a forced probe on a sole
-// provider) restarts its cooldown. Returns true when the breaker
-// opened (for the breaker.open counter). threshold < 0 disables
-// breaking.
-func (h *healthTracker) reportFailure(name string, threshold int) bool {
-	if threshold < 0 {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.stateLocked(name)
-	s.failures++
-	switch s.state {
-	case breakerHalfOpen:
-		s.state = breakerOpen
-		s.openedAt = h.queries
-		h.transitions++
-		return true
-	case breakerClosed:
-		if s.failures >= threshold {
-			s.state = breakerOpen
-			s.openedAt = h.queries
-			h.nonClosed++
-			h.transitions++
-			return true
+	for i := range runs {
+		fr := &runs[i]
+		if threshold >= 0 {
+			for _, name := range fr.failed {
+				s := h.stateLocked(name)
+				s.failures++
+				switch s.state {
+				case breakerHalfOpen:
+					s.state = breakerOpen
+					s.openedAt = h.queries
+					h.transitions++
+					opened++
+				case breakerClosed:
+					if s.failures >= threshold {
+						s.state = breakerOpen
+						s.openedAt = h.queries
+						h.nonClosed++
+						h.transitions++
+						opened++
+					}
+				case breakerOpen:
+					s.openedAt = h.queries
+				}
+			}
 		}
-	case breakerOpen:
-		s.openedAt = h.queries
+		if fr.served != "" {
+			s := h.stateLocked(fr.served)
+			s.failures = 0
+			if s.state != breakerClosed {
+				s.state = breakerClosed
+				h.nonClosed--
+				h.transitions++
+				closed++
+			}
+		}
 	}
-	return false
-}
-
-// reportScanSuccess/reportScanFailure wire breaker transitions into
-// the metrics counters.
-func (e *Executor) reportScanSuccess(name string) {
-	if e.health.reportSuccess(name) {
-		e.opts.Counters.Inc("breaker.close")
-	}
-}
-
-func (e *Executor) reportScanFailure(name string) {
-	if e.health.reportFailure(name, e.opts.Breaker.FailThreshold) {
-		e.opts.Counters.Inc("breaker.open")
-	}
+	return opened, closed
 }
 
 // scanFragment executes one planned fragment with the full resilience
 // ladder: breaker gate, retry with backoff on the planned backend,
 // then cost-ordered failover across every other backend serving the
 // table. Observability lands on fr (retries, breaker skips, the
-// failover target); health outcomes land on the tracker.
+// failover target), and so do the health verdicts, for
+// healthTracker.apply; open is the query's one reading of the breakers.
 //
 // Two contexts, one rule. ctx is the query's: only its deadline ends
 // it, and once it has, nothing further is attempted. inflight is what
@@ -262,20 +238,20 @@ func (e *Executor) reportScanFailure(name string) {
 // when a sibling failed. An interrupted scan counts as that attempt's
 // failure without a verdict; the fragment reports the first real fault
 // it met, and context.Canceled only when it met none.
-func (e *Executor) scanFragment(ctx, inflight context.Context, f Fragment, fr *FragmentRun) (Result, error) {
+func (e *Executor) scanFragment(ctx, inflight context.Context, f Fragment, open openSet, fr *FragmentRun) (Result, error) {
 	b := e.backend(f.Backend)
 	if b == nil {
-		return Result{}, fmt.Errorf("%w: backend %s for table %s", errStaleRegistry, f.Backend, f.Table)
+		return Result{}, fmt.Errorf("federate: backend %s planned for table %s is not registered", f.Backend, f.Table)
 	}
 
 	var primaryErr error
 	var cands []Backend
 	skipPrimary := false
-	if e.health.isOpen(f.Backend) {
+	if open.has(f.Backend) {
 		// Breaker open: skip straight to failover when an alternative
 		// exists. With no alternative the scan proceeds anyway — a
 		// forced probe beats failing a query the backend might serve.
-		cands = e.failoverCandidates(f)
+		cands = e.failoverCandidates(f, open)
 		if len(cands) > 0 {
 			skipPrimary = true
 			fr.BreakerSkip = true
@@ -292,11 +268,11 @@ func (e *Executor) scanFragment(ctx, inflight context.Context, f Fragment, fr *F
 			return Result{}, err
 		}
 		primaryErr = err
-		cands = e.failoverCandidates(f)
+		cands = e.failoverCandidates(f, open)
 	}
 
 	for _, c := range cands {
-		if e.health.isOpen(c.Name()) {
+		if open.has(c.Name()) {
 			continue
 		}
 		nf, left, ok := refragment(c, f)
@@ -342,7 +318,7 @@ func (e *Executor) scanFragment(ctx, inflight context.Context, f Fragment, fr *F
 // and retry up to the budget; permanent failures and cancellations
 // return immediately. Before each attempt the query's deadline is
 // checked, and nothing else. The scan outcome — success, or the final
-// failure — is reported to the health tracker exactly once.
+// failure — is recorded on fr as a health verdict exactly once.
 func (e *Executor) scanRetrying(ctx, inflight context.Context, b Backend, f Fragment, fr *FragmentRun) (Result, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -350,7 +326,7 @@ func (e *Executor) scanRetrying(ctx, inflight context.Context, b Backend, f Frag
 		}
 		res, err := scanWithContext(inflight, b, f)
 		if err == nil {
-			e.reportScanSuccess(b.Name())
+			fr.served = b.Name()
 			return res, nil
 		}
 		if isCancellation(err) {
@@ -358,7 +334,7 @@ func (e *Executor) scanRetrying(ctx, inflight context.Context, b Backend, f Frag
 			return Result{}, err
 		}
 		if !fault.IsTransient(err) || attempt >= e.opts.Retry.MaxRetries {
-			e.reportScanFailure(b.Name())
+			fr.failed = append(fr.failed, b.Name())
 			return Result{}, err
 		}
 		fr.Retries++
@@ -371,7 +347,7 @@ func (e *Executor) scanRetrying(ctx, inflight context.Context, b Backend, f Frag
 // cheapest first (by the same cost model route uses, with open
 // breakers pushed to the back), name-ordered on ties so the failover
 // sequence is deterministic.
-func (e *Executor) failoverCandidates(f Fragment) []Backend {
+func (e *Executor) failoverCandidates(f Fragment, open openSet) []Backend {
 	e.mu.RLock()
 	backends := append([]Backend(nil), e.backends...)
 	e.mu.RUnlock()
@@ -385,7 +361,7 @@ func (e *Executor) failoverCandidates(f Fragment) []Backend {
 		if b.Name() == f.Backend {
 			continue
 		}
-		pf, _, ok := e.price(b, f.Table, f.Preds, nil)
+		pf, _, ok := e.price(b, open, f.Table, f.Preds, nil)
 		if !ok {
 			continue
 		}

@@ -3,7 +3,9 @@ package federate
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -261,50 +263,57 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	h := newHealthTracker()
 	cfg := BreakerConfig{FailThreshold: 1, Cooldown: 2}
-	if h.reportFailure("b", cfg.FailThreshold) != true {
+	failed := []FragmentRun{{failed: []string{"b"}}}
+	if opened, _ := h.apply(failed, cfg.FailThreshold); opened != 1 {
 		t.Fatal("first failure at threshold 1 must open")
 	}
-	if !h.isOpen("b") {
+	open, v := h.snapshot(0, cfg)
+	if !open.has("b") {
 		t.Fatal("breaker not open")
 	}
-	v := h.version()
-	h.tick(cfg)
-	h.tick(cfg) // cooldown expires: half-open
-	if h.isOpen("b") {
+	open, half := h.snapshot(0, cfg) // cooldown expires: half-open
+	if open.has("b") {
 		t.Fatal("breaker still open after cooldown, want half-open")
 	}
-	if h.version() == v {
+	if half == v {
 		t.Error("half-open transition must bump the routing version")
 	}
-	if h.reportFailure("b", cfg.FailThreshold) != true {
+	if opened, _ := h.apply(failed, cfg.FailThreshold); opened != 1 {
 		t.Error("failed half-open probe must re-open")
 	}
-	if !h.isOpen("b") {
+	if open, _ := h.snapshot(0, cfg); !open.has("b") {
 		t.Error("breaker not re-opened after failed probe")
 	}
-	if h.reportSuccess("b") != true {
+	if _, closed := h.apply([]FragmentRun{{served: "b"}}, cfg.FailThreshold); closed != 1 {
 		t.Error("success on a non-closed breaker must close it")
 	}
-	if h.isOpen("b") {
-		t.Error("breaker open after success")
+	if open, _ := h.snapshot(0, cfg); open != nil {
+		t.Errorf("open set %v after success, want nil", open)
 	}
 }
 
+// openBreaker opens name's breaker on e directly, without a failing
+// query, and returns the open set the next query would run against. The
+// first snapshot aligns the tracker with the live registry generation,
+// or the second would forgive the manual state.
+func openBreaker(e *Executor, name string) openSet {
+	e.health.snapshot(e.generation(), e.opts.Breaker)
+	e.health.apply([]FragmentRun{{failed: []string{name}}}, 1)
+	open, _ := e.health.snapshot(e.generation(), e.opts.Breaker)
+	return open
+}
+
 // TestBreakerSkipWithFailover pins scan-time breaker avoidance: a
-// fragment planned onto a backend whose breaker opened mid-query skips
-// it and fails over without ever touching the sick backend.
+// fragment planned onto a backend whose breaker the query reads as open
+// skips it and fails over without ever touching the sick backend.
 func TestBreakerSkipWithFailover(t *testing.T) {
 	c := testCatalog()
 	counters := metrics.NewCounterSet()
 	e := New(c.Epoch, Options{Workers: 1, Counters: counters}, NewMemory(c), NewSQL(c))
-	// Open memory's breaker directly, simulating a transition after the
-	// fragment was planned. Sync to the live registry generation first,
-	// or the tracker forgives the manual state on its next sync.
-	e.health.sync(e.generation())
-	e.health.reportFailure("memory", 1)
+	open := openBreaker(e, "memory")
 	var fr FragmentRun
 	fr.Fragment = Fragment{Backend: "memory", Table: "sales"}
-	res, err := e.scanFragment(context.Background(), context.Background(), fr.Fragment, &fr)
+	res, err := e.scanFragment(context.Background(), context.Background(), fr.Fragment, open, &fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +335,7 @@ func TestOpenBreakerSoleProviderForcesProbe(t *testing.T) {
 	c := testCatalog()
 	counters := metrics.NewCounterSet()
 	e := New(c.Epoch, Options{Workers: 1, Counters: counters}, NewMemory(c))
-	e.health.sync(e.generation())
-	e.health.reportFailure("memory", 1)
+	openBreaker(e, "memory")
 	got, run, err := execPlan(e, resilienceTestPlans()["list"], c)
 	if err != nil {
 		t.Fatalf("sole-provider query failed with open breaker: %v", err)
@@ -448,78 +456,118 @@ func TestDeterministicErrorSelection(t *testing.T) {
 	}
 }
 
-// unregisterOnEstimate unregisters itself from the executor on the
-// first Estimate call, simulating a backend vanishing between routing
-// and execution.
-type unregisterOnEstimate struct {
-	Backend
-	name string
-	e    *Executor
-	once atomic.Bool
-}
-
-func (u *unregisterOnEstimate) Name() string { return u.name }
-func (u *unregisterOnEstimate) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
-	est, ok := u.Backend.Estimate(tbl, preds)
-	est.Cost = 0.5 // cheapest: routing will pick it
-	if u.once.CompareAndSwap(false, true) {
-		u.e.Unregister(u.name)
+// TestOutageIsScheduleIndependent: a query sees one breaker state. Four
+// join queries against two backends that are both down cross
+// FailThreshold in the middle of the second one; what each query
+// reports, what the counters read and what every breaker holds
+// afterwards are the same at any worker count, run after run.
+func TestOutageIsScheduleIndependent(t *testing.T) {
+	type outcome struct {
+		errs     [4]string
+		counters string
+		health   string
 	}
-	return est, ok
+	outage := func(workers int) outcome {
+		c := testCatalog()
+		counters := metrics.NewCounterSet()
+		e := New(c.Epoch, Options{Workers: workers, Counters: counters},
+			NewChaos(NewMemory(c), ChaosOptions{Down: true}),
+			NewChaos(NewSQL(c), ChaosOptions{Down: true}),
+		)
+		var o outcome
+		for q := range o.errs {
+			_, _, err := execPlan(e, resilienceTestPlans()["join"], c)
+			if err == nil {
+				t.Fatalf("workers=%d query %d: succeeded with every backend down", workers, q)
+			}
+			o.errs[q] = err.Error()
+		}
+		o.counters = counters.String()
+		e.health.mu.Lock()
+		defer e.health.mu.Unlock()
+		for _, name := range e.health.names {
+			s := e.health.m[name]
+			o.health += fmt.Sprintf("%s: state %d, %d failures, opened at query %d; ", name, s.state, s.failures, s.openedAt)
+		}
+		return o
+	}
+	want := outage(1)
+	if !strings.Contains(want.errs[1], "is down") || !strings.Contains(want.errs[2], "breaker open") {
+		t.Fatalf("the outage no longer crosses the threshold inside query 2: %q", want.errs)
+	}
+	for rep := 0; rep < 200; rep++ {
+		for _, workers := range []int{1, 2, 8} {
+			if got := outage(workers); got != want {
+				t.Fatalf("repetition %d, workers=%d:\n got %+v\nwant %+v", rep, workers, got, want)
+			}
+		}
+	}
 }
 
-// TestStaleRegistryReplans: a plan routed to a backend that vanished
-// before execution re-plans against the live registry instead of
-// failing, and the run records the replan.
-func TestStaleRegistryReplans(t *testing.T) {
+// TestRegisterBesideQueries: the registry only ever gains or replaces a
+// backend, so a plan routed before a Register still names a registered
+// backend after it and no query needs planning twice. One goroutine
+// replaces the memory backend in a loop while eight run the list, join
+// and aggregate plans: every execution succeeds with the table it gives
+// on a quiet executor, and plans are cached again once the registry
+// rests.
+func TestRegisterBesideQueries(t *testing.T) {
 	c := testCatalog()
-	counters := metrics.NewCounterSet()
-	e := New(c.Epoch, Options{Workers: 1, Counters: counters}, NewMemory(c))
-	u := &unregisterOnEstimate{Backend: NewMemory(c), name: "vanishing", e: e}
-	e.Register(u)
+	e := newTestExecutor(c, 2)
+	plans := resilienceTestPlans()
+	names := []string{"list", "join", "filtered aggregate"}
+	want := map[string]string{}
+	for _, name := range names {
+		got, _, err := execPlan(e, plans[name], c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = render(got)
+	}
 
-	p := resilienceTestPlans()["list"]
-	got, run, err := execPlan(e, p, c)
-	if err != nil {
-		t.Fatalf("stale-registry execute: %v", err)
+	stop := make(chan struct{})
+	registrar := make(chan struct{})
+	go func() {
+		defer close(registrar)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Register(NewMemory(c))
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				name := names[(g+i)%len(names)]
+				got, _, err := execPlan(e, plans[name], c)
+				if err != nil {
+					t.Errorf("%s beside Register: %v", name, err)
+					return
+				}
+				if render(got) != want[name] {
+					t.Errorf("%s beside Register:\n%s\nwant\n%s", name, render(got), want[name])
+					return
+				}
+			}
+		}(g)
 	}
-	want, err := semop.Exec(p, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if render(got) != render(want) {
-		t.Errorf("replanned result diverges:\n%s\nvs\n%s", render(got), render(want))
-	}
-	if run.Replans != 1 {
-		t.Errorf("run.Replans = %d, want 1", run.Replans)
-	}
-	if run.Fragments[0].Backend != "memory" {
-		t.Errorf("replanned fragment backend = %s, want memory", run.Fragments[0].Backend)
-	}
-	if counters.Get("plan.replan") != 1 {
-		t.Errorf("plan.replan = %d, want 1", counters.Get("plan.replan"))
-	}
-	if !strings.Contains(Explain(run), "resilience: replans 1") {
-		t.Errorf("explain missing replans line:\n%s", Explain(run))
-	}
-}
+	wg.Wait()
+	close(stop)
+	<-registrar
 
-// TestUnregisterRemovesBackend pins the registry-removal surface.
-func TestUnregisterRemovesBackend(t *testing.T) {
-	c := testCatalog()
-	e := newTestExecutor(c, 1)
-	if !e.Unregister("sql") {
-		t.Fatal("Unregister(sql) = false, want true")
+	for _, name := range names {
+		if _, _, err := execPlan(e, plans[name], c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if e.Unregister("sql") {
-		t.Error("second Unregister(sql) = true, want false")
-	}
-	if got := e.Backends(); len(got) != 1 || got[0] != "memory" {
-		t.Errorf("Backends() = %v, want [memory]", got)
-	}
-	// Queries keep working against the remaining backend.
-	if _, _, err := execPlan(e, resilienceTestPlans()["list"], c); err != nil {
-		t.Fatal(err)
+	if _, _, size := e.PlanCacheStats(); size != len(names) {
+		t.Errorf("plan cache holds %d plans after the registry came to rest, want %d", size, len(names))
 	}
 }
 
@@ -539,7 +587,7 @@ func TestRowSlicedFailoverPreservesSlice(t *testing.T) {
 	f := Fragment{Backend: "memory", Table: "sales", SliceStart: 4, SliceEnd: 9,
 		Ranges: []table.RowRange{{Start: 4, End: 9}}}
 	fr.Fragment = f
-	res, err := e.scanFragment(context.Background(), context.Background(), f, &fr)
+	res, err := e.scanFragment(context.Background(), context.Background(), f, nil, &fr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,20 @@ import (
 // template for wiring real databases behind the planner.
 type SQL struct {
 	catalog *table.Catalog
-	// PerRow and Fixed shape the cost model: text round-trip and
-	// unindexed scans make this backend pricier per row than the
-	// in-memory engine, so the planner prefers it only when it is the
-	// sole provider of a table (or a test tunes the costs).
-	PerRow float64
-	Fixed  float64
 }
+
+// sqlPerRow and sqlFixed shape the cost model: text round-trip and
+// unindexed scans make this backend pricier per row than the in-memory
+// engine, so the planner prefers it only when it is the sole provider of
+// a table.
+const (
+	sqlPerRow = 1.25
+	sqlFixed  = 24
+)
 
 // NewSQL returns a SQL-dialect backend over the catalog.
 func NewSQL(c *table.Catalog) *SQL {
-	return &SQL{catalog: c, PerRow: 1.25, Fixed: 24}
+	return &SQL{catalog: c}
 }
 
 // Name implements Backend.
@@ -117,16 +120,11 @@ func (s *SQL) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
 	if err != nil {
 		return Estimate{}, false
 	}
-	return estimateFromStats(s.catalog.StatsOf(tbl), t.Len(), preds, s.Fixed, s.PerRow), true
+	return estimateFromStats(s.catalog.StatsOf(tbl), t.Len(), preds, sqlFixed, sqlPerRow), true
 }
 
 // Zones implements ZoneMapped: the catalog's per-fragment zone maps.
 func (s *SQL) Zones(tbl string) *table.Zones { return s.catalog.ZonesOf(tbl) }
-
-// Render lowers the fragment to one SELECT statement in the dialect.
-func (s *SQL) Render(f Fragment) string {
-	return s.render(f, nil)
-}
 
 // render lowers the fragment to one SELECT, optionally restricted to a
 // physical row range via the dialect's ROWS a TO b clause — the text

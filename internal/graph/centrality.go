@@ -6,18 +6,12 @@ import (
 	"repro/internal/par"
 )
 
-// PageRankOptions configures PageRank.
-type PageRankOptions struct {
-	Damping    float64 // typically 0.85
-	Iterations int     // fixed iteration cap
-	Tolerance  float64 // early-exit L1 threshold
-	Workers    int     // gather workers per iteration; 0 = GOMAXPROCS, 1 = sequential
-}
-
-// DefaultPageRankOptions returns the standard setting.
-func DefaultPageRankOptions() PageRankOptions {
-	return PageRankOptions{Damping: 0.85, Iterations: 40, Tolerance: 1e-8}
-}
+// PageRank's damping factor, iteration cap and early-exit L1 threshold.
+const (
+	prDamping    = 0.85
+	prIterations = 40
+	prTolerance  = 1e-8
+)
 
 // PageRank computes weighted PageRank over the directed graph, one
 // score per view index. Edge weights bias the random walk; dangling
@@ -28,17 +22,11 @@ func DefaultPageRankOptions() PageRankOptions {
 // The iteration runs pull-style: each node gathers from its in-edges in
 // list order, so every node's score is independent of how nodes are
 // partitioned across workers — results are bit-identical at any worker
-// count.
-func (v *View) PageRank(opts PageRankOptions) []float64 {
+// count (0 = GOMAXPROCS, 1 = sequential).
+func (v *View) PageRank(workers int) []float64 {
 	n := len(v.verts)
 	if n == 0 {
 		return nil
-	}
-	if opts.Damping <= 0 || opts.Damping >= 1 {
-		opts.Damping = 0.85
-	}
-	if opts.Iterations <= 0 {
-		opts.Iterations = 40
 	}
 
 	// Per-node total outgoing weight, and the in-edge weights flattened
@@ -62,8 +50,11 @@ func (v *View) PageRank(opts PageRankOptions) []float64 {
 		ranks[i] = init
 	}
 
-	d := opts.Damping
-	for iter := 0; iter < opts.Iterations; iter++ {
+	// A variable, so 1-d below is float64 arithmetic as it always was:
+	// as a constant expression it would be folded exactly and round to
+	// another bit pattern.
+	d := prDamping
+	for iter := 0; iter < prIterations; iter++ {
 		var dangling float64
 		for i := 0; i < n; i++ {
 			if outWeight[i] == 0 {
@@ -75,7 +66,7 @@ func (v *View) PageRank(opts PageRankOptions) []float64 {
 		}
 		base := (1-d)/float64(n) + d*dangling/float64(n)
 
-		par.ForRange(n, opts.Workers, func(lo, hi int) {
+		par.ForRange(n, workers, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				var s float64
 				for k := v.inOff[u]; k < v.inOff[u+1]; k++ {
@@ -92,7 +83,7 @@ func (v *View) PageRank(opts PageRankOptions) []float64 {
 			delta += math.Abs(next[i] - ranks[i])
 		}
 		ranks, next = next, ranks
-		if delta < opts.Tolerance {
+		if delta < prTolerance {
 			break
 		}
 	}

@@ -177,18 +177,6 @@ func (g *Graph) typeCode(t EdgeType) (uint8, error) {
 	return uint8(len(g.types) - 1), nil
 }
 
-// AddNode inserts a node. It returns ErrNodeExists if the id is taken.
-func (g *Graph) AddNode(n Node) error {
-	if n.ID == "" {
-		return fmt.Errorf("graph: empty node id: %w", ErrNodeNotFound)
-	}
-	if _, ok := g.vs[n.ID]; ok {
-		return fmt.Errorf("%w: %s", ErrNodeExists, n.ID)
-	}
-	g.insert(n)
-	return nil
-}
-
 // EnsureNode inserts the node if absent and returns the stored node.
 // Existing nodes are returned unchanged (first write wins), which is
 // the behaviour the index builder needs for entity unification.
@@ -281,7 +269,9 @@ func (g *Graph) Reserve(id string, out, in int) {
 
 // Out returns the outgoing edges of id in insertion order. The slice is
 // built for the caller, who may keep and change it: the graph stores no
-// Edge.
+// Edge. Out and In are the graph's read accessor: no production path
+// calls them, the reference implementations in this package's,
+// retrieval's and index's tests read adjacency order through them.
 func (g *Graph) Out(id string) []Edge {
 	v, ok := g.vs[id]
 	if !ok || len(v.out) == 0 {

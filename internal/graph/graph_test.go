@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -13,9 +14,7 @@ func chainGraph(t *testing.T) *Graph {
 	t.Helper()
 	g := New()
 	for _, id := range []string{"a", "b", "c", "d", "hub"} {
-		if err := g.AddNode(Node{ID: id, Type: NodeChunk, Label: id}); err != nil {
-			t.Fatal(err)
-		}
+		g.EnsureNode(Node{ID: id, Type: NodeChunk, Label: id})
 	}
 	for _, pair := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
 		if err := g.AddEdge(Edge{From: pair[0], To: pair[1], Type: EdgeNextTo}); err != nil {
@@ -30,26 +29,31 @@ func chainGraph(t *testing.T) *Graph {
 	return g
 }
 
+// A taken id is not inserted again: the graph and its running
+// statistics stay as the first insertion left them.
 func TestAddNodeDuplicate(t *testing.T) {
 	g := New()
-	if err := g.AddNode(Node{ID: "x", Type: NodeChunk}); err != nil {
-		t.Fatal(err)
+	g.EnsureNode(Node{ID: "x", Type: NodeChunk})
+	size := g.SizeBytes()
+	if n := g.EnsureNode(Node{ID: "x", Type: NodeEntity, Label: "again"}); n.Type != NodeChunk {
+		t.Errorf("duplicate add replaced the node: %+v", *n)
 	}
-	err := g.AddNode(Node{ID: "x", Type: NodeEntity})
-	if !errors.Is(err, ErrNodeExists) {
-		t.Errorf("duplicate add: %v", err)
+	if g.NodeCount() != 1 || g.SizeBytes() != size || g.CountByType()[NodeEntity] != 0 {
+		t.Errorf("duplicate add counted: %d nodes, %d bytes, %v", g.NodeCount(), g.SizeBytes(), g.CountByType())
 	}
 }
 
+// A node without an id comes only from a file, and ReadJSON refuses it.
 func TestAddNodeEmptyID(t *testing.T) {
-	if err := New().AddNode(Node{}); err == nil {
-		t.Error("empty id accepted")
+	_, err := ReadJSON(strings.NewReader(`{"nodes":[{"id":"","type":"chunk"}]}`))
+	if !errors.Is(err, ErrNodeNotFound) {
+		t.Errorf("empty id: %v", err)
 	}
 }
 
 func TestAddEdgeMissingEndpoint(t *testing.T) {
 	g := New()
-	g.AddNode(Node{ID: "x", Type: NodeChunk})
+	g.EnsureNode(Node{ID: "x", Type: NodeChunk})
 	err := g.AddEdge(Edge{From: "x", To: "missing", Type: EdgeNextTo})
 	if !errors.Is(err, ErrBadEdge) {
 		t.Errorf("missing endpoint: %v", err)
@@ -67,8 +71,8 @@ func TestEnsureNodeFirstWriteWins(t *testing.T) {
 
 func TestDefaultEdgeWeight(t *testing.T) {
 	g := New()
-	g.AddNode(Node{ID: "a", Type: NodeChunk})
-	g.AddNode(Node{ID: "b", Type: NodeChunk})
+	g.EnsureNode(Node{ID: "a", Type: NodeChunk})
+	g.EnsureNode(Node{ID: "b", Type: NodeChunk})
 	g.AddEdge(Edge{From: "a", To: "b", Type: EdgeNextTo})
 	if w := g.Out("a")[0].Weight; w != 1 {
 		t.Errorf("default weight = %v", w)
@@ -129,7 +133,7 @@ func TestBFSVisitOnceProperty(t *testing.T) {
 		g := New()
 		const n = 10
 		for i := 0; i < n; i++ {
-			g.AddNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
+			g.EnsureNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
 		}
 		for i := 0; i+1 < len(edges); i += 2 {
 			from := fmt.Sprintf("n%d", int(edges[i])%n)
@@ -157,7 +161,7 @@ func TestBFSVisitOnceProperty(t *testing.T) {
 func TestWeightedExpandPrefersStrongEdges(t *testing.T) {
 	g := New()
 	for _, id := range []string{"q", "strong", "weak"} {
-		g.AddNode(Node{ID: id, Type: NodeChunk})
+		g.EnsureNode(Node{ID: id, Type: NodeChunk})
 	}
 	g.AddEdge(Edge{From: "q", To: "strong", Type: EdgeMentions, Weight: 1.0})
 	g.AddEdge(Edge{From: "q", To: "weak", Type: EdgeMentions, Weight: 0.1})
@@ -191,7 +195,7 @@ func TestWeightedExpandEdgeTypeGate(t *testing.T) {
 func TestWeightedExpandNodePrior(t *testing.T) {
 	g := New()
 	for _, id := range []string{"q", "x", "y"} {
-		g.AddNode(Node{ID: id, Type: NodeChunk})
+		g.EnsureNode(Node{ID: id, Type: NodeChunk})
 	}
 	g.AddEdge(Edge{From: "q", To: "x", Type: EdgeMentions})
 	g.AddEdge(Edge{From: "q", To: "y", Type: EdgeMentions})
@@ -228,8 +232,8 @@ func TestShortestPathSelf(t *testing.T) {
 
 func TestShortestPathDisconnected(t *testing.T) {
 	g := New()
-	g.AddNode(Node{ID: "a", Type: NodeChunk})
-	g.AddNode(Node{ID: "b", Type: NodeChunk})
+	g.EnsureNode(Node{ID: "a", Type: NodeChunk})
+	g.EnsureNode(Node{ID: "b", Type: NodeChunk})
 	if p := g.ShortestPath("a", "b"); p != nil {
 		t.Errorf("disconnected path = %v", p)
 	}
@@ -238,7 +242,7 @@ func TestShortestPathDisconnected(t *testing.T) {
 func TestConnectedComponents(t *testing.T) {
 	g := New()
 	for _, id := range []string{"a", "b", "c", "x", "y"} {
-		g.AddNode(Node{ID: id, Type: NodeChunk})
+		g.EnsureNode(Node{ID: id, Type: NodeChunk})
 	}
 	g.AddEdge(Edge{From: "a", To: "b", Type: EdgeNextTo})
 	g.AddEdge(Edge{From: "b", To: "c", Type: EdgeNextTo})
@@ -251,7 +255,7 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestPageRankSumsToOne(t *testing.T) {
 	g := chainGraph(t)
-	pr := g.View().PageRank(DefaultPageRankOptions())
+	pr := g.View().PageRank(0)
 	var sum float64
 	for _, v := range pr {
 		sum += v
@@ -264,7 +268,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 func TestPageRankHubWins(t *testing.T) {
 	g := chainGraph(t)
 	v := g.View()
-	pr := v.PageRank(DefaultPageRankOptions())
+	pr := v.PageRank(0)
 	hub, _ := v.Index("hub")
 	a, _ := v.Index("a")
 	if pr[hub] <= pr[a] {
@@ -273,7 +277,7 @@ func TestPageRankHubWins(t *testing.T) {
 }
 
 func TestPageRankEmptyGraph(t *testing.T) {
-	if pr := New().View().PageRank(DefaultPageRankOptions()); len(pr) != 0 {
+	if pr := New().View().PageRank(0); len(pr) != 0 {
 		t.Errorf("empty graph pagerank = %v", pr)
 	}
 }
@@ -283,7 +287,7 @@ func TestPageRankPropertyNonNegative(t *testing.T) {
 		g := New()
 		const n = 8
 		for i := 0; i < n; i++ {
-			g.AddNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
+			g.EnsureNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
 		}
 		for i := 0; i+1 < len(edges); i += 2 {
 			from := fmt.Sprintf("n%d", int(edges[i])%n)
@@ -292,7 +296,7 @@ func TestPageRankPropertyNonNegative(t *testing.T) {
 				g.AddEdge(Edge{From: from, To: to, Type: EdgeNextTo})
 			}
 		}
-		pr := g.View().PageRank(DefaultPageRankOptions())
+		pr := g.View().PageRank(0)
 		var sum float64
 		for _, v := range pr {
 			if v < 0 {
@@ -358,9 +362,9 @@ func TestSizeBytesPositive(t *testing.T) {
 
 func TestNodesOfTypeSorted(t *testing.T) {
 	g := New()
-	g.AddNode(Node{ID: "z", Type: NodeEntity})
-	g.AddNode(Node{ID: "a", Type: NodeEntity})
-	g.AddNode(Node{ID: "m", Type: NodeChunk})
+	g.EnsureNode(Node{ID: "z", Type: NodeEntity})
+	g.EnsureNode(Node{ID: "a", Type: NodeEntity})
+	g.EnsureNode(Node{ID: "m", Type: NodeChunk})
 	ents := g.NodesOfType(NodeEntity)
 	if len(ents) != 2 || ents[0].ID != "a" || ents[1].ID != "z" {
 		t.Errorf("NodesOfType = %v", ents)

@@ -71,8 +71,8 @@ func TestHasEdge(t *testing.T) {
 // and one type more is a typed error that changes nothing.
 func TestEdgeTypeLimit(t *testing.T) {
 	g := New()
-	g.AddNode(Node{ID: "a", Type: NodeChunk})
-	g.AddNode(Node{ID: "b", Type: NodeChunk})
+	g.EnsureNode(Node{ID: "a", Type: NodeChunk})
+	g.EnsureNode(Node{ID: "b", Type: NodeChunk})
 	for _, et := range declared {
 		if err := g.AddEdge(Edge{From: "a", To: "b", Type: et}); err != nil {
 			t.Fatal(err)

@@ -196,17 +196,11 @@ func (g *Graph) WeightedExpand(anchors []string, opts refExpandOptions) []refVis
 // graph: each node gathers from its in-edges in list order, so every
 // node's score is independent of how nodes are partitioned across
 // workers — results are bit-identical at any worker count.
-func (g *Graph) referencePageRank(opts PageRankOptions) map[string]float64 {
+func (g *Graph) referencePageRank() map[string]float64 {
 	n := len(g.vs)
 	out := make(map[string]float64, n)
 	if n == 0 {
 		return out
-	}
-	if opts.Damping <= 0 || opts.Damping >= 1 {
-		opts.Damping = 0.85
-	}
-	if opts.Iterations <= 0 {
-		opts.Iterations = 40
 	}
 	ids := g.NodeIDs()
 	idx := make(map[string]int, n)
@@ -242,8 +236,8 @@ func (g *Graph) referencePageRank(opts PageRankOptions) map[string]float64 {
 		ranks[i] = init
 	}
 
-	d := opts.Damping
-	for iter := 0; iter < opts.Iterations; iter++ {
+	d := 0.85
+	for iter := 0; iter < 40; iter++ {
 		var dangling float64
 		for i := 0; i < n; i++ {
 			if outWeight[i] == 0 {
@@ -255,7 +249,7 @@ func (g *Graph) referencePageRank(opts PageRankOptions) map[string]float64 {
 		}
 		base := (1-d)/float64(n) + d*dangling/float64(n)
 
-		par.ForRange(n, opts.Workers, func(lo, hi int) {
+		par.ForRange(n, 0, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				var s float64
 				for k := offs[v]; k < offs[v+1]; k++ {
@@ -272,7 +266,7 @@ func (g *Graph) referencePageRank(opts PageRankOptions) map[string]float64 {
 			delta += math.Abs(next[i] - ranks[i])
 		}
 		ranks, next = next, ranks
-		if delta < opts.Tolerance {
+		if delta < 1e-8 {
 			break
 		}
 	}

@@ -725,7 +725,8 @@ func (d *decoder) node() error {
 }
 
 // insertNodes puts the collected nodes into the graph in file order,
-// with AddNode's checks, into a map and a vertex array sized for them.
+// refusing an empty or a taken id, into a map and a vertex array sized
+// for them.
 func (d *decoder) insertNodes() error {
 	g := d.g
 	g.vs = make(map[string]*vertex, len(d.nodes))

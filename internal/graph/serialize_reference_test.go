@@ -62,7 +62,7 @@ func refWriteJSON(g *Graph, w io.Writer) error {
 	return json.NewEncoder(w).Encode(s)
 }
 
-// refReadJSON is ReadJSON through encoding/json and one AddNode/AddEdge
+// refReadJSON is ReadJSON through encoding/json and one checked insert
 // per record.
 func refReadJSON(r io.Reader) (*Graph, error) {
 	var s refSerialized
@@ -71,9 +71,13 @@ func refReadJSON(r io.Reader) (*Graph, error) {
 	}
 	g := New()
 	for _, n := range s.Nodes {
-		if err := g.AddNode(n.node()); err != nil {
-			return nil, err
+		if n.ID == "" {
+			return nil, fmt.Errorf("graph: empty node id: %w", ErrNodeNotFound)
 		}
+		if g.HasNode(n.ID) {
+			return nil, fmt.Errorf("%w: %s", ErrNodeExists, n.ID)
+		}
+		g.EnsureNode(n.node())
 	}
 	for _, e := range s.Edges {
 		if err := g.AddEdge(e); err != nil {

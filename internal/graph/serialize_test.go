@@ -54,9 +54,7 @@ func hostileGraph(t testing.TB) *Graph {
 			id = s
 		}
 		n.ID = id
-		if err := g.AddNode(n); err != nil {
-			t.Fatal(err)
-		}
+		g.EnsureNode(n)
 	}
 	ids := g.NodeIDs()
 	weights := []float64{1, 0.5, 1e-7, 1e-6, 1e21, 1e20, -2.5, 123456789.125, 5e-324, math.MaxFloat64, 3, math.Nextafter(0.3, 1)}
@@ -81,7 +79,7 @@ func hostileGraph(t testing.TB) *Graph {
 func parallelGraph(t testing.TB) *Graph {
 	g := New()
 	for _, id := range []string{"c", "a", "b"} {
-		g.AddNode(Node{ID: id, Type: NodeEntity, Label: strings.ToUpper(id)})
+		g.EnsureNode(Node{ID: id, Type: NodeEntity, Label: strings.ToUpper(id)})
 	}
 	for _, e := range []Edge{
 		{"a", "c", EdgeRelates, 3}, {"a", "b", EdgeRelates, 0.25}, {"a", "b", EdgeRelates, 9},
@@ -108,7 +106,7 @@ func indexLikeGraph(seed int64, nodes, edges int) *Graph {
 		for _, p := range fields[:rng.Intn(len(fields)+1)] {
 			*p = fmt.Sprintf("%s of %d", strings.ToValidUTF8(hostile[rng.Intn(len(hostile))], "?"), rng.Intn(100))
 		}
-		g.AddNode(n)
+		g.EnsureNode(n)
 	}
 	ids := g.NodeIDs()
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
@@ -129,16 +127,16 @@ func indexLikeGraph(seed int64, nodes, edges int) *Graph {
 
 func codecGraphs(t testing.TB) map[string]*Graph {
 	lone := New()
-	lone.AddNode(Node{ID: "only", Type: NodeDoc, Label: "no edges"})
+	lone.EnsureNode(Node{ID: "only", Type: NodeDoc, Label: "no edges"})
 	chain := New()
 	for _, id := range []string{"a", "b", "c"} {
-		chain.AddNode(Node{ID: id, Type: NodeChunk, Label: id, Text: "chunk " + id})
+		chain.EnsureNode(Node{ID: id, Type: NodeChunk, Label: id, Text: "chunk " + id})
 	}
 	chain.AddEdge(Edge{From: "a", To: "b", Type: EdgeNextTo})
 	chain.AddUndirected(Edge{From: "c", To: "a", Type: EdgeMentions, Weight: 0.5})
 	// One node and a self-loop, each escape class somewhere.
 	small := New()
-	small.AddNode(Node{ID: hostile[2], Type: NodeCue, Label: hostile[3], Verb: hostile[5], Arg1: hostile[6], Arg2: hostile[7], Text: hostile[4]})
+	small.EnsureNode(Node{ID: hostile[2], Type: NodeCue, Label: hostile[3], Verb: hostile[5], Arg1: hostile[6], Arg2: hostile[7], Text: hostile[4]})
 	small.AddEdge(Edge{From: hostile[2], To: hostile[2], Type: EdgeType(hostile[4]), Weight: 1e-7})
 	return map[string]*Graph{
 		"empty":    New(),
@@ -522,7 +520,7 @@ func TestReadJSONRejects(t *testing.T) {
 			t.Errorf("%s: err = %v", name, err)
 		}
 	}
-	// The checks AddNode and AddEdge make, wherever the array stands.
+	// The checks on a node and on an edge, wherever the array stands.
 	for name, c := range map[string]struct {
 		in   string
 		want error

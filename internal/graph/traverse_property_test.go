@@ -12,7 +12,7 @@ func randomGraph(edges []uint8) *Graph {
 	g := New()
 	const n = 12
 	for i := 0; i < n; i++ {
-		g.AddNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
+		g.EnsureNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
 	}
 	for i := 0; i+2 < len(edges); i += 3 {
 		from := fmt.Sprintf("n%d", int(edges[i])%n)

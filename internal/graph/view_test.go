@@ -42,7 +42,7 @@ func tiedGraph(edges []uint8, levels int) *Graph {
 	const n = 12
 	types := []EdgeType{EdgeMentions, EdgeNextTo, EdgeRelates, "custom"}
 	for i := 0; i < n; i++ {
-		g.AddNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
+		g.EnsureNode(Node{ID: fmt.Sprintf("n%d", i), Type: NodeChunk})
 	}
 	for i := 0; i+2 < len(edges); i += 3 {
 		from, to := int(edges[i])%n, int(edges[i+1])%n
@@ -120,10 +120,8 @@ func TestExpandMatchesReference(t *testing.T) {
 func TestPageRankMatchesReference(t *testing.T) {
 	f := func(edges []uint8, workers uint8) bool {
 		g := tiedGraph(edges, 10)
-		opts := DefaultPageRankOptions()
-		opts.Workers = int(workers%4) + 1
 		v := g.View()
-		got, want := v.PageRank(opts), g.referencePageRank(DefaultPageRankOptions())
+		got, want := v.PageRank(int(workers%4)+1), g.referencePageRank()
 		if len(got) != len(want) {
 			return false
 		}
@@ -186,9 +184,9 @@ func TestViewBlindToLaterMutation(t *testing.T) {
 	old := g.View()
 	opts := ExpandOptions{MaxDepth: 3}
 	before := expandView(old, &Expander{}, "hub", opts)
-	wantRank := old.PageRank(DefaultPageRankOptions())
+	wantRank := old.PageRank(0)
 
-	g.AddNode(Node{ID: "aa", Type: NodeChunk}) // sorts between a and b
+	g.EnsureNode(Node{ID: "aa", Type: NodeChunk}) // sorts between a and b
 	g.Reserve("hub", 64, 64)
 	// d's one out-edge sits in a list with room for just it, and nothing
 	// reserves more: these appends move the list the old view reads
@@ -206,7 +204,7 @@ func TestViewBlindToLaterMutation(t *testing.T) {
 	if after := expandView(old, &Expander{}, "hub", opts); !sameVisits(before, after) {
 		t.Errorf("old view saw the mutation:\n before %v\n after  %v", before, after)
 	}
-	for i, r := range old.PageRank(DefaultPageRankOptions()) {
+	for i, r := range old.PageRank(0) {
 		if math.Float64bits(r) != math.Float64bits(wantRank[i]) {
 			t.Errorf("old view's rank[%d] moved: %v -> %v", i, wantRank[i], r)
 		}

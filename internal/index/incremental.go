@@ -14,9 +14,8 @@ var ErrDocExists = fmt.Errorf("index: document already indexed")
 // IndexRecord indexes one record into an existing graph — the
 // incremental path behind the paper's "real-time data analytics"
 // future-work direction. Text records are chunked, tagged and
-// cue-linked exactly as in a batch build, except that relational cues
-// materialize per document (with MinCueCooccur == 1 this is identical
-// to the batch result; higher thresholds apply within the document).
+// cue-linked exactly as in a batch build; relational cues materialize
+// per document, which gives the batch result.
 //
 // Returns the per-record stats delta plus refreshed graph totals. The
 // graph must not be read concurrently with an IndexRecord call.

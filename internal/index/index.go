@@ -26,7 +26,6 @@ type Options struct {
 	Chunk              chunk.Options
 	DisableCues        bool // ablation: skip relational-cue inference
 	DisableEntityNodes bool // ablation: chunk-only graph
-	MinCueCooccur      int  // min co-occurrences for a relates edge (default 1)
 
 	// Workers bounds the analysis worker pool used by Build: the
 	// per-record chunking and SLM tagging run concurrently, while graph
@@ -38,7 +37,7 @@ type Options struct {
 
 // DefaultOptions returns the standard build configuration.
 func DefaultOptions() Options {
-	return Options{Chunk: chunk.DefaultOptions(), MinCueCooccur: 1}
+	return Options{Chunk: chunk.DefaultOptions()}
 }
 
 // Stats reports what a build produced and what it cost.
@@ -71,9 +70,6 @@ type Builder struct {
 
 // NewBuilder returns a builder using the given recognizer.
 func NewBuilder(ner *slm.NER, opts Options) *Builder {
-	if opts.MinCueCooccur < 1 {
-		opts.MinCueCooccur = 1
-	}
 	return &Builder{ner: ner, chunker: chunk.New(opts.Chunk), opts: opts}
 }
 
@@ -264,10 +260,10 @@ type cueRef struct {
 }
 
 // materializeCues converts accumulated cue counts into cue nodes and
-// relates edges. Pairs below MinCueCooccur are dropped. Keys are
-// visited in sorted order so adjacency-list order — and therefore the
-// floating-point summation order of everything downstream (PageRank,
-// traversal scores) — is identical across runs and worker counts.
+// relates edges. Keys are visited in sorted order so adjacency-list
+// order — and therefore the floating-point summation order of everything
+// downstream (PageRank, traversal scores) — is identical across runs and
+// worker counts.
 //
 // Sorting makes each (e1, verb, e2) pair a contiguous group, so pair
 // totals and one-time cue-node creation fall out of a single linear
@@ -301,9 +297,6 @@ func (b *Builder) materializeCues(g *graph.Graph, cueCounts map[string]int, stat
 		group := refs[start:end]
 		r := group[0]
 		start = end
-		if total < b.opts.MinCueCooccur {
-			continue
-		}
 		cueID := "cue:" + r.e1 + "|" + r.verb + "|" + r.e2
 		// The cue may already exist from an earlier incremental ingest;
 		// only create the node and its entity edges once.

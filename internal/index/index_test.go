@@ -204,15 +204,3 @@ func TestStatsString(t *testing.T) {
 		t.Errorf("stats string: %q", s.String())
 	}
 }
-
-func TestMinCueCooccurFilters(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MinCueCooccur = 99
-	_, stats, err := NewBuilder(testNER(), opts).Build(testSources())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Cues != 0 {
-		t.Errorf("cues = %d despite threshold", stats.Cues)
-	}
-}

@@ -135,7 +135,7 @@ func TestIncrementalRowRecord(t *testing.T) {
 
 func TestIncrementalEquivalentToBatchAtThresholdOne(t *testing.T) {
 	// Building doc-by-doc must yield the same node/edge counts as one
-	// batch build when MinCueCooccur == 1.
+	// batch build.
 	batchBuilder := NewBuilder(testNER(), DefaultOptions())
 	batch, _, err := batchBuilder.Build(testSources())
 	if err != nil {

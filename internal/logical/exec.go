@@ -54,7 +54,7 @@ func Run(n *Node, src Source) (*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return table.HashJoinHint(left, right, n.LeftCol, n.RightCol, n.EstOut)
+		return table.HashJoin(left, right, n.LeftCol, n.RightCol, n.EstOut)
 	}
 	in, err := Run(n.Child(), src)
 	if err != nil {

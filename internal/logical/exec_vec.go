@@ -787,7 +787,7 @@ func genericKeyCol(t *table.Table, idx int) *keyCol {
 }
 
 // hashJoin is the vectorized inner equi-join: bit-identical to
-// table.HashJoinHint (same build-side rule, same probe order, same
+// table.HashJoin (same build-side rule, same probe order, same
 // emitted row layout) with typed key maps instead of per-row Key()
 // strings, and probe partitioned across workers with in-order
 // concatenation.
@@ -1516,8 +1516,9 @@ func (v *vecRun) distinctStream(s *vstream) *vstream {
 // predicates refine selection vectors, the aggregate reads them in
 // place over the columnar fragments (fr caches them for exactly t; nil
 // extracts on the fly), the projection is a column mapping, and rows
-// materialize once at the end. Bit-identical to table.FilterRanges →
-// table.Aggregate → table.Project over the same input, errors included.
+// materialize once at the end. Bit-identical to table.Filter over the
+// ranges' rows → table.Aggregate → table.Project over the same input,
+// errors included.
 func VecFragment(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds []table.Pred, groupBy []string, aggs []table.Agg, cols []string) (*table.Table, error) {
 	v := &vecRun{env: VecEnv{Workers: 1}}
 	s := passthrough(t, fr)

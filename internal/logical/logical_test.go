@@ -284,7 +284,7 @@ func TestPruneKeepsCollisionRenameColumns(t *testing.T) {
 
 func TestReorderSkipsEqualCardinalities(t *testing.T) {
 	// Equal table sizes: seeding could shrink the right input below the
-	// left and flip HashJoin's build side, reordering join output rows.
+	// left and flip the hash join's build side, reordering join output rows.
 	// The gate must be strict.
 	c := table.NewCatalog()
 	for _, name := range []string{"a", "b"} {
@@ -432,11 +432,11 @@ func TestSelectivityWithFallsBackToHeuristic(t *testing.T) {
 		t.Errorf("stats equality selectivity = %v, want 2/6 (exact count)", got)
 	}
 	unknown := table.Pred{Col: "no_such_col", Op: table.OpEq, Val: table.S("x")}
-	if got := SelectivityWith(ts, unknown); got != Selectivity(unknown) {
-		t.Errorf("unknown column selectivity = %v, want heuristic %v", got, Selectivity(unknown))
+	if got := SelectivityWith(ts, unknown); got != table.DefaultSelectivity(unknown) {
+		t.Errorf("unknown column selectivity = %v, want heuristic %v", got, table.DefaultSelectivity(unknown))
 	}
-	if got := SelectivityWith(nil, eq); got != Selectivity(eq) {
-		t.Errorf("nil stats selectivity = %v, want heuristic %v", got, Selectivity(eq))
+	if got := SelectivityWith(nil, eq); got != table.DefaultSelectivity(eq) {
+		t.Errorf("nil stats selectivity = %v, want heuristic %v", got, table.DefaultSelectivity(eq))
 	}
 }
 

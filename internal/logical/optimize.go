@@ -541,13 +541,6 @@ func copySet(in map[string]bool) map[string]bool {
 	return out
 }
 
-// Selectivity is the deterministic per-predicate row-fraction
-// heuristic used when no per-column statistics exist — the shared
-// fallback of SelectivityWith.
-func Selectivity(p table.Pred) float64 {
-	return table.DefaultSelectivity(p)
-}
-
 // SelectivityWith estimates p's row fraction from per-column
 // statistics (exact value counts, NDV, histogram interpolation, and
 // the zone-bound refutation check that collapses provably-empty

@@ -1,13 +1,12 @@
 // Package metrics implements the evaluation measures used across the
-// experiment suite: answer accuracy (exact match, token F1, BLEU-lite,
-// ROUGE-L), retrieval quality (recall@k, MRR), latency percentiles,
-// and Markdown table rendering for benchmark output.
+// experiment suite: answer accuracy (exact match, token F1), retrieval
+// quality (recall@k, MRR), latency percentiles, and Markdown table
+// rendering for benchmark output.
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -77,87 +76,6 @@ func TokenF1(pred, gold string) float64 {
 	return 2 * prec * rec / (prec + rec)
 }
 
-// BLEULite is a smoothed unigram+bigram BLEU with brevity penalty —
-// enough signal for relative pipeline comparison without the full
-// 4-gram machinery.
-func BLEULite(pred, gold string) float64 {
-	p, g := normalizeAnswer(pred), normalizeAnswer(gold)
-	if len(p) == 0 || len(g) == 0 {
-		if len(p) == len(g) {
-			return 1
-		}
-		return 0
-	}
-	uni := ngramPrecision(p, g, 1)
-	bi := ngramPrecision(p, g, 2)
-	score := uni
-	if len(p) > 1 && len(g) > 1 {
-		// Geometric mean with +1 smoothing applied inside precision.
-		score = sqrt(uni * bi)
-	}
-	// Brevity penalty.
-	if len(p) < len(g) {
-		score *= exp(1 - float64(len(g))/float64(len(p)))
-	}
-	return score
-}
-
-func ngramPrecision(p, g []string, n int) float64 {
-	if len(p) < n {
-		return 0
-	}
-	gold := map[string]int{}
-	for i := 0; i+n <= len(g); i++ {
-		gold[strings.Join(g[i:i+n], " ")]++
-	}
-	match, total := 1.0, 1.0 // +1 smoothing
-	for i := 0; i+n <= len(p); i++ {
-		total++
-		key := strings.Join(p[i:i+n], " ")
-		if gold[key] > 0 {
-			gold[key]--
-			match++
-		}
-	}
-	return match / total
-}
-
-// ROUGEL returns the ROUGE-L F-measure (longest common subsequence).
-func ROUGEL(pred, gold string) float64 {
-	p, g := normalizeAnswer(pred), normalizeAnswer(gold)
-	if len(p) == 0 || len(g) == 0 {
-		if len(p) == len(g) {
-			return 1
-		}
-		return 0
-	}
-	l := lcs(p, g)
-	if l == 0 {
-		return 0
-	}
-	prec := float64(l) / float64(len(p))
-	rec := float64(l) / float64(len(g))
-	return 2 * prec * rec / (prec + rec)
-}
-
-func lcs(a, b []string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for i := 1; i <= len(a); i++ {
-		for j := 1; j <= len(b); j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-			} else if prev[j] >= cur[j-1] {
-				cur[j] = prev[j]
-			} else {
-				cur[j] = cur[j-1]
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
 // RecallAtK returns the fraction of gold ids found in the first k
 // retrieved ids. Empty gold yields 1 (nothing to find).
 func RecallAtK(retrieved, gold []string, k int) float64 {
@@ -204,9 +122,6 @@ type Latencies struct {
 
 // Record appends one observation.
 func (l *Latencies) Record(d time.Duration) { l.samples = append(l.samples, d) }
-
-// N returns the number of observations.
-func (l *Latencies) N() int { return len(l.samples) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) by
 // nearest-rank; zero observations yield 0.
@@ -272,9 +187,6 @@ func (t *ResultTable) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the rendered row count.
-func (t *ResultTable) Rows() int { return len(t.rows) }
-
 // Write renders the table as Markdown.
 func (t *ResultTable) Write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "\n### %s\n\n", t.Title); err != nil {
@@ -304,6 +216,3 @@ func (t *ResultTable) String() string {
 	_ = t.Write(&b)
 	return b.String()
 }
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }
-func exp(x float64) float64  { return math.Exp(x) }

@@ -56,40 +56,6 @@ func TestTokenF1SymmetryProperty(t *testing.T) {
 	}
 }
 
-func TestBLEULite(t *testing.T) {
-	perfect := BLEULite("sales rose twenty percent", "sales rose twenty percent")
-	partial := BLEULite("sales rose", "sales rose twenty percent")
-	disjoint := BLEULite("banana apple", "sales rose twenty percent")
-	if perfect <= partial || partial <= disjoint {
-		t.Errorf("ordering: perfect=%v partial=%v disjoint=%v", perfect, partial, disjoint)
-	}
-	if perfect > 1.0001 || disjoint < 0 {
-		t.Errorf("bounds: %v %v", perfect, disjoint)
-	}
-}
-
-func TestROUGEL(t *testing.T) {
-	if got := ROUGEL("a b c d", "a b c d"); got != 1 {
-		t.Errorf("identical rouge = %v", got)
-	}
-	sub := ROUGEL("a b d", "a b c d")
-	if sub <= 0 || sub >= 1 {
-		t.Errorf("subsequence rouge = %v", sub)
-	}
-	if got := ROUGEL("x y", "a b"); got != 0 {
-		t.Errorf("disjoint rouge = %v", got)
-	}
-}
-
-func TestLCS(t *testing.T) {
-	if got := lcs([]string{"a", "b", "c"}, []string{"a", "c"}); got != 2 {
-		t.Errorf("lcs = %d", got)
-	}
-	if got := lcs([]string{"a"}, nil); got != 0 {
-		t.Errorf("lcs empty = %d", got)
-	}
-}
-
 func TestRecallAtK(t *testing.T) {
 	retrieved := []string{"a", "b", "c", "d"}
 	if got := RecallAtK(retrieved, []string{"a", "c"}, 2); got != 0.5 {
@@ -126,8 +92,8 @@ func TestLatencies(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		l.Record(time.Duration(i) * time.Millisecond)
 	}
-	if l.N() != 100 {
-		t.Errorf("n = %d", l.N())
+	if len(l.samples) != 100 {
+		t.Errorf("n = %d", len(l.samples))
 	}
 	p50 := l.Percentile(50)
 	if p50 < 45*time.Millisecond || p50 > 55*time.Millisecond {
@@ -168,7 +134,7 @@ func TestResultTable(t *testing.T) {
 			t.Errorf("table output missing %q:\n%s", want, s)
 		}
 	}
-	if rt.Rows() != 2 {
-		t.Errorf("rows = %d", rt.Rows())
+	if len(rt.rows) != 2 {
+		t.Errorf("rows = %d", len(rt.rows))
 	}
 }

@@ -18,7 +18,7 @@ func TestFusionCombines(t *testing.T) {
 		t.Fatal(err)
 	}
 	fusion := NewFusion(
-		NewTopology(g, ner, DefaultTopologyOptions()),
+		NewTopology(g, ner, TopologyOptions{}),
 		dense,
 		NewBM25(g),
 	)
@@ -54,7 +54,7 @@ func TestFusionAgreementBoost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := NewTopology(g, ner, DefaultTopologyOptions())
+	topo := NewTopology(g, ner, TopologyOptions{})
 	bm := NewBM25(g)
 	fusion := NewFusion(topo, dense, bm)
 
@@ -99,7 +99,7 @@ func TestFusionDeterministic(t *testing.T) {
 func TestFusionNegativeKReturnsAll(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 30; i++ {
-		g.AddNode(graph.Node{ID: fmt.Sprintf("chunk:d%02d", i), Type: graph.NodeChunk,
+		g.EnsureNode(graph.Node{ID: fmt.Sprintf("chunk:d%02d", i), Type: graph.NodeChunk,
 			Text: fmt.Sprintf("shipment %d arrived late", i)})
 	}
 	bm := NewBM25(g)
@@ -108,7 +108,7 @@ func TestFusionNegativeKReturnsAll(t *testing.T) {
 		t.Fatalf("member returns %d of 30 documents", len(all))
 	}
 	fused := map[string]bool{}
-	for _, e := range NewFusion(bm, NewTopology(g, testNER(), DefaultTopologyOptions())).Retrieve("late shipment", -1) {
+	for _, e := range NewFusion(bm, NewTopology(g, testNER(), TopologyOptions{})).Retrieve("late shipment", -1) {
 		fused[e.NodeID] = true
 	}
 	for _, e := range all {

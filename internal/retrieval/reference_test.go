@@ -68,9 +68,6 @@ func (q *refQueue) Pop() interface{} {
 // It returns the settled score per node id.
 func referenceExpand(g *graph.Graph, anchor string, maxDepth, budget int, decay float64,
 	nodePrior func(*graph.Node) float64, edgeTypes map[graph.EdgeType]float64) map[string]float64 {
-	if decay <= 0 || decay > 1 {
-		decay = 0.7
-	}
 	settled := make(map[string]float64)
 	best := map[string]float64{anchor: 1}
 	q := &refQueue{}
@@ -104,8 +101,9 @@ func referenceExpand(g *graph.Graph, anchor string, maxDepth, budget int, decay 
 }
 
 // referenceRetrieve is Topology.Retrieve as it was over the string-keyed
-// graph, given the PageRank prior as a map.
-func referenceRetrieve(g *graph.Graph, ner *slm.NER, opts TopologyOptions, rank map[string]float64, query string, k int) []Evidence {
+// graph, given the PageRank prior as a map; depth 3, budget 256 and
+// decay 0.7 are spelled here, not read from the package.
+func referenceRetrieve(g *graph.Graph, ner *slm.NER, rank map[string]float64, query string, k int) []Evidence {
 	var anchors []string
 	seen := map[string]bool{}
 	for _, e := range ner.Recognize(query) {
@@ -119,9 +117,6 @@ func referenceRetrieve(g *graph.Graph, ner *slm.NER, opts TopologyOptions, rank 
 	qTerms := queryTerms(query)
 	var out []Evidence
 	if len(anchors) == 0 {
-		if !opts.LexicalFallback {
-			return nil
-		}
 		for _, typ := range []graph.NodeType{graph.NodeChunk, graph.NodeRow} {
 			for _, n := range g.NodesOfType(typ) {
 				text := n.Text
@@ -135,11 +130,9 @@ func referenceRetrieve(g *graph.Graph, ner *slm.NER, opts TopologyOptions, rank 
 			graph.EdgeMentions: 1.0,
 			graph.EdgeNextTo:   0.4,
 			graph.EdgePartOf:   0.2,
-		}
-		if !opts.DisableCueEdges {
-			edgeWeights[graph.EdgeRelates] = 0.5
-			edgeWeights[graph.EdgeCueArg] = 0.4
-			edgeWeights[graph.EdgeCueIn] = 0.6
+			graph.EdgeRelates:  0.5,
+			graph.EdgeCueArg:   0.4,
+			graph.EdgeCueIn:    0.6,
 		}
 		var norm float64
 		for _, v := range rank {
@@ -153,7 +146,7 @@ func referenceRetrieve(g *graph.Graph, ner *slm.NER, opts TopologyOptions, rank 
 		}
 		total := make(map[string]float64)
 		for _, a := range anchors {
-			for id, s := range referenceExpand(g, a, opts.MaxDepth, opts.Budget, opts.Decay, nodePrior, edgeWeights) {
+			for id, s := range referenceExpand(g, a, 3, 256, 0.7, nodePrior, edgeWeights) {
 				total[id] += s
 			}
 		}
@@ -203,7 +196,7 @@ func benchCorpus(t testing.TB, name string, seed uint64) (*workload.Corpus, *gra
 // index-space path: on the benchmark's corpora, for every generator
 // query, the evidence is the reference's — same nodes in the same order
 // with the same score bits, text and kind — under the default options
-// and each ablation, and PageRank has the bits the map-returning
+// and the centrality ablation, and PageRank has the bits the map-returning
 // implementation produced before the view existed.
 func TestRetrieveMatchesReference(t *testing.T) {
 	// FNV-64a over (id, rank bits) in id order, recorded with
@@ -218,7 +211,7 @@ func TestRetrieveMatchesReference(t *testing.T) {
 		for _, name := range []string{"ecommerce", "healthcare"} {
 			c, g, ner := benchCorpus(t, name, seed)
 			v := g.View()
-			pr := v.PageRank(graph.DefaultPageRankOptions())
+			pr := v.PageRank(0)
 			rank := make(map[string]float64, len(pr))
 			h := fnv.New64a()
 			var b [8]byte
@@ -237,14 +230,7 @@ func TestRetrieveMatchesReference(t *testing.T) {
 			for _, q := range c.Queries {
 				queries = append(queries, q.Text)
 			}
-			ablations := map[string]func(*TopologyOptions){
-				"default":         func(*TopologyOptions) {},
-				"DisableCentral":  func(o *TopologyOptions) { o.DisableCentral = true },
-				"DisableCueEdges": func(o *TopologyOptions) { o.DisableCueEdges = true },
-			}
-			for ab, set := range ablations {
-				opts := DefaultTopologyOptions()
-				set(&opts)
+			for ab, opts := range map[string]TopologyOptions{"default": {}, "DisableCentral": {DisableCentral: true}} {
 				r := NewTopology(g, ner, opts)
 				refRank := rank
 				if opts.DisableCentral {
@@ -253,7 +239,7 @@ func TestRetrieveMatchesReference(t *testing.T) {
 				for _, q := range queries {
 					for _, k := range []int{8, -1} {
 						got := r.Retrieve(q, k)
-						want := referenceRetrieve(g, ner, opts, refRank, q, k)
+						want := referenceRetrieve(g, ner, refRank, q, k)
 						if len(got) != len(want) {
 							t.Fatalf("%s seed %d %s %q k=%d: %d evidence, reference %d", name, seed, ab, q, k, len(got), len(want))
 						}

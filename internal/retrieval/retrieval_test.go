@@ -49,7 +49,7 @@ func testGraph(t *testing.T) *graph.Graph {
 
 func TestTopologyAnchored(t *testing.T) {
 	g := testGraph(t)
-	r := NewTopology(g, testNER(), DefaultTopologyOptions())
+	r := NewTopology(g, testNER(), TopologyOptions{})
 	ev := r.Retrieve("How many units did Product Alpha sell in Q2?", 5)
 	if len(ev) == 0 {
 		t.Fatal("no evidence")
@@ -66,7 +66,7 @@ func TestTopologyAnchored(t *testing.T) {
 
 func TestTopologyCrossModal(t *testing.T) {
 	g := testGraph(t)
-	r := NewTopology(g, testNER(), DefaultTopologyOptions())
+	r := NewTopology(g, testNER(), TopologyOptions{})
 	ev := r.Retrieve("Product Alpha revenue", 10)
 	var hasChunk, hasRow bool
 	for _, e := range ev {
@@ -82,9 +82,9 @@ func TestTopologyCrossModal(t *testing.T) {
 	}
 }
 
-func TestTopologyLexicalFallback(t *testing.T) {
+func TestTopologyFallsBackToLexicalScan(t *testing.T) {
 	g := testGraph(t)
-	r := NewTopology(g, testNER(), DefaultTopologyOptions())
+	r := NewTopology(g, testNER(), TopologyOptions{})
 	ev := r.Retrieve("what happened with the weather", 3)
 	if len(ev) == 0 {
 		t.Fatal("fallback returned nothing")
@@ -94,21 +94,9 @@ func TestTopologyLexicalFallback(t *testing.T) {
 	}
 }
 
-func TestTopologyNoFallbackOption(t *testing.T) {
-	g := testGraph(t)
-	opts := DefaultTopologyOptions()
-	opts.LexicalFallback = false
-	r := NewTopology(g, testNER(), opts)
-	if ev := r.Retrieve("completely unrelated nonsense zzz", 3); len(ev) != 0 {
-		t.Errorf("expected no evidence, got %v", ev)
-	}
-}
-
 func TestTopologyAblationNoCentrality(t *testing.T) {
 	g := testGraph(t)
-	opts := DefaultTopologyOptions()
-	opts.DisableCentral = true
-	r := NewTopology(g, testNER(), opts)
+	r := NewTopology(g, testNER(), TopologyOptions{DisableCentral: true})
 	if r.prior != nil {
 		t.Error("pagerank computed despite ablation")
 	}
@@ -119,7 +107,7 @@ func TestTopologyAblationNoCentrality(t *testing.T) {
 
 func TestTopologyExplainPath(t *testing.T) {
 	g := testGraph(t)
-	r := NewTopology(g, testNER(), DefaultTopologyOptions())
+	r := NewTopology(g, testNER(), TopologyOptions{})
 	ev := r.Retrieve("Product Alpha ratings", 1)
 	if len(ev) == 0 {
 		t.Fatal("no evidence")
@@ -133,14 +121,21 @@ func TestTopologyExplainPath(t *testing.T) {
 	}
 }
 
+// The expansion Retrieve runs per anchor settles no more nodes than its
+// budget, here a smaller one than Retrieve's.
 func TestTopologyBudgetRespected(t *testing.T) {
-	g := testGraph(t)
-	opts := DefaultTopologyOptions()
-	opts.Budget = 3
-	r := NewTopology(g, testNER(), opts)
-	ev := r.Retrieve("Product Alpha sales", 100)
-	if len(ev) > 3 {
-		t.Errorf("budget exceeded: %d items", len(ev))
+	r := NewTopology(testGraph(t), testNER(), TopologyOptions{})
+	anchors := r.anchors("Product Alpha sales")
+	if len(anchors) == 0 {
+		t.Fatal("no anchor")
+	}
+	opts := graph.ExpandOptions{MaxDepth: maxDepth, Budget: 3, Decay: decay, Prior: r.prior, EdgeTypes: edgeTypes}
+	var x graph.Expander
+	if unbounded := r.view.Expand(&x, anchors[0], graph.ExpandOptions{MaxDepth: maxDepth, Decay: decay, EdgeTypes: edgeTypes}); len(unbounded) <= 3 {
+		t.Fatalf("only %d nodes in reach: the budget cannot bite", len(unbounded))
+	}
+	if got := r.view.Expand(&x, anchors[0], opts); len(got) != 3 {
+		t.Errorf("budget 3 settled %d nodes", len(got))
 	}
 }
 
@@ -208,7 +203,7 @@ func TestRetrieverNames(t *testing.T) {
 	e := slm.NewEmbedder(32)
 	d, _ := NewDense(g, e, vector.NewFlat(32))
 	names := map[string]bool{}
-	for _, r := range []Retriever{NewTopology(g, testNER(), DefaultTopologyOptions()), d, NewBM25(g)} {
+	for _, r := range []Retriever{NewTopology(g, testNER(), TopologyOptions{}), d, NewBM25(g)} {
 		if r.Name() == "" || names[r.Name()] {
 			t.Errorf("bad name %q", r.Name())
 		}
@@ -232,7 +227,7 @@ func TestEvidenceHelpers(t *testing.T) {
 
 func TestTopologyDeterministic(t *testing.T) {
 	g := testGraph(t)
-	r := NewTopology(g, testNER(), DefaultTopologyOptions())
+	r := NewTopology(g, testNER(), TopologyOptions{})
 	a := r.Retrieve("Product Alpha sales in Q2", 5)
 	b := r.Retrieve("Product Alpha sales in Q2", 5)
 	if len(a) != len(b) {
@@ -247,7 +242,7 @@ func TestTopologyDeterministic(t *testing.T) {
 
 func TestTopKRespected(t *testing.T) {
 	g := testGraph(t)
-	for _, r := range []Retriever{NewTopology(g, testNER(), DefaultTopologyOptions()), NewBM25(g)} {
+	for _, r := range []Retriever{NewTopology(g, testNER(), TopologyOptions{}), NewBM25(g)} {
 		if ev := r.Retrieve("Product Alpha Q2 units", 2); len(ev) > 2 {
 			t.Errorf("%s returned %d > k", r.Name(), len(ev))
 		}
@@ -261,9 +256,7 @@ func TestTopologyStaleUntilRefresh(t *testing.T) {
 	for _, disableCentral := range []bool{false, true} {
 		g := testGraph(t)
 		ner := testNER()
-		opts := DefaultTopologyOptions()
-		opts.DisableCentral = disableCentral
-		r := NewTopology(g, ner, opts)
+		r := NewTopology(g, ner, TopologyOptions{DisableCentral: disableCentral})
 		const query = "How is Widget Pro selling? Product Alpha too"
 		before := r.Retrieve(query, -1)
 
@@ -297,7 +290,7 @@ func TestTopologyStaleUntilRefresh(t *testing.T) {
 // exactly what it returns alone (run with -race).
 func TestTopologyConcurrentRetrieveMatchesSequential(t *testing.T) {
 	c, g, ner := benchCorpus(t, "ecommerce", 42)
-	r := NewTopology(g, ner, DefaultTopologyOptions())
+	r := NewTopology(g, ner, TopologyOptions{})
 	want := make([][]Evidence, len(c.Queries))
 	for i, q := range c.Queries {
 		want[i] = r.Retrieve(q.Text, -1)

@@ -37,18 +37,28 @@ type Retriever interface {
 
 // TopologyOptions configures the graph retriever.
 type TopologyOptions struct {
-	MaxDepth        int     // traversal hop limit (default 3)
-	Budget          int     // max settled nodes (default 256)
-	Decay           float64 // per-hop decay (default 0.7)
-	DisableCentral  bool    // ablation: no centrality prior
-	DisableCueEdges bool    // ablation: skip relates/cue edges
-	LexicalFallback bool    // fall back to lexical scan when no anchors (default true)
-	Workers         int     // PageRank workers; 0 = GOMAXPROCS, 1 = sequential
+	DisableCentral bool // ablation: no centrality prior
+	Workers        int  // PageRank workers; 0 = GOMAXPROCS, 1 = sequential
 }
 
-// DefaultTopologyOptions returns the standard configuration.
-func DefaultTopologyOptions() TopologyOptions {
-	return TopologyOptions{MaxDepth: 3, Budget: 256, Decay: 0.7, LexicalFallback: true}
+// The traversal every Retrieve runs per anchor: hop limit, settled-node
+// budget and per-hop decay.
+const (
+	maxDepth = 3
+	budget   = 256
+	decay    = 0.7
+)
+
+// edgeTypes is the traversal multiplier per edge type. Cue edges widen
+// reach to related entities; they carry lower multipliers than direct
+// mentions so they add paths without drowning them.
+var edgeTypes = map[graph.EdgeType]float64{
+	graph.EdgeMentions: 1.0,
+	graph.EdgeNextTo:   0.4,
+	graph.EdgePartOf:   0.2,
+	graph.EdgeRelates:  0.5,
+	graph.EdgeCueArg:   0.4,
+	graph.EdgeCueIn:    0.6,
 }
 
 // Topology is the paper's retriever: anchor the query's entities in the
@@ -60,12 +70,11 @@ func DefaultTopologyOptions() TopologyOptions {
 // the last Refresh is invisible to Retrieve until the next one. Retrieve
 // is safe for concurrent use; Refresh must not run beside it.
 type Topology struct {
-	g         *graph.Graph
-	ner       *slm.NER
-	opts      TopologyOptions
-	edgeTypes map[graph.EdgeType]float64 // traversal multiplier per edge type
-	view      *graph.View
-	prior     []float64 // 0.5 + rank/max rank per view index; nil = no prior
+	g     *graph.Graph
+	ner   *slm.NER
+	opts  TopologyOptions
+	view  *graph.View
+	prior []float64 // 0.5 + rank/max rank per view index; nil = no prior
 }
 
 // retrieveScratch is the per-call state of Retrieve, pooled so that
@@ -83,26 +92,7 @@ var scratchPool = sync.Pool{New: func() any { return new(retrieveScratch) }}
 // NewTopology builds the retriever over a finished graph. The view and
 // PageRank are computed eagerly so query-time cost is traversal only.
 func NewTopology(g *graph.Graph, ner *slm.NER, opts TopologyOptions) *Topology {
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 3
-	}
-	if opts.Budget <= 0 {
-		opts.Budget = 256
-	}
 	t := &Topology{g: g, ner: ner, opts: opts}
-	t.edgeTypes = map[graph.EdgeType]float64{
-		graph.EdgeMentions: 1.0,
-		graph.EdgeNextTo:   0.4,
-		graph.EdgePartOf:   0.2,
-	}
-	if !opts.DisableCueEdges {
-		// Cue edges widen reach to related entities; they carry lower
-		// multipliers than direct mentions so they add paths without
-		// drowning them.
-		t.edgeTypes[graph.EdgeRelates] = 0.5
-		t.edgeTypes[graph.EdgeCueArg] = 0.4
-		t.edgeTypes[graph.EdgeCueIn] = 0.6
-	}
 	t.Refresh()
 	return t
 }
@@ -119,9 +109,7 @@ func (t *Topology) Refresh() {
 	if t.opts.DisableCentral {
 		return
 	}
-	pr := graph.DefaultPageRankOptions()
-	pr.Workers = t.opts.Workers
-	rank := t.view.PageRank(pr)
+	rank := t.view.PageRank(t.opts.Workers)
 	var norm float64
 	for _, r := range rank {
 		if r > norm {
@@ -147,22 +135,13 @@ func (t *Topology) Refresh() {
 // "dynamically assesses and connects nodes representing the sales
 // data ... as well as any associated temporal nodes" behaviour of
 // Section III.B. Anchors are summed in id order, which fixes the bits
-// of every total.
+// of every total. A query with no anchor falls back to a lexical scan.
 func (t *Topology) Retrieve(query string, k int) []Evidence {
 	anchors := t.anchors(query)
 	if len(anchors) == 0 {
-		if !t.opts.LexicalFallback {
-			return nil
-		}
 		return t.lexicalScan(query, k)
 	}
-	opts := graph.ExpandOptions{
-		MaxDepth:  t.opts.MaxDepth,
-		Budget:    t.opts.Budget,
-		Decay:     t.opts.Decay,
-		Prior:     t.prior,
-		EdgeTypes: t.edgeTypes,
-	}
+	opts := graph.ExpandOptions{MaxDepth: maxDepth, Budget: budget, Decay: decay, Prior: t.prior, EdgeTypes: edgeTypes}
 	sc := scratchPool.Get().(*retrieveScratch)
 	if len(sc.total) < t.view.Len() {
 		sc.total = make([]float64, t.view.Len())

@@ -1,7 +1,6 @@
 package slm
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -101,13 +100,6 @@ func (c *CostModel) Calls(op Op) int64 {
 	return c.calls[op]
 }
 
-// Tokens returns the number of tokens recorded for op.
-func (c *CostModel) Tokens(op Op) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tokens[op]
-}
-
 // TotalCalls returns calls across all operation classes.
 func (c *CostModel) TotalCalls() int64 {
 	c.mu.Lock()
@@ -145,29 +137,3 @@ func (c *CostModel) SimulatedLatency() time.Duration {
 
 // MemoryBytes returns the profile's resident memory requirement.
 func (c *CostModel) MemoryBytes() int64 { return c.profile.MemoryBytes }
-
-// ProfileName returns the profile's name.
-func (c *CostModel) ProfileName() string { return c.profile.Name }
-
-// Reset zeroes the accumulated counters.
-func (c *CostModel) Reset() {
-	c.mu.Lock()
-	c.calls = [opCount]int64{}
-	c.tokens = [opCount]int64{}
-	c.mu.Unlock()
-}
-
-// Snapshot returns a human-readable accounting line.
-func (c *CostModel) Snapshot() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var d time.Duration
-	var calls, toks int64
-	for op := Op(0); op < opCount; op++ {
-		d += time.Duration(c.calls[op])*c.profile.FixedLatency + time.Duration(c.tokens[op])*c.profile.LatencyPerTok
-		calls += c.calls[op]
-		toks += c.tokens[op]
-	}
-	return fmt.Sprintf("%s: %d calls, %d tokens, simulated %v, resident %d MiB",
-		c.profile.Name, calls, toks, d, c.profile.MemoryBytes>>20)
-}

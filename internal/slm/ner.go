@@ -22,8 +22,6 @@ const (
 	EntRating       EntityType = "RATING"
 	EntQuantity     EntityType = "QUANTITY"
 	EntID           EntityType = "ID"
-	EntMetric       EntityType = "METRIC"
-	EntCondition    EntityType = "CONDITION"
 	EntSideEffect   EntityType = "SIDE_EFFECT"
 	EntManufacturer EntityType = "MANUFACTURER"
 	EntMisc         EntityType = "MISC"
@@ -90,9 +88,6 @@ func (n *NER) AddGazetteer(t EntityType, phrases ...string) {
 		}
 	}
 }
-
-// GazetteerSize reports the number of registered phrases.
-func (n *NER) GazetteerSize() int { return len(n.gazetteer) }
 
 // Recognize extracts entities from text. Matching order: gazetteer
 // (longest-first), then surface patterns (quarters, percents, money,

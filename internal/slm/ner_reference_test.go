@@ -83,7 +83,7 @@ func checkRecognize(t *testing.T, vocab, text string) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("vocabulary %q (maxLen %d), text %q:\n got %+v\nwant %+v", vocab, n.maxLen, text, got, want)
 	}
-	if calls, tokens := cost.Calls(OpTag), cost.Tokens(OpTag); calls != 1 || tokens != int64(len(Tokenize(text))) {
+	if calls, tokens := cost.Calls(OpTag), cost.tokens[OpTag]; calls != 1 || tokens != int64(len(Tokenize(text))) {
 		t.Fatalf("text %q accounted as %d calls over %d tokens, want 1 over %d", text, calls, tokens, len(Tokenize(text)))
 	}
 }

@@ -169,7 +169,7 @@ func TestNERCostAccounting(t *testing.T) {
 	if cost.Calls(OpTag) != 1 {
 		t.Errorf("tag calls = %d, want 1", cost.Calls(OpTag))
 	}
-	if cost.Tokens(OpTag) == 0 {
+	if cost.tokens[OpTag] == 0 {
 		t.Error("tag tokens = 0")
 	}
 }

@@ -36,17 +36,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns an approximately standard-normal value using the
-// sum of uniforms (Irwin–Hall with 12 terms), which is accurate enough
-// for workload noise and avoids math imports here.
-func (r *RNG) NormFloat64() float64 {
-	s := 0.0
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return s - 6
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

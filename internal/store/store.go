@@ -63,11 +63,8 @@ type Source interface {
 	Len() int
 }
 
-// Sentinel errors.
-var (
-	ErrParse = errors.New("store: parse error")
-	ErrEmpty = errors.New("store: empty source")
-)
+// ErrParse reports source bytes that are not the format they claim.
+var ErrParse = errors.New("store: parse error")
 
 // --- Unstructured text ---
 
@@ -90,12 +87,6 @@ func (s *TextStore) Add(id, text string) {
 		s.ids = append(s.ids, id)
 	}
 	s.docs[id] = text
-}
-
-// Doc returns a document's text and whether it exists.
-func (s *TextStore) Doc(id string) (string, bool) {
-	t, ok := s.docs[id]
-	return t, ok
 }
 
 // Name implements Source.

@@ -27,11 +27,8 @@ func TestTextStore(t *testing.T) {
 	if !strings.Contains(recs[0].Text, "severe") {
 		t.Error("replacement not applied")
 	}
-	if txt, ok := s.Doc("n2"); !ok || txt != "Dose was increased." {
-		t.Errorf("Doc = %q %v", txt, ok)
-	}
-	if _, ok := s.Doc("missing"); ok {
-		t.Error("missing doc found")
+	if recs[1].ID != "n2" || recs[1].Text != "Dose was increased." {
+		t.Errorf("second record = %+v", recs[1])
 	}
 }
 

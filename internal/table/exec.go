@@ -134,27 +134,6 @@ rows:
 	return dst, nil
 }
 
-// FilterRanges filters only the rows inside the given ascending,
-// disjoint row ranges — the scan shape fragment pruning produces: the
-// pruned fragments are provably empty under the predicates, so the
-// result (rows and order) is identical to a full-table Filter while
-// only the surviving rows are read. scanned reports how many rows were
-// actually visited.
-func FilterRanges(t *Table, ranges []RowRange, preds ...Pred) (out *Table, scanned int, err error) {
-	out = New(t.Name, t.Schema)
-	scanned = RowsVisited(ranges, len(t.Rows))
-	for _, r := range ranges {
-		end := min(r.End, len(t.Rows))
-		if r.Start >= end {
-			continue
-		}
-		if out.Rows, err = appendMatching(out.Rows, t.Schema, t.Rows[r.Start:end], preds); err != nil {
-			return nil, scanned, err
-		}
-	}
-	return out, scanned, nil
-}
-
 // Project returns only the named columns, in the given order.
 func Project(t *Table, cols ...string) (*Table, error) {
 	idxs := make([]int, len(cols))
@@ -181,16 +160,12 @@ func Project(t *Table, cols ...string) (*Table, error) {
 // HashJoin performs an inner equi-join of left and right on
 // left.leftCol = right.rightCol, building the hash table on the smaller
 // side. Output schema is left columns followed by right columns, with
-// right-side name collisions prefixed by the right table name.
-func HashJoin(left, right *Table, leftCol, rightCol string) (*Table, error) {
-	return HashJoinHint(left, right, leftCol, rightCol, 0)
-}
-
-// HashJoinHint is HashJoin with a result-size hint (rows, from the
-// optimizer's cardinality estimate) used to pre-size the output slice;
-// 0 means no hint. The build map is always pre-sized from the actual
-// build-side length. The hint never changes results, only allocation.
-func HashJoinHint(left, right *Table, leftCol, rightCol string, hint int) (*Table, error) {
+// right-side name collisions prefixed by the right table name. hint is a
+// result-size hint (rows, from the optimizer's cardinality estimate) used
+// to pre-size the output slice; 0 means no hint. The build map is always
+// pre-sized from the actual build-side length. The hint never changes
+// results, only allocation.
+func HashJoin(left, right *Table, leftCol, rightCol string, hint int) (*Table, error) {
 	li := left.Schema.ColIndex(leftCol)
 	if li < 0 {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, left.Name, leftCol)

@@ -75,15 +75,6 @@ func (ts *TableStats) Col(name string) *ColStats {
 	return nil
 }
 
-// BuildStats computes per-column statistics for the table. The build
-// is deterministic for fixed rows: values sort by the engine's total
-// Compare order and every derived quantity (NDV, bucket boundaries,
-// exact counts) follows from that order alone.
-func BuildStats(t *Table) *TableStats {
-	ts, _ := statsFrom(nil, nil, t, 0)
-	return ts
-}
-
 // statsFrom derives the statistics of t plus the per-column distinct
 // runs (ascending (value, count) pairs covering every non-null cell)
 // they derive from, given that the first k rows are unchanged since

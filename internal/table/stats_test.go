@@ -25,8 +25,15 @@ func statsFixture() *Table {
 	return t
 }
 
+// fullStats is the statistics build a first Put runs: every row new,
+// nothing to merge into.
+func fullStats(t *Table) *TableStats {
+	ts, _ := statsFrom(nil, nil, t, 0)
+	return ts
+}
+
 func TestBuildStatsBasics(t *testing.T) {
-	ts := BuildStats(statsFixture())
+	ts := fullStats(statsFixture())
 	if ts.Rows != 16 {
 		t.Fatalf("rows = %d, want 16", ts.Rows)
 	}
@@ -56,7 +63,7 @@ func TestBuildStatsBasics(t *testing.T) {
 }
 
 func TestSelectivityExactAndRange(t *testing.T) {
-	ts := BuildStats(statsFixture())
+	ts := fullStats(statsFixture())
 	cs := ts.Col("product")
 	if f, ok := cs.Selectivity(Pred{Col: "product", Op: OpEq, Val: S("Beta")}); !ok || f != 4.0/16 {
 		t.Errorf("eq selectivity = %v,%v, want 0.25", f, ok)
@@ -86,7 +93,7 @@ func TestSelectivityHistogramFallback(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tb.MustAppend([]Value{I(int64(i))})
 	}
-	cs := BuildStats(tb).Col("v")
+	cs := fullStats(tb).Col("v")
 	if cs.Exact != nil {
 		t.Fatalf("exact counts kept for NDV=%d > %d", cs.NDV, StatsMaxExact)
 	}

@@ -100,19 +100,6 @@ func (t *Table) MustAppend(row []Value) {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.Rows) }
 
-// Col returns the values of the named column.
-func (t *Table) Col(name string) ([]Value, error) {
-	idx := t.Schema.ColIndex(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoColumn, name)
-	}
-	out := make([]Value, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r[idx]
-	}
-	return out, nil
-}
-
 // Clone returns a deep copy (rows are copied; values are immutable).
 func (t *Table) Clone() *Table {
 	nt := New(t.Name, append(Schema(nil), t.Schema...))

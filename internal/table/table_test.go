@@ -55,12 +55,11 @@ func TestAppendIntIntoFloat(t *testing.T) {
 
 func TestColAndClone(t *testing.T) {
 	tbl := salesTable(t)
-	col, err := tbl.Col("revenue")
-	if err != nil || len(col) != 5 || col[0].Float() != 100 {
-		t.Errorf("Col: %v %v", col, err)
+	if idx := tbl.Schema.ColIndex("revenue"); idx < 0 || tbl.Len() != 5 || tbl.Rows[0][idx].Float() != 100 {
+		t.Errorf("revenue at column %d, first row %v", idx, tbl.Rows[0])
 	}
-	if _, err := tbl.Col("nope"); !errors.Is(err, ErrNoColumn) {
-		t.Errorf("missing col: %v", err)
+	if idx := tbl.Schema.ColIndex("nope"); idx >= 0 {
+		t.Errorf("missing col at %d", idx)
 	}
 	cl := tbl.Clone()
 	cl.Rows[0][0] = S("Changed")

@@ -258,8 +258,8 @@ func RangesLen(ranges []RowRange) int {
 // RowsVisited counts the rows of an n-row table a scan restricted to
 // the ranges reads: each range clamped to the table, inverted or
 // out-of-table ranges counting zero. It is the one definition of
-// "scanned under ranges": FilterRanges and the vectorized fragment
-// pipeline both report it.
+// "scanned under ranges": the vectorized fragment pipeline and the row
+// reference its tests hold it to both report it.
 func RowsVisited(ranges []RowRange, n int) int {
 	visited := 0
 	for _, r := range ranges {

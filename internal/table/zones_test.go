@@ -7,6 +7,28 @@ import (
 	"testing"
 )
 
+// FilterRanges is the reference the pruned scans are held to: it
+// filters only the rows inside the given ascending, disjoint row ranges
+// — the scan shape fragment pruning produces: the
+// pruned fragments are provably empty under the predicates, so the
+// result (rows and order) is identical to a full-table Filter while
+// only the surviving rows are read. scanned reports how many rows were
+// actually visited.
+func FilterRanges(t *Table, ranges []RowRange, preds ...Pred) (out *Table, scanned int, err error) {
+	out = New(t.Name, t.Schema)
+	scanned = RowsVisited(ranges, len(t.Rows))
+	for _, r := range ranges {
+		end := min(r.End, len(t.Rows))
+		if r.Start >= end {
+			continue
+		}
+		if out.Rows, err = appendMatching(out.Rows, t.Schema, t.Rows[r.Start:end], preds); err != nil {
+			return nil, scanned, err
+		}
+	}
+	return out, scanned, nil
+}
+
 // zonesFixture builds a table spanning several fragments with a
 // low-NDV string column, a monotone int column (distinct per row, so
 // per-fragment ranges are disjoint) and a float column with nulls.
@@ -420,7 +442,7 @@ func FuzzIncrementalStats(f *testing.F) {
 // TestStatsRefutes pins the table-level zone-bound refutation feeding
 // SelectivityWith's exact zeros and logical.ProvablyEmpty.
 func TestStatsRefutes(t *testing.T) {
-	ts := BuildStats(statsFixture()) // revenue in [100,240], units 0..15, product 3 values
+	ts := fullStats(statsFixture()) // revenue in [100,240], units 0..15, product 3 values
 	refuted := []Pred{
 		{Col: "revenue", Op: OpGt, Val: F(240)},
 		{Col: "revenue", Op: OpGe, Val: F(241)},

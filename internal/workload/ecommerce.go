@@ -349,19 +349,3 @@ func (c *Corpus) NativeCatalog() *table.Catalog {
 	}
 	return table.NewCatalog()
 }
-
-// UnstructuredDocs returns all unstructured document records, the
-// input to extraction quality evaluation.
-func (c *Corpus) UnstructuredDocs() []store.Record {
-	var out []store.Record
-	for _, s := range c.Sources.Sources() {
-		if s.Kind() == store.KindText {
-			out = append(out, s.Records()...)
-		}
-	}
-	return out
-}
-
-// HasNoiseDoc reports whether the record id is a pure-noise document —
-// used to verify retrieval avoids distractors.
-func HasNoiseDoc(id string) bool { return strings.HasPrefix(id, "noise-") }

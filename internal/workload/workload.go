@@ -96,17 +96,6 @@ func (c *Corpus) Vocab() map[string][]string {
 	return out
 }
 
-// QueriesOf returns the corpus queries of one class.
-func (c *Corpus) QueriesOf(class Class) []Query {
-	var out []Query
-	for _, q := range c.Queries {
-		if q.Class == class {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // DocOf normalizes a retrieved evidence id to record granularity:
 // chunk ids "doc-3#2" become "doc-3"; row ids pass through.
 func DocOf(id string) string {

@@ -84,10 +84,11 @@ var (
 
 // Options configures a System.
 type Options struct {
-	// EvidenceK is the number of evidence items returned per answer.
+	// EvidenceK is the number of evidence items returned per answer
+	// (0 means 8).
 	EvidenceK int
 	// EntropySamples is the number of answer samples used for
-	// uncertainty scoring (the paper's M).
+	// uncertainty scoring, the paper's M (0 means 5).
 	EntropySamples int
 	// FlagThreshold is the semantic-entropy level above which answers
 	// are flagged for review.
@@ -138,12 +139,6 @@ func New() *System { return NewWithOptions(DefaultOptions()) }
 
 // NewWithOptions returns an empty system with the given options.
 func NewWithOptions(opts Options) *System {
-	if opts.EvidenceK <= 0 {
-		opts.EvidenceK = 8
-	}
-	if opts.EntropySamples <= 0 {
-		opts.EntropySamples = 5
-	}
 	if opts.FlagThreshold <= 0 {
 		opts.FlagThreshold = 0.7
 	}
@@ -310,8 +305,8 @@ func (s *System) RegisterBackend(b federate.Backend) {
 
 // Metrics returns the federated resilience counters as "name=value"
 // lines in sorted name order — scan retries taken, failovers routed,
-// circuit-breaker transitions, stale-registry replans. Empty until a
-// resilience event occurs; nil before Build.
+// circuit-breaker transitions. Empty until a resilience event occurs;
+// nil before Build.
 func (s *System) Metrics() []string {
 	if !s.built {
 		return nil

@@ -14,7 +14,12 @@ import (
 // source kinds.
 func buildDemo(t *testing.T) *System {
 	t.Helper()
-	sys := New()
+	return buildDemoWith(t, DefaultOptions())
+}
+
+func buildDemoWith(t *testing.T, opts Options) *System {
+	t.Helper()
+	sys := NewWithOptions(opts)
 	sys.Vocabulary(VocabProduct, "Product Alpha", "Product Beta")
 	sys.Vocabulary(VocabDrug, "Drug A")
 	sys.Vocabulary(VocabSideEffect, "nausea", "fatigue")
@@ -182,10 +187,24 @@ func TestStatsBeforeBuild(t *testing.T) {
 	}
 }
 
+// A zero option means its default: the flag threshold here, the
+// evidence and sample counts in the engine that reads them — a system
+// with only the seed set answers as the default one does.
 func TestOptionsNormalization(t *testing.T) {
-	sys := NewWithOptions(Options{})
-	if sys.opts.EvidenceK <= 0 || sys.opts.EntropySamples <= 0 || sys.opts.FlagThreshold <= 0 {
+	if sys := NewWithOptions(Options{}); sys.opts.FlagThreshold <= 0 {
 		t.Errorf("options not normalized: %+v", sys.opts)
+	}
+	zero, def := buildDemoWith(t, Options{Seed: DefaultOptions().Seed}), buildDemo(t)
+	for _, q := range []string{"What is the average rating of Product Alpha?", "What was the revenue of Product Alpha in Q2?"} {
+		got, _ := zero.Ask(q)
+		want, _ := def.Ask(q)
+		if len(want.Evidence) == 0 {
+			t.Fatalf("%q: no evidence", q)
+		}
+		if got.Text != want.Text || len(got.Evidence) != len(want.Evidence) || got.Entropy != want.Entropy || got.Flagged != want.Flagged {
+			t.Errorf("%q: zero options gave %q, %d evidence, entropy %v; defaults %q, %d, %v",
+				q, got.Text, len(got.Evidence), got.Entropy, want.Text, len(want.Evidence), want.Entropy)
+		}
 	}
 }
 
