@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,29 +21,54 @@ PASS
 ok  	repro	4.2s
 `
 
+// repeatedBench is what -count 3 (Odd) and four appended rounds (Even)
+// leave behind; no benchmark's last line is its median.
+const repeatedBench = `BenchmarkOdd-2    	100	 300 ns/op	  48 B/op	 3 allocs/op
+BenchmarkEven-2   	100	 100 ns/op
+BenchmarkOdd-2    	100	 200 ns/op	  64 B/op	 2 allocs/op
+BenchmarkEven-2   	100	 900 ns/op
+BenchmarkOdd-2    	100	 100 ns/op	  16 B/op	 1 allocs/op
+BenchmarkEven-2   	100	 400 ns/op
+BenchmarkEven-2   	100	 200 ns/op
+`
+
+// TestParseBench: ns/op, B/op and allocs/op become entries, the units a
+// benchmark prints for a human (rows_scanned/op, q_error_max, q/s) do
+// not; a benchmark that ran several times reports the median of its
+// lines — the mean of the middle two for an even count — not the last.
 func TestParseBench(t *testing.T) {
-	r, err := ParseBench(strings.NewReader(sampleBench))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"BenchmarkSequentialIngest":                        63000000,
-		"BenchmarkParallelIngest":                          55000000,
-		"BenchmarkAnswerAll":                               1265000,
-		"BenchmarkFederatedFilteredAggregate":              2700,
-		"BenchmarkFederatedFilteredAggregate|rows_scanned": 3,
-		"BenchmarkEstimateAccuracy":                        1500000,
-		"BenchmarkEstimateAccuracy|q_error_max":            1.667,
-		"BenchmarkGraphReadJSON":                           41000000,
-		"BenchmarkGraphReadJSON|bytes_op":                  21600000,
-		"BenchmarkGraphReadJSON|allocs_op":                 21654,
-	}
-	if len(r) != len(want) {
-		t.Fatalf("parsed %d benchmarks, want %d: %v", len(r), len(want), r)
-	}
-	for name, ns := range want {
-		if r[name] != ns {
-			t.Errorf("%s = %v, want %v", name, r[name], ns)
+	for _, tc := range []struct {
+		name, in string
+		want     map[string]float64
+	}{
+		{"one line each", sampleBench, map[string]float64{
+			"BenchmarkSequentialIngest":           63000000,
+			"BenchmarkParallelIngest":             55000000,
+			"BenchmarkAnswerAll":                  1265000,
+			"BenchmarkFederatedFilteredAggregate": 2700,
+			"BenchmarkEstimateAccuracy":           1500000,
+			"BenchmarkGraphReadJSON":              41000000,
+			"BenchmarkGraphReadJSON|bytes_op":     21600000,
+			"BenchmarkGraphReadJSON|allocs_op":    21654,
+		}},
+		{"repeated lines", repeatedBench, map[string]float64{
+			"BenchmarkOdd":           200,
+			"BenchmarkOdd|bytes_op":  48,
+			"BenchmarkOdd|allocs_op": 2,
+			"BenchmarkEven":          300,
+		}},
+	} {
+		r, err := ParseBench(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r) != len(tc.want) {
+			t.Errorf("%s: parsed %d entries, want %d: %v", tc.name, len(r), len(tc.want), r)
+		}
+		for name, v := range tc.want {
+			if r[name] != v {
+				t.Errorf("%s: %s = %v, want %v", tc.name, name, r[name], v)
+			}
 		}
 	}
 }
@@ -50,129 +77,93 @@ func TestCompareVerdicts(t *testing.T) {
 	baseline := Report{"A": 100, "B": 100, "C": 100}
 	current := Report{"A": 120, "B": 200, "D": 50}
 
-	lines, ok := Compare(baseline, current, 0.25, false)
+	lines, ok := Compare(baseline, current, 0.25)
 	if ok {
-		t.Error("expected failure: B regressed and C is missing")
+		t.Error("expected failure: B regressed")
 	}
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"ok       A", "REGRESSED B", "MISSING  C", "NEW      D"} {
+	for _, want := range []string{"ok        A", "REGRESSED B", "REMOVED   C", "NEW       D"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("verdicts missing %q:\n%s", want, joined)
 		}
 	}
 
 	// Within tolerance passes.
-	if _, ok := Compare(Report{"A": 100}, Report{"A": 124}, 0.25, false); !ok {
+	if _, ok := Compare(Report{"A": 100}, Report{"A": 124}, 0.25); !ok {
 		t.Error("24%% slower should pass at 25%% tolerance")
 	}
-	if _, ok := Compare(Report{"A": 100}, Report{"A": 126}, 0.25, false); ok {
+	if _, ok := Compare(Report{"A": 100}, Report{"A": 126}, 0.25); ok {
 		t.Error("26%% slower should fail at 25%% tolerance")
 	}
 }
 
-func TestCompareNormalized(t *testing.T) {
-	baseline := Report{"A": 100, "B": 1000, "C": 10000}
-
-	// A uniformly 2x-slower machine must pass under -normalize...
-	slower := Report{"A": 200, "B": 2000, "C": 20000}
-	if _, ok := Compare(baseline, slower, 0.25, true); !ok {
-		t.Error("uniform 2x slowdown should pass with normalization")
+// TestCompareOneSidedEntriesGateNothing: a benchmark the change adds or
+// retires has nothing to be compared with; it is listed and the verdict
+// rests on the shared entries alone.
+func TestCompareOneSidedEntriesGateNothing(t *testing.T) {
+	lines, ok := Compare(Report{"A": 100, "Gone": 1, "Gone|allocs_op": 5}, Report{"A": 100, "Added": 1e9}, 0.25)
+	if !ok {
+		t.Errorf("one-sided entries must not fail the comparison:\n%s", strings.Join(lines, "\n"))
 	}
-	// ...and fail without it.
-	if _, ok := Compare(baseline, slower, 0.25, false); ok {
-		t.Error("uniform 2x slowdown should fail without normalization")
+	if len(lines) != 4 {
+		t.Errorf("want one line per entry of either report, got %d:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
-
-	// One benchmark regressing relative to its peers still trips the
-	// gate even on a uniformly faster machine.
-	skewed := Report{"A": 90, "B": 900, "C": 19000}
-	lines, ok := Compare(baseline, skewed, 0.25, true)
-	if ok {
-		t.Errorf("relative regression of C should fail:\n%s", strings.Join(lines, "\n"))
-	}
-	if !strings.Contains(strings.Join(lines, "\n"), "REGRESSED C") {
-		t.Errorf("C not flagged:\n%s", strings.Join(lines, "\n"))
+	if _, ok := Compare(Report{"A": 100, "Gone": 1}, Report{"A": 200, "Added": 1}, 0.25); ok {
+		t.Error("a shared entry still gates beside one-sided ones")
 	}
 }
 
-// TestCompareScannedRowsGateExactly pins the scanned-rows gate: the
-// deterministic row counters compare raw (never normalized) with zero
-// tolerance, so any pushdown regression fails even when every timing
-// is comfortably inside tolerance.
-func TestCompareScannedRowsGateExactly(t *testing.T) {
-	baseline := Report{"A": 100, "B": 100, "A|rows_scanned": 3}
-
-	// Equal rows pass; timings inside tolerance pass.
-	if lines, ok := Compare(baseline, Report{"A": 110, "B": 105, "A|rows_scanned": 3}, 0.25, false); !ok {
-		t.Errorf("unchanged scanned rows should pass:\n%s", strings.Join(lines, "\n"))
-	}
-	// One extra scanned row fails, even at 4% timing drift.
-	lines, ok := Compare(baseline, Report{"A": 104, "B": 100, "A|rows_scanned": 4}, 0.25, false)
-	if ok {
-		t.Errorf("scanned-rows regression should fail:\n%s", strings.Join(lines, "\n"))
-	}
-	if !strings.Contains(strings.Join(lines, "\n"), "REGRESSED A|rows_scanned") {
-		t.Errorf("rows entry not flagged:\n%s", strings.Join(lines, "\n"))
-	}
-	// Fewer scanned rows (a pushdown win) pass.
-	if lines, ok := Compare(baseline, Report{"A": 100, "B": 100, "A|rows_scanned": 1}, 0.25, false); !ok {
-		t.Errorf("scanned-rows improvement should pass:\n%s", strings.Join(lines, "\n"))
-	}
-
-	// Normalization must not launder a rows regression: a uniformly 2x
-	// slower machine passes on timings but still fails on rows.
-	cur := Report{"A": 200, "B": 200, "A|rows_scanned": 4}
-	if lines, ok := Compare(baseline, cur, 0.25, true); ok {
-		t.Errorf("normalized run must still gate rows exactly:\n%s", strings.Join(lines, "\n"))
-	}
-}
-
-// TestCompareQErrorGateExactly pins the estimate-accuracy gate: the
-// q_error_max metric is deterministic, so the smallest increase over
-// the committed baseline fails, it is never normalized, and its
-// decimals survive the report (a 1.667 → 2 rounding would hide real
-// movement).
-func TestCompareQErrorGateExactly(t *testing.T) {
-	baseline := Report{"A": 100, "A|q_error_max": 1.667}
-
-	if lines, ok := Compare(baseline, Report{"A": 110, "A|q_error_max": 1.667}, 0.25, false); !ok {
-		t.Errorf("unchanged q-error should pass:\n%s", strings.Join(lines, "\n"))
-	}
-	lines, ok := Compare(baseline, Report{"A": 100, "A|q_error_max": 1.7}, 0.25, false)
-	if ok {
-		t.Errorf("q-error regression should fail:\n%s", strings.Join(lines, "\n"))
-	}
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "REGRESSED A|q_error_max") {
-		t.Errorf("q-error entry not flagged:\n%s", joined)
-	}
-	if !strings.Contains(joined, "1.700") {
-		t.Errorf("q-error decimals lost in the report:\n%s", joined)
-	}
-	// Tighter estimates pass; normalization never applies.
-	if lines, ok := Compare(baseline, Report{"A": 200, "A|q_error_max": 1.5}, 0.25, true); !ok {
-		t.Errorf("q-error improvement should pass under normalization:\n%s", strings.Join(lines, "\n"))
-	}
-}
-
-// TestCompareBytesGateUnnormalized pins the B/op gate: like allocs/op
-// it keeps the tolerance and is never divided by the machine factor, so
-// a run that is uniformly slower cannot carry a heap regression through,
-// and a uniformly faster one does not turn steady bytes into one.
+// TestCompareBytesGateUnnormalized pins the -benchmem gate: B/op and
+// allocs/op entries compare as they are, at the one tolerance, whatever
+// the timings beside them do.
 func TestCompareBytesGateUnnormalized(t *testing.T) {
 	baseline := Report{"A": 100, "B": 100, "A|bytes_op": 1000, "A|allocs_op": 10}
 
-	if lines, ok := Compare(baseline, Report{"A": 100, "B": 100, "A|bytes_op": 1240, "A|allocs_op": 10}, 0.25, false); !ok {
+	if lines, ok := Compare(baseline, Report{"A": 100, "B": 100, "A|bytes_op": 1240, "A|allocs_op": 10}, 0.25); !ok {
 		t.Errorf("24%% more bytes should pass at 25%% tolerance:\n%s", strings.Join(lines, "\n"))
 	}
-	lines, ok := Compare(baseline, Report{"A": 200, "B": 200, "A|bytes_op": 1300, "A|allocs_op": 10}, 0.25, true)
+	lines, ok := Compare(baseline, Report{"A": 50, "B": 50, "A|bytes_op": 1300, "A|allocs_op": 10}, 0.25)
 	if ok || !strings.Contains(strings.Join(lines, "\n"), "REGRESSED A|bytes_op") {
-		t.Errorf("30%% more bytes on a 2x slower machine should fail:\n%s", strings.Join(lines, "\n"))
+		t.Errorf("30%% more bytes should fail beside faster timings:\n%s", strings.Join(lines, "\n"))
 	}
-	if lines, ok := Compare(baseline, Report{"A": 50, "B": 50, "A|bytes_op": 1000, "A|allocs_op": 10}, 0.25, true); !ok {
-		t.Errorf("unchanged bytes on a 2x faster machine should pass:\n%s", strings.Join(lines, "\n"))
+	lines, ok = Compare(baseline, Report{"A": 100, "B": 100, "A|bytes_op": 1000, "A|allocs_op": 13}, 0.25)
+	if ok || !strings.Contains(strings.Join(lines, "\n"), "REGRESSED A|allocs_op") {
+		t.Errorf("30%% more allocations should fail:\n%s", strings.Join(lines, "\n"))
 	}
-	if lines, ok := Compare(baseline, Report{"A": 100, "B": 100, "A|bytes_op": 600, "A|allocs_op": 10}, 0.25, false); !ok {
+	if lines, ok := Compare(baseline, Report{"A": 100, "B": 100, "A|bytes_op": 600, "A|allocs_op": 10}, 0.25); !ok {
 		t.Errorf("fewer bytes should pass:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// TestSameReportOnBothSidesPasses drives the tool the way CI does —
+// parse to a file, compare two files — with one report on both sides:
+// every entry is unchanged, so the comparison passes and every verdict
+// line is an "ok".
+func TestSameReportOnBothSidesPasses(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(in, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "bench.json")
+	if err := runParse(in, out); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := runCompare(out, out, 0.25)
+	if err != nil || !ok {
+		t.Fatalf("a report compared with itself: ok=%v err=%v", ok, err)
+	}
+	r, err := readReport(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, _ := Compare(r, r, 0.25)
+	if len(lines) != len(r) {
+		t.Errorf("%d verdict lines for %d entries", len(lines), len(r))
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "ok ") {
+			t.Errorf("not an ok line: %s", l)
+		}
 	}
 }

@@ -179,8 +179,8 @@ func checkFunc(pass *Pass, fn *ast.FuncDecl, guarded map[types.Object]guardedFie
 }
 
 // markSelectors marks every SelectorExpr within expr (the written
-// chain) as a write target, so `h.IndexStats.Docs++` counts as a write
-// of IndexStats.
+// chain) as a write target, so `s.stats.docs++` counts as a write of
+// stats.
 func markSelectors(expr ast.Expr, writes map[*ast.SelectorExpr]bool) {
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if s, ok := n.(*ast.SelectorExpr); ok {

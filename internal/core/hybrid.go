@@ -78,8 +78,8 @@ func DefaultHybridOptions() HybridOptions {
 // After construction a Hybrid is safe for concurrent use: Answer and
 // AnswerAll may run from any number of goroutines, interleaved with
 // Ingest calls. Ingest takes the write half of an RWMutex guarding the
-// graph, catalog, retriever, recognizer vocabulary and stats; answering
-// takes the read half.
+// graph, catalog, retriever and recognizer vocabulary; answering takes
+// the read half.
 // WithCost is setup-time only and must happen before concurrent use.
 type Hybrid struct {
 	ner       *slm.NER
@@ -99,14 +99,14 @@ type Hybrid struct {
 	cache     *answerCache        // nil when disabled
 	counters  *metrics.CounterSet // federated resilience counters
 
-	// mu guards graph/catalog/retriever/IndexStats/ExtractCount, and the
+	// mu guards graph/catalog/retriever/ExtractCount, and the
 	// recognizer's gazetteer (AddVocabulary), against writer-vs-Answer
-	// races. Reading the exported fields directly is safe only when no
-	// Ingest can run concurrently; use Stats otherwise.
+	// races. Reading ExtractCount directly is safe only when no Ingest
+	// can run concurrently; use Stats otherwise.
 	mu sync.RWMutex
 
-	IndexStats   index.Stats // guarded by mu
-	ExtractCount int         // guarded by mu; extracted rows merged into the catalog
+	buildTime    time.Duration // NewHybrid's index build; 0 on a loaded system
+	ExtractCount int           // guarded by mu; extracted rows merged into the catalog
 }
 
 // init is the part of construction NewHybrid and NewHybridFromState
@@ -186,7 +186,7 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 		return nil, fmt.Errorf("core: hybrid index: %w", err)
 	}
 	h.graph = g
-	h.IndexStats = stats
+	h.buildTime = stats.BuildTime
 	h.retriever = retrieval.NewTopology(g, ner, opts.Topology)
 
 	// 2. Catalog: native tables, materialized semi-structured sources
@@ -399,17 +399,6 @@ func NewHybridFromState(g *graph.Graph, catalog *table.Catalog, ner *slm.NER, op
 	h.graph, h.catalog = g, catalog
 	h.retriever = retrieval.NewTopology(g, ner, opts.Topology)
 	h.initFederation()
-	byType := g.CountByType()
-	h.IndexStats = index.Stats{
-		Nodes:     g.NodeCount(),
-		Edges:     g.EdgeCount(),
-		Entities:  byType[graph.NodeEntity],
-		Chunks:    byType[graph.NodeChunk],
-		Cues:      byType[graph.NodeCue],
-		Rows:      byType[graph.NodeRow],
-		Docs:      byType[graph.NodeDoc],
-		SizeBytes: g.SizeBytes(),
-	}
 	return h
 }
 
@@ -455,17 +444,9 @@ func (h *Hybrid) Ingest(source, id, text string) error {
 		defer h.cache.purge()
 	}
 	rec := store.Record{ID: id, Source: source, Kind: store.KindText, Text: text}
-	stats, err := h.builder.IndexRecord(h.graph, rec)
-	if err != nil {
+	if _, err := h.builder.IndexRecord(h.graph, rec); err != nil {
 		return fmt.Errorf("core: ingest %s: %w", id, err)
 	}
-	h.IndexStats.Docs++
-	h.IndexStats.Chunks += stats.Chunks
-	h.IndexStats.Cues += stats.Cues
-	h.IndexStats.Nodes = stats.Nodes
-	h.IndexStats.Edges = stats.Edges
-	h.IndexStats.Entities = stats.Entities
-	h.IndexStats.SizeBytes = stats.SizeBytes
 	if h.extractor != nil {
 		extractions := h.extractor.ExtractDoc(id, text)
 		if err := extract.Merge(h.catalog, extractions); err != nil {
@@ -544,13 +525,26 @@ func (h *Hybrid) Triples() []index.Triple {
 	return index.Triples(h.graph)
 }
 
-// Stats returns a consistent snapshot of the index statistics and the
-// extracted-row count. Unlike reading the exported fields directly,
-// Stats is safe to call concurrently with Ingest.
+// Stats returns the index statistics and the extracted-row count as of
+// one moment. The statistics are read from the graph, which counts its
+// own nodes by type, edges and bytes — a built, a loaded and a grown
+// system cannot report differently about the same graph. Safe to call
+// concurrently with Ingest.
 func (h *Hybrid) Stats() (index.Stats, int) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.IndexStats, h.ExtractCount
+	byType := h.graph.CountByType()
+	return index.Stats{
+		Docs:      byType[graph.NodeDoc],
+		Chunks:    byType[graph.NodeChunk],
+		Entities:  byType[graph.NodeEntity],
+		Cues:      byType[graph.NodeCue],
+		Rows:      byType[graph.NodeRow],
+		Nodes:     h.graph.NodeCount(),
+		Edges:     h.graph.EdgeCount(),
+		BuildTime: h.buildTime,
+		SizeBytes: h.graph.SizeBytes(),
+	}, h.ExtractCount
 }
 
 // Answer implements Pipeline: parse → bind → execute → synthesize,

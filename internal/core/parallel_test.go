@@ -46,7 +46,7 @@ func TestParallelBuildDeterminism(t *testing.T) {
 	sp, parExtracted := par.Stats()
 	ss.BuildTime, sp.BuildTime = 0, 0 // wall-clock may differ; nothing else may
 	if ss != sp {
-		t.Errorf("IndexStats diverge:\n  seq %+v\n  par %+v", ss, sp)
+		t.Errorf("index statistics diverge:\n  seq %+v\n  par %+v", ss, sp)
 	}
 	if seqExtracted != parExtracted {
 		t.Errorf("ExtractCount: seq %d, par %d", seqExtracted, parExtracted)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/index"
 	"repro/internal/slm"
 	"repro/internal/table"
 	"repro/internal/workload"
@@ -94,4 +95,91 @@ func TestWriteStateRacingIngest(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestStatsBuiltLoadedGrown: index statistics are read from the graph,
+// so a built system, the same system after a write/read round trip and
+// both after ten Ingests report the graph's own counters — and therefore
+// the same numbers as each other, BuildTime aside (a loaded system
+// built nothing). An Ingest the index refuses leaves them where they
+// were. An Ingest that fails after IndexRecord has changed the graph
+// cannot be provoked from outside (AddEdge fails only on an endpoint or
+// a 257th edge type that applyDocument never hands it), so that case is
+// not here.
+func TestStatsBuiltLoadedGrown(t *testing.T) {
+	ofGraph := func(g *graph.Graph) index.Stats {
+		byType := g.CountByType()
+		return index.Stats{
+			Docs: byType[graph.NodeDoc], Chunks: byType[graph.NodeChunk], Entities: byType[graph.NodeEntity],
+			Cues: byType[graph.NodeCue], Rows: byType[graph.NodeRow],
+			Nodes: g.NodeCount(), Edges: g.EdgeCount(), SizeBytes: g.SizeBytes(),
+		}
+	}
+	timeless := func(h *Hybrid) index.Stats {
+		s, _ := h.Stats()
+		s.BuildTime = 0
+		return s
+	}
+	for name, c := range map[string]*workload.Corpus{
+		"ecommerce":  workload.ECommerce(workload.DefaultECommerceOptions()),
+		"healthcare": workload.Healthcare(workload.DefaultHealthcareOptions()),
+	} {
+		built := hybridFor(t, c)
+		if s, _ := built.Stats(); s.BuildTime <= 0 || s.Docs == 0 || s.Rows == 0 || s.Cues == 0 {
+			t.Errorf("%s built: %+v", name, s)
+		}
+
+		var gb, cb bytes.Buffer
+		if gerr, cerr := built.WriteState(&gb, &cb); gerr != nil || cerr != nil {
+			t.Fatal(gerr, cerr)
+		}
+		g, err := graph.ReadJSON(&gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat, err := table.ReadCatalogJSON(&cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ner := slm.NewNER()
+		c.Register(ner)
+		loaded := NewHybridFromState(g, cat, ner, DefaultHybridOptions())
+		if s, _ := loaded.Stats(); s.BuildTime != 0 {
+			t.Errorf("%s loaded: BuildTime = %v, want 0", name, s.BuildTime)
+		}
+
+		check := func(stage string) {
+			t.Helper()
+			if got, want := timeless(built), ofGraph(built.Graph()); got != want {
+				t.Errorf("%s built, %s: Stats %+v, graph %+v", name, stage, got, want)
+			}
+			if got, want := timeless(loaded), ofGraph(loaded.Graph()); got != want {
+				t.Errorf("%s loaded, %s: Stats %+v, graph %+v", name, stage, got, want)
+			}
+			if b, l := timeless(built), timeless(loaded); b != l {
+				t.Errorf("%s, %s: built %+v, loaded %+v", name, stage, b, l)
+			}
+		}
+		check("as built")
+		docs := timeless(built).Docs
+		for i := 0; i < 10; i++ {
+			id, text := fmt.Sprint("grown-", i), fmt.Sprintf("Customer C-%d rated Product Alpha %d stars. Patient P-%d received Drug Alpha.", 900+i, 1+i%5, 900+i)
+			for _, h := range []*Hybrid{built, loaded} {
+				if err := h.Ingest("notes", id, text); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check("grown")
+		if got := timeless(built).Docs; got != docs+10 {
+			t.Errorf("%s: %d docs after ten ingests onto %d", name, got, docs)
+		}
+		before := timeless(built)
+		if err := built.Ingest("notes", "grown-0", "Customer C-1 rated Product Beta 2 stars."); !errors.Is(err, index.ErrDocExists) {
+			t.Fatalf("%s: second ingest of one id: %v", name, err)
+		}
+		if after := timeless(built); after != before {
+			t.Errorf("%s: a refused ingest moved Stats: %+v -> %+v", name, before, after)
+		}
+	}
 }

@@ -34,7 +34,8 @@ func TableS1ChunkSize(budgets []int) *metrics.ResultTable {
 		}
 		ret := core.EvaluateRetrieval(h.Retriever(), c.Queries, []int{5})
 		qa := core.EvaluateQA(h, c.Queries)
-		t.AddRow(budget, h.IndexStats.Chunks, h.IndexStats.SizeBytes/1024,
+		stats, _ := h.Stats()
+		t.AddRow(budget, stats.Chunks, stats.SizeBytes/1024,
 			ret.RecallAt[5], ret.MRR, qa[workload.Class("overall")].EM)
 	}
 	return t

@@ -73,8 +73,8 @@ func (e *Executor) ExecuteIR(opt *logical.Optimized) (*table.Table, *Run, error)
 // depends on how its siblings were scheduled.
 func (e *Executor) executeOnce(opt *logical.Optimized, key string) (*table.Table, *Run, error) {
 	gen := e.generation()
-	open, hver := e.health.snapshot(gen, e.opts.Breaker)
-	pp, err := e.plan(opt, key, gen, open, hver)
+	open := e.health.snapshot(gen, e.opts.Breaker)
+	pp, err := e.plan(opt, key, gen, open)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -213,7 +213,6 @@ type PhysicalPlan struct {
 
 	Epoch uint64
 	gen   uint64 // registry generation the routing was decided at
-	hver  uint64 // breaker-state version the routing was decided at
 }
 
 // price offers preds and the column set cols to backend b for a scan of
@@ -230,9 +229,8 @@ func (e *Executor) price(b Backend, open openSet, tbl string, preds []table.Pred
 	// per returned row; fold that into the comparable cost.
 	f.Est.Cost += float64(f.Est.Out) * 0.25 * float64(len(left.Preds))
 	// An open breaker deprioritizes the backend without excluding
-	// it: health is a planning input, exactly like cost. The plan
-	// cache keys on the breaker-state version, so a transition
-	// re-routes on the next plan rather than serving a stale choice.
+	// it: health is a planning input, exactly like cost. A plan priced
+	// against a non-empty open set is never cached (see plan).
 	if open.has(b.Name()) {
 		f.Est.Cost += breakerPenalty
 	}
@@ -289,16 +287,22 @@ func maxEstOut(frags []Fragment) int {
 // key is the tree's canonical fingerprint. gen is the registry
 // generation read before routing: if a Register lands mid-plan, the
 // generation mismatch keeps the stale plan out of the cache (put drops
-// it) and out of future lookups. Breaker states are versioned the same
-// way: routing reads open, so a plan is valid only for the breaker-state
-// version hver that open belongs to.
-func (e *Executor) plan(opt *logical.Optimized, key string, gen uint64, open openSet, hver uint64) (*PhysicalPlan, error) {
+// it) and out of future lookups. Routing reads one thing about health,
+// the open set, so the cache holds only plans routed with every breaker
+// closed or half-open: while a breaker is open the query plans afresh
+// (a bypass counts as a miss) and the plan is not kept — a route around
+// an outage cannot be served after it ends, nor the healthy route
+// during it.
+func (e *Executor) plan(opt *logical.Optimized, key string, gen uint64, open openSet) (*PhysicalPlan, error) {
 	epoch := e.epochFn()
-	if pp := e.plans.get(key, epoch, gen, hver); pp != nil {
+	cached := len(open) == 0
+	if !cached {
+		e.plans.miss()
+	} else if pp := e.plans.get(key, epoch, gen); pp != nil {
 		return pp, nil
 	}
 
-	pp := &PhysicalPlan{Root: opt.Root, Trace: opt.Trace, Rollups: opt.Rollups, Epoch: epoch, gen: gen, hver: hver}
+	pp := &PhysicalPlan{Root: opt.Root, Trace: opt.Trace, Rollups: opt.Rollups, Epoch: epoch, gen: gen}
 	residual, err := e.lower(opt.Root, opt.Stats, open, pp)
 	if err != nil {
 		return nil, err
@@ -306,7 +310,9 @@ func (e *Executor) plan(opt *logical.Optimized, key string, gen uint64, open ope
 	pp.Residual = residual
 	pp.VecResidual = maxEstOut(pp.Frags) >= vecResidualMinRows
 
-	e.plans.put(key, pp, e.generation())
+	if cached {
+		e.plans.put(key, pp, e.generation())
+	}
 	return pp, nil
 }
 
@@ -492,11 +498,11 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, entries: make(map[string]*PhysicalPlan, capacity)}
 }
 
-func (c *planCache) get(key string, epoch, gen, hver uint64) *PhysicalPlan {
+func (c *planCache) get(key string, epoch, gen uint64) *PhysicalPlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pp := c.entries[key]
-	if pp == nil || pp.Epoch != epoch || pp.gen != gen || pp.hver != hver {
+	if pp == nil || pp.Epoch != epoch || pp.gen != gen {
 		c.misses++
 		return nil
 	}
@@ -504,12 +510,17 @@ func (c *planCache) get(key string, epoch, gen, hver uint64) *PhysicalPlan {
 	return pp
 }
 
+// miss counts a query that planned without consulting the cache.
+func (c *planCache) miss() {
+	c.mu.Lock()
+	c.misses++
+	c.mu.Unlock()
+}
+
 // put caches the plan unless the registry generation moved while it
 // was being computed — a concurrent Register already flushed the cache,
 // and re-inserting a plan routed against the old registry would undo
-// that flush. A breaker transition flushes nothing: a plan routed under
-// an older breaker-state version fails get's hver check and is
-// overwritten by the next plan for its key.
+// that flush.
 func (c *planCache) put(key string, pp *PhysicalPlan, gen uint64) {
 	if pp.gen != gen {
 		return

@@ -79,26 +79,22 @@ type breakerState struct {
 // healthTracker is the executor's per-backend circuit-breaker table.
 // Its generation mirrors the backend registry generation: when the
 // registry changes, accumulated health is forgiven (a re-registered
-// backend is a new instance). The transitions counter versions routing
-// decisions the same way regGen does — route() consults breaker state,
-// so any state change must invalidate cached physical plans, and the
-// plan cache folds the version into its validity check. The cooldown
-// clock is the executed-query count, ticked once per execution, so an
-// open breaker half-opens after Cooldown queries even when routing has
-// stopped consulting the backend entirely.
+// backend is a new instance). The cooldown clock is the executed-query
+// count, ticked once per execution, so an open breaker half-opens after
+// Cooldown queries even when routing has stopped consulting the backend
+// entirely.
 //
 // A query touches the tracker twice: snapshot before it plans, apply
 // after its last scan. In between it reads the value snapshot returned,
 // so concurrent queries and sibling fragments cannot change what it
 // does.
 type healthTracker struct {
-	mu          sync.Mutex
-	gen         uint64                   // guarded by mu; registry generation the states belong to
-	transitions uint64                   // guarded by mu; bumped on every breaker state change
-	queries     uint64                   // guarded by mu; executions seen — the cooldown clock
-	nonClosed   int                      // guarded by mu; breakers currently open or half-open
-	m           map[string]*breakerState // guarded by mu
-	names       []string                 // guarded by mu; sorted keys of m, for deterministic sweeps
+	mu        sync.Mutex
+	gen       uint64                   // guarded by mu; registry generation the states belong to
+	queries   uint64                   // guarded by mu; executions seen — the cooldown clock
+	nonClosed int                      // guarded by mu; breakers currently open or half-open
+	m         map[string]*breakerState // guarded by mu
+	names     []string                 // guarded by mu; sorted keys of m, for deterministic sweeps
 }
 
 func newHealthTracker() *healthTracker {
@@ -116,10 +112,9 @@ func (o openSet) has(name string) bool { return slices.Contains(o, name) }
 // executed query, moving any open breaker whose cooldown expired to
 // half-open (its next routed scan becomes the recovery probe; the sweep
 // walks backends in sorted name order); aligns the tracker with the
-// registry generation, forgiving all health when the registry changed
-// (resetting a non-closed breaker is a state change, so it bumps
-// transitions); and returns the open set with the version it belongs to.
-func (h *healthTracker) snapshot(gen uint64, cfg BreakerConfig) (openSet, uint64) {
+// registry generation, forgiving all health when the registry changed;
+// and returns the open set.
+func (h *healthTracker) snapshot(gen uint64, cfg BreakerConfig) openSet {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.queries++
@@ -128,16 +123,12 @@ func (h *healthTracker) snapshot(gen uint64, cfg BreakerConfig) (openSet, uint64
 			s := h.m[name]
 			if s.state == breakerOpen && h.queries-s.openedAt >= uint64(cfg.Cooldown) {
 				s.state = breakerHalfOpen
-				h.transitions++
 			}
 		}
 	}
 	if gen != h.gen {
 		h.gen = gen
 		if len(h.m) > 0 {
-			if h.nonClosed > 0 {
-				h.transitions++
-			}
 			h.m = make(map[string]*breakerState)
 			h.names = nil
 			h.nonClosed = 0
@@ -151,7 +142,7 @@ func (h *healthTracker) snapshot(gen uint64, cfg BreakerConfig) (openSet, uint64
 			}
 		}
 	}
-	return open, h.transitions
+	return open
 }
 
 // stateLocked returns the named backend's record, creating a closed
@@ -193,14 +184,12 @@ func (h *healthTracker) apply(runs []FragmentRun, threshold int) (opened, closed
 				case breakerHalfOpen:
 					s.state = breakerOpen
 					s.openedAt = h.queries
-					h.transitions++
 					opened++
 				case breakerClosed:
 					if s.failures >= threshold {
 						s.state = breakerOpen
 						s.openedAt = h.queries
 						h.nonClosed++
-						h.transitions++
 						opened++
 					}
 				case breakerOpen:
@@ -214,7 +203,6 @@ func (h *healthTracker) apply(runs []FragmentRun, threshold int) (opened, closed
 			if s.state != breakerClosed {
 				s.state = breakerClosed
 				h.nonClosed--
-				h.transitions++
 				closed++
 			}
 		}

@@ -267,27 +267,22 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if opened, _ := h.apply(failed, cfg.FailThreshold); opened != 1 {
 		t.Fatal("first failure at threshold 1 must open")
 	}
-	open, v := h.snapshot(0, cfg)
-	if !open.has("b") {
+	if open := h.snapshot(0, cfg); !open.has("b") {
 		t.Fatal("breaker not open")
 	}
-	open, half := h.snapshot(0, cfg) // cooldown expires: half-open
-	if open.has("b") {
+	if open := h.snapshot(0, cfg); open.has("b") { // cooldown expires: half-open
 		t.Fatal("breaker still open after cooldown, want half-open")
-	}
-	if half == v {
-		t.Error("half-open transition must bump the routing version")
 	}
 	if opened, _ := h.apply(failed, cfg.FailThreshold); opened != 1 {
 		t.Error("failed half-open probe must re-open")
 	}
-	if open, _ := h.snapshot(0, cfg); !open.has("b") {
+	if open := h.snapshot(0, cfg); !open.has("b") {
 		t.Error("breaker not re-opened after failed probe")
 	}
 	if _, closed := h.apply([]FragmentRun{{served: "b"}}, cfg.FailThreshold); closed != 1 {
 		t.Error("success on a non-closed breaker must close it")
 	}
-	if open, _ := h.snapshot(0, cfg); open != nil {
+	if open := h.snapshot(0, cfg); open != nil {
 		t.Errorf("open set %v after success, want nil", open)
 	}
 }
@@ -299,8 +294,57 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 func openBreaker(e *Executor, name string) openSet {
 	e.health.snapshot(e.generation(), e.opts.Breaker)
 	e.health.apply([]FragmentRun{{failed: []string{name}}}, 1)
-	open, _ := e.health.snapshot(e.generation(), e.opts.Breaker)
-	return open
+	return e.health.snapshot(e.generation(), e.opts.Breaker)
+}
+
+// TestOpenBreakerBypassesPlanCache pins what a plan's validity rests on
+// now that no breaker version is stored: the cache holds only plans
+// routed under an empty open set. A plan made while a breaker was open
+// is not served once it has closed, and the plan made before it opened
+// is served again after.
+func TestOpenBreakerBypassesPlanCache(t *testing.T) {
+	c := testCatalog()
+	e := New(c.Epoch, Options{Workers: 1}, NewMemory(c), NewSQL(c))
+	p := resilienceTestPlans()["filtered aggregate"]
+	exec := func() *Run {
+		t.Helper()
+		_, run, err := execPlan(e, p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	stats := func() [3]int64 {
+		hits, misses, size := e.PlanCacheStats()
+		return [3]int64{hits, misses, int64(size)}
+	}
+
+	healthy := exec()
+	if healthy.Plan.Frags[0].Backend != "memory" || stats() != [3]int64{0, 1, 1} {
+		t.Fatalf("healthy plan on %s, cache %v; want memory, 0 hits 1 miss 1 entry", healthy.Plan.Frags[0].Backend, stats())
+	}
+
+	openBreaker(e, "memory")
+	around := exec()
+	if around.Plan == healthy.Plan || around.Plan.Frags[0].Backend != "sql" {
+		t.Fatalf("with memory's breaker open the query ran the cached healthy plan (backend %s)", around.Plan.Frags[0].Backend)
+	}
+	if again := exec(); again.Plan == around.Plan {
+		t.Error("a plan routed around an open breaker was cached")
+	}
+	if stats() != [3]int64{0, 3, 1} {
+		t.Errorf("cache %v after two bypassed queries, want 0 hits 3 misses 1 entry", stats())
+	}
+
+	if _, closed := e.health.apply([]FragmentRun{{served: "memory"}}, e.opts.Breaker.FailThreshold); closed != 1 {
+		t.Fatal("breaker did not close")
+	}
+	if after := exec(); after.Plan != healthy.Plan {
+		t.Errorf("after the breaker closed the query planned afresh onto %s instead of reusing the healthy plan", after.Plan.Frags[0].Backend)
+	}
+	if stats() != [3]int64{1, 3, 1} {
+		t.Errorf("cache %v after recovery, want 1 hit 3 misses 1 entry", stats())
+	}
 }
 
 // TestBreakerSkipWithFailover pins scan-time breaker avoidance: a

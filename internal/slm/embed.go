@@ -40,7 +40,7 @@ func (e *Embedder) WithCost(c *CostModel) *Embedder {
 // Dim returns the embedding dimensionality.
 func (e *Embedder) Dim() int { return e.dim }
 
-// Embed encodes text as an L2-normalized vector. The zero vector is
+// Embed encodes text as a vector of L2 norm 1. The zero vector is
 // returned for empty/stopword-only input.
 func (e *Embedder) Embed(text string) []float32 {
 	words := Words(Tokenize(text))
