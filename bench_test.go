@@ -886,6 +886,16 @@ var filteredGroupByShape = analyticShape{8, func(scan *logical.Node) *logical.No
 			In:    []*logical.Node{scan}}}}
 }}
 
+// groupBySkuShape is SELECT sku, SUM(units) ... GROUP BY sku, the
+// workload's high-cardinality group-by: 1 024 groups, each a run of 64
+// rows, so a 256-row fragment holds 4 of them — pushed whole into the
+// fragment, the aggregate reads the cached fragments' dictionary codes.
+var groupBySkuShape = analyticShape{1024, func(scan *logical.Node) *logical.Node {
+	return &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"sku"},
+		Aggs: []table.Agg{{Func: table.AggSum, Col: "units", As: "result"}},
+		In:   []*logical.Node{scan}}
+}}
+
 // benchFederatedAnalytic times one analytic shape the way production
 // runs it: optimized, then through Executor.ExecuteIR on the memory
 // backend — planning, the fragment scan, the boundary and the vectorized
@@ -903,6 +913,7 @@ func benchFederatedAnalytic(b *testing.B, shape analyticShape) {
 func BenchmarkFederatedTopK(b *testing.B)            { benchFederatedAnalytic(b, topKShape) }
 func BenchmarkFederatedDistinct(b *testing.B)        { benchFederatedAnalytic(b, distinctShape) }
 func BenchmarkFederatedFilteredGroupBy(b *testing.B) { benchFederatedAnalytic(b, filteredGroupByShape) }
+func BenchmarkFederatedGroupBySku(b *testing.B)      { benchFederatedAnalytic(b, groupBySkuShape) }
 
 // rollupBenchSetup builds the dashboard-aggregate fixture: an 8192-row
 // fact table over 5 regions, a federated executor over its catalog, and

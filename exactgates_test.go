@@ -59,6 +59,7 @@ func TestExactGates(t *testing.T) {
 		{"top-k", "65536", analytic(topKShape)},
 		{"distinct", "65536", analytic(distinctShape)},
 		{"filtered group-by", "65536", analytic(filteredGroupByShape)},
+		{"group-by sku", "65536", analytic(groupBySkuShape)},
 		{"q_error_max", "1.667", func(t *testing.T) string {
 			return fmt.Sprintf("%.3f", maxQError(t, estimateItems(t)))
 		}},

@@ -110,18 +110,16 @@ func legacyCompare(p *semop.Plan, tbl *table.Table, preds []table.Pred) (*table.
 }
 
 // renderTable flattens a result to an exact comparable string: schema
-// names and every cell's canonical rendering, so "bit-identical" means
-// identical schema, row order and values.
+// names and every cell's kind, nullness and text, so "bit-identical"
+// means identical schema, row order and cells (−0 and +0, or int 2 and
+// float 2, render apart; Value.Key would merge them).
 func renderTable(t *table.Table) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Schema.Names(), ","))
 	for _, row := range t.Rows {
 		b.WriteByte('\n')
-		for i, v := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(v.Key())
+		for _, v := range row {
+			fmt.Fprintf(&b, "%v:%v:%s|", v.Kind(), v.IsNull(), v)
 		}
 	}
 	return b.String()

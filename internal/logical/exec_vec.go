@@ -38,7 +38,12 @@ import (
 // over a Sort is one bounded selection: a k-entry heap ordered by
 // (keys, row index) keeps the first k rows of that stable order without
 // sorting the rest. Distinct is a selection-vector kernel keyed by the
-// aggregate's group-key encoding, first occurrence kept. Compare reuses
+// aggregate's group-key encoding, first occurrence kept. When the one
+// group or distinct column of a catalog fragment carries dictionary
+// codes, a per-batch memo indexed by code (codeMemo) sits in front of
+// that one key map, so a key is encoded and hashed once per value per
+// batch instead of once per row; the map stays the only source of group
+// identity and output order. Compare reuses
 // the filter and aggregate kernels, running each CompareBranches arm
 // over the child stream and appending per-item results in branch order.
 // Every operator of the IR has a columnar form; the federated executor
@@ -1255,7 +1260,8 @@ func (v *vecRun) compareStream(n *Node, s *vstream) (*vstream, error) {
 // order — the row interpreter's exact accumulation order, so float
 // sums agree bitwise — with an allocation-free group-key encoding
 // (Value.Key bytes built into a reused buffer, interned only when a
-// group is first seen).
+// group is first seen). A single group column carrying dictionary codes
+// is looked up once per code per batch (codeMemo).
 func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg, hint int) (*table.Table, error) {
 	groupIdx := make([]int, len(groupBy))
 	for i, c := range groupBy {
@@ -1301,6 +1307,47 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg, hint 
 	}
 	kb := make([]byte, 0, 64)
 	var global *accum // the single group of a global aggregate
+	// groupOf is row ri's group: found or created in the one key map.
+	groupOf := func(b *table.Batch, ri int) *accum {
+		if len(groupIdx) == 0 {
+			if global == nil {
+				global = &accum{
+					key:    []Value{},
+					sums:   make([]float64, len(aggs)),
+					counts: make([]int64, len(aggs)),
+					mins:   make([]Value, len(aggs)),
+					maxs:   make([]Value, len(aggs)),
+				}
+				groups[""] = global
+				order = append(order, "")
+			}
+			return global
+		}
+		kb = kb[:0]
+		for _, gi := range groupIdx {
+			kb = appendKeyBytes(kb, &b.Cols[gi], ri)
+			kb = append(kb, '\x1f')
+		}
+		acc, ok := groups[string(kb)]
+		if !ok {
+			ks := string(kb)
+			key := make([]Value, len(groupIdx))
+			for i, gi := range groupIdx {
+				key[i] = b.Cols[gi].ValueAt(ri)
+			}
+			acc = &accum{
+				key:    key,
+				sums:   make([]float64, len(aggs)),
+				counts: make([]int64, len(aggs)),
+				mins:   make([]Value, len(aggs)),
+				maxs:   make([]Value, len(aggs)),
+			}
+			groups[ks] = acc
+			order = append(order, ks)
+		}
+		return acc
+	}
+	var memo codeMemo[*accum] // a code's group, in front of groupOf
 
 	for bi, b := range bs {
 		var sel []int32
@@ -1310,45 +1357,17 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg, hint 
 				continue
 			}
 		}
+		coded := len(groupIdx) == 1 && memo.reset(&b.Cols[groupIdx[0]])
 		forSel(b.Len, sel, func(ri int) {
 			var acc *accum
-			if len(groupIdx) == 0 {
-				if global == nil {
-					global = &accum{
-						key:    []Value{},
-						sums:   make([]float64, len(aggs)),
-						counts: make([]int64, len(aggs)),
-						mins:   make([]Value, len(aggs)),
-						maxs:   make([]Value, len(aggs)),
-					}
-					groups[""] = global
-					order = append(order, "")
+			if coded {
+				slot := memo.slot(ri)
+				if acc = *slot; acc == nil {
+					acc = groupOf(b, ri)
+					*slot = acc
 				}
-				acc = global
 			} else {
-				kb = kb[:0]
-				for _, gi := range groupIdx {
-					kb = appendKeyBytes(kb, &b.Cols[gi], ri)
-					kb = append(kb, '\x1f')
-				}
-				var ok bool
-				acc, ok = groups[string(kb)]
-				if !ok {
-					ks := string(kb)
-					key := make([]Value, len(groupIdx))
-					for i, gi := range groupIdx {
-						key[i] = b.Cols[gi].ValueAt(ri)
-					}
-					acc = &accum{
-						key:    key,
-						sums:   make([]float64, len(aggs)),
-						counts: make([]int64, len(aggs)),
-						mins:   make([]Value, len(aggs)),
-						maxs:   make([]Value, len(aggs)),
-					}
-					groups[ks] = acc
-					order = append(order, ks)
-				}
+				acc = groupOf(b, ri)
 			}
 			for i := range aggs {
 				if aggIdx[i] == -1 {
@@ -1434,6 +1453,41 @@ func updateMinMax(mins, maxs []Value, i int, v Value) {
 	}
 }
 
+// codeMemo is the per-batch lookaside the group-by and distinct kernels
+// keep in front of their one key map when the key is a single column
+// carrying dictionary codes (table.ColVec.Codes): one slot per code and
+// one for NULL. A code's first row in a batch encodes its key and goes
+// through the map as any row does; its later rows read the slot. Rows
+// with one code hold one string, so the slot holds what the map would
+// have answered, and results are those of the map alone.
+type codeMemo[T any] struct {
+	col   *table.ColVec
+	slots [256 + 1]T // uint8 codes 0..255, then NULL
+}
+
+// reset clears the slots the previous batch used and points the memo at
+// col, reporting whether col carries codes.
+func (m *codeMemo[T]) reset(col *table.ColVec) bool {
+	if m.col != nil {
+		clear(m.slots[:len(m.col.Dict)])
+		clear(m.slots[len(m.slots)-1:])
+	}
+	m.col = nil
+	if col.Codes == nil {
+		return false
+	}
+	m.col = col
+	return true
+}
+
+// slot is row ri's slot: its code's, or NULL's.
+func (m *codeMemo[T]) slot(ri int) *T {
+	if m.col.Nulls.Get(ri) {
+		return &m.slots[len(m.slots)-1]
+	}
+	return &m.slots[m.col.Codes[ri]]
+}
+
 // forSel iterates the selected rows of a batch in row order.
 func forSel(n int, sel []int32, fn func(ri int)) {
 	if sel == nil {
@@ -1462,7 +1516,7 @@ func appendKeyBytes(kb []byte, col *table.ColVec, ri int) []byte {
 		return strconv.AppendFloat(kb, float64(col.Ints[ri]), 'g', -1, 64)
 	case col.Floats != nil:
 		kb = append(kb, 'n', ':')
-		return strconv.AppendFloat(kb, col.Floats[ri], 'g', -1, 64)
+		return strconv.AppendFloat(kb, table.KeyFloat(col.Floats[ri]), 'g', -1, 64)
 	case col.Bools != nil:
 		kb = append(kb, 'b', ':')
 		return strconv.AppendBool(kb, col.Bools[ri])
@@ -1477,19 +1531,30 @@ func appendKeyBytes(kb []byte, col *table.ColVec, ri int) []byte {
 // distinctStream is the vectorized Distinct kernel: it keeps the first
 // selected row of every distinct key — the Value.Key encoding of the
 // stream's (mapped) columns, exactly table.Distinct's row key — as a
-// refined selection, copying no row.
+// refined selection, copying no row. A single column carrying
+// dictionary codes has a codeMemo in front of the key map: only a code's
+// first row in a batch is looked up, its later rows are duplicates.
 func (v *vecRun) distinctStream(s *vstream) *vstream {
 	bs := v.batches(s)
 	seen := make(map[string]struct{})
 	kb := make([]byte, 0, 64)
 	nsels := make([][]int32, len(bs))
+	var memo codeMemo[bool] // a code's row already reached the map
 	for bi, b := range bs {
 		keep := []int32{}
 		var sel []int32
 		if s.sels != nil {
 			sel = s.sels[bi]
 		}
+		coded := len(s.schema) == 1 && memo.reset(&b.Cols[s.baseCol(0)])
 		forSel(b.Len, sel, func(ri int) {
+			if coded {
+				slot := memo.slot(ri)
+				if *slot {
+					return
+				}
+				*slot = true
+			}
 			kb = kb[:0]
 			for i := range s.schema {
 				kb = appendKeyBytes(kb, &b.Cols[s.baseCol(i)], ri)

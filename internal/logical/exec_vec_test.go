@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/table"
@@ -323,6 +324,198 @@ func TestVecCompare(t *testing.T) {
 		assertVecParity(t, sortNode(compare("region-0", "region-1", "region-2"),
 			table.SortKey{Col: "region", Desc: true}), c)
 	})
+}
+
+// codedCatalog holds "coded": 3 full fragments and an open tail, with a
+// string column sku whose second fragment holds 256 distinct values (the
+// whole uint8 code space) and whose other fragments repeat 13 values,
+// NULL every 7th row, some of them reaching into the third fragment too —
+// so groups span batches — beside a date column day with NULLs, an int
+// column units and a float column revenue with NULLs.
+func codedCatalog(rows int) (*table.Catalog, *table.Table) {
+	tb := table.New("coded", table.Schema{
+		{Name: "sku", Type: table.TypeString},
+		{Name: "day", Type: table.TypeDate},
+		{Name: "units", Type: table.TypeInt},
+		{Name: "revenue", Type: table.TypeFloat},
+	})
+	for i := 0; i < rows; i++ {
+		tb.MustAppend(codedRow(i))
+	}
+	c := table.NewCatalog()
+	c.Put(tb)
+	return c, tb
+}
+
+func codedRow(i int) []table.Value {
+	sku := table.S(fmt.Sprintf("k%d", i%13))
+	switch {
+	case i >= table.FragmentRows && i < 2*table.FragmentRows:
+		sku = table.S(fmt.Sprintf("u%03d", i-table.FragmentRows))
+	case i >= 2*table.FragmentRows && i%5 == 0:
+		sku = table.S(fmt.Sprintf("u%03d", i%40))
+	case i%7 == 0:
+		sku = table.Null(table.TypeString)
+	}
+	day := table.D(fmt.Sprintf("2024-03-%02d", 1+i%9))
+	if i%11 == 0 {
+		day = table.Null(table.TypeDate)
+	}
+	rev := table.F(float64(i%17) * 0.5)
+	if i%13 == 0 {
+		rev = table.Null(table.TypeFloat)
+	}
+	return []table.Value{sku, day, table.I(int64(i % 50)), rev}
+}
+
+// assertCodedParity runs root three ways — the vectorized executor over
+// the catalog's fragments (string and date columns coded), the
+// vectorized executor over batches extracted on the fly (no codes), and
+// the row interpreter — and requires the same cells or the same error.
+// pending, when non-nil, is a projection left pending over an Input leaf
+// of the coded table, as a backend leaves it for the federated residual.
+func assertCodedParity(t *testing.T, c *table.Catalog, root *Node, pending []string) {
+	t.Helper()
+	base, _ := c.Get("coded")
+	env := func(fr *table.Frags, workers int) VecEnv {
+		return VecEnv{
+			Scan: func(leaf *Node) (*table.Table, *table.Frags, error) {
+				tb, err := c.Get(leaf.Table)
+				return tb, fr, err
+			},
+			Leaf:     func(*Node) (*table.Table, error) { return base, nil },
+			Columnar: func(*Node) (*table.Frags, []string) { return fr, pending },
+			Workers:  workers,
+		}
+	}
+	want, wantErr := Exec(root, c)
+	if pending != nil {
+		want, wantErr = Run(root, func(*Node) (*table.Table, error) { return table.Project(base, pending...) })
+	}
+	for _, way := range []struct {
+		name string
+		fr   *table.Frags
+	}{{"coded", c.FragsOf("coded")}, {"uncoded", nil}} {
+		for _, workers := range []int{1, 4} {
+			got, err := RunVec(root, env(way.fr, workers))
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s, workers=%d: error %v, row interpreter %v", way.name, workers, err, wantErr)
+			}
+			if err == nil && render(got) != render(want) {
+				t.Fatalf("%s, workers=%d: result diverges from the row interpreter:\n%s\nvs\n%s",
+					way.name, workers, render(got), render(want))
+			}
+		}
+	}
+}
+
+// TestVecCodedParity pins the group-by and distinct code memo to the
+// paths without it: every shape below runs over coded fragments, over
+// uncoded batches and through the row interpreter, before and after an
+// Append into the open tail.
+func TestVecCodedParity(t *testing.T) {
+	c, tb := codedCatalog(3*table.FragmentRows + 50)
+	aggs := []table.Agg{
+		{Func: table.AggSum, Col: "revenue"},
+		{Func: table.AggAvg, Col: "revenue"},
+		{Func: table.AggCount},
+		{Func: table.AggCount, Col: "revenue"},
+		{Func: table.AggMin, Col: "day"},
+		{Func: table.AggMax, Col: "units"},
+	}
+	group := func(in *Node, cols ...string) *Node {
+		return &Node{Op: OpAggregate, GroupBy: cols, Aggs: aggs, In: []*Node{in}}
+	}
+	distinct := func(in *Node, cols ...string) *Node {
+		return &Node{Op: OpDistinct, In: []*Node{{Op: OpProject, Proj: cols, In: []*Node{in}}}}
+	}
+	gt := func(n int64) table.Pred { return table.Pred{Col: "units", Op: table.OpGt, Val: table.I(n)} }
+	ranged := scan("coded")
+	ranged.RowStart, ranged.RowEnd = 200, 700
+	input := &Node{Op: OpInput, Table: "coded"}
+	shapes := []struct {
+		name    string
+		root    *Node
+		pending []string
+	}{
+		{"group_sku", group(scan("coded"), "sku"), nil},
+		{"group_day", group(scan("coded"), "day"), nil},
+		{"group_sku_filtered", group(filter(scan("coded"), gt(20)), "sku"), nil},
+		{"group_day_filtered", group(filter(scan("coded"), gt(44)), "day"), nil},
+		{"group_sku_ranged", group(ranged, "sku"), nil},
+		{"group_two_columns", group(scan("coded"), "sku", "day"), nil},
+		{"distinct_sku", distinct(scan("coded"), "sku"), nil},
+		{"distinct_day_filtered", distinct(filter(scan("coded"), gt(30)), "day"), nil},
+		{"distinct_sku_ranged", distinct(ranged, "sku"), nil},
+		{"distinct_pending", &Node{Op: OpDistinct, In: []*Node{input}}, []string{"sku"}},
+		{"group_pending", &Node{Op: OpAggregate, GroupBy: []string{"day"},
+			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}}, In: []*Node{input}}, []string{"revenue", "day"}},
+		{"compare", &Node{Op: OpCompare, CompareCol: "sku", Items: []string{"k3", "u005", "nope"},
+			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}}, In: []*Node{scan("coded")}}, nil},
+		{"sum_of_a_string_error", &Node{Op: OpAggregate, GroupBy: []string{"sku"},
+			Aggs: []table.Agg{{Func: table.AggSum, Col: "day"}}, In: []*Node{scan("coded")}}, nil},
+	}
+	run := func(step string) {
+		for _, sh := range shapes {
+			t.Run(step+"/"+sh.name, func(t *testing.T) { assertCodedParity(t, c, sh.root, sh.pending) })
+		}
+	}
+	for ci := 0; ci < 2; ci++ {
+		if c.FragsOf("coded").Batches[1].Cols[ci].Codes == nil {
+			t.Fatalf("column %d of a catalog fragment carries no codes: the coded way would not be tested", ci)
+		}
+	}
+	if got := len(c.FragsOf("coded").Batches[1].Cols[0].Dict); got != table.FragmentRows {
+		t.Fatalf("fragment 1 codes %d distinct skus, want the full code space %d", got, table.FragmentRows)
+	}
+	run("put")
+
+	before := c.FragsOf("coded")
+	var rows [][]table.Value
+	for i := tb.Len(); i < tb.Len()+30; i++ {
+		rows = append(rows, codedRow(i))
+	}
+	if err := c.Append("coded", rows); err != nil {
+		t.Fatal(err)
+	}
+	after := c.FragsOf("coded")
+	for bi := 0; bi < 3; bi++ {
+		if after.Batches[bi] != before.Batches[bi] {
+			t.Errorf("sealed batch %d re-derived by the Append", bi)
+		}
+	}
+	oldTail, newTail := before.Batches[3].Cols[0], after.Batches[3].Cols[0]
+	if newTail.Codes == nil || &newTail.Codes[0] == &oldTail.Codes[0] || &newTail.Dict[0] == &oldTail.Dict[0] {
+		t.Error("the re-derived tail does not carry codes and a dictionary of its own")
+	}
+	run("append")
+}
+
+// TestVecJoinSignedZero: −0 and +0 join, as Compare calls them equal —
+// in the row interpreter, whose hash join keys on Value.Key, exactly as
+// in the vectorized join, whose float64 map keys always agreed.
+func TestVecJoinSignedZero(t *testing.T) {
+	negZero := table.F(math.Copysign(0, -1))
+	c := table.NewCatalog()
+	l := table.New("l", table.Schema{{Name: "k", Type: table.TypeFloat}, {Name: "a", Type: table.TypeString}})
+	r := table.New("r", table.Schema{{Name: "k", Type: table.TypeFloat}, {Name: "b", Type: table.TypeString}})
+	for i, k := range []table.Value{table.F(0), negZero, table.F(1.5), table.Null(table.TypeFloat)} {
+		l.MustAppend([]table.Value{k, table.S(fmt.Sprint("l", i))})
+	}
+	for i, k := range []table.Value{negZero, table.F(2), table.F(0)} {
+		r.MustAppend([]table.Value{k, table.S(fmt.Sprint("r", i))})
+	}
+	c.Put(l)
+	c.Put(r)
+	join := &Node{Op: OpJoin, LeftCol: "k", RightCol: "k", In: []*Node{scan("l"), scan("r")}}
+	got, err := Exec(join, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 4 {
+		t.Errorf("row join of two zeros with two zeros = %d rows, want 4", got.Len())
+	}
+	assertVecParity(t, join, c)
 }
 
 // TestVecLazyColumnError pins the error-laziness contract: a filter

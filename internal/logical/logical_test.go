@@ -44,16 +44,16 @@ func testCatalog() *table.Catalog {
 	return c
 }
 
+// render flattens a table to its schema names and every cell's kind,
+// nullness and text, so equal renderings mean identical cells: −0 and
+// +0, or int 2 and float 2, render apart (Value.Key would merge them).
 func render(t *table.Table) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Schema.Names(), ","))
 	for _, row := range t.Rows {
 		b.WriteByte('\n')
-		for i, v := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(v.Key())
+		for _, v := range row {
+			fmt.Fprintf(&b, "%v:%v:%s|", v.Kind(), v.IsNull(), v)
 		}
 	}
 	return b.String()

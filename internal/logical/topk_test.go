@@ -72,8 +72,8 @@ func topKTable(seed int64, n int, nan bool) *table.Table {
 }
 
 // sameCells reports whether two tables agree cell for cell: schema,
-// row count, and each cell's nullness, kind and Key (which separates
-// -0 from +0 and renders NaN).
+// row count, and each cell's nullness, kind and text (which separates
+// -0 from +0 and renders NaN, where Key merges the zeros).
 func sameCells(a, b *table.Table) error {
 	if fmt.Sprint(a.Schema) != fmt.Sprint(b.Schema) {
 		return fmt.Errorf("schema %v vs %v", a.Schema, b.Schema)
@@ -84,7 +84,7 @@ func sameCells(a, b *table.Table) error {
 	for r := range a.Rows {
 		for c := range a.Rows[r] {
 			x, y := a.Rows[r][c], b.Rows[r][c]
-			if x.IsNull() != y.IsNull() || x.Kind() != y.Kind() || x.Key() != y.Key() {
+			if x.IsNull() != y.IsNull() || x.Kind() != y.Kind() || x.String() != y.String() {
 				return fmt.Errorf("row %d col %s: %v (%v) vs %v (%v)", r, a.Schema[c].Name, x, x.Kind(), y, y.Kind())
 			}
 		}

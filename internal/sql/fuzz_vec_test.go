@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -41,6 +42,14 @@ func FuzzVecParity(f *testing.F) {
 		{"SELECT product, score FROM ratings ORDER BY score, product DESC LIMIT 9", ""},
 		{"SELECT DISTINCT product, quarter FROM sales", ""},
 		{"SELECT DISTINCT product, score FROM ratings", ""},
+		{"SELECT tag, SUM(amt), COUNT(*), MIN(zone) FROM events GROUP BY tag", ""},
+		{"SELECT tag, COUNT(amt) AS n FROM events WHERE qty < 40 GROUP BY tag ORDER BY n DESC, tag", ""},
+		{"SELECT zone, AVG(amt), MAX(tag) FROM events GROUP BY zone", ""},
+		{"SELECT zone, SUM(qty) FROM events WHERE amt > 6 GROUP BY zone", ""},
+		{"SELECT DISTINCT tag FROM events", ""},
+		{"SELECT DISTINCT tag FROM events WHERE qty > 25", ""},
+		{"SELECT DISTINCT zone FROM events", ""},
+		{"SELECT DISTINCT zone, tag FROM events WHERE zone != 'west'", ""},
 		{"SELECT FROM WHERE", ""},
 		{"", ""},
 		{"SELECT * FROM sales", "Alpha,Beta"},
@@ -79,7 +88,11 @@ func FuzzVecParity(f *testing.F) {
 
 // fuzzCatalog is testCatalog plus ratings, whose score column carries
 // NULLs and ties — what a bounded ORDER BY ... LIMIT and a multi-column
-// DISTINCT must order and deduplicate exactly like the row interpreter.
+// DISTINCT must order and deduplicate exactly like the row interpreter —
+// and events, 600 rows over three fragments, whose string columns the
+// catalog dictionary-codes per fragment: tag holds 23 values and NULLs
+// in every fragment, zone 3 values, so a GROUP BY or DISTINCT on either
+// reaches the code memo in every batch and its groups span batches.
 func fuzzCatalog() *table.Catalog {
 	c := testCatalog()
 	ratings := table.New("ratings", table.Schema{
@@ -94,6 +107,25 @@ func fuzzCatalog() *table.Catalog {
 		ratings.MustAppend([]table.Value{table.S(p), score})
 	}
 	c.Put(ratings)
+
+	events := table.New("events", table.Schema{
+		{Name: "tag", Type: table.TypeString},
+		{Name: "zone", Type: table.TypeString},
+		{Name: "qty", Type: table.TypeInt},
+		{Name: "amt", Type: table.TypeFloat},
+	})
+	zones := []string{"east", "west", "north"}
+	for i := 0; i < 600; i++ {
+		tag, amt := table.S(fmt.Sprintf("t%02d", i%23)), table.F(float64(i%19)*1.5)
+		if i%9 == 0 {
+			tag = table.Null(table.TypeString)
+		}
+		if i%14 == 0 {
+			amt = table.Null(table.TypeFloat)
+		}
+		events.MustAppend([]table.Value{tag, table.S(zones[(i/7)%len(zones)]), table.I(int64(i % 50)), amt})
+	}
+	c.Put(events)
 	return c
 }
 
@@ -118,18 +150,16 @@ func assertVecMatchesRow(t *testing.T, root *logical.Node, catalog *table.Catalo
 	}
 }
 
-// renderResult flattens a table to schema names plus every cell's
-// canonical Key(), so equality means bit-identical results.
+// renderResult flattens a table to schema names plus every cell's kind,
+// nullness and text, so equality means identical results: −0 and +0, or
+// int 2 and float 2, render apart (Value.Key would merge them).
 func renderResult(t *table.Table) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Schema.Names(), ","))
 	for _, row := range t.Rows {
 		b.WriteByte('\n')
-		for i, v := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(v.Key())
+		for _, v := range row {
+			fmt.Fprintf(&b, "%v:%v:%s|", v.Kind(), v.IsNull(), v)
 		}
 	}
 	return b.String()

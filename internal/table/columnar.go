@@ -8,6 +8,15 @@ package table
 // interface-shaped Values. A column whose cells do not all match its
 // extracted class keeps the original Values (Boxed); kernels fall back
 // to per-Value evaluation there, so extraction never changes results.
+//
+// A catalog fragment's string and date columns also carry a per-batch
+// dictionary (ColVec.Codes and Dict): one uint8 code per row into the
+// batch's distinct values in first-seen order. It is built only where
+// the catalog seals a fragment (fragmentsFrom), never by BatchRange on
+// its own and never for Boxed columns, and it is not persisted — a
+// snapshot holds rows, and a load derives the codes again. The
+// group-by and distinct kernels use it to look a key up once per value
+// per batch instead of once per row.
 
 // Bitmap is a fixed-size bit set used for per-row null flags. A nil
 // Bitmap reads as all-clear.
@@ -31,6 +40,14 @@ func (b Bitmap) Get(i int) bool {
 // the schema type — possible for operator-built intermediates that
 // bypass Append validation — the whole column is kept as Boxed Values
 // and kernels use the exact row-interpreter semantics on it.
+//
+// Codes and Dict are the per-batch dictionary of an unboxed string or
+// date column of a catalog fragment: Strs[i] == Dict[Codes[i]] for every
+// non-NULL row i, Dict holds each distinct non-NULL value once in
+// first-seen order (string headers shared with Strs, no bytes copied),
+// and a NULL row's code is 0 — read Nulls first. A batch holds at most
+// FragmentRows = 256 rows, so a uint8 code always fits. Both are nil on
+// every other column and on batches BatchRange extracts on the fly.
 type ColVec struct {
 	Name   string
 	Type   ColType
@@ -40,6 +57,8 @@ type ColVec struct {
 	Bools  []bool    // TypeBool
 	Nulls  Bitmap    // nil when the extracted rows hold no NULLs
 	Boxed  []Value   // mixed-kind fallback; nil on the typed paths
+	Codes  []uint8   // per-row index into Dict; catalog fragments only
+	Dict   []string  // distinct non-NULL Strs in first-seen order
 }
 
 // ValueAt reconstructs the original cell at row i. For unboxed columns
@@ -146,6 +165,38 @@ func boxedCol(t *Table, ci int, col Column, start, n int) ColVec {
 		cv.Boxed[i] = t.Rows[start+i][ci]
 	}
 	return cv
+}
+
+// encodeDicts gives every unboxed string or date column of b its
+// dictionary (ColVec.Codes, Dict). seen is scratch shared by every
+// column and batch of one fragment walk, cleared per column, so the only
+// allocations are each column's Codes and Dict.
+func (b *Batch) encodeDicts(seen map[string]uint8) {
+	for ci := range b.Cols {
+		cv := &b.Cols[ci]
+		if cv.Strs == nil {
+			continue // not a string or date column, or Boxed
+		}
+		clear(seen)
+		cv.Codes = make([]uint8, b.Len)
+		for i, s := range cv.Strs {
+			if cv.Nulls.Get(i) {
+				continue
+			}
+			code, ok := seen[s]
+			if !ok {
+				code = uint8(len(seen))
+				seen[s] = code
+			}
+			cv.Codes[i] = code
+		}
+		cv.Dict = make([]string, len(seen))
+		for i, code := range cv.Codes {
+			if !cv.Nulls.Get(i) {
+				cv.Dict[code] = cv.Strs[i]
+			}
+		}
+	}
 }
 
 // Frags is the per-fragment columnar form of one table, aligned to the

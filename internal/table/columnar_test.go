@@ -1,0 +1,172 @@
+package table
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// checkDicts asserts the per-batch dictionary contract on every batch of
+// a catalog's fragments: each unboxed string or date column carries one
+// code per row, Dict holds the distinct non-NULL values once each in
+// first-seen order, every non-NULL row's code names its own string and a
+// NULL row's code is 0; every other column carries neither.
+func checkDicts(t testing.TB, fr *Frags) {
+	t.Helper()
+	for bi, b := range fr.Batches {
+		for _, cv := range b.Cols {
+			if cv.Strs == nil {
+				if cv.Codes != nil || cv.Dict != nil {
+					t.Fatalf("batch %d column %s (%v, boxed %v) carries a dictionary", bi, cv.Name, cv.Type, cv.Boxed != nil)
+				}
+				continue
+			}
+			if len(cv.Codes) != b.Len {
+				t.Fatalf("batch %d column %s: %d codes for %d rows", bi, cv.Name, len(cv.Codes), b.Len)
+			}
+			var want []string
+			seen := map[string]bool{}
+			for i, s := range cv.Strs {
+				if cv.Nulls.Get(i) {
+					if cv.Codes[i] != 0 {
+						t.Fatalf("batch %d column %s row %d: NULL holds code %d", bi, cv.Name, i, cv.Codes[i])
+					}
+					continue
+				}
+				if !seen[s] {
+					seen[s] = true
+					want = append(want, s)
+				}
+				if int(cv.Codes[i]) >= len(cv.Dict) || cv.Dict[cv.Codes[i]] != s {
+					t.Fatalf("batch %d column %s row %d: code %d does not name %q", bi, cv.Name, i, cv.Codes[i], s)
+				}
+			}
+			if !slices.Equal(want, cv.Dict) {
+				t.Fatalf("batch %d column %s: Dict = %q, want the distinct values in first-seen order %q", bi, cv.Name, cv.Dict, want)
+			}
+		}
+	}
+}
+
+// TestDictCodesFitUint8 pins why a code is one byte: a batch holds at
+// most FragmentRows rows, so it never holds more distinct values than a
+// uint8 names — and a fragment of FragmentRows distinct values uses the
+// whole code space.
+func TestDictCodesFitUint8(t *testing.T) {
+	if FragmentRows > 1<<8 {
+		t.Fatalf("FragmentRows = %d outgrows uint8 dictionary codes", FragmentRows)
+	}
+	tb := New("wide", Schema{{Name: "s", Type: TypeString}})
+	for i := 0; i < FragmentRows+3; i++ {
+		tb.MustAppend([]Value{S(fmt.Sprintf("v%03d", i))})
+	}
+	c := NewCatalog()
+	c.Put(tb)
+	fr := c.FragsOf("wide")
+	checkDicts(t, fr)
+	full := fr.Batches[0].Cols[0]
+	if len(full.Dict) != FragmentRows || full.Codes[FragmentRows-1] != FragmentRows-1 {
+		t.Errorf("a fragment of %d distinct values has %d dictionary entries, last code %d",
+			FragmentRows, len(full.Dict), full.Codes[FragmentRows-1])
+	}
+}
+
+// TestDictShapes covers every column shape a fragment walk meets: string
+// and date columns with scattered NULLs, an all-NULL string column (an
+// empty dictionary, every code 0), and int, float, bool and mixed-kind
+// (Boxed) columns, which carry none. BatchRange on its own never builds
+// one, and the dictionary is not in the snapshot: a load derives it
+// again, equal to the saved catalog's.
+func TestDictShapes(t *testing.T) {
+	tb := New("shapes", Schema{
+		{Name: "s", Type: TypeString},
+		{Name: "d", Type: TypeDate},
+		{Name: "none", Type: TypeString},
+		{Name: "n", Type: TypeInt},
+		{Name: "f", Type: TypeFloat},
+		{Name: "b", Type: TypeBool},
+		{Name: "mixed", Type: TypeString},
+	})
+	for i := 0; i < 2*FragmentRows+40; i++ {
+		s, d := S(fmt.Sprintf("s%d", i%11)), D(fmt.Sprintf("2024-01-%02d", 1+i%28))
+		if i%7 == 0 {
+			s = Null(TypeString)
+		}
+		if i%5 == 0 {
+			d = Null(TypeDate)
+		}
+		mixed := S("x")
+		if i == FragmentRows+1 {
+			mixed = I(1) // a kind anomaly boxes this fragment's column
+		}
+		tb.Rows = append(tb.Rows, []Value{s, d, Null(TypeString), I(int64(i)), F(float64(i) / 2), B(i%2 == 0), mixed})
+	}
+	c := NewCatalog()
+	c.Put(tb)
+	fr := c.FragsOf("shapes")
+	checkDicts(t, fr)
+	if none := fr.Batches[0].Cols[2]; none.Codes == nil || len(none.Dict) != 0 {
+		t.Errorf("all-NULL string column: codes %v, dict %q; want zero codes and an empty dictionary", none.Codes != nil, none.Dict)
+	}
+	if boxed := fr.Batches[1].Cols[6]; boxed.Boxed == nil || boxed.Codes != nil {
+		t.Error("the kind anomaly did not leave a boxed, uncoded column")
+	}
+	if fr.Batches[0].Cols[6].Codes == nil {
+		t.Error("an unboxed string column of another fragment carries no codes")
+	}
+	for ci, cv := range BatchRange(tb, 0, FragmentRows).Cols {
+		if cv.Codes != nil || cv.Dict != nil {
+			t.Errorf("BatchRange built a dictionary for column %d", ci)
+		}
+	}
+
+	// A snapshot stores cells as text, so the kind anomaly would load
+	// typed; the round trip runs without that column.
+	typed, err := Project(tb, "s", "d", "none", "n", "f", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = NewCatalog()
+	c.Put(typed)
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"Codes"`)) || bytes.Contains(buf.Bytes(), []byte(`"Dict"`)) {
+		t.Error("the dictionary reached the snapshot")
+	}
+	if got, want := reload(t, c).FragsOf("shapes"), c.FragsOf("shapes"); !reflect.DeepEqual(got, want) {
+		t.Error("a loaded catalog's fragments differ from the saved catalog's")
+	}
+}
+
+// TestDictAppendTail: an Append shares the sealed batches, dictionaries
+// included, and re-derives the open tail with a dictionary of its own
+// rather than extending the previous tail's arrays in place.
+func TestDictAppendTail(t *testing.T) {
+	tb := zonesFixture(FragmentRows + 10)
+	c := NewCatalog()
+	c.Put(tb)
+	before := c.FragsOf("sales")
+	oldTail := before.Batches[1].Cols[0]
+	if err := c.Append("sales", [][]Value{{S("Omega"), I(-1), F(1)}, {S("Alpha"), I(-2), Null(TypeFloat)}}); err != nil {
+		t.Fatal(err)
+	}
+	after := c.FragsOf("sales")
+	if after.Batches[0] != before.Batches[0] {
+		t.Error("the sealed batch was re-derived")
+	}
+	newTail := after.Batches[1].Cols[0]
+	if &newTail.Codes[0] == &oldTail.Codes[0] || &newTail.Dict[0] == &oldTail.Dict[0] {
+		t.Error("the re-derived tail shares its dictionary arrays with the previous tail")
+	}
+	if len(oldTail.Codes) != 10 || len(oldTail.Dict) != 3 {
+		t.Errorf("the previous tail's dictionary changed: %d codes, %q", len(oldTail.Codes), oldTail.Dict)
+	}
+	if len(newTail.Dict) != 4 || newTail.Dict[3] != "Omega" {
+		t.Errorf("re-derived tail dictionary = %q, want the three products then Omega", newTail.Dict)
+	}
+	checkDicts(t, after)
+}

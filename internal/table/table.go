@@ -344,20 +344,24 @@ func (c *Catalog) derive(t *Table, from int) *entry {
 
 // fragmentsFrom walks the FragmentRows grid of t once, from the
 // fragment holding row from, producing the zone map and the columnar
-// batch of each fragment. Fragments wholly below from are sealed — full
-// and unchanged — and shared with the previous z and f; the open tail
-// is derived again with the new rows. Zones and Frags are immutable
-// once published, so the result is always a fresh pair.
+// batch of each fragment, string and date columns dictionary-encoded.
+// Fragments wholly below from are sealed — full and unchanged — and
+// shared with the previous z and f; the open tail is derived again with
+// the new rows. Zones and Frags are immutable once published, so the
+// result is always a fresh pair.
 func fragmentsFrom(z *Zones, f *Frags, t *Table, from int) (*Zones, *Frags) {
 	nz := &Zones{Table: t.Name, Rows: len(t.Rows)}
 	nf := &Frags{Table: t.Name, Rows: len(t.Rows)}
 	if sealed := from / FragmentRows; sealed > 0 {
 		nz.Maps, nf.Batches = z.Maps[:sealed:sealed], f.Batches[:sealed:sealed]
 	}
+	seen := make(map[string]uint8)
 	for start := len(nz.Maps) * FragmentRows; start < len(t.Rows); start += FragmentRows {
 		end := min(start+FragmentRows, len(t.Rows))
 		nz.Maps = append(nz.Maps, buildZoneMap(t, start, end))
-		nf.Batches = append(nf.Batches, BatchRange(t, start, end))
+		b := BatchRange(t, start, end)
+		b.encodeDicts(seen)
+		nf.Batches = append(nf.Batches, b)
 	}
 	return nz, nf
 }

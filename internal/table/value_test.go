@@ -1,6 +1,8 @@
 package table
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +71,54 @@ func TestKeyEquality(t *testing.T) {
 	}
 	if S("x").Key() == Null(TypeString).Key() {
 		t.Error("null key collides with value key")
+	}
+}
+
+// TestKeySignedZero: −0 compares equal to +0 and to int 0, so it keys
+// as they do.
+func TestKeySignedZero(t *testing.T) {
+	negZero := F(math.Copysign(0, -1))
+	if Compare(negZero, F(0)) != 0 || Compare(negZero, I(0)) != 0 {
+		t.Fatal("−0 no longer compares equal to 0")
+	}
+	if negZero.Key() != F(0).Key() || negZero.Key() != I(0).Key() {
+		t.Errorf("−0 keys as %q, 0 as %q", negZero.Key(), F(0).Key())
+	}
+	if KeyFloat(math.Copysign(0, -1)) != 0 || math.Signbit(KeyFloat(math.Copysign(0, -1))) {
+		t.Error("KeyFloat keeps the sign of −0")
+	}
+	if KeyFloat(-1.5) != -1.5 {
+		t.Error("KeyFloat changes a non-zero number")
+	}
+}
+
+// TestKeyIffCompareEqual is the property hash joins, GROUP BY and
+// DISTINCT rest on: two values share a Key exactly when Compare calls
+// them equal. The pool crosses every kind, NULLs of each type, ±0, ±Inf,
+// int against float (2^53 + 1 rounds onto 2^53) and strings against
+// dates, in pairs drawn often enough to collide. Two cases are left out
+// on purpose, both open questions of the independent-oracle item in
+// ROADMAP.md: NaN, which Compare ties with every number, so no key can
+// agree with it; and a string whose text is a number's or a bool's
+// rendering, which Compare's rendered-string fallback ties with that
+// number or bool while the number ties with others the string does not.
+func TestKeyIffCompareEqual(t *testing.T) {
+	pool := []Value{
+		Null(TypeInt), Null(TypeFloat), Null(TypeString), Null(TypeBool), Null(TypeDate),
+		I(0), I(-1), I(2), I(1 << 53), I(1<<53 + 1),
+		F(0), F(math.Copysign(0, -1)), F(-1), F(2), F(1.5), F(-1.5), F(1 << 53),
+		F(math.Inf(1)), F(math.Inf(-1)), F(1e300),
+		S(""), S("a"), S("b"), S("ab"), S("2024-01-01"),
+		D("2024-01-01"), D("2024-01-02"), D("a"),
+		B(true), B(false),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		if eq, same := Compare(a, b) == 0, a.Key() == b.Key(); eq != same {
+			t.Fatalf("Compare(%v %v, %v %v) == 0 is %v, equal keys %v (%q, %q)",
+				a.Kind(), a, b.Kind(), b, eq, same, a.Key(), b.Key())
+		}
 	}
 }
 

@@ -76,9 +76,12 @@ func assertMatchesFresh(t testing.TB, c *Catalog, tb *Table, def RollupDef, step
 	if got, want := c.ZonesOf(tb.Name), want.ZonesOf(tb.Name); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: incremental zones diverge from a fresh catalog:\n%+v\nvs\n%+v", step, got, want)
 	}
+	// The fragments compare whole, per-batch dictionaries included, and
+	// checkDicts makes sure there is a dictionary to compare.
 	if got, want := c.FragsOf(tb.Name), want.FragsOf(tb.Name); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: incremental fragments diverge from a fresh catalog:\n%+v\nvs\n%+v", step, got, want)
 	}
+	checkDicts(t, c.FragsOf(tb.Name))
 	got, err := c.Get(def.Name)
 	if err != nil {
 		t.Fatalf("%s: materialization missing: %v", step, err)

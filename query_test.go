@@ -43,6 +43,40 @@ func TestQuerySQLEntry(t *testing.T) {
 	}
 }
 
+// TestQuerySignedZero pins that −0 and +0, which table.Compare calls
+// equal, are one value on every path a statement can take: the memory
+// backend's equality-index bucket returns what a range scan returns, and
+// GROUP BY and DISTINCT each make one zero group.
+func TestQuerySignedZero(t *testing.T) {
+	sys := New()
+	csv := "id,x\n1,0.0\n2,-0.0\n3,1.5\n4,-0.0\n"
+	if err := sys.AddCSV("zeros", strings.NewReader(csv)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Build(); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(q string) [][]string {
+		t.Helper()
+		res, err := sys.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res.Rows
+	}
+	eq := rows("SELECT id FROM zeros WHERE x = 0")
+	rng := rows("SELECT id FROM zeros WHERE x <= 0 AND x >= 0")
+	if len(eq) != 3 || len(rng) != 3 {
+		t.Errorf("x = 0 returns %v, the range returns %v; want ids 1, 2, 4 from both", eq, rng)
+	}
+	if got := rows("SELECT x, COUNT(*) AS n FROM zeros GROUP BY x"); len(got) != 2 || got[0][1] != "3" {
+		t.Errorf("GROUP BY x = %v, want one zero group of 3 beside 1.5", got)
+	}
+	if got := rows("SELECT DISTINCT x FROM zeros"); len(got) != 2 {
+		t.Errorf("DISTINCT x = %v, want one zero beside 1.5", got)
+	}
+}
+
 // TestQueryMatchesAsk pins the SQL and NL entries to the same numbers:
 // the SQL form of an answered question returns the value the NL answer
 // reports.
