@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -286,11 +287,11 @@ func BenchmarkAnswerAll(b *testing.B) {
 	b.ReportMetric(float64(len(questions))*float64(b.N)/b.Elapsed().Seconds(), "q/s")
 }
 
-// BenchmarkTopologyRetrieve measures one topology retrieval (anchor,
-// expand, score) on the repository benchmark's e-commerce corpus
-// (48 products × 12 reviews), the generator's queries in rotation —
-// the stage that dominates an Ask.
-func BenchmarkTopologyRetrieve(b *testing.B) {
+// retrieveBenchCorpus indexes the repository benchmark's e-commerce
+// corpus (48 products × 12 reviews), which the retrieval benchmarks
+// share.
+func retrieveBenchCorpus(b *testing.B) (*workload.Corpus, *graph.Graph, *slm.NER) {
+	b.Helper()
 	opts := workload.DefaultECommerceOptions()
 	opts.Products, opts.ReviewsPerProduct = 48, 12
 	c := workload.ECommerce(opts)
@@ -300,6 +301,16 @@ func BenchmarkTopologyRetrieve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return c, g, ner
+}
+
+// BenchmarkTopologyRetrieve measures one topology retrieval (anchor,
+// expand, score) on retrieveBenchCorpus, the generator's queries in
+// rotation — the stage that dominates an Ask. The retriever memoises
+// each anchor's expansion, so past the first rotation this times memo
+// hits; BenchmarkViewExpand times the expansions themselves.
+func BenchmarkTopologyRetrieve(b *testing.B) {
+	c, g, ner := retrieveBenchCorpus(b)
 	r := retrieval.NewTopology(g, ner, retrieval.TopologyOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -308,6 +319,50 @@ func BenchmarkTopologyRetrieve(b *testing.B) {
 			b.Fatal("no evidence")
 		}
 	}
+}
+
+// BenchmarkViewExpand expands every entity of retrieveBenchCorpus once
+// per op with the topology retriever's traversal — depth 3, budget 256,
+// decay 0.7, its edge multipliers and its PageRank prior — which is
+// what a Retrieve pays for an anchor the retriever has not expanded
+// since its last Refresh.
+func BenchmarkViewExpand(b *testing.B) {
+	_, g, _ := retrieveBenchCorpus(b)
+	v := g.View()
+	prior := v.PageRank(0)
+	norm := slices.Max(prior)
+	for i, r := range prior {
+		prior[i] = 0.5 + r/norm
+	}
+	opts := graph.ExpandOptions{MaxDepth: 3, Budget: 256, Decay: 0.7, Prior: prior, EdgeTypes: map[graph.EdgeType]float64{
+		graph.EdgeMentions: 1.0,
+		graph.EdgeNextTo:   0.4,
+		graph.EdgePartOf:   0.2,
+		graph.EdgeRelates:  0.5,
+		graph.EdgeCueArg:   0.4,
+		graph.EdgeCueIn:    0.6,
+	}}
+	var anchors []int
+	for i := 0; i < v.Len(); i++ {
+		if v.Node(i).Type == graph.NodeEntity {
+			anchors = append(anchors, i)
+		}
+	}
+	var x graph.Expander
+	expandAll := func() {
+		for _, a := range anchors {
+			if len(v.Expand(&x, a, opts)) == 0 {
+				b.Fatal("empty expansion")
+			}
+		}
+	}
+	expandAll() // grow x to the view, so that an op allocates nothing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		expandAll()
+	}
+	b.ReportMetric(float64(len(anchors)), "anchors/op")
 }
 
 // snapshotBenchGraph builds the graph the serialiser benchmarks share:

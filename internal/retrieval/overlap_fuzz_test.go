@@ -43,6 +43,11 @@ func FuzzTermOverlap(f *testing.F) {
 	f.Add("revenue 1,234.5% 20% 3.5", "Revenue rose 1,234.5% (from 20%), rated 3.5. 7, 8")
 	f.Add("café naïve résumé İstanbul", "CAFÉ — Naïve RÉSUMÉ; i̇stanbul İSTANBUL a\xffb \xc3")
 	f.Add("K k ſ s", "K K ſ S") // Kelvin sign and long s lower-case into ASCII
+	// Latin-1 and UTF-8 lead bytes scan as the rune of the byte's value.
+	f.Add("Ã naïve µg º", "\xc3 \xc3\x83 NAÏVE naïve µG µg º \xba ª")
+	// Terms of 63 bytes and longer share the length mask's top bit.
+	long := strings.Repeat("x", 63)
+	f.Add(long+" "+long+"y "+long+"yz", strings.ToUpper(long)+"yz "+long+"Y "+long+"q "+long[:62])
 	f.Add("the of and", "the of and")
 	f.Add(strings.Repeat("w1 w2 w3 w4 w5 w6 w7 w8 w9 ", 8)+"t70 t71", "W5 t71 w9 nothing")
 	f.Fuzz(func(t *testing.T, query, text string) { checkOverlap(t, query, text) })

@@ -237,18 +237,9 @@ func TestRetrieveMatchesReference(t *testing.T) {
 					refRank = nil
 				}
 				for _, q := range queries {
-					for _, k := range []int{8, -1} {
-						got := r.Retrieve(q, k)
-						want := referenceRetrieve(g, ner, refRank, q, k)
-						if len(got) != len(want) {
-							t.Fatalf("%s seed %d %s %q k=%d: %d evidence, reference %d", name, seed, ab, q, k, len(got), len(want))
-						}
-						for i := range got {
-							if got[i].NodeID != want[i].NodeID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) ||
-								got[i].Text != want[i].Text || got[i].Kind != want[i].Kind {
-								t.Fatalf("%s seed %d %s %q k=%d: evidence[%d] = %+v, reference %+v", name, seed, ab, q, k, i, got[i], want[i])
-							}
-						}
+					for _, k := range []int{0, 8, -1} {
+						sameEvidence(t, fmt.Sprintf("%s seed %d %s %q k=%d", name, seed, ab, q, k),
+							r.Retrieve(q, k), referenceRetrieve(g, ner, refRank, q, k))
 					}
 				}
 			}

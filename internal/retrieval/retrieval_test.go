@@ -1,9 +1,7 @@
 package retrieval
 
 import (
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -284,29 +282,4 @@ func TestTopologyStaleUntilRefresh(t *testing.T) {
 			t.Errorf("central=%v: document indexed before Refresh not retrieved after it", !disableCentral)
 		}
 	}
-}
-
-// Concurrent Retrieve calls share pooled scratch state; each must return
-// exactly what it returns alone (run with -race).
-func TestTopologyConcurrentRetrieveMatchesSequential(t *testing.T) {
-	c, g, ner := benchCorpus(t, "ecommerce", 42)
-	r := NewTopology(g, ner, TopologyOptions{})
-	want := make([][]Evidence, len(c.Queries))
-	for i, q := range c.Queries {
-		want[i] = r.Retrieve(q.Text, -1)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for n := 0; n < 3*len(c.Queries); n++ {
-				i := (w*5 + n) % len(c.Queries)
-				if got := r.Retrieve(c.Queries[i].Text, -1); !slices.Equal(got, want[i]) {
-					t.Errorf("worker %d: %q differs from its sequential result", w, c.Queries[i].Text)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

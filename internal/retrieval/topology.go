@@ -69,12 +69,30 @@ var edgeTypes = map[graph.EdgeType]float64{
 // and Refresh and immutable in between: a node added to the graph after
 // the last Refresh is invisible to Retrieve until the next one. Retrieve
 // is safe for concurrent use; Refresh must not run beside it.
+//
+// An anchor's expansion depends only on the view, the anchor, the
+// prior and the fixed traversal constants, so it is computed once per
+// view and memoised: the memo holds at most budget entries of 12 bytes
+// per distinct anchor a query has met, and Refresh drops it with the
+// view it was computed on.
 type Topology struct {
 	g     *graph.Graph
 	ner   *slm.NER
 	opts  TopologyOptions
 	view  *graph.View
 	prior []float64 // 0.5 + rank/max rank per view index; nil = no prior
+
+	mu   sync.RWMutex
+	memo map[int]expansion // by anchor view index, for the current view
+}
+
+// expansion is what one anchor's expansion contributes to a Retrieve:
+// the evidence nodes (chunks and rows) it settled, in settle order, and
+// their path scores. The other settled nodes carry no text and are
+// dropped.
+type expansion struct {
+	nodes  []int32
+	scores []float64
 }
 
 // retrieveScratch is the per-call state of Retrieve, pooled so that
@@ -85,6 +103,13 @@ type retrieveScratch struct {
 	expander graph.Expander
 	total    []float64 // summed per-anchor score by view index
 	reached  []int32   // indices with total != 0
+	top      []ranked  // the selection, see keep
+}
+
+// ranked is a candidate evidence node: its view index and final score.
+type ranked struct {
+	i     int32
+	score float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(retrieveScratch) }}
@@ -105,6 +130,7 @@ func (t *Topology) Name() string { return "topology" }
 // a rebuild: one PageRank pass.
 func (t *Topology) Refresh() {
 	t.view = t.g.View()
+	t.memo = make(map[int]expansion)
 	t.prior = nil
 	if t.opts.DisableCentral {
 		return
@@ -126,7 +152,8 @@ func (t *Topology) Refresh() {
 	}
 }
 
-// Retrieve implements Retriever.
+// Retrieve implements Retriever. k = 0 yields no evidence; k < 0
+// yields every reached chunk and row.
 //
 // Scoring is anchor-additive: the expansion runs once per anchor
 // entity and a node's score is the SUM of its per-anchor path scores,
@@ -141,39 +168,62 @@ func (t *Topology) Retrieve(query string, k int) []Evidence {
 	if len(anchors) == 0 {
 		return t.lexicalScan(query, k)
 	}
-	opts := graph.ExpandOptions{MaxDepth: maxDepth, Budget: budget, Decay: decay, Prior: t.prior, EdgeTypes: edgeTypes}
 	sc := scratchPool.Get().(*retrieveScratch)
 	if len(sc.total) < t.view.Len() {
 		sc.total = make([]float64, t.view.Len())
 	}
 	for _, a := range anchors {
-		for _, v := range t.view.Expand(&sc.expander, a, opts) {
+		e := t.expand(&sc.expander, a)
+		for j, i := range e.nodes {
 			// Path scores are positive, so zero means not yet reached.
-			if sc.total[v.Node] == 0 {
-				sc.reached = append(sc.reached, v.Node)
+			if sc.total[i] == 0 {
+				sc.reached = append(sc.reached, i)
 			}
-			sc.total[v.Node] += v.Score
+			sc.total[i] += e.scores[j]
 		}
 	}
 	terms := newTermSet(query)
-	out := make([]Evidence, 0, len(sc.reached))
+	sc.top = sc.top[:0]
 	for _, i := range sc.reached {
 		s := sc.total[i]
 		sc.total[i] = 0
-		n := t.view.Node(int(i))
-		kind := evidenceKind(n.Type)
-		if kind == "" {
-			continue
-		}
-		text := n.Text
 		// Blend topology score with lexical affinity so that among
 		// equally-reachable items the on-topic one wins.
-		score := s * (1 + 2*terms.overlap(text))
-		out = append(out, Evidence{NodeID: n.ID, Text: text, Score: score, Kind: kind})
+		sc.top = keep(sc.top, k, ranked{i, s * (1 + 2*terms.overlap(t.view.Node(int(i)).Text))})
 	}
+	out := t.evidence(sc.top, k)
 	sc.reached = sc.reached[:0]
 	scratchPool.Put(sc)
-	return topEvidence(out, k)
+	return out
+}
+
+// expand returns the anchor's expansion, from the memo or computed into
+// it with x as scratch.
+func (t *Topology) expand(x *graph.Expander, anchor int) expansion {
+	t.mu.RLock()
+	e, ok := t.memo[anchor]
+	t.mu.RUnlock()
+	if ok {
+		return e
+	}
+	visits := t.view.Expand(x, anchor, graph.ExpandOptions{MaxDepth: maxDepth, Budget: budget, Decay: decay, Prior: t.prior, EdgeTypes: edgeTypes})
+	n := 0
+	for _, v := range visits {
+		if evidenceKind(t.view.Node(int(v.Node)).Type) != "" {
+			n++
+		}
+	}
+	e = expansion{nodes: make([]int32, 0, n), scores: make([]float64, 0, n)}
+	for _, v := range visits {
+		if evidenceKind(t.view.Node(int(v.Node)).Type) != "" {
+			e.nodes = append(e.nodes, v.Node)
+			e.scores = append(e.scores, v.Score)
+		}
+	}
+	t.mu.Lock()
+	t.memo[anchor] = e // a racing caller computed the same slices
+	t.mu.Unlock()
+	return e
 }
 
 // evidenceKind names the evidence a node of the given type yields, or
@@ -188,20 +238,51 @@ func evidenceKind(t graph.NodeType) string {
 	return ""
 }
 
-// topEvidence sorts evidence best first (ties by node id) and keeps the
-// top k; k < 0 keeps all. No evidence is nil.
-func topEvidence(out []Evidence, k int) []Evidence {
-	if len(out) == 0 {
+// compareRanked orders candidates best first: score descending, then
+// view index ascending, which is node id order because the view is
+// sorted by id.
+func compareRanked(a, b ranked) int {
+	if c := cmp.Compare(b.score, a.score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.i, b.i)
+}
+
+func before(a, b ranked) bool { return compareRanked(a, b) < 0 }
+
+// keep offers c to top, the best candidates so far. With k >= 0 top
+// stays sorted and at most k long; with k < 0 it keeps every
+// candidate unsorted, for evidence to sort once.
+func keep(top []ranked, k int, c ranked) []ranked {
+	switch {
+	case k < 0 || len(top) < k:
+		top = append(top, c)
+	case k > 0 && before(c, top[k-1]):
+		top[k-1] = c
+	default:
+		return top
+	}
+	if k >= 0 {
+		for j := len(top) - 1; j > 0 && before(top[j], top[j-1]); j-- {
+			top[j], top[j-1] = top[j-1], top[j]
+		}
+	}
+	return top
+}
+
+// evidence renders the selection keep built for k, best first. No
+// evidence is nil.
+func (t *Topology) evidence(top []ranked, k int) []Evidence {
+	if len(top) == 0 {
 		return nil
 	}
-	slices.SortFunc(out, func(a, b Evidence) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
-		}
-		return strings.Compare(a.NodeID, b.NodeID)
-	})
-	if k >= 0 && k < len(out) {
-		out = out[:k]
+	if k < 0 {
+		slices.SortFunc(top, compareRanked)
+	}
+	out := make([]Evidence, len(top))
+	for j, c := range top {
+		n := t.view.Node(int(c.i))
+		out[j] = Evidence{NodeID: n.ID, Text: n.Text, Score: c.score, Kind: evidenceKind(n.Type)}
 	}
 	return out
 }
@@ -223,19 +304,17 @@ func (t *Topology) anchors(query string) []int {
 // entities never appear in the corpus.
 func (t *Topology) lexicalScan(query string, k int) []Evidence {
 	terms := newTermSet(query)
-	var out []Evidence
+	var top []ranked
 	for i := 0; i < t.view.Len(); i++ {
 		n := t.view.Node(i)
-		kind := evidenceKind(n.Type)
-		if kind == "" {
+		if evidenceKind(n.Type) == "" {
 			continue
 		}
-		text := n.Text
-		if s := terms.overlap(text); s > 0 {
-			out = append(out, Evidence{NodeID: n.ID, Text: text, Score: s, Kind: kind})
+		if s := terms.overlap(n.Text); s > 0 {
+			top = keep(top, k, ranked{int32(i), s})
 		}
 	}
-	return topEvidence(out, k)
+	return t.evidence(top, k)
 }
 
 // ExplainPath returns a hop-by-hop path from any query anchor to the
@@ -253,8 +332,9 @@ func (t *Topology) ExplainPath(query, evidenceID string) []string {
 // the per-term mark overlap uses to count each at most once per text.
 type termSet struct {
 	terms []string
-	seen  []int // serial of the last text found to contain terms[i]
-	texts int   // serial of the text being scanned
+	lens  uint64 // bit min(len(term), 63) set for every term
+	seen  []int  // serial of the last text found to contain terms[i]
+	texts int    // serial of the text being scanned
 }
 
 func newTermSet(query string) *termSet {
@@ -262,6 +342,7 @@ func newTermSet(query string) *termSet {
 	for _, w := range slm.Words(slm.Tokenize(query)) {
 		if !slm.IsStopword(w) && !slices.Contains(ts.terms, w) {
 			ts.terms = append(ts.terms, w)
+			ts.lens |= 1 << min(len(w), 63)
 		}
 	}
 	ts.seen = make([]int, len(ts.terms))
@@ -287,13 +368,18 @@ func (ts *termSet) overlap(text string) float64 {
 }
 
 // find returns the index of the term equal to the lower-cased word, or
-// -1. ASCII words, the common case, are compared in place; a word with
-// other bytes goes through strings.ToLower like the tokenizer's Words.
+// -1. ASCII words, the common case, are compared in place, and one of
+// a length no term has is rejected without a compare; a word with other
+// bytes goes through strings.ToLower like the tokenizer's Words, which
+// may change its length.
 func (ts *termSet) find(word string) int {
 	for i := 0; i < len(word); i++ {
 		if word[i] >= utf8.RuneSelf {
 			return slices.Index(ts.terms, strings.ToLower(word))
 		}
+	}
+	if ts.lens&(1<<min(len(word), 63)) == 0 {
+		return -1
 	}
 next:
 	for i, term := range ts.terms {

@@ -68,7 +68,7 @@ func Tokenize(text string) []Token {
 			start := i
 			i = scanNumber(text, i)
 			tokens = append(tokens, Token{Text: text[start:i], Kind: TokenNumber, Start: start, End: i})
-		case isWordStart(c):
+		case byteClass[text[i]]&wordStart != 0:
 			start := i
 			i = scanWord(text, i)
 			tokens = append(tokens, Token{Text: text[start:i], Kind: TokenWord, Start: start, End: i})
@@ -106,14 +106,14 @@ func scanWord(text string, i int) int {
 	n := len(text)
 	i++
 	for i < n {
-		r := rune(text[i])
-		if isWordPart(r) {
+		c := text[i]
+		if byteClass[c]&wordPart != 0 {
 			i++
 			continue
 		}
 		// Keep internal hyphen/apostrophe when followed by a
 		// letter or digit ("patient-reported", "P-1042").
-		if (r == '-' || r == '\'') && i+1 < n && isWordPart(rune(text[i+1])) {
+		if (c == '-' || c == '\'') && i+1 < n && byteClass[text[i+1]]&wordPart != 0 {
 			i += 2
 			continue
 		}
@@ -133,7 +133,7 @@ func NextWord(text string, from int) (start, end int) {
 		switch {
 		case isDigit(text[i]):
 			return i, scanNumber(text, i)
-		case isWordStart(rune(text[i])):
+		case byteClass[text[i]]&wordStart != 0:
 			return i, scanWord(text, i)
 		}
 	}
@@ -231,6 +231,27 @@ func isLetter(b byte) bool { return isLower(b) || (b >= 'A' && b <= 'Z') }
 
 func isWordStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
 func isWordPart(r rune) bool  { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }
+
+// The scanners read text a byte at a time and classify each byte as the
+// rune of the same value (so 0x80–0xFF classify as Latin-1, whatever
+// UTF-8 sequence they belong to). byteClass holds that classification,
+// taken from isWordStart and isWordPart themselves.
+const (
+	wordStart uint8 = 1 << iota
+	wordPart
+)
+
+var byteClass = func() (class [256]uint8) {
+	for b := range class {
+		if isWordStart(rune(b)) {
+			class[b] |= wordStart
+		}
+		if isWordPart(rune(b)) {
+			class[b] |= wordPart
+		}
+	}
+	return class
+}()
 
 func isPunct(r rune) bool {
 	switch r {

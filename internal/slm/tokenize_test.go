@@ -166,6 +166,20 @@ func TestNextWordMatchesWords(t *testing.T) {
 	}
 }
 
+// The scanners' byte table is isWordStart/isWordPart of rune(b), for
+// every byte.
+func TestByteClassMatchesRuneClass(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		c := byteClass[b]
+		if got, want := c&wordStart != 0, isWordStart(rune(b)); got != want {
+			t.Errorf("byte %#x: word start %v, isWordStart %v", b, got, want)
+		}
+		if got, want := c&wordPart != 0, isWordPart(rune(b)); got != want {
+			t.Errorf("byte %#x: word part %v, isWordPart %v", b, got, want)
+		}
+	}
+}
+
 func TestTokenizeCoverageProperty(t *testing.T) {
 	f := func(raw []byte) bool {
 		// Restrict to printable ASCII to keep the property crisp.
