@@ -518,8 +518,8 @@ func benchScanned(b *testing.B, fed *federate.Executor, opt *logical.Optimized, 
 
 // BenchmarkFederatedFilteredAggregate executes a filtered aggregate
 // through the cost-based planner: the equality predicates push into
-// the memory backend's hash index, so only the matching bucket is
-// scanned — rows_scanned/op is 3 of the table's 169, asserted by
+// the memory backend, which counts only the rows its driving equality
+// matches — rows_scanned/op is 3 of the table's 169, asserted by
 // TestExactGates.
 func BenchmarkFederatedFilteredAggregate(b *testing.B) {
 	h, plan := filteredAggPlan(b)
@@ -535,8 +535,7 @@ func BenchmarkFederatedFilteredAggregate(b *testing.B) {
 // over the driving table with an equality on the join key, plus a
 // threshold condition that lives in a joined table. The optimizer's
 // reorder rule propagates the key equality into the joined side, where
-// the memory backend's equality index turns a full scan into a bucket
-// scan.
+// it drives the memory backend's scan, so only its matches count.
 func joinAggPlan(tb testing.TB) (*core.Hybrid, *semop.Plan) {
 	tb.Helper()
 	h, ner := ingestHybrid(tb)
@@ -553,8 +552,8 @@ func joinAggPlan(tb testing.TB) (*core.Hybrid, *semop.Plan) {
 
 // BenchmarkFederatedJoinAggregate executes the seeded join through the
 // full rule pipeline: reorder propagates the driving side's key
-// equality into the join fragment, so the joined table is read through
-// its equality index instead of scanned whole — rows_scanned/op is 579
+// equality into the join fragment, so the joined table's scan counts
+// only that equality's matches, not the whole table — rows_scanned/op is 579
 // of the 745 the same plan reads without the rule passes, asserted by
 // TestExactGates.
 func BenchmarkFederatedJoinAggregate(b *testing.B) {
@@ -568,8 +567,8 @@ func BenchmarkFederatedJoinAggregate(b *testing.B) {
 }
 
 // prunedQuery is a filtered aggregate whose range predicate provably
-// matches nothing. An equality predicate would already hit an empty
-// index bucket, so the shape uses a range predicate only zone maps can
+// matches nothing. An equality predicate would already count no
+// matching row, so the shape uses a range predicate only zone maps can
 // refute.
 const prunedQuery = "SELECT SUM(change_pct) AS total FROM metric_changes WHERE change_pct > 1000000"
 

@@ -226,8 +226,8 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 
 // fedEpoch versions everything the federated backends read. All three
 // terms are monotone nondecreasing and every Ingest advances at least
-// one, so cached physical plans, scan indexes and materialized graph
-// views invalidate on any mutation. Callers hold h.mu.
+// one, so cached physical plans and materialized graph views
+// invalidate on any mutation. Callers hold h.mu.
 func (h *Hybrid) fedEpoch() uint64 {
 	return h.catalog.Epoch() + uint64(h.graph.NodeCount()) + uint64(h.graph.EdgeCount())
 }
@@ -243,7 +243,7 @@ func (h *Hybrid) graphEpoch() uint64 {
 }
 
 // initFederation assembles the default backend set: the in-memory
-// catalog (indexed scans), the SQL dialect driver over the same
+// catalog (coded columnar scans), the SQL dialect driver over the same
 // catalog, and the graph-evidence views. The executor carries the
 // system's resilience knobs — query deadline, retry budget — and
 // reports retry/failover/breaker events into the shared counter set.

@@ -25,8 +25,8 @@
 // once at plan time (PhysicalPlan.VecResidual) and reported on
 // EXPLAIN's "exec:" line.
 //
-// Three backends ship with the system: the in-memory catalog (with
-// lazy per-column equality indexes), a SQL backend that round-trips
+// Three backends ship with the system: the in-memory catalog (over
+// its cached, dictionary-coded columnar fragments), a SQL backend that round-trips
 // fragments through internal/sql's dialect as text — the template for
 // federating an external SQL store — and a graph-evidence backend that
 // exposes the heterogeneous graph index as relational tables. New

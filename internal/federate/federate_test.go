@@ -12,8 +12,8 @@ import (
 	"repro/internal/table"
 )
 
-// testCatalog builds a two-table catalog with enough rows that index
-// scans are distinguishable from full scans.
+// testCatalog builds a two-table catalog with enough rows that a scan
+// driven by an equality is distinguishable from a full scan.
 func testCatalog() *table.Catalog {
 	c := table.NewCatalog()
 	sales := table.New("sales", table.Schema{
@@ -117,10 +117,10 @@ func TestMemoryIndexScanMatchesFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := render(rowsOf(t, res)); got != render(want) {
-		t.Errorf("index scan diverges from filter:\n%s\nvs\n%s", got, render(want))
+		t.Errorf("equality-driven scan diverges from filter:\n%s\nvs\n%s", got, render(want))
 	}
 	if res.Scanned >= tbl.Len() {
-		t.Errorf("scanned %d rows, want fewer than %d (index not used)", res.Scanned, tbl.Len())
+		t.Errorf("scanned %d rows, want fewer than %d (no driving equality)", res.Scanned, tbl.Len())
 	}
 	if res.Scanned != 12 { // 48 rows / 4 products
 		t.Errorf("scanned = %d, want the 12-row Beta bucket", res.Scanned)
@@ -139,14 +139,14 @@ func TestMemoryIndexInvalidatesOnEpoch(t *testing.T) {
 
 	tbl, _ := c.Get("sales")
 	tbl.MustAppend([]table.Value{table.S("Alpha"), table.S("Q1"), table.I(99)})
-	c.Put(tbl) // epoch bump: index must rebuild
+	c.Put(tbl) // re-derives the fragments the scan reads
 
 	res, err = m.Scan(Fragment{Table: "sales", Preds: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Table.Len() != before+1 {
-		t.Errorf("post-mutation rows = %d, want %d (stale index)", res.Table.Len(), before+1)
+		t.Errorf("post-mutation rows = %d, want %d (stale fragments)", res.Table.Len(), before+1)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestAggregatePushdownScansBucketOnly(t *testing.T) {
 		t.Errorf("scanned %d rows, want the 12-row Gamma bucket", fr.ActScanned)
 	}
 	if fr.Est.Scanned != fr.ActScanned {
-		t.Errorf("est scan %d != actual %d (index estimate should be exact)", fr.Est.Scanned, fr.ActScanned)
+		t.Errorf("est scan %d != actual %d (the per-value count should be exact)", fr.Est.Scanned, fr.ActScanned)
 	}
 }
 

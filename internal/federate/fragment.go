@@ -61,13 +61,14 @@ func absorb(b Backend, want Fragment) (got, left Fragment) {
 // Selecting the candidates is the caller's job; fr optionally carries
 // cached columnar fragments covering exactly t (without them the
 // pipeline extracts batches as it goes). Scanned counts the candidate
-// rows visited (table.RowsVisited).
+// rows visited (table.RowsVisited) — or, when driven is set, only those
+// that match f.Preds[0], the equality that drives the scan.
 //
 // Rows do not materialize at all for a projection-only fragment over
 // cached fragments: t passes through with Frags and the projection
 // stays pending in Result.Columns (validated here, so an unknown column
 // still fails the scan). Frags is set only when t passes through.
-func evaluate(t *table.Table, fr *table.Frags, f Fragment) (Result, error) {
+func evaluate(t *table.Table, fr *table.Frags, f Fragment, driven bool) (Result, error) {
 	scanned := t.Len()
 	if f.Ranges != nil {
 		scanned = table.RowsVisited(f.Ranges, t.Len())
@@ -85,9 +86,12 @@ func evaluate(t *table.Table, fr *table.Frags, f Fragment) (Result, error) {
 		}
 		return res, nil
 	}
-	t, err := logical.VecFragment(t, fr, f.Ranges, f.Preds, f.GroupBy, f.Aggs, f.Columns)
+	t, lead, err := logical.VecFragment(t, fr, f.Ranges, f.Preds, f.GroupBy, f.Aggs, f.Columns)
 	if err != nil {
 		return Result{}, err
+	}
+	if driven {
+		scanned = lead
 	}
 	return Result{Table: t, Scanned: scanned}, nil
 }

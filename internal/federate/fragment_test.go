@@ -86,13 +86,13 @@ func rowFragment(t *table.Table, f Fragment) (*table.Table, int, error) {
 func stagedFragment(t *table.Table, fr *table.Frags, f Fragment) (*table.Table, error) {
 	var err error
 	if f.Ranges != nil || len(f.Preds) > 0 {
-		if t, err = logical.VecFragment(t, fr, f.Ranges, f.Preds, nil, nil, nil); err != nil {
+		if t, _, err = logical.VecFragment(t, fr, f.Ranges, f.Preds, nil, nil, nil); err != nil {
 			return nil, err
 		}
 		fr = nil
 	}
 	if len(f.Aggs) > 0 {
-		if t, err = logical.VecFragment(t, fr, nil, nil, f.GroupBy, f.Aggs, nil); err != nil {
+		if t, _, err = logical.VecFragment(t, fr, nil, nil, f.GroupBy, f.Aggs, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -149,7 +149,7 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 						want, wantScanned, wantErr := rowFragment(tb, f)
 
 						for _, fr := range []*table.Frags{nil, cached} {
-							res, err := evaluate(tb, fr, f)
+							res, err := evaluate(tb, fr, f, false)
 							if !sameOutcome(t, label+" evaluate", err, wantErr) || err != nil {
 								continue
 							}
@@ -195,7 +195,7 @@ func sameOutcome(t *testing.T, label string, got, want error) bool {
 // must not defer its validation past the scan.
 func TestPendingProjectionUnknownColumn(t *testing.T) {
 	tb := fragmentTable(300)
-	_, err := evaluate(tb, fragsOf(tb), Fragment{Table: "ft", Columns: []string{"g", "nope"}})
+	_, err := evaluate(tb, fragsOf(tb), Fragment{Table: "ft", Columns: []string{"g", "nope"}}, false)
 	_, want := table.Project(tb, "g", "nope")
 	if err == nil || err.Error() != want.Error() {
 		t.Errorf("error %v, want %v", err, want)

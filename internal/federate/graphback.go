@@ -150,5 +150,5 @@ func (ge *GraphEvidence) Scan(f Fragment) (Result, error) {
 	if !ok {
 		return Result{}, ErrNoBackend
 	}
-	return evaluate(t, c.FragsOf(f.Table), f)
+	return evaluate(t, c.FragsOf(f.Table), f, false)
 }

@@ -132,14 +132,14 @@ func TestZonePruneSkipsRefutedFragments(t *testing.T) {
 	}
 }
 
-// TestZonePruneWithEqualityIndex pins the interplay of the equality
-// index and fragment pruning: the bucket is intersected with the
-// surviving ranges, never scanning outside them.
+// TestZonePruneWithEqualityIndex pins the interplay of the driving
+// equality and fragment pruning: only its matches inside the surviving
+// ranges count as scanned.
 func TestZonePruneWithEqualityIndex(t *testing.T) {
 	c := prunableCatalog(4 * table.FragmentRows)
 	e := New(c.Epoch, Options{}, NewMemory(c))
 	// region = west lives only in fragment 1; seq < FragmentRows refutes
-	// it, so bucket ∩ ranges is empty even though the bucket has rows.
+	// it, so no match lies inside the ranges even though west has rows.
 	run := runPruned(t, e, c, filterScan("events",
 		table.Pred{Col: "region", Op: table.OpEq, Val: table.S("west")},
 		table.Pred{Col: "seq", Op: table.OpLt, Val: table.I(int64(table.FragmentRows))}))

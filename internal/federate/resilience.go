@@ -286,7 +286,7 @@ func (e *Executor) scanFragment(ctx, inflight context.Context, f Fragment, open 
 			// set, which commute with it.
 			left.Columns = res.Columns
 		}
-		out, err := evaluate(res.Table, res.Frags, left)
+		out, err := evaluate(res.Table, res.Frags, left, false)
 		if err != nil {
 			return Result{}, err
 		}

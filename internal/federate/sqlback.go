@@ -19,7 +19,7 @@ type SQL struct {
 }
 
 // sqlPerRow and sqlFixed shape the cost model: text round-trip and
-// unindexed scans make this backend pricier per row than the in-memory
+// whole-table scans make this backend pricier per row than the in-memory
 // engine, so the planner prefers it only when it is the sole provider of
 // a table.
 const (
@@ -113,8 +113,8 @@ func plainNumber(s string) bool {
 	return true
 }
 
-// Estimate implements Backend: no indexes, so every scan reads the
-// whole table; the shared catalog statistics estimate the output.
+// Estimate implements Backend: every scan reads the whole table; the
+// shared catalog statistics estimate the output.
 func (s *SQL) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
 	t, err := s.catalog.Get(tbl)
 	if err != nil {
@@ -210,7 +210,7 @@ func (s *SQL) Scan(f Fragment) (Result, error) {
 		cur.Rows = append(cur.Rows, part.Rows...)
 		scanned += f.Ranges[i].Len()
 	}
-	res, err := evaluate(cur, nil, Fragment{GroupBy: f.GroupBy, Aggs: f.Aggs, Columns: f.Columns})
+	res, err := evaluate(cur, nil, Fragment{GroupBy: f.GroupBy, Aggs: f.Aggs, Columns: f.Columns}, false)
 	if err != nil {
 		return Result{}, err
 	}

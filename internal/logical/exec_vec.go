@@ -3,6 +3,7 @@ package logical
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -564,6 +565,16 @@ func evalPred(b *table.Batch, cand []int32, cp *vecPred) ([]int32, error) {
 			}
 			return cmpOK(cmpFloat(col.Floats[ri], cp.f64), op)
 		})
+	case op == table.OpEq && col.Codes != nil && (cp.p.Val.Kind() == table.TypeString || cp.p.Val.Kind() == table.TypeDate):
+		// Dictionary probe: Strs[ri] == Dict[Codes[ri]], so the rows
+		// equal to the literal are those holding its code, and a literal
+		// missing from Dict matches none. A NULL row holds code 0.
+		if code := slices.Index(col.Dict, cp.str); code >= 0 {
+			c := uint8(code)
+			err = each(func(ri int) (bool, error) {
+				return col.Codes[ri] == c && !col.Nulls.Get(ri), nil
+			})
+		}
 	case col.Strs != nil && (cp.p.Val.Kind() == table.TypeString || cp.p.Val.Kind() == table.TypeDate):
 		// String and date cells both compare lexically on the raw
 		// string, whether kinds match or cross (table.Compare's
@@ -1583,29 +1594,38 @@ func (v *vecRun) distinctStream(s *vstream) *vstream {
 // extracts on the fly), the projection is a column mapping, and rows
 // materialize once at the end. Bit-identical to table.Filter over the
 // ranges' rows → table.Aggregate → table.Project over the same input,
-// errors included.
-func VecFragment(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds []table.Pred, groupBy []string, aggs []table.Agg, cols []string) (*table.Table, error) {
+// errors included. lead counts the rows the leading stage keeps: those
+// inside the ranges that pass preds[0] (all of them without preds).
+func VecFragment(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds []table.Pred, groupBy []string, aggs []table.Agg, cols []string) (out *table.Table, lead int, err error) {
 	v := &vecRun{env: VecEnv{Workers: 1}}
 	s := passthrough(t, fr)
 	if ranges != nil {
 		s.sels = rangeSels(v.batches(s), ranges)
 	}
-	var err error
+	// The first predicate runs alone so its survivors can be counted; a
+	// predicate only errors on a row that reaches it, so splitting the
+	// conjunction changes no error.
 	if len(preds) > 0 {
-		if s, err = v.filter(s, preds); err != nil {
-			return nil, err
+		if s, err = v.filter(s, preds[:1]); err != nil {
+			return nil, 0, err
+		}
+	}
+	lead = s.selCount()
+	if len(preds) > 1 {
+		if s, err = v.filter(s, preds[1:]); err != nil {
+			return nil, 0, err
 		}
 	}
 	if len(aggs) > 0 {
 		if t, err = v.aggregate(s, groupBy, aggs, 0); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		s = passthrough(t, nil)
 	}
 	if len(cols) > 0 {
 		if s, err = v.project(s, cols, nil); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return s.materialize(), nil
+	return s.materialize(), lead, nil
 }

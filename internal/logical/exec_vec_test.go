@@ -409,10 +409,10 @@ func assertCodedParity(t *testing.T, c *table.Catalog, root *Node, pending []str
 	}
 }
 
-// TestVecCodedParity pins the group-by and distinct code memo to the
-// paths without it: every shape below runs over coded fragments, over
-// uncoded batches and through the row interpreter, before and after an
-// Append into the open tail.
+// TestVecCodedParity pins the group-by and distinct code memo and the
+// equality dictionary probe to the paths without them: every shape below
+// runs over coded fragments, over uncoded batches and through the row
+// interpreter, before and after an Append into the open tail.
 func TestVecCodedParity(t *testing.T) {
 	c, tb := codedCatalog(3*table.FragmentRows + 50)
 	aggs := []table.Agg{
@@ -430,6 +430,7 @@ func TestVecCodedParity(t *testing.T) {
 		return &Node{Op: OpDistinct, In: []*Node{{Op: OpProject, Proj: cols, In: []*Node{in}}}}
 	}
 	gt := func(n int64) table.Pred { return table.Pred{Col: "units", Op: table.OpGt, Val: table.I(n)} }
+	eq := func(col string, v table.Value) table.Pred { return table.Pred{Col: col, Op: table.OpEq, Val: v} }
 	ranged := scan("coded")
 	ranged.RowStart, ranged.RowEnd = 200, 700
 	input := &Node{Op: OpInput, Table: "coded"}
@@ -452,6 +453,18 @@ func TestVecCodedParity(t *testing.T) {
 			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}}, In: []*Node{input}}, []string{"revenue", "day"}},
 		{"compare", &Node{Op: OpCompare, CompareCol: "sku", Items: []string{"k3", "u005", "nope"},
 			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}}, In: []*Node{scan("coded")}}, nil},
+		// Equality probes. Every day is in every batch; k3 is missing
+		// from fragment 1's dictionary and u005 from fragment 0's; nope
+		// is in none. Fragment 0's first non-NULL sku is k1 and its first
+		// non-NULL day 2024-03-02, so both hold code 0 — the code NULL
+		// rows hold too.
+		{"eq_day_every_batch", filter(scan("coded"), eq("day", table.D("2024-03-05"))), nil},
+		{"eq_day_code_of_nulls", group(filter(scan("coded"), eq("day", table.D("2024-03-02"))), "sku"), nil},
+		{"eq_day_string_literal", filter(scan("coded"), eq("day", table.S("2024-03-07")), gt(25)), nil},
+		{"eq_sku_some_batches", group(filter(scan("coded"), eq("sku", table.S("k3"))), "day"), nil},
+		{"eq_sku_code_of_nulls", filter(scan("coded"), eq("sku", table.S("k1"))), nil},
+		{"eq_sku_absent", filter(scan("coded"), eq("sku", table.S("nope"))), nil},
+		{"eq_sku_ranged", filter(ranged, gt(10), eq("sku", table.S("u005"))), nil},
 		{"sum_of_a_string_error", &Node{Op: OpAggregate, GroupBy: []string{"sku"},
 			Aggs: []table.Agg{{Func: table.AggSum, Col: "day"}}, In: []*Node{scan("coded")}}, nil},
 	}

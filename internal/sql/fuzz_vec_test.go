@@ -50,6 +50,11 @@ func FuzzVecParity(f *testing.F) {
 		{"SELECT DISTINCT tag FROM events WHERE qty > 25", ""},
 		{"SELECT DISTINCT zone FROM events", ""},
 		{"SELECT DISTINCT zone, tag FROM events WHERE zone != 'west'", ""},
+		{"SELECT * FROM events WHERE tag = 't01'", ""},
+		{"SELECT zone, SUM(amt) FROM events WHERE tag = 't07' AND zone = 'west' GROUP BY zone", ""},
+		{"SELECT COUNT(*) FROM events WHERE tag = 'absent'", ""},
+		{"SELECT tag, COUNT(*) FROM events WHERE day = '2024-03-02' GROUP BY tag", ""},
+		{"SELECT DISTINCT zone FROM events WHERE qty > 10 AND day = '2024-03-31'", ""},
 		{"SELECT FROM WHERE", ""},
 		{"", ""},
 		{"SELECT * FROM sales", "Alpha,Beta"},
@@ -89,10 +94,13 @@ func FuzzVecParity(f *testing.F) {
 // fuzzCatalog is testCatalog plus ratings, whose score column carries
 // NULLs and ties — what a bounded ORDER BY ... LIMIT and a multi-column
 // DISTINCT must order and deduplicate exactly like the row interpreter —
-// and events, 600 rows over three fragments, whose string columns the
-// catalog dictionary-codes per fragment: tag holds 23 values and NULLs
-// in every fragment, zone 3 values, so a GROUP BY or DISTINCT on either
-// reaches the code memo in every batch and its groups span batches.
+// and events, 600 rows over three fragments, whose string and date
+// columns the catalog dictionary-codes per fragment: tag holds 23 values
+// and NULLs in every fragment, zone 3 values and day 9 dates and NULLs,
+// so a GROUP BY or DISTINCT on any of them reaches the code memo in
+// every batch and its groups span batches, and an equality on one
+// probes each batch's dictionary. NULL rows hold code 0, which is t01's
+// and 2024-03-02's in the first fragment.
 func fuzzCatalog() *table.Catalog {
 	c := testCatalog()
 	ratings := table.New("ratings", table.Schema{
@@ -113,6 +121,7 @@ func fuzzCatalog() *table.Catalog {
 		{Name: "zone", Type: table.TypeString},
 		{Name: "qty", Type: table.TypeInt},
 		{Name: "amt", Type: table.TypeFloat},
+		{Name: "day", Type: table.TypeDate},
 	})
 	zones := []string{"east", "west", "north"}
 	for i := 0; i < 600; i++ {
@@ -123,7 +132,11 @@ func fuzzCatalog() *table.Catalog {
 		if i%14 == 0 {
 			amt = table.Null(table.TypeFloat)
 		}
-		events.MustAppend([]table.Value{tag, table.S(zones[(i/7)%len(zones)]), table.I(int64(i % 50)), amt})
+		day := table.D(fmt.Sprintf("2024-03-%02d", 1+i%9))
+		if i%8 == 0 {
+			day = table.Null(table.TypeDate)
+		}
+		events.MustAppend([]table.Value{tag, table.S(zones[(i/7)%len(zones)]), table.I(int64(i % 50)), amt, day})
 	}
 	c.Put(events)
 	return c

@@ -391,8 +391,8 @@ func (c *Catalog) ZonesOf(name string) *Zones { return c.lookup(name).zones }
 func (c *Catalog) FragsOf(name string) *Frags { return c.lookup(name).frags }
 
 // Epoch counts catalog mutations. Anything derived from catalog
-// contents (physical plans, per-column scan indexes) is valid only for
-// the epoch it was computed at.
+// contents (physical plans, graph-evidence views) is valid only for the
+// epoch it was computed at.
 func (c *Catalog) Epoch() uint64 { return c.epoch }
 
 // Get returns the named table or ErrNoTable.

@@ -44,9 +44,9 @@ func TestQuerySQLEntry(t *testing.T) {
 }
 
 // TestQuerySignedZero pins that −0 and +0, which table.Compare calls
-// equal, are one value on every path a statement can take: the memory
-// backend's equality-index bucket returns what a range scan returns, and
-// GROUP BY and DISTINCT each make one zero group.
+// equal, are one value on every path a statement can take: an equality
+// returns what a range scan returns, and GROUP BY and DISTINCT each make
+// one zero group.
 func TestQuerySignedZero(t *testing.T) {
 	sys := New()
 	csv := "id,x\n1,0.0\n2,-0.0\n3,1.5\n4,-0.0\n"
