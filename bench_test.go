@@ -321,6 +321,32 @@ func BenchmarkTopologyRetrieve(b *testing.B) {
 	}
 }
 
+// BenchmarkDeriveCandidates derives answer candidates from each
+// generator query's top-8 topology evidence on retrieveBenchCorpus, the
+// queries in rotation — the stage after retrieval in an Ask. The
+// evidence is retrieved and every query derived once before the timer
+// starts, and the recognizer memoises each text's salient span, so this
+// times memo hits.
+func BenchmarkDeriveCandidates(b *testing.B) {
+	c, g, ner := retrieveBenchCorpus(b)
+	r := retrieval.NewTopology(g, ner, retrieval.TopologyOptions{})
+	evidence := make([][]string, len(c.Queries))
+	for i, q := range c.Queries {
+		evidence[i] = retrieval.Texts(r.Retrieve(q.Text, 8))
+		slm.DeriveCandidates(q.Text, evidence[i], ner)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		j := i % len(c.Queries)
+		n += len(slm.DeriveCandidates(c.Queries[j].Text, evidence[j], ner))
+	}
+	if n == 0 {
+		b.Fatal("no candidates")
+	}
+}
+
 // BenchmarkViewExpand expands every entity of retrieveBenchCorpus once
 // per op with the topology retriever's traversal — depth 3, budget 256,
 // decay 0.7, its edge multipliers and its PageRank prior — which is

@@ -579,7 +579,10 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 	// The read lock covers every structure a writer mutates: retriever
 	// (centrality prior), graph (traversal), catalog (bind/exec), and the
 	// recognizer's gazetteer, which Retrieve, Parse and DeriveCandidates
-	// all read.
+	// all read. The memos readers fill — the retriever's expansions and
+	// node word ids, the recognizer's salient spans — have locks of their
+	// own; the span memo depends on the gazetteer, so AddVocabulary,
+	// holding the write half, is what drops it.
 	h.mu.RLock()
 	var epoch uint64
 	if h.cache != nil {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/retrieval"
 	"repro/internal/slm"
 	"repro/internal/workload"
 )
@@ -192,6 +193,61 @@ func TestAnswerCache(t *testing.T) {
 	h.AddVocabulary(slm.EntProduct, "Product Omega")
 	if _, _, size := h.CacheStats(); size != 0 {
 		t.Errorf("size after AddVocabulary = %d, want 0", size)
+	}
+}
+
+// A phrase registered after an Answer re-tags the evidence that answer
+// derived its candidates from: the recognizer's salient-span memo, filled
+// under the old gazetteer, is dropped, so candidates over the same
+// evidence are a fresh recognizer's with the new phrase.
+func TestAddVocabularyAfterAnswerRederivesSpans(t *testing.T) {
+	h, c := hybridWithWorkers(t, 1)
+	derive := func(q string, texts []string, ner *slm.NER) []slm.Candidate {
+		h.mu.RLock()
+		defer h.mu.RUnlock()
+		return slm.DeriveCandidates(q, texts, ner)
+	}
+	// Each evidence text's first three words, as a phrase, claim the
+	// text's opening tokens; wherever no value-like entity follows, the
+	// text's span becomes the phrase.
+	var phrases []string
+	var qs []string
+	var texts [][]string
+	for _, q := range c.Queries {
+		ev := retrieval.Texts(h.Answer(q.Text).Evidence)
+		qs, texts = append(qs, q.Text), append(texts, ev)
+		for _, text := range ev {
+			if toks := slm.Tokenize(text); len(toks) >= 3 && toks[0].Kind == slm.TokenWord &&
+				toks[1].Kind == slm.TokenWord && toks[2].Kind == slm.TokenWord {
+				phrases = append(phrases, text[:toks[2].End])
+			}
+		}
+	}
+	if len(phrases) == 0 {
+		t.Fatal("no evidence text opens with three words")
+	}
+	before := make([][]slm.Candidate, len(qs))
+	for i := range qs {
+		before[i] = derive(qs[i], texts[i], h.ner)
+	}
+
+	h.AddVocabulary(slm.EntMisc, phrases...)
+	fresh := slm.NewNER()
+	c.Register(fresh)
+	fresh.AddGazetteer(slm.EntMisc, phrases...)
+	changed := 0
+	for i, q := range qs {
+		got, want := derive(q, texts[i], h.ner), slm.DeriveCandidates(q, texts[i], fresh)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q after AddVocabulary: candidates %v, a fresh recognizer's %v", q, got, want)
+		}
+		if !reflect.DeepEqual(got, before[i]) {
+			changed++
+		}
+		h.Answer(q)
+	}
+	if changed == 0 {
+		t.Fatal("no question's candidates changed: the test exercises nothing")
 	}
 }
 

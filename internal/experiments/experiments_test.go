@@ -57,10 +57,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the quality golden files"
 
 // TestQualityGolden pins the reproduction's quality numbers — recall@k
 // and MRR, EM and F1, extraction precision and recall, the ablations,
-// the calibration AUROCs — at the sizes cmd/benchrunner prints them.
-// Seeded corpora and a simulated SLM make every one a constant, so a
-// rewrite under retrieval, NER, the graph or the executor that moves
-// one fails here. These five tables have no wall-clock column, and a
+// the calibration AUROCs, the simulated model cost, the chunk-size
+// sweep — at the sizes cmd/benchrunner prints them. Seeded corpora and
+// a simulated SLM make every one a constant, so a rewrite under
+// retrieval, NER, the graph or the executor that moves one fails here.
+// Table 6's model calls and tokens are what the cost model recorded, so
+// a cache that skips a simulated call without replaying its cost fails
+// here too. These tables have no wall-clock column — Table 6's
+// sim_latency_ms is the cost model's arithmetic, not a clock — and a
 // table that grows one is refused: time never enters a golden.
 // Regenerate with: go test ./internal/experiments -run TestQualityGolden -update
 func TestQualityGolden(t *testing.T) {
@@ -70,10 +74,15 @@ func TestQualityGolden(t *testing.T) {
 		"table4":  func() *metrics.ResultTable { return Table4Extraction([]float64{0, 0.3, 0.6, 0.9}) },
 		"figure3": func() *metrics.ResultTable { return Figure3EntropyCalibration([]int{3, 5, 10}) },
 		"table5":  Table5Ablations,
+		"table6":  Table6CostProfile,
+		"tableS1": func() *metrics.ResultTable { return TableS1ChunkSize([]int{32, 64, 128, 256}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			tbl := run()
 			for _, h := range tbl.Headers {
+				if strings.HasPrefix(h, "sim_") {
+					continue
+				}
 				if strings.HasSuffix(h, "_ms") || strings.HasSuffix(h, "_us") {
 					t.Fatalf("column %s is wall-clock time", h)
 				}

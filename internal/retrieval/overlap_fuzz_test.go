@@ -6,13 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/slm"
 	"repro/internal/workload"
 )
 
-// checkOverlap asserts the two halves of "scanner ≡ tokenizer": the
-// spans slm.NextWord yields, lower-cased, are Words(Tokenize(text)),
-// and termSet.overlap is the reference set intersection over them.
+// checkOverlap asserts the halves of "scanner ≡ tokenizer": the spans
+// slm.NextWord yields, lower-cased, are Words(Tokenize(text)), and
+// termSet.overlap is the reference set intersection over them, and so
+// is the interned path — the text's word ids as Topology's memo records
+// them, in a vocabulary the query's text has already grown.
 func checkOverlap(t *testing.T, query, text string) {
 	t.Helper()
 	var words []string
@@ -27,6 +30,19 @@ func checkOverlap(t *testing.T, query, text string) {
 		if got, want := ts.overlap(text), lexicalOverlap(queryTerms(query), text); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("overlap(%q, %q) pass %d = %v, reference %v", query, text, pass, got, want)
 		}
+	}
+
+	r := &Topology{vocab: make(map[string]int32), words: make(map[*graph.Node][]int32)}
+	n := &graph.Node{Text: text}
+	r.mu.Lock()
+	r.analyseLocked(&graph.Node{Text: query})
+	r.analyseLocked(n)
+	r.mu.Unlock()
+	if got, want := memoWords(r)[n], distinctWords(text); !slices.Equal(got, want) {
+		t.Fatalf("memo words of %q = %q, tokenizer %q", text, got, want)
+	}
+	if got, want := memoOverlap(r, query, n), lexicalOverlap(queryTerms(query), text); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("memo overlap(%q, %q) = %v, reference %v", query, text, got, want)
 	}
 }
 
@@ -45,7 +61,8 @@ func FuzzTermOverlap(f *testing.F) {
 	f.Add("K k ſ s", "K K ſ S") // Kelvin sign and long s lower-case into ASCII
 	// Latin-1 and UTF-8 lead bytes scan as the rune of the byte's value.
 	f.Add("Ã naïve µg º", "\xc3 \xc3\x83 NAÏVE naïve µG µg º \xba ª")
-	// Terms of 63 bytes and longer share the length mask's top bit.
+	// Terms of 63 bytes and longer share the length mask's top bit; the
+	// memo folds 63-, 64- and 65-byte words alike.
 	long := strings.Repeat("x", 63)
 	f.Add(long+" "+long+"y "+long+"yz", strings.ToUpper(long)+"yz "+long+"Y "+long+"q "+long[:62])
 	f.Add("the of and", "the of and")

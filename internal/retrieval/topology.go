@@ -75,6 +75,15 @@ var edgeTypes = map[graph.EdgeType]float64{
 // view and memoised: the memo holds at most budget entries of 12 bytes
 // per distinct anchor a query has met, and Refresh drops it with the
 // view it was computed on.
+//
+// The lexical blend reads each reached node's words, and a node's text
+// never changes after insert, so they are read once per node: the
+// expansion that first reaches an evidence node records the distinct
+// ids of its lower-cased words, and Retrieve counts a query's terms
+// among those ids. The entries are keyed by node, not view index, and
+// the graph never deletes a node, so they outlive Refresh; they grow to
+// one per evidence node some query has reached and one vocabulary key
+// per distinct word of those nodes' texts.
 type Topology struct {
 	g     *graph.Graph
 	ner   *slm.NER
@@ -82,8 +91,13 @@ type Topology struct {
 	view  *graph.View
 	prior []float64 // 0.5 + rank/max rank per view index; nil = no prior
 
-	mu   sync.RWMutex
-	memo map[int]expansion // by anchor view index, for the current view
+	mu    sync.RWMutex
+	memo  map[int]expansion       // by anchor view index, for the current view
+	vocab map[string]int32        // guarded by mu; lower-cased word -> word id
+	words map[*graph.Node][]int32 // guarded by mu; evidence node -> its distinct word ids
+	stamp []int32                 // guarded by mu; per word id, the serial of the last node found to contain it
+	ids   []int32                 // guarded by mu; analyseLocked's scratch
+	lower []byte                  // guarded by mu; wordIDLocked's scratch
 }
 
 // expansion is what one anchor's expansion contributes to a Retrieve:
@@ -104,6 +118,8 @@ type retrieveScratch struct {
 	total    []float64 // summed per-anchor score by view index
 	reached  []int32   // indices with total != 0
 	top      []ranked  // the selection, see keep
+	marks    []bool    // by word id: a term of the query; all false in the pool
+	marked   []int32   // the word ids marked
 }
 
 // ranked is a candidate evidence node: its view index and final score.
@@ -117,7 +133,7 @@ var scratchPool = sync.Pool{New: func() any { return new(retrieveScratch) }}
 // NewTopology builds the retriever over a finished graph. The view and
 // PageRank are computed eagerly so query-time cost is traversal only.
 func NewTopology(g *graph.Graph, ner *slm.NER, opts TopologyOptions) *Topology {
-	t := &Topology{g: g, ner: ner, opts: opts}
+	t := &Topology{g: g, ner: ner, opts: opts, vocab: make(map[string]int32), words: make(map[*graph.Node][]int32)}
 	t.Refresh()
 	return t
 }
@@ -127,7 +143,7 @@ func (t *Topology) Name() string { return "topology" }
 
 // Refresh retakes the view and recomputes the centrality prior after
 // the graph has been mutated (incremental ingestion). Cheap relative to
-// a rebuild: one PageRank pass.
+// a rebuild: one PageRank pass. The nodes' word ids are kept.
 func (t *Topology) Refresh() {
 	t.view = t.g.View()
 	t.memo = make(map[int]expansion)
@@ -182,15 +198,47 @@ func (t *Topology) Retrieve(query string, k int) []Evidence {
 			sc.total[i] += e.scores[j]
 		}
 	}
-	terms := newTermSet(query)
+	terms := newTermSet(query).terms
+
+	// Every reached node was analysed by the expansion that reached it,
+	// so a term no analysed text holds is in no reached node's words.
+	t.mu.RLock()
+	if len(sc.marks) < len(t.vocab) {
+		sc.marks = make([]bool, len(t.vocab))
+	}
+	for _, w := range terms {
+		if id, ok := t.vocab[w]; ok {
+			sc.marks[id] = true
+			sc.marked = append(sc.marked, id)
+		}
+	}
 	sc.top = sc.top[:0]
 	for _, i := range sc.reached {
 		s := sc.total[i]
 		sc.total[i] = 0
+		hits := 0
+		if len(sc.marked) > 0 {
+			for _, id := range t.words[t.view.Node(int(i))] {
+				if sc.marks[id] {
+					hits++
+				}
+			}
+		}
 		// Blend topology score with lexical affinity so that among
-		// equally-reachable items the on-topic one wins.
-		sc.top = keep(sc.top, k, ranked{i, s * (1 + 2*terms.overlap(t.view.Node(int(i)).Text))})
+		// equally-reachable items the on-topic one wins. The fraction is
+		// termSet.overlap's, so the score has its bits.
+		var overlap float64
+		if len(terms) > 0 {
+			overlap = float64(hits) / float64(len(terms))
+		}
+		sc.top = keep(sc.top, k, ranked{i, s * (1 + 2*overlap)})
 	}
+	t.mu.RUnlock()
+	for _, id := range sc.marked {
+		sc.marks[id] = false
+	}
+	sc.marked = sc.marked[:0]
+
 	out := t.evidence(sc.top, k)
 	sc.reached = sc.reached[:0]
 	scratchPool.Put(sc)
@@ -198,7 +246,8 @@ func (t *Topology) Retrieve(query string, k int) []Evidence {
 }
 
 // expand returns the anchor's expansion, from the memo or computed into
-// it with x as scratch.
+// it with x as scratch. An expansion enters the memo with its evidence
+// nodes analysed, under one lock, so whoever reads it finds their words.
 func (t *Topology) expand(x *graph.Expander, anchor int) expansion {
 	t.mu.RLock()
 	e, ok := t.memo[anchor]
@@ -222,8 +271,63 @@ func (t *Topology) expand(x *graph.Expander, anchor int) expansion {
 	}
 	t.mu.Lock()
 	t.memo[anchor] = e // a racing caller computed the same slices
+	for _, i := range e.nodes {
+		t.analyseLocked(t.view.Node(int(i)))
+	}
 	t.mu.Unlock()
 	return e
+}
+
+// analyseLocked records the distinct word ids of n's text — the words
+// slm.NextWord spans, lower-cased as slm.Words does — unless n already
+// has them.
+func (t *Topology) analyseLocked(n *graph.Node) {
+	if _, ok := t.words[n]; ok {
+		return
+	}
+	serial := int32(len(t.words)) + 1 // distinct per node; stamps start at 0
+	ids := t.ids[:0]
+	for start, end := slm.NextWord(n.Text, 0); start >= 0; start, end = slm.NextWord(n.Text, end) {
+		if id := t.wordIDLocked(n.Text[start:end]); t.stamp[id] != serial {
+			t.stamp[id] = serial
+			ids = append(ids, id)
+		}
+	}
+	t.words[n] = slices.Clone(ids)
+	t.ids = ids
+}
+
+// wordIDLocked returns the id of the lower-cased word, adding it to the
+// vocabulary if new. An ASCII word, the common case, is folded in a
+// reused buffer, so only a new key allocates; one with other bytes goes
+// through strings.ToLower like slm.Words, which may change its length.
+func (t *Topology) wordIDLocked(word string) int32 {
+	buf, ascii := t.lower[:0], true
+	for i := 0; i < len(word) && ascii; i++ {
+		c := word[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+		ascii = c < utf8.RuneSelf
+	}
+	t.lower = buf
+	var key string
+	if ascii {
+		if id, ok := t.vocab[string(buf)]; ok {
+			return id
+		}
+		key = string(buf)
+	} else {
+		key = strings.ToLower(word)
+		if id, ok := t.vocab[key]; ok {
+			return id
+		}
+	}
+	id := int32(len(t.vocab))
+	t.vocab[key] = id
+	t.stamp = append(t.stamp, 0)
+	return id
 }
 
 // evidenceKind names the evidence a node of the given type yields, or

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Candidate is a possible answer with an unnormalized support weight.
@@ -123,9 +124,29 @@ func DeriveCandidates(question string, evidence []string, ner *NER) []Candidate 
 
 // salientSpan picks the answer-bearing span of an evidence sentence:
 // prefer value-like entities (percent, money, rating, quantity, date),
-// then any entity, then the sentence itself.
+// then any entity, then the sentence itself, cut to at most 80 bytes
+// at a rune start. It is memoised per sentence in ner.
 func salientSpan(sentence string, ner *NER) string {
-	ents := ner.Recognize(sentence)
+	ner.spanMu.RLock()
+	m, ok := ner.spans[sentence]
+	ner.spanMu.RUnlock()
+	if ok {
+		ner.cost.Record(OpTag, m.tokens) // the call the memo saved
+		return m.span
+	}
+	ents, tokens := ner.recognize(sentence)
+	m = salient{span: pickSpan(sentence, ents), tokens: tokens}
+	ner.spanMu.Lock()
+	if ner.spans == nil {
+		ner.spans = make(map[string]salient)
+	}
+	ner.spans[sentence] = m
+	ner.spanMu.Unlock()
+	return m.span
+}
+
+// pickSpan is salientSpan's choice among the sentence's entities.
+func pickSpan(sentence string, ents []Entity) string {
 	var fallback string
 	for _, e := range ents {
 		switch e.Type {
@@ -142,7 +163,11 @@ func salientSpan(sentence string, ner *NER) string {
 	}
 	s := strings.TrimSpace(sentence)
 	if len(s) > 80 {
-		s = s[:80]
+		cut := 80
+		for cut > 0 && !utf8.RuneStart(s[cut]) {
+			cut--
+		}
+		s = s[:cut]
 	}
 	return s
 }
@@ -162,8 +187,9 @@ func overlapScore(qWords map[string]bool, evidence string) float64 {
 		return 0
 	}
 	n := 0
-	for _, w := range Words(Tokenize(evidence)) {
-		if qWords[stem(w)] {
+	// NextWord spans, lower-cased, are Words(Tokenize(evidence)).
+	for start, end := NextWord(evidence, 0); start >= 0; start, end = NextWord(evidence, end) {
+		if qWords[stem(strings.ToLower(evidence[start:end]))] {
 			n++
 		}
 	}

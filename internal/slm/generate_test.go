@@ -2,8 +2,10 @@ package slm
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestGeneratorGreedy(t *testing.T) {
@@ -117,6 +119,72 @@ func TestDeriveCandidates(t *testing.T) {
 		if strings.Contains(c.Text, "Weather") {
 			t.Errorf("irrelevant evidence produced candidate %q", c.Text)
 		}
+	}
+}
+
+// tagCost is what the cost model has recorded for tagging.
+func tagCost(c *CostModel) (calls, tokens int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls[OpTag], c.tokens[OpTag]
+}
+
+// The salient-span memo changes no candidate and no cost: a warm
+// DeriveCandidates returns the cold one's candidates and records the
+// same tagging calls and tokens, and AddGazetteer drops the memo, so a
+// phrase registered after a text was tagged changes that text's span.
+func TestDeriveCandidatesSpanMemo(t *testing.T) {
+	q := "How much did Product Alpha zephyr widgets sales increase in Q2?"
+	evidence := []string{
+		"Product Alpha sales increased 20% in Q2.",
+		"Product Alpha was rated 4.5 stars.",
+		"zephyr widgets sales were steady across every region this year",
+		"Weather was mild across the region.",
+	}
+	cost := NewCostModel(SLMProfile())
+	ner := newTestNER().WithCost(cost)
+	cold := DeriveCandidates(q, evidence, ner)
+	coldCalls, coldTokens := tagCost(cost)
+	if coldCalls == 0 {
+		t.Fatal("no tagging call recorded")
+	}
+	warm := DeriveCandidates(q, evidence, ner)
+	if !slices.Equal(warm, cold) {
+		t.Errorf("warm candidates %v, cold %v", warm, cold)
+	}
+	if calls, tokens := tagCost(cost); calls != 2*coldCalls || tokens != 2*coldTokens {
+		t.Errorf("warm pass recorded %d calls / %d tokens, cold %d / %d", calls-coldCalls, tokens-coldTokens, coldCalls, coldTokens)
+	}
+	if !slices.ContainsFunc(cold, func(c Candidate) bool { return c.Text == evidence[2] }) {
+		t.Fatalf("untagged evidence is not its own span: %v", cold)
+	}
+
+	ner.AddGazetteer(EntProduct, "zephyr widgets")
+	after := DeriveCandidates(q, evidence, ner)
+	fresh := newTestNER()
+	fresh.AddGazetteer(EntProduct, "zephyr widgets")
+	if want := DeriveCandidates(q, evidence, fresh); !slices.Equal(after, want) {
+		t.Errorf("after AddGazetteer: %v, want %v", after, want)
+	}
+	if !slices.ContainsFunc(after, func(c Candidate) bool { return c.Text == "zephyr widgets" }) {
+		t.Errorf("after AddGazetteer the new phrase is no span: %v", after)
+	}
+}
+
+// The fallback span is cut at a rune start: an evidence text with no
+// entity and a two-byte rune across byte 80 yields valid UTF-8.
+func TestSalientSpanCutsAtRuneStart(t *testing.T) {
+	sentence := strings.Repeat("x", 79) + "é and then some more plain words"
+	span := salientSpan(sentence, NewNER())
+	if !utf8.ValidString(span) {
+		t.Fatalf("span %q is not valid UTF-8", span)
+	}
+	if want := strings.Repeat("x", 79); span != want {
+		t.Errorf("span = %q, want %q", span, want)
+	}
+	cands := DeriveCandidates("plain words", []string{sentence}, NewNER())
+	if len(cands) != 1 || !utf8.ValidString(cands[0].Text) {
+		t.Errorf("candidates %+v", cands)
 	}
 }
 

@@ -2,6 +2,7 @@ package slm
 
 import (
 	"strings"
+	"sync"
 )
 
 // EntityType classifies a recognized named entity. The inventory covers
@@ -45,6 +46,14 @@ type Entity struct {
 // beside AddGazetteer, which writes the maps Recognize reads: register
 // the vocabulary before sharing the value, or order the two with a lock
 // whose read half every Recognize caller holds.
+//
+// An evidence text's salient span (DeriveCandidates) depends only on
+// the text and the gazetteer, so it is memoised per text, behind its own
+// lock because candidate derivation runs concurrently. AddGazetteer
+// drops the memo. A memo hit replays the tagging call it saves into the
+// cost model, so the accounting is what tagging every time would give.
+// The span is a substring of its key, which is the caller's text, so an
+// entry copies nothing; the memo grows to one entry per distinct text.
 type NER struct {
 	gazetteer map[string]EntityType // canonical phrase -> type
 	// first holds the first word of every gazetteer phrase. A window's
@@ -56,6 +65,16 @@ type NER struct {
 	first  map[string]struct{}
 	maxLen int // longest gazetteer phrase, in tokens
 	cost   *CostModel
+
+	spanMu sync.RWMutex
+	spans  map[string]salient // guarded by spanMu; by evidence text, see salientSpan
+}
+
+// salient is a text's salient span and the token count of the tagging
+// call that found it.
+type salient struct {
+	span   string
+	tokens int
 }
 
 // NewNER returns a recognizer with the built-in pattern rules and an
@@ -87,6 +106,9 @@ func (n *NER) AddGazetteer(t EntityType, phrases ...string) {
 			n.maxLen = l
 		}
 	}
+	n.spanMu.Lock()
+	n.spans = nil // a new phrase may tag any text differently
+	n.spanMu.Unlock()
 }
 
 // Recognize extracts entities from text. Matching order: gazetteer
@@ -98,6 +120,12 @@ func (n *NER) AddGazetteer(t EntityType, phrases ...string) {
 // punctuation, so a phrase may match across a sentence or cell
 // boundary, and callers must not tag a text piecewise.
 func (n *NER) Recognize(text string) []Entity {
+	ents, _ := n.recognize(text)
+	return ents
+}
+
+// recognize is Recognize, also returning the call's token count.
+func (n *NER) recognize(text string) ([]Entity, int) {
 	tokens := Tokenize(text)
 	if n.cost != nil {
 		n.cost.Record(OpTag, len(tokens))
@@ -109,7 +137,7 @@ func (n *NER) Recognize(text string) []Entity {
 	}
 	claimed := make([]bool, len(tokens))
 	ents := n.gazetteerPass(text, tokens, lower, claimed)
-	return surfacePasses(text, tokens, lower, claimed, ents)
+	return surfacePasses(text, tokens, lower, claimed, ents), len(tokens)
 }
 
 // claim marks tokens [from, to) as belonging to an entity.
