@@ -194,9 +194,11 @@ func answerSQL(sys *unisem.System, query string, explain bool) {
 		return
 	}
 	fmt.Print(res.Rendered)
-	fmt.Printf("plan:   %s\n", res.Plan)
-	if explain && res.Explain != "" {
-		fmt.Println(res.Explain)
+	fmt.Printf("plan:   %s\n", res.Plan())
+	if explain {
+		if text := res.Explain(); text != "" {
+			fmt.Println(text)
+		}
 	}
 }
 
@@ -207,11 +209,13 @@ func answer(sys *unisem.System, q string, explain bool) {
 		return
 	}
 	fmt.Printf("answer: %s\n", ans.Text)
-	if ans.Plan != "" {
-		fmt.Printf("plan:   %s\n", ans.Plan)
+	if plan := ans.Plan(); plan != "" {
+		fmt.Printf("plan:   %s\n", plan)
 	}
-	if explain && ans.Explain != "" {
-		fmt.Println(ans.Explain)
+	if explain {
+		if text := ans.Explain(); text != "" {
+			fmt.Println(text)
+		}
 	}
 	fmt.Printf("entropy: %.3f", ans.Entropy)
 	if ans.Flagged {

@@ -44,7 +44,7 @@ func TestBuildSystemFromDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ans.Text != "1200" {
-		t.Errorf("answer = %q (plan %s)", ans.Text, ans.Plan)
+		t.Errorf("answer = %q (plan %s)", ans.Text, ans.Plan())
 	}
 	ans, err = sys.Ask("What is the average rating of Product Alpha?")
 	if err != nil {

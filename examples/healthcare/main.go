@@ -72,7 +72,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%q: %v", q, err)
 		}
-		fmt.Printf("Q: %s\nA: %s\n   plan: %s\n", q, ans.Text, ans.Plan)
+		fmt.Printf("Q: %s\nA: %s\n   plan: %s\n", q, ans.Text, ans.Plan())
 		if len(ans.Evidence) > 0 {
 			path := sys.ExplainEvidence(q, ans.Evidence[0].ID)
 			if len(path) > 0 {

@@ -58,6 +58,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("%q: %v", q, err)
 		}
-		fmt.Printf("Q: %s\nA: %s\n   plan: %s\n   entropy: %.3f\n\n", q, ans.Text, ans.Plan, ans.Entropy)
+		fmt.Printf("Q: %s\nA: %s\n   plan: %s\n   entropy: %.3f\n\n", q, ans.Text, ans.Plan(), ans.Entropy)
 	}
 }

@@ -40,8 +40,8 @@ func TestSaveLoadFederatedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: built system failed to answer: %v", q, err)
 		}
-		if orig.Text == "" || orig.Explain == "" {
-			t.Fatalf("%q: built system gave no planned answer (text %q, explain %q)", q, orig.Text, orig.Explain)
+		if orig.Text == "" || orig.Explain() == "" {
+			t.Fatalf("%q: built system gave no planned answer (text %q, explain %q)", q, orig.Text, orig.Explain())
 		}
 		redo, err := loaded.Ask(q)
 		if err != nil {
@@ -50,11 +50,11 @@ func TestSaveLoadFederatedRoundTrip(t *testing.T) {
 		if orig.Text != redo.Text {
 			t.Errorf("%q: loaded answer %q differs from built %q", q, redo.Text, orig.Text)
 		}
-		if orig.Plan != redo.Plan {
-			t.Errorf("%q: loaded plan differs:\n%s\nvs\n%s", q, redo.Plan, orig.Plan)
+		if orig.Plan() != redo.Plan() {
+			t.Errorf("%q: loaded plan differs:\n%s\nvs\n%s", q, redo.Plan(), orig.Plan())
 		}
-		if orig.Explain != redo.Explain {
-			t.Errorf("%q: loaded EXPLAIN differs:\n%s\nvs\n%s", q, redo.Explain, orig.Explain)
+		if orig.Explain() != redo.Explain() {
+			t.Errorf("%q: loaded EXPLAIN differs:\n%s\nvs\n%s", q, redo.Explain(), orig.Explain())
 		}
 	}
 }
@@ -119,8 +119,8 @@ func TestRegisterBackendRoutesExternalTable(t *testing.T) {
 	if ans.Text != "56" { // (120+40+8)/3
 		t.Errorf("answer = %q, want 56", ans.Text)
 	}
-	if !strings.Contains(ans.Explain, "backend=static") {
-		t.Errorf("EXPLAIN does not route to the external backend:\n%s", ans.Explain)
+	if !strings.Contains(ans.Explain(), "backend=static") {
+		t.Errorf("EXPLAIN does not route to the external backend:\n%s", ans.Explain())
 	}
 }
 
@@ -133,8 +133,8 @@ func TestExplainExposedThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"logical:", "physical:", "backend=", "est: scan", "actual: scan"} {
-		if !strings.Contains(ans.Explain, want) {
-			t.Errorf("EXPLAIN missing %q:\n%s", want, ans.Explain)
+		if !strings.Contains(ans.Explain(), want) {
+			t.Errorf("EXPLAIN missing %q:\n%s", want, ans.Explain())
 		}
 	}
 }

@@ -50,7 +50,7 @@ func TestIngestNewEntityRetrievable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ans.Text != "5" {
-		t.Errorf("new entity rating = %q (plan %s)", ans.Text, ans.Plan)
+		t.Errorf("new entity rating = %q (plan %s)", ans.Text, ans.Plan())
 	}
 	found := false
 	for _, e := range ans.Evidence {

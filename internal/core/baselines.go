@@ -87,7 +87,7 @@ func NewTextToSQL(catalog *table.Catalog, ner *slm.NER) *TextToSQL {
 func (t *TextToSQL) Name() string { return "text_to_sql" }
 
 // Answer implements Pipeline: parse → bind → render SQL → execute the
-// SQL through the internal/sql engine. The Plan field carries the
+// SQL through the internal/sql engine. The answer's Plan is the
 // generated SQL text, so this baseline is a genuine text-to-SQL
 // system, not an in-memory shortcut. Plans with synthesized semi-joins
 // exceed the dialect (no subqueries) and execute through the logical
@@ -105,11 +105,11 @@ func (t *TextToSQL) Answer(question string) Answer {
 
 	var res *table.Table
 	if plan.JoinTable != "" {
-		ans.Plan = plan.String()
+		ans.plan = plan
 		res, err = semop.Exec(plan, t.catalog)
 	} else {
 		stmts := plan.ToSQL()
-		ans.Plan = strings.Join(stmts, "; ")
+		ans.plan = sqlText(stmts)
 		res, err = t.execSQL(stmts)
 	}
 	if err != nil {
@@ -126,6 +126,12 @@ func (t *TextToSQL) Answer(question string) Answer {
 	ans.Latency = time.Since(start)
 	return ans
 }
+
+// sqlText is the SQL a TextToSQL plan renders to, shown as its plan:
+// one statement per compared item, joined by "; ".
+type sqlText []string
+
+func (s sqlText) String() string { return strings.Join(s, "; ") }
 
 // execSQL runs each statement and unions the results (comparison plans
 // render one statement per compared item).

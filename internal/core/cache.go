@@ -15,8 +15,9 @@ import (
 // inserted after the purge, every fill carries the epoch observed under
 // the Hybrid read lock; put drops the entry when the epoch has moved.
 //
-// Cached Answers share their Evidence slice across callers; callers
-// treat answers as read-only values, which every current caller does.
+// Cached Answers share their Evidence slice and their executed run
+// across callers; callers treat answers as read-only values, which
+// every current caller does, and a run is never edited once executed.
 type answerCache struct {
 	mu       sync.Mutex
 	capacity int

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/entropy"
+	"repro/internal/federate"
 	"repro/internal/retrieval"
 	"repro/internal/semop"
 	"repro/internal/slm"
@@ -32,13 +33,36 @@ import (
 // Answer is a pipeline's response to one question.
 type Answer struct {
 	Text        string               // final answer string ("" when unanswerable)
-	Plan        string               // synthesized operator plan, if any
-	Explain     string               // federated logical→physical EXPLAIN, if executed
 	Evidence    []retrieval.Evidence // supporting context items
 	Uncertainty entropy.Report       // semantic-entropy assessment
 	Latency     time.Duration        // wall-clock answer time
 	Err         error                // non-nil when the pipeline could not answer
+	Executed                         // the plan and federated run behind Text, if any
 }
+
+// Executed is what an answer or a query ran: the plan it shows and the
+// federated run it executed. Both are kept rather than rendered, and
+// Plan and Explain render them on each call. Rendering is deterministic
+// and neither is mutated once run (a cached physical plan is replaced,
+// never edited), so a later rendering is the string an eager one would
+// have been, at any time and from any goroutine.
+type Executed struct {
+	plan fmt.Stringer  // nil when nothing was planned
+	run  *federate.Run // nil when nothing was executed
+}
+
+// Plan renders the plan: a semantic operator pipeline, a logical plan
+// or SQL text, depending on who planned it; "" when none was.
+func (e Executed) Plan() string {
+	if e.plan == nil {
+		return ""
+	}
+	return e.plan.String()
+}
+
+// Explain renders the federated logical → rules → physical EXPLAIN of
+// the run; "" when nothing was executed federated.
+func (e Executed) Explain() string { return federate.Explain(e.run) }
 
 // Answered reports whether the pipeline produced an answer.
 func (a Answer) Answered() bool { return a.Err == nil && a.Text != "" }

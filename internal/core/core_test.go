@@ -60,7 +60,7 @@ func TestHybridAnswersAllClasses(t *testing.T) {
 			continue
 		}
 		if ans.Text != q.Gold {
-			t.Errorf("[%s] %q:\n  got  %q\n  want %q\n  plan %s", q.Class, q.Text, ans.Text, q.Gold, ans.Plan)
+			t.Errorf("[%s] %q:\n  got  %q\n  want %q\n  plan %s", q.Class, q.Text, ans.Text, q.Gold, ans.Plan())
 		}
 		if len(ans.Evidence) == 0 {
 			t.Errorf("[%s] %q has no evidence", q.Class, q.Text)
@@ -77,7 +77,7 @@ func TestHybridHealthcareAnswers(t *testing.T) {
 		if ans.Answered() && ans.Text == q.Gold {
 			correct++
 		} else {
-			t.Logf("[%s] %q: got %q want %q (plan %s)", q.Class, q.Text, ans.Text, q.Gold, ans.Plan)
+			t.Logf("[%s] %q: got %q want %q (plan %s)", q.Class, q.Text, ans.Text, q.Gold, ans.Plan())
 		}
 	}
 	if frac := float64(correct) / float64(len(c.Queries)); frac < 0.9 {
@@ -293,7 +293,7 @@ func TestAnswerPlanVisible(t *testing.T) {
 	c := workload.ECommerce(workload.DefaultECommerceOptions())
 	h := hybridFor(t, c)
 	ans := h.Answer(queriesOf(c, workload.ClassAggregate)[0].Text)
-	if !strings.Contains(ans.Plan, "Scan(") {
-		t.Errorf("plan = %q", ans.Plan)
+	if !strings.Contains(ans.Plan(), "Scan(") {
+		t.Errorf("plan = %q", ans.Plan())
 	}
 }

@@ -103,20 +103,20 @@ func TestExplainGolden(t *testing.T) {
 	for _, shape := range explainShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			ansSeq := seq.Answer(shape.question)
-			if ansSeq.Explain == "" {
-				t.Fatalf("no EXPLAIN produced (plan %q, err %v)", ansSeq.Plan, ansSeq.Err)
+			if ansSeq.Explain() == "" {
+				t.Fatalf("no EXPLAIN produced (plan %q, err %v)", ansSeq.Plan(), ansSeq.Err)
 			}
-			if ansPar := par.Answer(shape.question); ansPar.Explain != ansSeq.Explain {
+			if ansPar := par.Answer(shape.question); ansPar.Explain() != ansSeq.Explain() {
 				t.Errorf("EXPLAIN differs between Workers=1 and Workers=0:\n%s\nvs\n%s",
-					ansSeq.Explain, ansPar.Explain)
+					ansSeq.Explain(), ansPar.Explain())
 			}
 			// Replanning the same question must render identically (plan
 			// cache hit path included).
-			if again := seq.Answer(shape.question); again.Explain != ansSeq.Explain {
+			if again := seq.Answer(shape.question); again.Explain() != ansSeq.Explain() {
 				t.Errorf("EXPLAIN not stable across repeated answers:\n%s\nvs\n%s",
-					ansSeq.Explain, again.Explain)
+					ansSeq.Explain(), again.Explain())
 			}
-			checkGolden(t, shape.name, ansSeq.Explain)
+			checkGolden(t, shape.name, ansSeq.Explain())
 		})
 	}
 }
@@ -134,22 +134,22 @@ func TestExplainGoldenSQL(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query: %v", err)
 			}
-			if resSeq.Explain == "" {
+			if resSeq.Explain() == "" {
 				t.Fatal("no EXPLAIN produced")
 			}
 			resPar, err := par.Query(shape.query)
 			if err != nil {
 				t.Fatalf("parallel query: %v", err)
 			}
-			if resPar.Explain != resSeq.Explain {
+			if resPar.Explain() != resSeq.Explain() {
 				t.Errorf("EXPLAIN differs between Workers=1 and Workers=0:\n%s\nvs\n%s",
-					resSeq.Explain, resPar.Explain)
+					resSeq.Explain(), resPar.Explain())
 			}
-			if again, err := seq.Query(shape.query); err != nil || again.Explain != resSeq.Explain {
+			if again, err := seq.Query(shape.query); err != nil || again.Explain() != resSeq.Explain() {
 				t.Errorf("EXPLAIN not stable across repeated queries (err %v):\n%s\nvs\n%s",
-					err, again.Explain, resSeq.Explain)
+					err, again.Explain(), resSeq.Explain())
 			}
-			checkGolden(t, shape.name, resSeq.Explain)
+			checkGolden(t, shape.name, resSeq.Explain())
 		})
 	}
 }
@@ -165,9 +165,9 @@ func TestExplainBatchMatchesSequential(t *testing.T) {
 	batch := h.AnswerAll(questions, 8)
 	for i, q := range questions {
 		seq := h.Answer(q)
-		if batch[i].Explain != seq.Explain {
+		if batch[i].Explain() != seq.Explain() {
 			t.Errorf("%s: batch EXPLAIN differs from sequential:\n%s\nvs\n%s",
-				q, batch[i].Explain, seq.Explain)
+				q, batch[i].Explain(), seq.Explain())
 		}
 	}
 }

@@ -65,9 +65,9 @@ func TestExplainGoldenResilience(t *testing.T) {
 						workers, got, want.Table.String())
 				}
 				if explain == "" {
-					explain = res.Explain
-				} else if res.Explain != explain {
-					t.Fatalf("EXPLAIN differs across worker counts:\n%s\nvs\n%s", explain, res.Explain)
+					explain = res.Explain()
+				} else if res.Explain() != explain {
+					t.Fatalf("EXPLAIN differs across worker counts:\n%s\nvs\n%s", explain, res.Explain())
 				}
 				if ms := h.Metrics(); len(ms) == 0 {
 					t.Fatalf("workers=%d: no resilience counters recorded", workers)

@@ -472,11 +472,12 @@ func (h *Hybrid) WriteState(gw, cw io.Writer) (graphErr, catalogErr error) {
 }
 
 // QueryResult is the outcome of a SQL-entry query: the result table
-// plus the same logical → rules → physical EXPLAIN the NL path emits.
+// plus what produced it, whose Plan is the optimized logical plan and
+// whose Explain is the same logical → rules → physical EXPLAIN the NL
+// path emits.
 type QueryResult struct {
-	Table   *table.Table
-	Plan    string // optimized logical plan rendering
-	Explain string // federated EXPLAIN with the optimizer rule trace
+	Table *table.Table
+	Executed
 }
 
 // Query executes one SQL SELECT through the unified pipeline: parse →
@@ -513,7 +514,7 @@ func (h *Hybrid) Query(query string) (QueryResult, error) {
 	// compilation: on a cache hit the executor may serve a
 	// fingerprint-equivalent plan warmed by the other entry form, and
 	// Plan must agree with Explain's "logical:" line.
-	return QueryResult{Table: res, Plan: run.Plan.Root.String(), Explain: federate.Explain(run)}, nil
+	return QueryResult{Table: res, Executed: Executed{plan: run.Plan.Root, run: run}}, nil
 }
 
 // Triples exports the graph's cue layer as knowledge facts — the
@@ -568,8 +569,9 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 	start := time.Now()
 	ans := Answer{}
 
-	key := normalizeQuestion(question)
+	var key string
 	if h.cache != nil {
+		key = normalizeQuestion(question)
 		if cached, ok := h.cache.get(key); ok {
 			cached.Latency = time.Since(start)
 			return cached
@@ -578,11 +580,11 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 
 	// The read lock covers every structure a writer mutates: retriever
 	// (centrality prior), graph (traversal), catalog (bind/exec), and the
-	// recognizer's gazetteer, which Retrieve, Parse and DeriveCandidates
-	// all read. The memos readers fill — the retriever's expansions, the
-	// recognizer's per-text words and salient spans — have locks of their
-	// own; only the span memo depends on the gazetteer, so AddVocabulary,
-	// holding the write half, drops it.
+	// recognizer's gazetteer, which tagging the question and
+	// DeriveCandidates read. The memos readers fill — the retriever's
+	// expansions, the recognizer's per-text words and salient spans — have
+	// locks of their own; only the span memo depends on the gazetteer, so
+	// AddVocabulary, holding the write half, drops it.
 	h.mu.RLock()
 	var epoch uint64
 	if h.cache != nil {
@@ -590,10 +592,13 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 		// one the evidence below is computed against.
 		epoch = h.cache.snapshotEpoch()
 	}
-	ans.Evidence = h.retriever.Retrieve(question, h.opts.EvidenceK)
+	// Retrieval anchors on the question's entities and parsing reads
+	// them, so the question is tagged once for both.
+	ents := h.ner.RecognizeShared(question)
+	ans.Evidence = h.retriever.RetrieveTagged(question, ents, h.opts.EvidenceK)
 
 	var conflicts []slm.Candidate
-	q := semop.Parse(question, h.ner)
+	q := semop.ParseTagged(question, ents)
 	statsCat := h.catalog
 	plan, err := semop.Bind(q, h.catalog)
 	if errors.Is(err, semop.ErrNoBinding) {
@@ -606,7 +611,7 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 		}
 	}
 	if err == nil {
-		ans.Plan = plan.String()
+		ans.plan = plan
 		// NL entry onto the shared IR: compile the bound plan, run the
 		// rule passes against the catalog that bound it, execute
 		// federated. The plan cache keys on the canonical IR, so the SQL
@@ -614,7 +619,7 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 		opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(statsCat))
 		res, run, execErr := h.fed.ExecuteIR(opt)
 		if execErr == nil {
-			ans.Explain = federate.Explain(run)
+			ans.run = run
 			text, synthErr := synthesize(plan, q, res)
 			if synthErr == nil {
 				ans.Text = text

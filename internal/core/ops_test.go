@@ -32,7 +32,7 @@ func TestHybridOpsAnswers(t *testing.T) {
 			continue
 		}
 		if ans.Text != q.Gold {
-			t.Errorf("[%s] %q:\n  got  %q\n  want %q\n  plan %s", q.Class, q.Text, ans.Text, q.Gold, ans.Plan)
+			t.Errorf("[%s] %q:\n  got  %q\n  want %q\n  plan %s", q.Class, q.Text, ans.Text, q.Gold, ans.Plan())
 		}
 	}
 }

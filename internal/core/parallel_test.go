@@ -75,8 +75,8 @@ func TestParallelBuildDeterminism(t *testing.T) {
 	}
 	for _, q := range c.Queries {
 		sa, pa := seq.Answer(q.Text), par.Answer(q.Text)
-		if sa.Text != pa.Text || sa.Plan != pa.Plan {
-			t.Errorf("%q: seq (%q, %s) vs par (%q, %s)", q.Text, sa.Text, sa.Plan, pa.Text, pa.Plan)
+		if sa.Text != pa.Text || sa.Plan() != pa.Plan() {
+			t.Errorf("%q: seq (%q, %s) vs par (%q, %s)", q.Text, sa.Text, sa.Plan(), pa.Text, pa.Plan())
 		}
 		if sa.Uncertainty.SemanticH != pa.Uncertainty.SemanticH {
 			t.Errorf("%q: entropy seq %v vs par %v", q.Text, sa.Uncertainty.SemanticH, pa.Uncertainty.SemanticH)
@@ -104,9 +104,9 @@ func TestAnswerAllMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: %d answers, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].Text != want[i].Text || got[i].Plan != want[i].Plan {
+			if got[i].Text != want[i].Text || got[i].Plan() != want[i].Plan() {
 				t.Errorf("workers=%d [%d] %q: got (%q, %s), want (%q, %s)",
-					workers, i, questions[i], got[i].Text, got[i].Plan, want[i].Text, want[i].Plan)
+					workers, i, questions[i], got[i].Text, got[i].Plan(), want[i].Text, want[i].Plan())
 			}
 			if got[i].Uncertainty.SemanticH != want[i].Uncertainty.SemanticH {
 				t.Errorf("workers=%d [%d]: entropy %v, want %v",
@@ -170,7 +170,7 @@ func TestAnswerCache(t *testing.T) {
 	if hits, misses, size := h.CacheStats(); hits != 1 || misses != 1 || size != 1 {
 		t.Errorf("after repeat: hits=%d misses=%d size=%d", hits, misses, size)
 	}
-	if cached.Text != first.Text || cached.Plan != first.Plan ||
+	if cached.Text != first.Text || cached.Plan() != first.Plan() ||
 		cached.Uncertainty.SemanticH != first.Uncertainty.SemanticH {
 		t.Errorf("cached answer diverges: %+v vs %+v", cached.Text, first.Text)
 	}

@@ -166,13 +166,13 @@ func TestExplainRollupGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("query: %v", err)
 					}
-					return res.Explain
+					return res.Explain()
 				}
 				ans := h.Answer(shape.nl)
 				if ans.Err != nil {
 					t.Fatalf("answer: %v", ans.Err)
 				}
-				return ans.Explain
+				return ans.Explain()
 			}
 			got := explain(seq)
 			if !strings.Contains(got, "rollup:   ratings -> ratings_by_product") {
@@ -212,8 +212,8 @@ func TestRollupIngestInvalidatesRoutedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(before.Explain, "rollup:   ratings -> ratings_by_product (exact)") {
-		t.Fatalf("query not routed:\n%s", before.Explain)
+	if !strings.Contains(before.Explain(), "rollup:   ratings -> ratings_by_product (exact)") {
+		t.Fatalf("query not routed:\n%s", before.Explain())
 	}
 	if before.Table.Len() != 1 {
 		t.Fatalf("rows = %d, want 1\n%v", before.Table.Len(), before.Table)
@@ -227,8 +227,8 @@ func TestRollupIngestInvalidatesRoutedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(after.Explain, "rollup:") {
-		t.Fatalf("re-executed query lost routing:\n%s", after.Explain)
+	if !strings.Contains(after.Explain(), "rollup:") {
+		t.Fatalf("re-executed query lost routing:\n%s", after.Explain())
 	}
 	if got := after.Table.Rows[0][2].Int(); got != n0+1 {
 		t.Fatalf("routed result is stale after ingest: count = %d, want %d", got, n0+1)

@@ -246,3 +246,19 @@ func TestRetrieveMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// Retrieve is RetrieveTagged over the recognizer's tags: on the
+// benchmark's corpora, for every generator query, at every k, the
+// evidence of the two entry points is the same.
+func TestRetrieveTaggedMatchesRetrieve(t *testing.T) {
+	for _, name := range []string{"ecommerce", "healthcare"} {
+		c, g, ner := benchCorpus(t, name, 42)
+		r := NewTopology(g, ner, TopologyOptions{})
+		for _, q := range c.Queries {
+			for _, k := range []int{0, 8, -1} {
+				sameEvidence(t, fmt.Sprintf("%s %q k=%d", name, q.Text, k),
+					r.RetrieveTagged(q.Text, ner.Recognize(q.Text), k), r.Retrieve(q.Text, k))
+			}
+		}
+	}
+}

@@ -180,7 +180,14 @@ func (t *Topology) Refresh() {
 // Section III.B. Anchors are summed in id order, which fixes the bits
 // of every total. A query with no anchor falls back to a lexical scan.
 func (t *Topology) Retrieve(query string, k int) []Evidence {
-	anchors := t.anchors(query)
+	return t.RetrieveTagged(query, t.ner.Recognize(query), k)
+}
+
+// RetrieveTagged is Retrieve for a query whose entities the caller has
+// already tagged with t's recognizer, so a caller that reads them too
+// tags the query once.
+func (t *Topology) RetrieveTagged(query string, ents []slm.Entity, k int) []Evidence {
+	anchors := t.anchors(ents)
 	if len(anchors) == 0 {
 		return t.lexicalScan(query, k)
 	}
@@ -315,10 +322,11 @@ func (t *Topology) evidence(top []ranked, k int) []Evidence {
 	return out
 }
 
-// anchors maps query entities to the view's entity nodes, in id order.
-func (t *Topology) anchors(query string) []int {
+// anchors maps a query's entities to the view's entity nodes, in id
+// order.
+func (t *Topology) anchors(ents []slm.Entity) []int {
 	var out []int
-	for _, e := range t.ner.Recognize(query) {
+	for _, e := range ents {
 		if i, ok := t.view.Index(index.EntityNodeID(e.Canonical)); ok && !slices.Contains(out, i) {
 			out = append(out, i)
 		}
@@ -348,7 +356,7 @@ func (t *Topology) lexicalScan(query string, k int) []Evidence {
 // ExplainPath returns a hop-by-hop path from any query anchor to the
 // given evidence node, for answer provenance.
 func (t *Topology) ExplainPath(query, evidenceID string) []string {
-	for _, a := range t.anchors(query) {
+	for _, a := range t.anchors(t.ner.Recognize(query)) {
 		if p := t.g.ShortestPath(t.view.Node(a).ID, evidenceID); p != nil {
 			return p
 		}

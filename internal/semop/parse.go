@@ -113,11 +113,17 @@ var metricWords = []string{
 // unparseable question degrades to IntentLookup with no conditions,
 // which the hybrid pipeline answers through graph retrieval alone.
 func Parse(question string, ner *slm.NER) Query {
-	q := Query{Raw: question, Intent: IntentLookup}
+	return ParseTagged(question, ner.Recognize(question))
+}
+
+// ParseTagged is Parse for a question whose entities the caller has
+// already tagged, so a caller that reads them too tags the question
+// once. The frame keeps ents as its Entities.
+func ParseTagged(question string, ents []slm.Entity) Query {
+	q := Query{Raw: question, Intent: IntentLookup, Entities: ents}
 	// The cues below read the question's first word, so surrounding
 	// space must not hide it.
 	lower := strings.ToLower(strings.TrimSpace(question))
-	q.Entities = ner.Recognize(question)
 
 	// Aggregation cue.
 	for _, t := range aggTriggers {

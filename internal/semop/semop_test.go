@@ -2,11 +2,13 @@ package semop
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/slm"
 	"repro/internal/table"
+	"repro/internal/workload"
 )
 
 func testNER() *slm.NER {
@@ -63,6 +65,23 @@ func TestParseIgnoresSurroundingSpace(t *testing.T) {
 		if got.Intent != want.Intent || len(got.Compare) != len(want.Compare) || got.Metric != want.Metric {
 			t.Errorf("padded %q: intent %v compare %v metric %q, want %v %v %q",
 				question, got.Intent, got.Compare, got.Metric, want.Intent, want.Compare, want.Metric)
+		}
+	}
+}
+
+// Parse is ParseTagged over the recognizer's tags: for every generator
+// question of both corpora the two frames are equal.
+func TestParseTaggedMatchesParse(t *testing.T) {
+	for _, c := range []*workload.Corpus{
+		workload.ECommerce(workload.DefaultECommerceOptions()),
+		workload.Healthcare(workload.DefaultHealthcareOptions()),
+	} {
+		ner := slm.NewNER()
+		c.Register(ner)
+		for _, q := range c.Queries {
+			if got, want := ParseTagged(q.Text, ner.Recognize(q.Text)), Parse(q.Text, ner); !reflect.DeepEqual(got, want) {
+				t.Errorf("%q: ParseTagged %+v, Parse %+v", q.Text, got, want)
+			}
 		}
 	}
 }

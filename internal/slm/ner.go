@@ -132,6 +132,16 @@ func (n *NER) Recognize(text string) []Entity {
 	return ents
 }
 
+// RecognizeShared is Recognize for a text two callers read, such as a
+// question that both retrieval and parsing tag: it tags once and
+// accounts for the call twice, as the two Recognize calls it replaces
+// would have been.
+func (n *NER) RecognizeShared(text string) []Entity {
+	ents, tokens := n.recognize(text)
+	n.cost.Record(OpTag, tokens) // the call the sharing saved
+	return ents
+}
+
 // recognize is Recognize, also returning the call's token count.
 func (n *NER) recognize(text string) ([]Entity, int) {
 	tokens := Tokenize(text)

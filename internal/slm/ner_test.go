@@ -1,6 +1,7 @@
 package slm
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -171,6 +172,24 @@ func TestNERCostAccounting(t *testing.T) {
 	}
 	if cost.tokens[OpTag] == 0 {
 		t.Error("tag tokens = 0")
+	}
+}
+
+// RecognizeShared tags once and is accounted as the two Recognize calls
+// it replaces: the same entities, twice the calls and tokens.
+func TestRecognizeSharedAccountsTwoCalls(t *testing.T) {
+	const text = "Product Alpha sold well in Q2."
+	once, shared := NewCostModel(SLMProfile()), NewCostModel(SLMProfile())
+	a := newTestNER().WithCost(once)
+	want := a.Recognize(text)
+	a.Recognize(text)
+	got := newTestNER().WithCost(shared).RecognizeShared(text)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RecognizeShared = %+v, Recognize %+v", got, want)
+	}
+	if shared.Calls(OpTag) != 2 || shared.tokens[OpTag] != once.tokens[OpTag] {
+		t.Errorf("RecognizeShared accounted %d calls, %d tokens; two Recognize calls %d, %d",
+			shared.Calls(OpTag), shared.tokens[OpTag], once.Calls(OpTag), once.tokens[OpTag])
 	}
 }
 

@@ -238,8 +238,8 @@ func TestLoadIgnoresStoredStatistics(t *testing.T) {
 		if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal[[]string]) {
 			t.Errorf("%s: loaded rows %v, want %v", q, got.Rows, want.Rows)
 		}
-		if got.Plan != want.Plan || got.Explain != want.Explain {
-			t.Errorf("%s: loaded plan and EXPLAIN\n%s\n%s\nwant\n%s\n%s", q, got.Plan, got.Explain, want.Plan, want.Explain)
+		if got.Plan() != want.Plan() || got.Explain() != want.Explain() {
+			t.Errorf("%s: loaded plan and EXPLAIN\n%s\n%s\nwant\n%s\n%s", q, got.Plan(), got.Explain(), want.Plan(), want.Explain())
 		}
 	}
 	for _, q := range []string{
@@ -254,8 +254,8 @@ func TestLoadIgnoresStoredStatistics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		if got.Text != want.Text || got.Plan != want.Plan || got.Explain != want.Explain {
-			t.Errorf("%q: loaded %q\n%s\n%s\nwant %q\n%s\n%s", q, got.Text, got.Plan, got.Explain, want.Text, want.Plan, want.Explain)
+		if got.Text != want.Text || got.Plan() != want.Plan() || got.Explain() != want.Explain() {
+			t.Errorf("%q: loaded %q\n%s\n%s\nwant %q\n%s\n%s", q, got.Text, got.Plan(), got.Explain(), want.Text, want.Plan(), want.Explain())
 		}
 	}
 }

@@ -28,11 +28,11 @@ func TestQuerySQLEntry(t *testing.T) {
 	if len(res.Rows) != 2 || res.Rows[0][1] != "1200" || res.Rows[1][1] != "1500" {
 		t.Errorf("rows = %v", res.Rows)
 	}
-	if !strings.Contains(res.Explain, "rules:") || !strings.Contains(res.Explain, "physical:") {
-		t.Errorf("explain missing sections:\n%s", res.Explain)
+	if !strings.Contains(res.Explain(), "rules:") || !strings.Contains(res.Explain(), "physical:") {
+		t.Errorf("explain missing sections:\n%s", res.Explain())
 	}
-	if !strings.Contains(res.Plan, "Scan(sales") {
-		t.Errorf("plan = %q", res.Plan)
+	if !strings.Contains(res.Plan(), "Scan(sales") {
+		t.Errorf("plan = %q", res.Plan())
 	}
 
 	if _, err := sys.Query("SELECT nope FROM sales"); err == nil {

@@ -66,14 +66,24 @@ type Evidence struct {
 // Answer is the response to one question.
 type Answer struct {
 	Text     string        // the answer ("" when unanswerable)
-	Plan     string        // synthesized operator pipeline, if any
-	Explain  string        // federated EXPLAIN: logical → physical, est vs actual rows
 	Evidence []Evidence    // supporting context
 	Entropy  float64       // semantic entropy of sampled answers
 	Flagged  bool          // true when entropy exceeds the flag threshold
 	Latency  time.Duration // answer wall-clock time
 	Err      error         // per-question failure; Ask also returns it
+
+	executed core.Executed
 }
+
+// Plan renders the synthesized operator pipeline; "" when the question
+// bound to no table.
+func (a Answer) Plan() string { return a.executed.Plan() }
+
+// Explain renders the federated EXPLAIN of the query the answer ran:
+// logical → rules → physical, estimated against actual rows; "" when no
+// query ran. The answer keeps what it ran, not the text, so the text is
+// built only when asked for, and is the same bytes each time.
+func (a Answer) Explain() string { return a.executed.Explain() }
 
 // Sentinel errors.
 var (
@@ -339,9 +349,17 @@ type QueryResult struct {
 	Columns  []string   // result schema, in order
 	Rows     [][]string // rendered cells, row-major
 	Rendered string     // aligned ASCII preview of the result table
-	Plan     string     // optimized logical plan (shared IR rendering)
-	Explain  string     // federated EXPLAIN: logical → rules → physical
+
+	executed core.Executed
 }
+
+// Plan renders the optimized logical plan the query ran (the shared IR
+// rendering).
+func (r QueryResult) Plan() string { return r.executed.Plan() }
+
+// Explain renders the federated EXPLAIN of the query: logical → rules →
+// physical, built only when asked for.
+func (r QueryResult) Explain() string { return r.executed.Explain() }
 
 // Query executes one SQL SELECT statement through the same unified
 // engine that answers natural-language questions: the statement
@@ -361,8 +379,7 @@ func (s *System) Query(query string) (QueryResult, error) {
 	out := QueryResult{
 		Columns:  res.Table.Schema.Names(),
 		Rendered: res.Table.String(),
-		Plan:     res.Plan,
-		Explain:  res.Explain,
+		executed: res.Executed,
 	}
 	for _, row := range res.Table.Rows {
 		cells := make([]string, len(row))
@@ -394,13 +411,12 @@ func (s *System) AskAll(questions []string, parallel int) ([]Answer, error) {
 // fromCore converts an internal answer to the public shape.
 func (s *System) fromCore(raw core.Answer) Answer {
 	ans := Answer{
-		Text:    raw.Text,
-		Plan:    raw.Plan,
-		Explain: raw.Explain,
-		Entropy: raw.Uncertainty.SemanticH,
-		Flagged: raw.Uncertainty.Flagged(s.opts.FlagThreshold),
-		Latency: raw.Latency,
-		Err:     raw.Err,
+		Text:     raw.Text,
+		Entropy:  raw.Uncertainty.SemanticH,
+		Flagged:  raw.Uncertainty.Flagged(s.opts.FlagThreshold),
+		Latency:  raw.Latency,
+		Err:      raw.Err,
+		executed: raw.Executed,
 	}
 	for _, e := range raw.Evidence {
 		ans.Evidence = append(ans.Evidence, Evidence{ID: e.NodeID, Text: e.Text, Score: e.Score, Kind: e.Kind})

@@ -80,7 +80,7 @@ func TestAskStructured(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ans.Text != "1500" {
-		t.Errorf("answer = %q (plan %s)", ans.Text, ans.Plan)
+		t.Errorf("answer = %q (plan %s)", ans.Text, ans.Plan())
 	}
 	if len(ans.Evidence) == 0 {
 		t.Error("no evidence")
@@ -97,7 +97,7 @@ func TestAskCrossModal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ans.Text != "4" {
-		t.Errorf("answer = %q (plan %s)", ans.Text, ans.Plan)
+		t.Errorf("answer = %q (plan %s)", ans.Text, ans.Plan())
 	}
 }
 
@@ -119,7 +119,7 @@ func TestAskHealthcare(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ans.Text != "nausea" {
-		t.Errorf("answer = %q (plan %s)", ans.Text, ans.Plan)
+		t.Errorf("answer = %q (plan %s)", ans.Text, ans.Plan())
 	}
 }
 
@@ -303,10 +303,10 @@ func TestRollupSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ans.Text != "4" {
-		t.Errorf("routed answer = %q, want 4 (plan %s)", ans.Text, ans.Plan)
+		t.Errorf("routed answer = %q, want 4 (plan %s)", ans.Text, ans.Plan())
 	}
-	if !strings.Contains(ans.Explain, "rollup:   ratings -> ratings_by_product") {
-		t.Errorf("EXPLAIN missing rollup routing line:\n%s", ans.Explain)
+	if !strings.Contains(ans.Explain(), "rollup:   ratings -> ratings_by_product") {
+		t.Errorf("EXPLAIN missing rollup routing line:\n%s", ans.Explain())
 	}
 }
 
