@@ -11,7 +11,7 @@
 //	uniquery -dir ./data -vocab vocab.txt -q "..."
 //	uniquery -demo ecommerce -batch questions.txt -parallel 8
 //	uniquery -demo ecommerce -explain -q "..."   # show the federated physical plan
-//	uniquery -demo ecommerce -sql "SELECT product, AVG(stars) AS result FROM ratings GROUP BY product"
+//	uniquery -demo ecommerce -sql 'SELECT product, AVG(stars) AS result FROM ratings GROUP BY product'
 //	uniquery -demo ecommerce -stats sales   # dump stats + fragment zone maps + registered rollups
 //	uniquery -demo ecommerce -rollup "rev=sales:product:SUM(revenue),COUNT()" -rollup-stats rev
 //

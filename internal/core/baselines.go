@@ -86,12 +86,13 @@ func NewTextToSQL(catalog *table.Catalog, ner *slm.NER) *TextToSQL {
 // Name implements Pipeline.
 func (t *TextToSQL) Name() string { return "text_to_sql" }
 
-// Answer implements Pipeline: parse → bind → render SQL → execute the
-// SQL through the internal/sql engine. The answer's Plan is the
-// generated SQL text, so this baseline is a genuine text-to-SQL
-// system, not an in-memory shortcut. Plans with synthesized semi-joins
-// exceed the dialect (no subqueries) and execute through the logical
-// plan directly.
+// Answer implements Pipeline: parse → bind → write SQL (Plan.ToSQL)
+// → execute the SQL through the internal/sql engine. The answer's Plan
+// is the generated SQL text, so this baseline is a genuine text-to-SQL
+// system, not an in-memory shortcut. A plan the dialect cannot write
+// answers with ToSQL's error. Plans with synthesized semi-joins exceed
+// the dialect (no subqueries) and execute through the logical plan
+// directly.
 func (t *TextToSQL) Answer(question string) Answer {
 	start := time.Now()
 	ans := Answer{}
@@ -108,9 +109,11 @@ func (t *TextToSQL) Answer(question string) Answer {
 		ans.plan = plan
 		res, err = semop.Exec(plan, t.catalog)
 	} else {
-		stmts := plan.ToSQL()
-		ans.plan = sqlText(stmts)
-		res, err = t.execSQL(stmts)
+		var stmts []string
+		if stmts, err = plan.ToSQL(); err == nil {
+			ans.plan = sqlText(stmts)
+			res, err = t.execSQL(stmts)
+		}
 	}
 	if err != nil {
 		ans.Err = err

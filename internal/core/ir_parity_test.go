@@ -208,7 +208,10 @@ func TestNLAndSQLShareOnePhysicalPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stmts := plan.ToSQL()
+			stmts, err := plan.ToSQL()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(stmts) != 1 {
 				t.Fatalf("expected one statement, got %v", stmts)
 			}

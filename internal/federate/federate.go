@@ -215,8 +215,9 @@ type Backend interface {
 // estimated per predicate through SelectivityWith (exact value
 // counts, NDV division, histogram interpolation — heuristic fallback
 // for columns without stats), and a linear fixed + per-row cost.
-// Backends with a smarter access path (the memory backend's equality
-// indexes) refine Scanned/Out/Cost on top of it.
+// A backend with a smarter access path (the memory backend, which
+// drives its scan by its most selective equality) refines
+// Scanned/Out/Cost on top of it.
 func estimateFromStats(ts *table.TableStats, total int, preds []table.Pred, fixed, perRow float64) Estimate {
 	return Estimate{
 		Total:   total,

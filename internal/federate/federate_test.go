@@ -3,6 +3,7 @@ package federate
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -311,11 +312,16 @@ func TestSQLBackendParityWithMemory(t *testing.T) {
 			GroupBy: []string{"product"},
 			Aggs:    []table.Agg{{Func: table.AggAvg, Col: "units", As: "result"}}},
 		{Table: "metric_changes", Columns: []string{"product"}},
+		// Float thresholds a 'g'-format writer would put in exponent form.
+		{Table: "sales", Preds: []table.Pred{{Col: "units", Op: table.OpLt, Val: table.F(1e6)}}},
+		{Table: "sales",
+			Preds: []table.Pred{{Col: "units", Op: table.OpGt, Val: table.F(2.5e-7)}},
+			Aggs:  []table.Agg{{Func: table.AggSum, Col: "units"}}},
 	}
 	for i, f := range frags {
 		sr, err := s.Scan(f)
 		if err != nil {
-			t.Fatalf("frag %d: sql scan: %v (stmt %q)", i, err, s.render(f, nil))
+			t.Fatalf("frag %d: sql scan: %v", i, err)
 		}
 		mr, err := m.Scan(f)
 		if err != nil {
@@ -330,11 +336,12 @@ func TestSQLBackendParityWithMemory(t *testing.T) {
 func TestSQLCanPushRejectsUnlexableLiterals(t *testing.T) {
 	s := NewSQL(testCatalog())
 	reject := []table.Pred{
-		{Col: "units", Op: table.OpGt, Val: table.F(1e6)},    // renders "1e+06"
-		{Col: "units", Op: table.OpGt, Val: table.F(2.5e-7)}, // exponent form
-		{Col: "bad col", Op: table.OpEq, Val: table.I(1)},    // non-identifier column
+		{Col: "bad col", Op: table.OpEq, Val: table.I(1)}, // non-identifier column
+		{Col: "count", Op: table.OpGt, Val: table.I(2)},   // keyword column
 		{Col: "product", Op: table.OpEq, Val: table.S("a\nb")},
 		{Col: "units", Op: table.OpEq, Val: table.Null(table.TypeInt)},
+		{Col: "units", Op: table.OpLt, Val: table.F(math.Inf(1))},
+		{Col: "units", Op: table.OpEq, Val: table.F(math.NaN())},
 	}
 	for _, p := range reject {
 		if s.CanPush("sales", p) {
@@ -345,6 +352,8 @@ func TestSQLCanPushRejectsUnlexableLiterals(t *testing.T) {
 		{Col: "units", Op: table.OpGt, Val: table.F(15.5)},
 		{Col: "units", Op: table.OpLt, Val: table.F(-3)},
 		{Col: "product", Op: table.OpContains, Val: table.S("Al'pha")},
+		{Col: "units", Op: table.OpGt, Val: table.F(1e6)},    // writes 1000000.0
+		{Col: "units", Op: table.OpGt, Val: table.F(2.5e-7)}, // writes 0.00000025
 	}
 	for _, p := range accept {
 		if !s.CanPush("sales", p) {
@@ -356,7 +365,7 @@ func TestSQLCanPushRejectsUnlexableLiterals(t *testing.T) {
 	e := New(nil, Options{}, NewSQL(c))
 	p := &semop.Plan{
 		Table: "sales", MetricCol: "units",
-		Filters:   []table.Pred{{Col: "units", Op: table.OpLt, Val: table.F(1e6)}},
+		Filters:   []table.Pred{{Col: "units", Op: table.OpLt, Val: table.F(math.Inf(1))}},
 		LimitRows: 50,
 	}
 	res, run, err := execPlan(e, p, c)
@@ -364,11 +373,49 @@ func TestSQLCanPushRejectsUnlexableLiterals(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Len() != 48 {
-		t.Errorf("rows = %d, want all 48 under the huge threshold", res.Len())
+		t.Errorf("rows = %d, want all 48 under the infinite threshold", res.Len())
 	}
 	if post := drivingResidue(run.Plan.Residual); len(run.Fragments[0].Preds) != 0 || len(post) != 1 {
 		t.Errorf("unpushable predicate not kept federation-side: push=%v post=%v",
 			run.Fragments[0].Preds, post)
+	}
+	want, _, err := execPlan(New(nil, Options{}, NewMemory(c)), p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render(res), render(want); got != want {
+		t.Errorf("sql backend and memory backend disagree:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// A column named by a keyword has no dialect form, so its predicates
+// stay in the residual and an SQL-only executor answers the filter the
+// way the memory backend does.
+func TestSQLBackendKeywordColumn(t *testing.T) {
+	c := table.NewCatalog()
+	tbl := table.New("tally", table.Schema{
+		{Name: "product", Type: table.TypeString},
+		{Name: "count", Type: table.TypeInt},
+	})
+	for i, name := range []string{"Alpha", "Beta", "Gamma", "Delta"} {
+		tbl.MustAppend([]table.Value{table.S(name), table.I(int64(i))})
+	}
+	c.Put(tbl)
+	p := &semop.Plan{
+		Table:     "tally",
+		Filters:   []table.Pred{{Col: "count", Op: table.OpGt, Val: table.I(2)}},
+		LimitRows: 50,
+	}
+	got, _, err := execPlan(New(nil, Options{}, NewSQL(c)), p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := execPlan(New(nil, Options{}, NewMemory(c)), p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(got) != render(want) || got.Len() != 1 {
+		t.Errorf("sql backend:\n%s\nmemory backend:\n%s", render(got), render(want))
 	}
 }
 

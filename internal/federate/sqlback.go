@@ -2,18 +2,19 @@ package federate
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/sql"
 	"repro/internal/table"
 )
 
 // SQL drives internal/sql's parser and executor: every fragment is
-// rendered to a SELECT statement in the engine's dialect, parsed, and
+// built as a sql.Stmt, written to text by sql.Format, parsed back and
 // executed against the backing catalog. The fragment crosses the
 // backend boundary as text, not as Go structures — the shape a
 // federated external SQL store requires — which makes this backend the
-// template for wiring real databases behind the planner.
+// template for wiring real databases behind the planner. It never
+// writes dialect text itself: what it can push is exactly what
+// sql.Format can write.
 type SQL struct {
 	catalog *table.Catalog
 }
@@ -42,82 +43,25 @@ func (s *SQL) Tables() []string { return s.catalog.Names() }
 // and grouped aggregates.
 func (s *SQL) Caps() Caps { return CapFilter | CapProject | CapAggregate }
 
-// sqlIdent reports whether name lexes as a plain identifier in the
-// dialect, so pushdown never produces an unparseable statement.
-func sqlIdent(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// CanPush implements Backend: the predicate must survive a text
-// round-trip — identifier column, single-line literal, and a numeric
-// rendering the dialect's lexer can re-parse (large/small floats
-// render in exponent notation, which it cannot).
-func (s *SQL) CanPush(_ string, p table.Pred) bool {
-	if !sqlIdent(p.Col) || p.Val.IsNull() {
-		return false
-	}
-	v := p.Val.String()
-	if p.Val.IsNumeric() {
-		return plainNumber(v)
-	}
-	return !strings.ContainsAny(v, "\n\r")
-}
+// CanPush implements Backend: the predicate must survive the text
+// round-trip, so it is pushed exactly when sql.Format can write it (a
+// column reference that is not a keyword, a finite or non-float
+// literal, a single-line string). The rest stays in the residual.
+func (s *SQL) CanPush(_ string, p table.Pred) bool { return sql.CanWritePred(p) }
 
 // CanPushAgg implements AggPushable: the aggregate must survive the
-// text round-trip, which restricts it to the functions the dialect
-// parses (COUNT/SUM/AVG/MIN/MAX — not the routing pass's COUNT_MERGE)
-// over identifier columns.
-func (s *SQL) CanPushAgg(a table.Agg) bool {
-	switch a.Func {
-	case table.AggSum, table.AggAvg, table.AggCount, table.AggMin, table.AggMax:
-	default:
-		return false
-	}
-	return a.Col == "" || sqlIdent(a.Col)
-}
-
-// plainNumber reports whether s is a bare decimal literal
-// (-?digits[.digits]) — the only numeric shape the dialect lexes.
-// Exponent forms ("1e+06"), NaN and ±Inf are rejected.
-func plainNumber(s string) bool {
-	if strings.HasPrefix(s, "-") {
-		s = s[1:]
-	}
-	if s == "" {
-		return false
-	}
-	dot := false
-	for i, r := range s {
-		switch {
-		case r >= '0' && r <= '9':
-		case r == '.' && !dot && i > 0 && i < len(s)-1:
-			dot = true
-		default:
-			return false
-		}
-	}
-	return true
-}
+// text round-trip (sql.CanWriteAgg), which restricts it to the five
+// dialect functions — not the routing pass's COUNT_MERGE — over "*" or
+// a column that is not a keyword.
+func (s *SQL) CanPushAgg(a table.Agg) bool { return sql.CanWriteAgg(a) }
 
 // Estimate implements Backend: every scan reads the whole table; the
-// shared catalog statistics estimate the output.
+// shared catalog statistics estimate the output. A table whose name
+// the dialect cannot write (sql.CanWriteName) is not served, so routing
+// and failover never pick this backend for a scan it cannot express.
 func (s *SQL) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
 	t, err := s.catalog.Get(tbl)
-	if err != nil {
+	if err != nil || !sql.CanWriteName(tbl) {
 		return Estimate{}, false
 	}
 	return estimateFromStats(s.catalog.StatsOf(tbl), t.Len(), preds, sqlFixed, sqlPerRow), true
@@ -126,58 +70,7 @@ func (s *SQL) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
 // Zones implements ZoneMapped: the catalog's per-fragment zone maps.
 func (s *SQL) Zones(tbl string) *table.Zones { return s.catalog.ZonesOf(tbl) }
 
-// render lowers the fragment to one SELECT, optionally restricted to a
-// physical row range via the dialect's ROWS a TO b clause — the text
-// form a fragment-ranged scan crosses the backend boundary in.
-func (s *SQL) render(f Fragment, r *table.RowRange) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	switch {
-	case len(f.Aggs) > 0:
-		parts := append([]string(nil), f.GroupBy...)
-		for _, a := range f.Aggs {
-			col := a.Col
-			if col == "" {
-				col = "*"
-			}
-			as := a.As
-			if as == "" {
-				as = strings.ToLower(a.Func.String()) + "_" + a.Col
-			}
-			parts = append(parts, fmt.Sprintf("%s(%s) AS %s", a.Func, col, as))
-		}
-		b.WriteString(strings.Join(parts, ", "))
-	case len(f.Columns) > 0:
-		b.WriteString(strings.Join(f.Columns, ", "))
-	default:
-		b.WriteString("*")
-	}
-	fmt.Fprintf(&b, " FROM %s", f.Table)
-	if r != nil {
-		fmt.Fprintf(&b, " ROWS %d TO %d", r.Start, r.End)
-	}
-	if len(f.Preds) > 0 {
-		wheres := make([]string, len(f.Preds))
-		for i, p := range f.Preds {
-			wheres[i] = renderPred(p)
-		}
-		b.WriteString(" WHERE " + strings.Join(wheres, " AND "))
-	}
-	if len(f.Aggs) > 0 && len(f.GroupBy) > 0 {
-		b.WriteString(" GROUP BY " + strings.Join(f.GroupBy, ", "))
-	}
-	return b.String()
-}
-
-func renderPred(p table.Pred) string {
-	val := p.Val.String()
-	if !p.Val.IsNumeric() && p.Val.Kind() != table.TypeBool {
-		val = "'" + strings.ReplaceAll(val, "'", "''") + "'"
-	}
-	return fmt.Sprintf("%s %s %s", p.Col, p.Op, val)
-}
-
-// Scan implements Backend: render, parse, execute. The statement
+// Scan implements Backend: write, parse, execute. The statement
 // executes over the same table engine the memory backend uses, so a
 // fragment routed here returns identical rows in identical order.
 //
@@ -218,9 +111,25 @@ func (s *SQL) Scan(f Fragment) (Result, error) {
 	return res, nil
 }
 
-// exec round-trips one statement through the dialect as text.
+// exec writes the fragment as one SELECT, optionally restricted to a
+// physical row range via the dialect's ROWS a TO b clause, and
+// round-trips it through the dialect as text. A fragment the dialect
+// cannot write that no capability check keeps from this backend — a
+// projection of a keyword-named column — fails here with
+// sql.ErrUnsupported, and failover takes the scan elsewhere.
 func (s *SQL) exec(f Fragment, r *table.RowRange) (*table.Table, error) {
-	out, err := sql.Exec(s.catalog, s.render(f, r))
+	stmt := &sql.Stmt{From: f.Table, Wheres: f.Preds, Items: sql.Items(f.Columns, nil)}
+	if len(f.Aggs) > 0 {
+		stmt.Items, stmt.GroupBy = sql.Items(f.GroupBy, f.Aggs), f.GroupBy
+	}
+	if r != nil {
+		stmt.RowStart, stmt.RowEnd = r.Start, r.End
+	}
+	text, err := sql.Format(stmt)
+	if err != nil {
+		return nil, fmt.Errorf("federate: sql backend: %w", err)
+	}
+	out, err := sql.Exec(s.catalog, text)
 	if err != nil {
 		return nil, fmt.Errorf("federate: sql backend: %w", err)
 	}

@@ -174,22 +174,13 @@ func rollupFilterCovered(filter *Node, def table.RollupDef) bool {
 	return PredsCovered(filter.Preds, def.GroupBy)
 }
 
-// aggOutName is the output column name an aggregate produces, mirroring
-// table.AggregateSchema's default-naming rule.
-func aggOutName(a table.Agg) string {
-	if a.As != "" {
-		return a.As
-	}
-	return strings.ToLower(a.Func.String()) + "_" + a.Col
-}
-
 // findRollupAgg returns the rollup's materialized column name for an
 // aggregate with the given function and source column, or false when
 // the rollup does not materialize it.
 func findRollupAgg(def table.RollupDef, fn table.AggFunc, col string) (string, bool) {
 	for _, ra := range def.Aggs {
 		if ra.Func == fn && strings.EqualFold(ra.Col, col) {
-			return aggOutName(ra), true
+			return ra.OutName(), true
 		}
 	}
 	return "", false
@@ -220,7 +211,7 @@ func tryExactRollup(c RollupCandidate) *Node {
 			return nil
 		}
 		proj = append(proj, rcol)
-		aliases = append(aliases, aggOutName(a))
+		aliases = append(aliases, a.OutName())
 	}
 	return &Node{Op: OpProject, Proj: proj, Aliases: aliases, In: []*Node{rollupInput(c)}}
 }
@@ -260,7 +251,7 @@ func tryPinnedRollup(c RollupCandidate) *Node {
 			return nil
 		}
 		proj = append(proj, rcol)
-		aliases = append(aliases, aggOutName(a))
+		aliases = append(aliases, a.OutName())
 	}
 	return &Node{Op: OpProject, Proj: proj, Aliases: aliases, In: []*Node{rollupInput(c)}}
 }
@@ -295,7 +286,7 @@ func tryCoarseRollup(c RollupCandidate) *Node {
 		if !found {
 			return nil
 		}
-		out := table.Agg{Col: rcol, As: aggOutName(a)}
+		out := table.Agg{Col: rcol, As: a.OutName()}
 		switch a.Func {
 		case table.AggCount:
 			out.Func = table.AggCountMerge

@@ -1,21 +1,23 @@
 package semop
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/logical"
-	"repro/internal/table"
+	"repro/internal/sql"
 )
 
-// ToSQL renders the bound plan as a statement in the dialect of
+// ToSQL writes the bound plan as statements in the dialect of
 // internal/sql, making Semantic Operator Synthesis a genuine
-// text→SQL→execution pipeline. Comparison plans render one statement
+// text→SQL→execution pipeline. Comparison plans write one statement
 // per compared item (the dialect has no OR); callers union results.
 // The per-item lowering comes from logical.CompareBranches — the same
 // compare-to-grouped-filter rewrite the IR optimizer and executor use
-// — so the text→SQL pipeline and the optimizer cannot drift.
-func (p *Plan) ToSQL() []string {
+// — so the text→SQL pipeline and the optimizer cannot drift. A plan
+// the dialect cannot write (sql.Format's rules) returns an error
+// wrapping sql.ErrUnsupported.
+func (p *Plan) ToSQL() ([]string, error) {
+	plans := []Plan{*p}
 	if len(p.Comparison) > 0 && p.CompareCol != "" {
 		node := &logical.Node{Op: logical.OpCompare,
 			CompareCol: p.CompareCol,
@@ -23,84 +25,44 @@ func (p *Plan) ToSQL() []string {
 			Preds:      p.Filters,
 			Aggs:       p.Aggs,
 		}
-		branches := logical.CompareBranches(node)
-		out := make([]string, 0, len(branches))
-		for _, br := range branches {
+		plans = plans[:0]
+		for _, br := range logical.CompareBranches(node) {
 			sub := *p
 			sub.Comparison = nil
 			sub.GroupBy = br.GroupBy
 			sub.Filters = br.Preds
-			out = append(out, sub.renderOne())
+			plans = append(plans, sub)
 		}
-		return out
 	}
-	return []string{p.renderOne()}
+	out := make([]string, len(plans))
+	for i := range plans {
+		s, err := sql.Format(plans[i].stmt())
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
 }
 
-func (p *Plan) renderOne() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	switch {
-	case len(p.Aggs) > 0:
-		parts := make([]string, 0, len(p.GroupBy)+len(p.Aggs))
-		parts = append(parts, p.GroupBy...)
-		for _, a := range p.Aggs {
-			col := a.Col
-			if col == "" {
-				col = "*"
-			}
-			as := a.As
-			if as == "" {
-				as = strings.ToLower(a.Func.String()) + "_" + a.Col
-			}
-			parts = append(parts, fmt.Sprintf("%s(%s) AS %s", a.Func, col, as))
-		}
-		b.WriteString(strings.Join(parts, ", "))
-	case len(p.Columns) > 0:
-		b.WriteString(strings.Join(p.Columns, ", "))
-	default:
-		b.WriteString("*")
+// stmt is the plan as one SELECT: the filters and join filters as one
+// conjunction, GROUP BY only under aggregates.
+func (p *Plan) stmt() *sql.Stmt {
+	s := &sql.Stmt{From: p.Table,
+		Wheres:  slices.Concat(p.Filters, p.JoinFilters),
+		OrderBy: p.OrderBy,
+		Limit:   p.LimitRows,
 	}
-	fmt.Fprintf(&b, " FROM %s", p.Table)
+	if len(p.Aggs) > 0 {
+		s.Items = sql.Items(p.GroupBy, p.Aggs)
+		s.GroupBy = p.GroupBy
+	} else {
+		s.Items = sql.Items(p.Columns, nil)
+	}
 	if p.JoinTable != "" {
-		fmt.Fprintf(&b, " JOIN %s ON %s.%s = %s.%s",
-			p.JoinTable, p.Table, p.JoinLeftCol, p.JoinTable, p.JoinRightCol)
+		s.Join = &sql.JoinClause{Table: p.JoinTable,
+			LeftCol:  p.Table + "." + p.JoinLeftCol,
+			RightCol: p.JoinTable + "." + p.JoinRightCol}
 	}
-	wheres := make([]string, 0, len(p.Filters)+len(p.JoinFilters))
-	for _, f := range p.Filters {
-		wheres = append(wheres, renderPred(f))
-	}
-	for _, f := range p.JoinFilters {
-		wheres = append(wheres, renderPred(f))
-	}
-	if len(wheres) > 0 {
-		b.WriteString(" WHERE " + strings.Join(wheres, " AND "))
-	}
-	if len(p.GroupBy) > 0 && len(p.Aggs) > 0 {
-		b.WriteString(" GROUP BY " + strings.Join(p.GroupBy, ", "))
-	}
-	for i, k := range p.OrderBy {
-		if i == 0 {
-			b.WriteString(" ORDER BY ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(k.Col)
-		if k.Desc {
-			b.WriteString(" DESC")
-		}
-	}
-	if p.LimitRows > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", p.LimitRows)
-	}
-	return b.String()
-}
-
-func renderPred(f table.Pred) string {
-	val := f.Val.String()
-	if !f.Val.IsNumeric() && !f.Val.IsNull() && f.Val.Kind() != table.TypeBool {
-		val = "'" + strings.ReplaceAll(val, "'", "''") + "'"
-	}
-	op := f.Op.String()
-	return fmt.Sprintf("%s %s %s", f.Col, op, val)
+	return s
 }

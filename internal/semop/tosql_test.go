@@ -10,32 +10,55 @@ import (
 
 func TestToSQLAggregate(t *testing.T) {
 	c := testCatalog()
-	q := Parse("Find the total sales of all products in Q3", testNER())
-	p, err := Bind(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stmts := p.ToSQL()
-	if len(stmts) != 1 {
-		t.Fatalf("stmts = %v", stmts)
-	}
-	s := stmts[0]
-	for _, want := range []string{"SELECT", "SUM(units)", "FROM product_sales", "WHERE quarter = 'Q3'"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("sql %q missing %q", s, want)
+	bind := func(question string) *Plan {
+		p, err := Bind(Parse(question, testNER()), c)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return p
 	}
-	// The rendered SQL must actually execute and agree with the plan.
-	res, err := sql.Exec(c, s)
-	if err != nil {
-		t.Fatalf("exec %q: %v", s, err)
+	cases := []struct {
+		plan *Plan
+		want []string
+	}{
+		{bind("Find the total sales of all products in Q3"),
+			[]string{"SELECT", "SUM(units)", "FROM product_sales", "WHERE quarter = 'Q3'"}},
+		// Thresholds a 'g'-format float would write in exponent form,
+		// which the dialect's lexer does not read.
+		{bind("Find the total sales of all products with units under 2000000"),
+			[]string{"SUM(units)", "units < 2000000"}},
+		{&Plan{Table: "product_sales", MetricCol: "units",
+			Filters: []table.Pred{{Col: "units", Op: table.OpGt, Val: table.F(2.5e-7)}},
+			Aggs:    []table.Agg{{Func: table.AggSum, Col: "units", As: "result"}}},
+			[]string{"units > 0.00000025"}},
 	}
-	direct, err := Exec(p, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != direct.Len() || table.Compare(res.Rows[0][0], direct.Rows[0][0]) != 0 {
-		t.Errorf("sql path %v != plan path %v", res.Rows[0], direct.Rows[0])
+	for _, tc := range cases {
+		p := tc.plan
+		stmts, err := p.ToSQL()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stmts) != 1 {
+			t.Fatalf("stmts = %v", stmts)
+		}
+		s := stmts[0]
+		for _, want := range tc.want {
+			if !strings.Contains(s, want) {
+				t.Errorf("sql %q missing %q", s, want)
+			}
+		}
+		// The rendered SQL must actually execute and agree with the plan.
+		res, err := sql.Exec(c, s)
+		if err != nil {
+			t.Fatalf("exec %q: %v", s, err)
+		}
+		direct, err := Exec(p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != direct.Len() || table.Compare(res.Rows[0][0], direct.Rows[0][0]) != 0 {
+			t.Errorf("sql path %v != plan path %v", res.Rows[0], direct.Rows[0])
+		}
 	}
 }
 
@@ -46,7 +69,10 @@ func TestToSQLCompareRendersPerItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmts := p.ToSQL()
+	stmts, err := p.ToSQL()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(stmts) != 2 {
 		t.Fatalf("stmts = %v", stmts)
 	}
@@ -68,7 +94,11 @@ func TestToSQLLookupAndList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := p.ToSQL()[0]
+	stmts, err := p.ToSQL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stmts[0]
 	if !strings.Contains(s, "LIMIT 50") {
 		t.Errorf("sql = %q", s)
 	}
@@ -82,7 +112,11 @@ func TestToSQLEscapesQuotes(t *testing.T) {
 		Table:   "t",
 		Filters: []table.Pred{{Col: "name", Op: table.OpEq, Val: table.S("O'Brien")}},
 	}
-	s := p.ToSQL()[0]
+	stmts, err := p.ToSQL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stmts[0]
 	if !strings.Contains(s, "'O''Brien'") {
 		t.Errorf("sql = %q", s)
 	}
@@ -95,7 +129,11 @@ func TestToSQLJoinRendered(t *testing.T) {
 		JoinFilters: []table.Pred{{Col: "change_pct", Op: table.OpGt, Val: table.F(15)}},
 		Aggs:        []table.Agg{{Func: table.AggAvg, Col: "stars", As: "result"}},
 	}
-	s := p.ToSQL()[0]
+	stmts, err := p.ToSQL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stmts[0]
 	for _, want := range []string{"JOIN metric_changes ON ratings.product = metric_changes.product", "change_pct > 15"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("sql %q missing %q", s, want)

@@ -19,24 +19,7 @@ import (
 // CI runs this as a short -fuzztime smoke; the seed corpus covers
 // every production the parser knows.
 func FuzzParseCompileExec(f *testing.F) {
-	seeds := []string{
-		"SELECT * FROM sales",
-		"SELECT product, revenue AS rev FROM sales WHERE revenue > 90 ORDER BY rev DESC LIMIT 2",
-		"SELECT SUM(units) AS result FROM sales WHERE product = 'Alpha' AND quarter = 'Q2'",
-		"SELECT product, AVG(revenue) FROM sales GROUP BY product ORDER BY product",
-		"SELECT DISTINCT quarter FROM sales",
-		"SELECT COUNT(*) FROM sales JOIN products ON sales.product = products.product WHERE maker = 'Acme'",
-		"SELECT products.product, SUM(revenue) AS r FROM sales JOIN products ON sales.product = products.product GROUP BY products.product",
-		"SELECT maker FROM products WHERE product CONTAINS 'alp'",
-		"SELECT revenue FROM sales WHERE revenue = '120'",
-		"SELECT units FROM sales WHERE units >= 10 AND units <= 12;",
-		"SELECT nope FROM sales",
-		"SELECT * FROM missing_table",
-		"SELECT product FROM sales GROUP BY product",
-		"SELECT FROM WHERE",
-		"",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 
@@ -81,4 +64,24 @@ func FuzzParseCompileExec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// parseSeeds is the SQL fuzz targets' shared corpus: every production
+// the parser knows, and inputs it rejects.
+var parseSeeds = []string{
+	"SELECT * FROM sales",
+	"SELECT product, revenue AS rev FROM sales WHERE revenue > 90 ORDER BY rev DESC LIMIT 2",
+	"SELECT SUM(units) AS result FROM sales WHERE product = 'Alpha' AND quarter = 'Q2'",
+	"SELECT product, AVG(revenue) FROM sales GROUP BY product ORDER BY product",
+	"SELECT DISTINCT quarter FROM sales",
+	"SELECT COUNT(*) FROM sales JOIN products ON sales.product = products.product WHERE maker = 'Acme'",
+	"SELECT products.product, SUM(revenue) AS r FROM sales JOIN products ON sales.product = products.product GROUP BY products.product",
+	"SELECT maker FROM products WHERE product CONTAINS 'alp'",
+	"SELECT revenue FROM sales WHERE revenue = '120'",
+	"SELECT units FROM sales WHERE units >= 10 AND units <= 12;",
+	"SELECT nope FROM sales",
+	"SELECT * FROM missing_table",
+	"SELECT product FROM sales GROUP BY product",
+	"SELECT FROM WHERE",
+	"",
 }

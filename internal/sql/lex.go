@@ -8,11 +8,13 @@
 //	[ORDER BY col [DESC], ...]
 //	[LIMIT n]
 //
-// The dialect is the target language of Semantic Operator Synthesis:
-// semop plans render to SQL (Plan.ToSQL in internal/semop) and this
-// package parses and executes that SQL against a table.Catalog, so the
-// Text-to-SQL baseline is a genuine text→SQL→execution pipeline rather
-// than an in-memory shortcut.
+// The dialect is the target language of Semantic Operator Synthesis
+// and the text the federated SQL backend ships its fragments in. This
+// package owns it both ways: Parse reads it, Format writes it, and
+// nothing else in the module writes dialect text. Semop plans build a
+// Stmt and Format it (Plan.ToSQL in internal/semop), so the Text-to-SQL
+// baseline is a genuine text→SQL→execution pipeline rather than an
+// in-memory shortcut.
 package sql
 
 import (
@@ -93,9 +95,8 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			text := input[start:i]
-			upper := strings.ToUpper(text)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, pos: start})
+			if isKeyword(text) {
+				toks = append(toks, token{kind: tokKeyword, text: strings.ToUpper(text), pos: start})
 			} else {
 				toks = append(toks, token{kind: tokIdent, text: text, pos: start})
 			}
@@ -123,4 +124,21 @@ func isIdentStart(c byte) bool {
 
 func isIdentPart(c byte) bool {
 	return isIdentStart(c) || c >= '0' && c <= '9'
+}
+
+// isKeyword reports whether ident is a reserved word, in any case,
+// without allocating: Format's checks run on every plan miss.
+func isKeyword(ident string) bool {
+	var buf [8]byte // DISTINCT and CONTAINS, the longest keywords
+	if len(ident) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(ident); i++ {
+		c := ident[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(ident)])]
 }

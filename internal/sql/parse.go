@@ -31,17 +31,10 @@ type JoinClause struct {
 }
 
 // Where is one conjunct of the WHERE clause.
-type Where struct {
-	Col string
-	Op  table.CmpOp
-	Val table.Value
-}
+type Where = table.Pred
 
 // OrderKey is one ORDER BY key.
-type OrderKey struct {
-	Col  string
-	Desc bool
-}
+type OrderKey = table.SortKey
 
 // Stmt is a parsed SELECT statement.
 type Stmt struct {
@@ -64,6 +57,7 @@ type parser struct {
 	toks []token
 	pos  int
 	src  string
+	err  error // the first syntax error; once set, nothing more is consumed
 }
 
 // Parse parses one SELECT statement.
@@ -73,16 +67,13 @@ func Parse(input string) (*Stmt, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks, src: input}
-	stmt, err := p.selectStmt()
-	if err != nil {
-		return nil, err
-	}
-	// Optional trailing semicolon.
-	if p.cur().kind == tokSymbol && p.cur().text == ";" {
-		p.pos++
-	}
+	stmt := p.selectStmt()
+	p.symbol(";") // optional trailing semicolon
 	if p.cur().kind != tokEOF {
-		return nil, p.errf("trailing input %q", p.cur().text)
+		p.fail("trailing input %q", p.cur().text)
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	return stmt, nil
 }
@@ -90,172 +81,105 @@ func Parse(input string) (*Stmt, error) {
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 
-func (p *parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("%w: %s (byte %d of %q)", ErrSyntax, fmt.Sprintf(format, args...), p.cur().pos, p.src)
+// fail records a syntax error at the current token unless one is
+// already recorded.
+func (p *parser) fail(format string, args ...interface{}) {
+	if p.err == nil {
+		p.err = fmt.Errorf("%w: %s (byte %d of %q)", ErrSyntax, fmt.Sprintf(format, args...), p.cur().pos, p.src)
+	}
 }
 
-func (p *parser) expectKeyword(kw string) error {
-	if p.cur().kind == tokKeyword && p.cur().text == kw {
+// accept consumes the next token when it is the keyword or symbol text.
+func (p *parser) accept(kind tokKind, text string) bool {
+	if p.err == nil && p.cur().kind == kind && p.cur().text == text {
 		p.pos++
-		return nil
+		return true
 	}
-	return p.errf("expected %s, got %q", kw, p.cur().text)
+	return false
 }
 
-func (p *parser) expectSymbol(s string) error {
-	if p.cur().kind == tokSymbol && p.cur().text == s {
-		p.pos++
-		return nil
+func (p *parser) keyword(kw string) bool { return p.accept(tokKeyword, kw) }
+func (p *parser) symbol(s string) bool   { return p.accept(tokSymbol, s) }
+
+func (p *parser) expectKeyword(kw string) {
+	if !p.keyword(kw) {
+		p.fail("expected %s, got %q", kw, p.cur().text)
 	}
-	return p.errf("expected %q, got %q", s, p.cur().text)
 }
 
-func (p *parser) selectStmt() (*Stmt, error) {
-	if err := p.expectKeyword("SELECT"); err != nil {
-		return nil, err
+func (p *parser) expectSymbol(s string) {
+	if !p.symbol(s) {
+		p.fail("expected %q, got %q", s, p.cur().text)
 	}
-	stmt := &Stmt{}
-	if p.cur().kind == tokKeyword && p.cur().text == "DISTINCT" {
-		stmt.Distinct = true
-		p.pos++
-	}
-	for {
-		item, err := p.selectItem()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Items = append(stmt.Items, item)
-		if p.cur().kind == tokSymbol && p.cur().text == "," {
-			p.pos++
-			continue
-		}
-		break
-	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	from, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	stmt.From = from
-
-	if p.cur().kind == tokKeyword && p.cur().text == "ROWS" {
-		p.pos++
-		start, err := p.rowBound()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("TO"); err != nil {
-			return nil, err
-		}
-		end, err := p.rowBound()
-		if err != nil {
-			return nil, err
-		}
-		if end <= start {
-			return nil, p.errf("empty ROWS range %d TO %d", start, end)
-		}
-		stmt.RowStart, stmt.RowEnd = start, end
-	}
-
-	if p.cur().kind == tokKeyword && (p.cur().text == "JOIN" || p.cur().text == "INNER") {
-		if p.cur().text == "INNER" {
-			p.pos++
-		}
-		if err := p.expectKeyword("JOIN"); err != nil {
-			return nil, err
-		}
-		join, err := p.joinClause()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Join = join
-	}
-
-	if p.cur().kind == tokKeyword && p.cur().text == "WHERE" {
-		p.pos++
-		for {
-			w, err := p.whereClause()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Wheres = append(stmt.Wheres, w)
-			if p.cur().kind == tokKeyword && p.cur().text == "AND" {
-				p.pos++
-				continue
-			}
-			break
-		}
-	}
-
-	if p.cur().kind == tokKeyword && p.cur().text == "GROUP" {
-		p.pos++
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			col, err := p.columnRef()
-			if err != nil {
-				return nil, err
-			}
-			stmt.GroupBy = append(stmt.GroupBy, col)
-			if p.cur().kind == tokSymbol && p.cur().text == "," {
-				p.pos++
-				continue
-			}
-			break
-		}
-	}
-
-	if p.cur().kind == tokKeyword && p.cur().text == "ORDER" {
-		p.pos++
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			col, err := p.columnRef()
-			if err != nil {
-				return nil, err
-			}
-			key := OrderKey{Col: col}
-			if p.cur().kind == tokKeyword && (p.cur().text == "DESC" || p.cur().text == "ASC") {
-				key.Desc = p.cur().text == "DESC"
-				p.pos++
-			}
-			stmt.OrderBy = append(stmt.OrderBy, key)
-			if p.cur().kind == tokSymbol && p.cur().text == "," {
-				p.pos++
-				continue
-			}
-			break
-		}
-	}
-
-	if p.cur().kind == tokKeyword && p.cur().text == "LIMIT" {
-		p.pos++
-		if p.cur().kind != tokNumber {
-			return nil, p.errf("expected LIMIT count")
-		}
-		n, err := strconv.Atoi(p.next().text)
-		if err != nil || n < 0 {
-			return nil, p.errf("bad LIMIT count")
-		}
-		stmt.Limit = n
-	}
-	return stmt, nil
 }
 
-// rowBound parses one non-negative integer bound of a ROWS clause.
-func (p *parser) rowBound() (int, error) {
-	if p.cur().kind != tokNumber {
-		return 0, p.errf("expected ROWS bound, got %q", p.cur().text)
+// list parses one or more items separated by the token (kind, sep).
+func list[T any](p *parser, kind tokKind, sep string, item func() T) []T {
+	out := []T{item()}
+	for p.accept(kind, sep) {
+		out = append(out, item())
+	}
+	return out
+}
+
+func (p *parser) selectStmt() *Stmt {
+	p.expectKeyword("SELECT")
+	stmt := &Stmt{Distinct: p.keyword("DISTINCT")}
+	stmt.Items = list(p, tokSymbol, ",", p.selectItem)
+	p.expectKeyword("FROM")
+	stmt.From = p.ident()
+	if p.keyword("ROWS") {
+		stmt.RowStart = p.count("ROWS bound")
+		p.expectKeyword("TO")
+		stmt.RowEnd = p.count("ROWS bound")
+		if stmt.RowEnd <= stmt.RowStart {
+			p.fail("empty ROWS range %d TO %d", stmt.RowStart, stmt.RowEnd)
+		}
+	}
+	if p.keyword("INNER") || p.cur().kind == tokKeyword && p.cur().text == "JOIN" {
+		p.expectKeyword("JOIN")
+		stmt.Join = &JoinClause{Table: p.ident()}
+		p.expectKeyword("ON")
+		stmt.Join.LeftCol = p.columnRef()
+		p.expectSymbol("=")
+		stmt.Join.RightCol = p.columnRef()
+	}
+	if p.keyword("WHERE") {
+		stmt.Wheres = list(p, tokKeyword, "AND", p.whereClause)
+	}
+	if p.keyword("GROUP") {
+		p.expectKeyword("BY")
+		stmt.GroupBy = list(p, tokSymbol, ",", p.columnRef)
+	}
+	if p.keyword("ORDER") {
+		p.expectKeyword("BY")
+		stmt.OrderBy = list(p, tokSymbol, ",", p.orderKey)
+	}
+	if p.keyword("LIMIT") {
+		stmt.Limit = p.count("LIMIT count")
+	}
+	return stmt
+}
+
+func (p *parser) orderKey() OrderKey {
+	key := OrderKey{Col: p.columnRef(), Desc: p.keyword("DESC")}
+	if !key.Desc {
+		p.keyword("ASC")
+	}
+	return key
+}
+
+// count parses a non-negative integer: a ROWS bound or the LIMIT count.
+func (p *parser) count(what string) int {
+	if p.err != nil || p.cur().kind != tokNumber {
+		p.fail("expected %s, got %q", what, p.cur().text)
+		return 0
 	}
 	n, err := strconv.Atoi(p.next().text)
 	if err != nil || n < 0 {
-		return 0, p.errf("bad ROWS bound")
+		p.fail("bad %s", what)
 	}
-	return n, nil
+	return n
 }
 
 var aggKeywords = map[string]table.AggFunc{
@@ -266,171 +190,98 @@ var aggKeywords = map[string]table.AggFunc{
 	"MAX":   table.AggMax,
 }
 
-func (p *parser) selectItem() (SelectItem, error) {
-	if p.cur().kind == tokSymbol && p.cur().text == "*" {
-		p.pos++
-		return SelectItem{Star: true}, nil
+func (p *parser) selectItem() SelectItem {
+	if p.symbol("*") {
+		return SelectItem{Star: true}
 	}
-	if fn, ok := aggKeywords[p.cur().text]; ok && p.cur().kind == tokKeyword {
-		p.pos++
-		if err := p.expectSymbol("("); err != nil {
-			return SelectItem{}, err
+	var item SelectItem
+	if fn, ok := aggKeywords[p.cur().text]; ok && p.keyword(p.cur().text) {
+		item = SelectItem{Agg: fn, IsAgg: true}
+		p.expectSymbol("(")
+		if item.Star = p.symbol("*"); !item.Star {
+			item.Col = p.columnRef()
 		}
-		item := SelectItem{Agg: fn, IsAgg: true}
-		if p.cur().kind == tokSymbol && p.cur().text == "*" {
-			p.pos++
-			item.Star = true
-		} else {
-			col, err := p.columnRef()
-			if err != nil {
-				return SelectItem{}, err
-			}
-			item.Col = col
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return SelectItem{}, err
-		}
-		if p.cur().kind == tokKeyword && p.cur().text == "AS" {
-			p.pos++
-			as, err := p.ident()
-			if err != nil {
-				return SelectItem{}, err
-			}
-			item.As = as
-		}
-		return item, nil
+		p.expectSymbol(")")
+	} else {
+		item.Col = p.columnRef()
 	}
-	col, err := p.columnRef()
-	if err != nil {
-		return SelectItem{}, err
+	if p.keyword("AS") {
+		item.As = p.ident()
 	}
-	item := SelectItem{Col: col}
-	if p.cur().kind == tokKeyword && p.cur().text == "AS" {
-		p.pos++
-		as, err := p.ident()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.As = as
-	}
-	return item, nil
+	return item
 }
 
-func (p *parser) joinClause() (*JoinClause, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("ON"); err != nil {
-		return nil, err
-	}
-	left, err := p.columnRef()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("="); err != nil {
-		return nil, err
-	}
-	right, err := p.columnRef()
-	if err != nil {
-		return nil, err
-	}
-	return &JoinClause{Table: name, LeftCol: left, RightCol: right}, nil
+// cmpOps maps each comparison symbol to its operator.
+var cmpOps = map[string]table.CmpOp{
+	"=": table.OpEq, "!=": table.OpNe, "<>": table.OpNe, "<": table.OpLt,
+	"<=": table.OpLe, ">": table.OpGt, ">=": table.OpGe,
 }
 
-func (p *parser) whereClause() (Where, error) {
-	col, err := p.columnRef()
-	if err != nil {
-		return Where{}, err
-	}
-	var op table.CmpOp
-	switch {
-	case p.cur().kind == tokSymbol:
-		switch p.cur().text {
-		case "=":
-			op = table.OpEq
-		case "!=", "<>":
-			op = table.OpNe
-		case "<":
-			op = table.OpLt
-		case "<=":
-			op = table.OpLe
-		case ">":
-			op = table.OpGt
-		case ">=":
-			op = table.OpGe
-		default:
-			return Where{}, p.errf("bad operator %q", p.cur().text)
-		}
-		p.pos++
-	case p.cur().kind == tokKeyword && p.cur().text == "CONTAINS":
-		op = table.OpContains
-		p.pos++
+func (p *parser) whereClause() Where {
+	w := Where{Col: p.columnRef()}
+	switch t := p.cur(); {
+	case p.keyword("CONTAINS"):
+		w.Op = table.OpContains
+	case t.kind != tokSymbol:
+		p.fail("expected comparison operator, got %q", t.text)
 	default:
-		return Where{}, p.errf("expected comparison operator, got %q", p.cur().text)
+		var ok bool
+		if w.Op, ok = cmpOps[t.text]; !ok {
+			p.fail("bad operator %q", t.text)
+		}
+		p.symbol(t.text)
 	}
-	val, err := p.literal()
-	if err != nil {
-		return Where{}, err
-	}
-	return Where{Col: col, Op: op, Val: val}, nil
+	w.Val = p.literal()
+	return w
 }
 
-func (p *parser) literal() (table.Value, error) {
+func (p *parser) literal() table.Value {
 	t := p.cur()
 	switch {
+	case p.err != nil:
+	case t.kind == tokNumber && strings.Contains(t.text, "."):
+		p.pos++
+		f, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			p.fail("bad number %q", t.text)
+		}
+		return table.F(f)
 	case t.kind == tokNumber:
 		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return table.Value{}, p.errf("bad number %q", t.text)
-			}
-			return table.F(f), nil
-		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return table.Value{}, p.errf("bad number %q", t.text)
+			p.fail("bad number %q", t.text)
 		}
-		return table.I(n), nil
+		return table.I(n)
 	case t.kind == tokString:
 		p.pos++
-		return table.S(t.text), nil
-	case t.kind == tokKeyword && t.text == "TRUE":
+		return table.S(t.text)
+	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
 		p.pos++
-		return table.B(true), nil
-	case t.kind == tokKeyword && t.text == "FALSE":
-		p.pos++
-		return table.B(false), nil
+		return table.B(t.text == "TRUE")
 	case t.kind == tokKeyword && t.text == "NULL":
 		p.pos++
-		return table.Null(table.TypeString), nil
+		return table.Null(table.TypeString)
 	default:
-		return table.Value{}, p.errf("expected literal, got %q", t.text)
+		p.fail("expected literal, got %q", t.text)
 	}
+	return table.Value{}
 }
 
 // columnRef parses "col" or "table.col" (the qualifier is kept — the
 // executor resolves it against join-renamed schemas).
-func (p *parser) columnRef() (string, error) {
-	name, err := p.ident()
-	if err != nil {
-		return "", err
+func (p *parser) columnRef() string {
+	name := p.ident()
+	if p.symbol(".") {
+		return name + "." + p.ident()
 	}
-	if p.cur().kind == tokSymbol && p.cur().text == "." {
-		p.pos++
-		col, err := p.ident()
-		if err != nil {
-			return "", err
-		}
-		return name + "." + col, nil
-	}
-	return name, nil
+	return name
 }
 
-func (p *parser) ident() (string, error) {
-	if p.cur().kind != tokIdent {
-		return "", p.errf("expected identifier, got %q", p.cur().text)
+func (p *parser) ident() string {
+	if p.err == nil && p.cur().kind == tokIdent {
+		return p.next().text
 	}
-	return p.next().text, nil
+	p.fail("expected identifier, got %q", p.cur().text)
+	return ""
 }

@@ -292,6 +292,15 @@ type Agg struct {
 	As   string
 }
 
+// OutName is the output column the aggregation emits: As, or by
+// default the lower-cased function and the column ("sum_units").
+func (a Agg) OutName() string {
+	if a.As != "" {
+		return a.As
+	}
+	return strings.ToLower(a.Func.String()) + "_" + a.Col
+}
+
 // Aggregate groups t by the groupBy columns (possibly empty for a
 // global aggregate) and computes the aggregations. Output columns are
 // the group keys followed by one column per Agg. NULLs are skipped by
@@ -501,10 +510,6 @@ func AggregateSchema(in Schema, groupBy []string, aggs []Agg) Schema {
 		schema = append(schema, Column{Name: c, Type: typ})
 	}
 	for _, a := range aggs {
-		name := a.As
-		if name == "" {
-			name = strings.ToLower(a.Func.String()) + "_" + a.Col
-		}
 		typ := TypeFloat
 		if a.Func == AggCount || a.Func == AggCountMerge {
 			typ = TypeInt
@@ -513,7 +518,7 @@ func AggregateSchema(in Schema, groupBy []string, aggs []Agg) Schema {
 				typ = in[idx].Type
 			}
 		}
-		schema = append(schema, Column{Name: name, Type: typ})
+		schema = append(schema, Column{Name: a.OutName(), Type: typ})
 	}
 	return schema
 }
