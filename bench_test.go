@@ -263,6 +263,37 @@ func BenchmarkParallelIngest(b *testing.B) {
 	benchIngest(b, 0)
 }
 
+// BenchmarkRefreshAfterIngest times what Topology.Refresh does after a
+// one-document ingest into ingestCorpus's graph: the view built from
+// the one taken before the ingest, then PageRank at the retriever's
+// default worker count. Every iteration repeats both on the same inputs.
+func BenchmarkRefreshAfterIngest(b *testing.B) {
+	c := ingestCorpus()
+	ner := slm.NewNER()
+	c.Register(ner)
+	builder := index.NewBuilder(ner, index.DefaultOptions())
+	g, _, err := builder.Build(c.Sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev := g.View(nil)
+	rec := store.Record{ID: "live-refresh", Source: "live", Kind: store.KindText,
+		Text: "Product Alpha sales increased 20% in Q2. Reviewers compared Product Alpha with Product Beta."}
+	if _, err := builder.IndexRecord(g, rec); err != nil {
+		b.Fatal(err)
+	}
+	if g.NodeCount() == prev.Len() {
+		b.Fatal("the ingest added no node")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rank := g.View(prev).PageRank(0); len(rank) != g.NodeCount() {
+			b.Fatalf("%d ranks for %d nodes", len(rank), g.NodeCount())
+		}
+	}
+}
+
 // BenchmarkAnswerAll measures batch query throughput with bounded
 // parallelism over the full e-commerce query workload.
 func BenchmarkAnswerAll(b *testing.B) {
@@ -385,7 +416,7 @@ func BenchmarkEntropyAssess(b *testing.B) {
 // since its last Refresh.
 func BenchmarkViewExpand(b *testing.B) {
 	_, g, _ := retrieveBenchCorpus(b)
-	v := g.View()
+	v := g.View(nil)
 	prior := v.PageRank(0)
 	norm := slices.Max(prior)
 	for i, r := range prior {

@@ -12,9 +12,9 @@ package extract
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/par"
 	"repro/internal/slm"
@@ -130,12 +130,8 @@ func Merge(c *table.Catalog, extractions []Extraction) error {
 			}
 			tbl = wide
 		}
-		seen := make(map[string]bool, tbl.Len())
-		for _, row := range tbl.Rows {
-			seen[rowKey(row)] = true
-		}
-		var rows [][]table.Value
-		for _, x := range xs {
+		rows := make([][]table.Value, len(xs))
+		for j, x := range xs {
 			row := make([]table.Value, len(schema))
 			for i, col := range schema {
 				if v, ok := x.Cells[col.Name]; ok {
@@ -144,11 +140,9 @@ func Merge(c *table.Catalog, extractions []Extraction) error {
 					row[i] = table.Null(col.Type)
 				}
 			}
-			if k := rowKey(row); !seen[k] {
-				seen[k] = true
-				rows = append(rows, row)
-			}
+			rows[j] = row
 		}
+		rows = newRows(tbl.Rows, rows)
 		// Either way the catalog epoch advances, so epoch-keyed plan and
 		// index caches invalidate even when every row was a duplicate.
 		if replace {
@@ -217,11 +211,47 @@ func coerce(v table.Value, t table.ColType) table.Value {
 	}
 }
 
-func rowKey(row []table.Value) string {
-	var b strings.Builder
-	for _, v := range row {
-		b.WriteString(v.Key())
-		b.WriteByte('\x1f')
+// newRows returns the rows of cand, in order, that equal no row of have
+// and no earlier row of cand, cell by cell under table.SameKey. Only
+// the candidates are keyed, in a map by row hash; each row of have is
+// hashed in place and probed, so no key is built per row of the table.
+func newRows(have, cand [][]table.Value) [][]table.Value {
+	var h maphash.Hash
+	hash := func(row []table.Value) uint64 {
+		h.Reset()
+		for _, v := range row {
+			v.HashKey(&h)
+		}
+		return h.Sum64()
 	}
-	return b.String()
+	// A hash's kept candidates form a chain: head holds 1 + the last
+	// one, next[i] 1 + the one kept before i; 0 ends the chain.
+	head := make(map[uint64]int, len(cand))
+	next := make([]int, len(cand))
+	match := func(sum uint64, row []table.Value) int {
+		j := head[sum]
+		for j > 0 && !slices.EqualFunc(cand[j-1], row, table.SameKey) {
+			j = next[j-1]
+		}
+		return j - 1
+	}
+	keep := make([]bool, len(cand))
+	for i, row := range cand {
+		if sum := hash(row); match(sum, row) < 0 {
+			keep[i] = true
+			next[i], head[sum] = head[sum], i+1
+		}
+	}
+	for _, row := range have {
+		if j := match(hash(row), row); j >= 0 {
+			keep[j] = false
+		}
+	}
+	out := cand[:0]
+	for i, row := range cand {
+		if keep[i] {
+			out = append(out, row)
+		}
+	}
+	return out
 }

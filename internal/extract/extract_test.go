@@ -1,6 +1,9 @@
 package extract
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/slm"
@@ -181,6 +184,81 @@ func TestMergeDeduplicates(t *testing.T) {
 	}
 	if tbl.Len() != 1 {
 		t.Errorf("re-merge duplicated: %d rows", tbl.Len())
+	}
+}
+
+// Two rows that differ only in where a cell boundary falls are two
+// rows: joining cell keys with a separator would give both the key
+// s:x\x1fs:y\x1fs:z\x1f and keep one. They stay apart within one merge
+// and across two.
+func TestMergeKeepsRowsDifferingAtACellBoundary(t *testing.T) {
+	xs := []Extraction{
+		{Table: "t", Cells: map[string]table.Value{"a": table.S("x\x1fs:y"), "b": table.S("z")}},
+		{Table: "t", Cells: map[string]table.Value{"a": table.S("x"), "b": table.S("y\x1fs:z")}},
+	}
+	for _, batches := range [][][]Extraction{{xs}, {xs[:1], xs[1:]}} {
+		c := table.NewCatalog()
+		for _, b := range batches {
+			if err := Merge(c, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tbl, _ := c.Get("t"); tbl.Len() != 2 {
+			t.Errorf("%d merges: %d rows, want 2", len(batches), tbl.Len())
+		}
+	}
+}
+
+// Merge keeps a row exactly when no row before it, in the table or the
+// batch, has the same cell keys. Batches of random rows over values
+// whose keys tie across kinds (I(2) and F(2), NULLs of two types, −0
+// and +0, NaN payloads, S and D of one text) are checked against that
+// rule, with each row's keys compared as a list.
+func TestMergeDedupesByCellKeys(t *testing.T) {
+	pool := []table.Value{
+		table.I(2), table.F(2), table.F(0), table.F(math.Copysign(0, -1)), table.F(math.NaN()),
+		table.F(math.Float64frombits(0x7ff8000000000001)), table.Null(table.TypeFloat), table.Null(table.TypeString),
+		table.S("2"), table.S("x"), table.D("x"), table.B(true), table.S("true"),
+	}
+	keysOf := func(row []table.Value) []string {
+		keys := make([]string, len(row))
+		for i, v := range row {
+			keys[i] = v.Key()
+		}
+		return keys
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		c := table.NewCatalog()
+		var want [][]string
+		for batch := 0; batch < 4; batch++ {
+			var xs []Extraction
+			for n := 1 + rng.Intn(8); n > 0; n-- {
+				xs = append(xs, Extraction{Table: "t", Cells: map[string]table.Value{
+					"a": pool[rng.Intn(len(pool))], "b": pool[rng.Intn(len(pool))], "c": pool[rng.Intn(len(pool))]}})
+			}
+			if err := Merge(c, xs); err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := c.Get("t")
+			for _, x := range xs {
+				row := make([]table.Value, len(tbl.Schema))
+				for i, col := range tbl.Schema {
+					row[i] = coerce(x.Cells[col.Name], col.Type)
+				}
+				keys := keysOf(row)
+				if !slices.ContainsFunc(want, func(k []string) bool { return slices.Equal(k, keys) }) {
+					want = append(want, keys)
+				}
+			}
+			got := make([][]string, tbl.Len())
+			for i, row := range tbl.Rows {
+				got[i] = keysOf(row)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("trial %d batch %d: rows %q, want %q", trial, batch, got, want)
+			}
+		}
 	}
 }
 

@@ -255,7 +255,7 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestPageRankSumsToOne(t *testing.T) {
 	g := chainGraph(t)
-	pr := g.View().PageRank(0)
+	pr := g.View(nil).PageRank(0)
 	var sum float64
 	for _, v := range pr {
 		sum += v
@@ -267,7 +267,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 
 func TestPageRankHubWins(t *testing.T) {
 	g := chainGraph(t)
-	v := g.View()
+	v := g.View(nil)
 	pr := v.PageRank(0)
 	hub, _ := v.Index("hub")
 	a, _ := v.Index("a")
@@ -277,7 +277,7 @@ func TestPageRankHubWins(t *testing.T) {
 }
 
 func TestPageRankEmptyGraph(t *testing.T) {
-	if pr := New().View().PageRank(0); len(pr) != 0 {
+	if pr := New().View(nil).PageRank(0); len(pr) != 0 {
 		t.Errorf("empty graph pagerank = %v", pr)
 	}
 }
@@ -296,7 +296,7 @@ func TestPageRankPropertyNonNegative(t *testing.T) {
 				g.AddEdge(Edge{From: from, To: to, Type: EdgeNextTo})
 			}
 		}
-		pr := g.View().PageRank(0)
+		pr := g.View(nil).PageRank(0)
 		var sum float64
 		for _, v := range pr {
 			if v < 0 {

@@ -100,7 +100,7 @@ func TestEdgeTypeLimit(t *testing.T) {
 		t.Error("snapshot of the graph read back differs")
 	}
 	for _, g := range []*Graph{g, back} {
-		v := g.View()
+		v := g.View(nil)
 		for i := 0; i < v.Len(); i++ {
 			for j, e := range g.Out(v.Node(i).ID) {
 				if c := v.typ[int(v.outOff[i])+j]; c != edgeCode(e.Type) {

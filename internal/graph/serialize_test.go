@@ -176,7 +176,7 @@ func sameGraph(t testing.TB, got, want *Graph) {
 	if !maps.Equal(got.CountByType(), want.CountByType()) {
 		t.Fatalf("by type %v, want %v", got.CountByType(), want.CountByType())
 	}
-	gv, wv := got.View(), want.View()
+	gv, wv := got.View(nil), want.View(nil)
 	if !slices.Equal(gv.outOff, wv.outOff) || !slices.Equal(gv.dst, wv.dst) || !slices.Equal(gv.typ, wv.typ) ||
 		!slices.Equal(gv.inOff, wv.inOff) || !slices.Equal(gv.src, wv.src) {
 		t.Fatal("views differ")

@@ -1,6 +1,10 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // View is an immutable index-space snapshot of a Graph: node i is the
 // i-th id in sorted order, and both adjacencies are CSR arrays of node
@@ -12,7 +16,8 @@ import "sort"
 // mutation therefore stays valid and blind to it — nodes and edges
 // added afterwards do not exist for the view — until the caller takes a
 // new one. A view is rebuilt, not patched, because PageRank's
-// sequential sums need the nodes in sorted-id order.
+// sequential sums need the nodes in sorted-id order; the next view
+// takes that order from the previous one (Graph.View).
 type View struct {
 	verts  []*vertex
 	outOff []int32 // out-edges of i: verts[i].out[:outOff[i+1]-outOff[i]]
@@ -22,19 +27,39 @@ type View struct {
 	src    []int32 // source index per in-edge
 }
 
-// View builds the index-space snapshot of the graph's current state.
-func (g *Graph) View() *View {
-	ids := g.NodeIDs()
-	n := len(ids)
+// View builds the index-space snapshot of the graph's current state
+// from prev, an earlier view of g, or from nothing when prev is nil.
+// Vertices are numbered in insertion order and never removed, so prev
+// holds exactly the first prev.Len() of them, already in id order: only
+// the vertices added since are sorted, and each is put into prev's
+// order by a binary search. The adjacency arrays are built over every
+// vertex either way, since old vertices may have gained edges. The
+// result is array for array the view a nil prev gives, and prev stays
+// valid and unchanged.
+func (g *Graph) View(prev *View) *View {
+	var old []*vertex
+	if prev != nil {
+		old = prev.verts
+		if len(old) > len(g.verts) || len(old) > 0 && g.verts[old[0].num] != old[0] {
+			panic("graph: View from a view of another graph")
+		}
+	}
+	added := slices.Clone(g.verts[len(old):])
+	slices.SortFunc(added, func(a, b *vertex) int { return strings.Compare(a.node.ID, b.node.ID) })
+	n := len(g.verts)
 	v := &View{
-		verts:  make([]*vertex, n),
+		verts:  make([]*vertex, 0, n),
 		outOff: make([]int32, n+1),
 		inOff:  make([]int32, n+1),
 	}
-	rank := make([]int32, len(g.verts)) // view index by vertex number
-	for i, id := range ids {
-		vx := g.vs[id]
-		v.verts[i] = vx
+	for _, vx := range added {
+		j, _ := slices.BinarySearchFunc(old, vx.node.ID, func(o *vertex, id string) int { return strings.Compare(o.node.ID, id) })
+		v.verts = append(append(v.verts, old[:j]...), vx)
+		old = old[j:]
+	}
+	v.verts = append(v.verts, old...)
+	rank := make([]int32, n) // view index by vertex number
+	for i, vx := range v.verts {
 		rank[vx.num] = int32(i)
 		v.outOff[i+1] = v.outOff[i] + int32(len(vx.out))
 		v.inOff[i+1] = v.inOff[i] + int32(len(vx.in))

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -12,7 +14,7 @@ import (
 // and reports the visits the way the reference does: by id, best score
 // first, ties by id.
 func expandByID(g *Graph, anchor string, opts ExpandOptions) []refVisit {
-	return expandView(g.View(), &Expander{}, anchor, opts)
+	return expandView(g.View(nil), &Expander{}, anchor, opts)
 }
 
 func expandView(v *View, x *Expander, anchor string, opts ExpandOptions) []refVisit {
@@ -84,7 +86,7 @@ func TestExpandMatchesReference(t *testing.T) {
 	}
 	f := func(edges []uint8, depth, budget, gate, anchor, levels uint8, withPrior bool) bool {
 		g := tiedGraph(edges, []int{1, 2, 10}[levels%3])
-		v := g.View()
+		v := g.View(nil)
 		opts := ExpandOptions{MaxDepth: int(depth % 5), Budget: int(budget % 14), Decay: 0.7, EdgeTypes: gates[int(gate)%len(gates)]}
 		ref := refExpandOptions{MaxDepth: opts.MaxDepth, Budget: opts.Budget, Decay: opts.Decay, EdgeTypes: gates[int(gate)%len(gates)]}
 		if ref.EdgeTypes != nil {
@@ -120,7 +122,7 @@ func TestExpandMatchesReference(t *testing.T) {
 func TestPageRankMatchesReference(t *testing.T) {
 	f := func(edges []uint8, workers uint8) bool {
 		g := tiedGraph(edges, 10)
-		v := g.View()
+		v := g.View(nil)
 		got, want := v.PageRank(int(workers%4)+1), g.referencePageRank()
 		if len(got) != len(want) {
 			return false
@@ -157,7 +159,7 @@ func TestEdgeCodes(t *testing.T) {
 }
 
 func TestViewIndex(t *testing.T) {
-	v := chainGraph(t).View()
+	v := chainGraph(t).View(nil)
 	if v.Len() != 5 {
 		t.Fatalf("len = %d", v.Len())
 	}
@@ -181,7 +183,7 @@ func TestViewIndex(t *testing.T) {
 // when an adjacency list the view reads through was reallocated.
 func TestViewBlindToLaterMutation(t *testing.T) {
 	g := chainGraph(t)
-	old := g.View()
+	old := g.View(nil)
 	opts := ExpandOptions{MaxDepth: 3}
 	before := expandView(old, &Expander{}, "hub", opts)
 	wantRank := old.PageRank(0)
@@ -216,4 +218,89 @@ func TestViewBlindToLaterMutation(t *testing.T) {
 	if len(fresh) != len(before)+1 || fresh[2].ID != "aa" { // hub, a, aa, b, c, d
 		t.Errorf("fresh view misses the new node: %v", fresh)
 	}
+}
+
+// viewArrays are the arrays a view is made of, copied out.
+type viewArrays struct {
+	verts                   []*vertex
+	outOff, dst, inOff, src []int32
+	typ                     []uint8
+}
+
+func arraysOf(v *View) viewArrays {
+	return viewArrays{slices.Clone(v.verts), slices.Clone(v.outOff), slices.Clone(v.dst),
+		slices.Clone(v.inOff), slices.Clone(v.src), slices.Clone(v.typ)}
+}
+
+func (a viewArrays) equal(b viewArrays) bool {
+	return slices.Equal(a.verts, b.verts) && slices.Equal(a.outOff, b.outOff) && slices.Equal(a.dst, b.dst) &&
+		slices.Equal(a.inOff, b.inOff) && slices.Equal(a.src, b.src) && slices.Equal(a.typ, b.typ)
+}
+
+// A view built from the previous one is, array for array, the view a
+// full build gives, and PageRank over it has the same bits. Each round
+// of a random insertion sequence adds nodes whose ids sort before,
+// between and after the existing ones, and edges of declared and
+// undeclared types between old and new nodes alike; the previous view
+// must come out of the round unchanged.
+func TestViewFromPreviousMatchesFullBuild(t *testing.T) {
+	types := []EdgeType{EdgeMentions, EdgeNextTo, EdgeRelates, "custom", "other"}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		var ids []string
+		prev := g.View(nil)
+		for round := 0; round < 12; round++ {
+			for n := rng.Intn(6); n > 0; n-- {
+				id := fmt.Sprintf("%c%d", 'a'+rng.Intn(26), rng.Intn(100))
+				if !g.HasNode(id) {
+					ids = append(ids, id)
+				}
+				g.EnsureNode(Node{ID: id, Type: NodeChunk})
+			}
+			for n := rng.Intn(3 * (len(ids) + 1)); n > 0 && len(ids) > 1; n-- {
+				e := Edge{From: ids[rng.Intn(len(ids))], To: ids[rng.Intn(len(ids))],
+					Type: types[rng.Intn(len(types))], Weight: float64(1+rng.Intn(4)) / 4}
+				var err error
+				if rng.Intn(2) == 0 {
+					err = g.AddEdge(e)
+				} else {
+					err = g.AddUndirected(e)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := arraysOf(prev)
+			next, full := g.View(prev), g.View(nil)
+			if !arraysOf(next).equal(arraysOf(full)) {
+				t.Fatalf("seed %d round %d: view from the previous one differs from a full build", seed, round)
+			}
+			if !arraysOf(prev).equal(before) {
+				t.Fatalf("seed %d round %d: taking the next view changed the previous one", seed, round)
+			}
+			got, want := next.PageRank(1), full.PageRank(1)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d round %d: rank[%d] %v, full build %v", seed, round, i, got[i], want[i])
+				}
+			}
+			prev = next
+		}
+		if prev.Len() != g.NodeCount() {
+			t.Fatalf("seed %d: view has %d nodes, graph %d", seed, prev.Len(), g.NodeCount())
+		}
+	}
+}
+
+// A view of one graph cannot seed the view of another.
+func TestViewFromAnotherGraphPanics(t *testing.T) {
+	other := chainGraph(t).View(nil)
+	g := chainGraph(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("View took another graph's view")
+		}
+	}()
+	g.View(other)
 }

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -54,6 +55,43 @@ func TestRetrieveMemoMatchesFresh(t *testing.T) {
 					if k == 0 && got != nil {
 						t.Fatalf("%s %q: k = 0 returned %v, want no evidence", name, q, got)
 					}
+				}
+			}
+		}
+	}
+}
+
+// A Refresh builds its view from the previous one, and a retriever
+// refreshed after each ingest answers exactly as a new Topology over the
+// same graph does: same nodes, order, score bits, text and kind at every
+// k, with the prior and without. Each round indexes a document whose
+// chunk and entity ids sort among the existing ones.
+func TestRefreshMatchesNewTopology(t *testing.T) {
+	for _, opts := range []TopologyOptions{{}, {DisableCentral: true}} {
+		c, g, ner := benchCorpus(t, "ecommerce", 42)
+		var queries []string
+		for _, q := range c.Queries {
+			queries = append(queries, q.Text)
+		}
+		b := index.NewBuilder(ner, index.DefaultOptions())
+		live := NewTopology(g, ner, opts)
+		for round := 0; round < 6; round++ {
+			q := queries[(7*round)%len(queries)]
+			doc := store.Record{ID: fmt.Sprintf("live-%d", round), Source: "live", Kind: store.KindText,
+				Text: fmt.Sprintf("%s Refresh round %d brought %d new units.", q, round, 10+round)}
+			before := g.NodeCount()
+			if _, err := b.IndexRecord(g, doc); err != nil {
+				t.Fatal(err)
+			}
+			live.Refresh()
+			fresh := NewTopology(g, ner, opts)
+			if live.view.Len() != g.NodeCount() || g.NodeCount() == before {
+				t.Fatalf("round %d: view has %d nodes, graph %d, %d before the ingest", round, live.view.Len(), g.NodeCount(), before)
+			}
+			for _, q := range queries {
+				for _, k := range []int{0, 1, 8, -1} {
+					what := fmt.Sprintf("central=%v round %d k=%d %q", !opts.DisableCentral, round, k, q)
+					sameEvidence(t, what, live.Retrieve(q, k), fresh.Retrieve(q, k))
 				}
 			}
 		}

@@ -210,7 +210,7 @@ func TestRetrieveMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{42, 1234} {
 		for _, name := range []string{"ecommerce", "healthcare"} {
 			c, g, ner := benchCorpus(t, name, seed)
-			v := g.View()
+			v := g.View(nil)
 			pr := v.PageRank(0)
 			rank := make(map[string]float64, len(pr))
 			h := fnv.New64a()

@@ -179,7 +179,7 @@ func TestSnapshotOnCorpora(t *testing.T) {
 		if got.SizeBytes() != c.g.SizeBytes() || got.EdgeCount() != c.g.EdgeCount() {
 			t.Errorf("%s: %d edges, %d bytes read back from %d and %d", name, got.EdgeCount(), got.SizeBytes(), c.g.EdgeCount(), c.g.SizeBytes())
 		}
-		gr, wr := got.View().PageRank(0), want.View().PageRank(0)
+		gr, wr := got.View(nil).PageRank(0), want.View(nil).PageRank(0)
 		if !slices.EqualFunc(gr, wr, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			t.Errorf("%s: PageRank over the graph read back differs from the reference's", name)
 		}

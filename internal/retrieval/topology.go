@@ -142,10 +142,13 @@ func NewTopology(g *graph.Graph, ner *slm.NER, opts TopologyOptions) *Topology {
 func (t *Topology) Name() string { return "topology" }
 
 // Refresh retakes the view and recomputes the centrality prior after
-// the graph has been mutated (incremental ingestion). Cheap relative to
-// a rebuild: one PageRank pass.
+// the graph has been mutated (incremental ingestion). The new view is
+// built from the previous one: only the nodes added since are sorted
+// into its id order. What remains is linear in the graph: the view's
+// adjacency arrays, then one PageRank pass from a uniform start, which
+// is most of a Refresh (up to 40 sweeps over every edge).
 func (t *Topology) Refresh() {
-	t.view = t.g.View()
+	t.view = t.g.View(t.view)
 	t.memo = make(map[int]expansion)
 	t.prior = nil
 	if t.opts.DisableCentral {

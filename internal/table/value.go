@@ -35,7 +35,9 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -199,17 +201,76 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // equals a number's or bool's rendering, which Compare's rendered-string
 // fallback ties with it.)
 func (v Value) Key() string {
-	if !v.valid {
+	switch v.keyClass() {
+	case 0:
 		return "\x00null"
-	}
-	if v.IsNumeric() {
+	case 'n':
 		return "n:" + strconv.FormatFloat(KeyFloat(v.Float()), 'g', -1, 64)
-	}
-	switch v.kind {
-	case TypeBool:
+	case 'b':
 		return "b:" + strconv.FormatBool(v.b)
 	default:
 		return "s:" + v.s
+	}
+}
+
+// keyClass is the class a Key names: 0 for NULL of any kind, then 'n'
+// (int and float), 'b' or 's' (string and date) as its prefix does.
+func (v Value) keyClass() byte {
+	switch {
+	case !v.valid:
+		return 0
+	case v.IsNumeric():
+		return 'n'
+	case v.kind == TypeBool:
+		return 'b'
+	default:
+		return 's'
+	}
+}
+
+// SameKey reports whether a.Key() == b.Key() without building either
+// key: NULLs of every kind are one key, numbers compare by KeyFloat
+// across int and float with every NaN one key, bools by value, and
+// strings and dates by their text.
+func SameKey(a, b Value) bool {
+	c := a.keyClass()
+	if c != b.keyClass() {
+		return false
+	}
+	switch c {
+	case 'n':
+		af, bf := a.Float(), b.Float()
+		return af == bf || af != af && bf != bf
+	case 'b':
+		return a.b == b.b
+	case 's':
+		return a.s == b.s
+	}
+	return true
+}
+
+// HashKey writes v's Key to h in a form that builds no string: values
+// SameKey calls equal write the same bytes, so they hash equal.
+func (v Value) HashKey(h *maphash.Hash) {
+	c := v.keyClass()
+	h.WriteByte(c)
+	switch c {
+	case 'n':
+		f := KeyFloat(v.Float())
+		if f != f {
+			f = math.NaN()
+		}
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	case 'b':
+		if v.b {
+			h.WriteByte(1)
+		} else {
+			h.WriteByte(0)
+		}
+	case 's':
+		h.WriteString(v.s)
 	}
 }
 

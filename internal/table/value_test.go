@@ -1,6 +1,7 @@
 package table
 
 import (
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,6 +119,41 @@ func TestKeyIffCompareEqual(t *testing.T) {
 		if eq, same := Compare(a, b) == 0, a.Key() == b.Key(); eq != same {
 			t.Fatalf("Compare(%v %v, %v %v) == 0 is %v, equal keys %v (%q, %q)",
 				a.Kind(), a, b.Kind(), b, eq, same, a.Key(), b.Key())
+		}
+	}
+}
+
+// SameKey is Key equality without the strings, and HashKey agrees with
+// it: over every pair of a pool that crosses NaN payloads, ±0, int
+// against float, numbers and bools against strings of their rendering,
+// strings against dates of the same text and NULLs of every kind,
+// SameKey holds exactly when the Keys are equal, equal keys hash equal,
+// and, on this pool, different keys hash different.
+func TestSameKeyIffKeyEqual(t *testing.T) {
+	pool := []Value{
+		Null(TypeInt), Null(TypeFloat), Null(TypeString), Null(TypeBool), Null(TypeDate),
+		I(0), I(2), I(-1), I(1 << 53), I(1<<53 + 1),
+		F(0), F(math.Copysign(0, -1)), F(2), F(-1), F(1 << 53), F(1.5),
+		F(math.NaN()), F(math.Float64frombits(0x7ff8000000000001)), F(math.Float64frombits(0xfff8000000000000)),
+		F(math.Inf(1)), F(math.Inf(-1)),
+		S(""), S("2"), S("n:2"), S("true"), S("\x00null"), S("x"), S("x\x1fs:y"), S("2024-01-01"),
+		D("2024-01-01"), D("x"), D(""),
+		B(true), B(false),
+	}
+	seed := maphash.MakeSeed()
+	hash := func(v Value) uint64 {
+		var h maphash.Hash
+		h.SetSeed(seed)
+		v.HashKey(&h)
+		return h.Sum64()
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			same, keyEq, hashEq := SameKey(a, b), a.Key() == b.Key(), hash(a) == hash(b)
+			if same != keyEq || hashEq != keyEq {
+				t.Errorf("%v %v, %v %v: SameKey %v, equal keys %v (%q, %q), equal hashes %v",
+					a.Kind(), a, b.Kind(), b, same, keyEq, a.Key(), b.Key(), hashEq)
+			}
 		}
 	}
 }
