@@ -12,7 +12,6 @@ package extract
 
 import (
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
 
@@ -211,41 +210,37 @@ func coerce(v table.Value, t table.ColType) table.Value {
 	}
 }
 
-// newRows returns the rows of cand, in order, that equal no row of have
-// and no earlier row of cand, cell by cell under table.SameKey. Only
-// the candidates are keyed, in a map by row hash; each row of have is
-// hashed in place and probed, so no key is built per row of the table.
+// newRows returns the rows of cand, in order, whose key — the cells'
+// table.AppendKey bytes, one after another — is the key of no row of
+// have and no earlier row of cand. Only the candidates' keys are kept;
+// each row of have is keyed into one reused buffer and probed, so no
+// key is stored per row of the table.
 func newRows(have, cand [][]table.Value) [][]table.Value {
-	var h maphash.Hash
-	hash := func(row []table.Value) uint64 {
-		h.Reset()
+	var kb []byte
+	key := func(row []table.Value) []byte {
+		kb = kb[:0]
 		for _, v := range row {
-			v.HashKey(&h)
+			kb = table.AppendKey(kb, v)
 		}
-		return h.Sum64()
+		return kb
 	}
-	// A hash's kept candidates form a chain: head holds 1 + the last
-	// one, next[i] 1 + the one kept before i; 0 ends the chain.
-	head := make(map[uint64]int, len(cand))
-	next := make([]int, len(cand))
-	match := func(sum uint64, row []table.Value) int {
-		j := head[sum]
-		for j > 0 && !slices.EqualFunc(cand[j-1], row, table.SameKey) {
-			j = next[j-1]
-		}
-		return j - 1
-	}
-	keep := make([]bool, len(cand))
+	first := make(map[string]int, len(cand)) // a kept candidate's key → its index
 	for i, row := range cand {
-		if sum := hash(row); match(sum, row) < 0 {
-			keep[i] = true
-			next[i], head[sum] = head[sum], i+1
+		if _, dup := first[string(key(row))]; !dup {
+			first[string(kb)] = i
 		}
 	}
 	for _, row := range have {
-		if j := match(hash(row), row); j >= 0 {
-			keep[j] = false
+		if len(first) == 0 {
+			break
 		}
+		if _, ok := first[string(key(row))]; ok {
+			delete(first, string(kb))
+		}
+	}
+	keep := make([]bool, len(cand))
+	for _, i := range first {
+		keep[i] = true
 	}
 	out := cand[:0]
 	for i, row := range cand {

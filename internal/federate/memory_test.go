@@ -10,9 +10,9 @@ import (
 
 // TestMemoryScanMatchesEvaluate: the memory backend answers a pushed
 // equality conjunction exactly as the shared evaluator over the whole
-// table and as the sql backend do. The table holds the float cells on
-// which Value.Key and Pred.Match part ways — NaN, which Compare ties
-// with every number, and −0 beside +0 — and NULLs, plus a string column
+// table and as the sql backend do. The table holds the float cells
+// whose equality is easy to get wrong — NaN, which equals only NaN, and
+// −0 beside +0 — and NULLs, plus a string column
 // over four fragments whose literal "a3" is missing from fragment 1's
 // dictionary. Scanned counts the rows inside the ranges that match the
 // driving equality.

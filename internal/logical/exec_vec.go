@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/par"
@@ -15,13 +14,15 @@ import (
 // Vectorized executor. RunVec interprets the same trees Run does, but
 // over typed column batches (table.Batch, one per 256-row fragment)
 // instead of row-at-a-time Values: filters compile predicates once and
-// emit selection vectors, hash joins build and probe on extracted key
-// columns with typed map keys, and aggregates accumulate over grouped
-// columns with an allocation-free group-key encoding. Batches are
-// evaluated with morsel-style fragment parallelism through
-// internal/par, while everything order-sensitive (float accumulation,
-// result emission) stays in fragment order — so results are
-// bit-identical to the row interpreter at any worker count.
+// emit selection vectors, hash joins build and probe by key, and
+// aggregates accumulate over grouped columns keyed without allocation.
+// Every key — join, group, distinct — is table.AppendKey's encoding,
+// written cell by cell from the typed columns (ColVec.AppendKey), so
+// two rows share a key exactly when table.Compare calls their cells
+// equal. Batches are evaluated with morsel-style fragment parallelism
+// through internal/par, while everything order-sensitive (float
+// accumulation, result emission) stays in fragment order — so results
+// are bit-identical to the row interpreter at any worker count.
 //
 // Rows materialize once, at the end: filter, project and distinct only
 // refine a stream's selection vectors and column mapping, aggregate
@@ -31,9 +32,9 @@ import (
 // project fragment this way.
 //
 // Sort runs as a columnar kernel too: the key columns are extracted
-// to per-kind typed arrays over the selected rows (nulls first,
-// cross-kind int/float via float64, generic Values only for
-// mixed-kind or NaN-bearing columns) and a stable permutation sort
+// to per-class typed arrays over the selected rows (nulls first,
+// cross-kind int/float via float64 under table.CompareFloat, generic
+// Values only for columns mixing classes) and a stable permutation sort
 // reorders row references — the exact ordering and tie stability of
 // table.Sort without boxing a Value per comparison. A Limit directly
 // over a Sort is one bounded selection: a k-entry heap ordered by
@@ -556,14 +557,14 @@ func evalPred(b *table.Batch, cand []int32, cp *vecPred) ([]int32, error) {
 			if col.Nulls.Get(ri) {
 				return false, nil
 			}
-			return cmpOK(cmpFloat(float64(col.Ints[ri]), cp.f64), op)
+			return cmpOK(table.CompareFloat(float64(col.Ints[ri]), cp.f64), op)
 		})
 	case col.Floats != nil && cp.p.Val.IsNumeric():
 		err = each(func(ri int) (bool, error) {
 			if col.Nulls.Get(ri) {
 				return false, nil
 			}
-			return cmpOK(cmpFloat(col.Floats[ri], cp.f64), op)
+			return cmpOK(table.CompareFloat(col.Floats[ri], cp.f64), op)
 		})
 	case op == table.OpEq && col.Codes != nil && (cp.p.Val.Kind() == table.TypeString || cp.p.Val.Kind() == table.TypeDate):
 		// Dictionary probe: Strs[ri] == Dict[Codes[ri]], so the rows
@@ -576,9 +577,7 @@ func evalPred(b *table.Batch, cand []int32, cp *vecPred) ([]int32, error) {
 			})
 		}
 	case col.Strs != nil && (cp.p.Val.Kind() == table.TypeString || cp.p.Val.Kind() == table.TypeDate):
-		// String and date cells both compare lexically on the raw
-		// string, whether kinds match or cross (table.Compare's
-		// same-kind and rendered-string fallbacks coincide here).
+		// String and date cells are one class and compare by text.
 		err = each(func(ri int) (bool, error) {
 			if col.Nulls.Get(ri) {
 				return false, nil
@@ -599,17 +598,6 @@ func evalPred(b *table.Batch, cand []int32, cp *vecPred) ([]int32, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 func cmpBool(a, b bool) int {
@@ -718,94 +706,10 @@ func (v *vecRun) project(s *vstream, proj, aliases []string) (*vstream, error) {
 
 // ---- hash join ----
 
-// Key-column classes for the typed join fast paths.
-const (
-	kcEmpty   = iota // no non-null keys: join output is empty
-	kcNum            // int/float cells: float64 map keys (Compare crosses kinds via float64)
-	kcStr            // string/date cells: raw-string map keys ("s:"-Key equivalence)
-	kcBool           // bool cells
-	kcGeneric        // mixed kinds or NaN: exact Value.Key() strings
-)
-
-// keyCol is one join key column extracted to a typed array.
-type keyCol struct {
-	class int
-	nums  []float64
-	strs  []string
-	bools []bool
-	vals  []Value
-	nulls table.Bitmap
-}
-
-// extractKeyCol pulls column idx of t into typed form, demoting to the
-// generic class on mixed kinds or NaN (whose typed map behavior would
-// diverge from Value.Key equality).
-func extractKeyCol(t *table.Table, idx int) *keyCol {
-	n := t.Len()
-	kc := &keyCol{class: kcEmpty, nulls: table.NewBitmap(n)}
-	for i, row := range t.Rows {
-		v := row[idx]
-		if v.IsNull() {
-			kc.nulls.Set(i)
-			continue
-		}
-		class := kcGeneric
-		switch {
-		case v.IsNumeric():
-			class = kcNum
-		case v.Kind() == table.TypeString || v.Kind() == table.TypeDate:
-			class = kcStr
-		case v.Kind() == table.TypeBool:
-			class = kcBool
-		}
-		if kc.class == kcEmpty {
-			kc.class = class
-			switch class {
-			case kcNum:
-				kc.nums = make([]float64, n)
-			case kcStr:
-				kc.strs = make([]string, n)
-			case kcBool:
-				kc.bools = make([]bool, n)
-			}
-		}
-		if class != kc.class {
-			return genericKeyCol(t, idx)
-		}
-		switch class {
-		case kcNum:
-			f := v.Float()
-			if f != f { // NaN: typed map keys never match themselves
-				return genericKeyCol(t, idx)
-			}
-			kc.nums[i] = f
-		case kcStr:
-			kc.strs[i] = v.Str()
-		case kcBool:
-			kc.bools[i] = v.Bool()
-		default:
-			return genericKeyCol(t, idx)
-		}
-	}
-	return kc
-}
-
-func genericKeyCol(t *table.Table, idx int) *keyCol {
-	n := t.Len()
-	kc := &keyCol{class: kcGeneric, vals: make([]Value, n), nulls: table.NewBitmap(n)}
-	for i, row := range t.Rows {
-		kc.vals[i] = row[idx]
-		if row[idx].IsNull() {
-			kc.nulls.Set(i)
-		}
-	}
-	return kc
-}
-
 // hashJoin is the vectorized inner equi-join: bit-identical to
-// table.HashJoin (same build-side rule, same probe order, same
-// emitted row layout) with typed key maps instead of per-row Key()
-// strings, and probe partitioned across workers with in-order
+// table.HashJoin (same build-side rule, same probe order, same emitted
+// row layout, the same table.AppendKey keys), with build rows held as
+// indices and the probe partitioned across workers with in-order
 // concatenation.
 func (v *vecRun) hashJoin(left, right *table.Table, leftCol, rightCol string, hint int) (*table.Table, error) {
 	li := left.Schema.ColIndex(leftCol)
@@ -821,44 +725,33 @@ func (v *vecRun) hashJoin(left, right *table.Table, leftCol, rightCol string, hi
 		out.Rows = make([][]Value, 0, hint)
 	}
 
-	lk, rk := extractKeyCol(left, li), extractKeyCol(right, ri)
-	if lk.class == kcEmpty || rk.class == kcEmpty {
-		return out, nil
-	}
-	if lk.class != rk.class {
-		if lk.class == kcGeneric {
-			rk = genericKeyCol(right, ri)
-		} else if rk.class == kcGeneric {
-			lk = genericKeyCol(left, li)
-		} else {
-			// Disjoint key classes: Value.Key prefixes differ, so no
-			// pair can match.
-			return out, nil
-		}
-	}
-
 	// Build on the smaller input, probe with the larger — the row
 	// path's exact rule, including the tie break.
 	buildLeft := len(left.Rows) <= len(right.Rows)
-	bt, bk, pt, pk := left, lk, right, rk
+	bt, bc, pt, pc := left, li, right, ri
 	if !buildLeft {
-		bt, bk, pt, pk = right, rk, left, lk
+		bt, bc, pt, pc = right, ri, left, li
 	}
-
-	buckets := buildBuckets(bt, bk)
-	emit := func(pi, bi32 int32) []Value {
-		if buildLeft {
-			return concatJoinRow(bt.Rows[bi32], pt.Rows[pi])
+	build := make(map[string][]int32, bt.Len())
+	for i, row := range bt.Rows {
+		if !row[bc].IsNull() {
+			k := row[bc].Key()
+			build[k] = append(build[k], int32(i))
 		}
-		return concatJoinRow(pt.Rows[pi], bt.Rows[bi32])
 	}
 	probe := func(lo, hi int, dst [][]Value) [][]Value {
-		for pi := lo; pi < hi; pi++ {
-			if pk.nulls.Get(pi) {
+		var kb []byte
+		for _, prow := range pt.Rows[lo:hi] {
+			if prow[pc].IsNull() {
 				continue
 			}
-			for _, bidx := range buckets.lookup(pk, pi) {
-				dst = append(dst, emit(int32(pi), bidx))
+			kb = table.AppendKey(kb[:0], prow[pc])
+			for _, bi := range build[string(kb)] {
+				if buildLeft {
+					dst = append(dst, concatJoinRow(bt.Rows[bi], prow))
+				} else {
+					dst = append(dst, concatJoinRow(prow, bt.Rows[bi]))
+				}
 			}
 		}
 		return dst
@@ -896,82 +789,24 @@ func concatJoinRow(a, b []Value) []Value {
 	return append(out, b...)
 }
 
-// joinBuckets maps typed keys to build-side row indices (in build row
-// order, as the row path's map of appended slices does).
-type joinBuckets struct {
-	class int
-	num   map[float64][]int32
-	str   map[string][]int32
-	boolB [2][]int32
-	gen   map[string][]int32
-}
-
-func buildBuckets(t *table.Table, kc *keyCol) *joinBuckets {
-	jb := &joinBuckets{class: kc.class}
-	n := t.Len()
-	switch kc.class {
-	case kcNum:
-		jb.num = make(map[float64][]int32, n)
-		for i := 0; i < n; i++ {
-			if !kc.nulls.Get(i) {
-				jb.num[kc.nums[i]] = append(jb.num[kc.nums[i]], int32(i))
-			}
-		}
-	case kcStr:
-		jb.str = make(map[string][]int32, n)
-		for i := 0; i < n; i++ {
-			if !kc.nulls.Get(i) {
-				jb.str[kc.strs[i]] = append(jb.str[kc.strs[i]], int32(i))
-			}
-		}
-	case kcBool:
-		for i := 0; i < n; i++ {
-			if !kc.nulls.Get(i) {
-				b := 0
-				if kc.bools[i] {
-					b = 1
-				}
-				jb.boolB[b] = append(jb.boolB[b], int32(i))
-			}
-		}
-	default:
-		jb.gen = make(map[string][]int32, n)
-		for i := 0; i < n; i++ {
-			if !kc.nulls.Get(i) {
-				k := kc.vals[i].Key()
-				jb.gen[k] = append(jb.gen[k], int32(i))
-			}
-		}
-	}
-	return jb
-}
-
-func (jb *joinBuckets) lookup(kc *keyCol, i int) []int32 {
-	switch jb.class {
-	case kcNum:
-		return jb.num[kc.nums[i]]
-	case kcStr:
-		return jb.str[kc.strs[i]]
-	case kcBool:
-		b := 0
-		if kc.bools[i] {
-			b = 1
-		}
-		return jb.boolB[b]
-	default:
-		return jb.gen[kc.vals[i].Key()]
-	}
-}
-
 // ---- sort ----
 
+// Sort-key column classes: the first non-NULL cell of a key column
+// fixes its class.
+const (
+	kcEmpty   = iota // no non-null cell yet
+	kcNum            // int/float cells, compared as float64
+	kcStr            // string/date cells, compared by text
+	kcBool           // bool cells
+	kcGeneric        // mixed classes: exact Values
+)
+
 // sortCol is one sort key extracted to typed array form over the
-// stream's selected rows, reusing the join kernels' key-column
-// classes: uniform numeric columns compare through float64 (the
-// cross-kind int/float rule of table.Compare), string and date cells
-// compare lexically on the raw string (same-kind and rendered-string
-// fallback coincide), bools order false < true, and mixed-kind
-// columns demote to exact Values compared with table.Compare itself.
+// stream's selected rows: a column of one class compares its cells
+// without boxing them, in table.Compare's order for that class —
+// numbers by table.CompareFloat across int and float, strings and dates
+// by text, bools false < true — and a column mixing classes keeps exact
+// Values compared with table.Compare itself.
 type sortCol struct {
 	class int
 	nums  []float64
@@ -984,8 +819,7 @@ type sortCol struct {
 // compare orders the selected rows a and b on this key with
 // table.Compare's exact semantics: NULL sorts before every non-NULL
 // value, two NULLs tie, and non-NULL cells dispatch on the column
-// class. NaN floats live only in kcGeneric columns, where
-// table.Compare itself ties them with every number.
+// class.
 func (sc *sortCol) compare(a, b int) int {
 	an, bn := sc.nulls.Get(a), sc.nulls.Get(b)
 	switch {
@@ -998,7 +832,7 @@ func (sc *sortCol) compare(a, b int) int {
 	}
 	switch sc.class {
 	case kcNum:
-		return cmpFloat(sc.nums[a], sc.nums[b])
+		return table.CompareFloat(sc.nums[a], sc.nums[b])
 	case kcStr:
 		return strings.Compare(sc.strs[a], sc.strs[b])
 	case kcBool:
@@ -1013,12 +847,10 @@ func (sc *sortCol) compare(a, b int) int {
 // in row order, extracts each key column into typed arrays, orders a
 // row permutation and emits its first limit rows (applying any pending
 // projection) — bit-identical to table.Limit over table.Sort over the
-// materialized stream, ties included. When the limit cuts rows and the
-// keys form a total preorder (no kcGeneric column: mixed kinds and NaN
-// compare intransitively, where only the stable sort's own comparison
-// sequence reproduces table.Sort), the permutation is a bounded
-// selection; otherwise a stable sort from row order with the comparator
-// that reproduces table.Compare exactly.
+// materialized stream, ties included. Every key is a total preorder
+// (table.Compare is a total order), so when the limit cuts rows the
+// permutation is a bounded selection under (keys, row index); otherwise
+// a stable sort from row order.
 func (v *vecRun) sortStream(s *vstream, keys []table.SortKey, limit int) (*vstream, error) {
 	keyIdx := make([]int, len(keys))
 	for i, k := range keys {
@@ -1048,10 +880,8 @@ func (v *vecRun) sortStream(s *vstream, keys []table.SortKey, limit int) (*vstre
 		})
 	}
 	cols := make([]*sortCol, len(keys))
-	total := true
 	for k := range keys {
 		cols[k] = extractSortCol(bs, rowB, rowR, keyIdx[k])
-		total = total && cols[k].class != kcGeneric
 	}
 	// cmp orders two selected rows on the keys alone (0 = tie).
 	cmp := func(a, b int32) int {
@@ -1066,7 +896,7 @@ func (v *vecRun) sortStream(s *vstream, keys []table.SortKey, limit int) (*vstre
 		return 0
 	}
 	var perm []int32
-	if limit < n && total {
+	if limit < n {
 		perm = topK(n, limit, func(a, b int32) bool {
 			c := cmp(a, b)
 			return c > 0 || (c == 0 && a > b)
@@ -1140,10 +970,7 @@ func topK(n, k int, after func(a, b int32) bool) []int32 {
 
 // extractSortCol pulls one key column of the selected rows into typed
 // form. The first non-NULL cell fixes the column class; a later cell
-// of a different class, or a NaN, demotes the whole column to exact
-// Values, whose pairwise table.Compare reproduces the row path on any
-// kind mixture — so every typed class is a total preorder and
-// kcGeneric alone marks the columns that may not be.
+// of a different class demotes the whole column to exact Values.
 func extractSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
 	n := len(rowB)
 	sc := &sortCol{class: kcEmpty, nulls: table.NewBitmap(n)}
@@ -1176,7 +1003,7 @@ func extractSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
 				}
 				sc.nums[i] = float64(col.Ints[ri])
 			case col.Floats != nil:
-				if f := col.Floats[ri]; f != f || !ensure(kcNum) {
+				if !ensure(kcNum) {
 					return genericSortCol(bs, rowB, rowR, ci)
 				}
 				sc.nums[i] = col.Floats[ri]
@@ -1200,7 +1027,7 @@ func extractSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
 		}
 		switch {
 		case bv.IsNumeric():
-			if f := bv.Float(); f != f || !ensure(kcNum) {
+			if !ensure(kcNum) {
 				return genericSortCol(bs, rowB, rowR, ci)
 			}
 			sc.nums[i] = bv.Float()
@@ -1270,8 +1097,8 @@ func (v *vecRun) compareStream(n *Node, s *vstream) (*vstream, error) {
 // aggregate accumulates over the stream's selected rows in fragment
 // order — the row interpreter's exact accumulation order, so float
 // sums agree bitwise — with an allocation-free group-key encoding
-// (Value.Key bytes built into a reused buffer, interned only when a
-// group is first seen). A single group column carrying dictionary codes
+// (the cells' table.AppendKey bytes built into a reused buffer, interned
+// only when a group is first seen). A single group column carrying dictionary codes
 // is looked up once per code per batch (codeMemo).
 func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg, hint int) (*table.Table, error) {
 	groupIdx := make([]int, len(groupBy))
@@ -1336,8 +1163,7 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg, hint 
 		}
 		kb = kb[:0]
 		for _, gi := range groupIdx {
-			kb = appendKeyBytes(kb, &b.Cols[gi], ri)
-			kb = append(kb, '\x1f')
+			kb = b.Cols[gi].AppendKey(kb, ri)
 		}
 		acc, ok := groups[string(kb)]
 		if !ok {
@@ -1512,35 +1338,10 @@ func forSel(n int, sel []int32, fn func(ri int)) {
 	}
 }
 
-// appendKeyBytes appends the cell's Value.Key() encoding without
-// constructing the Value or allocating a string.
-func appendKeyBytes(kb []byte, col *table.ColVec, ri int) []byte {
-	if col.Boxed != nil {
-		return append(kb, col.Boxed[ri].Key()...)
-	}
-	if col.Nulls.Get(ri) {
-		return append(kb, "\x00null"...)
-	}
-	switch {
-	case col.Ints != nil:
-		kb = append(kb, 'n', ':')
-		return strconv.AppendFloat(kb, float64(col.Ints[ri]), 'g', -1, 64)
-	case col.Floats != nil:
-		kb = append(kb, 'n', ':')
-		return strconv.AppendFloat(kb, table.KeyFloat(col.Floats[ri]), 'g', -1, 64)
-	case col.Bools != nil:
-		kb = append(kb, 'b', ':')
-		return strconv.AppendBool(kb, col.Bools[ri])
-	default:
-		kb = append(kb, 's', ':')
-		return append(kb, col.Strs[ri]...)
-	}
-}
-
 // ---- distinct ----
 
 // distinctStream is the vectorized Distinct kernel: it keeps the first
-// selected row of every distinct key — the Value.Key encoding of the
+// selected row of every distinct key — the table.AppendKey bytes of the
 // stream's (mapped) columns, exactly table.Distinct's row key — as a
 // refined selection, copying no row. A single column carrying
 // dictionary codes has a codeMemo in front of the key map: only a code's
@@ -1568,8 +1369,7 @@ func (v *vecRun) distinctStream(s *vstream) *vstream {
 			}
 			kb = kb[:0]
 			for i := range s.schema {
-				kb = appendKeyBytes(kb, &b.Cols[s.baseCol(i)], ri)
-				kb = append(kb, '\x1f')
+				kb = b.Cols[s.baseCol(i)].AppendKey(kb, ri)
 			}
 			if _, dup := seen[string(kb)]; !dup {
 				seen[string(kb)] = struct{}{}

@@ -3,6 +3,7 @@ package logical
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/table"
@@ -230,8 +231,8 @@ func TestVecSortNulls(t *testing.T) {
 // TestVecSortCrossKind pins sort-kernel parity on columns whose cells
 // mix kinds (possible through direct row construction and through
 // untyped extraction): int/float mixtures compare numerically through
-// float64, and any other mixture falls back to table.Compare's
-// rendered-string ordering — both identically to the row path.
+// float64, and any other mixture sorts by table.Compare's class order —
+// both identically to the row path.
 func TestVecSortCrossKind(t *testing.T) {
 	c := table.NewCatalog()
 	mixed := table.New("mixed", table.Schema{
@@ -504,9 +505,8 @@ func TestVecCodedParity(t *testing.T) {
 	run("append")
 }
 
-// TestVecJoinSignedZero: −0 and +0 join, as Compare calls them equal —
-// in the row interpreter, whose hash join keys on Value.Key, exactly as
-// in the vectorized join, whose float64 map keys always agreed.
+// TestVecJoinSignedZero: −0 and +0 join, as Compare calls them equal,
+// in the row interpreter and in the vectorized join alike.
 func TestVecJoinSignedZero(t *testing.T) {
 	negZero := table.F(math.Copysign(0, -1))
 	c := table.NewCatalog()
@@ -527,6 +527,42 @@ func TestVecJoinSignedZero(t *testing.T) {
 	}
 	if got.Len() != 4 {
 		t.Errorf("row join of two zeros with two zeros = %d rows, want 4", got.Len())
+	}
+	assertVecParity(t, join, c)
+}
+
+// TestVecJoinKeysFollowCompare: join keys match exactly when Compare
+// calls them equal — NaN payloads with each other, int 2 with float 2,
+// a date with a string of its text — and never across classes: the
+// string "2" does not join the number 2, nor "true" the bool. The probe
+// side is long enough for the vectorized join to probe in parallel.
+func TestVecJoinKeysFollowCompare(t *testing.T) {
+	c := table.NewCatalog()
+	l := table.New("l", table.Schema{{Name: "k", Type: table.TypeString}, {Name: "a", Type: table.TypeInt}})
+	r := table.New("r", table.Schema{{Name: "k", Type: table.TypeString}, {Name: "b", Type: table.TypeInt}})
+	nan, otherNaN := table.F(math.NaN()), table.F(math.Float64frombits(0xfff8000000000001))
+	// Appended directly: the mixed cells bypass MustAppend's kind check.
+	for i, k := range []table.Value{nan, table.I(2), table.S("2"), table.B(true), table.D("2024-01-01"), table.Null(table.TypeString)} {
+		l.Rows = append(l.Rows, []table.Value{k, table.I(int64(i))})
+	}
+	rk := []table.Value{otherNaN, table.F(2), table.S("true"), table.S("2024-01-01"), table.F(math.Inf(1)), nan}
+	const cycles = 700
+	for i := 0; i < cycles*len(rk); i++ {
+		r.Rows = append(r.Rows, []table.Value{rk[i%len(rk)], table.I(int64(i))})
+	}
+	c.Put(l)
+	c.Put(r)
+	join := &Node{Op: OpJoin, LeftCol: "k", RightCol: "k", In: []*Node{scan("l"), scan("r")}}
+	got, err := Exec(join, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []string
+	for _, row := range got.Rows[:min(4, got.Len())] {
+		pairs = append(pairs, fmt.Sprint(row[1], "-", row[3]))
+	}
+	if want := "0-0 1-1 4-3 0-5"; got.Len() != 4*cycles || strings.Join(pairs, " ") != want {
+		t.Errorf("row join: %d rows, first pairs %v; want %d rows, first pairs %s", got.Len(), pairs, 4*cycles, want)
 	}
 	assertVecParity(t, join, c)
 }

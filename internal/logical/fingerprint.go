@@ -2,7 +2,6 @@ package logical
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/table"
@@ -13,8 +12,11 @@ import (
 // order inside a conjunction cannot change results) and compare items
 // sorted. Plans that fingerprint equally execute identically, so the
 // NL and SQL compilations of the same question share one physical-plan
-// cache slot. The encoding avoids fmt and allocates only the output
-// string — it runs on every federated execution.
+// cache slot. Every number, name and literal is written through
+// table.AppendKey, which escapes and ends it, so no field can run into
+// the next and two trees fingerprint equally only when their fields
+// are equal. The encoding avoids fmt and allocates little beyond the
+// output string — it runs on every federated execution.
 func Fingerprint(n *Node) string {
 	var b strings.Builder
 	b.Grow(192)
@@ -22,53 +24,66 @@ func Fingerprint(n *Node) string {
 	return b.String()
 }
 
+// fpWriter writes fingerprint fields to b through a scratch buffer.
+type fpWriter struct {
+	b   *strings.Builder
+	buf [64]byte
+}
+
+func (w *fpWriter) val(v table.Value) { w.b.Write(table.AppendKey(w.buf[:0], v)) }
+func (w *fpWriter) num(i int)         { w.val(table.I(int64(i))) }
+func (w *fpWriter) str(s string)      { w.val(table.S(s)) }
+
+// strs writes a list of names, then the list's end.
+func (w *fpWriter) strs(xs []string) {
+	for _, s := range xs {
+		w.str(s)
+	}
+	w.b.WriteByte('\x1d')
+}
+
 func fingerprintNode(b *strings.Builder, n *Node) {
 	if n == nil {
-		b.WriteString("_\x1f")
+		b.WriteByte('_')
 		return
 	}
-	b.WriteString(strconv.Itoa(int(n.Op)))
-	b.WriteByte('\x1f')
-	str := func(s string) { b.WriteString(s); b.WriteByte('\x1f') }
-	strs := func(xs []string) {
-		for _, s := range xs {
-			str(s)
-		}
-		b.WriteByte('\x1d')
-	}
+	w := &fpWriter{b: b}
+	w.num(int(n.Op))
 	switch n.Op {
 	case OpScan, OpInput, OpEmpty:
-		str(strings.ToLower(n.Table))
+		w.str(strings.ToLower(n.Table))
 		if n.RowEnd > 0 {
-			str("@" + strconv.Itoa(n.RowStart) + ":" + strconv.Itoa(n.RowEnd))
+			b.WriteByte('@')
+			w.num(n.RowStart)
+			w.num(n.RowEnd)
 		}
-		strs(n.Cols)
+		w.strs(n.Cols)
 	case OpFilter:
 		fingerprintPreds(b, n.Preds)
 	case OpProject:
-		strs(n.Proj)
-		strs(n.Aliases)
+		w.strs(n.Proj)
+		w.strs(n.Aliases)
 	case OpJoin:
-		str(strings.ToLower(n.LeftCol))
-		str(strings.ToLower(n.RightCol))
+		w.str(strings.ToLower(n.LeftCol))
+		w.str(strings.ToLower(n.RightCol))
 	case OpAggregate:
-		strs(n.GroupBy)
-		fingerprintAggs(b, n.Aggs)
+		w.strs(n.GroupBy)
+		fingerprintAggs(w, n.Aggs)
 	case OpSort:
 		for _, k := range n.Keys {
-			str(k.Col)
+			w.str(k.Col)
 			if k.Desc {
 				b.WriteByte('-')
 			}
 		}
 		b.WriteByte('\x1d')
 	case OpLimit:
-		str(strconv.Itoa(n.N))
+		w.num(n.N)
 	case OpCompare:
-		str(strings.ToLower(n.CompareCol))
-		strs(sortedItems(n.Items))
+		w.str(strings.ToLower(n.CompareCol))
+		w.strs(sortedItems(n.Items))
 		fingerprintPreds(b, n.Preds)
-		fingerprintAggs(b, n.Aggs)
+		fingerprintAggs(w, n.Aggs)
 	}
 	for _, in := range n.In {
 		fingerprintNode(b, in)
@@ -77,7 +92,7 @@ func fingerprintNode(b *strings.Builder, n *Node) {
 }
 
 // fingerprintPreds encodes a conjunction order-insensitively: the
-// rendered predicates are sorted before writing, since conjunctive
+// predicate keys are sorted before writing, since conjunctive
 // evaluation order never changes which rows pass.
 func fingerprintPreds(b *strings.Builder, preds []table.Pred) {
 	keys := make([]string, len(preds))
@@ -87,19 +102,15 @@ func fingerprintPreds(b *strings.Builder, preds []table.Pred) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		b.WriteString(k)
-		b.WriteByte('\x1f')
 	}
 	b.WriteByte('\x1d')
 }
 
-func fingerprintAggs(b *strings.Builder, aggs []table.Agg) {
+func fingerprintAggs(w *fpWriter, aggs []table.Agg) {
 	for _, a := range aggs {
-		b.WriteString(strconv.Itoa(int(a.Func)))
-		b.WriteByte('\x1e')
-		b.WriteString(strings.ToLower(a.Col))
-		b.WriteByte('\x1e')
-		b.WriteString(a.As)
-		b.WriteByte('\x1f')
+		w.num(int(a.Func))
+		w.str(strings.ToLower(a.Col))
+		w.str(a.As)
 	}
-	b.WriteByte('\x1d')
+	w.b.WriteByte('\x1d')
 }

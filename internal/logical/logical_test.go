@@ -485,6 +485,31 @@ func TestFingerprintCanonicalizesPredicateOrder(t *testing.T) {
 	}
 }
 
+// TestFingerprintSeparatesFields: a literal or a name whose text
+// spells out the fields of another plan does not fingerprint as that
+// plan. One predicate a = 'p<sep>b<sep>0<sep>s:q' is not the conjunction
+// a = 'p' AND b = 'q', and one projected column "a<sep>b" is not the
+// two columns a and b.
+func TestFingerprintSeparatesFields(t *testing.T) {
+	eq := func(col, v string) table.Pred { return table.Pred{Col: col, Op: table.OpEq, Val: table.S(v)} }
+	project := func(cols ...string) *Node { return &Node{Op: OpProject, Proj: cols, In: []*Node{scan("c")}} }
+	plans := map[string]*Node{
+		"two predicates":       filter(scan("c"), eq("a", "p"), eq("b", "q")),
+		"one spelled-out pred": filter(scan("c"), eq("a", "p\x1fb\x1e0\x1es:q")),
+		"two columns":          project("a", "b"),
+		"one spelled-out col":  project("a\x1fb"),
+		"escaped separator":    project("a\x1f\xffb"),
+	}
+	seen := map[string]string{}
+	for name, n := range plans {
+		fp := Fingerprint(n)
+		if other, dup := seen[fp]; dup {
+			t.Errorf("%s and %s share the fingerprint %q", name, other, fp)
+		}
+		seen[fp] = name
+	}
+}
+
 func TestOptimizeIsDeterministic(t *testing.T) {
 	c := testCatalog()
 	build := func() *Node {

@@ -175,8 +175,14 @@ func foldPass(o *Optimized, _ Stats) []string {
 	return notes
 }
 
+// predKey keys a predicate: its lowered column, operator and literal,
+// each written through table.AppendKey, so no part can run into the
+// next.
 func predKey(p table.Pred) string {
-	return strings.ToLower(p.Col) + "\x1e" + fmt.Sprint(int(p.Op)) + "\x1e" + p.Val.Key()
+	var buf [64]byte
+	k := table.AppendKey(buf[:0], table.S(strings.ToLower(p.Col)))
+	k = table.AppendKey(k, table.I(int64(p.Op)))
+	return string(table.AppendKey(k, p.Val))
 }
 
 // retypePass coerces every predicate literal to the type of the column

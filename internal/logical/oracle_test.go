@@ -9,18 +9,15 @@ import (
 )
 
 // The naive GROUP BY / DISTINCT oracle. Both executors find a group by
-// its Value.Key bytes and share the accumulator's rules; this oracle
-// shares neither. It partitions the input rows by pairwise
+// its cells' table.AppendKey bytes and share the accumulator's rules;
+// this oracle shares neither. It partitions the input rows by pairwise
 // table.Compare == 0 on the key columns — a row joins the first earlier
 // group whose key tuple it equals column by column, or opens its own —
 // and computes each aggregate from its definition over the group's rows.
-// Results are compared as sets: each output row must match exactly one
-// group, and every group must be matched.
-//
-// NaN is left out: Compare ties it with every number, so "equal" is not
-// an equivalence over NaN and no partition is the right one. What GROUP
-// BY, DISTINCT and ORDER BY mean over NaN is an open question of the
-// independent-oracle item in ROADMAP.md.
+// Compare is a total order, so "equal" is an equivalence and the
+// partition is the one right answer, NaN keys included. Results are
+// compared as sets: each output row must match exactly one group, and
+// every group must be matched.
 
 // oracleGroup is one partition: its first row's key cells and its rows.
 type oracleGroup struct {
@@ -128,19 +125,27 @@ func cellsEqual(a, b []table.Value) bool {
 
 // oracleCatalog holds "o", 600 rows over three fragments: g is a float
 // column holding +0, −0, int 2 beside float 2.0 (an int cell, so that
-// column's fragments are boxed), other numbers and NULLs; s is a string
-// column (coded in the catalog's fragments) with NULLs, whose value
-// "none" has only NULL v cells; v is the float measure.
+// column's fragments are boxed), NaN with two payloads, other numbers
+// and NULLs; f is an unboxed float column with the same NaNs and zeros;
+// s is a string column (coded in the catalog's fragments) with NULLs,
+// whose value "none" has only NULL v cells; t is a string column, and
+// two (s, t) pairs, ("x\x1fs:y", "z") and ("x", "y\x1fs:z"), straddle
+// the byte that ends a cell's key; v is the float measure.
 func oracleCatalog() *table.Catalog {
 	tb := table.New("o", table.Schema{
 		{Name: "g", Type: table.TypeFloat},
+		{Name: "f", Type: table.TypeFloat},
 		{Name: "s", Type: table.TypeString},
+		{Name: "t", Type: table.TypeString},
 		{Name: "v", Type: table.TypeFloat},
 	})
+	nan, otherNaN := table.F(math.NaN()), table.F(math.Float64frombits(0xfff8000000000001))
 	gs := []table.Value{table.F(0), table.F(math.Copysign(0, -1)), table.I(2), table.F(2), table.F(-1.5),
-		table.Null(table.TypeFloat), table.F(math.Copysign(0, -1)), table.F(7)}
+		table.Null(table.TypeFloat), nan, table.F(math.Copysign(0, -1)), table.F(7), otherNaN}
+	fs := []table.Value{otherNaN, table.F(1), table.F(math.Copysign(0, -1)), nan, table.F(0),
+		table.F(math.Inf(1)), table.Null(table.TypeFloat)}
 	for i := 0; i < 600; i++ {
-		s, v := table.S(fmt.Sprintf("s%d", i%11)), table.F(float64(i%9)*0.5)
+		s, tv, v := table.S(fmt.Sprintf("s%d", i%11)), table.S(fmt.Sprintf("t%d", i%3)), table.F(float64(i%9)*0.5)
 		switch {
 		case i%10 == 3:
 			s, v = table.S("none"), table.Null(table.TypeFloat)
@@ -148,10 +153,14 @@ func oracleCatalog() *table.Catalog {
 			s = table.Null(table.TypeString)
 		case i%17 == 0:
 			v = table.Null(table.TypeFloat)
+		case i%19 == 1:
+			s, tv = table.S("x\x1fs:y"), table.S("z")
+		case i%19 == 2:
+			s, tv = table.S("x"), table.S("y\x1fs:z")
 		}
 		// Rows bypass Append's kind check on purpose: the int cell stays
 		// an int beside the float ones.
-		tb.Rows = append(tb.Rows, []table.Value{gs[i%len(gs)], s, v})
+		tb.Rows = append(tb.Rows, []table.Value{gs[i%len(gs)], fs[i%len(fs)], s, tv, v})
 	}
 	c := table.NewCatalog()
 	c.Put(tb)
@@ -160,7 +169,8 @@ func oracleCatalog() *table.Catalog {
 
 // TestGroupDistinctOracle runs GROUP BY and DISTINCT through both
 // executors and holds each to the naive oracle, over NULL keys, ±0,
-// int-vs-float keys, all-NULL measures and empty input.
+// int-vs-float keys, NaN keys with two payloads, string pairs that
+// straddle a cell boundary, all-NULL measures and empty input.
 func TestGroupDistinctOracle(t *testing.T) {
 	c := oracleCatalog()
 	base, _ := c.Get("o")
@@ -181,7 +191,7 @@ func TestGroupDistinctOracle(t *testing.T) {
 		"empty": {filter(scan("o"), nothing), nil},
 	}
 	for inName, in := range inputs {
-		for _, cols := range [][]string{{"g"}, {"s"}, {"g", "s"}} {
+		for _, cols := range [][]string{{"g"}, {"f"}, {"s"}, {"g", "s"}, {"s", "t"}, {"f", "s", "t"}} {
 			idx := make([]int, len(cols))
 			for i, col := range cols {
 				idx[i] = base.Schema.ColIndex(col)

@@ -12,7 +12,7 @@ import (
 // topKTable builds a seeded n-row table whose columns cover what the
 // bounded selection must order exactly like the stable sort: NULLs in
 // every key column, ±0 and (optionally) NaN floats, heavy duplicates, a
-// mixed-kind column that extracts boxed and sorts through kcGeneric, and
+// mixed-kind column that extracts boxed and sorts as exact Values, and
 // a unique id that makes any tie-order slip visible.
 func topKTable(seed int64, n int, nan bool) *table.Table {
 	rng := rand.New(rand.NewSource(seed))
@@ -97,9 +97,9 @@ func sameCells(a, b *table.Table) error {
 // selection vectors from a filter and from a row range, a projection,
 // a projection left pending at the leaf — RunVec(Limit(k, Sort(keys,
 // X))) equals table.Limit(table.Sort(X, keys), k) cell for cell at
-// every k around the input size, ties in row order. The NaN-bearing and
-// mixed-kind keys order intransitively; there the equality holds because
-// the executor falls back to the stable sort itself.
+// every k around the input size, ties in row order — the NaN-bearing
+// and mixed-kind keys included, which table.Compare orders totally like
+// every other key.
 func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 	keySets := map[string][]table.SortKey{
 		"float":            {{Col: "f"}},
@@ -221,9 +221,9 @@ func TestVecTopKErrors(t *testing.T) {
 }
 
 // TestVecDistinctKeys pins the distinct kernel to table.Distinct on the
-// keys where Value.Key equality is coarser or finer than it looks: NULL
-// in either column, 1 vs 1.0 (equal), NaN (equal to itself by key),
-// -0 vs +0 (distinct), a date vs the same text as a string (equal), over
+// keys where equality is coarser or finer than it looks: NULL in either
+// column, 1 vs 1.0 (equal), NaN (equal to NaN), -0 vs +0 (equal), a
+// date vs the same text as a string (equal), over
 // bare, filtered and projected inputs — first occurrence kept.
 func TestVecDistinctKeys(t *testing.T) {
 	tb := table.New("d", table.Schema{

@@ -85,6 +85,24 @@ func (c *ColVec) ValueAt(i int) Value {
 	}
 }
 
+// AppendKey appends the key of the cell at row i (the package
+// AppendKey of ValueAt(i)) to dst without boxing the cell.
+func (c *ColVec) AppendKey(dst []byte, i int) []byte {
+	switch {
+	case c.Boxed != nil:
+		return AppendKey(dst, c.Boxed[i])
+	case c.Nulls.Get(i):
+		return appendNullKey(dst)
+	case c.Ints != nil:
+		return appendNumKey(dst, float64(c.Ints[i]))
+	case c.Floats != nil:
+		return appendNumKey(dst, c.Floats[i])
+	case c.Bools != nil:
+		return appendBoolKey(dst, c.Bools[i])
+	}
+	return appendStrKey(dst, c.Strs[i])
+}
+
 // Batch is a row range of one table in columnar form: Len rows across
 // Cols, in schema order.
 type Batch struct {

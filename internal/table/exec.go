@@ -179,39 +179,30 @@ func HashJoin(left, right *Table, leftCol, rightCol string, hint int) (*Table, e
 		out.Rows = make([][]Value, 0, hint)
 	}
 
-	// Build on the smaller input, probe with the larger.
-	if len(left.Rows) <= len(right.Rows) {
-		build := make(map[string][][]Value, len(left.Rows))
-		for _, lr := range left.Rows {
-			if lr[li].IsNull() {
-				continue
-			}
-			k := lr[li].Key()
-			build[k] = append(build[k], lr)
+	// Build on the smaller input, probe with the larger, both by key.
+	buildLeft := len(left.Rows) <= len(right.Rows)
+	bt, bi, pt, pi := left, li, right, ri
+	if !buildLeft {
+		bt, bi, pt, pi = right, ri, left, li
+	}
+	build := make(map[string][][]Value, len(bt.Rows))
+	for _, br := range bt.Rows {
+		if !br[bi].IsNull() {
+			k := br[bi].Key()
+			build[k] = append(build[k], br)
 		}
-		for _, rr := range right.Rows {
-			if rr[ri].IsNull() {
-				continue
-			}
-			for _, lr := range build[rr[ri].Key()] {
-				out.Rows = append(out.Rows, concatRows(lr, rr))
-			}
+	}
+	var kb []byte
+	for _, pr := range pt.Rows {
+		if pr[pi].IsNull() {
+			continue
 		}
-	} else {
-		build := make(map[string][][]Value, len(right.Rows))
-		for _, rr := range right.Rows {
-			if rr[ri].IsNull() {
-				continue
-			}
-			k := rr[ri].Key()
-			build[k] = append(build[k], rr)
-		}
-		for _, lr := range left.Rows {
-			if lr[li].IsNull() {
-				continue
-			}
-			for _, rr := range build[lr[li].Key()] {
-				out.Rows = append(out.Rows, concatRows(lr, rr))
+		kb = AppendKey(kb[:0], pr[pi])
+		for _, br := range build[string(kb)] {
+			if buildLeft {
+				out.Rows = append(out.Rows, concatRows(br, pr))
+			} else {
+				out.Rows = append(out.Rows, concatRows(pr, br))
 			}
 		}
 	}
@@ -411,17 +402,19 @@ func (a *aggAcc) fold(rows [][]Value) {
 			a.order = make([]string, 0, a.hint)
 		}
 	}
+	var kb []byte
 	for _, row := range rows {
-		var kb strings.Builder
-		key := make([]Value, len(a.groupIdx))
-		for i, gi := range a.groupIdx {
-			key[i] = row[gi]
-			kb.WriteString(row[gi].Key())
-			kb.WriteByte('\x1f')
+		kb = kb[:0]
+		for _, gi := range a.groupIdx {
+			kb = AppendKey(kb, row[gi])
 		}
-		ks := kb.String()
-		acc, ok := a.groups[ks]
+		acc, ok := a.groups[string(kb)]
 		if !ok {
+			ks := string(kb)
+			key := make([]Value, len(a.groupIdx))
+			for i, gi := range a.groupIdx {
+				key[i] = row[gi]
+			}
 			acc = &aggGroup{
 				key:    key,
 				sums:   make([]float64, len(a.aggs)),
@@ -573,15 +566,14 @@ func Limit(t *Table, n int) *Table {
 func Distinct(t *Table) *Table {
 	out := New(t.Name, t.Schema)
 	seen := make(map[string]bool)
+	var kb []byte
 	for _, row := range t.Rows {
-		var kb strings.Builder
+		kb = kb[:0]
 		for _, v := range row {
-			kb.WriteString(v.Key())
-			kb.WriteByte('\x1f')
+			kb = AppendKey(kb, v)
 		}
-		k := kb.String()
-		if !seen[k] {
-			seen[k] = true
+		if !seen[string(kb)] {
+			seen[string(kb)] = true
 			out.Rows = append(out.Rows, row)
 		}
 	}

@@ -147,7 +147,9 @@ func colRuns(rows [][]Value, ci int, count bool) (runs []ValueCount, nulls int) 
 // cellKey is a non-null value's kind and payload: 32 bytes to hash where
 // a Value is 56. Values with equal keys are Compare-equal, which is all
 // colRuns needs: +0 and -0 share a key, as do two ints one float64 stands
-// for (Compare reads ints through Float), and a NaN's key equals no key.
+// for (Compare reads ints through Float). A NaN's key equals no key, not
+// even its own, so NaNs are counted apart and merge after the sort,
+// where Compare calls every NaN equal.
 type cellKey struct {
 	kind ColType
 	s    string

@@ -35,9 +35,8 @@
 package table
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -149,72 +148,57 @@ func (v Value) String() string {
 	}
 }
 
-// Compare orders two values: NULL < everything; numerics compare by
-// value across int/float; strings and dates lexically; bools false <
-// true. Cross-type non-numeric comparisons fall back to the rendered
-// string so sorting is total.
+// Compare is the one total order on values, and Equal and the key
+// encoding (AppendKey) follow it. Values order by class first — NULL of
+// any kind < bool < number < string and date — which is the byte order
+// of the encoding's class prefixes. Within a class, bools order false <
+// true; numbers by value across int and float (CompareFloat: −0 equals
+// +0, NaN equals NaN and sorts above +Inf, PostgreSQL's rule); strings
+// and dates by their text.
 func Compare(a, b Value) int {
-	switch {
-	case !a.valid && !b.valid:
+	ca, cb := a.keyClass(), b.keyClass()
+	if ca != cb {
+		return cmp.Compare(ca, cb)
+	}
+	switch ca {
+	case 'n':
+		return CompareFloat(a.Float(), b.Float())
+	case 'b':
+		switch {
+		case !a.b && b.b:
+			return -1
+		case a.b && !b.b:
+			return 1
+		}
 		return 0
-	case !a.valid:
+	case 's':
+		return strings.Compare(a.s, b.s)
+	}
+	return 0
+}
+
+// CompareFloat is Compare's order on numbers: by value, −0 equal to +0,
+// and every NaN equal to every other and above +Inf.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
 		return -1
-	case !b.valid:
+	case a > b:
+		return 1
+	case a == b || a != a && b != b:
+		return 0
+	case a != a:
 		return 1
 	}
-	if a.IsNumeric() && b.IsNumeric() {
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if a.kind == b.kind {
-		switch a.kind {
-		case TypeString, TypeDate:
-			return strings.Compare(a.s, b.s)
-		case TypeBool:
-			switch {
-			case !a.b && b.b:
-				return -1
-			case a.b && !b.b:
-				return 1
-			default:
-				return 0
-			}
-		}
-	}
-	return strings.Compare(a.String(), b.String())
+	return -1
 }
 
 // Equal reports whether two values compare equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Key returns a map-key form used by hash joins and group-by. Values
-// that compare equal have equal keys: numerics key by their float64
-// value across int and float, −0 as +0. (Two exceptions, open: NaN,
-// which Compare ties with every number, and a string or date whose text
-// equals a number's or bool's rendering, which Compare's rendered-string
-// fallback ties with it.)
-func (v Value) Key() string {
-	switch v.keyClass() {
-	case 0:
-		return "\x00null"
-	case 'n':
-		return "n:" + strconv.FormatFloat(KeyFloat(v.Float()), 'g', -1, 64)
-	case 'b':
-		return "b:" + strconv.FormatBool(v.b)
-	default:
-		return "s:" + v.s
-	}
-}
-
-// keyClass is the class a Key names: 0 for NULL of any kind, then 'n'
-// (int and float), 'b' or 's' (string and date) as its prefix does.
+// keyClass is a value's class under Compare, and the first byte of its
+// key: 0 for NULL of any kind, then 'b' (bool), 'n' (int and float) and
+// 's' (string and date).
 func (v Value) keyClass() byte {
 	switch {
 	case !v.valid:
@@ -228,59 +212,65 @@ func (v Value) keyClass() byte {
 	}
 }
 
-// SameKey reports whether a.Key() == b.Key() without building either
-// key: NULLs of every kind are one key, numbers compare by KeyFloat
-// across int and float with every NaN one key, bools by value, and
-// strings and dates by their text.
-func SameKey(a, b Value) bool {
-	c := a.keyClass()
-	if c != b.keyClass() {
-		return false
-	}
-	switch c {
+// keyEnd ends every key. Inside a string payload it is escaped as
+// keyEnd, keyEsc; no class prefix is keyEsc, so a key ends at the first
+// keyEnd not followed by keyEsc and a row's keys, written one after
+// another, read back one way only.
+const (
+	keyEnd = 0x1f
+	keyEsc = 0xff
+)
+
+// AppendKey appends v's key to dst: a class prefix, the payload and
+// keyEnd — "\x00null" for NULL of any kind, "b:" and the bool, "n:" and
+// the number's shortest text (−0 written as 0, every NaN as NaN), "s:"
+// and the escaped text of a string or date. Two values have equal keys
+// exactly when Compare calls them equal, and a row's cells appended in
+// order key the row: hash joins, GROUP BY, DISTINCT, plan fingerprints
+// and ingest dedupe all find values by these bytes.
+func AppendKey(dst []byte, v Value) []byte {
+	switch v.keyClass() {
+	case 0:
+		return appendNullKey(dst)
 	case 'n':
-		af, bf := a.Float(), b.Float()
-		return af == bf || af != af && bf != bf
+		return appendNumKey(dst, v.Float())
 	case 'b':
-		return a.b == b.b
-	case 's':
-		return a.s == b.s
+		return appendBoolKey(dst, v.b)
 	}
-	return true
+	return appendStrKey(dst, v.s)
 }
 
-// HashKey writes v's Key to h in a form that builds no string: values
-// SameKey calls equal write the same bytes, so they hash equal.
-func (v Value) HashKey(h *maphash.Hash) {
-	c := v.keyClass()
-	h.WriteByte(c)
-	switch c {
-	case 'n':
-		f := KeyFloat(v.Float())
-		if f != f {
-			f = math.NaN()
-		}
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		h.Write(b[:])
-	case 'b':
-		if v.b {
-			h.WriteByte(1)
-		} else {
-			h.WriteByte(0)
-		}
-	case 's':
-		h.WriteString(v.s)
-	}
+// Key is v's key (AppendKey) as a string, for a map that stores it.
+func (v Value) Key() string {
+	var buf [32]byte
+	return string(AppendKey(buf[:0], v))
 }
 
-// KeyFloat is the number a numeric Key encodes: f itself, except that
-// −0 becomes +0, which Compare calls equal to it.
-func KeyFloat(f float64) float64 {
+func appendNullKey(dst []byte) []byte { return append(append(dst, "\x00null"...), keyEnd) }
+
+func appendNumKey(dst []byte, f float64) []byte {
 	if f == 0 {
-		return 0
+		f = 0 // −0 keys as +0, which Compare calls equal to it
 	}
-	return f
+	dst = strconv.AppendFloat(append(dst, 'n', ':'), f, 'g', -1, 64)
+	return append(dst, keyEnd)
+}
+
+func appendBoolKey(dst []byte, b bool) []byte {
+	return append(strconv.AppendBool(append(dst, 'b', ':'), b), keyEnd)
+}
+
+func appendStrKey(dst []byte, s string) []byte {
+	dst = append(dst, 's', ':')
+	for {
+		i := strings.IndexByte(s, keyEnd)
+		if i < 0 {
+			break
+		}
+		dst = append(append(dst, s[:i+1]...), keyEsc)
+		s = s[i+1:]
+	}
+	return append(append(dst, s...), keyEnd)
 }
 
 // Parse converts raw text to a value of type t. Empty text parses to

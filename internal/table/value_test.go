@@ -1,9 +1,9 @@
 package table
 
 import (
-	"hash/maphash"
+	"bytes"
+	"cmp"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -85,74 +85,99 @@ func TestKeySignedZero(t *testing.T) {
 	if negZero.Key() != F(0).Key() || negZero.Key() != I(0).Key() {
 		t.Errorf("−0 keys as %q, 0 as %q", negZero.Key(), F(0).Key())
 	}
-	if KeyFloat(math.Copysign(0, -1)) != 0 || math.Signbit(KeyFloat(math.Copysign(0, -1))) {
-		t.Error("KeyFloat keeps the sign of −0")
-	}
-	if KeyFloat(-1.5) != -1.5 {
-		t.Error("KeyFloat changes a non-zero number")
+	if got := F(-1.5).Key(); got != "n:-1.5\x1f" {
+		t.Errorf("−1.5 keys as %q", got)
 	}
 }
 
-// TestKeyIffCompareEqual is the property hash joins, GROUP BY and
-// DISTINCT rest on: two values share a Key exactly when Compare calls
-// them equal. The pool crosses every kind, NULLs of each type, ±0, ±Inf,
-// int against float (2^53 + 1 rounds onto 2^53) and strings against
-// dates, in pairs drawn often enough to collide. Two cases are left out
-// on purpose, both open questions of the independent-oracle item in
-// ROADMAP.md: NaN, which Compare ties with every number, so no key can
-// agree with it; and a string whose text is a number's or a bool's
-// rendering, which Compare's rendered-string fallback ties with that
-// number or bool while the number ties with others the string does not.
-func TestKeyIffCompareEqual(t *testing.T) {
-	pool := []Value{
-		Null(TypeInt), Null(TypeFloat), Null(TypeString), Null(TypeBool), Null(TypeDate),
-		I(0), I(-1), I(2), I(1 << 53), I(1<<53 + 1),
-		F(0), F(math.Copysign(0, -1)), F(-1), F(2), F(1.5), F(-1.5), F(1 << 53),
-		F(math.Inf(1)), F(math.Inf(-1)), F(1e300),
-		S(""), S("a"), S("b"), S("ab"), S("2024-01-01"),
-		D("2024-01-01"), D("2024-01-02"), D("a"),
-		B(true), B(false),
+// TestCompareClassOrder pins the order across classes and the NaN rule:
+// NULL < bool < number < string and date, and NaN, whatever its
+// payload, equals NaN and sorts above +Inf.
+func TestCompareClassOrder(t *testing.T) {
+	nan, otherNaN := F(math.NaN()), F(math.Float64frombits(0xfff8000000000001))
+	ascending := []Value{Null(TypeString), B(false), B(true), F(math.Inf(-1)), I(-1), F(0), I(2),
+		F(math.Inf(1)), nan, S(""), S("2"), D("2024-01-01"), S("n:2"), S("true")}
+	for i := range ascending {
+		for j := range ascending {
+			want := cmp.Compare(i, j)
+			if got := Compare(ascending[i], ascending[j]); got != want {
+				t.Errorf("Compare(%v %v, %v %v) = %d, want %d",
+					ascending[i].Kind(), ascending[i], ascending[j].Kind(), ascending[j], got, want)
+			}
+		}
 	}
-	rng := rand.New(rand.NewSource(1))
-	for n := 0; n < 20000; n++ {
-		a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
-		if eq, same := Compare(a, b) == 0, a.Key() == b.Key(); eq != same {
-			t.Fatalf("Compare(%v %v, %v %v) == 0 is %v, equal keys %v (%q, %q)",
-				a.Kind(), a, b.Kind(), b, eq, same, a.Key(), b.Key())
+	if Compare(nan, otherNaN) != 0 || nan.Key() != otherNaN.Key() {
+		t.Errorf("two NaN payloads: Compare %d, keys %q and %q", Compare(nan, otherNaN), nan.Key(), otherNaN.Key())
+	}
+}
+
+// keyPool crosses every kind, NULLs of each type, ±0, ±Inf, NaN
+// payloads, int against float (2^53 + 1 rounds onto 2^53), numbers and
+// bools against strings of their rendering or of their key, strings
+// holding the key separator, and strings against dates of the same text.
+var keyPool = []Value{
+	Null(TypeInt), Null(TypeFloat), Null(TypeString), Null(TypeBool), Null(TypeDate),
+	I(0), I(-1), I(2), I(1 << 53), I(1<<53 + 1),
+	F(0), F(math.Copysign(0, -1)), F(-1), F(2), F(1.5), F(-1.5), F(1 << 53),
+	F(math.Inf(1)), F(math.Inf(-1)), F(1e300),
+	F(math.NaN()), F(math.Float64frombits(0x7ff8000000000001)), F(math.Float64frombits(0xfff8000000000000)),
+	S(""), S("a"), S("b"), S("ab"), S("2"), S("true"), S("n:2"), S("\x00null"), S("x"),
+	S("x\x1fs:y"), S("x\x1f"), S("x\x1f\xff"), S("2024-01-01"),
+	D("2024-01-01"), D("2024-01-02"), D("a"), D("x"), D(""),
+	B(true), B(false),
+}
+
+// TestKeyIffCompareEqual is the property hash joins, GROUP BY, DISTINCT
+// and ingest dedupe rest on: over every pair of keyPool, two values
+// share a key exactly when Compare calls them equal.
+func TestKeyIffCompareEqual(t *testing.T) {
+	for _, a := range keyPool {
+		for _, b := range keyPool {
+			if eq, same := Compare(a, b) == 0, a.Key() == b.Key(); eq != same {
+				t.Errorf("Compare(%v %v, %v %v) == 0 is %v, equal keys %v (%q, %q)",
+					a.Kind(), a, b.Kind(), b, eq, same, a.Key(), b.Key())
+			}
 		}
 	}
 }
 
-// SameKey is Key equality without the strings, and HashKey agrees with
-// it: over every pair of a pool that crosses NaN payloads, ±0, int
-// against float, numbers and bools against strings of their rendering,
-// strings against dates of the same text and NULLs of every kind,
-// SameKey holds exactly when the Keys are equal, equal keys hash equal,
-// and, on this pool, different keys hash different.
+// TestSameKeyIffKeyEqual holds the key writers that build no string to
+// Key: over every pair of keyPool, the bytes AppendKey writes, and the
+// bytes ColVec.AppendKey writes from a boxed mixed column and from a
+// typed column of the value's own kind, are equal exactly when the Keys
+// are, and each writer's bytes are the Key itself.
 func TestSameKeyIffKeyEqual(t *testing.T) {
-	pool := []Value{
-		Null(TypeInt), Null(TypeFloat), Null(TypeString), Null(TypeBool), Null(TypeDate),
-		I(0), I(2), I(-1), I(1 << 53), I(1<<53 + 1),
-		F(0), F(math.Copysign(0, -1)), F(2), F(-1), F(1 << 53), F(1.5),
-		F(math.NaN()), F(math.Float64frombits(0x7ff8000000000001)), F(math.Float64frombits(0xfff8000000000000)),
-		F(math.Inf(1)), F(math.Inf(-1)),
-		S(""), S("2"), S("n:2"), S("true"), S("\x00null"), S("x"), S("x\x1fs:y"), S("2024-01-01"),
-		D("2024-01-01"), D("x"), D(""),
-		B(true), B(false),
+	// boxed holds the pool as one mixed column, which a batch boxes;
+	// typed(i) is value i alone in a column of its own kind.
+	boxed := New("pool", Schema{{Name: "v", Type: TypeString}})
+	for _, v := range keyPool {
+		boxed.Rows = append(boxed.Rows, []Value{v})
 	}
-	seed := maphash.MakeSeed()
-	hash := func(v Value) uint64 {
-		var h maphash.Hash
-		h.SetSeed(seed)
-		v.HashKey(&h)
-		return h.Sum64()
+	boxedCol := &BatchRange(boxed, 0, len(keyPool)).Cols[0]
+	typed := func(i int) *ColVec {
+		one := New("one", Schema{{Name: "v", Type: keyPool[i].Kind()}})
+		one.Rows = [][]Value{{keyPool[i]}}
+		return &BatchRange(one, 0, 1).Cols[0]
 	}
-	for _, a := range pool {
-		for _, b := range pool {
-			same, keyEq, hashEq := SameKey(a, b), a.Key() == b.Key(), hash(a) == hash(b)
-			if same != keyEq || hashEq != keyEq {
-				t.Errorf("%v %v, %v %v: SameKey %v, equal keys %v (%q, %q), equal hashes %v",
-					a.Kind(), a, b.Kind(), b, same, keyEq, a.Key(), b.Key(), hashEq)
+	writers := []struct {
+		name  string
+		write func(i int) []byte
+	}{
+		{"AppendKey", func(i int) []byte { return AppendKey(nil, keyPool[i]) }},
+		{"boxed ColVec.AppendKey", func(i int) []byte { return boxedCol.AppendKey(nil, i) }},
+		{"typed ColVec.AppendKey", func(i int) []byte { return typed(i).AppendKey(nil, 0) }},
+	}
+	for _, w := range writers {
+		for i, a := range keyPool {
+			ka := w.write(i)
+			if string(ka) != a.Key() {
+				t.Errorf("%s of %v %v is %q, Key %q", w.name, a.Kind(), a, ka, a.Key())
+			}
+			for j, b := range keyPool {
+				if same, keyEq := bytes.Equal(ka, w.write(j)), a.Key() == b.Key(); same != keyEq {
+					t.Errorf("%s: %v %v, %v %v: equal bytes %v, equal keys %v (%q, %q)",
+						w.name, a.Kind(), a, b.Kind(), b, same, keyEq, a.Key(), b.Key())
+				}
 			}
 		}
 	}
@@ -251,4 +276,94 @@ func TestValueStringFormats(t *testing.T) {
 	if B(false).String() != "false" {
 		t.Errorf("bool format: %q", B(false).String())
 	}
+}
+
+// fuzzValue decodes a value: the first byte picks the kind, the rest is
+// the payload — little-endian bits for numbers (every NaN payload, ±0
+// and ±Inf reachable), a small integral float for kind 6, and the text
+// itself for strings and dates.
+func fuzzValue(data []byte) Value {
+	if len(data) == 0 {
+		return Value{}
+	}
+	payload := data[1:]
+	var u uint64
+	for i := 0; i < 8 && i < len(payload); i++ {
+		u |= uint64(payload[i]) << (8 * i)
+	}
+	switch data[0] % 7 {
+	case 0:
+		return Null(ColType(data[0] / 7 % 5))
+	case 1:
+		return B(u&1 == 1)
+	case 2:
+		return I(int64(u))
+	case 3:
+		return F(math.Float64frombits(u))
+	case 4:
+		return S(string(payload))
+	case 5:
+		return D(string(payload))
+	default:
+		return F(float64(int8(u)))
+	}
+}
+
+// FuzzValueOrder holds the laws the engine's one order rests on, over
+// four fuzzed values: Compare is antisymmetric and transitive, two
+// values compare equal exactly when their keys are equal bytes, and two
+// rows' keys — their cells' keys one after another — are equal exactly
+// when the rows have as many cells and are equal cell by cell.
+func FuzzValueOrder(f *testing.F) {
+	num := func(kind byte, bits uint64) []byte {
+		b := []byte{kind}
+		for i := 0; i < 8; i++ {
+			b = append(b, byte(bits>>(8*i)))
+		}
+		return b
+	}
+	f.Add([]byte{4, 'x', 0x1f, 's', ':', 'y'}, []byte{4, 'z'}, []byte{4, 'x'}, []byte{4, 'y', 0x1f, 's', ':', 'z'})
+	f.Add(num(3, math.Float64bits(math.NaN())), num(3, 0x7ff8000000000001), num(3, math.Float64bits(math.Inf(1))), num(3, 1<<63))
+	f.Add([]byte{2, 2}, num(3, math.Float64bits(2)), []byte{4, '2'}, []byte{6, 2})
+	f.Add([]byte{1, 1}, []byte{4, 't', 'r', 'u', 'e'}, []byte{0}, []byte{7})
+	f.Add([]byte{4, '2', '0', '2', '4'}, []byte{5, '2', '0', '2', '4'}, []byte{4, 0x1f}, []byte{4, 0x1f, 0xff})
+	f.Add(num(2, 1<<53+1), num(3, math.Float64bits(1<<53)), []byte{6, 0}, num(3, 1<<63))
+	f.Fuzz(func(t *testing.T, a, b, c, d []byte) {
+		vs := []Value{fuzzValue(a), fuzzValue(b), fuzzValue(c), fuzzValue(d)}
+		for _, x := range vs {
+			for _, y := range vs {
+				xy, yx := Compare(x, y), Compare(y, x)
+				if xy != -yx {
+					t.Fatalf("Compare(%v %v, %v %v) = %d but the reverse is %d", x.Kind(), x, y.Kind(), y, xy, yx)
+				}
+				if eq := bytes.Equal(AppendKey(nil, x), AppendKey(nil, y)); (xy == 0) != eq {
+					t.Fatalf("Compare(%v %v, %v %v) = %d, equal keys %v", x.Kind(), x, y.Kind(), y, xy, eq)
+				}
+				for _, z := range vs {
+					if xy <= 0 && Compare(y, z) <= 0 && Compare(x, z) > 0 {
+						t.Fatalf("%v %v <= %v %v <= %v %v, but the first > the last", x.Kind(), x, y.Kind(), y, z.Kind(), z)
+					}
+				}
+			}
+		}
+		rowKey := func(row ...Value) []byte {
+			var k []byte
+			for _, v := range row {
+				k = AppendKey(k, v)
+			}
+			return k
+		}
+		rows := [][]Value{{vs[0], vs[1]}, {vs[2], vs[3]}, {vs[0]}, {vs[2]}, {vs[1], vs[0], vs[3]}, {}}
+		for _, r := range rows {
+			for _, q := range rows {
+				same := len(r) == len(q)
+				for i := 0; same && i < len(r); i++ {
+					same = Equal(r[i], q[i])
+				}
+				if eq := bytes.Equal(rowKey(r...), rowKey(q...)); eq != same {
+					t.Fatalf("rows %v and %v: equal cell by cell %v, equal keys %v", r, q, same, eq)
+				}
+			}
+		}
+	})
 }

@@ -140,10 +140,10 @@ func (zc *ZoneCol) Refutes(p Pred) bool {
 // the bounds lo ≤ hi of its non-null cells, of which there is at least
 // one, and, when vals is non-nil, its n distinct non-null values in
 // ascending order — proves that no cell satisfies p, whose literal is
-// not NULL. The rules are sound with respect to Pred.Eval: NULL cells
+// not NULL. The rules are sound with respect to Pred.Match: NULL cells
 // never satisfy any comparison, bounds use the same total Compare order
-// Eval uses, and CONTAINS/equality tests on exact value sets replay
-// Eval's own matching.
+// Match uses, and equality tests on exact value sets replay Match's own
+// matching, as CONTAINS tests do on sets of strings, dates and bools.
 func refutes(p Pred, lo, hi Value, n int, vals func(int) Value) bool {
 	switch p.Op {
 	case OpEq:
@@ -176,7 +176,11 @@ func refutes(p Pred, lo, hi Value, n int, vals func(int) Value) bool {
 		}
 		needle := strings.ToLower(p.Val.String())
 		for i := range n {
-			if strings.Contains(strings.ToLower(vals(i).String()), needle) {
+			// A set keeps one of Compare-equal values, and equal numbers
+			// can render apart (0 and -0, 1000000 and 1e+06): a number
+			// in the set proves nothing about the text of its rows.
+			v := vals(i)
+			if v.IsNumeric() || strings.Contains(strings.ToLower(v.String()), needle) {
 				return false
 			}
 		}

@@ -3,6 +3,8 @@ package table
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -475,5 +477,60 @@ func TestStatsRefutes(t *testing.T) {
 	}
 	if !ts.Refutes([]Pred{{Col: "units", Op: OpLt, Val: I(5)}, {Col: "revenue", Op: OpGt, Val: F(1e6)}}) {
 		t.Error("conjunction with one refuted conjunct not refuted")
+	}
+}
+
+// TestRefutesNeverDropsAMatch is pruning's soundness: whenever a zone
+// map or the column statistics refute a predicate, no row of the column
+// satisfies it under Pred.Match. Columns are drawn from two pools — a
+// float column with NaN, ±Inf, ±0 and NULLs, and a boxed column mixing
+// every kind, strings that render like numbers and bools included — in
+// sizes that keep the exact value sets and sizes that leave only the
+// bounds, and every operator is tried with every literal of both pools.
+func TestRefutesNeverDropsAMatch(t *testing.T) {
+	nan, negZero := F(math.NaN()), F(math.Copysign(0, -1))
+	floats := []Value{nan, F(math.Float64frombits(0xfff8000000000001)), F(math.Inf(1)), F(math.Inf(-1)),
+		F(0), negZero, F(5), F(1), F(-2.5), F(3), Null(TypeFloat)}
+	mixed := []Value{I(2), F(2), I(-7), nan, F(math.Inf(1)), negZero, S("2"), S("abc"), S("n:2"), S("true"),
+		S(""), D("2024-01-01"), S("2024-01-01"), B(true), B(false), Null(TypeString)}
+	literals := append(append([]Value{F(4), I(3), S("ab"), S("zzz"), D("2023-12-31")}, floats...), mixed...)
+	ops := []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpContains}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		pool, typ := floats, TypeFloat
+		if trial%2 == 1 {
+			pool, typ = mixed, TypeString
+		}
+		n := 1 + rng.Intn(6)
+		if trial%4 >= 2 {
+			n = 20 + rng.Intn(100)
+		}
+		tb := New("r", Schema{{Name: "x", Type: typ}})
+		for i := 0; i < n; i++ {
+			v := pool[rng.Intn(len(pool))]
+			if trial%4 >= 2 && rng.Intn(3) == 0 {
+				v = F(float64(rng.Intn(200)) / 4) // more distinct values than the exact sets keep
+			}
+			// Appended directly: the mixed cells bypass Append's kind check.
+			tb.Rows = append(tb.Rows, []Value{v})
+		}
+		zm := buildZoneMap(tb, 0, n)
+		zc := zm.Col("x")
+		cs := fullStats(tb).Col("x")
+		for _, lit := range literals {
+			for _, op := range ops {
+				p := Pred{Col: "x", Op: op, Val: lit}
+				zone, stats := zc.Refutes(p), cs.Refutes(p)
+				if !zone && !stats {
+					continue
+				}
+				for _, row := range tb.Rows {
+					if ok, _ := p.Match(row[0]); ok {
+						t.Fatalf("trial %d: %s matches %v %v, yet refuted by zone %v, stats %v (column %v)",
+							trial, p, row[0].Kind(), row[0], zone, stats, tb.Rows)
+					}
+				}
+			}
+		}
 	}
 }

@@ -77,6 +77,95 @@ func TestQuerySignedZero(t *testing.T) {
 	}
 }
 
+// TestQueryNaN pins PostgreSQL's NaN rule on every path a statement
+// can take: NaN equals NaN and sorts above every number, so it passes
+// x > 3, fails x < 3 and x = 5, comes last in ORDER BY x, and is one
+// group and one distinct value of its own.
+func TestQueryNaN(t *testing.T) {
+	sys := New()
+	if err := sys.AddCSV("readings", strings.NewReader("id,x\n1,NaN\n2,5.0\n3,1.0\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]string{
+		"SELECT id FROM readings WHERE x > 3":              "1 2",
+		"SELECT id FROM readings WHERE x < 3":              "3",
+		"SELECT id FROM readings WHERE x = 5":              "2",
+		"SELECT id, x FROM readings ORDER BY x":            "3 2 1",
+		"SELECT id, x FROM readings ORDER BY x LIMIT 2":    "3 2",
+		"SELECT id, x FROM readings ORDER BY x DESC":       "1 2 3",
+		"SELECT x, COUNT(*) AS n FROM readings GROUP BY x": "1 5 NaN",
+		"SELECT DISTINCT x FROM readings":                  "NaN 5 1",
+	} {
+		res, err := sys.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, row[0])
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s = %v, want %s", q, got, want)
+		}
+	}
+}
+
+// TestQueryCompositeKeys: two rows that differ only in where a cell
+// boundary falls inside their text are two groups and two distinct
+// rows — a key is its cells' keys, each escaped and ended, not their
+// text joined by a separator.
+func TestQueryCompositeKeys(t *testing.T) {
+	sys := New()
+	csv := "a,b,v\nx\x1fs:y,z,1\nx,y\x1fs:z,2\n"
+	if err := sys.AddCSV("pairs", strings.NewReader(csv)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Build(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Query("SELECT a, b, SUM(v) AS total FROM pairs GROUP BY a, b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0][2] != "2" || res.Rows[1][2] != "1" {
+		t.Errorf("GROUP BY a, b = %q, want the groups (x, y\\x1fs:z) = 2 and (x\\x1fs:y, z) = 1", res.Rows)
+	}
+	if res, err = sys.Query("SELECT DISTINCT a, b FROM pairs"); err != nil || len(res.Rows) != 2 {
+		t.Errorf("DISTINCT a, b = %q (%v), want both rows", res.Rows, err)
+	}
+}
+
+// TestQueryPlanCacheKeepsLiteralsApart: a literal that spells out
+// another plan's fields does not share that plan's cache slot. After
+// a = 'p' AND b = 'q' runs, a = 'p<sep>b<sep>0<sep>s:q' — one predicate
+// whose text holds the first plan's second predicate — still returns
+// its own row.
+func TestQueryPlanCacheKeepsLiteralsApart(t *testing.T) {
+	sys := New()
+	lit := "p\x1fb\x1e0\x1es:q"
+	if err := sys.AddCSV("c", strings.NewReader("a,b\np,q\n"+lit+",z\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct{ sql, want string }{
+		{"SELECT b FROM c WHERE a = 'p' AND b = 'q'", "q"},
+		{"SELECT b FROM c WHERE a = '" + lit + "'", "z"},
+	} {
+		res, err := sys.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%q: %v", q.sql, err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0] != q.want {
+			t.Errorf("%q = %q, want %s", q.sql, res.Rows, q.want)
+		}
+	}
+}
+
 // TestQueryMatchesAsk pins the SQL and NL entries to the same numbers:
 // the SQL form of an answered question returns the value the NL answer
 // reports.
