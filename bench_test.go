@@ -319,6 +319,37 @@ func BenchmarkAnswerAll(b *testing.B) {
 	b.ReportMetric(float64(len(questions))*float64(b.N)/b.Elapsed().Seconds(), "q/s")
 }
 
+// BenchmarkOptimize times the optimizer's rule passes alone: one op is
+// one logical.Optimize per compiled tree of the e-commerce questions
+// BenchmarkAnswerAll asks that bind. Parsing, binding and compiling
+// happen once, outside the timer.
+func BenchmarkOptimize(b *testing.B) {
+	c := workload.ECommerce(workload.DefaultECommerceOptions())
+	ner := slm.NewNER()
+	c.Register(ner)
+	h, err := core.NewHybrid(c.Sources, ner, core.DefaultHybridOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var trees []*logical.Node
+	for _, q := range c.Queries {
+		if plan, err := semop.Bind(semop.Parse(q.Text, ner), h.Catalog()); err == nil {
+			trees = append(trees, semop.Compile(plan))
+		}
+	}
+	if len(trees) == 0 {
+		b.Fatal("no question binds")
+	}
+	st := logical.CatalogStats(h.Catalog())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range trees {
+			logical.Optimize(n, st)
+		}
+	}
+}
+
 // retrieveBenchCorpus indexes the repository benchmark's e-commerce
 // corpus (48 products × 12 reviews), which the retrieval benchmarks
 // share.

@@ -43,7 +43,7 @@ func legacyExec(p *semop.Plan, c *table.Catalog) (*table.Table, error) {
 			return nil, err
 		}
 		keys = table.Distinct(keys)
-		cur, err = table.HashJoin(cur, keys, p.JoinLeftCol, p.JoinRightCol, 0)
+		cur, err = table.HashJoin(cur, keys, p.JoinLeftCol, p.JoinRightCol)
 		if err != nil {
 			return nil, err
 		}

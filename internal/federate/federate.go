@@ -212,9 +212,10 @@ type Backend interface {
 
 // estimateFromStats derives a backend's Estimate from shared
 // per-column table statistics: a full scan of the table, an output
-// estimated per predicate through SelectivityWith (exact value
-// counts, NDV division, histogram interpolation — heuristic fallback
-// for columns without stats), and a linear fixed + per-row cost.
+// estimated per predicate through TableStats.SelectivityOf (exact
+// value counts, NDV division, histogram interpolation — heuristic
+// fallback for columns without stats), and a linear fixed + per-row
+// cost.
 // A backend with a smarter access path (the memory backend, which
 // drives its scan by its most selective equality) refines
 // Scanned/Out/Cost on top of it.

@@ -54,7 +54,7 @@ func Run(n *Node, src Source) (*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return table.HashJoin(left, right, n.LeftCol, n.RightCol, n.EstOut)
+		return table.HashJoin(left, right, n.LeftCol, n.RightCol)
 	}
 	in, err := Run(n.Child(), src)
 	if err != nil {
@@ -62,7 +62,7 @@ func Run(n *Node, src Source) (*table.Table, error) {
 	}
 	switch n.Op {
 	case OpFilter:
-		return table.FilterHint(in, n.EstOut, n.Preds...)
+		return table.Filter(in, n.Preds...)
 	case OpProject:
 		out, err := table.Project(in, n.Proj...)
 		if err != nil {
@@ -75,7 +75,7 @@ func Run(n *Node, src Source) (*table.Table, error) {
 		}
 		return out, nil
 	case OpAggregate:
-		return table.AggregateHint(in, n.GroupBy, n.Aggs, n.EstOut)
+		return table.Aggregate(in, n.GroupBy, n.Aggs)
 	case OpSort:
 		return table.Sort(in, n.Keys...)
 	case OpLimit:

@@ -265,7 +265,7 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := v.hashJoin(ls.materialize(), rs.materialize(), n.LeftCol, n.RightCol, n.EstOut)
+		out, err := v.hashJoin(ls.materialize(), rs.materialize(), n.LeftCol, n.RightCol)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +290,7 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 	case OpProject:
 		return v.project(s, n.Proj, n.Aliases)
 	case OpAggregate:
-		out, err := v.aggregate(s, n.GroupBy, n.Aggs, n.EstOut)
+		out, err := v.aggregate(s, n.GroupBy, n.Aggs)
 		if err != nil {
 			return nil, err
 		}
@@ -711,7 +711,7 @@ func (v *vecRun) project(s *vstream, proj, aliases []string) (*vstream, error) {
 // row layout, the same table.AppendKey keys), with build rows held as
 // indices and the probe partitioned across workers with in-order
 // concatenation.
-func (v *vecRun) hashJoin(left, right *table.Table, leftCol, rightCol string, hint int) (*table.Table, error) {
+func (v *vecRun) hashJoin(left, right *table.Table, leftCol, rightCol string) (*table.Table, error) {
 	li := left.Schema.ColIndex(leftCol)
 	if li < 0 {
 		return nil, fmt.Errorf("%w: %s.%s", table.ErrNoColumn, left.Name, leftCol)
@@ -721,9 +721,6 @@ func (v *vecRun) hashJoin(left, right *table.Table, leftCol, rightCol string, hi
 		return nil, fmt.Errorf("%w: %s.%s", table.ErrNoColumn, right.Name, rightCol)
 	}
 	out := table.New(left.Name+"_join_"+right.Name, table.JoinedSchema(left.Schema, right.Name, right.Schema))
-	if hint > 0 {
-		out.Rows = make([][]Value, 0, hint)
-	}
 
 	// Build on the smaller input, probe with the larger — the row
 	// path's exact rule, including the tie break.
@@ -1077,7 +1074,7 @@ func (v *vecRun) compareStream(n *Node, s *vstream) (*vstream, error) {
 		if err != nil {
 			return nil, err
 		}
-		agged, err := v.aggregate(fs, br.GroupBy, n.Aggs, n.EstOut)
+		agged, err := v.aggregate(fs, br.GroupBy, n.Aggs)
 		if err != nil {
 			return nil, err
 		}
@@ -1100,7 +1097,7 @@ func (v *vecRun) compareStream(n *Node, s *vstream) (*vstream, error) {
 // (the cells' table.AppendKey bytes built into a reused buffer, interned
 // only when a group is first seen). A single group column carrying dictionary codes
 // is looked up once per code per batch (codeMemo).
-func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg, hint int) (*table.Table, error) {
+func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg) (*table.Table, error) {
 	groupIdx := make([]int, len(groupBy))
 	for i, c := range groupBy {
 		idx := s.schema.ColIndex(c)
@@ -1138,11 +1135,8 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg, hint 
 		mins   []Value
 		maxs   []Value
 	}
-	groups := make(map[string]*accum, hint)
+	groups := make(map[string]*accum)
 	var order []string
-	if hint > 0 {
-		order = make([]string, 0, hint)
-	}
 	kb := make([]byte, 0, 64)
 	var global *accum // the single group of a global aggregate
 	// groupOf is row ri's group: found or created in the one key map.
@@ -1417,7 +1411,7 @@ func VecFragment(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds
 		}
 	}
 	if len(aggs) > 0 {
-		if t, err = v.aggregate(s, groupBy, aggs, 0); err != nil {
+		if t, err = v.aggregate(s, groupBy, aggs); err != nil {
 			return nil, 0, err
 		}
 		s = passthrough(t, nil)

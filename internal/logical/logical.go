@@ -110,12 +110,6 @@ type Node struct {
 	// RowEnd == 0 means the whole table.
 	RowStart, RowEnd int
 
-	// EstOut is the optimizer's estimated output cardinality (rows),
-	// stamped by the estimate pass and consumed as an allocation
-	// pre-sizing hint by the interpreter. 0 means unknown. Never part
-	// of the fingerprint — it cannot change results.
-	EstOut int
-
 	// Filter, and the common predicates of Compare
 	Preds []table.Pred
 

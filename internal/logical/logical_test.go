@@ -324,6 +324,46 @@ func TestReorderSkipsLimitedDrivingSide(t *testing.T) {
 	}
 }
 
+// rangedJoinCatalog holds a 20-row driving table whose keys alternate
+// a/b and a 6-row lookup table with two "a" rows.
+func rangedJoinCatalog() *table.Catalog {
+	c := table.NewCatalog()
+	big := table.New("big", table.Schema{
+		{Name: "k", Type: table.TypeString},
+		{Name: "id", Type: table.TypeInt},
+	})
+	for i := 0; i < 20; i++ {
+		big.MustAppend([]table.Value{table.S(string(rune('a' + i%2))), table.I(int64(i))})
+	}
+	c.Put(big)
+	small := table.New("small", table.Schema{
+		{Name: "k", Type: table.TypeString},
+		{Name: "tag", Type: table.TypeInt},
+	})
+	for i, k := range []string{"a", "b", "c", "d", "a", "e"} {
+		small.MustAppend([]table.Value{table.S(k), table.I(int64(100 + i))})
+	}
+	c.Put(small)
+	return c
+}
+
+func TestReorderSkipsRowRangedDrivingSide(t *testing.T) {
+	// A ROWS range shrinks the driving scan to 4 rows, below the
+	// joined side's 6: the join builds on the left and probes the
+	// right, so seeding the right side down to 2 rows would flip the
+	// build side and reorder the output.
+	c := rangedJoinCatalog()
+	ranged := &Node{Op: OpScan, Table: "big", RowStart: 0, RowEnd: 4}
+	root := filter(
+		&Node{Op: OpJoin, LeftCol: "k", RightCol: "k",
+			In: []*Node{ranged, scan("small")}},
+		table.Pred{Col: "k", Op: table.OpEq, Val: table.S("a")})
+	_, opt := execBoth(t, root, c)
+	if traced(t, opt, "reorder") {
+		t.Errorf("reorder fired over a row-ranged driving scan: %v", opt.Trace)
+	}
+}
+
 func TestReorderSkipsSmallerDrivingSide(t *testing.T) {
 	c := testCatalog()
 	// Driving side smaller than the joined side: seeding could flip the
@@ -421,21 +461,22 @@ func TestReorderSeedGateIsPerValue(t *testing.T) {
 	}
 }
 
-// TestSelectivityWithFallsBackToHeuristic pins the estimator contract:
+// TestSelectivityWithFallsBackToHeuristic pins the contract of
+// TableStats.SelectivityOf, which the reorder pass prices seeds with:
 // statistics answer when they can, and degrade to the fixed heuristic
 // for unknown columns or nil statistics.
 func TestSelectivityWithFallsBackToHeuristic(t *testing.T) {
 	c := testCatalog()
 	ts := c.StatsOf("sales")
 	eq := table.Pred{Col: "product", Op: table.OpEq, Val: table.S("Alpha")}
-	if got := SelectivityWith(ts, eq); got != 2.0/6 {
+	if got := ts.SelectivityOf(eq); got != 2.0/6 {
 		t.Errorf("stats equality selectivity = %v, want 2/6 (exact count)", got)
 	}
 	unknown := table.Pred{Col: "no_such_col", Op: table.OpEq, Val: table.S("x")}
-	if got := SelectivityWith(ts, unknown); got != table.DefaultSelectivity(unknown) {
+	if got := ts.SelectivityOf(unknown); got != table.DefaultSelectivity(unknown) {
 		t.Errorf("unknown column selectivity = %v, want heuristic %v", got, table.DefaultSelectivity(unknown))
 	}
-	if got := SelectivityWith(nil, eq); got != table.DefaultSelectivity(eq) {
+	if got := (*table.TableStats)(nil).SelectivityOf(eq); got != table.DefaultSelectivity(eq) {
 		t.Errorf("nil stats selectivity = %v, want heuristic %v", got, table.DefaultSelectivity(eq))
 	}
 }
@@ -536,90 +577,22 @@ func TestExecNilPlan(t *testing.T) {
 	}
 }
 
-// TestEstimatePassStampsHints pins the estimate pass: EstOut hints
-// follow the statistics (scan cardinality, filter selectivity, group
-// NDVs), never surface in the rule trace, and never change results.
-func TestEstimatePassStampsHints(t *testing.T) {
-	c := table.NewCatalog()
-	tb := table.New("wide", table.Schema{
-		{Name: "k", Type: table.TypeString},
-		{Name: "n", Type: table.TypeInt},
-	})
-	for i := 0; i < 1000; i++ {
-		tb.MustAppend([]table.Value{table.S(fmt.Sprintf("k%d", i%10)), table.I(int64(i))})
-	}
-	c.Put(tb)
-
-	root := &Node{Op: OpAggregate, GroupBy: []string{"k"},
-		Aggs: []table.Agg{{Func: table.AggSum, Col: "n", As: "total"}},
-		In: []*Node{{Op: OpFilter,
-			Preds: []table.Pred{{Col: "n", Op: table.OpLt, Val: table.I(500)}},
-			In:    []*Node{{Op: OpScan, Table: "wide"}}}}}
-	opt := Optimize(root, CatalogStats(c))
-	for _, note := range opt.Trace {
-		if strings.Contains(note, "estimate") {
-			t.Errorf("estimate pass leaked into the rule trace: %q", note)
-		}
-	}
-	filter := opt.Root.Child()
-	scan := filter.Child()
-	if scan.EstOut != 1000 {
-		t.Errorf("scan EstOut = %d, want 1000", scan.EstOut)
-	}
-	if filter.EstOut < 300 || filter.EstOut > 700 {
-		t.Errorf("filter EstOut = %d, want ≈500 from the histogram", filter.EstOut)
-	}
-	if opt.Root.EstOut != 10 {
-		t.Errorf("aggregate EstOut = %d, want group-key NDV 10", opt.Root.EstOut)
-	}
-
-	// Hints must not change results.
-	withHints, err := Exec(opt.Root, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripped := opt.Root.Clone()
-	walk(stripped, func(n *Node) { n.EstOut = 0 })
-	withoutHints, err := Exec(stripped, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withHints.String() != withoutHints.String() {
-		t.Fatalf("EstOut hints changed results:\n%s\nvs\n%s", withHints, withoutHints)
-	}
-
-	// And they must pay: the presized interpreter allocates strictly
-	// less than the same tree with hints stripped.
-	hinted := testing.AllocsPerRun(20, func() {
-		if _, err := Exec(opt.Root, c); err != nil {
-			t.Fatal(err)
-		}
-	})
-	bare := testing.AllocsPerRun(20, func() {
-		if _, err := Exec(stripped, c); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if hinted >= bare {
-		t.Errorf("presizing does not cut allocations: %v with hints vs %v without", hinted, bare)
-	}
-}
-
-// TestProvablyEmpty pins the optimizer-facing proof surface.
+// TestProvablyEmpty pins the proof the emptyfold pass folds on,
+// TableStats.Refutes.
 func TestProvablyEmpty(t *testing.T) {
 	c := testCatalog()
 	ts := c.StatsOf("sales") // revenue in [60,240]
-	if !ProvablyEmpty(ts, []table.Pred{{Col: "revenue", Op: table.OpGt, Val: table.F(240)}}) {
+	if !ts.Refutes([]table.Pred{{Col: "revenue", Op: table.OpGt, Val: table.F(240)}}) {
 		t.Error("out-of-bounds range not proven empty")
 	}
-	if ProvablyEmpty(ts, []table.Pred{{Col: "revenue", Op: table.OpGe, Val: table.F(240)}}) {
+	if ts.Refutes([]table.Pred{{Col: "revenue", Op: table.OpGe, Val: table.F(240)}}) {
 		t.Error("boundary range wrongly proven empty")
 	}
-	if ProvablyEmpty(nil, []table.Pred{{Col: "revenue", Op: table.OpGt, Val: table.F(1e9)}}) {
+	if (*table.TableStats)(nil).Refutes([]table.Pred{{Col: "revenue", Op: table.OpGt, Val: table.F(1e9)}}) {
 		t.Error("nil statistics cannot prove anything")
 	}
-	// SelectivityWith surfaces the proof as an exact zero.
-	if f := SelectivityWith(ts, table.Pred{Col: "revenue", Op: table.OpGt, Val: table.F(240)}); f != 0 {
+	// SelectivityOf surfaces the proof as an exact zero.
+	if f := ts.SelectivityOf(table.Pred{Col: "revenue", Op: table.OpGt, Val: table.F(240)}); f != 0 {
 		t.Errorf("refuted predicate selectivity = %v, want 0", f)
 	}
 }

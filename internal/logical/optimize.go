@@ -103,10 +103,6 @@ func Optimize(root *Node, st Stats) *Optimized {
 		{"prune", prunePass},
 		{"reorder", reorderPass},
 		{"compare_rewrite", comparePass},
-		// estimate runs last, over the final tree shape: it only stamps
-		// EstOut pre-sizing hints and never emits trace notes (hints
-		// cannot change results, so they are not a "rule" in EXPLAIN).
-		{"estimate", estimatePass},
 	}
 	for _, p := range passes {
 		for _, note := range p.run(o, st) {
@@ -337,16 +333,16 @@ func pushdownPass(o *Optimized, _ Stats) []string {
 
 // emptyfoldPass folds subtrees the statistics refute into a
 // constant-empty leaf. It runs after pushdown, when predicates sit
-// directly on their scans: a Filter over a Scan whose conjunction is
-// ProvablyEmpty becomes an Empty leaf carrying the scan's table and
-// column set (the execution-time schema source), and schema-preserving
-// operators directly over an Empty leaf — Filter, Sort, Distinct,
-// Limit — collapse into it. A proof over the whole table covers any
-// row-ranged slice of it, so ranged scans fold too. Aggregate and
-// Compare never fold: a global aggregate over zero rows still emits
-// its one summary row. The proof is epoch-stable — statistics are a
-// pure function of the catalog state the plan caches under — so a fold
-// can never outlive the data that justified it.
+// directly on their scans: a Filter over a Scan whose conjunction
+// TableStats.Refutes proves empty becomes an Empty leaf carrying the
+// scan's table and column set (the execution-time schema source), and
+// schema-preserving operators directly over an Empty leaf — Filter,
+// Sort, Distinct, Limit — collapse into it. A proof over the whole
+// table covers any row-ranged slice of it, so ranged scans fold too.
+// Aggregate and Compare never fold: a global aggregate over zero rows
+// still emits its one summary row. The proof is epoch-stable —
+// statistics are a pure function of the catalog state the plan caches
+// under — so a fold can never outlive the data that justified it.
 func emptyfoldPass(o *Optimized, st Stats) []string {
 	if st == nil {
 		return nil
@@ -367,7 +363,7 @@ func emptyfoldPass(o *Optimized, st Stats) []string {
 				return n
 			}
 			ts := st.TableStats(c.Table)
-			if ts == nil || !ProvablyEmpty(ts, n.Preds) {
+			if ts == nil || !ts.Refutes(n.Preds) {
 				return n
 			}
 			notes = append(notes, fmt.Sprintf("%s: statistics refute %s", c.Table, predList(n.Preds, " AND ")))
@@ -547,34 +543,11 @@ func copySet(in map[string]bool) map[string]bool {
 	return out
 }
 
-// SelectivityWith estimates p's row fraction from per-column
-// statistics (exact value counts, NDV, histogram interpolation, and
-// the zone-bound refutation check that collapses provably-empty
-// predicates to exactly zero) when they can judge the predicate,
-// falling back to the fixed heuristic. It is the optimizer's name for
-// table.TableStats.SelectivityOf — the same estimator the federated
-// backends consult — so planning-time and lowering-time estimates
-// agree.
-func SelectivityWith(ts *table.TableStats, p table.Pred) float64 {
-	return ts.SelectivityOf(p)
-}
-
-// ProvablyEmpty reports whether the table statistics prove that the
-// predicate conjunction selects no rows: the literal falls outside the
-// column's min/max zone bounds, an exact value set shows zero
-// occurrences, or the table is empty. A true result is a proof (not an
-// estimate): the fragment pruner and the planner may skip the scan
-// entirely and return the empty result directly.
-func ProvablyEmpty(ts *table.TableStats, preds []table.Pred) bool {
-	return ts.Refutes(preds)
-}
-
 // EstimateGroupRows estimates how many group rows an aggregation over
 // in input rows produces: one for a global aggregate, else the product
 // of the group keys' distinct counts, capped at the input estimate
-// (grouping cannot create rows). Shared by the federated planner's
-// pushed-aggregate re-estimate and the estimate pass's pre-sizing
-// hints.
+// (grouping cannot create rows). The federated planner's
+// pushed-aggregate re-estimate is its one user.
 func EstimateGroupRows(ts *table.TableStats, in int, groupBy []string) int {
 	if in == 0 {
 		return 0
@@ -597,96 +570,6 @@ func EstimateGroupRows(ts *table.TableStats, in int, groupBy []string) int {
 		return in
 	}
 	return groups
-}
-
-// estimatePass stamps every node's EstOut with a cardinality estimate
-// derived from the catalog statistics — the interpreter's allocation
-// pre-sizing hints. Estimates follow the planner's model (per-column
-// selectivities with independence, group-key NDV products) but are
-// hints only: they never change results and never appear in the trace.
-func estimatePass(o *Optimized, st Stats) []string {
-	if st == nil {
-		return nil
-	}
-	estimateNode(o.Root, st)
-	return nil
-}
-
-// estimateNode computes (and stamps) a node's output-cardinality
-// estimate bottom-up. Predicates estimate against the statistics of
-// the driving chain's base table; columns that resolve nowhere fall
-// back to the fixed heuristic inside SelectivityOf.
-func estimateNode(n *Node, st Stats) int {
-	if n == nil {
-		return 0
-	}
-	est := 0
-	switch n.Op {
-	case OpScan:
-		if card, ok := st.Card(n.Table); ok {
-			est = card
-			if n.RowEnd > 0 && n.RowEnd-n.RowStart < est {
-				est = n.RowEnd - n.RowStart
-			}
-		}
-	case OpInput:
-		est = 0 // fragment outputs are sized by the physical planner
-	case OpEmpty:
-		est = 0 // constant-empty by construction
-	case OpFilter:
-		in := estimateNode(n.Child(), st)
-		est = baseStats(n.Child(), st).EstimateRows(in, n.Preds)
-	case OpJoin:
-		left := estimateNode(n.In[0], st)
-		right := estimateNode(n.In[1], st)
-		// Keyed joins rarely exceed the probe side, and the compilers'
-		// join shapes (semi-join against a distinct key set) rarely
-		// exceed the smaller input either; the smaller input is the
-		// cheap, usually-sufficient pre-sizing cap — undershooting only
-		// costs a slice growth, overshooting wastes real memory.
-		est = left
-		if right > 0 && (left == 0 || right < left) {
-			est = right
-		}
-	case OpAggregate:
-		in := estimateNode(n.Child(), st)
-		est = EstimateGroupRows(baseStats(n.Child(), st), in, n.GroupBy)
-	case OpCompare:
-		in := estimateNode(n.Child(), st)
-		est = EstimateGroupRows(baseStats(n.Child(), st), in, []string{n.CompareCol})
-	case OpLimit:
-		in := estimateNode(n.Child(), st)
-		est = n.N
-		if in > 0 && in < est {
-			est = in
-		}
-	default:
-		est = estimateNode(n.Child(), st)
-		for _, in := range n.In[1:] {
-			estimateNode(in, st)
-		}
-	}
-	if est < 0 {
-		est = 0
-	}
-	n.EstOut = est
-	return est
-}
-
-// baseStats finds the statistics of the driving chain's base table —
-// the table whose columns a predicate most plausibly references — or
-// nil when the chain bottoms out at an Input or join.
-func baseStats(n *Node, st Stats) *table.TableStats {
-	for n != nil {
-		if n.Op == OpScan {
-			return st.TableStats(n.Table)
-		}
-		if n.Op == OpJoin || n.Op == OpInput {
-			return nil
-		}
-		n = n.Child()
-	}
-	return nil
 }
 
 // reorderPass reorders join-input evaluation by estimated filtered
@@ -737,12 +620,13 @@ func reorderPass(o *Optimized, st Stats) []string {
 // seedJoin propagates key equalities from the filters above a join
 // into its right input. Fires only when the left side is a clean scan
 // (no local filters or limits, so its runtime size is its catalog
-// cardinality) that is strictly larger than the right table: the right
-// input — at most card(right) distinct keys before seeding, fewer
-// after — is then smaller than the left side in both plans, so the
-// hash join builds on the right and probes the left both before and
-// after, and shrinking the right input cannot perturb row order. A
-// non-strict gate would let equal cardinalities flip the build side.
+// cardinality, or the slice its ROWS range keeps of it) that is
+// strictly larger than the right table: the right input — at most
+// card(right) distinct keys before seeding, fewer after — is then
+// smaller than the left side in both plans, so the hash join builds
+// on the right and probes the left both before and after, and
+// shrinking the right input cannot perturb row order. A non-strict
+// gate would let equal cardinalities flip the build side.
 //
 // Within that safety gate, per-column statistics decide whether each
 // seed pays: the driving side's cardinality as filtered by the
@@ -768,6 +652,9 @@ func seedJoin(j *Node, above []*Node, st Stats) []string {
 	}
 	leftCard, lok := st.Card(left.Table)
 	rightCard, rok := st.Card(rightScan.Table)
+	if left.RowEnd > 0 { // a ROWS range delivers only its slice
+		leftCard = max(min(leftCard, left.RowEnd)-left.RowStart, 0)
+	}
 	if !lok || !rok || leftCard <= rightCard || rightCard <= 1 {
 		return nil
 	}
@@ -782,7 +669,7 @@ func seedJoin(j *Node, above []*Node, st Stats) []string {
 	for _, f := range above {
 		for _, p := range f.Preds {
 			if leftSchema.ColIndex(p.Col) >= 0 {
-				estLeft *= SelectivityWith(leftStats, p)
+				estLeft *= leftStats.SelectivityOf(p)
 			}
 		}
 	}
@@ -801,7 +688,7 @@ func seedJoin(j *Node, above []*Node, st Stats) []string {
 		}
 		for _, p := range c.Preds {
 			existing[predKey(p)] = true
-			estBefore *= SelectivityWith(rightStats, p)
+			estBefore *= rightStats.SelectivityOf(p)
 		}
 	}
 
@@ -815,7 +702,7 @@ func seedJoin(j *Node, above []*Node, st Stats) []string {
 			if existing[predKey(seeded)] {
 				continue
 			}
-			estAfter := estBefore * SelectivityWith(rightStats, seeded)
+			estAfter := estBefore * rightStats.SelectivityOf(seeded)
 			if estLeft <= estAfter {
 				notes = append(notes, fmt.Sprintf("skip seed %s with %s (driving est %d <= seeded est %d rows)",
 					rightScan.Table, seeded, estRows(estLeft), estRows(estAfter)))

@@ -79,6 +79,7 @@ var parseSeeds = []string{
 	"SELECT maker FROM products WHERE product CONTAINS 'alp'",
 	"SELECT revenue FROM sales WHERE revenue = '120'",
 	"SELECT units FROM sales WHERE units >= 10 AND units <= 12;",
+	"SELECT id, tag FROM big ROWS 0 TO 4 JOIN small ON big.k = small.k WHERE k = 'a'",
 	"SELECT nope FROM sales",
 	"SELECT * FROM missing_table",
 	"SELECT product FROM sales GROUP BY product",

@@ -2,10 +2,12 @@ package sql
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/logical"
 	"repro/internal/table"
 )
 
@@ -30,7 +32,74 @@ func testCatalog() *table.Catalog {
 	products.MustAppend([]table.Value{table.S("Alpha"), table.S("Acme")})
 	products.MustAppend([]table.Value{table.S("Beta"), table.S("Globex")})
 	c.Put(products)
+
+	// big and small: a 20-row driving table whose keys alternate a/b,
+	// and a 6-row lookup table holding "a" twice.
+	big := table.New("big", table.Schema{
+		{Name: "k", Type: table.TypeString},
+		{Name: "id", Type: table.TypeInt},
+	})
+	for i := 0; i < 20; i++ {
+		big.MustAppend([]table.Value{table.S(string(rune('a' + i%2))), table.I(int64(i))})
+	}
+	c.Put(big)
+	small := table.New("small", table.Schema{
+		{Name: "k", Type: table.TypeString},
+		{Name: "tag", Type: table.TypeInt},
+	})
+	for i, k := range []string{"a", "b", "c", "d", "a", "e"} {
+		small.MustAppend([]table.Value{table.S(k), table.I(int64(100 + i))})
+	}
+	c.Put(small)
 	return c
+}
+
+// TestOptimizerKeepsRowOrder: on statements whose literals already
+// carry their column's type (retype changes mistyped ones on purpose),
+// the optimized plan ExecStmt runs returns the unoptimized plan's
+// result cell for cell, row order included. rule names a pass the
+// statement must trigger, so each case exercises the rewrite it is
+// about.
+func TestOptimizerKeepsRowOrder(t *testing.T) {
+	const ranged = "SELECT id, tag FROM big ROWS 0 TO 4 JOIN small ON big.k = small.k"
+	for _, tc := range []struct{ query, rule string }{
+		{ranged, ""},
+		{ranged + " WHERE k = 'a'", ""},
+		{ranged + " WHERE k = 'a' LIMIT 2", ""},
+		{"SELECT id, tag FROM big JOIN small ON big.k = small.k WHERE k = 'a'", "reorder(seed"},
+		{"SELECT id, tag FROM big JOIN small ON big.k = small.k WHERE k = 'a' LIMIT 3", "reorder(seed"},
+		{"SELECT product, revenue FROM sales WHERE units > 100 ORDER BY revenue", "emptyfold("},
+		{"SELECT product, SUM(revenue) AS r, COUNT(*) AS n FROM sales GROUP BY product", ""},
+		{"SELECT quarter, MAX(units) FROM sales WHERE revenue > 70.0 GROUP BY quarter", ""},
+	} {
+		c := testCatalog()
+		stmt, err := Parse(tc.query)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		got, err := ExecStmt(c, stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		node, err := Compile(stmt, c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		want, err := logical.Exec(node, c)
+		if err != nil {
+			t.Fatalf("%s unoptimized: %v", tc.query, err)
+		}
+		if g, w := renderResult(got), renderResult(want); g != w {
+			t.Errorf("%s: optimized\n%s\nunoptimized\n%s", tc.query, g, w)
+		}
+		if tc.rule == "" {
+			continue
+		}
+		trace := logical.Optimize(node, logical.CatalogStats(c)).Trace
+		if !slices.ContainsFunc(trace, func(r string) bool { return strings.HasPrefix(r, tc.rule) }) {
+			t.Errorf("%s: no %s… in trace %v", tc.query, tc.rule, trace)
+		}
+	}
 }
 
 func mustExec(t *testing.T, q string) *table.Table {

@@ -97,17 +97,7 @@ func (p Pred) Match(v Value) (bool, error) {
 
 // Filter returns the rows satisfying all predicates (conjunction).
 func Filter(t *Table, preds ...Pred) (*Table, error) {
-	return FilterHint(t, 0, preds...)
-}
-
-// FilterHint is Filter with a result-size hint (rows, from the
-// optimizer's cardinality estimate) used to pre-size the output slice;
-// 0 means no hint. The hint never changes results, only allocation.
-func FilterHint(t *Table, hint int, preds ...Pred) (*Table, error) {
 	out := New(t.Name, t.Schema)
-	if hint > 0 {
-		out.Rows = make([][]Value, 0, min(hint, len(t.Rows)))
-	}
 	var err error
 	if out.Rows, err = appendMatching(out.Rows, t.Schema, t.Rows, preds); err != nil {
 		return nil, err
@@ -160,12 +150,9 @@ func Project(t *Table, cols ...string) (*Table, error) {
 // HashJoin performs an inner equi-join of left and right on
 // left.leftCol = right.rightCol, building the hash table on the smaller
 // side. Output schema is left columns followed by right columns, with
-// right-side name collisions prefixed by the right table name. hint is a
-// result-size hint (rows, from the optimizer's cardinality estimate) used
-// to pre-size the output slice; 0 means no hint. The build map is always
-// pre-sized from the actual build-side length. The hint never changes
-// results, only allocation.
-func HashJoin(left, right *Table, leftCol, rightCol string, hint int) (*Table, error) {
+// right-side name collisions prefixed by the right table name. The
+// build map is pre-sized from the build side's length.
+func HashJoin(left, right *Table, leftCol, rightCol string) (*Table, error) {
 	li := left.Schema.ColIndex(leftCol)
 	if li < 0 {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, left.Name, leftCol)
@@ -175,9 +162,6 @@ func HashJoin(left, right *Table, leftCol, rightCol string, hint int) (*Table, e
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, right.Name, rightCol)
 	}
 	out := New(left.Name+"_join_"+right.Name, JoinedSchema(left.Schema, right.Name, right.Schema))
-	if hint > 0 {
-		out.Rows = make([][]Value, 0, hint)
-	}
 
 	// Build on the smaller input, probe with the larger, both by key.
 	buildLeft := len(left.Rows) <= len(right.Rows)
@@ -298,15 +282,7 @@ func (a Agg) OutName() string {
 // every function except COUNT(""). Group order is deterministic
 // (sorted by key values).
 func Aggregate(t *Table, groupBy []string, aggs []Agg) (*Table, error) {
-	return AggregateHint(t, groupBy, aggs, 0)
-}
-
-// AggregateHint is Aggregate with a group-count hint (from the
-// optimizer's group-key NDV estimate) used to pre-size the accumulator
-// map and ordering slice; 0 means no hint. The hint never changes
-// results, only allocation.
-func AggregateHint(t *Table, groupBy []string, aggs []Agg, hint int) (*Table, error) {
-	acc, err := makeAggAcc(t.Schema, groupBy, aggs, hint)
+	acc, err := makeAggAcc(t.Schema, groupBy, aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +304,6 @@ type aggAcc struct {
 	aggs     []Agg
 	groupIdx []int
 	aggIdx   []int
-	hint     int
 
 	groups map[string]*aggGroup // allocated on first fold of a row
 	order  []string
@@ -346,9 +321,9 @@ type aggGroup struct {
 
 // newAggAcc resolves the group and aggregate columns against schema and
 // returns an empty heap-retained accumulator for callers that keep it
-// alive across folds (hint pre-sizes the group map).
-func newAggAcc(schema Schema, groupBy []string, aggs []Agg, hint int) (*aggAcc, error) {
-	acc, err := makeAggAcc(schema, groupBy, aggs, hint)
+// alive across folds.
+func newAggAcc(schema Schema, groupBy []string, aggs []Agg) (*aggAcc, error) {
+	acc, err := makeAggAcc(schema, groupBy, aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -356,8 +331,8 @@ func newAggAcc(schema Schema, groupBy []string, aggs []Agg, hint int) (*aggAcc, 
 }
 
 // makeAggAcc is newAggAcc returning the accumulator by value, so a
-// fold-then-emit caller like AggregateHint can keep it on its stack.
-func makeAggAcc(schema Schema, groupBy []string, aggs []Agg, hint int) (aggAcc, error) {
+// fold-then-emit caller like Aggregate can keep it on its stack.
+func makeAggAcc(schema Schema, groupBy []string, aggs []Agg) (aggAcc, error) {
 	groupIdx := make([]int, len(groupBy))
 	for i, c := range groupBy {
 		idx := schema.ColIndex(c)
@@ -390,17 +365,13 @@ func makeAggAcc(schema Schema, groupBy []string, aggs []Agg, hint int) (aggAcc, 
 		aggs:     aggs,
 		groupIdx: groupIdx,
 		aggIdx:   aggIdx,
-		hint:     hint,
 	}, nil
 }
 
 // fold accumulates the rows, in order, into the group state.
 func (a *aggAcc) fold(rows [][]Value) {
 	if len(rows) > 0 && a.groups == nil {
-		a.groups = make(map[string]*aggGroup, a.hint)
-		if a.hint > 0 {
-			a.order = make([]string, 0, a.hint)
-		}
+		a.groups = make(map[string]*aggGroup)
 	}
 	var kb []byte
 	for _, row := range rows {

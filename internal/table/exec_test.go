@@ -121,7 +121,7 @@ func productTable(t *testing.T) *Table {
 }
 
 func TestHashJoin(t *testing.T) {
-	joined, err := HashJoin(salesTable(t), productTable(t), "product", "product", 0)
+	joined, err := HashJoin(salesTable(t), productTable(t), "product", "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestHashJoin(t *testing.T) {
 }
 
 func TestHashJoinSymmetricCount(t *testing.T) {
-	a, err := HashJoin(salesTable(t), productTable(t), "product", "product", 0)
+	a, err := HashJoin(salesTable(t), productTable(t), "product", "product")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := HashJoin(productTable(t), salesTable(t), "product", "product", 0)
+	b, err := HashJoin(productTable(t), salesTable(t), "product", "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestHashJoinNullKeysDropped(t *testing.T) {
 	r := New("r", Schema{{Name: "k2", Type: TypeString}})
 	r.MustAppend([]Value{Null(TypeString)})
 	r.MustAppend([]Value{S("a")})
-	j, err := HashJoin(l, r, "k", "k2", 0)
+	j, err := HashJoin(l, r, "k", "k2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestHashJoinNullKeysDropped(t *testing.T) {
 }
 
 func TestHashJoinMissingColumn(t *testing.T) {
-	_, err := HashJoin(salesTable(t), productTable(t), "nope", "product", 0)
+	_, err := HashJoin(salesTable(t), productTable(t), "nope", "product")
 	if !errors.Is(err, ErrNoColumn) {
 		t.Errorf("missing col: %v", err)
 	}

@@ -132,7 +132,7 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 		}
 		seen[n] = true
 	}
-	acc, err := newAggAcc(base.table.Schema, def.GroupBy, def.Aggs, 0)
+	acc, err := newAggAcc(base.table.Schema, def.GroupBy, def.Aggs)
 	if err != nil {
 		return fmt.Errorf("table: rollup %s: %w", def.Name, err)
 	}
@@ -160,7 +160,7 @@ func (c *Catalog) maintainRollups(e *entry, from int) {
 	kept := e.rollups[:0]
 	for _, rs := range e.rollups {
 		if from == 0 {
-			acc, err := newAggAcc(e.table.Schema, rs.def.GroupBy, rs.def.Aggs, len(rs.acc.order))
+			acc, err := newAggAcc(e.table.Schema, rs.def.GroupBy, rs.def.Aggs)
 			if err != nil {
 				delete(c.entries, strings.ToLower(rs.def.Name))
 				c.epoch++

@@ -56,7 +56,7 @@ func assertRollupFresh(t *testing.T, c *Catalog, base *Table, def RollupDef, ctx
 	if err != nil {
 		t.Fatalf("%s: materialization missing: %v", ctx, err)
 	}
-	want, err := AggregateHint(base, def.GroupBy, def.Aggs, 0)
+	want, err := Aggregate(base, def.GroupBy, def.Aggs)
 	if err != nil {
 		t.Fatalf("%s: reference aggregation: %v", ctx, err)
 	}

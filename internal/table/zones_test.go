@@ -444,8 +444,8 @@ func FuzzIncrementalStats(f *testing.F) {
 	})
 }
 
-// TestStatsRefutes pins the table-level zone-bound refutation feeding
-// SelectivityWith's exact zeros and logical.ProvablyEmpty.
+// TestStatsRefutes pins the table-level zone-bound refutation behind
+// SelectivityOf's exact zeros and the emptyfold pass.
 func TestStatsRefutes(t *testing.T) {
 	ts := fullStats(statsFixture()) // revenue in [100,240], units 0..15, product 3 values
 	refuted := []Pred{

@@ -2,6 +2,7 @@ package unisem
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -135,6 +136,45 @@ func TestQueryCompositeKeys(t *testing.T) {
 	}
 	if res, err = sys.Query("SELECT DISTINCT a, b FROM pairs"); err != nil || len(res.Rows) != 2 {
 		t.Errorf("DISTINCT a, b = %q (%v), want both rows", res.Rows, err)
+	}
+}
+
+// TestQueryRowRangedJoinKeepsOrder: a ROWS range on the driving table
+// leaves it smaller than the joined table, so the join builds on the
+// driving side and emits in the joined side's order. The optimizer
+// must not shrink the joined side under it and flip that order.
+func TestQueryRowRangedJoinKeepsOrder(t *testing.T) {
+	sys := New()
+	var big strings.Builder
+	big.WriteString("k,id\n")
+	for i := 0; i < 20; i++ {
+		big.WriteString(string(rune('a'+i%2)) + "," + strconv.Itoa(i) + "\n")
+	}
+	if err := sys.AddCSV("big", strings.NewReader(big.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddCSV("small", strings.NewReader("k,tag\na,100\nb,101\nc,102\nd,103\na,104\ne,105\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Build(); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT id, tag FROM big ROWS 0 TO 4 JOIN small ON big.k = small.k WHERE k = 'a'"
+	for stmt, want := range map[string]string{
+		q:              "0,100 2,100 0,104 2,104",
+		q + " LIMIT 2": "0,100 2,100",
+	} {
+		res, err := sys.Query(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, strings.Join(row, ","))
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s = %v, want %s", stmt, got, want)
+		}
 	}
 }
 
