@@ -549,6 +549,63 @@ func BenchmarkGraphReadJSON(b *testing.B) {
 	}
 }
 
+// snapshotBenchCatalog builds the catalog the catalog.json benchmarks
+// share: the e-commerce corpus's tables plus a 65 536-row table of the
+// repository benchmark's facts shape, which dominates the file the way
+// it does in a saved system.
+func snapshotBenchCatalog(b *testing.B) *table.Catalog {
+	b.Helper()
+	cat := workload.ECommerce(workload.DefaultECommerceOptions()).NativeCatalog()
+	facts := table.New("facts", table.Schema{
+		{Name: "region", Type: table.TypeString},
+		{Name: "sku", Type: table.TypeString},
+		{Name: "units", Type: table.TypeInt},
+		{Name: "revenue", Type: table.TypeFloat},
+	})
+	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "island"}
+	for i := 0; i < 65536; i++ {
+		units := int64(1 + (i*7919)%100)
+		rev := table.F(float64(units * int64(5+i/64%95)))
+		if i%67 == 66 {
+			rev = table.Null(table.TypeFloat)
+		}
+		facts.MustAppend([]table.Value{table.S(regions[(i*31)%len(regions)]), table.S(fmt.Sprintf("SKU-%04d", i/64)),
+			table.I(units), rev})
+	}
+	cat.Put(facts)
+	return cat
+}
+
+// BenchmarkCatalogWriteJSON measures Catalog.WriteJSON, System.Save's
+// second file.
+func BenchmarkCatalogWriteJSON(b *testing.B) {
+	cat := snapshotBenchCatalog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cat.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCatalogReadJSON measures table.ReadCatalogJSON over the bytes
+// BenchmarkCatalogWriteJSON writes: the decode and each table's derive,
+// which run beside graph.ReadJSON in unisem.Load.
+func BenchmarkCatalogReadJSON(b *testing.B) {
+	var buf bytes.Buffer
+	if err := snapshotBenchCatalog(b).WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := table.ReadCatalogJSON(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnswerAllSequential is the single-worker baseline for
 // BenchmarkAnswerAll.
 func BenchmarkAnswerAllSequential(b *testing.B) {

@@ -16,6 +16,11 @@ import (
 // two low-cardinality string columns (one of them an id the ID pattern
 // tags), an int, and a float that is NULL on every 67th row.
 func factsSources(t *testing.T, rows int) *store.Multi {
+	return store.NewMulti().Add(store.NewRelationalStore("db", factsCatalog(t, rows)))
+}
+
+// factsCatalog is factsSources' catalog.
+func factsCatalog(t *testing.T, rows int) *table.Catalog {
 	t.Helper()
 	regions := []string{"north", "south", "east", "west", "central", "coastal", "alpine", "island"}
 	var b strings.Builder
@@ -36,7 +41,7 @@ func factsSources(t *testing.T, rows int) *store.Multi {
 	}
 	cat := table.NewCatalog()
 	cat.Put(facts)
-	return store.NewMulti().Add(store.NewRelationalStore("db", cat))
+	return cat
 }
 
 // TestGraphBytesPinned pins the built index byte for byte: an FNV-64a of
@@ -70,6 +75,40 @@ func TestGraphBytesPinned(t *testing.T) {
 		}
 		if got := h.Sum64(); got != tc.want {
 			t.Errorf("%s: graph.json FNV-64a = %#x, pinned %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCatalogBytesPinned pins catalog.json byte for byte the way
+// TestGraphBytesPinned pins graph.json: an FNV-64a of each catalog's
+// snapshot, recorded from the encoding/json writer the append-based one
+// replaced. The facts case also holds a zero-row table ("rows":null)
+// and a rollup whose aggregates leave out "col", "as" or both. (A
+// rollup without a group key or an aggregate, which would be written
+// "group_by":null or "aggs":null, cannot be registered.) A deliberate
+// change to the file format re-records the numbers and says why.
+func TestCatalogBytesPinned(t *testing.T) {
+	facts := factsCatalog(t, 1000)
+	facts.Put(table.New("empty", table.Schema{{Name: "note", Type: table.TypeString}, {Name: "day", Type: table.TypeDate}}))
+	if err := facts.AddRollup(table.RollupDef{Name: "facts_by_region", Base: "facts", GroupBy: []string{"region"},
+		Aggs: []table.Agg{{Func: table.AggCount}, {Func: table.AggSum, Col: "units", As: "total_units"}, {Func: table.AggMax, Col: "revenue"}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cat  *table.Catalog
+		want uint64
+	}{
+		{"ecommerce", workload.ECommerce(workload.DefaultECommerceOptions()).NativeCatalog(), 0x756ebd9a0fe26f5a},
+		{"healthcare", workload.Healthcare(workload.DefaultHealthcareOptions()).NativeCatalog(), 0x43855303ff9ccd16},
+		{"facts", facts, 0x7e40e7a091165cef},
+	} {
+		h := fnv.New64a()
+		if err := tc.cat.WriteJSON(h); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: catalog.json FNV-64a = %#x, pinned %#x", tc.name, got, tc.want)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package table
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,6 +49,164 @@ func TestCatalogJSONRoundTrip(t *testing.T) {
 	if bt.Rows[0][2].Str() != "2024-05-01" {
 		t.Errorf("date cell: %v", bt.Rows[0][2])
 	}
+}
+
+// TestCatalogJSONKeepsEveryCell: every cell comes back as it was saved
+// — its kind, its NULL-ness, Equal to it and with the same String() —
+// including the cells a display-text parse would change: empty and
+// padded strings and dates, text that reads as NULL or as a number,
+// NaN, the infinities, −0 and the int extremes. Invalid UTF-8 is the one
+// exception: the file stores it as U+FFFD.
+func TestCatalogJSONKeepsEveryCell(t *testing.T) {
+	// One column per type, in ColType order: a cell goes in column Kind().
+	schema := Schema{{Name: "s", Type: TypeString}, {Name: "i", Type: TypeInt},
+		{Name: "f", Type: TypeFloat}, {Name: "b", Type: TypeBool}, {Name: "d", Type: TypeDate}}
+	cells := []Value{
+		S(""), S("  padded "), S("NULL"), S("1,200"), S("line\u2028sep"), S("<a&b>"), S(" \t\n\"quoted\"\\"),
+		D(""), D(" 2020-01-01"), D("2020-01-01 "),
+		F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1)), F(math.Copysign(0, -1)), F(0), F(1e21), F(1e-7), F(0.1),
+		I(math.MaxInt64), I(math.MinInt64), I(0),
+		B(true), B(false),
+	}
+	for i := range schema {
+		cells = append(cells, Null(schema[i].Type))
+	}
+	tbl := New("cells", schema)
+	for _, v := range cells {
+		row := make([]Value, len(schema))
+		for i := range row {
+			row[i] = Null(schema[i].Type)
+		}
+		row[v.Kind()] = v
+		tbl.MustAppend(row)
+	}
+	tbl.MustAppend([]Value{S("bad \xff utf-8"), Null(TypeInt), Null(TypeFloat), Null(TypeBool), D("\xfe")})
+	c := NewCatalog()
+	c.Put(tbl)
+
+	back, err := reload(t, c).Get("cells")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != tbl.Len() {
+		t.Fatalf("%d rows loaded, %d saved", back.Len(), tbl.Len())
+	}
+	for r, row := range tbl.Rows[:len(cells)] {
+		for i, want := range row {
+			if got := back.Rows[r][i]; !sameCell(got, want) {
+				t.Errorf("row %d column %s: saved %s %q (null %v), loaded %s %q (null %v)", r, schema[i].Name,
+					want.Kind(), want, want.IsNull(), got.Kind(), got, got.IsNull())
+			}
+		}
+	}
+	last := back.Rows[len(cells)]
+	if got := last[0]; got.Kind() != TypeString || got.Str() != "bad \ufffd utf-8" {
+		t.Errorf("invalid UTF-8 string: loaded %s %q, want the U+FFFD form", got.Kind(), got)
+	}
+	if got := last[TypeDate]; got.Kind() != TypeDate || got.Str() != "\ufffd" {
+		t.Errorf("invalid UTF-8 date: loaded %s %q, want the U+FFFD form", got.Kind(), got)
+	}
+}
+
+// sameCell reports whether a loaded cell is the one saved: the same
+// kind and NULL-ness, Equal, and the same text.
+func sameCell(got, want Value) bool {
+	return got.Kind() == want.Kind() && got.IsNull() == want.IsNull() && Equal(got, want) && got.String() == want.String()
+}
+
+// sameCatalog fails t unless got and want hold the same tables, cell by
+// cell, and the same rollup definitions.
+func sameCatalog(t *testing.T, got, want *Catalog) {
+	t.Helper()
+	if !slices.Equal(got.Names(), want.Names()) {
+		t.Fatalf("tables %q, the reference's %q", got.Names(), want.Names())
+	}
+	for _, name := range want.Names() {
+		g, _ := got.Get(name)
+		w, _ := want.Get(name)
+		if g.Name != w.Name || !slices.Equal(g.Schema, w.Schema) || g.Len() != w.Len() {
+			t.Fatalf("table %s: %q %v, %d rows; the reference's %q %v, %d rows", name, g.Name, g.Schema, g.Len(), w.Name, w.Schema, w.Len())
+		}
+		for r, row := range w.Rows {
+			for i, v := range row {
+				if !sameCell(g.Rows[r][i], v) {
+					t.Fatalf("table %s row %d column %d: %s %q, the reference's %s %q", name, r, i, g.Rows[r][i].Kind(), g.Rows[r][i], v.Kind(), v)
+				}
+			}
+		}
+	}
+	sameDef := func(a, b RollupDef) bool {
+		return a.Name == b.Name && a.Base == b.Base && slices.Equal(a.GroupBy, b.GroupBy) && slices.Equal(a.Aggs, b.Aggs)
+	}
+	if g, w := got.Rollups(), want.Rollups(); !slices.EqualFunc(g, w, sameDef) {
+		t.Fatalf("rollups %v, the reference's %v", g, w)
+	}
+}
+
+// FuzzCatalogJSON: the codec never panics; what it accepts the reference
+// accepts, as the same tables and rollup definitions; and what it then
+// writes is what the reference writes.
+func FuzzCatalogJSON(f *testing.F) {
+	c := rollupCatalog(f)
+	odd := New("odd", Schema{{Name: "s<&>", Type: TypeString}, {Name: "f", Type: TypeFloat}, {Name: "b", Type: TypeBool}, {Name: "d", Type: TypeDate}})
+	odd.MustAppend([]Value{S(" pad\u2028"), F(math.Copysign(0, -1)), B(true), D("")})
+	odd.MustAppend([]Value{S("NULL"), F(math.Inf(-1)), Null(TypeBool), Null(TypeDate)})
+	c.Put(odd)
+	c.Put(New("empty", Schema{{Name: "x", Type: TypeInt}}))
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"tables":null}`))
+	f.Add([]byte(`{"TABLES":[{"rows":[["1",null]],"Name":"t","COLUMNS":[{"name":"a","type":1},{"Type":2,"Name":"b"}]}]}`))
+	f.Add([]byte(`{"tables":[{"name":"t","columns":null,"rows":[[],[]]}],"rollups":[]} `))
+	// The files of TestStoredZonesCannotPrune, from builds that stored
+	// statistics and zone maps.
+	for _, stored := range [][2]string{{
+		`[{"col":"a","rows":3,"ndv":2,"min":"100","max":"200","exact":[{"v":"100","n":2},{"v":"200","n":1}]}]`,
+		`[{"lo":0,"hi":3,"cols":[{"col":"a","min":"100","max":"200","vals":["100","200"],"exact":true}]}]`,
+	}, {
+		`[{"col":"no_such","rows":-1,"ndv":3,"min":"x","hist":[{"lo":"y","hi":"z","n":1,"ndv":1}]}]`,
+		`[{"lo":2,"hi":9,"cols":[]},{"lo":-1,"hi":1,"cols":[]}]`,
+	}} {
+		f.Add([]byte(`{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}],"rows":[["1"],["2"],["3"]],` +
+			`"stats":` + stored[0] + `,"zones":` + stored[1] + `}]}`))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadCatalogJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		want, err := refReadCatalogJSON(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("the reference rejects what the codec accepts: %v", err)
+		}
+		sameCatalog(t, got, want)
+		var out, ref bytes.Buffer
+		if err := got.WriteJSON(&out); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteJSON(want, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+			t.Fatalf("written back:\n%s\nthe reference:\n%s", out.Bytes(), ref.Bytes())
+		}
+	})
+}
+
+// rollupCatalog holds statsFixture's sales table and a rollup over it
+// whose aggregates spell "as" once and "col" once.
+func rollupCatalog(t testing.TB) *Catalog {
+	t.Helper()
+	c := NewCatalog()
+	c.Put(statsFixture())
+	if err := c.AddRollup(RollupDef{Name: "by_product", Base: "sales", GroupBy: []string{"product"},
+		Aggs: []Agg{{Func: AggSum, Col: "revenue", As: "total"}, {Func: AggCount}}}); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // reload returns the catalog read back from c's snapshot.
@@ -112,6 +272,51 @@ func TestCatalogJSONDeterministic(t *testing.T) {
 func TestReadCatalogJSONErrors(t *testing.T) {
 	if _, err := ReadCatalogJSON(strings.NewReader("{bad")); err == nil {
 		t.Error("corrupt json accepted")
+	}
+	// Every truncation of a valid file, short of its trailing whitespace.
+	c := rollupCatalog(t)
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := bytes.TrimRight(buf.Bytes(), "\n")
+	for n := range len(file) {
+		if _, err := ReadCatalogJSON(bytes.NewReader(file[:n])); err == nil {
+			t.Errorf("the first %d of %d bytes accepted", n, len(file))
+		}
+	}
+	if _, err := ReadCatalogJSON(bytes.NewReader(file)); err != nil {
+		t.Fatalf("the whole file: %v", err)
+	}
+	// Unknown keys are skipped, whatever their values.
+	skipped := `{"tables":[{"name":"t","extra":{"a":[1,-2.5e3,true,false,null,"x\u00e9",{}]},"columns":[{"Name":"a","Type":1,"width":8}],` +
+		`"rows":[["1"]],"zones":null}],"meta":[[]]}`
+	if _, err := ReadCatalogJSON(strings.NewReader(skipped)); err != nil {
+		t.Errorf("unknown keys not skipped: %v", err)
+	}
+	for what, in := range map[string]string{
+		// encoding/json's Decoder ignored what followed the object.
+		"data after the object":       string(file) + " x",
+		"a second object":             string(file) + "{}",
+		"a number for a string cell":  `{"tables":[{"name":"t","columns":[{"Name":"a","Type":0}],"rows":[[1]]}]}`,
+		"a number for an int cell":    `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}],"rows":[[1]]}]}`,
+		"an empty int cell":           `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}],"rows":[[""]]}]}`,
+		"a fractional type":           `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1.5}]}]}`,
+		"an integral fraction type":   `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1.0}]}]}`,
+		"an exponent type":            `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1e0}]}]}`,
+		"a string type":               `{"tables":[{"name":"t","columns":[{"Name":"a","Type":"1"}]}]}`,
+		"an unknown type":             `{"tables":[{"name":"t","columns":[{"Name":"a","Type":9}]}]}`,
+		"a repeated key":              `{"tables":[],"tables":[]}`,
+		"a key repeated in any case":  `{"tables":[{"name":"t","NAME":"u"}]}`,
+		"an aggregate with no func":   `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}]}],"rollups":[{"name":"r","base":"t","group_by":["a"],"aggs":[{"col":"a"}]}]}`,
+		"a rollup with no group key":  `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}]}],"rollups":[{"name":"r","base":"t","group_by":null,"aggs":[{"func":"COUNT"}]}]}`,
+		"invalid UTF-8 in a cell":     "{\"tables\":[{\"name\":\"t\",\"columns\":[{\"Name\":\"a\",\"Type\":0}],\"rows\":[[\"\xff\"]]}]}",
+		"an unpaired surrogate":       `{"tables":[{"name":"t","columns":[{"Name":"a","Type":0}],"rows":[["\ud800"]]}]}`,
+		"a value nested past a limit": `{"x":` + strings.Repeat("[", 2000) + strings.Repeat("]", 2000) + `}`,
+	} {
+		if _, err := ReadCatalogJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", what)
+		}
 	}
 	// Row arity mismatch.
 	bad := `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}],"rows":[["1","2"]]}]}`
