@@ -124,11 +124,11 @@ func appendCell(dst []byte, v Value) []byte {
 	}
 	switch v.kind {
 	case TypeInt:
-		dst = strconv.AppendInt(append(dst, '"'), v.i, 10)
+		dst = strconv.AppendInt(append(dst, '"'), v.Int(), 10)
 	case TypeFloat:
-		dst = strconv.AppendFloat(append(dst, '"'), v.f, 'g', -1, 64)
+		dst = strconv.AppendFloat(append(dst, '"'), v.Float(), 'g', -1, 64)
 	case TypeBool:
-		dst = strconv.AppendBool(append(dst, '"'), v.b)
+		dst = strconv.AppendBool(append(dst, '"'), v.Bool())
 	default:
 		return jsonx.AppendString(dst, v.String())
 	}

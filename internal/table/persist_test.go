@@ -306,6 +306,8 @@ func TestReadCatalogJSONErrors(t *testing.T) {
 		"an exponent type":            `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1e0}]}]}`,
 		"a string type":               `{"tables":[{"name":"t","columns":[{"Name":"a","Type":"1"}]}]}`,
 		"an unknown type":             `{"tables":[{"name":"t","columns":[{"Name":"a","Type":9}]}]}`,
+		"a type past a byte":          `{"tables":[{"name":"t","columns":[{"Name":"a","Type":256}]}]}`,
+		"a negative type":             `{"tables":[{"name":"t","columns":[{"Name":"a","Type":-1}]}]}`,
 		"a repeated key":              `{"tables":[],"tables":[]}`,
 		"a key repeated in any case":  `{"tables":[{"name":"t","NAME":"u"}]}`,
 		"an aggregate with no func":   `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}]}],"rollups":[{"name":"r","base":"t","group_by":["a"],"aggs":[{"col":"a"}]}]}`,

@@ -101,17 +101,18 @@ func statsFrom(prev *TableStats, prevRuns [][]ValueCount, t *Table, k int) (*Tab
 
 // colRuns collapses a column's non-null cells into ascending distinct
 // runs, and counts its nulls. The cells are listed in row order — with
-// count set, cells of one cellKey share the entry of the first — then
-// stable-sorted by the engine's total Compare order, and Compare-equal
-// neighbours (1 and 1.0 in a mixed-kind column) merge under the first.
-// The representative of a run is therefore the earliest-row value among
-// equals, which is what makes incremental merging (older runs first)
-// bit-equivalent to a full rebuild; counting first changes how many
-// values are sorted, never the runs.
+// count set, bit-identical cells (== on Value) share the entry of the
+// first — then stable-sorted by the engine's total Compare order, and
+// Compare-equal neighbours (1 and 1.0 in a mixed-kind column, −0 and +0,
+// NaNs of different bits, ints one float64 stands for) merge under the
+// first. The representative of a run is therefore the earliest-row value
+// among equals, which is what makes incremental merging (older runs
+// first) bit-equivalent to a full rebuild; counting first changes how
+// many values are sorted, never the runs.
 func colRuns(rows [][]Value, ci int, count bool) (runs []ValueCount, nulls int) {
-	var seen map[cellKey]int
+	var seen map[Value]int
 	if count {
-		seen = make(map[cellKey]int)
+		seen = make(map[Value]int)
 	}
 	for _, r := range rows {
 		v := r[ci]
@@ -120,15 +121,11 @@ func colRuns(rows [][]Value, ci int, count bool) (runs []ValueCount, nulls int) 
 			continue
 		}
 		if count {
-			k := cellKey{kind: v.kind, s: v.s, n: v.Float()}
-			if v.b {
-				k.n = 1
-			}
-			if i, ok := seen[k]; ok {
+			if i, ok := seen[v]; ok {
 				runs[i].Count++
 				continue
 			}
-			seen[k] = len(runs)
+			seen[v] = len(runs)
 		}
 		runs = append(runs, ValueCount{Val: v, Count: 1})
 	}
@@ -142,18 +139,6 @@ func colRuns(rows [][]Value, ci int, count bool) (runs []ValueCount, nulls int) 
 		}
 	}
 	return merged, nulls
-}
-
-// cellKey is a non-null value's kind and payload: 32 bytes to hash where
-// a Value is 56. Values with equal keys are Compare-equal, which is all
-// colRuns needs: +0 and -0 share a key, as do two ints one float64 stands
-// for (Compare reads ints through Float). A NaN's key equals no key, not
-// even its own, so NaNs are counted apart and merge after the sort,
-// where Compare calls every NaN equal.
-type cellKey struct {
-	kind ColType
-	s    string
-	n    float64 // numeric payload; 1 for true
 }
 
 // mergeRuns merges two ascending distinct-run lists into a fresh one.

@@ -264,25 +264,16 @@ func sortedRuns(rows [][]Value, ci int) (runs []ValueCount, nulls int) {
 	return runs, nulls
 }
 
-// sameRuns compares runs bit for bit: reflect.DeepEqual would call a NaN
-// unequal to itself and +0 equal to -0.
-func sameRuns(a, b []ValueCount) bool {
-	return slices.EqualFunc(a, b, func(x, y ValueCount) bool {
-		xv, yv := x.Val, y.Val
-		xb, yb := math.Float64bits(xv.f), math.Float64bits(yv.f)
-		xv.f, yv.f = 0, 0
-		return x.Count == y.Count && xv == yv && xb == yb
-	})
-}
+// sameRuns compares runs bit for bit: == on ValueCount compares a
+// float's bits, so a NaN equals itself and +0 differs from -0.
+func sameRuns(a, b []ValueCount) bool { return slices.Equal(a, b) }
 
-// TestCountedRunsEqualSortedRuns: counting cells by cellKey before the
-// sort changes how many values are sorted, not the runs — on the columns
-// where "same key" and "Compare-equal" part ways: +0 and -0 and ints past
-// 2^53 (one key, one run, the earlier row kept), an int among floats and
-// the boxed kinds of a mixed column (Compare-equal under different keys:
-// they merge after the sort, under the earlier row), and NaN (a key
-// equal to nothing, Compare-equal to every NaN: NaNs merge after the
-// sort, under the earliest).
+// TestCountedRunsEqualSortedRuns: counting bit-identical cells before
+// the sort changes how many values are sorted, not the runs — on the
+// columns where "bit-identical" and "Compare-equal" part ways: +0 and -0,
+// ints past 2^53, NaNs of different payloads, an int among floats and the
+// boxed kinds of a mixed column (Compare-equal but counted apart: they
+// merge after the sort, under the earliest row).
 func TestCountedRunsEqualSortedRuns(t *testing.T) {
 	nan, negZero := F(math.NaN()), F(math.Copysign(0, -1))
 	cols := map[string][]Value{

@@ -4,6 +4,10 @@
 // interchange. It is the "TableQA engine" that the paper's hybrid
 // pipeline feeds with SLM-generated tables (Section III.C).
 //
+// A cell is a Value of 32 bytes — a string, one payload word and a
+// one-byte kind — so the benchmark's 65 536 × 4 table holds its cells
+// in 8 MiB, and a statistics run entry (ValueCount) is 40 bytes.
+//
 // Beyond the row-oriented operators, the Catalog keeps one record per
 // registered table and fills it by one rule (Catalog.Put): a single
 // snapshot of the table's row headers and schema decides whether a
@@ -42,8 +46,9 @@ import (
 	"strings"
 )
 
-// ColType is a column's data type.
-type ColType int
+// ColType is a column's data type. It is a byte so that a Value, which
+// carries one, stays 32 bytes.
+type ColType uint8
 
 // Supported column types.
 const (
@@ -74,13 +79,19 @@ func (t ColType) String() string {
 
 // Value is a typed cell. The zero Value is a NULL: Null() reports true
 // and it compares less than every non-null value.
+//
+// A Value is 32 bytes on a 64-bit platform (TestValueLayout): the text
+// of a string or date, one payload word and the kind. The word holds an
+// int, a float's IEEE-754 bits or 0/1 for a bool — the three never
+// coexist in one cell — and is 0 for every other kind and for NULL. So
+// == on two Values is bit identity (−0 ≠ +0, a NaN equals a NaN with
+// the same bits), which is what a map keyed by Value counts; Compare
+// and Equal are the order and the equality every operator uses.
 type Value struct {
+	s     string
+	n     uint64
 	kind  ColType
 	valid bool
-	s     string
-	i     int64
-	f     float64
-	b     bool
 }
 
 // Constructors.
@@ -89,13 +100,18 @@ type Value struct {
 func S(v string) Value { return Value{kind: TypeString, valid: true, s: v} }
 
 // I returns an int value.
-func I(v int64) Value { return Value{kind: TypeInt, valid: true, i: v} }
+func I(v int64) Value { return Value{kind: TypeInt, valid: true, n: uint64(v)} }
 
 // F returns a float value.
-func F(v float64) Value { return Value{kind: TypeFloat, valid: true, f: v} }
+func F(v float64) Value { return Value{kind: TypeFloat, valid: true, n: math.Float64bits(v)} }
 
 // B returns a bool value.
-func B(v bool) Value { return Value{kind: TypeBool, valid: true, b: v} }
+func B(v bool) Value {
+	if v {
+		return Value{kind: TypeBool, valid: true, n: 1}
+	}
+	return Value{kind: TypeBool, valid: true}
+}
 
 // D returns a date value from an ISO-8601 string.
 func D(v string) Value { return Value{kind: TypeDate, valid: true, s: v} }
@@ -112,19 +128,29 @@ func (v Value) IsNull() bool { return !v.valid }
 // Str returns the string content (string/date values).
 func (v Value) Str() string { return v.s }
 
-// Int returns the int content.
-func (v Value) Int() int64 { return v.i }
-
-// Float returns the numeric content of int or float values.
-func (v Value) Float() float64 {
-	if v.kind == TypeInt {
-		return float64(v.i)
+// Int returns the content of an int value, and 0 for any other kind.
+func (v Value) Int() int64 {
+	if v.kind != TypeInt {
+		return 0
 	}
-	return v.f
+	return int64(v.n)
 }
 
-// Bool returns the bool content.
-func (v Value) Bool() bool { return v.b }
+// Float returns the numeric content of int or float values, and 0 for
+// any other kind.
+func (v Value) Float() float64 {
+	switch v.kind {
+	case TypeInt:
+		return float64(int64(v.n))
+	case TypeFloat:
+		return math.Float64frombits(v.n)
+	}
+	return 0
+}
+
+// Bool returns the content of a bool value, and false for any other
+// kind.
+func (v Value) Bool() bool { return v.kind == TypeBool && v.n != 0 }
 
 // IsNumeric reports whether the value participates in arithmetic.
 func (v Value) IsNumeric() bool { return v.kind == TypeInt || v.kind == TypeFloat }
@@ -138,11 +164,11 @@ func (v Value) String() string {
 	case TypeString, TypeDate:
 		return v.s
 	case TypeInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case TypeBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.Bool())
 	default:
 		return "?"
 	}
@@ -164,13 +190,7 @@ func Compare(a, b Value) int {
 	case 'n':
 		return CompareFloat(a.Float(), b.Float())
 	case 'b':
-		switch {
-		case !a.b && b.b:
-			return -1
-		case a.b && !b.b:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.n, b.n) // 0 for false, 1 for true
 	case 's':
 		return strings.Compare(a.s, b.s)
 	}
@@ -235,7 +255,7 @@ func AppendKey(dst []byte, v Value) []byte {
 	case 'n':
 		return appendNumKey(dst, v.Float())
 	case 'b':
-		return appendBoolKey(dst, v.b)
+		return appendBoolKey(dst, v.Bool())
 	}
 	return appendStrKey(dst, v.s)
 }

@@ -6,7 +6,73 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// A cell is 32 bytes and a statistics run entry 40: a field added to
+// Value, or a kind wider than a byte, would give the heap back without
+// failing anything else.
+func TestValueLayout(t *testing.T) {
+	if s := unsafe.Sizeof(Value{}); s != 32 {
+		t.Errorf("Value is %d bytes, want 32", s)
+	}
+	if s := unsafe.Sizeof(ValueCount{}); s != 40 {
+		t.Errorf("ValueCount is %d bytes, want 40", s)
+	}
+}
+
+// Each accessor answers for the kind it reads and is zero for every
+// other, whatever the payload word holds: Int of a float is not its
+// bits, Float of a bool is not 5e-324, Bool of a non-zero int is false.
+func TestAccessorsOnOtherKinds(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		v       Value
+		i       int64
+		f       float64
+		b       bool
+		str, sv string
+	}{
+		{S("x"), 0, 0, false, "x", "x"},
+		{S("7"), 0, 0, false, "7", "7"},
+		{D("2024-01-01"), 0, 0, false, "2024-01-01", "2024-01-01"},
+		{I(7), 7, 7, false, "", "7"},
+		{I(1), 1, 1, false, "", "1"},
+		{I(-1), -1, -1, false, "", "-1"},
+		{I(math.MinInt64), math.MinInt64, -9223372036854775808, false, "", "-9223372036854775808"},
+		{I(math.MaxInt64), math.MaxInt64, 9223372036854775807, false, "", "9223372036854775807"},
+		{F(2.5), 0, 2.5, false, "", "2.5"},
+		{F(1), 0, 1, false, "", "1"},
+		{F(negZero), 0, negZero, false, "", "-0"},
+		{F(nan), 0, nan, false, "", "NaN"},
+		{F(math.Inf(-1)), 0, math.Inf(-1), false, "", "-Inf"},
+		{B(true), 0, 0, true, "", "true"},
+		{B(false), 0, 0, false, "", "false"},
+		{Value{}, 0, 0, false, "", "NULL"},
+		{Null(TypeString), 0, 0, false, "", "NULL"},
+		{Null(TypeInt), 0, 0, false, "", "NULL"},
+		{Null(TypeFloat), 0, 0, false, "", "NULL"},
+		{Null(TypeBool), 0, 0, false, "", "NULL"},
+		{Null(TypeDate), 0, 0, false, "", "NULL"},
+	} {
+		if got := c.v.Int(); got != c.i {
+			t.Errorf("%v %s: Int() = %d, want %d", c.v.Kind(), c.sv, got, c.i)
+		}
+		if got := c.v.Float(); math.Float64bits(got) != math.Float64bits(c.f) {
+			t.Errorf("%v %s: Float() = %v, want %v", c.v.Kind(), c.sv, got, c.f)
+		}
+		if got := c.v.Bool(); got != c.b {
+			t.Errorf("%v %s: Bool() = %v, want %v", c.v.Kind(), c.sv, got, c.b)
+		}
+		if got := c.v.Str(); got != c.str {
+			t.Errorf("%v %s: Str() = %q, want %q", c.v.Kind(), c.sv, got, c.str)
+		}
+		if got := c.v.String(); got != c.sv {
+			t.Errorf("%v: String() = %q, want %q", c.v.Kind(), got, c.sv)
+		}
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	if v := S("hi"); v.Kind() != TypeString || v.Str() != "hi" || v.IsNull() {

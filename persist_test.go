@@ -210,6 +210,10 @@ func TestLoadIgnoresStoredStatistics(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte(lying), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Builds that stored statistics wrote no MANIFEST.
+	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := Load(dir, func(s *System) {
 		s.Vocabulary(VocabProduct, "Product Alpha", "Product Beta")
 		s.Vocabulary(VocabDrug, "Drug A")
@@ -361,10 +365,10 @@ func TestSaveRacingIngest(t *testing.T) {
 	t.Logf("%d saves, of prefixes %v", len(saved), prefixes)
 }
 
-// TestSaveReportsWriteErrors points the snapshot files at a device that
-// takes no byte: Save returns the failed write's error (which the
-// graph's buffered writer holds until its flush), and the graph's when
-// both files fail.
+// TestSaveReportsWriteErrors points the files a first Save writes (its
+// epoch-1 names) at a device that takes no byte: Save returns the failed
+// write's error (which the graph's buffered writer holds until its
+// flush), and the graph's when both files fail.
 func TestSaveReportsWriteErrors(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full")
@@ -380,7 +384,7 @@ func TestSaveReportsWriteErrors(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		for _, name := range c.full {
-			if err := os.Symlink("/dev/full", filepath.Join(dir, name)); err != nil {
+			if err := os.Symlink("/dev/full", filepath.Join(dir, epochName(name, 1))); err != nil {
 				t.Skip(err)
 			}
 		}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -90,6 +91,9 @@ var (
 	ErrNotBuilt     = errors.New("unisem: call Build before Ask")
 	ErrAlreadyBuilt = errors.New("unisem: system already built")
 	ErrNoAnswer     = core.ErrNoAnswer
+	// ErrSnapshotMismatch is Load's refusal of a saved file whose length
+	// or CRC-32C is not the one its directory's MANIFEST records.
+	ErrSnapshotMismatch = errors.New("unisem: snapshot file does not match its manifest")
 )
 
 // Options configures a System.
@@ -142,6 +146,7 @@ type System struct {
 	built    bool
 	hybrid   *core.Hybrid
 	backends []federate.Backend // registered before Build, attached at Build
+	saveMu   sync.Mutex         // one Save at a time, so two cannot pick one epoch
 }
 
 // New returns an empty system with default options.
