@@ -1,7 +1,6 @@
 package federate
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -100,9 +99,7 @@ func (ge *GraphEvidence) buildEntities() *table.Table {
 		{Name: "etype", Type: table.TypeString},
 		{Name: "degree", Type: table.TypeInt},
 	})
-	nodes := ge.g.NodesOfType(graph.NodeEntity)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for _, n := range nodes {
+	for _, n := range ge.g.NodesOfType(graph.NodeEntity) {
 		t.MustAppend([]table.Value{
 			table.S(n.Label),
 			table.S(n.EType),

@@ -11,10 +11,10 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // NodeType classifies a heterogeneous graph node.
@@ -60,9 +60,16 @@ func edgeCode(t EdgeType) uint8 {
 	return 0
 }
 
+// declaredNodes is to node types what declared is to edge types: a
+// type's position is its code in every graph's node-type table, and code
+// 0 is the empty type.
+var declaredNodes = [...]NodeType{"", NodeChunk, NodeEntity, NodeCue, NodeRow, NodeDoc}
+
 // Node is a graph vertex. The fields after Label are its payload, each
 // set on the node types that have it and empty on the rest: a chunk has
 // Text and Doc, a row Text, an entity EType, a cue Verb, Arg1 and Arg2.
+// The graph stores no Node: it keeps a node's strings in its vertex and
+// assembles a Node for whoever asks for one.
 type Node struct {
 	ID    string
 	Type  NodeType
@@ -93,6 +100,9 @@ var (
 	// ErrEdgeTypes is returned for an edge whose type would be the 257th
 	// distinct one in its graph: a half-edge has one byte for the type.
 	ErrEdgeTypes = errors.New("graph: too many distinct edge types")
+	// ErrNodeTypes is ErrEdgeTypes for nodes: a vertex has one byte for
+	// its type.
+	ErrNodeTypes = errors.New("graph: too many distinct node types")
 )
 
 // half is one end of an edge as the vertex at that end stores it: the
@@ -105,95 +115,139 @@ type half struct {
 	typ uint8
 }
 
-// vertex packs a node with its adjacency so one map lookup reaches
-// both; edge insertion — the hottest build operation — touches exactly
-// two vertices instead of six map slots.
+// vertex is a node and its adjacency in one record, so that one map
+// lookup reaches both and edge insertion — the hottest build operation —
+// touches exactly two vertices. It holds the node's strings, not a Node:
+// the type is a code into the graph's node-type table; the label shares
+// the id's bytes when it is a suffix of the id, as the label of every
+// row, chunk, entity and doc the index builder makes is; and the payload
+// that only chunks, entities and cues have is behind more, nil on the
+// rest.
 type vertex struct {
-	node *Node
-	out  []half // adjacency by source: nb is the target
-	in   []half // reverse adjacency by target: nb is the source
-	num  int32  // position in Graph.verts
+	id, label, text string
+	more            *extra
+	out             []half // adjacency by source: nb is the target
+	in              []half // reverse adjacency by target: nb is the source
+	num             int32  // position in Graph.verts
+	typ             uint8  // position in Graph.ntypes
 }
+
+// extra is the payload a row and a doc never have.
+type extra struct{ doc, etype, verb, arg1, arg2 string }
+
+// slabSize is the number of vertices allocated at once. A slab is never
+// grown, so a vertex never moves: a View's pointers stay good while the
+// graph grows.
+const slabSize = 1024
 
 // Graph is an in-memory heterogeneous property graph. It is not safe
 // for concurrent mutation; build once, then read from any goroutine.
 type Graph struct {
 	vs    map[string]*vertex
 	verts []*vertex // by vertex number: insertion order
+	slab  []vertex  // the next vertices, up to its capacity
 	// types is the edge type of each half-edge code: declared, then any
-	// other type in the order edges first used it.
-	types []EdgeType
-	edges int
+	// other type in the order edges first used it. ntypes is the same
+	// for vertices, from declaredNodes.
+	types  []EdgeType
+	ntypes []NodeType
+	edges  int
 	// Running index statistics, kept by every insertion so that reading
 	// them never walks the graph. Nodes are immutable once inserted.
-	byType map[NodeType]int
+	byType [math.MaxUint8 + 1]int // vertices per node-type code
 	size   int64
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	// types has no spare capacity, so the first append copies it and
-	// declared itself is never written.
-	return &Graph{vs: make(map[string]*vertex), types: declared[:], byType: make(map[NodeType]int)}
+	// The type tables have no spare capacity, so the first append copies
+	// them and declared and declaredNodes themselves are never written.
+	return &Graph{vs: make(map[string]*vertex), types: declared[:], ntypes: declaredNodes[:]}
 }
 
-// insert stores a new vertex for a copy of n, accounts for it and
-// returns the copy. Taking n by value keeps the allocation here, off the
-// path where EnsureNode finds the node present.
-func (g *Graph) insert(n Node) *Node {
-	v := &vertex{node: &n, num: int32(len(g.verts))}
-	g.vs[n.ID] = v
+// add stores n in a new vertex, numbered next and accounted for, and
+// returns it; the caller puts it into vs. On an error the graph is as it
+// was.
+func (g *Graph) add(n *Node) (*vertex, error) {
+	typ, err := code(&g.ntypes, n.Type, ErrNodeTypes)
+	if err != nil {
+		return nil, err
+	}
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]vertex, 0, slabSize)
+	}
+	g.slab = g.slab[:len(g.slab)+1]
+	v := &g.slab[len(g.slab)-1]
+	v.id, v.label, v.text, v.num, v.typ = n.ID, n.Label, n.Text, int32(len(g.verts)), typ
+	if strings.HasSuffix(n.ID, n.Label) {
+		v.label = n.ID[len(n.ID)-len(n.Label):]
+	}
+	if x := (extra{doc: n.Doc, etype: n.EType, verb: n.Verb, arg1: n.Arg1, arg2: n.Arg2}); x != (extra{}) {
+		v.more = new(extra) // not &x: x would go to the heap for every vertex
+		*v.more = x
+	}
 	g.verts = append(g.verts, v)
-	g.account(&n)
-	return &n
-}
-
-// account adds n to the running statistics.
-func (g *Graph) account(n *Node) {
-	g.byType[n.Type]++
+	g.byType[typ]++
 	g.size += int64(len(n.ID) + len(n.Label) + 16)
 	for _, p := range n.payload() {
 		if *p != "" {
 			g.size += int64(len(*p) + 16)
 		}
 	}
+	return v, nil
+}
+
+// node assembles the Node v stores; types is its graph's ntypes.
+func (v *vertex) node(types []NodeType) Node {
+	n := Node{ID: v.id, Type: types[v.typ], Label: v.label, Text: v.text}
+	if x := v.more; x != nil {
+		n.Doc, n.EType, n.Verb, n.Arg1, n.Arg2 = x.doc, x.etype, x.verb, x.arg1, x.arg2
+	}
+	return n
 }
 
 // edgeSize is an edge record's share of SizeBytes.
 func edgeSize(from, to string, t EdgeType) int64 { return int64(len(from) + len(to) + len(t) + 8) }
 
-// typeCode returns t's code in the graph's type table, giving a type
-// the graph has not seen the next free one.
-func (g *Graph) typeCode(t EdgeType) (uint8, error) {
-	for c, known := range g.types {
+// code returns t's position in the type table *types, giving a type the
+// table does not hold the next free one; a 257th type is tooMany.
+func code[T ~string](types *[]T, t T, tooMany error) (uint8, error) {
+	for c, known := range *types {
 		if known == t {
 			return uint8(c), nil
 		}
 	}
-	if len(g.types) > math.MaxUint8 {
-		return 0, fmt.Errorf("%w: %q", ErrEdgeTypes, t)
+	if len(*types) > math.MaxUint8 {
+		return 0, fmt.Errorf("%w: %q", tooMany, t)
 	}
-	g.types = append(g.types, t)
-	return uint8(len(g.types) - 1), nil
+	*types = append(*types, t)
+	return uint8(len(*types) - 1), nil
 }
 
-// EnsureNode inserts the node if absent and returns the stored node.
-// Existing nodes are returned unchanged (first write wins), which is
-// the behaviour the index builder needs for entity unification.
-func (g *Graph) EnsureNode(n Node) *Node {
-	if existing, ok := g.vs[n.ID]; ok {
-		return existing.node
+// EnsureNode inserts the node if absent. An existing node is left as it
+// is (first write wins), which is the behaviour the index builder needs
+// for entity unification, and costs no allocation.
+func (g *Graph) EnsureNode(n Node) error {
+	if _, ok := g.vs[n.ID]; ok {
+		return nil
 	}
-	return g.insert(n)
+	v, err := g.add(&n)
+	if err != nil {
+		return err
+	}
+	g.vs[n.ID] = v
+	return nil
 }
 
-// Node returns the node with id, or nil if absent.
+// Node returns the node with id, or nil if absent. The node is
+// assembled for the caller, who may keep and change it.
 func (g *Graph) Node(id string) *Node {
 	v, ok := g.vs[id]
 	if !ok {
 		return nil
 	}
-	return v.node
+	n := v.node(g.ntypes)
+	return &n
 }
 
 // HasNode reports whether id is present.
@@ -207,7 +261,7 @@ func (g *Graph) resolve(e *Edge) (from, to *vertex, typ uint8, err error) {
 	if from == nil || to == nil {
 		return nil, nil, 0, fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
 	}
-	if typ, err = g.typeCode(e.Type); err != nil {
+	if typ, err = code(&g.types, e.Type, ErrEdgeTypes); err != nil {
 		return nil, nil, 0, err
 	}
 	if e.Weight == 0 {
@@ -279,7 +333,7 @@ func (g *Graph) Out(id string) []Edge {
 	}
 	es := make([]Edge, len(v.out))
 	for i, h := range v.out {
-		es[i] = Edge{From: id, To: g.verts[h.nb].node.ID, Type: g.types[h.typ], Weight: h.w}
+		es[i] = Edge{From: id, To: g.verts[h.nb].id, Type: g.types[h.typ], Weight: h.w}
 	}
 	return es
 }
@@ -293,7 +347,7 @@ func (g *Graph) In(id string) []Edge {
 	}
 	es := make([]Edge, len(v.in))
 	for i, h := range v.in {
-		es[i] = Edge{From: g.verts[h.nb].node.ID, To: id, Type: g.types[h.typ], Weight: h.w}
+		es[i] = Edge{From: g.verts[h.nb].id, To: id, Type: g.types[h.typ], Weight: h.w}
 	}
 	return es
 }
@@ -323,7 +377,7 @@ func (g *Graph) Neighbors(id string, types ...EdgeType) []string {
 	var out []string
 	for _, h := range v.out {
 		if len(types) == 0 || slices.Contains(types, g.types[h.typ]) {
-			out = append(out, g.verts[h.nb].node.ID)
+			out = append(out, g.verts[h.nb].id)
 		}
 	}
 	sort.Strings(out)
@@ -357,20 +411,30 @@ func (g *Graph) NodeIDs() []string {
 }
 
 // NodesOfType returns all nodes of the given type, sorted by id.
-func (g *Graph) NodesOfType(t NodeType) []*Node {
-	var out []*Node
-	for _, v := range g.vs {
-		if v.node.Type == t {
-			out = append(out, v.node)
+func (g *Graph) NodesOfType(t NodeType) []Node {
+	c := slices.Index(g.ntypes, t)
+	if c < 0 {
+		return nil
+	}
+	out := make([]Node, 0, g.byType[c])
+	for _, v := range g.verts {
+		if v.typ == uint8(c) {
+			out = append(out, v.node(g.ntypes))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Node) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
 // CountByType returns node counts per type, for index statistics.
 func (g *Graph) CountByType() map[NodeType]int {
-	return maps.Clone(g.byType)
+	out := make(map[NodeType]int)
+	for c, t := range g.ntypes {
+		if g.byType[c] > 0 {
+			out[t] = g.byType[c]
+		}
+	}
+	return out
 }
 
 // SizeBytes is the logical size of the index, the figure experiment E1

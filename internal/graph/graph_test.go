@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // chainGraph builds a -> b -> c -> d with an entity hub linked to all.
@@ -35,7 +37,10 @@ func TestAddNodeDuplicate(t *testing.T) {
 	g := New()
 	g.EnsureNode(Node{ID: "x", Type: NodeChunk})
 	size := g.SizeBytes()
-	if n := g.EnsureNode(Node{ID: "x", Type: NodeEntity, Label: "again"}); n.Type != NodeChunk {
+	if err := g.EnsureNode(Node{ID: "x", Type: NodeEntity, Label: "again"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.Node("x"); n.Type != NodeChunk {
 		t.Errorf("duplicate add replaced the node: %+v", *n)
 	}
 	if g.NodeCount() != 1 || g.SizeBytes() != size || g.CountByType()[NodeEntity] != 0 {
@@ -63,8 +68,8 @@ func TestAddEdgeMissingEndpoint(t *testing.T) {
 func TestEnsureNodeFirstWriteWins(t *testing.T) {
 	g := New()
 	g.EnsureNode(Node{ID: "e", Type: NodeEntity, Label: "first"})
-	n := g.EnsureNode(Node{ID: "e", Type: NodeEntity, Label: "second"})
-	if n.Label != "first" {
+	g.EnsureNode(Node{ID: "e", Type: NodeEntity, Label: "second"})
+	if n := g.Node("e"); n.Label != "first" {
 		t.Errorf("label = %q, want first", n.Label)
 	}
 }
@@ -313,7 +318,7 @@ func TestPageRankPropertyNonNegative(t *testing.T) {
 
 func TestSerializationRoundTrip(t *testing.T) {
 	g := chainGraph(t)
-	g.Node("a").Text = "hello"
+	g.EnsureNode(Node{ID: "e", Type: NodeChunk, Text: "hello"})
 	var buf bytes.Buffer
 	if err := g.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -326,7 +331,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Errorf("round trip: %d/%d nodes, %d/%d edges",
 			g2.NodeCount(), g.NodeCount(), g2.EdgeCount(), g.EdgeCount())
 	}
-	if g2.Node("a").Text != "hello" {
+	if g2.Node("e").Text != "hello" {
 		t.Error("payload lost in round trip")
 	}
 }
@@ -368,5 +373,148 @@ func TestNodesOfTypeSorted(t *testing.T) {
 	ents := g.NodesOfType(NodeEntity)
 	if len(ents) != 2 || ents[0].ID != "a" || ents[1].ID != "z" {
 		t.Errorf("NodesOfType = %v", ents)
+	}
+}
+
+// Every Node given to EnsureNode comes back field for field from
+// Graph.Node and NodesOfType, and its id, type and text from a View's
+// accessors, whatever its type, label and payload; SizeBytes counts it
+// as the Node it was given; a label that is a suffix of the id is stored
+// in the id's bytes, by EnsureNode and by ReadJSON; and an insert of an
+// id the graph holds changes nothing and allocates nothing.
+func TestNodeRoundTrip(t *testing.T) {
+	var nodes []Node
+	for _, typ := range declaredNodes {
+		nodes = append(nodes, Node{ID: string(typ) + ":x", Type: typ, Label: "x", Text: "text of " + string(typ)})
+	}
+	nodes = append(nodes,
+		Node{ID: "cue:a|rated|b", Type: NodeCue, Label: "rated", Verb: "rated", Arg1: "a", Arg2: "b"}, // label not a suffix
+		Node{ID: "every", Type: NodeChunk, Label: "every", Text: "t", Doc: "d", EType: "e", Verb: "v", Arg1: "1", Arg2: "2"},
+		Node{ID: "no label", Type: NodeRow, Text: "row text"},
+	)
+	nodes = append(nodes, hostileNodes()...) // "plain" and other types no graph declares
+	g := New()
+	var size int64
+	for _, n := range nodes {
+		if err := g.EnsureNode(n); err != nil {
+			t.Fatal(err)
+		}
+		size += int64(len(n.ID) + len(n.Label) + 16)
+		for _, p := range n.payload() {
+			if *p != "" {
+				size += int64(len(*p) + 16)
+			}
+		}
+	}
+	if g.SizeBytes() != size {
+		t.Errorf("SizeBytes = %d, want %d", g.SizeBytes(), size)
+	}
+	back, err := ReadJSON(bytes.NewReader(encode(t, g.WriteJSON)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"built": g, "read back": back} {
+		for _, vx := range g.verts {
+			if vx.label != "" && strings.HasSuffix(vx.id, vx.label) &&
+				unsafe.StringData(vx.label) != unsafe.StringData(vx.id[len(vx.id)-len(vx.label):]) {
+				t.Errorf("%s: %q: label %q not stored in the id's bytes", name, vx.id, vx.label)
+			}
+		}
+	}
+	v := g.View(nil)
+	byType := map[NodeType][]Node{}
+	for _, n := range nodes {
+		if got := g.Node(n.ID); *got != n {
+			t.Errorf("Graph.Node(%q) = %#v, want %#v", n.ID, *got, n)
+		}
+		i, ok := v.Index(n.ID)
+		if !ok {
+			t.Fatalf("%q not in the view", n.ID)
+		}
+		if v.ID(i) != n.ID || v.Type(i) != n.Type || v.Text(i) != n.Text {
+			t.Errorf("view index %d: %q, %q, %q, want %q, %q, %q", i, v.ID(i), v.Type(i), v.Text(i), n.ID, n.Type, n.Text)
+		}
+		if g.vs[n.ID].more != nil && n.Doc+n.EType+n.Verb+n.Arg1+n.Arg2 == "" {
+			t.Errorf("%q: payload record for a node with none", n.ID)
+		}
+		byType[n.Type] = append(byType[n.Type], n)
+	}
+	counts := map[NodeType]int{}
+	for typ, want := range byType {
+		counts[typ] = len(want)
+		got := g.NodesOfType(typ)
+		if len(got) != len(want) {
+			t.Fatalf("NodesOfType(%q): %d nodes, want %d", typ, len(got), len(want))
+		}
+		for _, n := range want {
+			found := false
+			for _, m := range got {
+				found = found || m == n
+			}
+			if !found {
+				t.Errorf("NodesOfType(%q) lacks %#v", typ, n)
+			}
+		}
+	}
+	if !maps.Equal(g.CountByType(), counts) {
+		t.Errorf("CountByType = %v, want %v", g.CountByType(), counts)
+	}
+	if got := g.NodesOfType("never used"); got != nil {
+		t.Errorf("NodesOfType of an unknown type: %v", got)
+	}
+
+	again := Node{ID: nodes[0].ID, Type: "other", Label: "other", Text: "other", Doc: "other"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := g.EnsureNode(again); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("EnsureNode of a present node: %v allocations", allocs)
+	}
+	if *g.Node(again.ID) != nodes[0] || g.SizeBytes() != size || g.NodeCount() != len(nodes) || !maps.Equal(g.CountByType(), counts) {
+		t.Error("EnsureNode of a present node changed the graph")
+	}
+}
+
+// A graph holds the declared node types and 250 others; one type more
+// is a typed error, from EnsureNode and from ReadJSON, that changes
+// nothing — never a code that wraps around onto another type.
+func TestNodeTypeLimit(t *testing.T) {
+	g := New()
+	for c := 0; c < 256; c++ {
+		typ := NodeType(fmt.Sprintf("other%03d", c))
+		if c < len(declaredNodes) {
+			typ = declaredNodes[c]
+		}
+		if err := g.EnsureNode(Node{ID: fmt.Sprintf("n%03d", c), Type: typ, Label: string(typ)}); err != nil {
+			t.Fatalf("type %d: %v", c, err)
+		}
+	}
+	snap := encode(t, g.WriteJSON)
+	back, err := ReadJSON(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGraph(t, back, g)
+
+	nodes, size, counts := g.NodeCount(), g.SizeBytes(), g.CountByType()
+	if err := g.EnsureNode(Node{ID: "one more", Type: "one too many"}); !errors.Is(err, ErrNodeTypes) {
+		t.Errorf("EnsureNode: %v", err)
+	}
+	if g.HasNode("one more") || g.NodeCount() != nodes || g.SizeBytes() != size || !maps.Equal(g.CountByType(), counts) {
+		t.Errorf("nodes/size %d/%d, %v after the refused node, were %d/%d, %v",
+			g.NodeCount(), g.SizeBytes(), g.CountByType(), nodes, size, counts)
+	}
+	if after := encode(t, g.WriteJSON); !bytes.Equal(snap, after) {
+		t.Error("the refused node changed the snapshot")
+	}
+	// A type the graph knows is still accepted.
+	if err := g.EnsureNode(Node{ID: "one more", Type: "other255"}); err != nil {
+		t.Error(err)
+	}
+
+	doc := strings.Replace(string(snap), `{"nodes":[`, `{"nodes":[{"id":"~","type":"one too many","label":""},`, 1)
+	if _, err := ReadJSON(strings.NewReader(doc)); !errors.Is(err, ErrNodeTypes) {
+		t.Errorf("ReadJSON: %v", err)
 	}
 }

@@ -18,6 +18,16 @@ func TestHalfEdgeSize(t *testing.T) {
 	}
 }
 
+// A vertex is 112 bytes: three string headers, the payload pointer, two
+// adjacency slices, its number and its type code. A field added to it
+// — a Node pointer, the type as a string — would give back what storing
+// the node in its vertex saved without failing anything else.
+func TestVertexLayout(t *testing.T) {
+	if s := unsafe.Sizeof(vertex{}); s != 112 {
+		t.Errorf("vertex is %d bytes, want 112", s)
+	}
+}
+
 // Out and In hand the caller a slice of its own: writing to it changes
 // neither the snapshot nor what the next call returns.
 func TestOutInAreCopies(t *testing.T) {
@@ -102,7 +112,7 @@ func TestEdgeTypeLimit(t *testing.T) {
 	for _, g := range []*Graph{g, back} {
 		v := g.View(nil)
 		for i := 0; i < v.Len(); i++ {
-			for j, e := range g.Out(v.Node(i).ID) {
+			for j, e := range g.Out(v.ID(i)) {
 				if c := v.typ[int(v.outOff[i])+j]; c != edgeCode(e.Type) {
 					t.Errorf("view code %d for an edge of type %q", c, e.Type)
 				}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
@@ -48,7 +49,7 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	)
 	bw.WriteString(`{"nodes":[`)
 	for i, id := range ids {
-		n := g.vs[id].node
+		n := g.vs[id].node(g.ntypes)
 		buf = buf[:0]
 		if i > 0 {
 			buf = append(buf, ',')
@@ -92,7 +93,7 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 				hs = out
 			}
 			for _, h := range hs {
-				to := g.verts[h.nb].node.ID
+				to := g.verts[h.nb].id
 				if math.IsNaN(h.w) || math.IsInf(h.w, 0) {
 					return fmt.Errorf("graph: encode: edge %s -> %s: unsupported weight %v", id, to, h.w)
 				}
@@ -121,7 +122,7 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 // as the strings the file spells.
 func (g *Graph) compareTarget(a, b half) int {
 	if a.nb != b.nb {
-		return cmp.Compare(g.verts[a.nb].node.ID, g.verts[b.nb].node.ID)
+		return cmp.Compare(g.verts[a.nb].id, g.verts[b.nb].id)
 	}
 	return cmp.Compare(g.types[a.typ], g.types[b.typ])
 }
@@ -155,20 +156,19 @@ type pendingEdge struct {
 	typ      uint8
 }
 
-// decoder is a single pass over one snapshot. Nodes are collected, then
-// inserted together; edges are resolved to vertices as they are read and
-// put into the adjacency lists together at the end.
+// decoder is a single pass over one snapshot. Each node is decoded
+// into a vertex as it is read, and the vertices are put into the id map
+// together; edges are resolved to vertices as they are read and put into
+// the adjacency lists together at the end.
 type decoder struct {
 	jsonx.Decoder
 	g *Graph
 
-	nodes    []*Node
-	slab     []Node   // nodes are allocated from slabs, not one by one
-	verts    []vertex // one per node, in file order
 	edges    []pendingEdge
 	lastFrom *vertex // source of the previous edge: edges arrive grouped by source
 
 	text  []byte         // the node being decoded: its id, label and payload, end to end
+	label []byte         // its label, until it is known whether the id ends with it
 	names jsonx.Interner // node and edge types: a few strings, repeated by every record
 }
 
@@ -238,17 +238,14 @@ func (d *decoder) document() error {
 	return nil
 }
 
-// node consumes one node object. Its strings are gathered in d.text and
-// become one allocation that the node's id, label and payload share.
+// node consumes one node object into a new vertex. Its strings are
+// gathered in d.text and become one allocation that the node's id, label
+// and payload share; a label that ends the id takes no bytes of its own.
 func (d *decoder) node() error {
-	if len(d.slab) == cap(d.slab) {
-		d.slab = make([]Node, 0, 1024)
-	}
-	d.slab = d.slab[:len(d.slab)+1]
-	n := &d.slab[len(d.slab)-1]
-	d.text = d.text[:0]
+	var n Node
+	d.text, d.label = d.text[:0], d.label[:0]
 	var seen, seenPayload uint
-	var id, label [2]int
+	var id [2]int
 	var fields [len(payloadKeys)][2]int
 	take := func(span *[2]int) error {
 		s, err := d.Str()
@@ -280,7 +277,9 @@ func (d *decoder) node() error {
 			if err := d.Once(&seen, kLabel); err != nil {
 				return err
 			}
-			return take(&label)
+			s, err := d.Str()
+			d.label = append(d.label, s...)
+			return err
 		case "type":
 			if err := d.Once(&seen, kType); err != nil {
 				return err
@@ -302,34 +301,34 @@ func (d *decoder) node() error {
 	if err != nil {
 		return err
 	}
+	label := [2]int{id[1] - len(d.label), id[1]}
+	if !bytes.HasSuffix(d.text[id[0]:id[1]], d.label) {
+		label[0] = len(d.text)
+		d.text = append(d.text, d.label...)
+		label[1] = len(d.text)
+	}
 	text := string(d.text)
 	n.ID, n.Label = text[id[0]:id[1]], text[label[0]:label[1]]
 	for i, p := range n.payload() {
 		*p = text[fields[i][0]:fields[i][1]]
 	}
-	d.nodes = append(d.nodes, n)
-	return nil
+	_, err = d.g.add(&n)
+	return err
 }
 
-// insertNodes puts the collected nodes into the graph in file order,
-// refusing an empty or a taken id, into a map and a vertex array sized
-// for them.
+// insertNodes puts the decoded vertices into the id map, sized for
+// them, in file order, refusing an empty or a taken id.
 func (d *decoder) insertNodes() error {
 	g := d.g
-	g.vs = make(map[string]*vertex, len(d.nodes))
-	g.verts = make([]*vertex, len(d.nodes))
-	d.verts = make([]vertex, len(d.nodes))
-	for i, n := range d.nodes {
-		if n.ID == "" {
+	g.vs = make(map[string]*vertex, len(g.verts))
+	for i, v := range g.verts {
+		if v.id == "" {
 			return fmt.Errorf("graph: empty node id: %w", ErrNodeNotFound)
 		}
-		d.verts[i] = vertex{node: n, num: int32(i)}
-		g.verts[i] = &d.verts[i]
-		g.vs[n.ID] = &d.verts[i]
+		g.vs[v.id] = v
 		if len(g.vs) == i { // the id was there already
-			return fmt.Errorf("%w: %s", ErrNodeExists, n.ID)
+			return fmt.Errorf("%w: %s", ErrNodeExists, v.id)
 		}
-		g.account(n)
 	}
 	return nil
 }
@@ -349,7 +348,7 @@ func (d *decoder) edge(resolve bool) error {
 		if err != nil || !resolve {
 			return nil, err
 		}
-		if prev != nil && prev.node.ID == string(s) {
+		if prev != nil && prev.id == string(s) {
 			return prev, nil
 		}
 		v, ok := d.g.vs[string(s)]
@@ -393,14 +392,14 @@ func (d *decoder) edge(resolve bool) error {
 	}
 	if e.from == nil || e.to == nil {
 		if e.from != nil {
-			from = e.from.node.ID
+			from = e.from.id
 		}
 		if e.to != nil {
-			to = e.to.node.ID
+			to = e.to.id
 		}
 		return fmt.Errorf("%w: %s -> %s", ErrBadEdge, from, to)
 	}
-	typ, err := d.g.typeCode(e.typ)
+	typ, err := code(&d.g.types, e.typ, ErrEdgeTypes)
 	if err != nil {
 		return err
 	}
@@ -421,12 +420,11 @@ func (d *decoder) link() {
 	out, in := make([]half, len(d.edges)), make([]half, len(d.edges))
 	// Degrees first, kept as the length of each vertex's own slices.
 	for _, e := range d.edges {
-		from, to := &d.verts[e.from], &d.verts[e.to]
+		from, to := g.verts[e.from], g.verts[e.to]
 		from.out = out[:len(from.out)+1]
 		to.in = in[:len(to.in)+1]
 	}
-	for i := range d.verts {
-		v := &d.verts[i]
+	for _, v := range g.verts {
 		if n := len(v.out); n > 0 {
 			v.out, out = out[:0:n], out[n:]
 		}
@@ -435,10 +433,10 @@ func (d *decoder) link() {
 		}
 	}
 	for _, e := range d.edges {
-		from, to := &d.verts[e.from], &d.verts[e.to]
+		from, to := g.verts[e.from], g.verts[e.to]
 		from.out = append(from.out, half{w: e.weight, nb: e.to, typ: e.typ})
 		to.in = append(to.in, half{w: e.weight, nb: e.from, typ: e.typ})
-		g.size += edgeSize(from.node.ID, to.node.ID, g.types[e.typ])
+		g.size += edgeSize(from.id, to.id, g.types[e.typ])
 	}
 	g.edges = len(d.edges)
 }

@@ -44,7 +44,7 @@ func (r refNode) node() Node {
 func refWriteJSON(g *Graph, w io.Writer) error {
 	s := refSerialized{Nodes: make([]refNode, 0, len(g.vs))}
 	for _, id := range g.NodeIDs() {
-		s.Nodes = append(s.Nodes, refNodeOf(g.vs[id].node))
+		s.Nodes = append(s.Nodes, refNodeOf(g.Node(id)))
 	}
 	for _, id := range g.NodeIDs() {
 		s.Edges = append(s.Edges, g.Out(id)...)
@@ -77,7 +77,9 @@ func refReadJSON(r io.Reader) (*Graph, error) {
 		if g.HasNode(n.ID) {
 			return nil, fmt.Errorf("%w: %s", ErrNodeExists, n.ID)
 		}
-		g.EnsureNode(n.node())
+		if err := g.EnsureNode(n.node()); err != nil {
+			return nil, err
+		}
 	}
 	for _, e := range s.Edges {
 		if err := g.AddEdge(e); err != nil {

@@ -39,22 +39,33 @@ func setWeight(g *Graph, from string, i int, w float64) {
 	h.w = w
 }
 
-// hostileGraph has every hostile string as an id, a label, a type and
-// in each payload field, and the weights whose text form is special.
-func hostileGraph(t testing.TB) *Graph {
-	g := New()
+// hostileNodes have every hostile string as an id, a label, a type and
+// in each payload field.
+func hostileNodes() []Node {
+	var out []Node
 	for i, s := range hostile {
 		n := Node{Type: NodeType(s), Label: s}
 		for j, p := range n.payload() {
 			*p = hostile[(i+j)%len(hostile)]
 		}
 		// One id only may be invalid UTF-8: two would read back as one.
-		id := fmt.Sprintf("n%d:%s", i, strings.ToValidUTF8(s, "?"))
+		n.ID = fmt.Sprintf("n%d:%s", i, strings.ToValidUTF8(s, "?"))
 		if i == 7 {
-			id = s
+			n.ID = s
 		}
-		n.ID = id
-		g.EnsureNode(n)
+		out = append(out, n)
+	}
+	return out
+}
+
+// hostileGraph has the hostile nodes, and edges of every hostile type
+// with the weights whose text form is special.
+func hostileGraph(t testing.TB) *Graph {
+	g := New()
+	for _, n := range hostileNodes() {
+		if err := g.EnsureNode(n); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ids := g.NodeIDs()
 	weights := []float64{1, 0.5, 1e-7, 1e-6, 1e21, 1e20, -2.5, 123456789.125, 5e-324, math.MaxFloat64, 3, math.Nextafter(0.3, 1)}

@@ -195,7 +195,7 @@ func (g *Graph) ShortestPath(from, to string) []string {
 func (g *Graph) buildPath(prev []int32, from, to int32) []string {
 	var rev []string
 	for cur := to; ; cur = prev[cur] - 1 {
-		rev = append(rev, g.verts[cur].node.ID)
+		rev = append(rev, g.verts[cur].id)
 		if cur == from {
 			break
 		}
@@ -221,7 +221,7 @@ func (g *Graph) ConnectedComponents() [][]string {
 		for len(stack) > 0 {
 			v := g.verts[stack[len(stack)-1]]
 			stack = stack[:len(stack)-1]
-			comp = append(comp, v.node.ID)
+			comp = append(comp, v.id)
 			for _, hs := range [2][]half{v.out, v.in} {
 				for _, h := range hs {
 					if !seen[h.nb] {

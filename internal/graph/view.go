@@ -20,11 +20,12 @@ import (
 // takes that order from the previous one (Graph.View).
 type View struct {
 	verts  []*vertex
-	outOff []int32 // out-edges of i: verts[i].out[:outOff[i+1]-outOff[i]]
-	dst    []int32 // target index per out-edge
-	typ    []uint8 // edgeCode per out-edge: the half-edge's code if declared, else 0
-	inOff  []int32 // in-edges of i: verts[i].in[:inOff[i+1]-inOff[i]]
-	src    []int32 // source index per in-edge
+	ntypes []NodeType // the graph's node-type table, as far as verts use it
+	outOff []int32    // out-edges of i: verts[i].out[:outOff[i+1]-outOff[i]]
+	dst    []int32    // target index per out-edge
+	typ    []uint8    // edgeCode per out-edge: the half-edge's code if declared, else 0
+	inOff  []int32    // in-edges of i: verts[i].in[:inOff[i+1]-inOff[i]]
+	src    []int32    // source index per in-edge
 }
 
 // View builds the index-space snapshot of the graph's current state
@@ -45,15 +46,16 @@ func (g *Graph) View(prev *View) *View {
 		}
 	}
 	added := slices.Clone(g.verts[len(old):])
-	slices.SortFunc(added, func(a, b *vertex) int { return strings.Compare(a.node.ID, b.node.ID) })
+	slices.SortFunc(added, func(a, b *vertex) int { return strings.Compare(a.id, b.id) })
 	n := len(g.verts)
 	v := &View{
 		verts:  make([]*vertex, 0, n),
+		ntypes: g.ntypes,
 		outOff: make([]int32, n+1),
 		inOff:  make([]int32, n+1),
 	}
 	for _, vx := range added {
-		j, _ := slices.BinarySearchFunc(old, vx.node.ID, func(o *vertex, id string) int { return strings.Compare(o.node.ID, id) })
+		j, _ := slices.BinarySearchFunc(old, vx.id, func(o *vertex, id string) int { return strings.Compare(o.id, id) })
 		v.verts = append(append(v.verts, old[:j]...), vx)
 		old = old[j:]
 	}
@@ -86,12 +88,19 @@ func (g *Graph) View(prev *View) *View {
 // Len returns the number of nodes in the view.
 func (v *View) Len() int { return len(v.verts) }
 
-// Node returns the node at index i.
-func (v *View) Node(i int) *Node { return v.verts[i].node }
+// ID returns the id of the node at index i. ID, Type and Text are what
+// retrieval reads of a node; Graph.Node assembles a whole one.
+func (v *View) ID(i int) string { return v.verts[i].id }
+
+// Type returns the type of the node at index i.
+func (v *View) Type(i int) NodeType { return v.ntypes[v.verts[i].typ] }
+
+// Text returns the text of the node at index i: a chunk's or a row's.
+func (v *View) Text(i int) string { return v.verts[i].text }
 
 // Index returns the view index of the node with the given id, or false
 // if the view has no such node.
 func (v *View) Index(id string) (int, bool) {
-	i := sort.Search(len(v.verts), func(i int) bool { return v.verts[i].node.ID >= id })
-	return i, i < len(v.verts) && v.verts[i].node.ID == id
+	i := sort.Search(len(v.verts), func(i int) bool { return v.verts[i].id >= id })
+	return i, i < len(v.verts) && v.verts[i].id == id
 }

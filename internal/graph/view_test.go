@@ -24,7 +24,7 @@ func expandView(v *View, x *Expander, anchor string, opts ExpandOptions) []refVi
 	}
 	var out []refVisit
 	for _, vis := range v.Expand(x, a, opts) {
-		out = append(out, refVisit{ID: v.Node(int(vis.Node)).ID, Depth: int(vis.Depth), Score: vis.Score})
+		out = append(out, refVisit{ID: v.ID(int(vis.Node)), Depth: int(vis.Depth), Score: vis.Score})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -128,7 +128,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 			return false
 		}
 		for i, r := range got {
-			if math.Float64bits(r) != math.Float64bits(want[v.Node(i).ID]) {
+			if math.Float64bits(r) != math.Float64bits(want[v.ID(i)]) {
 				return false
 			}
 		}
@@ -164,10 +164,10 @@ func TestViewIndex(t *testing.T) {
 		t.Fatalf("len = %d", v.Len())
 	}
 	for i := 0; i < v.Len(); i++ {
-		if j, ok := v.Index(v.Node(i).ID); !ok || j != i {
-			t.Errorf("Index(%q) = %d, %v; want %d", v.Node(i).ID, j, ok, i)
+		if j, ok := v.Index(v.ID(i)); !ok || j != i {
+			t.Errorf("Index(%q) = %d, %v; want %d", v.ID(i), j, ok, i)
 		}
-		if i > 0 && v.Node(i-1).ID >= v.Node(i).ID {
+		if i > 0 && v.ID(i-1) >= v.ID(i) {
 			t.Errorf("view not in id order at %d", i)
 		}
 	}

@@ -134,19 +134,23 @@ func (b *Builder) Build(m *store.Multi) (*graph.Graph, Stats, error) {
 // All SLM work already happened in analyzeRecord; this function only
 // mutates the graph and must run single-threaded in record order.
 func (b *Builder) applyDocument(g *graph.Graph, rec store.Record, an recordAnalysis, cueCounts map[string]int, stats *Stats) error {
-	docNode := graph.Node{ID: "doc:" + rec.ID, Type: graph.NodeDoc, Label: rec.ID}
-	g.EnsureNode(docNode)
+	docID := "doc:" + rec.ID
+	if err := g.EnsureNode(graph.Node{ID: docID, Type: graph.NodeDoc, Label: rec.ID}); err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
 	stats.Docs++
 
 	var prevChunkID string
 	for _, ca := range an.chunks {
 		chunkID := "chunk:" + ca.chunk.ID
-		g.EnsureNode(graph.Node{
+		if err := g.EnsureNode(graph.Node{
 			ID: chunkID, Type: graph.NodeChunk, Label: ca.chunk.ID,
 			Text: ca.chunk.Text, Doc: rec.ID,
-		})
+		}); err != nil {
+			return fmt.Errorf("index: %w", err)
+		}
 		stats.Chunks++
-		if err := g.AddEdge(graph.Edge{From: chunkID, To: docNode.ID, Type: graph.EdgePartOf}); err != nil {
+		if err := g.AddEdge(graph.Edge{From: chunkID, To: docID, Type: graph.EdgePartOf}); err != nil {
 			return fmt.Errorf("index: %w", err)
 		}
 		if prevChunkID != "" {
@@ -165,7 +169,9 @@ func (b *Builder) applyDocument(g *graph.Graph, rec store.Record, an recordAnaly
 		for _, sa := range ca.sents {
 			for _, e := range sa.ents {
 				entID := EntityNodeID(e.Canonical)
-				g.EnsureNode(graph.Node{ID: entID, Type: graph.NodeEntity, Label: e.Canonical, EType: string(e.Type)})
+				if err := g.EnsureNode(graph.Node{ID: entID, Type: graph.NodeEntity, Label: e.Canonical, EType: string(e.Type)}); err != nil {
+					return fmt.Errorf("index: %w", err)
+				}
 				if !mentioned[entID] {
 					mentioned[entID] = true
 					if err := g.AddUndirected(graph.Edge{From: chunkID, To: entID, Type: graph.EdgeMentions}); err != nil {
@@ -185,7 +191,9 @@ func (b *Builder) applyDocument(g *graph.Graph, rec store.Record, an recordAnaly
 // a row node linked to entity nodes matching its field values.
 func (b *Builder) applyRecord(g *graph.Graph, rec store.Record, an recordAnalysis, stats *Stats) error {
 	rowID := "row:" + rec.ID
-	g.EnsureNode(graph.Node{ID: rowID, Type: graph.NodeRow, Label: rec.ID, Text: rec.Text})
+	if err := g.EnsureNode(graph.Node{ID: rowID, Type: graph.NodeRow, Label: rec.ID, Text: rec.Text}); err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
 	stats.Rows++
 
 	if b.opts.DisableEntityNodes {
@@ -200,7 +208,9 @@ func (b *Builder) applyRecord(g *graph.Graph, rec store.Record, an recordAnalysi
 			continue
 		}
 		seen[entID] = true
-		g.EnsureNode(graph.Node{ID: entID, Type: graph.NodeEntity, Label: e.Canonical, EType: string(e.Type)})
+		if err := g.EnsureNode(graph.Node{ID: entID, Type: graph.NodeEntity, Label: e.Canonical, EType: string(e.Type)}); err != nil {
+			return fmt.Errorf("index: %w", err)
+		}
 		if err := g.AddUndirected(graph.Edge{From: rowID, To: entID, Type: graph.EdgeMentions}); err != nil {
 			return fmt.Errorf("index: %w", err)
 		}
@@ -302,7 +312,9 @@ func (b *Builder) materializeCues(g *graph.Graph, cueCounts map[string]int, stat
 		// only create the node and its entity edges once.
 		fresh := !g.HasNode(cueID)
 		if fresh {
-			g.EnsureNode(graph.Node{ID: cueID, Type: graph.NodeCue, Label: r.verb, Verb: r.verb, Arg1: r.e1, Arg2: r.e2})
+			// A declared node type is never ErrNodeTypes: every graph's
+			// type table starts with them.
+			_ = g.EnsureNode(graph.Node{ID: cueID, Type: graph.NodeCue, Label: r.verb, Verb: r.verb, Arg1: r.e1, Arg2: r.e2})
 			stats.Cues++
 			g.Reserve(cueID, 2+len(group), 2+len(group))
 			w := 1.0 + float64(total)*0.1

@@ -119,8 +119,10 @@ func TestRetrieveMemoDiesWithView(t *testing.T) {
 	// index and a memo that outlived the view would still answer for it.
 	// Its text holds the query's words and one no analysed text has.
 	const probe = "row:~memo-probe"
-	p := g.EnsureNode(graph.Node{ID: probe, Type: graph.NodeRow, Text: "memo probe zyzzyva " + q})
-	if err := g.AddEdge(graph.Edge{From: r.view.Node(anchors[0]).ID, To: probe, Type: graph.EdgeMentions, Weight: 10}); err != nil {
+	if err := g.EnsureNode(graph.Node{ID: probe, Type: graph.NodeRow, Text: "memo probe zyzzyva " + q}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(graph.Edge{From: r.view.ID(anchors[0]), To: probe, Type: graph.EdgeMentions, Weight: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if ids := ner.WordIDs(nil, []string{"zyzzyva"}); len(ids) != 0 {
@@ -140,7 +142,7 @@ func TestRetrieveMemoDiesWithView(t *testing.T) {
 			t.Fatalf("%s: text memo entry replaced across Refresh", n.ID)
 		}
 	}
-	e, ok := carried(r)[p]
+	e, ok := carried(r)[*g.Node(probe)]
 	if !ok {
 		t.Fatalf("%s reached but carries no text entry", probe)
 	}
@@ -151,13 +153,13 @@ func TestRetrieveMemoDiesWithView(t *testing.T) {
 
 // carried returns the text entry each memoised expansion carries, by
 // node.
-func carried(r *Topology) map[*graph.Node]*slm.TextWords {
+func carried(r *Topology) map[graph.Node]*slm.TextWords {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[*graph.Node]*slm.TextWords)
+	out := make(map[graph.Node]*slm.TextWords)
 	for _, e := range r.memo {
 		for j, i := range e.nodes {
-			out[r.view.Node(int(i))] = e.words[j]
+			out[*r.g.Node(r.view.ID(int(i)))] = e.words[j]
 		}
 	}
 	return out
@@ -223,7 +225,7 @@ func TestRetrieveWordMemoMatchesScan(t *testing.T) {
 				entries := carried(r)
 				for _, e := range ev {
 					n := g.Node(e.NodeID)
-					w, ok := entries[n]
+					w, ok := entries[*n]
 					if !ok {
 						t.Fatalf("%s seed %d %q: %s carries no text entry", name, seed, q.Text, e.NodeID)
 					}
@@ -255,7 +257,7 @@ func TestExpansionCarriesWordIDs(t *testing.T) {
 			t.Fatalf("anchor %d: %d text entries for %d nodes", a, len(e.words), len(e.nodes))
 		}
 		for j, i := range e.nodes {
-			if ner.Analyse(nil, r.view.Node(int(i)).Text)[0] != e.words[j] {
+			if ner.Analyse(nil, r.view.Text(int(i)))[0] != e.words[j] {
 				t.Fatalf("anchor %d node %d: expansion carries an entry the text memo does not hold", a, i)
 			}
 		}
@@ -280,7 +282,7 @@ func TestRetrieveAndDeriveShareTextEntries(t *testing.T) {
 		t.Fatalf("%q derives no candidate: the test exercises nothing", q)
 	}
 	for _, e := range ev {
-		if w := entries[g.Node(e.NodeID)]; w == nil || ner.Analyse(nil, e.Text)[0] != w {
+		if w := entries[*g.Node(e.NodeID)]; w == nil || ner.Analyse(nil, e.Text)[0] != w {
 			t.Fatalf("%s: derivation reads another entry than retrieval made", e.NodeID)
 		}
 	}
@@ -298,7 +300,7 @@ func TestRetrieveAndDeriveShareTextEntries(t *testing.T) {
 		}
 	}
 	for _, e := range ev {
-		if after[g.Node(e.NodeID)] == nil {
+		if after[*g.Node(e.NodeID)] == nil {
 			t.Fatalf("%s: not reached after ingest", e.NodeID)
 		}
 	}

@@ -216,7 +216,7 @@ func TestRetrieveMatchesReference(t *testing.T) {
 			h := fnv.New64a()
 			var b [8]byte
 			for i, r := range pr {
-				id := v.Node(i).ID
+				id := v.ID(i)
 				rank[id] = r
 				h.Write([]byte(id))
 				binary.LittleEndian.PutUint64(b[:], math.Float64bits(r))

@@ -244,17 +244,17 @@ func (t *Topology) expand(x *graph.Expander, anchor int) expansion {
 	visits := t.view.Expand(x, anchor, graph.ExpandOptions{MaxDepth: maxDepth, Budget: budget, Decay: decay, Prior: t.prior, EdgeTypes: edgeTypes})
 	n := 0
 	for _, v := range visits {
-		if evidenceKind(t.view.Node(int(v.Node)).Type) != "" {
+		if evidenceKind(t.view.Type(int(v.Node))) != "" {
 			n++
 		}
 	}
 	e = expansion{nodes: make([]int32, 0, n), scores: make([]float64, 0, n)}
 	texts := make([]string, 0, n)
 	for _, v := range visits {
-		if node := t.view.Node(int(v.Node)); evidenceKind(node.Type) != "" {
+		if i := int(v.Node); evidenceKind(t.view.Type(i)) != "" {
 			e.nodes = append(e.nodes, v.Node)
 			e.scores = append(e.scores, v.Score)
-			texts = append(texts, node.Text)
+			texts = append(texts, t.view.Text(i))
 		}
 	}
 	e.words = t.ner.Analyse(make([]*slm.TextWords, 0, n), texts...)
@@ -319,8 +319,8 @@ func (t *Topology) evidence(top []ranked, k int) []Evidence {
 	}
 	out := make([]Evidence, len(top))
 	for j, c := range top {
-		n := t.view.Node(int(c.i))
-		out[j] = Evidence{NodeID: n.ID, Text: n.Text, Score: c.score, Kind: evidenceKind(n.Type)}
+		i := int(c.i)
+		out[j] = Evidence{NodeID: t.view.ID(i), Text: t.view.Text(i), Score: c.score, Kind: evidenceKind(t.view.Type(i))}
 	}
 	return out
 }
@@ -345,11 +345,10 @@ func (t *Topology) lexicalScan(query string, k int) []Evidence {
 	terms := newTermSet(query)
 	var top []ranked
 	for i := 0; i < t.view.Len(); i++ {
-		n := t.view.Node(i)
-		if evidenceKind(n.Type) == "" {
+		if evidenceKind(t.view.Type(i)) == "" {
 			continue
 		}
-		if s := terms.overlap(n.Text); s > 0 {
+		if s := terms.overlap(t.view.Text(i)); s > 0 {
 			top = keep(top, k, ranked{int32(i), s})
 		}
 	}
@@ -360,7 +359,7 @@ func (t *Topology) lexicalScan(query string, k int) []Evidence {
 // given evidence node, for answer provenance.
 func (t *Topology) ExplainPath(query, evidenceID string) []string {
 	for _, a := range t.anchors(t.ner.Recognize(query)) {
-		if p := t.g.ShortestPath(t.view.Node(a).ID, evidenceID); p != nil {
+		if p := t.g.ShortestPath(t.view.ID(a), evidenceID); p != nil {
 			return p
 		}
 	}

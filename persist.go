@@ -72,9 +72,9 @@ func epochName(name string, epoch uint64) string {
 	return name + "." + strconv.FormatUint(epoch, 10)
 }
 
-// snapshotFS is what Save writes a snapshot through: the operating
-// system's file system, or in tests one that fails or stops at a chosen
-// step.
+// snapshotFS is what Save writes a snapshot through and Load finishes a
+// pending roll-forward through: the operating system's file system, or
+// in tests one that fails or stops at a chosen step.
 type snapshotFS interface {
 	Create(name string) (snapshotFile, error)
 	Rename(oldpath, newpath string) error
@@ -306,7 +306,7 @@ func LoadWithOptions(dir string, opts Options, configure func(*System)) (*System
 	if configure != nil {
 		configure(sys)
 	}
-	g, catalog, err := loadState(dir)
+	g, catalog, err := loadState(osFS{}, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -318,14 +318,15 @@ func LoadWithOptions(dir string, opts Options, configure func(*System)) (*System
 	return sys, nil
 }
 
-// loadState reads the graph and the catalog saved in dir.
-func loadState(dir string) (*graph.Graph, *table.Catalog, error) {
+// loadState reads the graph and the catalog saved in dir, after it has
+// finished a pending roll-forward through fsys.
+func loadState(fsys snapshotFS, dir string) (*graph.Graph, *table.Catalog, error) {
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("unisem: load: %w", err)
 	}
 	if m != nil {
-		if err := rollForward(osFS{}, dir, m); err != nil {
+		if err := rollForward(fsys, dir, m); err != nil {
 			return nil, nil, fmt.Errorf("unisem: load: %w", err)
 		}
 	}

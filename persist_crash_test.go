@@ -16,7 +16,7 @@ var (
 	errKilled = errors.New("process killed")
 )
 
-// step is one operation Save makes through its file system: a create,
+// step is one operation Save or Load makes through its file system: a create,
 // sync or close of a file, a rename (name is the source), a directory
 // sync, or the write that carries a file past byte off.
 type step struct {
@@ -204,7 +204,7 @@ func TestSaveCrashConsistency(t *testing.T) {
 	// outcome loads dir and names the snapshot it holds.
 	outcome := func(dir string) string {
 		t.Helper()
-		if _, _, err := loadState(dir); err != nil {
+		if _, _, err := loadState(osFS{}, dir); err != nil {
 			return "neither: " + err.Error()
 		}
 		switch g, c := readSnapshot(t, dir); {
@@ -283,6 +283,95 @@ func TestSaveCrashConsistency(t *testing.T) {
 	t.Logf("%d steps (commit at %d), %d byte offsets", len(rec.steps), commit, len(faults)-len(rec.steps))
 }
 
+// TestLoadRollForwardConsistency stops the roll-forward Load finishes
+// for a Save killed just after its commit point — at each rename and at
+// the directory sync, once with the step failing and once with the
+// process killed there. Load reports the fault, and the next Load reads
+// the new snapshot whole, never the old one and never a mix of the two,
+// and leaves nothing under an epoch name.
+func TestLoadRollForwardConsistency(t *testing.T) {
+	sys := buildTiny(t)
+	base := t.TempDir()
+	if err := sys.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	oldG, oldC := readSnapshot(t, base)
+	if err := sys.Ingest("reviews", "r2", "Customer C-2 rated Product Alpha 2 stars."); err != nil {
+		t.Fatal(err)
+	}
+	ref := t.TempDir()
+	if err := sys.Save(ref); err != nil {
+		t.Fatal(err)
+	}
+	newG, newC := readSnapshot(t, ref)
+
+	// The first step after the commit point is the first roll-forward
+	// rename: killed there, Save leaves both files to Load.
+	pending := copyDir(t, base)
+	first := step{op: "rename", name: epochName("graph.json", 2)}
+	if err := sys.save(&faultFS{at: &first, kill: true}, pending); !errors.Is(err, errFault) {
+		t.Fatalf("Save killed at %v: %v", first, err)
+	}
+	if m, err := readManifest(pending); err != nil || m == nil || m.Epoch != 2 {
+		t.Fatalf("the killed Save did not commit: %v, %v", m, err)
+	}
+
+	// loaded names what a Load of dir reads, from the state it returns:
+	// the graph and catalog it built, written out again.
+	loaded := func(dir string) string {
+		t.Helper()
+		g, c, err := loadState(osFS{}, dir)
+		if err != nil {
+			return "neither: " + err.Error()
+		}
+		var gb, cb strings.Builder
+		if err := g.WriteJSON(&gb); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteJSON(&cb); err != nil {
+			t.Fatal(err)
+		}
+		switch gs, cs := gb.String(), cb.String(); {
+		case gs == newG && cs == newC:
+			return "new"
+		case gs == oldG && cs == oldC:
+			return "old"
+		case gs == oldG || gs == newG || cs == oldC || cs == newC:
+			return "a mix"
+		}
+		return "neither"
+	}
+
+	rec := &faultFS{}
+	if got := func() string {
+		dir := copyDir(t, pending)
+		if _, _, err := loadState(rec, dir); err != nil {
+			t.Fatal(err)
+		}
+		return loaded(dir)
+	}(); got != "new" {
+		t.Fatalf("a Load after the killed Save reads %s", got)
+	}
+	want := []step{first, {op: "rename", name: epochName("catalog.json", 2)}, {op: "syncdir"}}
+	if !slices.Equal(rec.steps, want) {
+		t.Fatalf("Load's roll-forward makes the steps %v, want %v", rec.steps, want)
+	}
+	for _, at := range want {
+		for _, kill := range []bool{true, false} {
+			dir := copyDir(t, pending)
+			if _, _, err := loadState(&faultFS{at: &at, kill: kill}, dir); !errors.Is(err, errFault) {
+				t.Fatalf("%v (kill %v): Load returned %v", at, kill, err)
+			}
+			if got := loaded(dir); got != "new" {
+				t.Fatalf("%v (kill %v): the next Load reads %s, want new", at, kill, got)
+			}
+			if got := dirNames(t, dir); !slices.Equal(got, snapshotDir) {
+				t.Fatalf("%v (kill %v): after the next Load the directory holds %v, want %v", at, kill, got, snapshotDir)
+			}
+		}
+	}
+}
+
 // TestSaveSerialised runs Saves of one System into one directory at
 // once: each takes the next epoch, none collides with another, and the
 // directory loads the snapshot every one of them wrote.
@@ -313,7 +402,7 @@ func TestSaveSerialised(t *testing.T) {
 	if m.Epoch != saves {
 		t.Errorf("epoch %d after %d saves", m.Epoch, saves)
 	}
-	if _, _, err := loadState(dir); err != nil {
+	if _, _, err := loadState(osFS{}, dir); err != nil {
 		t.Fatal(err)
 	}
 	if g, c := readSnapshot(t, dir); g != wantG || c != wantC {
