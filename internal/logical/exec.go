@@ -90,16 +90,24 @@ func Run(n *Node, src Source) (*table.Table, error) {
 }
 
 // runCompare executes the comparison tail: one filtered grouped
-// aggregate per compared item, unioned in sorted item order. Branches
-// come from CompareBranches, the same rewrite ToSQL renders.
+// aggregate per compared item, unioned in sorted item order.
 func runCompare(n *Node, in *table.Table) (*table.Table, error) {
-	var out *table.Table
-	for _, br := range CompareBranches(n) {
+	return unionBranches(n, func(br CompareBranch) (*table.Table, error) {
 		filtered, err := table.Filter(in, br.Preds...)
 		if err != nil {
 			return nil, err
 		}
-		agged, err := table.Aggregate(filtered, br.GroupBy, n.Aggs)
+		return table.Aggregate(filtered, br.GroupBy, n.Aggs)
+	})
+}
+
+// unionBranches is both executors' Compare: it evaluates each branch of
+// CompareBranches — the rewrite ToSQL renders and the federated planner
+// lowers — and appends their rows in branch order.
+func unionBranches(n *Node, eval func(CompareBranch) (*table.Table, error)) (*table.Table, error) {
+	var out *table.Table
+	for _, br := range CompareBranches(n) {
+		agged, err := eval(br)
 		if err != nil {
 			return nil, err
 		}

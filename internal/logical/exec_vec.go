@@ -14,15 +14,16 @@ import (
 // Vectorized executor. RunVec interprets the same trees Run does, but
 // over typed column batches (table.Batch, one per 256-row fragment)
 // instead of row-at-a-time Values: filters compile predicates once and
-// emit selection vectors, hash joins build and probe by key, and
-// aggregates accumulate over grouped columns keyed without allocation.
-// Every key — join, group, distinct — is table.AppendKey's encoding,
-// written cell by cell from the typed columns (ColVec.AppendKey), so
-// two rows share a key exactly when table.Compare calls their cells
-// equal. Batches are evaluated with morsel-style fragment parallelism
-// through internal/par, while everything order-sensitive (float
-// accumulation, result emission) stays in fragment order — so results
-// are bit-identical to the row interpreter at any worker count.
+// emit selection vectors, and aggregates feed the batches to the one
+// group-by accumulator (table.AggAcc) the row interpreter folds rows
+// into. Joins run table.HashJoin over the materialized inputs, as Run
+// does. Every key — join, group, distinct — is table.AppendKey's
+// encoding, written cell by cell from the typed columns
+// (ColVec.AppendKey), so two rows share a key exactly when
+// table.Compare calls their cells equal. Filters and batch extraction
+// run fragments in parallel through internal/par, while everything order-sensitive
+// (float accumulation, result emission) stays in fragment order — so
+// results are bit-identical to the row interpreter at any worker count.
 //
 // Rows materialize once, at the end: filter, project and distinct only
 // refine a stream's selection vectors and column mapping, aggregate
@@ -40,17 +41,16 @@ import (
 // over a Sort is one bounded selection: a k-entry heap ordered by
 // (keys, row index) keeps the first k rows of that stable order without
 // sorting the rest. Distinct is a selection-vector kernel keyed by the
-// aggregate's group-key encoding, first occurrence kept. When the one
+// row's group-key encoding, first occurrence kept. When the one
 // group or distinct column of a catalog fragment carries dictionary
-// codes, a per-batch memo indexed by code (codeMemo) sits in front of
-// that one key map, so a key is encoded and hashed once per value per
+// codes, a per-batch memo indexed by code (table.CodeMemo) sits in front
+// of that one key map, so a key is encoded and hashed once per value per
 // batch instead of once per row; the map stays the only source of group
-// identity and output order. Compare reuses
-// the filter and aggregate kernels, running each CompareBranches arm
-// over the child stream and appending per-item results in branch order.
-// Every operator of the IR has a columnar form; the federated executor
-// records its plan-time dispatch decision in EXPLAIN as
-// "exec: vectorized|row".
+// identity and output order. Compare reuses the filter and aggregate
+// kernels, running each CompareBranches arm over the child stream and
+// appending per-item results in branch order. Every operator of the IR
+// has a columnar form; the federated executor records its plan-time
+// dispatch decision in EXPLAIN as "exec: vectorized|row".
 
 // VecEnv supplies the vectorized executor's environment: how leaves
 // resolve to tables, where cached columnar fragments for a leaf's
@@ -176,17 +176,7 @@ func (s *vstream) materialize() *table.Table {
 	}
 	out := table.New(s.name, s.schema)
 	out.Rows = make([][]Value, 0, s.selCount())
-	emit := func(row []Value) {
-		if s.cols == nil {
-			out.Rows = append(out.Rows, row)
-			return
-		}
-		nr := make([]Value, len(s.cols))
-		for i, ci := range s.cols {
-			nr[i] = row[ci]
-		}
-		out.Rows = append(out.Rows, nr)
-	}
+	emit := func(row []Value) { out.Rows = append(out.Rows, s.mapRow(row)) }
 	if s.sels == nil {
 		for _, row := range s.base.Rows {
 			emit(row)
@@ -207,6 +197,19 @@ func (s *vstream) materialize() *table.Table {
 	}
 	s.mat = out
 	return s.mat
+}
+
+// mapRow is a base row under the stream's column mapping: the row
+// itself without one, a copy of the mapped cells with one.
+func (s *vstream) mapRow(row []Value) []Value {
+	if s.cols == nil {
+		return row
+	}
+	nr := make([]Value, len(s.cols))
+	for i, ci := range s.cols {
+		nr[i] = row[ci]
+	}
+	return nr
 }
 
 // Value is re-exported locally for brevity in row emission.
@@ -265,7 +268,7 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := v.hashJoin(ls.materialize(), rs.materialize(), n.LeftCol, n.RightCol)
+		out, err := table.HashJoin(ls.materialize(), rs.materialize(), n.LeftCol, n.RightCol)
 		if err != nil {
 			return nil, err
 		}
@@ -704,88 +707,6 @@ func (v *vecRun) project(s *vstream, proj, aliases []string) (*vstream, error) {
 	}, nil
 }
 
-// ---- hash join ----
-
-// hashJoin is the vectorized inner equi-join: bit-identical to
-// table.HashJoin (same build-side rule, same probe order, same emitted
-// row layout, the same table.AppendKey keys), with build rows held as
-// indices and the probe partitioned across workers with in-order
-// concatenation.
-func (v *vecRun) hashJoin(left, right *table.Table, leftCol, rightCol string) (*table.Table, error) {
-	li := left.Schema.ColIndex(leftCol)
-	if li < 0 {
-		return nil, fmt.Errorf("%w: %s.%s", table.ErrNoColumn, left.Name, leftCol)
-	}
-	ri := right.Schema.ColIndex(rightCol)
-	if ri < 0 {
-		return nil, fmt.Errorf("%w: %s.%s", table.ErrNoColumn, right.Name, rightCol)
-	}
-	out := table.New(left.Name+"_join_"+right.Name, table.JoinedSchema(left.Schema, right.Name, right.Schema))
-
-	// Build on the smaller input, probe with the larger — the row
-	// path's exact rule, including the tie break.
-	buildLeft := len(left.Rows) <= len(right.Rows)
-	bt, bc, pt, pc := left, li, right, ri
-	if !buildLeft {
-		bt, bc, pt, pc = right, ri, left, li
-	}
-	build := make(map[string][]int32, bt.Len())
-	for i, row := range bt.Rows {
-		if !row[bc].IsNull() {
-			k := row[bc].Key()
-			build[k] = append(build[k], int32(i))
-		}
-	}
-	probe := func(lo, hi int, dst [][]Value) [][]Value {
-		var kb []byte
-		for _, prow := range pt.Rows[lo:hi] {
-			if prow[pc].IsNull() {
-				continue
-			}
-			kb = table.AppendKey(kb[:0], prow[pc])
-			for _, bi := range build[string(kb)] {
-				if buildLeft {
-					dst = append(dst, concatJoinRow(bt.Rows[bi], prow))
-				} else {
-					dst = append(dst, concatJoinRow(prow, bt.Rows[bi]))
-				}
-			}
-		}
-		return dst
-	}
-
-	n := pt.Len()
-	workers := par.Workers(v.env.Workers)
-	if n < 4096 || workers <= 1 {
-		out.Rows = probe(0, n, out.Rows)
-		return out, nil
-	}
-	// Morsel-parallel probe: contiguous partitions emit into private
-	// buffers concatenated in partition order, so the output order is
-	// probe-row order at any worker count.
-	stride := (n + workers - 1) / workers
-	parts := (n + stride - 1) / stride
-	bufs := make([][][]Value, parts)
-	par.ForEach(parts, workers, func(p int) {
-		lo := p * stride
-		hi := lo + stride
-		if hi > n {
-			hi = n
-		}
-		bufs[p] = probe(lo, hi, nil)
-	})
-	for _, buf := range bufs {
-		out.Rows = append(out.Rows, buf...)
-	}
-	return out, nil
-}
-
-func concatJoinRow(a, b []Value) []Value {
-	out := make([]Value, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
 // ---- sort ----
 
 // Sort-key column classes: the first non-NULL cell of a key column
@@ -871,7 +792,7 @@ func (v *vecRun) sortStream(s *vstream, keys []table.SortKey, limit int) (*vstre
 				continue
 			}
 		}
-		forSel(b.Len, sel, func(ri int) {
+		table.ForSel(b.Len, sel, func(ri int) {
 			rowB = append(rowB, int32(bi))
 			rowR = append(rowR, int32(ri))
 		})
@@ -909,15 +830,7 @@ func (v *vecRun) sortStream(s *vstream, keys []table.SortKey, limit int) (*vstre
 	out := table.New(s.name, s.schema)
 	out.Rows = make([][]Value, 0, len(perm))
 	for _, pi := range perm {
-		row := s.base.Rows[int(rowB[pi])*table.FragmentRows+int(rowR[pi])]
-		if s.cols != nil {
-			nr := make([]Value, len(s.cols))
-			for i, ci := range s.cols {
-				nr[i] = row[ci]
-			}
-			row = nr
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, s.mapRow(s.base.Rows[int(rowB[pi])*table.FragmentRows+int(rowR[pi])]))
 	}
 	return passthrough(out, nil), nil
 }
@@ -1060,276 +973,44 @@ func genericSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
 
 // ---- compare ----
 
-// compareStream is the vectorized Compare branch: each CompareBranches
-// arm — the same rewrite the row path, the federated planner and
-// text→SQL all consume — runs through the filter and aggregate
-// kernels over the child stream, and per-item group rows are appended
-// in branch order, reassembling runCompare's exact output. Branch
-// filters only refine selection vectors, so the child stream is
+// compareStream is the vectorized Compare: each CompareBranches arm
+// runs through the filter and aggregate kernels over the child stream.
+// Branch filters only refine selection vectors, so the child stream is
 // evaluated once no matter how many items are compared.
 func (v *vecRun) compareStream(n *Node, s *vstream) (*vstream, error) {
-	var out *table.Table
-	for _, br := range CompareBranches(n) {
+	out, err := unionBranches(n, func(br CompareBranch) (*table.Table, error) {
 		fs, err := v.filter(s, br.Preds)
 		if err != nil {
 			return nil, err
 		}
-		agged, err := v.aggregate(fs, br.GroupBy, n.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = table.New("comparison", agged.Schema)
-		}
-		out.Rows = append(out.Rows, agged.Rows...)
-	}
-	if out == nil {
-		return nil, ErrEmptyCompare
+		return v.aggregate(fs, br.GroupBy, n.Aggs)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return passthrough(out, nil), nil
 }
 
 // ---- aggregate ----
 
-// aggregate accumulates over the stream's selected rows in fragment
-// order — the row interpreter's exact accumulation order, so float
-// sums agree bitwise — with an allocation-free group-key encoding
-// (the cells' table.AppendKey bytes built into a reused buffer, interned
-// only when a group is first seen). A single group column carrying dictionary codes
-// is looked up once per code per batch (codeMemo).
+// aggregate feeds the stream's selected rows, batch by batch in
+// fragment order, to the one group-by accumulator (table.AggAcc): the
+// row interpreter's accumulation order, so float sums agree bitwise.
+// The accumulator reads the batches in place through the stream's
+// column mapping.
 func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg) (*table.Table, error) {
-	groupIdx := make([]int, len(groupBy))
-	for i, c := range groupBy {
-		idx := s.schema.ColIndex(c)
-		if idx < 0 {
-			return nil, fmt.Errorf("%w: %s", table.ErrNoColumn, c)
-		}
-		groupIdx[i] = s.baseCol(idx)
+	var acc table.AggAcc
+	if err := acc.Init(s.schema, s.cols, groupBy, aggs); err != nil {
+		return nil, err
 	}
-	aggIdx := make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.Col == "" {
-			if a.Func != table.AggCount {
-				return nil, fmt.Errorf("table: %v requires a column", a.Func)
-			}
-			aggIdx[i] = -1
-			continue
-		}
-		idx := s.schema.ColIndex(a.Col)
-		if idx < 0 {
-			return nil, fmt.Errorf("%w: %s", table.ErrNoColumn, a.Col)
-		}
-		typ := s.schema[idx].Type
-		if a.Func != table.AggCount && a.Func != table.AggMin && a.Func != table.AggMax &&
-			typ != table.TypeInt && typ != table.TypeFloat {
-			return nil, fmt.Errorf("table: %v over non-numeric column %s", a.Func, a.Col)
-		}
-		aggIdx[i] = s.baseCol(idx)
-	}
-
-	bs := v.batches(s)
-	type accum struct {
-		key    []Value
-		sums   []float64
-		counts []int64
-		mins   []Value
-		maxs   []Value
-	}
-	groups := make(map[string]*accum)
-	var order []string
-	kb := make([]byte, 0, 64)
-	var global *accum // the single group of a global aggregate
-	// groupOf is row ri's group: found or created in the one key map.
-	groupOf := func(b *table.Batch, ri int) *accum {
-		if len(groupIdx) == 0 {
-			if global == nil {
-				global = &accum{
-					key:    []Value{},
-					sums:   make([]float64, len(aggs)),
-					counts: make([]int64, len(aggs)),
-					mins:   make([]Value, len(aggs)),
-					maxs:   make([]Value, len(aggs)),
-				}
-				groups[""] = global
-				order = append(order, "")
-			}
-			return global
-		}
-		kb = kb[:0]
-		for _, gi := range groupIdx {
-			kb = b.Cols[gi].AppendKey(kb, ri)
-		}
-		acc, ok := groups[string(kb)]
-		if !ok {
-			ks := string(kb)
-			key := make([]Value, len(groupIdx))
-			for i, gi := range groupIdx {
-				key[i] = b.Cols[gi].ValueAt(ri)
-			}
-			acc = &accum{
-				key:    key,
-				sums:   make([]float64, len(aggs)),
-				counts: make([]int64, len(aggs)),
-				mins:   make([]Value, len(aggs)),
-				maxs:   make([]Value, len(aggs)),
-			}
-			groups[ks] = acc
-			order = append(order, ks)
-		}
-		return acc
-	}
-	var memo codeMemo[*accum] // a code's group, in front of groupOf
-
-	for bi, b := range bs {
+	for bi, b := range v.batches(s) {
 		var sel []int32
 		if s.sels != nil {
 			sel = s.sels[bi]
-			if sel != nil && len(sel) == 0 {
-				continue
-			}
 		}
-		coded := len(groupIdx) == 1 && memo.reset(&b.Cols[groupIdx[0]])
-		forSel(b.Len, sel, func(ri int) {
-			var acc *accum
-			if coded {
-				slot := memo.slot(ri)
-				if acc = *slot; acc == nil {
-					acc = groupOf(b, ri)
-					*slot = acc
-				}
-			} else {
-				acc = groupOf(b, ri)
-			}
-			for i := range aggs {
-				if aggIdx[i] == -1 {
-					acc.counts[i]++
-					continue
-				}
-				col := &b.Cols[aggIdx[i]]
-				if col.Boxed == nil && col.Nulls.Get(ri) {
-					continue
-				}
-				// Typed fast path: unboxed numeric columns accumulate
-				// without constructing a Value; min/max tracking is
-				// needed only when a min/max aggregate reads them.
-				switch {
-				case col.Ints != nil:
-					acc.counts[i]++
-					x := float64(col.Ints[ri])
-					acc.sums[i] += x
-					if aggs[i].Func == table.AggMin || aggs[i].Func == table.AggMax {
-						updateMinMax(acc.mins, acc.maxs, i, table.I(col.Ints[ri]))
-					}
-				case col.Floats != nil:
-					acc.counts[i]++
-					acc.sums[i] += col.Floats[ri]
-					if aggs[i].Func == table.AggMin || aggs[i].Func == table.AggMax {
-						updateMinMax(acc.mins, acc.maxs, i, table.F(col.Floats[ri]))
-					}
-				default:
-					v := col.ValueAt(ri)
-					if v.IsNull() {
-						continue
-					}
-					acc.counts[i]++
-					if v.IsNumeric() {
-						acc.sums[i] += v.Float()
-					}
-					updateMinMax(acc.mins, acc.maxs, i, v)
-				}
-			}
-		})
+		acc.FoldBatch(b, sel)
 	}
-	sort.Strings(order)
-
-	out := table.New(s.name+"_agg", table.AggregateSchema(s.schema, groupBy, aggs))
-	for _, ks := range order {
-		acc := groups[ks]
-		row := append([]Value(nil), acc.key...)
-		for i, a := range aggs {
-			switch a.Func {
-			case table.AggSum:
-				if acc.counts[i] == 0 {
-					row = append(row, table.Null(table.TypeFloat))
-				} else {
-					row = append(row, table.F(acc.sums[i]))
-				}
-			case table.AggAvg:
-				if acc.counts[i] == 0 {
-					row = append(row, table.Null(table.TypeFloat))
-				} else {
-					row = append(row, table.F(acc.sums[i]/float64(acc.counts[i])))
-				}
-			case table.AggCount:
-				row = append(row, table.I(acc.counts[i]))
-			case table.AggMin:
-				row = append(row, acc.mins[i])
-			case table.AggMax:
-				row = append(row, acc.maxs[i])
-			case table.AggCountMerge:
-				row = append(row, table.I(int64(acc.sums[i])))
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-func updateMinMax(mins, maxs []Value, i int, v Value) {
-	if mins[i].IsNull() || table.Compare(v, mins[i]) < 0 {
-		mins[i] = v
-	}
-	if maxs[i].IsNull() || table.Compare(v, maxs[i]) > 0 {
-		maxs[i] = v
-	}
-}
-
-// codeMemo is the per-batch lookaside the group-by and distinct kernels
-// keep in front of their one key map when the key is a single column
-// carrying dictionary codes (table.ColVec.Codes): one slot per code and
-// one for NULL. A code's first row in a batch encodes its key and goes
-// through the map as any row does; its later rows read the slot. Rows
-// with one code hold one string, so the slot holds what the map would
-// have answered, and results are those of the map alone.
-type codeMemo[T any] struct {
-	col   *table.ColVec
-	slots [256 + 1]T // uint8 codes 0..255, then NULL
-}
-
-// reset clears the slots the previous batch used and points the memo at
-// col, reporting whether col carries codes.
-func (m *codeMemo[T]) reset(col *table.ColVec) bool {
-	if m.col != nil {
-		clear(m.slots[:len(m.col.Dict)])
-		clear(m.slots[len(m.slots)-1:])
-	}
-	m.col = nil
-	if col.Codes == nil {
-		return false
-	}
-	m.col = col
-	return true
-}
-
-// slot is row ri's slot: its code's, or NULL's.
-func (m *codeMemo[T]) slot(ri int) *T {
-	if m.col.Nulls.Get(ri) {
-		return &m.slots[len(m.slots)-1]
-	}
-	return &m.slots[m.col.Codes[ri]]
-}
-
-// forSel iterates the selected rows of a batch in row order.
-func forSel(n int, sel []int32, fn func(ri int)) {
-	if sel == nil {
-		for ri := 0; ri < n; ri++ {
-			fn(ri)
-		}
-		return
-	}
-	for _, ri := range sel {
-		fn(int(ri))
-	}
+	return acc.Emit(s.name + "_agg"), nil
 }
 
 // ---- distinct ----
@@ -1338,24 +1019,24 @@ func forSel(n int, sel []int32, fn func(ri int)) {
 // selected row of every distinct key — the table.AppendKey bytes of the
 // stream's (mapped) columns, exactly table.Distinct's row key — as a
 // refined selection, copying no row. A single column carrying
-// dictionary codes has a codeMemo in front of the key map: only a code's
+// dictionary codes has a table.CodeMemo in front of the key map: only a code's
 // first row in a batch is looked up, its later rows are duplicates.
 func (v *vecRun) distinctStream(s *vstream) *vstream {
 	bs := v.batches(s)
 	seen := make(map[string]struct{})
 	kb := make([]byte, 0, 64)
 	nsels := make([][]int32, len(bs))
-	var memo codeMemo[bool] // a code's row already reached the map
+	var memo table.CodeMemo[bool] // a code's row already reached the map
 	for bi, b := range bs {
 		keep := []int32{}
 		var sel []int32
 		if s.sels != nil {
 			sel = s.sels[bi]
 		}
-		coded := len(s.schema) == 1 && memo.reset(&b.Cols[s.baseCol(0)])
-		forSel(b.Len, sel, func(ri int) {
+		coded := len(s.schema) == 1 && memo.Reset(&b.Cols[s.baseCol(0)])
+		table.ForSel(b.Len, sel, func(ri int) {
 			if coded {
-				slot := memo.slot(ri)
+				slot := memo.Slot(ri)
 				if *slot {
 					return
 				}

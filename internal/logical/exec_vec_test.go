@@ -534,8 +534,7 @@ func TestVecJoinSignedZero(t *testing.T) {
 // TestVecJoinKeysFollowCompare: join keys match exactly when Compare
 // calls them equal — NaN payloads with each other, int 2 with float 2,
 // a date with a string of its text — and never across classes: the
-// string "2" does not join the number 2, nor "true" the bool. The probe
-// side is long enough for the vectorized join to probe in parallel.
+// string "2" does not join the number 2, nor "true" the bool.
 func TestVecJoinKeysFollowCompare(t *testing.T) {
 	c := table.NewCatalog()
 	l := table.New("l", table.Schema{{Name: "k", Type: table.TypeString}, {Name: "a", Type: table.TypeInt}})

@@ -14,13 +14,14 @@
 //
 // The two executors are interchangeable: RunVec evaluates typed
 // kernels over the catalog's cached 256-row columnar fragments
-// (filters to selection vectors, hash joins over key arrays,
-// aggregates over grouped columns, sorts via a stable permutation
-// over typed key arrays, morsel-parallel via internal/par) and is
+// (filters to selection vectors, sorts via a stable permutation over
+// typed key arrays, morsel-parallel via internal/par) and is
 // bit-identical to Run — same schema, row order, cell values and
-// errors, at any worker count. Every operator has a columnar kernel,
-// and callers choose an executor per plan knowing results never depend
-// on the choice.
+// errors, at any worker count. Both run the same hash join
+// (table.HashJoin) and the same group-by accumulator (table.AggAcc),
+// one over rows and the other over batches. Every operator has a
+// columnar form, and callers choose an executor per plan knowing
+// results never depend on the choice.
 package logical
 
 import (

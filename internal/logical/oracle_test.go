@@ -130,7 +130,8 @@ func cellsEqual(a, b []table.Value) bool {
 // s is a string column (coded in the catalog's fragments) with NULLs,
 // whose value "none" has only NULL v cells; t is a string column, and
 // two (s, t) pairs, ("x\x1fs:y", "z") and ("x", "y\x1fs:z"), straddle
-// the byte that ends a cell's key; v is the float measure.
+// the byte that ends a cell's key; v is the float measure and n an int
+// one, unboxed, with NULLs.
 func oracleCatalog() *table.Catalog {
 	tb := table.New("o", table.Schema{
 		{Name: "g", Type: table.TypeFloat},
@@ -138,6 +139,7 @@ func oracleCatalog() *table.Catalog {
 		{Name: "s", Type: table.TypeString},
 		{Name: "t", Type: table.TypeString},
 		{Name: "v", Type: table.TypeFloat},
+		{Name: "n", Type: table.TypeInt},
 	})
 	nan, otherNaN := table.F(math.NaN()), table.F(math.Float64frombits(0xfff8000000000001))
 	gs := []table.Value{table.F(0), table.F(math.Copysign(0, -1)), table.I(2), table.F(2), table.F(-1.5),
@@ -146,6 +148,10 @@ func oracleCatalog() *table.Catalog {
 		table.F(math.Inf(1)), table.Null(table.TypeFloat)}
 	for i := 0; i < 600; i++ {
 		s, tv, v := table.S(fmt.Sprintf("s%d", i%11)), table.S(fmt.Sprintf("t%d", i%3)), table.F(float64(i%9)*0.5)
+		n := table.I(int64(i%23 - 11))
+		if i%7 == 4 {
+			n = table.Null(table.TypeInt)
+		}
 		switch {
 		case i%10 == 3:
 			s, v = table.S("none"), table.Null(table.TypeFloat)
@@ -160,7 +166,7 @@ func oracleCatalog() *table.Catalog {
 		}
 		// Rows bypass Append's kind check on purpose: the int cell stays
 		// an int beside the float ones.
-		tb.Rows = append(tb.Rows, []table.Value{gs[i%len(gs)], fs[i%len(fs)], s, tv, v})
+		tb.Rows = append(tb.Rows, []table.Value{gs[i%len(gs)], fs[i%len(fs)], s, tv, v, n})
 	}
 	c := table.NewCatalog()
 	c.Put(tb)
@@ -170,7 +176,10 @@ func oracleCatalog() *table.Catalog {
 // TestGroupDistinctOracle runs GROUP BY and DISTINCT through both
 // executors and holds each to the naive oracle, over NULL keys, ±0,
 // int-vs-float keys, NaN keys with two payloads, string pairs that
-// straddle a cell boundary, all-NULL measures and empty input.
+// straddle a cell boundary, all-NULL measures and empty input. The
+// aggregates read a boxed float, an unboxed float, an unboxed int and
+// string columns; the global aggregate (no key) has its one group even
+// over empty input.
 func TestGroupDistinctOracle(t *testing.T) {
 	c := oracleCatalog()
 	base, _ := c.Get("o")
@@ -181,6 +190,14 @@ func TestGroupDistinctOracle(t *testing.T) {
 		{Func: table.AggCount, Col: "v"},
 		{Func: table.AggMin, Col: "v"},
 		{Func: table.AggMax, Col: "v"},
+		{Func: table.AggSum, Col: "n"},
+		{Func: table.AggAvg, Col: "n"},
+		{Func: table.AggMin, Col: "n"},
+		{Func: table.AggMax, Col: "n"},
+		{Func: table.AggMin, Col: "f"},
+		{Func: table.AggSum, Col: "f"},
+		{Func: table.AggMin, Col: "s"},
+		{Func: table.AggMax, Col: "t"},
 	}
 	nothing := table.Pred{Col: "v", Op: table.OpGt, Val: table.F(1e9)}
 	inputs := map[string]struct {
@@ -191,12 +208,15 @@ func TestGroupDistinctOracle(t *testing.T) {
 		"empty": {filter(scan("o"), nothing), nil},
 	}
 	for inName, in := range inputs {
-		for _, cols := range [][]string{{"g"}, {"f"}, {"s"}, {"g", "s"}, {"s", "t"}, {"f", "s", "t"}} {
+		for _, cols := range [][]string{nil, {"g"}, {"f"}, {"s"}, {"g", "s"}, {"s", "t"}, {"f", "s", "t"}} {
 			idx := make([]int, len(cols))
 			for i, col := range cols {
 				idx[i] = base.Schema.ColIndex(col)
 			}
 			groups := partition(in.rows, idx)
+			if cols == nil {
+				groups = []*oracleGroup{{rows: in.rows}}
+			}
 
 			var want [][]table.Value
 			for _, g := range groups {
@@ -208,6 +228,9 @@ func TestGroupDistinctOracle(t *testing.T) {
 			}
 			group := &Node{Op: OpAggregate, GroupBy: cols, Aggs: aggs, In: []*Node{in.node}}
 			assertOracleBothExecutors(t, fmt.Sprintf("%s GROUP BY %v", inName, cols), group, c, want)
+			if cols == nil {
+				continue
+			}
 
 			want = nil
 			for _, g := range groups {

@@ -34,8 +34,8 @@ func (s catalogStats) RollupsFor(base string) []table.RollupDef {
 //     renaming materialized columns to the query's output names.
 //   - pinned: the query is a global aggregate (no group keys) whose
 //     filter pins every rollup group key with an equality — at most one
-//     complete group survives, so its materialized aggregates (any
-//     function, AVG included) are the query's answer verbatim.
+//     complete group survives, so the subtree re-aggregates globally
+//     over that one materialized row (any function, AVG included).
 //   - reaggregated: the query groups by a subset (or reordering) of the
 //     rollup keys — the subtree re-aggregates the rollup's partial
 //     states (COUNT via COUNT_MERGE over partial counts, SUM over
@@ -43,14 +43,15 @@ func (s catalogStats) RollupsFor(base string) []table.RollupDef {
 //     re-aggregates, and float SUM stays on the base table because
 //     reassociating float additions is not bit-exact).
 //
-// All rewrites are result-preserving bit-for-bit: the materialization
-// is maintained synchronously inside Catalog.Put by the same
-// accumulation sequence the direct plan would run, group emission is
-// key-sorted on both paths, the remaining re-aggregations are exact
-// integer or order-free extrema folds, and a pinned filter matching no
-// group yields zero rows on both paths (a global aggregate of zero rows
-// emits none). Exact routing is preferred over pinned, pinned over
-// reaggregation; candidates are tried in sorted rollup-name order.
+// All rewrites are result-preserving bit-for-bit, but for the one −0
+// tryPinnedRollup names: the materialization is maintained
+// synchronously inside Catalog.Put by the same accumulation sequence
+// the direct plan would run, group emission is key-sorted on both
+// paths, the re-aggregations are exact integer, one-row or order-free
+// extrema folds, and a pinned filter matching no group yields the same
+// summary row on both paths (a global aggregate of zero rows emits
+// COUNT 0 and NULLs). Exact routing is preferred over pinned, pinned
+// over reaggregation; candidates are tried in sorted rollup-name order.
 func rollupPass(o *Optimized, st Stats) []string {
 	rs, ok := st.(RollupStats)
 	if !ok {
@@ -220,12 +221,16 @@ func tryExactRollup(c RollupCandidate) *Node {
 // filter pins every rollup group key with an equality predicate. All
 // surviving base rows then share one group-key tuple, so the direct
 // plan aggregates exactly one complete group — the group the rollup
-// already materialized. The subtree becomes Project(agg columns) over
-// Filter over Scan(rollup): one row when the pinned group exists, zero
-// when it does not, matching the row executor's empty-input global
-// aggregate on both counts. Because the materialized row holds final
-// (not partial) states of a complete group, every aggregate function
-// routes, AVG included.
+// already materialized. The subtree becomes a global Aggregate over
+// Filter over Scan(rollup), which folds that one row or none. COUNT
+// becomes COUNT_MERGE of the materialized count; SUM, MIN and MAX of
+// one row are the row's value, because a sum that starts at +0 is never
+// −0, and so is AVG unless the materialized average is a −0 that a
+// negative subnormal sum divided down to (it reads back +0, which
+// Compare calls equal). A pin that matches no group gives the same
+// summary row as the direct plan: COUNT 0 and NULLs. Because the
+// materialized row holds final (not partial) states of a complete
+// group, every aggregate function routes, AVG included.
 func tryPinnedRollup(c RollupCandidate) *Node {
 	q, def := c.Query, c.Def
 	if len(q.GroupBy) != 0 || c.Filter == nil {
@@ -243,17 +248,19 @@ func tryPinnedRollup(c RollupCandidate) *Node {
 			return nil
 		}
 	}
-	proj := make([]string, 0, len(q.Aggs))
-	aliases := make([]string, 0, len(q.Aggs))
+	aggs := make([]table.Agg, 0, len(q.Aggs))
 	for _, a := range q.Aggs {
 		rcol, ok := findRollupAgg(def, a.Func, a.Col)
 		if !ok {
 			return nil
 		}
-		proj = append(proj, rcol)
-		aliases = append(aliases, a.OutName())
+		out := table.Agg{Func: a.Func, Col: rcol, As: a.OutName()}
+		if a.Func == table.AggCount {
+			out.Func = table.AggCountMerge
+		}
+		aggs = append(aggs, out)
 	}
-	return &Node{Op: OpProject, Proj: proj, Aliases: aliases, In: []*Node{rollupInput(c)}}
+	return &Node{Op: OpAggregate, Aggs: aggs, In: []*Node{rollupInput(c)}}
 }
 
 // tryCoarseRollup routes a query whose group keys are a subset (or

@@ -139,9 +139,9 @@ func TestRollupPinnedRouting(t *testing.T) {
 		t.Fatalf("unexpected result:\n%v", out)
 	}
 
-	// Pinning a value that matches no group yields zero rows on both
-	// paths (a global aggregate of empty input emits none). The probe
-	// value must survive emptyfold: past StatsMaxExact distinct keys the
+	// Pinning a value that matches no group yields one summary row on
+	// both paths (a global aggregate of empty input emits COUNT 0 and
+	// NULLs). The probe value must survive emptyfold: past StatsMaxExact distinct keys the
 	// statistics only keep min/max bounds, so an absent in-range key
 	// reaches the rollup pass unrefuted.
 	big := table.New("big", table.Schema{
@@ -163,8 +163,8 @@ func TestRollupPinnedRouting(t *testing.T) {
 	if want := "big -> big_by_k (pinned)"; len(opt.Rollups) != 1 || opt.Rollups[0] != want {
 		t.Fatalf("pinned miss did not route: %v (trace %v)", opt.Rollups, opt.Trace)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("pinned miss rows = %d, want 0", out.Len())
+	if out.Len() != 1 || !out.Rows[0][0].IsNull() {
+		t.Fatalf("pinned miss = %v, want one NULL row", out.Rows)
 	}
 }
 

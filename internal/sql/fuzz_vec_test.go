@@ -53,6 +53,9 @@ func FuzzVecParity(f *testing.F) {
 		{"SELECT * FROM events WHERE tag = 't01'", ""},
 		{"SELECT zone, SUM(amt) FROM events WHERE tag = 't07' AND zone = 'west' GROUP BY zone", ""},
 		{"SELECT COUNT(*) FROM events WHERE tag = 'absent'", ""},
+		{"SELECT SUM(amt), AVG(qty), MIN(day), MAX(tag) FROM events WHERE tag = 'absent'", ""},
+		{"SELECT SUM(qty) AS s, AVG(amt), MIN(amt), MAX(qty), COUNT(amt) FROM events WHERE qty > 1000", ""},
+		{"SELECT MIN(product), MAX(revenue), SUM(revenue), AVG(units) FROM sales WHERE revenue < 0 AND units > 3", ""},
 		{"SELECT tag, COUNT(*) FROM events WHERE day = '2024-03-02' GROUP BY tag", ""},
 		{"SELECT DISTINCT zone FROM events WHERE qty > 10 AND day = '2024-03-31'", ""},
 		{"SELECT FROM WHERE", ""},

@@ -149,9 +149,12 @@ func Project(t *Table, cols ...string) (*Table, error) {
 
 // HashJoin performs an inner equi-join of left and right on
 // left.leftCol = right.rightCol, building the hash table on the smaller
-// side. Output schema is left columns followed by right columns, with
-// right-side name collisions prefixed by the right table name. The
-// build map is pre-sized from the build side's length.
+// side (the left on a tie) and probing with the other: NULL keys never
+// join, and keys join when Compare calls them equal. Rows come in probe
+// order, each probe row's matches in build order. Output schema is left
+// columns followed by right columns, with right-side name collisions
+// prefixed by the right table name. It is the one hash join: both
+// executors run it.
 func HashJoin(left, right *Table, leftCol, rightCol string) (*Table, error) {
 	li := left.Schema.ColIndex(leftCol)
 	if li < 0 {
@@ -280,184 +283,279 @@ func (a Agg) OutName() string {
 // global aggregate) and computes the aggregations. Output columns are
 // the group keys followed by one column per Agg. NULLs are skipped by
 // every function except COUNT(""). Group order is deterministic
-// (sorted by key values).
+// (sorted by key values). A global aggregate emits one row even over no
+// rows, as SQL does: COUNT is 0 and every other function NULL.
 func Aggregate(t *Table, groupBy []string, aggs []Agg) (*Table, error) {
-	acc, err := makeAggAcc(t.Schema, groupBy, aggs)
-	if err != nil {
+	var acc AggAcc
+	if err := acc.Init(t.Schema, nil, groupBy, aggs); err != nil {
 		return nil, err
 	}
-	acc.fold(t.Rows)
-	return acc.emit(t.Name + "_agg"), nil
+	acc.Fold(t.Rows)
+	return acc.Emit(t.Name + "_agg"), nil
 }
 
-// aggAcc is the row engine's group-by accumulation state, split into
-// fold (accumulate rows, in row order) and emit (materialize groups in
-// sorted key order) so a caller can keep it alive between folds. The
-// rollup maintainer relies on exactly that split: folding only a Put's
-// appended rows into a retained aggAcc performs the identical
-// accumulation sequence — including every float addition — as folding
-// all rows from scratch, which is what makes incremental rollup
-// materializations bit-equal to full rebuilds (FuzzRollupMaintenance).
-type aggAcc struct {
-	schema   Schema
-	groupBy  []string
-	aggs     []Agg
-	groupIdx []int
-	aggIdx   []int
+// AggAcc is the system's one group-by accumulator: both executors, the
+// federated backends' pushed aggregates and rollup maintenance run
+// through it. Init resolves and type-checks the columns once; Fold
+// (rows) and FoldBatch (a columnar batch and its selection) accumulate
+// in input order, so float sums are the same additions in the same
+// order on every path; Emit materializes the groups in sorted key order
+// and leaves the accumulator valid for more folds. The rollup
+// maintainer relies on that split: folding only a Put's appended rows
+// into a retained accumulator performs the identical accumulation
+// sequence — including every float addition — as folding all rows from
+// scratch, which is what makes incremental rollup materializations
+// bit-equal to full rebuilds (FuzzRollupMaintenance).
+//
+// A zero AggAcc is ready for Init. It embeds the 2 KiB code memo, so a
+// caller that declares one on its stack pays no allocation for it.
+type AggAcc struct {
+	schema  Schema
+	groupBy []string
+	aggs    []Agg
+	groupIn []int // input column of each group key
+	aggIn   []int // input column of each aggregate; -1 = COUNT(*)
 
-	groups map[string]*aggGroup // allocated on first fold of a row
+	global *aggGroup            // a global aggregate's one group, from Init on
+	groups map[string]*aggGroup // keyed groups, allocated with the first
 	order  []string
+	kb     []byte
+	memo   CodeMemo[*aggGroup] // a coded group column's groups, per batch
 }
 
-// aggGroup is one group's accumulator: the key values plus per-agg
-// running sums, non-null counts and min/max values.
+// aggGroup is one group: its key cells and one running state per
+// aggregate.
 type aggGroup struct {
-	key    []Value
-	sums   []float64
-	counts []int64
-	mins   []Value
-	maxs   []Value
+	key  []Value
+	aggs []aggState
 }
 
-// newAggAcc resolves the group and aggregate columns against schema and
-// returns an empty heap-retained accumulator for callers that keep it
-// alive across folds.
-func newAggAcc(schema Schema, groupBy []string, aggs []Agg) (*aggAcc, error) {
-	acc, err := makeAggAcc(schema, groupBy, aggs)
-	if err != nil {
-		return nil, err
+// aggState is one aggregate's running state in a group: the sum and
+// count of its non-NULL cells, and the least (MIN) or greatest (MAX).
+type aggState struct {
+	sum   float64
+	count int64
+	ext   Value
+}
+
+// Init resolves the group and aggregate columns against schema and
+// empties the accumulator. Folded rows and batches hold schema column i
+// at input column cols[i]; nil cols is the identity.
+func (a *AggAcc) Init(schema Schema, cols []int, groupBy []string, aggs []Agg) error {
+	in := func(idx int) int {
+		if cols == nil {
+			return idx
+		}
+		return cols[idx]
 	}
-	return &acc, nil
-}
-
-// makeAggAcc is newAggAcc returning the accumulator by value, so a
-// fold-then-emit caller like Aggregate can keep it on its stack.
-func makeAggAcc(schema Schema, groupBy []string, aggs []Agg) (aggAcc, error) {
-	groupIdx := make([]int, len(groupBy))
+	groupIn := make([]int, len(groupBy))
 	for i, c := range groupBy {
 		idx := schema.ColIndex(c)
 		if idx < 0 {
-			return aggAcc{}, fmt.Errorf("%w: %s", ErrNoColumn, c)
+			return fmt.Errorf("%w: %s", ErrNoColumn, c)
 		}
-		groupIdx[i] = idx
+		groupIn[i] = in(idx)
 	}
-	aggIdx := make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.Col == "" {
-			if a.Func != AggCount {
-				return aggAcc{}, fmt.Errorf("table: %v requires a column", a.Func)
+	aggIn := make([]int, len(aggs))
+	for i, ag := range aggs {
+		if ag.Col == "" {
+			if ag.Func != AggCount {
+				return fmt.Errorf("table: %v requires a column", ag.Func)
 			}
-			aggIdx[i] = -1
+			aggIn[i] = -1
 			continue
 		}
-		idx := schema.ColIndex(a.Col)
+		idx := schema.ColIndex(ag.Col)
 		if idx < 0 {
-			return aggAcc{}, fmt.Errorf("%w: %s", ErrNoColumn, a.Col)
+			return fmt.Errorf("%w: %s", ErrNoColumn, ag.Col)
 		}
-		if a.Func != AggCount && a.Func != AggMin && a.Func != AggMax && schema[idx].Type != TypeInt && schema[idx].Type != TypeFloat {
-			return aggAcc{}, fmt.Errorf("table: %v over non-numeric column %s", a.Func, a.Col)
+		if ag.Func != AggCount && ag.Func != AggMin && ag.Func != AggMax && schema[idx].Type != TypeInt && schema[idx].Type != TypeFloat {
+			return fmt.Errorf("table: %v over non-numeric column %s", ag.Func, ag.Col)
 		}
-		aggIdx[i] = idx
+		aggIn[i] = in(idx)
 	}
-	return aggAcc{
-		schema:   schema,
-		groupBy:  groupBy,
-		aggs:     aggs,
-		groupIdx: groupIdx,
-		aggIdx:   aggIdx,
-	}, nil
+	*a = AggAcc{schema: schema, groupBy: groupBy, aggs: aggs, groupIn: groupIn, aggIn: aggIn}
+	if len(groupBy) == 0 {
+		a.global = &aggGroup{aggs: make([]aggState, len(aggs))}
+	}
+	return nil
 }
 
-// fold accumulates the rows, in order, into the group state.
-func (a *aggAcc) fold(rows [][]Value) {
-	if len(rows) > 0 && a.groups == nil {
+// Fold accumulates the rows, in order.
+func (a *AggAcc) Fold(rows [][]Value) {
+	for _, row := range rows {
+		g := a.global
+		if g == nil {
+			a.kb = a.kb[:0]
+			for _, c := range a.groupIn {
+				a.kb = AppendKey(a.kb, row[c])
+			}
+			if g = a.groups[string(a.kb)]; g == nil {
+				key := make([]Value, len(a.groupIn))
+				for i, c := range a.groupIn {
+					key[i] = row[c]
+				}
+				g = a.addGroup(key)
+			}
+		}
+		for i, c := range a.aggIn {
+			if c < 0 {
+				g.aggs[i].count++
+			} else if v := row[c]; !v.IsNull() {
+				g.aggs[i].add(a.aggs[i].Func, v)
+			}
+		}
+	}
+}
+
+// FoldBatch accumulates the rows of b that sel selects (nil: all), in
+// row order. Unboxed int and float columns add without building a
+// Value, and a single group column carrying dictionary codes is looked
+// up once per code per batch (CodeMemo).
+func (a *AggAcc) FoldBatch(b *Batch, sel []int32) {
+	coded := len(a.groupIn) == 1 && a.memo.Reset(&b.Cols[a.groupIn[0]])
+	ForSel(b.Len, sel, func(ri int) {
+		g := a.global
+		switch {
+		case g != nil:
+		case coded:
+			slot := a.memo.Slot(ri)
+			if g = *slot; g == nil {
+				g = a.batchGroup(b, ri)
+				*slot = g
+			}
+		default:
+			g = a.batchGroup(b, ri)
+		}
+		for i, c := range a.aggIn {
+			st := &g.aggs[i]
+			if c < 0 {
+				st.count++
+				continue
+			}
+			col := &b.Cols[c]
+			if col.Boxed == nil && col.Nulls.Get(ri) {
+				continue
+			}
+			switch f := a.aggs[i].Func; {
+			case col.Ints != nil:
+				st.count++
+				st.sum += float64(col.Ints[ri])
+				if f == AggMin || f == AggMax {
+					st.extreme(f, I(col.Ints[ri]))
+				}
+			case col.Floats != nil:
+				st.count++
+				st.sum += col.Floats[ri]
+				if f == AggMin || f == AggMax {
+					st.extreme(f, F(col.Floats[ri]))
+				}
+			default:
+				if v := col.ValueAt(ri); !v.IsNull() {
+					st.add(f, v)
+				}
+			}
+		}
+	})
+}
+
+// batchGroup is row ri's group, found or created by its key.
+func (a *AggAcc) batchGroup(b *Batch, ri int) *aggGroup {
+	a.kb = a.kb[:0]
+	for _, c := range a.groupIn {
+		a.kb = b.Cols[c].AppendKey(a.kb, ri)
+	}
+	if g := a.groups[string(a.kb)]; g != nil {
+		return g
+	}
+	key := make([]Value, len(a.groupIn))
+	for i, c := range a.groupIn {
+		key[i] = b.Cols[c].ValueAt(ri)
+	}
+	return a.addGroup(key)
+}
+
+// addGroup registers a new group under the key in a.kb.
+func (a *AggAcc) addGroup(key []Value) *aggGroup {
+	if a.groups == nil {
 		a.groups = make(map[string]*aggGroup)
 	}
-	var kb []byte
-	for _, row := range rows {
-		kb = kb[:0]
-		for _, gi := range a.groupIdx {
-			kb = AppendKey(kb, row[gi])
-		}
-		acc, ok := a.groups[string(kb)]
-		if !ok {
-			ks := string(kb)
-			key := make([]Value, len(a.groupIdx))
-			for i, gi := range a.groupIdx {
-				key[i] = row[gi]
-			}
-			acc = &aggGroup{
-				key:    key,
-				sums:   make([]float64, len(a.aggs)),
-				counts: make([]int64, len(a.aggs)),
-				mins:   make([]Value, len(a.aggs)),
-				maxs:   make([]Value, len(a.aggs)),
-			}
-			a.groups[ks] = acc
-			a.order = append(a.order, ks)
-		}
-		for i := range a.aggs {
-			if a.aggIdx[i] == -1 {
-				acc.counts[i]++
-				continue
-			}
-			v := row[a.aggIdx[i]]
-			if v.IsNull() {
-				continue
-			}
-			acc.counts[i]++
-			if v.IsNumeric() {
-				acc.sums[i] += v.Float()
-			}
-			if acc.mins[i].IsNull() || Compare(v, acc.mins[i]) < 0 {
-				acc.mins[i] = v
-			}
-			if acc.maxs[i].IsNull() || Compare(v, acc.maxs[i]) > 0 {
-				acc.maxs[i] = v
-			}
-		}
+	ks := string(a.kb)
+	g := &aggGroup{key: key, aggs: make([]aggState, len(a.aggs))}
+	a.groups[ks] = g
+	a.order = append(a.order, ks)
+	return g
+}
+
+// add folds one non-NULL cell into the state of an aggregate f.
+func (st *aggState) add(f AggFunc, v Value) {
+	st.count++
+	if v.IsNumeric() {
+		st.sum += v.Float()
+	}
+	st.extreme(f, v)
+}
+
+// extreme keeps v when it is the least cell so far of a MIN or the
+// greatest of a MAX; other functions keep nothing.
+func (st *aggState) extreme(f AggFunc, v Value) {
+	switch {
+	case f != AggMin && f != AggMax:
+	case st.ext.IsNull(),
+		f == AggMin && Compare(v, st.ext) < 0,
+		f == AggMax && Compare(v, st.ext) > 0:
+		st.ext = v
 	}
 }
 
-// emit materializes the groups, in sorted key order, as a fresh table.
-// The accumulator stays valid: emit may be called again after more
-// folds and will include everything folded so far.
-func (a *aggAcc) emit(name string) *Table {
-	sort.Strings(a.order)
+// Emit materializes the groups, in sorted key order, as a fresh table:
+// one row for a global aggregate, folded or not. The accumulator stays
+// valid: Emit may be called again after more folds and will include
+// everything folded so far.
+func (a *AggAcc) Emit(name string) *Table {
 	out := New(name, AggregateSchema(a.schema, a.groupBy, a.aggs))
+	if a.global != nil {
+		out.Rows = [][]Value{a.global.row(a.aggs)}
+		return out
+	}
+	sort.Strings(a.order)
 	if len(a.order) > 0 {
 		out.Rows = make([][]Value, 0, len(a.order))
 	}
 	for _, ks := range a.order {
-		acc := a.groups[ks]
-		row := append([]Value(nil), acc.key...)
-		for i, ag := range a.aggs {
-			switch ag.Func {
-			case AggSum:
-				if acc.counts[i] == 0 {
-					row = append(row, Null(TypeFloat))
-				} else {
-					row = append(row, F(acc.sums[i]))
-				}
-			case AggAvg:
-				if acc.counts[i] == 0 {
-					row = append(row, Null(TypeFloat))
-				} else {
-					row = append(row, F(acc.sums[i]/float64(acc.counts[i])))
-				}
-			case AggCount:
-				row = append(row, I(acc.counts[i]))
-			case AggMin:
-				row = append(row, acc.mins[i])
-			case AggMax:
-				row = append(row, acc.maxs[i])
-			case AggCountMerge:
-				row = append(row, I(int64(acc.sums[i])))
-			}
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, a.groups[ks].row(a.aggs))
 	}
 	return out
+}
+
+// row renders the group: its key cells, then each aggregate's value.
+func (g *aggGroup) row(aggs []Agg) []Value {
+	row := make([]Value, len(g.key), len(g.key)+len(aggs))
+	copy(row, g.key)
+	for i, ag := range aggs {
+		st := g.aggs[i]
+		switch ag.Func {
+		case AggSum:
+			if st.count == 0 {
+				row = append(row, Null(TypeFloat))
+			} else {
+				row = append(row, F(st.sum))
+			}
+		case AggAvg:
+			if st.count == 0 {
+				row = append(row, Null(TypeFloat))
+			} else {
+				row = append(row, F(st.sum/float64(st.count)))
+			}
+		case AggCount:
+			row = append(row, I(st.count))
+		case AggMin, AggMax:
+			row = append(row, st.ext)
+		case AggCountMerge:
+			row = append(row, I(int64(st.sum)))
+		}
+	}
+	return row
 }
 
 // AggregateSchema computes the output schema of Aggregate without

@@ -252,14 +252,31 @@ func TestAggregateNullsSkipped(t *testing.T) {
 	}
 }
 
+// TestAggregateEmptyInput: over no rows a global aggregate emits one
+// row, COUNT 0 and NULL for every other function, as SQL does; a
+// grouped one emits no row.
 func TestAggregateEmptyInput(t *testing.T) {
-	tbl := New("t", Schema{{Name: "x", Type: TypeFloat}})
-	got, err := Aggregate(tbl, nil, []Agg{{Func: AggSum, Col: "x"}})
+	tbl := New("t", Schema{{Name: "g", Type: TypeString}, {Name: "x", Type: TypeFloat}})
+	aggs := []Agg{{Func: AggSum, Col: "x"}, {Func: AggAvg, Col: "x"}, {Func: AggCount}, {Func: AggCount, Col: "x"},
+		{Func: AggMin, Col: "x"}, {Func: AggMax, Col: "x"}, {Func: AggCountMerge, Col: "x"}}
+	got, err := Aggregate(tbl, nil, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got.Len() != 1 {
+		t.Fatalf("global aggregate of no rows produced %d rows, want 1", got.Len())
+	}
+	row := got.Rows[0]
+	for i, want := range []string{"NULL", "NULL", "0", "0", "NULL", "NULL", "0"} {
+		if row[i].String() != want {
+			t.Errorf("%v of no rows = %v, want %s", aggs[i].Func, row[i], want)
+		}
+	}
+	if got, err = Aggregate(tbl, []string{"g"}, aggs); err != nil {
+		t.Fatal(err)
+	}
 	if got.Len() != 0 {
-		t.Errorf("empty input produced %d groups", got.Len())
+		t.Errorf("grouped aggregate of no rows produced %d rows, want none", got.Len())
 	}
 }
 

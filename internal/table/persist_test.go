@@ -311,7 +311,6 @@ func TestReadCatalogJSONErrors(t *testing.T) {
 		"a repeated key":              `{"tables":[],"tables":[]}`,
 		"a key repeated in any case":  `{"tables":[{"name":"t","NAME":"u"}]}`,
 		"an aggregate with no func":   `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}]}],"rollups":[{"name":"r","base":"t","group_by":["a"],"aggs":[{"col":"a"}]}]}`,
-		"a rollup with no group key":  `{"tables":[{"name":"t","columns":[{"Name":"a","Type":1}]}],"rollups":[{"name":"r","base":"t","group_by":null,"aggs":[{"func":"COUNT"}]}]}`,
 		"invalid UTF-8 in a cell":     "{\"tables\":[{\"name\":\"t\",\"columns\":[{\"Name\":\"a\",\"Type\":0}],\"rows\":[[\"\xff\"]]}]}",
 		"an unpaired surrogate":       `{"tables":[{"name":"t","columns":[{"Name":"a","Type":0}],"rows":[["\ud800"]]}]}`,
 		"a value nested past a limit": `{"x":` + strings.Repeat("[", 2000) + strings.Repeat("]", 2000) + `}`,

@@ -24,6 +24,7 @@ type RollupDef struct {
 	// Base is the table the rollup aggregates.
 	Base string
 	// GroupBy lists the group-key columns, in materialized key order.
+	// A rollup without any is global: one row, even over no base rows.
 	GroupBy []string
 	// Aggs lists the aggregates, in materialized column order.
 	Aggs []Agg
@@ -37,8 +38,11 @@ func (d RollupDef) String() string {
 	for _, a := range d.Aggs {
 		cols = append(cols, fmt.Sprintf("%s(%s)", a.Func, a.Col))
 	}
-	return fmt.Sprintf("%s = SELECT %s FROM %s GROUP BY %s",
-		d.Name, strings.Join(cols, ", "), d.Base, strings.Join(d.GroupBy, ", "))
+	s := fmt.Sprintf("%s = SELECT %s FROM %s", d.Name, strings.Join(cols, ", "), d.Base)
+	if len(d.GroupBy) > 0 {
+		s += " GROUP BY " + strings.Join(d.GroupBy, ", ")
+	}
+	return s
 }
 
 // rollupState is the maintainer's retained state for one rollup, held
@@ -54,7 +58,7 @@ type rollupState struct {
 	// acc is the live accumulator; folding only an Append's rows into
 	// it reproduces the from-scratch accumulation bit-for-bit
 	// (FuzzRollupMaintenance).
-	acc *aggAcc
+	acc *AggAcc
 	// epoch is the catalog epoch at which the current materialization
 	// was registered.
 	epoch uint64
@@ -112,9 +116,6 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 	if base.rollup != nil {
 		return fmt.Errorf("table: rollup %s cannot use rollup %s as base", def.Name, def.Base)
 	}
-	if len(def.GroupBy) == 0 {
-		return fmt.Errorf("table: rollup %s needs at least one group-by column", def.Name)
-	}
 	if len(def.Aggs) == 0 {
 		return fmt.Errorf("table: rollup %s needs at least one aggregate", def.Name)
 	}
@@ -132,13 +133,12 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 		}
 		seen[n] = true
 	}
-	acc, err := newAggAcc(base.table.Schema, def.GroupBy, def.Aggs)
-	if err != nil {
+	rs := &rollupState{def: def, acc: new(AggAcc)}
+	if err := rs.acc.Init(base.table.Schema, nil, def.GroupBy, def.Aggs); err != nil {
 		return fmt.Errorf("table: rollup %s: %w", def.Name, err)
 	}
-	acc.fold(base.table.Rows)
-	rs := &rollupState{def: def, acc: acc}
-	mat := c.derive(acc.emit(def.Name), 0)
+	rs.acc.Fold(base.table.Rows)
+	mat := c.derive(rs.acc.Emit(def.Name), 0)
 	mat.rollup, rs.epoch = rs, c.epoch
 	base.rollups = append(base.rollups, rs)
 	slices.SortFunc(base.rollups, func(a, b *rollupState) int {
@@ -160,16 +160,16 @@ func (c *Catalog) maintainRollups(e *entry, from int) {
 	kept := e.rollups[:0]
 	for _, rs := range e.rollups {
 		if from == 0 {
-			acc, err := newAggAcc(e.table.Schema, rs.def.GroupBy, rs.def.Aggs)
-			if err != nil {
+			acc := new(AggAcc)
+			if err := acc.Init(e.table.Schema, nil, rs.def.GroupBy, rs.def.Aggs); err != nil {
 				delete(c.entries, strings.ToLower(rs.def.Name))
 				c.epoch++
 				continue
 			}
 			rs.acc = acc
 		}
-		rs.acc.fold(e.table.Rows[from:])
-		c.derive(rs.acc.emit(rs.def.Name), 0)
+		rs.acc.Fold(e.table.Rows[from:])
+		c.derive(rs.acc.Emit(rs.def.Name), 0)
 		rs.epoch = c.epoch
 		kept = append(kept, rs)
 	}

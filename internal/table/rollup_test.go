@@ -107,7 +107,6 @@ func TestAddRollupValidation(t *testing.T) {
 		{"duplicate rollup", regionRollup()},
 		{"rollup base", RollupDef{Name: "r2", Base: "sales_by_region", GroupBy: []string{"region"}, Aggs: []Agg{{Func: AggCount}}}},
 		{"unknown base", RollupDef{Name: "r3", Base: "nope", GroupBy: []string{"region"}, Aggs: []Agg{{Func: AggCount}}}},
-		{"no group keys", RollupDef{Name: "r4", Base: "sales", Aggs: []Agg{{Func: AggCount}}}},
 		{"no aggregates", RollupDef{Name: "r5", Base: "sales", GroupBy: []string{"region"}}},
 		{"merge function", RollupDef{Name: "r6", Base: "sales", GroupBy: []string{"region"}, Aggs: []Agg{{Func: AggCountMerge, Col: "units"}}}},
 		{"unknown group column", RollupDef{Name: "r7", Base: "sales", GroupBy: []string{"nope"}, Aggs: []Agg{{Func: AggCount}}}},
@@ -124,6 +123,13 @@ func TestAddRollupValidation(t *testing.T) {
 	// Failed registrations must leave no state behind.
 	if got := len(c.Rollups()); got != 1 {
 		t.Fatalf("rollups = %d, want only the valid one", got)
+	}
+	// A rollup without group keys is global: one row.
+	if err := c.AddRollup(RollupDef{Name: "total", Base: "sales", Aggs: []Agg{{Func: AggCount}}}); err != nil {
+		t.Fatal(err)
+	}
+	if mat, _ := c.Get("total"); mat.Len() != 1 {
+		t.Errorf("global rollup holds %d rows, want 1", mat.Len())
 	}
 }
 
@@ -307,28 +313,42 @@ func TestParseAggFunc(t *testing.T) {
 // the final rows, across the random Put/Append sequences of
 // drivePutAppend: appends (the incremental fold) and every shape of
 // replacement (the refold from row 0), interleaved arbitrarily — the
-// rollup mirror of FuzzIncrementalStats.
+// rollup mirror of FuzzIncrementalStats. Each sequence runs for a
+// grouped rollup and for a global one (no group key), and ends with a
+// Put that empties the base: the global rollup then still holds its one
+// row, COUNT 0 and NULLs.
 func FuzzRollupMaintenance(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 251, 0, 9}, uint8(3))
 	f.Add([]byte{1, 2, 231, 3, 255, 4, 254, 5, 6, 240, 7}, uint8(0))
 	f.Add(bytes.Repeat([]byte{7, 130, 255, 0, 64, 65}, 120), uint8(1))
 	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{11, 244, 22}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
-		def := RollupDef{
-			Name:    "fuzz_by_k",
-			Base:    "fuzz",
-			GroupBy: []string{"k"},
-			Aggs: []Agg{
-				{Func: AggSum, Col: "f"},
-				{Func: AggCount, Col: "f"},
-				{Func: AggAvg, Col: "f"},
-				{Func: AggMin, Col: "n"},
-				{Func: AggMax, Col: "f"},
-				{Func: AggCount, Col: "", As: "rows"},
-			},
+		aggs := []Agg{
+			{Func: AggSum, Col: "f"},
+			{Func: AggCount, Col: "f"},
+			{Func: AggAvg, Col: "f"},
+			{Func: AggMin, Col: "n"},
+			{Func: AggMax, Col: "f"},
+			{Func: AggCount, Col: "", As: "rows"},
 		}
-		drivePutAppend(t, data, step, def, func(op int, c *Catalog, tb *Table) {
-			assertRollupFresh(t, c, tb, def, fmt.Sprintf("op %d", op))
-		})
+		for _, def := range []RollupDef{
+			{Name: "fuzz_by_k", Base: "fuzz", GroupBy: []string{"k"}, Aggs: aggs},
+			{Name: "fuzz_total", Base: "fuzz", Aggs: aggs},
+		} {
+			check := func(ctx string, c *Catalog, tb *Table) {
+				assertRollupFresh(t, c, tb, def, ctx)
+				if mat, _ := c.Get(def.Name); len(def.GroupBy) == 0 && mat.Len() != 1 {
+					t.Fatalf("%s: global rollup holds %d rows, want 1", ctx, mat.Len())
+				}
+			}
+			c := drivePutAppend(t, data, step, def, func(op int, c *Catalog, tb *Table) {
+				check(fmt.Sprintf("%s op %d", def.Name, op), c, tb)
+			})
+			base, _ := c.Get("fuzz")
+			empty := New("fuzz", base.Schema)
+			c.Put(empty)
+			check(def.Name+" emptied", c, empty)
+		}
 	})
 }

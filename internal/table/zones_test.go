@@ -340,8 +340,8 @@ func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 // registration a Put (the queued rows appended first). A save-and-load
 // op carries the sequence on against the catalog read back from a
 // snapshot. tb is the pointer the catalog holds, so check sees the final
-// rows in it.
-func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check func(op int, c *Catalog, tb *Table)) {
+// rows in it. It returns the catalog the sequence ends on.
+func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check func(op int, c *Catalog, tb *Table)) *Catalog {
 	tb := New("fuzz", Schema{
 		{Name: "k", Type: TypeString},
 		{Name: "n", Type: TypeInt},
@@ -422,6 +422,7 @@ func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check 
 		queued, replaced = nil, false
 		check(i, c, tb)
 	}
+	return c
 }
 
 // FuzzIncrementalStats pins bit-equivalence between the incremental

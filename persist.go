@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -125,8 +126,10 @@ func (osFS) SyncDir(dir string) error {
 //
 // Save may run concurrently with Ask, Query and Ingest: both files are
 // written under the read lock Ingest's write lock excludes, so they hold
-// the state after one and the same Ingest. Saves of one System run one
-// at a time. The two files are written at once; when both fail, the
+// the state after one and the same Ingest. Saves into one directory run
+// one at a time within a process, whichever System makes them, and a
+// Load of it waits for them; Saves from two processes are not
+// serialised. The two files are written at once; when both fail, the
 // graph's error is the one returned.
 func (s *System) Save(dir string) error { return s.save(osFS{}, dir) }
 
@@ -134,8 +137,11 @@ func (s *System) save(fsys snapshotFS, dir string) error {
 	if !s.built {
 		return ErrNotBuilt
 	}
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
+	unlock, err := lockDir(dir)
+	if err != nil {
+		return fmt.Errorf("unisem: save: %w", err)
+	}
+	defer unlock()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("unisem: save: %w", err)
 	}
@@ -318,9 +324,31 @@ func LoadWithOptions(dir string, opts Options, configure func(*System)) (*System
 	return sys, nil
 }
 
+// dirLocks holds one mutex per snapshot directory, keyed by its cleaned
+// absolute path and kept for the life of the process. Save and Load take
+// it, so no two Saves of a process pick one epoch, and no Load reads
+// files a Save is renaming.
+var dirLocks sync.Map
+
+// lockDir locks dir's mutex and returns its unlock.
+func lockDir(dir string) (func(), error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	mu, _ := dirLocks.LoadOrStore(abs, new(sync.Mutex))
+	mu.(*sync.Mutex).Lock()
+	return mu.(*sync.Mutex).Unlock, nil
+}
+
 // loadState reads the graph and the catalog saved in dir, after it has
 // finished a pending roll-forward through fsys.
 func loadState(fsys snapshotFS, dir string) (*graph.Graph, *table.Catalog, error) {
+	unlock, err := lockDir(dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("unisem: load: %w", err)
+	}
+	defer unlock()
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("unisem: load: %w", err)

@@ -372,41 +372,55 @@ func TestLoadRollForwardConsistency(t *testing.T) {
 	}
 }
 
-// TestSaveSerialised runs Saves of one System into one directory at
-// once: each takes the next epoch, none collides with another, and the
-// directory loads the snapshot every one of them wrote.
+// TestSaveSerialised runs Saves of two Systems with different data into
+// one directory at once, the second naming it by another spelling of
+// the same path: each Save takes the next epoch, none collides with
+// another, and the directory loads the snapshot one of them wrote, whole.
 func TestSaveSerialised(t *testing.T) {
-	sys := buildTiny(t)
-	ref := t.TempDir()
-	if err := sys.Save(ref); err != nil {
+	other := New()
+	if err := other.AddCSV("sales", strings.NewReader("product,revenue\nProduct Beta,900\n")); err != nil {
 		t.Fatal(err)
 	}
-	wantG, wantC := readSnapshot(t, ref)
+	if err := other.Build(); err != nil {
+		t.Fatal(err)
+	}
+	systems := []*System{buildTiny(t), other}
+	var want [2][2]string // each System's graph.json and catalog.json
+	for i, sys := range systems {
+		ref := t.TempDir()
+		if err := sys.Save(ref); err != nil {
+			t.Fatal(err)
+		}
+		want[i][0], want[i][1] = readSnapshot(t, ref)
+	}
 	dir := t.TempDir()
-	const saves = 8
+	spellings := []string{dir, dir + string(filepath.Separator) + "."}
+	const saves = 8 // per System
 	var wg sync.WaitGroup
 	for range saves {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := sys.Save(dir); err != nil {
-				t.Error(err)
-			}
-		}()
+		for i, sys := range systems {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := sys.Save(spellings[i]); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
 	}
 	wg.Wait()
 	m, err := readManifest(dir)
 	if err != nil || m == nil {
 		t.Fatalf("MANIFEST: %v, %v", m, err)
 	}
-	if m.Epoch != saves {
-		t.Errorf("epoch %d after %d saves", m.Epoch, saves)
+	if m.Epoch != uint64(saves*len(systems)) {
+		t.Errorf("epoch %d after %d saves", m.Epoch, saves*len(systems))
 	}
 	if _, _, err := loadState(osFS{}, dir); err != nil {
 		t.Fatal(err)
 	}
-	if g, c := readSnapshot(t, dir); g != wantG || c != wantC {
-		t.Error("the directory holds another snapshot than each Save wrote")
+	if g, c := readSnapshot(t, dir); [2]string{g, c} != want[0] && [2]string{g, c} != want[1] {
+		t.Error("the directory holds another snapshot than either System wrote")
 	}
 	if got := dirNames(t, dir); !slices.Equal(got, snapshotDir) {
 		t.Errorf("directory holds %v, want %v", got, snapshotDir)

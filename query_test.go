@@ -223,3 +223,44 @@ func TestQueryMatchesAsk(t *testing.T) {
 		t.Errorf("SQL rows %v vs NL answer %q", res.Rows, ans.Text)
 	}
 }
+
+// TestQueryGlobalAggregateOfNoRows: a global aggregate whose filter
+// keeps no row returns one row, COUNT 0 and SUM NULL, as SQL does — both
+// when the statistics refute the filter at plan time and when the zone
+// maps prune every fragment of a scan at run time.
+func TestQueryGlobalAggregateOfNoRows(t *testing.T) {
+	check := func(sys *System, q, explainHas string) {
+		t.Helper()
+		res, err := sys.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != 1 || len(res.Rows[0]) != 2 || res.Rows[0][0] != "0" || res.Rows[0][1] != "NULL" {
+			t.Errorf("%s = %v, want one row (0, NULL)", q, res.Rows)
+		}
+		if !strings.Contains(res.Explain(), explainHas) {
+			t.Errorf("%s: EXPLAIN lacks %q:\n%s", q, explainHas, res.Explain())
+		}
+	}
+	check(buildDemo(t), "SELECT COUNT(*) AS n, SUM(revenue) FROM sales WHERE revenue > 1000000000000", "emptyfold(sales")
+
+	// Two fragments, 0..255 and 1256..1511: the range between them passes
+	// the table's statistics, and each fragment's zone map refutes it.
+	var csv strings.Builder
+	csv.WriteString("id,x\n")
+	for i := 0; i < 512; i++ {
+		x := i
+		if i >= 256 {
+			x += 1000
+		}
+		csv.WriteString(strconv.Itoa(i) + "," + strconv.Itoa(x) + "\n")
+	}
+	sys := New()
+	if err := sys.AddCSV("bands", strings.NewReader(csv.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Build(); err != nil {
+		t.Fatal(err)
+	}
+	check(sys, "SELECT COUNT(*) AS n, SUM(x) FROM bands WHERE x > 600 AND x < 900", "pruned:   scan[0] 2/2 fragments")
+}

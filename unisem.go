@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -146,7 +145,6 @@ type System struct {
 	built    bool
 	hybrid   *core.Hybrid
 	backends []federate.Backend // registered before Build, attached at Build
-	saveMu   sync.Mutex         // one Save at a time, so two cannot pick one epoch
 }
 
 // New returns an empty system with default options.
