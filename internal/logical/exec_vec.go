@@ -21,9 +21,10 @@ import (
 // encoding, written cell by cell from the typed columns
 // (ColVec.AppendKey), so two rows share a key exactly when
 // table.Compare calls their cells equal. Filters and batch extraction
-// run fragments in parallel through internal/par, while everything order-sensitive
-// (float accumulation, result emission) stays in fragment order — so
-// results are bit-identical to the row interpreter at any worker count.
+// run fragments in parallel through internal/par, while everything
+// order-sensitive (float accumulation, result emission) stays in
+// fragment order — so results are bit-identical to the row interpreter
+// at any worker count.
 //
 // Rows materialize once, at the end: filter, project and distinct only
 // refine a stream's selection vectors and column mapping, aggregate
@@ -145,6 +146,14 @@ func (s *vstream) baseCol(i int) int {
 		return i
 	}
 	return s.cols[i]
+}
+
+// sel is batch bi's selection vector: nil when every row is selected.
+func (s *vstream) sel(bi int) []int32 {
+	if s.sels == nil {
+		return nil
+	}
+	return s.sels[bi]
 }
 
 // selCount counts selected rows.
@@ -449,13 +458,10 @@ func (v *vecRun) filter(s *vstream, preds []table.Pred) (*vstream, error) {
 	nsels := make([][]int32, len(bs))
 	errs := make([]error, len(bs))
 	par.ForEach(len(bs), v.env.Workers, func(bi int) {
-		var in []int32
-		if s.sels != nil {
-			in = s.sels[bi]
-			if in != nil && len(in) == 0 {
-				nsels[bi] = in
-				return
-			}
+		in := s.sel(bi)
+		if in != nil && len(in) == 0 {
+			nsels[bi] = in
+			return
 		}
 		nsels[bi], errs[bi] = filterBatch(bs[bi], in, cps)
 	})
@@ -785,14 +791,7 @@ func (v *vecRun) sortStream(s *vstream, keys []table.SortKey, limit int) (*vstre
 	rowB := make([]int32, 0, n)
 	rowR := make([]int32, 0, n)
 	for bi, b := range bs {
-		var sel []int32
-		if s.sels != nil {
-			sel = s.sels[bi]
-			if sel != nil && len(sel) == 0 {
-				continue
-			}
-		}
-		table.ForSel(b.Len, sel, func(ri int) {
+		table.ForSel(b.Len, s.sel(bi), func(ri int) {
 			rowB = append(rowB, int32(bi))
 			rowR = append(rowR, int32(ri))
 		})
@@ -1004,11 +1003,7 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg) (*tab
 		return nil, err
 	}
 	for bi, b := range v.batches(s) {
-		var sel []int32
-		if s.sels != nil {
-			sel = s.sels[bi]
-		}
-		acc.FoldBatch(b, sel)
+		acc.FoldBatch(b, s.sel(bi))
 	}
 	return acc.Emit(s.name + "_agg"), nil
 }
@@ -1019,8 +1014,9 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg) (*tab
 // selected row of every distinct key — the table.AppendKey bytes of the
 // stream's (mapped) columns, exactly table.Distinct's row key — as a
 // refined selection, copying no row. A single column carrying
-// dictionary codes has a table.CodeMemo in front of the key map: only a code's
-// first row in a batch is looked up, its later rows are duplicates.
+// dictionary codes has a table.CodeMemo in front of the key map: only a
+// code's first row in a batch is looked up, its later rows are
+// duplicates.
 func (v *vecRun) distinctStream(s *vstream) *vstream {
 	bs := v.batches(s)
 	seen := make(map[string]struct{})
@@ -1029,12 +1025,8 @@ func (v *vecRun) distinctStream(s *vstream) *vstream {
 	var memo table.CodeMemo[bool] // a code's row already reached the map
 	for bi, b := range bs {
 		keep := []int32{}
-		var sel []int32
-		if s.sels != nil {
-			sel = s.sels[bi]
-		}
 		coded := len(s.schema) == 1 && memo.Reset(&b.Cols[s.baseCol(0)])
-		table.ForSel(b.Len, sel, func(ri int) {
+		table.ForSel(b.Len, s.sel(bi), func(ri int) {
 			if coded {
 				slot := memo.Slot(ri)
 				if *slot {

@@ -316,7 +316,7 @@ type AggAcc struct {
 	groupIn []int // input column of each group key
 	aggIn   []int // input column of each aggregate; -1 = COUNT(*)
 
-	global *aggGroup            // a global aggregate's one group, from Init on
+	global *aggGroup            // a global aggregate's one group, from its first row on
 	groups map[string]*aggGroup // keyed groups, allocated with the first
 	order  []string
 	kb     []byte
@@ -375,9 +375,6 @@ func (a *AggAcc) Init(schema Schema, cols []int, groupBy []string, aggs []Agg) e
 		aggIn[i] = in(idx)
 	}
 	*a = AggAcc{schema: schema, groupBy: groupBy, aggs: aggs, groupIn: groupIn, aggIn: aggIn}
-	if len(groupBy) == 0 {
-		a.global = &aggGroup{aggs: make([]aggState, len(aggs))}
-	}
 	return nil
 }
 
@@ -475,13 +472,18 @@ func (a *AggAcc) batchGroup(b *Batch, ri int) *aggGroup {
 	return a.addGroup(key)
 }
 
-// addGroup registers a new group under the key in a.kb.
+// addGroup registers a new group under the key in a.kb: the global
+// group when there is no group column.
 func (a *AggAcc) addGroup(key []Value) *aggGroup {
+	g := &aggGroup{key: key, aggs: make([]aggState, len(a.aggs))}
+	if len(a.groupIn) == 0 {
+		a.global = g
+		return g
+	}
 	if a.groups == nil {
 		a.groups = make(map[string]*aggGroup)
 	}
 	ks := string(a.kb)
-	g := &aggGroup{key: key, aggs: make([]aggState, len(a.aggs))}
 	a.groups[ks] = g
 	a.order = append(a.order, ks)
 	return g
@@ -514,7 +516,7 @@ func (st *aggState) extreme(f AggFunc, v Value) {
 // everything folded so far.
 func (a *AggAcc) Emit(name string) *Table {
 	out := New(name, AggregateSchema(a.schema, a.groupBy, a.aggs))
-	if a.global != nil {
+	if len(a.groupBy) == 0 {
 		out.Rows = [][]Value{a.global.row(a.aggs)}
 		return out
 	}
@@ -528,12 +530,21 @@ func (a *AggAcc) Emit(name string) *Table {
 	return out
 }
 
-// row renders the group: its key cells, then each aggregate's value.
+// row renders the group: its key cells, then each aggregate's value. A
+// nil group is the global group of no rows.
 func (g *aggGroup) row(aggs []Agg) []Value {
-	row := make([]Value, len(g.key), len(g.key)+len(aggs))
-	copy(row, g.key)
+	var key []Value
+	var sts []aggState
+	if g != nil {
+		key, sts = g.key, g.aggs
+	}
+	row := make([]Value, len(key), len(key)+len(aggs))
+	copy(row, key)
 	for i, ag := range aggs {
-		st := g.aggs[i]
+		var st aggState
+		if sts != nil {
+			st = sts[i]
+		}
 		switch ag.Func {
 		case AggSum:
 			if st.count == 0 {
