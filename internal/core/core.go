@@ -93,9 +93,15 @@ func synthesize(p *semop.Plan, q semop.Query, res *table.Table) (string, error) 
 		}
 		return strings.Join(parts, ", "), nil
 	}
-	// Global aggregate: single value.
+	// Global aggregate: single value. NULL or a COUNT(*) of 0 is SQL's
+	// row over no rows: Bind matched the table by schema, not by value,
+	// so the table knows nothing of the entity and evidence answers.
 	if len(p.Aggs) > 0 && res.Len() == 1 {
-		return table.FormatValue(res.Rows[0][len(res.Rows[0])-1]), nil
+		v, ag := res.Rows[0][len(res.Rows[0])-1], p.Aggs[len(p.Aggs)-1]
+		if v.IsNull() || ag.Func == table.AggCount && ag.Col == "" && v.Int() == 0 {
+			return "", fmt.Errorf("%w: aggregate over no rows for %q", ErrNoAnswer, q.Raw)
+		}
+		return table.FormatValue(v), nil
 	}
 	// List intent over a known metric column: distinct sorted values.
 	if q.Intent == semop.IntentList || q.Intent == semop.IntentLookup {

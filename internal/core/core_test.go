@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/retrieval"
 	"repro/internal/semop"
 	"repro/internal/slm"
+	"repro/internal/table"
 	"repro/internal/workload"
 )
 
@@ -295,5 +297,49 @@ func TestAnswerPlanVisible(t *testing.T) {
 	ans := h.Answer(queriesOf(c, workload.ClassAggregate)[0].Text)
 	if !strings.Contains(ans.Plan(), "Scan(") {
 		t.Errorf("plan = %q", ans.Plan())
+	}
+}
+
+// TestHybridAggregateOverNoRowsFallsBack asks about an entity the bound
+// table lacks. Bind matches the table by schema, not by value, so the
+// plan is a global aggregate over no rows, whose summary row is NULL
+// (or a COUNT(*) of 0). That row is no answer: the evidence fallback
+// must answer from the retrieved text, never with the text "NULL".
+func TestHybridAggregateOverNoRowsFallsBack(t *testing.T) {
+	c := workload.ECommerce(workload.DefaultECommerceOptions())
+	h := hybridFor(t, c)
+	ratings, err := h.Catalog().Get("ratings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const product = "Product Alpha"
+	kept := table.New(ratings.Name, ratings.Schema)
+	pc := ratings.Schema.ColIndex("product")
+	for _, row := range ratings.Rows {
+		if row[pc].Str() != product {
+			kept.Rows = append(kept.Rows, row)
+		}
+	}
+	if kept.Len() == ratings.Len() {
+		t.Fatalf("ratings holds no %s row to drop", product)
+	}
+	h.Catalog().Put(kept)
+
+	for _, q := range []string{
+		"What is the average rating of " + product + "?",
+		"How many ratings does " + product + " have?",
+	} {
+		ans := h.Answer(q)
+		if !ans.Answered() || ans.Text == "NULL" || ans.Text == "0" {
+			t.Errorf("%q = %q (err %v), want an evidence answer", q, ans.Text, ans.Err)
+			continue
+		}
+		fromEvidence := false
+		for _, cand := range slm.DeriveCandidates(q, retrieval.Texts(ans.Evidence), h.ner) {
+			fromEvidence = fromEvidence || cand.Text == ans.Text
+		}
+		if !fromEvidence {
+			t.Errorf("%q = %q, not a candidate derived from its evidence", q, ans.Text)
+		}
 	}
 }

@@ -35,7 +35,9 @@ func (s catalogStats) RollupsFor(base string) []table.RollupDef {
 //   - pinned: the query is a global aggregate (no group keys) whose
 //     filter pins every rollup group key with an equality — at most one
 //     complete group survives, so the subtree re-aggregates globally
-//     over that one materialized row (any function, AVG included).
+//     over that one materialized row (any function, AVG included: COUNT
+//     as COUNT_MERGE, every other function as MIN, which returns the
+//     one cell unchanged).
 //   - reaggregated: the query groups by a subset (or reordering) of the
 //     rollup keys — the subtree re-aggregates the rollup's partial
 //     states (COUNT via COUNT_MERGE over partial counts, SUM over
@@ -43,12 +45,11 @@ func (s catalogStats) RollupsFor(base string) []table.RollupDef {
 //     re-aggregates, and float SUM stays on the base table because
 //     reassociating float additions is not bit-exact).
 //
-// All rewrites are result-preserving bit-for-bit, but for the one −0
-// tryPinnedRollup names: the materialization is maintained
-// synchronously inside Catalog.Put by the same accumulation sequence
-// the direct plan would run, group emission is key-sorted on both
-// paths, the re-aggregations are exact integer, one-row or order-free
-// extrema folds, and a pinned filter matching no group yields the same
+// All rewrites are result-preserving bit-for-bit: the materialization
+// is maintained synchronously inside Catalog.Put by the same
+// accumulation sequence the direct plan would run, group emission is
+// key-sorted on both paths, the re-aggregations are exact integer,
+// one-row or order-free extrema folds, and a pinned filter matching no group yields the same
 // summary row on both paths (a global aggregate of zero rows emits
 // COUNT 0 and NULLs). Exact routing is preferred over pinned, pinned
 // over reaggregation; candidates are tried in sorted rollup-name order.
@@ -223,14 +224,13 @@ func tryExactRollup(c RollupCandidate) *Node {
 // plan aggregates exactly one complete group — the group the rollup
 // already materialized. The subtree becomes a global Aggregate over
 // Filter over Scan(rollup), which folds that one row or none. COUNT
-// becomes COUNT_MERGE of the materialized count; SUM, MIN and MAX of
-// one row are the row's value, because a sum that starts at +0 is never
-// −0, and so is AVG unless the materialized average is a −0 that a
-// negative subnormal sum divided down to (it reads back +0, which
-// Compare calls equal). A pin that matches no group gives the same
-// summary row as the direct plan: COUNT 0 and NULLs. Because the
-// materialized row holds final (not partial) states of a complete
-// group, every aggregate function routes, AVG included.
+// becomes COUNT_MERGE of the materialized count, and SUM, AVG, MIN and
+// MAX become MIN of the materialized column: MIN of one row is its cell
+// unchanged, −0 and NaN payloads included, and MIN of none is the
+// column's NULL, the same NULL the direct plan emits. So a pin that
+// matches no group gives the direct plan's summary row (COUNT 0 and
+// NULLs). Because the materialized row holds final (not partial) states
+// of a complete group, every aggregate function routes, AVG included.
 func tryPinnedRollup(c RollupCandidate) *Node {
 	q, def := c.Query, c.Def
 	if len(q.GroupBy) != 0 || c.Filter == nil {
@@ -254,7 +254,7 @@ func tryPinnedRollup(c RollupCandidate) *Node {
 		if !ok {
 			return nil
 		}
-		out := table.Agg{Func: a.Func, Col: rcol, As: a.OutName()}
+		out := table.Agg{Func: table.AggMin, Col: rcol, As: a.OutName()}
 		if a.Func == table.AggCount {
 			out.Func = table.AggCountMerge
 		}

@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -165,6 +166,96 @@ func TestRollupPinnedRouting(t *testing.T) {
 	}
 	if out.Len() != 1 || !out.Rows[0][0].IsNull() {
 		t.Fatalf("pinned miss = %v, want one NULL row", out.Rows)
+	}
+}
+
+// TestRollupPinnedIsBitExact pins the pinned route to the direct
+// plan's bits on the cells a re-aggregation of the materialized row
+// would change: an AVG that a negative subnormal sum divides down to
+// −0 (an AVG of that one cell reads +0), a MAX that is a NaN with a
+// payload, and the typed NULLs of a pin that matches no group. Both
+// executors run the routed plan.
+func TestRollupPinnedIsBitExact(t *testing.T) {
+	const payload = 0x7ff8000000000001
+	m := table.New("m", table.Schema{
+		{Name: "k", Type: table.TypeString},
+		{Name: "v", Type: table.TypeFloat},
+		{Name: "n", Type: table.TypeInt},
+	})
+	for _, v := range []float64{-5e-324, 0, 0} {
+		m.MustAppend([]table.Value{table.S("neg"), table.F(v), table.I(1)})
+	}
+	m.MustAppend([]table.Value{table.S("nan"), table.F(math.Float64frombits(payload)), table.I(2)})
+	m.MustAppend([]table.Value{table.S("nan"), table.F(1), table.I(3)})
+	// Past StatsMaxExact distinct keys an absent in-range key reaches
+	// the rollup pass unrefuted (see TestRollupPinnedRouting).
+	for i := 0; i < table.StatsMaxExact+6; i++ {
+		m.MustAppend([]table.Value{table.S(fmt.Sprintf("k%03d", i)), table.F(float64(i)), table.I(int64(i))})
+	}
+	c := table.NewCatalog()
+	c.Put(m)
+	aggs := []table.Agg{
+		{Func: table.AggSum, Col: "v", As: "s"},
+		{Func: table.AggAvg, Col: "v", As: "a"},
+		{Func: table.AggMin, Col: "v", As: "lo"},
+		{Func: table.AggMax, Col: "v", As: "hi"},
+		{Func: table.AggMin, Col: "n", As: "nlo"},
+		{Func: table.AggMax, Col: "n", As: "nhi"},
+		{Func: table.AggCount, As: "cnt"},
+	}
+	def := table.RollupDef{Name: "m_by_k", Base: "m", GroupBy: []string{"k"}}
+	for _, a := range aggs {
+		def.Aggs = append(def.Aggs, table.Agg{Func: a.Func, Col: a.Col})
+	}
+	mustAddRollup(t, c, def)
+
+	bits := func(v table.Value) string {
+		if v.Kind() == table.TypeFloat && !v.IsNull() {
+			return fmt.Sprintf("%v:%#x", v.Kind(), math.Float64bits(v.Float()))
+		}
+		return fmt.Sprintf("%v:%v:%s", v.Kind(), v.IsNull(), v)
+	}
+	for _, key := range []string{"neg", "nan", "k010x"} {
+		root := aggOver(filter(scan("m"), table.Pred{Col: "k", Op: table.OpEq, Val: table.S(key)}), nil, aggs...)
+		want, err := Exec(root.Clone(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, opt := execBoth(t, root, c)
+		if len(opt.Rollups) != 1 || !strings.HasSuffix(opt.Rollups[0], "(pinned)") {
+			t.Fatalf("%s: pin did not route: %v", key, opt.Rollups)
+		}
+		for _, exec := range []string{"row", "vec"} {
+			got, err := Exec(opt.Root, c)
+			if exec == "vec" {
+				got, err = ExecVec(opt.Root, c, 1)
+			}
+			if err != nil {
+				t.Fatalf("%s %s: %v", key, exec, err)
+			}
+			if got.Len() != 1 || want.Len() != 1 {
+				t.Fatalf("%s %s: %d rows, direct %d, want 1", key, exec, got.Len(), want.Len())
+			}
+			for i, v := range got.Rows[0] {
+				if bits(v) != bits(want.Rows[0][i]) {
+					t.Errorf("%s %s %s: routed %s, direct %s", key, exec, got.Schema[i].Name, bits(v), bits(want.Rows[0][i]))
+				}
+			}
+		}
+		switch row := want.Rows[0]; key {
+		case "neg":
+			if a := row[1].Float(); a != 0 || !math.Signbit(a) {
+				t.Errorf("neg: direct AVG = %v, want -0", a)
+			}
+		case "nan":
+			if h := math.Float64bits(row[3].Float()); h != payload {
+				t.Errorf("nan: direct MAX bits = %#x, want %#x", h, uint64(payload))
+			}
+		default:
+			if row[0].Kind() != table.TypeFloat || row[4].Kind() != table.TypeInt || row[6].Int() != 0 {
+				t.Errorf("miss: direct row %v, want typed NULLs and COUNT 0", row)
+			}
+		}
 	}
 }
 

@@ -517,7 +517,7 @@ func (st *aggState) extreme(f AggFunc, v Value) {
 func (a *AggAcc) Emit(name string) *Table {
 	out := New(name, AggregateSchema(a.schema, a.groupBy, a.aggs))
 	if len(a.groupBy) == 0 {
-		out.Rows = [][]Value{a.global.row(a.aggs)}
+		out.Rows = [][]Value{a.global.row(a.aggs, out.Schema)}
 		return out
 	}
 	sort.Strings(a.order)
@@ -525,14 +525,18 @@ func (a *AggAcc) Emit(name string) *Table {
 		out.Rows = make([][]Value, 0, len(a.order))
 	}
 	for _, ks := range a.order {
-		out.Rows = append(out.Rows, a.groups[ks].row(a.aggs))
+		out.Rows = append(out.Rows, a.groups[ks].row(a.aggs, out.Schema))
 	}
 	return out
 }
 
-// row renders the group: its key cells, then each aggregate's value. A
-// nil group is the global group of no rows.
-func (g *aggGroup) row(aggs []Agg) []Value {
+// row renders the group: its key cells, then each aggregate's value,
+// one per column of the output schema out. A nil group is the global
+// group of no rows. An aggregate other than COUNT that saw no value is
+// its column's NULL: Null(TypeFloat) for SUM and AVG, the input type's
+// for MIN and MAX, so MIN of a materialized SUM or AVG column (the
+// pinned rollup route) emits the NULL the direct plan does.
+func (g *aggGroup) row(aggs []Agg, out Schema) []Value {
 	var key []Value
 	var sts []aggState
 	if g != nil {
@@ -545,26 +549,21 @@ func (g *aggGroup) row(aggs []Agg) []Value {
 		if sts != nil {
 			st = sts[i]
 		}
-		switch ag.Func {
-		case AggSum:
-			if st.count == 0 {
-				row = append(row, Null(TypeFloat))
-			} else {
-				row = append(row, F(st.sum))
-			}
-		case AggAvg:
-			if st.count == 0 {
-				row = append(row, Null(TypeFloat))
-			} else {
-				row = append(row, F(st.sum/float64(st.count)))
-			}
-		case AggCount:
-			row = append(row, I(st.count))
-		case AggMin, AggMax:
-			row = append(row, st.ext)
-		case AggCountMerge:
-			row = append(row, I(int64(st.sum)))
+		v := Null(out[len(row)].Type)
+		switch {
+		case ag.Func == AggCount:
+			v = I(st.count)
+		case ag.Func == AggCountMerge:
+			v = I(int64(st.sum))
+		case st.count == 0:
+		case ag.Func == AggSum:
+			v = F(st.sum)
+		case ag.Func == AggAvg:
+			v = F(st.sum / float64(st.count))
+		default: // MIN, MAX
+			v = st.ext
 		}
+		row = append(row, v)
 	}
 	return row
 }
