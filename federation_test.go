@@ -1,6 +1,8 @@
 package unisem
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -59,15 +61,19 @@ func TestSaveLoadFederatedRoundTrip(t *testing.T) {
 	}
 }
 
-// staticBackend serves one fixed table — the minimal external store.
+// staticBackend serves one fixed table — the minimal external store: it
+// pushes filters only, keeps no zone maps and reads the row ranges it
+// is handed.
 type staticBackend struct {
 	tbl *table.Table
 }
 
 func (sb staticBackend) Name() string                    { return "static" }
 func (sb staticBackend) Tables() []string                { return []string{sb.tbl.Name} }
-func (sb staticBackend) Caps() federate.Caps             { return federate.CapFilter }
 func (sb staticBackend) CanPush(string, table.Pred) bool { return true }
+func (sb staticBackend) CanPushAgg(table.Agg) bool       { return false }
+func (sb staticBackend) CanProject([]string) bool        { return false }
+func (sb staticBackend) Zones(string) *table.Zones       { return nil }
 func (sb staticBackend) Estimate(tbl string, preds []table.Pred) (federate.Estimate, bool) {
 	if !strings.EqualFold(tbl, sb.tbl.Name) {
 		return federate.Estimate{}, false
@@ -75,16 +81,22 @@ func (sb staticBackend) Estimate(tbl string, preds []table.Pred) (federate.Estim
 	n := sb.tbl.Len()
 	return federate.Estimate{Total: n, Scanned: n, Out: n, Cost: float64(n)}, true
 }
-func (sb staticBackend) Scan(f federate.Fragment) (federate.Result, error) {
-	cur := sb.tbl
+func (sb staticBackend) Scan(_ context.Context, f federate.Fragment) (federate.Result, error) {
+	cur, scanned := sb.tbl, sb.tbl.Len()
+	if f.Ranges != nil {
+		cur, scanned = table.New(sb.tbl.Name, sb.tbl.Schema), table.RowsVisited(f.Ranges, sb.tbl.Len())
+		for _, r := range f.Ranges {
+			cur.Rows = append(cur.Rows, sb.tbl.Rows[min(r.Start, sb.tbl.Len()):min(r.End, sb.tbl.Len())]...)
+		}
+	}
 	if len(f.Preds) > 0 {
 		var err error
-		cur, err = table.Filter(sb.tbl, f.Preds...)
+		cur, err = table.Filter(cur, f.Preds...)
 		if err != nil {
 			return federate.Result{}, err
 		}
 	}
-	return federate.Result{Table: cur, Scanned: sb.tbl.Len()}, nil
+	return federate.Result{Table: cur, Scanned: scanned}, nil
 }
 
 // TestRegisterBackendRoutesExternalTable registers a backend serving a
@@ -121,6 +133,15 @@ func TestRegisterBackendRoutesExternalTable(t *testing.T) {
 	}
 	if !strings.Contains(ans.Explain(), "backend=static") {
 		t.Errorf("EXPLAIN does not route to the external backend:\n%s", ans.Explain())
+	}
+
+	// A backend without zone maps is handed a row slice as Ranges.
+	res, err := sys.Query("SELECT service FROM latencies ROWS 1 TO 2")
+	if err != nil {
+		t.Fatalf("row-sliced query over external backend: %v", err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[db]]" {
+		t.Errorf("rows = %s, want [[db]]", got)
 	}
 }
 

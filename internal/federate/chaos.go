@@ -49,10 +49,10 @@ type ChaosOptions struct {
 // chaos-wrapped built-in replaces the healthy one — routing, EXPLAIN
 // and goldens all see the usual backend names.
 //
-// Chaos forwards the optional planner interfaces (ZoneMapped,
-// AggPushable, ContextScanner) to the wrapped backend, so pushdown,
-// zone pruning and row-sliced scans plan exactly as without the
-// wrapper; only Scan outcomes change.
+// Every planning question (CanPush, CanPushAgg, CanProject, Estimate,
+// Zones) goes to the wrapped backend, so pushdown, zone pruning and
+// row-sliced scans plan exactly as without the wrapper; only Scan
+// outcomes change.
 type Chaos struct {
 	inner Backend
 	opts  ChaosOptions
@@ -75,11 +75,14 @@ func (c *Chaos) Name() string { return c.inner.Name() }
 // Tables implements Backend.
 func (c *Chaos) Tables() []string { return c.inner.Tables() }
 
-// Caps implements Backend.
-func (c *Chaos) Caps() Caps { return c.inner.Caps() }
-
 // CanPush implements Backend.
 func (c *Chaos) CanPush(tbl string, p table.Pred) bool { return c.inner.CanPush(tbl, p) }
+
+// CanPushAgg implements Backend.
+func (c *Chaos) CanPushAgg(a table.Agg) bool { return c.inner.CanPushAgg(a) }
+
+// CanProject implements Backend.
+func (c *Chaos) CanProject(cols []string) bool { return c.inner.CanProject(cols) }
 
 // Estimate implements Backend. Estimates stay fault-free: chaos
 // attacks execution, not planning, so routing decisions are identical
@@ -88,26 +91,8 @@ func (c *Chaos) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
 	return c.inner.Estimate(tbl, preds)
 }
 
-// Zones implements ZoneMapped by forwarding to the wrapped backend
-// (nil when it has no zone maps). All built-in backends are
-// ZoneMapped; wrapping a backend that is not forfeits row-sliced
-// scans, exactly as registering it directly would.
-func (c *Chaos) Zones(tbl string) *table.Zones {
-	if zb, ok := c.inner.(ZoneMapped); ok {
-		return zb.Zones(tbl)
-	}
-	return nil
-}
-
-// CanPushAgg implements AggPushable by forwarding; a wrapped backend
-// without the interface absorbs any aggregate its CapAggregate
-// advertises, matching the planner's default.
-func (c *Chaos) CanPushAgg(a table.Agg) bool {
-	if ap, ok := c.inner.(AggPushable); ok {
-		return ap.CanPushAgg(a)
-	}
-	return true
-}
+// Zones implements Backend.
+func (c *Chaos) Zones(tbl string) *table.Zones { return c.inner.Zones(tbl) }
 
 // identity canonicalizes the fragment for the fault schedule: the
 // parts that define what is being scanned (table, predicates,
@@ -147,21 +132,16 @@ func (c *Chaos) targeted(tbl string) bool {
 // delegation so a scan that survives injection returns exactly the
 // fault-free Result — row counts, order and scan accounting included —
 // which is why EXPLAIN's stats and pruned lines are byte-identical
-// under chaos and only the resilience line differs.
-func (c *Chaos) Scan(f Fragment) (Result, error) {
-	return c.ScanContext(context.Background(), f)
-}
-
-// ScanContext implements ContextScanner: like Scan, but hang injection
-// blocks on the context so deadline expiry or sibling cancellation
-// unblocks it.
-func (c *Chaos) ScanContext(ctx context.Context, f Fragment) (Result, error) {
+// under chaos and only the resilience line differs. Hang injection
+// blocks on ctx, so deadline expiry or sibling cancellation unblocks
+// it.
+func (c *Chaos) Scan(ctx context.Context, f Fragment) (Result, error) {
 	if c.targeted(f.Table) {
 		if err := c.inject(ctx, f); err != nil {
 			return Result{}, err
 		}
 	}
-	return scanWithContext(ctx, c.inner, f)
+	return c.inner.Scan(ctx, f)
 }
 
 // inject applies the configured faults for this scan attempt.

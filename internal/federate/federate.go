@@ -30,10 +30,14 @@
 // fragments through internal/sql's dialect as text — the template for
 // federating an external SQL store — and a graph-evidence backend that
 // exposes the heterogeneous graph index as relational tables. New
-// stores implement Backend and register through unisem.RegisterBackend.
+// stores implement Backend — one interface, every method required: the
+// planner asks it one pushdown question per operator (CanPush,
+// CanPushAgg, CanProject) and for its zone maps, and hands every Scan
+// the query's context — and register through unisem.RegisterBackend.
 package federate
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -44,39 +48,6 @@ import (
 // ErrNoBackend is returned when no registered backend serves a table
 // the plan scans.
 var ErrNoBackend = errors.New("federate: no backend serves table")
-
-// Caps is the capability bitmask a backend advertises. The planner
-// pushes an operation down only when the serving backend has the
-// capability; everything else executes in the federation layer.
-type Caps uint32
-
-// Backend capabilities.
-const (
-	CapFilter    Caps = 1 << iota // applies pushed predicates during the scan
-	CapProject                    // applies pushed column projections
-	CapAggregate                  // computes pushed group-by/aggregates
-)
-
-// Has reports whether all capabilities in x are present.
-func (c Caps) Has(x Caps) bool { return c&x == x }
-
-// String renders the capability set, e.g. "filter+project+aggregate".
-func (c Caps) String() string {
-	var parts []string
-	if c.Has(CapFilter) {
-		parts = append(parts, "filter")
-	}
-	if c.Has(CapProject) {
-		parts = append(parts, "project")
-	}
-	if c.Has(CapAggregate) {
-		parts = append(parts, "aggregate")
-	}
-	if len(parts) == 0 {
-		return "scan-only"
-	}
-	return strings.Join(parts, "+")
-}
 
 // Estimate is a backend's deterministic cost guess for one fragment.
 // Cost is the scalar the planner minimizes across candidate backends;
@@ -101,12 +72,12 @@ type Fragment struct {
 	Aggs    []table.Agg  // pushed-down aggregates
 	Est     Estimate     // planning-time estimate for this fragment
 
-	// Ranges are the ascending surviving row ranges after the planner
-	// pruned fragments whose zone maps refute the pushed conjunction.
-	// nil means scan everything; an empty non-nil slice means every
-	// fragment was refuted and the backend must read zero rows. Set
-	// only for backends implementing ZoneMapped (which thereby declare
-	// they honor ranges).
+	// Ranges are the ascending row ranges the backend must read: the
+	// survivors after the planner pruned fragments whose zone maps
+	// refute the pushed conjunction, intersected with the explicit row
+	// slice. nil means scan everything; an empty non-nil slice means
+	// every fragment was refuted and the backend must read zero rows.
+	// Every backend honours them, with or without zone maps.
 	Ranges []table.RowRange
 	// ZonePruned/ZoneTotal report the pruning decision for EXPLAIN's
 	// "pruned:" line: ZonePruned of ZoneTotal fragments were refuted.
@@ -115,45 +86,10 @@ type Fragment struct {
 
 	// SliceStart/SliceEnd record the scan's explicit row window (the
 	// SQL dialect's ROWS clause) when one exists; SliceEnd 0 means no
-	// slice. Unlike Ranges — which are derived from the serving
-	// backend's zone maps and are advisory — the slice is semantic, so
-	// failover re-routing must re-derive it on the new backend rather
-	// than drop it.
+	// slice. Ranges follow the serving backend's zone maps, but the
+	// slice is semantic, so failover re-routing must re-derive Ranges
+	// from it on the new backend rather than drop it.
 	SliceStart, SliceEnd int
-}
-
-// AggPushable is the optional Backend extension for per-aggregate
-// pushdown vetting: a CapAggregate backend that cannot evaluate every
-// aggregate function (a SQL dialect without COUNT_MERGE, say) reports
-// which ones it absorbs. Backends not implementing it are assumed to
-// absorb any aggregate their CapAggregate advertises.
-type AggPushable interface {
-	CanPushAgg(a table.Agg) bool
-}
-
-// aggsPushable reports whether backend b absorbs every aggregate in
-// aggs, consulting AggPushable when implemented.
-func aggsPushable(b Backend, aggs []table.Agg) bool {
-	ap, ok := b.(AggPushable)
-	if !ok {
-		return true
-	}
-	for _, a := range aggs {
-		if !ap.CanPushAgg(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// ZoneMapped is the optional Backend extension for zone-map fragment
-// pruning: a backend that exposes per-fragment zone maps for its
-// tables (nil when the table has none) and honors Fragment.Ranges in
-// Scan — reading only the surviving row ranges, in ascending order, so
-// results stay bit-identical to an unpruned scan. All three built-in
-// backends implement it.
-type ZoneMapped interface {
-	Zones(tbl string) *table.Zones
 }
 
 // Result is a fragment's output plus scan accounting: Scanned counts
@@ -189,7 +125,8 @@ func (r Result) Rows() (*table.Table, error) {
 }
 
 // Backend is one executor in the federation: a store that can scan its
-// tables and absorb whatever plan operations it has capabilities for.
+// tables and absorb the plan operations it answers yes for, one
+// question per operator (absorb asks them). Every method is required.
 // Implementations must be safe for concurrent Scan/Estimate calls and
 // must produce deterministic results — same fragment, same rows, same
 // row order — regardless of how many fragments run in parallel.
@@ -198,16 +135,27 @@ type Backend interface {
 	Name() string
 	// Tables lists the tables this backend serves, sorted.
 	Tables() []string
-	// Caps advertises which plan operations the backend absorbs.
-	Caps() Caps
 	// CanPush reports whether one specific predicate on tbl can be
 	// pushed down (dialects may not support every operator).
 	CanPush(tbl string, p table.Pred) bool
+	// CanPushAgg reports whether one aggregate can be pushed down.
+	CanPushAgg(a table.Agg) bool
+	// CanProject reports whether the backend can return just the named
+	// columns: a pushed projection's, or a pushed aggregate's group
+	// keys.
+	CanProject(cols []string) bool
 	// Estimate returns deterministic row/cost estimates for scanning
 	// tbl under the pushed preds; ok is false when tbl is not served.
 	Estimate(tbl string, preds []table.Pred) (est Estimate, ok bool)
-	// Scan executes the fragment.
-	Scan(f Fragment) (Result, error)
+	// Zones returns tbl's per-fragment zone maps for plan-time pruning,
+	// or nil when the backend keeps none.
+	Zones(tbl string) *table.Zones
+	// Scan executes the fragment, reading only f.Ranges when they are
+	// non-nil, in ascending order, so that a pruned or row-sliced scan
+	// returns exactly the rows of those ranges a full scan would. ctx
+	// is the query's (its deadline, or a failed sibling fragment,
+	// cancels it); BindingCatalog's scans run outside any query.
+	Scan(ctx context.Context, f Fragment) (Result, error)
 }
 
 // estimateFromStats derives a backend's Estimate from shared

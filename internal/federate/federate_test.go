@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -109,7 +110,7 @@ func TestMemoryIndexScanMatchesFilter(t *testing.T) {
 		{Col: "product", Op: table.OpEq, Val: table.S("Beta")},
 		{Col: "units", Op: table.OpGt, Val: table.I(20)},
 	}
-	res, err := m.Scan(Fragment{Table: "sales", Preds: preds})
+	res, err := m.Scan(context.Background(), Fragment{Table: "sales", Preds: preds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestMemoryIndexInvalidatesOnEpoch(t *testing.T) {
 	c := testCatalog()
 	m := NewMemory(c)
 	pred := []table.Pred{{Col: "product", Op: table.OpEq, Val: table.S("Alpha")}}
-	res, err := m.Scan(Fragment{Table: "sales", Preds: pred})
+	res, err := m.Scan(context.Background(), Fragment{Table: "sales", Preds: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestMemoryIndexInvalidatesOnEpoch(t *testing.T) {
 	tbl.MustAppend([]table.Value{table.S("Alpha"), table.S("Q1"), table.I(99)})
 	c.Put(tbl) // re-derives the fragments the scan reads
 
-	res, err = m.Scan(Fragment{Table: "sales", Preds: pred})
+	res, err = m.Scan(context.Background(), Fragment{Table: "sales", Preds: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +320,11 @@ func TestSQLBackendParityWithMemory(t *testing.T) {
 			Aggs:  []table.Agg{{Func: table.AggSum, Col: "units"}}},
 	}
 	for i, f := range frags {
-		sr, err := s.Scan(f)
+		sr, err := s.Scan(context.Background(), f)
 		if err != nil {
 			t.Fatalf("frag %d: sql scan: %v", i, err)
 		}
-		mr, err := m.Scan(f)
+		mr, err := m.Scan(context.Background(), f)
 		if err != nil {
 			t.Fatalf("frag %d: memory scan: %v", i, err)
 		}
@@ -442,10 +443,10 @@ func TestGraphEvidenceBackend(t *testing.T) {
 	if res.Len() != 1 || table.FormatValue(res.Rows[0][0]) != "3" {
 		t.Errorf("count over graph_entities = %s, want 3", render(res))
 	}
-	// The graph backend is scan+filter only: the planner must keep the
+	// The graph backend pushes filters only: the planner must keep the
 	// aggregate in the federation layer.
 	if len(run.Fragments[0].Aggs) > 0 {
-		t.Error("aggregate pushed to a CapFilter-only backend")
+		t.Error("aggregate pushed to a backend that absorbs none")
 	}
 	if len(run.Fragments[0].Preds) == 0 {
 		t.Error("filter was not pushed down to the graph backend")

@@ -17,41 +17,53 @@ import (
 // absorb splits the operators want offers for a scan of want.Table into
 // the fragment backend b takes and the remainder the federation layer
 // must evaluate over b's output (left carries operators only). The
-// rule, in the fragment's operator order:
+// rule, in the fragment's operator order, asks b one question per
+// operator:
 //
-//   - each predicate b can push (CapFilter and CanPush) is taken, the
-//     others are left;
-//   - the aggregate is taken only with no predicate left, CapAggregate
-//     and every function pushable; an aggregate left behind keeps the
-//     projection above it behind too;
-//   - the projection is taken only with CapProject and every left
-//     predicate's column inside the projected set, so the remainder can
-//     still evaluate over the narrowed rows.
+//   - each predicate b can push (CanPush) is taken, the others are
+//     left;
+//   - the aggregate is taken only with no predicate left, every
+//     function pushable (CanPushAgg) and any group keys projectable
+//     (CanProject); an aggregate left behind keeps the projection above
+//     it behind too;
+//   - the projection is taken only when b can project its columns
+//     (CanProject) and every left predicate's column is inside them, so
+//     the remainder can still evaluate over the narrowed rows.
 func absorb(b Backend, want Fragment) (got, left Fragment) {
-	caps := b.Caps()
 	got = Fragment{Backend: b.Name(), Table: want.Table}
 	for _, p := range want.Preds {
-		if caps.Has(CapFilter) && b.CanPush(want.Table, p) {
+		if b.CanPush(want.Table, p) {
 			got.Preds = append(got.Preds, p)
 		} else {
 			left.Preds = append(left.Preds, p)
 		}
 	}
 	if len(want.Aggs) > 0 {
-		if len(left.Preds) > 0 || !caps.Has(CapAggregate) || !aggsPushable(b, want.Aggs) {
+		if len(left.Preds) > 0 || !aggsPushable(b, want.Aggs) || len(want.GroupBy) > 0 && !b.CanProject(want.GroupBy) {
 			left.GroupBy, left.Aggs, left.Columns = want.GroupBy, want.Aggs, want.Columns
 			return got, left
 		}
 		got.GroupBy, got.Aggs = want.GroupBy, want.Aggs
 	}
 	if len(want.Columns) > 0 {
-		if caps.Has(CapProject) && logical.PredsCovered(left.Preds, want.Columns) {
+		if b.CanProject(want.Columns) && logical.PredsCovered(left.Preds, want.Columns) {
 			got.Columns = want.Columns
 		} else {
 			left.Columns = want.Columns
 		}
 	}
 	return got, left
+}
+
+// aggsPushable reports whether backend b absorbs every aggregate in
+// aggs.
+func aggsPushable(b Backend, aggs []table.Agg) bool {
+	for _, a := range aggs {
+		if !b.CanPushAgg(a) {
+			return false
+		}
+	}
+	return true
 }
 
 // evaluate runs f's operators over candidate rows t in the contract's

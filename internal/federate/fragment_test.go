@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -208,8 +209,8 @@ func TestPendingProjectionUnknownColumn(t *testing.T) {
 type eagerBackend struct{ *Memory }
 
 func (eagerBackend) Name() string { return "eager" }
-func (eb eagerBackend) Scan(f Fragment) (Result, error) {
-	res, err := eb.Memory.Scan(f)
+func (eb eagerBackend) Scan(ctx context.Context, f Fragment) (Result, error) {
+	res, err := eb.Memory.Scan(ctx, f)
 	if err != nil {
 		return Result{}, err
 	}

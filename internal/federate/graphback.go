@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"strings"
 	"sync"
 
@@ -51,11 +52,14 @@ func (ge *GraphEvidence) Tables() []string {
 	return []string{GraphEntitiesTable, GraphTriplesTable}
 }
 
-// Caps implements Backend: filters only.
-func (ge *GraphEvidence) Caps() Caps { return CapFilter }
-
-// CanPush implements Backend.
+// CanPush implements Backend: every filter.
 func (ge *GraphEvidence) CanPush(string, table.Pred) bool { return true }
+
+// CanPushAgg implements Backend: no aggregate.
+func (ge *GraphEvidence) CanPushAgg(table.Agg) bool { return false }
+
+// CanProject implements Backend: no projection.
+func (ge *GraphEvidence) CanProject([]string) bool { return false }
 
 // materialize returns the named evidence view and the catalog holding
 // both, rebuilding them only when the supplied epoch has moved since
@@ -83,7 +87,7 @@ func (ge *GraphEvidence) materialize(name string) (*table.Table, *table.Catalog,
 	return t, ge.views, err == nil
 }
 
-// Zones implements ZoneMapped: the materialized view's fragment zone
+// Zones implements Backend: the materialized view's fragment zone
 // maps, built alongside the view at the current epoch.
 func (ge *GraphEvidence) Zones(tbl string) *table.Zones {
 	_, c, ok := ge.materialize(tbl)
@@ -142,7 +146,7 @@ func (ge *GraphEvidence) Estimate(tbl string, preds []table.Pred) (Estimate, boo
 // the shared evaluator does the rest. Zone-pruned fragments read only
 // the surviving row ranges, in ascending order — identical rows to a
 // full filtered scan, fewer rows visited.
-func (ge *GraphEvidence) Scan(f Fragment) (Result, error) {
+func (ge *GraphEvidence) Scan(_ context.Context, f Fragment) (Result, error) {
 	t, c, ok := ge.materialize(f.Table)
 	if !ok {
 		return Result{}, ErrNoBackend

@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"slices"
 
 	"repro/internal/table"
@@ -25,13 +26,17 @@ func (m *Memory) Name() string { return "memory" }
 // Tables implements Backend: every catalog table.
 func (m *Memory) Tables() []string { return m.catalog.Names() }
 
-// Caps implements Backend: the memory engine absorbs everything.
-func (m *Memory) Caps() Caps { return CapFilter | CapProject | CapAggregate }
-
 // CanPush implements Backend: any predicate the table engine evaluates.
 func (m *Memory) CanPush(string, table.Pred) bool { return true }
 
-// Zones implements ZoneMapped: the catalog's per-fragment zone maps,
+// CanPushAgg implements Backend: the memory engine absorbs every
+// aggregate.
+func (m *Memory) CanPushAgg(table.Agg) bool { return true }
+
+// CanProject implements Backend: any projection.
+func (m *Memory) CanProject([]string) bool { return true }
+
+// Zones implements Backend: the catalog's per-fragment zone maps,
 // maintained incrementally by Catalog.Put.
 func (m *Memory) Zones(tbl string) *table.Zones { return m.catalog.ZonesOf(tbl) }
 
@@ -110,7 +115,7 @@ func estEqBucket(ts *table.TableStats, total int, p table.Pred) int {
 // to the front of the conjunction. Scanned then counts the rows inside
 // the planner's surviving ranges that match it, so a scan is charged
 // for the rows its equality selects, not for the whole table.
-func (m *Memory) Scan(f Fragment) (Result, error) {
+func (m *Memory) Scan(_ context.Context, f Fragment) (Result, error) {
 	t, err := m.catalog.Get(f.Table)
 	if err != nil {
 		return Result{}, err

@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -76,7 +77,7 @@ func TestMemoryScanMatchesEvaluate(t *testing.T) {
 		for rname, ranges := range rangeShapes {
 			label := cname + " ranges=" + rname
 			f := Fragment{Table: "m", Preds: preds, Ranges: ranges}
-			got, err := m.Scan(f)
+			got, err := m.Scan(context.Background(), f)
 			if err != nil {
 				t.Fatalf("%s: memory: %v", label, err)
 			}
@@ -84,7 +85,7 @@ func TestMemoryScanMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: evaluate: %v", label, err)
 			}
-			viaSQL, err := s.Scan(f)
+			viaSQL, err := s.Scan(context.Background(), f)
 			if err != nil {
 				t.Fatalf("%s: sql: %v", label, err)
 			}

@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -168,7 +169,7 @@ func (e *Executor) BindingCatalog() *table.Catalog {
 			if _, err := c.Get(name); err == nil {
 				continue
 			}
-			res, err := b.Scan(Fragment{Backend: b.Name(), Table: name})
+			res, err := b.Scan(context.Background(), Fragment{Backend: b.Name(), Table: name})
 			if err != nil {
 				complete = false
 				continue
@@ -380,9 +381,7 @@ func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logica
 	if err != nil {
 		return nil, err
 	}
-	if err := pruneFragment(b, &frag, scan.RowStart, scan.RowEnd); err != nil {
-		return nil, err
-	}
+	pruneFragment(b, &frag, scan.RowStart, scan.RowEnd)
 	if len(pp.Frags) > 0 {
 		pp.JoinRes = rest
 	}
@@ -426,31 +425,24 @@ func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logica
 	return out, nil
 }
 
-// pruneFragment consults backend b's zone maps (when it implements
-// ZoneMapped) and restricts the fragment to the row ranges its pushed
-// conjunction cannot be refuted on. Pruning happens at plan time — zone
-// maps are a pure function of the data epoch the plan caches under — so
-// the decision (and EXPLAIN's "pruned:" line) is deterministic at any
-// worker count. An explicit row range [rowStart, rowEnd) (the SQL
-// dialect's ROWS clause; rowEnd 0 for none) is intersected with the
-// survivors; such a scan requires a range-honoring backend.
-func pruneFragment(b Backend, frag *Fragment, rowStart, rowEnd int) error {
+// pruneFragment consults backend b's zone maps and restricts the
+// fragment to the row ranges its pushed conjunction cannot be refuted
+// on. Pruning happens at plan time — zone maps are a pure function of
+// the data epoch the plan caches under — so the decision (and EXPLAIN's
+// "pruned:" line) is deterministic at any worker count. An explicit row
+// range [rowStart, rowEnd) (the SQL dialect's ROWS clause; rowEnd 0 for
+// none) is intersected with the survivors, or is the whole of Ranges
+// when b has no zone maps.
+func pruneFragment(b Backend, frag *Fragment, rowStart, rowEnd int) {
 	if rowEnd > 0 {
 		frag.SliceStart, frag.SliceEnd = rowStart, rowEnd
 	}
-	zb, _ := b.(ZoneMapped)
-	if zb == nil {
-		if rowEnd > 0 {
-			return fmt.Errorf("federate: backend %s cannot serve row-ranged scan of %s", frag.Backend, frag.Table)
-		}
-		return nil
-	}
-	z := zb.Zones(frag.Table)
+	z := b.Zones(frag.Table)
 	if z == nil || len(z.Maps) == 0 {
 		if rowEnd > 0 {
 			frag.Ranges = []table.RowRange{{Start: rowStart, End: rowEnd}}
 		}
-		return nil
+		return
 	}
 	keep, pruned := z.Prune(frag.Preds)
 	frag.ZoneTotal = len(z.Maps)
@@ -458,7 +450,7 @@ func pruneFragment(b Backend, frag *Fragment, rowStart, rowEnd int) error {
 	if rowEnd > 0 {
 		keep = table.IntersectRanges(keep, []table.RowRange{{Start: rowStart, End: rowEnd}})
 	} else if pruned == 0 {
-		return nil // nothing refuted: plain full scan, no range plumbing
+		return // nothing refuted: plain full scan, no range plumbing
 	}
 	frag.Ranges = keep
 	surv := table.RangesLen(keep)
@@ -468,7 +460,6 @@ func pruneFragment(b Backend, frag *Fragment, rowStart, rowEnd int) error {
 	if surv < frag.Est.Out {
 		frag.Est.Out = surv
 	}
-	return nil
 }
 
 func wrapFilter(in *logical.Node, preds []table.Pred) *logical.Node {

@@ -11,26 +11,6 @@ import (
 	"repro/internal/fault"
 )
 
-// ContextScanner is the optional Backend extension for cancellable
-// scans: a backend that can observe ctx mid-scan (to abandon work when
-// a sibling fragment failed or the query deadline passed) implements
-// it. Backends without it stay source-compatible — their plain Scan
-// runs to completion.
-type ContextScanner interface {
-	ScanContext(ctx context.Context, f Fragment) (Result, error)
-}
-
-// scanWithContext scans f on b; backends implementing ContextScanner
-// see ctx in flight. Nothing is checked up front: whether an attempt is
-// made at all is the ladder's decision (scanRetrying), taken on the
-// query's context alone.
-func scanWithContext(ctx context.Context, b Backend, f Fragment) (Result, error) {
-	if cs, ok := b.(ContextScanner); ok {
-		return cs.ScanContext(ctx, f)
-	}
-	return b.Scan(f)
-}
-
 // isCancellation reports whether err is context cancellation or
 // deadline expiry — outcomes of the query's own lifecycle, never
 // evidence against a backend's health, and never worth a retry.
@@ -263,10 +243,7 @@ func (e *Executor) scanFragment(ctx, inflight context.Context, f Fragment, open 
 		if open.has(c.Name()) {
 			continue
 		}
-		nf, left, ok := refragment(c, f)
-		if !ok {
-			continue
-		}
+		nf, left := refragment(c, f)
 		res, err := e.scanRetrying(ctx, inflight, c, nf, fr)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
@@ -312,7 +289,7 @@ func (e *Executor) scanRetrying(ctx, inflight context.Context, b Backend, f Frag
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		res, err := scanWithContext(inflight, b, f)
+		res, err := b.Scan(inflight, f)
 		if err == nil {
 			fr.served = b.Name()
 			return res, nil
@@ -372,14 +349,11 @@ func (e *Executor) failoverCandidates(f Fragment, open openSet) []Backend {
 // same absorb rule the planner applied: nf is what c takes of f's
 // operators, left what the federation layer evaluates over c's output.
 // Zone pruning and any explicit row slice are re-derived from c's own
-// zone maps. ok is false when c cannot serve the fragment at all (a
-// row-sliced scan on a backend without range support).
-func refragment(c Backend, f Fragment) (nf, left Fragment, ok bool) {
+// zone maps.
+func refragment(c Backend, f Fragment) (nf, left Fragment) {
 	nf, left = absorb(c, f)
-	if err := pruneFragment(c, &nf, f.SliceStart, f.SliceEnd); err != nil {
-		return Fragment{}, Fragment{}, false
-	}
-	return nf, left, true
+	pruneFragment(c, &nf, f.SliceStart, f.SliceEnd)
+	return nf, left
 }
 
 // firstScanError picks the deterministic query error from per-fragment

@@ -193,11 +193,11 @@ func (f *flakyBackend) Estimate(tbl string, preds []table.Pred) (Estimate, bool)
 	est.Cost = f.cost
 	return est, ok
 }
-func (f *flakyBackend) Scan(fr Fragment) (Result, error) {
+func (f *flakyBackend) Scan(ctx context.Context, fr Fragment) (Result, error) {
 	if f.failing.Load() {
 		return Result{}, fault.Permanent(errors.New("flaky: store offline"))
 	}
-	return f.Backend.Scan(fr)
+	return f.Backend.Scan(ctx, fr)
 }
 
 // TestBreakerOpensAndRecovers walks the full breaker state machine:
@@ -665,7 +665,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 		} {
 			n := 0
 			for {
-				_, err := ch.Scan(f)
+				_, err := ch.Scan(context.Background(), f)
 				if err == nil {
 					break
 				}
@@ -700,7 +700,8 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 // rule: a fragment planned as push=[units < 1e+06] project=[product] on
 // memory fails over to SQL, which cannot lex the literal. The predicate
 // stays federation-side, so the projection must too — pushing it would
-// drop the very column the residue filters on.
+// drop the very column the residue filters on. A keyword-named column,
+// projected or a group key, likewise stays federation-side on SQL.
 func TestFailoverProjectedResidue(t *testing.T) {
 	c := testCatalog()
 	root := &logical.Node{Op: logical.OpProject, Proj: []string{"product"},
@@ -722,20 +723,55 @@ func TestFailoverProjectedResidue(t *testing.T) {
 	if render(got) != render(want) || got.Len() != 48 {
 		t.Errorf("failover rows diverge from the healthy run's 48:\n%s\nvs\n%s", render(got), render(want))
 	}
+
+	// A keyword-named column has no dialect form, so sql must leave it to
+	// the residual, projected or grouped on, whether sql serves the scan
+	// alone or takes it over from a memory backend that is down.
+	kw := table.NewCatalog()
+	events := table.New("events", table.Schema{{Name: "region", Type: table.TypeString}, {Name: "min", Type: table.TypeInt}})
+	for i := 0; i < 40; i++ {
+		events.MustAppend([]table.Value{table.S([]string{"east", "west"}[i%2]), table.I(int64(i % 3))})
+	}
+	kw.Put(events)
+	scan := func() *logical.Node { return &logical.Node{Op: logical.OpScan, Table: "events"} }
+	for shape, root := range map[string]*logical.Node{
+		"project(min)": {Op: logical.OpProject, Proj: []string{"min"}, In: []*logical.Node{scan()}},
+		"group by min": {Op: logical.OpAggregate, GroupBy: []string{"min"},
+			Aggs: []table.Agg{{Func: table.AggCount, As: "n"}}, In: []*logical.Node{scan()}},
+	} {
+		opt := logical.Optimize(root, logical.CatalogStats(kw))
+		want, _, err := New(kw.Epoch, Options{Workers: 1}, NewMemory(kw)).ExecuteIR(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for setup, backends := range map[string][]Backend{
+			"sql alone":   {NewSQL(kw)},
+			"memory down": {NewChaos(NewMemory(kw), ChaosOptions{Down: true}), NewSQL(kw)},
+		} {
+			got, _, err := New(kw.Epoch, Options{Workers: 1}, backends...).ExecuteIR(opt)
+			if err != nil {
+				t.Errorf("%s, %s: %v", shape, setup, err)
+				continue
+			}
+			if render(got) != render(want) || got.Len() == 0 {
+				t.Errorf("%s, %s: rows diverge from memory's:\n%s\nvs\n%s", shape, setup, render(got), render(want))
+			}
+		}
+	}
 }
 
-// capBackend is a substitute store with a chosen capability mask and
-// predicate pushability over a full-capability inner backend, priced
-// out of planned routing so it only ever serves failover.
+// capBackend is a substitute store with chosen answers to the pushdown
+// questions over a full-capability inner backend, priced out of planned
+// routing so it only ever serves failover.
 type capBackend struct {
 	*Memory
-	caps     Caps
-	pushable bool
+	agg, project, pushable bool
 }
 
 func (cb capBackend) Name() string                    { return "substitute" }
-func (cb capBackend) Caps() Caps                      { return cb.caps }
 func (cb capBackend) CanPush(string, table.Pred) bool { return cb.pushable }
+func (cb capBackend) CanPushAgg(table.Agg) bool       { return cb.agg }
+func (cb capBackend) CanProject([]string) bool        { return cb.project }
 func (cb capBackend) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
 	est, ok := cb.Memory.Estimate(tbl, preds)
 	est.Cost = 1e9
@@ -766,6 +802,13 @@ func TestFailoverEqualsHealthyAcrossCapabilities(t *testing.T) {
 				Aggs: []table.Agg{{Func: table.AggSum, Col: "amount", As: "total"}},
 				In:   []*logical.Node{filterScan("events", pred)}}
 		},
+		// No group keys: a substitute that absorbs aggregates but no
+		// projection still takes this one.
+		"aggregated_global": func() *logical.Node {
+			return &logical.Node{Op: logical.OpAggregate,
+				Aggs: []table.Agg{{Func: table.AggSum, Col: "amount", As: "total"}},
+				In:   []*logical.Node{filterScan("events", pred)}}
+		},
 		"sliced": func() *logical.Node {
 			n := filterScan("events", pred)
 			n.In[0].RowStart, n.In[0].RowEnd = 100, 2*table.FragmentRows+9
@@ -773,32 +816,34 @@ func TestFailoverEqualsHealthyAcrossCapabilities(t *testing.T) {
 		},
 	}
 	healthy := New(c.Epoch, Options{Workers: 1}, NewMemory(c))
-	for _, caps := range []Caps{CapFilter, CapFilter | CapProject, CapFilter | CapAggregate, CapFilter | CapProject | CapAggregate} {
-		for _, pushable := range []bool{true, false} {
-			// Breaking disabled: every query must take the failover path,
-			// not get planned onto the substitute once memory's breaker opens.
-			down := New(c.Epoch, Options{Workers: 1, Breaker: BreakerConfig{FailThreshold: -1}},
-				NewChaos(NewMemory(c), ChaosOptions{Down: true}),
-				capBackend{Memory: NewMemory(c), caps: caps, pushable: pushable})
-			for name, shape := range shapes {
-				opt := logical.Optimize(shape(), logical.CatalogStats(c))
-				want, _, err := healthy.ExecuteIR(opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, run, err := down.ExecuteIR(opt)
-				if err != nil {
-					t.Errorf("%s caps=%s pushable=%v: %v", name, caps, pushable, err)
-					continue
-				}
-				if fr := run.Fragments[0]; fr.Backend != "memory" || fr.FailedOver != "substitute" {
-					t.Errorf("%s caps=%s pushable=%v: backend=%s failedOver=%q, want memory->substitute",
-						name, caps, pushable, fr.Backend, fr.FailedOver)
-				}
-				if render(got) != render(want) {
-					t.Errorf("%s caps=%s pushable=%v: failover rows diverge from healthy:\n%s\nvs\n%s",
-						name, caps, pushable, render(got), render(want))
-				}
+	for _, sub := range []capBackend{
+		{}, {project: true}, {agg: true}, {agg: true, project: true},
+		{pushable: true}, {project: true, pushable: true}, {agg: true, pushable: true}, {agg: true, project: true, pushable: true},
+	} {
+		sub.Memory = NewMemory(c)
+		label := fmt.Sprintf("agg=%v project=%v pushable=%v", sub.agg, sub.project, sub.pushable)
+		// Breaking disabled: every query must take the failover path,
+		// not get planned onto the substitute once memory's breaker opens.
+		down := New(c.Epoch, Options{Workers: 1, Breaker: BreakerConfig{FailThreshold: -1}},
+			NewChaos(NewMemory(c), ChaosOptions{Down: true}), sub)
+		for name, shape := range shapes {
+			opt := logical.Optimize(shape(), logical.CatalogStats(c))
+			want, _, err := healthy.ExecuteIR(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, run, err := down.ExecuteIR(opt)
+			if err != nil {
+				t.Errorf("%s %s: %v", name, label, err)
+				continue
+			}
+			if fr := run.Fragments[0]; fr.Backend != "memory" || fr.FailedOver != "substitute" {
+				t.Errorf("%s %s: backend=%s failedOver=%q, want memory->substitute",
+					name, label, fr.Backend, fr.FailedOver)
+			}
+			if render(got) != render(want) {
+				t.Errorf("%s %s: failover rows diverge from healthy:\n%s\nvs\n%s",
+					name, label, render(got), render(want))
 			}
 		}
 	}

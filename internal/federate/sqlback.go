@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sql"
@@ -39,21 +40,29 @@ func (s *SQL) Name() string { return "sql" }
 // Tables implements Backend.
 func (s *SQL) Tables() []string { return s.catalog.Names() }
 
-// Caps implements Backend: the dialect expresses filters, projections
-// and grouped aggregates.
-func (s *SQL) Caps() Caps { return CapFilter | CapProject | CapAggregate }
-
 // CanPush implements Backend: the predicate must survive the text
 // round-trip, so it is pushed exactly when sql.Format can write it (a
 // column reference that is not a keyword, a finite or non-float
 // literal, a single-line string). The rest stays in the residual.
 func (s *SQL) CanPush(_ string, p table.Pred) bool { return sql.CanWritePred(p) }
 
-// CanPushAgg implements AggPushable: the aggregate must survive the
+// CanPushAgg implements Backend: the aggregate must survive the
 // text round-trip (sql.CanWriteAgg), which restricts it to the five
 // dialect functions — not the routing pass's COUNT_MERGE — over "*" or
 // a column that is not a keyword.
 func (s *SQL) CanPushAgg(a table.Agg) bool { return sql.CanWriteAgg(a) }
+
+// CanProject implements Backend: every column must survive the text
+// round-trip (sql.CanWriteColumn), so a keyword-named column stays in
+// the residual, whether it is projected or a group key.
+func (s *SQL) CanProject(cols []string) bool {
+	for _, c := range cols {
+		if !sql.CanWriteColumn(c) {
+			return false
+		}
+	}
+	return true
+}
 
 // Estimate implements Backend: every scan reads the whole table; the
 // shared catalog statistics estimate the output. A table whose name
@@ -67,7 +76,7 @@ func (s *SQL) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
 	return estimateFromStats(s.catalog.StatsOf(tbl), t.Len(), preds, sqlFixed, sqlPerRow), true
 }
 
-// Zones implements ZoneMapped: the catalog's per-fragment zone maps.
+// Zones implements Backend: the catalog's per-fragment zone maps.
 func (s *SQL) Zones(tbl string) *table.Zones { return s.catalog.ZonesOf(tbl) }
 
 // Scan implements Backend: write, parse, execute. The statement
@@ -81,7 +90,7 @@ func (s *SQL) Zones(tbl string) *table.Zones { return s.catalog.ZonesOf(tbl) }
 // split across ranges (an aggregate of per-range aggregates is not the
 // aggregate of the union), so the ranged SELECTs carry only the filters
 // and the shared evaluator finishes the assembled rows.
-func (s *SQL) Scan(f Fragment) (Result, error) {
+func (s *SQL) Scan(_ context.Context, f Fragment) (Result, error) {
 	t, err := s.catalog.Get(f.Table)
 	if err != nil {
 		return Result{}, err
@@ -113,10 +122,7 @@ func (s *SQL) Scan(f Fragment) (Result, error) {
 
 // exec writes the fragment as one SELECT, optionally restricted to a
 // physical row range via the dialect's ROWS a TO b clause, and
-// round-trips it through the dialect as text. A fragment the dialect
-// cannot write that no capability check keeps from this backend — a
-// projection of a keyword-named column — fails here with
-// sql.ErrUnsupported, and failover takes the scan elsewhere.
+// round-trips it through the dialect as text.
 func (s *SQL) exec(f Fragment, r *table.RowRange) (*table.Table, error) {
 	stmt := &sql.Stmt{From: f.Table, Wheres: f.Preds, Items: sql.Items(f.Columns, nil)}
 	if len(f.Aggs) > 0 {

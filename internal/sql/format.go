@@ -102,7 +102,7 @@ func Items(cols []string, aggs []table.Agg) []SelectItem {
 // CanWritePred reports, without allocating, whether Format can write p
 // as a WHERE conjunct.
 func CanWritePred(p table.Pred) bool {
-	if !isColumnRef(p.Col) || p.Op < table.OpEq || p.Op > table.OpContains {
+	if !CanWriteColumn(p.Col) || p.Op < table.OpEq || p.Op > table.OpContains {
 		return false
 	}
 	switch v := p.Val; {
@@ -119,7 +119,7 @@ func CanWritePred(p table.Pred) bool {
 // CanWriteAgg reports whether Format can write the select item Items
 // makes of a: one of the five dialect functions over "*" or a column.
 func CanWriteAgg(a table.Agg) bool {
-	return isAggFunc(a.Func) && (a.Col == "" || isColumnRef(a.Col)) && CanWriteName(a.OutName())
+	return isAggFunc(a.Func) && (a.Col == "" || CanWriteColumn(a.Col)) && CanWriteName(a.OutName())
 }
 
 // CanWriteName reports whether Format can write name as a table name
@@ -136,7 +136,9 @@ func CanWriteName(name string) bool {
 	return !isKeyword(name)
 }
 
-func isColumnRef(ref string) bool {
+// CanWriteColumn reports whether Format can write ref as a column: a
+// name, or a name qualified by one ("t.col").
+func CanWriteColumn(ref string) bool {
 	if i := strings.IndexByte(ref, '.'); i >= 0 {
 		return CanWriteName(ref[:i]) && CanWriteName(ref[i+1:])
 	}
@@ -168,7 +170,7 @@ func (w *writer) name(s string) {
 }
 
 func (w *writer) column(s string) {
-	if !isColumnRef(s) {
+	if !CanWriteColumn(s) {
 		w.fail("the column %q", s)
 	}
 	w.WriteString(s)

@@ -115,7 +115,7 @@ func TestLoadCorruptCatalog(t *testing.T) {
 type blipBackend struct{ staticBackend }
 
 func (blipBackend) Name() string { return "blip" }
-func (blipBackend) Scan(federate.Fragment) (federate.Result, error) {
+func (blipBackend) Scan(context.Context, federate.Fragment) (federate.Result, error) {
 	return federate.Result{}, fault.Transient(errors.New("blip: try again"))
 }
 

@@ -307,7 +307,10 @@ func (s *System) hybridOptions() core.HybridOptions {
 // backend registered before Build attaches during Build; after Build
 // it joins the live system immediately (cached plans and answers are
 // invalidated). Registering a backend with an existing name replaces
-// it.
+// it. The backend implements every method of federate.Backend: the
+// planner asks it one pushdown question per operator and for its zone
+// maps (nil for none), and its Scan must read only the fragment's
+// Ranges when they are set — a SQL ROWS slice arrives that way.
 func (s *System) RegisterBackend(b federate.Backend) {
 	if !s.built {
 		s.backends = append(s.backends, b)
