@@ -26,6 +26,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/index"
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/retrieval"
 	"repro/internal/semop"
 	"repro/internal/slm"
@@ -700,7 +701,7 @@ func benchScanned(b *testing.B, fed *federate.Executor, opt *logical.Optimized, 
 func BenchmarkFederatedFilteredAggregate(b *testing.B) {
 	h, plan := filteredAggPlan(b)
 	opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(h.Catalog()))
-	want, err := semop.Exec(plan, h.Catalog())
+	want, err := refeval.Eval(semop.Compile(plan), h.Catalog())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -735,7 +736,7 @@ func joinAggPlan(tb testing.TB) (*core.Hybrid, *semop.Plan) {
 func BenchmarkFederatedJoinAggregate(b *testing.B) {
 	h, plan := joinAggPlan(b)
 	opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(h.Catalog()))
-	want, err := semop.Exec(plan, h.Catalog())
+	want, err := refeval.Eval(semop.Compile(plan), h.Catalog())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -770,7 +771,15 @@ func prunedAggPlan(tb testing.TB) (*core.Hybrid, *logical.Optimized) {
 // (asserted by TestExactGates).
 func BenchmarkPrunedFilteredAggregate(b *testing.B) {
 	h, opt := prunedAggPlan(b)
-	want, err := sql.Exec(h.Catalog(), prunedQuery) // unpruned reference
+	stmt, err := sql.Parse(prunedQuery)
+	if err != nil {
+		b.Fatal(err)
+	}
+	node, err := sql.Compile(stmt, h.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, err := refeval.Eval(node, h.Catalog()) // unpruned reference
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/federate"
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/semop"
 	"repro/internal/slm"
 	"repro/internal/workload"
@@ -87,11 +88,11 @@ func TestChaosParityAcrossCorpora(t *testing.T) {
 								continue
 							}
 							bound++
-							want, wantErr := semop.Exec(plan, cat)
+							want, wantErr := reference(plan, cat)
 							got, _, err := h.Federation().ExecuteIR(logical.Optimize(semop.Compile(plan), logical.CatalogStats(cat)))
 							if wantErr != nil {
 								if err == nil {
-									t.Errorf("%q (workers=%d): fault-free executor errored (%v) but chaos run succeeded",
+									t.Errorf("%q (workers=%d): the reference errored (%v) but the chaos run succeeded",
 										q.Text, workers, wantErr)
 								}
 								continue
@@ -100,9 +101,9 @@ func TestChaosParityAcrossCorpora(t *testing.T) {
 								t.Errorf("%q (workers=%d): chaos run: %v", q.Text, workers, err)
 								continue
 							}
-							if renderTable(got) != renderTable(want) {
+							if refeval.Render(got) != refeval.Render(want) {
 								t.Errorf("%q (workers=%d): result diverged under %s faults:\n%s\nvs\n%s",
-									q.Text, workers, sc.name, renderTable(got), renderTable(want))
+									q.Text, workers, sc.name, refeval.Render(got), refeval.Render(want))
 							}
 						}
 						if bound == 0 {

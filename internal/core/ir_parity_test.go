@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/semop"
 	"repro/internal/slm"
 	"repro/internal/sql"
@@ -14,122 +12,60 @@ import (
 	"repro/internal/workload"
 )
 
-// legacyExec is a frozen copy of the pre-IR semop executor (the
-// hand-coded interpreter the logical-plan refactor deleted). It is the
-// reference the parity tests hold the unified paths to: every plan the
-// binder produces must execute bit-identically through the IR
-// pipeline, the federated planner, and this snapshot.
-func legacyExec(p *semop.Plan, c *table.Catalog) (*table.Table, error) {
-	tbl, err := c.Get(p.Table)
-	if err != nil {
-		return nil, err
+// lowerPlan is a frozen hand-lowering of a bound plan into a plan tree,
+// written from what the plan means rather than from semop.Compile: the
+// driving table semi-joined with the distinct join keys of the filtered
+// joined table, then either the comparison or filter, aggregate, sort,
+// limit and projection. The reference evaluator runs it, so the check
+// of Compile stays independent of Compile.
+func lowerPlan(p *semop.Plan) *logical.Node {
+	above := func(n, in *logical.Node) *logical.Node {
+		n.In = []*logical.Node{in}
+		return n
 	}
-	cur := tbl
-
+	n := &logical.Node{Op: logical.OpScan, Table: p.Table}
 	if p.JoinTable != "" {
-		other, err := c.Get(p.JoinTable)
-		if err != nil {
-			return nil, err
-		}
-		filtered := other
+		keys := &logical.Node{Op: logical.OpScan, Table: p.JoinTable}
 		if len(p.JoinFilters) > 0 {
-			filtered, err = table.Filter(other, p.JoinFilters...)
-			if err != nil {
-				return nil, err
-			}
+			keys = above(&logical.Node{Op: logical.OpFilter, Preds: p.JoinFilters}, keys)
 		}
-		keys, err := table.Project(filtered, p.JoinRightCol)
-		if err != nil {
-			return nil, err
-		}
-		keys = table.Distinct(keys)
-		cur, err = table.HashJoin(cur, keys, p.JoinLeftCol, p.JoinRightCol)
-		if err != nil {
-			return nil, err
-		}
+		keys = above(&logical.Node{Op: logical.OpDistinct},
+			above(&logical.Node{Op: logical.OpProject, Proj: []string{p.JoinRightCol}}, keys))
+		n = &logical.Node{Op: logical.OpJoin, LeftCol: p.JoinLeftCol, RightCol: p.JoinRightCol,
+			In: []*logical.Node{n, keys}}
 	}
-
 	if len(p.Comparison) > 0 && p.CompareCol != "" {
-		return legacyCompare(p, cur, p.Filters)
+		return above(&logical.Node{Op: logical.OpCompare, CompareCol: p.CompareCol,
+			Items: p.Comparison, Preds: p.Filters, Aggs: p.Aggs}, n)
 	}
-
 	if len(p.Filters) > 0 {
-		cur, err = table.Filter(cur, p.Filters...)
-		if err != nil {
-			return nil, err
-		}
+		n = above(&logical.Node{Op: logical.OpFilter, Preds: p.Filters}, n)
 	}
 	if len(p.Aggs) > 0 {
-		cur, err = table.Aggregate(cur, p.GroupBy, p.Aggs)
-		if err != nil {
-			return nil, err
-		}
+		n = above(&logical.Node{Op: logical.OpAggregate, GroupBy: p.GroupBy, Aggs: p.Aggs}, n)
 	}
 	if len(p.OrderBy) > 0 {
-		cur, err = table.Sort(cur, p.OrderBy...)
-		if err != nil {
-			return nil, err
-		}
+		n = above(&logical.Node{Op: logical.OpSort, Keys: p.OrderBy}, n)
 	}
 	if p.LimitRows > 0 {
-		cur = table.Limit(cur, p.LimitRows)
+		n = above(&logical.Node{Op: logical.OpLimit, N: p.LimitRows}, n)
 	}
 	if len(p.Columns) > 0 {
-		cur, err = table.Project(cur, p.Columns...)
-		if err != nil {
-			return nil, err
-		}
+		n = above(&logical.Node{Op: logical.OpProject, Proj: p.Columns}, n)
 	}
-	return cur, nil
+	return n
 }
 
-func legacyCompare(p *semop.Plan, tbl *table.Table, preds []table.Pred) (*table.Table, error) {
-	var out *table.Table
-	items := append([]string(nil), p.Comparison...)
-	sort.Strings(items)
-	for _, item := range items {
-		preds := append(append([]table.Pred(nil), preds...),
-			table.Pred{Col: p.CompareCol, Op: table.OpContains, Val: table.S(item)})
-		filtered, err := table.Filter(tbl, preds...)
-		if err != nil {
-			return nil, err
-		}
-		agged, err := table.Aggregate(filtered, []string{p.CompareCol}, p.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = table.New("comparison", agged.Schema)
-		}
-		out.Rows = append(out.Rows, agged.Rows...)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("comparison with no items")
-	}
-	return out, nil
-}
-
-// renderTable flattens a result to an exact comparable string: schema
-// names and every cell's kind, nullness and text, so "bit-identical"
-// means identical schema, row order and cells (−0 and +0, or int 2 and
-// float 2, render apart; Value.Key would merge them).
-func renderTable(t *table.Table) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Schema.Names(), ","))
-	for _, row := range t.Rows {
-		b.WriteByte('\n')
-		for _, v := range row {
-			fmt.Fprintf(&b, "%v:%v:%s|", v.Kind(), v.IsNull(), v)
-		}
-	}
-	return b.String()
+// reference is the reference evaluator's answer to a bound plan.
+func reference(p *semop.Plan, c *table.Catalog) (*table.Table, error) {
+	return refeval.Eval(lowerPlan(p), c)
 }
 
 // TestIRMatchesLegacyExecutor binds every workload question across two
-// domains and asserts the three unified paths — single-store IR
-// execution (semop.Exec), optimized IR execution, and the federated
-// planner — all produce tables bit-identical to the frozen pre-IR
-// interpreter.
+// domains and asserts the unified paths — single-store IR execution
+// (semop.Exec) and the federated planner over the optimized plan — both
+// produce tables bit-identical to the reference evaluator's answer to
+// the plan's frozen hand-lowering (lowerPlan).
 func TestIRMatchesLegacyExecutor(t *testing.T) {
 	corpora := map[string]*workload.Corpus{
 		"ecommerce":  workload.ECommerce(workload.DefaultECommerceOptions()),
@@ -151,12 +87,12 @@ func TestIRMatchesLegacyExecutor(t *testing.T) {
 					continue
 				}
 				bound++
-				want, err := legacyExec(plan, cat)
+				want, err := reference(plan, cat)
 				if err != nil {
-					// The legacy path could not execute this plan either
-					// way; the IR path must fail too, not fabricate rows.
+					// The reference cannot answer this plan; the IR path
+					// must fail too, not fabricate rows.
 					if _, irErr := semop.Exec(plan, cat); irErr == nil {
-						t.Errorf("%q: legacy errored (%v) but IR succeeded", q.Text, err)
+						t.Errorf("%q: the reference errored (%v) but IR succeeded", q.Text, err)
 					}
 					continue
 				}
@@ -165,24 +101,24 @@ func TestIRMatchesLegacyExecutor(t *testing.T) {
 					t.Errorf("%q: IR exec: %v", q.Text, err)
 					continue
 				}
-				if renderTable(got) != renderTable(want) {
-					t.Errorf("%q: IR result diverges from legacy:\n%s\nvs\n%s",
-						q.Text, renderTable(got), renderTable(want))
+				if refeval.Render(got) != refeval.Render(want) {
+					t.Errorf("%q: IR result diverges from the reference:\n%s\nvs\n%s",
+						q.Text, refeval.Render(got), refeval.Render(want))
 				}
 				fed, _, err := h.Federation().ExecuteIR(logical.Optimize(semop.Compile(plan), logical.CatalogStats(cat)))
 				if err != nil {
 					t.Errorf("%q: federated exec: %v", q.Text, err)
 					continue
 				}
-				if renderTable(fed) != renderTable(want) {
-					t.Errorf("%q: federated result diverges from legacy:\n%s\nvs\n%s",
-						q.Text, renderTable(fed), renderTable(want))
+				if refeval.Render(fed) != refeval.Render(want) {
+					t.Errorf("%q: federated result diverges from the reference:\n%s\nvs\n%s",
+						q.Text, refeval.Render(fed), refeval.Render(want))
 				}
 			}
 			if bound == 0 {
 				t.Fatal("no workload question bound — parity test vacuous")
 			}
-			t.Logf("%s: %d questions verified against the legacy interpreter", domain, bound)
+			t.Logf("%s: %d questions verified against the reference evaluator", domain, bound)
 		})
 	}
 }
@@ -245,9 +181,9 @@ func TestNLAndSQLShareOnePhysicalPlan(t *testing.T) {
 				t.Errorf("SQL entry did not reuse the NL physical plan: hits %d -> %d, size %d -> %d",
 					hits0, hits1, size0, size1)
 			}
-			if renderTable(sqlRes.Table) != renderTable(nlRes) {
+			if refeval.Render(sqlRes.Table) != refeval.Render(nlRes) {
 				t.Errorf("NL and SQL results differ:\n%s\nvs\n%s",
-					renderTable(sqlRes.Table), renderTable(nlRes))
+					refeval.Render(sqlRes.Table), refeval.Render(nlRes))
 			}
 		})
 	}

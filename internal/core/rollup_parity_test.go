@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/semop"
 	"repro/internal/slm"
 	"repro/internal/table"
@@ -48,21 +50,22 @@ func domainRollups(domain string) []table.RollupDef {
 	return nil
 }
 
-// hiddenRollupStats wraps catalog stats while hiding the RollupStats
-// extension, producing the unrouted plan for the same catalog.
+// hiddenRollupStats wraps catalog stats while listing no rollups,
+// producing the unrouted plan for the same catalog.
 type hiddenRollupStats struct{ s logical.Stats }
 
 func (h hiddenRollupStats) Schema(tbl string) (table.Schema, bool)  { return h.s.Schema(tbl) }
 func (h hiddenRollupStats) Card(tbl string) (int, bool)             { return h.s.Card(tbl) }
 func (h hiddenRollupStats) TableStats(tbl string) *table.TableStats { return h.s.TableStats(tbl) }
+func (hiddenRollupStats) RollupsFor(string) []table.RollupDef       { return nil }
 
-// TestRollupRoutingParityAcrossCorpus holds routed aggregate plans to
-// bit-identity with their unrouted versions over every bound workload
-// question in both domains: same catalog, one optimization with the
-// rollup registry visible and one with it hidden, results compared
-// cell-for-cell through the row executor and the vectorized executor at
-// 1, 2 and 8 workers. Routing must be invisible in results at any
-// parallelism.
+// TestRollupRoutingParityAcrossCorpus holds routed aggregate plans and
+// their unrouted versions to the reference evaluator over every bound
+// workload question in both domains: same catalog, one optimization with
+// the rollup registry visible and one with it hidden, results compared
+// cell-for-cell with the reference's through the row executor and, for
+// the routed plan, the vectorized executor at 1, 2 and 8 workers.
+// Routing must be invisible in results at any parallelism.
 func TestRollupRoutingParityAcrossCorpus(t *testing.T) {
 	corpora := map[string]*workload.Corpus{
 		"ecommerce":  workload.ECommerce(workload.DefaultECommerceOptions()),
@@ -95,30 +98,23 @@ func TestRollupRoutingParityAcrossCorpus(t *testing.T) {
 				if len(opt.Rollups) > 0 {
 					routed++
 				}
-				want, wantErr := logical.Exec(plain.Root, cat)
-				got, gotErr := logical.Exec(opt.Root, cat)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Errorf("%q: routed/unrouted error mismatch: %v vs %v", q.Text, gotErr, wantErr)
-					continue
+				want, wantErr := reference(plan, cat)
+				check := func(label string, got *table.Table, err error) {
+					switch {
+					case (err == nil) != (wantErr == nil):
+						t.Errorf("%q (%s): error %v, the reference's %v", q.Text, label, err, wantErr)
+					case err == nil && refeval.Render(got) != refeval.Render(want):
+						t.Errorf("%q (%s, rollups %v): result diverges from the reference:\n%s\nvs\n%s",
+							q.Text, label, opt.Rollups, refeval.Render(got), refeval.Render(want))
+					}
 				}
-				if wantErr != nil {
-					continue
-				}
-				if renderTable(got) != renderTable(want) {
-					t.Errorf("%q: routed result diverges from unrouted (%v):\n%s\nvs\n%s",
-						q.Text, opt.Rollups, renderTable(got), renderTable(want))
-					continue
-				}
+				got, err := logical.Exec(plain.Root, cat)
+				check("unrouted", got, err)
+				got, err = logical.Exec(opt.Root, cat)
+				check("routed", got, err)
 				for _, workers := range []int{1, 2, 8} {
-					vec, err := logical.ExecVec(opt.Root, cat, workers)
-					if err != nil {
-						t.Errorf("%q (workers=%d): vectorized routed exec: %v", q.Text, workers, err)
-						continue
-					}
-					if renderTable(vec) != renderTable(want) {
-						t.Errorf("%q (workers=%d): vectorized routed result diverges:\n%s\nvs\n%s",
-							q.Text, workers, renderTable(vec), renderTable(want))
-					}
+					got, err := logical.ExecVec(opt.Root, cat, workers)
+					check(fmt.Sprintf("routed, vectorized, workers=%d", workers), got, err)
 				}
 			}
 			if bound == 0 {
@@ -235,22 +231,16 @@ func TestRollupIngestInvalidatesRoutedPlan(t *testing.T) {
 	}
 	// The routed answer must equal the unrouted aggregation of the
 	// post-ingest base rows, bit for bit.
-	cat := h.Catalog()
-	base, err := cat.Get("ratings")
+	fresh, err := refeval.Eval(&logical.Node{Op: logical.OpAggregate, GroupBy: []string{"product"},
+		Aggs: []table.Agg{{Func: table.AggSum, Col: "stars", As: "total"}, {Func: table.AggCount, Col: "", As: "n"}},
+		In: []*logical.Node{{Op: logical.OpFilter,
+			Preds: []table.Pred{{Col: "product", Op: table.OpEq, Val: table.S("Product Alpha")}},
+			In:    []*logical.Node{{Op: logical.OpScan, Table: "ratings"}}}}}, h.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := table.Filter(base, table.Pred{Col: "product", Op: table.OpEq, Val: table.S("Product Alpha")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := table.Aggregate(filtered, []string{"product"},
-		[]table.Agg{{Func: table.AggSum, Col: "stars", As: "total"}, {Func: table.AggCount, Col: "", As: "n"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderTable(after.Table) != renderTable(fresh) {
+	if refeval.Render(after.Table) != refeval.Render(fresh) {
 		t.Fatalf("routed result diverges from fresh aggregation:\n%s\nvs\n%s",
-			renderTable(after.Table), renderTable(fresh))
+			refeval.Render(after.Table), refeval.Render(fresh))
 	}
 }

@@ -1,21 +1,25 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/semop"
 	"repro/internal/slm"
+	"repro/internal/table"
 	"repro/internal/workload"
 )
 
-// TestVectorizedMatchesRowExecutor holds the vectorized executor to
-// bit-identity with the row interpreter on every bound workload
-// question across both domains: for each optimized plan, ExecVec must
-// return a table identical in schema, row order and cell values to
-// logical.Exec — at one worker and at several, since output order
-// must not depend on parallelism. Every bound plan is checked: there
-// is no dispatch gate a plan could be skipped behind.
+// TestVectorizedMatchesRowExecutor holds both executors to the
+// reference evaluator on every bound workload question across both
+// domains: for each optimized plan, logical.Exec and ExecVec — at one
+// worker and at several, since output order must not depend on
+// parallelism — must return a table identical in schema, row order and
+// cell values to the reference's answer, or fail where it fails. Every
+// bound plan is checked: there is no dispatch gate a plan could be
+// skipped behind.
 func TestVectorizedMatchesRowExecutor(t *testing.T) {
 	corpora := map[string]*workload.Corpus{
 		"ecommerce":  workload.ECommerce(workload.DefaultECommerceOptions()),
@@ -38,24 +42,21 @@ func TestVectorizedMatchesRowExecutor(t *testing.T) {
 				}
 				bound++
 				opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(cat))
-				want, wantErr := logical.Exec(opt.Root, cat)
+				want, wantErr := reference(plan, cat)
+				check := func(label string, got *table.Table, err error) {
+					switch {
+					case (err == nil) != (wantErr == nil):
+						t.Errorf("%q (%s): error %v, the reference's %v", q.Text, label, err, wantErr)
+					case err == nil && refeval.Render(got) != refeval.Render(want):
+						t.Errorf("%q (%s): result diverges from the reference:\n%s\nvs\n%s",
+							q.Text, label, refeval.Render(got), refeval.Render(want))
+					}
+				}
+				got, err := logical.Exec(opt.Root, cat)
+				check("row interpreter", got, err)
 				for _, workers := range []int{1, 2, 8} {
 					got, err := logical.ExecVec(opt.Root, cat, workers)
-					if wantErr != nil {
-						if err == nil {
-							t.Errorf("%q (workers=%d): row executor errored (%v) but vectorized succeeded",
-								q.Text, workers, wantErr)
-						}
-						continue
-					}
-					if err != nil {
-						t.Errorf("%q (workers=%d): vectorized exec: %v", q.Text, workers, err)
-						continue
-					}
-					if renderTable(got) != renderTable(want) {
-						t.Errorf("%q (workers=%d): vectorized result diverges from row executor:\n%s\nvs\n%s",
-							q.Text, workers, renderTable(got), renderTable(want))
-					}
+					check(fmt.Sprintf("vectorized, workers=%d", workers), got, err)
 				}
 			}
 			if bound == 0 {

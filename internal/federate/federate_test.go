@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/semop"
 	"repro/internal/table"
 )
@@ -114,7 +115,8 @@ func TestMemoryIndexScanMatchesFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := table.Filter(tbl, preds...)
+	want, err := refeval.Eval(&logical.Node{Op: logical.OpFilter, Preds: preds,
+		In: []*logical.Node{{Op: logical.OpScan, Table: "sales"}}}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +192,9 @@ func TestExecuteMatchesSemopExec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: execute: %v", name, err)
 		}
-		want, err := semop.Exec(p, c)
+		want, err := refeval.Eval(semop.Compile(p), c)
 		if err != nil {
-			t.Fatalf("%s: semop exec: %v", name, err)
+			t.Fatalf("%s: reference: %v", name, err)
 		}
 		if render(got) != render(want) {
 			t.Errorf("%s: federated result diverges:\n%s\nvs\n%s", name, render(got), render(want))
@@ -567,7 +569,7 @@ func TestExecuteIRWithoutStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := semop.Exec(p, c)
+	want, err := refeval.Eval(semop.Compile(p), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/table"
 )
 
@@ -42,43 +43,39 @@ func fragsOf(t *table.Table) *table.Frags {
 	return c.FragsOf(t.Name)
 }
 
-// filterRanges is table.Filter over the rows inside the given ascending,
-// disjoint ranges only, with the count of rows that meant visiting.
-func filterRanges(t *table.Table, ranges []table.RowRange, preds ...table.Pred) (*table.Table, int, error) {
-	out := table.New(t.Name, t.Schema)
-	for _, r := range ranges {
-		end := min(r.End, t.Len())
-		if r.Start >= end {
-			continue
+// rangedCatalog holds, under t's name, the rows of t inside the
+// ascending, disjoint ranges (all of t when ranges is nil), and counts
+// the rows the ranges cover.
+func rangedCatalog(t *table.Table, ranges []table.RowRange) (*table.Catalog, int) {
+	in := table.New(t.Name, t.Schema)
+	in.Rows = t.Rows
+	if ranges != nil {
+		in.Rows = nil
+		for _, r := range ranges {
+			if end := min(r.End, t.Len()); r.Start < end {
+				in.Rows = append(in.Rows, t.Rows[r.Start:end]...)
+			}
 		}
-		part := table.New(t.Name, t.Schema)
-		part.Rows = t.Rows[r.Start:end]
-		kept, err := table.Filter(part, preds...)
-		if err != nil {
-			return nil, 0, err
-		}
-		out.Rows = append(out.Rows, kept.Rows...)
 	}
-	return out, table.RowsVisited(ranges, t.Len()), nil
+	c := table.NewCatalog()
+	c.Put(in)
+	return c, in.Len()
 }
 
-// rowFragment is the fragment contract spelled with the row kernels
-// alone — the reference every other evaluation must equal.
-func rowFragment(t *table.Table, f Fragment) (*table.Table, int, error) {
-	scanned := t.Len()
-	var err error
-	if f.Ranges != nil {
-		t, scanned, err = filterRanges(t, f.Ranges, f.Preds...)
-	} else {
-		t, err = table.Filter(t, f.Preds...)
+// fragmentTree is the fragment contract as a plan over its table: the
+// predicates, then the aggregate, then the projection.
+func fragmentTree(f Fragment) *logical.Node {
+	n := &logical.Node{Op: logical.OpScan, Table: f.Table}
+	if len(f.Preds) > 0 {
+		n = &logical.Node{Op: logical.OpFilter, Preds: f.Preds, In: []*logical.Node{n}}
 	}
-	if err == nil && len(f.Aggs) > 0 {
-		t, err = table.Aggregate(t, f.GroupBy, f.Aggs)
+	if len(f.Aggs) > 0 {
+		n = &logical.Node{Op: logical.OpAggregate, GroupBy: f.GroupBy, Aggs: f.Aggs, In: []*logical.Node{n}}
 	}
-	if err == nil && len(f.Columns) > 0 {
-		t, err = table.Project(t, f.Columns...)
+	if len(f.Columns) > 0 {
+		n = &logical.Node{Op: logical.OpProject, Proj: f.Columns, In: []*logical.Node{n}}
 	}
-	return t, scanned, err
+	return n
 }
 
 // stagedFragment is the composition the evaluator used before the
@@ -105,9 +102,10 @@ func stagedFragment(t *table.Table, fr *table.Frags, f Fragment) (*table.Table, 
 
 // TestFragmentPipelineMatchesRowKernels crosses every fragment shape
 // with sizes around the fragment boundary: evaluate (with and without
-// cached fragments — one pipeline either way), the stage-by-stage
-// vectorized composition and the row-kernel reference agree on rows,
-// schema, Scanned and error.
+// cached fragments — one pipeline either way) and the stage-by-stage
+// vectorized composition agree with the reference evaluator on rows,
+// schema and error outcome, with each other on the error text, and
+// evaluate counts as Scanned the rows the ranges cover.
 func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 	type agg struct {
 		groupBy []string
@@ -139,6 +137,7 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 			"some": {{Start: 3, End: 40}, {Start: 200, End: n - 1}, {Start: n - 1, End: n + 500}, {Start: n + 9, End: n + 2}},
 		}
 		for rname, ranges := range rangeShapes {
+			ref, wantScanned := rangedCatalog(tb, ranges)
 			for pname, preds := range predShapes {
 				for aname, a := range aggShapes {
 					for _, project := range []bool{false, true} {
@@ -147,19 +146,20 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 							f.Columns = a.cols
 						}
 						label := fmt.Sprintf("n=%d ranges=%s preds=%s agg=%s project=%v", n, rname, pname, aname, project)
-						want, wantScanned, wantErr := rowFragment(tb, f)
+						want, wantErr := refeval.Eval(fragmentTree(f), ref)
+						staged, stagedErr := stagedFragment(tb, cached, f)
 
 						for _, fr := range []*table.Frags{nil, cached} {
 							res, err := evaluate(tb, fr, f, false)
-							if !sameOutcome(t, label+" evaluate", err, wantErr) || err != nil {
+							if !sameOutcome(t, label+" evaluate", err, wantErr, stagedErr) || err != nil {
 								continue
 							}
 							got := rowsOf(t, res)
 							if render(got) != render(want) || fmt.Sprint(got.Schema) != fmt.Sprint(want.Schema) {
-								t.Errorf("%s cached=%v: rows diverge from the row kernels:\n%s\nvs\n%s", label, fr != nil, render(got), render(want))
+								t.Errorf("%s cached=%v: rows diverge from the reference:\n%s\nvs\n%s", label, fr != nil, render(got), render(want))
 							}
 							if res.Scanned != wantScanned {
-								t.Errorf("%s cached=%v: scanned %d, row kernels %d", label, fr != nil, res.Scanned, wantScanned)
+								t.Errorf("%s cached=%v: scanned %d, the ranges cover %d", label, fr != nil, res.Scanned, wantScanned)
 							}
 							passThrough := ranges == nil && preds == nil && a.aggs == nil
 							if (res.Frags != nil) != (passThrough && fr != nil && res.Table == tb) {
@@ -170,8 +170,7 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 							}
 						}
 
-						staged, err := stagedFragment(tb, cached, f)
-						if sameOutcome(t, label+" staged", err, wantErr) && err == nil && render(staged) != render(want) {
+						if sameOutcome(t, label+" staged", stagedErr, wantErr, stagedErr) && stagedErr == nil && render(staged) != render(want) {
 							t.Errorf("%s: staged composition diverges:\n%s\nvs\n%s", label, render(staged), render(want))
 						}
 					}
@@ -181,12 +180,12 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 	}
 }
 
-// sameOutcome reports (and fails on a mismatch) whether two error
-// outcomes are the same error text or both nil.
-func sameOutcome(t *testing.T, label string, got, want error) bool {
+// sameOutcome reports (and fails on a mismatch) whether got fails
+// exactly when the reference does, with the staged composition's text.
+func sameOutcome(t *testing.T, label string, got, ref, staged error) bool {
 	t.Helper()
-	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
-		t.Errorf("%s: error %v, row kernels %v", label, got, want)
+	if (got == nil) != (ref == nil) || (got != nil && (staged == nil || got.Error() != staged.Error())) {
+		t.Errorf("%s: error %v, the reference's %v, the staged composition's %v", label, got, ref, staged)
 		return false
 	}
 	return true
@@ -259,15 +258,15 @@ func TestBoundaryContractThirdPartyBackend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: eager backend: %v", name, err)
 		}
-		ref, err := logical.Exec(opt.Root, c)
+		ref, err := refeval.Eval(root, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if render(want) != render(ref) {
-			t.Errorf("%s: memory backend diverges from the row interpreter:\n%s\nvs\n%s", name, render(want), render(ref))
+			t.Errorf("%s: memory backend diverges from the reference:\n%s\nvs\n%s", name, render(want), render(ref))
 		}
 		if render(got) != render(ref) {
-			t.Errorf("%s: eager backend diverges from the row interpreter:\n%s\nvs\n%s", name, render(got), render(ref))
+			t.Errorf("%s: eager backend diverges from the reference:\n%s\nvs\n%s", name, render(got), render(ref))
 		}
 		if g, w := strings.ReplaceAll(Explain(gotRun), "backend=eager", "backend=memory"), Explain(wantRun); g != w {
 			t.Errorf("%s: EXPLAIN differs beyond the backend name:\n%s\nvs\n%s", name, g, w)

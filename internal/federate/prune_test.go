@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/semop"
 	"repro/internal/slm"
 	"repro/internal/table"
@@ -36,8 +37,9 @@ func prunableCatalog(rows int) *table.Catalog {
 	return c
 }
 
-// runPruned executes the tree federated (pruned) and against the bare
-// catalog (the unpruned reference) and asserts bit-identical results.
+// runPruned executes the tree federated (pruned) and through the
+// reference evaluator over the bare catalog and asserts identical
+// results.
 func runPruned(t *testing.T, e *Executor, c *table.Catalog, root *logical.Node) *Run {
 	t.Helper()
 	opt := logical.Optimize(root, logical.CatalogStats(c))
@@ -45,7 +47,7 @@ func runPruned(t *testing.T, e *Executor, c *table.Catalog, root *logical.Node) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := logical.Exec(opt.Root, c)
+	want, err := refeval.Eval(root, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestZonePruneWithEqualityIndex(t *testing.T) {
 // TestSQLBackendFragmentRangedSelects routes a pruned scan to the SQL
 // backend, which must express the surviving fragments as ranged
 // SELECT text (ROWS a TO b) — including the locally-reassembled
-// aggregate — and still match the unpruned reference bit-exactly.
+// aggregate — and still match the reference evaluator bit-exactly.
 func TestSQLBackendFragmentRangedSelects(t *testing.T) {
 	rows := 3*table.FragmentRows + 50
 	c := prunableCatalog(rows)
@@ -317,9 +319,9 @@ func TestPrunedExecutionMatchesUnprunedWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %q: %v", c.Name, q.Text, err)
 			}
-			want, err := semop.Exec(plan, cat)
+			want, err := refeval.Eval(semop.Compile(plan), cat)
 			if err != nil {
-				t.Fatalf("%s: %q: unpruned reference: %v", c.Name, q.Text, err)
+				t.Fatalf("%s: %q: reference: %v", c.Name, q.Text, err)
 			}
 			if render(got) != render(want) {
 				t.Errorf("%s: %q: pruned execution diverges:\n%s\nvs\n%s", c.Name, q.Text, render(got), render(want))

@@ -6,16 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/logical/refeval"
 	"repro/internal/semop"
 )
 
 // FuzzFaultSchedule fuzzes the chaos fault schedule — seed, transient
 // budget, which backends are fully down, worker count — against the
 // resilience invariants: whenever at least one backend survives, every
-// plan shape must return results bit-identical to the fault-free
-// single-store execution; and whatever happens (including total
-// outage), two identical systems under the same schedule must behave
-// identically.
+// plan shape must return results bit-identical to the reference
+// evaluator's; and whatever happens (including total outage), two
+// identical systems under the same schedule must behave identically.
 func FuzzFaultSchedule(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(0), uint8(1))
 	f.Add(uint64(42), uint8(3), uint8(1), uint8(2))
@@ -76,7 +76,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		}
 		// At least one backend survives per table: parity must hold.
 		for i, name := range names {
-			want, err := semop.Exec(plans[name], c)
+			want, err := refeval.Eval(semop.Compile(plans[name]), c)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/metrics"
 	"repro/internal/semop"
 	"repro/internal/table"
@@ -54,8 +55,8 @@ func resilienceTestPlans() map[string]*semop.Plan {
 
 // TestTransientFaultsRetryToParity injects seeded transient failures
 // on both backends and asserts every plan still returns results
-// bit-identical to the fault-free single-store execution — through
-// retries, without a single real sleep.
+// bit-identical to the reference evaluator's — through retries,
+// without a single real sleep.
 func TestTransientFaultsRetryToParity(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		c := testCatalog()
@@ -70,7 +71,7 @@ func TestTransientFaultsRetryToParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d %s: %v", workers, name, err)
 			}
-			want, err := semop.Exec(p, c)
+			want, err := refeval.Eval(semop.Compile(p), c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +104,7 @@ func TestDownBackendFailsOver(t *testing.T) {
 		NewSQL(c),
 	)
 	p := resilienceTestPlans()["filtered aggregate"]
-	want, err := semop.Exec(p, c)
+	want, err := refeval.Eval(semop.Compile(p), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestFailoverCompensation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := semop.Exec(p, c)
+	want, err := refeval.Eval(semop.Compile(p), c)
 	if err != nil {
 		t.Fatal(err)
 	}

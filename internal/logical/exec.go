@@ -33,7 +33,7 @@ func emptyLeaf(leaf *Node, src Source) (*table.Table, error) {
 }
 
 // Run interprets the tree, resolving leaves through src. This is the
-// one operator loop of the system: semop.Exec, sql.ExecStmt and the
+// one operator loop of the system: semop.Exec, sql.Exec and the
 // federated executor's post-fragment processing all run through it, so
 // an operator's semantics cannot diverge between entry paths.
 func Run(n *Node, src Source) (*table.Table, error) {

@@ -1,4 +1,4 @@
-package logical
+package logical_test
 
 import (
 	"fmt"
@@ -6,15 +6,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/table"
 )
 
 // nullCatalog builds a catalog exercising every NULL shape the
-// vectorized kernels must handle bit-identically to the row
-// interpreter: scattered NULLs in every column type, an entire
-// all-NULL fragment (rows 256..511 of a 640-row table, so the table
-// spans three 256-row fragments), and a small dimension table with
-// NULL join keys on both sides.
+// executors must handle exactly as the reference evaluator does:
+// scattered NULLs in every column type, an entire all-NULL fragment
+// (rows 256..511 of a 640-row table, so the table spans three 256-row
+// fragments), and a small dimension table with NULL join keys on both
+// sides.
 func nullCatalog() *table.Catalog {
 	c := table.NewCatalog()
 	facts := table.New("facts", table.Schema{
@@ -69,30 +71,34 @@ func nullCatalog() *table.Catalog {
 	return c
 }
 
-// assertVecParity executes the tree through both executors (the
-// vectorized one at 1 and 4 workers) and requires bit-identical
-// schema, row order and cell values — or the identical error outcome.
-func assertVecParity(t *testing.T, root *Node, c *table.Catalog) {
+func scan(tbl string) *logical.Node { return &logical.Node{Op: logical.OpScan, Table: tbl} }
+
+func filter(in *logical.Node, preds ...table.Pred) *logical.Node {
+	return &logical.Node{Op: logical.OpFilter, Preds: preds, In: []*logical.Node{in}}
+}
+
+// assertReference holds both executors, the vectorized one at 1 and 4
+// workers, to the reference evaluator: the same schema, row order and
+// cells, or an error on every side, the executors' error texts equal.
+func assertReference(t *testing.T, root *logical.Node, c *table.Catalog) {
 	t.Helper()
-	want, wantErr := Exec(root, c)
+	want, wantErr := refeval.Eval(root, c)
+	row, rowErr := logical.Exec(root, c)
+	check := func(label string, got *table.Table, err error) {
+		t.Helper()
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("%s\n%s: error %v, the reference's %v", root, label, err, wantErr)
+		case err != nil && err.Error() != rowErr.Error():
+			t.Fatalf("%s\n%s: error %q, the row interpreter's %q", root, label, err, rowErr)
+		case err == nil && refeval.Render(got) != refeval.Render(want):
+			t.Fatalf("%s\n%s: result diverges from the reference:\n%s\nvs\n%s", root, label, refeval.Render(got), refeval.Render(want))
+		}
+	}
+	check("row interpreter", row, rowErr)
 	for _, workers := range []int{1, 4} {
-		got, err := ExecVec(root, c, workers)
-		if wantErr != nil {
-			if err == nil {
-				t.Fatalf("workers=%d: row executor errored (%v) but vectorized succeeded", workers, wantErr)
-			}
-			if err.Error() != wantErr.Error() {
-				t.Fatalf("workers=%d: error diverges: %q vs %q", workers, err, wantErr)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("workers=%d: vectorized exec: %v", workers, err)
-		}
-		if render(got) != render(want) {
-			t.Fatalf("workers=%d: vectorized result diverges from row executor:\n%s\nvs\n%s",
-				workers, render(got), render(want))
-		}
+		got, err := logical.ExecVec(root, c, workers)
+		check(fmt.Sprintf("vectorized, workers=%d", workers), got, err)
 	}
 }
 
@@ -114,7 +120,7 @@ func TestVecFilterNulls(t *testing.T) {
 	}
 	for name, preds := range cases {
 		t.Run(name, func(t *testing.T) {
-			assertVecParity(t, filter(scan("facts"), preds...), c)
+			assertReference(t, filter(scan("facts"), preds...), c)
 		})
 	}
 }
@@ -130,55 +136,55 @@ func TestVecAggregateNulls(t *testing.T) {
 	}
 	t.Run("grouped_null_keys", func(t *testing.T) {
 		// Group keys include NULL region values (their own group).
-		assertVecParity(t, &Node{Op: OpAggregate, GroupBy: []string{"region"}, Aggs: aggs,
-			In: []*Node{scan("facts")}}, c)
+		assertReference(t, &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"region"}, Aggs: aggs,
+			In: []*logical.Node{scan("facts")}}, c)
 	})
 	t.Run("global", func(t *testing.T) {
-		assertVecParity(t, &Node{Op: OpAggregate, Aggs: aggs, In: []*Node{scan("facts")}}, c)
+		assertReference(t, &logical.Node{Op: logical.OpAggregate, Aggs: aggs, In: []*logical.Node{scan("facts")}}, c)
 	})
 	t.Run("global_over_all_null_fragment", func(t *testing.T) {
 		// Restrict the scan to the all-NULL fragment: COUNT is 0, the
 		// others are NULL — both executors must agree exactly.
 		sc := scan("facts")
 		sc.RowStart, sc.RowEnd = table.FragmentRows, 2*table.FragmentRows
-		assertVecParity(t, &Node{Op: OpAggregate, Aggs: aggs, In: []*Node{sc}}, c)
+		assertReference(t, &logical.Node{Op: logical.OpAggregate, Aggs: aggs, In: []*logical.Node{sc}}, c)
 	})
 	t.Run("filtered_grouped", func(t *testing.T) {
-		assertVecParity(t, &Node{Op: OpAggregate, GroupBy: []string{"region"}, Aggs: aggs,
-			In: []*Node{filter(scan("facts"), table.Pred{Col: "units", Op: table.OpLt, Val: table.I(60)})}}, c)
+		assertReference(t, &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"region"}, Aggs: aggs,
+			In: []*logical.Node{filter(scan("facts"), table.Pred{Col: "units", Op: table.OpLt, Val: table.I(60)})}}, c)
 	})
 }
 
 func TestVecJoinNulls(t *testing.T) {
 	c := nullCatalog()
-	join := &Node{Op: OpJoin, LeftCol: "region", RightCol: "region",
-		In: []*Node{scan("facts"), scan("dims")}}
+	join := &logical.Node{Op: logical.OpJoin, LeftCol: "region", RightCol: "region",
+		In: []*logical.Node{scan("facts"), scan("dims")}}
 	// NULL keys on either side never match; build/probe side choice and
-	// output row order must match the row executor's exactly.
-	assertVecParity(t, join, c)
+	// output row order must match the reference's exactly.
+	assertReference(t, join, c)
 
 	t.Run("aggregated", func(t *testing.T) {
-		assertVecParity(t, &Node{Op: OpAggregate, GroupBy: []string{"mgr"},
+		assertReference(t, &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"mgr"},
 			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}},
-			In:   []*Node{join}}, c)
+			In:   []*logical.Node{join}}, c)
 	})
 	t.Run("all_null_probe", func(t *testing.T) {
 		sc := scan("facts")
 		sc.RowStart, sc.RowEnd = table.FragmentRows, 2*table.FragmentRows
-		assertVecParity(t, &Node{Op: OpJoin, LeftCol: "region", RightCol: "region",
-			In: []*Node{sc, scan("dims")}}, c)
+		assertReference(t, &logical.Node{Op: logical.OpJoin, LeftCol: "region", RightCol: "region",
+			In: []*logical.Node{sc, scan("dims")}}, c)
 	})
 }
 
 func TestVecDistinctLimitNulls(t *testing.T) {
 	c := nullCatalog()
-	proj := &Node{Op: OpProject, Proj: []string{"region"}, In: []*Node{scan("facts")}}
-	assertVecParity(t, &Node{Op: OpDistinct, In: []*Node{proj}}, c)
-	assertVecParity(t, &Node{Op: OpLimit, N: 300, In: []*Node{proj}}, c)
+	proj := &logical.Node{Op: logical.OpProject, Proj: []string{"region"}, In: []*logical.Node{scan("facts")}}
+	assertReference(t, &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{proj}}, c)
+	assertReference(t, &logical.Node{Op: logical.OpLimit, N: 300, In: []*logical.Node{proj}}, c)
 }
 
-func sortNode(in *Node, keys ...table.SortKey) *Node {
-	return &Node{Op: OpSort, Keys: keys, In: []*Node{in}}
+func sortNode(in *logical.Node, keys ...table.SortKey) *logical.Node {
+	return &logical.Node{Op: logical.OpSort, Keys: keys, In: []*logical.Node{in}}
 }
 
 func TestVecSortNulls(t *testing.T) {
@@ -186,53 +192,53 @@ func TestVecSortNulls(t *testing.T) {
 	t.Run("scattered_nulls_three_fragments", func(t *testing.T) {
 		// revenue is NULL every 5th row across all three fragments;
 		// NULLs must sort first in the exact relative order they appear.
-		assertVecParity(t, sortNode(scan("facts"), table.SortKey{Col: "revenue"}), c)
+		assertReference(t, sortNode(scan("facts"), table.SortKey{Col: "revenue"}), c)
 	})
 	t.Run("desc_nulls_last", func(t *testing.T) {
-		assertVecParity(t, sortNode(scan("facts"), table.SortKey{Col: "units", Desc: true}), c)
+		assertReference(t, sortNode(scan("facts"), table.SortKey{Col: "units", Desc: true}), c)
 	})
 	t.Run("multi_key", func(t *testing.T) {
-		assertVecParity(t, sortNode(scan("facts"),
+		assertReference(t, sortNode(scan("facts"),
 			table.SortKey{Col: "region"}, table.SortKey{Col: "units", Desc: true},
 			table.SortKey{Col: "revenue"}), c)
 	})
 	t.Run("bool_key", func(t *testing.T) {
-		assertVecParity(t, sortNode(scan("facts"), table.SortKey{Col: "active"}), c)
+		assertReference(t, sortNode(scan("facts"), table.SortKey{Col: "active"}), c)
 	})
 	t.Run("all_null_key_fragment", func(t *testing.T) {
 		// Restrict the scan to the fragment whose every cell is NULL:
 		// all keys tie, so the output must be the input order exactly.
 		sc := scan("facts")
 		sc.RowStart, sc.RowEnd = table.FragmentRows, 2*table.FragmentRows
-		assertVecParity(t, sortNode(sc, table.SortKey{Col: "revenue", Desc: true}), c)
+		assertReference(t, sortNode(sc, table.SortKey{Col: "revenue", Desc: true}), c)
 	})
 	t.Run("duplicate_keys_stable_under_limit", func(t *testing.T) {
 		// region has 5 distinct values over 640 rows; Limit over the
 		// sort exposes any tie-order instability in the first rows.
-		assertVecParity(t, &Node{Op: OpLimit, N: 40,
-			In: []*Node{sortNode(scan("facts"), table.SortKey{Col: "region"})}}, c)
+		assertReference(t, &logical.Node{Op: logical.OpLimit, N: 40,
+			In: []*logical.Node{sortNode(scan("facts"), table.SortKey{Col: "region"})}}, c)
 	})
 	t.Run("filtered_then_sorted", func(t *testing.T) {
-		assertVecParity(t, sortNode(
+		assertReference(t, sortNode(
 			filter(scan("facts"), table.Pred{Col: "units", Op: table.OpGt, Val: table.I(40)}),
 			table.SortKey{Col: "revenue", Desc: true}, table.SortKey{Col: "region"}), c)
 	})
 	t.Run("sort_above_project", func(t *testing.T) {
 		// The SQL compiler places Sort above Project; the key resolves
 		// against the projected schema.
-		proj := &Node{Op: OpProject, Proj: []string{"region", "units"}, In: []*Node{scan("facts")}}
-		assertVecParity(t, sortNode(proj, table.SortKey{Col: "units"}), c)
+		proj := &logical.Node{Op: logical.OpProject, Proj: []string{"region", "units"}, In: []*logical.Node{scan("facts")}}
+		assertReference(t, sortNode(proj, table.SortKey{Col: "units"}), c)
 	})
 	t.Run("unknown_key_error", func(t *testing.T) {
-		assertVecParity(t, sortNode(scan("facts"), table.SortKey{Col: "nope"}), c)
+		assertReference(t, sortNode(scan("facts"), table.SortKey{Col: "nope"}), c)
 	})
 }
 
-// TestVecSortCrossKind pins sort-kernel parity on columns whose cells
-// mix kinds (possible through direct row construction and through
-// untyped extraction): int/float mixtures compare numerically through
-// float64, and any other mixture sorts by table.Compare's class order —
-// both identically to the row path.
+// TestVecSortCrossKind pins the sort kernel on columns whose cells mix
+// kinds (possible through direct row construction and through untyped
+// extraction): int/float mixtures compare numerically through float64,
+// and any other mixture sorts by table.Compare's class order — both as
+// the reference evaluator orders them.
 func TestVecSortCrossKind(t *testing.T) {
 	c := table.NewCatalog()
 	mixed := table.New("mixed", table.Schema{
@@ -257,10 +263,10 @@ func TestVecSortCrossKind(t *testing.T) {
 	}
 	c.Put(mixed)
 	t.Run("mixed_kinds", func(t *testing.T) {
-		assertVecParity(t, sortNode(scan("mixed"), table.SortKey{Col: "k"}), c)
+		assertReference(t, sortNode(scan("mixed"), table.SortKey{Col: "k"}), c)
 	})
 	t.Run("mixed_kinds_desc", func(t *testing.T) {
-		assertVecParity(t, sortNode(scan("mixed"), table.SortKey{Col: "k", Desc: true}), c)
+		assertReference(t, sortNode(scan("mixed"), table.SortKey{Col: "k", Desc: true}), c)
 	})
 
 	// A numeric-only mixture (int and float cells in one column) stays
@@ -283,7 +289,7 @@ func TestVecSortCrossKind(t *testing.T) {
 	}
 	c.Put(num)
 	t.Run("int_float_numeric", func(t *testing.T) {
-		assertVecParity(t, sortNode(scan("num"), table.SortKey{Col: "n"}), c)
+		assertReference(t, sortNode(scan("num"), table.SortKey{Col: "n"}), c)
 	})
 }
 
@@ -293,36 +299,36 @@ func TestVecCompare(t *testing.T) {
 		{Func: table.AggSum, Col: "revenue"},
 		{Func: table.AggCount, Col: "units"},
 	}
-	compare := func(items ...string) *Node {
-		return &Node{Op: OpCompare, CompareCol: "region", Items: items, Aggs: aggs,
-			In: []*Node{scan("facts")}}
+	compare := func(items ...string) *logical.Node {
+		return &logical.Node{Op: logical.OpCompare, CompareCol: "region", Items: items, Aggs: aggs,
+			In: []*logical.Node{scan("facts")}}
 	}
 	t.Run("two_items", func(t *testing.T) {
-		assertVecParity(t, compare("region-1", "region-3"), c)
+		assertReference(t, compare("region-1", "region-3"), c)
 	})
 	t.Run("branch_order_not_item_order", func(t *testing.T) {
 		// Items are compared in sorted order regardless of spelling
 		// order; the vectorized path must reassemble identically.
-		assertVecParity(t, compare("region-4", "region-0", "region-2"), c)
+		assertReference(t, compare("region-4", "region-0", "region-2"), c)
 	})
 	t.Run("empty_branch_results", func(t *testing.T) {
 		// One arm matches nothing: its aggregate contributes zero rows
 		// and the surviving arm's rows appear alone.
-		assertVecParity(t, compare("region-1", "no-such-region"), c)
+		assertReference(t, compare("region-1", "no-such-region"), c)
 	})
 	t.Run("all_branches_empty", func(t *testing.T) {
-		assertVecParity(t, compare("no-such-a", "no-such-b"), c)
+		assertReference(t, compare("no-such-a", "no-such-b"), c)
 	})
 	t.Run("no_items_error", func(t *testing.T) {
-		assertVecParity(t, compare(), c)
+		assertReference(t, compare(), c)
 	})
 	t.Run("with_base_predicate", func(t *testing.T) {
 		n := compare("region-1", "region-2")
 		n.Preds = []table.Pred{{Col: "active", Op: table.OpEq, Val: table.B(true)}}
-		assertVecParity(t, n, c)
+		assertReference(t, n, c)
 	})
 	t.Run("sorted_comparison", func(t *testing.T) {
-		assertVecParity(t, sortNode(compare("region-0", "region-1", "region-2"),
+		assertReference(t, sortNode(compare("region-0", "region-1", "region-2"),
 			table.SortKey{Col: "region", Desc: true}), c)
 	})
 }
@@ -369,42 +375,48 @@ func codedRow(i int) []table.Value {
 	return []table.Value{sku, day, table.I(int64(i % 50)), rev}
 }
 
-// assertCodedParity runs root three ways — the vectorized executor over
-// the catalog's fragments (string and date columns coded), the
-// vectorized executor over batches extracted on the fly (no codes), and
-// the row interpreter — and requires the same cells or the same error.
+// assertCodedParity runs root through the vectorized executor over the
+// catalog's fragments (string and date columns coded) and over batches
+// extracted on the fly (no codes), and requires the reference
+// evaluator's cells, or an error with the row interpreter's text.
 // pending, when non-nil, is a projection left pending over an Input leaf
-// of the coded table, as a backend leaves it for the federated residual.
-func assertCodedParity(t *testing.T, c *table.Catalog, root *Node, pending []string) {
+// of the coded table, as a backend leaves it for the federated residual;
+// the reference reads that leaf as a scan of those columns.
+func assertCodedParity(t *testing.T, c *table.Catalog, root *logical.Node, pending []string) {
 	t.Helper()
 	base, _ := c.Get("coded")
-	env := func(fr *table.Frags, workers int) VecEnv {
-		return VecEnv{
-			Scan: func(leaf *Node) (*table.Table, *table.Frags, error) {
+	env := func(fr *table.Frags, workers int) logical.VecEnv {
+		return logical.VecEnv{
+			Scan: func(leaf *logical.Node) (*table.Table, *table.Frags, error) {
 				tb, err := c.Get(leaf.Table)
 				return tb, fr, err
 			},
-			Leaf:     func(*Node) (*table.Table, error) { return base, nil },
-			Columnar: func(*Node) (*table.Frags, []string) { return fr, pending },
+			Leaf:     func(*logical.Node) (*table.Table, error) { return base, nil },
+			Columnar: func(*logical.Node) (*table.Frags, []string) { return fr, pending },
 			Workers:  workers,
 		}
 	}
-	want, wantErr := Exec(root, c)
+	ref, rowErr := root, error(nil)
 	if pending != nil {
-		want, wantErr = Run(root, func(*Node) (*table.Table, error) { return table.Project(base, pending...) })
+		ref = root.Clone()
+		ref.In[0] = &logical.Node{Op: logical.OpScan, Table: "coded", Cols: pending}
+		_, rowErr = logical.Run(root, func(*logical.Node) (*table.Table, error) { return table.Project(base, pending...) })
+	} else {
+		_, rowErr = logical.Exec(root, c)
 	}
+	want, wantErr := refeval.Eval(ref, c)
 	for _, way := range []struct {
 		name string
 		fr   *table.Frags
 	}{{"coded", c.FragsOf("coded")}, {"uncoded", nil}} {
 		for _, workers := range []int{1, 4} {
-			got, err := RunVec(root, env(way.fr, workers))
-			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-				t.Fatalf("%s, workers=%d: error %v, row interpreter %v", way.name, workers, err, wantErr)
+			got, err := logical.RunVec(root, env(way.fr, workers))
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != rowErr.Error()) {
+				t.Fatalf("%s, workers=%d: error %v, the reference's %v, the row interpreter's %v", way.name, workers, err, wantErr, rowErr)
 			}
-			if err == nil && render(got) != render(want) {
-				t.Fatalf("%s, workers=%d: result diverges from the row interpreter:\n%s\nvs\n%s",
-					way.name, workers, render(got), render(want))
+			if err == nil && refeval.Render(got) != refeval.Render(want) {
+				t.Fatalf("%s, workers=%d: result diverges from the reference:\n%s\nvs\n%s",
+					way.name, workers, refeval.Render(got), refeval.Render(want))
 			}
 		}
 	}
@@ -412,8 +424,8 @@ func assertCodedParity(t *testing.T, c *table.Catalog, root *Node, pending []str
 
 // TestVecCodedParity pins the group-by and distinct code memo and the
 // equality dictionary probe to the paths without them: every shape below
-// runs over coded fragments, over uncoded batches and through the row
-// interpreter, before and after an Append into the open tail.
+// runs over coded fragments and over uncoded batches against the
+// reference evaluator, before and after an Append into the open tail.
 func TestVecCodedParity(t *testing.T) {
 	c, tb := codedCatalog(3*table.FragmentRows + 50)
 	aggs := []table.Agg{
@@ -424,20 +436,20 @@ func TestVecCodedParity(t *testing.T) {
 		{Func: table.AggMin, Col: "day"},
 		{Func: table.AggMax, Col: "units"},
 	}
-	group := func(in *Node, cols ...string) *Node {
-		return &Node{Op: OpAggregate, GroupBy: cols, Aggs: aggs, In: []*Node{in}}
+	group := func(in *logical.Node, cols ...string) *logical.Node {
+		return &logical.Node{Op: logical.OpAggregate, GroupBy: cols, Aggs: aggs, In: []*logical.Node{in}}
 	}
-	distinct := func(in *Node, cols ...string) *Node {
-		return &Node{Op: OpDistinct, In: []*Node{{Op: OpProject, Proj: cols, In: []*Node{in}}}}
+	distinct := func(in *logical.Node, cols ...string) *logical.Node {
+		return &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{{Op: logical.OpProject, Proj: cols, In: []*logical.Node{in}}}}
 	}
 	gt := func(n int64) table.Pred { return table.Pred{Col: "units", Op: table.OpGt, Val: table.I(n)} }
 	eq := func(col string, v table.Value) table.Pred { return table.Pred{Col: col, Op: table.OpEq, Val: v} }
 	ranged := scan("coded")
 	ranged.RowStart, ranged.RowEnd = 200, 700
-	input := &Node{Op: OpInput, Table: "coded"}
+	input := &logical.Node{Op: logical.OpInput, Table: "coded"}
 	shapes := []struct {
 		name    string
-		root    *Node
+		root    *logical.Node
 		pending []string
 	}{
 		{"group_sku", group(scan("coded"), "sku"), nil},
@@ -449,11 +461,11 @@ func TestVecCodedParity(t *testing.T) {
 		{"distinct_sku", distinct(scan("coded"), "sku"), nil},
 		{"distinct_day_filtered", distinct(filter(scan("coded"), gt(30)), "day"), nil},
 		{"distinct_sku_ranged", distinct(ranged, "sku"), nil},
-		{"distinct_pending", &Node{Op: OpDistinct, In: []*Node{input}}, []string{"sku"}},
-		{"group_pending", &Node{Op: OpAggregate, GroupBy: []string{"day"},
-			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}}, In: []*Node{input}}, []string{"revenue", "day"}},
-		{"compare", &Node{Op: OpCompare, CompareCol: "sku", Items: []string{"k3", "u005", "nope"},
-			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}}, In: []*Node{scan("coded")}}, nil},
+		{"distinct_pending", &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{input}}, []string{"sku"}},
+		{"group_pending", &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"day"},
+			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}}, In: []*logical.Node{input}}, []string{"revenue", "day"}},
+		{"compare", &logical.Node{Op: logical.OpCompare, CompareCol: "sku", Items: []string{"k3", "u005", "nope"},
+			Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}}, In: []*logical.Node{scan("coded")}}, nil},
 		// Equality probes. Every day is in every batch; k3 is missing
 		// from fragment 1's dictionary and u005 from fragment 0's; nope
 		// is in none. Fragment 0's first non-NULL sku is k1 and its first
@@ -466,8 +478,8 @@ func TestVecCodedParity(t *testing.T) {
 		{"eq_sku_code_of_nulls", filter(scan("coded"), eq("sku", table.S("k1"))), nil},
 		{"eq_sku_absent", filter(scan("coded"), eq("sku", table.S("nope"))), nil},
 		{"eq_sku_ranged", filter(ranged, gt(10), eq("sku", table.S("u005"))), nil},
-		{"sum_of_a_string_error", &Node{Op: OpAggregate, GroupBy: []string{"sku"},
-			Aggs: []table.Agg{{Func: table.AggSum, Col: "day"}}, In: []*Node{scan("coded")}}, nil},
+		{"sum_of_a_string_error", &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"sku"},
+			Aggs: []table.Agg{{Func: table.AggSum, Col: "day"}}, In: []*logical.Node{scan("coded")}}, nil},
 	}
 	run := func(step string) {
 		for _, sh := range shapes {
@@ -520,15 +532,15 @@ func TestVecJoinSignedZero(t *testing.T) {
 	}
 	c.Put(l)
 	c.Put(r)
-	join := &Node{Op: OpJoin, LeftCol: "k", RightCol: "k", In: []*Node{scan("l"), scan("r")}}
-	got, err := Exec(join, c)
+	join := &logical.Node{Op: logical.OpJoin, LeftCol: "k", RightCol: "k", In: []*logical.Node{scan("l"), scan("r")}}
+	got, err := logical.Exec(join, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 4 {
 		t.Errorf("row join of two zeros with two zeros = %d rows, want 4", got.Len())
 	}
-	assertVecParity(t, join, c)
+	assertReference(t, join, c)
 }
 
 // TestVecJoinKeysFollowCompare: join keys match exactly when Compare
@@ -551,8 +563,8 @@ func TestVecJoinKeysFollowCompare(t *testing.T) {
 	}
 	c.Put(l)
 	c.Put(r)
-	join := &Node{Op: OpJoin, LeftCol: "k", RightCol: "k", In: []*Node{scan("l"), scan("r")}}
-	got, err := Exec(join, c)
+	join := &logical.Node{Op: logical.OpJoin, LeftCol: "k", RightCol: "k", In: []*logical.Node{scan("l"), scan("r")}}
+	got, err := logical.Exec(join, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +575,7 @@ func TestVecJoinKeysFollowCompare(t *testing.T) {
 	if want := "0-0 1-1 4-3 0-5"; got.Len() != 4*cycles || strings.Join(pairs, " ") != want {
 		t.Errorf("row join: %d rows, first pairs %v; want %d rows, first pairs %s", got.Len(), pairs, 4*cycles, want)
 	}
-	assertVecParity(t, join, c)
+	assertReference(t, join, c)
 }
 
 // TestVecLazyColumnError pins the error-laziness contract: a filter
@@ -575,9 +587,9 @@ func TestVecLazyColumnError(t *testing.T) {
 	t.Run("empty_input_no_error", func(t *testing.T) {
 		sc := scan("facts")
 		sc.RowStart, sc.RowEnd = 0, 0
-		assertVecParity(t, filter(sc, table.Pred{Col: "nope", Op: table.OpEq, Val: table.I(1)}), c)
+		assertReference(t, filter(sc, table.Pred{Col: "nope", Op: table.OpEq, Val: table.I(1)}), c)
 	})
 	t.Run("rows_reach_pred_error", func(t *testing.T) {
-		assertVecParity(t, filter(scan("facts"), table.Pred{Col: "nope", Op: table.OpEq, Val: table.I(1)}), c)
+		assertReference(t, filter(scan("facts"), table.Pred{Col: "nope", Op: table.OpEq, Val: table.I(1)}), c)
 	})
 }

@@ -673,3 +673,28 @@ func TestEmptyfoldLeavesUnrefutedScans(t *testing.T) {
 		t.Errorf("rows = %d, want 1", out.Len())
 	}
 }
+
+// TestVecFilterNoPredsKeepsSelections: an empty conjunction passes the
+// incoming selections through — whole-batch entries stay nil instead of
+// becoming explicit 256-entry index lists.
+func TestVecFilterNoPredsKeepsSelections(t *testing.T) {
+	base := table.New("t", table.Schema{{Name: "i", Type: table.TypeInt}})
+	for r := 0; r < 700; r++ {
+		base.MustAppend([]table.Value{table.I(int64(r))})
+	}
+	v := &vecRun{env: VecEnv{Workers: 1}}
+	s := passthrough(base, nil)
+	s.sels = rangeSels(v.batches(s), []table.RowRange{{Start: 100, End: 600}})
+	out, err := v.filter(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bi := range s.sels {
+		if (s.sels[bi] == nil) != (out.sels[bi] == nil) || len(s.sels[bi]) != len(out.sels[bi]) {
+			t.Errorf("batch %d: selection %v became %v", bi, s.sels[bi], out.sels[bi])
+		}
+	}
+	if out.sels[1] != nil {
+		t.Errorf("fully covered batch materialized a %d-entry selection", len(out.sels[1]))
+	}
+}

@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/table"
@@ -10,7 +11,8 @@ import (
 // Stats is the catalog surface the optimizer consults: base-table
 // schemas for predicate re-typing and projection pruning, row counts
 // and per-column statistics (NDV, histograms) for selectivity
-// estimation and join-input reordering. A nil Stats disables the
+// estimation and join-input reordering, and the rollups the routing
+// pass may read instead of a base table. A nil Stats disables the
 // passes that need it; the structural passes still run.
 type Stats interface {
 	Schema(tbl string) (table.Schema, bool)
@@ -19,6 +21,10 @@ type Stats interface {
 	// nil when none are kept (the caller falls back to the fixed
 	// selectivity heuristic).
 	TableStats(tbl string) *table.TableStats
+	// RollupsFor returns the registered rollup definitions over a base
+	// table, in sorted name order (the routing pass's deterministic
+	// candidate order); nil routes nothing.
+	RollupsFor(base string) []table.RollupDef
 }
 
 type catalogStats struct{ c *table.Catalog }
@@ -41,6 +47,10 @@ func (s catalogStats) Card(tbl string) (int, bool) {
 
 func (s catalogStats) TableStats(tbl string) *table.TableStats {
 	return s.c.StatsOf(tbl)
+}
+
+func (s catalogStats) RollupsFor(base string) []table.RollupDef {
+	return s.c.RollupsFor(base)
 }
 
 // CatalogStats adapts a table.Catalog to the optimizer's Stats surface.
@@ -369,7 +379,11 @@ func emptyfoldPass(o *Optimized, st Stats) []string {
 			notes = append(notes, fmt.Sprintf("%s: statistics refute %s", c.Table, predList(n.Preds, " AND ")))
 			return &Node{Op: OpEmpty, Table: c.Table, Cols: c.Cols}
 		case OpSort, OpDistinct, OpLimit:
-			if c := n.Child(); c != nil && c.Op == OpEmpty {
+			// A sort key the input lacks fails the Sort even over no rows.
+			c := n.Child()
+			schema, _ := inputSchema(c, st)
+			lacks := func(k table.SortKey) bool { return schema.ColIndex(k.Col) < 0 }
+			if c != nil && c.Op == OpEmpty && !slices.ContainsFunc(n.Keys, lacks) {
 				notes = append(notes, "collapsed "+strings.ToLower(n.Op.String())+" over empty "+c.Table)
 				return c
 			}

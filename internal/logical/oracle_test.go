@@ -1,127 +1,16 @@
-package logical
+package logical_test
 
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/table"
 )
-
-// The naive GROUP BY / DISTINCT oracle. Both executors find a group by
-// its cells' table.AppendKey bytes and share the accumulator's rules;
-// this oracle shares neither. It partitions the input rows by pairwise
-// table.Compare == 0 on the key columns — a row joins the first earlier
-// group whose key tuple it equals column by column, or opens its own —
-// and computes each aggregate from its definition over the group's rows.
-// Compare is a total order, so "equal" is an equivalence and the
-// partition is the one right answer, NaN keys included. Results are
-// compared as sets: each output row must match exactly one group, and
-// every group must be matched.
-
-// oracleGroup is one partition: its first row's key cells and its rows.
-type oracleGroup struct {
-	key  []table.Value
-	rows [][]table.Value
-}
-
-// partition groups rows by pairwise Compare on the cols of each row.
-func partition(rows [][]table.Value, cols []int) []*oracleGroup {
-	var groups []*oracleGroup
-next:
-	for _, row := range rows {
-		for _, g := range groups {
-			if tupleEqual(g.key, row, cols) {
-				g.rows = append(g.rows, row)
-				continue next
-			}
-		}
-		key := make([]table.Value, len(cols))
-		for i, ci := range cols {
-			key[i] = row[ci]
-		}
-		groups = append(groups, &oracleGroup{key: key, rows: [][]table.Value{row}})
-	}
-	return groups
-}
-
-func tupleEqual(key, row []table.Value, cols []int) bool {
-	for i, ci := range cols {
-		if table.Compare(key[i], row[ci]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// oracleAgg computes one aggregate over a group's rows from its SQL
-// definition: NULL cells are skipped, SUM/AVG/MIN/MAX of no value is
-// NULL, COUNT(*) counts rows and COUNT(col) non-NULL cells.
-func oracleAgg(a table.Agg, ci int, rows [][]table.Value) table.Value {
-	if a.Func == table.AggCount && ci < 0 {
-		return table.I(int64(len(rows)))
-	}
-	var vals []table.Value
-	for _, row := range rows {
-		if !row[ci].IsNull() {
-			vals = append(vals, row[ci])
-		}
-	}
-	if a.Func == table.AggCount {
-		return table.I(int64(len(vals)))
-	}
-	if len(vals) == 0 {
-		return table.Null(table.TypeFloat)
-	}
-	best, sum := vals[0], 0.0
-	for _, v := range vals {
-		sum += v.Float()
-		if (a.Func == table.AggMin && table.Compare(v, best) < 0) || (a.Func == table.AggMax && table.Compare(v, best) > 0) {
-			best = v
-		}
-	}
-	switch a.Func {
-	case table.AggSum:
-		return table.F(sum)
-	case table.AggAvg:
-		return table.F(sum / float64(len(vals)))
-	default:
-		return best
-	}
-}
-
-// assertMatchesOracle compares a result with the oracle's rows (each a
-// group's key cells, then its aggregates) as sets under Compare, NULLs
-// matching NULLs.
-func assertMatchesOracle(t *testing.T, label string, got *table.Table, want [][]table.Value) {
-	t.Helper()
-	if got.Len() != len(want) {
-		t.Fatalf("%s: %d rows, the oracle %d:\n%v\nvs\n%v", label, got.Len(), len(want), got.Rows, want)
-	}
-	used := make([]bool, len(want))
-rows:
-	for _, row := range got.Rows {
-		for wi, w := range want {
-			if !used[wi] && cellsEqual(row, w) {
-				used[wi] = true
-				continue rows
-			}
-		}
-		t.Fatalf("%s: row %v matches no oracle row of\n%v", label, row, want)
-	}
-}
-
-func cellsEqual(a, b []table.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].IsNull() != b[i].IsNull() || table.Compare(a[i], b[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // oracleCatalog holds "o", 600 rows over three fragments: g is a float
 // column holding +0, −0, int 2 beside float 2.0 (an int cell, so that
@@ -173,16 +62,16 @@ func oracleCatalog() *table.Catalog {
 	return c
 }
 
-// TestGroupDistinctOracle runs GROUP BY and DISTINCT through both
-// executors and holds each to the naive oracle, over NULL keys, ±0,
-// int-vs-float keys, NaN keys with two payloads, string pairs that
-// straddle a cell boundary, all-NULL measures and empty input. The
-// aggregates read a boxed float, an unboxed float, an unboxed int and
-// string columns; the global aggregate (no key) has its one group even
-// over empty input.
+// TestGroupDistinctOracle holds GROUP BY and DISTINCT, through both
+// executors, to the reference evaluator over NULL keys, ±0, int-vs-float
+// keys, NaN keys with two payloads, string pairs that straddle a cell
+// boundary, all-NULL measures and empty input. The aggregates read a
+// boxed float, an unboxed float, an unboxed int and string columns; the
+// global aggregate (no key) has its one group even over empty input.
+// Group order, first-occurrence key cells and every float's bits are
+// compared exactly.
 func TestGroupDistinctOracle(t *testing.T) {
 	c := oracleCatalog()
-	base, _ := c.Get("o")
 	aggs := []table.Agg{
 		{Func: table.AggSum, Col: "v"},
 		{Func: table.AggAvg, Col: "v"},
@@ -200,67 +89,16 @@ func TestGroupDistinctOracle(t *testing.T) {
 		{Func: table.AggMax, Col: "t"},
 	}
 	nothing := table.Pred{Col: "v", Op: table.OpGt, Val: table.F(1e9)}
-	inputs := map[string]struct {
-		node *Node
-		rows [][]table.Value
-	}{
-		"all":   {scan("o"), base.Rows},
-		"empty": {filter(scan("o"), nothing), nil},
-	}
-	for inName, in := range inputs {
+	for _, in := range []*logical.Node{scan("o"), filter(scan("o"), nothing)} {
 		for _, cols := range [][]string{nil, {"g"}, {"f"}, {"s"}, {"g", "s"}, {"s", "t"}, {"f", "s", "t"}} {
-			idx := make([]int, len(cols))
-			for i, col := range cols {
-				idx[i] = base.Schema.ColIndex(col)
+			assertReference(t, &logical.Node{Op: logical.OpAggregate, GroupBy: cols, Aggs: aggs, In: []*logical.Node{in}}, c)
+			if cols != nil {
+				assertReference(t, &logical.Node{Op: logical.OpDistinct,
+					In: []*logical.Node{{Op: logical.OpProject, Proj: cols, In: []*logical.Node{in}}}}, c)
 			}
-			groups := partition(in.rows, idx)
-			if cols == nil {
-				groups = []*oracleGroup{{rows: in.rows}}
-			}
-
-			var want [][]table.Value
-			for _, g := range groups {
-				row := append([]table.Value(nil), g.key...)
-				for _, a := range aggs {
-					row = append(row, oracleAgg(a, base.Schema.ColIndex(a.Col), g.rows))
-				}
-				want = append(want, row)
-			}
-			group := &Node{Op: OpAggregate, GroupBy: cols, Aggs: aggs, In: []*Node{in.node}}
-			assertOracleBothExecutors(t, fmt.Sprintf("%s GROUP BY %v", inName, cols), group, c, want)
-			if cols == nil {
-				continue
-			}
-
-			want = nil
-			for _, g := range groups {
-				want = append(want, g.key)
-			}
-			distinct := &Node{Op: OpDistinct, In: []*Node{{Op: OpProject, Proj: cols, In: []*Node{in.node}}}}
-			assertOracleBothExecutors(t, fmt.Sprintf("%s DISTINCT %v", inName, cols), distinct, c, want)
 		}
 	}
 }
-
-func assertOracleBothExecutors(t *testing.T, label string, root *Node, c *table.Catalog, want [][]table.Value) {
-	t.Helper()
-	row, err := Exec(root, c)
-	if err != nil {
-		t.Fatalf("%s: row interpreter: %v", label, err)
-	}
-	assertMatchesOracle(t, label+" (row interpreter)", row, want)
-	vec, err := ExecVec(root, c, 1)
-	if err != nil {
-		t.Fatalf("%s: vectorized: %v", label, err)
-	}
-	assertMatchesOracle(t, label+" (vectorized)", vec, want)
-}
-
-// The naive join oracle. An inner equi-join from its SQL definition: a
-// nested loop over both inputs that pairs rows whose keys are both
-// non-NULL and table.Compare-equal. It uses no key encoding and knows
-// nothing of which side a hash join builds on, so it checks the join's
-// result, not its agreement with another copy of itself.
 
 // joinOracleCatalog holds "jl" and "jr", each a float key k beside an
 // int id that names the row. The keys mix NULL, +0 and −0, NaN with two
@@ -284,70 +122,225 @@ func joinOracleCatalog() *table.Catalog {
 	return c
 }
 
-// oracleJoin pairs every left row with every right row whose key it
-// equals, left-major: each output row is the left row's cells, then the
-// right row's.
-func oracleJoin(left, right [][]table.Value, lk, rk int) [][]table.Value {
-	var out [][]table.Value
-	for _, l := range left {
-		for _, r := range right {
-			if l[lk].IsNull() || r[rk].IsNull() || table.Compare(l[lk], r[rk]) != 0 {
-				continue
-			}
-			out = append(out, append(append([]table.Value(nil), l...), r...))
-		}
-	}
-	return out
-}
-
-// TestJoinOracle runs the inner join through both executors and holds
-// each to the nested-loop oracle as a multiset, over NULL keys, ±0, NaN
-// with two payloads, int-vs-float keys, duplicate keys on both sides,
-// an empty side, and either side the smaller. It then checks the order
-// the join documents: probe rows in order, each probe row's matches in
-// build order, the smaller side building (the left on a tie).
+// TestJoinOracle holds the inner join, through both executors, to the
+// reference evaluator over NULL keys, ±0, NaN with two payloads,
+// int-vs-float keys, duplicate keys on both sides, an empty side, and
+// either side the smaller — row order included: probe rows in order,
+// each probe row's matches in build order, the smaller side building
+// (the left on a tie).
 func TestJoinOracle(t *testing.T) {
 	c := joinOracleCatalog()
-	jl, _ := c.Get("jl")
-	jr, _ := c.Get("jr")
-	side := func(name string, n int) *Node {
+	side := func(name string, n int) *logical.Node {
 		return filter(scan(name), table.Pred{Col: "id", Op: table.OpLt, Val: table.I(int64(n))})
 	}
 	for _, sz := range []struct{ l, r int }{{10, 10}, {4, 10}, {10, 6}, {0, 10}, {10, 0}, {1, 1}} {
-		left, right := jl.Rows[:sz.l], jr.Rows[:sz.r]
-		want := oracleJoin(left, right, 0, 0)
-		// The documented order, from the same nested loop with the probe
-		// side outside.
-		ordered := want
-		if len(left) <= len(right) {
-			ordered = nil
-			for _, r := range right {
-				for _, l := range left {
-					if !l[0].IsNull() && !r[0].IsNull() && table.Compare(l[0], r[0]) == 0 {
-						ordered = append(ordered, append(append([]table.Value(nil), l...), r...))
-					}
-				}
+		assertReference(t, &logical.Node{Op: logical.OpJoin, LeftCol: "k", RightCol: "k",
+			In: []*logical.Node{side("jl", sz.l), side("jr", sz.r)}}, c)
+	}
+}
+
+// randLits are the random trees' predicate literals: NaN, ±0, +Inf, an
+// int beside floats, numbers and strings near the catalogs' cells, and
+// literals of every other kind, so each column also meets mistyped ones
+// ('2' on a number column, 2 on a string column), which the reference
+// casts as SQL does and the optimizer's retype pass must match.
+var randLits = []table.Value{
+	table.F(math.NaN()), table.F(0), table.F(math.Copysign(0, -1)), table.F(math.Inf(1)),
+	table.I(2), table.F(2), table.I(-3), table.F(1.5), table.F(4), table.I(7), table.I(50), table.F(9),
+	table.S("2"), table.S("1.5"), table.S("-0"), table.S("NaN"),
+	table.S("s3"), table.S("S1"), table.S("t2"), table.S("x"), table.S("none"),
+	table.S("region-2"), table.S("GION-1"), table.S("mgr-4"),
+	table.B(true), table.B(false), table.S("true"),
+	table.Null(table.TypeFloat), table.Null(table.TypeString),
+}
+
+// treeGen draws random plans over one catalog, tracking each subtree's
+// output schema so that most column references resolve. About one in
+// twenty names a column that does not exist, and some names are
+// upper-cased, as resolution ignores case.
+type treeGen struct {
+	rng    *rand.Rand
+	c      *table.Catalog
+	tables []string
+	joined bool
+}
+
+func (g *treeGen) colName(schema table.Schema) string {
+	if len(schema) == 0 || g.rng.Intn(20) == 0 {
+		return "nope"
+	}
+	name := schema[g.rng.Intn(len(schema))].Name
+	if g.rng.Intn(8) == 0 {
+		return strings.ToUpper(name)
+	}
+	return name
+}
+
+func (g *treeGen) colType(schema table.Schema, name string) table.ColType {
+	if i := schema.ColIndex(name); i >= 0 {
+		return schema[i].Type
+	}
+	return table.TypeString
+}
+
+// scan is a random leaf: a whole table, or a row range of it, either
+// with all columns or a pruned set; a join's right side (small) keeps at
+// most 64 rows.
+func (g *treeGen) scan(small bool) (*logical.Node, table.Schema) {
+	tb, _ := g.c.Get(g.tables[g.rng.Intn(len(g.tables))])
+	n := &logical.Node{Op: logical.OpScan, Table: tb.Name}
+	if small && tb.Len() > 64 {
+		n.RowStart = g.rng.Intn(tb.Len())
+		n.RowEnd = n.RowStart + 1 + g.rng.Intn(64)
+	} else if g.rng.Intn(4) == 0 {
+		n.RowStart, n.RowEnd = g.rng.Intn(tb.Len()+1), g.rng.Intn(tb.Len()+20)
+	}
+	schema := tb.Schema
+	if g.rng.Intn(4) == 0 {
+		var keep table.Schema
+		for _, col := range tb.Schema {
+			if g.rng.Intn(2) == 0 {
+				n.Cols = append(n.Cols, col.Name)
+				keep = append(keep, col)
 			}
 		}
-		join := &Node{Op: OpJoin, LeftCol: "k", RightCol: "k", In: []*Node{side("jl", sz.l), side("jr", sz.r)}}
-		label := fmt.Sprintf("jl[:%d] JOIN jr[:%d]", sz.l, sz.r)
-		row, err := Exec(join, c)
-		if err != nil {
-			t.Fatalf("%s: row interpreter: %v", label, err)
+		if keep != nil {
+			schema = keep
 		}
-		vec, err := ExecVec(join, c, 1)
-		if err != nil {
-			t.Fatalf("%s: vectorized: %v", label, err)
+	}
+	return n, schema
+}
+
+func (g *treeGen) preds(schema table.Schema) []table.Pred {
+	preds := make([]table.Pred, 1+g.rng.Intn(3))
+	for i := range preds {
+		preds[i] = table.Pred{Col: g.colName(schema), Op: table.CmpOp(g.rng.Intn(7)), Val: randLits[g.rng.Intn(len(randLits))]}
+	}
+	return preds
+}
+
+// tree draws a plan of at most depth operators above its leaves, and
+// the schema it outputs.
+func (g *treeGen) tree(depth int) (*logical.Node, table.Schema) {
+	if depth == 0 || g.rng.Intn(5) == 0 {
+		return g.scan(false)
+	}
+	in, schema := g.tree(depth - 1)
+	unary := func(n *logical.Node) *logical.Node {
+		n.In = []*logical.Node{in}
+		return n
+	}
+	switch g.rng.Intn(7) {
+	case 0:
+		return unary(&logical.Node{Op: logical.OpFilter, Preds: g.preds(schema)}), schema
+	case 1:
+		n := unary(&logical.Node{Op: logical.OpProject})
+		var out table.Schema
+		for _, i := range g.rng.Perm(len(schema))[:g.rng.Intn(len(schema)+1)] {
+			col := schema[i]
+			n.Proj = append(n.Proj, col.Name)
+			n.Aliases = append(n.Aliases, "")
+			if g.rng.Intn(5) == 0 {
+				col.Name = fmt.Sprintf("a%d", len(out))
+				n.Aliases[len(out)] = col.Name
+			}
+			out = append(out, col)
 		}
+		if len(n.Proj) == 0 {
+			n.Proj = []string{g.colName(schema)}
+			out = table.Schema{{Name: n.Proj[0], Type: g.colType(schema, n.Proj[0])}}
+		}
+		return n, out
+	case 2:
+		n := unary(&logical.Node{Op: logical.OpAggregate})
+		var out table.Schema
+		for range g.rng.Intn(3) {
+			col := g.colName(schema)
+			n.GroupBy = append(n.GroupBy, col)
+			out = append(out, table.Column{Name: col, Type: g.colType(schema, col)})
+		}
+		for i := range 1 + g.rng.Intn(3) {
+			a := table.Agg{Func: table.AggFunc(g.rng.Intn(5)), Col: g.colName(schema), As: fmt.Sprintf("m%d", i)}
+			if a.Func == table.AggCount && g.rng.Intn(3) == 0 {
+				a.Col = ""
+			}
+			typ := table.TypeFloat
+			switch a.Func {
+			case table.AggCount:
+				typ = table.TypeInt
+			case table.AggMin, table.AggMax:
+				typ = g.colType(schema, a.Col)
+			}
+			n.Aggs = append(n.Aggs, a)
+			out = append(out, table.Column{Name: a.As, Type: typ})
+		}
+		return n, out
+	case 3:
+		return unary(&logical.Node{Op: logical.OpDistinct}), schema
+	case 4:
+		n := unary(&logical.Node{Op: logical.OpSort})
+		for range 1 + g.rng.Intn(3) {
+			n.Keys = append(n.Keys, table.SortKey{Col: g.colName(schema), Desc: g.rng.Intn(2) == 0})
+		}
+		return n, schema
+	case 5:
+		return unary(&logical.Node{Op: logical.OpLimit, N: []int{-1, 0, 1, 2, 5, 50, 700}[g.rng.Intn(7)]}), schema
+	}
+	if g.joined {
+		return in, schema
+	}
+	g.joined = true
+	right, rschema := g.scan(true)
+	name := right.Table
+	if g.rng.Intn(2) == 0 {
+		right = &logical.Node{Op: logical.OpFilter, Preds: g.preds(rschema), In: []*logical.Node{right}}
+	}
+	n := &logical.Node{Op: logical.OpJoin, LeftCol: g.colName(schema), RightCol: g.colName(rschema),
+		In: []*logical.Node{in, right}}
+	out := append(table.Schema(nil), schema...)
+	for _, col := range rschema {
+		if out.ColIndex(col.Name) >= 0 {
+			col.Name = name + "." + col.Name
+		}
+		out = append(out, col)
+	}
+	return n, out
+}
+
+// TestRandomTreesMatchReference runs the optimizer on a thousand seeded
+// random trees of Filter, Project, Aggregate, Distinct, Sort, Limit and
+// Join over the oracle, NULL and join catalogs, and holds both executors
+// of the optimized plan to the reference evaluator of the tree as drawn:
+// the same schema, row order and cells, or an error on every side.
+func TestRandomTreesMatchReference(t *testing.T) {
+	catalogs := []struct {
+		c      *table.Catalog
+		tables []string
+	}{
+		{oracleCatalog(), []string{"o"}},
+		{nullCatalog(), []string{"facts", "dims"}},
+		{joinOracleCatalog(), []string{"jl", "jr"}},
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := range 1000 {
+		cat := catalogs[i%len(catalogs)]
+		g := &treeGen{rng: rng, c: cat.c, tables: cat.tables}
+		root, _ := g.tree(1 + rng.Intn(4))
+		want, wantErr := refeval.Eval(root, cat.c)
+		opt := logical.Optimize(root, logical.CatalogStats(cat.c))
+		row, rowErr := logical.Exec(opt.Root, cat.c)
+		vec, vecErr := logical.ExecVec(opt.Root, cat.c, 3)
 		for _, got := range []struct {
 			name string
 			t    *table.Table
-		}{{"row interpreter", row}, {"vectorized", vec}} {
-			assertMatchesOracle(t, label+" ("+got.name+")", got.t, want)
-			for i, w := range ordered {
-				if !cellsEqual(got.t.Rows[i], w) {
-					t.Fatalf("%s (%s): row %d is %v, the documented order has %v", label, got.name, i, got.t.Rows[i], w)
-				}
+			err  error
+		}{{"row interpreter", row, rowErr}, {"vectorized", vec, vecErr}} {
+			switch {
+			case (got.err == nil) != (wantErr == nil):
+				t.Fatalf("tree %d %s\noptimized %s\n%s: error %v, the reference's %v", i, root, opt.Root, got.name, got.err, wantErr)
+			case got.err == nil && refeval.Render(got.t) != refeval.Render(want):
+				t.Fatalf("tree %d %s\noptimized %s\n%s diverges from the reference:\n%s\nvs\n%s",
+					i, root, opt.Root, got.name, refeval.Render(got.t), refeval.Render(want))
 			}
 		}
 	}

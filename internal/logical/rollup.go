@@ -7,19 +7,6 @@ import (
 	"repro/internal/table"
 )
 
-// RollupStats is the optional Stats extension the rollup routing pass
-// consults: the registered rollup definitions over a base table, in
-// sorted name order (the pass's deterministic candidate order). A Stats
-// that does not implement it disables routing; CatalogStats implements
-// it.
-type RollupStats interface {
-	RollupsFor(base string) []table.RollupDef
-}
-
-func (s catalogStats) RollupsFor(base string) []table.RollupDef {
-	return s.c.RollupsFor(base)
-}
-
 // rollupPass rewrites Aggregate subtrees onto registered rollup
 // materializations. It matches the post-pushdown dashboard shape —
 // Aggregate over an optional Filter over a full (possibly
@@ -54,8 +41,7 @@ func (s catalogStats) RollupsFor(base string) []table.RollupDef {
 // COUNT 0 and NULLs). Exact routing is preferred over pinned, pinned
 // over reaggregation; candidates are tried in sorted rollup-name order.
 func rollupPass(o *Optimized, st Stats) []string {
-	rs, ok := st.(RollupStats)
-	if !ok {
+	if st == nil {
 		return nil
 	}
 	var notes []string
@@ -67,7 +53,7 @@ func rollupPass(o *Optimized, st Stats) []string {
 		if scan == nil || !scanColsCover(scan, filter, n) {
 			return n
 		}
-		defs := rs.RollupsFor(scan.Table)
+		defs := st.RollupsFor(scan.Table)
 		route := func(mode string, try func(RollupCandidate) *Node) *Node {
 			for _, def := range defs {
 				if !rollupFilterCovered(filter, def) {

@@ -393,16 +393,17 @@ func TestRollupRoutingSkippedWithoutRollupStats(t *testing.T) {
 	mustAddRollup(t, c, productRollup())
 	root := aggOver(scan("sales"), []string{"product"},
 		table.Agg{Func: table.AggSum, Col: "revenue", As: "total"})
-	// A bare Stats without RollupsFor disables the pass entirely.
+	// A Stats that lists no rollups routes nothing.
 	opt := Optimize(root, noRollupStats{CatalogStats(c)})
 	if len(opt.Rollups) != 0 || traced(t, opt, "rollup") {
-		t.Fatalf("pass ran without RollupStats: %v", opt.Trace)
+		t.Fatalf("pass routed without rollups: %v", opt.Trace)
 	}
 }
 
-// noRollupStats wraps a Stats and hides its RollupStats implementation.
+// noRollupStats wraps a Stats and lists no rollups.
 type noRollupStats struct{ s Stats }
 
 func (n noRollupStats) Schema(tbl string) (table.Schema, bool)  { return n.s.Schema(tbl) }
 func (n noRollupStats) Card(tbl string) (int, bool)             { return n.s.Card(tbl) }
 func (n noRollupStats) TableStats(tbl string) *table.TableStats { return n.s.TableStats(tbl) }
+func (noRollupStats) RollupsFor(string) []table.RollupDef       { return nil }

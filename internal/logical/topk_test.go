@@ -1,4 +1,4 @@
-package logical
+package logical_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/table"
 )
 
@@ -71,23 +73,17 @@ func topKTable(seed int64, n int, nan bool) *table.Table {
 	return t
 }
 
-// sameCells reports whether two tables agree cell for cell: schema,
-// row count, and each cell's nullness, kind and text (which separates
-// -0 from +0 and renders NaN, where Key merges the zeros).
+// prefix is the first k rows of t, none for k < 0: a LIMIT k.
+func prefix(t *table.Table, k int) *table.Table {
+	return &table.Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows[:min(max(k, 0), t.Len())]}
+}
+
+// sameCells reports whether two tables agree cell for cell: schema
+// names and types, row count, and each cell's nullness, kind and text
+// (refeval.Render, which separates -0 from +0 and renders NaN).
 func sameCells(a, b *table.Table) error {
-	if fmt.Sprint(a.Schema) != fmt.Sprint(b.Schema) {
-		return fmt.Errorf("schema %v vs %v", a.Schema, b.Schema)
-	}
-	if a.Len() != b.Len() {
-		return fmt.Errorf("%d rows vs %d", a.Len(), b.Len())
-	}
-	for r := range a.Rows {
-		for c := range a.Rows[r] {
-			x, y := a.Rows[r][c], b.Rows[r][c]
-			if x.IsNull() != y.IsNull() || x.Kind() != y.Kind() || x.String() != y.String() {
-				return fmt.Errorf("row %d col %s: %v (%v) vs %v (%v)", r, a.Schema[c].Name, x, x.Kind(), y, y.Kind())
-			}
-		}
+	if fmt.Sprint(a.Schema) != fmt.Sprint(b.Schema) || refeval.Render(a) != refeval.Render(b) {
+		return fmt.Errorf("%v\n%s\nvs\n%v\n%s", a.Schema, refeval.Render(a), b.Schema, refeval.Render(b))
 	}
 	return nil
 }
@@ -96,8 +92,8 @@ func sameCells(a, b *table.Table) error {
 // property: over every input shape a Sort can sit on — bare scan,
 // selection vectors from a filter and from a row range, a projection,
 // a projection left pending at the leaf — RunVec(Limit(k, Sort(keys,
-// X))) equals table.Limit(table.Sort(X, keys), k) cell for cell at
-// every k around the input size, ties in row order — the NaN-bearing
+// X))) equals the reference evaluator's stable sort prefix cell for cell
+// at every k around the input size, ties in row order — the NaN-bearing
 // and mixed-kind keys included, which table.Compare orders totally like
 // every other key.
 func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
@@ -115,18 +111,18 @@ func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 	}
 	gt := table.Pred{Col: "i", Op: table.OpGt, Val: table.I(0)}
 	cols := []string{"f", "g", "m", "id", "b", "i"}
-	inputs := map[string]func() *Node{
-		"scan":   func() *Node { return scan("t") },
-		"filter": func() *Node { return filter(scan("t"), gt) },
-		"range": func() *Node {
+	inputs := map[string]func() *logical.Node{
+		"scan":   func() *logical.Node { return scan("t") },
+		"filter": func() *logical.Node { return filter(scan("t"), gt) },
+		"range": func() *logical.Node {
 			sc := scan("t")
 			sc.RowStart, sc.RowEnd = 3, 300
 			return sc
 		},
-		"filter_project": func() *Node {
-			return &Node{Op: OpProject, Proj: cols, In: []*Node{filter(scan("t"), gt)}}
+		"filter_project": func() *logical.Node {
+			return &logical.Node{Op: logical.OpProject, Proj: cols, In: []*logical.Node{filter(scan("t"), gt)}}
 		},
-		"pruned_scan": func() *Node {
+		"pruned_scan": func() *logical.Node {
 			sc := scan("t")
 			sc.Cols = cols
 			return sc
@@ -141,24 +137,25 @@ func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 		c := table.NewCatalog()
 		c.Put(base)
 		for iname, mk := range inputs {
-			in, err := Exec(mk(), c)
+			in, err := refeval.Eval(mk(), c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			n := in.Len()
 			for kname, keys := range keySets {
-				sorted, err := table.Sort(in, keys...)
+				sorted, err := refeval.Eval(sortNode(mk(), keys...), c)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, k := range []int{-3, 0, 1, 2, n - 1, n, n + 1} {
-					root := &Node{Op: OpLimit, N: k, In: []*Node{sortNode(mk(), keys...)}}
+					root := &logical.Node{Op: logical.OpLimit, N: k, In: []*logical.Node{sortNode(mk(), keys...)}}
+					want := prefix(sorted, k)
 					for _, workers := range []int{1, 4} {
-						got, err := ExecVec(root, c, workers)
+						got, err := logical.ExecVec(root, c, workers)
 						if err != nil {
 							t.Fatalf("seed %d %s/%s k=%d: %v", tc.seed, iname, kname, k, err)
 						}
-						if err := sameCells(got, table.Limit(sorted, k)); err != nil {
+						if err := sameCells(got, want); err != nil {
 							t.Fatalf("seed %d %s/%s k=%d workers=%d: %v", tc.seed, iname, kname, k, workers, err)
 						}
 					}
@@ -167,12 +164,13 @@ func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 		}
 
 		// The projection pending at the leaf, as an in-process backend
-		// leaves it: the leaf table is the unprojected base.
+		// leaves it: the leaf table is the unprojected base, and the
+		// reference scans the projected columns.
 		fr := c.FragsOf(base.Name)
 		for _, withFrags := range []bool{true, false} {
-			env := VecEnv{
-				Leaf: func(*Node) (*table.Table, error) { return base, nil },
-				Columnar: func(*Node) (*table.Frags, []string) {
+			env := logical.VecEnv{
+				Leaf: func(*logical.Node) (*table.Table, error) { return base, nil },
+				Columnar: func(*logical.Node) (*table.Frags, []string) {
 					if withFrags {
 						return fr, cols
 					}
@@ -180,22 +178,18 @@ func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 				},
 				Workers: 1,
 			}
-			projected, err := table.Project(base, cols...)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for kname, keys := range keySets {
-				sorted, err := table.Sort(projected, keys...)
+				sorted, err := refeval.Eval(sortNode(&logical.Node{Op: logical.OpScan, Table: "t", Cols: cols}, keys...), c)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, k := range []int{1, 2, tc.n - 1, tc.n, tc.n + 1} {
-					root := &Node{Op: OpLimit, N: k, In: []*Node{sortNode(&Node{Op: OpInput}, keys...)}}
-					got, err := RunVec(root, env)
+					root := &logical.Node{Op: logical.OpLimit, N: k, In: []*logical.Node{sortNode(&logical.Node{Op: logical.OpInput}, keys...)}}
+					got, err := logical.RunVec(root, env)
 					if err != nil {
 						t.Fatalf("seed %d pending/%s k=%d: %v", tc.seed, kname, k, err)
 					}
-					if err := sameCells(got, table.Limit(sorted, k)); err != nil {
+					if err := sameCells(got, prefix(sorted, k)); err != nil {
 						t.Fatalf("seed %d pending/%s k=%d frags=%v: %v", tc.seed, kname, k, withFrags, err)
 					}
 				}
@@ -204,24 +198,24 @@ func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 	}
 }
 
-// TestVecTopKErrors: an unknown sort column fails with the row
-// interpreter's error at any limit (including one that selects nothing),
-// and an error below the Sort wins over it, as in the row interpreter.
+// TestVecTopKErrors: an unknown sort column fails, with the row
+// interpreter's error text, at any limit (including one that selects
+// nothing), and an error below the Sort wins over it.
 func TestVecTopKErrors(t *testing.T) {
 	c := table.NewCatalog()
 	c.Put(topKTable(9, 300, false))
 	for _, k := range []int{-1, 0, 5, 300, 1000} {
-		assertVecParity(t, &Node{Op: OpLimit, N: k,
-			In: []*Node{sortNode(scan("t"), table.SortKey{Col: "f"}, table.SortKey{Col: "nope"})}}, c)
-		assertVecParity(t, &Node{Op: OpLimit, N: k,
-			In: []*Node{sortNode(
+		assertReference(t, &logical.Node{Op: logical.OpLimit, N: k,
+			In: []*logical.Node{sortNode(scan("t"), table.SortKey{Col: "f"}, table.SortKey{Col: "nope"})}}, c)
+		assertReference(t, &logical.Node{Op: logical.OpLimit, N: k,
+			In: []*logical.Node{sortNode(
 				filter(scan("t"), table.Pred{Col: "missing", Op: table.OpEq, Val: table.I(1)}),
 				table.SortKey{Col: "nope"})}}, c)
 	}
 }
 
-// TestVecDistinctKeys pins the distinct kernel to table.Distinct on the
-// keys where equality is coarser or finer than it looks: NULL in either
+// TestVecDistinctKeys holds both executors' distinct to the reference
+// evaluator on the keys where equality is coarser or finer than it looks: NULL in either
 // column, 1 vs 1.0 (equal), NaN (equal to NaN), -0 vs +0 (equal), a
 // date vs the same text as a string (equal), over
 // bare, filtered and projected inputs — first occurrence kept.
@@ -239,9 +233,13 @@ func TestVecDistinctKeys(t *testing.T) {
 	}
 	c := table.NewCatalog()
 	c.Put(tb)
-	distinct := func(in *Node) *Node { return &Node{Op: OpDistinct, In: []*Node{in}} }
-	project := func(in *Node, cols ...string) *Node { return &Node{Op: OpProject, Proj: cols, In: []*Node{in}} }
-	for name, root := range map[string]*Node{
+	distinct := func(in *logical.Node) *logical.Node {
+		return &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{in}}
+	}
+	project := func(in *logical.Node, cols ...string) *logical.Node {
+		return &logical.Node{Op: logical.OpProject, Proj: cols, In: []*logical.Node{in}}
+	}
+	for name, root := range map[string]*logical.Node{
 		"all_columns": distinct(scan("d")),
 		"two_columns": distinct(project(scan("d"), "s", "x")),
 		"one_column":  distinct(project(scan("d"), "x")),
@@ -249,38 +247,23 @@ func TestVecDistinctKeys(t *testing.T) {
 			filter(scan("d"), table.Pred{Col: "n", Op: table.OpEq, Val: table.I(1)}), "x", "s")),
 		"then_sorted": sortNode(distinct(project(scan("d"), "s", "n")), table.SortKey{Col: "n", Desc: true}),
 	} {
-		want, err := Exec(root, c)
+		want, err := refeval.Eval(root, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ExecVec(root, c, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		row, rowErr := logical.Exec(root, c)
+		vec, vecErr := logical.ExecVec(root, c, 1)
+		for _, got := range []struct {
+			name string
+			t    *table.Table
+			err  error
+		}{{"row interpreter", row, rowErr}, {"vectorized", vec, vecErr}} {
+			if got.err != nil {
+				t.Fatalf("%s (%s): %v", name, got.name, got.err)
+			}
+			if err := sameCells(got.t, want); err != nil {
+				t.Errorf("%s (%s): %v", name, got.name, err)
+			}
 		}
-		if err := sameCells(got, want); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-// TestVecFilterNoPredsKeepsSelections: an empty conjunction passes the
-// incoming selections through — whole-batch entries stay nil instead of
-// becoming explicit 256-entry index lists.
-func TestVecFilterNoPredsKeepsSelections(t *testing.T) {
-	base := topKTable(11, 700, false)
-	v := &vecRun{env: VecEnv{Workers: 1}}
-	s := passthrough(base, nil)
-	s.sels = rangeSels(v.batches(s), []table.RowRange{{Start: 100, End: 600}})
-	out, err := v.filter(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bi := range s.sels {
-		if (s.sels[bi] == nil) != (out.sels[bi] == nil) || len(s.sels[bi]) != len(out.sels[bi]) {
-			t.Errorf("batch %d: selection %v became %v", bi, s.sels[bi], out.sels[bi])
-		}
-	}
-	if out.sels[1] != nil {
-		t.Errorf("fully covered batch materialized a %d-entry selection", len(out.sels[1]))
 	}
 }

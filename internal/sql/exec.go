@@ -13,21 +13,15 @@ var (
 	ErrBadColumn   = errors.New("sql: unknown column")
 )
 
-// Exec parses and executes one SELECT statement against the catalog.
+// Exec parses one SELECT statement, compiles it to the shared logical
+// IR, runs the rule passes (literal re-typing, pushdown, pruning) and
+// executes it against the catalog through internal/logical's operator
+// loop, so SQL and natural-language queries run through one algebra.
 func Exec(catalog *table.Catalog, query string) (*table.Table, error) {
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return ExecStmt(catalog, stmt)
-}
-
-// ExecStmt executes a parsed statement: compile to the shared logical
-// IR, run the rule passes (literal re-typing, pushdown, pruning), and
-// interpret through internal/logical's single operator loop. The
-// duplicate SQL interpreter this package used to carry is gone — SQL
-// and natural-language queries execute through the same algebra.
-func ExecStmt(catalog *table.Catalog, stmt *Stmt) (*table.Table, error) {
 	node, err := Compile(stmt, catalog)
 	if err != nil {
 		return nil, err

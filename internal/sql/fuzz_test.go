@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 )
 
 // FuzzParseCompileExec drives arbitrary input through the full SQL
@@ -13,6 +14,7 @@ import (
 //   - nothing panics, whatever the bytes;
 //   - a statement that parses either compiles or fails with a typed
 //     error, never a malformed tree;
+//   - the optimized plan's result is the reference evaluator's;
 //   - the pipeline is deterministic: a second run produces the same
 //     optimized fingerprint and the same rows.
 //
@@ -36,12 +38,18 @@ func FuzzParseCompileExec(f *testing.F) {
 		opt := logical.Optimize(node, logical.CatalogStats(catalog))
 		res, err := logical.Exec(opt.Root, catalog)
 
-		// Soundness: the rule passes may change which rows match (retype
-		// fixes literal typing) but must never turn an executable plan
-		// into a failing one — a pruned column or broken join rename
-		// shows up here as an optimized-only error.
-		if _, plainErr := logical.Exec(node, catalog); plainErr == nil && err != nil {
-			t.Fatalf("optimizer broke an executable plan for %q: %v\ntrace: %v", query, err, opt.Trace)
+		// Soundness: the optimized plan returns exactly what the
+		// reference evaluator computes from the compiled one, or fails
+		// where it fails — a pruned column or broken join rename shows
+		// up here as an optimized-only error, a wrong rewrite as a
+		// different result.
+		want, wantErr := refeval.Eval(node, catalog)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("optimized plan errs %v, the reference %v, for %q\ntrace: %v", err, wantErr, query, opt.Trace)
+		}
+		if err == nil && refeval.Render(res) != refeval.Render(want) {
+			t.Fatalf("optimized result diverges from the reference for %q:\n%s\nvs\n%s\ntrace: %v",
+				query, refeval.Render(res), refeval.Render(want), opt.Trace)
 		}
 
 		// Determinism: recompiling and re-running the same statement

@@ -6,16 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/table"
 )
 
 // FuzzVecParity drives arbitrary SQL through both executors — the row
-// interpreter and the vectorized columnar engine — and requires them
-// to agree bit-exactly: same error outcome, same schema, same row
-// order, same cell values at one worker and several. Every operator
-// the SQL surface can produce has a columnar kernel (ORDER BY included
-// since the sort kernel landed), so a compiled plan that reports
-// itself non-vectorizable is itself a failure. The second fuzz input
+// interpreter and the vectorized columnar engine — and holds each to
+// the reference evaluator of the compiled, unoptimized plan: same error
+// outcome, same schema, same row order, same cell values at one worker
+// and several. Every operator the SQL surface can produce has a
+// columnar kernel (ORDER BY included since the sort kernel landed), so
+// a compiled plan that reports itself non-vectorizable is itself a
+// failure. The second fuzz input
 // derives a Compare plan — the NL-entry comparison shape SQL cannot
 // spell — over the fuzzed item list, covering the compare kernel's
 // branch reassembly, empty branches and the no-item error.
@@ -75,7 +77,7 @@ func FuzzVecParity(f *testing.F) {
 		if err == nil {
 			if node, err := Compile(stmt, catalog); err == nil {
 				opt := logical.Optimize(node, logical.CatalogStats(catalog))
-				assertVecMatchesRow(t, opt.Root, catalog, query)
+				assertMatchesReference(t, node, opt.Root, catalog, query)
 			}
 		}
 		if items != "" {
@@ -89,21 +91,21 @@ func FuzzVecParity(f *testing.F) {
 				},
 				In: []*logical.Node{{Op: logical.OpScan, Table: "sales"}}}
 			opt := logical.Optimize(cmp, logical.CatalogStats(catalog))
-			assertVecMatchesRow(t, opt.Root, catalog, "COMPARE "+items)
+			assertMatchesReference(t, cmp, opt.Root, catalog, "COMPARE "+items)
 		}
 	})
 }
 
 // fuzzCatalog is testCatalog plus ratings, whose score column carries
 // NULLs and ties — what a bounded ORDER BY ... LIMIT and a multi-column
-// DISTINCT must order and deduplicate exactly like the row interpreter —
-// and events, 600 rows over three fragments, whose string and date
-// columns the catalog dictionary-codes per fragment: tag holds 23 values
-// and NULLs in every fragment, zone 3 values and day 9 dates and NULLs,
-// so a GROUP BY or DISTINCT on any of them reaches the code memo in
-// every batch and its groups span batches, and an equality on one
-// probes each batch's dictionary. NULL rows hold code 0, which is t01's
-// and 2024-03-02's in the first fragment.
+// DISTINCT must order and deduplicate exactly like the reference
+// evaluator — and events, 600 rows over three fragments, whose string
+// and date columns the catalog dictionary-codes per fragment: tag holds
+// 23 values and NULLs in every fragment, zone 3 values and day 9 dates
+// and NULLs, so a GROUP BY or DISTINCT on any of them reaches the code
+// memo in every batch and its groups span batches, and an equality on
+// one probes each batch's dictionary. NULL rows hold code 0, which is
+// t01's and 2024-03-02's in the first fragment.
 func fuzzCatalog() *table.Catalog {
 	c := testCatalog()
 	ratings := table.New("ratings", table.Schema{
@@ -145,38 +147,27 @@ func fuzzCatalog() *table.Catalog {
 	return c
 }
 
-// assertVecMatchesRow executes one optimized tree through both engines
-// and fails on any divergence in error outcome or rendered result.
-func assertVecMatchesRow(t *testing.T, root *logical.Node, catalog *table.Catalog, label string) {
+// assertMatchesReference holds both executors of the optimized tree —
+// the row interpreter and the vectorized one at one worker and three —
+// to the reference evaluator of the tree as compiled: the same error
+// outcome, or the same schema, row order and cells.
+func assertMatchesReference(t *testing.T, node, opt *logical.Node, catalog *table.Catalog, label string) {
 	t.Helper()
-	want, wantErr := logical.Exec(root, catalog)
-	for _, workers := range []int{1, 3} {
-		got, err := logical.ExecVec(root, catalog, workers)
+	want, wantErr := refeval.Eval(node, catalog)
+	check := func(name string, got *table.Table, err error) {
+		t.Helper()
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("executor error outcomes diverge for %q (workers=%d): vec=%v row=%v",
-				label, workers, err, wantErr)
+			t.Fatalf("%s error outcome diverges from the reference for %q: %v vs %v", name, label, err, wantErr)
 		}
-		if wantErr != nil {
-			continue
-		}
-		if r1, r2 := renderResult(got), renderResult(want); r1 != r2 {
-			t.Fatalf("vectorized result diverges for %q (workers=%d):\n%s\nvs\n%s",
-				label, workers, r1, r2)
+		if err == nil && refeval.Render(got) != refeval.Render(want) {
+			t.Fatalf("%s result diverges from the reference for %q:\n%s\nvs\n%s",
+				name, label, refeval.Render(got), refeval.Render(want))
 		}
 	}
-}
-
-// renderResult flattens a table to schema names plus every cell's kind,
-// nullness and text, so equality means identical results: −0 and +0, or
-// int 2 and float 2, render apart (Value.Key would merge them).
-func renderResult(t *table.Table) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Schema.Names(), ","))
-	for _, row := range t.Rows {
-		b.WriteByte('\n')
-		for _, v := range row {
-			fmt.Fprintf(&b, "%v:%v:%s|", v.Kind(), v.IsNull(), v)
-		}
+	got, err := logical.Exec(opt, catalog)
+	check("row interpreter", got, err)
+	for _, workers := range []int{1, 3} {
+		got, err := logical.ExecVec(opt, catalog, workers)
+		check(fmt.Sprintf("vectorized (workers=%d)", workers), got, err)
 	}
-	return b.String()
 }

@@ -6,7 +6,7 @@
 //	[WHERE pred [AND pred]...]
 //	[GROUP BY col, ...]
 //	[ORDER BY col [DESC], ...]
-//	[LIMIT n]
+//	[LIMIT n] (n ≥ 1)
 //
 // The dialect is the target language of Semantic Operator Synthesis
 // and the text the federated SQL backend ships its fragments in. This

@@ -156,7 +156,10 @@ func (p *parser) selectStmt() *Stmt {
 		stmt.OrderBy = list(p, tokSymbol, ",", p.orderKey)
 	}
 	if p.keyword("LIMIT") {
-		stmt.Limit = p.count("LIMIT count")
+		// Limit 0 means "no limit", so a zero-row limit has no form.
+		if stmt.Limit = p.count("LIMIT count"); stmt.Limit == 0 {
+			p.fail("LIMIT 0")
+		}
 	}
 	return stmt
 }

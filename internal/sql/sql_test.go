@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/logical"
+	"repro/internal/logical/refeval"
 	"repro/internal/table"
 )
 
@@ -56,7 +57,7 @@ func testCatalog() *table.Catalog {
 
 // TestOptimizerKeepsRowOrder: on statements whose literals already
 // carry their column's type (retype changes mistyped ones on purpose),
-// the optimized plan ExecStmt runs returns the unoptimized plan's
+// the optimized plan Exec runs returns the unoptimized plan's
 // result cell for cell, row order included. rule names a pass the
 // statement must trigger, so each case exercises the rewrite it is
 // about.
@@ -77,7 +78,7 @@ func TestOptimizerKeepsRowOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
-		got, err := ExecStmt(c, stmt)
+		got, err := Exec(c, tc.query)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
@@ -89,7 +90,7 @@ func TestOptimizerKeepsRowOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s unoptimized: %v", tc.query, err)
 		}
-		if g, w := renderResult(got), renderResult(want); g != w {
+		if g, w := refeval.Render(got), refeval.Render(want); g != w {
 			t.Errorf("%s: optimized\n%s\nunoptimized\n%s", tc.query, g, w)
 		}
 		if tc.rule == "" {
@@ -243,6 +244,7 @@ func TestSyntaxErrors(t *testing.T) {
 		"SELECT * FROM sales WHERE revenue",
 		"SELECT * FROM sales WHERE revenue ~ 5",
 		"SELECT * FROM sales LIMIT x",
+		"SELECT * FROM sales LIMIT 0",
 		"SELECT * FROM sales GARBAGE",
 		"SELECT SUM( FROM sales",
 		"SELECT * FROM sales WHERE s = 'unterminated",

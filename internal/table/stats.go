@@ -304,8 +304,8 @@ func (cs *ColStats) Refutes(p Pred) bool {
 }
 
 // Refutes reports whether the statistics prove the predicate
-// conjunction returns no rows: an empty table, or any single conjunct
-// refuted by its column's statistics.
+// conjunction returns no rows: an empty table, or a refuted conjunct
+// with none before it on a missing column (a row reaching one fails).
 func (ts *TableStats) Refutes(preds []Pred) bool {
 	if ts == nil {
 		return false
@@ -314,8 +314,8 @@ func (ts *TableStats) Refutes(preds []Pred) bool {
 		return true
 	}
 	for _, p := range preds {
-		if ts.Col(p.Col).Refutes(p) {
-			return true
+		if cs := ts.Col(p.Col); cs == nil || cs.Refutes(p) {
+			return cs != nil
 		}
 	}
 	return false

@@ -191,13 +191,13 @@ func refutes(p Pred, lo, hi Value, n int, vals func(int) Value) bool {
 }
 
 // Refutes reports whether the fragment's zone map proves the predicate
-// conjunction empty: any single refuted conjunct refutes the whole
-// fragment. Predicates on columns the map does not cover refute
-// nothing.
+// conjunction empty: a refuted conjunct refutes the whole fragment
+// unless one before it is on a column the map lacks (every column of
+// the table has one), as a row reaching that conjunct fails the scan.
 func (zm *ZoneMap) Refutes(preds []Pred) bool {
 	for _, p := range preds {
-		if zm.Col(p.Col).Refutes(p) {
-			return true
+		if zc := zm.Col(p.Col); zc == nil || zc.Refutes(p) {
+			return zc != nil
 		}
 	}
 	return false
