@@ -381,8 +381,7 @@ func emptyfoldPass(o *Optimized, st Stats) []string {
 		case OpSort, OpDistinct, OpLimit:
 			// A sort key the input lacks fails the Sort even over no rows.
 			c := n.Child()
-			schema, _ := inputSchema(c, st)
-			lacks := func(k table.SortKey) bool { return schema.ColIndex(k.Col) < 0 }
+			lacks := func(k table.SortKey) bool { schema, _ := inputSchema(c, st); return schema.ColIndex(k.Col) < 0 }
 			if c != nil && c.Op == OpEmpty && !slices.ContainsFunc(n.Keys, lacks) {
 				notes = append(notes, "collapsed "+strings.ToLower(n.Op.String())+" over empty "+c.Table)
 				return c
