@@ -1156,10 +1156,11 @@ func BenchmarkFederatedGroupBySku(b *testing.B)      { benchFederatedAnalytic(b,
 
 // rollupBenchSetup builds the dashboard-aggregate fixture: an 8192-row
 // fact table over 5 regions, a federated executor over its catalog, and
-// the optimized plan for the unfiltered group-by aggregate. With
-// withRollup, a region-grain rollup is registered first, so the rollup
-// pass routes the aggregate onto the 5-row materialization; without, the
-// same plan aggregates the base table.
+// the optimized plan for the unfiltered group-by aggregate, and the
+// reference evaluator's answer to that aggregate. With withRollup, a
+// region-grain rollup is registered first, so the rollup pass routes
+// the aggregate onto the 5-row materialization; without, the same plan
+// aggregates the base table.
 func rollupBenchSetup(tb testing.TB, withRollup bool) (*federate.Executor, *logical.Optimized, *table.Table) {
 	tb.Helper()
 	c := table.NewCatalog()
@@ -1198,7 +1199,11 @@ func rollupBenchSetup(tb testing.TB, withRollup bool) (*federate.Executor, *logi
 		In: []*logical.Node{{Op: logical.OpScan, Table: "rollup_facts"}}}
 	opt := logical.Optimize(root, logical.CatalogStats(c))
 	fed := federate.New(c.Epoch, federate.Options{}, federate.NewMemory(c))
-	return fed, opt, t
+	want, err := refeval.Eval(root, c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fed, opt, want
 }
 
 // BenchmarkRollupRoutedAggregate executes the group-by aggregate after
@@ -1207,16 +1212,9 @@ func rollupBenchSetup(tb testing.TB, withRollup bool) (*federate.Executor, *logi
 // the 8192-row base table. Compare ns/op against
 // BenchmarkUnroutedAggregate; TestExactGates asserts the 5 and the 8192.
 func BenchmarkRollupRoutedAggregate(b *testing.B) {
-	fed, opt, base := rollupBenchSetup(b, true)
+	fed, opt, want := rollupBenchSetup(b, true)
 	if len(opt.Rollups) != 1 {
 		b.Fatalf("aggregate not routed: %v", opt.Trace)
-	}
-	want, err := table.Aggregate(base, []string{"region"}, []table.Agg{
-		{Func: table.AggSum, Col: "revenue"},
-		{Func: table.AggCount, Col: "", As: "n"},
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 	benchScanned(b, fed, opt, want.Len())
 }
