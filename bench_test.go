@@ -1053,6 +1053,73 @@ func BenchmarkRowSortLimit(b *testing.B) {
 	}
 }
 
+// BenchmarkVecFilterKinds times the vectorized filter kernel on each of
+// its typed paths — int and float ranges, a coded-string equality (the
+// dictionary probe), a string range, a date, a bool, CONTAINS and a
+// boxed column (mixed kinds, read through Pred.Match) — one
+// sub-benchmark each, as COUNT(*) over one predicate on an 8192-row
+// table holding a column of every kind, at one worker.
+func BenchmarkVecFilterKinds(b *testing.B) {
+	t := table.New("kinds", table.Schema{
+		{Name: "i", Type: table.TypeInt},
+		{Name: "f", Type: table.TypeFloat},
+		{Name: "s", Type: table.TypeString},
+		{Name: "d", Type: table.TypeDate},
+		{Name: "ok", Type: table.TypeBool},
+		{Name: "x", Type: table.TypeFloat},
+	})
+	regions := []string{"north", "south", "east", "west", "central"}
+	for i := 0; i < 8192; i++ {
+		t.MustAppend([]table.Value{
+			table.I(int64(i % 101)),
+			table.F(float64(i%1009) * 0.75),
+			table.S(regions[i%len(regions)]),
+			table.D(fmt.Sprintf("2024-%02d-%02d", i%12+1, i%28+1)),
+			table.B(i%3 == 0),
+			table.F(float64(i % 97)),
+		})
+	}
+	for i, row := range t.Rows {
+		if i%2 == 0 {
+			row[5] = table.I(int64(i % 97)) // an int among floats boxes the column
+		}
+	}
+	c := table.NewCatalog()
+	c.Put(t)
+	if b0 := c.FragsOf("kinds").Batches[0]; b0.Cols[2].Codes == nil || b0.Cols[5].Boxed == nil {
+		b.Fatal("the string column is not coded or the mixed column is not boxed")
+	}
+	for _, k := range []struct {
+		name string
+		pred table.Pred
+	}{
+		{"int_range", table.Pred{Col: "i", Op: table.OpGt, Val: table.I(40)}},
+		{"float_range", table.Pred{Col: "f", Op: table.OpLe, Val: table.F(300)}},
+		{"coded_eq", table.Pred{Col: "s", Op: table.OpEq, Val: table.S("east")}},
+		{"string_range", table.Pred{Col: "s", Op: table.OpLt, Val: table.S("north")}},
+		{"date", table.Pred{Col: "d", Op: table.OpGe, Val: table.D("2024-07-01")}},
+		{"bool", table.Pred{Col: "ok", Op: table.OpEq, Val: table.B(true)}},
+		{"contains", table.Pred{Col: "s", Op: table.OpContains, Val: table.S("ST")}},
+		{"boxed", table.Pred{Col: "x", Op: table.OpGt, Val: table.F(50)}},
+	} {
+		root := &logical.Node{Op: logical.OpAggregate, Aggs: []table.Agg{{Func: table.AggCount}},
+			In: []*logical.Node{{Op: logical.OpFilter, Preds: []table.Pred{k.pred},
+				In: []*logical.Node{{Op: logical.OpScan, Table: "kinds"}}}}}
+		b.Run(k.name, func(b *testing.B) {
+			if _, err := logical.ExecVec(root, c, 1); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := logical.ExecVec(root, c, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // analyticFixture builds the 65 536-row fact table (256 fragments, NULL
 // revenue every 67th row) the analytic statement shapes run over, behind
 // a federated executor on the memory backend.

@@ -122,49 +122,40 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string) (*table.Table
 		runs[i].ActOut = results[i].Table.Len()
 	}
 
-	// leaf resolves the residual's leaves to fragment outputs: as row
-	// tables with any pending projection applied (rows), or as the raw
-	// Tables the vectorized executor composes projections over.
-	leaf := func(rows bool) logical.Source {
-		return func(leaf *logical.Node) (*table.Table, error) {
-			if leaf.Op == logical.OpEmpty {
-				// emptyfold proved the scan selects no rows; no fragment
-				// was routed. The schema the passes folded against stands
-				// in for the scan's output.
-				if opt.Stats != nil {
-					if schema, ok := opt.Stats.Schema(leaf.Table); ok {
-						return table.New(leaf.Table, schema), nil
-					}
+	// leaf resolves the residual's leaves to fragment outputs, with any
+	// projection a backend left pending over a pass-through scan.
+	leaf := func(leaf *logical.Node) (logical.VecLeaf, error) {
+		if leaf.Op == logical.OpEmpty {
+			// emptyfold proved the scan selects no rows; no fragment was
+			// routed. The schema the passes folded against stands in for
+			// the scan's output.
+			if opt.Stats != nil {
+				if schema, ok := opt.Stats.Schema(leaf.Table); ok {
+					return logical.VecLeaf{Table: table.New(leaf.Table, schema)}, nil
 				}
-				return nil, fmt.Errorf("federate: no schema for empty leaf %s", leaf.Table)
 			}
-			if leaf.Op != logical.OpInput || leaf.Index >= len(results) {
-				return nil, fmt.Errorf("federate: unresolved %v leaf", leaf.Op)
-			}
-			if rows {
-				return results[leaf.Index].Rows()
-			}
-			return results[leaf.Index].Table, nil
+			return logical.VecLeaf{}, fmt.Errorf("federate: no schema for empty leaf %s", leaf.Table)
 		}
+		if leaf.Op != logical.OpInput || leaf.Index >= len(results) {
+			return logical.VecLeaf{}, fmt.Errorf("federate: unresolved %v leaf", leaf.Op)
+		}
+		r := results[leaf.Index]
+		return logical.VecLeaf{Table: r.Table, Frags: r.Frags, Cols: r.Columns}, nil
 	}
 	var out *table.Table
 	if pp.VecResidual {
-		// Run the vectorized executor over the fragments' raw tables,
-		// reusing the batches backends attached to pass-through scans
-		// and composing their pending projections as column mappings.
-		// Bit-identical to Run.
-		out, err = logical.RunVec(pp.Residual, logical.VecEnv{
-			Leaf: leaf(false),
-			Columnar: func(l *logical.Node) (*table.Frags, []string) {
-				if l.Op == logical.OpInput && l.Index < len(results) {
-					return results[l.Index].Frags, results[l.Index].Columns
-				}
-				return nil, nil
-			},
-			Workers: e.opts.Workers,
-		})
+		// The vectorized executor reuses the batches backends attached
+		// to pass-through scans and composes their pending projections
+		// as column mappings. Bit-identical to Run.
+		out, err = logical.RunVec(pp.Residual, logical.VecEnv{Leaf: leaf, Workers: e.opts.Workers})
 	} else {
-		out, err = logical.Run(pp.Residual, leaf(true))
+		out, err = logical.Run(pp.Residual, func(n *logical.Node) (*table.Table, error) {
+			l, err := leaf(n)
+			if err != nil || n.Op != logical.OpInput {
+				return l.Table, err
+			}
+			return results[n.Index].Rows()
+		})
 	}
 	if err != nil {
 		return nil, nil, err

@@ -191,6 +191,68 @@ func sameOutcome(t *testing.T, label string, got, ref, staged error) bool {
 	return true
 }
 
+// TestUnknownOperatorFailsWhereTheReferenceDoes runs an operator
+// outside the dialect over tables whose predicate column holds no rows,
+// only NULL cells, or one non-NULL cell in its last batch, against a
+// literal and against NULL, and behind a predicate no row passes. The
+// row interpreter, the vectorized executor (coded and uncoded
+// fragments, one and four workers) and the memory backend's fragment
+// fail exactly where the reference evaluator fails, all with one error
+// text: only when a non-NULL cell meets a non-NULL literal.
+func TestUnknownOperatorFailsWhereTheReferenceDoes(t *testing.T) {
+	const bogus = table.CmpOp(99)
+	build := func(n int, nonNull bool) *table.Table {
+		tb := table.New("u", table.Schema{{Name: "s", Type: table.TypeString}, {Name: "k", Type: table.TypeInt}})
+		for i := 0; i < n; i++ {
+			s := table.Null(table.TypeString)
+			if nonNull && i == n-1 {
+				s = table.S("a")
+			}
+			tb.MustAppend([]table.Value{s, table.I(int64(i))})
+		}
+		return tb
+	}
+	n := 2*table.FragmentRows + 3
+	tables := map[string]*table.Table{"no_rows": build(0, false), "null_cells": build(n, false), "non_null_cell": build(n, true)}
+	never := table.Pred{Col: "k", Op: table.OpLt, Val: table.I(0)}
+	for tname, tb := range tables {
+		c := table.NewCatalog()
+		c.Put(tb)
+		for _, lit := range []table.Value{table.S("a"), table.Null(table.TypeString)} {
+			for _, unreached := range []bool{false, true} {
+				preds := []table.Pred{{Col: "s", Op: bogus, Val: lit}}
+				if unreached {
+					preds = append([]table.Pred{never}, preds...)
+				}
+				label := fmt.Sprintf("%s literal=%v unreached=%v", tname, lit, unreached)
+				root := &logical.Node{Op: logical.OpFilter, Preds: preds, In: []*logical.Node{{Op: logical.OpScan, Table: "u"}}}
+				_, wantErr := refeval.Eval(root, c)
+				if fails := wantErr != nil; fails != (tname == "non_null_cell" && !lit.IsNull() && !unreached) {
+					t.Fatalf("%s: the reference fails = %v", label, fails)
+				}
+				_, rowErr := logical.Run(root, func(*logical.Node) (*table.Table, error) { return tb, nil })
+				check := func(way string, err error) {
+					if (err == nil) != (wantErr == nil) || err != nil && err.Error() != rowErr.Error() {
+						t.Errorf("%s %s: error %v, the reference's %v, the row interpreter's %v", label, way, err, wantErr, rowErr)
+					}
+				}
+				check("row", rowErr)
+				for _, fr := range []*table.Frags{c.FragsOf("u"), nil} {
+					for _, workers := range []int{1, 4} {
+						_, err := logical.RunVec(root, logical.VecEnv{
+							Leaf:    func(*logical.Node) (logical.VecLeaf, error) { return logical.VecLeaf{Table: tb, Frags: fr}, nil },
+							Workers: workers,
+						})
+						check(fmt.Sprintf("vectorized coded=%v workers=%d", fr != nil, workers), err)
+					}
+				}
+				_, err := NewMemory(c).Scan(context.Background(), Fragment{Table: "u", Preds: preds})
+				check("memory fragment", err)
+			}
+		}
+	}
+}
+
 // TestPendingProjectionUnknownColumn: leaving the projection pending
 // must not defer its validation past the scan.
 func TestPendingProjectionUnknownColumn(t *testing.T) {

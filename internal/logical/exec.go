@@ -6,11 +6,11 @@ import (
 	"repro/internal/table"
 )
 
-// Source resolves a leaf node (Scan or Input) to its rows. The
+// Source resolves a leaf node (Scan or Input) to its rows for Run. The
 // single-store executor resolves Scans from a catalog; the federation
 // layer resolves Inputs from fragment results. For an Empty leaf the
 // source returns any table carrying the folded scan's full schema (its
-// rows are never read); the evaluators materialise the leaf from it.
+// rows are never read); Run materialises the leaf from it.
 type Source func(leaf *Node) (*table.Table, error)
 
 // emptyLeaf materialises an Empty leaf from the table src resolved it

@@ -27,11 +27,14 @@ import (
 // at any worker count.
 //
 // Rows materialize once, at the end: filter, project and distinct only
-// refine a stream's selection vectors and column mapping, aggregate
-// reads them in place, and a projection a backend left pending over its
-// base table (VecEnv.Columnar) is composed into the mapping rather than
-// copied — VecFragment runs a backend's whole filter → aggregate →
-// project fragment this way.
+// refine a stream's selection vectors and column mapping, and aggregate
+// reads them in place. Every stream starts the same way (vecRun.stream):
+// a leaf's input is a VecLeaf — a table, the cached fragments covering
+// it and a projection a backend left pending over it — whose pending
+// projection and the Scan leaf's own column set compose into one column
+// mapping, and whose ROWS range becomes selection vectors, so no row is
+// sliced or copied. VecFragment runs a backend's whole filter →
+// aggregate → project fragment from the same start.
 //
 // Sort runs as a columnar kernel too: the key columns are extracted
 // to per-class typed arrays over the selected rows (nulls first,
@@ -54,27 +57,25 @@ import (
 // dispatch decision in EXPLAIN as "exec: vectorized|row".
 
 // VecEnv supplies the vectorized executor's environment: how leaves
-// resolve to tables, where cached columnar fragments for a leaf's
-// table live, and the morsel parallelism budget.
+// resolve to their input, and the morsel parallelism budget.
 type VecEnv struct {
-	// Leaf resolves a leaf node to its table, with the same contract
-	// as Run's Source: the returned table is the leaf's final output
-	// (for an Empty leaf, the table supplying its schema).
-	Leaf Source
-	// Scan, when set, resolves OpScan leaves to the raw base table
-	// plus its columnar fragments; the executor then applies the
-	// node's row range and column pruning natively (as selection
-	// vectors and column index mappings) instead of copying rows.
-	// When nil, OpScan leaves go through Leaf.
-	Scan func(leaf *Node) (*table.Table, *table.Frags, error)
-	// Columnar, when set, describes the table Leaf returned for this
-	// leaf: cached columnar fragments covering exactly it (or nil), and
-	// a pass-through projection still pending over it (nil = none),
-	// which the executor composes into the stream's column mapping
-	// instead of copying rows.
-	Columnar func(leaf *Node) (fr *table.Frags, cols []string)
+	// Leaf resolves a leaf node (Scan, Input or Empty) to its input. The
+	// executor applies a leaf's own column set and ROWS range on top of
+	// it, and reads no row of an Empty leaf's input.
+	Leaf func(leaf *Node) (VecLeaf, error)
 	// Workers bounds fragment parallelism (par.Workers convention).
 	Workers int
+}
+
+// VecLeaf is a leaf's input to the vectorized executor: the table, the
+// cached columnar fragments covering exactly it (nil = extract batches
+// on the fly), and a pass-through projection still pending over it (nil
+// = none), which the executor composes into the stream's column mapping
+// instead of copying rows.
+type VecLeaf struct {
+	Table *table.Table
+	Frags *table.Frags
+	Cols  []string
 }
 
 // RunVec interprets the tree with the vectorized kernels; an operator
@@ -94,21 +95,16 @@ func RunVec(n *Node, env VecEnv) (*table.Table, error) {
 
 // ExecVec runs the tree against a single catalog with the vectorized
 // executor — the columnar counterpart of Exec, resolving Scan leaves
-// to catalog tables and their cached fragment batches.
+// to catalog tables and their cached fragment batches (an Empty leaf's
+// folded scan table supplies its schema).
 func ExecVec(n *Node, c *table.Catalog, workers int) (*table.Table, error) {
 	return RunVec(n, VecEnv{
-		Scan: func(leaf *Node) (*table.Table, *table.Frags, error) {
+		Leaf: func(leaf *Node) (VecLeaf, error) {
+			if leaf.Op != OpScan && leaf.Op != OpEmpty {
+				return VecLeaf{}, fmt.Errorf("logical: unresolved %v leaf", leaf.Op)
+			}
 			t, err := c.Get(leaf.Table)
-			if err != nil {
-				return nil, nil, err
-			}
-			return t, c.FragsOf(leaf.Table), nil
-		},
-		Leaf: func(leaf *Node) (*table.Table, error) {
-			if leaf.Op != OpEmpty {
-				return nil, fmt.Errorf("logical: unresolved %v leaf", leaf.Op)
-			}
-			return c.Get(leaf.Table) // the folded scan's table supplies the schema
+			return VecLeaf{Table: t, Frags: c.FragsOf(leaf.Table)}, err
 		},
 		Workers: workers,
 	})
@@ -255,19 +251,8 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		return nil, ErrEmptyPlan
 	}
 	switch n.Op {
-	case OpScan:
-		if v.env.Scan != nil {
-			return v.scanStream(n)
-		}
-		return v.leafStream(n)
-	case OpInput:
-		return v.leafStream(n)
-	case OpEmpty:
-		t, err := emptyLeaf(n, v.env.Leaf)
-		if err != nil {
-			return nil, err
-		}
-		return passthrough(t, nil), nil
+	case OpScan, OpInput, OpEmpty:
+		return v.leaf(n)
 	case OpJoin:
 		ls, err := v.eval(n.In[0])
 		if err != nil {
@@ -320,54 +305,41 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 	}
 }
 
-func (v *vecRun) leafStream(leaf *Node) (*vstream, error) {
-	t, err := v.env.Leaf(leaf)
+// leaf starts a leaf's stream from its input: a Scan's ROWS range and
+// any leaf's column set apply on top of it, and an Empty leaf keeps only
+// its input's schema.
+func (v *vecRun) leaf(n *Node) (*vstream, error) {
+	in, err := v.env.Leaf(n)
 	if err != nil {
 		return nil, err
 	}
-	if v.env.Columnar == nil {
-		return passthrough(t, nil), nil
+	var ranges []table.RowRange
+	switch {
+	case n.Op == OpEmpty:
+		in.Table, in.Frags = table.New(in.Table.Name, in.Table.Schema), nil
+	case n.RowEnd > 0:
+		end := min(n.RowEnd, in.Table.Len())
+		ranges = []table.RowRange{{Start: min(n.RowStart, end), End: end}}
 	}
-	fr, cols := v.env.Columnar(leaf)
-	s := passthrough(t, fr)
-	if cols == nil {
-		return s, nil
-	}
-	return v.project(s, cols, nil)
+	return v.stream(in, n.Cols, ranges)
 }
 
-// scanStream resolves an OpScan leaf natively: the row range becomes
-// per-batch selection vectors and the pruned column set becomes a
-// column index mapping — no rows are sliced or copied.
-func (v *vecRun) scanStream(leaf *Node) (*vstream, error) {
-	t, fr, err := v.env.Scan(leaf)
-	if err != nil {
-		return nil, err
-	}
-	s := passthrough(t, fr)
-	if len(leaf.Cols) > 0 {
-		cols := make([]int, len(leaf.Cols))
-		schema := make(table.Schema, len(leaf.Cols))
-		for i, c := range leaf.Cols {
-			idx := t.Schema.ColIndex(c)
-			if idx < 0 {
-				return nil, fmt.Errorf("%w: %s", table.ErrNoColumn, c)
+// stream starts every stream: in's pending projection and then cols
+// compose into one column mapping, and the ascending disjoint row ranges
+// (nil = all rows) become per-batch selection vectors — no row is
+// sliced or copied.
+func (v *vecRun) stream(in VecLeaf, cols []string, ranges []table.RowRange) (*vstream, error) {
+	s := passthrough(in.Table, in.Frags)
+	var err error
+	for _, proj := range [][]string{in.Cols, cols} {
+		if len(proj) > 0 {
+			if s, err = v.project(s, proj, nil); err != nil {
+				return nil, err
 			}
-			cols[i] = idx
-			schema[i] = t.Schema[idx]
 		}
-		s.cols, s.schema = cols, schema
 	}
-	if leaf.RowEnd > 0 {
-		start, end := leaf.RowStart, leaf.RowEnd
-		if end > t.Len() {
-			end = t.Len()
-		}
-		if start > end {
-			start = end
-		}
-		bs := v.batches(s)
-		s.sels = rangeSels(bs, []table.RowRange{{Start: start, End: end}})
+	if ranges != nil {
+		s.sels = rangeSels(v.batches(s), ranges)
 	}
 	return s, nil
 }
@@ -414,12 +386,14 @@ func rangeSels(bs []*table.Batch, ranges []table.RowRange) [][]int32 {
 // ---- filter ----
 
 // vecPred is a predicate compiled against a stream: the base column
-// index is resolved once (lazily erroring, like the row path, only if
-// a row actually reaches an unresolvable predicate) and the literal is
-// pre-lowered for the typed fast paths.
+// index and the operator's verdicts are resolved once (lazily erroring,
+// like the row path, only if a row actually reaches the predicate) and
+// the literal is pre-lowered for the typed fast paths.
 type vecPred struct {
 	p      table.Pred
-	ci     int // base column index; -1 = unresolved
+	ci     int     // base column index; -1 = unresolved
+	holds  [3]bool // p.Op.Holds of Compare's outcomes -1, 0, 1
+	opErr  error   // p.Op.Err: raised once a non-NULL cell reaches p
 	f64    float64
 	str    string
 	b      bool
@@ -430,7 +404,8 @@ type vecPred struct {
 func compilePreds(s *vstream, preds []table.Pred) []vecPred {
 	out := make([]vecPred, len(preds))
 	for i, p := range preds {
-		cp := vecPred{p: p, ci: -1, null: p.Val.IsNull()}
+		cp := vecPred{p: p, ci: -1, null: p.Val.IsNull(), opErr: p.Op.Err(),
+			holds: [3]bool{p.Op.Holds(-1), p.Op.Holds(0), p.Op.Holds(1)}}
 		if idx := s.schema.ColIndex(p.Col); idx >= 0 {
 			cp.ci = s.baseCol(idx)
 		}
@@ -497,116 +472,90 @@ func filterBatch(b *table.Batch, in []int32, cps []vecPred) ([]int32, error) {
 		if cp.null {
 			return []int32{}, nil // NULL literal matches nothing
 		}
-		next, err := evalPred(b, cand, cp)
-		if err != nil {
-			return nil, err
+		if cp.opErr != nil {
+			// The operator holds for no row, and fails the filter once
+			// a non-NULL cell reaches it.
+			col, reached := &b.Cols[cp.ci], false
+			table.ForSel(b.Len, cand, func(ri int) { reached = reached || !col.ValueAt(ri).IsNull() })
+			if reached {
+				return nil, cp.opErr
+			}
+			return []int32{}, nil
 		}
-		cand = next
+		cand = evalPred(b, cand, cp)
 	}
 	return cand, nil
 }
 
 // evalPred evaluates one predicate over the candidate rows of a batch
-// (nil = all rows), returning the passing indices in row order.
-func evalPred(b *table.Batch, cand []int32, cp *vecPred) ([]int32, error) {
+// (nil = all rows), returning the passing indices in row order. The
+// typed paths read the operator's verdict from cp.holds.
+func evalPred(b *table.Batch, cand []int32, cp *vecPred) []int32 {
 	col := &b.Cols[cp.ci]
 	n := len(cand)
 	if cand == nil {
 		n = b.Len
 	}
 	out := make([]int32, 0, n)
-	each := func(fn func(ri int) (bool, error)) error {
+	each := func(fn func(ri int) bool) {
 		if cand == nil {
 			for ri := 0; ri < b.Len; ri++ {
-				ok, err := fn(ri)
-				if err != nil {
-					return err
-				}
-				if ok {
+				if fn(ri) {
 					out = append(out, int32(ri))
 				}
 			}
-			return nil
+			return
 		}
 		for _, ri := range cand {
-			ok, err := fn(int(ri))
-			if err != nil {
-				return err
-			}
-			if ok {
+			if fn(int(ri)) {
 				out = append(out, ri)
 			}
 		}
-		return nil
+	}
+	generic := func() {
+		each(func(ri int) bool { return cp.p.Match(col.ValueAt(ri)) })
 	}
 
-	generic := func() error {
-		return each(func(ri int) (bool, error) { return cp.p.Match(col.ValueAt(ri)) })
-	}
-
-	op := cp.p.Op
-	var err error
+	op, kind := cp.p.Op, cp.p.Val.Kind()
 	switch {
 	case col.Boxed != nil:
-		err = generic()
+		generic()
 	case op == table.OpContains:
-		if col.Strs != nil {
-			err = each(func(ri int) (bool, error) {
-				if col.Nulls.Get(ri) {
-					return false, nil
-				}
-				return containsFold(col.Strs[ri], cp.needle), nil
-			})
-		} else {
-			err = generic()
+		if col.Strs == nil {
+			generic()
+			break
 		}
+		each(func(ri int) bool { return !col.Nulls.Get(ri) && containsFold(col.Strs[ri], cp.needle) })
 	case col.Ints != nil && cp.p.Val.IsNumeric():
 		// Int cells compare through float64, exactly like Compare.
-		err = each(func(ri int) (bool, error) {
-			if col.Nulls.Get(ri) {
-				return false, nil
-			}
-			return cmpOK(table.CompareFloat(float64(col.Ints[ri]), cp.f64), op)
+		each(func(ri int) bool {
+			return !col.Nulls.Get(ri) && cp.holds[table.CompareFloat(float64(col.Ints[ri]), cp.f64)+1]
 		})
 	case col.Floats != nil && cp.p.Val.IsNumeric():
-		err = each(func(ri int) (bool, error) {
-			if col.Nulls.Get(ri) {
-				return false, nil
-			}
-			return cmpOK(table.CompareFloat(col.Floats[ri], cp.f64), op)
+		each(func(ri int) bool {
+			return !col.Nulls.Get(ri) && cp.holds[table.CompareFloat(col.Floats[ri], cp.f64)+1]
 		})
-	case op == table.OpEq && col.Codes != nil && (cp.p.Val.Kind() == table.TypeString || cp.p.Val.Kind() == table.TypeDate):
+	case op == table.OpEq && col.Codes != nil && (kind == table.TypeString || kind == table.TypeDate):
 		// Dictionary probe: Strs[ri] == Dict[Codes[ri]], so the rows
 		// equal to the literal are those holding its code, and a literal
 		// missing from Dict matches none. A NULL row holds code 0.
 		if code := slices.Index(col.Dict, cp.str); code >= 0 {
 			c := uint8(code)
-			err = each(func(ri int) (bool, error) {
-				return col.Codes[ri] == c && !col.Nulls.Get(ri), nil
-			})
+			each(func(ri int) bool { return col.Codes[ri] == c && !col.Nulls.Get(ri) })
 		}
-	case col.Strs != nil && (cp.p.Val.Kind() == table.TypeString || cp.p.Val.Kind() == table.TypeDate):
+	case col.Strs != nil && (kind == table.TypeString || kind == table.TypeDate):
 		// String and date cells are one class and compare by text.
-		err = each(func(ri int) (bool, error) {
-			if col.Nulls.Get(ri) {
-				return false, nil
-			}
-			return cmpOK(strings.Compare(col.Strs[ri], cp.str), op)
+		each(func(ri int) bool {
+			return !col.Nulls.Get(ri) && cp.holds[strings.Compare(col.Strs[ri], cp.str)+1]
 		})
-	case col.Bools != nil && cp.p.Val.Kind() == table.TypeBool:
-		err = each(func(ri int) (bool, error) {
-			if col.Nulls.Get(ri) {
-				return false, nil
-			}
-			return cmpOK(cmpBool(col.Bools[ri], cp.b), op)
+	case col.Bools != nil && kind == table.TypeBool:
+		each(func(ri int) bool {
+			return !col.Nulls.Get(ri) && cp.holds[cmpBool(col.Bools[ri], cp.b)+1]
 		})
 	default:
-		err = generic()
+		generic()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 func cmpBool(a, b bool) int {
@@ -617,25 +566,6 @@ func cmpBool(a, b bool) int {
 		return 1
 	default:
 		return 0
-	}
-}
-
-func cmpOK(c int, op table.CmpOp) (bool, error) {
-	switch op {
-	case table.OpEq:
-		return c == 0, nil
-	case table.OpNe:
-		return c != 0, nil
-	case table.OpLt:
-		return c < 0, nil
-	case table.OpLe:
-		return c <= 0, nil
-	case table.OpGt:
-		return c > 0, nil
-	case table.OpGe:
-		return c >= 0, nil
-	default:
-		return false, fmt.Errorf("table: unknown operator %v", op)
 	}
 }
 
@@ -1065,9 +995,9 @@ func (v *vecRun) distinctStream(s *vstream) *vstream {
 // inside the ranges that pass preds[0] (all of them without preds).
 func VecFragment(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds []table.Pred, groupBy []string, aggs []table.Agg, cols []string) (out *table.Table, lead int, err error) {
 	v := &vecRun{env: VecEnv{Workers: 1}}
-	s := passthrough(t, fr)
-	if ranges != nil {
-		s.sels = rangeSels(v.batches(s), ranges)
+	s, err := v.stream(VecLeaf{Table: t, Frags: fr}, nil, ranges)
+	if err != nil {
+		return nil, 0, err
 	}
 	// The first predicate runs alone so its survivors can be counted; a
 	// predicate only errors on a row that reaches it, so splitting the

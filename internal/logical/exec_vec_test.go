@@ -387,13 +387,14 @@ func assertCodedParity(t *testing.T, c *table.Catalog, root *logical.Node, pendi
 	base, _ := c.Get("coded")
 	env := func(fr *table.Frags, workers int) logical.VecEnv {
 		return logical.VecEnv{
-			Scan: func(leaf *logical.Node) (*table.Table, *table.Frags, error) {
+			Leaf: func(leaf *logical.Node) (logical.VecLeaf, error) {
+				if leaf.Op == logical.OpInput {
+					return logical.VecLeaf{Table: base, Frags: fr, Cols: pending}, nil
+				}
 				tb, err := c.Get(leaf.Table)
-				return tb, fr, err
+				return logical.VecLeaf{Table: tb, Frags: fr}, err
 			},
-			Leaf:     func(*logical.Node) (*table.Table, error) { return base, nil },
-			Columnar: func(*logical.Node) (*table.Frags, []string) { return fr, pending },
-			Workers:  workers,
+			Workers: workers,
 		}
 	}
 	ref, rowErr := root, error(nil)

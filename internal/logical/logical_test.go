@@ -75,16 +75,17 @@ func traced(t *testing.T, o *Optimized, rule string) bool {
 	return false
 }
 
-// execBoth runs the tree optimized and unoptimized and asserts equal
-// results (for trees whose semantics the rules must preserve exactly).
+// execBoth runs the tree optimized and unoptimized on the vectorized
+// executor and asserts equal results (for trees whose semantics the
+// rules must preserve exactly).
 func execBoth(t *testing.T, root *Node, c *table.Catalog) (*table.Table, *Optimized) {
 	t.Helper()
-	plain, err := Exec(root.Clone(), c)
+	plain, err := ExecVec(root.Clone(), c, 1)
 	if err != nil {
 		t.Fatalf("unoptimized exec: %v", err)
 	}
 	opt := Optimize(root, CatalogStats(c))
-	out, err := Exec(opt.Root, c)
+	out, err := ExecVec(opt.Root, c, 1)
 	if err != nil {
 		t.Fatalf("optimized exec: %v", err)
 	}

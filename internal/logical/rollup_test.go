@@ -173,8 +173,8 @@ func TestRollupPinnedRouting(t *testing.T) {
 // plan's bits on the cells a re-aggregation of the materialized row
 // would change: an AVG that a negative subnormal sum divides down to
 // −0 (an AVG of that one cell reads +0), a MAX that is a NaN with a
-// payload, and the typed NULLs of a pin that matches no group. Both
-// executors run the routed plan.
+// payload, and the typed NULLs of a pin that matches no group. The
+// vectorized executor runs both plans.
 func TestRollupPinnedIsBitExact(t *testing.T) {
 	const payload = 0x7ff8000000000001
 	m := table.New("m", table.Schema{
@@ -217,7 +217,7 @@ func TestRollupPinnedIsBitExact(t *testing.T) {
 	}
 	for _, key := range []string{"neg", "nan", "k010x"} {
 		root := aggOver(filter(scan("m"), table.Pred{Col: "k", Op: table.OpEq, Val: table.S(key)}), nil, aggs...)
-		want, err := Exec(root.Clone(), c)
+		want, err := ExecVec(root.Clone(), c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,21 +225,16 @@ func TestRollupPinnedIsBitExact(t *testing.T) {
 		if len(opt.Rollups) != 1 || !strings.HasSuffix(opt.Rollups[0], "(pinned)") {
 			t.Fatalf("%s: pin did not route: %v", key, opt.Rollups)
 		}
-		for _, exec := range []string{"row", "vec"} {
-			got, err := Exec(opt.Root, c)
-			if exec == "vec" {
-				got, err = ExecVec(opt.Root, c, 1)
-			}
-			if err != nil {
-				t.Fatalf("%s %s: %v", key, exec, err)
-			}
-			if got.Len() != 1 || want.Len() != 1 {
-				t.Fatalf("%s %s: %d rows, direct %d, want 1", key, exec, got.Len(), want.Len())
-			}
-			for i, v := range got.Rows[0] {
-				if bits(v) != bits(want.Rows[0][i]) {
-					t.Errorf("%s %s %s: routed %s, direct %s", key, exec, got.Schema[i].Name, bits(v), bits(want.Rows[0][i]))
-				}
+		got, err := ExecVec(opt.Root, c, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if got.Len() != 1 || want.Len() != 1 {
+			t.Fatalf("%s: %d rows, direct %d, want 1", key, got.Len(), want.Len())
+		}
+		for i, v := range got.Rows[0] {
+			if bits(v) != bits(want.Rows[0][i]) {
+				t.Errorf("%s %s: routed %s, direct %s", key, got.Schema[i].Name, bits(v), bits(want.Rows[0][i]))
 			}
 		}
 		switch row := want.Rows[0]; key {

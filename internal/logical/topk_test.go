@@ -169,12 +169,11 @@ func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 		fr := c.FragsOf(base.Name)
 		for _, withFrags := range []bool{true, false} {
 			env := logical.VecEnv{
-				Leaf: func(*logical.Node) (*table.Table, error) { return base, nil },
-				Columnar: func(*logical.Node) (*table.Frags, []string) {
+				Leaf: func(*logical.Node) (logical.VecLeaf, error) {
 					if withFrags {
-						return fr, cols
+						return logical.VecLeaf{Table: base, Frags: fr, Cols: cols}, nil
 					}
-					return nil, cols
+					return logical.VecLeaf{Table: base, Cols: cols}, nil
 				},
 				Workers: 1,
 			}

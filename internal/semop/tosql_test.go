@@ -4,9 +4,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/logical"
 	"repro/internal/sql"
 	"repro/internal/table"
 )
+
+// execSQL runs a rendered statement as sql.Exec does — parsed,
+// compiled and optimized — on the vectorized executor.
+func execSQL(c *table.Catalog, s string) (*table.Table, error) {
+	stmt, err := sql.Parse(s)
+	if err != nil {
+		return nil, err
+	}
+	node, err := sql.Compile(stmt, c)
+	if err != nil {
+		return nil, err
+	}
+	return logical.ExecVec(logical.Optimize(node, logical.CatalogStats(c)).Root, c, 1)
+}
 
 func TestToSQLAggregate(t *testing.T) {
 	c := testCatalog()
@@ -48,11 +63,11 @@ func TestToSQLAggregate(t *testing.T) {
 			}
 		}
 		// The rendered SQL must actually execute and agree with the plan.
-		res, err := sql.Exec(c, s)
+		res, err := execSQL(c, s)
 		if err != nil {
 			t.Fatalf("exec %q: %v", s, err)
 		}
-		direct, err := Exec(p, c)
+		direct, err := logical.ExecVec(Compile(p), c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +96,7 @@ func TestToSQLCompareRendersPerItem(t *testing.T) {
 		t.Errorf("stmts = %v", stmts)
 	}
 	for _, s := range stmts {
-		if _, err := sql.Exec(c, s); err != nil {
+		if _, err := execSQL(c, s); err != nil {
 			t.Errorf("exec %q: %v", s, err)
 		}
 	}
@@ -102,7 +117,7 @@ func TestToSQLLookupAndList(t *testing.T) {
 	if !strings.Contains(s, "LIMIT 50") {
 		t.Errorf("sql = %q", s)
 	}
-	if _, err := sql.Exec(c, s); err != nil {
+	if _, err := execSQL(c, s); err != nil {
 		t.Errorf("exec: %v", err)
 	}
 }

@@ -57,8 +57,8 @@ func testCatalog() *table.Catalog {
 
 // TestOptimizerKeepsRowOrder: on statements whose literals already
 // carry their column's type (retype changes mistyped ones on purpose),
-// the optimized plan Exec runs returns the unoptimized plan's
-// result cell for cell, row order included. rule names a pass the
+// the optimized plan returns the unoptimized plan's result cell for
+// cell, row order included, on the vectorized executor. rule names a pass the
 // statement must trigger, so each case exercises the rewrite it is
 // about.
 func TestOptimizerKeepsRowOrder(t *testing.T) {
@@ -78,15 +78,16 @@ func TestOptimizerKeepsRowOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
-		got, err := Exec(c, tc.query)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.query, err)
-		}
 		node, err := Compile(stmt, c)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}
-		want, err := logical.Exec(node, c)
+		opt := logical.Optimize(node, logical.CatalogStats(c))
+		got, err := logical.ExecVec(opt.Root, c, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		want, err := logical.ExecVec(node, c, 1)
 		if err != nil {
 			t.Fatalf("%s unoptimized: %v", tc.query, err)
 		}
@@ -96,9 +97,8 @@ func TestOptimizerKeepsRowOrder(t *testing.T) {
 		if tc.rule == "" {
 			continue
 		}
-		trace := logical.Optimize(node, logical.CatalogStats(c)).Trace
-		if !slices.ContainsFunc(trace, func(r string) bool { return strings.HasPrefix(r, tc.rule) }) {
-			t.Errorf("%s: no %s… in trace %v", tc.query, tc.rule, trace)
+		if !slices.ContainsFunc(opt.Trace, func(r string) bool { return strings.HasPrefix(r, tc.rule) }) {
+			t.Errorf("%s: no %s… in trace %v", tc.query, tc.rule, opt.Trace)
 		}
 	}
 }

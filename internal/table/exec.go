@@ -54,45 +54,53 @@ func (p Pred) String() string {
 	return fmt.Sprintf("%s %s %s", p.Col, p.Op, p.Val)
 }
 
-// Eval applies the predicate to a row of the given schema. NULL never
-// satisfies any comparison (SQL three-valued logic collapsed to false).
-func (p Pred) Eval(schema Schema, row []Value) (bool, error) {
-	idx := schema.ColIndex(p.Col)
-	if idx < 0 {
-		return false, fmt.Errorf("%w: %s", ErrNoColumn, p.Col)
+// Holds reports whether a comparison whose outcome is c (Compare's
+// sign) satisfies o. It is the one truth table both executors share:
+// CONTAINS, which is not an ordering, and an operator outside the
+// dialect hold for no outcome.
+func (o CmpOp) Holds(c int) bool {
+	switch o {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	case OpGe:
+		return c >= 0
 	}
-	return p.Match(row[idx])
+	return false
 }
 
-// Match applies the predicate's comparison to a single cell. It is the
-// one comparison body both executors share: Eval resolves the column
-// and calls it per row, and the vectorized kernels call it on every
-// path their typed fast paths do not cover — so the two executors
-// cannot diverge on comparison semantics.
-func (p Pred) Match(v Value) (bool, error) {
+// Err is the error a comparison under o raises when a non-NULL cell
+// meets a non-NULL literal: nil for the dialect's seven operators. Both
+// executors decide it once per predicate, so Match never fails.
+func (o CmpOp) Err() error {
+	if o < OpEq || o > OpContains {
+		return fmt.Errorf("table: unknown operator %v", o)
+	}
+	return nil
+}
+
+// Match applies the predicate's comparison to a single cell. NULL never
+// satisfies any comparison (SQL three-valued logic collapsed to false),
+// and neither does an operator Err rejects. It is the one comparison
+// body both executors share: the row filter calls it per row, and the
+// vectorized kernels call it on every path their typed fast paths do
+// not cover — so the two executors cannot diverge on comparison
+// semantics.
+func (p Pred) Match(v Value) bool {
 	if v.IsNull() || p.Val.IsNull() {
-		return false, nil
+		return false
 	}
 	if p.Op == OpContains {
-		return strings.Contains(strings.ToLower(v.String()), strings.ToLower(p.Val.String())), nil
+		return strings.Contains(strings.ToLower(v.String()), strings.ToLower(p.Val.String()))
 	}
-	c := Compare(v, p.Val)
-	switch p.Op {
-	case OpEq:
-		return c == 0, nil
-	case OpNe:
-		return c != 0, nil
-	case OpLt:
-		return c < 0, nil
-	case OpLe:
-		return c <= 0, nil
-	case OpGt:
-		return c > 0, nil
-	case OpGe:
-		return c >= 0, nil
-	default:
-		return false, fmt.Errorf("table: unknown operator %v", p.Op)
-	}
+	return p.Op.Holds(Compare(v, p.Val))
 }
 
 // Filter returns the rows satisfying all predicates (conjunction).
@@ -106,16 +114,27 @@ func Filter(t *Table, preds ...Pred) (*Table, error) {
 }
 
 // appendMatching appends the rows satisfying every predicate to dst, in
-// row order — the engine's one predicate-conjunction loop.
+// row order — the engine's one predicate-conjunction loop. Each
+// predicate's column is resolved once; a missing column fails only when
+// a row reaches its predicate, and an operator Err rejects only when a
+// non-NULL cell meets a non-NULL literal there.
 func appendMatching(dst [][]Value, schema Schema, rows [][]Value, preds []Pred) ([][]Value, error) {
+	idx := make([]int, len(preds))
+	opErr := make([]error, len(preds))
+	for i, p := range preds {
+		idx[i], opErr[i] = schema.ColIndex(p.Col), p.Op.Err()
+	}
 rows:
 	for _, row := range rows {
-		for _, p := range preds {
-			ok, err := p.Eval(schema, row)
-			if err != nil {
-				return nil, err
+		for i, p := range preds {
+			if idx[i] < 0 {
+				return nil, fmt.Errorf("%w: %s", ErrNoColumn, p.Col)
 			}
-			if !ok {
+			v := row[idx[i]]
+			if opErr[i] != nil && !v.IsNull() && !p.Val.IsNull() {
+				return nil, opErr[i]
+			}
+			if !p.Match(v) {
 				continue rows
 			}
 		}

@@ -526,7 +526,7 @@ func TestRefutesNeverDropsAMatch(t *testing.T) {
 					continue
 				}
 				for _, row := range tb.Rows {
-					if ok, _ := p.Match(row[0]); ok {
+					if p.Match(row[0]) {
 						t.Fatalf("trial %d: %s matches %v %v, yet refuted by zone %v, stats %v (column %v)",
 							trial, p, row[0].Kind(), row[0], zone, stats, tb.Rows)
 					}
