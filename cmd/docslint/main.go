@@ -5,9 +5,9 @@
 //     to an existing file or directory (external URLs, pure anchors
 //     and links escaping the repository root are skipped — the badge
 //     links are GitHub web paths, not files);
-//   - every exported top-level identifier in the documented packages
-//     (see docPackages) carries a doc comment, and each package has
-//     package-level documentation.
+//   - every exported top-level identifier in every package under
+//     internal/ (testdata excluded) carries a doc comment, and each
+//     package has package-level documentation.
 //
 // Usage: go run ./cmd/docslint [repo root, default "."]. Exits 1 with
 // one finding per line when anything is missing, so a renamed file
@@ -28,26 +28,12 @@ import (
 	"strings"
 )
 
-// docPackages are the packages whose exported surface the godoc gate
-// covers: the execution-model core the architecture docs describe.
-var docPackages = []string{
-	"internal/logical",
-	"internal/table",
-	"internal/federate",
-	"internal/par",
-	"internal/analysis",
-}
-
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	var findings []string
-	findings = append(findings, checkMarkdownLinks(root)...)
-	for _, pkg := range docPackages {
-		findings = append(findings, checkPackageDocs(root, pkg)...)
-	}
+	findings := append(checkMarkdownLinks(root), checkInternalDocs(root)...)
 	for _, f := range findings {
 		fmt.Fprintln(os.Stderr, f)
 	}
@@ -145,17 +131,37 @@ func skipLink(target string) bool {
 		strings.HasPrefix(target, "#")
 }
 
+// checkInternalDocs runs checkPackageDocs on every directory under
+// root/internal, skipping testdata; a directory without Go files has
+// nothing to report.
+func checkInternalDocs(root string) []string {
+	var findings []string
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(dir string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil || !d.IsDir():
+			return err
+		case d.Name() == "testdata":
+			return filepath.SkipDir
+		}
+		findings = append(findings, checkPackageDocs(dir)...)
+		return nil
+	})
+	if err != nil {
+		findings = append(findings, fmt.Sprintf("docslint: walk: %v", err))
+	}
+	return findings
+}
+
 // checkPackageDocs parses one package directory and reports exported
 // top-level declarations without doc comments, plus a missing
 // package-level comment.
-func checkPackageDocs(root, pkg string) []string {
-	dir := filepath.Join(root, filepath.FromSlash(pkg))
+func checkPackageDocs(dir string) []string {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
-		return []string{fmt.Sprintf("%s: %v", pkg, err)}
+		return []string{fmt.Sprintf("%s: %v", dir, err)}
 	}
 	// ParseDir returns maps; iterate both levels in sorted order so
 	// findings print deterministically run to run.
@@ -171,7 +177,7 @@ func checkPackageDocs(root, pkg string) []string {
 			findings = append(findings, checkFileDocs(fset, f)...)
 		}
 		if !hasPkgDoc {
-			findings = append(findings, fmt.Sprintf("%s: package %s has no package-level doc comment", pkg, p.Name))
+			findings = append(findings, fmt.Sprintf("%s: package %s has no package-level doc comment", dir, p.Name))
 		}
 	}
 	return findings

@@ -149,13 +149,7 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string) (*table.Table
 		// as column mappings. Bit-identical to Run.
 		out, err = logical.RunVec(pp.Residual, logical.VecEnv{Leaf: leaf, Workers: e.opts.Workers})
 	} else {
-		out, err = logical.Run(pp.Residual, func(n *logical.Node) (*table.Table, error) {
-			l, err := leaf(n)
-			if err != nil || n.Op != logical.OpInput {
-				return l.Table, err
-			}
-			return results[n.Index].Rows()
-		})
+		out, err = logical.Run(pp.Residual, leaf)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -19,11 +19,11 @@
 // copying the table.
 //
 // The residual tree executes through either of internal/logical's
-// bit-identical engines: the vectorized columnar executor when the
-// estimates promise enough boundary-crossing rows to amortize column
-// extraction, the row interpreter otherwise. The dispatch is decided
-// once at plan time (PhysicalPlan.VecResidual) and reported on
-// EXPLAIN's "exec:" line.
+// bit-identical engines, handed one leaf resolver: the vectorized
+// columnar executor when some fragment is estimated to deliver at
+// least 32 rows across the boundary, the row interpreter otherwise.
+// The dispatch is decided once at plan time (PhysicalPlan.VecResidual)
+// and reported on EXPLAIN's "exec:" line.
 //
 // Three backends ship with the system: the in-memory catalog (over
 // its cached, dictionary-coded columnar fragments), a SQL backend that round-trips
@@ -95,8 +95,7 @@ type Fragment struct {
 // Result is a fragment's output plus scan accounting: Scanned counts
 // the base-table rows the backend actually read (the number pushdown
 // exists to minimize), Table holds the rows that crossed the boundary.
-// Read the output through Rows; Table alone is the output only while
-// Columns is nil.
+// Table alone is the output only while Columns is nil.
 type Result struct {
 	Table   *table.Table
 	Scanned int
@@ -108,20 +107,11 @@ type Result struct {
 	// Columns, when non-nil, is the fragment's projection left pending
 	// over Table: an in-process backend whose scan is otherwise a
 	// pass-through returns its base table untouched, and the projection
-	// crosses the boundary as these names — a column mapping for the
-	// vectorized executor, table.Project for everyone else (Rows). Nil,
-	// which is all a backend that never sets it produces, means Table
-	// is already the output.
+	// crosses the boundary as these names, which the residual applies
+	// as a leaf's pending projection (logical.VecLeaf.Cols). Nil, which
+	// is all a backend that never sets it produces, means Table is
+	// already the output.
 	Columns []string
-}
-
-// Rows returns the fragment's output as a row table, applying the
-// pending projection if one is set.
-func (r Result) Rows() (*table.Table, error) {
-	if r.Columns == nil {
-		return r.Table, nil
-	}
-	return table.Project(r.Table, r.Columns...)
 }
 
 // Backend is one executor in the federation: a store that can scan its

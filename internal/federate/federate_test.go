@@ -48,11 +48,13 @@ func testCatalog() *table.Catalog {
 }
 
 // render flattens a table to a comparable string (schema + all rows).
-// rowsOf reads a scan's output the way every row-shaped consumer must:
-// through Result.Rows, which applies a pending projection.
+// rowsOf reads a scan's output as rows, applying a pending projection.
 func rowsOf(t *testing.T, r Result) *table.Table {
 	t.Helper()
-	rows, err := r.Rows()
+	if r.Columns == nil {
+		return r.Table
+	}
+	rows, err := table.Project(r.Table, r.Columns...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,10 @@ func TestUnknownOperatorFailsWhereTheReferenceDoes(t *testing.T) {
 				if fails := wantErr != nil; fails != (tname == "non_null_cell" && !lit.IsNull() && !unreached) {
 					t.Fatalf("%s: the reference fails = %v", label, fails)
 				}
-				_, rowErr := logical.Run(root, func(*logical.Node) (*table.Table, error) { return tb, nil })
+				leaf := func(fr *table.Frags) func(*logical.Node) (logical.VecLeaf, error) {
+					return func(*logical.Node) (logical.VecLeaf, error) { return logical.VecLeaf{Table: tb, Frags: fr}, nil }
+				}
+				_, rowErr := logical.Run(root, leaf(nil))
 				check := func(way string, err error) {
 					if (err == nil) != (wantErr == nil) || err != nil && err.Error() != rowErr.Error() {
 						t.Errorf("%s %s: error %v, the reference's %v, the row interpreter's %v", label, way, err, wantErr, rowErr)
@@ -239,10 +242,7 @@ func TestUnknownOperatorFailsWhereTheReferenceDoes(t *testing.T) {
 				check("row", rowErr)
 				for _, fr := range []*table.Frags{c.FragsOf("u"), nil} {
 					for _, workers := range []int{1, 4} {
-						_, err := logical.RunVec(root, logical.VecEnv{
-							Leaf:    func(*logical.Node) (logical.VecLeaf, error) { return logical.VecLeaf{Table: tb, Frags: fr}, nil },
-							Workers: workers,
-						})
+						_, err := logical.RunVec(root, logical.VecEnv{Leaf: leaf(fr), Workers: workers})
 						check(fmt.Sprintf("vectorized coded=%v workers=%d", fr != nil, workers), err)
 					}
 				}
@@ -275,7 +275,10 @@ func (eb eagerBackend) Scan(ctx context.Context, f Fragment) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rows, err := res.Rows()
+	rows := res.Table
+	if res.Columns != nil {
+		rows, err = table.Project(res.Table, res.Columns...)
+	}
 	return Result{Table: rows, Scanned: res.Scanned}, err
 }
 

@@ -6,57 +6,29 @@ import (
 	"repro/internal/table"
 )
 
-// Source resolves a leaf node (Scan or Input) to its rows for Run. The
-// single-store executor resolves Scans from a catalog; the federation
-// layer resolves Inputs from fragment results. For an Empty leaf the
-// source returns any table carrying the folded scan's full schema (its
-// rows are never read); Run materialises the leaf from it.
-type Source func(leaf *Node) (*table.Table, error)
-
-// emptyLeaf materialises an Empty leaf from the table src resolved it
-// to: zero rows under the folded scan's schema (an already-empty table
-// is reused as is), narrowed to the leaf's pruned column set. The proof
-// that no rows survive already happened at plan time.
-func emptyLeaf(leaf *Node, src Source) (*table.Table, error) {
-	base, err := src(leaf)
-	if err != nil {
-		return nil, err
-	}
-	empty := base
-	if base.Len() > 0 {
-		empty = table.New(base.Name, base.Schema)
-	}
-	if len(leaf.Cols) > 0 {
-		return table.Project(empty, leaf.Cols...)
-	}
-	return empty, nil
-}
-
-// Run interprets the tree, resolving leaves through src. This is the
-// one operator loop of the system: semop.Exec, sql.Exec and the
-// federated executor's post-fragment processing all run through it, so
-// an operator's semantics cannot diverge between entry paths.
-func Run(n *Node, src Source) (*table.Table, error) {
+// Run interprets the tree a row at a time, resolving leaves through
+// leaf — the vectorized executor's contract (VecEnv.Leaf), applied the
+// same way (rowLeaf), so RunVec over the same resolver is bit-identical.
+// Its one production caller is the federated residual's row branch.
+func Run(n *Node, leaf func(*Node) (VecLeaf, error)) (*table.Table, error) {
 	if n == nil {
 		return nil, ErrEmptyPlan
 	}
 	switch n.Op {
-	case OpScan, OpInput:
-		return src(n)
-	case OpEmpty:
-		return emptyLeaf(n, src)
+	case OpScan, OpInput, OpEmpty:
+		return rowLeaf(n, leaf)
 	case OpJoin:
-		left, err := Run(n.In[0], src)
+		left, err := Run(n.In[0], leaf)
 		if err != nil {
 			return nil, err
 		}
-		right, err := Run(n.In[1], src)
+		right, err := Run(n.In[1], leaf)
 		if err != nil {
 			return nil, err
 		}
 		return table.HashJoin(left, right, n.LeftCol, n.RightCol)
 	}
-	in, err := Run(n.Child(), src)
+	in, err := Run(n.Child(), leaf)
 	if err != nil {
 		return nil, err
 	}
@@ -122,42 +94,36 @@ func unionBranches(n *Node, eval func(CompareBranch) (*table.Table, error)) (*ta
 	return out, nil
 }
 
-// Exec runs the tree against a single catalog: every Scan resolves to
-// a catalog table, with the node's row range (the SQL dialect's ROWS
-// clause) applied before its pruned column set.
-func Exec(n *Node, c *table.Catalog) (*table.Table, error) {
-	return Run(n, func(leaf *Node) (*table.Table, error) {
-		switch leaf.Op {
-		case OpScan:
-			t, err := c.Get(leaf.Table)
-			if err != nil {
+// rowLeaf is vecRun.leaf for rows: an Empty leaf keeps only its input's
+// schema, a ROWS range slices the input's rows (clamped alike), and the
+// input's pending projection applies before the leaf's own column set.
+func rowLeaf(n *Node, leaf func(*Node) (VecLeaf, error)) (*table.Table, error) {
+	in, err := leaf(n)
+	if err != nil {
+		return nil, err
+	}
+	t := in.Table
+	switch {
+	case n.Op == OpEmpty:
+		t = table.New(t.Name, t.Schema)
+	case n.RowEnd > 0:
+		end := min(n.RowEnd, t.Len())
+		t = &table.Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows[min(n.RowStart, end):end]}
+	}
+	for _, proj := range [][]string{in.Cols, n.Cols} {
+		if len(proj) > 0 {
+			if t, err = table.Project(t, proj...); err != nil {
 				return nil, err
 			}
-			if leaf.RowEnd > 0 {
-				t = sliceRows(t, leaf.RowStart, leaf.RowEnd)
-			}
-			if len(leaf.Cols) > 0 {
-				return table.Project(t, leaf.Cols...)
-			}
-			return t, nil
-		case OpEmpty:
-			return c.Get(leaf.Table) // the folded scan's table supplies the schema
-		default:
-			return nil, fmt.Errorf("logical: unresolved %v leaf", leaf.Op)
 		}
-	})
+	}
+	return t, nil
 }
 
-// sliceRows views the physical row range [start, end) of a table,
-// clamped to its bounds.
-func sliceRows(t *table.Table, start, end int) *table.Table {
-	if end > t.Len() {
-		end = t.Len()
-	}
-	if start > end {
-		start = end
-	}
-	out := table.New(t.Name, t.Schema)
-	out.Rows = t.Rows[start:end]
-	return out
+// Exec runs the tree against a single catalog with the row interpreter,
+// resolving leaves as ExecVec does (catalogLeaf). Nothing serves a query
+// through it: it stays as the row-executor timing of the benchmark's
+// traced runs (bench/traced.go) until the row interpreter goes.
+func Exec(n *Node, c *table.Catalog) (*table.Table, error) {
+	return Run(n, catalogLeaf(c))
 }

@@ -67,11 +67,11 @@ type VecEnv struct {
 	Workers int
 }
 
-// VecLeaf is a leaf's input to the vectorized executor: the table, the
-// cached columnar fragments covering exactly it (nil = extract batches
-// on the fly), and a pass-through projection still pending over it (nil
-// = none), which the executor composes into the stream's column mapping
-// instead of copying rows.
+// VecLeaf is a leaf's input to either executor: the table, the cached
+// columnar fragments covering exactly it (nil = extract batches on the
+// fly), and a pass-through projection still pending over it (nil =
+// none), which RunVec composes into the stream's column mapping instead
+// of copying rows.
 type VecLeaf struct {
 	Table *table.Table
 	Frags *table.Frags
@@ -94,20 +94,22 @@ func RunVec(n *Node, env VecEnv) (*table.Table, error) {
 }
 
 // ExecVec runs the tree against a single catalog with the vectorized
-// executor — the columnar counterpart of Exec, resolving Scan leaves
-// to catalog tables and their cached fragment batches (an Empty leaf's
-// folded scan table supplies its schema).
+// executor, resolving leaves through catalogLeaf.
 func ExecVec(n *Node, c *table.Catalog, workers int) (*table.Table, error) {
-	return RunVec(n, VecEnv{
-		Leaf: func(leaf *Node) (VecLeaf, error) {
-			if leaf.Op != OpScan && leaf.Op != OpEmpty {
-				return VecLeaf{}, fmt.Errorf("logical: unresolved %v leaf", leaf.Op)
-			}
-			t, err := c.Get(leaf.Table)
-			return VecLeaf{Table: t, Frags: c.FragsOf(leaf.Table)}, err
-		},
-		Workers: workers,
-	})
+	return RunVec(n, VecEnv{Leaf: catalogLeaf(c), Workers: workers})
+}
+
+// catalogLeaf resolves Scan leaves to catalog tables and their cached
+// fragment batches; an Empty leaf's folded scan table supplies its
+// schema.
+func catalogLeaf(c *table.Catalog) func(*Node) (VecLeaf, error) {
+	return func(leaf *Node) (VecLeaf, error) {
+		if leaf.Op != OpScan && leaf.Op != OpEmpty {
+			return VecLeaf{}, fmt.Errorf("logical: unresolved %v leaf", leaf.Op)
+		}
+		t, err := c.Get(leaf.Table)
+		return VecLeaf{Table: t, Frags: c.FragsOf(leaf.Table)}, err
+	}
 }
 
 // vecRun is one vectorized execution.

@@ -375,20 +375,22 @@ func codedRow(i int) []table.Value {
 	return []table.Value{sku, day, table.I(int64(i % 50)), rev}
 }
 
-// assertCodedParity runs root through the vectorized executor over the
-// catalog's fragments (string and date columns coded) and over batches
-// extracted on the fly (no codes), and requires the reference
-// evaluator's cells, or an error with the row interpreter's text.
-// pending, when non-nil, is a projection left pending over an Input leaf
-// of the coded table, as a backend leaves it for the federated residual;
-// the reference reads that leaf as a scan of those columns.
+// assertCodedParity runs root through the row interpreter and through
+// the vectorized executor over the catalog's fragments (string and date
+// columns coded) and over batches extracted on the fly (no codes), all
+// through one leaf resolver, and requires the reference evaluator's
+// cells, or an error on every side with one text from the executors.
+// pending, when non-nil, is a projection left pending over every leaf's
+// input (the coded table), as a backend leaves it for the federated
+// residual; the reference reads each leaf as a scan of those columns
+// over the leaf's row range, under a projection of its own column set.
 func assertCodedParity(t *testing.T, c *table.Catalog, root *logical.Node, pending []string) {
 	t.Helper()
 	base, _ := c.Get("coded")
 	env := func(fr *table.Frags, workers int) logical.VecEnv {
 		return logical.VecEnv{
 			Leaf: func(leaf *logical.Node) (logical.VecLeaf, error) {
-				if leaf.Op == logical.OpInput {
+				if pending != nil {
 					return logical.VecLeaf{Table: base, Frags: fr, Cols: pending}, nil
 				}
 				tb, err := c.Get(leaf.Table)
@@ -397,30 +399,57 @@ func assertCodedParity(t *testing.T, c *table.Catalog, root *logical.Node, pendi
 			Workers: workers,
 		}
 	}
-	ref, rowErr := root, error(nil)
+	ref := root
 	if pending != nil {
-		ref = root.Clone()
-		ref.In[0] = &logical.Node{Op: logical.OpScan, Table: "coded", Cols: pending}
-		_, rowErr = logical.Run(root, func(*logical.Node) (*table.Table, error) { return table.Project(base, pending...) })
-	} else {
-		_, rowErr = logical.Exec(root, c)
+		ref = withPending(root, pending)
 	}
 	want, wantErr := refeval.Eval(ref, c)
+	row, rowErr := logical.Run(root, env(nil, 1).Leaf)
+	check := func(label string, got *table.Table, err error) {
+		t.Helper()
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("%s: error %v, the reference's %v", label, err, wantErr)
+		case err != nil && err.Error() != rowErr.Error():
+			t.Fatalf("%s: error %q, the row interpreter's %q", label, err, rowErr)
+		case err == nil && refeval.Render(got) != refeval.Render(want):
+			t.Fatalf("%s: result diverges from the reference:\n%s\nvs\n%s", label, refeval.Render(got), refeval.Render(want))
+		}
+	}
+	check("row interpreter", row, rowErr)
 	for _, way := range []struct {
 		name string
 		fr   *table.Frags
 	}{{"coded", c.FragsOf("coded")}, {"uncoded", nil}} {
 		for _, workers := range []int{1, 4} {
 			got, err := logical.RunVec(root, env(way.fr, workers))
-			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != rowErr.Error()) {
-				t.Fatalf("%s, workers=%d: error %v, the reference's %v, the row interpreter's %v", way.name, workers, err, wantErr, rowErr)
-			}
-			if err == nil && refeval.Render(got) != refeval.Render(want) {
-				t.Fatalf("%s, workers=%d: result diverges from the reference:\n%s\nvs\n%s",
-					way.name, workers, refeval.Render(got), refeval.Render(want))
-			}
+			check(fmt.Sprintf("%s, workers=%d", way.name, workers), got, err)
 		}
 	}
+}
+
+// withPending is root as the reference evaluator reads it when every
+// leaf's input carries the pending projection: each leaf becomes a scan
+// (or Empty) of those columns of the coded table over the leaf's row
+// range, under a projection of the leaf's own column set.
+func withPending(n *logical.Node, pending []string) *logical.Node {
+	if len(n.In) == 0 {
+		op := logical.OpScan
+		if n.Op == logical.OpEmpty {
+			op = logical.OpEmpty
+		}
+		leaf := &logical.Node{Op: op, Table: "coded", Cols: pending, RowStart: n.RowStart, RowEnd: n.RowEnd}
+		if len(n.Cols) == 0 {
+			return leaf
+		}
+		return &logical.Node{Op: logical.OpProject, Proj: n.Cols, In: []*logical.Node{leaf}}
+	}
+	out := *n
+	out.In = make([]*logical.Node, len(n.In))
+	for i, in := range n.In {
+		out.In[i] = withPending(in, pending)
+	}
+	return &out
 }
 
 // TestVecCodedParity pins the group-by and distinct code memo and the
@@ -448,11 +477,12 @@ func TestVecCodedParity(t *testing.T) {
 	ranged := scan("coded")
 	ranged.RowStart, ranged.RowEnd = 200, 700
 	input := &logical.Node{Op: logical.OpInput, Table: "coded"}
-	shapes := []struct {
+	type shape struct {
 		name    string
 		root    *logical.Node
 		pending []string
-	}{
+	}
+	shapes := []shape{
 		{"group_sku", group(scan("coded"), "sku"), nil},
 		{"group_day", group(scan("coded"), "day"), nil},
 		{"group_sku_filtered", group(filter(scan("coded"), gt(20)), "sku"), nil},
@@ -481,6 +511,29 @@ func TestVecCodedParity(t *testing.T) {
 		{"eq_sku_ranged", filter(ranged, gt(10), eq("sku", table.S("u005"))), nil},
 		{"sum_of_a_string_error", &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"sku"},
 			Aggs: []table.Agg{{Func: table.AggSum, Col: "day"}}, In: []*logical.Node{scan("coded")}}, nil},
+	}
+	// A pending projection over every leaf kind: a whole scan, a ROWS
+	// range inside the table, one clamped at its end and one past it,
+	// and an Empty leaf; each without and with a column set of its own,
+	// under a projection that covers the leaf's columns, one that lacks
+	// revenue, and one naming an unknown column.
+	leaves := []*logical.Node{
+		scan("coded"),
+		{Op: logical.OpScan, Table: "coded", RowStart: 200, RowEnd: 700},
+		{Op: logical.OpScan, Table: "coded", RowStart: 700, RowEnd: 5000},
+		{Op: logical.OpScan, Table: "coded", RowStart: 5000, RowEnd: 6000},
+		{Op: logical.OpEmpty, Table: "coded"},
+	}
+	for _, leaf := range leaves {
+		for _, cols := range [][]string{nil, {"sku", "revenue"}} {
+			for _, p := range [][]string{{"revenue", "day", "sku"}, {"day", "sku"}, {"sku", "nope"}} {
+				l := *leaf
+				l.Cols = cols
+				root := &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"sku"},
+					Aggs: []table.Agg{{Func: table.AggSum, Col: "revenue"}, {Func: table.AggCount}}, In: []*logical.Node{&l}}
+				shapes = append(shapes, shape{fmt.Sprintf("pending_%v_%v_rows=%d-%d_cols=%v", p, l.Op, l.RowStart, l.RowEnd, cols), root, p})
+			}
+		}
 	}
 	run := func(step string) {
 		for _, sh := range shapes {

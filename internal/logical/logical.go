@@ -17,11 +17,12 @@
 // (filters to selection vectors, sorts via a stable permutation over
 // typed key arrays, morsel-parallel via internal/par) and is
 // bit-identical to Run — same schema, row order, cell values and
-// errors, at any worker count. Both run the same hash join
-// (table.HashJoin) and the same group-by accumulator (table.AggAcc),
-// one over rows and the other over batches. Every operator has a
-// columnar form, and callers choose an executor per plan knowing
-// results never depend on the choice.
+// errors, at any worker count. Both read a leaf through one contract
+// (VecLeaf) and run the same hash join (table.HashJoin) and group-by
+// accumulator (table.AggAcc), one over rows and the other over batches.
+// Single-catalog entries (ExecVec: sql.Exec, semop.Exec) run vectorized;
+// the row interpreter's one production caller is the federated
+// residual over small inputs.
 package logical
 
 import (

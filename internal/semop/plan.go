@@ -351,19 +351,15 @@ func joinKey(a, b *table.Table) (string, string) {
 	return "", ""
 }
 
-// Exec runs the plan against the catalog and returns the result table.
-// Since the logical-IR unification it is a thin entry point: compile
-// to the shared IR and interpret through the single operator loop in
-// internal/logical — the same algebra the SQL entry and the federated
-// planner use. The rule passes are deliberately skipped here: Bind
-// already re-typed every literal, and this direct single-store call is
-// the system's unoptimized reference (and benchmark baseline); the
-// serving paths — Hybrid.Answer/Query and the federated Executor —
-// run logical.Optimize and amortize it through the fingerprint-keyed
-// physical-plan cache.
+// Exec runs the plan against the catalog on internal/logical's
+// vectorized executor (one worker), the algebra the SQL entry and the
+// federated planner use. It skips the rule passes, because Bind already
+// re-typed every literal; the serving paths (Hybrid.Answer/Query, the
+// federated Executor) optimize and cache physical plans. The
+// text-to-SQL baseline runs its join plans through it.
 func Exec(p *Plan, c *table.Catalog) (*table.Table, error) {
 	if p == nil {
 		return nil, ErrEmptyPlan
 	}
-	return logical.Exec(Compile(p), c)
+	return logical.ExecVec(Compile(p), c, 1)
 }

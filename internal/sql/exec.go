@@ -15,8 +15,9 @@ var (
 
 // Exec parses one SELECT statement, compiles it to the shared logical
 // IR, runs the rule passes (literal re-typing, pushdown, pruning) and
-// executes it against the catalog through internal/logical's operator
-// loop, so SQL and natural-language queries run through one algebra.
+// executes it against the catalog with internal/logical's vectorized
+// executor on one worker, so SQL and natural-language queries run
+// through one algebra.
 func Exec(catalog *table.Catalog, query string) (*table.Table, error) {
 	stmt, err := Parse(query)
 	if err != nil {
@@ -27,5 +28,5 @@ func Exec(catalog *table.Catalog, query string) (*table.Table, error) {
 		return nil, err
 	}
 	opt := logical.Optimize(node, logical.CatalogStats(catalog))
-	return logical.Exec(opt.Root, catalog)
+	return logical.ExecVec(opt.Root, catalog, 1)
 }
