@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro"
 	"repro/internal/table"
+	"repro/internal/workload"
 )
 
 // writeFixture creates a mixed-source data directory.
@@ -170,4 +173,83 @@ func TestDescribeStatsListsRollups(t *testing.T) {
 	if !strings.Contains(out, "stats: table rev") {
 		t.Errorf("-stats of a rollup missing its table stats:\n%s", out)
 	}
+}
+
+// testdata/snapshot_v1 is the e-commerce demo as `uniquery -demo
+// ecommerce -save` wrote it before graph.json had a rows section:
+// MANIFEST format version 1, every row node and mention edge spelled
+// out. It loads as the system a fresh build makes: the same answers and
+// evidence to the corpus's questions, the same statistics, and the same
+// graph.json when saved again.
+func TestVersion1SnapshotLoads(t *testing.T) {
+	const dir = "testdata/snapshot_v1"
+	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphJSON, err := os.ReadFile(filepath.Join(dir, "graph.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(manifest), `{"version":1,`) || strings.Contains(string(graphJSON), `"rows"`) {
+		t.Fatal("the fixture is not a version 1 snapshot in the full form")
+	}
+	c := workload.ECommerce(workload.DefaultECommerceOptions())
+	fresh, err := demoSystem(unisem.New(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := unisem.Load(dir, func(s *unisem.System) {
+		for kind, phrases := range c.Vocab() {
+			s.Vocabulary(unisem.VocabKind(kind), phrases...)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Build time and the rows extracted are what this process did, not
+	// what the snapshot holds.
+	got, want := loaded.Stats(), fresh.Stats()
+	got.BuildTime, want.BuildTime = 0, 0
+	got.ExtractedRows, want.ExtractedRows = 0, 0
+	if got != want || want.Rows == 0 {
+		t.Errorf("statistics %+v, fresh build %+v", got, want)
+	}
+	compared := 0
+	for _, q := range c.Queries {
+		got, gerr := loaded.Ask(q.Text)
+		want, werr := fresh.Ask(q.Text)
+		if got.Text != want.Text || (gerr == nil) != (werr == nil) {
+			t.Errorf("%q: answer %q (%v), fresh build %q (%v)", q.Text, got.Text, gerr, want.Text, werr)
+		}
+		if g, w := evidenceIDs(got), evidenceIDs(want); !slices.Equal(g, w) {
+			t.Errorf("%q: evidence %q, fresh build %q", q.Text, g, w)
+		}
+		compared += len(want.Evidence)
+	}
+	if compared == 0 {
+		t.Fatal("no evidence to compare")
+	}
+	saved := func(sys *unisem.System) []byte {
+		out := t.TempDir()
+		if err := sys.Save(out); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(out, "graph.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if again := saved(loaded); !bytes.Equal(again, saved(fresh)) || len(again) >= len(graphJSON) {
+		t.Errorf("saved again, the loaded system writes %d bytes that are not the fresh build's (the fixture has %d)", len(again), len(graphJSON))
+	}
+}
+
+func evidenceIDs(a unisem.Answer) []string {
+	var ids []string
+	for _, ev := range a.Evidence {
+		ids = append(ids, ev.ID)
+	}
+	return ids
 }

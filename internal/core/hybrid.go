@@ -16,6 +16,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/logical"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/retrieval"
 	"repro/internal/semop"
 	"repro/internal/slm"
@@ -460,15 +461,19 @@ func (h *Hybrid) Ingest(source, id, text string) error {
 
 // WriteState serializes the index to gw and the catalog to cw under one
 // read lock, so the pair is of one epoch: no Ingest lands between the
-// two or inside either. The two serializers run at once, the catalog's
-// on a second goroutine; each writer's error is its own.
+// two or inside either. The two serializers run at once; each writer's
+// error is its own, and a panic in either is the caller's.
 func (h *Hybrid) WriteState(gw, cw io.Writer) (graphErr, catalogErr error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	done := make(chan error, 1)
-	go func() { done <- h.catalog.WriteJSON(cw) }()
-	graphErr = h.graph.WriteJSON(gw)
-	return graphErr, <-done
+	par.ForEach(2, 2, func(i int) {
+		if i == 0 {
+			graphErr = h.graph.WriteJSON(gw)
+		} else {
+			catalogErr = h.catalog.WriteJSON(cw)
+		}
+	})
+	return graphErr, catalogErr
 }
 
 // QueryResult is the outcome of a SQL-entry query: the result table
@@ -585,61 +590,69 @@ func (h *Hybrid) answerWith(question string, rng *slm.RNG) Answer {
 	// expansions, the recognizer's per-text words and salient spans — have
 	// locks of their own; only the span memo depends on the gazetteer, so
 	// AddVocabulary, holding the write half, drops it.
-	h.mu.RLock()
-	var epoch uint64
-	if h.cache != nil {
-		// Under the read lock no purge can run, so this epoch is the
-		// one the evidence below is computed against.
-		epoch = h.cache.snapshotEpoch()
-	}
-	// Retrieval anchors on the question's entities and parsing reads
-	// them, so the question is tagged once for both.
-	ents := h.ner.RecognizeShared(question)
-	ans.Evidence = h.retriever.RetrieveTagged(question, ents, h.opts.EvidenceK)
-
-	var conflicts []slm.Candidate
-	q := semop.ParseTagged(question, ents)
-	statsCat := h.catalog
-	plan, err := semop.Bind(q, h.catalog)
-	if errors.Is(err, semop.ErrNoBinding) {
-		// Fall back to the federated schema surface: backends beyond the
-		// catalog (graph-evidence views, registered external stores) may
-		// still bind the query structurally.
-		if fedPlan, fedErr := semop.Bind(q, h.fed.BindingCatalog()); fedErr == nil {
-			plan, err = fedPlan, nil
-			statsCat = h.fed.BindingCatalog()
+	var (
+		epoch            uint64
+		err              error
+		conflicts, cands []slm.Candidate
+	)
+	func() {
+		h.mu.RLock()
+		// Released by defer: a caller may recover a panic from below (a
+		// backend's Scan, a kernel), and a read lock left held would stop
+		// the next Ingest for good.
+		defer h.mu.RUnlock()
+		if h.cache != nil {
+			// Under the read lock no purge can run, so this epoch is the
+			// one the evidence below is computed against.
+			epoch = h.cache.snapshotEpoch()
 		}
-	}
-	if err == nil {
-		ans.plan = plan
-		// NL entry onto the shared IR: compile the bound plan, run the
-		// rule passes against the catalog that bound it, execute
-		// federated. The plan cache keys on the canonical IR, so the SQL
-		// form of the same question (Query) reuses this physical plan.
-		opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(statsCat))
-		res, run, execErr := h.fed.ExecuteIR(opt)
-		if execErr == nil {
-			ans.run = run
-			text, synthErr := synthesize(plan, q, res)
-			if synthErr == nil {
-				ans.Text = text
-				conflicts = resultConflicts(plan, q, res)
-			} else {
-				err = synthErr
+		// Retrieval anchors on the question's entities and parsing reads
+		// them, so the question is tagged once for both.
+		ents := h.ner.RecognizeShared(question)
+		ans.Evidence = h.retriever.RetrieveTagged(question, ents, h.opts.EvidenceK)
+
+		q := semop.ParseTagged(question, ents)
+		statsCat := h.catalog
+		var plan *semop.Plan
+		plan, err = semop.Bind(q, h.catalog)
+		if errors.Is(err, semop.ErrNoBinding) {
+			// Fall back to the federated schema surface: backends beyond the
+			// catalog (graph-evidence views, registered external stores) may
+			// still bind the query structurally.
+			if fedPlan, fedErr := semop.Bind(q, h.fed.BindingCatalog()); fedErr == nil {
+				plan, err = fedPlan, nil
+				statsCat = h.fed.BindingCatalog()
 			}
-		} else {
-			err = execErr
 		}
-	}
+		if err == nil {
+			ans.plan = plan
+			// NL entry onto the shared IR: compile the bound plan, run the
+			// rule passes against the catalog that bound it, execute
+			// federated. The plan cache keys on the canonical IR, so the SQL
+			// form of the same question (Query) reuses this physical plan.
+			opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(statsCat))
+			res, run, execErr := h.fed.ExecuteIR(opt)
+			if execErr == nil {
+				ans.run = run
+				text, synthErr := synthesize(plan, q, res)
+				if synthErr == nil {
+					ans.Text = text
+					conflicts = resultConflicts(plan, q, res)
+				} else {
+					err = synthErr
+				}
+			} else {
+				err = execErr
+			}
+		}
 
-	// Evidence-derived candidates feed both the generative fallback and
-	// the uncertainty sample, so they are derived once — and not at all
-	// when the result's own conflicts (which imply an answer) replace them.
-	var cands []slm.Candidate
-	if len(conflicts) < 2 {
-		cands = slm.DeriveCandidates(question, retrieval.Texts(ans.Evidence), h.ner)
-	}
-	h.mu.RUnlock()
+		// Evidence-derived candidates feed both the generative fallback and
+		// the uncertainty sample, so they are derived once — and not at all
+		// when the result's own conflicts (which imply an answer) replace them.
+		if len(conflicts) < 2 {
+			cands = slm.DeriveCandidates(question, retrieval.Texts(ans.Evidence), h.ner)
+		}
+	}()
 
 	if ans.Text == "" {
 		// Generative fallback over retrieved evidence, decoded through

@@ -51,12 +51,33 @@ type Run struct {
 // the single-store executors use, so joins, comparisons, residual
 // filters, aggregation, sort, limit and projection apply in exactly the
 // order the unfederated path applies them.
+//
+// A panic inside — a backend's Scan, a kernel — leaves ExecuteIR as a
+// *PlanPanic carrying the plan's fingerprint, so whoever recovers it
+// can say which plan failed.
 func (e *Executor) ExecuteIR(opt *logical.Optimized) (*table.Table, *Run, error) {
 	if opt == nil || opt.Root == nil {
 		return nil, nil, semop.ErrEmptyPlan
 	}
-	return e.executeOnce(opt, logical.Fingerprint(opt.Root))
+	key := logical.Fingerprint(opt.Root)
+	defer func() {
+		if v := recover(); v != nil {
+			panic(&PlanPanic{Fingerprint: key, Value: v})
+		}
+	}()
+	return e.executeOnce(opt, key)
 }
+
+// PlanPanic is the value ExecuteIR panics with when executing a plan
+// panicked: the canonical fingerprint of the plan (the plan cache's
+// key) and the value of the original panic.
+type PlanPanic struct {
+	Fingerprint string
+	Value       any
+}
+
+// String says what panicked, for a panic no one recovers.
+func (p *PlanPanic) String() string { return fmt.Sprintf("federate: executing plan: %v", p.Value) }
 
 // executeOnce runs one planning + scan + residual pass. The executor's
 // Timeout, when set, bounds the whole pass; the context scans are handed

@@ -1,20 +1,26 @@
 package graph
 
 // The encoding/json codec serialize.go replaced, kept as the oracle the
-// hand-written one is tested against. Nothing outside the tests calls it.
+// hand-written one is tested against, and the expansion of a rows section
+// into the full form, written from the format's description. Nothing
+// outside the tests calls them.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"sort"
+	"strconv"
 )
 
 // refSerialized is the on-disk form of a graph.
 type refSerialized struct {
 	Nodes []refNode `json:"nodes"`
 	Edges []Edge    `json:"edges"`
+
+	expanded bool // rows were merged in (refExpand)
 }
 
 // refNode is the on-disk form of a node: its payload is an open object,
@@ -39,6 +45,92 @@ func (r refNode) node() Node {
 		Text: p["text"], Doc: p["doc"], EType: p["etype"], Verb: p["verb"], Arg1: p["arg1"], Arg2: p["arg2"]}
 }
 
+// refFile is a file as it may be written: the full form and the ranges
+// that abbreviate more of it.
+type refFile struct {
+	Nodes []refNode  `json:"nodes"`
+	Rows  []refRange `json:"rows"`
+	Edges []Edge     `json:"edges"`
+}
+
+// refRange is one range of the rows section.
+type refRange struct {
+	Prefix   string   `json:"prefix"`
+	N        int      `json:"n"`
+	Text     []string `json:"text"`
+	Mentions [][]int  `json:"mentions"`
+}
+
+// refExpand decodes a file and returns its full form: for each range row
+// k, the node "row:"+prefix+k with its text and the weight-1 mentions
+// edges both ways between it and each node it mentions, merged into the
+// listed nodes by id and the listed edges by (from, to, type).
+func refExpand(data []byte) (refSerialized, error) {
+	var f refFile
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&f); err != nil {
+		return refSerialized{}, fmt.Errorf("graph: decode: %w", err)
+	}
+	s := refSerialized{Nodes: f.Nodes, Edges: f.Edges}
+	listed := len(s.Nodes)
+	for _, r := range f.Rows {
+		if len(r.Text) != r.N || len(r.Mentions) != r.N {
+			return s, fmt.Errorf("graph: decode: range of %d rows with %d texts and %d mention lists", r.N, len(r.Text), len(r.Mentions))
+		}
+		for k := range r.N {
+			label := r.Prefix + strconv.Itoa(k)
+			row := refNode{ID: "row:" + label, Type: NodeRow, Label: label}
+			if r.Text[k] != "" {
+				row.Payload = map[string]string{"text": r.Text[k]}
+			}
+			s.Nodes = append(s.Nodes, row)
+			for _, i := range r.Mentions[k] {
+				if i < 0 || i >= listed {
+					return s, fmt.Errorf("graph: decode: mention of node %d of %d", i, listed)
+				}
+				to := f.Nodes[i].ID
+				s.Edges = append(s.Edges, Edge{From: row.ID, To: to, Type: EdgeMentions, Weight: 1}, Edge{From: to, To: row.ID, Type: EdgeMentions, Weight: 1})
+			}
+		}
+	}
+	if len(s.Nodes) == listed {
+		return s, nil
+	}
+	s.expanded = true
+	sort.SliceStable(s.Nodes, func(i, j int) bool { return s.Nodes[i].ID < s.Nodes[j].ID })
+	sortEdges(s.Edges)
+	return s, nil
+}
+
+// refExpandJSON is the full form of data as the reference writes it: data
+// itself when it has no rows (re-encoded, invalid UTF-8 written as
+// "\ufffd" would read back as U+FFFD and be written as itself).
+func refExpandJSON(data []byte) ([]byte, error) {
+	s, err := refExpand(data)
+	if err != nil {
+		return nil, err
+	}
+	if !s.expanded {
+		return data, nil
+	}
+	var buf bytes.Buffer
+	err = json.NewEncoder(&buf).Encode(s)
+	return buf.Bytes(), err
+}
+
+// sortEdges puts edges in (from, to, type) order, ties as they stand.
+func sortEdges(es []Edge) {
+	sort.SliceStable(es, func(i, j int) bool {
+		a, b := es[i], es[j]
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		if a.To != b.To {
+			return a.To < b.To
+		}
+		return a.Type < b.Type
+	})
+}
+
 // refWriteJSON is WriteJSON through encoding/json: nodes by id, edges by
 // (from, to, type), ties in adjacency order.
 func refWriteJSON(g *Graph, w io.Writer) error {
@@ -49,25 +141,20 @@ func refWriteJSON(g *Graph, w io.Writer) error {
 	for _, id := range g.NodeIDs() {
 		s.Edges = append(s.Edges, g.Out(id)...)
 	}
-	sort.SliceStable(s.Edges, func(i, j int) bool {
-		a, b := s.Edges[i], s.Edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Type < b.Type
-	})
+	sortEdges(s.Edges)
 	return json.NewEncoder(w).Encode(s)
 }
 
-// refReadJSON is ReadJSON through encoding/json and one checked insert
-// per record.
+// refReadJSON is ReadJSON through encoding/json, the rows section
+// expanded, and one checked insert per record of the full form.
 func refReadJSON(r io.Reader) (*Graph, error) {
-	var s refSerialized
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("graph: decode: %w", err)
+	}
+	s, err := refExpand(data)
+	if err != nil {
+		return nil, err
 	}
 	g := New()
 	for _, n := range s.Nodes {

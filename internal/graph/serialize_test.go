@@ -136,6 +136,92 @@ func indexLikeGraph(seed int64, nodes, edges int) *Graph {
 	return g
 }
 
+// rangeGraph is shaped like an index over tables, its vertices and
+// edges inserted out of id order: runs of row vertices the rows section
+// holds, beside rows it cannot hold, each for one reason.
+func rangeGraph(t testing.TB) *Graph {
+	g := New()
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mention := func(from, to string) { check(g.AddUndirected(Edge{From: from, To: to, Type: EdgeMentions})) }
+	row := func(label, text string) string {
+		id := "row:" + label
+		check(g.EnsureNode(Node{ID: id, Type: NodeRow, Label: label, Text: text}))
+		return id
+	}
+	ents := []string{"entity:sku-2", "entity:north", "entity:sku-1", "entity:south"}
+	for _, e := range ents {
+		check(g.EnsureNode(Node{ID: e, Type: NodeEntity, Label: strings.TrimPrefix(e, "entity:"), EType: "ID"}))
+	}
+	check(g.EnsureNode(Node{ID: "chunk:1", Type: NodeChunk, Label: "1", Text: "north sells sku-1", Doc: "doc:1"}))
+	mention("chunk:1", "entity:north")
+	// A run of 0…119 whose lexicographic order is not its numeric one,
+	// rows with no mention, one, two, and one whose twin was made from the
+	// entity's side; one row has no text.
+	for k := 0; k < 120; k++ {
+		text := fmt.Sprintf("region: %s; units: %d", ents[k%4], k)
+		if k == 7 {
+			text = ""
+		}
+		id := row(fmt.Sprintf("db/facts/%d", k), text)
+		switch k % 4 {
+		case 1:
+			mention(id, ents[k%3])
+		case 2:
+			mention(id, ents[2])
+			mention(id, ents[0])
+		case 3:
+			mention(ents[3], id)
+		}
+	}
+	// A listed node whose id sorts inside that run, with edges among the
+	// run's; a chunk that mentions a row of the run.
+	check(g.EnsureNode(Node{ID: "row:db/facts/1x", Type: NodeEntity, Label: "1x"}))
+	check(g.AddEdge(Edge{From: "row:db/facts/1x", To: "entity:north", Type: EdgeRelates, Weight: 2}))
+	check(g.AddEdge(Edge{From: "entity:north", To: "row:db/facts/1x", Type: EdgeRelates}))
+	check(g.AddEdge(Edge{From: "entity:north", To: "entity:south", Type: EdgeRelates, Weight: 3}))
+	check(g.AddEdge(Edge{From: "entity:north", To: "entity:south", Type: EdgeRelates, Weight: 0.5}))
+	mention("chunk:1", "row:db/facts/5")
+	// A prefix that ends in a letter; a run of one; two runs whose ids
+	// interleave ("a/1x0" sorts between "a/11" and "a/2").
+	for k := 11; k >= 0; k-- {
+		mention(row(fmt.Sprintf("events/o%d", k), "event"), ents[k%4])
+	}
+	mention(row("db/one/0", "only"), "entity:north")
+	for k := 0; k < 12; k++ {
+		row(fmt.Sprintf("a/%d", k), "a")
+	}
+	mention(row("a/1x1", "b"), "entity:south")
+	row("a/1x0", "c")
+	// Rows no range holds: a hole; a number with leading zeros alone; a
+	// label that is not the id's rest; a payload besides text; a mention
+	// of weight 0.5; a mention without its twin; an edge of another type;
+	// and two rows that mention each other.
+	row("db/hole/0", "h")
+	row("db/hole/2", "h")
+	row("x/007", "z")
+	check(g.EnsureNode(Node{ID: "row:db/label/0", Type: NodeRow, Label: "db/other/0"}))
+	row("db/label/1", "l")
+	check(g.EnsureNode(Node{ID: "row:db/doc/0", Type: NodeRow, Label: "db/doc/0", Text: "d", Doc: "doc:1"}))
+	check(g.AddUndirected(Edge{From: row("db/w/0", "w"), To: "entity:north", Type: EdgeMentions, Weight: 0.5}))
+	check(g.AddEdge(Edge{From: row("db/oneway/0", "o"), To: "entity:north", Type: EdgeMentions}))
+	check(g.AddUndirected(Edge{From: row("db/type/0", "t"), To: "entity:north", Type: EdgeRelates}))
+	mention(row("db/r2r/0", "r"), row("db/r2s/0", "s"))
+	return g
+}
+
+// rangedPrefixes are the runs WriteJSON writes as ranges for each codec
+// graph that has one: prefix and row count.
+var rangedPrefixes = map[string]map[string]int{
+	"ranges":     {"db/facts/": 120, "events/o": 12, "db/one/": 1, "a/": 12, "a/1x": 2},
+	"tiny-range": {"t/": 2},
+	"one-row":    {"o": 1},
+}
+
 func codecGraphs(t testing.TB) map[string]*Graph {
 	lone := New()
 	lone.EnsureNode(Node{ID: "only", Type: NodeDoc, Label: "no edges"})
@@ -149,15 +235,32 @@ func codecGraphs(t testing.TB) map[string]*Graph {
 	small := New()
 	small.EnsureNode(Node{ID: hostile[2], Type: NodeCue, Label: hostile[3], Verb: hostile[5], Arg1: hostile[6], Arg2: hostile[7], Text: hostile[4]})
 	small.AddEdge(Edge{From: hostile[2], To: hostile[2], Type: EdgeType(hostile[4]), Weight: 1e-7})
+	// Ranges small enough to cut at every byte: one beside a listed id
+	// inside it; one of a single row beside a self-loop.
+	tiny := New()
+	tiny.EnsureNode(Node{ID: "e", Type: NodeEntity, Label: "e"})
+	tiny.EnsureNode(Node{ID: "row:t/0", Type: NodeRow, Label: "t/0", Text: "a \"quoted\" <row>"})
+	tiny.EnsureNode(Node{ID: "row:t/1", Type: NodeRow, Label: "t/1"})
+	tiny.EnsureNode(Node{ID: "row:t/0x", Type: NodeDoc, Label: "0x"})
+	tiny.AddUndirected(Edge{From: "row:t/0", To: "e", Type: EdgeMentions})
+	tiny.AddEdge(Edge{From: "row:t/0x", To: "e", Type: EdgeNextTo})
+	one := New()
+	one.EnsureNode(Node{ID: "row:o0", Type: NodeRow, Label: "o0", Text: "one"})
+	one.EnsureNode(Node{ID: "x", Type: NodeEntity, Label: "x"})
+	one.AddUndirected(Edge{From: "x", To: "row:o0", Type: EdgeMentions})
+	one.AddEdge(Edge{From: "x", To: "x", Type: EdgeRelates})
 	return map[string]*Graph{
-		"empty":    New(),
-		"lone":     lone,
-		"chain":    chain,
-		"small":    small,
-		"hostile":  hostileGraph(t),
-		"parallel": parallelGraph(t),
-		"random":   indexLikeGraph(1, 300, 1500),
-		"dense":    indexLikeGraph(2, 12, 400),
+		"ranges":     rangeGraph(t),
+		"tiny-range": tiny,
+		"one-row":    one,
+		"empty":      New(),
+		"lone":       lone,
+		"chain":      chain,
+		"small":      small,
+		"hostile":    hostileGraph(t),
+		"parallel":   parallelGraph(t),
+		"random":     indexLikeGraph(1, 300, 1500),
+		"dense":      indexLikeGraph(2, 12, 400),
 	}
 }
 
@@ -203,12 +306,44 @@ func encode(t testing.TB, write func(io.Writer) error) []byte {
 	return buf.Bytes()
 }
 
+// expanded is the full form of a snapshot, as the reference expands it.
+func expanded(t testing.TB, data []byte) []byte {
+	t.Helper()
+	full, err := refExpandJSON(data)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, data)
+	}
+	return full
+}
+
+// rangesOf returns the prefix and row count of each range of a snapshot.
+func rangesOf(t testing.TB, data []byte) map[string]int {
+	var f refFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int{}
+	for _, r := range f.Rows {
+		out[r.Prefix] = r.N
+	}
+	return out
+}
+
+// TestWriteJSONMatchesReference holds the full form of what WriteJSON
+// writes to the reference's bytes, and the ranges it writes to the runs
+// the format lets it spell.
 func TestWriteJSONMatchesReference(t *testing.T) {
 	for name, g := range codecGraphs(t) {
 		got := encode(t, g.WriteJSON)
 		want := encode(t, func(w io.Writer) error { return refWriteJSON(g, w) })
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		if full := expanded(t, got); !bytes.Equal(full, want) {
+			t.Errorf("%s:\n got %s\nfull %s\nwant %s", name, got, full, want)
+		}
+		if ranges := rangesOf(t, got); !maps.Equal(ranges, rangedPrefixes[name]) && len(ranges)+len(rangedPrefixes[name]) > 0 {
+			t.Errorf("%s: ranges %v, want %v", name, ranges, rangedPrefixes[name])
+		}
+		if _, ok := rangedPrefixes[name]; !ok && !bytes.Equal(got, want) {
+			t.Errorf("%s: a snapshot without ranges is not the full form", name)
 		}
 	}
 	// The text forms the number codec special-cases, spelled out.
@@ -461,69 +596,92 @@ func TestReadJSONRejects(t *testing.T) {
 	doc := func(nodes, edges string) string { return `{"nodes":[` + nodes + `],"edges":[` + edges + `]}` }
 	edge := `{"from":"a","to":"b","type":"next","weight":1}`
 	ab := node("a") + "," + node("b")
+	rows := func(ranges string) string { return `{"nodes":[` + ab + `],"rows":[` + ranges + `],"edges":null}` }
 	for name, in := range map[string]string{
-		"empty input":          "",
-		"only whitespace":      " \n",
-		"top-level null":       "null",
-		"top-level array":      "[]",
-		"unknown top key":      `{"nodes":[],"edges":null,"version":2}`,
-		"key in another case":  `{"Nodes":[],"edges":null}`,
-		"repeated nodes":       `{"nodes":[],"nodes":[],"edges":null}`,
-		"repeated edges":       `{"edges":null,"nodes":[],"edges":null}`,
-		"trailing bytes":       doc(ab, edge) + "{}",
-		"trailing garbage":     doc(ab, edge) + "\n x",
-		"second document":      doc(ab, edge) + doc(ab, edge),
-		"unknown node key":     doc(`{"id":"a","type":"doc","label":"","extra":"x"}`, ""),
-		"repeated node key":    doc(`{"id":"a","type":"doc","label":"","id":"b"}`, ""),
-		"repeated attrs":       doc(`{"id":"a","attrs":{},"attrs":{}}`, ""),
-		"repeated attr key":    doc(`{"id":"a","attrs":{"text":"1","k":"","text":"2"}}`, ""),
-		"repeated as empty":    doc(`{"id":"a","attrs":{"doc":"","doc":""}}`, ""),
-		"null id":              doc(`{"id":null}`, ""),
-		"null attr value":      doc(`{"id":"a","attrs":{"etype":null}}`, ""),
-		"null unknown attr":    doc(`{"id":"a","attrs":{"k":null}}`, ""),
-		"number for an attr":   doc(`{"id":"a","attrs":{"k":7}}`, ""),
-		"object for an attr":   doc(`{"id":"a","attrs":{"k":{}}}`, ""),
-		"bad escape in attr":   doc(`{"id":"a","attrs":{"k":"\x"}}`, ""),
-		"number for a string":  doc(`{"id":7}`, ""),
-		"nodes not an array":   `{"nodes":{},"edges":null}`,
-		"node not an object":   doc(`"a"`, ""),
-		"attrs not an object":  doc(`{"id":"a","attrs":[]}`, ""),
-		"unknown edge key":     doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"label":"x"}`),
-		"repeated edge key":    doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"to":"a"}`),
-		"null weight":          doc(ab, `{"from":"a","to":"b","type":"next","weight":null}`),
-		"string weight":        doc(ab, `{"from":"a","to":"b","type":"next","weight":"1"}`),
-		"leading zero":         doc(ab, `{"from":"a","to":"b","type":"next","weight":01}`),
-		"leading plus":         doc(ab, `{"from":"a","to":"b","type":"next","weight":+1}`),
-		"bare point":           doc(ab, `{"from":"a","to":"b","type":"next","weight":1.}`),
-		"no integer part":      doc(ab, `{"from":"a","to":"b","type":"next","weight":.5}`),
-		"bare exponent":        doc(ab, `{"from":"a","to":"b","type":"next","weight":1e}`),
-		"hex weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":0x10}`),
-		"NaN weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":NaN}`),
-		"weight out of range":  doc(ab, `{"from":"a","to":"b","type":"next","weight":1e999}`),
-		"minus alone":          doc(ab, `{"from":"a","to":"b","type":"next","weight":-}`),
-		"raw control byte":     doc(node("a\x01"), ""),
-		"raw newline":          doc(node("a\nb"), ""),
-		"invalid UTF-8":        doc(node("a\xff"), ""),
-		"truncated rune":       doc(node("a\xe2\x80"), ""),
-		"invalid UTF-8 in key": doc(`{"id":"a","attrs":{"k\xff":"v"}}`, ""),
-		"escape then bad UTF8": doc(node(`a\n`+"\xff"), ""),
-		"unknown escape":       doc(node(`a\x41`), ""),
-		"short \\u":            doc(node(`a\u12`), ""),
-		"non-hex \\u":          doc(node(`a\u12g4`), ""),
-		"lone high surrogate":  doc(node(`a\ud83d`), ""),
-		"lone low surrogate":   doc(node(`a\ude00`), ""),
-		"high then non-low":    doc(node(`a\ud83d\u0041`), ""),
-		"high then high":       doc(node(`a\ud83d\ud83d`), ""),
-		"unterminated string":  `{"nodes":[{"id":"a`,
-		"escape at the end":    `{"nodes":[{"id":"a\`,
-		"missing comma":        doc(node("a")+node("b"), ""),
-		"trailing comma":       doc(node("a")+",", ""),
-		"trailing member":      `{"nodes":[],}`,
-		"single quotes":        `{'nodes':[]}`,
-		"missing colon":        `{"nodes" []}`,
-		"unclosed":             `{"nodes":[],"edges":null`,
-		"nul":                  "null",
-		"nulls":                `{"nodes":nulls}`,
+		"empty input":           "",
+		"only whitespace":       " \n",
+		"top-level null":        "null",
+		"top-level array":       "[]",
+		"unknown top key":       `{"nodes":[],"edges":null,"version":2}`,
+		"key in another case":   `{"Nodes":[],"edges":null}`,
+		"repeated nodes":        `{"nodes":[],"nodes":[],"edges":null}`,
+		"repeated edges":        `{"edges":null,"nodes":[],"edges":null}`,
+		"trailing bytes":        doc(ab, edge) + "{}",
+		"trailing garbage":      doc(ab, edge) + "\n x",
+		"second document":       doc(ab, edge) + doc(ab, edge),
+		"unknown node key":      doc(`{"id":"a","type":"doc","label":"","extra":"x"}`, ""),
+		"repeated node key":     doc(`{"id":"a","type":"doc","label":"","id":"b"}`, ""),
+		"repeated attrs":        doc(`{"id":"a","attrs":{},"attrs":{}}`, ""),
+		"repeated attr key":     doc(`{"id":"a","attrs":{"text":"1","k":"","text":"2"}}`, ""),
+		"repeated as empty":     doc(`{"id":"a","attrs":{"doc":"","doc":""}}`, ""),
+		"null id":               doc(`{"id":null}`, ""),
+		"null attr value":       doc(`{"id":"a","attrs":{"etype":null}}`, ""),
+		"null unknown attr":     doc(`{"id":"a","attrs":{"k":null}}`, ""),
+		"number for an attr":    doc(`{"id":"a","attrs":{"k":7}}`, ""),
+		"object for an attr":    doc(`{"id":"a","attrs":{"k":{}}}`, ""),
+		"bad escape in attr":    doc(`{"id":"a","attrs":{"k":"\x"}}`, ""),
+		"number for a string":   doc(`{"id":7}`, ""),
+		"nodes not an array":    `{"nodes":{},"edges":null}`,
+		"node not an object":    doc(`"a"`, ""),
+		"attrs not an object":   doc(`{"id":"a","attrs":[]}`, ""),
+		"unknown edge key":      doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"label":"x"}`),
+		"repeated edge key":     doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"to":"a"}`),
+		"null weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":null}`),
+		"string weight":         doc(ab, `{"from":"a","to":"b","type":"next","weight":"1"}`),
+		"leading zero":          doc(ab, `{"from":"a","to":"b","type":"next","weight":01}`),
+		"leading plus":          doc(ab, `{"from":"a","to":"b","type":"next","weight":+1}`),
+		"bare point":            doc(ab, `{"from":"a","to":"b","type":"next","weight":1.}`),
+		"no integer part":       doc(ab, `{"from":"a","to":"b","type":"next","weight":.5}`),
+		"bare exponent":         doc(ab, `{"from":"a","to":"b","type":"next","weight":1e}`),
+		"hex weight":            doc(ab, `{"from":"a","to":"b","type":"next","weight":0x10}`),
+		"NaN weight":            doc(ab, `{"from":"a","to":"b","type":"next","weight":NaN}`),
+		"weight out of range":   doc(ab, `{"from":"a","to":"b","type":"next","weight":1e999}`),
+		"minus alone":           doc(ab, `{"from":"a","to":"b","type":"next","weight":-}`),
+		"raw control byte":      doc(node("a\x01"), ""),
+		"raw newline":           doc(node("a\nb"), ""),
+		"invalid UTF-8":         doc(node("a\xff"), ""),
+		"truncated rune":        doc(node("a\xe2\x80"), ""),
+		"invalid UTF-8 in key":  doc(`{"id":"a","attrs":{"k\xff":"v"}}`, ""),
+		"escape then bad UTF8":  doc(node(`a\n`+"\xff"), ""),
+		"unknown escape":        doc(node(`a\x41`), ""),
+		"short \\u":             doc(node(`a\u12`), ""),
+		"non-hex \\u":           doc(node(`a\u12g4`), ""),
+		"lone high surrogate":   doc(node(`a\ud83d`), ""),
+		"lone low surrogate":    doc(node(`a\ude00`), ""),
+		"high then non-low":     doc(node(`a\ud83d\u0041`), ""),
+		"high then high":        doc(node(`a\ud83d\ud83d`), ""),
+		"unterminated string":   `{"nodes":[{"id":"a`,
+		"escape at the end":     `{"nodes":[{"id":"a\`,
+		"missing comma":         doc(node("a")+node("b"), ""),
+		"trailing comma":        doc(node("a")+",", ""),
+		"trailing member":       `{"nodes":[],}`,
+		"single quotes":         `{'nodes':[]}`,
+		"missing colon":         `{"nodes" []}`,
+		"unclosed":              `{"nodes":[],"edges":null`,
+		"nul":                   "null",
+		"nulls":                 `{"nodes":nulls}`,
+		"repeated rows":         `{"nodes":[],"rows":[],"edges":null,"rows":[]}`,
+		"rows not an array":     `{"nodes":[],"rows":{}}`,
+		"unknown range key":     rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"first":0}`),
+		"repeated range key":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"prefix":"u/"}`),
+		"null prefix":           rows(`{"prefix":null,"n":1,"text":["x"],"mentions":[[0]]}`),
+		"fractional n":          rows(`{"prefix":"t/","n":1.0,"text":["x"],"mentions":[[0]]}`),
+		"n over the texts":      rows(`{"prefix":"t/","n":2,"text":["x"],"mentions":[[0],[0]]}`),
+		"n under the texts":     rows(`{"prefix":"t/","n":1,"text":["x","y"],"mentions":[[0]]}`),
+		"n over the mentions":   rows(`{"prefix":"t/","n":2,"text":["x","y"],"mentions":[[0]]}`),
+		"negative n":            rows(`{"prefix":"t/","n":-1,"text":[],"mentions":[]}`),
+		"no n":                  rows(`{"prefix":"t/","text":["x"],"mentions":[[0]]}`),
+		"null text":             rows(`{"prefix":"t/","n":1,"text":[null],"mentions":[[0]]}`),
+		"mention past nodes":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2]]}`),
+		"negative mention":      rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[-1]]}`),
+		"fractional mention":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0.5]]}`),
+		"mention too large":     rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2147483648]]}`),
+		"mentions out of order": rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[1,0]]}`),
+		"nodes out of order":    `{"nodes":[` + node("b") + "," + node("a") + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]]}]}`,
+		"edges out of order": `{"nodes":[` + ab + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]]}],"edges":[` +
+			`{"from":"b","to":"a","type":"next","weight":1},` + edge + `]}`,
+		"edge types out of order": `{"nodes":[` + ab + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]]}],"edges":[` +
+			`{"from":"a","to":"b","type":"x","weight":1},` + edge + `]}`,
 	} {
 		if g, err := ReadJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q as %d nodes, %d edges", name, in, g.NodeCount(), g.EdgeCount())
@@ -545,6 +703,11 @@ func TestReadJSONRejects(t *testing.T) {
 		"no target":          {doc(ab, `{"from":"a","type":"next","weight":1}`), ErrBadEdge},
 		"edges without node": {`{"edges":[` + edge + `]}`, ErrBadEdge},
 		"edges first":        {`{"edges":[{"from":"a","to":"zz","type":"next","weight":1}],"nodes":[` + ab + `]}`, ErrBadEdge},
+		"range id taken":     {`{"nodes":[` + node("row:t/0") + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[]]}]}`, ErrNodeExists},
+		"range id listed after": {`{"rows":[{"prefix":"t/","n":2,"text":["x","y"],"mentions":[[0],[]]}],"nodes":[` + node("a") + "," +
+			node("row:t/1") + `]}`, ErrNodeExists},
+		"ranges overlap": {rows(`{"prefix":"t/","n":11,"text":["","","","","","","","","","",""],"mentions":[[],[],[],[],[],[],[],[],[],[],[]]},` +
+			`{"prefix":"t/1","n":1,"text":["x"],"mentions":[[]]}`), ErrNodeExists},
 	} {
 		_, err := ReadJSON(strings.NewReader(c.in))
 		if !errors.Is(err, c.want) {
@@ -552,6 +715,17 @@ func TestReadJSONRejects(t *testing.T) {
 		}
 		if _, rerr := refReadJSON(strings.NewReader(c.in)); !errors.Is(rerr, c.want) || rerr.Error() != err.Error() {
 			t.Errorf("%s: err = %v, the reference's %v", name, err, rerr)
+		}
+	}
+	// A listed edge names listed nodes only: a range row's edges are its
+	// mentions. The reference, which expands before it inserts, lets
+	// this pass.
+	for _, in := range []string{
+		`{"nodes":[` + ab + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]]}],"edges":[{"from":"a","to":"row:t/0","type":"next"}]}`,
+		`{"edges":[{"from":"row:t/0","to":"a","type":"next"}],"nodes":[` + ab + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[]]}]}`,
+	} {
+		if _, err := ReadJSON(strings.NewReader(in)); !errors.Is(err, ErrBadEdge) {
+			t.Errorf("listed edge of a range row: err = %v", err)
 		}
 	}
 	// What a missing key or a missing weight means.
@@ -608,6 +782,8 @@ func FuzzGraphJSON(f *testing.F) {
 	f.Add([]byte(`{"edges":[{"from":"a","to":"a","weight":1e-7,"type":"x"}],"nodes":[{"label":"A","attrs":{"":""},"id":"a"}]}`))
 	f.Add([]byte(`{"nodes":[{"id":"a"},{"id":"a"}]}`))
 	f.Add([]byte(`{"nodes":null,"edges":[{"from":"a","to":"b"}]} x`))
+	f.Add([]byte(`{"rows":[{"mentions":[[0,0],[]],"text":["a\u0041",""],"n":2,"prefix":"p/1"}],"edges":[{"from":"e","to":"e"}],"nodes":[{"id":"e"},{"id":"row:p/1"}]}`))
+	f.Add([]byte(`{"nodes":[{"id":"a"},{"id":"row:x1"}],"rows":[{"prefix":"x","n":1,"text":["t"],"mentions":[[1]]},{"prefix":"x1","n":2,"text":["",""],"mentions":[[0],[0,1]]}],"edges":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
@@ -618,8 +794,73 @@ func FuzzGraphJSON(f *testing.F) {
 			t.Fatalf("the reference rejects what the codec accepts: %v", err)
 		}
 		sameGraph(t, got, want)
-		if out, ref := encode(t, got.WriteJSON), encode(t, func(w io.Writer) error { return refWriteJSON(want, w) }); !bytes.Equal(out, ref) {
+		if out, ref := expanded(t, encode(t, got.WriteJSON)), encode(t, func(w io.Writer) error { return refWriteJSON(want, w) }); !bytes.Equal(out, ref) {
 			t.Fatalf("written back:\n%s\nthe reference:\n%s", out, ref)
 		}
 	})
+}
+
+// TestReadJSONRowsSpelledAnyWay reads each snapshot with ranges with its
+// keys in other orders, indented, and with null for an empty mention
+// list: the same graph as the one WriteJSON's spelling gives.
+func TestReadJSONRowsSpelledAnyWay(t *testing.T) {
+	type rangeReversed struct {
+		Mentions [][]int  `json:"mentions"`
+		Text     []string `json:"text"`
+		N        int      `json:"n"`
+		Prefix   string   `json:"prefix"`
+	}
+	type rowsFirst struct {
+		Rows  []rangeReversed `json:"rows"`
+		Nodes []refNode       `json:"nodes"`
+		Edges []Edge          `json:"edges"`
+	}
+	type edgesFirst struct {
+		Edges []Edge          `json:"edges"`
+		Rows  []rangeReversed `json:"rows"`
+		Nodes []refNode       `json:"nodes"`
+	}
+	graphs := codecGraphs(t)
+	for name := range rangedPrefixes {
+		data := encode(t, graphs[name].WriteJSON)
+		loaded := readBoth(t, name, data)
+		var f refFile
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		var ranges []rangeReversed
+		for _, r := range f.Rows {
+			for i, m := range r.Mentions {
+				if len(m) == 0 {
+					r.Mentions[i] = nil
+				}
+			}
+			ranges = append(ranges, rangeReversed{Mentions: r.Mentions, Text: r.Text, N: r.N, Prefix: r.Prefix})
+		}
+		for i, v := range []any{rowsFirst{ranges, f.Nodes, f.Edges}, edgesFirst{f.Edges, ranges, f.Nodes}} {
+			spelled := must(json.MarshalIndent(v, " ", "\t"))
+			if i == 0 && name == "ranges" && !bytes.Contains(spelled, []byte("null,")) {
+				t.Fatalf("%s: no empty mention list spelled null", name)
+			}
+			sameGraph(t, readBoth(t, name, spelled), loaded)
+		}
+	}
+}
+
+func TestDecimalOrder(t *testing.T) {
+	const most = 1200
+	var spelled [most]string
+	for k := range spelled {
+		spelled[k] = fmt.Sprint(k)
+	}
+	for n := range most {
+		want := make([]int32, n)
+		for k := range want {
+			want[k] = int32(k)
+		}
+		slices.SortFunc(want, func(a, b int32) int { return strings.Compare(spelled[a], spelled[b]) })
+		if got := decimalOrder(n); !slices.Equal(got, want) {
+			t.Fatalf("decimalOrder(%d) = %v, want %v", n, got, want)
+		}
+	}
 }

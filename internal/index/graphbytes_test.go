@@ -1,11 +1,17 @@
 package index
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/slm"
 	"repro/internal/store"
 	"repro/internal/table"
@@ -45,23 +51,26 @@ func factsCatalog(t *testing.T, rows int) *table.Catalog {
 }
 
 // TestGraphBytesPinned pins the built index byte for byte: an FNV-64a of
-// graph.json, recorded at PR 21 (e69bf06) before Build's row rendering
-// and the recognizer's gazetteer pass were rewritten. Node and edge
-// counts cannot see a changed row text, canonical form, entity type or
-// adjacency order; this can. A deliberate change to what the index holds
-// re-records the three numbers and says why.
+// graph.json's full form, recorded at PR 21 (e69bf06) before Build's row
+// rendering and the recognizer's gazetteer pass were rewritten, and of
+// the file WriteJSON writes, whose rows section abbreviates the row
+// vertices. Node and edge counts cannot see a changed row text,
+// canonical form, entity type or adjacency order; this can. A deliberate
+// change to what the index holds re-records the full-form numbers and
+// says why; a change to the file format alone re-records only the
+// written ones.
 func TestGraphBytesPinned(t *testing.T) {
 	ecommerce := workload.ECommerce(workload.DefaultECommerceOptions())
 	healthcare := workload.Healthcare(workload.DefaultHealthcareOptions())
 	for _, tc := range []struct {
-		name    string
-		vocab   *workload.Corpus
-		sources *store.Multi
-		want    uint64
+		name          string
+		vocab         *workload.Corpus
+		sources       *store.Multi
+		full, written uint64
 	}{
-		{"ecommerce", ecommerce, ecommerce.Sources, 0xde18b21964dc421},
-		{"healthcare", healthcare, healthcare.Sources, 0xef0befb1dfd986db},
-		{"facts", ecommerce, factsSources(t, 1000), 0x4e11ecc4a85970e9},
+		{"ecommerce", ecommerce, ecommerce.Sources, 0xde18b21964dc421, 0xf436a29cac355c32},
+		{"healthcare", healthcare, healthcare.Sources, 0xef0befb1dfd986db, 0xc2570db5b0907667},
+		{"facts", ecommerce, factsSources(t, 1000), 0x4e11ecc4a85970e9, 0x79d900ca1fb7b581},
 	} {
 		ner := slm.NewNER()
 		tc.vocab.Register(ner)
@@ -70,13 +79,51 @@ func TestGraphBytesPinned(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		h := fnv.New64a()
+		h.Write(fullForm(t, g))
+		if got := h.Sum64(); got != tc.full {
+			t.Errorf("%s: graph.json's full form FNV-64a = %#x, pinned %#x", tc.name, got, tc.full)
+		}
+		h.Reset()
 		if err := g.WriteJSON(h); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := h.Sum64(); got != tc.want {
-			t.Errorf("%s: graph.json FNV-64a = %#x, pinned %#x", tc.name, got, tc.want)
+		if got := h.Sum64(); got != tc.written {
+			t.Errorf("%s: graph.json FNV-64a = %#x, pinned %#x", tc.name, got, tc.written)
 		}
 	}
+}
+
+// fullForm is graph.json without a rows section, every node and edge
+// spelled out, written through encoding/json from the graph's exported
+// API: nodes by id, payload under the six attrs keys, edges by (from, to,
+// type) with ties in adjacency order.
+func fullForm(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
+	type node struct {
+		ID      string            `json:"id"`
+		Type    graph.NodeType    `json:"type"`
+		Label   string            `json:"label"`
+		Payload map[string]string `json:"attrs,omitempty"`
+	}
+	var s struct {
+		Nodes []node       `json:"nodes"`
+		Edges []graph.Edge `json:"edges"`
+	}
+	for _, id := range g.NodeIDs() {
+		n := g.Node(id)
+		payload := map[string]string{"text": n.Text, "doc": n.Doc, "etype": n.EType, "verb": n.Verb, "arg1": n.Arg1, "arg2": n.Arg2}
+		maps.DeleteFunc(payload, func(_, v string) bool { return v == "" })
+		s.Nodes = append(s.Nodes, node{n.ID, n.Type, n.Label, payload})
+		s.Edges = append(s.Edges, g.Out(id)...)
+	}
+	slices.SortStableFunc(s.Edges, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Type, b.Type))
+	})
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestCatalogBytesPinned pins catalog.json byte for byte the way

@@ -14,14 +14,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/table"
 )
 
-// A saved directory holds graph.json, catalog.json and MANIFEST. Save
-// writes the two snapshot files under epoch names, records their lengths
-// and CRC-32C checksums in MANIFEST, and only then moves them onto their
-// plain names, so a Save stopped at any byte leaves the previous
-// snapshot or the new one, never neither and never a mix:
+// A saved directory holds graph.json, catalog.json and MANIFEST.
+// graph.json writes a table's row vertices as ranges of its rows
+// section, not as one node and two edge records per mention
+// (internal/graph/serialize.go). Save writes the two snapshot files
+// under epoch names, records their lengths and CRC-32C checksums in
+// MANIFEST, and only then moves them onto their plain names, so a Save
+// stopped at any byte leaves the previous snapshot or the new one, never
+// neither and never a mix:
 //
 //  1. write graph.json.<epoch> and catalog.json.<epoch>, fsync each;
 //  2. write MANIFEST.tmp (format version, epoch, each file's name,
@@ -33,9 +37,13 @@ import (
 // Load finishes a roll-forward it finds pending and checks both files
 // against MANIFEST as it reads them. A directory without MANIFEST (one
 // saved before there was one) loads unchecked.
+//
+// MANIFEST's format version is 2 since graph.json gained its rows
+// section: an older build refuses a snapshot it could not read by the
+// version, not by an unknown key in graph.json. This build reads both.
 const (
 	manifestName    = "MANIFEST"
-	manifestVersion = 1
+	manifestVersion = 2
 )
 
 // snapshotFiles are a snapshot's files, in the order Save and Load
@@ -133,7 +141,8 @@ func (osFS) SyncDir(dir string) error {
 // graph's error is the one returned.
 func (s *System) Save(dir string) error { return s.save(osFS{}, dir) }
 
-func (s *System) save(fsys snapshotFS, dir string) error {
+func (s *System) save(fsys snapshotFS, dir string) (err error) {
+	defer recoverAs("Save", &err)
 	if !s.built {
 		return ErrNotBuilt
 	}
@@ -172,13 +181,13 @@ func (s *System) save(fsys snapshotFS, dir string) error {
 	gerr, cerr := s.hybrid.WriteState(files[0], files[1])
 	// Each file is synced once the read lock is released, so an Ingest
 	// waits for the bytes, not for the disk; the two syncs run at once.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cerr = files[1].finish(cerr)
-	}()
-	gerr = files[0].finish(gerr)
-	<-done
+	par.ForEach(2, 2, func(i int) {
+		if i == 0 {
+			gerr = files[0].finish(gerr)
+		} else {
+			cerr = files[1].finish(cerr)
+		}
+	})
 	if gerr != nil {
 		return fmt.Errorf("unisem: save graph: %w", gerr)
 	}
@@ -282,7 +291,7 @@ func readManifest(dir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("%s: %w", manifestName, err)
 	}
-	if m.Version != manifestVersion {
+	if m.Version != 1 && m.Version != manifestVersion {
 		return nil, fmt.Errorf("%s: format version %d, this build reads %d", manifestName, m.Version, manifestVersion)
 	}
 	if len(m.Files) != len(snapshotFiles) || m.file(snapshotFiles[0]) == nil || m.file(snapshotFiles[1]) == nil {
@@ -358,15 +367,18 @@ func loadState(fsys snapshotFS, dir string) (*graph.Graph, *table.Catalog, error
 			return nil, nil, fmt.Errorf("unisem: load: %w", err)
 		}
 	}
-	var catalog *table.Catalog
-	var cerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		catalog, cerr = readFile(dir, "catalog", m, table.ReadCatalogJSON)
-	}()
-	g, gerr := readFile(dir, "graph", m, graph.ReadJSON)
-	<-done
+	var (
+		g          *graph.Graph
+		catalog    *table.Catalog
+		gerr, cerr error
+	)
+	par.ForEach(2, 2, func(i int) {
+		if i == 0 {
+			g, gerr = readFile(dir, "graph", m, graph.ReadJSON)
+		} else {
+			catalog, cerr = readFile(dir, "catalog", m, table.ReadCatalogJSON)
+		}
+	})
 	if gerr != nil {
 		return nil, nil, gerr
 	}

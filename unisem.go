@@ -22,6 +22,7 @@ package unisem
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"time"
 
@@ -93,7 +94,56 @@ var (
 	// ErrSnapshotMismatch is Load's refusal of a saved file whose length
 	// or CRC-32C is not the one its directory's MANIFEST records.
 	ErrSnapshotMismatch = errors.New("unisem: snapshot file does not match its manifest")
+	// ErrInternal is what Ask, AskAll, Query, Ingest and Save return, as
+	// an *InternalError, when the system panics inside them.
+	ErrInternal = errors.New("unisem: internal error")
 )
+
+// InternalError is a panic recovered at the API boundary: the method it
+// ended, what it panicked with, and the canonical fingerprint of the
+// plan that was executing, when one was. errors.Is(err, ErrInternal)
+// holds for it, and errors.As reaches a panic value that is an error.
+// The system stays usable: no lock is left held.
+type InternalError struct {
+	Op          string // "Ask", "AskAll", "Query", "Ingest" or "Save"
+	Value       any
+	Fingerprint string
+}
+
+// Error names the method and the panic value, and the plan by a hash of
+// its fingerprint.
+func (e *InternalError) Error() string {
+	msg := fmt.Sprintf("unisem: %s: internal error: %v", e.Op, e.Value)
+	if e.Fingerprint != "" {
+		h := fnv.New64a()
+		h.Write([]byte(e.Fingerprint))
+		msg += fmt.Sprintf(" (plan %016x)", h.Sum64())
+	}
+	return msg
+}
+
+// Is makes every InternalError match ErrInternal.
+func (e *InternalError) Is(target error) bool { return target == ErrInternal }
+
+// Unwrap returns the panic value if it is an error.
+func (e *InternalError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// recoverAs is deferred by the methods that return ErrInternal: it turns
+// a panic in op into an *InternalError in *err.
+func recoverAs(op string, err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	ie := &InternalError{Op: op, Value: v}
+	if p, ok := v.(*federate.PlanPanic); ok {
+		ie.Value, ie.Fingerprint = p.Value, p.Fingerprint
+	}
+	*err = ie
+}
 
 // Options configures a System.
 type Options struct {
@@ -342,7 +392,8 @@ func (s *System) Backends() []string {
 // Ask answers a natural-language question. The returned error is
 // non-nil only when no answer could be produced at all. Ask is safe
 // from any goroutine, including concurrently with Ingest.
-func (s *System) Ask(question string) (Answer, error) {
+func (s *System) Ask(question string) (_ Answer, err error) {
+	defer recoverAs("Ask", &err)
 	if !s.built {
 		return Answer{}, ErrNotBuilt
 	}
@@ -374,7 +425,8 @@ func (r QueryResult) Explain() string { return r.executed.Explain() }
 // and the natural-language question it corresponds to share one
 // cached physical plan (the cache keys on the canonical IR). Safe
 // from any goroutine, including concurrently with Ingest.
-func (s *System) Query(query string) (QueryResult, error) {
+func (s *System) Query(query string) (_ QueryResult, err error) {
+	defer recoverAs("Query", &err)
 	if !s.built {
 		return QueryResult{}, ErrNotBuilt
 	}
@@ -402,7 +454,8 @@ func (s *System) Query(query string) (QueryResult, error) {
 // carrying its own Err. Batch results are deterministic: answer i
 // matches what the i-th sequential Ask would have produced. AskAll is
 // safe concurrently with Ingest.
-func (s *System) AskAll(questions []string, parallel int) ([]Answer, error) {
+func (s *System) AskAll(questions []string, parallel int) (_ []Answer, err error) {
+	defer recoverAs("AskAll", &err)
 	if !s.built {
 		return nil, ErrNotBuilt
 	}
@@ -529,7 +582,8 @@ func (s *System) DescribeRollup(name string) (string, error) {
 // rebuild: the graph index, extracted tables and retrieval priors all
 // update incrementally (the paper's real-time analytics direction).
 // Re-ingesting an existing document id is an error.
-func (s *System) Ingest(source, id, text string) error {
+func (s *System) Ingest(source, id, text string) (err error) {
+	defer recoverAs("Ingest", &err)
 	if !s.built {
 		return ErrNotBuilt
 	}
