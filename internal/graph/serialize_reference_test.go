@@ -19,8 +19,6 @@ import (
 type refSerialized struct {
 	Nodes []refNode `json:"nodes"`
 	Edges []Edge    `json:"edges"`
-
-	expanded bool // rows were merged in (refExpand)
 }
 
 // refNode is the on-disk form of a node: its payload is an open object,
@@ -61,20 +59,21 @@ type refRange struct {
 	Mentions [][]int  `json:"mentions"`
 }
 
-// refExpand decodes a file and returns its full form: for each range row
-// k, the node "row:"+prefix+k with its text and the weight-1 mentions
-// edges both ways between it and each node it mentions, merged into the
-// listed nodes by id and the listed edges by (from, to, type).
-func refExpand(data []byte) (refSerialized, error) {
+// refExpand decodes a file and returns its full form, and whether a range
+// added any row to it: for each range row k, the node "row:"+prefix+k
+// with its text and the weight-1 mentions edges both ways between it and
+// each node it mentions, merged into the listed nodes by id and the
+// listed edges by (from, to, type).
+func refExpand(data []byte) (s refSerialized, rows bool, err error) {
 	var f refFile
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&f); err != nil {
-		return refSerialized{}, fmt.Errorf("graph: decode: %w", err)
+		return s, false, fmt.Errorf("graph: decode: %w", err)
 	}
-	s := refSerialized{Nodes: f.Nodes, Edges: f.Edges}
+	s = refSerialized{Nodes: f.Nodes, Edges: f.Edges}
 	listed := len(s.Nodes)
 	for _, r := range f.Rows {
 		if len(r.Text) != r.N || len(r.Mentions) != r.N {
-			return s, fmt.Errorf("graph: decode: range of %d rows with %d texts and %d mention lists", r.N, len(r.Text), len(r.Mentions))
+			return s, false, fmt.Errorf("graph: decode: range of %d rows with %d texts and %d mention lists", r.N, len(r.Text), len(r.Mentions))
 		}
 		for k := range r.N {
 			label := r.Prefix + strconv.Itoa(k)
@@ -85,7 +84,7 @@ func refExpand(data []byte) (refSerialized, error) {
 			s.Nodes = append(s.Nodes, row)
 			for _, i := range r.Mentions[k] {
 				if i < 0 || i >= listed {
-					return s, fmt.Errorf("graph: decode: mention of node %d of %d", i, listed)
+					return s, false, fmt.Errorf("graph: decode: mention of node %d of %d", i, listed)
 				}
 				to := f.Nodes[i].ID
 				s.Edges = append(s.Edges, Edge{From: row.ID, To: to, Type: EdgeMentions, Weight: 1}, Edge{From: to, To: row.ID, Type: EdgeMentions, Weight: 1})
@@ -93,23 +92,22 @@ func refExpand(data []byte) (refSerialized, error) {
 		}
 	}
 	if len(s.Nodes) == listed {
-		return s, nil
+		return s, false, nil
 	}
-	s.expanded = true
 	sort.SliceStable(s.Nodes, func(i, j int) bool { return s.Nodes[i].ID < s.Nodes[j].ID })
 	sortEdges(s.Edges)
-	return s, nil
+	return s, true, nil
 }
 
 // refExpandJSON is the full form of data as the reference writes it: data
 // itself when it has no rows (re-encoded, invalid UTF-8 written as
 // "\ufffd" would read back as U+FFFD and be written as itself).
 func refExpandJSON(data []byte) ([]byte, error) {
-	s, err := refExpand(data)
+	s, rows, err := refExpand(data)
 	if err != nil {
 		return nil, err
 	}
-	if !s.expanded {
+	if !rows {
 		return data, nil
 	}
 	var buf bytes.Buffer
@@ -152,7 +150,7 @@ func refReadJSON(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: decode: %w", err)
 	}
-	s, err := refExpand(data)
+	s, _, err := refExpand(data)
 	if err != nil {
 		return nil, err
 	}
