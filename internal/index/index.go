@@ -233,7 +233,7 @@ var cueVerbs = map[string]bool{
 // "cooccurs" when none matches. It is pure analysis (tokenization only)
 // and safe to run concurrently.
 func cueVerb(sentence string) string {
-	for _, w := range slm.Words(slm.Tokenize(sentence)) {
+	for w := range slm.WordsOf(sentence) {
 		if cueVerbs[w] {
 			return w
 		}

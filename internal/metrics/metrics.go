@@ -18,7 +18,7 @@ import (
 // punctuation so "The answer is 20%." matches "20%".
 func normalizeAnswer(s string) []string {
 	var out []string
-	for _, w := range slm.Words(slm.Tokenize(s)) {
+	for w := range slm.WordsOf(s) {
 		if slm.IsStopword(w) || slm.IsTemplateWord(w) {
 			continue
 		}

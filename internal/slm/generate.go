@@ -77,7 +77,7 @@ func (g *Generator) Generate(candidates []Candidate, rng *RNG) Generation {
 		text = paraphrase(chosen.Text, rng)
 	}
 	if g.cost != nil {
-		g.cost.Record(OpGenerate, len(Tokenize(text))+len(candidates))
+		g.cost.Record(OpGenerate, countTokens(text)+len(candidates))
 	}
 	return Generation{Text: text, Canonical: chosen.Text, Prob: probs[idx]}
 }

@@ -142,20 +142,70 @@ func (n *NER) RecognizeShared(text string) []Entity {
 	return ents
 }
 
-// recognize is Recognize, also returning the call's token count.
+// recognize is Recognize, also returning the call's token count. Its
+// working slices come from tagPool, so a call allocates only the
+// entities it returns, their strings, and what appendLower folds.
 func (n *NER) recognize(text string) ([]Entity, int) {
-	tokens := Tokenize(text)
+	s := tagPool.Get().(*tagScratch)
+	s.tokens = AppendTokens(s.tokens[:0], text)
+	tokens := s.tokens
 	if n.cost != nil {
 		n.cost.Record(OpTag, len(tokens))
 	}
 	// Lower-cased once, for the gazetteer and the pattern pass alike.
-	lower := make([]string, len(tokens))
-	for i, t := range tokens {
-		lower[i] = strings.ToLower(t.Text)
+	s.lower = appendLower(s.lower[:0], text, tokens)
+	s.claimed = append(s.claimed[:0], make([]bool, len(tokens))...)
+	var ents []Entity
+	ents, s.key = n.gazetteerPass(text, tokens, s.lower, s.claimed, s.key[:0])
+	ents = surfacePasses(text, tokens, s.lower, s.claimed, ents)
+	s.release()
+	return ents, len(tokens)
+}
+
+// tagScratch is one recognize call's working storage.
+type tagScratch struct {
+	tokens  []Token
+	lower   []string
+	claimed []bool
+	key     []byte
+}
+
+// tagPool holds recognize's scratch between calls. A pool, not a
+// scratch per caller, because the index build, extraction and Ask all
+// tag through recognize and none has a worker to hang one on.
+var tagPool = sync.Pool{New: func() any { return new(tagScratch) }}
+
+// maxPooledTokens bounds the scratch put back in the pool, so that one
+// very long text does not keep its buffers alive for the calls after.
+const maxPooledTokens = 1 << 12
+
+// release clears the strings s holds, which point into the caller's
+// text, and returns s to the pool.
+func (s *tagScratch) release() {
+	if cap(s.tokens) > maxPooledTokens {
+		return
 	}
-	claimed := make([]bool, len(tokens))
-	ents := n.gazetteerPass(text, tokens, lower, claimed)
-	return surfacePasses(text, tokens, lower, claimed, ents), len(tokens)
+	clear(s.tokens)
+	clear(s.lower)
+	tagPool.Put(s)
+}
+
+// appendLower appends the lower-cased text of each of text's tokens to
+// dst. An ASCII text is lower-cased once, whole, and each token's form
+// is a slice of that at the token's offsets; any other text a token at
+// a time, since folding may change its length.
+func appendLower(dst []string, text string, tokens []Token) []string {
+	if !isASCII(text) {
+		for _, t := range tokens {
+			dst = append(dst, strings.ToLower(t.Text))
+		}
+		return dst
+	}
+	lower := strings.ToLower(text)
+	for _, t := range tokens {
+		dst = append(dst, lower[t.Start:t.End])
+	}
+	return dst
 }
 
 // claim marks tokens [from, to) as belonging to an entity.
@@ -167,10 +217,10 @@ func claim(claimed []bool, from, to int) {
 
 // gazetteerPass is pass 1: at each unclaimed token, the longest window
 // of at most maxLen tokens whose key is a gazetteer phrase. It claims
-// the tokens of every match.
-func (n *NER) gazetteerPass(text string, tokens []Token, lower []string, claimed []bool) []Entity {
+// the tokens of every match. Keys are built in key, which it returns
+// grown for the next call.
+func (n *NER) gazetteerPass(text string, tokens []Token, lower []string, claimed []bool, key []byte) ([]Entity, []byte) {
 	var ents []Entity
-	var key []byte
 	for i := 0; i < len(tokens); i++ {
 		if claimed[i] {
 			continue
@@ -210,7 +260,7 @@ func (n *NER) gazetteerPass(text string, tokens []Token, lower []string, claimed
 			}
 		}
 	}
-	return ents
+	return ents, key
 }
 
 // surfacePasses runs passes 2 and 3 over the tokens pass 1 left
@@ -271,7 +321,7 @@ func matchPattern(text string, tokens []Token, lowered []string, i int, claimed 
 		}
 		return Entity{Type: EntQuarter, Text: text[t.Start:end], Canonical: canonicalize(text[t.Start:end]), Start: t.Start, End: end}, width, true
 	}
-	if ord, ok := ordinalQuarter(lower); ok && i+1 < len(tokens) && strings.EqualFold(tokens[i+1].Text, "quarter") {
+	if ord, ok := ordinalQuarter(lower); ok && i+1 < len(tokens) && lowered[i+1] == "quarter" {
 		end := tokens[i+1].End
 		return Entity{Type: EntQuarter, Text: text[t.Start:end], Canonical: "q" + ord, Start: t.Start, End: end}, 2, true
 	}
@@ -280,7 +330,7 @@ func matchPattern(text string, tokens []Token, lowered []string, i int, claimed 
 	if t.Kind == TokenNumber && strings.HasSuffix(t.Text, "%") {
 		return Entity{Type: EntPercent, Text: t.Text, Canonical: strings.TrimSuffix(t.Text, "%") + "%", Start: t.Start, End: t.End}, 1, true
 	}
-	if t.Kind == TokenNumber && i+1 < len(tokens) && strings.EqualFold(tokens[i+1].Text, "percent") {
+	if t.Kind == TokenNumber && i+1 < len(tokens) && lowered[i+1] == "percent" {
 		end := tokens[i+1].End
 		return Entity{Type: EntPercent, Text: text[t.Start:end], Canonical: t.Text + "%", Start: t.Start, End: end}, 2, true
 	}
@@ -290,19 +340,19 @@ func matchPattern(text string, tokens []Token, lowered []string, i int, claimed 
 	if t.Kind == TokenSymbol && t.Text == "$" && i+1 < len(tokens) && tokens[i+1].Kind == TokenNumber {
 		end := tokens[i+1].End
 		unitWidth := 2
-		if i+2 < len(tokens) && isMagnitudeWord(tokens[i+2].Text) {
+		if i+2 < len(tokens) && isMagnitudeWord(lowered[i+2]) {
 			end = tokens[i+2].End
 			unitWidth = 3
 		}
 		return Entity{Type: EntMoney, Text: text[t.Start:end], Canonical: canonicalize(text[t.Start:end]), Start: t.Start, End: end}, unitWidth, true
 	}
-	if t.Kind == TokenNumber && i+1 < len(tokens) && isCurrencyWord(tokens[i+1].Text) {
+	if t.Kind == TokenNumber && i+1 < len(tokens) && isCurrencyWord(lowered[i+1]) {
 		end := tokens[i+1].End
 		return Entity{Type: EntMoney, Text: text[t.Start:end], Canonical: canonicalize(text[t.Start:end]), Start: t.Start, End: end}, 2, true
 	}
 
 	// Rating: "4.5 stars", "rated 4 out of 5".
-	if t.Kind == TokenNumber && i+1 < len(tokens) && isStarsWord(tokens[i+1].Text) {
+	if t.Kind == TokenNumber && i+1 < len(tokens) && isStarsWord(lowered[i+1]) {
 		end := tokens[i+1].End
 		return Entity{Type: EntRating, Text: text[t.Start:end], Canonical: t.Text, Start: t.Start, End: end}, 2, true
 	}
@@ -330,7 +380,7 @@ func matchPattern(text string, tokens []Token, lowered []string, i int, claimed 
 	}
 
 	// Quantity: "12 units", "3 tablets".
-	if t.Kind == TokenNumber && i+1 < len(tokens) && isUnitWord(tokens[i+1].Text) {
+	if t.Kind == TokenNumber && i+1 < len(tokens) && isUnitWord(lowered[i+1]) {
 		end := tokens[i+1].End
 		return Entity{Type: EntQuantity, Text: text[t.Start:end], Canonical: canonicalize(text[t.Start:end]), Start: t.Start, End: end}, 2, true
 	}
@@ -435,32 +485,32 @@ func isMonthName(s string) bool {
 	return false
 }
 
-func isCurrencyWord(s string) bool {
-	switch strings.ToLower(s) {
+func isCurrencyWord(lower string) bool {
+	switch lower {
 	case "dollars", "dollar", "usd", "euros", "euro", "eur":
 		return true
 	}
 	return false
 }
 
-func isMagnitudeWord(s string) bool {
-	switch strings.ToLower(s) {
+func isMagnitudeWord(lower string) bool {
+	switch lower {
 	case "million", "billion", "thousand", "k", "m", "bn":
 		return true
 	}
 	return false
 }
 
-func isStarsWord(s string) bool {
-	switch strings.ToLower(s) {
+func isStarsWord(lower string) bool {
+	switch lower {
 	case "stars", "star":
 		return true
 	}
 	return false
 }
 
-func isUnitWord(s string) bool {
-	switch strings.ToLower(s) {
+func isUnitWord(lower string) bool {
+	switch lower {
 	case "units", "unit", "tablets", "tablet", "mg", "ml", "items", "item",
 		"orders", "order", "doses", "dose", "patients", "reviews":
 		return true

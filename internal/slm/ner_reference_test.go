@@ -55,7 +55,8 @@ func refGazetteerPass(n *NER, text string, tokens []Token, claimed []bool) []Ent
 	return ents
 }
 
-// refRecognize is Recognize with the reference pass 1.
+// refRecognize is Recognize with the reference pass 1, on slices made
+// fresh for the call and each token lower-cased on its own.
 func refRecognize(n *NER, text string) []Entity {
 	tokens := Tokenize(text)
 	lower := make([]string, len(tokens))
@@ -120,5 +121,10 @@ func FuzzRecognize(f *testing.F) {
 	f.Add("widget pro max\nwidget\npro max", "widget pro max widget pro, max pro max widget")
 	f.Add("a b c d\nb c\nd", "a b c d a b c e b c d . a . b . c . d")
 	f.Add("...\n. x\n\nthe\nx", "... . x the x")
+	// Pattern words in mixed case, read from the lower-cased tokens.
+	f.Add(ecommerceVocab, "Q2 2024 rose 5 Percent to $3 Million; the Second QUARTER, 4 STARS, 12 Units, 7 Dollars, $9 BN.")
+	// Non-ASCII text, lower-cased a token at a time, and punctuation or
+	// symbol bytes of 0x80 and above, whose token text is that rune.
+	f.Add(healthcareVocab, "DRUG \xc4 \xa7 Drug A \xd7 5 PERCENT \xb7 $3 million\xbf 12 UNITS\xa0sold \xab Q2\x852024 caf\xe9 \xe2\x80\x94 Na\u00efve")
 	f.Fuzz(checkRecognize)
 }

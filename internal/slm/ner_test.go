@@ -2,7 +2,10 @@ package slm
 
 import (
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func newTestNER() *NER {
@@ -58,10 +61,11 @@ func TestNERQuarter(t *testing.T) {
 			t.Errorf("no quarter in %q: %v", text, ents)
 		}
 	}
-	ents := n.Recognize("the second quarter was strong")
-	q, _ := findEntity(ents, EntQuarter)
-	if q.Canonical != "q2" {
-		t.Errorf("ordinal quarter canonical = %q, want q2", q.Canonical)
+	for _, text := range []string{"the second quarter was strong", "the Second QUARTER was strong"} {
+		q, _ := findEntity(n.Recognize(text), EntQuarter)
+		if q.Canonical != "q2" {
+			t.Errorf("%q: ordinal quarter canonical = %q, want q2", text, q.Canonical)
+		}
 	}
 }
 
@@ -81,10 +85,12 @@ func TestNERPercentMoneyRating(t *testing.T) {
 
 func TestNERPercentWord(t *testing.T) {
 	n := newTestNER()
-	ents := n.Recognize("sales increased 20 percent")
-	p, ok := findEntity(ents, EntPercent)
-	if !ok || p.Canonical != "20%" {
-		t.Errorf("percent-word: %v", ents)
+	for _, text := range []string{"sales increased 20 percent", "sales increased 20 PerCent"} {
+		ents := n.Recognize(text)
+		p, ok := findEntity(ents, EntPercent)
+		if !ok || p.Canonical != "20%" {
+			t.Errorf("percent-word %q: %v", text, ents)
+		}
 	}
 }
 
@@ -204,4 +210,102 @@ func TestNEROffsetsValid(t *testing.T) {
 			t.Errorf("surface mismatch: %q vs %q", e.Text, text[e.Start:e.End])
 		}
 	}
+}
+
+// factsRow is a facts table row as the index build renders it.
+const factsRow = "region is north. revenue is 5. sku is SKU-0000. units is 1."
+
+// A call allocates what it returns — the entity slice and the one
+// entity's canonical form — and the row's lower-cased copy; its tokens,
+// lower-cased forms, claims and window keys come from the pool. (Under
+// -race the pool drops a share of its buffers, so the count is not
+// exact there.)
+func TestRecognizeAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under -race")
+	}
+	n := NewNER()
+	for _, phrase := range strings.Split(ecommerceVocab, "\n") {
+		n.AddGazetteer(EntProduct, phrase)
+	}
+	var ents []Entity
+	if allocs := testing.AllocsPerRun(200, func() { ents = n.Recognize(factsRow) }); allocs > 3 {
+		t.Errorf("Recognize of a facts row allocates %v times, want at most 3", allocs)
+	}
+	if len(ents) != 1 || ents[0].Type != EntID || ents[0].Canonical != "sku-0000" {
+		t.Errorf("Recognize(%q) = %+v, want the sku as its one ID", factsRow, ents)
+	}
+}
+
+// Every lower-cased form recognize builds is strings.ToLower of its
+// token's text, whether the text is ASCII (one ToLower, sliced) or not
+// (one ToLower per token).
+func TestAppendLowerIsToLowerOfEachToken(t *testing.T) {
+	check := func(raw []byte) bool {
+		text := string(raw)
+		tokens := Tokenize(text)
+		lower := appendLower(nil, text, tokens)
+		if len(lower) != len(tokens) {
+			return false
+		}
+		for i, tok := range tokens {
+			if lower[i] != strings.ToLower(tok.Text) {
+				t.Logf("text %q token %d: %q, want %q", text, i, lower[i], strings.ToLower(tok.Text))
+				return false
+			}
+		}
+		return true
+	}
+	for _, text := range []string{"", factsRow, "Q2 2024: 5 Percent, $3 Million.", "CAFÉ crème \xc4\xa7 ÀB", "a\xffB \xc3"} {
+		if !check([]byte(text)) {
+			t.Errorf("appendLower over %q", text)
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A pooled scratch left by a long text must not leak into a shorter
+// one, nor a short one's into a long one: long, short, long again, with
+// one NER, in sequence and from several goroutines at once, every
+// result is the reference's. The longest text outgrows the pool's bound.
+func TestRecognizeReusesScratchCleanly(t *testing.T) {
+	n := NewNER()
+	for i, phrase := range strings.Split(ecommerceVocab, "\n") {
+		n.AddGazetteer(fuzzTypes[i%len(fuzzTypes)], phrase)
+	}
+	doc := "Customer C-17 rated Product Gamma 4 stars. Umbrella Labs makes Product Gamma, and the Product Gamma sold 12 units in Q3 2024. "
+	texts := []string{
+		strings.Repeat(doc, 20),
+		"Product Alpha.",
+		strings.Repeat(doc, 20),
+		"",
+		factsRow,
+		strings.Repeat(doc+factsRow+" ", 200),
+		"Q2",
+	}
+	want := make([][]Entity, len(texts))
+	for i, text := range texts {
+		want[i] = refRecognize(n, text)
+	}
+	run := func(report func(format string, args ...any)) {
+		for i, text := range texts {
+			if got := n.Recognize(text); !reflect.DeepEqual(got, want[i]) {
+				report("text %d (%d bytes): got %d entities %+v, want %d", i, len(text), len(got), got, len(want[i]))
+			}
+		}
+	}
+	run(t.Fatalf)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				run(t.Errorf)
+			}
+		}()
+	}
+	wg.Wait()
 }

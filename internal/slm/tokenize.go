@@ -57,8 +57,14 @@ type Token struct {
 // Numbers keep internal '.' , ',' and '%' attached ("1,234.5%", "20%"),
 // and words keep internal hyphens and apostrophes ("patient-reported",
 // "don't"), which the extraction rules depend on.
-func Tokenize(text string) []Token {
-	var tokens []Token
+func Tokenize(text string) []Token { return AppendTokens(nil, text) }
+
+// AppendTokens appends the tokens Tokenize returns for text to dst and
+// returns the extended slice. A token's Text is a substring of text —
+// except that of a punctuation or symbol byte of 0x80 or above, which is
+// the rune of that value — so, given the capacity, tokenizing an ASCII
+// text allocates nothing.
+func AppendTokens(dst []Token, text string) []Token {
 	i := 0
 	n := len(text)
 	for i < n {
@@ -69,20 +75,37 @@ func Tokenize(text string) []Token {
 		case isDigit(text[i]):
 			start := i
 			i = scanNumber(text, i)
-			tokens = append(tokens, Token{Text: text[start:i], Kind: TokenNumber, Start: start, End: i})
+			dst = append(dst, Token{Text: text[start:i], Kind: TokenNumber, Start: start, End: i})
 		case byteClass[text[i]]&wordStart != 0:
 			start := i
 			i = scanWord(text, i)
-			tokens = append(tokens, Token{Text: text[start:i], Kind: TokenWord, Start: start, End: i})
+			dst = append(dst, Token{Text: text[start:i], Kind: TokenWord, Start: start, End: i})
 		case isPunct(c):
-			tokens = append(tokens, Token{Text: string(c), Kind: TokenPunct, Start: i, End: i + 1})
+			dst = append(dst, Token{Text: byteText(text, i), Kind: TokenPunct, Start: i, End: i + 1})
 			i++
 		default:
-			tokens = append(tokens, Token{Text: string(c), Kind: TokenSymbol, Start: i, End: i + 1})
+			dst = append(dst, Token{Text: byteText(text, i), Kind: TokenSymbol, Start: i, End: i + 1})
 			i++
 		}
 	}
-	return tokens
+	return dst
+}
+
+// countTokens is len(Tokenize(text)), tokenized into an array on the
+// stack, which a generated answer's few tokens fit.
+func countTokens(text string) int {
+	var buf [32]Token
+	return len(AppendTokens(buf[:0], text))
+}
+
+// byteText is the text of the one-byte token at text[i]: the byte
+// itself, or for a byte of 0x80 or above the rune of the same value, as
+// the scanners read it.
+func byteText(text string, i int) string {
+	if text[i] < utf8.RuneSelf {
+		return text[i : i+1]
+	}
+	return string(rune(text[i]))
 }
 
 // scanNumber returns the end of the number token that starts at the
@@ -148,10 +171,7 @@ func NextWord(text string, from int) (start, end int) {
 // any other text a word at a time, since folding may change its length.
 func WordsOf(text string) iter.Seq[string] {
 	return func(yield func(string) bool) {
-		lower, ascii := text, true
-		for i := 0; i < len(text) && ascii; i++ {
-			ascii = text[i] < utf8.RuneSelf
-		}
+		lower, ascii := text, isASCII(text)
 		if ascii {
 			lower = strings.ToLower(text)
 		}
@@ -165,6 +185,17 @@ func WordsOf(text string) iter.Seq[string] {
 			}
 		}
 	}
+}
+
+// isASCII reports whether text is all ASCII, which strings.ToLower folds
+// byte for byte: its lower-cased form has the same offsets.
+func isASCII(text string) bool {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // Words returns just the lower-cased word and number texts of tokens,

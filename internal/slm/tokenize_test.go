@@ -1,6 +1,7 @@
 package slm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -76,6 +77,63 @@ func TestTokenizeKinds(t *testing.T) {
 	}
 	if kinds["$"] != TokenSymbol {
 		t.Errorf("$ kind = %v", kinds["$"])
+	}
+}
+
+// Tokenizing into a slice with room allocates nothing, and counting a
+// short text's tokens allocates nothing at all.
+func TestAppendTokensAllocatesNothing(t *testing.T) {
+	const text = "region is north. revenue is $1,234.5 (20%). sku is SKU-0000. units is 1."
+	dst := make([]Token, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() { dst = AppendTokens(dst[:0], text) }); allocs != 0 {
+		t.Errorf("AppendTokens into a slice with room allocates %v times", allocs)
+	}
+	if got, want := dst, Tokenize(text); !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendTokens = %+v, Tokenize %+v", got, want)
+	}
+	var n int
+	if allocs := testing.AllocsPerRun(100, func() { n = countTokens(text) }); allocs != 0 {
+		t.Errorf("countTokens allocates %v times", allocs)
+	}
+	if n != len(dst) {
+		t.Errorf("countTokens = %d, want %d", n, len(dst))
+	}
+}
+
+// countTokens is len(Tokenize) for any bytes, however many tokens.
+func TestCountTokensIsTokenizeLength(t *testing.T) {
+	for _, text := range []string{"", "Q2", strings.Repeat("a, ", 50), "a\xffb \xa7\xd7"} {
+		if got, want := countTokens(text), len(Tokenize(text)); got != want {
+			t.Errorf("countTokens(%q) = %d, want %d", text, got, want)
+		}
+	}
+	f := func(raw []byte) bool { return countTokens(string(raw)) == len(Tokenize(string(raw))) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A punctuation or symbol token is one byte of the text. The scanners
+// read a byte of 0x80 or above as the Latin-1 rune of that value, and
+// that rune, not the byte, is the token's text.
+func TestHighBytePunctuationText(t *testing.T) {
+	seen := 0
+	for b := 0x80; b <= 0xff; b++ {
+		text := "x" + string([]byte{byte(b)}) + "y"
+		toks := Tokenize(text)
+		if len(toks) != 3 || (toks[1].Kind != TokenPunct && toks[1].Kind != TokenSymbol) {
+			continue // a space, or part of a word
+		}
+		seen++
+		if toks[1].Text != string(rune(b)) || toks[1].Start != 1 || toks[1].End != 2 {
+			t.Errorf("byte %#x: token %+v, want text %q over [1,2)", b, toks[1], string(rune(b)))
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no byte of 0x80 or above tokenized as punctuation or symbol")
+	}
+	if tok := Tokenize("a.b")[1]; tok.Text != "." || tok.Kind != TokenPunct {
+		t.Errorf("ASCII punctuation token %+v", tok)
 	}
 }
 

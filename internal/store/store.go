@@ -444,26 +444,29 @@ func newRowText(schema table.Schema) rowText {
 	return fields
 }
 
-// appendRow appends the row's text to dst.
+// appendRow appends the row's text to dst. Each cell is written in
+// place after its field's head; an empty one takes the head back out.
 func (r rowText) appendRow(dst []byte, row []table.Value) []byte {
 	first := true
 	for _, f := range r {
-		cell := ""
 		for k := len(f.cols) - 1; k >= 0; k-- {
-			if v := row[f.cols[k]]; !v.IsNull() {
-				cell = v.String()
-				break
+			v := row[f.cols[k]]
+			if v.IsNull() {
+				continue
 			}
+			mark := len(dst)
+			if !first {
+				dst = append(dst, ". "...)
+			}
+			dst = append(dst, f.head...)
+			cell := len(dst)
+			if dst = v.AppendString(dst); len(dst) == cell {
+				dst = dst[:mark] // an empty cell says nothing
+			} else {
+				first = false
+			}
+			break
 		}
-		if cell == "" {
-			continue
-		}
-		if !first {
-			dst = append(dst, ". "...)
-		}
-		first = false
-		dst = append(dst, f.head...)
-		dst = append(dst, cell...)
 	}
 	return append(dst, '.')
 }

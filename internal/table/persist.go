@@ -117,22 +117,15 @@ func appendList(dst []byte, n int, elem func(dst []byte, i int) []byte) []byte {
 }
 
 // appendCell appends v as its String() text in a JSON string, or null
-// for NULL.
+// for NULL. Only a string or date's text can need escaping.
 func appendCell(dst []byte, v Value) []byte {
-	if !v.valid {
+	switch {
+	case !v.valid:
 		return append(dst, "null"...)
+	case v.kind == TypeString || v.kind == TypeDate:
+		return jsonx.AppendString(dst, v.s)
 	}
-	switch v.kind {
-	case TypeInt:
-		dst = strconv.AppendInt(append(dst, '"'), v.Int(), 10)
-	case TypeFloat:
-		dst = strconv.AppendFloat(append(dst, '"'), v.Float(), 'g', -1, 64)
-	case TypeBool:
-		dst = strconv.AppendBool(append(dst, '"'), v.Bool())
-	default:
-		return jsonx.AppendString(dst, v.String())
-	}
-	return append(dst, '"')
+	return append(v.AppendString(append(dst, '"')), '"')
 }
 
 // appendRollup appends one rollup definition, its aggregate functions by

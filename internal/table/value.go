@@ -155,22 +155,33 @@ func (v Value) Bool() bool { return v.kind == TypeBool && v.n != 0 }
 // IsNumeric reports whether the value participates in arithmetic.
 func (v Value) IsNumeric() bool { return v.kind == TypeInt || v.kind == TypeFloat }
 
-// String renders the value for display; NULL renders as "NULL".
+// String renders the value for display; NULL renders as "NULL". A
+// string or date is its own text, not a copy.
 func (v Value) String() string {
+	if v.valid && (v.kind == TypeString || v.kind == TypeDate) {
+		return v.s
+	}
+	var buf [32]byte // the longest int or 'g' float is 24 bytes
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends the text String returns to dst, so a caller that
+// writes many values into one buffer formats each number in place.
+func (v Value) AppendString(dst []byte) []byte {
 	if !v.valid {
-		return "NULL"
+		return append(dst, "NULL"...)
 	}
 	switch v.kind {
 	case TypeString, TypeDate:
-		return v.s
+		return append(dst, v.s...)
 	case TypeInt:
-		return strconv.FormatInt(v.Int(), 10)
+		return strconv.AppendInt(dst, v.Int(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case TypeBool:
-		return strconv.FormatBool(v.Bool())
+		return strconv.AppendBool(dst, v.Bool())
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
