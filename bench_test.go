@@ -1163,13 +1163,28 @@ func (s analyticShape) optimize(c *table.Catalog) *logical.Optimized {
 }
 
 // topKShape is SELECT sku, revenue ... ORDER BY revenue DESC LIMIT 100:
-// the projection crosses the fragment boundary as a column mapping and
-// Sort→Limit runs as a bounded selection, so 100 rows materialize, not
-// 65 536.
+// the top-k and the projection ride the fragment scan, where the top-k
+// kernel reads the revenue column of the cached fragments in place, so
+// 100 rows materialize, not 65 536, and no key cell is copied; the
+// residual Sort→Limit orders those 100.
 var topKShape = analyticShape{100, func(scan *logical.Node) *logical.Node {
 	return &logical.Node{Op: logical.OpLimit, N: 100, In: []*logical.Node{{Op: logical.OpSort,
 		Keys: []table.SortKey{{Col: "revenue", Desc: true}},
 		In:   []*logical.Node{{Op: logical.OpProject, Proj: []string{"sku", "revenue"}, In: []*logical.Node{scan}}}}}}
+}}
+
+// filteredTopKShape is SELECT region, sku, units ... WHERE units > 95
+// ORDER BY region, units DESC LIMIT 200, the workload's filtered top-k:
+// the filter, the top-k and the projection all ride the fragment scan,
+// so the top-k reads the filter's selection vectors in place and 200
+// rows materialize, not every survivor.
+var filteredTopKShape = analyticShape{200, func(scan *logical.Node) *logical.Node {
+	return &logical.Node{Op: logical.OpLimit, N: 200, In: []*logical.Node{{Op: logical.OpSort,
+		Keys: []table.SortKey{{Col: "region"}, {Col: "units", Desc: true}},
+		In: []*logical.Node{{Op: logical.OpProject, Proj: []string{"region", "sku", "units"},
+			In: []*logical.Node{{Op: logical.OpFilter,
+				Preds: []table.Pred{{Col: "units", Op: table.OpGt, Val: table.I(95)}},
+				In:    []*logical.Node{scan}}}}}}}}
 }}
 
 // distinctShape is SELECT DISTINCT region: the pending projection plus
@@ -1217,6 +1232,7 @@ func benchFederatedAnalytic(b *testing.B, shape analyticShape) {
 }
 
 func BenchmarkFederatedTopK(b *testing.B)            { benchFederatedAnalytic(b, topKShape) }
+func BenchmarkFederatedFilteredTopK(b *testing.B)    { benchFederatedAnalytic(b, filteredTopKShape) }
 func BenchmarkFederatedDistinct(b *testing.B)        { benchFederatedAnalytic(b, distinctShape) }
 func BenchmarkFederatedFilteredGroupBy(b *testing.B) { benchFederatedAnalytic(b, filteredGroupByShape) }
 func BenchmarkFederatedGroupBySku(b *testing.B)      { benchFederatedAnalytic(b, groupBySkuShape) }

@@ -72,6 +72,7 @@ func (sb staticBackend) Name() string                    { return "static" }
 func (sb staticBackend) Tables() []string                { return []string{sb.tbl.Name} }
 func (sb staticBackend) CanPush(string, table.Pred) bool { return true }
 func (sb staticBackend) CanPushAgg(table.Agg) bool       { return false }
+func (sb staticBackend) CanPushSort(table.SortKey) bool  { return false }
 func (sb staticBackend) CanProject([]string) bool        { return false }
 func (sb staticBackend) Zones(string) *table.Zones       { return nil }
 func (sb staticBackend) Estimate(tbl string, preds []table.Pred) (federate.Estimate, bool) {

@@ -49,6 +49,11 @@ var sqlShapes = []struct {
 	// columnar sort kernel (exec: vectorized), unlike sql_orderby whose
 	// filtered scan estimates below it.
 	{"sql_orderby_vec", "SELECT product, revenue FROM sales ORDER BY revenue DESC, product"},
+	// A filtered top-k over two keys, one DESC: the memory backend
+	// runs it inside the fragment scan after the filter, so the scan
+	// line carries the top-k and estimates at most k rows out, and the
+	// residual orders only those.
+	{"sql_filtered_topk", "SELECT product, quarter, revenue FROM sales WHERE revenue > 1000 ORDER BY quarter, revenue DESC LIMIT 6"},
 	// The statistics-driven reorder gate's no-fire case: ratings is
 	// raw-larger than metric_changes (the pre-stats rule's only gate),
 	// but per-column stats estimate the driving side filtering down to

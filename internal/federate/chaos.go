@@ -81,6 +81,9 @@ func (c *Chaos) CanPush(tbl string, p table.Pred) bool { return c.inner.CanPush(
 // CanPushAgg implements Backend.
 func (c *Chaos) CanPushAgg(a table.Agg) bool { return c.inner.CanPushAgg(a) }
 
+// CanPushSort implements Backend.
+func (c *Chaos) CanPushSort(k table.SortKey) bool { return c.inner.CanPushSort(k) }
+
 // CanProject implements Backend.
 func (c *Chaos) CanProject(cols []string) bool { return c.inner.CanProject(cols) }
 

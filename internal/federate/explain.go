@@ -70,6 +70,9 @@ func Explain(run *Run) string {
 		if len(fr.Aggs) > 0 {
 			fmt.Fprintf(&b, " agg=(%s)", aggsString(fr.GroupBy, fr.Aggs))
 		}
+		if len(fr.Sort) > 0 {
+			fmt.Fprintf(&b, " topk=(%d by %s)", fr.Limit, sortString(fr.Sort))
+		}
 		fmt.Fprintf(&b, " est: scan %d/%d out %d; actual: scan %d out %d\n",
 			fr.Est.Scanned, fr.Est.Total, fr.Est.Out, fr.ActScanned, fr.ActOut)
 	}
@@ -194,14 +197,7 @@ func postOps(n *logical.Node) []string {
 	case logical.OpAggregate:
 		ops = append(ops, fmt.Sprintf("Aggregate(%s)", aggsString(n.GroupBy, n.Aggs)))
 	case logical.OpSort:
-		cols := make([]string, len(n.Keys))
-		for i, k := range n.Keys {
-			cols[i] = k.Col
-			if k.Desc {
-				cols[i] += " desc"
-			}
-		}
-		ops = append(ops, fmt.Sprintf("Sort(%s)", strings.Join(cols, ",")))
+		ops = append(ops, fmt.Sprintf("Sort(%s)", sortString(n.Keys)))
 	case logical.OpLimit:
 		ops = append(ops, fmt.Sprintf("Limit(%d)", n.N))
 	case logical.OpProject:

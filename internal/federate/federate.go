@@ -32,8 +32,9 @@
 // exposes the heterogeneous graph index as relational tables. New
 // stores implement Backend — one interface, every method required: the
 // planner asks it one pushdown question per operator (CanPush,
-// CanPushAgg, CanProject) and for its zone maps, and hands every Scan
-// the query's context — and register through unisem.RegisterBackend.
+// CanPushAgg, CanPushSort, CanProject) and for its zone maps, and hands
+// every Scan the query's context — and register through
+// unisem.RegisterBackend.
 package federate
 
 import (
@@ -60,17 +61,21 @@ type Estimate struct {
 }
 
 // Fragment is the unit of work the planner hands to one backend: a
-// scan of a single table carrying whatever predicates, projection and
-// aggregation the backend advertised it can absorb, plus the surviving
-// row ranges after zone-map fragment pruning.
+// scan of a single table carrying whatever predicates, aggregation,
+// top-k and projection the backend advertised it can absorb, plus the
+// surviving row ranges after zone-map fragment pruning. A top-k (Sort
+// and Limit) returns the first Limit rows of the stable order by Sort,
+// ties in input order.
 type Fragment struct {
-	Backend string       // chosen backend name (filled by the planner)
-	Table   string       // base table to scan
-	Preds   []table.Pred // pushed-down filters (conjunction)
-	Columns []string     // pushed-down projection (nil = all columns)
-	GroupBy []string     // pushed-down aggregation group keys
-	Aggs    []table.Agg  // pushed-down aggregates
-	Est     Estimate     // planning-time estimate for this fragment
+	Backend string          // chosen backend name (filled by the planner)
+	Table   string          // base table to scan
+	Preds   []table.Pred    // pushed-down filters (conjunction)
+	Columns []string        // pushed-down projection (nil = all columns)
+	GroupBy []string        // pushed-down aggregation group keys
+	Aggs    []table.Agg     // pushed-down aggregates
+	Sort    []table.SortKey // pushed-down top-k order (nil = no top-k)
+	Limit   int             // pushed-down top-k row count, at least 1 with Sort
+	Est     Estimate        // planning-time estimate for this fragment
 
 	// Ranges are the ascending row ranges the backend must read: the
 	// survivors after the planner pruned fragments whose zone maps
@@ -130,6 +135,9 @@ type Backend interface {
 	CanPush(tbl string, p table.Pred) bool
 	// CanPushAgg reports whether one aggregate can be pushed down.
 	CanPushAgg(a table.Agg) bool
+	// CanPushSort reports whether one key of a top-k's order can be
+	// pushed down.
+	CanPushSort(k table.SortKey) bool
 	// CanProject reports whether the backend can return just the named
 	// columns: a pushed projection's, or a pushed aggregate's group
 	// keys.
@@ -176,6 +184,18 @@ func predsString(preds []table.Pred) string {
 		parts[i] = p.String()
 	}
 	return "[" + strings.Join(parts, " AND ") + "]"
+}
+
+// sortString renders sort keys for EXPLAIN: "revenue desc,product".
+func sortString(keys []table.SortKey) string {
+	cols := make([]string, len(keys))
+	for i, k := range keys {
+		cols[i] = k.Col
+		if k.Desc {
+			cols[i] += " desc"
+		}
+	}
+	return strings.Join(cols, ",")
 }
 
 // aggsString renders pushed aggregates for EXPLAIN.

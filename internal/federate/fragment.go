@@ -2,15 +2,17 @@ package federate
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/logical"
 	"repro/internal/table"
 )
 
 // The fragment contract. A Fragment's operators always mean
-// filter → aggregate → project, and two functions are its whole
-// implementation: absorb decides which of them a backend takes, and
-// evaluate runs them. The planner, failover and every built-in
+// filter → aggregate → top-k → project, and two functions are its
+// whole implementation: absorb decides which of them a backend takes,
+// and evaluate runs them. The planner, failover and every built-in
 // backend's Scan call these and nothing else, so a planned fragment, a
 // failed-over one and the federation-side remainder cannot disagree.
 
@@ -24,11 +26,15 @@ import (
 //     left;
 //   - the aggregate is taken only with no predicate left, every
 //     function pushable (CanPushAgg) and any group keys projectable
-//     (CanProject); an aggregate left behind keeps the projection above
-//     it behind too;
+//     (CanProject); an aggregate left behind keeps the top-k and the
+//     projection above it behind too;
+//   - the top-k is taken only with no predicate left, every sort key
+//     pushable (CanPushSort) and, under a projection, every key inside
+//     it, so the rows b returns still carry the keys;
 //   - the projection is taken only when b can project its columns
-//     (CanProject) and every left predicate's column is inside them, so
-//     the remainder can still evaluate over the narrowed rows.
+//     (CanProject) and every left predicate's column and left sort key
+//     is inside them, so the remainder can still evaluate over the
+//     narrowed rows.
 func absorb(b Backend, want Fragment) (got, left Fragment) {
 	got = Fragment{Backend: b.Name(), Table: want.Table}
 	for _, p := range want.Preds {
@@ -41,12 +47,20 @@ func absorb(b Backend, want Fragment) (got, left Fragment) {
 	if len(want.Aggs) > 0 {
 		if len(left.Preds) > 0 || !aggsPushable(b, want.Aggs) || len(want.GroupBy) > 0 && !b.CanProject(want.GroupBy) {
 			left.GroupBy, left.Aggs, left.Columns = want.GroupBy, want.Aggs, want.Columns
+			left.Sort, left.Limit = want.Sort, want.Limit
 			return got, left
 		}
 		got.GroupBy, got.Aggs = want.GroupBy, want.Aggs
 	}
+	if len(want.Sort) > 0 {
+		if len(left.Preds) == 0 && sortPushable(b, want.Sort) && (len(want.Columns) == 0 || keysCovered(want.Sort, want.Columns)) {
+			got.Sort, got.Limit = want.Sort, want.Limit
+		} else {
+			left.Sort, left.Limit = want.Sort, want.Limit
+		}
+	}
 	if len(want.Columns) > 0 {
-		if b.CanProject(want.Columns) && logical.PredsCovered(left.Preds, want.Columns) {
+		if b.CanProject(want.Columns) && logical.PredsCovered(left.Preds, want.Columns) && keysCovered(left.Sort, want.Columns) {
 			got.Columns = want.Columns
 		} else {
 			left.Columns = want.Columns
@@ -66,9 +80,31 @@ func aggsPushable(b Backend, aggs []table.Agg) bool {
 	return true
 }
 
+// sortPushable reports whether backend b absorbs every key of a top-k's
+// order.
+func sortPushable(b Backend, keys []table.SortKey) bool {
+	for _, k := range keys {
+		if !b.CanPushSort(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// keysCovered reports whether every sort key's column is one of cols
+// (case-insensitively, as logical.PredsCovered matches predicates).
+func keysCovered(keys []table.SortKey, cols []string) bool {
+	for _, k := range keys {
+		if !slices.ContainsFunc(cols, func(c string) bool { return strings.EqualFold(c, k.Col) }) {
+			return false
+		}
+	}
+	return true
+}
+
 // evaluate runs f's operators over candidate rows t in the contract's
 // order — filter (f.Preds, restricted to f.Ranges when non-nil), then
-// aggregate, then project — as logical.VecFragment: one
+// aggregate, then top-k, then project — as logical.VecFragment: one
 // selection-vector pipeline in which rows materialize once, at the end.
 // Selecting the candidates is the caller's job; fr optionally carries
 // cached columnar fragments covering exactly t (without them the
@@ -86,7 +122,7 @@ func evaluate(t *table.Table, fr *table.Frags, f Fragment, driven bool) (Result,
 		scanned = table.RowsVisited(f.Ranges, t.Len())
 	}
 	project := len(f.Columns) > 0
-	if f.Ranges == nil && len(f.Preds) == 0 && len(f.Aggs) == 0 && (fr != nil || !project) {
+	if f.Ranges == nil && len(f.Preds) == 0 && len(f.Aggs) == 0 && len(f.Sort) == 0 && (fr != nil || !project) {
 		res := Result{Table: t, Scanned: scanned, Frags: fr}
 		if project {
 			for _, c := range f.Columns {
@@ -98,7 +134,8 @@ func evaluate(t *table.Table, fr *table.Frags, f Fragment, driven bool) (Result,
 		}
 		return res, nil
 	}
-	t, lead, err := logical.VecFragment(t, fr, f.Ranges, f.Preds, f.GroupBy, f.Aggs, f.Columns)
+	t, lead, err := logical.VecFragment(t, fr, logical.FragmentOps{Ranges: f.Ranges, Preds: f.Preds,
+		GroupBy: f.GroupBy, Aggs: f.Aggs, Sort: f.Sort, Limit: f.Limit, Cols: f.Columns})
 	if err != nil {
 		return Result{}, err
 	}

@@ -84,13 +84,13 @@ func fragmentTree(f Fragment) *logical.Node {
 func stagedFragment(t *table.Table, fr *table.Frags, f Fragment) (*table.Table, error) {
 	var err error
 	if f.Ranges != nil || len(f.Preds) > 0 {
-		if t, _, err = logical.VecFragment(t, fr, f.Ranges, f.Preds, nil, nil, nil); err != nil {
+		if t, _, err = logical.VecFragment(t, fr, logical.FragmentOps{Ranges: f.Ranges, Preds: f.Preds}); err != nil {
 			return nil, err
 		}
 		fr = nil
 	}
 	if len(f.Aggs) > 0 {
-		if t, _, err = logical.VecFragment(t, fr, nil, nil, f.GroupBy, f.Aggs, nil); err != nil {
+		if t, _, err = logical.VecFragment(t, fr, logical.FragmentOps{GroupBy: f.GroupBy, Aggs: f.Aggs}); err != nil {
 			return nil, err
 		}
 	}

@@ -58,6 +58,9 @@ func (ge *GraphEvidence) CanPush(string, table.Pred) bool { return true }
 // CanPushAgg implements Backend: no aggregate.
 func (ge *GraphEvidence) CanPushAgg(table.Agg) bool { return false }
 
+// CanPushSort implements Backend: no top-k.
+func (ge *GraphEvidence) CanPushSort(table.SortKey) bool { return false }
+
 // CanProject implements Backend: no projection.
 func (ge *GraphEvidence) CanProject([]string) bool { return false }
 

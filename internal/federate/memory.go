@@ -33,6 +33,10 @@ func (m *Memory) CanPush(string, table.Pred) bool { return true }
 // aggregate.
 func (m *Memory) CanPushAgg(table.Agg) bool { return true }
 
+// CanPushSort implements Backend: the memory engine runs every top-k
+// (logical.VecFragment's kernel, after the filter's selection vectors).
+func (m *Memory) CanPushSort(table.SortKey) bool { return true }
+
 // CanProject implements Backend: any projection.
 func (m *Memory) CanProject([]string) bool { return true }
 

@@ -321,11 +321,12 @@ func (e *Executor) plan(opt *logical.Optimized, key string, gen uint64, open ope
 // routed fragment plus an Input node, and the operators a fragment's
 // backend absorbs — pushable predicates, pruned or explicitly
 // projected columns, a whole directly-stacked aggregation — disappear
-// from the residual the federation layer interprets. st is the
-// statistics source the tree was optimized against (nil for none).
+// from the residual the federation layer interprets; a top-k the
+// backend absorbs stays in the residual too, over at most k rows. st is
+// the statistics source the tree was optimized against (nil for none).
 func (e *Executor) lower(n *logical.Node, st logical.Stats, open openSet, pp *PhysicalPlan) (*logical.Node, error) {
-	if scan, preds, top := chain(n); scan != nil {
-		return e.lowerScan(scan, preds, top, st, open, pp)
+	if scan, preds, top, lim := chain(n); scan != nil {
+		return e.lowerScan(scan, preds, top, lim, st, open, pp)
 	}
 	out := n.Clone()
 	out.In = make([]*logical.Node, len(n.In))
@@ -343,9 +344,17 @@ func (e *Executor) lower(n *logical.Node, st logical.Stats, open openSet, pp *Ph
 // Scan, optionally under a Filter, optionally under one top operator —
 // an Aggregate, an alias-free Project (the semi-join key projection, or
 // a plain SQL SELECT list), or a Compare directly on the Scan, whose
-// common predicates are its pushdown offer. scan is nil for any other
-// shape.
-func chain(n *logical.Node) (scan *logical.Node, preds []table.Pred, top *logical.Node) {
+// common predicates are its pushdown offer — and, over any of them but
+// the Compare, optionally a top-k: a Limit of at least one row directly
+// over a Sort by at least one key, returned as lim (the Limit node).
+// scan is nil for any other shape.
+func chain(n *logical.Node) (scan *logical.Node, preds []table.Pred, top, lim *logical.Node) {
+	if n.Op == logical.OpLimit && n.N > 0 {
+		if s := n.Child(); s != nil && s.Op == logical.OpSort && len(s.Keys) > 0 &&
+			s.Child() != nil && s.Child().Op != logical.OpCompare {
+			lim, n = n, s.Child()
+		}
+	}
 	below := n
 	switch {
 	case n.Op == logical.OpAggregate && len(n.Aggs) > 0,
@@ -353,30 +362,31 @@ func chain(n *logical.Node) (scan *logical.Node, preds []table.Pred, top *logica
 		top, below = n, n.Child()
 	case n.Op == logical.OpCompare:
 		if c := n.Child(); c != nil && c.Op == logical.OpScan {
-			return c, n.Preds, n
+			return c, n.Preds, n, nil
 		}
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	if below != nil && below.Op == logical.OpFilter {
 		preds, below = below.Preds, below.Child()
 	}
 	if below == nil || below.Op != logical.OpScan {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
-	return below, preds, top
+	return below, preds, top, lim
 }
 
 // lowerScan routes one chain to its cheapest backend and applies the
 // absorb rule twice: to the scan's own pruned column set (inside
-// route), then to the whole stack including top. A top operator the
-// backend absorbs disappears from the residual — the fragment output is
-// exactly the aggregate, or only the projected columns cross the wire —
-// and one it does not stays above the Input leaf, over a
-// federation-side projection when the pruned columns stayed behind too.
-// A Compare keeps its predicate residue inside the residual Compare
-// node, applied per branch exactly as the single-store executor applies
-// it.
-func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logical.Node, st logical.Stats, open openSet, pp *PhysicalPlan) (*logical.Node, error) {
+// route), then to the whole stack including top and the top-k lim. A
+// top operator the backend absorbs disappears from the residual — the
+// fragment output is exactly the aggregate, or only the projected
+// columns cross the wire — and one it does not stays above the Input
+// leaf, over a federation-side projection when the pruned columns
+// stayed behind too. A Compare keeps its predicate residue inside the
+// residual Compare node, applied per branch exactly as the single-store
+// executor applies it. The top-k stays above all of it: when the
+// backend absorbs it, the residual Sort and Limit order at most k rows.
+func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top, lim *logical.Node, st logical.Stats, open openSet, pp *PhysicalPlan) (*logical.Node, error) {
 	b, frag, rest, err := e.route(open, scan.Table, preds, scan.Cols)
 	if err != nil {
 		return nil, err
@@ -385,11 +395,17 @@ func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logica
 	if len(pp.Frags) > 0 {
 		pp.JoinRes = rest
 	}
-	input := &logical.Node{Op: logical.OpInput, Index: len(pp.Frags), Table: scan.Table}
 	topRides := false
-	if top != nil && top.Op != logical.OpCompare {
-		got, left := absorb(b, Fragment{Table: scan.Table, Preds: preds, GroupBy: top.GroupBy, Aggs: top.Aggs, Columns: top.Proj})
-		if topRides = len(left.Aggs) == 0 && len(left.Columns) == 0; topRides {
+	if top != nil && top.Op != logical.OpCompare || lim != nil {
+		want := Fragment{Table: scan.Table, Preds: preds}
+		if top != nil {
+			want.GroupBy, want.Aggs, want.Columns = top.GroupBy, top.Aggs, top.Proj
+		}
+		if lim != nil {
+			want.Sort, want.Limit = lim.Child().Keys, lim.N
+		}
+		got, left := absorb(b, want)
+		if topRides = top != nil && len(left.Aggs) == 0 && len(left.Columns) == 0; topRides {
 			// An absorbed aggregate already minimizes the output, so the
 			// pruned column set is dropped with it.
 			frag.GroupBy, frag.Aggs, frag.Columns = got.GroupBy, got.Aggs, got.Columns
@@ -404,17 +420,35 @@ func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logica
 				frag.Est.Out = logical.EstimateGroupRows(ts, frag.Est.Out, got.GroupBy)
 			}
 		}
+		if len(got.Sort) > 0 {
+			frag.Sort, frag.Limit = got.Sort, got.Limit
+			frag.Est.Out = min(frag.Est.Out, got.Limit)
+		}
 	}
 	pp.Frags = append(pp.Frags, frag)
-	if topRides {
-		return wrapFilter(input, rest), nil
+	out := chainResidual(scan, rest, top, topRides, len(frag.Columns) > 0, len(pp.Frags)-1)
+	if lim == nil {
+		return out, nil
 	}
-	if len(scan.Cols) > 0 && len(frag.Columns) == 0 {
+	sorted := &logical.Node{Op: logical.OpSort, Keys: lim.Child().Keys, In: []*logical.Node{out}}
+	return &logical.Node{Op: logical.OpLimit, N: lim.N, In: []*logical.Node{sorted}}, nil
+}
+
+// chainResidual is what the federation layer evaluates of a chain below
+// its top-k over fragment index's output: the predicate residue rest, and
+// top unless it rode the fragment, over a projection to the scan's
+// pruned columns when the fragment did not take them (projected).
+func chainResidual(scan *logical.Node, rest []table.Pred, top *logical.Node, topRides, projected bool, index int) *logical.Node {
+	input := &logical.Node{Op: logical.OpInput, Index: index, Table: scan.Table}
+	if topRides {
+		return wrapFilter(input, rest)
+	}
+	if len(scan.Cols) > 0 && !projected {
 		input = &logical.Node{Op: logical.OpProject,
 			Proj: append([]string(nil), scan.Cols...), In: []*logical.Node{input}}
 	}
 	if top == nil {
-		return wrapFilter(input, rest), nil
+		return wrapFilter(input, rest)
 	}
 	out := top.Clone()
 	if top.Op == logical.OpCompare {
@@ -422,7 +456,7 @@ func (e *Executor) lowerScan(scan *logical.Node, preds []table.Pred, top *logica
 	} else {
 		out.In = []*logical.Node{wrapFilter(input, rest)}
 	}
-	return out, nil
+	return out
 }
 
 // pruneFragment consults backend b's zone maps and restricts the

@@ -766,17 +766,23 @@ func TestFailoverProjectedResidue(t *testing.T) {
 // routing so it only ever serves failover.
 type capBackend struct {
 	*Memory
-	agg, project, pushable bool
+	agg, project, pushable, sort bool
 }
 
 func (cb capBackend) Name() string                    { return "substitute" }
 func (cb capBackend) CanPush(string, table.Pred) bool { return cb.pushable }
 func (cb capBackend) CanPushAgg(table.Agg) bool       { return cb.agg }
+func (cb capBackend) CanPushSort(table.SortKey) bool  { return cb.sort }
 func (cb capBackend) CanProject([]string) bool        { return cb.project }
 func (cb capBackend) Estimate(tbl string, preds []table.Pred) (Estimate, bool) {
 	est, ok := cb.Memory.Estimate(tbl, preds)
 	est.Cost = 1e9
 	return est, ok
+}
+
+// topKOver is Limit(k, Sort(keys, in)).
+func topKOver(in *logical.Node, k int, keys ...table.SortKey) *logical.Node {
+	return &logical.Node{Op: logical.OpLimit, N: k, In: []*logical.Node{{Op: logical.OpSort, Keys: keys, In: []*logical.Node{in}}}}
 }
 
 // TestFailoverEqualsHealthyAcrossCapabilities is the fragment
@@ -815,14 +821,29 @@ func TestFailoverEqualsHealthyAcrossCapabilities(t *testing.T) {
 			n.In[0].RowStart, n.In[0].RowEnd = 100, 2*table.FragmentRows+9
 			return n
 		},
+		// A top-k the planned memory scan took: a substitute that cannot
+		// sort, or that leaves the filter, leaves it to the evaluator.
+		"topk": func() *logical.Node {
+			return topKOver(filterScan("events", pred), 7, table.SortKey{Col: "region"}, table.SortKey{Col: "amount", Desc: true})
+		},
+		"topk_projected": func() *logical.Node {
+			return topKOver(&logical.Node{Op: logical.OpProject, Proj: []string{"region", "amount"},
+				In: []*logical.Node{filterScan("events", pred)}}, 5, table.SortKey{Col: "amount"})
+		},
+		"topk_aggregated": func() *logical.Node {
+			return topKOver(&logical.Node{Op: logical.OpAggregate, GroupBy: []string{"region"},
+				Aggs: []table.Agg{{Func: table.AggSum, Col: "amount", As: "total"}},
+				In:   []*logical.Node{filterScan("events", pred)}}, 2, table.SortKey{Col: "total", Desc: true})
+		},
 	}
 	healthy := New(c.Epoch, Options{Workers: 1}, NewMemory(c))
-	for _, sub := range []capBackend{
-		{}, {project: true}, {agg: true}, {agg: true, project: true},
-		{pushable: true}, {project: true, pushable: true}, {agg: true, pushable: true}, {agg: true, project: true, pushable: true},
-	} {
+	var subs []capBackend
+	for bits := range 16 {
+		subs = append(subs, capBackend{agg: bits&1 != 0, project: bits&2 != 0, pushable: bits&4 != 0, sort: bits&8 != 0})
+	}
+	for _, sub := range subs {
 		sub.Memory = NewMemory(c)
-		label := fmt.Sprintf("agg=%v project=%v pushable=%v", sub.agg, sub.project, sub.pushable)
+		label := fmt.Sprintf("agg=%v project=%v pushable=%v sort=%v", sub.agg, sub.project, sub.pushable, sub.sort)
 		// Breaking disabled: every query must take the failover path,
 		// not get planned onto the substitute once memory's breaker opens.
 		down := New(c.Epoch, Options{Workers: 1, Breaker: BreakerConfig{FailThreshold: -1}},

@@ -52,6 +52,10 @@ func (s *SQL) CanPush(_ string, p table.Pred) bool { return sql.CanWritePred(p) 
 // a column that is not a keyword.
 func (s *SQL) CanPushAgg(a table.Agg) bool { return sql.CanWriteAgg(a) }
 
+// CanPushSort implements Backend: the key's column must survive the
+// text round-trip (sql.CanWriteColumn), written as an ORDER BY key.
+func (s *SQL) CanPushSort(k table.SortKey) bool { return sql.CanWriteColumn(k.Col) }
+
 // CanProject implements Backend: every column must survive the text
 // round-trip (sql.CanWriteColumn), so a keyword-named column stays in
 // the residual, whether it is projected or a group key.
@@ -86,10 +90,10 @@ func (s *SQL) Zones(tbl string) *table.Zones { return s.catalog.ZonesOf(tbl) }
 // A zone-pruned fragment becomes one ranged SELECT per surviving row
 // range (the ROWS a TO b dialect clause), concatenated in ascending
 // order — the same row multiset and order a full filtered scan
-// produces, reading only the surviving rows. Aggregation cannot be
-// split across ranges (an aggregate of per-range aggregates is not the
-// aggregate of the union), so the ranged SELECTs carry only the filters
-// and the shared evaluator finishes the assembled rows.
+// produces, reading only the surviving rows. Aggregation and the top-k
+// cannot be split across ranges (an aggregate of per-range aggregates
+// is not the aggregate of the union), so the ranged SELECTs carry only
+// the filters and the shared evaluator finishes the assembled rows.
 func (s *SQL) Scan(_ context.Context, f Fragment) (Result, error) {
 	t, err := s.catalog.Get(f.Table)
 	if err != nil {
@@ -112,7 +116,7 @@ func (s *SQL) Scan(_ context.Context, f Fragment) (Result, error) {
 		cur.Rows = append(cur.Rows, part.Rows...)
 		scanned += f.Ranges[i].Len()
 	}
-	res, err := evaluate(cur, nil, Fragment{GroupBy: f.GroupBy, Aggs: f.Aggs, Columns: f.Columns}, false)
+	res, err := evaluate(cur, nil, Fragment{GroupBy: f.GroupBy, Aggs: f.Aggs, Sort: f.Sort, Limit: f.Limit, Columns: f.Columns}, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -122,11 +126,20 @@ func (s *SQL) Scan(_ context.Context, f Fragment) (Result, error) {
 
 // exec writes the fragment as one SELECT, optionally restricted to a
 // physical row range via the dialect's ROWS a TO b clause, and
-// round-trips it through the dialect as text.
+// round-trips it through the dialect as text. A top-k is ORDER BY …
+// LIMIT k: the planner pushes one only with k at least 1, since a LIMIT
+// of 0 has no form (Format writes no clause for it, and the statement
+// would return every row).
 func (s *SQL) exec(f Fragment, r *table.RowRange) (*table.Table, error) {
 	stmt := &sql.Stmt{From: f.Table, Wheres: f.Preds, Items: sql.Items(f.Columns, nil)}
 	if len(f.Aggs) > 0 {
 		stmt.Items, stmt.GroupBy = sql.Items(f.GroupBy, f.Aggs), f.GroupBy
+	}
+	if len(f.Sort) > 0 {
+		if f.Limit < 1 {
+			return nil, fmt.Errorf("federate: sql backend: top-k of %d rows", f.Limit)
+		}
+		stmt.OrderBy, stmt.Limit = f.Sort, f.Limit
 	}
 	if r != nil {
 		stmt.RowStart, stmt.RowEnd = r.Start, r.End

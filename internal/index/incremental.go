@@ -37,7 +37,7 @@ func (b *Builder) IndexRecord(g *graph.Graph, rec store.Record) (Stats, error) {
 			b.materializeCues(g, cueCounts, &stats)
 		}
 	} else {
-		if err := b.applyRecord(g, rec, an, &stats); err != nil {
+		if err := b.applyRecord(g, rec, an, nil, &stats); err != nil {
 			return stats, fmt.Errorf("index: incremental: %w", err)
 		}
 	}

@@ -10,6 +10,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -101,6 +102,7 @@ func (b *Builder) Build(m *store.Multi) (*graph.Graph, Stats, error) {
 
 	records := m.Records()
 	analyses := b.analyzeAll(records)
+	ids := entityIDs{}
 	for i, rec := range records {
 		switch rec.Kind {
 		case store.KindText:
@@ -108,7 +110,7 @@ func (b *Builder) Build(m *store.Multi) (*graph.Graph, Stats, error) {
 				return nil, stats, err
 			}
 		default:
-			if err := b.applyRecord(g, rec, analyses[i], &stats); err != nil {
+			if err := b.applyRecord(g, rec, analyses[i], ids, &stats); err != nil {
 				return nil, stats, err
 			}
 		}
@@ -187,9 +189,27 @@ func (b *Builder) applyDocument(g *graph.Graph, rec store.Record, an recordAnaly
 	return nil
 }
 
+// entityIDs memoises EntityNodeID per distinct canonical over one build,
+// so a replay that meets an entity again — a facts table names each SKU
+// in many rows — reuses its node id instead of building it again. A nil
+// memo builds every id.
+type entityIDs map[string]string
+
+func (m entityIDs) of(canonical string) string {
+	if id, ok := m[canonical]; ok {
+		return id
+	}
+	id := EntityNodeID(canonical)
+	if m != nil {
+		m[canonical] = id
+	}
+	return id
+}
+
 // applyRecord replays one analyzed structured/semi-structured record as
-// a row node linked to entity nodes matching its field values.
-func (b *Builder) applyRecord(g *graph.Graph, rec store.Record, an recordAnalysis, stats *Stats) error {
+// a row node linked to entity nodes matching its field values; ids
+// memoises the entity node ids across the records of a build.
+func (b *Builder) applyRecord(g *graph.Graph, rec store.Record, an recordAnalysis, ids entityIDs, stats *Stats) error {
 	rowID := "row:" + rec.ID
 	if err := g.EnsureNode(graph.Node{ID: rowID, Type: graph.NodeRow, Label: rec.ID, Text: rec.Text}); err != nil {
 		return fmt.Errorf("index: %w", err)
@@ -200,14 +220,14 @@ func (b *Builder) applyRecord(g *graph.Graph, rec store.Record, an recordAnalysi
 		return nil
 	}
 	// Link the row to entities recognized in its rendered text, giving
-	// cross-modal connectivity.
-	seen := map[string]bool{}
-	for _, e := range an.ents {
-		entID := EntityNodeID(e.Canonical)
-		if seen[entID] {
+	// cross-modal connectivity, once per distinct entity in the order
+	// the entities were recognized. A row holds a few entities, so an
+	// earlier mention is found by looking back.
+	for i, e := range an.ents {
+		if slices.ContainsFunc(an.ents[:i], func(p slm.Entity) bool { return p.Canonical == e.Canonical }) {
 			continue
 		}
-		seen[entID] = true
+		entID := ids.of(e.Canonical)
 		if err := g.EnsureNode(graph.Node{ID: entID, Type: graph.NodeEntity, Label: e.Canonical, EType: string(e.Type)}); err != nil {
 			return fmt.Errorf("index: %w", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/par"
@@ -34,19 +33,19 @@ import (
 // projection and the Scan leaf's own column set compose into one column
 // mapping, and whose ROWS range becomes selection vectors, so no row is
 // sliced or copied. VecFragment runs a backend's whole filter →
-// aggregate → project fragment from the same start.
+// aggregate → top-k → project fragment from the same start.
 //
-// Sort runs as a columnar kernel too: the key columns are extracted
-// to per-class typed arrays over the selected rows (nulls first,
-// cross-kind int/float via float64 under table.CompareFloat, generic
-// Values only for columns mixing classes) and a stable permutation sort
-// reorders row references — the exact ordering and tie stability of
-// table.Sort without boxing a Value per comparison. A Limit directly
-// over a Sort is one bounded selection: a k-entry heap ordered by
-// (keys, row index) keeps the first k rows of that stable order without
-// sorting the rest. Distinct is a selection-vector kernel keyed by the
-// row's group-key encoding, first occurrence kept. When the one
-// group or distinct column of a catalog fragment carries dictionary
+// A Limit directly over a Sort is the top-k kernel, which copies no
+// key: it reads the key columns in place through the selection vectors
+// as typed cells in table.Compare's order (no Value boxed per
+// comparison), keeps a k-entry heap of row locators ordered by (keys,
+// input order), rejects a row that cannot beat the running k-th key
+// with one typed compare on the first key, and materializes only the k
+// winners. A Sort without a Limit is the same kernel keeping every row:
+// one sort of the locators by (keys, input order), which is table.Sort's
+// stable order, ties included. Distinct is a selection-vector kernel
+// keyed by the row's group-key encoding, first occurrence kept. When the
+// one group or distinct column of a catalog fragment carries dictionary
 // codes, a per-batch memo indexed by code (table.CodeMemo) sits in front
 // of that one key map, so a key is encoded and hashed once per value per
 // batch instead of once per row; the map stays the only source of group
@@ -181,9 +180,11 @@ func (s *vstream) materialize() *table.Table {
 		s.mat = s.base
 		return s.mat
 	}
+	n := s.selCount()
 	out := table.New(s.name, s.schema)
-	out.Rows = make([][]Value, 0, s.selCount())
-	emit := func(row []Value) { out.Rows = append(out.Rows, s.mapRow(row)) }
+	out.Rows = make([][]Value, 0, n)
+	rows := s.rowCopier(n)
+	emit := func(row []Value) { out.Rows = append(out.Rows, rows.copy(row)) }
 	if s.sels == nil {
 		for _, row := range s.base.Rows {
 			emit(row)
@@ -206,17 +207,33 @@ func (s *vstream) materialize() *table.Table {
 	return s.mat
 }
 
-// mapRow is a base row under the stream's column mapping: the row
-// itself without one, a copy of the mapped cells with one.
-func (s *vstream) mapRow(row []Value) []Value {
+// rowCopier renders base rows under the stream's column mapping, for
+// n rows: the row itself without a mapping, a copy of the mapped cells
+// with one, all n copies carved from one allocation.
+func (s *vstream) rowCopier(n int) rowCopier {
 	if s.cols == nil {
+		return rowCopier{}
+	}
+	return rowCopier{cols: s.cols, cells: make([]Value, 0, n*len(s.cols))}
+}
+
+// rowCopier is vstream.rowCopier's result. Each copy is a window of
+// cells capped at its own length, so appending to one row cannot write
+// into the next.
+type rowCopier struct {
+	cols  []int
+	cells []Value
+}
+
+func (r *rowCopier) copy(row []Value) []Value {
+	if r.cols == nil {
 		return row
 	}
-	nr := make([]Value, len(s.cols))
-	for i, ci := range s.cols {
-		nr[i] = row[ci]
+	start := len(r.cells)
+	for _, ci := range r.cols {
+		r.cells = append(r.cells, row[ci])
 	}
-	return nr
+	return r.cells[start:len(r.cells):len(r.cells)]
 }
 
 // Value is re-exported locally for brevity in row emission.
@@ -271,13 +288,13 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		return passthrough(out, nil), nil
 	}
 	if n.Op == OpLimit && n.Child() != nil && n.Child().Op == OpSort {
-		// Limit directly over Sort: select the first N rows of the
-		// stable order without ordering the rest.
+		// Limit directly over Sort: the first N rows of the stable
+		// order, without ordering the rest.
 		s, err := v.eval(n.Child().Child())
 		if err != nil {
 			return nil, err
 		}
-		return v.sortStream(s, n.Child().Keys, max(n.N, 0))
+		return v.topK(s, n.Child().Keys, max(n.N, 0))
 	}
 	s, err := v.eval(n.Child())
 	if err != nil {
@@ -295,7 +312,7 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		}
 		return passthrough(out, nil), nil
 	case OpSort:
-		return v.sortStream(s, n.Keys, math.MaxInt)
+		return v.topK(s, n.Keys, math.MaxInt)
 	case OpLimit:
 		return passthrough(table.Limit(s.materialize(), n.N), nil), nil
 	case OpDistinct:
@@ -647,259 +664,351 @@ func (v *vecRun) project(s *vstream, proj, aliases []string) (*vstream, error) {
 
 // ---- sort ----
 
-// Sort-key column classes: the first non-NULL cell of a key column
-// fixes its class.
-const (
-	kcEmpty   = iota // no non-null cell yet
-	kcNum            // int/float cells, compared as float64
-	kcStr            // string/date cells, compared by text
-	kcBool           // bool cells
-	kcGeneric        // mixed classes: exact Values
-)
-
-// sortCol is one sort key extracted to typed array form over the
-// stream's selected rows: a column of one class compares its cells
-// without boxing them, in table.Compare's order for that class —
-// numbers by table.CompareFloat across int and float, strings and dates
-// by text, bools false < true — and a column mixing classes keeps exact
-// Values compared with table.Compare itself.
-type sortCol struct {
-	class int
-	nums  []float64
-	strs  []string
-	bools []bool
-	vals  []Value
-	nulls table.Bitmap
-}
-
-// compare orders the selected rows a and b on this key with
-// table.Compare's exact semantics: NULL sorts before every non-NULL
-// value, two NULLs tie, and non-NULL cells dispatch on the column
-// class.
-func (sc *sortCol) compare(a, b int) int {
-	an, bn := sc.nulls.Get(a), sc.nulls.Get(b)
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	}
-	switch sc.class {
-	case kcNum:
-		return table.CompareFloat(sc.nums[a], sc.nums[b])
-	case kcStr:
-		return strings.Compare(sc.strs[a], sc.strs[b])
-	case kcBool:
-		return cmpBool(sc.bools[a], sc.bools[b])
-	default:
-		return table.Compare(sc.vals[a], sc.vals[b])
-	}
-}
-
-// sortStream is the vectorized Sort kernel, with the Limit above it
-// (math.MaxInt = none) folded in: it gathers the stream's selected rows
-// in row order, extracts each key column into typed arrays, orders a
-// row permutation and emits its first limit rows (applying any pending
-// projection) — bit-identical to table.Limit over table.Sort over the
-// materialized stream, ties included. Every key is a total preorder
-// (table.Compare is a total order), so when the limit cuts rows the
-// permutation is a bounded selection under (keys, row index); otherwise
-// a stable sort from row order.
-func (v *vecRun) sortStream(s *vstream, keys []table.SortKey, limit int) (*vstream, error) {
-	keyIdx := make([]int, len(keys))
+// sortKeyCols resolves the sort keys to base column indexes.
+func sortKeyCols(s *vstream, keys []table.SortKey) ([]int, error) {
+	idx := make([]int, len(keys))
 	for i, k := range keys {
-		idx := s.schema.ColIndex(k.Col)
-		if idx < 0 {
+		ci := s.schema.ColIndex(k.Col)
+		if ci < 0 {
 			return nil, fmt.Errorf("%w: %s", table.ErrNoColumn, k.Col)
 		}
-		keyIdx[i] = s.baseCol(idx)
+		idx[i] = s.baseCol(ci)
 	}
-	bs := v.batches(s)
-	n := s.selCount()
-	// Row locators of every selected row, in row order: batch index
-	// and in-batch row index.
-	rowB := make([]int32, 0, n)
-	rowR := make([]int32, 0, n)
-	for bi, b := range bs {
-		table.ForSel(b.Len, s.sel(bi), func(ri int) {
-			rowB = append(rowB, int32(bi))
-			rowR = append(rowR, int32(ri))
-		})
-	}
-	cols := make([]*sortCol, len(keys))
-	for k := range keys {
-		cols[k] = extractSortCol(bs, rowB, rowR, keyIdx[k])
-	}
-	// cmp orders two selected rows on the keys alone (0 = tie).
-	cmp := func(a, b int32) int {
-		for k := range keys {
-			if c := cols[k].compare(int(a), int(b)); c != 0 {
-				if keys[k].Desc {
-					return -c
-				}
-				return c
+	return idx, nil
+}
+
+// ---- top-k ----
+
+// Key-cell classes, in table.Compare's class order.
+const (
+	clsNull byte = iota
+	clsBool
+	clsNum
+	clsStr
+)
+
+// keyCell is one sort-key cell read in place from a batch, in
+// table.Compare's order: class first (NULL < bool < number <
+// string/date), then numbers — int cells through float64 — by
+// table.CompareFloat, bools as 0 < 1 the same way, strings and dates by
+// text.
+type keyCell struct {
+	class byte
+	f     float64
+	s     string
+}
+
+// cellAt reads row ri of col as a keyCell without boxing it.
+func cellAt(col *table.ColVec, ri int) keyCell {
+	switch {
+	case col.Boxed != nil:
+		v := col.Boxed[ri]
+		switch {
+		case v.IsNull():
+			return keyCell{}
+		case v.IsNumeric():
+			return keyCell{class: clsNum, f: v.Float()}
+		case v.Kind() == table.TypeBool:
+			if v.Bool() {
+				return keyCell{class: clsBool, f: 1}
 			}
+			return keyCell{class: clsBool}
 		}
+		return keyCell{class: clsStr, s: v.Str()}
+	case col.Nulls.Get(ri):
+		return keyCell{}
+	case col.Floats != nil:
+		return keyCell{class: clsNum, f: col.Floats[ri]}
+	case col.Ints != nil:
+		return keyCell{class: clsNum, f: float64(col.Ints[ri])}
+	case col.Strs != nil:
+		return keyCell{class: clsStr, s: col.Strs[ri]}
+	case col.Bools[ri]:
+		return keyCell{class: clsBool, f: 1}
+	}
+	return keyCell{class: clsBool}
+}
+
+// compareCells is table.Compare over two key cells.
+func compareCells(a, b *keyCell) int {
+	if a.class == clsNum && b.class == clsNum {
+		return table.CompareFloat(a.f, b.f)
+	}
+	return compareClasses(a, b)
+}
+
+// compareClasses is compareCells past its numeric fast path.
+func compareClasses(a, b *keyCell) int {
+	switch {
+	case a.class != b.class:
+		return int(a.class) - int(b.class)
+	case a.class == clsStr:
+		return strings.Compare(a.s, b.s)
+	case a.class == clsNull:
 		return 0
 	}
-	var perm []int32
-	if limit < n {
-		perm = topK(n, limit, func(a, b int32) bool {
-			c := cmp(a, b)
-			return c > 0 || (c == 0 && a > b)
-		})
-	} else {
-		perm = make([]int32, n)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		sort.SliceStable(perm, func(i, j int) bool { return cmp(perm[i], perm[j]) < 0 })
-		perm = perm[:min(limit, n)]
+	return table.CompareFloat(a.f, b.f)
+}
+
+// topRow is a row in the top-k heap: its first key cell, the slot of
+// topKHeap.cells that holds its later key cells, and its locator (batch
+// index, row within the batch), which orders as the rows do in the
+// stream.
+type topRow struct {
+	first        keyCell
+	slot, bi, ri int32
+}
+
+// topK is the typed top-k kernel under a Limit directly over a Sort,
+// and with k = math.MaxInt the Sort kernel: it keeps the first k rows of
+// the stable order of the stream's selected rows — the prefix
+// table.Limit takes of table.Sort — and materializes only those
+// (applying any pending projection). The key columns are
+// read in place through the selection vectors; only the key cells of
+// the rows in the heap are kept, the first beside each row's locator.
+// A k-entry heap holds the best rows so far under (keys, input order),
+// the last of them on top, and that top row's first key is the running
+// k-th key: a typed loop over each batch's first key column (beating)
+// rejects every row that sorts after it before any row comparison, and
+// a row that ties it loses unless a later key ranks it first — input
+// order breaks what the keys leave tied, as the stable sort does.
+func (v *vecRun) topK(s *vstream, keys []table.SortKey, k int) (*vstream, error) {
+	ci, err := sortKeyCols(s, keys)
+	if err != nil {
+		return nil, err
 	}
+	bs := v.batches(s)
+	// When every selected row is kept (a Sort without a Limit is topK
+	// with k = math.MaxInt), no row is ever compared with the heap's
+	// top: the rows are kept in input order and the final sort orders
+	// them.
+	n := s.selCount()
+	fits := n <= k
+	size := min(k, n)
+	t := &topKHeap{keys: keys, h: make([]topRow, 0, size), spare: int32(size)}
+	if len(keys) > 1 {
+		t.cells = make([]keyCell, (size+1)*(len(keys)-1))
+	}
+	scratch := make([]int32, 0, table.FragmentRows)
+	for bi := 0; k > 0 && bi < len(bs); bi++ {
+		b := bs[bi]
+		cand := s.sel(bi)
+		if !fits && len(t.h) == k {
+			var first *table.ColVec
+			if len(ci) > 0 {
+				first = &b.Cols[ci[0]]
+			}
+			if c, ok := t.beating(first, b.Len, cand, scratch[:0]); ok {
+				scratch, cand = c, c
+			}
+		}
+		m := len(cand)
+		if cand == nil {
+			m = b.Len
+		}
+		for j := 0; j < m; j++ {
+			ri := j
+			if cand != nil {
+				ri = int(cand[j])
+			}
+			row := topRow{slot: t.spare, bi: int32(bi), ri: int32(ri)}
+			if len(t.h) < k {
+				row.slot = int32(len(t.h))
+			}
+			if len(ci) > 0 {
+				row.first = cellAt(&b.Cols[ci[0]], ri)
+			}
+			rest := t.slot(row.slot)
+			for i := range rest {
+				rest[i] = cellAt(&b.Cols[ci[i+1]], ri)
+			}
+			switch {
+			case fits:
+				t.h = append(t.h, row)
+			case len(t.h) < k:
+				t.push(row)
+			case t.after(&t.h[0], &row):
+				t.spare = t.h[0].slot
+				t.replaceTop(row)
+			}
+		}
+	}
+	slices.SortFunc(t.h, func(a, b topRow) int {
+		if t.after(&a, &b) {
+			return 1
+		}
+		return -1
+	})
 	out := table.New(s.name, s.schema)
-	out.Rows = make([][]Value, 0, len(perm))
-	for _, pi := range perm {
-		out.Rows = append(out.Rows, s.mapRow(s.base.Rows[int(rowB[pi])*table.FragmentRows+int(rowR[pi])]))
+	out.Rows = make([][]Value, len(t.h))
+	rows := s.rowCopier(len(t.h))
+	for i, r := range t.h {
+		out.Rows[i] = rows.copy(s.base.Rows[int(r.bi)*table.FragmentRows+int(r.ri)])
 	}
 	return passthrough(out, nil), nil
 }
 
-// topK returns, in order, the first k of the indexes 0..n-1 under the
-// strict total order whose inverse is after (after(a, b): a sorts after
-// b), 0 <= k < n. A k-entry heap holds the best rows seen so far with
-// the last of them on top; each later row replaces the top only when it
-// sorts before it, so the work is n comparisons plus a sift per
-// replacement instead of a full sort.
-func topK(n, k int, after func(a, b int32) bool) []int32 {
-	if k == 0 {
-		return nil
-	}
-	h := make([]int32, k)
-	for i := range h {
-		h[i] = int32(i)
-	}
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= k {
-				return
-			}
-			if c+1 < k && after(h[c+1], h[c]) {
-				c++
-			}
-			if !after(h[c], h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for i := int32(k); i < int32(n); i++ {
-		if after(h[0], i) {
-			h[0] = i
-			down(0)
-		}
-	}
-	sort.Slice(h, func(x, y int) bool { return after(h[y], h[x]) })
-	return h
+// topKHeap is topK's state: a max-heap of rows under after, and the
+// later key cells of the rows in it plus one spare slot, where a
+// candidate's cells go before it is compared; a candidate that enters
+// the heap takes the spare slot and frees the evicted row's.
+type topKHeap struct {
+	keys  []table.SortKey
+	h     []topRow
+	cells []keyCell // len(keys)-1 cells per slot
+	spare int32
 }
 
-// extractSortCol pulls one key column of the selected rows into typed
-// form. The first non-NULL cell fixes the column class; a later cell
-// of a different class demotes the whole column to exact Values.
-func extractSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
-	n := len(rowB)
-	sc := &sortCol{class: kcEmpty, nulls: table.NewBitmap(n)}
-	ensure := func(class int) bool {
-		if sc.class == kcEmpty {
-			sc.class = class
-			switch class {
-			case kcNum:
-				sc.nums = make([]float64, n)
-			case kcStr:
-				sc.strs = make([]string, n)
-			case kcBool:
-				sc.bools = make([]bool, n)
-			}
-		}
-		return sc.class == class
-	}
-	for i := range rowB {
-		col := &bs[rowB[i]].Cols[ci]
-		ri := int(rowR[i])
-		if col.Boxed == nil {
-			if col.Nulls.Get(ri) {
-				sc.nulls.Set(i)
-				continue
-			}
-			switch {
-			case col.Ints != nil:
-				if !ensure(kcNum) {
-					return genericSortCol(bs, rowB, rowR, ci)
-				}
-				sc.nums[i] = float64(col.Ints[ri])
-			case col.Floats != nil:
-				if !ensure(kcNum) {
-					return genericSortCol(bs, rowB, rowR, ci)
-				}
-				sc.nums[i] = col.Floats[ri]
-			case col.Bools != nil:
-				if !ensure(kcBool) {
-					return genericSortCol(bs, rowB, rowR, ci)
-				}
-				sc.bools[i] = col.Bools[ri]
-			default:
-				if !ensure(kcStr) {
-					return genericSortCol(bs, rowB, rowR, ci)
-				}
-				sc.strs[i] = col.Strs[ri]
-			}
-			continue
-		}
-		bv := col.Boxed[ri]
-		if bv.IsNull() {
-			sc.nulls.Set(i)
-			continue
-		}
-		switch {
-		case bv.IsNumeric():
-			if !ensure(kcNum) {
-				return genericSortCol(bs, rowB, rowR, ci)
-			}
-			sc.nums[i] = bv.Float()
-		case bv.Kind() == table.TypeString || bv.Kind() == table.TypeDate:
-			if !ensure(kcStr) {
-				return genericSortCol(bs, rowB, rowR, ci)
-			}
-			sc.strs[i] = bv.Str()
-		case bv.Kind() == table.TypeBool:
-			if !ensure(kcBool) {
-				return genericSortCol(bs, rowB, rowR, ci)
-			}
-			sc.bools[i] = bv.Bool()
-		default:
-			return genericSortCol(bs, rowB, rowR, ci)
-		}
-	}
-	return sc
+// slot is the later key cells of slot i.
+func (t *topKHeap) slot(i int32) []keyCell {
+	nk := max(len(t.keys)-1, 0)
+	return t.cells[int(i)*nk : int(i+1)*nk]
 }
 
-func genericSortCol(bs []*table.Batch, rowB, rowR []int32, ci int) *sortCol {
-	n := len(rowB)
-	sc := &sortCol{class: kcGeneric, vals: make([]Value, n), nulls: table.NewBitmap(n)}
-	for i := range rowB {
-		bv := bs[rowB[i]].Cols[ci].ValueAt(int(rowR[i]))
-		sc.vals[i] = bv
-		if bv.IsNull() {
-			sc.nulls.Set(i)
+// after reports whether row a sorts after row b: on the keys, then in
+// input order.
+func (t *topKHeap) after(a, b *topRow) bool {
+	if len(t.keys) > 0 {
+		if c := compareCells(&a.first, &b.first); c != 0 {
+			return c > 0 != t.keys[0].Desc
+		}
+		if len(t.keys) > 1 {
+			return t.afterRest(a, b)
 		}
 	}
-	return sc
+	return a.bi > b.bi || a.bi == b.bi && a.ri > b.ri
+}
+
+// afterRest is after for two rows whose first keys tie.
+func (t *topKHeap) afterRest(a, b *topRow) bool {
+	ca, cb := t.slot(a.slot), t.slot(b.slot)
+	for i := range ca {
+		if c := compareCells(&ca[i], &cb[i]); c != 0 {
+			return c > 0 != t.keys[i+1].Desc
+		}
+	}
+	return a.bi > b.bi || a.bi == b.bi && a.ri > b.ri
+}
+
+// push adds a row to a heap not yet full.
+func (t *topKHeap) push(r topRow) {
+	t.h = append(t.h, r)
+	i := len(t.h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.after(&r, &t.h[p]) {
+			break
+		}
+		t.h[i] = t.h[p]
+		i = p
+	}
+	t.h[i] = r
+}
+
+// replaceTop puts r, which sorts before the top row, in the top row's
+// place and restores the heap, moving each row it passes up one level.
+func (t *topKHeap) replaceTop(r topRow) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(t.h) {
+			break
+		}
+		if c+1 < len(t.h) && t.after(&t.h[c+1], &t.h[c]) {
+			c++
+		}
+		if !t.after(&t.h[c], &r) {
+			break
+		}
+		t.h[i] = t.h[c]
+		i = c
+	}
+	t.h[i] = r
+}
+
+// beating appends to dst, for a full heap, the rows of an n-row batch
+// that sel selects (nil: all) whose first key, in column col (nil
+// without keys), does not sort after the k-th key — the top row's —
+// through a typed loop over the column. Only those rows can still enter
+// the heap, and the k-th key only moves forward, so the rows left out
+// need no further look. ok is false where no typed loop applies (a
+// boxed or bool column, a NaN k-th key, a k-th key of another class) and
+// every selected row stays a candidate.
+func (t *topKHeap) beating(col *table.ColVec, n int, sel, dst []int32) (out []int32, ok bool) {
+	if col == nil {
+		return dst, true // no keys: every later row ties and loses
+	}
+	if sel != nil {
+		n = len(sel)
+	}
+	kth, desc := t.h[0].first, t.keys[0].Desc
+	num := kth.class == clsNum && kth.f == kth.f
+	switch {
+	case col.Boxed != nil:
+		return nil, false
+	case kth.class == clsNull && !desc:
+		// A NULL sorts before every non-NULL key: only NULLs tie it.
+		for j := 0; j < n; j++ {
+			ri := int32(j)
+			if sel != nil {
+				ri = sel[j]
+			}
+			if col.Nulls.Get(int(ri)) {
+				dst = append(dst, ri)
+			}
+		}
+		return dst, true
+	case num && col.Floats != nil:
+		return numsBeating(dst, n, sel, col.Nulls, col.Floats, kth.f, desc), true
+	case num && col.Ints != nil:
+		return numsBeating(dst, n, sel, col.Nulls, col.Ints, kth.f, desc), true
+	case kth.class == clsStr && col.Strs != nil:
+		return strsBeating(dst, n, sel, col.Nulls, col.Strs, kth.s, desc), true
+	}
+	return nil, false
+}
+
+// numsBeating is beating over a number column and a non-NaN k-th key
+// thr: table.CompareFloat(x, thr) <= 0 is x <= thr, and >= 0 is
+// !(x < thr) (a NaN sorts above every number). Ints compare through
+// float64, as table.Compare does. A NULL sorts before every number, so
+// it can beat thr ascending and never descending; a NULL row's slot
+// holds 0, and the NULL check decides it.
+func numsBeating[T int64 | float64](dst []int32, n int, sel []int32, nulls table.Bitmap, vals []T, thr float64, desc bool) []int32 {
+	for j := 0; j < n; j++ {
+		ri := int32(j)
+		if sel != nil {
+			ri = sel[j]
+		}
+		if x := float64(vals[ri]); desc {
+			if !(x < thr) && !nulls.Get(int(ri)) {
+				dst = append(dst, ri)
+			}
+		} else if x <= thr || nulls.Get(int(ri)) {
+			dst = append(dst, ri)
+		}
+	}
+	return dst
+}
+
+// strsBeating is beating over a string or date column, whose cells
+// compare by text. A NULL row's slot holds "", and the NULL check
+// decides it.
+func strsBeating(dst []int32, n int, sel []int32, nulls table.Bitmap, vals []string, thr string, desc bool) []int32 {
+	for j := 0; j < n; j++ {
+		ri := int32(j)
+		if sel != nil {
+			ri = sel[j]
+		}
+		if x := vals[ri]; desc {
+			if x >= thr && !nulls.Get(int(ri)) {
+				dst = append(dst, ri)
+			}
+		} else if x <= thr || nulls.Get(int(ri)) {
+			dst = append(dst, ri)
+		}
+	}
+	return dst
 }
 
 // ---- compare ----
@@ -985,25 +1094,41 @@ func (v *vecRun) distinctStream(s *vstream) *vstream {
 
 // ---- fragment entry (backend scans) ----
 
-// VecFragment runs one scan fragment — filter (preds, restricted to the
-// ascending disjoint row ranges when non-nil), then aggregate, then
-// project — over candidate table t as a single stream: the ranges and
-// predicates refine selection vectors, the aggregate reads them in
+// FragmentOps are the operators of one scan fragment, in the order
+// VecFragment runs them: the row ranges and the predicates, the
+// aggregate, the top-k, the projection.
+type FragmentOps struct {
+	Ranges  []table.RowRange // ascending, disjoint; nil = all rows
+	Preds   []table.Pred
+	GroupBy []string
+	Aggs    []table.Agg
+	Sort    []table.SortKey // the top-k's order; nil = no top-k
+	Limit   int             // the top-k's row count, with Sort
+	Cols    []string
+}
+
+// VecFragment runs one scan fragment — filter (ops.Preds, restricted to
+// ops.Ranges when non-nil), then aggregate, then top-k, then project —
+// over candidate table t as a single stream: the ranges and predicates
+// refine selection vectors, the aggregate and the top-k read them in
 // place over the columnar fragments (fr caches them for exactly t; nil
 // extracts on the fly), the projection is a column mapping, and rows
-// materialize once at the end. Bit-identical to table.Filter over the
-// ranges' rows → table.Aggregate → table.Project over the same input,
-// errors included. lead counts the rows the leading stage keeps: those
-// inside the ranges that pass preds[0] (all of them without preds).
-func VecFragment(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds []table.Pred, groupBy []string, aggs []table.Agg, cols []string) (out *table.Table, lead int, err error) {
+// materialize once at the end — only the top-k's k rows when there is
+// one. Bit-identical to table.Filter over the ranges' rows →
+// table.Aggregate → table.Limit∘table.Sort → table.Project over the same
+// input, errors included. lead counts the rows the leading stage keeps:
+// those inside the ranges that pass Preds[0] (all of them without
+// predicates).
+func VecFragment(t *table.Table, fr *table.Frags, ops FragmentOps) (out *table.Table, lead int, err error) {
 	v := &vecRun{env: VecEnv{Workers: 1}}
-	s, err := v.stream(VecLeaf{Table: t, Frags: fr}, nil, ranges)
+	s, err := v.stream(VecLeaf{Table: t, Frags: fr}, nil, ops.Ranges)
 	if err != nil {
 		return nil, 0, err
 	}
 	// The first predicate runs alone so its survivors can be counted; a
 	// predicate only errors on a row that reaches it, so splitting the
 	// conjunction changes no error.
+	preds := ops.Preds
 	if len(preds) > 0 {
 		if s, err = v.filter(s, preds[:1]); err != nil {
 			return nil, 0, err
@@ -1015,14 +1140,19 @@ func VecFragment(t *table.Table, fr *table.Frags, ranges []table.RowRange, preds
 			return nil, 0, err
 		}
 	}
-	if len(aggs) > 0 {
-		if t, err = v.aggregate(s, groupBy, aggs); err != nil {
+	if len(ops.Aggs) > 0 {
+		if t, err = v.aggregate(s, ops.GroupBy, ops.Aggs); err != nil {
 			return nil, 0, err
 		}
 		s = passthrough(t, nil)
 	}
-	if len(cols) > 0 {
-		if s, err = v.project(s, cols, nil); err != nil {
+	if ops.Sort != nil {
+		if s, err = v.topK(s, ops.Sort, max(ops.Limit, 0)); err != nil {
+			return nil, 0, err
+		}
+	}
+	if len(ops.Cols) > 0 {
+		if s, err = v.project(s, ops.Cols, nil); err != nil {
 			return nil, 0, err
 		}
 	}

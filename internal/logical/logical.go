@@ -14,8 +14,8 @@
 //
 // The two executors are interchangeable: RunVec evaluates typed
 // kernels over the catalog's cached 256-row columnar fragments
-// (filters to selection vectors, sorts via a stable permutation over
-// typed key arrays, morsel-parallel via internal/par) and is
+// (filters to selection vectors, sorts and top-ks over typed key cells
+// read in place, morsel-parallel via internal/par) and is
 // bit-identical to Run — same schema, row order, cell values and
 // errors, at any worker count. Both read a leaf through one contract
 // (VecLeaf) and run the same hash join (table.HashJoin) and group-by

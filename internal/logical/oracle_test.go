@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/federate"
 	"repro/internal/logical"
 	"repro/internal/logical/refeval"
 	"repro/internal/table"
@@ -219,6 +220,12 @@ func (g *treeGen) preds(schema table.Schema) []table.Pred {
 	return preds
 }
 
+// limit draws a Limit's row count, around the catalogs' batch and table
+// sizes.
+func (g *treeGen) limit() int {
+	return []int{-1, 0, 1, 2, 5, 50, 255, 257, 700}[g.rng.Intn(9)]
+}
+
 // tree draws a plan of at most depth operators above its leaves, and
 // the schema it outputs.
 func (g *treeGen) tree(depth int) (*logical.Node, table.Schema) {
@@ -282,9 +289,13 @@ func (g *treeGen) tree(depth int) (*logical.Node, table.Schema) {
 		for range 1 + g.rng.Intn(3) {
 			n.Keys = append(n.Keys, table.SortKey{Col: g.colName(schema), Desc: g.rng.Intn(2) == 0})
 		}
+		if g.rng.Intn(2) == 0 {
+			// A Limit directly over the Sort: the top-k.
+			n = &logical.Node{Op: logical.OpLimit, N: g.limit(), In: []*logical.Node{n}}
+		}
 		return n, schema
 	case 5:
-		return unary(&logical.Node{Op: logical.OpLimit, N: []int{-1, 0, 1, 2, 5, 50, 700}[g.rng.Intn(7)]}), schema
+		return unary(&logical.Node{Op: logical.OpLimit, N: g.limit()}), schema
 	}
 	if g.joined {
 		return in, schema
@@ -308,10 +319,13 @@ func (g *treeGen) tree(depth int) (*logical.Node, table.Schema) {
 }
 
 // TestRandomTreesMatchReference runs the optimizer on a thousand seeded
-// random trees of Filter, Project, Aggregate, Distinct, Sort, Limit and
-// Join over the oracle, NULL and join catalogs, and holds both executors
-// of the optimized plan to the reference evaluator of the tree as drawn:
-// the same schema, row order and cells, or an error on every side.
+// random trees of Filter, Project, Aggregate, Distinct, Sort, Limit (half
+// of the Sorts under one: the top-k) and Join over the oracle, NULL and
+// join catalogs, and holds both executors of the optimized plan, and the
+// federated executor over the memory backend (which pushes filters,
+// aggregates, top-ks and projections into its fragment scans), to the
+// reference evaluator of the tree as drawn: the same schema, row order
+// and cells, or an error on every side.
 func TestRandomTreesMatchReference(t *testing.T) {
 	catalogs := []struct {
 		c      *table.Catalog
@@ -330,11 +344,12 @@ func TestRandomTreesMatchReference(t *testing.T) {
 		opt := logical.Optimize(root, logical.CatalogStats(cat.c))
 		row, rowErr := logical.Exec(opt.Root, cat.c)
 		vec, vecErr := logical.ExecVec(opt.Root, cat.c, 3)
+		fed, _, fedErr := federate.New(cat.c.Epoch, federate.Options{Workers: 2}, federate.NewMemory(cat.c)).ExecuteIR(opt)
 		for _, got := range []struct {
 			name string
 			t    *table.Table
 			err  error
-		}{{"row interpreter", row, rowErr}, {"vectorized", vec, vecErr}} {
+		}{{"row interpreter", row, rowErr}, {"vectorized", vec, vecErr}, {"federated", fed, fedErr}} {
 			switch {
 			case (got.err == nil) != (wantErr == nil):
 				t.Fatalf("tree %d %s\noptimized %s\n%s: error %v, the reference's %v", i, root, opt.Root, got.name, got.err, wantErr)
