@@ -68,7 +68,9 @@ func freshCatalog(t testing.TB, tb *Table, defs ...RollupDef) *Catalog {
 
 // assertMatchesFresh pins everything c derived for tb — statistics,
 // zone maps, columnar fragments and the rollup's materialization — to a
-// fresh catalog's Put of cloned rows.
+// fresh catalog's Put of cloned rows, and the fragments and zone maps
+// also to the row-walk reference (checkSealed), which shares no code
+// with the catalog's derive path.
 func assertMatchesFresh(t testing.TB, c *Catalog, tb *Table, def RollupDef, step string) {
 	t.Helper()
 	want := freshCatalog(t, tb, def)
@@ -84,6 +86,7 @@ func assertMatchesFresh(t testing.TB, c *Catalog, tb *Table, def RollupDef, step
 		t.Fatalf("%s: incremental fragments diverge from a fresh catalog:\n%+v\nvs\n%+v", step, got, want)
 	}
 	checkDicts(t, c.FragsOf(tb.Name))
+	checkSealed(t, c, tb.Name, step)
 	got, err := c.Get(def.Name)
 	if err != nil {
 		t.Fatalf("%s: materialization missing: %v", step, err)
