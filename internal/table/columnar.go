@@ -9,15 +9,16 @@ package table
 // extracted class keeps the original Values (Boxed); kernels fall back
 // to per-Value evaluation there, so extraction never changes results.
 //
-// A catalog fragment's string and date columns also carry a per-batch
-// dictionary (ColVec.Codes and Dict): one uint8 code per row into the
-// batch's distinct values in first-seen order. It is built only where
-// the catalog seals a fragment (fragmentsFrom), never by BatchRange on
-// its own and never for Boxed columns, and it is not persisted — a
-// snapshot holds rows, and a load derives the codes again. The
-// group-by accumulator and the distinct kernel use it, through
-// CodeMemo, to look a key up once per value per batch instead of once
-// per row.
+// The catalog seals each fragment in one walk per column (sealCol,
+// from fragmentsFrom): every cell is stored typed or as a NULL bit, a
+// string or date cell gets its code in the batch's dictionary
+// (ColVec.Codes and Dict: one uint8 per row into the distinct values in
+// first-seen order), and the cell is folded into the fragment's zone
+// map. BatchRange is the same walk without dictionary or zone map. The
+// dictionary is not persisted — a snapshot holds rows, and a load seals
+// again. The group-by accumulator and the distinct kernel use it,
+// through CodeMemo, to look a key up once per value per batch instead
+// of once per row.
 
 // Bitmap is a fixed-size bit set used for per-row null flags. A nil
 // Bitmap reads as all-clear.
@@ -46,7 +47,8 @@ func (b Bitmap) Get(i int) bool {
 // date column of a catalog fragment: Strs[i] == Dict[Codes[i]] for every
 // non-NULL row i, Dict holds each distinct non-NULL value once in
 // first-seen order (string headers shared with Strs, no bytes copied),
-// and a NULL row's code is 0 — read Nulls first. A batch holds at most
+// and a NULL row's code is 0 — read Nulls first. Each code is assigned
+// in the same walk that stores the cell (sealCol). A batch holds at most
 // FragmentRows = 256 rows, so a uint8 code always fits. Both are nil on
 // every other column and on batches BatchRange extracts on the fly.
 type ColVec struct {
@@ -161,20 +163,37 @@ type Batch struct {
 	Cols   []ColVec
 }
 
-// BatchRange extracts rows [start, end) of t into a Batch. The range
-// must be within bounds. Extraction is pure and deterministic; the
-// resulting batch shares nothing mutable with t beyond boxed Values
-// (which are immutable by convention).
+// BatchRange extracts rows [start, end) of t into a Batch by the walk
+// that seals a catalog fragment (sealCol), without dictionaries or zone
+// map. The range must be within bounds. Extraction is pure and
+// deterministic; the resulting batch shares nothing mutable with t
+// beyond boxed Values (which are immutable by convention).
 func BatchRange(t *Table, start, end int) *Batch {
-	n := end - start
-	b := &Batch{Schema: t.Schema, Len: n, Cols: make([]ColVec, len(t.Schema))}
+	b := &Batch{Schema: t.Schema, Len: end - start, Cols: make([]ColVec, len(t.Schema))}
 	for ci, col := range t.Schema {
-		b.Cols[ci] = extractCol(t, ci, col, start, n)
+		b.Cols[ci] = sealCol(t.Rows[start:end], ci, col, nil, nil)
 	}
 	return b
 }
 
-func extractCol(t *Table, ci int, col Column, start, n int) ColVec {
+// sealer is the scratch of one catalog fragment walk (fragmentsFrom),
+// shared by every column and fragment it seals: the dictionary codes of
+// the column in hand, and the row of each code's first cell.
+type sealer struct {
+	codes map[string]uint8
+	first [FragmentRows]uint8
+}
+
+// sealCol walks column ci of rows once. Each cell is stored typed or as
+// its NULL bit; the first non-NULL cell whose kind differs from the
+// schema type boxes the whole column instead (typed slices, bitmap and
+// codes dropped), so the vectorized kernels reproduce the row
+// interpreter's semantics there. Given a sealer and a zone to fold into,
+// a string or date cell also gets its dictionary code, and every cell
+// is folded into the zone — a coded cell only at its value's first row,
+// as its repeats are the same string and change no bound or value set.
+func sealCol(rows [][]Value, ci int, col Column, s *sealer, zc *ZoneCol) ColVec {
+	n := len(rows)
 	cv := ColVec{Name: col.Name, Type: col.Type}
 	switch col.Type {
 	case TypeInt:
@@ -186,92 +205,64 @@ func extractCol(t *Table, ci int, col Column, start, n int) ColVec {
 	default:
 		cv.Strs = make([]string, n)
 	}
-	for i := 0; i < n; i++ {
-		v := t.Rows[start+i][ci]
-		if v.IsNull() {
+	if s != nil && cv.Strs != nil {
+		clear(s.codes)
+		cv.Codes = make([]uint8, n)
+	}
+	for i, r := range rows {
+		v := r[ci]
+		if cv.Boxed == nil && !v.IsNull() && v.Kind() != col.Type {
+			cv = ColVec{Name: col.Name, Type: col.Type, Boxed: make([]Value, n)}
+			for j, r := range rows[:i] {
+				cv.Boxed[j] = r[ci]
+			}
+		}
+		fold := zc != nil
+		switch {
+		case cv.Boxed != nil:
+			cv.Boxed[i] = v
+		case v.IsNull():
 			if cv.Nulls == nil {
 				cv.Nulls = NewBitmap(n)
 			}
 			cv.Nulls.Set(i)
-			continue
-		}
-		ok := false
-		switch col.Type {
-		case TypeInt:
-			if ok = v.Kind() == TypeInt; ok {
-				cv.Ints[i] = v.Int()
-			}
-		case TypeFloat:
-			if ok = v.Kind() == TypeFloat; ok {
-				cv.Floats[i] = v.Float()
-			}
-		case TypeBool:
-			if ok = v.Kind() == TypeBool; ok {
-				cv.Bools[i] = v.Bool()
-			}
-		case TypeDate:
-			if ok = v.Kind() == TypeDate; ok {
-				cv.Strs[i] = v.Str()
-			}
+		case col.Type == TypeInt:
+			cv.Ints[i] = v.Int()
+		case col.Type == TypeFloat:
+			cv.Floats[i] = v.Float()
+		case col.Type == TypeBool:
+			cv.Bools[i] = v.Bool()
 		default:
-			if ok = v.Kind() == TypeString; ok {
-				cv.Strs[i] = v.Str()
+			cv.Strs[i] = v.s
+			if cv.Codes != nil {
+				code, seen := s.codes[v.s]
+				if !seen {
+					code = uint8(len(s.codes))
+					s.codes[v.s] = code
+					s.first[code] = uint8(i)
+				}
+				cv.Codes[i], fold = code, !seen
 			}
 		}
-		if !ok {
-			// Kind anomaly: keep the column as exact Values so the
-			// vectorized kernels reproduce interpreter semantics.
-			return boxedCol(t, ci, col, start, n)
+		if fold {
+			zc.fold(v)
+		}
+	}
+	if cv.Codes != nil {
+		cv.Dict = make([]string, len(s.codes))
+		for code := range cv.Dict {
+			cv.Dict[code] = cv.Strs[s.first[code]]
 		}
 	}
 	return cv
-}
-
-func boxedCol(t *Table, ci int, col Column, start, n int) ColVec {
-	cv := ColVec{Name: col.Name, Type: col.Type, Boxed: make([]Value, n)}
-	for i := 0; i < n; i++ {
-		cv.Boxed[i] = t.Rows[start+i][ci]
-	}
-	return cv
-}
-
-// encodeDicts gives every unboxed string or date column of b its
-// dictionary (ColVec.Codes, Dict). seen is scratch shared by every
-// column and batch of one fragment walk, cleared per column, so the only
-// allocations are each column's Codes and Dict.
-func (b *Batch) encodeDicts(seen map[string]uint8) {
-	for ci := range b.Cols {
-		cv := &b.Cols[ci]
-		if cv.Strs == nil {
-			continue // not a string or date column, or Boxed
-		}
-		clear(seen)
-		cv.Codes = make([]uint8, b.Len)
-		for i, s := range cv.Strs {
-			if cv.Nulls.Get(i) {
-				continue
-			}
-			code, ok := seen[s]
-			if !ok {
-				code = uint8(len(seen))
-				seen[s] = code
-			}
-			cv.Codes[i] = code
-		}
-		cv.Dict = make([]string, len(seen))
-		for i, code := range cv.Codes {
-			if !cv.Nulls.Get(i) {
-				cv.Dict[code] = cv.Strs[i]
-			}
-		}
-	}
 }
 
 // Frags is the per-fragment columnar form of one table, aligned to the
-// same FragmentRows grid as the zone maps — both come from the same
-// walk (fragmentsFrom) — so zone-pruned row ranges map directly onto
-// batches. Like Zones, a Frags value is immutable once published:
-// appends extend into a fresh Frags that shares the sealed batches.
+// same FragmentRows grid as the zone maps — each batch and its zone map
+// come from the same walk (sealCol) — so zone-pruned row ranges map
+// directly onto batches. Like Zones, a Frags value is immutable once
+// published: appends extend into a fresh Frags that shares the sealed
+// batches.
 type Frags struct {
 	Table   string
 	Rows    int // rows covered

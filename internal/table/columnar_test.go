@@ -4,51 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 )
-
-// checkDicts asserts the per-batch dictionary contract on every batch of
-// a catalog's fragments: each unboxed string or date column carries one
-// code per row, Dict holds the distinct non-NULL values once each in
-// first-seen order, every non-NULL row's code names its own string and a
-// NULL row's code is 0; every other column carries neither.
-func checkDicts(t testing.TB, fr *Frags) {
-	t.Helper()
-	for bi, b := range fr.Batches {
-		for _, cv := range b.Cols {
-			if cv.Strs == nil {
-				if cv.Codes != nil || cv.Dict != nil {
-					t.Fatalf("batch %d column %s (%v, boxed %v) carries a dictionary", bi, cv.Name, cv.Type, cv.Boxed != nil)
-				}
-				continue
-			}
-			if len(cv.Codes) != b.Len {
-				t.Fatalf("batch %d column %s: %d codes for %d rows", bi, cv.Name, len(cv.Codes), b.Len)
-			}
-			var want []string
-			seen := map[string]bool{}
-			for i, s := range cv.Strs {
-				if cv.Nulls.Get(i) {
-					if cv.Codes[i] != 0 {
-						t.Fatalf("batch %d column %s row %d: NULL holds code %d", bi, cv.Name, i, cv.Codes[i])
-					}
-					continue
-				}
-				if !seen[s] {
-					seen[s] = true
-					want = append(want, s)
-				}
-				if int(cv.Codes[i]) >= len(cv.Dict) || cv.Dict[cv.Codes[i]] != s {
-					t.Fatalf("batch %d column %s row %d: code %d does not name %q", bi, cv.Name, i, cv.Codes[i], s)
-				}
-			}
-			if !slices.Equal(want, cv.Dict) {
-				t.Fatalf("batch %d column %s: Dict = %q, want the distinct values in first-seen order %q", bi, cv.Name, cv.Dict, want)
-			}
-		}
-	}
-}
 
 // TestDictCodesFitUint8 pins why a code is one byte: a batch holds at
 // most FragmentRows rows, so it never holds more distinct values than a
@@ -64,8 +21,8 @@ func TestDictCodesFitUint8(t *testing.T) {
 	}
 	c := NewCatalog()
 	c.Put(tb)
+	checkSealed(t, c, "wide", "wide")
 	fr := c.FragsOf("wide")
-	checkDicts(t, fr)
 	full := fr.Batches[0].Cols[0]
 	if len(full.Dict) != FragmentRows || full.Codes[FragmentRows-1] != FragmentRows-1 {
 		t.Errorf("a fragment of %d distinct values has %d dictionary entries, last code %d",
@@ -105,8 +62,8 @@ func TestDictShapes(t *testing.T) {
 	}
 	c := NewCatalog()
 	c.Put(tb)
+	checkSealed(t, c, "shapes", "shapes")
 	fr := c.FragsOf("shapes")
-	checkDicts(t, fr)
 	if none := fr.Batches[0].Cols[2]; none.Codes == nil || len(none.Dict) != 0 {
 		t.Errorf("all-NULL string column: codes %v, dict %q; want zero codes and an empty dictionary", none.Codes != nil, none.Dict)
 	}
@@ -168,5 +125,5 @@ func TestDictAppendTail(t *testing.T) {
 	if len(newTail.Dict) != 4 || newTail.Dict[3] != "Omega" {
 		t.Errorf("re-derived tail dictionary = %q, want the three products then Omega", newTail.Dict)
 	}
-	checkDicts(t, after)
+	checkSealed(t, c, "sales", "append")
 }

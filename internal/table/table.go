@@ -343,8 +343,8 @@ func (c *Catalog) derive(t *Table, from int) *entry {
 }
 
 // fragmentsFrom walks the FragmentRows grid of t once, from the
-// fragment holding row from, producing the zone map and the columnar
-// batch of each fragment, string and date columns dictionary-encoded.
+// fragment holding row from, and seals each fragment: one walk per
+// column (sealCol) builds its typed cells, dictionary and zone summary.
 // Fragments wholly below from are sealed — full and unchanged — and
 // shared with the previous z and f; the open tail is derived again with
 // the new rows. Zones and Frags are immutable once published, so the
@@ -355,12 +355,16 @@ func fragmentsFrom(z *Zones, f *Frags, t *Table, from int) (*Zones, *Frags) {
 	if sealed := from / FragmentRows; sealed > 0 {
 		nz.Maps, nf.Batches = z.Maps[:sealed:sealed], f.Batches[:sealed:sealed]
 	}
-	seen := make(map[string]uint8)
+	s := sealer{codes: make(map[string]uint8)}
 	for start := len(nz.Maps) * FragmentRows; start < len(t.Rows); start += FragmentRows {
 		end := min(start+FragmentRows, len(t.Rows))
-		nz.Maps = append(nz.Maps, buildZoneMap(t, start, end))
-		b := BatchRange(t, start, end)
-		b.encodeDicts(seen)
+		b := &Batch{Schema: t.Schema, Len: end - start, Cols: make([]ColVec, len(t.Schema))}
+		zm := ZoneMap{Start: start, End: end, Cols: make([]ZoneCol, len(t.Schema))}
+		for ci, col := range t.Schema {
+			zm.Cols[ci] = ZoneCol{Col: col.Name, Exact: true}
+			b.Cols[ci] = sealCol(t.Rows[start:end], ci, col, &s, &zm.Cols[ci])
+		}
+		nz.Maps = append(nz.Maps, zm)
 		nf.Batches = append(nf.Batches, b)
 	}
 	return nz, nf

@@ -45,42 +45,35 @@ type ZoneMap struct {
 	Cols       []ZoneCol // schema order
 }
 
-// Zones is the per-fragment zone-map set of one table, derived by the
-// catalog's one fragment walk (fragmentsFrom) at every registration.
-// Like TableStats, a Zones value is immutable once published: an append
-// produces a fresh Zones sharing the sealed fragments.
+// Zones is the per-fragment zone-map set of one table, folded cell by
+// cell in the walk that seals each fragment's batch (sealCol) at every
+// registration. Like TableStats, a Zones value is immutable once
+// published: an append produces a fresh Zones sharing the sealed
+// fragments.
 type Zones struct {
 	Table string
 	Rows  int // rows covered
 	Maps  []ZoneMap
 }
 
-func buildZoneMap(t *Table, start, end int) ZoneMap {
-	zm := ZoneMap{Start: start, End: end, Cols: make([]ZoneCol, len(t.Schema))}
-	for ci, col := range t.Schema {
-		zc := ZoneCol{Col: col.Name, Exact: true}
-		for ri := start; ri < end; ri++ {
-			v := t.Rows[ri][ci]
-			if v.IsNull() {
-				zc.Nulls++
-				continue
-			}
-			if zc.Min.IsNull() || Compare(v, zc.Min) < 0 {
-				zc.Min = v
-			}
-			if zc.Max.IsNull() || Compare(v, zc.Max) > 0 {
-				zc.Max = v
-			}
-			if zc.Exact {
-				zc.Vals, zc.Exact = zoneInsert(zc.Vals, v)
-			}
-		}
-		if !zc.Exact {
-			zc.Vals = nil
-		}
-		zm.Cols[ci] = zc
+// fold adds cell v to the summary: a NULL is counted; otherwise Min
+// and Max keep the first of Compare-equal values, and Vals stays the
+// exact ascending set until it would exceed ZoneMaxVals.
+func (zc *ZoneCol) fold(v Value) {
+	switch {
+	case v.IsNull():
+		zc.Nulls++
+		return
+	case zc.Min.IsNull():
+		zc.Min, zc.Max = v, v
+	case Compare(v, zc.Min) < 0:
+		zc.Min = v
+	case Compare(v, zc.Max) > 0:
+		zc.Max = v
 	}
-	return zm
+	if zc.Exact {
+		zc.Vals, zc.Exact = zoneInsert(zc.Vals, v)
+	}
 }
 
 // zoneInsert adds v to the ascending distinct set, reporting overflow
