@@ -1337,20 +1337,7 @@ func factsCSV(n int) string {
 // internal/index — which is where the allocations it reports are made.
 func BenchmarkBuildFacts(b *testing.B) {
 	c := workload.ECommerce(workload.DefaultECommerceOptions())
-	type csv struct{ name, data string }
-	csvs := []csv{{"facts", factsCSV(65536)}}
-	native := c.NativeCatalog()
-	for _, name := range native.Names() {
-		t, err := native.Get(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := t.WriteCSV(&buf); err != nil {
-			b.Fatal(err)
-		}
-		csvs = append(csvs, csv{name, buf.String()})
-	}
+	csvs := analyticCSVs(b, c)
 	var docs []store.Record
 	for _, s := range c.Sources.Sources() {
 		if s.Kind() == store.KindText {
@@ -1384,6 +1371,76 @@ func BenchmarkBuildFacts(b *testing.B) {
 	b.StopTimer()
 	if rows < 65536 {
 		b.Fatalf("index holds %d row vertices, want the facts table's 65536 and more", rows)
+	}
+}
+
+// namedCSV is one table for AddCSV.
+type namedCSV struct{ name, data string }
+
+// analyticCSVs is sql_analytic's tables as CSV: the 65 536-row facts
+// table, then the native tables of the e-commerce corpus c.
+func analyticCSVs(tb testing.TB, c *workload.Corpus) []namedCSV {
+	tb.Helper()
+	csvs := []namedCSV{{"facts", factsCSV(65536)}}
+	native := c.NativeCatalog()
+	for _, name := range native.Names() {
+		t, err := native.Get(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := t.WriteCSV(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		csvs = append(csvs, namedCSV{name, buf.String()})
+	}
+	return csvs
+}
+
+// BenchmarkQueryAnalyticMix times each statement shape of the
+// repository benchmark's sql_analytic mix through System.Query, one
+// sub-benchmark per statement, over the 65 536-row facts table loaded by
+// AddCSV beside the e-commerce corpus's native tables. The system is
+// built once; the first run of each statement fills the plan cache, as
+// a pass of the workload does. A statement's share of a pass is its
+// ns/op over the sum of all twelve.
+func BenchmarkQueryAnalyticMix(b *testing.B) {
+	sys := New()
+	for _, t := range analyticCSVs(b, workload.ECommerce(workload.DefaultECommerceOptions())) {
+		if err := sys.AddCSV(t.name, strings.NewReader(t.data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sys.Build(); err != nil {
+		b.Fatal(err)
+	}
+	const join = "FROM sales JOIN products ON sales.product = products.product"
+	for _, st := range []struct{ name, sql string }{
+		{"eq_sum", "SELECT SUM(revenue) AS result FROM facts WHERE sku = 'SKU-0421'"},
+		{"range_sum", "SELECT SUM(units) AS result FROM facts WHERE sku >= 'SKU-0300' AND sku <= 'SKU-0310'"},
+		{"eq_count", "SELECT COUNT(*) AS n FROM facts WHERE sku = 'SKU-0777' AND units > 50"},
+		{"join_filter", "SELECT products.manufacturer, sales.revenue " + join + " WHERE quarter = 'Q4'"},
+		{"count_units", "SELECT COUNT(*) AS n FROM facts WHERE units > 90"},
+		{"group_sku", "SELECT sku, SUM(units) AS result FROM facts GROUP BY sku"},
+		{"distinct_region", "SELECT DISTINCT region FROM facts"},
+		{"join_group", "SELECT manufacturer, SUM(revenue) AS result " + join + " GROUP BY manufacturer"},
+		{"filtered_group_region", "SELECT region, SUM(revenue) AS result FROM facts WHERE units > 10 GROUP BY region"},
+		{"topk", "SELECT sku, revenue FROM facts ORDER BY revenue DESC LIMIT 100"},
+		{"filtered_topk", "SELECT region, sku, units FROM facts WHERE units > 95 ORDER BY region, units DESC LIMIT 200"},
+		{"rows_slice", "SELECT SUM(units) AS result FROM facts ROWS 20000 TO 28000 WHERE region = 'east'"},
+	} {
+		b.Run(st.name, func(b *testing.B) {
+			if res, err := sys.Query(st.sql); err != nil || len(res.Rows) == 0 {
+				b.Fatalf("%s: %d rows, error %v", st.sql, len(res.Rows), err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Query(st.sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -44,16 +44,24 @@ import (
 // winners. A Sort without a Limit is the same kernel keeping every row:
 // one sort of the locators by (keys, input order), which is table.Sort's
 // stable order, ties included. Distinct is a selection-vector kernel
-// keyed by the row's group-key encoding, first occurrence kept. When the
-// one group or distinct column of a catalog fragment carries dictionary
-// codes, a per-batch memo indexed by code (table.CodeMemo) sits in front
-// of that one key map, so a key is encoded and hashed once per value per
-// batch instead of once per row; the map stays the only source of group
-// identity and output order. Compare reuses the filter and aggregate
-// kernels, running each CompareBranches arm over the child stream and
-// appending per-item results in branch order. Every operator of the IR
-// has a columnar form; the federated executor records its plan-time
-// dispatch decision in EXPLAIN as "exec: vectorized|row".
+// keyed by the row's group-key encoding, first occurrence kept.
+//
+// The filter, the group-by fold (table.AggAcc.FoldBatch) and distinct
+// make no call per row on their typed paths: each is a loop over a
+// column's typed array, a dense one for a whole batch and a sparse one
+// reading the selection vector inline. A filter's survivors are
+// compacted in place in one batch-sized scratch array and leave it at
+// their own length. When the one group or distinct column of a catalog
+// fragment carries dictionary codes, an array indexed by code, local to
+// the batch's loop, sits in front of that one key map, so a key is
+// encoded and hashed once per value per batch instead of once per row;
+// the map stays the only source of group identity and output order.
+//
+// Compare reuses the filter and aggregate kernels, running each
+// CompareBranches arm over the child stream and appending per-item
+// results in branch order. Every operator of the IR has a columnar
+// form; the federated executor records its plan-time dispatch decision
+// in EXPLAIN as "exec: vectorized|row".
 
 // VecEnv supplies the vectorized executor's environment: how leaves
 // resolve to their input, and the morsel parallelism budget.
@@ -413,11 +421,18 @@ type vecPred struct {
 	ci     int     // base column index; -1 = unresolved
 	holds  [3]bool // p.Op.Holds of Compare's outcomes -1, 0, 1
 	opErr  error   // p.Op.Err: raised once a non-NULL cell reaches p
-	f64    float64
+	num    float64 // numeric literal, a NaN lowered to +Inf (numHolds)
 	str    string
-	b      bool
 	needle string // lowered CONTAINS needle
 	null   bool   // NULL literal: matches nothing
+	// numHolds is the verdict for a numeric cell below num, equal to
+	// it, and above it or NaN: holds, except for a NaN literal.
+	// CompareFloat puts NaN above every number and level with itself,
+	// so against a NaN literal a number — +Inf too — is below and a NaN
+	// cell equal; num = +Inf with verdicts (holds[0], holds[0],
+	// holds[1]) says that.
+	numHolds [3]bool
+	bools    [2]bool // the verdict for a false and a true cell
 }
 
 func compilePreds(s *vstream, preds []table.Pred) []vecPred {
@@ -432,11 +447,15 @@ func compilePreds(s *vstream, preds []table.Pred) []vecPred {
 		case p.Op == table.OpContains:
 			cp.needle = strings.ToLower(p.Val.String())
 		case p.Val.IsNumeric():
-			cp.f64 = p.Val.Float()
+			cp.num, cp.numHolds = p.Val.Float(), cp.holds
+			if math.IsNaN(cp.num) {
+				cp.num, cp.numHolds = math.Inf(1), [3]bool{cp.holds[0], cp.holds[0], cp.holds[1]}
+			}
 		case p.Val.Kind() == table.TypeString || p.Val.Kind() == table.TypeDate:
 			cp.str = p.Val.Str()
 		case p.Val.Kind() == table.TypeBool:
-			cp.b = p.Val.Bool()
+			lit := p.Val.Bool()
+			cp.bools = [2]bool{cp.holds[cmpBool(false, lit)+1], cp.holds[cmpBool(true, lit)+1]}
 		}
 		out[i] = cp
 	}
@@ -473,17 +492,25 @@ func (v *vecRun) filter(s *vstream, preds []table.Pred) (*vstream, error) {
 // filterBatch applies the predicate conjunction to one batch,
 // pipelining each predicate over the survivors of the previous one —
 // the same short-circuit shape (and therefore the same lazy error
-// semantics) as the row interpreter. An empty conjunction returns the
-// incoming selection unchanged (nil stays "whole batch").
+// semantics) as the row interpreter. The survivors live in one
+// batch-sized scratch array, each predicate compacting them in place,
+// and leave it once, at their own length (keptSel). An empty
+// conjunction returns the incoming selection unchanged (nil stays
+// "whole batch").
 func filterBatch(b *table.Batch, in []int32, cps []vecPred) ([]int32, error) {
+	if len(cps) == 0 {
+		return in, nil
+	}
+	if b.Len == 0 {
+		return []int32{}, nil
+	}
+	var buf [table.FragmentRows]int32 // a batch's rows, so appends stay in it
+	scratch := buf[:0]
 	cand := in
 	for pi := range cps {
 		cp := &cps[pi]
 		if cand != nil && len(cand) == 0 {
-			return cand, nil // no row reaches the remaining predicates
-		}
-		if b.Len == 0 {
-			return []int32{}, nil
+			return []int32{}, nil // no row reaches the remaining predicates
 		}
 		if cp.ci < 0 {
 			return nil, fmt.Errorf("%w: %s", table.ErrNoColumn, cp.p.Col)
@@ -494,85 +521,206 @@ func filterBatch(b *table.Batch, in []int32, cps []vecPred) ([]int32, error) {
 		if cp.opErr != nil {
 			// The operator holds for no row, and fails the filter once
 			// a non-NULL cell reaches it.
-			col, reached := &b.Cols[cp.ci], false
-			table.ForSel(b.Len, cand, func(ri int) { reached = reached || !col.ValueAt(ri).IsNull() })
-			if reached {
-				return nil, cp.opErr
+			col := &b.Cols[cp.ci]
+			for j := range selLen(cand, b.Len) {
+				if !col.ValueAt(selRow(cand, j)).IsNull() {
+					return nil, cp.opErr
+				}
 			}
 			return []int32{}, nil
 		}
-		cand = evalPred(b, cand, cp)
+		cand = evalPred(b, cand, cp, scratch)
 	}
-	return cand, nil
+	return keptSel(cand, in, b.Len), nil
 }
 
-// evalPred evaluates one predicate over the candidate rows of a batch
-// (nil = all rows), returning the passing indices in row order. The
-// typed paths read the operator's verdict from cp.holds.
-func evalPred(b *table.Batch, cand []int32, cp *vecPred) []int32 {
-	col := &b.Cols[cp.ci]
-	n := len(cand)
-	if cand == nil {
-		n = b.Len
+// selLen is the number of rows sel selects of an n-row batch (nil: all).
+func selLen(sel []int32, n int) int {
+	if sel == nil {
+		return n
 	}
-	out := make([]int32, 0, n)
-	each := func(fn func(ri int) bool) {
-		if cand == nil {
-			for ri := 0; ri < b.Len; ri++ {
-				if fn(ri) {
-					out = append(out, int32(ri))
-				}
-			}
-			return
-		}
-		for _, ri := range cand {
-			if fn(int(ri)) {
-				out = append(out, ri)
-			}
-		}
-	}
-	generic := func() {
-		each(func(ri int) bool { return cp.p.Match(col.ValueAt(ri)) })
-	}
+	return len(sel)
+}
 
+// selRow is the j-th row sel selects (nil: all).
+func selRow(sel []int32, j int) int {
+	if sel == nil {
+		return j
+	}
+	return int(sel[j])
+}
+
+// keptSel is the selection a filter over in (nil: all n rows of the
+// batch) keeps when sel survives: in itself when every row survived,
+// else a copy of sel at its own length. A published selection is never
+// written again, so sharing in is safe.
+func keptSel(sel, in []int32, n int) []int32 {
+	if len(sel) == selLen(in, n) {
+		return in
+	}
+	out := make([]int32, len(sel))
+	copy(out, sel)
+	return out
+}
+
+// evalPred appends to dst the rows of a batch that cand selects (nil:
+// all) and that pass one predicate, in row order. dst may share cand's
+// array: each survivor is written at or before its own position. The
+// typed paths are loops over the column's array with the verdict
+// inline, a dense one for a whole batch and a sparse one reading cand;
+// they read the operator's verdict from cp.holds (or its pre-lowered
+// forms) and skip NULL rows after the loop (dropNulls), as a NULL's
+// typed slot holds a zero. Boxed columns and the literal kinds no typed
+// path takes go through Pred.Match, one cell at a time.
+func evalPred(b *table.Batch, cand []int32, cp *vecPred, dst []int32) []int32 {
+	col := &b.Cols[cp.ci]
+	n := b.Len
 	op, kind := cp.p.Op, cp.p.Val.Kind()
+	str := kind == table.TypeString || kind == table.TypeDate
 	switch {
 	case col.Boxed != nil:
-		generic()
 	case op == table.OpContains:
-		if col.Strs == nil {
-			generic()
-			break
+		if col.Strs != nil {
+			return dropNulls(selectContains(dst, cand, col.Strs[:n], cp.needle), col.Nulls)
 		}
-		each(func(ri int) bool { return !col.Nulls.Get(ri) && containsFold(col.Strs[ri], cp.needle) })
 	case col.Ints != nil && cp.p.Val.IsNumeric():
 		// Int cells compare through float64, exactly like Compare.
-		each(func(ri int) bool {
-			return !col.Nulls.Get(ri) && cp.holds[table.CompareFloat(float64(col.Ints[ri]), cp.f64)+1]
-		})
+		return dropNulls(selectNums(dst, cand, col.Ints[:n], cp.num, cp.numHolds), col.Nulls)
 	case col.Floats != nil && cp.p.Val.IsNumeric():
-		each(func(ri int) bool {
-			return !col.Nulls.Get(ri) && cp.holds[table.CompareFloat(col.Floats[ri], cp.f64)+1]
-		})
-	case op == table.OpEq && col.Codes != nil && (kind == table.TypeString || kind == table.TypeDate):
+		return dropNulls(selectNums(dst, cand, col.Floats[:n], cp.num, cp.numHolds), col.Nulls)
+	case op == table.OpEq && col.Codes != nil && str:
 		// Dictionary probe: Strs[ri] == Dict[Codes[ri]], so the rows
 		// equal to the literal are those holding its code, and a literal
 		// missing from Dict matches none. A NULL row holds code 0.
-		if code := slices.Index(col.Dict, cp.str); code >= 0 {
-			c := uint8(code)
-			each(func(ri int) bool { return col.Codes[ri] == c && !col.Nulls.Get(ri) })
+		code := slices.Index(col.Dict, cp.str)
+		if code < 0 {
+			return dst
 		}
-	case col.Strs != nil && (kind == table.TypeString || kind == table.TypeDate):
+		return dropNulls(selectEq(dst, cand, col.Codes[:n], uint8(code)), col.Nulls)
+	case col.Strs != nil && str:
 		// String and date cells are one class and compare by text.
-		each(func(ri int) bool {
-			return !col.Nulls.Get(ri) && cp.holds[strings.Compare(col.Strs[ri], cp.str)+1]
-		})
-	case col.Bools != nil && kind == table.TypeBool:
-		each(func(ri int) bool {
-			return !col.Nulls.Get(ri) && cp.holds[cmpBool(col.Bools[ri], cp.b)+1]
-		})
-	default:
-		generic()
+		return dropNulls(selectStrs(dst, cand, col.Strs[:n], cp.str, cp.holds), col.Nulls)
+	case col.Bools != nil && kind == table.TypeBool && cp.bools[0] != cp.bools[1]:
+		// The operator holds for one of the two values: the rows holding
+		// it. (One that holds for both or neither is rare enough for
+		// Pred.Match.)
+		return dropNulls(selectEq(dst, cand, col.Bools[:n], cp.bools[1]), col.Nulls)
+	}
+	if cand == nil {
+		for ri := range n {
+			if cp.p.Match(col.ValueAt(ri)) {
+				dst = append(dst, int32(ri))
+			}
+		}
+		return dst
+	}
+	for _, ri := range cand {
+		if cp.p.Match(col.ValueAt(int(ri))) {
+			dst = append(dst, ri)
+		}
+	}
+	return dst
+}
+
+// selectNums appends the rows whose cell of vals, through float64, is
+// below, equal to or above lit (a NaN cell: above) and whose verdict in
+// holds is true.
+func selectNums[T int64 | float64](dst, cand []int32, vals []T, lit float64, holds [3]bool) []int32 {
+	lt, eq, gt := holds[0], holds[1], holds[2]
+	if cand == nil {
+		for ri, v := range vals {
+			x, ok := float64(v), gt
+			if x < lit {
+				ok = lt
+			} else if x == lit {
+				ok = eq
+			}
+			if ok {
+				dst = append(dst, int32(ri))
+			}
+		}
+		return dst
+	}
+	for _, ri := range cand {
+		x, ok := float64(vals[ri]), gt
+		if x < lit {
+			ok = lt
+		} else if x == lit {
+			ok = eq
+		}
+		if ok {
+			dst = append(dst, ri)
+		}
+	}
+	return dst
+}
+
+// selectEq appends the rows whose cell of vals is want.
+func selectEq[T uint8 | bool](dst, cand []int32, vals []T, want T) []int32 {
+	if cand == nil {
+		for ri, v := range vals {
+			if v == want {
+				dst = append(dst, int32(ri))
+			}
+		}
+		return dst
+	}
+	for _, ri := range cand {
+		if vals[ri] == want {
+			dst = append(dst, ri)
+		}
+	}
+	return dst
+}
+
+// selectStrs appends the rows whose cell of vals, against lit, has a
+// true verdict in holds.
+func selectStrs(dst, cand []int32, vals []string, lit string, holds [3]bool) []int32 {
+	if cand == nil {
+		for ri, s := range vals {
+			if holds[strings.Compare(s, lit)+1] {
+				dst = append(dst, int32(ri))
+			}
+		}
+		return dst
+	}
+	for _, ri := range cand {
+		if holds[strings.Compare(vals[ri], lit)+1] {
+			dst = append(dst, ri)
+		}
+	}
+	return dst
+}
+
+// selectContains appends the rows whose cell of vals contains the
+// lowered needle, case-insensitively.
+func selectContains(dst, cand []int32, vals []string, needle string) []int32 {
+	if cand == nil {
+		for ri, s := range vals {
+			if containsFold(s, needle) {
+				dst = append(dst, int32(ri))
+			}
+		}
+		return dst
+	}
+	for _, ri := range cand {
+		if containsFold(vals[ri], needle) {
+			dst = append(dst, ri)
+		}
+	}
+	return dst
+}
+
+// dropNulls removes the rows nulls marks from sel, in place.
+func dropNulls(sel []int32, nulls table.Bitmap) []int32 {
+	if nulls == nil {
+		return sel
+	}
+	out := sel[:0]
+	for _, ri := range sel {
+		if !nulls.Get(int(ri)) {
+			out = append(out, ri)
+		}
 	}
 	return out
 }
@@ -1055,41 +1203,102 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg) (*tab
 // selected row of every distinct key — the table.AppendKey bytes of the
 // stream's (mapped) columns, exactly table.Distinct's row key — as a
 // refined selection, copying no row. A single column carrying
-// dictionary codes has a table.CodeMemo in front of the key map: only a
-// code's first row in a batch is looked up, its later rows are
-// duplicates.
+// dictionary codes runs as a typed loop with an array indexed by code
+// local to the batch in front of the key map: only a code's first row
+// in a batch is looked up, its later rows are duplicates.
 func (v *vecRun) distinctStream(s *vstream) *vstream {
 	bs := v.batches(s)
-	seen := make(map[string]struct{})
-	kb := make([]byte, 0, 64)
+	d := distinct{s: s, seen: make(map[string]struct{}), kb: make([]byte, 0, 64)}
 	nsels := make([][]int32, len(bs))
-	var memo table.CodeMemo[bool] // a code's row already reached the map
 	for bi, b := range bs {
-		keep := []int32{}
-		coded := len(s.schema) == 1 && memo.Reset(&b.Cols[s.baseCol(0)])
-		table.ForSel(b.Len, s.sel(bi), func(ri int) {
-			if coded {
-				slot := memo.Slot(ri)
-				if *slot {
-					return
+		var buf [table.FragmentRows]int32 // a batch's rows, so appends stay in it
+		keep := buf[:0]
+		sel := s.sel(bi)
+		if len(s.schema) == 1 && b.Cols[s.baseCol(0)].Codes != nil {
+			keep = d.coded(keep, b, &b.Cols[s.baseCol(0)], sel)
+		} else {
+			for j := range selLen(sel, b.Len) {
+				if ri := selRow(sel, j); d.first(b, ri) {
+					keep = append(keep, int32(ri))
 				}
-				*slot = true
 			}
-			kb = kb[:0]
-			for i := range s.schema {
-				kb = b.Cols[s.baseCol(i)].AppendKey(kb, ri)
-			}
-			if _, dup := seen[string(kb)]; !dup {
-				seen[string(kb)] = struct{}{}
-				keep = append(keep, int32(ri))
-			}
-		})
-		nsels[bi] = keep
+		}
+		nsels[bi] = append(make([]int32, 0, len(keep)), keep...)
 	}
 	return &vstream{
 		name: s.name, schema: s.schema, base: s.base,
 		fr: s.fr, cols: s.cols, bs: bs, sels: nsels,
 	}
+}
+
+// distinct is distinctStream's key map over one stream.
+type distinct struct {
+	s    *vstream
+	seen map[string]struct{}
+	kb   []byte
+}
+
+// first reports whether row ri of b holds a key no earlier row held,
+// and records it.
+func (d *distinct) first(b *table.Batch, ri int) bool {
+	d.kb = d.kb[:0]
+	for i := range d.s.schema {
+		d.kb = b.Cols[d.s.baseCol(i)].AppendKey(d.kb, ri)
+	}
+	if _, dup := d.seen[string(d.kb)]; dup {
+		return false
+	}
+	d.seen[string(d.kb)] = struct{}{}
+	return true
+}
+
+// coded appends to keep the rows of b that sel selects (nil: all) whose
+// key, the one column col carrying dictionary codes, no earlier row
+// held: a code's later rows in the batch are skipped unread, and once
+// every code of the batch (and NULL, when it holds one) has reached the
+// key map, so are all its remaining rows.
+func (d *distinct) coded(keep []int32, b *table.Batch, col *table.ColVec, sel []int32) []int32 {
+	var met [table.FragmentRows + 1]bool // a code's row already reached the map; NULL's last
+	left := len(col.Dict)                // codes, and NULL, no row has reached the map with yet
+	if col.Nulls != nil {
+		left++
+	}
+	if sel == nil {
+		for ri, c := range col.Codes[:b.Len] {
+			k := int(c)
+			if col.Nulls.Get(ri) {
+				k = table.FragmentRows
+			}
+			if met[k] {
+				continue
+			}
+			met[k] = true
+			if d.first(b, ri) {
+				keep = append(keep, int32(ri))
+			}
+			if left--; left == 0 {
+				break
+			}
+		}
+		return keep
+	}
+	for _, ri := range sel {
+		k := int(col.Codes[ri])
+		if col.Nulls.Get(int(ri)) {
+			k = table.FragmentRows
+		}
+		if met[k] {
+			continue
+		}
+		met[k] = true
+		if d.first(b, int(ri)) {
+			keep = append(keep, ri)
+		}
+		if left--; left == 0 {
+			break
+		}
+	}
+	return keep
 }
 
 // ---- fragment entry (backend scans) ----

@@ -452,7 +452,7 @@ func withPending(n *logical.Node, pending []string) *logical.Node {
 	return &out
 }
 
-// TestVecCodedParity pins the group-by and distinct code memo and the
+// TestVecCodedParity pins the group-by and distinct code arrays and the
 // equality dictionary probe to the paths without them: every shape below
 // runs over coded fragments and over uncoded batches against the
 // reference evaluator, before and after an Append into the open tail.

@@ -1,0 +1,237 @@
+package logical_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/logical"
+	"repro/internal/logical/refeval"
+	"repro/internal/table"
+)
+
+// kernelCatalog holds "kern": three sealed fragments and an open tail,
+// built for the vectorized filter, group-by and distinct loops. The
+// fragments alternate between columns without a NULL (a nil bitmap)
+// and columns with NULLs (fragments 1 and 3, from their 40th row on,
+// after every other g value). g is a coded group key with a NULL key in
+// those fragments and a value, "late", first seen in fragment 3, after
+// a NULL key. i holds ints past 2^53 on both sides of
+// float rounding points; f holds NaN, −0, +0 and ±Inf; v holds finite
+// floats whose sums round differently in another order. x mixes ints
+// and floats, so every batch boxes it; m has no NULLs and feeds the
+// pre-predicate that makes the next predicate's and the aggregate's
+// input sparse.
+func kernelCatalog() *table.Catalog {
+	const p53 = int64(1) << 53
+	ints := []int64{p53 + 1, 3, -(p53 + 1), p53, 0, p53 + 2, -7, p53 - 1, 1 << 62, 42}
+	floats := []float64{1e17, 1, -1e17, 0.1, math.NaN(), math.Copysign(0, -1), 0, 0.3, math.Inf(1), 2.5,
+		-0.7, math.Inf(-1), 1e-3, 3, 9007199254740993}
+	finite := []float64{1e16, 1, -1e16, 0.5, 3, 1e-3, 7e15, 2.5, -0.25, 1}
+	kern := table.New("kern", table.Schema{
+		{Name: "g", Type: table.TypeString},
+		{Name: "i", Type: table.TypeInt},
+		{Name: "f", Type: table.TypeFloat},
+		{Name: "b", Type: table.TypeBool},
+		{Name: "s", Type: table.TypeString},
+		{Name: "x", Type: table.TypeFloat},
+		{Name: "m", Type: table.TypeInt},
+		{Name: "v", Type: table.TypeFloat},
+	})
+	for r := 0; r < 3*table.FragmentRows+100; r++ {
+		frag := r / table.FragmentRows
+		g := table.S(fmt.Sprintf("g%d", r%5))
+		if frag == 3 && r%table.FragmentRows > 40 && r%6 == 1 {
+			g = table.S("late")
+		}
+		row := []table.Value{
+			g,
+			table.I(ints[r%len(ints)]),
+			table.F(floats[r%len(floats)]),
+			table.B(r%3 == 0),
+			table.S(fmt.Sprintf("s%02d", r%37)),
+			table.F(float64(r%9) * 0.5),
+			table.I(int64(r * 7 % 10)),
+			table.F(finite[r%len(finite)]),
+		}
+		if frag%2 == 1 && r%table.FragmentRows >= 40 {
+			for ci := 0; ci < 5; ci++ {
+				if r%(4+ci) == 0 {
+					row[ci] = table.Null(kern.Schema[ci].Type)
+				}
+			}
+			if r%3 == 0 {
+				row[7] = table.Null(table.TypeFloat)
+			}
+		}
+		kern.MustAppend(row)
+		if r%2 == 0 {
+			row[5] = table.I(int64(r % 9)) // an int among floats boxes the column
+		}
+	}
+	c := table.NewCatalog()
+	c.Put(kern)
+	return c
+}
+
+// assertKernels holds the vectorized executor to the reference
+// evaluator on root: over the catalog's fragments (string columns
+// coded) and over batches extracted on the fly (no codes), at one and
+// four workers. Cells compare by kind, nullness and — for floats — by
+// their bits, so a sum whose additions were reordered, or a −0 that
+// became +0, fails. A NaN matches any NaN: IEEE 754 leaves open which
+// operand's payload a sum of two NaNs carries, and Compare, the keys
+// and the rendering treat every NaN alike.
+func assertKernels(t *testing.T, c *table.Catalog, root *logical.Node) {
+	t.Helper()
+	want, wantErr := refeval.Eval(root, c)
+	for _, way := range []struct {
+		name string
+		fr   *table.Frags
+	}{{"coded", c.FragsOf("kern")}, {"uncoded", nil}} {
+		for _, workers := range []int{1, 4} {
+			got, err := logical.RunVec(root, logical.VecEnv{Workers: workers,
+				Leaf: func(*logical.Node) (logical.VecLeaf, error) {
+					tb, err := c.Get("kern")
+					return logical.VecLeaf{Table: tb, Frags: way.fr}, err
+				}})
+			label := fmt.Sprintf("%s, workers=%d", way.name, workers)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s: error %v, the reference's %v", label, err, wantErr)
+			}
+			if err == nil {
+				if diff := cellsDiffer(got, want); diff != "" {
+					t.Fatalf("%s: %s\ngot:\n%s\nwant:\n%s", label, diff, refeval.Render(got), refeval.Render(want))
+				}
+			}
+		}
+	}
+}
+
+// cellsDiffer describes the first difference between two tables' column
+// names, row counts and cells (floats by bits), or returns "".
+func cellsDiffer(got, want *table.Table) string {
+	if g, w := fmt.Sprint(got.Schema.Names()), fmt.Sprint(want.Schema.Names()); g != w {
+		return fmt.Sprintf("columns %s, want %s", g, w)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		return fmt.Sprintf("%d rows, want %d", len(got.Rows), len(want.Rows))
+	}
+	for r := range want.Rows {
+		for ci, w := range want.Rows[r] {
+			g := got.Rows[r][ci]
+			same := g.Kind() == w.Kind() && g.IsNull() == w.IsNull() && g.String() == w.String()
+			if same && w.Kind() == table.TypeFloat && !w.IsNull() && !math.IsNaN(w.Float()) {
+				same = math.Float64bits(g.Float()) == math.Float64bits(w.Float())
+			}
+			if !same {
+				return fmt.Sprintf("row %d column %d: %v, want %v", r, ci, g, w)
+			}
+		}
+	}
+	return ""
+}
+
+// TestTypedKernelsMatchReference holds each typed loop of the
+// vectorized executor — the filter's int, float, coded-equality,
+// string, bool and CONTAINS paths beside the boxed fallback, the
+// group-by fold of a global group and of one coded column beside the
+// row-by-row fold, and the coded distinct beside the keyed one — to the
+// reference evaluator, each over a whole batch (no selection) and over
+// a sparse selection left by an earlier predicate.
+func TestTypedKernelsMatchReference(t *testing.T) {
+	c := kernelCatalog()
+	frags := c.FragsOf("kern").Batches
+	for ci, name := range []string{"g", "s"} {
+		if frags[0].Cols[ci*4].Codes == nil {
+			t.Fatalf("column %s of a sealed fragment carries no codes", name)
+		}
+	}
+	if frags[0].Cols[1].Nulls != nil || frags[1].Cols[1].Nulls == nil {
+		t.Fatal("fragment 0 must hold no NULL and fragment 1 some")
+	}
+	if frags[0].Cols[5].Boxed == nil {
+		t.Fatal("the mixed column is not boxed")
+	}
+	sparse := table.Pred{Col: "m", Op: table.OpLt, Val: table.I(7)}
+	// inputs are a predicate's or an aggregate's two inputs: the whole
+	// scan, and the rows the pre-predicate keeps.
+	type input struct {
+		way  string
+		root *logical.Node
+	}
+	inputs := func(preds ...table.Pred) []input {
+		return []input{
+			{"dense", filterOrScan(preds...)},
+			{"sparse", filterOrScan(append([]table.Pred{sparse}, preds...)...)},
+		}
+	}
+
+	const p53 = float64(1 << 53)
+	ops := []table.CmpOp{table.OpEq, table.OpNe, table.OpLt, table.OpLe, table.OpGt, table.OpGe}
+	lits := []struct {
+		col  string
+		vals []table.Value
+	}{
+		{"i", []table.Value{table.F(p53), table.F(p53 + 2), table.F(math.Nextafter(p53, 0)), table.I(1<<53 + 1),
+			table.F(math.NaN()), table.F(math.Copysign(0, -1)), table.I(0), table.F(math.Inf(1))}},
+		{"f", []table.Value{table.F(math.NaN()), table.F(math.Copysign(0, -1)), table.F(0), table.F(math.Inf(1)),
+			table.F(math.Inf(-1)), table.F(0.3), table.I(3), table.F(p53)}},
+		{"g", []table.Value{table.S("g1"), table.S("late"), table.S("absent"), table.D("g2"), table.I(1)}},
+		{"s", []table.Value{table.S("s17"), table.D("s05"), table.S("")}},
+		{"b", []table.Value{table.B(true), table.B(false)}},
+		{"x", []table.Value{table.F(2), table.I(3), table.F(math.NaN())}},
+	}
+	var preds []table.Pred
+	for _, l := range lits {
+		for _, v := range l.vals {
+			for _, op := range ops {
+				preds = append(preds, table.Pred{Col: l.col, Op: op, Val: v})
+			}
+		}
+	}
+	preds = append(preds,
+		table.Pred{Col: "s", Op: table.OpContains, Val: table.S("S1")},
+		table.Pred{Col: "g", Op: table.OpContains, Val: table.S("AT")},
+		table.Pred{Col: "i", Op: table.OpGt, Val: table.Null(table.TypeInt)})
+	for _, p := range preds {
+		for _, in := range inputs(p) {
+			t.Run(fmt.Sprintf("filter/%s/%s", in.way, p), func(t *testing.T) { assertKernels(t, c, in.root) })
+		}
+	}
+
+	aggs := []table.Agg{
+		{Func: table.AggSum, Col: "f"}, {Func: table.AggAvg, Col: "f"}, {Func: table.AggSum, Col: "i"},
+		{Func: table.AggAvg, Col: "i"}, {Func: table.AggCount}, {Func: table.AggCount, Col: "f"},
+		{Func: table.AggCount, Col: "s"}, {Func: table.AggMin, Col: "f"}, {Func: table.AggMax, Col: "i"},
+		{Func: table.AggSum, Col: "x"}, {Func: table.AggCountMerge, Col: "i"},
+		{Func: table.AggSum, Col: "v"}, {Func: table.AggAvg, Col: "v"},
+	}
+	for _, group := range [][]string{nil, {"g"}, {"s"}, {"x"}, {"i"}, {"g", "b"}} {
+		for _, in := range inputs() {
+			root := &logical.Node{Op: logical.OpAggregate, GroupBy: group, Aggs: aggs, In: []*logical.Node{in.root}}
+			t.Run(fmt.Sprintf("aggregate/%s/%v", in.way, group), func(t *testing.T) { assertKernels(t, c, root) })
+		}
+	}
+	for _, cols := range [][]string{{"g"}, {"s"}, {"x"}, {"b"}, {"g", "b"}} {
+		for _, in := range inputs() {
+			root := &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{{Op: logical.OpProject, Proj: cols, In: []*logical.Node{in.root}}}}
+			t.Run(fmt.Sprintf("distinct/%s/%v", in.way, cols), func(t *testing.T) { assertKernels(t, c, root) })
+		}
+	}
+	// A ROWS range's selection is shared: the comparison's two branches
+	// filter the same sparse stream, so neither may write into it.
+	ranged := &logical.Node{Op: logical.OpScan, Table: "kern", RowStart: 100, RowEnd: 700}
+	cmp := &logical.Node{Op: logical.OpCompare, CompareCol: "g", Items: []string{"g1", "g3"},
+		Preds: []table.Pred{{Col: "i", Op: table.OpGe, Val: table.I(0)}},
+		Aggs:  []table.Agg{{Func: table.AggSum, Col: "f"}, {Func: table.AggCount}}, In: []*logical.Node{ranged}}
+	t.Run("compare/ranged", func(t *testing.T) { assertKernels(t, c, cmp) })
+}
+
+// filterOrScan is a scan of kern under the predicates, if any.
+func filterOrScan(preds ...table.Pred) *logical.Node {
+	if len(preds) == 0 {
+		return scan("kern")
+	}
+	return filter(scan("kern"), preds...)
+}

@@ -16,9 +16,11 @@ package table
 // first-seen order), and the cell is folded into the fragment's zone
 // map. BatchRange is the same walk without dictionary or zone map. The
 // dictionary is not persisted — a snapshot holds rows, and a load seals
-// again. The group-by accumulator and the distinct kernel use it,
-// through CodeMemo, to look a key up once per value per batch instead
-// of once per row.
+// again. The group-by accumulator (AggAcc.FoldBatch), the distinct
+// kernel and the coded-equality filter use it in typed loops: the first
+// two keep an array indexed by code (one slot per code, one for NULL)
+// local to the batch in front of their key map, so a key is looked up
+// once per value per batch instead of once per row.
 
 // Bitmap is a fixed-size bit set used for per-row null flags. A nil
 // Bitmap reads as all-clear.
@@ -104,55 +106,6 @@ func (c *ColVec) AppendKey(dst []byte, i int) []byte {
 		return appendBoolKey(dst, c.Bools[i])
 	}
 	return appendStrKey(dst, c.Strs[i])
-}
-
-// CodeMemo is the per-batch lookaside the group-by accumulator and the
-// distinct kernel keep in front of their one key map when the key is a
-// single column carrying dictionary codes (ColVec.Codes): one slot per
-// code and one for NULL. A code's first row in a batch encodes its key
-// and goes through the map as any row does; its later rows read the
-// slot. Rows with one code hold one string, so the slot holds what the
-// map would have answered, and results are those of the map alone.
-type CodeMemo[T any] struct {
-	col   *ColVec
-	slots [256 + 1]T // uint8 codes 0..255, then NULL
-}
-
-// Reset clears the slots the previous batch used and points the memo at
-// col, reporting whether col carries codes.
-func (m *CodeMemo[T]) Reset(col *ColVec) bool {
-	if m.col != nil {
-		clear(m.slots[:len(m.col.Dict)])
-		clear(m.slots[len(m.slots)-1:])
-	}
-	m.col = nil
-	if col.Codes == nil {
-		return false
-	}
-	m.col = col
-	return true
-}
-
-// Slot is row ri's slot: its code's, or NULL's.
-func (m *CodeMemo[T]) Slot(ri int) *T {
-	if m.col.Nulls.Get(ri) {
-		return &m.slots[len(m.slots)-1]
-	}
-	return &m.slots[m.col.Codes[ri]]
-}
-
-// ForSel calls fn for each row of an n-row batch that sel selects (nil:
-// all of them), in row order.
-func ForSel(n int, sel []int32, fn func(ri int)) {
-	if sel == nil {
-		for ri := 0; ri < n; ri++ {
-			fn(ri)
-		}
-		return
-	}
-	for _, ri := range sel {
-		fn(int(ri))
-	}
 }
 
 // Batch is a row range of one table in columnar form: Len rows across

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -326,8 +327,15 @@ func Aggregate(t *Table, groupBy []string, aggs []Agg) (*Table, error) {
 // scratch, which is what makes incremental rollup materializations
 // bit-equal to full rebuilds (FuzzRollupMaintenance).
 //
-// A zero AggAcc is ready for Init. It embeds the 2 KiB code memo, so a
-// caller that declares one on its stack pays no allocation for it.
+// FoldBatch runs a global aggregate, and a group-by on one column
+// carrying dictionary codes, as typed loops over the batch: the rows'
+// groups are resolved first — for a coded column through a
+// code-indexed array local to the batch, in front of the key map, so a
+// key is encoded and hashed once per value per batch — and then each
+// aggregate folds its column over them. The key map stays the only
+// source of group identity and output order. Groups and their states
+// are carved from chunked slabs (groupSlab). A zero AggAcc is ready for
+// Init.
 type AggAcc struct {
 	schema  Schema
 	groupBy []string
@@ -337,9 +345,9 @@ type AggAcc struct {
 
 	global *aggGroup            // a global aggregate's one group, from its first row on
 	groups map[string]*aggGroup // keyed groups, allocated with the first
-	order  []string
+	order  []keyedGroup         // keyed groups in first-seen order until Emit sorts them
 	kb     []byte
-	memo   CodeMemo[*aggGroup] // a coded group column's groups, per batch
+	slab   groupSlab
 }
 
 // aggGroup is one group: its key cells and one running state per
@@ -349,12 +357,47 @@ type aggGroup struct {
 	aggs []aggState
 }
 
+// keyedGroup is a keyed group and its key encoding.
+type keyedGroup struct {
+	key string
+	g   *aggGroup
+}
+
 // aggState is one aggregate's running state in a group: the sum and
 // count of its non-NULL cells, and the least (MIN) or greatest (MAX).
 type aggState struct {
 	sum   float64
 	count int64
 	ext   Value
+}
+
+// maxSlabGroups caps a groupSlab chunk.
+const maxSlabGroups = 256
+
+// groupSlab is the chunk new groups are carved from: the groups, their
+// aggregate states and their key cells. The first chunk holds one
+// group, each next one twice the last up to maxSlabGroups, so a global
+// aggregate allocates what its one group did alone and a group-by a
+// few chunks per thousand groups instead of three allocations each.
+type groupSlab struct {
+	groups []aggGroup
+	states []aggState
+	keys   []Value
+}
+
+// carve returns a zeroed group with nk key cells and na states.
+func (s *groupSlab) carve(nk, na int) *aggGroup {
+	if len(s.groups) == cap(s.groups) {
+		n := min(max(2*cap(s.groups), 1), maxSlabGroups)
+		s.groups = make([]aggGroup, 0, n)
+		s.states = make([]aggState, n*na)
+		s.keys = make([]Value, n*nk)
+	}
+	s.groups = s.groups[:len(s.groups)+1]
+	g := &s.groups[len(s.groups)-1]
+	g.key, s.keys = s.keys[:nk:nk], s.keys[nk:]
+	g.aggs, s.states = s.states[:na:na], s.states[na:]
+	return g
 }
 
 // Init resolves the group and aggregate columns against schema and
@@ -407,11 +450,10 @@ func (a *AggAcc) Fold(rows [][]Value) {
 				a.kb = AppendKey(a.kb, row[c])
 			}
 			if g = a.groups[string(a.kb)]; g == nil {
-				key := make([]Value, len(a.groupIn))
+				g = a.addGroup()
 				for i, c := range a.groupIn {
-					key[i] = row[c]
+					g.key[i] = row[c]
 				}
-				g = a.addGroup(key)
 			}
 		}
 		for i, c := range a.aggIn {
@@ -425,54 +467,212 @@ func (a *AggAcc) Fold(rows [][]Value) {
 }
 
 // FoldBatch accumulates the rows of b that sel selects (nil: all), in
-// row order. Unboxed int and float columns add without building a
-// Value, and a single group column carrying dictionary codes is looked
-// up once per code per batch (CodeMemo).
+// row order. A global aggregate folds each aggregate's column in one
+// loop; a single group column carrying dictionary codes resolves every
+// row's group first, then folds each aggregate's column over them.
+// Either way COUNT, SUM and AVG of an unboxed int or float column add
+// without building a Value, and each group's state sees its cells in
+// row order, so its float additions are the ones Fold makes. Any other
+// group shape resolves and folds row by row.
 func (a *AggAcc) FoldBatch(b *Batch, sel []int32) {
-	coded := len(a.groupIn) == 1 && a.memo.Reset(&b.Cols[a.groupIn[0]])
-	ForSel(b.Len, sel, func(ri int) {
+	n := b.Len
+	if sel != nil {
+		n = len(sel)
+	}
+	switch {
+	case n == 0:
+	case len(a.groupIn) == 0:
 		g := a.global
-		switch {
-		case g != nil:
-		case coded:
-			slot := a.memo.Slot(ri)
-			if g = *slot; g == nil {
-				g = a.batchGroup(b, ri)
-				*slot = g
-			}
-		default:
-			g = a.batchGroup(b, ri)
+		if g == nil {
+			g = a.addGroup()
 		}
-		for i, c := range a.aggIn {
-			st := &g.aggs[i]
-			if c < 0 {
-				st.count++
-				continue
-			}
-			col := &b.Cols[c]
-			if col.Boxed == nil && col.Nulls.Get(ri) {
-				continue
-			}
-			switch f := a.aggs[i].Func; {
-			case col.Ints != nil:
-				st.count++
-				st.sum += float64(col.Ints[ri])
-				if f == AggMin || f == AggMax {
-					st.extreme(f, I(col.Ints[ri]))
-				}
-			case col.Floats != nil:
-				st.count++
-				st.sum += col.Floats[ri]
-				if f == AggMin || f == AggMax {
-					st.extreme(f, F(col.Floats[ri]))
-				}
-			default:
-				if v := col.ValueAt(ri); !v.IsNull() {
-					st.add(f, v)
-				}
+		for i := range a.aggs {
+			a.foldGlobal(&g.aggs[i], i, b, sel, n)
+		}
+	case len(a.groupIn) == 1 && b.Cols[a.groupIn[0]].Codes != nil && n <= FragmentRows:
+		var byCode codeGroups
+		var slots [FragmentRows]uint16
+		ks := a.codeSlots(&byCode, slots[:n], b, sel)
+		for i := range a.aggs {
+			a.foldGrouped(&byCode, ks, i, b, sel)
+		}
+	default:
+		for j := 0; j < n; j++ {
+			ri := selRow(sel, j)
+			g := a.batchGroup(b, ri)
+			for i := range a.aggs {
+				a.foldCell(&g.aggs[i], i, b, ri)
 			}
 		}
-	})
+	}
+}
+
+// selRow is the j-th row sel selects (nil: all).
+func selRow(sel []int32, j int) int {
+	if sel == nil {
+		return j
+	}
+	return int(sel[j])
+}
+
+// foldGlobal folds aggregate i's column over the n rows of b that sel
+// selects into st.
+func (a *AggAcc) foldGlobal(st *aggState, i int, b *Batch, sel []int32, n int) {
+	c := a.aggIn[i]
+	if c < 0 {
+		st.count += int64(n)
+		return
+	}
+	switch col := &b.Cols[c]; {
+	case a.aggs[i].Func == AggMin || a.aggs[i].Func == AggMax:
+	case col.Ints != nil:
+		foldNums(st, sel, n, col.Nulls, col.Ints)
+		return
+	case col.Floats != nil:
+		foldNums(st, sel, n, col.Nulls, col.Floats)
+		return
+	}
+	for j := 0; j < n; j++ {
+		a.foldCell(st, i, b, selRow(sel, j))
+	}
+}
+
+// foldNums adds the non-NULL cells of vals that sel selects (nil: the
+// first n) to st, in row order.
+func foldNums[T int64 | float64](st *aggState, sel []int32, n int, nulls Bitmap, vals []T) {
+	count, sum := st.count, st.sum
+	if sel == nil {
+		for ri, x := range vals[:n] {
+			if !nulls.Get(ri) {
+				count++
+				sum += float64(x)
+			}
+		}
+	} else {
+		for _, ri := range sel {
+			if !nulls.Get(int(ri)) {
+				count++
+				sum += float64(vals[ri])
+			}
+		}
+	}
+	st.count, st.sum = count, sum
+}
+
+// codeGroups is each code's group in one batch, then NULL's: the
+// array local to a coded FoldBatch in front of the key map.
+type codeGroups [FragmentRows + 1]*aggGroup
+
+// codeSlots writes the code slot of each row of b that sel selects
+// (nil: all) to ks, one entry per selected row, when the one group
+// column carries dictionary codes, and resolves each slot's group:
+// rows with one code hold one key, so only a code's first row in the
+// batch goes through the key map.
+func (a *AggAcc) codeSlots(byCode *codeGroups, ks []uint16, b *Batch, sel []int32) []uint16 {
+	col := &b.Cols[a.groupIn[0]]
+	if sel == nil {
+		for ri := range ks {
+			k := codeSlot(col, ri)
+			if ks[ri] = k; byCode[k] == nil {
+				byCode[k] = a.batchGroup(b, ri)
+			}
+		}
+		return ks
+	}
+	for j, ri := range sel {
+		k := codeSlot(col, int(ri))
+		if ks[j] = k; byCode[k] == nil {
+			byCode[k] = a.batchGroup(b, int(ri))
+		}
+	}
+	return ks
+}
+
+// codeSlot is row ri's slot in a codeGroups: its code, or NULL's.
+func codeSlot(col *ColVec, ri int) uint16 {
+	if col.Nulls.Get(ri) {
+		return FragmentRows
+	}
+	return uint16(col.Codes[ri])
+}
+
+// foldGrouped folds aggregate i's column over the selected rows of b,
+// the j-th into the state of the group in slot ks[j].
+func (a *AggAcc) foldGrouped(byCode *codeGroups, ks []uint16, i int, b *Batch, sel []int32) {
+	c := a.aggIn[i]
+	if c < 0 {
+		for _, k := range ks {
+			byCode[k].aggs[i].count++
+		}
+		return
+	}
+	switch col := &b.Cols[c]; {
+	case a.aggs[i].Func == AggMin || a.aggs[i].Func == AggMax:
+	case col.Ints != nil:
+		foldNumsGrouped(byCode, ks, i, sel, col.Nulls, col.Ints)
+		return
+	case col.Floats != nil:
+		foldNumsGrouped(byCode, ks, i, sel, col.Nulls, col.Floats)
+		return
+	}
+	for j, k := range ks {
+		a.foldCell(&byCode[k].aggs[i], i, b, selRow(sel, j))
+	}
+}
+
+// foldNumsGrouped adds each non-NULL cell of vals that sel selects
+// (nil: the first len(ks)) to state i of the group in its row's slot,
+// in row order.
+func foldNumsGrouped[T int64 | float64](byCode *codeGroups, ks []uint16, i int, sel []int32, nulls Bitmap, vals []T) {
+	if sel == nil {
+		vals = vals[:len(ks)]
+		for ri, k := range ks {
+			if !nulls.Get(ri) {
+				st := &byCode[k].aggs[i]
+				st.count++
+				st.sum += float64(vals[ri])
+			}
+		}
+		return
+	}
+	for j, k := range ks {
+		if ri := sel[j]; !nulls.Get(int(ri)) {
+			st := &byCode[k].aggs[i]
+			st.count++
+			st.sum += float64(vals[ri])
+		}
+	}
+}
+
+// foldCell folds row ri's cell of aggregate i's column into st.
+func (a *AggAcc) foldCell(st *aggState, i int, b *Batch, ri int) {
+	c := a.aggIn[i]
+	if c < 0 {
+		st.count++
+		return
+	}
+	col := &b.Cols[c]
+	if col.Boxed == nil && col.Nulls.Get(ri) {
+		return
+	}
+	switch f := a.aggs[i].Func; {
+	case col.Ints != nil:
+		st.count++
+		st.sum += float64(col.Ints[ri])
+		if f == AggMin || f == AggMax {
+			st.extreme(f, I(col.Ints[ri]))
+		}
+	case col.Floats != nil:
+		st.count++
+		st.sum += col.Floats[ri]
+		if f == AggMin || f == AggMax {
+			st.extreme(f, F(col.Floats[ri]))
+		}
+	default:
+		if v := col.ValueAt(ri); !v.IsNull() {
+			st.add(f, v)
+		}
+	}
 }
 
 // batchGroup is row ri's group, found or created by its key.
@@ -484,17 +684,18 @@ func (a *AggAcc) batchGroup(b *Batch, ri int) *aggGroup {
 	if g := a.groups[string(a.kb)]; g != nil {
 		return g
 	}
-	key := make([]Value, len(a.groupIn))
+	g := a.addGroup()
 	for i, c := range a.groupIn {
-		key[i] = b.Cols[c].ValueAt(ri)
+		g.key[i] = b.Cols[c].ValueAt(ri)
 	}
-	return a.addGroup(key)
+	return g
 }
 
-// addGroup registers a new group under the key in a.kb: the global
-// group when there is no group column.
-func (a *AggAcc) addGroup(key []Value) *aggGroup {
-	g := &aggGroup{key: key, aggs: make([]aggState, len(a.aggs))}
+// addGroup registers a new group under the key in a.kb — the global
+// group when there is no group column — for the caller to fill its key
+// cells.
+func (a *AggAcc) addGroup() *aggGroup {
+	g := a.slab.carve(len(a.groupIn), len(a.aggs))
 	if len(a.groupIn) == 0 {
 		a.global = g
 		return g
@@ -504,7 +705,7 @@ func (a *AggAcc) addGroup(key []Value) *aggGroup {
 	}
 	ks := string(a.kb)
 	a.groups[ks] = g
-	a.order = append(a.order, ks)
+	a.order = append(a.order, keyedGroup{ks, g})
 	return g
 }
 
@@ -530,45 +731,46 @@ func (st *aggState) extreme(f AggFunc, v Value) {
 }
 
 // Emit materializes the groups, in sorted key order, as a fresh table:
-// one row for a global aggregate, folded or not. The accumulator stays
-// valid: Emit may be called again after more folds and will include
+// one row for a global aggregate, folded or not; a keyed group-by's
+// rows are carved from one allocation. The accumulator stays valid:
+// Emit may be called again after more folds and will include
 // everything folded so far.
 func (a *AggAcc) Emit(name string) *Table {
 	out := New(name, AggregateSchema(a.schema, a.groupBy, a.aggs))
+	w := len(out.Schema)
 	if len(a.groupBy) == 0 {
-		out.Rows = [][]Value{a.global.row(a.aggs, out.Schema)}
+		out.Rows = [][]Value{a.global.row(a.aggs, out.Schema, make([]Value, 0, w))}
 		return out
 	}
-	sort.Strings(a.order)
+	slices.SortFunc(a.order, func(x, y keyedGroup) int { return strings.Compare(x.key, y.key) })
 	if len(a.order) > 0 {
-		out.Rows = make([][]Value, 0, len(a.order))
+		out.Rows = make([][]Value, len(a.order))
 	}
-	for _, ks := range a.order {
-		out.Rows = append(out.Rows, a.groups[ks].row(a.aggs, out.Schema))
+	cells := make([]Value, len(a.order)*w)
+	for i, kg := range a.order {
+		out.Rows[i] = kg.g.row(a.aggs, out.Schema, cells[i*w:i*w:(i+1)*w])
 	}
 	return out
 }
 
-// row renders the group: its key cells, then each aggregate's value,
-// one per column of the output schema out. A nil group is the global
-// group of no rows. An aggregate other than COUNT that saw no value is
-// its column's NULL: Null(TypeFloat) for SUM and AVG, the input type's
-// for MIN and MAX, so MIN of a materialized SUM or AVG column (the
-// pinned rollup route) emits the NULL the direct plan does.
-func (g *aggGroup) row(aggs []Agg, out Schema) []Value {
-	var key []Value
+// row appends the group to dst and returns it: its key cells, then
+// each aggregate's value, one per column of the output schema out. A
+// nil group is the global group of no rows. An aggregate other than
+// COUNT that saw no value is its column's NULL: Null(TypeFloat) for SUM
+// and AVG, the input type's for MIN and MAX, so MIN of a materialized
+// SUM or AVG column (the pinned rollup route) emits the NULL the direct
+// plan does.
+func (g *aggGroup) row(aggs []Agg, out Schema, dst []Value) []Value {
 	var sts []aggState
 	if g != nil {
-		key, sts = g.key, g.aggs
+		dst, sts = append(dst, g.key...), g.aggs
 	}
-	row := make([]Value, len(key), len(key)+len(aggs))
-	copy(row, key)
 	for i, ag := range aggs {
 		var st aggState
 		if sts != nil {
 			st = sts[i]
 		}
-		v := Null(out[len(row)].Type)
+		v := Null(out[len(dst)].Type)
 		switch {
 		case ag.Func == AggCount:
 			v = I(st.count)
@@ -582,9 +784,9 @@ func (g *aggGroup) row(aggs []Agg, out Schema) []Value {
 		default: // MIN, MAX
 			v = st.ext
 		}
-		row = append(row, v)
+		dst = append(dst, v)
 	}
-	return row
+	return dst
 }
 
 // AggregateSchema computes the output schema of Aggregate without
