@@ -46,16 +46,18 @@ import (
 // stable order, ties included. Distinct is a selection-vector kernel
 // keyed by the row's group-key encoding, first occurrence kept.
 //
-// The filter, the group-by fold (table.AggAcc.FoldBatch) and distinct
+// The filter, the group-by fold (table.AggAcc.FoldBatches) and distinct
 // make no call per row on their typed paths: each is a loop over a
 // column's typed array, a dense one for a whole batch and a sparse one
 // reading the selection vector inline. A filter's survivors are
 // compacted in place in one batch-sized scratch array and leave it at
-// their own length. When the one group or distinct column of a catalog
-// fragment carries dictionary codes, an array indexed by code, local to
-// the batch's loop, sits in front of that one key map, so a key is
-// encoded and hashed once per value per batch instead of once per row;
-// the map stays the only source of group identity and output order.
+// their own length. When the one group or distinct column carries
+// table-wide dictionary ordinals in every batch read
+// (table.OrdinalSpan), group identity is the ordinal: the accumulator
+// indexes its groups by it and distinct keeps a bitset over it, so no
+// key is written or looked up per row; the accumulator writes each
+// group's key once, at Emit, to order its output. Any other input goes
+// through the key map for every batch.
 //
 // Compare reuses the filter and aggregate kernels, running each
 // CompareBranches arm over the child stream and appending per-item
@@ -1191,9 +1193,7 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg) (*tab
 	if err := acc.Init(s.schema, s.cols, groupBy, aggs); err != nil {
 		return nil, err
 	}
-	for bi, b := range v.batches(s) {
-		acc.FoldBatch(b, s.sel(bi))
-	}
+	acc.FoldBatches(v.batches(s), s.sels)
 	return acc.Emit(s.name + "_agg"), nil
 }
 
@@ -1202,33 +1202,71 @@ func (v *vecRun) aggregate(s *vstream, groupBy []string, aggs []table.Agg) (*tab
 // distinctStream is the vectorized Distinct kernel: it keeps the first
 // selected row of every distinct key — the table.AppendKey bytes of the
 // stream's (mapped) columns, exactly table.Distinct's row key — as a
-// refined selection, copying no row. A single column carrying
-// dictionary codes runs as a typed loop with an array indexed by code
-// local to the batch in front of the key map: only a code's first row
-// in a batch is looked up, its later rows are duplicates.
+// refined selection, copying no row. A single column whose every batch
+// carries table-wide ordinals (table.OrdinalSpan) runs by ordinal
+// instead, with no key written or looked up.
 func (v *vecRun) distinctStream(s *vstream) *vstream {
 	bs := v.batches(s)
-	d := distinct{s: s, seen: make(map[string]struct{}), kb: make([]byte, 0, 64)}
 	nsels := make([][]int32, len(bs))
-	for bi, b := range bs {
-		var buf [table.FragmentRows]int32 // a batch's rows, so appends stay in it
-		keep := buf[:0]
-		sel := s.sel(bi)
-		if len(s.schema) == 1 && b.Cols[s.baseCol(0)].Codes != nil {
-			keep = d.coded(keep, b, &b.Cols[s.baseCol(0)], sel)
-		} else {
+	span, byOrd := 0, false
+	if len(s.schema) == 1 {
+		span, byOrd = table.OrdinalSpan(bs, s.sels, s.baseCol(0))
+	}
+	if byOrd {
+		seen := make(table.Bitmap, span/64+1) // ordinals, then NULL
+		for bi, b := range bs {
+			nsels[bi] = distinctByOrdinal(seen, span, &b.Cols[s.baseCol(0)], selLen(s.sel(bi), b.Len), s.sel(bi))
+		}
+	} else {
+		d := distinct{s: s, seen: make(map[string]struct{}), kb: make([]byte, 0, 64)}
+		for bi, b := range bs {
+			var buf [table.FragmentRows]int32 // a batch's rows, so appends stay in it
+			keep := buf[:0]
+			sel := s.sel(bi)
 			for j := range selLen(sel, b.Len) {
 				if ri := selRow(sel, j); d.first(b, ri) {
 					keep = append(keep, int32(ri))
 				}
 			}
+			nsels[bi] = append(make([]int32, 0, len(keep)), keep...)
 		}
-		nsels[bi] = append(make([]int32, 0, len(keep)), keep...)
 	}
 	return &vstream{
 		name: s.name, schema: s.schema, base: s.base,
 		fr: s.fr, cols: s.cols, bs: bs, sels: nsels,
 	}
+}
+
+// distinctByOrdinal returns the rows of col's batch that sel selects
+// (nil: the first n) whose value no earlier row held: seen holds a bit
+// per table-wide ordinal, and bit span is NULL's. A batch whose every
+// value (and NULL, when it holds one) is already seen is skipped
+// unread, and the loop stops once the batch's unseen values are found.
+func distinctByOrdinal(seen table.Bitmap, span int, col *table.ColVec, n int, sel []int32) []int32 {
+	fresh := 0 // the batch's values, and NULL, not yet seen
+	for _, o := range col.Ords {
+		if !seen.Get(int(o)) {
+			fresh++
+		}
+	}
+	if col.Nulls != nil && !seen.Get(span) {
+		fresh++
+	}
+	var buf [table.FragmentRows]int32 // a batch's rows, so appends stay in it
+	keep := buf[:0]
+	for j := 0; j < n && fresh > 0; j++ {
+		ri := selRow(sel, j)
+		o := span
+		if !col.Nulls.Get(ri) {
+			o = int(col.Ords[col.Codes[ri]])
+		}
+		if !seen.Get(o) {
+			seen.Set(o)
+			keep = append(keep, int32(ri))
+			fresh--
+		}
+	}
+	return append(make([]int32, 0, len(keep)), keep...)
 }
 
 // distinct is distinctStream's key map over one stream.
@@ -1250,55 +1288,6 @@ func (d *distinct) first(b *table.Batch, ri int) bool {
 	}
 	d.seen[string(d.kb)] = struct{}{}
 	return true
-}
-
-// coded appends to keep the rows of b that sel selects (nil: all) whose
-// key, the one column col carrying dictionary codes, no earlier row
-// held: a code's later rows in the batch are skipped unread, and once
-// every code of the batch (and NULL, when it holds one) has reached the
-// key map, so are all its remaining rows.
-func (d *distinct) coded(keep []int32, b *table.Batch, col *table.ColVec, sel []int32) []int32 {
-	var met [table.FragmentRows + 1]bool // a code's row already reached the map; NULL's last
-	left := len(col.Dict)                // codes, and NULL, no row has reached the map with yet
-	if col.Nulls != nil {
-		left++
-	}
-	if sel == nil {
-		for ri, c := range col.Codes[:b.Len] {
-			k := int(c)
-			if col.Nulls.Get(ri) {
-				k = table.FragmentRows
-			}
-			if met[k] {
-				continue
-			}
-			met[k] = true
-			if d.first(b, ri) {
-				keep = append(keep, int32(ri))
-			}
-			if left--; left == 0 {
-				break
-			}
-		}
-		return keep
-	}
-	for _, ri := range sel {
-		k := int(col.Codes[ri])
-		if col.Nulls.Get(int(ri)) {
-			k = table.FragmentRows
-		}
-		if met[k] {
-			continue
-		}
-		met[k] = true
-		if d.first(b, int(ri)) {
-			keep = append(keep, ri)
-		}
-		if left--; left == 0 {
-			break
-		}
-	}
-	return keep
 }
 
 // ---- fragment entry (backend scans) ----

@@ -3,6 +3,7 @@ package logical_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/logical"
@@ -71,13 +72,54 @@ func kernelCatalog() *table.Catalog {
 	}
 	c := table.NewCatalog()
 	c.Put(kern)
+	putOrd(c)
 	return c
+}
+
+// putOrd adds "ord" to c, built for grouping and distinct by table-wide
+// ordinal: 400 rows Put, then 232 Appended across the seal of fragment
+// 1, so fragment 1 is sealed again and fragment 2 numbers its values
+// on from the earlier ones. k is coded in every fragment: its values
+// hold bytes below the key terminator 0x1f, so AppendKey's byte order
+// is not their string order; a NULL key appears from fragment 1 on, and
+// "late" first in fragment 2. h is coded too, except in fragment 1,
+// where one int cell boxes it, so every batch of h goes through the key
+// map. m feeds the sparse pre-predicate, as in kern.
+func putOrd(c *table.Catalog) {
+	keys := []string{"a", "a\x01", "a\x1f", "a\x1fb", "b\x00", "", "a\x1e"}
+	finite := []float64{1e16, 1, -1e16, 0.5, 3, 1e-3, 7e15, 2.5, -0.25, 1}
+	ord := table.New("ord", table.Schema{
+		{Name: "k", Type: table.TypeString},
+		{Name: "h", Type: table.TypeString},
+		{Name: "n", Type: table.TypeInt},
+		{Name: "v", Type: table.TypeFloat},
+		{Name: "m", Type: table.TypeInt},
+	})
+	var rows [][]table.Value
+	for r := 0; r < 2*table.FragmentRows+120; r++ {
+		frag := r / table.FragmentRows
+		k := table.S(keys[r%len(keys)])
+		switch {
+		case frag == 2 && r%7 == 3:
+			k = table.S("late")
+		case frag > 0 && r%11 == 4:
+			k = table.Null(table.TypeString)
+		}
+		rows = append(rows, []table.Value{k, table.S(fmt.Sprintf("h%d", r%4)), table.I(int64(r%13 - 4)),
+			table.F(finite[r%len(finite)]), table.I(int64(r * 7 % 10))})
+	}
+	rows[300][1] = table.I(5)
+	ord.Rows = rows[:400]
+	c.Put(ord)
+	if err := c.Append("ord", rows[400:]); err != nil {
+		panic(err)
+	}
 }
 
 // assertKernels holds the vectorized executor to the reference
 // evaluator on root: over the catalog's fragments (string columns
-// coded) and over batches extracted on the fly (no codes), at one and
-// four workers. Cells compare by kind, nullness and — for floats — by
+// coded, with table-wide ordinals) and over batches extracted on the
+// fly (no codes), at one and four workers. Cells compare by kind, nullness and — for floats — by
 // their bits, so a sum whose additions were reordered, or a −0 that
 // became +0, fails. A NaN matches any NaN: IEEE 754 leaves open which
 // operand's payload a sum of two NaNs carries, and Compare, the keys
@@ -86,14 +128,17 @@ func assertKernels(t *testing.T, c *table.Catalog, root *logical.Node) {
 	t.Helper()
 	want, wantErr := refeval.Eval(root, c)
 	for _, way := range []struct {
-		name string
-		fr   *table.Frags
-	}{{"coded", c.FragsOf("kern")}, {"uncoded", nil}} {
+		name  string
+		coded bool
+	}{{"coded", true}, {"uncoded", false}} {
 		for _, workers := range []int{1, 4} {
 			got, err := logical.RunVec(root, logical.VecEnv{Workers: workers,
-				Leaf: func(*logical.Node) (logical.VecLeaf, error) {
-					tb, err := c.Get("kern")
-					return logical.VecLeaf{Table: tb, Frags: way.fr}, err
+				Leaf: func(leaf *logical.Node) (logical.VecLeaf, error) {
+					tb, err := c.Get(leaf.Table)
+					if !way.coded {
+						return logical.VecLeaf{Table: tb}, err
+					}
+					return logical.VecLeaf{Table: tb, Frags: c.FragsOf(leaf.Table)}, err
 				}})
 			label := fmt.Sprintf("%s, workers=%d", way.name, workers)
 			if (err == nil) != (wantErr == nil) {
@@ -135,10 +180,10 @@ func cellsDiffer(got, want *table.Table) string {
 // TestTypedKernelsMatchReference holds each typed loop of the
 // vectorized executor — the filter's int, float, coded-equality,
 // string, bool and CONTAINS paths beside the boxed fallback, the
-// group-by fold of a global group and of one coded column beside the
-// row-by-row fold, and the coded distinct beside the keyed one — to the
-// reference evaluator, each over a whole batch (no selection) and over
-// a sparse selection left by an earlier predicate.
+// group-by fold of a global group and of one column by ordinal beside
+// the fold by key, and the distinct by ordinal beside the keyed one —
+// to the reference evaluator, each over a whole batch (no selection)
+// and over a sparse selection left by an earlier predicate.
 func TestTypedKernelsMatchReference(t *testing.T) {
 	c := kernelCatalog()
 	frags := c.FragsOf("kern").Batches
@@ -146,6 +191,13 @@ func TestTypedKernelsMatchReference(t *testing.T) {
 		if frags[0].Cols[ci*4].Codes == nil {
 			t.Fatalf("column %s of a sealed fragment carries no codes", name)
 		}
+	}
+	ord := c.FragsOf("ord").Batches
+	if len(ord) != 3 || ord[2].Cols[0].Ords == nil || ord[1].Cols[1].Boxed == nil || ord[2].Cols[1].Ords == nil {
+		t.Fatal("ord must hold three fragments, k coded in each and h boxed in fragment 1 only")
+	}
+	if !slices.Contains(ord[2].Cols[0].Dict, "late") || ord[1].Cols[0].Nulls == nil {
+		t.Fatal("ord's fragment 2 must bring the late key and fragment 1 a NULL key")
 	}
 	if frags[0].Cols[1].Nulls != nil || frags[1].Cols[1].Nulls == nil {
 		t.Fatal("fragment 0 must hold no NULL and fragment 1 some")
@@ -217,6 +269,22 @@ func TestTypedKernelsMatchReference(t *testing.T) {
 		for _, in := range inputs() {
 			root := &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{{Op: logical.OpProject, Proj: cols, In: []*logical.Node{in.root}}}}
 			t.Run(fmt.Sprintf("distinct/%s/%v", in.way, cols), func(t *testing.T) { assertKernels(t, c, root) })
+		}
+	}
+	// By ordinal and by key over "ord": keys below 0x1f, a NULL key, a
+	// key first seen in a fragment an Append sealed (k); a boxed fragment
+	// (h); and a ROWS slice shorter than the ordinals its batch spans, so
+	// k goes through the key map there too.
+	ordAggs := []table.Agg{{Func: table.AggSum, Col: "v"}, {Func: table.AggAvg, Col: "n"},
+		{Func: table.AggCount}, {Func: table.AggMax, Col: "v"}}
+	sparseOrd := filter(scan("ord"), sparse)
+	short := &logical.Node{Op: logical.OpScan, Table: "ord", RowStart: 300, RowEnd: 303}
+	for _, in := range []input{{"dense", scan("ord")}, {"sparse", sparseOrd}, {"short", short}} {
+		for _, col := range []string{"k", "h"} {
+			agg := &logical.Node{Op: logical.OpAggregate, GroupBy: []string{col}, Aggs: ordAggs, In: []*logical.Node{in.root}}
+			t.Run(fmt.Sprintf("aggregate/ord/%s/%s", in.way, col), func(t *testing.T) { assertKernels(t, c, agg) })
+			dis := &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{{Op: logical.OpProject, Proj: []string{col}, In: []*logical.Node{in.root}}}}
+			t.Run(fmt.Sprintf("distinct/ord/%s/%s", in.way, col), func(t *testing.T) { assertKernels(t, c, dis) })
 		}
 	}
 	// A ROWS range's selection is shared: the comparison's two branches

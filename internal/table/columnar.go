@@ -13,14 +13,23 @@ package table
 // from fragmentsFrom): every cell is stored typed or as a NULL bit, a
 // string or date cell gets its code in the batch's dictionary
 // (ColVec.Codes and Dict: one uint8 per row into the distinct values in
-// first-seen order), and the cell is folded into the fragment's zone
-// map. BatchRange is the same walk without dictionary or zone map. The
-// dictionary is not persisted — a snapshot holds rows, and a load seals
-// again. The group-by accumulator (AggAcc.FoldBatch), the distinct
-// kernel and the coded-equality filter use it in typed loops: the first
-// two keep an array indexed by code (one slot per code, one for NULL)
-// local to the batch in front of their key map, so a key is looked up
-// once per value per batch instead of once per row.
+// first-seen order), each dictionary entry gets its value's table-wide
+// ordinal (ColVec.Ords: the column's values numbered in first-seen
+// order over the table's coded fragments), and the cell is folded into
+// the fragment's zone map. BatchRange is the same walk without
+// dictionary, ordinals or zone map. Neither codes nor ordinals are
+// persisted — a snapshot holds rows, and a load seals again. An Append
+// seals only the open tail again, numbering its new values after those
+// the table holds, so sealed fragments keep their ordinals.
+//
+// Group identity of a single coded column is its ordinal. The group-by
+// accumulator (AggAcc.FoldBatches) keeps one array of groups indexed by
+// ordinal and the distinct kernel one bitset over ordinals, each sized
+// once per query (OrdinalSpan), so no key is encoded or looked up while
+// they read rows. They take that path only when every batch they read
+// carries ordinals for the column and the ordinals span no more than
+// the rows read; otherwise every batch goes through the key map. The
+// coded-equality filter probes the batch dictionary.
 
 // Bitmap is a fixed-size bit set used for per-row null flags. A nil
 // Bitmap reads as all-clear.
@@ -45,14 +54,18 @@ func (b Bitmap) Get(i int) bool {
 // bypass Append validation — the whole column is kept as Boxed Values
 // and kernels use the exact row-interpreter semantics on it.
 //
-// Codes and Dict are the per-batch dictionary of an unboxed string or
-// date column of a catalog fragment: Strs[i] == Dict[Codes[i]] for every
-// non-NULL row i, Dict holds each distinct non-NULL value once in
-// first-seen order (string headers shared with Strs, no bytes copied),
-// and a NULL row's code is 0 — read Nulls first. Each code is assigned
-// in the same walk that stores the cell (sealCol). A batch holds at most
-// FragmentRows = 256 rows, so a uint8 code always fits. Both are nil on
-// every other column and on batches BatchRange extracts on the fly.
+// Codes, Dict and Ords are the dictionary of an unboxed string or date
+// column of a catalog fragment. Strs[i] == Dict[Codes[i]] for every
+// non-NULL row i; Dict holds each distinct non-NULL value once in
+// first-seen order (string headers shared with Strs, no bytes copied);
+// a NULL row's code is 0 — read Nulls first. Ords[c] is Dict[c]'s
+// table-wide ordinal: the column's distinct values numbered from 0 in
+// first-seen order over the table's coded fragments, so rows of any two
+// fragments hold one value exactly when their ordinals are equal. Codes
+// are assigned in the same walk that stores the cell (sealCol). A batch
+// holds at most FragmentRows = 256 rows, so a uint8 code always fits.
+// All three are nil on every other column and on batches BatchRange
+// extracts on the fly.
 type ColVec struct {
 	Name   string
 	Type   ColType
@@ -64,6 +77,7 @@ type ColVec struct {
 	Boxed  []Value   // mixed-kind fallback; nil on the typed paths
 	Codes  []uint8   // per-row index into Dict; catalog fragments only
 	Dict   []string  // distinct non-NULL Strs in first-seen order
+	Ords   []uint32  // table-wide ordinal of each Dict entry
 }
 
 // ValueAt reconstructs the original cell at row i. For unboxed columns
@@ -117,10 +131,10 @@ type Batch struct {
 }
 
 // BatchRange extracts rows [start, end) of t into a Batch by the walk
-// that seals a catalog fragment (sealCol), without dictionaries or zone
-// map. The range must be within bounds. Extraction is pure and
-// deterministic; the resulting batch shares nothing mutable with t
-// beyond boxed Values (which are immutable by convention).
+// that seals a catalog fragment (sealCol), without dictionaries,
+// ordinals or zone map. The range must be within bounds. Extraction is
+// pure and deterministic; the resulting batch shares nothing mutable
+// with t beyond boxed Values (which are immutable by convention).
 func BatchRange(t *Table, start, end int) *Batch {
 	b := &Batch{Schema: t.Schema, Len: end - start, Cols: make([]ColVec, len(t.Schema))}
 	for ci, col := range t.Schema {
@@ -129,12 +143,35 @@ func BatchRange(t *Table, start, end int) *Batch {
 	return b
 }
 
-// sealer is the scratch of one catalog fragment walk (fragmentsFrom),
+// sealer is the state of one catalog fragment walk (fragmentsFrom),
 // shared by every column and fragment it seals: the dictionary codes of
-// the column in hand, and the row of each code's first cell.
+// the column in hand, the row of each code's first cell, and the
+// table's value→ordinal maps (Frags.ords).
 type sealer struct {
 	codes map[string]uint8
 	first [FragmentRows]uint8
+	ords  []map[string]uint32
+}
+
+// ordinals numbers dict's values table-wide for column ci: a value the
+// table's coded fragments already hold keeps its ordinal, and a new one
+// takes the next, in dict's (first-seen) order.
+func (s *sealer) ordinals(ci int, dict []string) []uint32 {
+	ids := s.ords[ci]
+	if ids == nil {
+		ids = make(map[string]uint32)
+		s.ords[ci] = ids
+	}
+	out := make([]uint32, len(dict))
+	for code, v := range dict {
+		o, ok := ids[v]
+		if !ok {
+			o = uint32(len(ids))
+			ids[v] = o
+		}
+		out[code] = o
+	}
+	return out
 }
 
 // sealCol walks column ci of rows once. Each cell is stored typed or as
@@ -142,9 +179,10 @@ type sealer struct {
 // schema type boxes the whole column instead (typed slices, bitmap and
 // codes dropped), so the vectorized kernels reproduce the row
 // interpreter's semantics there. Given a sealer and a zone to fold into,
-// a string or date cell also gets its dictionary code, and every cell
-// is folded into the zone — a coded cell only at its value's first row,
-// as its repeats are the same string and change no bound or value set.
+// a string or date cell also gets its dictionary code, each dictionary
+// entry its table-wide ordinal, and every cell is folded into the zone
+// — a coded cell only at its value's first row, as its repeats are the
+// same string and change no bound or value set.
 func sealCol(rows [][]Value, ci int, col Column, s *sealer, zc *ZoneCol) ColVec {
 	n := len(rows)
 	cv := ColVec{Name: col.Name, Type: col.Type}
@@ -206,8 +244,37 @@ func sealCol(rows [][]Value, ci int, col Column, s *sealer, zc *ZoneCol) ColVec 
 		for code := range cv.Dict {
 			cv.Dict[code] = cv.Strs[s.first[code]]
 		}
+		cv.Ords = s.ordinals(ci, cv.Dict)
 	}
 	return cv
+}
+
+// OrdinalSpan reports how many table-wide ordinals column ci of bs
+// spans — one more than the greatest ordinal of a batch sels selects a
+// row of (nil sels, or a nil entry: every row) — and whether a kernel
+// may index that column's groups by ordinal: every batch it reads
+// carries ordinals for the column, and the span is at most the rows
+// selected, so an array over the span is never larger than the input.
+func OrdinalSpan(bs []*Batch, sels [][]int32, ci int) (span int, ok bool) {
+	rows := 0
+	for bi, b := range bs {
+		n := b.Len
+		if sels != nil && sels[bi] != nil {
+			n = len(sels[bi])
+		}
+		if n == 0 {
+			continue
+		}
+		ords := b.Cols[ci].Ords
+		if ords == nil {
+			return 0, false
+		}
+		rows += n
+		for _, o := range ords {
+			span = max(span, int(o)+1)
+		}
+	}
+	return span, span <= rows
 }
 
 // Frags is the per-fragment columnar form of one table, aligned to the
@@ -220,4 +287,9 @@ type Frags struct {
 	Table   string
 	Rows    int // rows covered
 	Batches []*Batch
+	// ords maps each coded column's values to their table-wide ordinals
+	// (ColVec.Ords), by schema column. Only the sealer reads it: an
+	// Append's Frags shares and extends its predecessor's, since the
+	// numbering carries on from the rows already sealed.
+	ords []map[string]uint32
 }

@@ -317,25 +317,25 @@ func Aggregate(t *Table, groupBy []string, aggs []Agg) (*Table, error) {
 // AggAcc is the system's one group-by accumulator: both executors, the
 // federated backends' pushed aggregates and rollup maintenance run
 // through it. Init resolves and type-checks the columns once; Fold
-// (rows) and FoldBatch (a columnar batch and its selection) accumulate
-// in input order, so float sums are the same additions in the same
-// order on every path; Emit materializes the groups in sorted key order
-// and leaves the accumulator valid for more folds. The rollup
+// (rows) and FoldBatches (columnar batches and their selections)
+// accumulate in input order, so float sums are the same additions in
+// the same order on every path; Emit materializes the groups in sorted
+// key order and leaves the accumulator valid for more folds. The rollup
 // maintainer relies on that split: folding only a Put's appended rows
 // into a retained accumulator performs the identical accumulation
 // sequence — including every float addition — as folding all rows from
 // scratch, which is what makes incremental rollup materializations
 // bit-equal to full rebuilds (FuzzRollupMaintenance).
 //
-// FoldBatch runs a global aggregate, and a group-by on one column
-// carrying dictionary codes, as typed loops over the batch: the rows'
-// groups are resolved first — for a coded column through a
-// code-indexed array local to the batch, in front of the key map, so a
-// key is encoded and hashed once per value per batch — and then each
-// aggregate folds its column over them. The key map stays the only
-// source of group identity and output order. Groups and their states
-// are carved from chunked slabs (groupSlab). A zero AggAcc is ready for
-// Init.
+// FoldBatches resolves each batch's rows to their groups first and
+// then folds each aggregate's column over them in a typed loop. A
+// group's identity is its key (AppendKey's bytes) in one map, except
+// for a single group column that carries table-wide ordinals in every
+// batch (OrdinalSpan): there an array indexed by ordinal holds the
+// groups, no key is written while folding, and Emit writes each group's
+// key once, all into one buffer, to order the output by the same bytes.
+// Groups and their states are carved from chunked slabs (groupSlab). A
+// zero AggAcc is ready for Init.
 type AggAcc struct {
 	schema  Schema
 	groupBy []string
@@ -357,7 +357,8 @@ type aggGroup struct {
 	aggs []aggState
 }
 
-// keyedGroup is a keyed group and its key encoding.
+// keyedGroup is a keyed group and its key encoding; the key is "" (no
+// encoding is) until writeKeys writes the keys of a fold by ordinal.
 type keyedGroup struct {
 	key string
 	g   *aggGroup
@@ -442,6 +443,7 @@ func (a *AggAcc) Init(schema Schema, cols []int, groupBy []string, aggs []Agg) e
 
 // Fold accumulates the rows, in order.
 func (a *AggAcc) Fold(rows [][]Value) {
+	a.index()
 	for _, row := range rows {
 		g := a.global
 		if g == nil {
@@ -466,42 +468,61 @@ func (a *AggAcc) Fold(rows [][]Value) {
 	}
 }
 
-// FoldBatch accumulates the rows of b that sel selects (nil: all), in
-// row order. A global aggregate folds each aggregate's column in one
-// loop; a single group column carrying dictionary codes resolves every
-// row's group first, then folds each aggregate's column over them.
-// Either way COUNT, SUM and AVG of an unboxed int or float column add
-// without building a Value, and each group's state sees its cells in
-// row order, so its float additions are the ones Fold makes. Any other
-// group shape resolves and folds row by row.
-func (a *AggAcc) FoldBatch(b *Batch, sel []int32) {
-	n := b.Len
-	if sel != nil {
-		n = len(sel)
+// FoldBatches accumulates the batches in order: of bs[bi], the rows
+// sels[bi] selects (nil sels, or a nil entry: every row), in row order.
+// A global aggregate folds each aggregate's column in one loop. A
+// group-by resolves every selected row of a batch to its group first —
+// by ordinal into one array when the accumulator holds no group yet and
+// its one group column qualifies (OrdinalSpan), by key otherwise — and
+// then folds each aggregate's column over them. Either way COUNT, SUM
+// and AVG of an unboxed int or float column add without building a
+// Value, carrying a group's count and sum across a run of its rows, and
+// each group's state sees its cells in row order, so its float
+// additions are the ones Fold makes.
+func (a *AggAcc) FoldBatches(bs []*Batch, sels [][]int32) {
+	var dense []*aggGroup // groups by ordinal, then NULL's
+	if len(a.groupIn) == 1 && len(a.order) == 0 {
+		if span, ok := OrdinalSpan(bs, sels, a.groupIn[0]); ok {
+			dense = make([]*aggGroup, span+1)
+			a.order = make([]keyedGroup, 0, span+1) // at most a group per slot
+		}
 	}
-	switch {
-	case n == 0:
-	case len(a.groupIn) == 0:
-		g := a.global
-		if g == nil {
-			g = a.addGroup()
+	if dense == nil {
+		a.index()
+	}
+	var ks [FragmentRows]uint32       // each selected row's slot in its batch's groups
+	var local [FragmentRows]*aggGroup // a batch's groups by key, one slot per row
+	for bi, b := range bs {
+		var sel []int32
+		if sels != nil {
+			sel = sels[bi]
 		}
-		for i := range a.aggs {
-			a.foldGlobal(&g.aggs[i], i, b, sel, n)
+		n := b.Len
+		if sel != nil {
+			n = len(sel)
 		}
-	case len(a.groupIn) == 1 && b.Cols[a.groupIn[0]].Codes != nil && n <= FragmentRows:
-		var byCode codeGroups
-		var slots [FragmentRows]uint16
-		ks := a.codeSlots(&byCode, slots[:n], b, sel)
-		for i := range a.aggs {
-			a.foldGrouped(&byCode, ks, i, b, sel)
-		}
-	default:
-		for j := 0; j < n; j++ {
-			ri := selRow(sel, j)
-			g := a.batchGroup(b, ri)
+		switch {
+		case n == 0:
+		case len(a.groupIn) == 0:
+			g := a.global
+			if g == nil {
+				g = a.addGroup()
+			}
 			for i := range a.aggs {
-				a.foldCell(&g.aggs[i], i, b, ri)
+				a.foldGlobal(&g.aggs[i], i, b, sel, n)
+			}
+		default:
+			groups := dense
+			if dense != nil {
+				a.ordSlots(ks[:n], dense, &b.Cols[a.groupIn[0]], sel)
+			} else {
+				for j := range n {
+					local[j], ks[j] = a.batchGroup(b, selRow(sel, j)), uint32(j)
+				}
+				groups = local[:n]
+			}
+			for i := range a.aggs {
+				a.foldGrouped(groups, ks[:n], i, b, sel)
 			}
 		}
 	}
@@ -559,89 +580,137 @@ func foldNums[T int64 | float64](st *aggState, sel []int32, n int, nulls Bitmap,
 	st.count, st.sum = count, sum
 }
 
-// codeGroups is each code's group in one batch, then NULL's: the
-// array local to a coded FoldBatch in front of the key map.
-type codeGroups [FragmentRows + 1]*aggGroup
-
-// codeSlots writes the code slot of each row of b that sel selects
-// (nil: all) to ks, one entry per selected row, when the one group
-// column carries dictionary codes, and resolves each slot's group:
-// rows with one code hold one key, so only a code's first row in the
-// batch goes through the key map.
-func (a *AggAcc) codeSlots(byCode *codeGroups, ks []uint16, b *Batch, sel []int32) []uint16 {
-	col := &b.Cols[a.groupIn[0]]
+// ordSlots writes the ordinal of each row of col that sel selects (nil:
+// all) to ks, one entry per selected row and len(dense)-1 for NULL, and
+// makes the group dense[k] of each slot k at its first row. A whole
+// batch holds a row of every entry of its dictionary, and of NULL when
+// its bitmap is set, so their groups are made before its rows are read.
+func (a *AggAcc) ordSlots(ks []uint32, dense []*aggGroup, col *ColVec, sel []int32) {
+	null := uint32(len(dense) - 1)
 	if sel == nil {
-		for ri := range ks {
-			k := codeSlot(col, ri)
-			if ks[ri] = k; byCode[k] == nil {
-				byCode[k] = a.batchGroup(b, ri)
+		for code, o := range col.Ords {
+			if dense[o] == nil {
+				key := S(col.Dict[code])
+				if col.Type == TypeDate {
+					key = D(col.Dict[code])
+				}
+				dense[o] = a.ordGroup(key)
 			}
 		}
-		return ks
+		if len(col.Ords) > 0 { // else every row is NULL, and its code no entry's
+			for ri, code := range col.Codes[:len(ks)] {
+				ks[ri] = col.Ords[code]
+			}
+		}
+		if col.Nulls != nil {
+			if dense[null] == nil {
+				dense[null] = a.ordGroup(Null(col.Type))
+			}
+			for ri := range ks {
+				if col.Nulls.Get(ri) {
+					ks[ri] = null
+				}
+			}
+		}
+		return
 	}
 	for j, ri := range sel {
-		k := codeSlot(col, int(ri))
-		if ks[j] = k; byCode[k] == nil {
-			byCode[k] = a.batchGroup(b, int(ri))
+		k := null
+		if !col.Nulls.Get(int(ri)) {
+			k = col.Ords[col.Codes[ri]]
 		}
+		if dense[k] == nil {
+			dense[k] = a.ordGroup(col.ValueAt(int(ri)))
+		}
+		ks[j] = k
 	}
-	return ks
 }
 
-// codeSlot is row ri's slot in a codeGroups: its code, or NULL's.
-func codeSlot(col *ColVec, ri int) uint16 {
-	if col.Nulls.Get(ri) {
-		return FragmentRows
-	}
-	return uint16(col.Codes[ri])
+// ordGroup makes the group of one group key for a fold by ordinal: it
+// enters no key map, and writeKeys writes its key when one is needed.
+func (a *AggAcc) ordGroup(key Value) *aggGroup {
+	g := a.slab.carve(1, len(a.aggs))
+	g.key[0] = key
+	a.order = append(a.order, keyedGroup{g: g})
+	return g
 }
 
 // foldGrouped folds aggregate i's column over the selected rows of b,
-// the j-th into the state of the group in slot ks[j].
-func (a *AggAcc) foldGrouped(byCode *codeGroups, ks []uint16, i int, b *Batch, sel []int32) {
+// the j-th into the state of group groups[ks[j]].
+func (a *AggAcc) foldGrouped(groups []*aggGroup, ks []uint32, i int, b *Batch, sel []int32) {
 	c := a.aggIn[i]
 	if c < 0 {
-		for _, k := range ks {
-			byCode[k].aggs[i].count++
-		}
+		countGrouped(groups, ks, i)
 		return
 	}
 	switch col := &b.Cols[c]; {
 	case a.aggs[i].Func == AggMin || a.aggs[i].Func == AggMax:
 	case col.Ints != nil:
-		foldNumsGrouped(byCode, ks, i, sel, col.Nulls, col.Ints)
+		foldNumsGrouped(groups, ks, i, sel, col.Nulls, col.Ints)
 		return
 	case col.Floats != nil:
-		foldNumsGrouped(byCode, ks, i, sel, col.Nulls, col.Floats)
+		foldNumsGrouped(groups, ks, i, sel, col.Nulls, col.Floats)
 		return
 	}
 	for j, k := range ks {
-		a.foldCell(&byCode[k].aggs[i], i, b, selRow(sel, j))
+		a.foldCell(&groups[k].aggs[i], i, b, selRow(sel, j))
 	}
 }
 
+// countGrouped counts each row into state i of its group, carrying a
+// group's count across a run of its rows.
+func countGrouped(groups []*aggGroup, ks []uint32, i int) {
+	cur := ks[0]
+	st := &groups[cur].aggs[i]
+	count := st.count
+	for _, k := range ks {
+		if k != cur {
+			st.count = count
+			cur, st = k, &groups[k].aggs[i]
+			count = st.count
+		}
+		count++
+	}
+	st.count = count
+}
+
 // foldNumsGrouped adds each non-NULL cell of vals that sel selects
-// (nil: the first len(ks)) to state i of the group in its row's slot,
-// in row order.
-func foldNumsGrouped[T int64 | float64](byCode *codeGroups, ks []uint16, i int, sel []int32, nulls Bitmap, vals []T) {
+// (nil: the first len(ks)) to state i of its row's group, in row order,
+// carrying a group's count and sum across a run of its rows.
+func foldNumsGrouped[T int64 | float64](groups []*aggGroup, ks []uint32, i int, sel []int32, nulls Bitmap, vals []T) {
+	cur := ks[0]
+	st := &groups[cur].aggs[i]
+	count, sum := st.count, st.sum
 	if sel == nil {
 		vals = vals[:len(ks)]
 		for ri, k := range ks {
-			if !nulls.Get(ri) {
-				st := &byCode[k].aggs[i]
-				st.count++
-				st.sum += float64(vals[ri])
+			if nulls.Get(ri) {
+				continue
 			}
+			if k != cur {
+				st.count, st.sum = count, sum
+				cur, st = k, &groups[k].aggs[i]
+				count, sum = st.count, st.sum
+			}
+			count++
+			sum += float64(vals[ri])
 		}
-		return
-	}
-	for j, k := range ks {
-		if ri := sel[j]; !nulls.Get(int(ri)) {
-			st := &byCode[k].aggs[i]
-			st.count++
-			st.sum += float64(vals[ri])
+	} else {
+		for j, k := range ks {
+			ri := sel[j]
+			if nulls.Get(int(ri)) {
+				continue
+			}
+			if k != cur {
+				st.count, st.sum = count, sum
+				cur, st = k, &groups[k].aggs[i]
+				count, sum = st.count, st.sum
+			}
+			count++
+			sum += float64(vals[ri])
 		}
 	}
+	st.count, st.sum = count, sum
 }
 
 // foldCell folds row ri's cell of aggregate i's column into st.
@@ -709,6 +778,42 @@ func (a *AggAcc) addGroup() *aggGroup {
 	return g
 }
 
+// writeKeys writes the key of every group a fold by ordinal made, all
+// into one buffer that their keys slice. Such a fold runs only on an
+// accumulator with no group, so either every group has its key or none
+// has, and its groups have one key cell each.
+func (a *AggAcc) writeKeys() {
+	if len(a.order) == 0 || a.order[0].key != "" {
+		return
+	}
+	size := 0
+	for _, kg := range a.order {
+		size += len(kg.g.key[0].s) + 6 // a string's text and 3 bytes, or NULL's 6
+	}
+	ends, buf := make([]int, len(a.order)), make([]byte, 0, size)
+	for i, kg := range a.order {
+		buf = AppendKey(buf, kg.g.key[0])
+		ends[i] = len(buf)
+	}
+	keys, start := string(buf), 0
+	for i, end := range ends {
+		a.order[i].key, start = keys[start:end], end
+	}
+}
+
+// index enters the groups a fold by ordinal made into the key map, for
+// a fold that finds its groups by key.
+func (a *AggAcc) index() {
+	if len(a.groups) == len(a.order) {
+		return
+	}
+	a.writeKeys()
+	a.groups = make(map[string]*aggGroup, len(a.order))
+	for _, kg := range a.order {
+		a.groups[kg.key] = kg.g
+	}
+}
+
 // add folds one non-NULL cell into the state of an aggregate f.
 func (st *aggState) add(f AggFunc, v Value) {
 	st.count++
@@ -742,6 +847,7 @@ func (a *AggAcc) Emit(name string) *Table {
 		out.Rows = [][]Value{a.global.row(a.aggs, out.Schema, make([]Value, 0, w))}
 		return out
 	}
+	a.writeKeys()
 	slices.SortFunc(a.order, func(x, y keyedGroup) int { return strings.Compare(x.key, y.key) })
 	if len(a.order) > 0 {
 		out.Rows = make([][]Value, len(a.order))

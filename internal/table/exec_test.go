@@ -2,6 +2,8 @@ package table
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -378,5 +380,69 @@ func TestPredString(t *testing.T) {
 	p := Pred{Col: "revenue", Op: OpGt, Val: F(100)}
 	if p.String() != "revenue > 100" {
 		t.Errorf("Pred.String = %q", p.String())
+	}
+}
+
+// TestFoldBatchesByOrdinal checks which group identity FoldBatches
+// takes. A single group column whose every batch read carries ordinals
+// spanning no more than the rows read groups by ordinal and enters no
+// key into the map; batches without ordinals, or a span wider than the
+// rows read, send every batch through the key map. Each emits what
+// Aggregate emits over the same rows, and a fold after a fold by
+// ordinal finds the groups it made by key.
+func TestFoldBatchesByOrdinal(t *testing.T) {
+	tb := New("g", Schema{{Name: "k", Type: TypeString}, {Name: "n", Type: TypeInt}})
+	for r := range FragmentRows + 90 {
+		k := S(fmt.Sprintf("k%d", r%(5+r/FragmentRows)))
+		if r%9 == 4 {
+			k = Null(TypeString)
+		}
+		tb.Rows = append(tb.Rows, []Value{k, I(int64(r))})
+	}
+	c := NewCatalog()
+	c.Put(tb)
+	bs := c.FragsOf("g").Batches
+	aggs := []Agg{{Func: AggSum, Col: "n"}, {Func: AggCount}}
+	fold := func(bs []*Batch, sels [][]int32) *AggAcc {
+		var acc AggAcc
+		if err := acc.Init(tb.Schema, nil, []string{"k"}, aggs); err != nil {
+			t.Fatal(err)
+		}
+		acc.FoldBatches(bs, sels)
+		return &acc
+	}
+	emits := func(label string, acc *AggAcc, rows [][]Value) {
+		t.Helper()
+		want, err := Aggregate(&Table{Name: "g", Schema: tb.Schema, Rows: rows}, []string{"k"}, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := acc.Emit("g_agg"); !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("%s: emits\n%v\nwant\n%v", label, got, want)
+		}
+	}
+
+	acc := fold(bs, nil)
+	if acc.groups != nil {
+		t.Error("a fold by ordinal built the key map")
+	}
+	emits("by ordinal", acc, tb.Rows)
+	acc.FoldBatches(bs[:1], nil)
+	if len(acc.groups) != len(acc.order) {
+		t.Errorf("a second fold keyed %d of %d groups", len(acc.groups), len(acc.order))
+	}
+	emits("by ordinal, then by key", acc, append(tb.Rows[:FragmentRows:FragmentRows], tb.Rows...))
+
+	extracted := []*Batch{BatchRange(tb, 0, FragmentRows), BatchRange(tb, FragmentRows, tb.Len())}
+	if acc := fold(extracted, nil); acc.groups == nil {
+		t.Error("batches without ordinals were not folded by key")
+	} else {
+		emits("by key", acc, tb.Rows)
+	}
+	// Two rows of fragment 1 read, six ordinals spanned.
+	if acc := fold(bs, [][]int32{{}, {0, 1}}); acc.groups == nil {
+		t.Error("a span wider than the rows read was not folded by key")
+	} else {
+		emits("short", acc, tb.Rows[FragmentRows:FragmentRows+2])
 	}
 }

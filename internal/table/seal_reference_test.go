@@ -13,7 +13,8 @@ import (
 // column's contract directly. A column is Boxed (every original Value,
 // nothing else) when any non-NULL cell's kind differs from its schema
 // type; otherwise each cell is its typed value or a NULL bit, and a
-// string or date column carries a first-seen dictionary. The zone
+// string or date column carries a first-seen dictionary and each
+// entry's table-wide ordinal (refOrdinals). The zone
 // counts NULLs, keeps the first of Compare-equal values as Min and Max,
 // and holds the ascending distinct values while there are at most
 // ZoneMaxVals of them.
@@ -26,10 +27,38 @@ func sealByRows(t *Table, start, end int) (*Batch, ZoneMap) {
 		for i := range cells {
 			cells[i] = t.Rows[start+i][ci]
 		}
-		b.Cols = append(b.Cols, refColVec(col, cells))
+		cv := refColVec(col, cells)
+		if cv.Dict != nil {
+			seen := refOrdinals(t, ci)
+			cv.Ords = make([]uint32, len(cv.Dict))
+			for code, v := range cv.Dict {
+				cv.Ords[code] = uint32(slices.Index(seen, v))
+			}
+		}
+		b.Cols = append(b.Cols, cv)
 		zm.Cols = append(zm.Cols, refZoneCol(col.Name, cells))
 	}
 	return b, zm
+}
+
+// refOrdinals lists column ci's distinct non-NULL values in first-seen
+// order over the fragments of t where the column is coded (no kind
+// anomaly boxes it): a value's index in the list is its table-wide
+// ordinal.
+func refOrdinals(t *Table, ci int) []string {
+	var seen []string
+	for start := 0; start < len(t.Rows); start += FragmentRows {
+		var cells []Value
+		for _, row := range t.Rows[start:min(start+FragmentRows, len(t.Rows))] {
+			cells = append(cells, row[ci])
+		}
+		for _, v := range refColVec(t.Schema[ci], cells).Dict {
+			if !slices.Contains(seen, v) {
+				seen = append(seen, v)
+			}
+		}
+	}
+	return seen
 }
 
 func refColVec(col Column, cells []Value) ColVec {
@@ -126,9 +155,9 @@ func sameBatch(a, b *Batch) bool {
 }
 
 // checkSealed holds every fragment the catalog derived for the named
-// table — batch, dictionaries and zone map — to sealByRows over the
-// catalog's own rows, and the on-the-fly BatchRange of each fragment to
-// the same batch without dictionaries.
+// table — batch, dictionaries, ordinals and zone map — to sealByRows
+// over the catalog's own rows, and the on-the-fly BatchRange of each
+// fragment to the same batch without dictionaries or ordinals.
 func checkSealed(t testing.TB, c *Catalog, name, step string) {
 	t.Helper()
 	tb, err := c.Get(name)
@@ -152,7 +181,7 @@ func checkSealed(t testing.TB, c *Catalog, name, step string) {
 			t.Fatalf("%s: fragment %d zone map differs from the row walk:\n%+v\nvs\n%+v", step, fi, z.Maps[fi], wantZ)
 		}
 		for ci := range wantB.Cols {
-			wantB.Cols[ci].Codes, wantB.Cols[ci].Dict = nil, nil
+			wantB.Cols[ci].Codes, wantB.Cols[ci].Dict, wantB.Cols[ci].Ords = nil, nil, nil
 		}
 		if got := BatchRange(tb, start, end); !sameBatch(got, wantB) {
 			t.Fatalf("%s: BatchRange of fragment %d differs from the row walk:\n%+v\nvs\n%+v", step, fi, got, wantB)
@@ -165,8 +194,9 @@ func checkSealed(t testing.TB, c *Catalog, name, step string) {
 // of several payloads, −0 before and after +0, ints past 2^53 that one
 // float64 stands for, a kind anomaly after repeats in a coded column,
 // an all-NULL string column, exactly ZoneMaxVals and ZoneMaxVals+1
-// distinct values, a 1-row table, a short tail, and Appends across the
-// seal.
+// distinct values (the last first seen in a later fragment, so its
+// ordinal follows the earlier ones), a 1-row table, a short tail, and
+// Appends across the seal.
 func TestSealedFragmentsMatchRowWalk(t *testing.T) {
 	nan := []Value{F(math.NaN()), F(math.Float64frombits(0x7ff8000000000001)), F(math.Float64frombits(0xfff8000000000002))}
 	negZero, big := F(math.Copysign(0, -1)), int64(1)<<53
@@ -211,6 +241,9 @@ func TestSealedFragmentsMatchRowWalk(t *testing.T) {
 	checkSealed(t, c, "edge", "edge table")
 	if cv := c.FragsOf("edge").Batches[1].Cols[2]; cv.Boxed == nil {
 		t.Error("the kind anomaly did not box its fragment's column")
+	}
+	if ords := c.FragsOf("edge").Batches[1].Cols[4].Ords; !slices.Contains(ords, ZoneMaxVals) {
+		t.Errorf("the date first seen in fragment 1 has no ordinal after fragment 0's: %v", ords)
 	}
 	if z := c.ZonesOf("edge"); !z.Maps[0].Cols[4].Exact || z.Maps[1].Cols[4].Exact {
 		t.Error("the date column does not keep exactly ZoneMaxVals values and drop ZoneMaxVals+1")

@@ -110,25 +110,67 @@ func (t *Table) Clone() *Table {
 	return nt
 }
 
-// String renders the table as an aligned ASCII grid (capped at 20 rows)
-// for CLI output and examples.
+// PreviewRows is how many rows a rendered table shows.
+const PreviewRows = 20
+
+// String renders the table as an aligned ASCII grid (capped at
+// PreviewRows rows) for CLI output and examples.
 func (t *Table) String() string {
-	var b strings.Builder
-	widths := make([]int, len(t.Schema))
-	for i, c := range t.Schema {
-		widths[i] = len(c.Name)
-	}
-	maxRows := len(t.Rows)
-	truncated := false
-	if maxRows > 20 {
-		maxRows = 20
-		truncated = true
-	}
-	for _, r := range t.Rows[:maxRows] {
-		for i, v := range r {
-			if l := len(v.String()); l > widths[i] {
-				widths[i] = l
+	return Layout(t.Schema.Names(), Cells(t.Rows[:min(len(t.Rows), PreviewRows)]), len(t.Rows))
+}
+
+// Cells renders every cell of rows once, as Value.String does, into one
+// slab of strings, row-major, each row a window of it capped at its own
+// length. A string or date cell is its own text; every other cell's
+// text is written into one buffer that all of them slice.
+func Cells(rows [][]Value) [][]string {
+	n, written := 0, 0
+	for _, r := range rows {
+		n += len(r)
+		for _, v := range r {
+			if !v.isText() {
+				written++
 			}
+		}
+	}
+	slab, out := make([]string, n), make([][]string, len(rows))
+	var buf []byte
+	ends := make([]int, 0, written) // where each written cell's text ends in buf
+	for i, r := range rows {
+		out[i], slab = slab[:len(r):len(r)], slab[len(r):]
+		for j, v := range r {
+			if v.isText() {
+				out[i][j] = v.s
+			} else {
+				buf = v.AppendString(buf)
+				ends = append(ends, len(buf))
+			}
+		}
+	}
+	text, start := string(buf), 0
+	for i, r := range rows {
+		for j, v := range r {
+			if !v.isText() {
+				out[i][j], start = text[start:ends[0]], ends[0]
+				ends = ends[1:]
+			}
+		}
+	}
+	return out
+}
+
+// Layout renders an aligned ASCII grid: the column names, a rule, the
+// preview rows' cells (at most PreviewRows of them), and a "... (n rows
+// total)" line when the table holds more rows than the preview shows.
+func Layout(names []string, preview [][]string, total int) string {
+	var b strings.Builder
+	widths := make([]int, len(names))
+	for i, c := range names {
+		widths[i] = len(c)
+	}
+	for _, r := range preview {
+		for i, c := range r {
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	writeRow := func(cells []string) {
@@ -143,21 +185,17 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.Schema.Names())
-	sep := make([]string, len(t.Schema))
+	writeRow(names)
+	sep := make([]string, len(names))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
-	for _, r := range t.Rows[:maxRows] {
-		cells := make([]string, len(r))
-		for i, v := range r {
-			cells[i] = v.String()
-		}
-		writeRow(cells)
+	for _, r := range preview {
+		writeRow(r)
 	}
-	if truncated {
-		fmt.Fprintf(&b, "... (%d rows total)\n", len(t.Rows))
+	if total > len(preview) {
+		fmt.Fprintf(&b, "... (%d rows total)\n", total)
 	}
 	return b.String()
 }
@@ -344,18 +382,22 @@ func (c *Catalog) derive(t *Table, from int) *entry {
 
 // fragmentsFrom walks the FragmentRows grid of t once, from the
 // fragment holding row from, and seals each fragment: one walk per
-// column (sealCol) builds its typed cells, dictionary and zone summary.
-// Fragments wholly below from are sealed — full and unchanged — and
-// shared with the previous z and f; the open tail is derived again with
-// the new rows. Zones and Frags are immutable once published, so the
-// result is always a fresh pair.
+// column (sealCol) builds its typed cells, dictionary, ordinals and
+// zone summary. Fragments wholly below from are sealed — full and
+// unchanged — and shared with the previous z and f, whose value→ordinal
+// maps number the new rows' values on from the old ones; the open tail
+// is derived again with the new rows and finds its earlier values
+// under the ordinals they already hold. Zones and Frags are immutable
+// once published, so the result is always a fresh pair.
 func fragmentsFrom(z *Zones, f *Frags, t *Table, from int) (*Zones, *Frags) {
 	nz := &Zones{Table: t.Name, Rows: len(t.Rows)}
 	nf := &Frags{Table: t.Name, Rows: len(t.Rows)}
 	if sealed := from / FragmentRows; sealed > 0 {
-		nz.Maps, nf.Batches = z.Maps[:sealed:sealed], f.Batches[:sealed:sealed]
+		nz.Maps, nf.Batches, nf.ords = z.Maps[:sealed:sealed], f.Batches[:sealed:sealed], f.ords
+	} else {
+		nf.ords = make([]map[string]uint32, len(t.Schema))
 	}
-	s := sealer{codes: make(map[string]uint8)}
+	s := sealer{codes: make(map[string]uint8), ords: nf.ords}
 	for start := len(nz.Maps) * FragmentRows; start < len(t.Rows); start += FragmentRows {
 		end := min(start+FragmentRows, len(t.Rows))
 		b := &Batch{Schema: t.Schema, Len: end - start, Cols: make([]ColVec, len(t.Schema))}

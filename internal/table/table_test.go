@@ -3,6 +3,8 @@ package table
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -226,4 +228,75 @@ func TestMustAppendPanics(t *testing.T) {
 		}
 	}()
 	New("t", Schema{{Name: "a", Type: TypeInt}}).MustAppend([]Value{S("x")})
+}
+
+// refString is the rendering Table.String is held to, written out
+// directly: each column as wide as its name and its widest shown cell,
+// cells padded and joined by two spaces, a rule of dashes under the
+// names, the first 20 rows, and a count line when there are more.
+func refString(t *Table) string {
+	shown := t.Rows[:min(len(t.Rows), 20)]
+	widths := make([]int, len(t.Schema))
+	for i, c := range t.Schema {
+		widths[i] = len(c.Name)
+		for _, r := range shown {
+			widths[i] = max(widths[i], len(r[i].String()))
+		}
+	}
+	var b strings.Builder
+	line := func(cell func(i int) string) {
+		for i, w := range widths {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", w, cell(i))
+		}
+		b.WriteString("\n")
+	}
+	line(func(i int) string { return t.Schema[i].Name })
+	line(func(i int) string { return strings.Repeat("-", widths[i]) })
+	for _, r := range shown {
+		line(func(i int) string { return r[i].String() })
+	}
+	if len(t.Rows) > 20 {
+		fmt.Fprintf(&b, "... (%d rows total)\n", len(t.Rows))
+	}
+	return b.String()
+}
+
+// TestCellsAndLayout holds Cells to Value.String cell by cell, each row
+// a window capped at its own length, and Table.String — Layout over
+// Cells — to the reference rendering, at 0, 20 and 25 rows.
+func TestCellsAndLayout(t *testing.T) {
+	tb := New("mixed", Schema{
+		{Name: "s", Type: TypeString}, {Name: "float_col", Type: TypeFloat},
+		{Name: "n", Type: TypeInt}, {Name: "d", Type: TypeDate}, {Name: "b", Type: TypeBool},
+	})
+	floats := []float64{2.5, -0.0, math.Copysign(0, -1), math.NaN(), math.Inf(-1), 1e6, 123456, 1e-7}
+	for i := range 25 {
+		row := []Value{S(strings.Repeat("x", i%7)), F(floats[i%len(floats)]), I(int64(i * i * 1001)),
+			D(fmt.Sprintf("2024-02-%02d", 1+i)), B(i%2 == 0)}
+		if i%6 == 5 {
+			row[i%5] = Null(tb.Schema[i%5].Type)
+		}
+		tb.Rows = append(tb.Rows, row)
+	}
+	cells := Cells(tb.Rows)
+	for i, r := range tb.Rows {
+		if len(cells[i]) != len(r) || cap(cells[i]) != len(r) {
+			t.Fatalf("row %d: %d cells of capacity %d, want %d", i, len(cells[i]), cap(cells[i]), len(r))
+		}
+		for j, v := range r {
+			if cells[i][j] != v.String() {
+				t.Errorf("row %d cell %d: %q, want %q", i, j, cells[i][j], v.String())
+			}
+		}
+	}
+	for _, n := range []int{0, 20, 25} {
+		part := New("mixed", tb.Schema)
+		part.Rows = tb.Rows[:n]
+		if got, want := part.String(), refString(part); got != want {
+			t.Errorf("%d rows: String =\n%s\nwant\n%s", n, got, want)
+		}
+	}
 }

@@ -157,12 +157,16 @@ func (v Value) IsNumeric() bool { return v.kind == TypeInt || v.kind == TypeFloa
 // String renders the value for display; NULL renders as "NULL". A
 // string or date is its own text, not a copy.
 func (v Value) String() string {
-	if v.valid && (v.kind == TypeString || v.kind == TypeDate) {
+	if v.isText() {
 		return v.s
 	}
 	var buf [32]byte // the longest int or 'g' float is 24 bytes
 	return string(v.AppendString(buf[:0]))
 }
+
+// isText reports whether the value is a non-NULL string or date, whose
+// text String returns without formatting.
+func (v Value) isText() bool { return v.valid && (v.kind == TypeString || v.kind == TypeDate) }
 
 // AppendString appends the text String returns to dst, so a caller that
 // writes many values into one buffer formats each number in place.
@@ -176,6 +180,11 @@ func (v Value) AppendString(dst []byte) []byte {
 	case TypeInt:
 		return strconv.AppendInt(dst, v.Int(), 10)
 	case TypeFloat:
+		// 'g' writes an integral float below 1e6 in magnitude as its
+		// digits, as AppendInt does; −0 keeps its sign through 'g'.
+		if x := v.Float(); x == math.Trunc(x) && math.Abs(x) < 1e6 && (x != 0 || !math.Signbit(x)) {
+			return strconv.AppendInt(dst, int64(x), 10)
+		}
 		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case TypeBool:
 		return strconv.AppendBool(dst, v.Bool())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -329,6 +330,33 @@ func TestInfer(t *testing.T) {
 func TestColTypeString(t *testing.T) {
 	if TypeInt.String() != "int" || TypeDate.String() != "date" || ColType(99).String() != "unknown" {
 		t.Error("ColType.String broken")
+	}
+}
+
+// TestAppendStringIntegralFloats holds AppendString's integer fast path
+// to strconv's shortest 'g' text, which writes an integral float below
+// 1e6 in magnitude as its digits and switches to an exponent at 1e6:
+// every integer in ±2 000 000, the floats either side of ±1e6, ±0, NaN
+// and ±Inf.
+func TestAppendStringIntegralFloats(t *testing.T) {
+	var got, want []byte
+	check := func(x float64) {
+		got = F(x).AppendString(got[:0])
+		want = strconv.AppendFloat(want[:0], x, 'g', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("F(%v).AppendString = %q, AppendFloat 'g' writes %q", x, got, want)
+		}
+	}
+	for n := -2_000_000; n <= 2_000_000; n++ {
+		check(float64(n))
+	}
+	for _, edge := range []float64{1e6, -1e6} {
+		check(math.Nextafter(edge, 0))
+		check(math.Nextafter(edge, math.Inf(1)))
+		check(math.Nextafter(edge, math.Inf(-1)))
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 0.5, -999999.5} {
+		check(x)
 	}
 }
 

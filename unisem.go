@@ -434,17 +434,16 @@ func (s *System) Query(query string) (_ QueryResult, err error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
+	// Every cell is formatted once; the preview is laid out from the
+	// same strings, as Table.String lays out its own.
+	names, rows := res.Table.Schema.Names(), table.Cells(res.Table.Rows)
 	out := QueryResult{
-		Columns:  res.Table.Schema.Names(),
-		Rendered: res.Table.String(),
+		Columns:  names,
+		Rendered: table.Layout(names, rows[:min(len(rows), table.PreviewRows)], len(rows)),
 		executed: res.Executed,
 	}
-	for _, row := range res.Table.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
-		}
-		out.Rows = append(out.Rows, cells)
+	if len(rows) > 0 {
+		out.Rows = rows
 	}
 	return out, nil
 }
