@@ -56,8 +56,8 @@ import (
 // (table.OrdinalSpan), group identity is the ordinal: the accumulator
 // indexes its groups by it and distinct keeps a bitset over it, so no
 // key is written or looked up per row; the accumulator writes each
-// group's key once, at Emit, to order its output. Any other input goes
-// through the key map for every batch.
+// group's key once, as the fold ends, to order its output. Any other
+// input goes through the key map for every batch.
 //
 // Compare reuses the filter and aggregate kernels, running each
 // CompareBranches arm over the child stream and appending per-item
@@ -1239,10 +1239,15 @@ func (v *vecRun) distinctStream(s *vstream) *vstream {
 
 // distinctByOrdinal returns the rows of col's batch that sel selects
 // (nil: the first n) whose value no earlier row held: seen holds a bit
-// per table-wide ordinal, and bit span is NULL's. A batch whose every
-// value (and NULL, when it holds one) is already seen is skipped
-// unread, and the loop stops once the batch's unseen values are found.
+// per table-wide ordinal, and bit span is NULL's. A batch with no row
+// selected is not read: span bounds only the ordinals of batches with
+// one (table.OrdinalSpan). A batch whose every value (and NULL, when
+// it holds one) is already seen is skipped unread, and the loop stops
+// once the batch's unseen values are found.
 func distinctByOrdinal(seen table.Bitmap, span int, col *table.ColVec, n int, sel []int32) []int32 {
+	if n == 0 {
+		return []int32{}
+	}
 	fresh := 0 // the batch's values, and NULL, not yet seen
 	for _, o := range col.Ords {
 		if !seen.Get(int(o)) {

@@ -84,7 +84,8 @@ func kernelCatalog() *table.Catalog {
 // is not their string order; a NULL key appears from fragment 1 on, and
 // "late" first in fragment 2. h is coded too, except in fragment 1,
 // where one int cell boxes it, so every batch of h goes through the key
-// map. m feeds the sparse pre-predicate, as in kern.
+// map. m feeds the sparse pre-predicate, as in kern. u is distinct on
+// every row, so each fragment after the first brings 256 new values.
 func putOrd(c *table.Catalog) {
 	keys := []string{"a", "a\x01", "a\x1f", "a\x1fb", "b\x00", "", "a\x1e"}
 	finite := []float64{1e16, 1, -1e16, 0.5, 3, 1e-3, 7e15, 2.5, -0.25, 1}
@@ -94,6 +95,7 @@ func putOrd(c *table.Catalog) {
 		{Name: "n", Type: table.TypeInt},
 		{Name: "v", Type: table.TypeFloat},
 		{Name: "m", Type: table.TypeInt},
+		{Name: "u", Type: table.TypeString},
 	})
 	var rows [][]table.Value
 	for r := 0; r < 2*table.FragmentRows+120; r++ {
@@ -106,7 +108,7 @@ func putOrd(c *table.Catalog) {
 			k = table.Null(table.TypeString)
 		}
 		rows = append(rows, []table.Value{k, table.S(fmt.Sprintf("h%d", r%4)), table.I(int64(r%13 - 4)),
-			table.F(finite[r%len(finite)]), table.I(int64(r * 7 % 10))})
+			table.F(finite[r%len(finite)]), table.I(int64(r * 7 % 10)), table.S(fmt.Sprintf("u%03d", r))})
 	}
 	rows[300][1] = table.I(5)
 	ord.Rows = rows[:400]
@@ -286,6 +288,17 @@ func TestTypedKernelsMatchReference(t *testing.T) {
 			dis := &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{{Op: logical.OpProject, Proj: []string{col}, In: []*logical.Node{in.root}}}}
 			t.Run(fmt.Sprintf("distinct/ord/%s/%s", in.way, col), func(t *testing.T) { assertKernels(t, c, dis) })
 		}
+	}
+	// Fragment 0 only, by a ROWS range and by a filter: the later
+	// batches are read with no row selected, and their ordinals of u lie
+	// beyond the span the read rows need.
+	head := &logical.Node{Op: logical.OpScan, Table: "ord", RowStart: 0, RowEnd: table.FragmentRows}
+	headFilter := filter(scan("ord"), table.Pred{Col: "u", Op: table.OpLt, Val: table.S("u256")})
+	for _, in := range []input{{"head", head}, {"head-filter", headFilter}} {
+		agg := &logical.Node{Op: logical.OpAggregate, GroupBy: []string{"u"}, Aggs: ordAggs, In: []*logical.Node{in.root}}
+		t.Run("aggregate/ord/"+in.way+"/u", func(t *testing.T) { assertKernels(t, c, agg) })
+		dis := &logical.Node{Op: logical.OpDistinct, In: []*logical.Node{{Op: logical.OpProject, Proj: []string{"u"}, In: []*logical.Node{in.root}}}}
+		t.Run("distinct/ord/"+in.way+"/u", func(t *testing.T) { assertKernels(t, c, dis) })
 	}
 	// A ROWS range's selection is shared: the comparison's two branches
 	// filter the same sparse stream, so neither may write into it.

@@ -146,7 +146,7 @@ func BatchRange(t *Table, start, end int) *Batch {
 // sealer is the state of one catalog fragment walk (fragmentsFrom),
 // shared by every column and fragment it seals: the dictionary codes of
 // the column in hand, the row of each code's first cell, and the
-// table's value→ordinal maps (Frags.ords).
+// table's value→ordinal maps (the catalog entry's ords).
 type sealer struct {
 	codes map[string]uint8
 	first [FragmentRows]uint8
@@ -287,9 +287,4 @@ type Frags struct {
 	Table   string
 	Rows    int // rows covered
 	Batches []*Batch
-	// ords maps each coded column's values to their table-wide ordinals
-	// (ColVec.Ords), by schema column. Only the sealer reads it: an
-	// Append's Frags shares and extends its predecessor's, since the
-	// numbering carries on from the rows already sealed.
-	ords []map[string]uint32
 }

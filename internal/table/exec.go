@@ -320,20 +320,23 @@ func Aggregate(t *Table, groupBy []string, aggs []Agg) (*Table, error) {
 // (rows) and FoldBatches (columnar batches and their selections)
 // accumulate in input order, so float sums are the same additions in
 // the same order on every path; Emit materializes the groups in sorted
-// key order and leaves the accumulator valid for more folds. The rollup
+// key order and leaves the accumulator valid for more Folds. The rollup
 // maintainer relies on that split: folding only a Put's appended rows
 // into a retained accumulator performs the identical accumulation
 // sequence — including every float addition — as folding all rows from
 // scratch, which is what makes incremental rollup materializations
 // bit-equal to full rebuilds (FuzzRollupMaintenance).
 //
-// FoldBatches resolves each batch's rows to their groups first and
-// then folds each aggregate's column over them in a typed loop. A
+// FoldBatches folds a fresh accumulator's whole stream once, between
+// Init and Emit. It resolves each batch's rows to their groups first
+// and then folds each aggregate's column over them in a typed loop. A
 // group's identity is its key (AppendKey's bytes) in one map, except
 // for a single group column that carries table-wide ordinals in every
 // batch (OrdinalSpan): there an array indexed by ordinal holds the
-// groups, no key is written while folding, and Emit writes each group's
-// key once, all into one buffer, to order the output by the same bytes.
+// groups, no key is written while folding, and each group's key is
+// written once at the end, all into one buffer, for Emit to order the
+// output by the same bytes. Such groups enter no key map, so no Fold
+// may follow.
 // Groups and their states are carved from chunked slabs (groupSlab). A
 // zero AggAcc is ready for Init.
 type AggAcc struct {
@@ -357,8 +360,7 @@ type aggGroup struct {
 	aggs []aggState
 }
 
-// keyedGroup is a keyed group and its key encoding; the key is "" (no
-// encoding is) until writeKeys writes the keys of a fold by ordinal.
+// keyedGroup is a keyed group and its key encoding.
 type keyedGroup struct {
 	key string
 	g   *aggGroup
@@ -441,9 +443,12 @@ func (a *AggAcc) Init(schema Schema, cols []int, groupBy []string, aggs []Agg) e
 	return nil
 }
 
-// Fold accumulates the rows, in order.
+// Fold accumulates the rows, in order. It may not follow a FoldBatches
+// that grouped by ordinal.
 func (a *AggAcc) Fold(rows [][]Value) {
-	a.index()
+	if len(a.groups) != len(a.order) {
+		panic("table: AggAcc.Fold after a fold by ordinal")
+	}
 	for _, row := range rows {
 		g := a.global
 		if g == nil {
@@ -468,27 +473,27 @@ func (a *AggAcc) Fold(rows [][]Value) {
 	}
 }
 
-// FoldBatches accumulates the batches in order: of bs[bi], the rows
-// sels[bi] selects (nil sels, or a nil entry: every row), in row order.
-// A global aggregate folds each aggregate's column in one loop. A
-// group-by resolves every selected row of a batch to its group first —
-// by ordinal into one array when the accumulator holds no group yet and
-// its one group column qualifies (OrdinalSpan), by key otherwise — and
-// then folds each aggregate's column over them. Either way COUNT, SUM
+// FoldBatches accumulates the batches into the freshly Init'ed
+// accumulator, in order: of bs[bi], the rows sels[bi] selects (nil
+// sels, or a nil entry: every row), in row order. A global aggregate
+// folds each aggregate's column in one loop. A group-by resolves every
+// selected row of a batch to its group first — by ordinal into one
+// array when its one group column qualifies (OrdinalSpan), by key
+// otherwise — and then folds each aggregate's column over them. Either way COUNT, SUM
 // and AVG of an unboxed int or float column add without building a
 // Value, carrying a group's count and sum across a run of its rows, and
 // each group's state sees its cells in row order, so its float
 // additions are the ones Fold makes.
 func (a *AggAcc) FoldBatches(bs []*Batch, sels [][]int32) {
+	if a.global != nil || len(a.order) > 0 {
+		panic("table: AggAcc.FoldBatches on an accumulator already folded")
+	}
 	var dense []*aggGroup // groups by ordinal, then NULL's
-	if len(a.groupIn) == 1 && len(a.order) == 0 {
+	if len(a.groupIn) == 1 {
 		if span, ok := OrdinalSpan(bs, sels, a.groupIn[0]); ok {
 			dense = make([]*aggGroup, span+1)
 			a.order = make([]keyedGroup, 0, span+1) // at most a group per slot
 		}
-	}
-	if dense == nil {
-		a.index()
 	}
 	var ks [FragmentRows]uint32       // each selected row's slot in its batch's groups
 	var local [FragmentRows]*aggGroup // a batch's groups by key, one slot per row
@@ -525,6 +530,9 @@ func (a *AggAcc) FoldBatches(bs []*Batch, sels [][]int32) {
 				a.foldGrouped(groups, ks[:n], i, b, sel)
 			}
 		}
+	}
+	if dense != nil {
+		a.writeKeys()
 	}
 }
 
@@ -627,7 +635,7 @@ func (a *AggAcc) ordSlots(ks []uint32, dense []*aggGroup, col *ColVec, sel []int
 }
 
 // ordGroup makes the group of one group key for a fold by ordinal: it
-// enters no key map, and writeKeys writes its key when one is needed.
+// enters no key map, and writeKeys writes its key once the fold ends.
 func (a *AggAcc) ordGroup(key Value) *aggGroup {
 	g := a.slab.carve(1, len(a.aggs))
 	g.key[0] = key
@@ -778,14 +786,10 @@ func (a *AggAcc) addGroup() *aggGroup {
 	return g
 }
 
-// writeKeys writes the key of every group a fold by ordinal made, all
-// into one buffer that their keys slice. Such a fold runs only on an
-// accumulator with no group, so either every group has its key or none
-// has, and its groups have one key cell each.
+// writeKeys writes the key of every group of a fold by ordinal, all
+// into one buffer that their keys slice. Such a fold runs only on a
+// fresh accumulator, so every group is its, with one key cell.
 func (a *AggAcc) writeKeys() {
-	if len(a.order) == 0 || a.order[0].key != "" {
-		return
-	}
 	size := 0
 	for _, kg := range a.order {
 		size += len(kg.g.key[0].s) + 6 // a string's text and 3 bytes, or NULL's 6
@@ -798,19 +802,6 @@ func (a *AggAcc) writeKeys() {
 	keys, start := string(buf), 0
 	for i, end := range ends {
 		a.order[i].key, start = keys[start:end], end
-	}
-}
-
-// index enters the groups a fold by ordinal made into the key map, for
-// a fold that finds its groups by key.
-func (a *AggAcc) index() {
-	if len(a.groups) == len(a.order) {
-		return
-	}
-	a.writeKeys()
-	a.groups = make(map[string]*aggGroup, len(a.order))
-	for _, kg := range a.order {
-		a.groups[kg.key] = kg.g
 	}
 }
 
@@ -838,7 +829,7 @@ func (st *aggState) extreme(f AggFunc, v Value) {
 // Emit materializes the groups, in sorted key order, as a fresh table:
 // one row for a global aggregate, folded or not; a keyed group-by's
 // rows are carved from one allocation. The accumulator stays valid:
-// Emit may be called again after more folds and will include
+// Emit may be called again after more Folds and will include
 // everything folded so far.
 func (a *AggAcc) Emit(name string) *Table {
 	out := New(name, AggregateSchema(a.schema, a.groupBy, a.aggs))
@@ -847,7 +838,6 @@ func (a *AggAcc) Emit(name string) *Table {
 		out.Rows = [][]Value{a.global.row(a.aggs, out.Schema, make([]Value, 0, w))}
 		return out
 	}
-	a.writeKeys()
 	slices.SortFunc(a.order, func(x, y keyedGroup) int { return strings.Compare(x.key, y.key) })
 	if len(a.order) > 0 {
 		out.Rows = make([][]Value, len(a.order))

@@ -388,8 +388,8 @@ func TestPredString(t *testing.T) {
 // spanning no more than the rows read groups by ordinal and enters no
 // key into the map; batches without ordinals, or a span wider than the
 // rows read, send every batch through the key map. Each emits what
-// Aggregate emits over the same rows, and a fold after a fold by
-// ordinal finds the groups it made by key.
+// Aggregate emits over the same rows; a Fold may not follow a fold by
+// ordinal.
 func TestFoldBatchesByOrdinal(t *testing.T) {
 	tb := New("g", Schema{{Name: "k", Type: TypeString}, {Name: "n", Type: TypeInt}})
 	for r := range FragmentRows + 90 {
@@ -427,11 +427,14 @@ func TestFoldBatchesByOrdinal(t *testing.T) {
 		t.Error("a fold by ordinal built the key map")
 	}
 	emits("by ordinal", acc, tb.Rows)
-	acc.FoldBatches(bs[:1], nil)
-	if len(acc.groups) != len(acc.order) {
-		t.Errorf("a second fold keyed %d of %d groups", len(acc.groups), len(acc.order))
-	}
-	emits("by ordinal, then by key", acc, append(tb.Rows[:FragmentRows:FragmentRows], tb.Rows...))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a Fold after a fold by ordinal did not panic")
+			}
+		}()
+		acc.Fold(tb.Rows[:1])
+	}()
 
 	extracted := []*Batch{BatchRange(tb, 0, FragmentRows), BatchRange(tb, FragmentRows, tb.Len())}
 	if acc := fold(extracted, nil); acc.groups == nil {

@@ -296,6 +296,11 @@ type entry struct {
 	runs  [][]ValueCount // the per-column distinct runs stats derive from
 	zones *Zones
 	frags *Frags
+	// ords maps each coded column's values to their table-wide ordinals
+	// (ColVec.Ords), by schema column: the numbering the next Append's
+	// seal carries on from. Only the sealer reads or extends it, and it
+	// stays off the published Frags so those never change.
+	ords []map[string]uint32
 	// rollups are the rollups over this table, sorted by name; rollup is
 	// set when this table is itself a rollup's materialization.
 	rollups []*rollupState
@@ -373,7 +378,7 @@ func (c *Catalog) derive(t *Table, from int) *entry {
 		c.entries[key] = e
 	}
 	e.stats, e.runs = statsFrom(e.stats, e.runs, t, from)
-	e.zones, e.frags = fragmentsFrom(e.zones, e.frags, t, from)
+	e.zones, e.frags, e.ords = fragmentsFrom(e.zones, e.frags, e.ords, t, from)
 	e.table = t
 	c.epoch++
 	e.stats.Epoch = c.epoch
@@ -384,20 +389,21 @@ func (c *Catalog) derive(t *Table, from int) *entry {
 // fragment holding row from, and seals each fragment: one walk per
 // column (sealCol) builds its typed cells, dictionary, ordinals and
 // zone summary. Fragments wholly below from are sealed — full and
-// unchanged — and shared with the previous z and f, whose value→ordinal
-// maps number the new rows' values on from the old ones; the open tail
-// is derived again with the new rows and finds its earlier values
-// under the ordinals they already hold. Zones and Frags are immutable
-// once published, so the result is always a fresh pair.
-func fragmentsFrom(z *Zones, f *Frags, t *Table, from int) (*Zones, *Frags) {
+// unchanged — and shared with the previous z and f; the value→ordinal
+// maps ords number the new rows' values on from the old ones, so the
+// open tail, derived again with the new rows, finds its earlier values
+// under the ordinals they already hold. From row 0 the maps start
+// empty. Zones and Frags are immutable once published, so the result
+// is always a fresh pair; ords is extended in place.
+func fragmentsFrom(z *Zones, f *Frags, ords []map[string]uint32, t *Table, from int) (*Zones, *Frags, []map[string]uint32) {
 	nz := &Zones{Table: t.Name, Rows: len(t.Rows)}
 	nf := &Frags{Table: t.Name, Rows: len(t.Rows)}
 	if sealed := from / FragmentRows; sealed > 0 {
-		nz.Maps, nf.Batches, nf.ords = z.Maps[:sealed:sealed], f.Batches[:sealed:sealed], f.ords
+		nz.Maps, nf.Batches = z.Maps[:sealed:sealed], f.Batches[:sealed:sealed]
 	} else {
-		nf.ords = make([]map[string]uint32, len(t.Schema))
+		ords = make([]map[string]uint32, len(t.Schema))
 	}
-	s := sealer{codes: make(map[string]uint8), ords: nf.ords}
+	s := sealer{codes: make(map[string]uint8), ords: ords}
 	for start := len(nz.Maps) * FragmentRows; start < len(t.Rows); start += FragmentRows {
 		end := min(start+FragmentRows, len(t.Rows))
 		b := &Batch{Schema: t.Schema, Len: end - start, Cols: make([]ColVec, len(t.Schema))}
@@ -409,7 +415,7 @@ func fragmentsFrom(z *Zones, f *Frags, t *Table, from int) (*Zones, *Frags) {
 		nz.Maps = append(nz.Maps, zm)
 		nf.Batches = append(nf.Batches, b)
 	}
-	return nz, nf
+	return nz, nf, ords
 }
 
 // lookup returns the named table's record, or an empty one for an

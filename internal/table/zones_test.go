@@ -80,12 +80,16 @@ func assertMatchesFresh(t testing.TB, c *Catalog, tb *Table, def RollupDef, step
 	if got, want := c.ZonesOf(tb.Name), want.ZonesOf(tb.Name); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: incremental zones diverge from a fresh catalog:\n%+v\nvs\n%+v", step, got, want)
 	}
-	// The fragments compare whole: per-batch dictionaries, their
-	// table-wide ordinals and the value→ordinal maps that number the
-	// next Append's values included. checkSealed makes sure there is a
-	// dictionary to compare, and holds the ordinals to the row walk.
+	// The fragments compare whole, per-batch dictionaries and their
+	// table-wide ordinals included, and so do the value→ordinal maps
+	// that number the next Append's values. checkSealed makes sure
+	// there is a dictionary to compare, and holds the ordinals to the
+	// row walk.
 	if got, want := c.FragsOf(tb.Name), want.FragsOf(tb.Name); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: incremental fragments diverge from a fresh catalog:\n%+v\nvs\n%+v", step, got, want)
+	}
+	if got, want := c.lookup(tb.Name).ords, want.lookup(tb.Name).ords; !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: incremental ordinal maps diverge from a fresh catalog:\n%v\nvs\n%v", step, got, want)
 	}
 	checkSealed(t, c, tb.Name, step)
 	got, err := c.Get(def.Name)
