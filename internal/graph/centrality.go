@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -24,7 +25,7 @@ const (
 // partitioned across workers — results are bit-identical at any worker
 // count (0 = GOMAXPROCS, 1 = sequential).
 func (v *View) PageRank(workers int) []float64 {
-	n := len(v.verts)
+	n := len(v.at)
 	if n == 0 {
 		return nil
 	}
@@ -33,13 +34,15 @@ func (v *View) PageRank(workers int) []float64 {
 	// beside src so the hot loop touches only flat slices.
 	outWeight := make([]float64, n)
 	ws := make([]float64, len(v.src))
-	for i, vx := range v.verts {
-		for _, h := range vx.out[:v.outOff[i+1]-v.outOff[i]] {
-			outWeight[i] += h.w
+	var buf []float64
+	for i := range n {
+		out, in := v.lists(i)
+		buf = slices.Grow(buf[:0], int(v.outOff[i+1]-v.outOff[i]))[:v.outOff[i+1]-v.outOff[i]]
+		weights(buf, out)
+		for _, w := range buf {
+			outWeight[i] += w
 		}
-		for j, h := range vx.in[:v.inOff[i+1]-v.inOff[i]] {
-			ws[int(v.inOff[i])+j] = h.w
-		}
+		weights(ws[v.inOff[i]:v.inOff[i+1]], in)
 	}
 
 	ranks := make([]float64, n)

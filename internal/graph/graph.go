@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -109,20 +110,29 @@ var (
 // vertex at the other end by number and the type as a code into the
 // graph's type table. An Edge spells both endpoints and the type as
 // strings, 56 bytes against these 16, and every edge is stored twice.
+//
+// A half whose nb is negative is a marker: it stands for the next w
+// weight-1 mentions twins between the vertex and the rows of range ^nb,
+// in the range's posting order (rowRange.postingOrder). A vertex's list
+// grows a marker in place, so of a list only its last half ever
+// changes.
 type half struct {
 	w   float64
 	nb  int32
 	typ uint8
 }
 
-// vertex is a node and its adjacency in one record, so that one map
-// lookup reaches both and edge insertion — the hottest build operation —
-// touches exactly two vertices. It holds the node's strings, not a Node:
-// the type is a code into the graph's node-type table; the label shares
-// the id's bytes when it is a suffix of the id, as the label of every
-// row, chunk, entity and doc the index builder makes is; and the payload
-// that only chunks, entities and cues have is behind more, nil on the
-// rest.
+// marker reports whether h stands for mentions of a range's rows.
+func (h half) marker() bool { return h.nb < 0 }
+
+// vertex is a listed node and its adjacency in one record, so that one
+// map lookup reaches both and edge insertion touches exactly two
+// vertices. It holds the node's strings, not a Node: the type is a code
+// into the graph's node-type table; the label shares the id's bytes when
+// it is a suffix of the id, as the label of every chunk, entity and doc
+// the index builder makes is; and the payload that only chunks, entities
+// and cues have is behind more, nil on the rest. A table row is a vertex
+// only when no range can hold it (rowRange).
 type vertex struct {
 	id, label, text string
 	more            *extra
@@ -135,6 +145,75 @@ type vertex struct {
 // extra is the payload a row and a doc never have.
 type extra struct{ doc, etype, verb, arg1, arg2 string }
 
+// rowRange holds the rows of one table that the index adds in order: row
+// k is the node "row:"+prefix+k (k in decimal, without leading zeros),
+// of type row, labelled prefix+k, with text text[k] and no other
+// payload, and its edges are the weight-1 mentions twins between it and
+// each listed vertex of mentions(k), in that order. The vertices it
+// mentions keep markers for them (half), not a half per row. The prefix
+// never ends in a digit, so an id names at most one row of one range.
+//
+// A range takes a row only as its next one, and a mention only from its
+// last row; any other insertion that touches a row of it first makes
+// every row of it a listed vertex (Graph.expand), so the graph accepts
+// what it would accept without ranges.
+type rowRange struct {
+	prefix string
+	text   []string
+	off    []int32 // mentions of row k: ments[off[k]:off[k+1]]
+	ments  []int32 // listed vertex numbers
+	// dec is how many of the first rows are mentioned in decimal order:
+	// a snapshot lists them so (ReadJSON). Rows from dec on, and every
+	// row of a range the index built, are mentioned in number order.
+	dec int
+}
+
+// mentions returns the listed vertices row k mentions, in its adjacency
+// order.
+func (r *rowRange) mentions(k int) []int32 { return r.ments[r.off[k]:r.off[k+1]] }
+
+// postingOrder returns the range's row numbers in the order a vertex's
+// markers for the range count the rows that mention it: 0…dec−1 in
+// decimal order, then dec…n−1.
+func (r *rowRange) postingOrder() []int32 {
+	order := decimalOrder(r.dec)
+	for k := r.dec; k < len(r.text); k++ {
+		order = append(order, int32(k))
+	}
+	return order
+}
+
+// rowIDPrefix starts the id of every row a range holds; the rest of the
+// id is its label.
+const rowIDPrefix = "row:"
+
+// The codes of NodeRow and EdgeMentions, which every graph's type tables
+// give them.
+var (
+	rowCode      = uint8(slices.Index(declaredNodes[:], NodeRow))
+	mentionsCode = edgeCode(EdgeMentions)
+)
+
+// splitRow returns the prefix and the row number a range would hold a
+// node with this id under: the id is rowIDPrefix, the prefix, and a
+// decimal number of at most nine digits without leading zeros.
+func splitRow(id string) (prefix string, k int, ok bool) {
+	if len(id) <= len(rowIDPrefix) || id[:len(rowIDPrefix)] != rowIDPrefix {
+		return "", 0, false
+	}
+	i := len(id)
+	for i > len(rowIDPrefix) && '0' <= id[i-1] && id[i-1] <= '9' {
+		i--
+	}
+	if digits := len(id) - i; digits == 0 || digits > 9 || digits > 1 && id[i] == '0' {
+		return "", 0, false
+	}
+	for _, c := range id[i:] {
+		k = 10*k + int(c-'0')
+	}
+	return id[len(rowIDPrefix):i], k, true
+}
+
 // slabSize is the number of vertices allocated at once. A slab is never
 // grown, so a vertex never moves: a View's pointers stay good while the
 // graph grows.
@@ -142,10 +221,17 @@ const slabSize = 1024
 
 // Graph is an in-memory heterogeneous property graph. It is not safe
 // for concurrent mutation; build once, then read from any goroutine.
+//
+// A node is either a listed vertex or a row of a range: the rows of a
+// table, which are most of an index's nodes, cost a text, an offset and
+// their mentions each instead of a vertex, a map entry, an id and two
+// adjacency lists.
 type Graph struct {
-	vs    map[string]*vertex
-	verts []*vertex // by vertex number: insertion order
-	slab  []vertex  // the next vertices, up to its capacity
+	vs     map[string]*vertex
+	verts  []*vertex   // by vertex number: insertion order
+	slab   []vertex    // the next vertices, up to its capacity
+	ranges []*rowRange // by range number, nil once expanded
+	rows   int         // rows the ranges hold
 	// types is the edge type of each half-edge code: declared, then any
 	// other type in the order edges first used it. ntypes is the same
 	// for vertices, from declaredNodes.
@@ -154,7 +240,7 @@ type Graph struct {
 	edges  int
 	// Running index statistics, kept by every insertion so that reading
 	// them never walks the graph. Nodes are immutable once inserted.
-	byType [math.MaxUint8 + 1]int // vertices per node-type code
+	byType [math.MaxUint8 + 1]int // nodes per node-type code
 	size   int64
 }
 
@@ -165,6 +251,18 @@ func New() *Graph {
 	return &Graph{vs: make(map[string]*vertex), types: declared[:], ntypes: declaredNodes[:]}
 }
 
+// newVertex returns the next vertex of the slab, numbered next.
+func (g *Graph) newVertex() *vertex {
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]vertex, 0, slabSize)
+	}
+	g.slab = g.slab[:len(g.slab)+1]
+	v := &g.slab[len(g.slab)-1]
+	v.num = int32(len(g.verts))
+	g.verts = append(g.verts, v)
+	return v
+}
+
 // add stores n in a new vertex, numbered next and accounted for, and
 // returns it; the caller puts it into vs. On an error the graph is as it
 // was.
@@ -173,12 +271,8 @@ func (g *Graph) add(n *Node) (*vertex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(g.slab) == cap(g.slab) {
-		g.slab = make([]vertex, 0, slabSize)
-	}
-	g.slab = g.slab[:len(g.slab)+1]
-	v := &g.slab[len(g.slab)-1]
-	v.id, v.label, v.text, v.num, v.typ = n.ID, n.Label, n.Text, int32(len(g.verts)), typ
+	v := g.newVertex()
+	v.id, v.label, v.text, v.typ = n.ID, n.Label, n.Text, typ
 	if strings.HasSuffix(n.ID, n.Label) {
 		v.label = n.ID[len(n.ID)-len(n.Label):]
 	}
@@ -186,7 +280,12 @@ func (g *Graph) add(n *Node) (*vertex, error) {
 		v.more = new(extra) // not &x: x would go to the heap for every vertex
 		*v.more = x
 	}
-	g.verts = append(g.verts, v)
+	g.account(typ, n)
+	return v, nil
+}
+
+// account adds a node of type code typ to the running statistics.
+func (g *Graph) account(typ uint8, n *Node) {
 	g.byType[typ]++
 	g.size += int64(len(n.ID) + len(n.Label) + 16)
 	for _, p := range n.payload() {
@@ -194,7 +293,6 @@ func (g *Graph) add(n *Node) (*vertex, error) {
 			g.size += int64(len(*p) + 16)
 		}
 	}
-	return v, nil
 }
 
 // node assembles the Node v stores; types is its graph's ntypes.
@@ -204,6 +302,44 @@ func (v *vertex) node(types []NodeType) Node {
 		n.Doc, n.EType, n.Verb, n.Arg1, n.Arg2 = x.doc, x.etype, x.verb, x.arg1, x.arg2
 	}
 	return n
+}
+
+// ref is a node as the graph holds it: a listed vertex v, or, when v is
+// nil, row k of range r.
+type ref struct {
+	v    *vertex
+	r, k int32
+}
+
+// find returns the node with the given id. A row of a live range is
+// found by parsing the id, without a map lookup: no listed vertex has a
+// range row's id.
+func (g *Graph) find(id string) (ref, bool) {
+	if prefix, k, ok := splitRow(id); ok {
+		if r := g.rangeOf(prefix); r >= 0 && k < len(g.ranges[r].text) {
+			return ref{r: r, k: int32(k)}, true
+		}
+	}
+	v, ok := g.vs[id]
+	return ref{v: v}, ok
+}
+
+// rangeOf returns the number of the live range with the given prefix,
+// or -1. A graph has a range per table, so a scan is enough.
+func (g *Graph) rangeOf(prefix string) int32 {
+	for r, rg := range g.ranges {
+		if rg != nil && rg.prefix == prefix {
+			return int32(r)
+		}
+	}
+	return -1
+}
+
+// rowOnly reports whether n is what a range can hold: a row whose id is
+// rowIDPrefix and its label, with no payload but text.
+func rowOnly(n *Node) bool {
+	return n.Type == NodeRow && len(n.ID) == len(rowIDPrefix)+len(n.Label) && n.ID[len(rowIDPrefix):] == n.Label &&
+		n.Doc == "" && n.EType == "" && n.Verb == "" && n.Arg1 == "" && n.Arg2 == ""
 }
 
 // edgeSize is an edge record's share of SizeBytes.
@@ -226,10 +362,28 @@ func code[T ~string](types *[]T, t T, tooMany error) (uint8, error) {
 
 // EnsureNode inserts the node if absent. An existing node is left as it
 // is (first write wins), which is the behaviour the index builder needs
-// for entity unification, and costs no allocation.
+// for entity unification, and costs no allocation. A row the range of
+// its prefix can take as its next row goes there, and a first row 0
+// starts a range; a node that names a row of a range it cannot join
+// first expands that range.
 func (g *Graph) EnsureNode(n Node) error {
-	if _, ok := g.vs[n.ID]; ok {
+	if _, ok := g.find(n.ID); ok {
 		return nil
+	}
+	if prefix, k, ok := splitRow(n.ID); ok {
+		r := g.rangeOf(prefix)
+		switch {
+		case r >= 0 && k == len(g.ranges[r].text) && rowOnly(&n):
+			g.appendRow(g.ranges[r], &n)
+			return nil
+		case r >= 0:
+			g.expand(r)
+		case k == 0 && rowOnly(&n):
+			rg := &rowRange{prefix: prefix, off: []int32{0}}
+			g.ranges = append(g.ranges, rg)
+			g.appendRow(rg, &n)
+			return nil
+		}
 	}
 	v, err := g.add(&n)
 	if err != nil {
@@ -239,30 +393,42 @@ func (g *Graph) EnsureNode(n Node) error {
 	return nil
 }
 
+// appendRow makes n the next row of rg.
+func (g *Graph) appendRow(rg *rowRange, n *Node) {
+	rg.text = append(rg.text, n.Text)
+	rg.off = append(rg.off, rg.off[len(rg.off)-1])
+	g.rows++
+	g.account(rowCode, n)
+}
+
 // Node returns the node with id, or nil if absent. The node is
 // assembled for the caller, who may keep and change it.
 func (g *Graph) Node(id string) *Node {
-	v, ok := g.vs[id]
+	at, ok := g.find(id)
 	if !ok {
 		return nil
 	}
-	n := v.node(g.ntypes)
+	if at.v == nil {
+		return &Node{ID: id, Type: NodeRow, Label: id[len(rowIDPrefix):], Text: g.ranges[at.r].text[at.k]}
+	}
+	n := at.v.node(g.ntypes)
 	return &n
 }
 
 // HasNode reports whether id is present.
-func (g *Graph) HasNode(id string) bool { _, ok := g.vs[id]; return ok }
+func (g *Graph) HasNode(id string) bool { _, ok := g.find(id); return ok }
 
 // resolve looks up what an insertion of e needs — both endpoints, which
 // must exist, and the type's code — and makes the default weight
 // explicit. On an error the graph is as it was.
-func (g *Graph) resolve(e *Edge) (from, to *vertex, typ uint8, err error) {
-	from, to = g.vs[e.From], g.vs[e.To]
-	if from == nil || to == nil {
-		return nil, nil, 0, fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
+func (g *Graph) resolve(e *Edge) (from, to ref, typ uint8, err error) {
+	from, okFrom := g.find(e.From)
+	to, okTo := g.find(e.To)
+	if !okFrom || !okTo {
+		return from, to, 0, fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
 	}
 	if typ, err = code(&g.types, e.Type, ErrEdgeTypes); err != nil {
-		return nil, nil, 0, err
+		return from, to, 0, err
 	}
 	if e.Weight == 0 {
 		e.Weight = 1
@@ -270,12 +436,24 @@ func (g *Graph) resolve(e *Edge) (from, to *vertex, typ uint8, err error) {
 	return from, to, typ, nil
 }
 
+// listed returns the vertices of from and to, first expanding the range
+// of whichever is a range's row.
+func (g *Graph) listed(e *Edge, from, to ref) (*vertex, *vertex) {
+	for _, at := range [2]ref{from, to} {
+		if at.v == nil && g.ranges[at.r] != nil {
+			g.expand(at.r)
+		}
+	}
+	return g.vs[e.From], g.vs[e.To]
+}
+
 // AddEdge inserts a directed edge. Both endpoints must exist.
 func (g *Graph) AddEdge(e Edge) error {
-	from, to, typ, err := g.resolve(&e)
+	f, t, typ, err := g.resolve(&e)
 	if err != nil {
 		return err
 	}
+	from, to := g.listed(&e, f, t)
 	from.out = append(from.out, half{w: e.Weight, nb: to.num, typ: typ})
 	to.in = append(to.in, half{w: e.Weight, nb: from.num, typ: typ})
 	g.edges++
@@ -285,25 +463,166 @@ func (g *Graph) AddEdge(e Edge) error {
 
 // AddUndirected inserts the edge and its reverse twin. It resolves each
 // endpoint once, not once per direction — this is the hottest write in
-// index construction.
+// index construction. A weight-1 mention between the last row of a
+// range and a listed vertex goes into the range.
 func (g *Graph) AddUndirected(e Edge) error {
-	from, to, typ, err := g.resolve(&e)
+	f, t, typ, err := g.resolve(&e)
 	if err != nil {
 		return err
 	}
+	g.edges += 2
+	g.size += 2 * edgeSize(e.From, e.To, e.Type)
+	if row, other := f, t; typ == mentionsCode && e.Weight == 1 && (f.v == nil) != (t.v == nil) {
+		if row.v != nil {
+			row, other = t, f
+		}
+		if rg := g.ranges[row.r]; int(row.k) == len(rg.text)-1 && int(row.k) >= rg.dec {
+			rg.ments = append(rg.ments, other.v.num)
+			rg.off[len(rg.off)-1]++
+			other.v.out = mark(other.v.out, row.r)
+			other.v.in = mark(other.v.in, row.r)
+			return nil
+		}
+	}
+	from, to := g.listed(&e, f, t)
 	fwd, rev := half{w: e.Weight, nb: to.num, typ: typ}, half{w: e.Weight, nb: from.num, typ: typ}
 	from.out = append(from.out, fwd)
 	to.in = append(to.in, rev)
 	to.out = append(to.out, rev)
 	from.in = append(from.in, fwd)
-	g.edges += 2
-	g.size += 2 * edgeSize(e.From, e.To, e.Type)
 	return nil
+}
+
+// mark adds one mention of range r's last row to the list hs.
+func mark(hs []half, r int32) []half {
+	if n := len(hs); n > 0 && hs[n-1].nb == ^r {
+		hs[n-1].w++
+		return hs
+	}
+	return append(hs, half{w: 1, nb: ^r, typ: mentionsCode})
+}
+
+// expand makes every row of range r a listed vertex, with the same
+// adjacency in the same order: the rows' lists from their mentions, and
+// each marker for the range in a mentioned vertex's lists spelled out.
+// It is the one way back from a range, taken when an insertion touches a
+// row in a way the range cannot spell.
+func (g *Graph) expand(r int32) {
+	rg := g.ranges[r]
+	g.ranges[r] = nil
+	g.rows -= len(rg.text)
+	first := int32(len(g.verts))
+	for k, text := range rg.text {
+		v := g.newVertex()
+		v.id = rowIDPrefix + rg.prefix + strconv.Itoa(k)
+		v.label, v.text, v.typ = v.id[len(rowIDPrefix):], text, rowCode
+		ms := rg.mentions(k)
+		hs := make([]half, 2*len(ms))
+		for i, m := range ms {
+			hs[i] = half{w: 1, nb: m, typ: mentionsCode}
+		}
+		copy(hs[len(ms):], hs)
+		v.out, v.in = hs[:len(ms):len(ms)], hs[len(ms):]
+		g.vs[v.id] = v
+	}
+	// posts[at[m]:at[m+1]] are the rows that mention vertex m, in
+	// posting order.
+	at := make([]int32, first+1)
+	for _, m := range rg.ments {
+		at[m+1]++
+	}
+	for m := range first {
+		at[m+1] += at[m]
+	}
+	fill := slices.Clone(at[:first])
+	posts := make([]int32, len(rg.ments))
+	for _, k := range rg.postingOrder() {
+		for _, m := range rg.mentions(int(k)) {
+			posts[fill[m]] = first + k
+			fill[m]++
+		}
+	}
+	for m := range first {
+		rows := posts[at[m]:at[m+1]]
+		if len(rows) == 0 {
+			continue
+		}
+		v := g.verts[m]
+		for _, hs := range [2]*[]half{&v.out, &v.in} {
+			spelled := make([]half, 0, len(*hs)+len(rows))
+			next := rows
+			for _, h := range *hs {
+				if h.nb != ^r {
+					spelled = append(spelled, h)
+					continue
+				}
+				for _, row := range next[:int(h.w)] {
+					spelled = append(spelled, half{w: 1, nb: row, typ: mentionsCode})
+				}
+				next = next[int(h.w):]
+			}
+			*hs = spelled
+		}
+	}
+}
+
+// each calls fn with every edge of the list hs of a listed vertex, its
+// out or its in list, markers spelled out: the other end's id, the
+// type's code and the weight.
+func (g *Graph) each(v *vertex, hs []half, fn func(id string, typ uint8, w float64)) {
+	var rows map[int32][]int32 // per range, the rows not yet spelled that mention v
+	for _, h := range hs {
+		if !h.marker() {
+			fn(g.verts[h.nb].id, h.typ, h.w)
+			continue
+		}
+		r := ^h.nb
+		rg := g.ranges[r]
+		next, ok := rows[r]
+		if !ok {
+			for _, k := range rg.postingOrder() {
+				for _, m := range rg.mentions(int(k)) {
+					if m == v.num {
+						next = append(next, k)
+					}
+				}
+			}
+			if rows == nil {
+				rows = map[int32][]int32{}
+			}
+		}
+		for _, k := range next[:int(h.w)] {
+			fn(rowIDPrefix+rg.prefix+strconv.Itoa(int(k)), mentionsCode, 1)
+		}
+		rows[r] = next[int(h.w):]
+	}
+}
+
+// edges returns the out or in edges of the node at, as Out and In do.
+func (g *Graph) edgesOf(id string, at ref, out bool) []Edge {
+	var es []Edge
+	add := func(other string, typ uint8, w float64) {
+		e := Edge{From: id, To: other, Type: g.types[typ], Weight: w}
+		if !out {
+			e.From, e.To = other, id
+		}
+		es = append(es, e)
+	}
+	if at.v == nil {
+		for _, m := range g.ranges[at.r].mentions(int(at.k)) {
+			add(g.verts[m].id, mentionsCode, 1)
+		}
+	} else if out {
+		g.each(at.v, at.v.out, add)
+	} else {
+		g.each(at.v, at.v.in, add)
+	}
+	return es
 }
 
 // Reserve grows id's adjacency capacity ahead of a known burst of edge
 // insertions, avoiding repeated reallocation for high-degree nodes. It
-// is a no-op for unknown ids.
+// is a no-op for unknown ids and for a range's rows.
 func (g *Graph) Reserve(id string, out, in int) {
 	v, ok := g.vs[id]
 	if !ok {
@@ -327,57 +646,55 @@ func (g *Graph) Reserve(id string, out, in int) {
 // calls them, the reference implementations in this package's,
 // retrieval's and index's tests read adjacency order through them.
 func (g *Graph) Out(id string) []Edge {
-	v, ok := g.vs[id]
-	if !ok || len(v.out) == 0 {
+	at, ok := g.find(id)
+	if !ok {
 		return nil
 	}
-	es := make([]Edge, len(v.out))
-	for i, h := range v.out {
-		es[i] = Edge{From: id, To: g.verts[h.nb].id, Type: g.types[h.typ], Weight: h.w}
-	}
-	return es
+	return g.edgesOf(id, at, true)
 }
 
 // In returns the incoming edges of id in insertion order; like Out's,
 // the slice is the caller's own.
 func (g *Graph) In(id string) []Edge {
-	v, ok := g.vs[id]
-	if !ok || len(v.in) == 0 {
+	at, ok := g.find(id)
+	if !ok {
 		return nil
 	}
-	es := make([]Edge, len(v.in))
-	for i, h := range v.in {
-		es[i] = Edge{From: g.verts[h.nb].id, To: id, Type: g.types[h.typ], Weight: h.w}
-	}
-	return es
+	return g.edgesOf(id, at, false)
 }
 
 // HasEdge reports whether an edge of type t runs from one node to the
 // other.
 func (g *Graph) HasEdge(from, to string, t EdgeType) bool {
-	src, dst := g.vs[from], g.vs[to]
-	if src == nil || dst == nil {
+	src, ok := g.find(from)
+	dst, ok2 := g.find(to)
+	if !ok || !ok2 {
 		return false
 	}
-	for _, h := range src.out {
-		if h.nb == dst.num && g.types[h.typ] == t {
-			return true
+	switch {
+	case src.v != nil && dst.v != nil:
+		for _, h := range src.v.out {
+			if h.nb == dst.v.num && g.types[h.typ] == t {
+				return true
+			}
 		}
+		return false
+	case src.v == nil && dst.v == nil:
+		return false
+	case src.v == nil:
+		src, dst = dst, src
 	}
-	return false
+	// A range's row and a listed vertex: the mentions twins both ways.
+	return t == EdgeMentions && slices.Contains(g.ranges[dst.r].mentions(int(dst.k)), src.v.num)
 }
 
 // Neighbors returns the distinct node ids reachable over one outgoing
 // edge, optionally filtered to the given edge types (nil = all).
 func (g *Graph) Neighbors(id string, types ...EdgeType) []string {
-	v, ok := g.vs[id]
-	if !ok {
-		return nil
-	}
 	var out []string
-	for _, h := range v.out {
-		if len(types) == 0 || slices.Contains(types, g.types[h.typ]) {
-			out = append(out, g.verts[h.nb].id)
+	for _, e := range g.Out(id) {
+		if len(types) == 0 || slices.Contains(types, e.Type) {
+			out = append(out, e.To)
 		}
 	}
 	sort.Strings(out)
@@ -386,15 +703,32 @@ func (g *Graph) Neighbors(id string, types ...EdgeType) []string {
 
 // Degree returns the out-degree of id.
 func (g *Graph) Degree(id string) int {
-	v, ok := g.vs[id]
-	if !ok {
+	at, ok := g.find(id)
+	switch {
+	case !ok:
 		return 0
+	case at.v == nil:
+		return len(g.ranges[at.r].mentions(int(at.k)))
 	}
-	return len(v.out)
+	return slots(at.v.out)
+}
+
+// slots returns the number of edges the list hs holds, markers spelled
+// out.
+func slots(hs []half) int {
+	n := 0
+	for _, h := range hs {
+		if h.marker() {
+			n += int(h.w)
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
 // NodeCount returns the number of nodes.
-func (g *Graph) NodeCount() int { return len(g.vs) }
+func (g *Graph) NodeCount() int { return len(g.vs) + g.rows }
 
 // EdgeCount returns the number of directed edges (an undirected edge
 // counts twice).
@@ -402,9 +736,16 @@ func (g *Graph) EdgeCount() int { return g.edges }
 
 // NodeIDs returns all node ids in sorted order.
 func (g *Graph) NodeIDs() []string {
-	ids := make([]string, 0, len(g.vs))
+	ids := make([]string, 0, g.NodeCount())
 	for id := range g.vs {
 		ids = append(ids, id)
+	}
+	for _, rg := range g.ranges {
+		if rg != nil {
+			for k := range rg.text {
+				ids = append(ids, rowIDPrefix+rg.prefix+strconv.Itoa(k))
+			}
+		}
 	}
 	sort.Strings(ids)
 	return ids
@@ -420,6 +761,16 @@ func (g *Graph) NodesOfType(t NodeType) []Node {
 	for _, v := range g.verts {
 		if v.typ == uint8(c) {
 			out = append(out, v.node(g.ntypes))
+		}
+	}
+	if t == NodeRow {
+		for _, rg := range g.ranges {
+			if rg != nil {
+				for k, text := range rg.text {
+					id := rowIDPrefix + rg.prefix + strconv.Itoa(k)
+					out = append(out, Node{ID: id, Type: NodeRow, Label: id[len(rowIDPrefix):], Text: text})
+				}
+			}
 		}
 	}
 	slices.SortFunc(out, func(a, b Node) int { return strings.Compare(a.ID, b.ID) })

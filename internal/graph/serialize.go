@@ -6,6 +6,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -36,12 +37,13 @@ import (
 // from row k to nodes[i] and its twin back. Merged into "nodes" and
 // "edges" in their orders, these records give the file's full form —
 // the one an earlier version wrote — and the graph is the full form's.
-// WriteJSON writes a range for every prefix whose rows are exactly those
-// numbered 0…N−1 (k spelled without leading zeros) and carry no payload
-// but text and no edges but mentions twins to nodes no range could hold.
-// Beside a range, ReadJSON needs listed nodes in strictly increasing id
-// order, listed edges in (from, to, type) order, each M[k] in increasing
-// order, and no listed edge to or from a range row.
+// WriteJSON writes the ranges the graph holds (rowRange), in prefix
+// order, and lists every other node; it discovers none. ReadJSON loads
+// a range as a range. Beside a range, it needs listed nodes in strictly
+// increasing id order, listed edges in (from, to, type) order, each M[k]
+// in increasing order, no listed edge to or from a range row, and no
+// prefix that ends in a digit (no writer made one for an index's rows).
+// A file without "rows" — a full form — loads as listed nodes.
 
 // payloadKeys are the attrs keys of a node's payload fields, in the
 // order WriteJSON writes them. No other code spells one.
@@ -52,35 +54,28 @@ func (n *Node) payload() [len(payloadKeys)]*string {
 	return [...]*string{&n.Arg1, &n.Arg2, &n.Doc, &n.EType, &n.Text, &n.Verb}
 }
 
-// rowIDPrefix starts the id of every row a range holds; the rest of the
-// id is its label.
-const rowIDPrefix = "row:"
-
 // WriteJSON serializes the graph as deterministic JSON (nodes and edges
 // sorted), suitable for persistence and for diffing index builds. The
 // graph is only read: any number of WriteJSON calls and other readers
 // may run at once.
 func (g *Graph) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
-	runs := g.rowRuns()
-	// at is each vertex's position in "nodes", -1 for one a range holds.
-	at := make([]int32, len(g.verts))
-	ranged := 0
-	for _, r := range runs {
-		ranged += len(r.rows)
-		for _, v := range r.rows {
-			at[v.num] = -1
-		}
-	}
-	listed := make([]*vertex, 0, len(g.verts)-ranged)
-	degree := 0
-	for _, v := range g.verts {
-		if at[v.num] == 0 {
-			listed = append(listed, v)
-			degree = max(degree, len(v.out))
-		}
-	}
+	listed := slices.Clone(g.verts)
 	slices.SortFunc(listed, func(a, b *vertex) int { return cmp.Compare(a.id, b.id) })
+	// at is each vertex's position in "nodes".
+	at := make([]int32, len(g.verts))
+	degree := 0
+	for i, v := range listed {
+		at[v.num] = int32(i)
+		degree = max(degree, len(v.out))
+	}
+	var ranges []*rowRange
+	for _, rg := range g.ranges {
+		if rg != nil {
+			ranges = append(ranges, rg)
+		}
+	}
+	slices.SortFunc(ranges, func(a, b *rowRange) int { return cmp.Compare(a.prefix, b.prefix) })
 	var (
 		buf   = make([]byte, 0, 4<<10)  // one record, reused
 		out   = make([]half, 0, degree) // one vertex's listed edges, reused
@@ -94,7 +89,6 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		at[v.num] = int32(i)
 		buf = append(buf, `{"id":`...)
 		buf = jsonx.AppendString(buf, n.ID)
 		buf = append(buf, `,"type":`...)
@@ -119,31 +113,31 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		bw.Write(buf)
 	}
 	bw.WriteByte(']')
-	if len(runs) > 0 {
+	if len(ranges) > 0 {
 		bw.WriteString(`,"rows":[`)
-		for i, r := range runs {
+		for i, rg := range ranges {
 			buf = buf[:0]
 			if i > 0 {
 				buf = append(buf, ',')
 			}
 			buf = append(buf, `{"prefix":`...)
-			buf = jsonx.AppendString(buf, r.prefix)
+			buf = jsonx.AppendString(buf, rg.prefix)
 			buf = append(buf, `,"n":`...)
-			buf = strconv.AppendInt(buf, int64(len(r.rows)), 10)
+			buf = strconv.AppendInt(buf, int64(len(rg.text)), 10)
 			buf = append(buf, `,"text":`...)
 			sep := byte('[')
-			for _, v := range r.rows {
-				buf = jsonx.AppendString(append(buf, sep), v.text)
+			for _, text := range rg.text {
+				buf = jsonx.AppendString(append(buf, sep), text)
 				sep = ','
 				bw.Write(buf)
 				buf = buf[:0]
 			}
 			buf = append(buf, `],"mentions":`...)
 			sep = '['
-			for _, v := range r.rows {
+			for k := range rg.text {
 				nbs = nbs[:0]
-				for _, h := range v.out {
-					nbs = append(nbs, at[h.nb])
+				for _, m := range rg.mentions(k) {
+					nbs = append(nbs, at[m])
 				}
 				slices.Sort(nbs)
 				buf = append(buf, sep, '[')
@@ -167,10 +161,10 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	for _, v := range listed {
 		// Every edge of v.out runs from v, so visiting vertices in id
 		// order and each one's edges in (to, type) order is the global
-		// (from, to, type) order.
+		// (from, to, type) order. A marker's edges are its range's.
 		out = out[:0]
 		for _, h := range v.out {
-			if at[h.nb] >= 0 {
+			if !h.marker() {
 				out = append(out, h)
 			}
 		}
@@ -215,133 +209,6 @@ func (g *Graph) compareTarget(a, b half) int {
 	return cmp.Compare(g.types[a.typ], g.types[b.typ])
 }
 
-// rowRun is the rows of one prefix that WriteJSON writes as a range:
-// row k is rows[k].
-type rowRun struct {
-	prefix string
-	rows   []*vertex
-}
-
-// rowRuns returns the ranges WriteJSON writes, in prefix order. A first
-// pass over the vertices counts each prefix's rows and checks them; a
-// second places the rows of the prefixes whose numbers are exactly
-// 0…n−1 into one array.
-func (g *Graph) rowRuns() []rowRun {
-	type group struct {
-		prefix         string
-		n, most, start int // rows, their largest number, where they go in rows
-		ok             bool
-	}
-	groups := make([]group, 0, 8)
-	var byPrefix map[string]int
-	last := -1
-	// each calls fn with every vertex a range could hold and its group.
-	each := func(fn func(v *vertex, k int, gr *group)) {
-		for _, v := range g.verts {
-			prefix, k, ok := g.rowNumber(v)
-			if !ok {
-				continue
-			}
-			if last < 0 || groups[last].prefix != prefix {
-				i, seen := byPrefix[prefix]
-				if !seen {
-					if byPrefix == nil {
-						byPrefix = map[string]int{}
-					}
-					i = len(groups)
-					byPrefix[prefix] = i
-					groups = append(groups, group{prefix: prefix, ok: true})
-				}
-				last = i
-			}
-			fn(v, k, &groups[last])
-		}
-	}
-	each(func(v *vertex, k int, gr *group) {
-		gr.n++
-		gr.most = max(gr.most, k)
-		gr.ok = gr.ok && g.mentionsOnly(v)
-	})
-	total, kept := 0, 0
-	for i := range groups {
-		gr := &groups[i]
-		// The numbers are distinct, so n of them below n are 0…n−1.
-		if gr.ok = gr.ok && gr.most < gr.n; gr.ok {
-			gr.start = total
-			total += gr.n
-			kept++
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	rows := make([]*vertex, total)
-	each(func(v *vertex, k int, gr *group) {
-		if gr.ok {
-			rows[gr.start+k] = v
-		}
-	})
-	runs := make([]rowRun, 0, kept)
-	for _, gr := range groups {
-		if gr.ok {
-			runs = append(runs, rowRun{prefix: gr.prefix, rows: rows[gr.start : gr.start+gr.n]})
-		}
-	}
-	slices.SortFunc(runs, func(a, b rowRun) int { return cmp.Compare(a.prefix, b.prefix) })
-	return runs
-}
-
-// rowNumber returns the prefix and the number a range spells v's label
-// with, and whether v could be a range's row at all: a row whose id is
-// rowIDPrefix and its label, with no payload but text, and whose label
-// ends in a decimal number. The number is the longest run of the
-// label's last digits without a leading zero, of at most nine digits.
-func (g *Graph) rowNumber(v *vertex) (prefix string, k int, ok bool) {
-	if g.ntypes[v.typ] != NodeRow || v.more != nil || len(v.id) != len(rowIDPrefix)+len(v.label) ||
-		v.id[:len(rowIDPrefix)] != rowIDPrefix || v.id[len(rowIDPrefix):] != v.label {
-		return "", 0, false
-	}
-	l := v.label
-	i := len(l)
-	for i > 0 && '0' <= l[i-1] && l[i-1] <= '9' {
-		i--
-	}
-	for i < len(l)-1 && l[i] == '0' {
-		i++
-	}
-	if i == len(l) || len(l)-i > 9 {
-		return "", 0, false
-	}
-	for _, c := range l[i:] {
-		k = 10*k + int(c-'0')
-	}
-	return l[:i], k, true
-}
-
-// mentionsOnly reports whether v's edges are what a range can spell:
-// weight-1 mentions edges, each with its twin, to vertices that no range
-// could hold.
-func (g *Graph) mentionsOnly(v *vertex) bool {
-	if len(v.out) != len(v.in) {
-		return false
-	}
-	var small [2][4]int32
-	nbs := [2][]int32{small[0][:0], small[1][:0]}
-	for i, hs := range [2][]half{v.out, v.in} {
-		for _, h := range hs {
-			if g.types[h.typ] != EdgeMentions || h.w != 1 {
-				return false
-			}
-			if _, _, ok := g.rowNumber(g.verts[h.nb]); ok {
-				return false
-			}
-			nbs[i] = append(nbs[i], h.nb)
-		}
-		slices.Sort(nbs[i])
-	}
-	return slices.Equal(nbs[0], nbs[1])
-}
-
 // ReadJSON reconstructs a graph written by WriteJSON. It accepts the
 // object's keys in any order, any JSON whitespace and escape, null for
 // an array or for attrs, and in attrs any key that is no payload field,
@@ -349,9 +216,9 @@ func (g *Graph) mentionsOnly(v *vertex) bool {
 // keys); it rejects what WriteJSON never writes and a lenient decoder
 // would let pass: unknown keys elsewhere, repeated keys, null for a
 // string or a number, invalid UTF-8, unpaired surrogate escapes, and
-// anything but whitespace after the object. A file without "rows" is
-// read as it always was; the ranges of one that has it are built in bulk
-// and put among the listed nodes and edges as their full form has them.
+// anything but whitespace after the object. The ranges of a file's rows
+// section load as ranges, each vertex's lists holding its edges and
+// markers for the rows that mention it in the order of the full form.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	data, err := jsonx.ReadAll(r)
 	if err != nil {
@@ -376,9 +243,8 @@ type pendingEdge struct {
 // decoder is a single pass over one snapshot. Each node is decoded
 // into a vertex as it is read, and the vertices are put into the id map
 // together; edges are resolved to vertices as they are read and put into
-// the adjacency lists together at the end. A range's rows become
-// vertices after the object, when they take their places among the
-// listed ones.
+// the adjacency lists together at the end (build), beside the markers
+// for the ranges' rows.
 type decoder struct {
 	jsonx.Decoder
 	g *Graph
@@ -398,15 +264,14 @@ type decoder struct {
 	textEnd    []int
 	mentionEnd []int
 	mentions   []int32
-	rangeText  []byte // the range being decoded: its texts, then its ids
+	rangeText  []byte // the texts of the range being decoded
 }
 
 // rowSpan is one range as read: n rows from row first of all ranges,
-// whose texts and then ids, "row:"+prefix+k, are s end to end.
+// whose texts are s end to end.
 type rowSpan struct {
-	s        string
-	prefix   int // its length
-	first, n int
+	s, prefix string
+	first, n  int
 }
 
 // Keys of the top-level object, of a node, of an edge and of a range,
@@ -484,11 +349,8 @@ func (d *decoder) document() error {
 			return err
 		}
 	}
-	if err := d.placeRows(); err != nil {
-		return err
-	}
-	d.link()
-	return nil
+	d.rangeRows()
+	return d.build()
 }
 
 // node consumes one node object into a new vertex. Its strings are
@@ -569,9 +431,9 @@ func (d *decoder) node() error {
 	return err
 }
 
-// rowRange consumes one range of the rows section. Its texts and the
-// ids its rows will have become one string; its mentions are checked
-// against the listed nodes once they are all read (placeRows).
+// rowRange consumes one range of the rows section. Its texts become one
+// string; its mentions are checked against the listed nodes once they
+// are all read (build).
 func (d *decoder) rowRange() error {
 	var seen uint
 	var prefix []byte
@@ -633,10 +495,7 @@ func (d *decoder) rowRange() error {
 	if int64(len(d.textEnd)-first) != n || int64(len(d.mentionEnd)-mentioned) != n {
 		return d.Fail(fmt.Sprintf("range of %d rows with %d texts and %d mention lists", n, len(d.textEnd)-first, len(d.mentionEnd)-mentioned))
 	}
-	for k := range n {
-		d.rangeText = strconv.AppendInt(append(append(d.rangeText, rowIDPrefix...), prefix...), k, 10)
-	}
-	d.ranges = append(d.ranges, rowSpan{s: string(d.rangeText), prefix: len(prefix), first: first, n: int(n)})
+	d.ranges = append(d.ranges, rowSpan{s: string(d.rangeText), prefix: string(prefix), first: first, n: int(n)})
 	return nil
 }
 
@@ -740,17 +599,159 @@ func (d *decoder) edge(resolve bool) error {
 	return nil
 }
 
-// placeRows makes the ranges' rows vertices, numbers every vertex in id
-// order and queues the rows' edges among the listed ones in (from, to,
-// type) order: the graph the file's full form gives. Until it runs, a
-// listed vertex's number is its position in "nodes", and the queued
-// edges are the listed ones. Without rows it does nothing.
-func (d *decoder) placeRows() error {
+// build checks the rows section against the listed nodes and edges,
+// makes each range a rowRange, and lays out every listed vertex's lists:
+// its listed edges in file order with, among them where the full form
+// has them by id, a marker per run of mentions from one range's rows.
+// Until it runs, a vertex's number is its position in "nodes", and
+// d.edges are the listed edges.
+func (d *decoder) build() error {
 	g := d.g
-	total := len(d.textEnd)
-	if total == 0 {
-		return nil
+	listed := g.verts
+	if len(d.ranges) > 0 {
+		if err := d.checkRows(); err != nil {
+			return err
+		}
 	}
+	vw := &View{verts: listed, ranges: make([]viewRange, 0, len(d.ranges))}
+	sources := [][]int32{make([]int32, len(listed))}
+	for i := range sources[0] {
+		sources[0][i] = int32(i)
+	}
+	mentions := 0
+	for _, sp := range d.ranges {
+		if sp.n == 0 {
+			continue
+		}
+		rg := &rowRange{prefix: sp.prefix, text: make([]string, sp.n), off: make([]int32, sp.n+1), dec: sp.n}
+		mentionAt, textAt, end := 0, 0, d.mentionEnd[sp.first+sp.n-1]
+		if sp.first > 0 {
+			mentionAt = d.mentionEnd[sp.first-1]
+		}
+		rg.ments = d.mentions[mentionAt:end:end]
+		for k := range sp.n {
+			j := sp.first + k
+			rg.text[k] = sp.s[textAt:d.textEnd[j]]
+			rg.off[k+1] = int32(d.mentionEnd[j] - mentionAt)
+			textAt = d.textEnd[j]
+			idLen := int64(len(rowIDPrefix) + len(sp.prefix) + decimalLen(k))
+			g.size += 2*idLen - int64(len(rowIDPrefix)) + 16
+			if rg.text[k] != "" {
+				g.size += int64(len(rg.text[k]) + 16)
+			}
+			for _, m := range rg.mentions(k) {
+				g.size += 2 * edgeSize(rowIDPrefix, listed[m].id, EdgeMentions)
+				g.size += 2 * (idLen - int64(len(rowIDPrefix)))
+			}
+		}
+		mentions += len(rg.ments)
+		g.byType[rowCode] += sp.n
+		g.rows += sp.n
+		order := decimalOrder(sp.n)
+		for i, k := range order {
+			order[i] = ^(int32(sp.first) + k)
+		}
+		sources = append(sources, order)
+		vw.ranges = append(vw.ranges, viewRange{prefix: rg.prefix, text: rg.text, first: int32(sp.first)})
+		g.ranges = append(g.ranges, rg)
+	}
+
+	// rank is each node's place in id order: the listed ones' by number,
+	// the rows' after them by row.
+	rank := make([]int32, len(listed)+len(d.textEnd))
+	for i, x := range mergeByID(sources, vw.key) {
+		if x >= 0 {
+			rank[x] = int32(i)
+		} else {
+			rank[len(listed)+int(^x)] = int32(i)
+		}
+	}
+	// by[m] are the rows that mention listed vertex m, by rank: their
+	// ranks and range numbers.
+	type mention struct{ rank, r int32 }
+	mentionOff := make([]int32, len(listed)+1)
+	for _, rg := range g.ranges {
+		for _, m := range rg.ments {
+			mentionOff[m+1]++
+		}
+	}
+	for m := range listed {
+		mentionOff[m+1] += mentionOff[m]
+	}
+	fill := slices.Clone(mentionOff[:len(listed)])
+	by := make([]mention, mentions)
+	for r, rg := range g.ranges {
+		first := vw.ranges[r].first
+		for k := range rg.text {
+			for _, m := range rg.mentions(k) {
+				by[fill[m]] = mention{rank[len(listed)+int(first)+k], int32(r)}
+				fill[m]++
+			}
+		}
+	}
+	for m := range listed {
+		ms := by[mentionOff[m]:mentionOff[m+1]]
+		slices.SortFunc(ms, func(a, b mention) int { return cmp.Compare(a.rank, b.rank) })
+	}
+	// The listed edges of each vertex, out and in, by position in d.edges.
+	outOff, outs := d.edgesBy(func(e *pendingEdge) int32 { return e.from })
+	inOff, ins := d.edgesBy(func(e *pendingEdge) int32 { return e.to })
+
+	// lay lays out one list of vertex m — its listed edges es, whose
+	// other ends are nb of each, merged by rank with the rows that mention
+	// m — into hs, or only counts it when hs is nil.
+	lay := func(m int32, es []int32, nb func(*pendingEdge) int32, hs []half) int {
+		ms := by[mentionOff[m]:mentionOff[m+1]]
+		n, last := 0, int32(-1) // last: the range of the marker laid last, or -1
+		for len(es) > 0 || len(ms) > 0 {
+			if len(ms) == 0 || len(es) > 0 && rank[nb(&d.edges[es[0]])] < ms[0].rank {
+				if hs != nil {
+					e := &d.edges[es[0]]
+					hs[n] = half{w: e.weight, nb: nb(e), typ: e.typ}
+				}
+				es, n, last = es[1:], n+1, -1
+				continue
+			}
+			r := ms[0].r
+			ms = ms[1:]
+			switch {
+			case r == last && hs != nil:
+				hs[n-1].w++
+			case r != last:
+				if hs != nil {
+					hs[n] = half{w: 1, nb: ^r, typ: mentionsCode}
+				}
+				n, last = n+1, r
+			}
+		}
+		return n
+	}
+	to := func(e *pendingEdge) int32 { return e.to }
+	from := func(e *pendingEdge) int32 { return e.from }
+	total := [2]int{}
+	for m := range listed {
+		total[0] += lay(int32(m), outs[outOff[m]:outOff[m+1]], to, nil)
+		total[1] += lay(int32(m), ins[inOff[m]:inOff[m+1]], from, nil)
+	}
+	out, in := make([]half, total[0]), make([]half, total[1])
+	for m, v := range listed {
+		n := lay(int32(m), outs[outOff[m]:outOff[m+1]], to, out)
+		v.out, out = out[:n:n], out[n:]
+		n = lay(int32(m), ins[inOff[m]:inOff[m+1]], from, in)
+		v.in, in = in[:n:n], in[n:]
+	}
+	for _, e := range d.edges {
+		g.size += edgeSize(listed[e.from].id, listed[e.to].id, g.types[e.typ])
+	}
+	g.edges = len(d.edges) + 2*mentions
+	return nil
+}
+
+// unordered returns an error unless the listed nodes are in strictly
+// increasing id order and the listed edges in (from, to, type) order, as
+// WriteJSON writes them.
+func (d *decoder) unordered() error {
+	g := d.g
 	listed := g.verts
 	for i := 1; i < len(listed); i++ {
 		if listed[i-1].id >= listed[i].id {
@@ -763,6 +764,157 @@ func (d *decoder) placeRows() error {
 			return fmt.Errorf("graph: decode: edge from %q out of order beside a rows section", listed[b.from].id)
 		}
 	}
+	return nil
+}
+
+// rangeRows gives a full form — a file without a rows section, as an
+// earlier version wrote it — the ranges a snapshot of the same graph
+// spells: the rows of each prefix numbered 0…n−1 whose edges are all
+// weight-1 mentions twins to nodes that could not be such rows. It takes
+// them out of the listed nodes and edges into the rows section, which
+// build then loads as it loads any. A file out of WriteJSON's order is
+// left as it is.
+func (d *decoder) rangeRows() {
+	g := d.g
+	listed := g.verts
+	if len(d.ranges) > 0 || d.unordered() != nil {
+		return
+	}
+	type group struct {
+		rows []int32 // by row number
+		ok   bool
+	}
+	groups := map[string]*group{}
+	rowOf := make([]int32, len(listed)) // a candidate's row number, -1 for the rest
+	for i, v := range listed {
+		rowOf[i] = -1
+		if v.typ != rowCode || v.more != nil || v.id[min(len(rowIDPrefix), len(v.id)):] != v.label {
+			continue
+		}
+		if prefix, k, ok := splitRow(v.id); ok {
+			gr := groups[prefix]
+			if gr == nil {
+				gr = &group{ok: true}
+				groups[prefix] = gr
+			}
+			gr.rows = append(gr.rows, int32(i))
+			rowOf[i] = int32(k)
+		}
+	}
+	outOff, outs := d.edgesBy(func(e *pendingEdge) int32 { return e.from })
+	inOff, ins := d.edgesBy(func(e *pendingEdge) int32 { return e.to })
+	for prefix, gr := range groups {
+		rows := make([]int32, len(gr.rows))
+		for _, i := range gr.rows {
+			if k := rowOf[i]; int(k) < len(rows) {
+				rows[k] = i + 1
+			}
+		}
+		gr.rows = rows
+		for _, i := range rows {
+			if i == 0 || !d.twins(outs[outOff[i-1]:outOff[i]], ins[inOff[i-1]:inOff[i]], rowOf) {
+				delete(groups, prefix)
+				break
+			}
+		}
+	}
+	if len(groups) == 0 {
+		return
+	}
+	prefixes := slices.Sorted(maps.Keys(groups))
+	num := make([]int32, len(listed)) // new number, -1 for a ranged row
+	for _, gr := range groups {
+		for _, i := range gr.rows {
+			num[i-1] = -1
+		}
+	}
+	kept := listed[:0:0]
+	for i, v := range listed {
+		if num[i] == 0 {
+			num[i] = int32(len(kept))
+			v.num = num[i]
+			kept = append(kept, v)
+			continue
+		}
+		delete(g.vs, v.id)
+		g.byType[rowCode]--
+		g.size -= int64(len(v.id) + len(v.label) + 16)
+		if v.text != "" {
+			g.size -= int64(len(v.text) + 16)
+		}
+	}
+	for _, prefix := range prefixes {
+		var text []byte
+		first := len(d.textEnd)
+		for _, i := range groups[prefix].rows {
+			v := listed[i-1]
+			text = append(text, v.text...)
+			d.textEnd = append(d.textEnd, len(text))
+			for _, e := range outs[outOff[i-1]:outOff[i]] {
+				d.mentions = append(d.mentions, num[d.edges[e].to])
+			}
+			d.mentionEnd = append(d.mentionEnd, len(d.mentions))
+		}
+		d.ranges = append(d.ranges, rowSpan{s: string(text), prefix: prefix, first: first, n: len(d.textEnd) - first})
+	}
+	edges := d.edges[:0]
+	for _, e := range d.edges {
+		if num[e.from] >= 0 && num[e.to] >= 0 {
+			e.from, e.to = num[e.from], num[e.to]
+			edges = append(edges, e)
+		}
+	}
+	d.edges = edges
+	g.verts = kept
+}
+
+// twins reports whether a row's listed edges, out and in by position in
+// d.edges, are weight-1 mentions twins to nodes that are no candidate
+// row (rowOf −1): the same nodes both ways, in the same order.
+func (d *decoder) twins(out, in []int32, rowOf []int32) bool {
+	if len(out) != len(in) {
+		return false
+	}
+	for j := range out {
+		o, i := &d.edges[out[j]], &d.edges[in[j]]
+		if o.to != i.from || rowOf[o.to] >= 0 || o.weight != 1 || i.weight != 1 ||
+			d.g.types[o.typ] != EdgeMentions || d.g.types[i.typ] != EdgeMentions {
+			return false
+		}
+	}
+	return true
+}
+
+// edgesBy groups the listed edges by the vertex end returns of each:
+// idx[off[m]:off[m+1]] are m's, by position in d.edges.
+func (d *decoder) edgesBy(end func(*pendingEdge) int32) (off, idx []int32) {
+	off = make([]int32, len(d.g.verts)+1)
+	for i := range d.edges {
+		off[end(&d.edges[i])+1]++
+	}
+	for m := range d.g.verts {
+		off[m+1] += off[m]
+	}
+	fill := slices.Clone(off[:len(d.g.verts)])
+	idx = make([]int32, len(d.edges))
+	for i := range d.edges {
+		m := end(&d.edges[i])
+		idx[fill[m]] = int32(i)
+		fill[m]++
+	}
+	return off, idx
+}
+
+// checkRows refuses a rows section the graph could not hold as it is:
+// listed nodes out of id order, listed edges out of (from, to, type)
+// order, a mention of no listed node or out of order, a prefix that ends
+// in a digit or comes twice, and a listed node with a range row's id.
+func (d *decoder) checkRows() error {
+	if err := d.unordered(); err != nil {
+		return err
+	}
+	g := d.g
+	listed := g.verts
 	start := 0
 	for _, end := range d.mentionEnd {
 		for j, i := range d.mentions[start:end] {
@@ -775,114 +927,23 @@ func (d *decoder) placeRows() error {
 		}
 		start = end
 	}
-
-	// The rows, in one slab, and each source of vertices in id order: the
-	// listed ones as tags i ≥ 0, each range's rows as tags −1−row.
-	rowType, _ := code(&g.ntypes, NodeRow, ErrNodeTypes)
-	rows := make([]vertex, total)
-	sources := make([][]int32, 0, 1+len(d.ranges))
-	tags := make([]int32, len(listed))
-	for i := range tags {
-		tags[i] = int32(i)
-	}
-	sources = append(sources, tags)
-	for _, r := range d.ranges {
-		textAt, idAt := 0, 0
-		if r.n > 0 {
-			idAt = d.textEnd[r.first+r.n-1]
+	rows := map[string]int{}
+	for _, sp := range d.ranges {
+		if p := sp.prefix; p != "" && '0' <= p[len(p)-1] && p[len(p)-1] <= '9' {
+			return fmt.Errorf("graph: decode: range prefix %q ends in a digit", p)
 		}
-		for k := range r.n {
-			j := r.first + k
-			idEnd := idAt + len(rowIDPrefix) + r.prefix + decimalLen(k)
-			v := &rows[j]
-			v.id, v.text, v.typ = r.s[idAt:idEnd], r.s[textAt:d.textEnd[j]], rowType
-			v.label = v.id[len(rowIDPrefix):]
-			g.size += int64(len(v.id) + len(v.label) + 16)
-			if v.text != "" {
-				g.size += int64(len(v.text) + 16)
-			}
-			textAt, idAt = d.textEnd[j], idEnd
+		if _, twice := rows[sp.prefix]; twice && sp.n > 0 {
+			return fmt.Errorf("%w: %s", ErrNodeExists, rowIDPrefix+sp.prefix+"0")
 		}
-		order := decimalOrder(r.n)
-		for p, k := range order {
-			order[p] = -1 - int32(r.first) - k
+		if sp.n > 0 {
+			rows[sp.prefix] = sp.n
 		}
-		sources = append(sources, order)
 	}
-	g.byType[rowType] += total
-	vertexOf := func(tag int32) *vertex {
-		if tag >= 0 {
-			return listed[tag]
-		}
-		return &rows[-1-tag]
-	}
-	order := mergeByID(sources, func(tag int32) string { return vertexOf(tag).id })
-	g.verts = make([]*vertex, len(order))
-	for num, tag := range order {
-		v := vertexOf(tag)
-		v.num = int32(num)
-		g.verts[num] = v
-	}
-	for i := range rows {
-		v := &rows[i]
-		size := len(g.vs)
-		if g.vs[v.id] = v; len(g.vs) == size {
+	for _, v := range listed {
+		if prefix, k, ok := splitRow(v.id); ok && k < rows[prefix] {
 			return fmt.Errorf("%w: %s", ErrNodeExists, v.id)
 		}
 	}
-
-	// mentioners[first[i]:first[i+1]] are the rows that mention listed
-	// node i, by number.
-	first := make([]int32, len(listed)+1)
-	for _, i := range d.mentions {
-		first[i+1]++
-	}
-	for i := range listed {
-		first[i+1] += first[i]
-	}
-	fill := slices.Clone(first[:len(listed)])
-	mentioners := make([]int32, len(d.mentions))
-	mentionsOf := func(row int32) []int32 {
-		if row == 0 {
-			return d.mentions[:d.mentionEnd[0]]
-		}
-		return d.mentions[d.mentionEnd[row-1]:d.mentionEnd[row]]
-	}
-	for num, tag := range order {
-		if tag < 0 {
-			for _, i := range mentionsOf(-1 - tag) {
-				mentioners[fill[i]] = int32(num)
-				fill[i]++
-			}
-		}
-	}
-	mentions, _ := code(&g.types, EdgeMentions, ErrEdgeTypes)
-	edges := make([]pendingEdge, 0, len(d.edges)+2*len(d.mentions))
-	next := 0 // the first listed edge not yet queued
-	for num, tag := range order {
-		from := int32(num)
-		if tag < 0 {
-			for _, i := range mentionsOf(-1 - tag) {
-				edges = append(edges, pendingEdge{weight: 1, from: from, to: listed[i].num, typ: mentions})
-			}
-			continue
-		}
-		// Its listed edges, in (to, type) order, with its mentioners by
-		// number among them.
-		by := mentioners[first[tag]:first[tag+1]]
-		for ; next < len(d.edges) && d.edges[next].from == tag; next++ {
-			e := d.edges[next]
-			e.from, e.to = from, listed[e.to].num
-			for ; len(by) > 0 && by[0] < e.to; by = by[1:] {
-				edges = append(edges, pendingEdge{weight: 1, from: from, to: by[0], typ: mentions})
-			}
-			edges = append(edges, e)
-		}
-		for _, r := range by {
-			edges = append(edges, pendingEdge{weight: 1, from: from, to: r, typ: mentions})
-		}
-	}
-	d.edges = edges
 	return nil
 }
 
@@ -921,7 +982,7 @@ func decimalOrder(n int) []int32 {
 // by id, ties in source order. It copies a run of one source at a time,
 // so a source whose ids fall between two of another's costs one
 // comparison per element.
-func mergeByID(sources [][]int32, id func(int32) string) []int32 {
+func mergeByID(sources [][]int32, key func(int32) idKey) []int32 {
 	total := 0
 	for _, s := range sources {
 		total += len(s)
@@ -929,18 +990,18 @@ func mergeByID(sources [][]int32, id func(int32) string) []int32 {
 	out := make([]int32, 0, total)
 	for {
 		best := -1
-		var least, bound string
+		var least, bound idKey
 		bounded := false
 		for s, src := range sources {
 			if len(src) == 0 {
 				continue
 			}
-			switch h := id(src[0]); {
+			switch h := key(src[0]); {
 			case best < 0:
 				best, least = s, h
-			case h < least:
+			case h.compare(&least) < 0:
 				best, least, bound, bounded = s, h, least, true
-			case !bounded || h < bound:
+			case !bounded || h.compare(&bound) < 0:
 				bound, bounded = h, true
 			}
 		}
@@ -949,40 +1010,15 @@ func mergeByID(sources [][]int32, id func(int32) string) []int32 {
 		}
 		src := sources[best]
 		n := 1
-		for n < len(src) && (!bounded || id(src[n]) < bound) {
+		for n < len(src) {
+			if bounded {
+				if h := key(src[n]); h.compare(&bound) >= 0 {
+					break
+				}
+			}
 			n++
 		}
 		out = append(out, src[:n]...)
 		sources[best] = src[n:]
 	}
-}
-
-// link builds every adjacency list from the queued edges: each vertex's
-// out and in are carved, with exact capacity, from two arrays that hold
-// all half-edges, and filled in file order. The lists are those AddEdge
-// would have grown one append at a time.
-func (d *decoder) link() {
-	g := d.g
-	out, in := make([]half, len(d.edges)), make([]half, len(d.edges))
-	// Degrees first, kept as the length of each vertex's own slices.
-	for _, e := range d.edges {
-		from, to := g.verts[e.from], g.verts[e.to]
-		from.out = out[:len(from.out)+1]
-		to.in = in[:len(to.in)+1]
-	}
-	for _, v := range g.verts {
-		if n := len(v.out); n > 0 {
-			v.out, out = out[:0:n], out[n:]
-		}
-		if n := len(v.in); n > 0 {
-			v.in, in = in[:0:n], in[n:]
-		}
-	}
-	for _, e := range d.edges {
-		from, to := g.verts[e.from], g.verts[e.to]
-		from.out = append(from.out, half{w: e.weight, nb: e.to, typ: e.typ})
-		to.in = append(to.in, half{w: e.weight, nb: e.from, typ: e.typ})
-		g.size += edgeSize(from.id, to.id, g.types[e.typ])
-	}
-	g.edges = len(d.edges)
 }

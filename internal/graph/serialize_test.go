@@ -160,8 +160,8 @@ func rangeGraph(t testing.TB) *Graph {
 	check(g.EnsureNode(Node{ID: "chunk:1", Type: NodeChunk, Label: "1", Text: "north sells sku-1", Doc: "doc:1"}))
 	mention("chunk:1", "entity:north")
 	// A run of 0…119 whose lexicographic order is not its numeric one,
-	// rows with no mention, one, two, and one whose twin was made from the
-	// entity's side; one row has no text.
+	// rows with no mention, one, two, one whose twin was made from the
+	// entity's side, and one a chunk mentions; one row has no text.
 	for k := 0; k < 120; k++ {
 		text := fmt.Sprintf("region: %s; units: %d", ents[k%4], k)
 		if k == 7 {
@@ -177,26 +177,34 @@ func rangeGraph(t testing.TB) *Graph {
 		case 3:
 			mention(ents[3], id)
 		}
+		if k == 5 {
+			mention("chunk:1", id)
+		}
 	}
 	// A listed node whose id sorts inside that run, with edges among the
-	// run's; a chunk that mentions a row of the run.
+	// run's.
 	check(g.EnsureNode(Node{ID: "row:db/facts/1x", Type: NodeEntity, Label: "1x"}))
 	check(g.AddEdge(Edge{From: "row:db/facts/1x", To: "entity:north", Type: EdgeRelates, Weight: 2}))
 	check(g.AddEdge(Edge{From: "entity:north", To: "row:db/facts/1x", Type: EdgeRelates}))
 	check(g.AddEdge(Edge{From: "entity:north", To: "entity:south", Type: EdgeRelates, Weight: 3}))
 	check(g.AddEdge(Edge{From: "entity:north", To: "entity:south", Type: EdgeRelates, Weight: 0.5}))
-	mention("chunk:1", "row:db/facts/5")
-	// A prefix that ends in a letter; a run of one; two runs whose ids
-	// interleave ("a/1x0" sorts between "a/11" and "a/2").
-	for k := 11; k >= 0; k-- {
+	// A prefix that ends in a letter, whose rows come out of order after
+	// six in order; a run of one; two runs whose ids interleave ("a/1x0"
+	// sorts between "a/11" and "a/2").
+	for _, k := range []int{0, 1, 2, 3, 4, 5, 11, 10, 9, 8, 7, 6} {
 		mention(row(fmt.Sprintf("events/o%d", k), "event"), ents[k%4])
 	}
 	mention(row("db/one/0", "only"), "entity:north")
 	for k := 0; k < 12; k++ {
 		row(fmt.Sprintf("a/%d", k), "a")
 	}
-	mention(row("a/1x1", "b"), "entity:south")
 	row("a/1x0", "c")
+	mention(row("a/1x1", "b"), "entity:south")
+	// A run whose middle row gains an edge no range spells.
+	for k := 0; k < 4; k++ {
+		mention(row(fmt.Sprintf("db/late/%d", k), "late"), ents[k%4])
+	}
+	check(g.AddEdge(Edge{From: "row:db/late/1", To: "entity:north", Type: EdgeRelates}))
 	// Rows no range holds: a hole; a number with leading zeros alone; a
 	// label that is not the id's rest; a payload besides text; a mention
 	// of weight 0.5; a mention without its twin; an edge of another type;
@@ -217,7 +225,7 @@ func rangeGraph(t testing.TB) *Graph {
 // rangedPrefixes are the runs WriteJSON writes as ranges for each codec
 // graph that has one: prefix and row count.
 var rangedPrefixes = map[string]map[string]int{
-	"ranges":     {"db/facts/": 120, "events/o": 12, "db/one/": 1, "a/": 12, "a/1x": 2},
+	"ranges":     {"db/facts/": 120, "db/one/": 1, "a/": 12, "a/1x": 2},
 	"tiny-range": {"t/": 2},
 	"one-row":    {"o": 1},
 }
@@ -240,9 +248,9 @@ func codecGraphs(t testing.TB) map[string]*Graph {
 	tiny := New()
 	tiny.EnsureNode(Node{ID: "e", Type: NodeEntity, Label: "e"})
 	tiny.EnsureNode(Node{ID: "row:t/0", Type: NodeRow, Label: "t/0", Text: "a \"quoted\" <row>"})
+	tiny.AddUndirected(Edge{From: "row:t/0", To: "e", Type: EdgeMentions})
 	tiny.EnsureNode(Node{ID: "row:t/1", Type: NodeRow, Label: "t/1"})
 	tiny.EnsureNode(Node{ID: "row:t/0x", Type: NodeDoc, Label: "0x"})
-	tiny.AddUndirected(Edge{From: "row:t/0", To: "e", Type: EdgeMentions})
 	tiny.AddEdge(Edge{From: "row:t/0x", To: "e", Type: EdgeNextTo})
 	one := New()
 	one.EnsureNode(Node{ID: "row:o0", Type: NodeRow, Label: "o0", Text: "one"})
@@ -598,84 +606,86 @@ func TestReadJSONRejects(t *testing.T) {
 	ab := node("a") + "," + node("b")
 	rows := func(ranges string) string { return `{"nodes":[` + ab + `],"rows":[` + ranges + `],"edges":null}` }
 	for name, in := range map[string]string{
-		"empty input":           "",
-		"only whitespace":       " \n",
-		"top-level null":        "null",
-		"top-level array":       "[]",
-		"unknown top key":       `{"nodes":[],"edges":null,"version":2}`,
-		"key in another case":   `{"Nodes":[],"edges":null}`,
-		"repeated nodes":        `{"nodes":[],"nodes":[],"edges":null}`,
-		"repeated edges":        `{"edges":null,"nodes":[],"edges":null}`,
-		"trailing bytes":        doc(ab, edge) + "{}",
-		"trailing garbage":      doc(ab, edge) + "\n x",
-		"second document":       doc(ab, edge) + doc(ab, edge),
-		"unknown node key":      doc(`{"id":"a","type":"doc","label":"","extra":"x"}`, ""),
-		"repeated node key":     doc(`{"id":"a","type":"doc","label":"","id":"b"}`, ""),
-		"repeated attrs":        doc(`{"id":"a","attrs":{},"attrs":{}}`, ""),
-		"repeated attr key":     doc(`{"id":"a","attrs":{"text":"1","k":"","text":"2"}}`, ""),
-		"repeated as empty":     doc(`{"id":"a","attrs":{"doc":"","doc":""}}`, ""),
-		"null id":               doc(`{"id":null}`, ""),
-		"null attr value":       doc(`{"id":"a","attrs":{"etype":null}}`, ""),
-		"null unknown attr":     doc(`{"id":"a","attrs":{"k":null}}`, ""),
-		"number for an attr":    doc(`{"id":"a","attrs":{"k":7}}`, ""),
-		"object for an attr":    doc(`{"id":"a","attrs":{"k":{}}}`, ""),
-		"bad escape in attr":    doc(`{"id":"a","attrs":{"k":"\x"}}`, ""),
-		"number for a string":   doc(`{"id":7}`, ""),
-		"nodes not an array":    `{"nodes":{},"edges":null}`,
-		"node not an object":    doc(`"a"`, ""),
-		"attrs not an object":   doc(`{"id":"a","attrs":[]}`, ""),
-		"unknown edge key":      doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"label":"x"}`),
-		"repeated edge key":     doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"to":"a"}`),
-		"null weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":null}`),
-		"string weight":         doc(ab, `{"from":"a","to":"b","type":"next","weight":"1"}`),
-		"leading zero":          doc(ab, `{"from":"a","to":"b","type":"next","weight":01}`),
-		"leading plus":          doc(ab, `{"from":"a","to":"b","type":"next","weight":+1}`),
-		"bare point":            doc(ab, `{"from":"a","to":"b","type":"next","weight":1.}`),
-		"no integer part":       doc(ab, `{"from":"a","to":"b","type":"next","weight":.5}`),
-		"bare exponent":         doc(ab, `{"from":"a","to":"b","type":"next","weight":1e}`),
-		"hex weight":            doc(ab, `{"from":"a","to":"b","type":"next","weight":0x10}`),
-		"NaN weight":            doc(ab, `{"from":"a","to":"b","type":"next","weight":NaN}`),
-		"weight out of range":   doc(ab, `{"from":"a","to":"b","type":"next","weight":1e999}`),
-		"minus alone":           doc(ab, `{"from":"a","to":"b","type":"next","weight":-}`),
-		"raw control byte":      doc(node("a\x01"), ""),
-		"raw newline":           doc(node("a\nb"), ""),
-		"invalid UTF-8":         doc(node("a\xff"), ""),
-		"truncated rune":        doc(node("a\xe2\x80"), ""),
-		"invalid UTF-8 in key":  doc(`{"id":"a","attrs":{"k\xff":"v"}}`, ""),
-		"escape then bad UTF8":  doc(node(`a\n`+"\xff"), ""),
-		"unknown escape":        doc(node(`a\x41`), ""),
-		"short \\u":             doc(node(`a\u12`), ""),
-		"non-hex \\u":           doc(node(`a\u12g4`), ""),
-		"lone high surrogate":   doc(node(`a\ud83d`), ""),
-		"lone low surrogate":    doc(node(`a\ude00`), ""),
-		"high then non-low":     doc(node(`a\ud83d\u0041`), ""),
-		"high then high":        doc(node(`a\ud83d\ud83d`), ""),
-		"unterminated string":   `{"nodes":[{"id":"a`,
-		"escape at the end":     `{"nodes":[{"id":"a\`,
-		"missing comma":         doc(node("a")+node("b"), ""),
-		"trailing comma":        doc(node("a")+",", ""),
-		"trailing member":       `{"nodes":[],}`,
-		"single quotes":         `{'nodes':[]}`,
-		"missing colon":         `{"nodes" []}`,
-		"unclosed":              `{"nodes":[],"edges":null`,
-		"nul":                   "null",
-		"nulls":                 `{"nodes":nulls}`,
-		"repeated rows":         `{"nodes":[],"rows":[],"edges":null,"rows":[]}`,
-		"rows not an array":     `{"nodes":[],"rows":{}}`,
-		"unknown range key":     rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"first":0}`),
-		"repeated range key":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"prefix":"u/"}`),
-		"null prefix":           rows(`{"prefix":null,"n":1,"text":["x"],"mentions":[[0]]}`),
-		"fractional n":          rows(`{"prefix":"t/","n":1.0,"text":["x"],"mentions":[[0]]}`),
-		"n over the texts":      rows(`{"prefix":"t/","n":2,"text":["x"],"mentions":[[0],[0]]}`),
-		"n under the texts":     rows(`{"prefix":"t/","n":1,"text":["x","y"],"mentions":[[0]]}`),
-		"n over the mentions":   rows(`{"prefix":"t/","n":2,"text":["x","y"],"mentions":[[0]]}`),
-		"negative n":            rows(`{"prefix":"t/","n":-1,"text":[],"mentions":[]}`),
-		"no n":                  rows(`{"prefix":"t/","text":["x"],"mentions":[[0]]}`),
-		"null text":             rows(`{"prefix":"t/","n":1,"text":[null],"mentions":[[0]]}`),
-		"mention past nodes":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2]]}`),
-		"negative mention":      rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[-1]]}`),
-		"fractional mention":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0.5]]}`),
-		"mention too large":     rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2147483648]]}`),
+		"empty input":          "",
+		"only whitespace":      " \n",
+		"top-level null":       "null",
+		"top-level array":      "[]",
+		"unknown top key":      `{"nodes":[],"edges":null,"version":2}`,
+		"key in another case":  `{"Nodes":[],"edges":null}`,
+		"repeated nodes":       `{"nodes":[],"nodes":[],"edges":null}`,
+		"repeated edges":       `{"edges":null,"nodes":[],"edges":null}`,
+		"trailing bytes":       doc(ab, edge) + "{}",
+		"trailing garbage":     doc(ab, edge) + "\n x",
+		"second document":      doc(ab, edge) + doc(ab, edge),
+		"unknown node key":     doc(`{"id":"a","type":"doc","label":"","extra":"x"}`, ""),
+		"repeated node key":    doc(`{"id":"a","type":"doc","label":"","id":"b"}`, ""),
+		"repeated attrs":       doc(`{"id":"a","attrs":{},"attrs":{}}`, ""),
+		"repeated attr key":    doc(`{"id":"a","attrs":{"text":"1","k":"","text":"2"}}`, ""),
+		"repeated as empty":    doc(`{"id":"a","attrs":{"doc":"","doc":""}}`, ""),
+		"null id":              doc(`{"id":null}`, ""),
+		"null attr value":      doc(`{"id":"a","attrs":{"etype":null}}`, ""),
+		"null unknown attr":    doc(`{"id":"a","attrs":{"k":null}}`, ""),
+		"number for an attr":   doc(`{"id":"a","attrs":{"k":7}}`, ""),
+		"object for an attr":   doc(`{"id":"a","attrs":{"k":{}}}`, ""),
+		"bad escape in attr":   doc(`{"id":"a","attrs":{"k":"\x"}}`, ""),
+		"number for a string":  doc(`{"id":7}`, ""),
+		"nodes not an array":   `{"nodes":{},"edges":null}`,
+		"node not an object":   doc(`"a"`, ""),
+		"attrs not an object":  doc(`{"id":"a","attrs":[]}`, ""),
+		"unknown edge key":     doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"label":"x"}`),
+		"repeated edge key":    doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"to":"a"}`),
+		"null weight":          doc(ab, `{"from":"a","to":"b","type":"next","weight":null}`),
+		"string weight":        doc(ab, `{"from":"a","to":"b","type":"next","weight":"1"}`),
+		"leading zero":         doc(ab, `{"from":"a","to":"b","type":"next","weight":01}`),
+		"leading plus":         doc(ab, `{"from":"a","to":"b","type":"next","weight":+1}`),
+		"bare point":           doc(ab, `{"from":"a","to":"b","type":"next","weight":1.}`),
+		"no integer part":      doc(ab, `{"from":"a","to":"b","type":"next","weight":.5}`),
+		"bare exponent":        doc(ab, `{"from":"a","to":"b","type":"next","weight":1e}`),
+		"hex weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":0x10}`),
+		"NaN weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":NaN}`),
+		"weight out of range":  doc(ab, `{"from":"a","to":"b","type":"next","weight":1e999}`),
+		"minus alone":          doc(ab, `{"from":"a","to":"b","type":"next","weight":-}`),
+		"raw control byte":     doc(node("a\x01"), ""),
+		"raw newline":          doc(node("a\nb"), ""),
+		"invalid UTF-8":        doc(node("a\xff"), ""),
+		"truncated rune":       doc(node("a\xe2\x80"), ""),
+		"invalid UTF-8 in key": doc(`{"id":"a","attrs":{"k\xff":"v"}}`, ""),
+		"escape then bad UTF8": doc(node(`a\n`+"\xff"), ""),
+		"unknown escape":       doc(node(`a\x41`), ""),
+		"short \\u":            doc(node(`a\u12`), ""),
+		"non-hex \\u":          doc(node(`a\u12g4`), ""),
+		"lone high surrogate":  doc(node(`a\ud83d`), ""),
+		"lone low surrogate":   doc(node(`a\ude00`), ""),
+		"high then non-low":    doc(node(`a\ud83d\u0041`), ""),
+		"high then high":       doc(node(`a\ud83d\ud83d`), ""),
+		"unterminated string":  `{"nodes":[{"id":"a`,
+		"escape at the end":    `{"nodes":[{"id":"a\`,
+		"missing comma":        doc(node("a")+node("b"), ""),
+		"trailing comma":       doc(node("a")+",", ""),
+		"trailing member":      `{"nodes":[],}`,
+		"single quotes":        `{'nodes':[]}`,
+		"missing colon":        `{"nodes" []}`,
+		"unclosed":             `{"nodes":[],"edges":null`,
+		"nul":                  "null",
+		"nulls":                `{"nodes":nulls}`,
+		"repeated rows":        `{"nodes":[],"rows":[],"edges":null,"rows":[]}`,
+		"rows not an array":    `{"nodes":[],"rows":{}}`,
+		"unknown range key":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"first":0}`),
+		"repeated range key":   rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"prefix":"u/"}`),
+		"null prefix":          rows(`{"prefix":null,"n":1,"text":["x"],"mentions":[[0]]}`),
+		"fractional n":         rows(`{"prefix":"t/","n":1.0,"text":["x"],"mentions":[[0]]}`),
+		"n over the texts":     rows(`{"prefix":"t/","n":2,"text":["x"],"mentions":[[0],[0]]}`),
+		"n under the texts":    rows(`{"prefix":"t/","n":1,"text":["x","y"],"mentions":[[0]]}`),
+		"n over the mentions":  rows(`{"prefix":"t/","n":2,"text":["x","y"],"mentions":[[0]]}`),
+		"negative n":           rows(`{"prefix":"t/","n":-1,"text":[],"mentions":[]}`),
+		"no n":                 rows(`{"prefix":"t/","text":["x"],"mentions":[[0]]}`),
+		"null text":            rows(`{"prefix":"t/","n":1,"text":[null],"mentions":[[0]]}`),
+		"mention past nodes":   rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2]]}`),
+		"negative mention":     rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[-1]]}`),
+		"fractional mention":   rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0.5]]}`),
+		"mention too large":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2147483648]]}`),
+		"prefix ends in a digit": rows(`{"prefix":"t/","n":11,"text":["","","","","","","","","","",""],"mentions":[[],[],[],[],[],[],[],[],[],[],[]]},` +
+			`{"prefix":"t/1","n":1,"text":["x"],"mentions":[[]]}`),
 		"mentions out of order": rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[1,0]]}`),
 		"nodes out of order":    `{"nodes":[` + node("b") + "," + node("a") + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]]}]}`,
 		"edges out of order": `{"nodes":[` + ab + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]]}],"edges":[` +
@@ -706,8 +716,7 @@ func TestReadJSONRejects(t *testing.T) {
 		"range id taken":     {`{"nodes":[` + node("row:t/0") + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[]]}]}`, ErrNodeExists},
 		"range id listed after": {`{"rows":[{"prefix":"t/","n":2,"text":["x","y"],"mentions":[[0],[]]}],"nodes":[` + node("a") + "," +
 			node("row:t/1") + `]}`, ErrNodeExists},
-		"ranges overlap": {rows(`{"prefix":"t/","n":11,"text":["","","","","","","","","","",""],"mentions":[[],[],[],[],[],[],[],[],[],[],[]]},` +
-			`{"prefix":"t/1","n":1,"text":["x"],"mentions":[[]]}`), ErrNodeExists},
+		"range twice": {rows(`{"prefix":"t/","n":1,"text":[""],"mentions":[[]]},{"prefix":"t/","n":1,"text":["x"],"mentions":[[]]}`), ErrNodeExists},
 	} {
 		_, err := ReadJSON(strings.NewReader(c.in))
 		if !errors.Is(err, c.want) {

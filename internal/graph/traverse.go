@@ -112,7 +112,7 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 			mult[c] = m
 		}
 	}
-	x.reset(len(v.verts))
+	x.reset(len(v.at))
 	x.best[anchor] = 1
 	x.pushed = append(x.pushed, int32(anchor))
 	x.push(Visit{Node: int32(anchor), Score: 1})
@@ -129,28 +129,40 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 		if int(it.Depth) >= opts.MaxDepth {
 			continue
 		}
-		lo, hi := v.outOff[it.Node], v.outOff[it.Node+1]
-		out := v.verts[it.Node].out
-		for k := lo; k < hi; k++ {
-			m := mult[v.typ[k]]
-			if m == 0 {
-				continue
+		out, _ := v.lists(int(it.Node))
+		for k, hi := v.outOff[it.Node], v.outOff[it.Node+1]; k < hi; {
+			// The next run of edges of one weight: one half, a marker's
+			// mentions, or the rest of a range row's mentions.
+			w, end := 1.0, hi
+			if len(out) > 0 {
+				if h := out[0]; h.marker() {
+					end = min(hi, k+int32(h.w))
+				} else {
+					w, end = h.w, k+1
+				}
+				out = out[1:]
 			}
-			to := v.dst[k]
-			// Evaluated in this order, factor by factor: scores are
-			// compared bit for bit with the reference expansion.
-			s := it.Score * opts.Decay * out[k-lo].w * m
-			if opts.Prior != nil {
-				s *= opts.Prior[to]
+			for ; k < end; k++ {
+				m := mult[v.typ[k]]
+				if m == 0 {
+					continue
+				}
+				to := v.dst[k]
+				// Evaluated in this order, factor by factor: scores are
+				// compared bit for bit with the reference expansion.
+				s := it.Score * opts.Decay * w * m
+				if opts.Prior != nil {
+					s *= opts.Prior[to]
+				}
+				if s <= x.best[to] {
+					continue
+				}
+				if x.best[to] == 0 {
+					x.pushed = append(x.pushed, to)
+				}
+				x.best[to] = s
+				x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
 			}
-			if s <= x.best[to] {
-				continue
-			}
-			if x.best[to] == 0 {
-				x.pushed = append(x.pushed, to)
-			}
-			x.best[to] = s
-			x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
 		}
 	}
 	return x.visits
@@ -158,33 +170,44 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 
 // ShortestPath returns one minimum-hop path between two nodes following
 // any edge type, or nil if disconnected. Used to explain answers
-// ("Patient X —received→ Drug Y —reported→ nausea").
+// ("Patient X —received→ Drug Y —reported→ nausea"). It walks a view of
+// the graph taken for the call.
 func (g *Graph) ShortestPath(from, to string) []string {
-	src, dst := g.vs[from], g.vs[to]
-	if src == nil || dst == nil {
+	v := g.View(nil)
+	src, ok := v.Index(from)
+	dst, ok2 := v.Index(to)
+	if !ok || !ok2 {
 		return nil
 	}
 	if from == to {
 		return []string{from}
 	}
-	// Breadth-first over vertex numbers; prev holds the predecessor's
-	// number plus one, 0 for a vertex not reached yet.
-	prev := make([]int32, len(g.verts))
-	prev[src.num] = src.num + 1
-	frontier := []int32{src.num}
+	// Breadth-first over view indices; prev holds the predecessor's
+	// index plus one, 0 for a node not reached yet.
+	prev := make([]int32, v.Len())
+	prev[src] = int32(src) + 1
+	frontier := []int32{int32(src)}
 	for len(frontier) > 0 {
 		var next []int32
 		for _, u := range frontier {
 			// Adjacency order makes the chosen path deterministic.
-			for _, h := range g.verts[u].out {
-				if prev[h.nb] != 0 {
+			for _, nb := range v.dst[v.outOff[u]:v.outOff[u+1]] {
+				if prev[nb] != 0 {
 					continue
 				}
-				prev[h.nb] = u + 1
-				if h.nb == dst.num {
-					return g.buildPath(prev, src.num, dst.num)
+				prev[nb] = u + 1
+				if nb == int32(dst) {
+					var rev []string
+					for cur := nb; ; cur = prev[cur] - 1 {
+						rev = append(rev, v.ID(int(cur)))
+						if cur == int32(src) {
+							break
+						}
+					}
+					slices.Reverse(rev)
+					return rev
 				}
-				next = append(next, h.nb)
+				next = append(next, nb)
 			}
 		}
 		frontier = next
@@ -192,26 +215,15 @@ func (g *Graph) ShortestPath(from, to string) []string {
 	return nil
 }
 
-func (g *Graph) buildPath(prev []int32, from, to int32) []string {
-	var rev []string
-	for cur := to; ; cur = prev[cur] - 1 {
-		rev = append(rev, g.verts[cur].id)
-		if cur == from {
-			break
-		}
-	}
-	slices.Reverse(rev)
-	return rev
-}
-
 // ConnectedComponents returns the weakly connected components as sorted
 // slices of node ids, largest first. Useful as an index sanity check:
 // a well-linked corpus should have one dominant component.
 func (g *Graph) ConnectedComponents() [][]string {
-	seen := make([]bool, len(g.verts))
+	v := g.View(nil)
+	seen := make([]bool, v.Len())
 	var comps [][]string
 	var stack []int32
-	for start := range g.verts {
+	for start := range seen {
 		if seen[start] {
 			continue
 		}
@@ -219,14 +231,14 @@ func (g *Graph) ConnectedComponents() [][]string {
 		stack = append(stack[:0], int32(start))
 		seen[start] = true
 		for len(stack) > 0 {
-			v := g.verts[stack[len(stack)-1]]
+			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			comp = append(comp, v.id)
-			for _, hs := range [2][]half{v.out, v.in} {
-				for _, h := range hs {
-					if !seen[h.nb] {
-						seen[h.nb] = true
-						stack = append(stack, h.nb)
+			comp = append(comp, v.ID(int(u)))
+			for _, nbs := range [2][]int32{v.dst[v.outOff[u]:v.outOff[u+1]], v.src[v.inOff[u]:v.inOff[u+1]]} {
+				for _, nb := range nbs {
+					if !seen[nb] {
+						seen[nb] = true
+						stack = append(stack, nb)
 					}
 				}
 			}

@@ -3,104 +3,364 @@ package graph
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // View is an immutable index-space snapshot of a Graph: node i is the
 // i-th id in sorted order, and both adjacencies are CSR arrays of node
-// indices in the graph's own list order. PageRank and Expand run over
-// it without hashing a string.
+// indices in the graph's own list order, a vertex's markers spelled out
+// as the rows they stand for. PageRank and Expand run over it without
+// hashing a string.
 //
-// Edge weights are not copied: they are read through the vertex, whose
-// half-edge lists only ever grow at the end. A view taken before a
-// mutation therefore stays valid and blind to it — nodes and edges
-// added afterwards do not exist for the view — until the caller takes a
-// new one. A view is rebuilt, not patched, because PageRank's
-// sequential sums need the nodes in sorted-id order; the next view
-// takes that order from the previous one (Graph.View).
+// Edge weights are not copied: they are read through the listed
+// vertex, whose lists only ever grow at the end — a marker by its count
+// — or have a marker spelled out as as many weight-1 halves, so the
+// first edges of a list keep their weights; a range's row has only
+// weight-1 mentions. A view taken before a mutation therefore stays
+// valid and blind to it — nodes and edges added afterwards do not exist
+// for the view — until the caller takes a new one. A view is rebuilt,
+// not patched, because PageRank's sequential sums need the nodes in
+// sorted-id order; the next view takes the listed vertices' order from
+// the previous one (Graph.View).
 type View struct {
-	verts  []*vertex
-	ntypes []NodeType // the graph's node-type table, as far as verts use it
-	outOff []int32    // out-edges of i: verts[i].out[:outOff[i+1]-outOff[i]]
-	dst    []int32    // target index per out-edge
-	typ    []uint8    // edgeCode per out-edge: the half-edge's code if declared, else 0
-	inOff  []int32    // in-edges of i: verts[i].in[:inOff[i+1]-inOff[i]]
-	src    []int32    // source index per in-edge
+	verts  []*vertex   // the graph's listed vertices, by number
+	ranges []viewRange // the graph's ranges, by range number
+	ntypes []NodeType  // the graph's node-type table, as far as verts use it
+	// at is each node: a listed vertex's number, or ^j for the j-th row
+	// of all ranges numbered end to end.
+	at     []int32
+	outOff []int32 // out-edges of i: dst[outOff[i]:outOff[i+1]]
+	dst    []int32 // target index per out-edge
+	typ    []uint8 // edgeCode per out-edge: the half-edge's code if declared, else 0
+	inOff  []int32 // in-edges of i: src[inOff[i]:inOff[i+1]]
+	src    []int32 // source index per in-edge
+}
+
+// viewRange is a range as a view sees it: its rows are numbered from
+// first among all ranges' rows. An expanded range has no rows.
+type viewRange struct {
+	prefix string
+	text   []string
+	first  int32
 }
 
 // View builds the index-space snapshot of the graph's current state
 // from prev, an earlier view of g, or from nothing when prev is nil.
 // Vertices are numbered in insertion order and never removed, so prev
-// holds exactly the first prev.Len() of them, already in id order: only
-// the vertices added since are sorted, and each is put into prev's
-// order by a binary search. The adjacency arrays are built over every
-// vertex either way, since old vertices may have gained edges. The
+// holds exactly the first len(prev.verts) of them, already in id order:
+// only the vertices added since are sorted, and each is put into prev's
+// order by a binary search. A range's rows come in id order as they are
+// (decimalOrder) and are merged in. The adjacency arrays are built over
+// every node either way, since old ones may have gained edges. The
 // result is array for array the view a nil prev gives, and prev stays
 // valid and unchanged.
 func (g *Graph) View(prev *View) *View {
-	var old []*vertex
+	var old []int32
 	if prev != nil {
-		old = prev.verts
-		if len(old) > len(g.verts) || len(old) > 0 && g.verts[old[0].num] != old[0] {
+		if len(prev.verts) > len(g.verts) || len(prev.verts) > 0 && g.verts[0] != prev.verts[0] {
 			panic("graph: View from a view of another graph")
 		}
+		old = make([]int32, 0, len(prev.verts))
+		for _, x := range prev.at {
+			if x >= 0 {
+				old = append(old, x)
+			}
+		}
 	}
-	added := slices.Clone(g.verts[len(old):])
-	slices.SortFunc(added, func(a, b *vertex) int { return strings.Compare(a.id, b.id) })
-	n := len(g.verts)
-	v := &View{
-		verts:  make([]*vertex, 0, n),
-		ntypes: g.ntypes,
-		outOff: make([]int32, n+1),
-		inOff:  make([]int32, n+1),
+	v := &View{verts: g.verts, ntypes: g.ntypes, ranges: make([]viewRange, len(g.ranges))}
+	added := make([]int32, 0, len(g.verts)-len(old))
+	for num := len(old); num < len(g.verts); num++ {
+		added = append(added, int32(num))
 	}
-	for _, vx := range added {
-		j, _ := slices.BinarySearchFunc(old, vx.id, func(o *vertex, id string) int { return strings.Compare(o.id, id) })
-		v.verts = append(append(v.verts, old[:j]...), vx)
+	slices.SortFunc(added, func(a, b int32) int { return strings.Compare(g.verts[a].id, g.verts[b].id) })
+	listed := make([]int32, 0, len(g.verts))
+	for _, num := range added {
+		j, _ := slices.BinarySearchFunc(old, g.verts[num].id, func(o int32, id string) int { return strings.Compare(g.verts[o].id, id) })
+		listed = append(append(listed, old[:j]...), num)
 		old = old[j:]
 	}
-	v.verts = append(v.verts, old...)
-	rank := make([]int32, n) // view index by vertex number
-	for i, vx := range v.verts {
-		rank[vx.num] = int32(i)
-		v.outOff[i+1] = v.outOff[i] + int32(len(vx.out))
-		v.inOff[i+1] = v.inOff[i] + int32(len(vx.in))
+	listed = append(listed, old...)
+
+	sources := [][]int32{listed}
+	rows := int32(0)
+	for r, rg := range g.ranges {
+		if rg == nil {
+			continue
+		}
+		v.ranges[r] = viewRange{prefix: rg.prefix, text: rg.text[:len(rg.text):len(rg.text)], first: rows}
+		order := decimalOrder(len(rg.text))
+		for i, k := range order {
+			order[i] = ^(rows + k)
+		}
+		sources = append(sources, order)
+		rows += int32(len(rg.text))
+	}
+	v.at = mergeByID(sources, v.key)
+
+	n := len(v.at)
+	rank := make([]int32, len(g.verts)) // view index by vertex number
+	rowRank := make([]int32, rows)      // view index by row
+	for i, x := range v.at {
+		if x >= 0 {
+			rank[x] = int32(i)
+		} else {
+			rowRank[^x] = int32(i)
+		}
+	}
+	// posts[at[m]:at[m+1]] are the view indices of the rows that mention
+	// listed vertex m, range by range, each range in posting order.
+	at := make([]int32, len(g.verts)+1)
+	for _, rg := range g.ranges {
+		if rg != nil {
+			for _, m := range rg.ments {
+				at[m+1]++
+			}
+		}
+	}
+	for m := range g.verts {
+		at[m+1] += at[m]
+	}
+	fill := slices.Clone(at[:len(g.verts)])
+	posts := make([]int32, at[len(g.verts)])
+	for r, rg := range g.ranges {
+		if rg == nil {
+			continue
+		}
+		for _, k := range rg.postingOrder() {
+			for _, m := range rg.mentions(int(k)) {
+				posts[fill[m]] = rowRank[v.ranges[r].first+k]
+				fill[m]++
+			}
+		}
+	}
+
+	v.outOff = make([]int32, n+1)
+	v.inOff = make([]int32, n+1)
+	for i, x := range v.at {
+		out, in := 0, 0
+		if x >= 0 {
+			out, in = slots(g.verts[x].out), slots(g.verts[x].in)
+		} else {
+			r, k := v.row(x)
+			out = len(g.ranges[r].mentions(k))
+			in = out
+		}
+		v.outOff[i+1] = v.outOff[i] + int32(out)
+		v.inOff[i+1] = v.inOff[i] + int32(in)
 	}
 	v.dst = make([]int32, v.outOff[n])
 	v.typ = make([]uint8, v.outOff[n])
 	v.src = make([]int32, v.inOff[n])
-	for i, vx := range v.verts {
-		dst, typ := v.dst[v.outOff[i]:v.outOff[i+1]], v.typ[v.outOff[i]:v.outOff[i+1]]
-		for j, h := range vx.out[:len(dst)] {
-			dst[j] = rank[h.nb]
-			if h.typ < edgeCodes {
-				typ[j] = h.typ
+	// cur is, while a list is spelled out, each range's next post.
+	cur := make([]int32, len(g.ranges))
+	spell := func(m int32, hs []half, nbs []int32, typ []uint8) {
+		marked := false
+		for _, h := range hs {
+			if h.marker() {
+				cur[^h.nb] += int32(h.w)
+				marked = true
 			}
 		}
-		src := v.src[v.inOff[i]:v.inOff[i+1]]
-		for j, h := range vx.in[:len(src)] {
-			src[j] = rank[h.nb]
+		if marked {
+			// m's posts hold the ranges in order: each one's first post
+			// follows the counts of those before it.
+			c := at[m]
+			for r, count := range cur {
+				c, cur[r] = c+count, c
+			}
+		}
+		j := 0
+		for _, h := range hs {
+			if !h.marker() {
+				nbs[j] = rank[h.nb]
+				if typ != nil && h.typ < edgeCodes {
+					typ[j] = h.typ
+				}
+				j++
+				continue
+			}
+			r := ^h.nb
+			for range int(h.w) {
+				nbs[j] = posts[cur[r]]
+				if typ != nil {
+					typ[j] = mentionsCode
+				}
+				cur[r]++
+				j++
+			}
+		}
+		if marked {
+			clear(cur)
+		}
+	}
+	for i, x := range v.at {
+		lo, hi := v.outOff[i], v.outOff[i+1]
+		if x >= 0 {
+			vx := g.verts[x]
+			spell(x, vx.out, v.dst[lo:hi], v.typ[lo:hi])
+			spell(x, vx.in, v.src[v.inOff[i]:v.inOff[i+1]], nil)
+			continue
+		}
+		r, k := v.row(x)
+		for j, m := range g.ranges[r].mentions(k) {
+			v.dst[lo+int32(j)] = rank[m]
+			v.typ[lo+int32(j)] = mentionsCode
+			v.src[v.inOff[i]+int32(j)] = rank[m]
 		}
 	}
 	return v
 }
 
+// row returns the range and the row number of the row a view's node
+// stands for, given its entry in at.
+func (v *View) row(x int32) (r int, k int) {
+	j := ^x
+	for r := len(v.ranges) - 1; ; r-- {
+		if rg := &v.ranges[r]; len(rg.text) > 0 && j >= rg.first {
+			return r, int(j - rg.first)
+		}
+	}
+}
+
+// key spells the id of the node whose entry in at is x, for comparing.
+func (v *View) key(x int32) idKey {
+	if x >= 0 {
+		return idKey{s: v.verts[x].id}
+	}
+	r, k := v.row(x)
+	return rowKey(v.ranges[r].prefix, k)
+}
+
+// lists returns the out and in lists of the listed vertex at index i,
+// nil for a range's row. Of each the view reads only as many edges as it
+// holds for the node.
+func (v *View) lists(i int) (out, in []half) {
+	if x := v.at[i]; x >= 0 {
+		return v.verts[x].out, v.verts[x].in
+	}
+	return nil, nil
+}
+
+// weights fills ws with the weights of a node's first len(ws) edges from
+// hs, its list as lists returns it: a marker's edges, and every edge of a
+// range's row, weigh 1.
+func weights(ws []float64, hs []half) {
+	j := 0
+	for _, h := range hs {
+		if j == len(ws) {
+			return
+		}
+		if !h.marker() {
+			ws[j] = h.w
+			j++
+			continue
+		}
+		for c := min(int(h.w), len(ws)-j); c > 0; c-- {
+			ws[j] = 1
+			j++
+		}
+	}
+	for ; j < len(ws); j++ {
+		ws[j] = 1
+	}
+}
+
 // Len returns the number of nodes in the view.
-func (v *View) Len() int { return len(v.verts) }
+func (v *View) Len() int { return len(v.at) }
 
 // ID returns the id of the node at index i. ID, Type and Text are what
-// retrieval reads of a node; Graph.Node assembles a whole one.
-func (v *View) ID(i int) string { return v.verts[i].id }
+// retrieval reads of a node; Graph.Node assembles a whole one. A row of
+// a range has its id built for the call.
+func (v *View) ID(i int) string {
+	x := v.at[i]
+	if x >= 0 {
+		return v.verts[x].id
+	}
+	r, k := v.row(x)
+	return rowIDPrefix + v.ranges[r].prefix + strconv.Itoa(k)
+}
 
 // Type returns the type of the node at index i.
-func (v *View) Type(i int) NodeType { return v.ntypes[v.verts[i].typ] }
+func (v *View) Type(i int) NodeType {
+	if x := v.at[i]; x >= 0 {
+		return v.ntypes[v.verts[x].typ]
+	}
+	return NodeRow
+}
 
 // Text returns the text of the node at index i: a chunk's or a row's.
-func (v *View) Text(i int) string { return v.verts[i].text }
+func (v *View) Text(i int) string {
+	x := v.at[i]
+	if x >= 0 {
+		return v.verts[x].text
+	}
+	r, k := v.row(x)
+	return v.ranges[r].text[k]
+}
 
 // Index returns the view index of the node with the given id, or false
-// if the view has no such node.
+// if the view has no such node. It builds no id.
 func (v *View) Index(id string) (int, bool) {
-	i := sort.Search(len(v.verts), func(i int) bool { return v.verts[i].id >= id })
-	return i, i < len(v.verts) && v.verts[i].id == id
+	want := idKey{s: id}
+	i := sort.Search(len(v.at), func(i int) bool { k := v.key(v.at[i]); return k.compare(&want) >= 0 })
+	if i == len(v.at) {
+		return i, false
+	}
+	k := v.key(v.at[i])
+	return i, k.compare(&want) == 0
+}
+
+// idKey is a node id to compare, spelled without building it: pre and
+// s end to end, then for a range's row its number's digits,
+// num[len(num)-digits:].
+type idKey struct {
+	pre, s string
+	num    [9]byte
+	digits int
+}
+
+// rowKey is the key of the id rowIDPrefix+prefix+k.
+func rowKey(prefix string, k int) idKey {
+	key := idKey{pre: rowIDPrefix, s: prefix}
+	for {
+		key.digits++
+		key.num[len(key.num)-key.digits] = byte('0' + k%10)
+		if k /= 10; k == 0 {
+			return key
+		}
+	}
+}
+
+func (x *idKey) len() int { return len(x.pre) + len(x.s) + x.digits }
+
+func (x *idKey) at(i int) byte {
+	if i < len(x.pre) {
+		return x.pre[i]
+	}
+	if i -= len(x.pre); i < len(x.s) {
+		return x.s[i]
+	}
+	return x.num[len(x.num)-x.digits+i-len(x.s)]
+}
+
+// compare orders two keys as the ids they spell.
+func (x *idKey) compare(y *idKey) int {
+	i := 0
+	if x.pre == y.pre {
+		n := min(len(x.s), len(y.s))
+		if c := strings.Compare(x.s[:n], y.s[:n]); c != 0 {
+			return c
+		}
+		i = len(x.pre) + n
+	}
+	for ; i < x.len() && i < y.len(); i++ {
+		if a, b := x.at(i), y.at(i); a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return x.len() - y.len()
 }
