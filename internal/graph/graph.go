@@ -140,6 +140,7 @@ type vertex struct {
 	in              []half // reverse adjacency by target: nb is the source
 	num             int32  // position in Graph.verts
 	typ             uint8  // position in Graph.ntypes
+	marked          bool   // a half of out or in is, or was, a marker
 }
 
 // extra is the payload a row and a doc never have.
@@ -172,11 +173,11 @@ type rowRange struct {
 // order.
 func (r *rowRange) mentions(k int) []int32 { return r.ments[r.off[k]:r.off[k+1]] }
 
-// postingOrder returns the range's row numbers in the order a vertex's
-// markers for the range count the rows that mention it: 0…dec−1 in
-// decimal order, then dec…n−1.
-func (r *rowRange) postingOrder() []int32 {
-	order := decimalOrder(r.dec)
+// postingOrder appends to buf the range's row numbers in the order a
+// vertex's markers for the range count the rows that mention it:
+// 0…dec−1 in decimal order, then dec…n−1.
+func (r *rowRange) postingOrder(buf []int32) []int32 {
+	order := appendDecimalOrder(buf[:0], r.dec)
 	for k := r.dec; k < len(r.text); k++ {
 		order = append(order, int32(k))
 	}
@@ -481,6 +482,7 @@ func (g *Graph) AddUndirected(e Edge) error {
 			rg.off[len(rg.off)-1]++
 			other.v.out = mark(other.v.out, row.r)
 			other.v.in = mark(other.v.in, row.r)
+			other.v.marked = true
 			return nil
 		}
 	}
@@ -536,7 +538,7 @@ func (g *Graph) expand(r int32) {
 	}
 	fill := slices.Clone(at[:first])
 	posts := make([]int32, len(rg.ments))
-	for _, k := range rg.postingOrder() {
+	for _, k := range rg.postingOrder(nil) {
 		for _, m := range rg.mentions(int(k)) {
 			posts[fill[m]] = first + k
 			fill[m]++
@@ -580,7 +582,7 @@ func (g *Graph) each(v *vertex, hs []half, fn func(id string, typ uint8, w float
 		rg := g.ranges[r]
 		next, ok := rows[r]
 		if !ok {
-			for _, k := range rg.postingOrder() {
+			for _, k := range rg.postingOrder(nil) {
 				for _, m := range rg.mentions(int(k)) {
 					if m == v.num {
 						next = append(next, k)
@@ -710,12 +712,15 @@ func (g *Graph) Degree(id string) int {
 	case at.v == nil:
 		return len(g.ranges[at.r].mentions(int(at.k)))
 	}
-	return slots(at.v.out)
+	return at.v.slots(at.v.out)
 }
 
-// slots returns the number of edges the list hs holds, markers spelled
-// out.
-func slots(hs []half) int {
+// slots returns the number of edges the list hs of v holds, markers
+// spelled out.
+func (v *vertex) slots(hs []half) int {
+	if !v.marked {
+		return len(hs)
+	}
 	n := 0
 	for _, h := range hs {
 		if h.marker() {

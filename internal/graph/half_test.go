@@ -21,7 +21,8 @@ func TestHalfEdgeSize(t *testing.T) {
 // A vertex is 112 bytes: three string headers, the payload pointer, two
 // adjacency slices, its number and its type code. A field added to it
 // — a Node pointer, the type as a string — would give back what storing
-// the node in its vertex saved without failing anything else.
+// the node in its vertex saved without failing anything else. Table rows
+// held in ranges have no vertex; every other node has one.
 func TestVertexLayout(t *testing.T) {
 	if s := unsafe.Sizeof(vertex{}); s != 112 {
 		t.Errorf("vertex is %d bytes, want 112", s)

@@ -1,11 +1,15 @@
 package graph
 
-// Reference implementations the index-space View is tested against.
-// Nothing outside the tests calls them.
+// Reference implementations the index-space View is tested against,
+// and the naive graph the range rows are held to. Nothing outside the
+// tests calls them.
 
 import (
 	"container/heap"
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/par"
@@ -73,7 +77,7 @@ func (g *Graph) BFS(anchors []string, maxDepth int, types ...EdgeType) []refVisi
 	return visits
 }
 
-// expandItem is a priority-queue entry for WeightedExpand.
+// expandItem is a priority-queue entry for weightedExpand.
 type expandItem struct {
 	id    string
 	score float64
@@ -100,7 +104,7 @@ func (q *expandQueue) Pop() interface{} {
 	return it
 }
 
-// refExpandOptions parameterizes WeightedExpand.
+// refExpandOptions parameterizes weightedExpand.
 type refExpandOptions struct {
 	MaxDepth   int                  // hop limit (0 = anchors only)
 	Budget     int                  // max nodes to settle; <=0 = unlimited
@@ -109,13 +113,13 @@ type refExpandOptions struct {
 	EdgeTypes  map[EdgeType]float64 // per-type edge multiplier (nil = 1)
 }
 
-// WeightedExpand is the string-keyed expansion View.Expand replaced,
+// weightedExpand is the string-keyed expansion View.Expand replaced,
 // kept verbatim as the reference it is compared against bit for bit:
 // a best-first expansion from the anchors where a node's score is the
 // best product of edge weights, per-hop decay, and a node prior
 // (typically a centrality measure). The highest-scoring nodes settle
 // first, so a budget yields the most topologically relevant subgraph.
-func (g *Graph) WeightedExpand(anchors []string, opts refExpandOptions) []refVisit {
+func weightedExpand(g refReader, anchors []string, opts refExpandOptions) []refVisit {
 	if opts.Decay <= 0 || opts.Decay > 1 {
 		opts.Decay = 0.7
 	}
@@ -196,8 +200,8 @@ func (g *Graph) WeightedExpand(anchors []string, opts refExpandOptions) []refVis
 // graph: each node gathers from its in-edges in list order, so every
 // node's score is independent of how nodes are partitioned across
 // workers — results are bit-identical at any worker count.
-func (g *Graph) referencePageRank() map[string]float64 {
-	n := len(g.vs)
+func referencePageRank(g refReader) map[string]float64 {
+	n := g.NodeCount()
 	out := make(map[string]float64, n)
 	if n == 0 {
 		return out
@@ -274,4 +278,106 @@ func (g *Graph) referencePageRank() map[string]float64 {
 		out[id] = ranks[i]
 	}
 	return out
+}
+
+// refReader is what the references read of a graph: a Graph, or the
+// naive refGraph.
+type refReader interface {
+	NodeIDs() []string
+	NodeCount() int
+	HasNode(id string) bool
+	Node(id string) *Node
+	Out(id string) []Edge
+	In(id string) []Edge
+}
+
+// refGraph is the naive graph: every node a Node in a map and every edge
+// an Edge in the lists of both its ends, in insertion order. It has no
+// ranges, no markers and no vertex numbers, so a Graph whose rows are
+// ranges is held to it.
+type refGraph struct {
+	nodes   map[string]Node
+	out, in map[string][]Edge
+	edges   int
+}
+
+func newRefGraph() *refGraph {
+	return &refGraph{nodes: map[string]Node{}, out: map[string][]Edge{}, in: map[string][]Edge{}}
+}
+
+func (r *refGraph) EnsureNode(n Node) error {
+	if _, ok := r.nodes[n.ID]; !ok {
+		r.nodes[n.ID] = n
+	}
+	return nil
+}
+
+func (r *refGraph) ends(e *Edge) error {
+	if !r.HasNode(e.From) || !r.HasNode(e.To) {
+		return fmt.Errorf("%w: %s -> %s", ErrBadEdge, e.From, e.To)
+	}
+	if e.Weight == 0 {
+		e.Weight = 1
+	}
+	return nil
+}
+
+func (r *refGraph) AddEdge(e Edge) error {
+	if err := r.ends(&e); err != nil {
+		return err
+	}
+	r.out[e.From] = append(r.out[e.From], e)
+	r.in[e.To] = append(r.in[e.To], e)
+	r.edges++
+	return nil
+}
+
+func (r *refGraph) AddUndirected(e Edge) error {
+	if err := r.ends(&e); err != nil {
+		return err
+	}
+	rev := Edge{From: e.To, To: e.From, Type: e.Type, Weight: e.Weight}
+	r.out[e.From] = append(r.out[e.From], e)
+	r.in[e.To] = append(r.in[e.To], e)
+	r.out[e.To] = append(r.out[e.To], rev)
+	r.in[e.From] = append(r.in[e.From], rev)
+	r.edges += 2
+	return nil
+}
+
+func (r *refGraph) NodeIDs() []string { return slices.Sorted(maps.Keys(r.nodes)) }
+
+func (r *refGraph) NodeCount() int { return len(r.nodes) }
+
+func (r *refGraph) HasNode(id string) bool { _, ok := r.nodes[id]; return ok }
+
+func (r *refGraph) Node(id string) *Node {
+	n, ok := r.nodes[id]
+	if !ok {
+		return nil
+	}
+	return &n
+}
+
+func (r *refGraph) Out(id string) []Edge { return slices.Clone(r.out[id]) }
+
+func (r *refGraph) In(id string) []Edge { return slices.Clone(r.in[id]) }
+
+// refGraphOf loads a snapshot into the naive graph, through its full
+// form.
+func refGraphOf(data []byte) (*refGraph, error) {
+	s, _, err := refExpand(data)
+	if err != nil {
+		return nil, err
+	}
+	r := newRefGraph()
+	for _, n := range s.Nodes {
+		r.EnsureNode(n.node())
+	}
+	for _, e := range s.Edges {
+		if err := r.AddEdge(e); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }

@@ -9,6 +9,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sort"
 	"strconv"
 
 	"repro/internal/jsonx"
@@ -647,7 +648,7 @@ func (d *decoder) build() error {
 		mentions += len(rg.ments)
 		g.byType[rowCode] += sp.n
 		g.rows += sp.n
-		order := decimalOrder(sp.n)
+		order := appendDecimalOrder(make([]int32, 0, sp.n), sp.n)
 		for i, k := range order {
 			order[i] = ^(int32(sp.first) + k)
 		}
@@ -735,6 +736,7 @@ func (d *decoder) build() error {
 	}
 	out, in := make([]half, total[0]), make([]half, total[1])
 	for m, v := range listed {
+		v.marked = mentionOff[m] < mentionOff[m+1]
 		n := lay(int32(m), outs[outOff[m]:outOff[m+1]], to, out)
 		v.out, out = out[:n:n], out[n:]
 		n = lay(int32(m), ins[inOff[m]:inOff[m+1]], from, in)
@@ -956,15 +958,15 @@ func decimalLen(k int) int {
 	return n
 }
 
-// decimalOrder returns 0…n−1 in the order of their decimal spellings:
-// 0, then each number followed by its first multiple of ten below n,
-// else by its next number that does not carry, else by an ancestor's.
-func decimalOrder(n int) []int32 {
-	out := make([]int32, 0, n)
+// appendDecimalOrder appends 0…n−1 to out in the order of their decimal
+// spellings: 0, then each number followed by its first multiple of ten
+// below n, else by its next number that does not carry, else by an
+// ancestor's.
+func appendDecimalOrder(out []int32, n int) []int32 {
 	if n > 0 {
 		out = append(out, 0)
 	}
-	for k := 1; len(out) < n; {
+	for k, end := 1, len(out)-1+n; len(out) < end; {
 		out = append(out, int32(k))
 		if k*10 < n {
 			k *= 10
@@ -980,8 +982,7 @@ func decimalOrder(n int) []int32 {
 
 // mergeByID merges sources, each sorted by id, into one sequence sorted
 // by id, ties in source order. It copies a run of one source at a time,
-// so a source whose ids fall between two of another's costs one
-// comparison per element.
+// found by a binary search, so a long run costs a few comparisons.
 func mergeByID(sources [][]int32, key func(int32) idKey) []int32 {
 	total := 0
 	for _, s := range sources {
@@ -1009,14 +1010,9 @@ func mergeByID(sources [][]int32, key func(int32) idKey) []int32 {
 			return out
 		}
 		src := sources[best]
-		n := 1
-		for n < len(src) {
-			if bounded {
-				if h := key(src[n]); h.compare(&bound) >= 0 {
-					break
-				}
-			}
-			n++
+		n := len(src)
+		if bounded {
+			n = 1 + sort.Search(len(src)-1, func(i int) bool { h := key(src[1+i]); return h.compare(&bound) >= 0 })
 		}
 		out = append(out, src[:n]...)
 		sources[best] = src[n:]

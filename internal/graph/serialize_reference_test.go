@@ -131,8 +131,8 @@ func sortEdges(es []Edge) {
 
 // refWriteJSON is WriteJSON through encoding/json: nodes by id, edges by
 // (from, to, type), ties in adjacency order.
-func refWriteJSON(g *Graph, w io.Writer) error {
-	s := refSerialized{Nodes: make([]refNode, 0, len(g.vs))}
+func refWriteJSON(g refReader, w io.Writer) error {
+	s := refSerialized{Nodes: make([]refNode, 0, g.NodeCount())}
 	for _, id := range g.NodeIDs() {
 		s.Nodes = append(s.Nodes, refNodeOf(g.Node(id)))
 	}

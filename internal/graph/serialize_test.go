@@ -868,8 +868,8 @@ func TestDecimalOrder(t *testing.T) {
 			want[k] = int32(k)
 		}
 		slices.SortFunc(want, func(a, b int32) int { return strings.Compare(spelled[a], spelled[b]) })
-		if got := decimalOrder(n); !slices.Equal(got, want) {
-			t.Fatalf("decimalOrder(%d) = %v, want %v", n, got, want)
+		if got := appendDecimalOrder(nil, n); !slices.Equal(got, want) {
+			t.Fatalf("appendDecimalOrder(nil, %d) = %v, want %v", n, got, want)
 		}
 	}
 }

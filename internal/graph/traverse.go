@@ -91,6 +91,19 @@ func (x *Expander) pop() Visit {
 	return h[n]
 }
 
+// offer makes s the path score of node to, reached at depth, if it
+// beats the best so far.
+func (x *Expander) offer(to, depth int32, s float64) {
+	if s <= x.best[to] {
+		return
+	}
+	if x.best[to] == 0 {
+		x.pushed = append(x.pushed, to)
+	}
+	x.best[to] = s
+	x.push(Visit{Node: to, Depth: depth, Score: s})
+}
+
 // Expand is the topology-enhanced traversal of Section III.B: a
 // best-first expansion from the anchor where a node's score is the best
 // product of edge weights, per-hop decay, and a node prior. The
@@ -129,8 +142,25 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 		if int(it.Depth) >= opts.MaxDepth {
 			continue
 		}
+		// Evaluated in this order, factor by factor: scores are compared
+		// bit for bit with the reference expansion.
+		lo, hi := v.outOff[it.Node], v.outOff[it.Node+1]
+		if num := v.at[it.Node]; num >= 0 && !v.verts[num].marked {
+			out := v.verts[num].out
+			for k := lo; k < hi; k++ {
+				if m := mult[v.typ[k]]; m != 0 {
+					to := v.dst[k]
+					s := it.Score * opts.Decay * out[k-lo].w * m
+					if opts.Prior != nil {
+						s *= opts.Prior[to]
+					}
+					x.offer(to, it.Depth+1, s)
+				}
+			}
+			continue
+		}
 		out, _ := v.lists(int(it.Node))
-		for k, hi := v.outOff[it.Node], v.outOff[it.Node+1]; k < hi; {
+		for k := lo; k < hi; {
 			// The next run of edges of one weight: one half, a marker's
 			// mentions, or the rest of a range row's mentions.
 			w, end := 1.0, hi
@@ -143,25 +173,14 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 				out = out[1:]
 			}
 			for ; k < end; k++ {
-				m := mult[v.typ[k]]
-				if m == 0 {
-					continue
+				if m := mult[v.typ[k]]; m != 0 {
+					to := v.dst[k]
+					s := it.Score * opts.Decay * w * m
+					if opts.Prior != nil {
+						s *= opts.Prior[to]
+					}
+					x.offer(to, it.Depth+1, s)
 				}
-				to := v.dst[k]
-				// Evaluated in this order, factor by factor: scores are
-				// compared bit for bit with the reference expansion.
-				s := it.Score * opts.Decay * w * m
-				if opts.Prior != nil {
-					s *= opts.Prior[to]
-				}
-				if s <= x.best[to] {
-					continue
-				}
-				if x.best[to] == 0 {
-					x.pushed = append(x.pushed, to)
-				}
-				x.best[to] = s
-				x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
 			}
 		}
 	}

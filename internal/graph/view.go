@@ -82,17 +82,26 @@ func (g *Graph) View(prev *View) *View {
 	}
 	listed = append(listed, old...)
 
-	sources := [][]int32{listed}
+	sources := make([][]int32, 1, 1+len(g.ranges))
+	sources[0] = listed
 	rows := int32(0)
+	for _, rg := range g.ranges {
+		if rg != nil {
+			rows += int32(len(rg.text))
+		}
+	}
+	orders := make([]int32, 0, rows) // each range's rows in id order
+	rows = 0
 	for r, rg := range g.ranges {
 		if rg == nil {
 			continue
 		}
 		v.ranges[r] = viewRange{prefix: rg.prefix, text: rg.text[:len(rg.text):len(rg.text)], first: rows}
-		order := decimalOrder(len(rg.text))
+		order := appendDecimalOrder(orders, len(rg.text))[len(orders):]
 		for i, k := range order {
 			order[i] = ^(rows + k)
 		}
+		orders = orders[:len(orders)+len(order)]
 		sources = append(sources, order)
 		rows += int32(len(rg.text))
 	}
@@ -127,7 +136,8 @@ func (g *Graph) View(prev *View) *View {
 		if rg == nil {
 			continue
 		}
-		for _, k := range rg.postingOrder() {
+		orders = rg.postingOrder(orders)
+		for _, k := range orders {
 			for _, m := range rg.mentions(int(k)) {
 				posts[fill[m]] = rowRank[v.ranges[r].first+k]
 				fill[m]++
@@ -140,7 +150,8 @@ func (g *Graph) View(prev *View) *View {
 	for i, x := range v.at {
 		out, in := 0, 0
 		if x >= 0 {
-			out, in = slots(g.verts[x].out), slots(g.verts[x].in)
+			vx := g.verts[x]
+			out, in = vx.slots(vx.out), vx.slots(vx.in)
 		} else {
 			r, k := v.row(x)
 			out = len(g.ranges[r].mentions(k))
@@ -155,20 +166,26 @@ func (g *Graph) View(prev *View) *View {
 	// cur is, while a list is spelled out, each range's next post.
 	cur := make([]int32, len(g.ranges))
 	spell := func(m int32, hs []half, nbs []int32, typ []uint8) {
-		marked := false
+		marked := g.verts[m].marked
+		if !marked {
+			for j, h := range hs[:len(nbs)] {
+				nbs[j] = rank[h.nb]
+				if typ != nil && h.typ < edgeCodes {
+					typ[j] = h.typ
+				}
+			}
+			return
+		}
+		// m's posts hold the ranges in order: each one's first post
+		// follows the counts of those before it.
 		for _, h := range hs {
 			if h.marker() {
 				cur[^h.nb] += int32(h.w)
-				marked = true
 			}
 		}
-		if marked {
-			// m's posts hold the ranges in order: each one's first post
-			// follows the counts of those before it.
-			c := at[m]
-			for r, count := range cur {
-				c, cur[r] = c+count, c
-			}
+		c := at[m]
+		for r, count := range cur {
+			c, cur[r] = c+count, c
 		}
 		j := 0
 		for _, h := range hs {
@@ -190,9 +207,7 @@ func (g *Graph) View(prev *View) *View {
 				j++
 			}
 		}
-		if marked {
-			clear(cur)
-		}
+		clear(cur)
 	}
 	for i, x := range v.at {
 		lo, hi := v.outOff[i], v.outOff[i+1]
@@ -349,8 +364,13 @@ func (x *idKey) compare(y *idKey) int {
 	i := 0
 	if x.pre == y.pre {
 		n := min(len(x.s), len(y.s))
-		if c := strings.Compare(x.s[:n], y.s[:n]); c != 0 {
-			return c
+		// Not strings.Compare: its arguments escape, and with them an id
+		// a caller built to look up.
+		if a, b := x.s[:n], y.s[:n]; a != b {
+			if a < b {
+				return -1
+			}
+			return 1
 		}
 		i = len(x.pre) + n
 	}

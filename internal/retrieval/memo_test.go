@@ -108,7 +108,7 @@ func TestRetrieveMemoDiesWithView(t *testing.T) {
 	c, g, ner := benchCorpus(t, "ecommerce", 42)
 	r := NewTopology(g, ner, TopologyOptions{})
 	q := c.Queries[0].Text
-	anchors := r.anchors(ner.Recognize(q))
+	anchors := r.anchors(nil, ner.Recognize(q))
 	if len(anchors) == 0 {
 		t.Fatalf("%q has no anchor", q)
 	}

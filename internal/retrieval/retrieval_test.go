@@ -123,7 +123,7 @@ func TestTopologyExplainPath(t *testing.T) {
 // budget, here a smaller one than Retrieve's.
 func TestTopologyBudgetRespected(t *testing.T) {
 	r := NewTopology(testGraph(t), testNER(), TopologyOptions{})
-	anchors := r.anchors(r.ner.Recognize("Product Alpha sales"))
+	anchors := r.anchors(nil, r.ner.Recognize("Product Alpha sales"))
 	if len(anchors) == 0 {
 		t.Fatal("no anchor")
 	}

@@ -108,6 +108,7 @@ type expansion struct {
 // sits in the pool, and both parts grow to the view they meet.
 type retrieveScratch struct {
 	expander graph.Expander
+	anchors  []int     // the query's anchors
 	total    []float64 // summed per-anchor score by view index
 	reached  []reach   // the indices with total != 0
 	terms    []string  // the query's terms
@@ -190,15 +191,16 @@ func (t *Topology) Retrieve(query string, k int) []Evidence {
 // already tagged with t's recognizer, so a caller that reads them too
 // tags the query once.
 func (t *Topology) RetrieveTagged(query string, ents []slm.Entity, k int) []Evidence {
-	anchors := t.anchors(ents)
-	if len(anchors) == 0 {
+	sc := scratchPool.Get().(*retrieveScratch)
+	sc.anchors = t.anchors(sc.anchors[:0], ents)
+	if len(sc.anchors) == 0 {
+		scratchPool.Put(sc)
 		return t.lexicalScan(query, k)
 	}
-	sc := scratchPool.Get().(*retrieveScratch)
 	if len(sc.total) < t.view.Len() {
 		sc.total = make([]float64, t.view.Len())
 	}
-	for _, a := range anchors {
+	for _, a := range sc.anchors {
 		e := t.expand(&sc.expander, a)
 		for j, i := range e.nodes {
 			// Path scores are positive, so zero means not yet reached.
@@ -325,10 +327,9 @@ func (t *Topology) evidence(top []ranked, k int) []Evidence {
 	return out
 }
 
-// anchors maps a query's entities to the view's entity nodes, in id
-// order.
-func (t *Topology) anchors(ents []slm.Entity) []int {
-	var out []int
+// anchors appends to out the view's entity nodes a query's entities
+// name, in id order.
+func (t *Topology) anchors(out []int, ents []slm.Entity) []int {
 	for _, e := range ents {
 		if i, ok := t.view.Index(index.EntityNodeID(e.Canonical)); ok && !slices.Contains(out, i) {
 			out = append(out, i)
@@ -358,7 +359,7 @@ func (t *Topology) lexicalScan(query string, k int) []Evidence {
 // ExplainPath returns a hop-by-hop path from any query anchor to the
 // given evidence node, for answer provenance.
 func (t *Topology) ExplainPath(query, evidenceID string) []string {
-	for _, a := range t.anchors(t.ner.Recognize(query)) {
+	for _, a := range t.anchors(nil, t.ner.Recognize(query)) {
 		if p := t.g.ShortestPath(t.view.ID(a), evidenceID); p != nil {
 			return p
 		}

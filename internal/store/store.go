@@ -397,17 +397,25 @@ func (s *RelationalStore) Len() int {
 
 // Records implements Source: one record per row of every table, tables
 // in name order, ids "<store>/<table>/<row number>". A record's Text is
-// its row rendered by rowText; its Fields stay nil.
+// its row rendered by rowText; its Fields stay nil. The ids of a table
+// are one string.
 func (s *RelationalStore) Records() []Record {
 	out := make([]Record, 0, s.Len())
-	var id, text []byte
+	var ids, text []byte
+	var ends []int
 	for _, t := range s.Tables() {
 		render := newRowText(t.Schema)
 		prefix := s.name + "/" + t.Name + "/"
+		ids, ends = ids[:0], ends[:0]
+		for i := range t.Rows {
+			ids = strconv.AppendInt(append(ids, prefix...), int64(i), 10)
+			ends = append(ends, len(ids))
+		}
+		all, start := string(ids), 0
 		for i, row := range t.Rows {
-			id = strconv.AppendInt(append(id[:0], prefix...), int64(i), 10)
 			text = render.appendRow(text[:0], row)
-			out = append(out, Record{ID: string(id), Source: s.name, Kind: KindRelational, Text: string(text)})
+			out = append(out, Record{ID: all[start:ends[i]], Source: s.name, Kind: KindRelational, Text: string(text)})
+			start = ends[i]
 		}
 	}
 	return out
