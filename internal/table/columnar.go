@@ -153,25 +153,44 @@ type sealer struct {
 	ords  []map[string]uint32
 }
 
-// ordinals numbers dict's values table-wide for column ci: a value the
-// table's coded fragments already hold keeps its ordinal, and a new one
-// takes the next, in dict's (first-seen) order.
-func (s *sealer) ordinals(ci int, dict []string) []uint32 {
-	ids := s.ords[ci]
-	if ids == nil {
-		ids = make(map[string]uint32)
-		s.ords[ci] = ids
-	}
-	out := make([]uint32, len(dict))
-	for code, v := range dict {
-		o, ok := ids[v]
-		if !ok {
-			o = uint32(len(ids))
-			ids[v] = o
+// ordinals numbers the dictionary of each coded column of bs, the
+// fragments the walk sealed, table-wide: a value the table's coded
+// fragments already hold keeps its ordinal, and a new one takes the
+// next, fragment by fragment in the dictionary's (first-seen) order.
+// Every column's ordinals are carved from one slab of the walk's own, so
+// no later walk writes into a published fragment.
+func (s *sealer) ordinals(bs []*Batch) {
+	total := 0
+	for _, b := range bs {
+		for ci := range b.Cols {
+			if b.Cols[ci].Codes != nil {
+				total += len(b.Cols[ci].Dict)
+			}
 		}
-		out[code] = o
 	}
-	return out
+	slab := make([]uint32, total)
+	for _, b := range bs {
+		for ci := range b.Cols {
+			cv := &b.Cols[ci]
+			if cv.Codes == nil {
+				continue
+			}
+			ids := s.ords[ci]
+			if ids == nil {
+				ids = make(map[string]uint32)
+				s.ords[ci] = ids
+			}
+			cv.Ords, slab = slab[:len(cv.Dict):len(cv.Dict)], slab[len(cv.Dict):]
+			for code, v := range cv.Dict {
+				o, ok := ids[v]
+				if !ok {
+					o = uint32(len(ids))
+					ids[v] = o
+				}
+				cv.Ords[code] = o
+			}
+		}
+	}
 }
 
 // sealCol walks column ci of rows once. Each cell is stored typed or as
@@ -179,8 +198,8 @@ func (s *sealer) ordinals(ci int, dict []string) []uint32 {
 // schema type boxes the whole column instead (typed slices, bitmap and
 // codes dropped), so the vectorized kernels reproduce the row
 // interpreter's semantics there. Given a sealer and a zone to fold into,
-// a string or date cell also gets its dictionary code, each dictionary
-// entry its table-wide ordinal, and every cell is folded into the zone
+// a string or date cell also gets its dictionary code (sealer.ordinals
+// then numbers the entries table-wide), and every cell is folded into the zone
 // — a coded cell only at its value's first row, as its repeats are the
 // same string and change no bound or value set.
 func sealCol(rows [][]Value, ci int, col Column, s *sealer, zc *ZoneCol) ColVec {
@@ -244,7 +263,6 @@ func sealCol(rows [][]Value, ci int, col Column, s *sealer, zc *ZoneCol) ColVec 
 		for code := range cv.Dict {
 			cv.Dict[code] = cv.Strs[s.first[code]]
 		}
-		cv.Ords = s.ordinals(ci, cv.Dict)
 	}
 	return cv
 }

@@ -404,6 +404,7 @@ func fragmentsFrom(z *Zones, f *Frags, ords []map[string]uint32, t *Table, from 
 		ords = make([]map[string]uint32, len(t.Schema))
 	}
 	s := sealer{codes: make(map[string]uint8), ords: ords}
+	first := len(nf.Batches)
 	for start := len(nz.Maps) * FragmentRows; start < len(t.Rows); start += FragmentRows {
 		end := min(start+FragmentRows, len(t.Rows))
 		b := &Batch{Schema: t.Schema, Len: end - start, Cols: make([]ColVec, len(t.Schema))}
@@ -415,6 +416,7 @@ func fragmentsFrom(z *Zones, f *Frags, ords []map[string]uint32, t *Table, from 
 		nz.Maps = append(nz.Maps, zm)
 		nf.Batches = append(nf.Batches, b)
 	}
+	s.ordinals(nf.Batches[first:])
 	return nz, nf, ords
 }
 
