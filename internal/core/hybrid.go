@@ -159,7 +159,7 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 	// the merge below joins on it. Workers == 1 keeps everything on the
 	// calling goroutine. Either way the merged catalog is identical.
 	var extractions []extract.Extraction
-	var extractDone chan struct{}
+	extracted := func() {}
 	if !opts.DisableExtraction {
 		var docs []extract.Doc
 		for _, s := range sources.Sources() {
@@ -173,11 +173,9 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 		if opts.Workers == 1 {
 			extractions = h.extractor.ExtractDocs(docs, 1)
 		} else {
-			extractDone = make(chan struct{})
-			go func() {
-				defer close(extractDone)
-				extractions = h.extractor.ExtractDocs(docs, opts.Workers)
-			}()
+			// A panic in the extraction reaches the caller at extracted,
+			// where Build's recover sees it.
+			extracted = par.Go(func() { extractions = h.extractor.ExtractDocs(docs, opts.Workers) })
 		}
 	}
 
@@ -213,9 +211,7 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 		}
 	}
 	if !opts.DisableExtraction {
-		if extractDone != nil {
-			<-extractDone
-		}
+		extracted()
 		if err := extract.Merge(h.catalog, extractions); err != nil {
 			return nil, fmt.Errorf("core: hybrid extraction: %w", err)
 		}

@@ -136,3 +136,26 @@ func ForRange(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 	failed.rethrow()
 }
+
+// Go runs fn on a goroutine of its own, beside the caller, and returns
+// wait, which blocks until fn has returned. A panic in fn is the
+// caller's, as in ForEach: wait panics with fn's value on the goroutine
+// that calls it. A caller that returns without calling wait leaves fn
+// running and drops its panic.
+func Go(fn func()) (wait func()) {
+	var failed firstPanic
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() {
+			if v := recover(); v != nil {
+				failed.record(0, v)
+			}
+		}()
+		fn()
+	}()
+	return func() {
+		<-done
+		failed.rethrow()
+	}
+}

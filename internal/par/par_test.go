@@ -1,6 +1,7 @@
 package par
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -142,4 +143,27 @@ func TestLowestPanicWins(t *testing.T) {
 			t.Errorf("ForRange workers=%d: recovered %v, want range 0's panic", w, got)
 		}
 	}
+}
+
+// Go's wait returns once fn has, with fn's writes in view, and panics on
+// the calling goroutine with what fn panicked with, where a deferred
+// recover reaches it.
+func TestGoWaitRaisesPanic(t *testing.T) {
+	var got int
+	wait := Go(func() { got = 42 })
+	wait()
+	if got != 42 {
+		t.Fatalf("after wait: %d", got)
+	}
+	boom := errors.New("boom")
+	wait = Go(func() { panic(boom) })
+	func() {
+		defer func() {
+			if v := recover(); v != boom {
+				t.Errorf("recovered %v, want %v", v, boom)
+			}
+		}()
+		wait()
+		t.Error("wait returned after a panic")
+	}()
 }

@@ -184,3 +184,33 @@ func fmtErr(err error) string {
 	}
 	return err.Error()
 }
+
+// nameless is a backend that panics when the federation asks its name,
+// as registering it does.
+type nameless struct{ staticBackend }
+
+func (nameless) Name() string { panic(errExploded) }
+
+// Build and Load recover a panic as Ask does: the backend a system
+// registers before Build, or in Load's configure, panics when Build or
+// Load attaches it, and each returns ErrInternal instead of crashing the
+// process; the system Build left stays unbuilt.
+func TestBuildAndLoadPanicIsInternalError(t *testing.T) {
+	dir := t.TempDir()
+	if err := buildDemo(t).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	lat := table.New("latencies", table.Schema{{Name: "service", Type: table.TypeString}})
+	sys := New()
+	sys.AddDocument("notes", "n1", "Product Alpha sold well.")
+	sys.RegisterBackend(nameless{staticBackend{tbl: lat}})
+	wantInternal(t, sys.Build(), "Build", errExploded, false)
+	if _, err := sys.Ask("What sold well?"); !errors.Is(err, ErrNotBuilt) {
+		t.Errorf("Ask after a failed Build: %v", err)
+	}
+	loaded, err := Load(dir, func(s *System) { s.RegisterBackend(nameless{staticBackend{tbl: lat}}) })
+	wantInternal(t, err, "Load", errExploded, false)
+	if loaded != nil {
+		t.Error("Load returned a system beside its error")
+	}
+}

@@ -307,6 +307,9 @@ func readManifest(dir string) (*manifest, error) {
 //	sys, err := unisem.Load(dir, func(s *unisem.System) {
 //	    s.Vocabulary(unisem.VocabProduct, "Product Alpha")
 //	})
+//
+// A panic inside it is an *InternalError, recovered by
+// LoadWithOptions, which Load runs.
 func Load(dir string, configure func(*System)) (*System, error) {
 	return LoadWithOptions(dir, DefaultOptions(), configure)
 }
@@ -316,7 +319,8 @@ func Load(dir string, configure func(*System)) (*System, error) {
 // length or checksum is not the one MANIFEST records with
 // ErrSnapshotMismatch. The two files are read at once; when both fail,
 // the graph's error is the one returned.
-func LoadWithOptions(dir string, opts Options, configure func(*System)) (*System, error) {
+func LoadWithOptions(dir string, opts Options, configure func(*System)) (_ *System, err error) {
+	defer recoverAs("Load", &err)
 	sys := NewWithOptions(opts)
 	if configure != nil {
 		configure(sys)

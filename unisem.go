@@ -94,8 +94,9 @@ var (
 	// ErrSnapshotMismatch is Load's refusal of a saved file whose length
 	// or CRC-32C is not the one its directory's MANIFEST records.
 	ErrSnapshotMismatch = errors.New("unisem: snapshot file does not match its manifest")
-	// ErrInternal is what Ask, AskAll, Query, Ingest and Save return, as
-	// an *InternalError, when the system panics inside them.
+	// ErrInternal is what Build, Ask, AskAll, Query, Ingest, Save and
+	// Load return, as an *InternalError, when the system panics inside
+	// them.
 	ErrInternal = errors.New("unisem: internal error")
 )
 
@@ -306,8 +307,11 @@ func (s *System) AddXML(source string, r io.Reader) error {
 // tagging, cue inference, and relational table generation. It must be
 // called exactly once, after all sources are added. Sources are indexed
 // relational → text → JSON → XML, each kind in first-Add order, so the
-// same Add sequence always builds the same graph, tables and answers.
-func (s *System) Build() error {
+// same Add sequence always builds the same graph, tables and answers. A
+// panic inside it, on the work it runs beside the graph build too, is
+// an *InternalError, and the system stays unbuilt.
+func (s *System) Build() (err error) {
+	defer recoverAs("Build", &err)
 	if s.built {
 		return ErrAlreadyBuilt
 	}
