@@ -16,6 +16,12 @@
 //
 //	benchguard -baseline bench_parent.json -current bench_change.json
 //
+// Trajectory mode — print BENCH_trajectory.json, the append-only record
+// of every end-to-end claim, as one series per workload and metric, and
+// fail (exit 2) when its shape is wrong:
+//
+//	benchguard -trajectory BENCH_trajectory.json
+//
 // Both reports must come from the same machine: the values are compared
 // as they are. CI measures the parent commit and the change side by
 // side for that reason (CONTRIBUTING.md has the script); nothing
@@ -61,9 +67,14 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline JSON for compare mode")
 	current := flag.String("current", "", "current JSON for compare mode")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed regression fraction")
+	trajectory := flag.String("trajectory", "", "trajectory JSON to check and print")
 	flag.Parse()
 
 	switch {
+	case *trajectory != "":
+		if err := runTrajectory(*trajectory); err != nil {
+			fatal(err)
+		}
 	case *parse != "":
 		if err := runParse(*parse, *out); err != nil {
 			fatal(err)
@@ -77,7 +88,7 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "benchguard: need -parse FILE or -baseline FILE -current FILE")
+		fmt.Fprintln(os.Stderr, "benchguard: need -parse FILE, -baseline FILE -current FILE, or -trajectory FILE")
 		os.Exit(2)
 	}
 }

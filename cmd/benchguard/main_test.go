@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,6 +165,35 @@ func TestSameReportOnBothSidesPasses(t *testing.T) {
 	for _, l := range lines {
 		if !strings.HasPrefix(l, "ok ") {
 			t.Errorf("not an ok line: %s", l)
+		}
+	}
+}
+
+// A trajectory reads back as its claims and prints a series per metric;
+// a record out of PR order, without a seed or a pair count, or with more
+// pairs won than run is refused.
+func TestReadTrajectory(t *testing.T) {
+	rec := func(pr, seed, pairs, won int) string {
+		return fmt.Sprintf(`{"pr":%d,"commit":null,"date":"2026-01-01","workload":"w","metric":"m","seed":%d,"seconds":10,`+
+			`"host_speed":null,"parent":2,"change":3,"pairs_won":%d,"pairs":%d,"parent_iqr":null,"verdict":"met","source":"test"}`, pr, seed, won, pairs)
+	}
+	good := "[" + rec(1, 42, 10, 10) + "," + rec(1, 7, 10, 9) + "," + rec(2, 42, 5, 5) + "]"
+	claims, err := ReadTrajectory(strings.NewReader(good))
+	if err != nil || len(claims) != 3 {
+		t.Fatalf("%d claims, %v", len(claims), err)
+	}
+	if s := Series(claims); strings.Count(s, "\n") != 4 || !strings.Contains(s, "PR 2   seed 42") {
+		t.Errorf("series:\n%s", s)
+	}
+	for name, in := range map[string]string{
+		"out of order":   "[" + rec(2, 42, 10, 10) + "," + rec(1, 42, 10, 10) + "]",
+		"no seed":        "[" + rec(1, 0, 10, 10) + "]",
+		"no pairs":       "[" + rec(1, 42, 0, 0) + "]",
+		"won over pairs": "[" + rec(1, 42, 10, 11) + "]",
+		"unknown field":  `[{"pr":1,"typo":1}]`,
+	} {
+		if _, err := ReadTrajectory(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
