@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/par"
 )
@@ -34,14 +33,9 @@ func (v *View) PageRank(workers int) []float64 {
 	// beside src so the hot loop touches only flat slices.
 	outWeight := make([]float64, n)
 	ws := make([]float64, len(v.src))
-	var buf []float64
 	for i := range n {
 		out, in := v.lists(i)
-		buf = slices.Grow(buf[:0], int(v.outOff[i+1]-v.outOff[i]))[:v.outOff[i+1]-v.outOff[i]]
-		weights(buf, out)
-		for _, w := range buf {
-			outWeight[i] += w
-		}
+		outWeight[i] = sumWeights(int(v.outOff[i+1]-v.outOff[i]), out)
 		weights(ws[v.inOff[i]:v.inOff[i+1]], in)
 	}
 

@@ -91,19 +91,6 @@ func (x *Expander) pop() Visit {
 	return h[n]
 }
 
-// offer makes s the path score of node to, reached at depth, if it
-// beats the best so far.
-func (x *Expander) offer(to, depth int32, s float64) {
-	if s <= x.best[to] {
-		return
-	}
-	if x.best[to] == 0 {
-		x.pushed = append(x.pushed, to)
-	}
-	x.best[to] = s
-	x.push(Visit{Node: to, Depth: depth, Score: s})
-}
-
 // Expand is the topology-enhanced traversal of Section III.B: a
 // best-first expansion from the anchor where a node's score is the best
 // product of edge weights, per-hop decay, and a node prior. The
@@ -146,6 +133,7 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 		// bit for bit with the reference expansion.
 		lo, hi := v.outOff[it.Node], v.outOff[it.Node+1]
 		if num := v.at[it.Node]; num >= 0 && !v.verts[num].marked {
+			// A list with no marker: an edge per half.
 			out := v.verts[num].out
 			for k := lo; k < hi; k++ {
 				if m := mult[v.typ[k]]; m != 0 {
@@ -154,7 +142,14 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 					if opts.Prior != nil {
 						s *= opts.Prior[to]
 					}
-					x.offer(to, it.Depth+1, s)
+					if s <= x.best[to] {
+						continue
+					}
+					if x.best[to] == 0 {
+						x.pushed = append(x.pushed, to)
+					}
+					x.best[to] = s
+					x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
 				}
 			}
 			continue
@@ -179,7 +174,14 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 					if opts.Prior != nil {
 						s *= opts.Prior[to]
 					}
-					x.offer(to, it.Depth+1, s)
+					if s <= x.best[to] {
+						continue
+					}
+					if x.best[to] == 0 {
+						x.pushed = append(x.pushed, to)
+					}
+					x.best[to] = s
+					x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
 				}
 			}
 		}

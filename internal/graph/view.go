@@ -166,16 +166,6 @@ func (g *Graph) View(prev *View) *View {
 	// cur is, while a list is spelled out, each range's next post.
 	cur := make([]int32, len(g.ranges))
 	spell := func(m int32, hs []half, nbs []int32, typ []uint8) {
-		marked := g.verts[m].marked
-		if !marked {
-			for j, h := range hs[:len(nbs)] {
-				nbs[j] = rank[h.nb]
-				if typ != nil && h.typ < edgeCodes {
-					typ[j] = h.typ
-				}
-			}
-			return
-		}
 		// m's posts hold the ranges in order: each one's first post
 		// follows the counts of those before it.
 		for _, h := range hs {
@@ -213,8 +203,20 @@ func (g *Graph) View(prev *View) *View {
 		lo, hi := v.outOff[i], v.outOff[i+1]
 		if x >= 0 {
 			vx := g.verts[x]
-			spell(x, vx.out, v.dst[lo:hi], v.typ[lo:hi])
-			spell(x, vx.in, v.src[v.inOff[i]:v.inOff[i+1]], nil)
+			if vx.marked {
+				spell(x, vx.out, v.dst[lo:hi], v.typ[lo:hi])
+				spell(x, vx.in, v.src[v.inOff[i]:v.inOff[i+1]], nil)
+				continue
+			}
+			for j, h := range vx.out {
+				v.dst[lo+int32(j)] = rank[h.nb]
+				if h.typ < edgeCodes {
+					v.typ[lo+int32(j)] = h.typ
+				}
+			}
+			for j, h := range vx.in {
+				v.src[v.inOff[i]+int32(j)] = rank[h.nb]
+			}
 			continue
 		}
 		r, k := v.row(x)
@@ -279,6 +281,29 @@ func weights(ws []float64, hs []half) {
 	for ; j < len(ws); j++ {
 		ws[j] = 1
 	}
+}
+
+// sumWeights returns the sum of the weights of a node's first n edges,
+// read as weights reads them, added one at a time in list order.
+func sumWeights(n int, hs []half) (sum float64) {
+	for _, h := range hs {
+		if n == 0 {
+			return sum
+		}
+		if !h.marker() {
+			sum += h.w
+			n--
+			continue
+		}
+		for c := min(int(h.w), n); c > 0; c-- {
+			sum++
+			n--
+		}
+	}
+	for ; n > 0; n-- {
+		sum++
+	}
+	return sum
 }
 
 // Len returns the number of nodes in the view.
