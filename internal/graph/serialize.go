@@ -496,7 +496,9 @@ func (d *decoder) rowRange() error {
 	if int64(len(d.textEnd)-first) != n || int64(len(d.mentionEnd)-mentioned) != n {
 		return d.Fail(fmt.Sprintf("range of %d rows with %d texts and %d mention lists", n, len(d.textEnd)-first, len(d.mentionEnd)-mentioned))
 	}
-	d.ranges = append(d.ranges, rowSpan{s: string(d.rangeText), prefix: string(prefix), first: first, n: int(n)})
+	// The prefix goes after the texts, into the same string.
+	text := string(append(d.rangeText, prefix...))
+	d.ranges = append(d.ranges, rowSpan{s: text, prefix: text[len(text)-len(prefix):], first: first, n: int(n)})
 	return nil
 }
 
@@ -614,17 +616,31 @@ func (d *decoder) build() error {
 			return err
 		}
 	}
-	vw := &View{verts: listed, ranges: make([]viewRange, 0, len(d.ranges))}
-	sources := [][]int32{make([]int32, len(listed))}
+	// rank is each node's place in id order: the listed ones' by number,
+	// the rows' after them by row. Until the merge below, it holds the
+	// merge's sources: the listed nodes, then each range's rows in id
+	// order.
+	rank := make([]int32, len(listed)+len(d.textEnd))
+	sources := make([][]int32, 1, 1+len(d.ranges))
+	sources[0] = rank[:len(listed)]
 	for i := range sources[0] {
 		sources[0][i] = int32(i)
 	}
+	orders := rank[len(listed):len(listed)]
 	mentions := 0
+	// Every range's rows and offsets are carved from one array each,
+	// capped so a row added later moves its range's out.
+	ranges := make([]rowRange, 0, len(d.ranges))
+	texts := make([]string, len(d.textEnd))
+	offs := make([]int32, len(d.textEnd)+len(d.ranges))
+	g.ranges = make([]*rowRange, 0, len(d.ranges))
 	for _, sp := range d.ranges {
 		if sp.n == 0 {
 			continue
 		}
-		rg := &rowRange{prefix: sp.prefix, text: make([]string, sp.n), off: make([]int32, sp.n+1), dec: sp.n}
+		ranges = append(ranges, rowRange{prefix: sp.prefix, text: texts[:sp.n:sp.n], off: offs[: sp.n+1 : sp.n+1], dec: sp.n})
+		texts, offs = texts[sp.n:], offs[sp.n+1:]
+		rg := &ranges[len(ranges)-1]
 		mentionAt, textAt, end := 0, 0, d.mentionEnd[sp.first+sp.n-1]
 		if sp.first > 0 {
 			mentionAt = d.mentionEnd[sp.first-1]
@@ -648,19 +664,30 @@ func (d *decoder) build() error {
 		mentions += len(rg.ments)
 		g.byType[rowCode] += sp.n
 		g.rows += sp.n
-		order := appendDecimalOrder(make([]int32, 0, sp.n), sp.n)
+		order := appendDecimalOrder(orders, sp.n)[len(orders):]
 		for i, k := range order {
 			order[i] = ^(int32(sp.first) + k)
 		}
+		orders = orders[:len(orders)+sp.n]
 		sources = append(sources, order)
-		vw.ranges = append(vw.ranges, viewRange{prefix: rg.prefix, text: rg.text, first: int32(sp.first)})
 		g.ranges = append(g.ranges, rg)
 	}
 
-	// rank is each node's place in id order: the listed ones' by number,
-	// the rows' after them by row.
-	rank := make([]int32, len(listed)+len(d.textEnd))
-	for i, x := range mergeByID(sources, vw.key) {
+	// key spells the id of a source's entry: a listed node, or row ^x of
+	// all ranges.
+	key := func(x int32) idKey {
+		if x >= 0 {
+			return idKey{s: listed[x].id}
+		}
+		j := int(^x)
+		for _, sp := range d.ranges {
+			if j < sp.first+sp.n {
+				return rowKey(sp.prefix, j-sp.first)
+			}
+		}
+		panic("graph: decode: row out of range")
+	}
+	for i, x := range mergeByID(sources, key) {
 		if x >= 0 {
 			rank[x] = int32(i)
 		} else {
@@ -679,17 +706,21 @@ func (d *decoder) build() error {
 	for m := range listed {
 		mentionOff[m+1] += mentionOff[m]
 	}
-	fill := slices.Clone(mentionOff[:len(listed)])
 	by := make([]mention, mentions)
-	for r, rg := range g.ranges {
-		first := vw.ranges[r].first
-		for k := range rg.text {
-			for _, m := range rg.mentions(k) {
-				by[fill[m]] = mention{rank[len(listed)+int(first)+k], int32(r)}
-				fill[m]++
+	r := int32(0) // the number of the range of sp
+	for _, sp := range d.ranges {
+		if sp.n == 0 {
+			continue
+		}
+		for k := range sp.n {
+			for _, m := range g.ranges[r].mentions(k) {
+				by[mentionOff[m]] = mention{rank[len(listed)+sp.first+k], r}
+				mentionOff[m]++ // the next of m's slots, for now
 			}
 		}
+		r++
 	}
+	unshift(mentionOff)
 	for m := range listed {
 		ms := by[mentionOff[m]:mentionOff[m+1]]
 		slices.SortFunc(ms, func(a, b mention) int { return cmp.Compare(a.rank, b.rank) })
@@ -897,14 +928,21 @@ func (d *decoder) edgesBy(end func(*pendingEdge) int32) (off, idx []int32) {
 	for m := range d.g.verts {
 		off[m+1] += off[m]
 	}
-	fill := slices.Clone(off[:len(d.g.verts)])
 	idx = make([]int32, len(d.edges))
 	for i := range d.edges {
 		m := end(&d.edges[i])
-		idx[fill[m]] = int32(i)
-		fill[m]++
+		idx[off[m]] = int32(i)
+		off[m]++ // the next of m's slots, for now
 	}
+	unshift(off)
 	return off, idx
+}
+
+// unshift restores the offsets of a CSR array whose every offset was
+// advanced, while it was filled, to the next one's.
+func unshift(off []int32) {
+	copy(off[1:], off)
+	off[0] = 0
 }
 
 // checkRows refuses a rows section the graph could not hold as it is:
@@ -929,20 +967,26 @@ func (d *decoder) checkRows() error {
 		}
 		start = end
 	}
-	rows := map[string]int{}
-	for _, sp := range d.ranges {
+	// rows returns the rows of the range with the given prefix; a file
+	// has a range per table, so a scan is enough.
+	rows := func(prefix string) int {
+		for _, sp := range d.ranges {
+			if sp.n > 0 && sp.prefix == prefix {
+				return sp.n
+			}
+		}
+		return 0
+	}
+	for i, sp := range d.ranges {
 		if p := sp.prefix; p != "" && '0' <= p[len(p)-1] && p[len(p)-1] <= '9' {
 			return fmt.Errorf("graph: decode: range prefix %q ends in a digit", p)
 		}
-		if _, twice := rows[sp.prefix]; twice && sp.n > 0 {
+		if sp.n > 0 && slices.ContainsFunc(d.ranges[:i], func(o rowSpan) bool { return o.n > 0 && o.prefix == sp.prefix }) {
 			return fmt.Errorf("%w: %s", ErrNodeExists, rowIDPrefix+sp.prefix+"0")
-		}
-		if sp.n > 0 {
-			rows[sp.prefix] = sp.n
 		}
 	}
 	for _, v := range listed {
-		if prefix, k, ok := splitRow(v.id); ok && k < rows[prefix] {
+		if prefix, k, ok := splitRow(v.id); ok && k < rows(prefix) {
 			return fmt.Errorf("%w: %s", ErrNodeExists, v.id)
 		}
 	}
