@@ -15,7 +15,7 @@ import (
 //
 // Edge weights are not copied: they are read through the listed
 // vertex, whose lists only ever grow at the end — a marker by its count
-// — or have a marker spelled out as as many weight-1 halves, so the
+// — or have a marker spelled out as that many weight-1 halves, so the
 // first edges of a list keep their weights; a range's row has only
 // weight-1 mentions. A view taken before a mutation therefore stays
 // valid and blind to it — nodes and edges added afterwards do not exist
@@ -51,7 +51,7 @@ type viewRange struct {
 // holds exactly the first len(prev.verts) of them, already in id order:
 // only the vertices added since are sorted, and each is put into prev's
 // order by a binary search. A range's rows come in id order as they are
-// (decimalOrder) and are merged in. The adjacency arrays are built over
+// (appendDecimalOrder) and are merged in. The adjacency arrays are built over
 // every node either way, since old ones may have gained edges. The
 // result is array for array the view a nil prev gives, and prev stays
 // valid and unchanged.
