@@ -174,8 +174,11 @@ func NewHybrid(sources *store.Multi, ner *slm.NER, opts HybridOptions) (*Hybrid,
 			extractions = h.extractor.ExtractDocs(docs, 1)
 		} else {
 			// A panic in the extraction reaches the caller at extracted,
-			// where Build's recover sees it.
-			extracted = par.Go(func() { extractions = h.extractor.ExtractDocs(docs, opts.Workers) })
+			// where Build's recover sees it. The deferred call joins the
+			// extraction on every other way out: an error or a panic of
+			// the build below.
+			extracted = sync.OnceFunc(par.Go(func() { extractions = h.extractor.ExtractDocs(docs, opts.Workers) }))
+			defer extracted()
 		}
 	}
 

@@ -34,9 +34,23 @@ func (v *View) PageRank(workers int) []float64 {
 	outWeight := make([]float64, n)
 	ws := make([]float64, len(v.src))
 	for i := range n {
+		ws := ws[v.inOff[i]:v.inOff[i+1]]
+		if v.at[i] < 0 {
+			// A range's row: its mentions weigh 1, and a sum of ones is
+			// exact.
+			outWeight[i] = float64(v.outOff[i+1] - v.outOff[i])
+			for j := range ws {
+				ws[j] = 1
+			}
+			continue
+		}
 		out, in := v.lists(i)
-		outWeight[i] = sumWeights(int(v.outOff[i+1]-v.outOff[i]), out)
-		weights(ws[v.inOff[i]:v.inOff[i+1]], in)
+		for _, h := range out[:v.outOff[i+1]-v.outOff[i]] {
+			outWeight[i] += h.w
+		}
+		for j, h := range in[:len(ws)] {
+			ws[j] = h.w
+		}
 	}
 
 	ranks := make([]float64, n)

@@ -107,23 +107,22 @@ var (
 )
 
 // half is one end of an edge as the vertex at that end stores it: the
-// vertex at the other end by number and the type as a code into the
+// node at the other end by number and the type as a code into the
 // graph's type table. An Edge spells both endpoints and the type as
 // strings, 56 bytes against these 16, and every edge is stored twice.
 //
-// A half whose nb is negative is a marker: it stands for the next w
-// weight-1 mentions twins between the vertex and the rows of range ^nb,
-// in the range's posting order (rowRange.postingOrder). A vertex's list
-// grows a marker in place, so of a list only its last half ever
-// changes.
+// The other end is listed vertex nb when rng is 0, and row nb of range
+// rng−1 otherwise: a mention of a range's row (rowRange). rng sits in
+// what would be padding, so it costs no byte.
 type half struct {
 	w   float64
 	nb  int32
 	typ uint8
+	rng uint16
 }
 
-// marker reports whether h stands for mentions of a range's rows.
-func (h half) marker() bool { return h.nb < 0 }
+// maxRanges is the number of ranges a half's rng can name.
+const maxRanges = math.MaxUint16
 
 // vertex is a listed node and its adjacency in one record, so that one
 // map lookup reaches both and edge insertion touches exactly two
@@ -140,7 +139,6 @@ type vertex struct {
 	in              []half // reverse adjacency by target: nb is the source
 	num             int32  // position in Graph.verts
 	typ             uint8  // position in Graph.ntypes
-	marked          bool   // a half of out or in is, or was, a marker
 }
 
 // extra is the payload a row and a doc never have.
@@ -150,9 +148,10 @@ type extra struct{ doc, etype, verb, arg1, arg2 string }
 // k is the node "row:"+prefix+k (k in decimal, without leading zeros),
 // of type row, labelled prefix+k, with text text[k] and no other
 // payload, and its edges are the weight-1 mentions twins between it and
-// each listed vertex of mentions(k), in that order. The vertices it
-// mentions keep markers for them (half), not a half per row. The prefix
-// never ends in a digit, so an id names at most one row of one range.
+// each listed vertex of mentions(k), in that order. A vertex it mentions
+// holds a half per mention that names the row (half.rng), so the
+// vertex's lists keep the order of insertion. The prefix never ends in a
+// digit, so an id names at most one row of one range.
 //
 // A range takes a row only as its next one, and a mention only from its
 // last row; any other insertion that touches a row of it first makes
@@ -163,26 +162,11 @@ type rowRange struct {
 	text   []string
 	off    []int32 // mentions of row k: ments[off[k]:off[k+1]]
 	ments  []int32 // listed vertex numbers
-	// dec is how many of the first rows are mentioned in decimal order:
-	// a snapshot lists them so (ReadJSON). Rows from dec on, and every
-	// row of a range the index built, are mentioned in number order.
-	dec int
 }
 
 // mentions returns the listed vertices row k mentions, in its adjacency
 // order.
 func (r *rowRange) mentions(k int) []int32 { return r.ments[r.off[k]:r.off[k+1]] }
-
-// postingOrder appends to buf the range's row numbers in the order a
-// vertex's markers for the range count the rows that mention it:
-// 0…dec−1 in decimal order, then dec…n−1.
-func (r *rowRange) postingOrder(buf []int32) []int32 {
-	order := appendDecimalOrder(buf[:0], r.dec)
-	for k := r.dec; k < len(r.text); k++ {
-		order = append(order, int32(k))
-	}
-	return order
-}
 
 // rowIDPrefix starts the id of every row a range holds; the rest of the
 // id is its label.
@@ -232,7 +216,9 @@ type Graph struct {
 	verts  []*vertex   // by vertex number: insertion order
 	slab   []vertex    // the next vertices, up to its capacity
 	ranges []*rowRange // by range number, nil once expanded
-	rows   int         // rows the ranges hold
+	// byPrefix is the number of each live range, by prefix.
+	byPrefix map[string]int32
+	rows     int // rows the ranges hold
 	// types is the edge type of each half-edge code: declared, then any
 	// other type in the order edges first used it. ntypes is the same
 	// for vertices, from declaredNodes.
@@ -313,8 +299,8 @@ type ref struct {
 }
 
 // find returns the node with the given id. A row of a live range is
-// found by parsing the id, without a map lookup: no listed vertex has a
-// range row's id.
+// found by parsing the id and looking up its prefix, not the id: no
+// listed vertex has a range row's id.
 func (g *Graph) find(id string) (ref, bool) {
 	if prefix, k, ok := splitRow(id); ok {
 		if r := g.rangeOf(prefix); r >= 0 && k < len(g.ranges[r].text) {
@@ -326,14 +312,21 @@ func (g *Graph) find(id string) (ref, bool) {
 }
 
 // rangeOf returns the number of the live range with the given prefix,
-// or -1. A graph has a range per table, so a scan is enough.
+// or -1.
 func (g *Graph) rangeOf(prefix string) int32 {
-	for r, rg := range g.ranges {
-		if rg != nil && rg.prefix == prefix {
-			return int32(r)
-		}
+	if r, ok := g.byPrefix[prefix]; ok {
+		return r
 	}
 	return -1
+}
+
+// addRange makes rg the graph's next range.
+func (g *Graph) addRange(rg *rowRange) {
+	if g.byPrefix == nil {
+		g.byPrefix = make(map[string]int32)
+	}
+	g.byPrefix[rg.prefix] = int32(len(g.ranges))
+	g.ranges = append(g.ranges, rg)
 }
 
 // rowOnly reports whether n is what a range can hold: a row whose id is
@@ -379,9 +372,9 @@ func (g *Graph) EnsureNode(n Node) error {
 			return nil
 		case r >= 0:
 			g.expand(r)
-		case k == 0 && rowOnly(&n):
+		case k == 0 && rowOnly(&n) && len(g.ranges) < maxRanges:
 			rg := &rowRange{prefix: prefix, off: []int32{0}}
-			g.ranges = append(g.ranges, rg)
+			g.addRange(rg)
 			g.appendRow(rg, &n)
 			return nil
 		}
@@ -477,12 +470,12 @@ func (g *Graph) AddUndirected(e Edge) error {
 		if row.v != nil {
 			row, other = t, f
 		}
-		if rg := g.ranges[row.r]; int(row.k) == len(rg.text)-1 && int(row.k) >= rg.dec {
+		if rg := g.ranges[row.r]; int(row.k) == len(rg.text)-1 {
 			rg.ments = append(rg.ments, other.v.num)
 			rg.off[len(rg.off)-1]++
-			other.v.out = mark(other.v.out, row.r)
-			other.v.in = mark(other.v.in, row.r)
-			other.v.marked = true
+			h := half{w: 1, nb: row.k, typ: mentionsCode, rng: uint16(row.r) + 1}
+			other.v.out = append(other.v.out, h)
+			other.v.in = append(other.v.in, h)
 			return nil
 		}
 	}
@@ -495,23 +488,15 @@ func (g *Graph) AddUndirected(e Edge) error {
 	return nil
 }
 
-// mark adds one mention of range r's last row to the list hs.
-func mark(hs []half, r int32) []half {
-	if n := len(hs); n > 0 && hs[n-1].nb == ^r {
-		hs[n-1].w++
-		return hs
-	}
-	return append(hs, half{w: 1, nb: ^r, typ: mentionsCode})
-}
-
 // expand makes every row of range r a listed vertex, with the same
 // adjacency in the same order: the rows' lists from their mentions, and
-// each marker for the range in a mentioned vertex's lists spelled out.
-// It is the one way back from a range, taken when an insertion touches a
-// row in a way the range cannot spell.
+// each half of a mentioned vertex that names a row of the range renamed
+// in place. It is the one way back from a range, taken when an insertion
+// touches a row in a way the range cannot spell.
 func (g *Graph) expand(r int32) {
 	rg := g.ranges[r]
 	g.ranges[r] = nil
+	delete(g.byPrefix, rg.prefix)
 	g.rows -= len(rg.text)
 	first := int32(len(g.verts))
 	for k, text := range rg.text {
@@ -527,80 +512,32 @@ func (g *Graph) expand(r int32) {
 		v.out, v.in = hs[:len(ms):len(ms)], hs[len(ms):]
 		g.vs[v.id] = v
 	}
-	// posts[at[m]:at[m+1]] are the rows that mention vertex m, in
-	// posting order.
-	at := make([]int32, first+1)
+	renamed := make([]bool, first)
 	for _, m := range rg.ments {
-		at[m+1]++
-	}
-	for m := range first {
-		at[m+1] += at[m]
-	}
-	fill := slices.Clone(at[:first])
-	posts := make([]int32, len(rg.ments))
-	for _, k := range rg.postingOrder(nil) {
-		for _, m := range rg.mentions(int(k)) {
-			posts[fill[m]] = first + k
-			fill[m]++
-		}
-	}
-	for m := range first {
-		rows := posts[at[m]:at[m+1]]
-		if len(rows) == 0 {
+		if renamed[m] {
 			continue
 		}
+		renamed[m] = true
 		v := g.verts[m]
-		for _, hs := range [2]*[]half{&v.out, &v.in} {
-			spelled := make([]half, 0, len(*hs)+len(rows))
-			next := rows
-			for _, h := range *hs {
-				if h.nb != ^r {
-					spelled = append(spelled, h)
-					continue
+		for _, hs := range [2][]half{v.out, v.in} {
+			for i := range hs {
+				if h := &hs[i]; h.rng == uint16(r)+1 {
+					h.nb, h.rng = first+h.nb, 0
 				}
-				for _, row := range next[:int(h.w)] {
-					spelled = append(spelled, half{w: 1, nb: row, typ: mentionsCode})
-				}
-				next = next[int(h.w):]
 			}
-			*hs = spelled
 		}
 	}
 }
 
-// each calls fn with every edge of the list hs of a listed vertex, its
-// out or its in list, markers spelled out: the other end's id, the
-// type's code and the weight.
-func (g *Graph) each(v *vertex, hs []half, fn func(id string, typ uint8, w float64)) {
-	var rows map[int32][]int32 // per range, the rows not yet spelled that mention v
-	for _, h := range hs {
-		if !h.marker() {
-			fn(g.verts[h.nb].id, h.typ, h.w)
-			continue
-		}
-		r := ^h.nb
-		rg := g.ranges[r]
-		next, ok := rows[r]
-		if !ok {
-			for _, k := range rg.postingOrder(nil) {
-				for _, m := range rg.mentions(int(k)) {
-					if m == v.num {
-						next = append(next, k)
-					}
-				}
-			}
-			if rows == nil {
-				rows = map[int32][]int32{}
-			}
-		}
-		for _, k := range next[:int(h.w)] {
-			fn(rowIDPrefix+rg.prefix+strconv.Itoa(int(k)), mentionsCode, 1)
-		}
-		rows[r] = next[int(h.w):]
+// idOf returns the id of the node at the other end of h.
+func (g *Graph) idOf(h half) string {
+	if h.rng == 0 {
+		return g.verts[h.nb].id
 	}
+	return rowIDPrefix + g.ranges[h.rng-1].prefix + strconv.Itoa(int(h.nb))
 }
 
-// edges returns the out or in edges of the node at, as Out and In do.
+// edgesOf returns the out or in edges of the node at, as Out and In do.
 func (g *Graph) edgesOf(id string, at ref, out bool) []Edge {
 	var es []Edge
 	add := func(other string, typ uint8, w float64) {
@@ -610,14 +547,19 @@ func (g *Graph) edgesOf(id string, at ref, out bool) []Edge {
 		}
 		es = append(es, e)
 	}
-	if at.v == nil {
+	switch {
+	case at.v == nil:
 		for _, m := range g.ranges[at.r].mentions(int(at.k)) {
 			add(g.verts[m].id, mentionsCode, 1)
 		}
-	} else if out {
-		g.each(at.v, at.v.out, add)
-	} else {
-		g.each(at.v, at.v.in, add)
+	case out:
+		for _, h := range at.v.out {
+			add(g.idOf(h), h.typ, h.w)
+		}
+	default:
+		for _, h := range at.v.in {
+			add(g.idOf(h), h.typ, h.w)
+		}
 	}
 	return es
 }
@@ -676,7 +618,7 @@ func (g *Graph) HasEdge(from, to string, t EdgeType) bool {
 	switch {
 	case src.v != nil && dst.v != nil:
 		for _, h := range src.v.out {
-			if h.nb == dst.v.num && g.types[h.typ] == t {
+			if h.rng == 0 && h.nb == dst.v.num && g.types[h.typ] == t {
 				return true
 			}
 		}
@@ -712,24 +654,7 @@ func (g *Graph) Degree(id string) int {
 	case at.v == nil:
 		return len(g.ranges[at.r].mentions(int(at.k)))
 	}
-	return at.v.slots(at.v.out)
-}
-
-// slots returns the number of edges the list hs of v holds, markers
-// spelled out.
-func (v *vertex) slots(hs []half) int {
-	if !v.marked {
-		return len(hs)
-	}
-	n := 0
-	for _, h := range hs {
-		if h.marker() {
-			n += int(h.w)
-		} else {
-			n++
-		}
-	}
-	return n
+	return len(at.v.out)
 }
 
 // NodeCount returns the number of nodes.

@@ -217,9 +217,24 @@ func TestWeightedExpandNodePrior(t *testing.T) {
 	}
 }
 
+// shortestPath is View.ShortestPath between two ids, as ids.
+func shortestPath(g *Graph, from, to string) []string {
+	v := g.View(nil)
+	src, ok := v.Index(from)
+	dst, ok2 := v.Index(to)
+	if !ok || !ok2 {
+		return nil
+	}
+	var ids []string
+	for _, i := range v.ShortestPath(src, dst) {
+		ids = append(ids, v.ID(i))
+	}
+	return ids
+}
+
 func TestShortestPath(t *testing.T) {
 	g := chainGraph(t)
-	path := g.ShortestPath("a", "d")
+	path := shortestPath(g, "a", "d")
 	// a->b->c->d is 4 hops; a->hub? hub edges are undirected so
 	// a has no edge to hub (only hub->a and a->hub via AddUndirected
 	// twin), so a -> hub -> d has length 3.
@@ -230,7 +245,7 @@ func TestShortestPath(t *testing.T) {
 
 func TestShortestPathSelf(t *testing.T) {
 	g := chainGraph(t)
-	if p := g.ShortestPath("a", "a"); len(p) != 1 {
+	if p := shortestPath(g, "a", "a"); len(p) != 1 {
 		t.Errorf("self path = %v", p)
 	}
 }
@@ -239,7 +254,7 @@ func TestShortestPathDisconnected(t *testing.T) {
 	g := New()
 	g.EnsureNode(Node{ID: "a", Type: NodeChunk})
 	g.EnsureNode(Node{ID: "b", Type: NodeChunk})
-	if p := g.ShortestPath("a", "b"); p != nil {
+	if p := shortestPath(g, "a", "b"); p != nil {
 		t.Errorf("disconnected path = %v", p)
 	}
 }

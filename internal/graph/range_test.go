@@ -250,7 +250,7 @@ func TestViewBlindToRangeChanges(t *testing.T) {
 	old := b.g.View(nil)
 	before, rank := arraysOf(old), old.PageRank(1)
 	visits := expandView(old, &Expander{}, "ent:a", ExpandOptions{MaxDepth: 2})
-	b.mention("row:t/4", "ent:a") // grows ent:a's last marker
+	b.mention("row:t/4", "ent:a") // one more half in ent:a's lists
 	b.mention(b.row("t/5", "t"), "ent:b")
 	b.edge(Edge{From: "row:t/2", To: "ent:b", Type: EdgeRelates}, false) // expands t/
 	if !arraysOf(old).equal(before) {
@@ -300,5 +300,46 @@ func TestRandomRangesMatchReference(t *testing.T) {
 		b := newBoth(t)
 		randomRanges(b, rng, 60, map[string]int{})
 		roundTrip(t, b.g, b.r)
+	}
+}
+
+// A half names at most maxRanges ranges: the rows of a table past them
+// are listed vertices, whether built, loaded from a snapshot or found in
+// a full form.
+func TestRangesPastMax(t *testing.T) {
+	g := New()
+	g.EnsureNode(Node{ID: "ent:a", Type: NodeEntity, Label: "a"})
+	for i := range maxRanges + 1 {
+		label := fmt.Sprintf("t%dx/0", i)
+		g.EnsureNode(Node{ID: rowIDPrefix + label, Type: NodeRow, Label: label})
+		g.AddUndirected(Edge{From: rowIDPrefix + label, To: "ent:a", Type: EdgeMentions})
+	}
+	if last := fmt.Sprintf("row:t%dx/0", maxRanges); len(g.ranges) != maxRanges || g.vs[last] == nil || !g.HasEdge("ent:a", last, EdgeMentions) {
+		t.Fatalf("%d ranges; %s listed: %v", len(g.ranges), last, g.vs[last] != nil)
+	}
+	// Each form read back and written in it is what it was.
+	for name, write := range map[string]func(*Graph, io.Writer) error{
+		"snapshot":  (*Graph).WriteJSON,
+		"full form": func(g *Graph, w io.Writer) error { return refWriteJSON(g, w) },
+	} {
+		data := encode(t, func(w io.Writer) error { return write(g, w) })
+		h, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := encode(t, func(w io.Writer) error { return write(h, w) }); !bytes.Equal(got, data) {
+			t.Errorf("%s: read back and written, it moved", name)
+		}
+	}
+	// A rows section of more ranges, which no writer makes, is refused.
+	var rows bytes.Buffer
+	for i := range maxRanges + 1 {
+		if i > 0 {
+			rows.WriteByte(',')
+		}
+		fmt.Fprintf(&rows, `{"prefix":"t%dx/","n":1,"text":[""],"mentions":[[]]}`, i)
+	}
+	if _, err := ReadJSON(bytes.NewReader(fmt.Appendf(nil, `{"nodes":[],"rows":[%s],"edges":null}`, rows.Bytes()))); err == nil {
+		t.Errorf("%d ranges read", maxRanges+1)
 	}
 }

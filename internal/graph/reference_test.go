@@ -293,7 +293,7 @@ type refReader interface {
 
 // refGraph is the naive graph: every node a Node in a map and every edge
 // an Edge in the lists of both its ends, in insertion order. It has no
-// ranges, no markers and no vertex numbers, so a Graph whose rows are
+// ranges, no half-edges and no vertex numbers, so a Graph whose rows are
 // ranges is held to it.
 type refGraph struct {
 	nodes   map[string]Node

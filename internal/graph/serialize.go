@@ -42,9 +42,10 @@ import (
 // order, and lists every other node; it discovers none. ReadJSON loads
 // a range as a range. Beside a range, it needs listed nodes in strictly
 // increasing id order, listed edges in (from, to, type) order, each M[k]
-// in increasing order, no listed edge to or from a range row, and no
-// prefix that ends in a digit (no writer made one for an index's rows).
-// A file without "rows" — a full form — loads as listed nodes.
+// in increasing order, and no listed edge to or from a range row. A
+// range whose prefix ends in a digit loads as listed rows
+// (listDigitPrefixes). A file without "rows" — a full form — has its
+// ranges found (rangeRows) and loads as one with them.
 
 // payloadKeys are the attrs keys of a node's payload fields, in the
 // order WriteJSON writes them. No other code spells one.
@@ -162,10 +163,10 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	for _, v := range listed {
 		// Every edge of v.out runs from v, so visiting vertices in id
 		// order and each one's edges in (to, type) order is the global
-		// (from, to, type) order. A marker's edges are its range's.
+		// (from, to, type) order. A mention of a range's row is the range's.
 		out = out[:0]
 		for _, h := range v.out {
-			if !h.marker() {
+			if h.rng == 0 {
 				out = append(out, h)
 			}
 		}
@@ -218,8 +219,8 @@ func (g *Graph) compareTarget(a, b half) int {
 // would let pass: unknown keys elsewhere, repeated keys, null for a
 // string or a number, invalid UTF-8, unpaired surrogate escapes, and
 // anything but whitespace after the object. The ranges of a file's rows
-// section load as ranges, each vertex's lists holding its edges and
-// markers for the rows that mention it in the order of the full form.
+// section load as ranges, each vertex's lists holding its edges and its
+// mentions of rows in the order of the full form.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	data, err := jsonx.ReadAll(r)
 	if err != nil {
@@ -244,8 +245,8 @@ type pendingEdge struct {
 // decoder is a single pass over one snapshot. Each node is decoded
 // into a vertex as it is read, and the vertices are put into the id map
 // together; edges are resolved to vertices as they are read and put into
-// the adjacency lists together at the end (build), beside the markers
-// for the ranges' rows.
+// the adjacency lists together at the end (build), beside the mentions
+// of the ranges' rows.
 type decoder struct {
 	jsonx.Decoder
 	g *Graph
@@ -605,7 +606,7 @@ func (d *decoder) edge(resolve bool) error {
 // build checks the rows section against the listed nodes and edges,
 // makes each range a rowRange, and lays out every listed vertex's lists:
 // its listed edges in file order with, among them where the full form
-// has them by id, a marker per run of mentions from one range's rows.
+// has them by id, a half per mention of a range's row.
 // Until it runs, a vertex's number is its position in "nodes", and
 // d.edges are the listed edges.
 func (d *decoder) build() error {
@@ -634,11 +635,15 @@ func (d *decoder) build() error {
 	texts := make([]string, len(d.textEnd))
 	offs := make([]int32, len(d.textEnd)+len(d.ranges))
 	g.ranges = make([]*rowRange, 0, len(d.ranges))
+	g.byPrefix = make(map[string]int32, len(d.ranges))
 	for _, sp := range d.ranges {
 		if sp.n == 0 {
 			continue
 		}
-		ranges = append(ranges, rowRange{prefix: sp.prefix, text: texts[:sp.n:sp.n], off: offs[: sp.n+1 : sp.n+1], dec: sp.n})
+		if g.rangeOf(sp.prefix) >= 0 {
+			return fmt.Errorf("%w: %s", ErrNodeExists, rowIDPrefix+sp.prefix+"0")
+		}
+		ranges = append(ranges, rowRange{prefix: sp.prefix, text: texts[:sp.n:sp.n], off: offs[: sp.n+1 : sp.n+1]})
 		texts, offs = texts[sp.n:], offs[sp.n+1:]
 		rg := &ranges[len(ranges)-1]
 		mentionAt, textAt, end := 0, 0, d.mentionEnd[sp.first+sp.n-1]
@@ -670,22 +675,28 @@ func (d *decoder) build() error {
 		}
 		orders = orders[:len(orders)+sp.n]
 		sources = append(sources, order)
-		g.ranges = append(g.ranges, rg)
+		g.addRange(rg)
+	}
+	if len(g.ranges) > maxRanges {
+		return fmt.Errorf("graph: decode: %d ranges, more than %d", len(g.ranges), maxRanges)
+	}
+	for _, v := range listed {
+		if prefix, k, ok := splitRow(v.id); ok && len(g.ranges) > 0 {
+			if r := g.rangeOf(prefix); r >= 0 && k < len(g.ranges[r].text) {
+				return fmt.Errorf("%w: %s", ErrNodeExists, v.id)
+			}
+		}
 	}
 
 	// key spells the id of a source's entry: a listed node, or row ^x of
-	// all ranges.
+	// all ranges, which is in the first range that ends after it.
 	key := func(x int32) idKey {
 		if x >= 0 {
 			return idKey{s: listed[x].id}
 		}
 		j := int(^x)
-		for _, sp := range d.ranges {
-			if j < sp.first+sp.n {
-				return rowKey(sp.prefix, j-sp.first)
-			}
-		}
-		panic("graph: decode: row out of range")
+		sp := &d.ranges[sort.Search(len(d.ranges), func(i int) bool { return j < d.ranges[i].first+d.ranges[i].n })]
+		return rowKey(sp.prefix, j-sp.first)
 	}
 	for i, x := range mergeByID(sources, key) {
 		if x >= 0 {
@@ -695,8 +706,8 @@ func (d *decoder) build() error {
 		}
 	}
 	// by[m] are the rows that mention listed vertex m, by rank: their
-	// ranks and range numbers.
-	type mention struct{ rank, r int32 }
+	// ranks, range numbers and row numbers.
+	type mention struct{ rank, r, k int32 }
 	mentionOff := make([]int32, len(listed)+1)
 	for _, rg := range g.ranges {
 		for _, m := range rg.ments {
@@ -714,7 +725,7 @@ func (d *decoder) build() error {
 		}
 		for k := range sp.n {
 			for _, m := range g.ranges[r].mentions(k) {
-				by[mentionOff[m]] = mention{rank[len(listed)+sp.first+k], r}
+				by[mentionOff[m]] = mention{rank[len(listed)+sp.first+k], r, int32(k)}
 				mentionOff[m]++ // the next of m's slots, for now
 			}
 		}
@@ -729,54 +740,60 @@ func (d *decoder) build() error {
 	outOff, outs := d.edgesBy(func(e *pendingEdge) int32 { return e.from })
 	inOff, ins := d.edgesBy(func(e *pendingEdge) int32 { return e.to })
 
-	// lay lays out one list of vertex m — its listed edges es, whose
-	// other ends are nb of each, merged by rank with the rows that mention
-	// m — into hs, or only counts it when hs is nil.
-	lay := func(m int32, es []int32, nb func(*pendingEdge) int32, hs []half) int {
+	// lay lays out one list of vertex m into hs: its listed edges es,
+	// whose other ends are nb of each, merged by rank with the rows that
+	// mention m.
+	lay := func(m int32, es []int32, nb func(*pendingEdge) int32, hs []half) {
 		ms := by[mentionOff[m]:mentionOff[m+1]]
-		n, last := 0, int32(-1) // last: the range of the marker laid last, or -1
-		for len(es) > 0 || len(ms) > 0 {
+		for n := range hs {
 			if len(ms) == 0 || len(es) > 0 && rank[nb(&d.edges[es[0]])] < ms[0].rank {
-				if hs != nil {
-					e := &d.edges[es[0]]
-					hs[n] = half{w: e.weight, nb: nb(e), typ: e.typ}
-				}
-				es, n, last = es[1:], n+1, -1
+				e := &d.edges[es[0]]
+				hs[n] = half{w: e.weight, nb: nb(e), typ: e.typ}
+				es = es[1:]
 				continue
 			}
-			r := ms[0].r
+			hs[n] = half{w: 1, nb: ms[0].k, typ: mentionsCode, rng: uint16(ms[0].r) + 1}
 			ms = ms[1:]
-			switch {
-			case r == last && hs != nil:
-				hs[n-1].w++
-			case r != last:
-				if hs != nil {
-					hs[n] = half{w: 1, nb: ^r, typ: mentionsCode}
-				}
-				n, last = n+1, r
-			}
 		}
-		return n
 	}
 	to := func(e *pendingEdge) int32 { return e.to }
 	from := func(e *pendingEdge) int32 { return e.from }
-	total := [2]int{}
-	for m := range listed {
-		total[0] += lay(int32(m), outs[outOff[m]:outOff[m+1]], to, nil)
-		total[1] += lay(int32(m), ins[inOff[m]:inOff[m+1]], from, nil)
-	}
-	out, in := make([]half, total[0]), make([]half, total[1])
+	halves := make([]half, 2*(len(d.edges)+mentions))
+	out, in := halves[:len(halves)/2], halves[len(halves)/2:]
 	for m, v := range listed {
-		v.marked = mentionOff[m] < mentionOff[m+1]
-		n := lay(int32(m), outs[outOff[m]:outOff[m+1]], to, out)
+		ms := int(mentionOff[m+1] - mentionOff[m])
+		n := int(outOff[m+1]-outOff[m]) + ms
 		v.out, out = out[:n:n], out[n:]
-		n = lay(int32(m), ins[inOff[m]:inOff[m+1]], from, in)
+		lay(int32(m), outs[outOff[m]:outOff[m+1]], to, v.out)
+		n = int(inOff[m+1]-inOff[m]) + ms
 		v.in, in = in[:n:n], in[n:]
+		lay(int32(m), ins[inOff[m]:inOff[m+1]], from, v.in)
 	}
 	for _, e := range d.edges {
 		g.size += edgeSize(listed[e.from].id, listed[e.to].id, g.types[e.typ])
 	}
 	g.edges = len(d.edges) + 2*mentions
+	return d.listDigitPrefixes()
+}
+
+// listDigitPrefixes makes the rows of every range whose prefix ends in a
+// digit listed vertices (Graph.expand), as the full form has them: no id
+// lookup would find such a row in its range, its digits running into the
+// row number. An earlier writer made such a range for rows labelled
+// P00…P09. A row id the graph already has is refused.
+func (d *decoder) listDigitPrefixes() error {
+	g := d.g
+	for r, rg := range g.ranges {
+		if p := rg.prefix; p == "" || p[len(p)-1] < '0' || p[len(p)-1] > '9' {
+			continue
+		}
+		for k := range rg.text {
+			if id := rowIDPrefix + rg.prefix + strconv.Itoa(k); g.HasNode(id) {
+				return fmt.Errorf("%w: %s", ErrNodeExists, id)
+			}
+		}
+		g.expand(int32(r))
+	}
 	return nil
 }
 
@@ -855,6 +872,10 @@ func (d *decoder) rangeRows() {
 		return
 	}
 	prefixes := slices.Sorted(maps.Keys(groups))
+	for _, prefix := range prefixes[min(len(prefixes), maxRanges):] {
+		delete(groups, prefix) // no half could name its range
+	}
+	prefixes = prefixes[:len(groups)]
 	num := make([]int32, len(listed)) // new number, -1 for a ranged row
 	for _, gr := range groups {
 		for _, i := range gr.rows {
@@ -921,14 +942,14 @@ func (d *decoder) twins(out, in []int32, rowOf []int32) bool {
 // edgesBy groups the listed edges by the vertex end returns of each:
 // idx[off[m]:off[m+1]] are m's, by position in d.edges.
 func (d *decoder) edgesBy(end func(*pendingEdge) int32) (off, idx []int32) {
-	off = make([]int32, len(d.g.verts)+1)
+	both := make([]int32, len(d.g.verts)+1+len(d.edges))
+	off, idx = both[:len(d.g.verts)+1], both[len(d.g.verts)+1:]
 	for i := range d.edges {
 		off[end(&d.edges[i])+1]++
 	}
 	for m := range d.g.verts {
 		off[m+1] += off[m]
 	}
-	idx = make([]int32, len(d.edges))
 	for i := range d.edges {
 		m := end(&d.edges[i])
 		idx[off[m]] = int32(i)
@@ -945,16 +966,16 @@ func unshift(off []int32) {
 	off[0] = 0
 }
 
-// checkRows refuses a rows section the graph could not hold as it is:
+// checkRows refuses a rows section whose order build could not merge:
 // listed nodes out of id order, listed edges out of (from, to, type)
-// order, a mention of no listed node or out of order, a prefix that ends
-// in a digit or comes twice, and a listed node with a range row's id.
+// order, and a mention of no listed node or out of order. build refuses
+// the rest: a prefix that comes twice, more ranges than a half can name,
+// and a listed node with a range row's id.
 func (d *decoder) checkRows() error {
 	if err := d.unordered(); err != nil {
 		return err
 	}
-	g := d.g
-	listed := g.verts
+	listed := d.g.verts
 	start := 0
 	for _, end := range d.mentionEnd {
 		for j, i := range d.mentions[start:end] {
@@ -966,29 +987,6 @@ func (d *decoder) checkRows() error {
 			}
 		}
 		start = end
-	}
-	// rows returns the rows of the range with the given prefix; a file
-	// has a range per table, so a scan is enough.
-	rows := func(prefix string) int {
-		for _, sp := range d.ranges {
-			if sp.n > 0 && sp.prefix == prefix {
-				return sp.n
-			}
-		}
-		return 0
-	}
-	for i, sp := range d.ranges {
-		if p := sp.prefix; p != "" && '0' <= p[len(p)-1] && p[len(p)-1] <= '9' {
-			return fmt.Errorf("graph: decode: range prefix %q ends in a digit", p)
-		}
-		if sp.n > 0 && slices.ContainsFunc(d.ranges[:i], func(o rowSpan) bool { return o.n > 0 && o.prefix == sp.prefix }) {
-			return fmt.Errorf("%w: %s", ErrNodeExists, rowIDPrefix+sp.prefix+"0")
-		}
-	}
-	for _, v := range listed {
-		if prefix, k, ok := splitRow(v.id); ok && k < rows(prefix) {
-			return fmt.Errorf("%w: %s", ErrNodeExists, v.id)
-		}
 	}
 	return nil
 }
@@ -1026,39 +1024,74 @@ func appendDecimalOrder(out []int32, n int) []int32 {
 
 // mergeByID merges sources, each sorted by id, into one sequence sorted
 // by id, ties in source order. It copies a run of one source at a time,
-// found by a binary search, so a long run costs a few comparisons.
+// found by a binary search, so a long run costs a few comparisons; the
+// sources' first ids wait in a heap, so finding a run costs a few more
+// however many sources there are.
 func mergeByID(sources [][]int32, key func(int32) idKey) []int32 {
 	total := 0
-	for _, s := range sources {
-		total += len(s)
+	var small [4]head
+	h := heads(small[:0])
+	for s, src := range sources {
+		total += len(src)
+		if len(src) > 0 {
+			h = append(h, head{key(src[0]), s})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 	out := make([]int32, 0, total)
-	for {
-		best := -1
-		var least, bound idKey
-		bounded := false
-		for s, src := range sources {
-			if len(src) == 0 {
-				continue
-			}
-			switch h := key(src[0]); {
-			case best < 0:
-				best, least = s, h
-			case h.compare(&least) < 0:
-				best, least, bound, bounded = s, h, least, true
-			case !bounded || h.compare(&bound) < 0:
-				bound, bounded = h, true
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		src := sources[best]
+	for len(h) > 0 {
+		src := sources[h[0].s]
 		n := len(src)
-		if bounded {
-			n = 1 + sort.Search(len(src)-1, func(i int) bool { h := key(src[1+i]); return h.compare(&bound) >= 0 })
+		// The least first id of the other sources is a child of the root's.
+		if c := 1; c < len(h) {
+			if c+1 < len(h) && h.less(c+1, c) {
+				c++
+			}
+			bound := &h[c].key
+			n = 1 + sort.Search(len(src)-1, func(i int) bool { k := key(src[1+i]); return k.compare(bound) >= 0 })
 		}
 		out = append(out, src[:n]...)
-		sources[best] = src[n:]
+		if sources[h[0].s] = src[n:]; n < len(src) {
+			h[0].key = key(src[n])
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+	}
+	return out
+}
+
+// head is the first id left in source s of a merge.
+type head struct {
+	key idKey
+	s   int
+}
+
+// heads is a min-heap of heads by id, ties by source.
+type heads []head
+
+func (h heads) less(i, j int) bool {
+	c := h[i].key.compare(&h[j].key)
+	return c < 0 || c == 0 && h[i].s < h[j].s
+}
+
+// down restores the heap below i after h[i] grew.
+func (h heads) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }

@@ -606,86 +606,84 @@ func TestReadJSONRejects(t *testing.T) {
 	ab := node("a") + "," + node("b")
 	rows := func(ranges string) string { return `{"nodes":[` + ab + `],"rows":[` + ranges + `],"edges":null}` }
 	for name, in := range map[string]string{
-		"empty input":          "",
-		"only whitespace":      " \n",
-		"top-level null":       "null",
-		"top-level array":      "[]",
-		"unknown top key":      `{"nodes":[],"edges":null,"version":2}`,
-		"key in another case":  `{"Nodes":[],"edges":null}`,
-		"repeated nodes":       `{"nodes":[],"nodes":[],"edges":null}`,
-		"repeated edges":       `{"edges":null,"nodes":[],"edges":null}`,
-		"trailing bytes":       doc(ab, edge) + "{}",
-		"trailing garbage":     doc(ab, edge) + "\n x",
-		"second document":      doc(ab, edge) + doc(ab, edge),
-		"unknown node key":     doc(`{"id":"a","type":"doc","label":"","extra":"x"}`, ""),
-		"repeated node key":    doc(`{"id":"a","type":"doc","label":"","id":"b"}`, ""),
-		"repeated attrs":       doc(`{"id":"a","attrs":{},"attrs":{}}`, ""),
-		"repeated attr key":    doc(`{"id":"a","attrs":{"text":"1","k":"","text":"2"}}`, ""),
-		"repeated as empty":    doc(`{"id":"a","attrs":{"doc":"","doc":""}}`, ""),
-		"null id":              doc(`{"id":null}`, ""),
-		"null attr value":      doc(`{"id":"a","attrs":{"etype":null}}`, ""),
-		"null unknown attr":    doc(`{"id":"a","attrs":{"k":null}}`, ""),
-		"number for an attr":   doc(`{"id":"a","attrs":{"k":7}}`, ""),
-		"object for an attr":   doc(`{"id":"a","attrs":{"k":{}}}`, ""),
-		"bad escape in attr":   doc(`{"id":"a","attrs":{"k":"\x"}}`, ""),
-		"number for a string":  doc(`{"id":7}`, ""),
-		"nodes not an array":   `{"nodes":{},"edges":null}`,
-		"node not an object":   doc(`"a"`, ""),
-		"attrs not an object":  doc(`{"id":"a","attrs":[]}`, ""),
-		"unknown edge key":     doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"label":"x"}`),
-		"repeated edge key":    doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"to":"a"}`),
-		"null weight":          doc(ab, `{"from":"a","to":"b","type":"next","weight":null}`),
-		"string weight":        doc(ab, `{"from":"a","to":"b","type":"next","weight":"1"}`),
-		"leading zero":         doc(ab, `{"from":"a","to":"b","type":"next","weight":01}`),
-		"leading plus":         doc(ab, `{"from":"a","to":"b","type":"next","weight":+1}`),
-		"bare point":           doc(ab, `{"from":"a","to":"b","type":"next","weight":1.}`),
-		"no integer part":      doc(ab, `{"from":"a","to":"b","type":"next","weight":.5}`),
-		"bare exponent":        doc(ab, `{"from":"a","to":"b","type":"next","weight":1e}`),
-		"hex weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":0x10}`),
-		"NaN weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":NaN}`),
-		"weight out of range":  doc(ab, `{"from":"a","to":"b","type":"next","weight":1e999}`),
-		"minus alone":          doc(ab, `{"from":"a","to":"b","type":"next","weight":-}`),
-		"raw control byte":     doc(node("a\x01"), ""),
-		"raw newline":          doc(node("a\nb"), ""),
-		"invalid UTF-8":        doc(node("a\xff"), ""),
-		"truncated rune":       doc(node("a\xe2\x80"), ""),
-		"invalid UTF-8 in key": doc(`{"id":"a","attrs":{"k\xff":"v"}}`, ""),
-		"escape then bad UTF8": doc(node(`a\n`+"\xff"), ""),
-		"unknown escape":       doc(node(`a\x41`), ""),
-		"short \\u":            doc(node(`a\u12`), ""),
-		"non-hex \\u":          doc(node(`a\u12g4`), ""),
-		"lone high surrogate":  doc(node(`a\ud83d`), ""),
-		"lone low surrogate":   doc(node(`a\ude00`), ""),
-		"high then non-low":    doc(node(`a\ud83d\u0041`), ""),
-		"high then high":       doc(node(`a\ud83d\ud83d`), ""),
-		"unterminated string":  `{"nodes":[{"id":"a`,
-		"escape at the end":    `{"nodes":[{"id":"a\`,
-		"missing comma":        doc(node("a")+node("b"), ""),
-		"trailing comma":       doc(node("a")+",", ""),
-		"trailing member":      `{"nodes":[],}`,
-		"single quotes":        `{'nodes':[]}`,
-		"missing colon":        `{"nodes" []}`,
-		"unclosed":             `{"nodes":[],"edges":null`,
-		"nul":                  "null",
-		"nulls":                `{"nodes":nulls}`,
-		"repeated rows":        `{"nodes":[],"rows":[],"edges":null,"rows":[]}`,
-		"rows not an array":    `{"nodes":[],"rows":{}}`,
-		"unknown range key":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"first":0}`),
-		"repeated range key":   rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"prefix":"u/"}`),
-		"null prefix":          rows(`{"prefix":null,"n":1,"text":["x"],"mentions":[[0]]}`),
-		"fractional n":         rows(`{"prefix":"t/","n":1.0,"text":["x"],"mentions":[[0]]}`),
-		"n over the texts":     rows(`{"prefix":"t/","n":2,"text":["x"],"mentions":[[0],[0]]}`),
-		"n under the texts":    rows(`{"prefix":"t/","n":1,"text":["x","y"],"mentions":[[0]]}`),
-		"n over the mentions":  rows(`{"prefix":"t/","n":2,"text":["x","y"],"mentions":[[0]]}`),
-		"negative n":           rows(`{"prefix":"t/","n":-1,"text":[],"mentions":[]}`),
-		"no n":                 rows(`{"prefix":"t/","text":["x"],"mentions":[[0]]}`),
-		"null text":            rows(`{"prefix":"t/","n":1,"text":[null],"mentions":[[0]]}`),
-		"mention past nodes":   rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2]]}`),
-		"negative mention":     rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[-1]]}`),
-		"fractional mention":   rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0.5]]}`),
-		"mention too large":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2147483648]]}`),
-		"prefix ends in a digit": rows(`{"prefix":"t/","n":11,"text":["","","","","","","","","","",""],"mentions":[[],[],[],[],[],[],[],[],[],[],[]]},` +
-			`{"prefix":"t/1","n":1,"text":["x"],"mentions":[[]]}`),
+		"empty input":           "",
+		"only whitespace":       " \n",
+		"top-level null":        "null",
+		"top-level array":       "[]",
+		"unknown top key":       `{"nodes":[],"edges":null,"version":2}`,
+		"key in another case":   `{"Nodes":[],"edges":null}`,
+		"repeated nodes":        `{"nodes":[],"nodes":[],"edges":null}`,
+		"repeated edges":        `{"edges":null,"nodes":[],"edges":null}`,
+		"trailing bytes":        doc(ab, edge) + "{}",
+		"trailing garbage":      doc(ab, edge) + "\n x",
+		"second document":       doc(ab, edge) + doc(ab, edge),
+		"unknown node key":      doc(`{"id":"a","type":"doc","label":"","extra":"x"}`, ""),
+		"repeated node key":     doc(`{"id":"a","type":"doc","label":"","id":"b"}`, ""),
+		"repeated attrs":        doc(`{"id":"a","attrs":{},"attrs":{}}`, ""),
+		"repeated attr key":     doc(`{"id":"a","attrs":{"text":"1","k":"","text":"2"}}`, ""),
+		"repeated as empty":     doc(`{"id":"a","attrs":{"doc":"","doc":""}}`, ""),
+		"null id":               doc(`{"id":null}`, ""),
+		"null attr value":       doc(`{"id":"a","attrs":{"etype":null}}`, ""),
+		"null unknown attr":     doc(`{"id":"a","attrs":{"k":null}}`, ""),
+		"number for an attr":    doc(`{"id":"a","attrs":{"k":7}}`, ""),
+		"object for an attr":    doc(`{"id":"a","attrs":{"k":{}}}`, ""),
+		"bad escape in attr":    doc(`{"id":"a","attrs":{"k":"\x"}}`, ""),
+		"number for a string":   doc(`{"id":7}`, ""),
+		"nodes not an array":    `{"nodes":{},"edges":null}`,
+		"node not an object":    doc(`"a"`, ""),
+		"attrs not an object":   doc(`{"id":"a","attrs":[]}`, ""),
+		"unknown edge key":      doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"label":"x"}`),
+		"repeated edge key":     doc(ab, `{"from":"a","to":"b","type":"next","weight":1,"to":"a"}`),
+		"null weight":           doc(ab, `{"from":"a","to":"b","type":"next","weight":null}`),
+		"string weight":         doc(ab, `{"from":"a","to":"b","type":"next","weight":"1"}`),
+		"leading zero":          doc(ab, `{"from":"a","to":"b","type":"next","weight":01}`),
+		"leading plus":          doc(ab, `{"from":"a","to":"b","type":"next","weight":+1}`),
+		"bare point":            doc(ab, `{"from":"a","to":"b","type":"next","weight":1.}`),
+		"no integer part":       doc(ab, `{"from":"a","to":"b","type":"next","weight":.5}`),
+		"bare exponent":         doc(ab, `{"from":"a","to":"b","type":"next","weight":1e}`),
+		"hex weight":            doc(ab, `{"from":"a","to":"b","type":"next","weight":0x10}`),
+		"NaN weight":            doc(ab, `{"from":"a","to":"b","type":"next","weight":NaN}`),
+		"weight out of range":   doc(ab, `{"from":"a","to":"b","type":"next","weight":1e999}`),
+		"minus alone":           doc(ab, `{"from":"a","to":"b","type":"next","weight":-}`),
+		"raw control byte":      doc(node("a\x01"), ""),
+		"raw newline":           doc(node("a\nb"), ""),
+		"invalid UTF-8":         doc(node("a\xff"), ""),
+		"truncated rune":        doc(node("a\xe2\x80"), ""),
+		"invalid UTF-8 in key":  doc(`{"id":"a","attrs":{"k\xff":"v"}}`, ""),
+		"escape then bad UTF8":  doc(node(`a\n`+"\xff"), ""),
+		"unknown escape":        doc(node(`a\x41`), ""),
+		"short \\u":             doc(node(`a\u12`), ""),
+		"non-hex \\u":           doc(node(`a\u12g4`), ""),
+		"lone high surrogate":   doc(node(`a\ud83d`), ""),
+		"lone low surrogate":    doc(node(`a\ude00`), ""),
+		"high then non-low":     doc(node(`a\ud83d\u0041`), ""),
+		"high then high":        doc(node(`a\ud83d\ud83d`), ""),
+		"unterminated string":   `{"nodes":[{"id":"a`,
+		"escape at the end":     `{"nodes":[{"id":"a\`,
+		"missing comma":         doc(node("a")+node("b"), ""),
+		"trailing comma":        doc(node("a")+",", ""),
+		"trailing member":       `{"nodes":[],}`,
+		"single quotes":         `{'nodes':[]}`,
+		"missing colon":         `{"nodes" []}`,
+		"unclosed":              `{"nodes":[],"edges":null`,
+		"nul":                   "null",
+		"nulls":                 `{"nodes":nulls}`,
+		"repeated rows":         `{"nodes":[],"rows":[],"edges":null,"rows":[]}`,
+		"rows not an array":     `{"nodes":[],"rows":{}}`,
+		"unknown range key":     rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"first":0}`),
+		"repeated range key":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]],"prefix":"u/"}`),
+		"null prefix":           rows(`{"prefix":null,"n":1,"text":["x"],"mentions":[[0]]}`),
+		"fractional n":          rows(`{"prefix":"t/","n":1.0,"text":["x"],"mentions":[[0]]}`),
+		"n over the texts":      rows(`{"prefix":"t/","n":2,"text":["x"],"mentions":[[0],[0]]}`),
+		"n under the texts":     rows(`{"prefix":"t/","n":1,"text":["x","y"],"mentions":[[0]]}`),
+		"n over the mentions":   rows(`{"prefix":"t/","n":2,"text":["x","y"],"mentions":[[0]]}`),
+		"negative n":            rows(`{"prefix":"t/","n":-1,"text":[],"mentions":[]}`),
+		"no n":                  rows(`{"prefix":"t/","text":["x"],"mentions":[[0]]}`),
+		"null text":             rows(`{"prefix":"t/","n":1,"text":[null],"mentions":[[0]]}`),
+		"mention past nodes":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2]]}`),
+		"negative mention":      rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[-1]]}`),
+		"fractional mention":    rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[0.5]]}`),
+		"mention too large":     rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[2147483648]]}`),
 		"mentions out of order": rows(`{"prefix":"t/","n":1,"text":["x"],"mentions":[[1,0]]}`),
 		"nodes out of order":    `{"nodes":[` + node("b") + "," + node("a") + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]]}]}`,
 		"edges out of order": `{"nodes":[` + ab + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[0]]}],"edges":[` +
@@ -716,7 +714,10 @@ func TestReadJSONRejects(t *testing.T) {
 		"range id taken":     {`{"nodes":[` + node("row:t/0") + `],"rows":[{"prefix":"t/","n":1,"text":["x"],"mentions":[[]]}]}`, ErrNodeExists},
 		"range id listed after": {`{"rows":[{"prefix":"t/","n":2,"text":["x","y"],"mentions":[[0],[]]}],"nodes":[` + node("a") + "," +
 			node("row:t/1") + `]}`, ErrNodeExists},
-		"range twice": {rows(`{"prefix":"t/","n":1,"text":[""],"mentions":[[]]},{"prefix":"t/","n":1,"text":["x"],"mentions":[[]]}`), ErrNodeExists},
+		"ranges overlap": {rows(`{"prefix":"t/","n":11,"text":["","","","","","","","","","",""],"mentions":[[],[],[],[],[],[],[],[],[],[],[]]},` +
+			`{"prefix":"t/1","n":1,"text":["x"],"mentions":[[]]}`), ErrNodeExists},
+		"digit prefix over a listed id": {`{"nodes":[` + node("row:t/05") + `],"rows":[{"prefix":"t/0","n":10,"text":["","","","","","","","","",""],"mentions":[[],[],[],[],[],[],[],[],[],[]]}]}`, ErrNodeExists},
+		"range twice":                   {rows(`{"prefix":"t/","n":1,"text":[""],"mentions":[[]]},{"prefix":"t/","n":1,"text":["x"],"mentions":[[]]}`), ErrNodeExists},
 	} {
 		_, err := ReadJSON(strings.NewReader(c.in))
 		if !errors.Is(err, c.want) {
@@ -812,6 +813,24 @@ func FuzzGraphJSON(f *testing.F) {
 // TestReadJSONRowsSpelledAnyWay reads each snapshot with ranges with its
 // keys in other orders, indented, and with null for an empty mention
 // list: the same graph as the one WriteJSON's spelling gives.
+// A range whose prefix ends in a digit, as an earlier writer made for
+// rows labelled t/00…t/09, loads as the listed rows of the full form, and
+// is written so.
+func TestReadJSONDigitPrefix(t *testing.T) {
+	in := `{"nodes":[{"id":"a","type":"doc","label":""}],"rows":[{"prefix":"t/0","n":10,` +
+		`"text":["r0","r1","r2","r3","r4","r5","r6","r7","r8","r9"],"mentions":[[0],[],[0],[],[],[],[],[],[],[0]]}],"edges":null}`
+	g := readBoth(t, "digit prefix", []byte(in))
+	if n := g.Node("row:t/09"); n == nil || n.Text != "r9" || n.Label != "t/09" {
+		t.Errorf("row:t/09 = %+v", n)
+	}
+	if !g.HasEdge("a", "row:t/02", EdgeMentions) || !g.HasEdge("row:t/02", "a", EdgeMentions) || g.HasEdge("a", "row:t/01", EdgeMentions) {
+		t.Errorf("mentions: %v", g.Out("a"))
+	}
+	if out := encode(t, g.WriteJSON); bytes.Contains(out, []byte(`"rows"`)) {
+		t.Errorf("rows still ranged: %s", out)
+	}
+}
+
 func TestReadJSONRowsSpelledAnyWay(t *testing.T) {
 	type rangeReversed struct {
 		Mentions [][]int  `json:"mentions"`

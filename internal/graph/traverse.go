@@ -132,76 +132,39 @@ func (v *View) Expand(x *Expander, anchor int, opts ExpandOptions) []Visit {
 		// Evaluated in this order, factor by factor: scores are compared
 		// bit for bit with the reference expansion.
 		lo, hi := v.outOff[it.Node], v.outOff[it.Node+1]
-		if num := v.at[it.Node]; num >= 0 && !v.verts[num].marked {
-			// A list with no marker: an edge per half.
-			out := v.verts[num].out
-			for k := lo; k < hi; k++ {
-				if m := mult[v.typ[k]]; m != 0 {
-					to := v.dst[k]
-					s := it.Score * opts.Decay * out[k-lo].w * m
-					if opts.Prior != nil {
-						s *= opts.Prior[to]
-					}
-					if s <= x.best[to] {
-						continue
-					}
-					if x.best[to] == 0 {
-						x.pushed = append(x.pushed, to)
-					}
-					x.best[to] = s
-					x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
-				}
-			}
-			continue
-		}
 		out, _ := v.lists(int(it.Node))
-		for k := lo; k < hi; {
-			// The next run of edges of one weight: one half, a marker's
-			// mentions, or the rest of a range row's mentions.
-			w, end := 1.0, hi
-			if len(out) > 0 {
-				if h := out[0]; h.marker() {
-					end = min(hi, k+int32(h.w))
-				} else {
-					w, end = h.w, k+1
+		for k := lo; k < hi; k++ {
+			if m := mult[v.typ[k]]; m != 0 {
+				w := 1.0 // a range's row
+				if out != nil {
+					w = out[k-lo].w
 				}
-				out = out[1:]
-			}
-			for ; k < end; k++ {
-				if m := mult[v.typ[k]]; m != 0 {
-					to := v.dst[k]
-					s := it.Score * opts.Decay * w * m
-					if opts.Prior != nil {
-						s *= opts.Prior[to]
-					}
-					if s <= x.best[to] {
-						continue
-					}
-					if x.best[to] == 0 {
-						x.pushed = append(x.pushed, to)
-					}
-					x.best[to] = s
-					x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
+				to := v.dst[k]
+				s := it.Score * opts.Decay * w * m
+				if opts.Prior != nil {
+					s *= opts.Prior[to]
 				}
+				if s <= x.best[to] {
+					continue
+				}
+				if x.best[to] == 0 {
+					x.pushed = append(x.pushed, to)
+				}
+				x.best[to] = s
+				x.push(Visit{Node: to, Depth: it.Depth + 1, Score: s})
 			}
 		}
 	}
 	return x.visits
 }
 
-// ShortestPath returns one minimum-hop path between two nodes following
-// any edge type, or nil if disconnected. Used to explain answers
-// ("Patient X —received→ Drug Y —reported→ nausea"). It walks a view of
-// the graph taken for the call.
-func (g *Graph) ShortestPath(from, to string) []string {
-	v := g.View(nil)
-	src, ok := v.Index(from)
-	dst, ok2 := v.Index(to)
-	if !ok || !ok2 {
-		return nil
-	}
-	if from == to {
-		return []string{from}
+// ShortestPath returns one minimum-hop path between the nodes at view
+// indices src and dst following any edge type, as view indices from src
+// to dst, or nil if dst cannot be reached. Used to explain answers
+// ("Patient X —received→ Drug Y —reported→ nausea").
+func (v *View) ShortestPath(src, dst int) []int {
+	if src == dst {
+		return []int{src}
 	}
 	// Breadth-first over view indices; prev holds the predecessor's
 	// index plus one, 0 for a node not reached yet.
@@ -218,15 +181,15 @@ func (g *Graph) ShortestPath(from, to string) []string {
 				}
 				prev[nb] = u + 1
 				if nb == int32(dst) {
-					var rev []string
+					var path []int
 					for cur := nb; ; cur = prev[cur] - 1 {
-						rev = append(rev, v.ID(int(cur)))
+						path = append(path, int(cur))
 						if cur == int32(src) {
 							break
 						}
 					}
-					slices.Reverse(rev)
-					return rev
+					slices.Reverse(path)
+					return path
 				}
 				next = append(next, nb)
 			}

@@ -71,7 +71,7 @@ func TestShortestPathValidityProperty(t *testing.T) {
 	f := func(edges []uint8, toIdx uint8) bool {
 		g := randomGraph(edges)
 		to := fmt.Sprintf("n%d", int(toIdx)%12)
-		path := g.ShortestPath("n0", to)
+		path := shortestPath(g, "n0", to)
 		if path == nil {
 			return true // disconnected is fine
 		}

@@ -9,15 +9,14 @@ import (
 
 // View is an immutable index-space snapshot of a Graph: node i is the
 // i-th id in sorted order, and both adjacencies are CSR arrays of node
-// indices in the graph's own list order, a vertex's markers spelled out
-// as the rows they stand for. PageRank and Expand run over it without
-// hashing a string.
+// indices in the graph's own list order. PageRank and Expand run over it
+// without hashing a string.
 //
 // Edge weights are not copied: they are read through the listed
-// vertex, whose lists only ever grow at the end — a marker by its count
-// — or have a marker spelled out as that many weight-1 halves, so the
-// first edges of a list keep their weights; a range's row has only
-// weight-1 mentions. A view taken before a mutation therefore stays
+// vertex, whose lists only ever grow at the end, and whose halves that
+// name a range's row are renamed in place, weight kept, when the range
+// is expanded; a range's row has only weight-1 mentions. A view taken
+// before a mutation therefore stays
 // valid and blind to it — nodes and edges added afterwards do not exist
 // for the view — until the caller takes a new one. A view is rebuilt,
 // not patched, because PageRank's sequential sums need the nodes in
@@ -38,7 +37,8 @@ type View struct {
 }
 
 // viewRange is a range as a view sees it: its rows are numbered from
-// first among all ranges' rows. An expanded range has no rows.
+// first among all ranges' rows. An expanded range has no rows, and its
+// first is the next range's.
 type viewRange struct {
 	prefix string
 	text   []string
@@ -93,6 +93,7 @@ func (g *Graph) View(prev *View) *View {
 	orders := make([]int32, 0, rows) // each range's rows in id order
 	rows = 0
 	for r, rg := range g.ranges {
+		v.ranges[r].first = rows
 		if rg == nil {
 			continue
 		}
@@ -117,41 +118,19 @@ func (g *Graph) View(prev *View) *View {
 			rowRank[^x] = int32(i)
 		}
 	}
-	// posts[at[m]:at[m+1]] are the view indices of the rows that mention
-	// listed vertex m, range by range, each range in posting order.
-	at := make([]int32, len(g.verts)+1)
-	for _, rg := range g.ranges {
-		if rg != nil {
-			for _, m := range rg.ments {
-				at[m+1]++
-			}
+	// rankOf is the view index of the node at the other end of h.
+	rankOf := func(h half) int32 {
+		if h.rng == 0 {
+			return rank[h.nb]
 		}
+		return rowRank[v.ranges[h.rng-1].first+h.nb]
 	}
-	for m := range g.verts {
-		at[m+1] += at[m]
-	}
-	fill := slices.Clone(at[:len(g.verts)])
-	posts := make([]int32, at[len(g.verts)])
-	for r, rg := range g.ranges {
-		if rg == nil {
-			continue
-		}
-		orders = rg.postingOrder(orders)
-		for _, k := range orders {
-			for _, m := range rg.mentions(int(k)) {
-				posts[fill[m]] = rowRank[v.ranges[r].first+k]
-				fill[m]++
-			}
-		}
-	}
-
 	v.outOff = make([]int32, n+1)
 	v.inOff = make([]int32, n+1)
 	for i, x := range v.at {
 		out, in := 0, 0
 		if x >= 0 {
-			vx := g.verts[x]
-			out, in = vx.slots(vx.out), vx.slots(vx.in)
+			out, in = len(g.verts[x].out), len(g.verts[x].in)
 		} else {
 			r, k := v.row(x)
 			out = len(g.ranges[r].mentions(k))
@@ -163,81 +142,37 @@ func (g *Graph) View(prev *View) *View {
 	v.dst = make([]int32, v.outOff[n])
 	v.typ = make([]uint8, v.outOff[n])
 	v.src = make([]int32, v.inOff[n])
-	// cur is, while a list is spelled out, each range's next post.
-	cur := make([]int32, len(g.ranges))
-	spell := func(m int32, hs []half, nbs []int32, typ []uint8) {
-		// m's posts hold the ranges in order: each one's first post
-		// follows the counts of those before it.
-		for _, h := range hs {
-			if h.marker() {
-				cur[^h.nb] += int32(h.w)
-			}
-		}
-		c := at[m]
-		for r, count := range cur {
-			c, cur[r] = c+count, c
-		}
-		j := 0
-		for _, h := range hs {
-			if !h.marker() {
-				nbs[j] = rank[h.nb]
-				if typ != nil && h.typ < edgeCodes {
-					typ[j] = h.typ
-				}
-				j++
-				continue
-			}
-			r := ^h.nb
-			for range int(h.w) {
-				nbs[j] = posts[cur[r]]
-				if typ != nil {
-					typ[j] = mentionsCode
-				}
-				cur[r]++
-				j++
-			}
-		}
-		clear(cur)
-	}
 	for i, x := range v.at {
-		lo, hi := v.outOff[i], v.outOff[i+1]
-		if x >= 0 {
-			vx := g.verts[x]
-			if vx.marked {
-				spell(x, vx.out, v.dst[lo:hi], v.typ[lo:hi])
-				spell(x, vx.in, v.src[v.inOff[i]:v.inOff[i+1]], nil)
-				continue
-			}
-			for j, h := range vx.out {
-				v.dst[lo+int32(j)] = rank[h.nb]
-				if h.typ < edgeCodes {
-					v.typ[lo+int32(j)] = h.typ
-				}
-			}
-			for j, h := range vx.in {
-				v.src[v.inOff[i]+int32(j)] = rank[h.nb]
+		dst, typ := v.dst[v.outOff[i]:v.outOff[i+1]], v.typ[v.outOff[i]:v.outOff[i+1]]
+		src := v.src[v.inOff[i]:v.inOff[i+1]]
+		if x < 0 {
+			r, k := v.row(x)
+			for j, m := range g.ranges[r].mentions(k) {
+				dst[j], typ[j], src[j] = rank[m], mentionsCode, rank[m]
 			}
 			continue
 		}
-		r, k := v.row(x)
-		for j, m := range g.ranges[r].mentions(k) {
-			v.dst[lo+int32(j)] = rank[m]
-			v.typ[lo+int32(j)] = mentionsCode
-			v.src[v.inOff[i]+int32(j)] = rank[m]
+		vx := g.verts[x]
+		for j, h := range vx.out[:len(dst)] {
+			dst[j] = rankOf(h)
+			if h.typ < edgeCodes {
+				typ[j] = h.typ
+			}
+		}
+		for j, h := range vx.in[:len(src)] {
+			src[j] = rankOf(h)
 		}
 	}
 	return v
 }
 
 // row returns the range and the row number of the row a view's node
-// stands for, given its entry in at.
+// stands for, given its entry in at: the last range whose rows start at
+// or before it, which is never an expanded one.
 func (v *View) row(x int32) (r int, k int) {
 	j := ^x
-	for r := len(v.ranges) - 1; ; r-- {
-		if rg := &v.ranges[r]; len(rg.text) > 0 && j >= rg.first {
-			return r, int(j - rg.first)
-		}
-	}
+	r = sort.Search(len(v.ranges), func(r int) bool { return v.ranges[r].first > j }) - 1
+	return r, int(j - v.ranges[r].first)
 }
 
 // key spells the id of the node whose entry in at is x, for comparing.
@@ -250,60 +185,13 @@ func (v *View) key(x int32) idKey {
 }
 
 // lists returns the out and in lists of the listed vertex at index i,
-// nil for a range's row. Of each the view reads only as many edges as it
-// holds for the node.
+// nil for a range's row, whose mentions all weigh 1. Of each the view
+// reads only as many edges as it holds for the node.
 func (v *View) lists(i int) (out, in []half) {
 	if x := v.at[i]; x >= 0 {
 		return v.verts[x].out, v.verts[x].in
 	}
 	return nil, nil
-}
-
-// weights fills ws with the weights of a node's first len(ws) edges from
-// hs, its list as lists returns it: a marker's edges, and every edge of a
-// range's row, weigh 1.
-func weights(ws []float64, hs []half) {
-	j := 0
-	for _, h := range hs {
-		if j == len(ws) {
-			return
-		}
-		if !h.marker() {
-			ws[j] = h.w
-			j++
-			continue
-		}
-		for c := min(int(h.w), len(ws)-j); c > 0; c-- {
-			ws[j] = 1
-			j++
-		}
-	}
-	for ; j < len(ws); j++ {
-		ws[j] = 1
-	}
-}
-
-// sumWeights returns the sum of the weights of a node's first n edges,
-// read as weights reads them, added one at a time in list order.
-func sumWeights(n int, hs []half) (sum float64) {
-	for _, h := range hs {
-		if n == 0 {
-			return sum
-		}
-		if !h.marker() {
-			sum += h.w
-			n--
-			continue
-		}
-		for c := min(int(h.w), n); c > 0; c-- {
-			sum++
-			n--
-		}
-	}
-	for ; n > 0; n-- {
-		sum++
-	}
-	return sum
 }
 
 // Len returns the number of nodes in the view.

@@ -357,11 +357,20 @@ func (t *Topology) lexicalScan(query string, k int) []Evidence {
 }
 
 // ExplainPath returns a hop-by-hop path from any query anchor to the
-// given evidence node, for answer provenance.
+// given evidence node, for answer provenance. It searches the view, as
+// Retrieve does.
 func (t *Topology) ExplainPath(query, evidenceID string) []string {
+	dst, ok := t.view.Index(evidenceID)
+	if !ok {
+		return nil
+	}
 	for _, a := range t.anchors(nil, t.ner.Recognize(query)) {
-		if p := t.g.ShortestPath(t.view.ID(a), evidenceID); p != nil {
-			return p
+		if p := t.view.ShortestPath(a, dst); p != nil {
+			ids := make([]string, len(p))
+			for i, n := range p {
+				ids[i] = t.view.ID(n)
+			}
+			return ids
 		}
 	}
 	return nil
