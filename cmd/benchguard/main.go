@@ -18,7 +18,9 @@
 //
 // Trajectory mode — print BENCH_trajectory.json, the append-only record
 // of every end-to-end claim, as one series per workload and metric, and
-// fail (exit 2) when its shape is wrong:
+// fail (exit 2) when its shape is wrong, when a record names a metric
+// that the BENCHMARK.json beside it does not list as end-to-end, or when
+// a met claim moved its metric the worse way:
 //
 //	benchguard -trajectory BENCH_trajectory.json
 //

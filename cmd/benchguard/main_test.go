@@ -170,30 +170,67 @@ func TestSameReportOnBothSidesPasses(t *testing.T) {
 }
 
 // A trajectory reads back as its claims and prints a series per metric;
-// a record out of PR order, without a seed or a pair count, or with more
-// pairs won than run is refused.
+// a record out of PR order, without a seed or a pair count, with more
+// pairs won than run, naming a metric that is not end-to-end, or met
+// with its metric moved the worse way is refused.
 func TestReadTrajectory(t *testing.T) {
-	rec := func(pr, seed, pairs, won int) string {
-		return fmt.Sprintf(`{"pr":%d,"commit":null,"date":"2026-01-01","workload":"w","metric":"m","seed":%d,"seconds":10,`+
-			`"host_speed":null,"parent":2,"change":3,"pairs_won":%d,"pairs":%d,"parent_iqr":null,"verdict":"met","source":"test"}`, pr, seed, won, pairs)
+	better := map[string]string{"up": "higher", "down": "lower"}
+	claim := func(pr, seed, pairs, won int, metric string, parent, change float64, verdict string) string {
+		return fmt.Sprintf(`{"pr":%d,"commit":null,"date":"2026-01-01","workload":"w","metric":%q,"seed":%d,"seconds":10,`+
+			`"host_speed":null,"parent":%g,"change":%g,"pairs_won":%d,"pairs":%d,"parent_iqr":null,"verdict":%q,"source":"test"}`,
+			pr, metric, seed, parent, change, won, pairs, verdict)
 	}
-	good := "[" + rec(1, 42, 10, 10) + "," + rec(1, 7, 10, 9) + "," + rec(2, 42, 5, 5) + "]"
-	claims, err := ReadTrajectory(strings.NewReader(good))
-	if err != nil || len(claims) != 3 {
+	rec := func(pr, seed, pairs, won int) string { return claim(pr, seed, pairs, won, "up", 2, 3, "met") }
+	good := "[" + rec(1, 42, 10, 10) + "," + rec(1, 7, 10, 9) + "," + rec(2, 42, 5, 5) + "," +
+		claim(3, 42, 5, 5, "down", 3, 2, "met") + "," + claim(4, 42, 10, 2, "down", 2, 3, "refused") + "]"
+	claims, err := ReadTrajectory(strings.NewReader(good), better)
+	if err != nil || len(claims) != 5 {
 		t.Fatalf("%d claims, %v", len(claims), err)
 	}
-	if s := Series(claims); strings.Count(s, "\n") != 4 || !strings.Contains(s, "PR 2   seed 42") {
+	if s := Series(claims); strings.Count(s, "\n") != 7 || !strings.Contains(s, "PR 2   seed 42") {
 		t.Errorf("series:\n%s", s)
 	}
 	for name, in := range map[string]string{
-		"out of order":   "[" + rec(2, 42, 10, 10) + "," + rec(1, 42, 10, 10) + "]",
-		"no seed":        "[" + rec(1, 0, 10, 10) + "]",
-		"no pairs":       "[" + rec(1, 42, 0, 0) + "]",
-		"won over pairs": "[" + rec(1, 42, 10, 11) + "]",
-		"unknown field":  `[{"pr":1,"typo":1}]`,
+		"out of order":     "[" + rec(2, 42, 10, 10) + "," + rec(1, 42, 10, 10) + "]",
+		"no seed":          "[" + rec(1, 0, 10, 10) + "]",
+		"no pairs":         "[" + rec(1, 42, 0, 0) + "]",
+		"won over pairs":   "[" + rec(1, 42, 10, 11) + "]",
+		"unknown field":    `[{"pr":1,"typo":1}]`,
+		"unknown metric":   "[" + claim(1, 42, 10, 10, "heap", 3, 2, "met") + "]",
+		"met lower, rose":  "[" + claim(1, 42, 10, 10, "down", 2, 3, "met") + "]",
+		"met higher, fell": "[" + claim(1, 42, 10, 10, "up", 3, 2, "met") + "]",
+		"met, unchanged":   "[" + claim(1, 42, 10, 10, "up", 3, 3, "met") + "]",
 	} {
-		if _, err := ReadTrajectory(strings.NewReader(in)); err == nil {
+		if _, err := ReadTrajectory(strings.NewReader(in), better); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// The trajectory is checked against the BENCHMARK.json in its own
+// directory, and refused without one.
+func TestRunTrajectoryReadsBenchmarkBeside(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_trajectory.json")
+	traj := `[{"pr":1,"commit":null,"date":"2026-01-01","workload":"w","metric":"heap_mb","seed":42,"seconds":10,` +
+		`"host_speed":null,"parent":3,"change":2,"pairs_won":5,"pairs":5,"parent_iqr":null,"verdict":"met","source":"test"}]`
+	if err := os.WriteFile(path, []byte(traj), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runTrajectory(path); err == nil {
+		t.Error("accepted without a BENCHMARK.json beside it")
+	}
+	for decl, ok := range map[string]bool{
+		`{"end_to_end":[{"name":"heap_mb","better":"lower"}]}`:  true,
+		`{"end_to_end":[{"name":"heap_mb","better":"higher"}]}`: false,
+		`{"end_to_end":[{"name":"setup_s","better":"lower"}]}`:  false,
+		`{"end_to_end":[{"name":"heap_mb","better":"less"}]}`:   false,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "BENCHMARK.json"), []byte(decl), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runTrajectory(path); (err == nil) != ok {
+			t.Errorf("%s: error %v", decl, err)
 		}
 	}
 }

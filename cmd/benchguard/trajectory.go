@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 )
@@ -34,10 +35,34 @@ type Claim struct {
 	Source    string   `json:"source"`
 }
 
+// ReadEndToEnd reads the end-to-end metrics a benchmark declaration
+// (BENCHMARK.json) names, each with the direction that is better:
+// "lower" or "higher".
+func ReadEndToEnd(r io.Reader) (map[string]string, error) {
+	var decl struct {
+		EndToEnd []struct {
+			Name   string `json:"name"`
+			Better string `json:"better"`
+		} `json:"end_to_end"`
+	}
+	if err := json.NewDecoder(r).Decode(&decl); err != nil {
+		return nil, err
+	}
+	better := make(map[string]string, len(decl.EndToEnd))
+	for _, m := range decl.EndToEnd {
+		if m.Better != "lower" && m.Better != "higher" {
+			return nil, fmt.Errorf("end-to-end metric %q: better %q", m.Name, m.Better)
+		}
+		better[m.Name] = m.Better
+	}
+	return better, nil
+}
+
 // ReadTrajectory decodes a trajectory file and checks its shape: every
-// field a claim must name is there and sane, and the records are in PR
-// order.
-func ReadTrajectory(r io.Reader) ([]Claim, error) {
+// field a claim must name is there and sane, the records are in PR
+// order, each claims an end-to-end metric of better (ReadEndToEnd's
+// map), and a met claim moved its metric the better way.
+func ReadTrajectory(r io.Reader, better map[string]string) ([]Claim, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
@@ -67,9 +92,21 @@ func ReadTrajectory(r io.Reader) ([]Claim, error) {
 			return nil, fmt.Errorf("%s: medians must be positive", at)
 		case !slices.Contains([]string{"met", "short", "refused"}, c.Verdict):
 			return nil, fmt.Errorf("%s: verdict %q", at, c.Verdict)
+		case better[c.Metric] == "":
+			return nil, fmt.Errorf("%s: %q is not an end-to-end metric", at, c.Metric)
+		case c.Verdict == "met" && !improved(better[c.Metric], c.Parent, c.Change):
+			return nil, fmt.Errorf("%s: met, but %s went %g -> %g and %s is better", at, c.Metric, c.Parent, c.Change, better[c.Metric])
 		}
 	}
 	return claims, nil
+}
+
+// improved reports whether change is past parent the better way.
+func improved(better string, parent, change float64) bool {
+	if better == "lower" {
+		return change < parent
+	}
+	return change > parent
 }
 
 // Series renders the claims as one series per workload and metric, in
@@ -99,13 +136,24 @@ func Series(claims []Claim) string {
 	return b.String()
 }
 
+// runTrajectory checks and prints the trajectory at path against the
+// BENCHMARK.json beside it.
 func runTrajectory(path string) error {
+	decl, err := os.Open(filepath.Join(filepath.Dir(path), "BENCHMARK.json"))
+	if err != nil {
+		return err
+	}
+	defer decl.Close()
+	better, err := ReadEndToEnd(decl)
+	if err != nil {
+		return fmt.Errorf("%s: %w", decl.Name(), err)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	claims, err := ReadTrajectory(f)
+	claims, err := ReadTrajectory(f, better)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}

@@ -195,8 +195,8 @@ func sameOutcome(t *testing.T, label string, got, ref, staged error) bool {
 // outside the dialect over tables whose predicate column holds no rows,
 // only NULL cells, or one non-NULL cell in its last batch, against a
 // literal and against NULL, and behind a predicate no row passes. The
-// row interpreter, the vectorized executor (coded and uncoded
-// fragments, one and four workers) and the memory backend's fragment
+// row interpreter, the vectorized executor (catalog fragments and
+// batches extracted on the fly, one and four workers) and the memory backend's fragment
 // fail exactly where the reference evaluator fails, all with one error
 // text: only when a non-NULL cell meets a non-NULL literal.
 func TestUnknownOperatorFailsWhereTheReferenceDoes(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"io/fs"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -436,13 +437,32 @@ func (in *Interner) Intern(s []byte) string {
 	if len(s) == 0 {
 		return ""
 	}
-	h := uint32(2166136261) // FNV-1a
-	for _, c := range s {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	slot := &in.slots[h%uint32(len(in.slots))]
+	slot := &in.slots[fnv1a(s)%uint32(len(in.slots))]
 	if *slot != string(s) {
 		*slot = string(s)
 	}
 	return *slot
+}
+
+// InternString is Intern of text held in a string: the result never
+// shares s's memory, so a cell cut from a longer line does not keep the
+// line alive.
+func (in *Interner) InternString(s string) string {
+	if s == "" {
+		return ""
+	}
+	slot := &in.slots[fnv1a(s)%uint32(len(in.slots))]
+	if *slot != s {
+		*slot = strings.Clone(s)
+	}
+	return *slot
+}
+
+// fnv1a is the 32-bit FNV-1a hash of s.
+func fnv1a[T string | []byte](s T) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }

@@ -572,8 +572,10 @@ func keptSel(sel, in []int32, n int) []int32 {
 // inline, a dense one for a whole batch and a sparse one reading cand;
 // they read the operator's verdict from cp.holds (or its pre-lowered
 // forms) and skip NULL rows after the loop (dropNulls), as a NULL's
-// typed slot holds a zero. Boxed columns and the literal kinds no typed
-// path takes go through Pred.Match, one cell at a time.
+// typed slot holds a zero. A string or date column takes the verdict
+// of each dictionary entry once and selects rows by code (selectCodes).
+// Boxed columns and the literal kinds no typed path takes go through
+// Pred.Match, one cell at a time.
 func evalPred(b *table.Batch, cand []int32, cp *vecPred, dst []int32) []int32 {
 	col := &b.Cols[cp.ci]
 	n := b.Len
@@ -581,27 +583,14 @@ func evalPred(b *table.Batch, cand []int32, cp *vecPred, dst []int32) []int32 {
 	str := kind == table.TypeString || kind == table.TypeDate
 	switch {
 	case col.Boxed != nil:
+	case col.Codes != nil && (op == table.OpContains || str):
+		return selectDict(dst, cand, col, cp)
 	case op == table.OpContains:
-		if col.Strs != nil {
-			return dropNulls(selectContains(dst, cand, col.Strs[:n], cp.needle), col.Nulls)
-		}
 	case col.Ints != nil && cp.p.Val.IsNumeric():
 		// Int cells compare through float64, exactly like Compare.
 		return dropNulls(selectNums(dst, cand, col.Ints[:n], cp.num, cp.numHolds), col.Nulls)
 	case col.Floats != nil && cp.p.Val.IsNumeric():
 		return dropNulls(selectNums(dst, cand, col.Floats[:n], cp.num, cp.numHolds), col.Nulls)
-	case op == table.OpEq && col.Codes != nil && str:
-		// Dictionary probe: Strs[ri] == Dict[Codes[ri]], so the rows
-		// equal to the literal are those holding its code, and a literal
-		// missing from Dict matches none. A NULL row holds code 0.
-		code := slices.Index(col.Dict, cp.str)
-		if code < 0 {
-			return dst
-		}
-		return dropNulls(selectEq(dst, cand, col.Codes[:n], uint8(code)), col.Nulls)
-	case col.Strs != nil && str:
-		// String and date cells are one class and compare by text.
-		return dropNulls(selectStrs(dst, cand, col.Strs[:n], cp.str, cp.holds), col.Nulls)
 	case col.Bools != nil && kind == table.TypeBool && cp.bools[0] != cp.bools[1]:
 		// The operator holds for one of the two values: the rows holding
 		// it. (One that holds for both or neither is rare enough for
@@ -657,15 +646,23 @@ func selectNums[T int64 | float64](dst, cand []int32, vals []T, lit float64, hol
 	return dst
 }
 
-// selectEq appends the rows whose cell of vals is want.
-func selectEq[T uint8 | bool](dst, cand []int32, vals []T, want T) []int32 {
+// selectEq appends the rows whose cell of vals is want. Over a whole
+// batch it writes every row and advances past the ones that pass, with
+// no branch on the cell, so its time does not depend on how well the
+// branch predictor learns the column's pattern.
+func selectEq(dst, cand []int32, vals []bool, want bool) []int32 {
 	if cand == nil {
+		at := len(dst)
+		dst = slices.Grow(dst, len(vals))[:at+len(vals)]
 		for ri, v := range vals {
+			dst[at] = int32(ri)
+			var pass int
 			if v == want {
-				dst = append(dst, int32(ri))
+				pass = 1
 			}
+			at += pass
 		}
-		return dst
+		return dst[:at]
 	}
 	for _, ri := range cand {
 		if vals[ri] == want {
@@ -675,39 +672,54 @@ func selectEq[T uint8 | bool](dst, cand []int32, vals []T, want T) []int32 {
 	return dst
 }
 
-// selectStrs appends the rows whose cell of vals, against lit, has a
-// true verdict in holds.
-func selectStrs(dst, cand []int32, vals []string, lit string, holds [3]bool) []int32 {
-	if cand == nil {
-		for ri, s := range vals {
-			if holds[strings.Compare(s, lit)+1] {
-				dst = append(dst, int32(ri))
-			}
-		}
-		return dst
-	}
-	for _, ri := range cand {
-		if holds[strings.Compare(vals[ri], lit)+1] {
-			dst = append(dst, ri)
+// selectDict is evalPred's path for a string predicate (a comparison
+// with a string or date literal, or CONTAINS) over a coded column:
+// string and date cells are one class and compare by text, so each
+// dictionary entry is decided once, then the rows are selected by code.
+func selectDict(dst, cand []int32, col *table.ColVec, cp *vecPred) []int32 {
+	var ok dictVerdicts
+	for c, s := range col.Dict {
+		if cp.p.Op == table.OpContains {
+			ok[c] = containsFold(s, cp.needle)
+		} else {
+			ok[c] = cp.holds[strings.Compare(s, cp.str)+1]
 		}
 	}
-	return dst
+	return selectCodes(dst, cand, col, &ok, false)
 }
 
-// selectContains appends the rows whose cell of vals contains the
-// lowered needle, case-insensitively.
-func selectContains(dst, cand []int32, vals []string, needle string) []int32 {
-	if cand == nil {
-		for ri, s := range vals {
-			if containsFold(s, needle) {
+// dictVerdicts is a verdict per dictionary entry of a coded column,
+// indexed by code.
+type dictVerdicts [table.FragmentRows]bool
+
+// selectCodes appends the rows of a coded column that cand selects (nil:
+// all) whose verdict is true, in row order: ok[c] for a row holding
+// code c, null for a NULL row. dst may share cand's array.
+func selectCodes(dst, cand []int32, col *table.ColVec, ok *dictVerdicts, null bool) []int32 {
+	codes, nulls := col.Codes, col.Nulls
+	switch {
+	case nulls != nil:
+		for j := range selLen(cand, len(codes)) {
+			ri := selRow(cand, j)
+			keep := ok[codes[ri]]
+			if nulls.Get(ri) {
+				keep = null
+			}
+			if keep {
 				dst = append(dst, int32(ri))
 			}
 		}
-		return dst
-	}
-	for _, ri := range cand {
-		if containsFold(vals[ri], needle) {
-			dst = append(dst, ri)
+	case cand == nil:
+		for ri, c := range codes {
+			if ok[c] {
+				dst = append(dst, int32(ri))
+			}
+		}
+	default:
+		for _, ri := range cand {
+			if ok[codes[ri]] {
+				dst = append(dst, ri)
+			}
 		}
 	}
 	return dst
@@ -871,8 +883,8 @@ func cellAt(col *table.ColVec, ri int) keyCell {
 		return keyCell{class: clsNum, f: col.Floats[ri]}
 	case col.Ints != nil:
 		return keyCell{class: clsNum, f: float64(col.Ints[ri])}
-	case col.Strs != nil:
-		return keyCell{class: clsStr, s: col.Strs[ri]}
+	case col.Codes != nil:
+		return keyCell{class: clsStr, s: col.Dict[col.Codes[ri]]}
 	case col.Bools[ri]:
 		return keyCell{class: clsBool, f: 1}
 	}
@@ -1112,8 +1124,15 @@ func (t *topKHeap) beating(col *table.ColVec, n int, sel, dst []int32) (out []in
 		return numsBeating(dst, n, sel, col.Nulls, col.Floats, kth.f, desc), true
 	case num && col.Ints != nil:
 		return numsBeating(dst, n, sel, col.Nulls, col.Ints, kth.f, desc), true
-	case kth.class == clsStr && col.Strs != nil:
-		return strsBeating(dst, n, sel, col.Nulls, col.Strs, kth.s, desc), true
+	case kth.class == clsStr && col.Codes != nil:
+		// Strings and dates compare by text. A NULL sorts before every
+		// string, so it can beat the k-th key ascending and never
+		// descending.
+		var ok dictVerdicts
+		for c, s := range col.Dict {
+			ok[c] = desc && s >= kth.s || !desc && s <= kth.s
+		}
+		return selectCodes(dst, sel, col, &ok, !desc), true
 	}
 	return nil, false
 }
@@ -1132,26 +1151,6 @@ func numsBeating[T int64 | float64](dst []int32, n int, sel []int32, nulls table
 		}
 		if x := float64(vals[ri]); desc {
 			if !(x < thr) && !nulls.Get(int(ri)) {
-				dst = append(dst, ri)
-			}
-		} else if x <= thr || nulls.Get(int(ri)) {
-			dst = append(dst, ri)
-		}
-	}
-	return dst
-}
-
-// strsBeating is beating over a string or date column, whose cells
-// compare by text. A NULL row's slot holds "", and the NULL check
-// decides it.
-func strsBeating(dst []int32, n int, sel []int32, nulls table.Bitmap, vals []string, thr string, desc bool) []int32 {
-	for j := 0; j < n; j++ {
-		ri := int32(j)
-		if sel != nil {
-			ri = sel[j]
-		}
-		if x := vals[ri]; desc {
-			if x >= thr && !nulls.Get(int(ri)) {
 				dst = append(dst, ri)
 			}
 		} else if x <= thr || nulls.Get(int(ri)) {

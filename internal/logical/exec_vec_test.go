@@ -377,9 +377,10 @@ func codedRow(i int) []table.Value {
 
 // assertCodedParity runs root through the row interpreter and through
 // the vectorized executor over the catalog's fragments (string and date
-// columns coded) and over batches extracted on the fly (no codes), all
-// through one leaf resolver, and requires the reference evaluator's
-// cells, or an error on every side with one text from the executors.
+// columns coded, with ordinals) and over batches extracted on the fly
+// (coded, no ordinals), all through one leaf resolver, and requires the
+// reference evaluator's cells, or an error on every side with one text
+// from the executors.
 // pending, when non-nil, is a projection left pending over every leaf's
 // input (the coded table), as a backend leaves it for the federated
 // residual; the reference reads each leaf as a scan of those columns
@@ -420,7 +421,7 @@ func assertCodedParity(t *testing.T, c *table.Catalog, root *logical.Node, pendi
 	for _, way := range []struct {
 		name string
 		fr   *table.Frags
-	}{{"coded", c.FragsOf("coded")}, {"uncoded", nil}} {
+	}{{"fragments", c.FragsOf("coded")}, {"extracted", nil}} {
 		for _, workers := range []int{1, 4} {
 			got, err := logical.RunVec(root, env(way.fr, workers))
 			check(fmt.Sprintf("%s, workers=%d", way.name, workers), got, err)
@@ -452,9 +453,9 @@ func withPending(n *logical.Node, pending []string) *logical.Node {
 	return &out
 }
 
-// TestVecCodedParity pins the group-by and distinct code arrays and the
-// equality dictionary probe to the paths without them: every shape below
-// runs over coded fragments and over uncoded batches against the
+// TestVecCodedParity pins the group-by and distinct ordinal arrays and
+// the dictionary filters to the reference: every shape below runs over
+// catalog fragments and over batches extracted on the fly against the
 // reference evaluator, before and after an Append into the open tail.
 func TestVecCodedParity(t *testing.T) {
 	c, tb := codedCatalog(3*table.FragmentRows + 50)

@@ -73,6 +73,7 @@ func kernelCatalog() *table.Catalog {
 	c := table.NewCatalog()
 	c.Put(kern)
 	putOrd(c)
+	putDict(c)
 	return c
 }
 
@@ -118,10 +119,45 @@ func putOrd(c *table.Catalog) {
 	}
 }
 
+// putDict adds "dict" to c, built for the dictionary kernels: a string
+// column w whose fragment 0 holds 256 distinct values out of order,
+// fragment 1 one value (a tie with a row of fragment 0) and fragment 2
+// a few values (ties with both) beside NULLs, which the 60-row tail
+// holds too; a date column d with NULLs in fragments 1 and 3; a unique
+// id, so a tie broken out of row order shows; and m for the sparse
+// pre-predicate, as in kern.
+func putDict(c *table.Catalog) {
+	dict := table.New("dict", table.Schema{
+		{Name: "w", Type: table.TypeString},
+		{Name: "d", Type: table.TypeDate},
+		{Name: "id", Type: table.TypeInt},
+		{Name: "m", Type: table.TypeInt},
+	})
+	for r := 0; r < 3*table.FragmentRows+60; r++ {
+		frag := r / table.FragmentRows
+		w := table.S(fmt.Sprintf("w%03d", r*37%table.FragmentRows))
+		switch {
+		case frag == 1:
+			w = table.S("w128")
+		case frag > 1 && r%4 == 0:
+			w = table.Null(table.TypeString)
+		case frag > 1:
+			w = table.S(fmt.Sprintf("w%03d", 64*(r%5)))
+		}
+		d := table.D(fmt.Sprintf("2024-%02d-%02d", 1+r%12, 1+r%28))
+		if frag%2 == 1 && r%5 == 0 {
+			d = table.Null(table.TypeDate)
+		}
+		dict.MustAppend([]table.Value{w, d, table.I(int64(r)), table.I(int64(r * 7 % 10))})
+	}
+	c.Put(dict)
+}
+
 // assertKernels holds the vectorized executor to the reference
 // evaluator on root: over the catalog's fragments (string columns
-// coded, with table-wide ordinals) and over batches extracted on the
-// fly (no codes), at one and four workers. Cells compare by kind, nullness and — for floats — by
+// coded, with table-wide ordinals) and over batches BatchRange extracts
+// on the fly from a base without fragments (coded, no ordinals), at one
+// and four workers. Cells compare by kind, nullness and — for floats — by
 // their bits, so a sum whose additions were reordered, or a −0 that
 // became +0, fails. A NaN matches any NaN: IEEE 754 leaves open which
 // operand's payload a sum of two NaNs carries, and Compare, the keys
@@ -131,13 +167,13 @@ func assertKernels(t *testing.T, c *table.Catalog, root *logical.Node) {
 	want, wantErr := refeval.Eval(root, c)
 	for _, way := range []struct {
 		name  string
-		coded bool
-	}{{"coded", true}, {"uncoded", false}} {
+		frags bool
+	}{{"fragments", true}, {"extracted", false}} {
 		for _, workers := range []int{1, 4} {
 			got, err := logical.RunVec(root, logical.VecEnv{Workers: workers,
 				Leaf: func(leaf *logical.Node) (logical.VecLeaf, error) {
 					tb, err := c.Get(leaf.Table)
-					if !way.coded {
+					if !way.frags {
 						return logical.VecLeaf{Table: tb}, err
 					}
 					return logical.VecLeaf{Table: tb, Frags: c.FragsOf(leaf.Table)}, err
@@ -180,8 +216,9 @@ func cellsDiffer(got, want *table.Table) string {
 }
 
 // TestTypedKernelsMatchReference holds each typed loop of the
-// vectorized executor — the filter's int, float, coded-equality,
-// string, bool and CONTAINS paths beside the boxed fallback, the
+// vectorized executor — the filter's int, float, bool and dictionary
+// (string and date comparison, CONTAINS) paths beside the boxed
+// fallback, the top-k's dictionary pruning of a string first key, the
 // group-by fold of a global group and of one column by ordinal beside
 // the fold by key, and the distinct by ordinal beside the keyed one —
 // to the reference evaluator, each over a whole batch (no selection)
@@ -307,6 +344,54 @@ func TestTypedKernelsMatchReference(t *testing.T) {
 		Preds: []table.Pred{{Col: "i", Op: table.OpGe, Val: table.I(0)}},
 		Aggs:  []table.Agg{{Func: table.AggSum, Col: "f"}, {Func: table.AggCount}}, In: []*logical.Node{ranged}}
 	t.Run("compare/ranged", func(t *testing.T) { assertKernels(t, c, cmp) })
+
+	// The dictionary kernels over "dict": a fragment of 256 distinct
+	// values, one of a single value, NULLs, and a date column.
+	dict := c.FragsOf("dict").Batches
+	if len(dict[0].Cols[0].Dict) != table.FragmentRows || len(dict[1].Cols[0].Dict) != 1 || dict[2].Cols[0].Nulls == nil {
+		t.Fatal("dict must hold a fragment of 256 distinct w values, one of a single value, and NULLs in fragment 2")
+	}
+	sparseDict := filter(scan("dict"), sparse)
+	dictInputs := []input{{"dense", scan("dict")}, {"sparse", sparseDict}}
+	var dictPreds []table.Pred
+	for _, l := range []struct {
+		col  string
+		vals []table.Value
+	}{
+		{"w", []table.Value{table.S("w128"), table.S("w100x"), table.S("w000"), table.S("w255"), table.S("a"), table.D("w064")}},
+		{"d", []table.Value{table.D("2024-06-15"), table.D("2024-01-01"), table.S("2024-12-28"), table.D("2025")}},
+	} {
+		for _, v := range l.vals {
+			for _, op := range []table.CmpOp{table.OpLt, table.OpGe, table.OpNe, table.OpEq} {
+				dictPreds = append(dictPreds, table.Pred{Col: l.col, Op: op, Val: v})
+			}
+		}
+	}
+	dictPreds = append(dictPreds,
+		table.Pred{Col: "w", Op: table.OpContains, Val: table.S("W12")},
+		table.Pred{Col: "w", Op: table.OpContains, Val: table.S("zz")},
+		table.Pred{Col: "d", Op: table.OpContains, Val: table.S("-03-")})
+	for _, p := range dictPreds {
+		for _, in := range dictInputs {
+			root := filter(in.root, p)
+			t.Run(fmt.Sprintf("filter/dict/%s/%s", in.way, p), func(t *testing.T) { assertKernels(t, c, root) })
+		}
+	}
+	// A top-k whose first key is a string or date column: the heap fills
+	// in fragment 0, and each later fragment's rows are pruned against
+	// the k-th key by dictionary entry, with ties across fragments and
+	// NULLs, which sort first.
+	for _, keys := range [][]table.SortKey{
+		{{Col: "w"}}, {{Col: "w", Desc: true}}, {{Col: "w"}, {Col: "id", Desc: true}}, {{Col: "w", Desc: true}, {Col: "id", Desc: true}},
+		{{Col: "d"}}, {{Col: "d", Desc: true}, {Col: "id"}},
+	} {
+		for _, in := range dictInputs {
+			for _, k := range []int{1, 7, 130, 300} {
+				root := &logical.Node{Op: logical.OpLimit, N: k, In: []*logical.Node{sortNode(in.root, keys...)}}
+				t.Run(fmt.Sprintf("topk/dict/%s/%v/%d", in.way, keys, k), func(t *testing.T) { assertKernels(t, c, root) })
+			}
+		}
+	}
 }
 
 // filterOrScan is a scan of kern under the predicates, if any.

@@ -2,22 +2,27 @@ package table
 
 // Columnar batch extraction: the vectorized executor's data layout.
 // Each 256-row fragment (FragmentRows, shared with the zone maps) is
-// materialized once into typed column arrays — int64/float64/string/
-// bool slices plus a null bitmap — so the hot kernels in
-// internal/logical/exec_vec.go run over machine types instead of
-// interface-shaped Values. A column whose cells do not all match its
-// extracted class keeps the original Values (Boxed); kernels fall back
-// to per-Value evaluation there, so extraction never changes results.
+// materialized once into typed column arrays — int64/float64/bool
+// slices, a dictionary for strings and dates, plus a null bitmap — so
+// the hot kernels in internal/logical/exec_vec.go run over machine
+// types instead of interface-shaped Values. A column whose cells do not
+// all match its extracted class keeps the original Values (Boxed);
+// kernels fall back to per-Value evaluation there, so extraction never
+// changes results.
+//
+// A string or date column is its dictionary: one uint8 code per row
+// (ColVec.Codes) into the distinct values in first-seen order
+// (ColVec.Dict), each held once. A batch holds at most FragmentRows =
+// 256 rows, so a code always fits, and a string kernel decides once per
+// dictionary entry and then selects rows by code.
 //
 // The catalog seals each fragment in one walk per column (sealCol,
 // from fragmentsFrom): every cell is stored typed or as a NULL bit, a
-// string or date cell gets its code in the batch's dictionary
-// (ColVec.Codes and Dict: one uint8 per row into the distinct values in
-// first-seen order), each dictionary entry gets its value's table-wide
-// ordinal (ColVec.Ords: the column's values numbered in first-seen
-// order over the table's coded fragments), and the cell is folded into
-// the fragment's zone map. BatchRange is the same walk without
-// dictionary, ordinals or zone map. Neither codes nor ordinals are
+// string or date cell as its code, each dictionary entry gets its
+// value's table-wide ordinal (ColVec.Ords: the column's values numbered
+// in first-seen order over the table's coded fragments), and the cell
+// is folded into the fragment's zone map. BatchRange is the same walk
+// without ordinals or zone map. Neither codes nor ordinals are
 // persisted — a snapshot holds rows, and a load seals again. An Append
 // seals only the open tail again, numbering its new values after those
 // the table holds, so sealed fragments keep their ordinals.
@@ -28,8 +33,9 @@ package table
 // once per query (OrdinalSpan), so no key is encoded or looked up while
 // they read rows. They take that path only when every batch they read
 // carries ordinals for the column and the ordinals span no more than
-// the rows read; otherwise every batch goes through the key map. The
-// coded-equality filter probes the batch dictionary.
+// the rows read; otherwise every batch goes through the key map.
+
+import "hash/maphash"
 
 // Bitmap is a fixed-size bit set used for per-row null flags. A nil
 // Bitmap reads as all-clear.
@@ -47,37 +53,32 @@ func (b Bitmap) Get(i int) bool {
 }
 
 // ColVec is one column of a Batch in typed array form. Exactly one of
-// the typed slices (or Boxed) is populated, chosen by the column's
-// schema type; Nulls marks NULL rows (typed slots of NULL rows hold
-// zero values). When any non-null cell's dynamic kind disagrees with
-// the schema type — possible for operator-built intermediates that
+// Ints, Floats, Bools, Codes (or Boxed) is populated, chosen by the
+// column's schema type; Nulls marks NULL rows (typed slots of NULL rows
+// hold zero values). When any non-null cell's dynamic kind disagrees
+// with the schema type — possible for operator-built intermediates that
 // bypass Append validation — the whole column is kept as Boxed Values
 // and kernels use the exact row-interpreter semantics on it.
 //
-// Codes, Dict and Ords are the dictionary of an unboxed string or date
-// column of a catalog fragment. Strs[i] == Dict[Codes[i]] for every
-// non-NULL row i; Dict holds each distinct non-NULL value once in
-// first-seen order (string headers shared with Strs, no bytes copied);
-// a NULL row's code is 0 — read Nulls first. Ords[c] is Dict[c]'s
-// table-wide ordinal: the column's distinct values numbered from 0 in
-// first-seen order over the table's coded fragments, so rows of any two
-// fragments hold one value exactly when their ordinals are equal. Codes
-// are assigned in the same walk that stores the cell (sealCol). A batch
-// holds at most FragmentRows = 256 rows, so a uint8 code always fits.
-// All three are nil on every other column and on batches BatchRange
-// extracts on the fly.
+// An unboxed string or date column is its dictionary: row i holds
+// Dict[Codes[i]], and Dict holds each distinct non-NULL value once in
+// first-seen order (the rows' own strings, no bytes copied). A NULL
+// row's code is 0 — read Nulls first. Ords, set on a catalog fragment
+// only, gives Dict[c]'s table-wide ordinal in Ords[c]: the column's
+// distinct values numbered from 0 in first-seen order over the table's
+// coded fragments, so rows of any two fragments hold one value exactly
+// when their ordinals are equal.
 type ColVec struct {
 	Name   string
 	Type   ColType
 	Ints   []int64   // TypeInt
 	Floats []float64 // TypeFloat
-	Strs   []string  // TypeString and TypeDate (dates compare lexically)
 	Bools  []bool    // TypeBool
+	Codes  []uint8   // TypeString and TypeDate: per-row index into Dict
+	Dict   []string  // distinct non-NULL cells in first-seen order (dates compare lexically)
+	Ords   []uint32  // table-wide ordinal of each Dict entry; catalog fragments only
 	Nulls  Bitmap    // nil when the extracted rows hold no NULLs
 	Boxed  []Value   // mixed-kind fallback; nil on the typed paths
-	Codes  []uint8   // per-row index into Dict; catalog fragments only
-	Dict   []string  // distinct non-NULL Strs in first-seen order
-	Ords   []uint32  // table-wide ordinal of each Dict entry
 }
 
 // ValueAt reconstructs the original cell at row i. For unboxed columns
@@ -98,9 +99,9 @@ func (c *ColVec) ValueAt(i int) Value {
 	case TypeBool:
 		return B(c.Bools[i])
 	case TypeDate:
-		return D(c.Strs[i])
+		return D(c.Dict[c.Codes[i]])
 	default:
-		return S(c.Strs[i])
+		return S(c.Dict[c.Codes[i]])
 	}
 }
 
@@ -119,7 +120,7 @@ func (c *ColVec) AppendKey(dst []byte, i int) []byte {
 	case c.Bools != nil:
 		return appendBoolKey(dst, c.Bools[i])
 	}
-	return appendStrKey(dst, c.Strs[i])
+	return appendStrKey(dst, c.Dict[c.Codes[i]])
 }
 
 // Batch is a row range of one table in columnar form: Len rows across
@@ -130,27 +131,60 @@ type Batch struct {
 	Cols   []ColVec
 }
 
-// BatchRange extracts rows [start, end) of t into a Batch by the walk
-// that seals a catalog fragment (sealCol), without dictionaries,
-// ordinals or zone map. The range must be within bounds. Extraction is
-// pure and deterministic; the resulting batch shares nothing mutable
-// with t beyond boxed Values (which are immutable by convention).
+// BatchRange extracts rows [start, end) of t, at most FragmentRows of
+// them, into a Batch by the walk that seals a catalog fragment
+// (sealCol), without ordinals or zone map. The range must be within
+// bounds. Extraction is pure and deterministic; the resulting batch
+// shares nothing mutable with t beyond boxed Values (which are
+// immutable by convention).
 func BatchRange(t *Table, start, end int) *Batch {
+	if end-start > FragmentRows {
+		panic("table: BatchRange over more than FragmentRows rows")
+	}
 	b := &Batch{Schema: t.Schema, Len: end - start, Cols: make([]ColVec, len(t.Schema))}
+	var s sealer
 	for ci, col := range t.Schema {
-		b.Cols[ci] = sealCol(t.Rows[start:end], ci, col, nil, nil)
+		b.Cols[ci] = sealCol(t.Rows[start:end], ci, col, &s, nil)
 	}
 	return b
 }
 
-// sealer is the state of one catalog fragment walk (fragmentsFrom),
-// shared by every column and fragment it seals: the dictionary codes of
-// the column in hand, the row of each code's first cell, and the
-// table's value→ordinal maps (the catalog entry's ords).
+// sealer is the state of one fragment walk (fragmentsFrom, BatchRange),
+// shared by every column and fragment it seals: the dictionary of the
+// column in hand — an open-addressed table from a value's hash to its
+// code, the codes given, and the row of each code's first cell, whose
+// cell is the code's value — and, for a catalog walk, the table's
+// value→ordinal maps (the catalog entry's ords). The table holds at
+// most FragmentRows codes in twice as many slots, so a probe always
+// ends, and no walk allocates for it.
 type sealer struct {
-	codes map[string]uint8
+	slots [2 * FragmentRows]uint16 // 1 + a code; 0: free
+	codes int
 	first [FragmentRows]uint8
 	ords  []map[string]uint32
+}
+
+// sealSeed seeds the sealer's hash. Codes are given in first-seen
+// order, so the seed moves no code, only where a probe looks.
+var sealSeed = maphash.MakeSeed()
+
+// code returns the dictionary code of the string cell of rows[i] in
+// column ci, giving the next one to a value no earlier row of the
+// column holds, and whether an earlier row holds it.
+func (s *sealer) code(rows [][]Value, ci, i int) (code uint8, seen bool) {
+	v := rows[i][ci].s
+	mask := uint64(len(s.slots) - 1)
+	for h := maphash.String(sealSeed, v); ; h++ {
+		slot := &s.slots[h&mask]
+		if *slot == 0 {
+			c := s.codes
+			*slot, s.first[c], s.codes = uint16(c+1), uint8(i), c+1
+			return uint8(c), false
+		}
+		if c := *slot - 1; rows[s.first[c]][ci].s == v {
+			return uint8(c), true
+		}
+	}
 }
 
 // ordinals numbers the dictionary of each coded column of bs, the
@@ -193,14 +227,14 @@ func (s *sealer) ordinals(bs []*Batch) {
 	}
 }
 
-// sealCol walks column ci of rows once. Each cell is stored typed or as
-// its NULL bit; the first non-NULL cell whose kind differs from the
-// schema type boxes the whole column instead (typed slices, bitmap and
-// codes dropped), so the vectorized kernels reproduce the row
-// interpreter's semantics there. Given a sealer and a zone to fold into,
-// a string or date cell also gets its dictionary code (sealer.ordinals
-// then numbers the entries table-wide), and every cell is folded into the zone
-// — a coded cell only at its value's first row, as its repeats are the
+// sealCol walks column ci of rows once. Each cell is stored typed, as
+// its dictionary code or as its NULL bit; the first non-NULL cell whose
+// kind differs from the schema type boxes the whole column instead
+// (typed slices, codes and bitmap dropped), so the vectorized kernels
+// reproduce the row interpreter's semantics there. Given a zone to fold
+// into (a catalog walk, whose sealer.ordinals then numbers the
+// dictionary entries table-wide), every cell is folded into the zone —
+// a coded cell only at its value's first row, as its repeats are the
 // same string and change no bound or value set.
 func sealCol(rows [][]Value, ci int, col Column, s *sealer, zc *ZoneCol) ColVec {
 	n := len(rows)
@@ -213,10 +247,7 @@ func sealCol(rows [][]Value, ci int, col Column, s *sealer, zc *ZoneCol) ColVec 
 	case TypeBool:
 		cv.Bools = make([]bool, n)
 	default:
-		cv.Strs = make([]string, n)
-	}
-	if s != nil && cv.Strs != nil {
-		clear(s.codes)
+		s.slots, s.codes = [len(s.slots)]uint16{}, 0
 		cv.Codes = make([]uint8, n)
 	}
 	for i, r := range rows {
@@ -243,25 +274,17 @@ func sealCol(rows [][]Value, ci int, col Column, s *sealer, zc *ZoneCol) ColVec 
 		case col.Type == TypeBool:
 			cv.Bools[i] = v.Bool()
 		default:
-			cv.Strs[i] = v.s
-			if cv.Codes != nil {
-				code, seen := s.codes[v.s]
-				if !seen {
-					code = uint8(len(s.codes))
-					s.codes[v.s] = code
-					s.first[code] = uint8(i)
-				}
-				cv.Codes[i], fold = code, !seen
-			}
+			code, seen := s.code(rows, ci, i)
+			cv.Codes[i], fold = code, fold && !seen
 		}
 		if fold {
 			zc.fold(v)
 		}
 	}
 	if cv.Codes != nil {
-		cv.Dict = make([]string, len(s.codes))
+		cv.Dict = make([]string, s.codes)
 		for code := range cv.Dict {
-			cv.Dict[code] = cv.Strs[s.first[code]]
+			cv.Dict[code] = rows[s.first[code]][ci].s
 		}
 	}
 	return cv

@@ -33,9 +33,9 @@ func TestDictCodesFitUint8(t *testing.T) {
 // TestDictShapes covers every column shape a fragment walk meets: string
 // and date columns with scattered NULLs, an all-NULL string column (an
 // empty dictionary, every code 0), and int, float, bool and mixed-kind
-// (Boxed) columns, which carry none. BatchRange on its own never builds
-// one, and the dictionary is not in the snapshot: a load derives it
-// again, equal to the saved catalog's.
+// (Boxed) columns, which carry none. BatchRange codes the same columns
+// but numbers no ordinals, and the dictionary is not in the snapshot: a
+// load derives it again, equal to the saved catalog's.
 func TestDictShapes(t *testing.T) {
 	tb := New("shapes", Schema{
 		{Name: "s", Type: TypeString},
@@ -74,8 +74,8 @@ func TestDictShapes(t *testing.T) {
 		t.Error("an unboxed string column of another fragment carries no codes")
 	}
 	for ci, cv := range BatchRange(tb, 0, FragmentRows).Cols {
-		if cv.Codes != nil || cv.Dict != nil {
-			t.Errorf("BatchRange built a dictionary for column %d", ci)
+		if coded := ci < 3 || ci == 6; cv.Ords != nil || (cv.Codes != nil) != coded {
+			t.Errorf("BatchRange column %d: codes %v, ordinals %v; want codes %v and no ordinals", ci, cv.Codes != nil, cv.Ords != nil, coded)
 		}
 	}
 

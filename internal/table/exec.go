@@ -345,6 +345,8 @@ type AggAcc struct {
 	aggs    []Agg
 	groupIn []int // input column of each group key
 	aggIn   []int // input column of each aggregate; -1 = COUNT(*)
+	extAt   []int // the group cell of each aggregate's extreme; -1 but for MIN and MAX
+	cells   int   // a group's cells: one per group key, MIN and MAX
 
 	global *aggGroup            // a global aggregate's one group, from its first row on
 	groups map[string]*aggGroup // keyed groups, allocated with the first
@@ -353,11 +355,12 @@ type AggAcc struct {
 	slab   groupSlab
 }
 
-// aggGroup is one group: its key cells and one running state per
-// aggregate.
+// aggGroup is one group: its cells — its key cells, then the least
+// (MIN) or greatest (MAX) cell so far of each MIN and MAX aggregate, at
+// AggAcc.extAt — and one running state per aggregate.
 type aggGroup struct {
-	key  []Value
-	aggs []aggState
+	cells []Value
+	aggs  []aggState
 }
 
 // keyedGroup is a keyed group and its key encoding.
@@ -367,38 +370,37 @@ type keyedGroup struct {
 }
 
 // aggState is one aggregate's running state in a group: the sum and
-// count of its non-NULL cells, and the least (MIN) or greatest (MAX).
+// count of its non-NULL cells.
 type aggState struct {
 	sum   float64
 	count int64
-	ext   Value
 }
 
 // maxSlabGroups caps a groupSlab chunk.
 const maxSlabGroups = 256
 
 // groupSlab is the chunk new groups are carved from: the groups, their
-// aggregate states and their key cells. The first chunk holds one
+// aggregate states and their cells. The first chunk holds one
 // group, each next one twice the last up to maxSlabGroups, so a global
 // aggregate allocates what its one group did alone and a group-by a
 // few chunks per thousand groups instead of three allocations each.
 type groupSlab struct {
 	groups []aggGroup
 	states []aggState
-	keys   []Value
+	cells  []Value
 }
 
-// carve returns a zeroed group with nk key cells and na states.
-func (s *groupSlab) carve(nk, na int) *aggGroup {
+// carve returns a zeroed group with nc cells and na states.
+func (s *groupSlab) carve(nc, na int) *aggGroup {
 	if len(s.groups) == cap(s.groups) {
 		n := min(max(2*cap(s.groups), 1), maxSlabGroups)
 		s.groups = make([]aggGroup, 0, n)
 		s.states = make([]aggState, n*na)
-		s.keys = make([]Value, n*nk)
+		s.cells = make([]Value, n*nc)
 	}
 	s.groups = s.groups[:len(s.groups)+1]
 	g := &s.groups[len(s.groups)-1]
-	g.key, s.keys = s.keys[:nk:nk], s.keys[nk:]
+	g.cells, s.cells = s.cells[:nc:nc], s.cells[nc:]
 	g.aggs, s.states = s.states[:na:na], s.states[na:]
 	return g
 }
@@ -421,8 +423,13 @@ func (a *AggAcc) Init(schema Schema, cols []int, groupBy []string, aggs []Agg) e
 		}
 		groupIn[i] = in(idx)
 	}
-	aggIn := make([]int, len(aggs))
+	at, cells := make([]int, 2*len(aggs)), len(groupIn) // aggIn and extAt, in one allocation
+	aggIn, extAt := at[:len(aggs)], at[len(aggs):]
 	for i, ag := range aggs {
+		extAt[i] = -1
+		if ag.Func == AggMin || ag.Func == AggMax {
+			extAt[i], cells = cells, cells+1
+		}
 		if ag.Col == "" {
 			if ag.Func != AggCount {
 				return fmt.Errorf("table: %v requires a column", ag.Func)
@@ -439,7 +446,7 @@ func (a *AggAcc) Init(schema Schema, cols []int, groupBy []string, aggs []Agg) e
 		}
 		aggIn[i] = in(idx)
 	}
-	*a = AggAcc{schema: schema, groupBy: groupBy, aggs: aggs, groupIn: groupIn, aggIn: aggIn}
+	*a = AggAcc{schema: schema, groupBy: groupBy, aggs: aggs, groupIn: groupIn, aggIn: aggIn, extAt: extAt, cells: cells}
 	return nil
 }
 
@@ -459,7 +466,7 @@ func (a *AggAcc) Fold(rows [][]Value) {
 			if g = a.groups[string(a.kb)]; g == nil {
 				g = a.addGroup()
 				for i, c := range a.groupIn {
-					g.key[i] = row[c]
+					g.cells[i] = row[c]
 				}
 			}
 		}
@@ -467,7 +474,7 @@ func (a *AggAcc) Fold(rows [][]Value) {
 			if c < 0 {
 				g.aggs[i].count++
 			} else if v := row[c]; !v.IsNull() {
-				g.aggs[i].add(a.aggs[i].Func, v)
+				a.add(g, i, v)
 			}
 		}
 	}
@@ -514,7 +521,7 @@ func (a *AggAcc) FoldBatches(bs []*Batch, sels [][]int32) {
 				g = a.addGroup()
 			}
 			for i := range a.aggs {
-				a.foldGlobal(&g.aggs[i], i, b, sel, n)
+				a.foldGlobal(g, i, b, sel, n)
 			}
 		default:
 			groups := dense
@@ -545,9 +552,9 @@ func selRow(sel []int32, j int) int {
 }
 
 // foldGlobal folds aggregate i's column over the n rows of b that sel
-// selects into st.
-func (a *AggAcc) foldGlobal(st *aggState, i int, b *Batch, sel []int32, n int) {
-	c := a.aggIn[i]
+// selects into group g.
+func (a *AggAcc) foldGlobal(g *aggGroup, i int, b *Batch, sel []int32, n int) {
+	c, st := a.aggIn[i], &g.aggs[i]
 	if c < 0 {
 		st.count += int64(n)
 		return
@@ -562,7 +569,7 @@ func (a *AggAcc) foldGlobal(st *aggState, i int, b *Batch, sel []int32, n int) {
 		return
 	}
 	for j := 0; j < n; j++ {
-		a.foldCell(st, i, b, selRow(sel, j))
+		a.foldCell(g, i, b, selRow(sel, j))
 	}
 }
 
@@ -637,8 +644,8 @@ func (a *AggAcc) ordSlots(ks []uint32, dense []*aggGroup, col *ColVec, sel []int
 // ordGroup makes the group of one group key for a fold by ordinal: it
 // enters no key map, and writeKeys writes its key once the fold ends.
 func (a *AggAcc) ordGroup(key Value) *aggGroup {
-	g := a.slab.carve(1, len(a.aggs))
-	g.key[0] = key
+	g := a.slab.carve(a.cells, len(a.aggs))
+	g.cells[0] = key
 	a.order = append(a.order, keyedGroup{g: g})
 	return g
 }
@@ -661,7 +668,7 @@ func (a *AggAcc) foldGrouped(groups []*aggGroup, ks []uint32, i int, b *Batch, s
 		return
 	}
 	for j, k := range ks {
-		a.foldCell(&groups[k].aggs[i], i, b, selRow(sel, j))
+		a.foldCell(groups[k], i, b, selRow(sel, j))
 	}
 }
 
@@ -721,33 +728,33 @@ func foldNumsGrouped[T int64 | float64](groups []*aggGroup, ks []uint32, i int, 
 	st.count, st.sum = count, sum
 }
 
-// foldCell folds row ri's cell of aggregate i's column into st.
-func (a *AggAcc) foldCell(st *aggState, i int, b *Batch, ri int) {
+// foldCell folds row ri's cell of aggregate i's column into group g.
+func (a *AggAcc) foldCell(g *aggGroup, i int, b *Batch, ri int) {
 	c := a.aggIn[i]
 	if c < 0 {
-		st.count++
+		g.aggs[i].count++
 		return
 	}
 	col := &b.Cols[c]
 	if col.Boxed == nil && col.Nulls.Get(ri) {
 		return
 	}
-	switch f := a.aggs[i].Func; {
+	switch st, e := &g.aggs[i], a.extAt[i]; {
 	case col.Ints != nil:
 		st.count++
 		st.sum += float64(col.Ints[ri])
-		if f == AggMin || f == AggMax {
-			st.extreme(f, I(col.Ints[ri]))
+		if e >= 0 {
+			keepExtreme(&g.cells[e], a.aggs[i].Func, I(col.Ints[ri]))
 		}
 	case col.Floats != nil:
 		st.count++
 		st.sum += col.Floats[ri]
-		if f == AggMin || f == AggMax {
-			st.extreme(f, F(col.Floats[ri]))
+		if e >= 0 {
+			keepExtreme(&g.cells[e], a.aggs[i].Func, F(col.Floats[ri]))
 		}
 	default:
 		if v := col.ValueAt(ri); !v.IsNull() {
-			st.add(f, v)
+			a.add(g, i, v)
 		}
 	}
 }
@@ -763,7 +770,7 @@ func (a *AggAcc) batchGroup(b *Batch, ri int) *aggGroup {
 	}
 	g := a.addGroup()
 	for i, c := range a.groupIn {
-		g.key[i] = b.Cols[c].ValueAt(ri)
+		g.cells[i] = b.Cols[c].ValueAt(ri)
 	}
 	return g
 }
@@ -772,7 +779,7 @@ func (a *AggAcc) batchGroup(b *Batch, ri int) *aggGroup {
 // group when there is no group column — for the caller to fill its key
 // cells.
 func (a *AggAcc) addGroup() *aggGroup {
-	g := a.slab.carve(len(a.groupIn), len(a.aggs))
+	g := a.slab.carve(a.cells, len(a.aggs))
 	if len(a.groupIn) == 0 {
 		a.global = g
 		return g
@@ -792,11 +799,11 @@ func (a *AggAcc) addGroup() *aggGroup {
 func (a *AggAcc) writeKeys() {
 	size := 0
 	for _, kg := range a.order {
-		size += len(kg.g.key[0].s) + 6 // a string's text and 3 bytes, or NULL's 6
+		size += len(kg.g.cells[0].s) + 6 // a string's text and 3 bytes, or NULL's 6
 	}
 	ends, buf := make([]int, len(a.order)), make([]byte, 0, size)
 	for i, kg := range a.order {
-		buf = AppendKey(buf, kg.g.key[0])
+		buf = AppendKey(buf, kg.g.cells[0])
 		ends[i] = len(buf)
 	}
 	keys, start := string(buf), 0
@@ -805,24 +812,23 @@ func (a *AggAcc) writeKeys() {
 	}
 }
 
-// add folds one non-NULL cell into the state of an aggregate f.
-func (st *aggState) add(f AggFunc, v Value) {
+// add folds one non-NULL cell into group g's state of aggregate i.
+func (a *AggAcc) add(g *aggGroup, i int, v Value) {
+	st := &g.aggs[i]
 	st.count++
 	if v.IsNumeric() {
 		st.sum += v.Float()
 	}
-	st.extreme(f, v)
+	if e := a.extAt[i]; e >= 0 {
+		keepExtreme(&g.cells[e], a.aggs[i].Func, v)
+	}
 }
 
-// extreme keeps v when it is the least cell so far of a MIN or the
-// greatest of a MAX; other functions keep nothing.
-func (st *aggState) extreme(f AggFunc, v Value) {
-	switch {
-	case f != AggMin && f != AggMax:
-	case st.ext.IsNull(),
-		f == AggMin && Compare(v, st.ext) < 0,
-		f == AggMax && Compare(v, st.ext) > 0:
-		st.ext = v
+// keepExtreme keeps v in ext when it is the least cell so far of a MIN
+// f, or the greatest of a MAX.
+func keepExtreme(ext *Value, f AggFunc, v Value) {
+	if ext.IsNull() || f == AggMin && Compare(v, *ext) < 0 || f == AggMax && Compare(v, *ext) > 0 {
+		*ext = v
 	}
 }
 
@@ -835,7 +841,7 @@ func (a *AggAcc) Emit(name string) *Table {
 	out := New(name, AggregateSchema(a.schema, a.groupBy, a.aggs))
 	w := len(out.Schema)
 	if len(a.groupBy) == 0 {
-		out.Rows = [][]Value{a.global.row(a.aggs, out.Schema, make([]Value, 0, w))}
+		out.Rows = [][]Value{a.row(a.global, out.Schema, make([]Value, 0, w))}
 		return out
 	}
 	slices.SortFunc(a.order, func(x, y keyedGroup) int { return strings.Compare(x.key, y.key) })
@@ -844,7 +850,7 @@ func (a *AggAcc) Emit(name string) *Table {
 	}
 	cells := make([]Value, len(a.order)*w)
 	for i, kg := range a.order {
-		out.Rows[i] = kg.g.row(a.aggs, out.Schema, cells[i*w:i*w:(i+1)*w])
+		out.Rows[i] = a.row(kg.g, out.Schema, cells[i*w:i*w:(i+1)*w])
 	}
 	return out
 }
@@ -856,12 +862,12 @@ func (a *AggAcc) Emit(name string) *Table {
 // and AVG, the input type's for MIN and MAX, so MIN of a materialized
 // SUM or AVG column (the pinned rollup route) emits the NULL the direct
 // plan does.
-func (g *aggGroup) row(aggs []Agg, out Schema, dst []Value) []Value {
+func (a *AggAcc) row(g *aggGroup, out Schema, dst []Value) []Value {
 	var sts []aggState
 	if g != nil {
-		dst, sts = append(dst, g.key...), g.aggs
+		dst, sts = append(dst, g.cells[:len(a.groupIn)]...), g.aggs
 	}
-	for i, ag := range aggs {
+	for i, ag := range a.aggs {
 		var st aggState
 		if sts != nil {
 			st = sts[i]
@@ -878,7 +884,7 @@ func (g *aggGroup) row(aggs []Agg, out Schema, dst []Value) []Value {
 		case ag.Func == AggAvg:
 			v = F(st.sum / float64(st.count))
 		default: // MIN, MAX
-			v = st.ext
+			v = g.cells[a.extAt[i]]
 		}
 		dst = append(dst, v)
 	}

@@ -78,7 +78,7 @@ func refColVec(col Column, cells []Value) ColVec {
 	case TypeBool:
 		cv.Bools = make([]bool, n)
 	default:
-		cv.Strs, cv.Codes, cv.Dict = make([]string, n), make([]uint8, n), []string{}
+		cv.Codes, cv.Dict = make([]uint8, n), []string{}
 	}
 	for i, v := range cells {
 		if v.IsNull() {
@@ -96,7 +96,6 @@ func refColVec(col Column, cells []Value) ColVec {
 		case TypeBool:
 			cv.Bools[i] = v.Bool()
 		default:
-			cv.Strs[i] = v.Str()
 			code := slices.Index(cv.Dict, v.Str())
 			if code < 0 {
 				code = len(cv.Dict)
@@ -157,7 +156,7 @@ func sameBatch(a, b *Batch) bool {
 // checkSealed holds every fragment the catalog derived for the named
 // table — batch, dictionaries, ordinals and zone map — to sealByRows
 // over the catalog's own rows, and the on-the-fly BatchRange of each
-// fragment to the same batch without dictionaries or ordinals.
+// fragment to the same batch without ordinals.
 func checkSealed(t testing.TB, c *Catalog, name, step string) {
 	t.Helper()
 	tb, err := c.Get(name)
@@ -181,7 +180,7 @@ func checkSealed(t testing.TB, c *Catalog, name, step string) {
 			t.Fatalf("%s: fragment %d zone map differs from the row walk:\n%+v\nvs\n%+v", step, fi, z.Maps[fi], wantZ)
 		}
 		for ci := range wantB.Cols {
-			wantB.Cols[ci].Codes, wantB.Cols[ci].Dict, wantB.Cols[ci].Ords = nil, nil, nil
+			wantB.Cols[ci].Ords = nil
 		}
 		if got := BatchRange(tb, start, end); !sameBatch(got, wantB) {
 			t.Fatalf("%s: BatchRange of fragment %d differs from the row walk:\n%+v\nvs\n%+v", step, fi, got, wantB)

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/jsonx"
 )
 
 // Column describes one table column.
@@ -202,7 +204,10 @@ func Layout(names []string, preview [][]string, total int) string {
 
 // ReadCSV loads a table from CSV with a header row. Column types are
 // inferred from the first non-empty cell of each column unless schema
-// is non-nil, in which case it must match the header arity.
+// is non-nil, in which case it must match the header arity. Rows are
+// carved from one slab, each with its capacity capped, and a string or
+// date cell is interned per column, so no cell keeps its CSV line alive
+// and a repeated value is held once.
 func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -232,15 +237,22 @@ func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 			ErrSchemaMismatch, len(header), len(schema))
 	}
 	t := New(name, schema)
+	n := len(schema)
+	t.Rows = make([][]Value, 0, len(body))
+	slab := make([]Value, n*len(body))
+	words := make([]jsonx.Interner, n)
 	for ln, rec := range body {
-		if len(rec) != len(schema) {
+		if len(rec) != n {
 			return nil, fmt.Errorf("table: csv %s line %d: %w", name, ln+2, ErrSchemaMismatch)
 		}
-		row := make([]Value, len(rec))
+		row := slab[ln*n : (ln+1)*n : (ln+1)*n]
 		for i, cell := range rec {
 			v, err := Parse(schema[i].Type, cell)
 			if err != nil {
 				return nil, fmt.Errorf("table: csv %s line %d: %w", name, ln+2, err)
+			}
+			if v.kind == TypeString || v.kind == TypeDate {
+				v.s = words[i].InternString(v.s)
 			}
 			row[i] = v
 		}
@@ -403,7 +415,7 @@ func fragmentsFrom(z *Zones, f *Frags, ords []map[string]uint32, t *Table, from 
 	} else {
 		ords = make([]map[string]uint32, len(t.Schema))
 	}
-	s := sealer{codes: make(map[string]uint8), ords: ords}
+	s := sealer{ords: ords}
 	first := len(nf.Batches)
 	for start := len(nz.Maps) * FragmentRows; start < len(t.Rows); start += FragmentRows {
 		end := min(start+FragmentRows, len(t.Rows))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func salesTable(t *testing.T) *Table {
@@ -116,6 +117,42 @@ func TestReadCSVNullCells(t *testing.T) {
 	}
 	if !tbl.Rows[0][1].IsNull() || !tbl.Rows[1][0].IsNull() {
 		t.Errorf("nulls not preserved: %v", tbl.Rows)
+	}
+}
+
+// TestReadCSVCellsOwnTheirText: a string or date cell is not cut from
+// its CSV line, so a table read from CSV does not keep the lines alive.
+// Two cells cut from one line lie as far apart in memory as in the
+// line's text; an interned cell does not. And a value that recurs in a
+// column is held once.
+func TestReadCSVCellsOwnTheirText(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("region,sku,units,day\n")
+	for i := range 600 {
+		fmt.Fprintf(&b, "r%d,SKU-%04d,%d,2024-01-%02d\n", i%8, i/64, i, 1+i%28)
+	}
+	tbl, err := ReadCSV("facts", strings.NewReader(b.String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[string]*byte{}
+	for ri, row := range tbl.Rows {
+		region, sku, day := row[0].Str(), row[1].Str(), row[3].Str()
+		gap := len(region) + 1
+		if uintptr(unsafe.Pointer(unsafe.StringData(sku)))-uintptr(unsafe.Pointer(unsafe.StringData(region))) == uintptr(gap) {
+			t.Fatalf("row %d: region and sku are cut from one line", ri)
+		}
+		gap += len(sku) + 1 + len(row[2].String()) + 1
+		if uintptr(unsafe.Pointer(unsafe.StringData(day)))-uintptr(unsafe.Pointer(unsafe.StringData(region))) == uintptr(gap) {
+			t.Fatalf("row %d: region and day are cut from one line", ri)
+		}
+		for _, s := range []string{region, sku, day} {
+			if p, ok := held[s]; !ok {
+				held[s] = unsafe.StringData(s)
+			} else if p != unsafe.StringData(s) {
+				t.Fatalf("row %d: %q is held twice", ri, s)
+			}
+		}
 	}
 }
 
