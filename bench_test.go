@@ -1054,11 +1054,11 @@ func BenchmarkRowSortLimit(b *testing.B) {
 }
 
 // BenchmarkVecFilterKinds times the vectorized filter kernel on each of
-// its typed paths — int and float ranges, a coded-string equality (the
-// dictionary probe), a string range, a date, a bool, CONTAINS and a
-// boxed column (mixed kinds, read through Pred.Match) — one
-// sub-benchmark each, as COUNT(*) over one predicate on an 8192-row
-// table holding a column of every kind, at one worker.
+// its typed paths — int and float ranges, a coded-string equality, a
+// string range, a date and CONTAINS (each decided once per dictionary
+// entry), a bool and a boxed column (mixed kinds, read through
+// Pred.Match) — one sub-benchmark each, as COUNT(*) over one predicate
+// on an 8192-row table holding a column of every kind, at one worker.
 func BenchmarkVecFilterKinds(b *testing.B) {
 	t := table.New("kinds", table.Schema{
 		{Name: "i", Type: table.TypeInt},
