@@ -921,18 +921,29 @@ func BenchmarkEstimateAccuracy(b *testing.B) {
 	b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "q/s")
 }
 
-// BenchmarkAskEndToEnd times the public API answer path.
-func BenchmarkAskEndToEnd(b *testing.B) {
+// askEndToEndSystem is BenchmarkAskEndToEnd's system: one document and
+// one CSV row, built.
+func askEndToEndSystem(tb testing.TB) *System {
+	tb.Helper()
 	sys := New()
 	sys.Vocabulary(VocabProduct, "Product Alpha", "Product Beta")
 	sys.AddDocument("reviews", "r1", "Customer C-1 rated Product Alpha 5 stars.")
 	sys.AddCSV("sales", strings.NewReader("product,quarter,revenue\nProduct Alpha,Q2,1200\n"))
 	if err := sys.Build(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sys
+}
+
+// askEndToEndQuestion is the question BenchmarkAskEndToEnd asks.
+const askEndToEndQuestion = "What was the revenue of Product Alpha in Q2?"
+
+// BenchmarkAskEndToEnd times the public API answer path.
+func BenchmarkAskEndToEnd(b *testing.B) {
+	sys := askEndToEndSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Ask("What was the revenue of Product Alpha in Q2?"); err != nil {
+		if _, err := sys.Ask(askEndToEndQuestion); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1397,38 +1408,52 @@ func analyticCSVs(tb testing.TB, c *workload.Corpus) []namedCSV {
 	return csvs
 }
 
-// BenchmarkQueryAnalyticMix times each statement shape of the
-// repository benchmark's sql_analytic mix through System.Query, one
-// sub-benchmark per statement, over the 65 536-row facts table loaded by
-// AddCSV beside the e-commerce corpus's native tables. The system is
-// built once; the first run of each statement fills the plan cache, as
-// a pass of the workload does. A statement's share of a pass is its
-// ns/op over the sum of all twelve.
-func BenchmarkQueryAnalyticMix(b *testing.B) {
+// analyticMixJoin is the join the analytic mix's join statements share.
+const analyticMixJoin = "FROM sales JOIN products ON sales.product = products.product"
+
+// analyticMix is the repository benchmark's sql_analytic statement mix,
+// one named statement per shape.
+var analyticMix = []struct{ name, sql string }{
+	{"eq_sum", "SELECT SUM(revenue) AS result FROM facts WHERE sku = 'SKU-0421'"},
+	{"range_sum", "SELECT SUM(units) AS result FROM facts WHERE sku >= 'SKU-0300' AND sku <= 'SKU-0310'"},
+	{"eq_count", "SELECT COUNT(*) AS n FROM facts WHERE sku = 'SKU-0777' AND units > 50"},
+	{"join_filter", "SELECT products.manufacturer, sales.revenue " + analyticMixJoin + " WHERE quarter = 'Q4'"},
+	{"count_units", "SELECT COUNT(*) AS n FROM facts WHERE units > 90"},
+	{"group_sku", "SELECT sku, SUM(units) AS result FROM facts GROUP BY sku"},
+	{"distinct_region", "SELECT DISTINCT region FROM facts"},
+	{"join_group", "SELECT manufacturer, SUM(revenue) AS result " + analyticMixJoin + " GROUP BY manufacturer"},
+	{"filtered_group_region", "SELECT region, SUM(revenue) AS result FROM facts WHERE units > 10 GROUP BY region"},
+	{"topk", "SELECT sku, revenue FROM facts ORDER BY revenue DESC LIMIT 100"},
+	{"filtered_topk", "SELECT region, sku, units FROM facts WHERE units > 95 ORDER BY region, units DESC LIMIT 200"},
+	{"rows_slice", "SELECT SUM(units) AS result FROM facts ROWS 20000 TO 28000 WHERE region = 'east'"},
+}
+
+// analyticSystem builds the system the analytic mix runs on: the 65 536-row
+// facts table loaded by AddCSV beside the e-commerce corpus's native
+// tables.
+func analyticSystem(tb testing.TB) *System {
+	tb.Helper()
 	sys := New()
-	for _, t := range analyticCSVs(b, workload.ECommerce(workload.DefaultECommerceOptions())) {
+	for _, t := range analyticCSVs(tb, workload.ECommerce(workload.DefaultECommerceOptions())) {
 		if err := sys.AddCSV(t.name, strings.NewReader(t.data)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := sys.Build(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	const join = "FROM sales JOIN products ON sales.product = products.product"
-	for _, st := range []struct{ name, sql string }{
-		{"eq_sum", "SELECT SUM(revenue) AS result FROM facts WHERE sku = 'SKU-0421'"},
-		{"range_sum", "SELECT SUM(units) AS result FROM facts WHERE sku >= 'SKU-0300' AND sku <= 'SKU-0310'"},
-		{"eq_count", "SELECT COUNT(*) AS n FROM facts WHERE sku = 'SKU-0777' AND units > 50"},
-		{"join_filter", "SELECT products.manufacturer, sales.revenue " + join + " WHERE quarter = 'Q4'"},
-		{"count_units", "SELECT COUNT(*) AS n FROM facts WHERE units > 90"},
-		{"group_sku", "SELECT sku, SUM(units) AS result FROM facts GROUP BY sku"},
-		{"distinct_region", "SELECT DISTINCT region FROM facts"},
-		{"join_group", "SELECT manufacturer, SUM(revenue) AS result " + join + " GROUP BY manufacturer"},
-		{"filtered_group_region", "SELECT region, SUM(revenue) AS result FROM facts WHERE units > 10 GROUP BY region"},
-		{"topk", "SELECT sku, revenue FROM facts ORDER BY revenue DESC LIMIT 100"},
-		{"filtered_topk", "SELECT region, sku, units FROM facts WHERE units > 95 ORDER BY region, units DESC LIMIT 200"},
-		{"rows_slice", "SELECT SUM(units) AS result FROM facts ROWS 20000 TO 28000 WHERE region = 'east'"},
-	} {
+	return sys
+}
+
+// BenchmarkQueryAnalyticMix times each statement shape of the
+// repository benchmark's sql_analytic mix (analyticMix) through
+// System.Query, one sub-benchmark per statement, over analyticSystem.
+// The system is built once; the first run of each statement fills the
+// plan cache, as a pass of the workload does. A statement's share of a
+// pass is its ns/op over the sum of all twelve.
+func BenchmarkQueryAnalyticMix(b *testing.B) {
+	sys := analyticSystem(b)
+	for _, st := range analyticMix {
 		b.Run(st.name, func(b *testing.B) {
 			if res, err := sys.Query(st.sql); err != nil || len(res.Rows) == 0 {
 				b.Fatalf("%s: %d rows, error %v", st.sql, len(res.Rows), err)
