@@ -34,22 +34,22 @@ func TestAllocCeilings(t *testing.T) {
 		bytes  float64
 	}
 	ceilings := map[string]ceiling{
-		"eq_sum":                 {83, 24800},
-		"range_sum":              {92, 38530},
-		"eq_count":               {92, 37953},
-		"join_filter":            {202, 24032},
-		"count_units":            {332, 44818},
-		"group_sku":              {122, 390251},
-		"distinct_region":        {60, 12281},
-		"join_group":             {222, 26656},
-		"filtered_group_region":  {363, 285155},
-		"topk":                   {96, 42536},
-		"filtered_topk":          {380, 129665},
-		"rows_slice":             {130, 32753},
-		"AskEndToEnd":            {109, 7695},
-		"FederatedTopK":          {31, 29489},
-		"FederatedFilteredTopK":  {298, 103008},
-		"FederatedJoinAggregate": {108, 64312},
+		"eq_sum":                 {82, 24529},
+		"range_sum":              {91, 38242},
+		"eq_count":               {91, 37665},
+		"join_filter":            {200, 23729},
+		"count_units":            {332, 44802},
+		"group_sku":              {122, 390235},
+		"distinct_region":        {59, 12137},
+		"join_group":             {220, 26353},
+		"filtered_group_region":  {363, 285138},
+		"topk":                   {96, 41193},
+		"filtered_topk":          {379, 126562},
+		"rows_slice":             {129, 32481},
+		"AskEndToEnd":            {109, 7681},
+		"FederatedTopK":          {31, 28145},
+		"FederatedFilteredTopK":  {297, 99904},
+		"FederatedJoinAggregate": {98, 63504},
 	}
 	check := func(name string, runs int, f func()) {
 		t.Helper()

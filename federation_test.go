@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/federate"
+	"repro/internal/logical"
 	"repro/internal/table"
 )
 
@@ -97,7 +98,7 @@ func (sb staticBackend) Scan(_ context.Context, f federate.Fragment) (federate.R
 			return federate.Result{}, err
 		}
 	}
-	return federate.Result{Table: cur, Scanned: scanned}, nil
+	return federate.Result{Leaf: logical.VecLeaf{Table: cur}, Scanned: scanned}, nil
 }
 
 // TestRegisterBackendRoutesExternalTable registers a backend serving a

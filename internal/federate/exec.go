@@ -140,11 +140,11 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string) (*table.Table
 	run := &Run{Plan: pp, Fragments: runs}
 	for i := range runs {
 		runs[i].ActScanned = results[i].Scanned
-		runs[i].ActOut = results[i].Table.Len()
+		runs[i].ActOut = results[i].Leaf.Len()
 	}
 
-	// leaf resolves the residual's leaves to fragment outputs, with any
-	// projection a backend left pending over a pass-through scan.
+	// leaf resolves the residual's leaves to the streams the fragments
+	// ended in.
 	leaf := func(leaf *logical.Node) (logical.VecLeaf, error) {
 		if leaf.Op == logical.OpEmpty {
 			// emptyfold proved the scan selects no rows; no fragment was
@@ -160,14 +160,13 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string) (*table.Table
 		if leaf.Op != logical.OpInput || leaf.Index >= len(results) {
 			return logical.VecLeaf{}, fmt.Errorf("federate: unresolved %v leaf", leaf.Op)
 		}
-		r := results[leaf.Index]
-		return logical.VecLeaf{Table: r.Table, Frags: r.Frags, Cols: r.Columns}, nil
+		return results[leaf.Index].Leaf, nil
 	}
 	var out *table.Table
 	if pp.VecResidual {
-		// The vectorized executor reuses the batches backends attached
-		// to pass-through scans and composes their pending projections
-		// as column mappings. Bit-identical to Run.
+		// The vectorized executor reads the fragments' batches through
+		// their selection vectors and composes their pending
+		// projections as column mappings. Bit-identical to Run.
 		out, err = logical.RunVec(pp.Residual, logical.VecEnv{Leaf: leaf, Workers: e.opts.Workers})
 	} else {
 		out, err = logical.Run(pp.Residual, leaf)

@@ -12,11 +12,14 @@
 // single cached plan and no plan outlives the catalog state it was
 // derived from.
 //
-// Rows materialize once: every fragment, of any size, runs as one
-// selection-vector pipeline (fragment.go), and a pass-through
-// projection crosses the fragment boundary as a column mapping
-// (Result.Columns) that the vectorized residual composes instead of
-// copying the table.
+// A fragment result crosses the federation boundary in one shape, the
+// stream its scan ended in (Result.Leaf, a logical.VecLeaf): every
+// fragment, of any size, runs as one selection-vector pipeline
+// (fragment.go), and a scan's rows cross as its table with the filter's
+// selection vectors and any projection pending as names. Only an
+// aggregate's or a top-k's output is a new table. The residual starts
+// its leaves' streams from those leaves, and rows materialize once, for
+// the consumer that needs them.
 //
 // The residual tree executes through either of internal/logical's
 // bit-identical engines, handed one leaf resolver: the vectorized
@@ -43,6 +46,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/logical"
 	"repro/internal/table"
 )
 
@@ -97,26 +101,16 @@ type Fragment struct {
 	SliceStart, SliceEnd int
 }
 
-// Result is a fragment's output plus scan accounting: Scanned counts
-// the base-table rows the backend actually read (the number pushdown
-// exists to minimize), Table holds the rows that crossed the boundary.
-// Table alone is the output only while Columns is nil.
+// Result is a fragment's output plus scan accounting. Leaf is the rows
+// that crossed the boundary: a table, optionally with the columnar
+// fragments covering it, a projection pending over it and the selection
+// vectors of the rows that crossed (logical.VecLeaf; Leaf.Len counts
+// them). A backend that hands back finished rows sets Leaf.Table alone.
+// Scanned counts the base-table rows the backend actually read (the
+// number pushdown exists to minimize).
 type Result struct {
-	Table   *table.Table
+	Leaf    logical.VecLeaf
 	Scanned int
-	// Frags optionally carries columnar fragments covering exactly
-	// Table (a pass-through scan returning a cached base table), so
-	// the vectorized residual executor reuses them instead of
-	// re-extracting columns. Nil is always valid.
-	Frags *table.Frags
-	// Columns, when non-nil, is the fragment's projection left pending
-	// over Table: an in-process backend whose scan is otherwise a
-	// pass-through returns its base table untouched, and the projection
-	// crosses the boundary as these names, which the residual applies
-	// as a leaf's pending projection (logical.VecLeaf.Cols). Nil, which
-	// is all a backend that never sets it produces, means Table is
-	// already the output.
-	Columns []string
 }
 
 // Backend is one executor in the federation: a store that can scan its

@@ -51,10 +51,7 @@ func testCatalog() *table.Catalog {
 // rowsOf reads a scan's output as rows, applying a pending projection.
 func rowsOf(t *testing.T, r Result) *table.Table {
 	t.Helper()
-	if r.Columns == nil {
-		return r.Table
-	}
-	rows, err := table.Project(r.Table, r.Columns...)
+	rows, err := materialize(r.Leaf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,7 @@ func TestMemoryIndexInvalidatesOnEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := res.Table.Len()
+	before := res.Leaf.Len()
 
 	tbl, _ := c.Get("sales")
 	tbl.MustAppend([]table.Value{table.S("Alpha"), table.S("Q1"), table.I(99)})
@@ -151,8 +148,8 @@ func TestMemoryIndexInvalidatesOnEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Table.Len() != before+1 {
-		t.Errorf("post-mutation rows = %d, want %d (stale fragments)", res.Table.Len(), before+1)
+	if res.Leaf.Len() != before+1 {
+		t.Errorf("post-mutation rows = %d, want %d (stale fragments)", res.Leaf.Len(), before+1)
 	}
 }
 
@@ -521,6 +518,49 @@ func TestBindingCatalogNotCachedAfterFailedScan(t *testing.T) {
 	}
 	if e.BindingCatalog() != second {
 		t.Error("complete binding catalog not cached")
+	}
+}
+
+// selectingBackend serves the memory backend's sales table and answers
+// every scan of it with the Q2 rows' product and units only, as the
+// memory backend hands them over: selection vectors over the base table
+// with the projection pending.
+type selectingBackend struct{ *Memory }
+
+func (selectingBackend) Name() string     { return "selecting" }
+func (selectingBackend) Tables() []string { return []string{"sales"} }
+func (sb selectingBackend) Scan(ctx context.Context, f Fragment) (Result, error) {
+	f.Preds = append(f.Preds, table.Pred{Col: "quarter", Op: table.OpEq, Val: table.S("Q2")})
+	f.Columns = []string{"product", "units"}
+	return sb.Memory.Scan(ctx, f)
+}
+
+// TestBindingCatalogMaterializesSelectedLeaf: a backend may answer the
+// binding catalog's full-table scan with a selected and projected leaf,
+// and the catalog then holds exactly the rows and columns that leaf
+// delivers, not its base table.
+func TestBindingCatalogMaterializesSelectedLeaf(t *testing.T) {
+	c := testCatalog()
+	sb := selectingBackend{NewMemory(c)}
+	res, err := sb.Scan(context.Background(), Fragment{Table: "sales"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Leaf.Sels == nil || res.Leaf.Cols == nil {
+		t.Fatalf("the backend's leaf selects nothing or projects nothing: %+v", res.Leaf)
+	}
+	got, err := New(c.Epoch, Options{}, sb).BindingCatalog().Get("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refeval.Eval(&logical.Node{Op: logical.OpProject, Proj: []string{"product", "units"},
+		In: []*logical.Node{{Op: logical.OpFilter, Preds: []table.Pred{{Col: "quarter", Op: table.OpEq, Val: table.S("Q2")}},
+			In: []*logical.Node{{Op: logical.OpScan, Table: "sales"}}}}}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(got) != render(want) || want.Len() != 12 {
+		t.Errorf("binding catalog holds\n%s\nwant the 12 Q2 rows\n%s", render(got), render(want))
 	}
 }
 

@@ -1,7 +1,6 @@
 package federate
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -102,39 +101,31 @@ func keysCovered(keys []table.SortKey, cols []string) bool {
 	return true
 }
 
-// evaluate runs f's operators over candidate rows t in the contract's
-// order — filter (f.Preds, restricted to f.Ranges when non-nil), then
-// aggregate, then top-k, then project — as logical.VecFragment: one
-// selection-vector pipeline in which rows materialize once, at the end.
-// Selecting the candidates is the caller's job; fr optionally carries
-// cached columnar fragments covering exactly t (without them the
-// pipeline extracts batches as it goes). Scanned counts the candidate
-// rows visited (table.RowsVisited) — or, when driven is set, only those
-// that match f.Preds[0], the equality that drives the scan.
-//
-// Rows do not materialize at all for a projection-only fragment over
-// cached fragments: t passes through with Frags and the projection
-// stays pending in Result.Columns (validated here, so an unknown column
-// still fails the scan). Frags is set only when t passes through.
-func evaluate(t *table.Table, fr *table.Frags, f Fragment, driven bool) (Result, error) {
-	scanned := t.Len()
+// materialize is the table of l's rows, built as the row interpreter
+// builds a leaf's (logical.Run over a lone Input): l.Table itself when
+// nothing is selected or pending.
+func materialize(l logical.VecLeaf) (*table.Table, error) {
+	return logical.Run(&logical.Node{Op: logical.OpInput}, func(*logical.Node) (logical.VecLeaf, error) { return l, nil })
+}
+
+// evaluate runs f's operators over the candidate rows in, in the
+// contract's order — filter (f.Preds, restricted to f.Ranges when
+// non-nil), then aggregate, then top-k, then project — as
+// logical.VecFragment: one selection-vector pipeline whose output is
+// the stream it ended in. No row is copied unless an aggregate or a
+// top-k runs; a filter's survivors cross the boundary as selection
+// vectors over in's table and a projection as names pending over it.
+// Selecting the candidates is the caller's job; in.Frags optionally
+// carries cached columnar fragments covering exactly in.Table (without
+// them the pipeline extracts batches as it goes). Scanned counts the
+// candidate rows visited (table.RowsVisited) — or, when driven is set,
+// only those that match f.Preds[0], the equality that drives the scan.
+func evaluate(in logical.VecLeaf, f Fragment, driven bool) (Result, error) {
+	scanned := in.Len()
 	if f.Ranges != nil {
-		scanned = table.RowsVisited(f.Ranges, t.Len())
+		scanned = table.RowsVisited(f.Ranges, scanned)
 	}
-	project := len(f.Columns) > 0
-	if f.Ranges == nil && len(f.Preds) == 0 && len(f.Aggs) == 0 && len(f.Sort) == 0 && (fr != nil || !project) {
-		res := Result{Table: t, Scanned: scanned, Frags: fr}
-		if project {
-			for _, c := range f.Columns {
-				if t.Schema.ColIndex(c) < 0 {
-					return Result{}, fmt.Errorf("%w: %s", table.ErrNoColumn, c)
-				}
-			}
-			res.Columns = f.Columns
-		}
-		return res, nil
-	}
-	t, lead, err := logical.VecFragment(t, fr, logical.FragmentOps{Ranges: f.Ranges, Preds: f.Preds,
+	out, lead, err := logical.VecFragment(in, logical.FragmentOps{Ranges: f.Ranges, Preds: f.Preds,
 		GroupBy: f.GroupBy, Aggs: f.Aggs, Sort: f.Sort, Limit: f.Limit, Cols: f.Columns})
 	if err != nil {
 		return Result{}, err
@@ -142,5 +133,5 @@ func evaluate(t *table.Table, fr *table.Frags, f Fragment, driven bool) (Result,
 	if driven {
 		scanned = lead
 	}
-	return Result{Table: t, Scanned: scanned}, nil
+	return Result{Leaf: out, Scanned: scanned}, nil
 }

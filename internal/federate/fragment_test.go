@@ -82,15 +82,21 @@ func fragmentTree(f Fragment) *logical.Node {
 // single pipeline: each stage through the vectorized kernels on its
 // own, a row table materialized between every two.
 func stagedFragment(t *table.Table, fr *table.Frags, f Fragment) (*table.Table, error) {
-	var err error
-	if f.Ranges != nil || len(f.Preds) > 0 {
-		if t, _, err = logical.VecFragment(t, fr, logical.FragmentOps{Ranges: f.Ranges, Preds: f.Preds}); err != nil {
-			return nil, err
+	stage := func(ops logical.FragmentOps) (err error) {
+		out, _, err := logical.VecFragment(logical.VecLeaf{Table: t, Frags: fr}, ops)
+		if err == nil {
+			t, err = materialize(out)
 		}
 		fr = nil
+		return err
+	}
+	if f.Ranges != nil || len(f.Preds) > 0 {
+		if err := stage(logical.FragmentOps{Ranges: f.Ranges, Preds: f.Preds}); err != nil {
+			return nil, err
+		}
 	}
 	if len(f.Aggs) > 0 {
-		if t, _, err = logical.VecFragment(t, fr, logical.FragmentOps{GroupBy: f.GroupBy, Aggs: f.Aggs}); err != nil {
+		if err := stage(logical.FragmentOps{GroupBy: f.GroupBy, Aggs: f.Aggs}); err != nil {
 			return nil, err
 		}
 	}
@@ -106,6 +112,12 @@ func stagedFragment(t *table.Table, fr *table.Frags, f Fragment) (*table.Table, 
 // vectorized composition agree with the reference evaluator on rows,
 // schema and error outcome, with each other on the error text, and
 // evaluate counts as Scanned the rows the ranges cover.
+//
+// It is also the boundary contract: the result leaf read back through
+// either executor (Run and RunVec over a lone Input leaf) is the
+// reference's rows, and a fragment without an aggregate is its input
+// table itself — ranges, predicates and projection, alone or together,
+// cross as selection vectors and pending names, and no row is copied.
 func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 	type agg struct {
 		groupBy []string
@@ -150,23 +162,30 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 						staged, stagedErr := stagedFragment(tb, cached, f)
 
 						for _, fr := range []*table.Frags{nil, cached} {
-							res, err := evaluate(tb, fr, f, false)
+							res, err := evaluate(logical.VecLeaf{Table: tb, Frags: fr}, f, false)
 							if !sameOutcome(t, label+" evaluate", err, wantErr, stagedErr) || err != nil {
 								continue
 							}
-							got := rowsOf(t, res)
-							if render(got) != render(want) || fmt.Sprint(got.Schema) != fmt.Sprint(want.Schema) {
-								t.Errorf("%s cached=%v: rows diverge from the reference:\n%s\nvs\n%s", label, fr != nil, render(got), render(want))
+							input := &logical.Node{Op: logical.OpInput}
+							leaf := func(*logical.Node) (logical.VecLeaf, error) { return res.Leaf, nil }
+							row, rowErr := logical.Run(input, leaf)
+							vec, vecErr := logical.RunVec(input, logical.VecEnv{Leaf: leaf, Workers: 2})
+							if rowErr != nil || vecErr != nil {
+								t.Fatalf("%s cached=%v: reading the leaf back: %v, %v", label, fr != nil, rowErr, vecErr)
+							}
+							for way, got := range map[string]*table.Table{"row": row, "vectorized": vec} {
+								if render(got) != render(want) || fmt.Sprint(got.Schema) != fmt.Sprint(want.Schema) {
+									t.Errorf("%s cached=%v %s: rows diverge from the reference:\n%s\nvs\n%s", label, fr != nil, way, render(got), render(want))
+								}
+							}
+							if res.Leaf.Len() != want.Len() {
+								t.Errorf("%s cached=%v: the leaf counts %d rows, the reference has %d", label, fr != nil, res.Leaf.Len(), want.Len())
 							}
 							if res.Scanned != wantScanned {
 								t.Errorf("%s cached=%v: scanned %d, the ranges cover %d", label, fr != nil, res.Scanned, wantScanned)
 							}
-							passThrough := ranges == nil && preds == nil && a.aggs == nil
-							if (res.Frags != nil) != (passThrough && fr != nil && res.Table == tb) {
-								t.Errorf("%s cached=%v: Frags set = %v on a table that is not the untouched input", label, fr != nil, res.Frags != nil)
-							}
-							if pending := res.Columns != nil; pending != (passThrough && project && fr != nil) {
-								t.Errorf("%s cached=%v: pending projection = %v", label, fr != nil, pending)
+							if a.aggs == nil && (res.Leaf.Table != tb || res.Leaf.Frags != fr) {
+								t.Errorf("%s cached=%v: the result is not the input table and its fragments: rows were copied", label, fr != nil)
 							}
 						}
 
@@ -257,16 +276,16 @@ func TestUnknownOperatorFailsWhereTheReferenceDoes(t *testing.T) {
 // must not defer its validation past the scan.
 func TestPendingProjectionUnknownColumn(t *testing.T) {
 	tb := fragmentTable(300)
-	_, err := evaluate(tb, fragsOf(tb), Fragment{Table: "ft", Columns: []string{"g", "nope"}}, false)
+	_, err := evaluate(logical.VecLeaf{Table: tb, Frags: fragsOf(tb)}, Fragment{Table: "ft", Columns: []string{"g", "nope"}}, false)
 	_, want := table.Project(tb, "g", "nope")
 	if err == nil || err.Error() != want.Error() {
 		t.Errorf("error %v, want %v", err, want)
 	}
 }
 
-// eagerBackend is a third-party store written against the Backend
-// contract as it stood before Result.Columns existed: it hands back
-// finished rows and sets nothing else.
+// eagerBackend is a third-party store that hands back finished rows:
+// it materializes the memory backend's result and sets Leaf.Table
+// alone.
 type eagerBackend struct{ *Memory }
 
 func (eagerBackend) Name() string { return "eager" }
@@ -275,18 +294,16 @@ func (eb eagerBackend) Scan(ctx context.Context, f Fragment) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rows := res.Table
-	if res.Columns != nil {
-		rows, err = table.Project(res.Table, res.Columns...)
-	}
-	return Result{Table: rows, Scanned: res.Scanned}, err
+	rows, err := materialize(res.Leaf)
+	return Result{Leaf: logical.VecLeaf{Table: rows}, Scanned: res.Scanned}, err
 }
 
-// TestBoundaryContractThirdPartyBackend runs the shapes whose
-// projection the memory backend now leaves pending — under a top-K
-// sort, a distinct, a join, a bare projection, on both executors —
-// through the memory backend and through a backend that never sets
-// Result.Columns: same rows, same EXPLAIN but for the backend's name.
+// TestBoundaryContractThirdPartyBackend runs the shapes whose rows the
+// memory backend hands over unmaterialized — a projection pending under
+// a top-K sort, a distinct, a join, bare, and a filter's selection
+// vectors, on both executors — through the memory backend and through a
+// backend that hands back finished rows: same rows, same EXPLAIN but
+// for the backend's name.
 func TestBoundaryContractThirdPartyBackend(t *testing.T) {
 	c := table.NewCatalog()
 	tb := fragmentTable(3*table.FragmentRows + 11)
@@ -310,6 +327,8 @@ func TestBoundaryContractThirdPartyBackend(t *testing.T) {
 		"join": project(&logical.Node{Op: logical.OpJoin, LeftCol: "g", RightCol: "g",
 			In: []*logical.Node{scan("ft"), scan("dim")}}, "label", "v"),
 		"small_row_path": project(scan("dim"), "label"),
+		"filter": project(&logical.Node{Op: logical.OpFilter, Preds: []table.Pred{{Col: "k", Op: table.OpGt, Val: table.I(3)}},
+			In: []*logical.Node{scan("ft")}}, "v", "g"),
 	}
 	memory := New(c.Epoch, Options{Workers: 1}, NewMemory(c))
 	eager := New(c.Epoch, Options{Workers: 1}, eagerBackend{NewMemory(c)})

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/logical"
 	"repro/internal/table"
 )
 
@@ -154,5 +155,5 @@ func (ge *GraphEvidence) Scan(_ context.Context, f Fragment) (Result, error) {
 	if !ok {
 		return Result{}, ErrNoBackend
 	}
-	return evaluate(t, c.FragsOf(f.Table), f, false)
+	return evaluate(logical.VecLeaf{Table: t, Frags: c.FragsOf(f.Table)}, f, false)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 
+	"repro/internal/logical"
 	"repro/internal/table"
 )
 
@@ -118,7 +119,9 @@ func estEqBucket(ts *table.TableStats, total int, p table.Pred) int {
 // cached columnar fragments, with the driving equality (pickEq) moved
 // to the front of the conjunction. Scanned then counts the rows inside
 // the planner's surviving ranges that match it, so a scan is charged
-// for the rows its equality selects, not for the whole table.
+// for the rows its equality selects, not for the whole table. Without
+// an aggregate or a top-k the result is the catalog table itself, its
+// rows selected and projected in place.
 func (m *Memory) Scan(_ context.Context, f Fragment) (Result, error) {
 	t, err := m.catalog.Get(f.Table)
 	if err != nil {
@@ -128,5 +131,5 @@ func (m *Memory) Scan(_ context.Context, f Fragment) (Result, error) {
 	if pick > 0 {
 		f.Preds = slices.Concat(f.Preds[pick:pick+1], f.Preds[:pick], f.Preds[pick+1:])
 	}
-	return evaluate(t, m.catalog.FragsOf(f.Table), f, pick >= 0)
+	return evaluate(logical.VecLeaf{Table: t, Frags: m.catalog.FragsOf(f.Table)}, f, pick >= 0)
 }

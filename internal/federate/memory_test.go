@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/logical"
 	"repro/internal/table"
 )
 
@@ -81,7 +82,7 @@ func TestMemoryScanMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: memory: %v", label, err)
 			}
-			want, err := evaluate(tb, fr, f, false)
+			want, err := evaluate(logical.VecLeaf{Table: tb, Frags: fr}, f, false)
 			if err != nil {
 				t.Fatalf("%s: evaluate: %v", label, err)
 			}
@@ -91,18 +92,18 @@ func TestMemoryScanMatchesEvaluate(t *testing.T) {
 			}
 			w := render(rowsOf(t, want))
 			if render(rowsOf(t, got)) != w {
-				t.Errorf("%s: memory returns %d rows, evaluate %d", label, got.Table.Len(), want.Table.Len())
+				t.Errorf("%s: memory returns %d rows, evaluate %d", label, got.Leaf.Len(), want.Leaf.Len())
 			}
 			if render(rowsOf(t, viaSQL)) != w {
-				t.Errorf("%s: sql returns %d rows, evaluate %d", label, viaSQL.Table.Len(), want.Table.Len())
+				t.Errorf("%s: sql returns %d rows, evaluate %d", label, viaSQL.Leaf.Len(), want.Leaf.Len())
 			}
 			pick, _ := pickEq(tb, c.StatsOf("m"), preds)
-			driving, err := evaluate(tb, fr, Fragment{Table: "m", Preds: preds[pick : pick+1], Ranges: ranges}, false)
+			driving, err := evaluate(logical.VecLeaf{Table: tb, Frags: fr}, Fragment{Table: "m", Preds: preds[pick : pick+1], Ranges: ranges}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Scanned != driving.Table.Len() {
-				t.Errorf("%s: scanned %d, want the %d rows matching %v", label, got.Scanned, driving.Table.Len(), preds[pick])
+			if got.Scanned != driving.Leaf.Len() {
+				t.Errorf("%s: scanned %d, want the %d rows matching %v", label, got.Scanned, driving.Leaf.Len(), preds[pick])
 			}
 		}
 	}

@@ -146,11 +146,12 @@ func (e *Executor) PlanCacheStats() (hits, misses int64, size int) {
 
 // BindingCatalog returns a catalog spanning every backend's tables —
 // the schema surface semantic-operator binding falls back to when the
-// primary catalog cannot answer a query. Materialized once per epoch;
-// when two backends serve the same table name, the first in name order
-// wins. A catalog built while some backend's scan failed is returned
-// but not cached, so a transient fault cannot leave that backend's
-// tables unbindable until the next epoch.
+// primary catalog cannot answer a query. Materialized once per epoch:
+// each table is the rows its backend's full scan delivers, selection and
+// pending projection applied. When two backends serve the same table
+// name, the first in name order wins. A catalog built while some
+// backend's scan failed is returned but not cached, so a transient fault
+// cannot leave that backend's tables unbindable until the next epoch.
 func (e *Executor) BindingCatalog() *table.Catalog {
 	epoch := e.epochFn()
 	gen := e.generation()
@@ -170,11 +171,15 @@ func (e *Executor) BindingCatalog() *table.Catalog {
 				continue
 			}
 			res, err := b.Scan(context.Background(), Fragment{Backend: b.Name(), Table: name})
+			var t *table.Table
+			if err == nil {
+				t, err = materialize(res.Leaf)
+			}
 			if err != nil {
 				complete = false
 				continue
 			}
-			c.Put(res.Table)
+			c.Put(t)
 		}
 	}
 	if complete {

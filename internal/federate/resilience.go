@@ -255,15 +255,10 @@ func (e *Executor) scanFragment(ctx, inflight context.Context, f Fragment, open 
 			continue
 		}
 		// Whatever c did not absorb runs federation-side through the
-		// same evaluator every backend's Scan ends in, so the output is
-		// bit-identical to the planned backend's.
-		if res.Columns != nil {
-			// c took the projection and left it pending over res.Table;
-			// absorb then left only predicates inside the projected
-			// set, which commute with it.
-			left.Columns = res.Columns
-		}
-		out, err := evaluate(res.Table, res.Frags, left, false)
+		// same evaluator every backend's Scan ends in, over the stream
+		// c's scan ended in, so the output is bit-identical to the
+		// planned backend's.
+		out, err := evaluate(res.Leaf, left, false)
 		if err != nil {
 			return Result{}, err
 		}

@@ -365,8 +365,8 @@ func TestBreakerSkipWithFailover(t *testing.T) {
 	if !fr.BreakerSkip || fr.FailedOver != "sql" {
 		t.Errorf("breakerSkip=%v failedOver=%q, want skip to sql", fr.BreakerSkip, fr.FailedOver)
 	}
-	if res.Table.Len() != 48 {
-		t.Errorf("failover scan returned %d rows, want 48", res.Table.Len())
+	if res.Leaf.Len() != 48 {
+		t.Errorf("failover scan returned %d rows, want 48", res.Leaf.Len())
 	}
 	if counters.Get("scan.breaker_skip") != 1 {
 		t.Errorf("scan.breaker_skip = %d, want 1", counters.Get("scan.breaker_skip"))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/logical"
 	"repro/internal/sql"
 	"repro/internal/table"
 )
@@ -104,7 +105,7 @@ func (s *SQL) Scan(_ context.Context, f Fragment) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{Table: out, Scanned: t.Len()}, nil
+		return Result{Leaf: logical.VecLeaf{Table: out}, Scanned: t.Len()}, nil
 	}
 	cur := table.New(t.Name, t.Schema)
 	scanned := 0
@@ -116,7 +117,7 @@ func (s *SQL) Scan(_ context.Context, f Fragment) (Result, error) {
 		cur.Rows = append(cur.Rows, part.Rows...)
 		scanned += f.Ranges[i].Len()
 	}
-	res, err := evaluate(cur, nil, Fragment{GroupBy: f.GroupBy, Aggs: f.Aggs, Sort: f.Sort, Limit: f.Limit, Columns: f.Columns}, false)
+	res, err := evaluate(logical.VecLeaf{Table: cur}, Fragment{GroupBy: f.GroupBy, Aggs: f.Aggs, Sort: f.Sort, Limit: f.Limit, Columns: f.Columns}, false)
 	if err != nil {
 		return Result{}, err
 	}

@@ -94,30 +94,17 @@ func unionBranches(n *Node, eval func(CompareBranch) (*table.Table, error)) (*ta
 	return out, nil
 }
 
-// rowLeaf is vecRun.leaf for rows: an Empty leaf keeps only its input's
-// schema, a ROWS range slices the input's rows (clamped alike), and the
-// input's pending projection applies before the leaf's own column set.
+// rowLeaf is vecRun.leaf materialized: the leaf's input with its
+// selection, its pending projection, the leaf's own column set and ROWS
+// range applied as RunVec applies them, and rows copied only when one of
+// them is pending.
 func rowLeaf(n *Node, leaf func(*Node) (VecLeaf, error)) (*table.Table, error) {
-	in, err := leaf(n)
+	v := vecRun{env: VecEnv{Leaf: leaf}}
+	s, err := v.leaf(n)
 	if err != nil {
 		return nil, err
 	}
-	t := in.Table
-	switch {
-	case n.Op == OpEmpty:
-		t = table.New(t.Name, t.Schema)
-	case n.RowEnd > 0:
-		end := min(n.RowEnd, t.Len())
-		t = &table.Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows[min(n.RowStart, end):end]}
-	}
-	for _, proj := range [][]string{in.Cols, n.Cols} {
-		if len(proj) > 0 {
-			if t, err = table.Project(t, proj...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t, nil
+	return s.materialize(), nil
 }
 
 // Exec runs the tree against a single catalog with the row interpreter,

@@ -27,13 +27,18 @@ import (
 //
 // Rows materialize once, at the end: filter, project and distinct only
 // refine a stream's selection vectors and column mapping, and aggregate
-// reads them in place. Every stream starts the same way (vecRun.stream):
-// a leaf's input is a VecLeaf — a table, the cached fragments covering
-// it and a projection a backend left pending over it — whose pending
-// projection and the Scan leaf's own column set compose into one column
-// mapping, and whose ROWS range becomes selection vectors, so no row is
-// sliced or copied. VecFragment runs a backend's whole filter →
-// aggregate → top-k → project fragment from the same start.
+// reads them in place. Every stream starts the same way (stream),
+// in both executors: a leaf's input is a VecLeaf — a table, the cached
+// fragments covering it, a projection left pending over it and the
+// selection vectors of its rows — whose pending projection and the Scan
+// leaf's own column set compose into one column mapping, and whose ROWS
+// range refines its selection vectors, so no row is sliced or copied.
+// The row interpreter's leaf is that stream materialized (rowLeaf).
+// VecFragment runs a backend's whole filter → aggregate → top-k →
+// project fragment from the same start and hands back, as a VecLeaf,
+// the stream it ended in: a scan's rows cross the federation boundary
+// unmaterialized, and only an aggregate's or a top-k's output is a new
+// table.
 //
 // A Limit directly over a Sort is the top-k kernel, which copies no
 // key: it reads the key columns in place through the selection vectors
@@ -76,16 +81,23 @@ type VecEnv struct {
 	Workers int
 }
 
-// VecLeaf is a leaf's input to either executor: the table, the cached
-// columnar fragments covering exactly it (nil = extract batches on the
-// fly), and a pass-through projection still pending over it (nil =
-// none), which RunVec composes into the stream's column mapping instead
-// of copying rows.
+// VecLeaf is a leaf's input to either executor, and a scan fragment's
+// output (VecFragment): the table, the cached columnar fragments
+// covering exactly it (nil = extract batches on the fly), a projection
+// still pending over it (nil = none), and per-batch selection vectors
+// over it on the FragmentRows grid (nil = all rows; a nil entry = the
+// whole batch). Both executors start the leaf's stream from it
+// (stream), so its rows are copied only when a consumer
+// materializes it.
 type VecLeaf struct {
 	Table *table.Table
 	Frags *table.Frags
 	Cols  []string
+	Sels  [][]int32
 }
+
+// Len is the number of rows the leaf delivers: those Sels selects.
+func (l VecLeaf) Len() int { return selCount(l.Sels, l.Table.Len()) }
 
 // RunVec interprets the tree with the vectorized kernels; an operator
 // without one returns a "cannot execute" error. Results are
@@ -140,11 +152,11 @@ type vstream struct {
 	cols   []int          // nil = identity projection onto base columns
 	bs     []*table.Batch // lazy columnar view of base, FragmentRows grid
 	sels   [][]int32      // per-batch selections; nil slice = all rows; nil entry = whole batch
-	mat    *table.Table   // cached materialization
 }
 
-func passthrough(t *table.Table, fr *table.Frags) *vstream {
-	return &vstream{name: t.Name, schema: t.Schema, base: t, fr: fr}
+// passthrough is a stream of every row of t.
+func passthrough(t *table.Table) *vstream {
+	return &vstream{name: t.Name, schema: t.Schema, base: t}
 }
 
 // baseCol maps a stream-schema column index to its base column index.
@@ -163,58 +175,41 @@ func (s *vstream) sel(bi int) []int32 {
 	return s.sels[bi]
 }
 
-// selCount counts selected rows.
-func (s *vstream) selCount() int {
-	if s.sels == nil {
-		return s.base.Len()
+// selCount counts the rows per-batch selections sels select over an
+// n-row base (nil: all of them).
+func selCount(sels [][]int32, n int) int {
+	if sels == nil {
+		return n
 	}
-	n := 0
-	for bi, sel := range s.sels {
-		if sel == nil {
-			n += s.bs[bi].Len
-		} else {
-			n += len(sel)
-		}
+	c := 0
+	for bi, sel := range sels {
+		c += selLen(sel, gridLen(n, bi))
 	}
-	return n
+	return c
 }
+
+// gridLen is the length of batch bi on the FragmentRows grid of an
+// n-row base.
+func gridLen(n, bi int) int { return min(table.FragmentRows, n-bi*table.FragmentRows) }
 
 // materialize renders the stream as a table: shared row slices when no
 // projection is pending, projected copies otherwise — exactly the rows
 // the row interpreter's Filter/Project chain would produce.
 func (s *vstream) materialize() *table.Table {
-	if s.mat != nil {
-		return s.mat
-	}
 	if s.sels == nil && s.cols == nil {
-		s.mat = s.base
-		return s.mat
+		return s.base
 	}
-	n := s.selCount()
+	n := s.base.Len()
 	out := table.New(s.name, s.schema)
-	out.Rows = make([][]Value, 0, n)
-	rows := s.rowCopier(n)
-	emit := func(row []Value) { out.Rows = append(out.Rows, rows.copy(row)) }
-	if s.sels == nil {
-		for _, row := range s.base.Rows {
-			emit(row)
-		}
-	} else {
-		for bi, sel := range s.sels {
-			start := bi * table.FragmentRows
-			if sel == nil {
-				for ri := 0; ri < s.bs[bi].Len; ri++ {
-					emit(s.base.Rows[start+ri])
-				}
-				continue
-			}
-			for _, ri := range sel {
-				emit(s.base.Rows[start+int(ri)])
-			}
+	out.Rows = make([][]Value, 0, selCount(s.sels, n))
+	rows := s.rowCopier(cap(out.Rows))
+	for bi := 0; bi*table.FragmentRows < n; bi++ {
+		sel, start := s.sel(bi), bi*table.FragmentRows
+		for j := range selLen(sel, gridLen(n, bi)) {
+			out.Rows = append(out.Rows, rows.copy(s.base.Rows[start+selRow(sel, j)]))
 		}
 	}
-	s.mat = out
-	return s.mat
+	return out
 }
 
 // rowCopier renders base rows under the stream's column mapping, for
@@ -281,7 +276,8 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 	}
 	switch n.Op {
 	case OpScan, OpInput, OpEmpty:
-		return v.leaf(n)
+		s, err := v.leaf(n)
+		return &s, err
 	case OpJoin:
 		ls, err := v.eval(n.In[0])
 		if err != nil {
@@ -295,7 +291,7 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		if err != nil {
 			return nil, err
 		}
-		return passthrough(out, nil), nil
+		return passthrough(out), nil
 	}
 	if n.Op == OpLimit && n.Child() != nil && n.Child().Op == OpSort {
 		// Limit directly over Sort: the first N rows of the stable
@@ -314,17 +310,17 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 	case OpFilter:
 		return v.filter(s, n.Preds)
 	case OpProject:
-		return v.project(s, n.Proj, n.Aliases)
+		return s, s.project(n.Proj, n.Aliases)
 	case OpAggregate:
 		out, err := v.aggregate(s, n.GroupBy, n.Aggs)
 		if err != nil {
 			return nil, err
 		}
-		return passthrough(out, nil), nil
+		return passthrough(out), nil
 	case OpSort:
 		return v.topK(s, n.Keys, math.MaxInt)
 	case OpLimit:
-		return passthrough(table.Limit(s.materialize(), n.N), nil), nil
+		return passthrough(table.Limit(s.materialize(), n.N)), nil
 	case OpDistinct:
 		return v.distinctStream(s), nil
 	case OpCompare:
@@ -337,79 +333,70 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 // leaf starts a leaf's stream from its input: a Scan's ROWS range and
 // any leaf's column set apply on top of it, and an Empty leaf keeps only
 // its input's schema.
-func (v *vecRun) leaf(n *Node) (*vstream, error) {
+func (v *vecRun) leaf(n *Node) (vstream, error) {
 	in, err := v.env.Leaf(n)
 	if err != nil {
-		return nil, err
+		return vstream{}, err
 	}
 	var ranges []table.RowRange
 	switch {
 	case n.Op == OpEmpty:
-		in.Table, in.Frags = table.New(in.Table.Name, in.Table.Schema), nil
+		in.Table, in.Frags, in.Sels = table.New(in.Table.Name, in.Table.Schema), nil, nil
 	case n.RowEnd > 0:
-		end := min(n.RowEnd, in.Table.Len())
-		ranges = []table.RowRange{{Start: min(n.RowStart, end), End: end}}
+		ranges = []table.RowRange{{Start: n.RowStart, End: n.RowEnd}}
 	}
-	return v.stream(in, n.Cols, ranges)
+	return stream(in, n.Cols, ranges)
 }
 
-// stream starts every stream: in's pending projection and then cols
-// compose into one column mapping, and the ascending disjoint row ranges
-// (nil = all rows) become per-batch selection vectors — no row is
-// sliced or copied.
-func (v *vecRun) stream(in VecLeaf, cols []string, ranges []table.RowRange) (*vstream, error) {
-	s := passthrough(in.Table, in.Frags)
-	var err error
+// stream starts every stream from in: its selection vectors, then its
+// pending projection and then cols composed into one column mapping,
+// and the ascending disjoint ranges (nil = all rows) of in's rows
+// refining the selection — no row is sliced or copied.
+func stream(in VecLeaf, cols []string, ranges []table.RowRange) (vstream, error) {
+	s := vstream{name: in.Table.Name, schema: in.Table.Schema, base: in.Table, fr: in.Frags, sels: in.Sels}
 	for _, proj := range [][]string{in.Cols, cols} {
 		if len(proj) > 0 {
-			if s, err = v.project(s, proj, nil); err != nil {
-				return nil, err
+			if err := s.project(proj, nil); err != nil {
+				return vstream{}, err
 			}
 		}
 	}
 	if ranges != nil {
-		s.sels = rangeSels(v.batches(s), ranges)
+		s.sels = rangeSels(s.base.Len(), s.sels, ranges)
 	}
 	return s, nil
 }
 
-// rangeSels converts ascending disjoint row ranges into per-batch
-// selection vectors on the FragmentRows grid: nil for fully covered
-// batches, explicit indices for partially covered ones.
-func rangeSels(bs []*table.Batch, ranges []table.RowRange) [][]int32 {
-	sels := make([][]int32, len(bs))
-	covered := make([]bool, len(bs))
-	for bi := range bs {
-		sels[bi] = []int32{}
-	}
-	for _, r := range ranges {
-		for bi := range bs {
-			start := bi * table.FragmentRows
-			end := start + bs[bi].Len
-			lo, hi := r.Start, r.End
-			if lo < start {
-				lo = start
-			}
-			if hi > end {
-				hi = end
-			}
-			if lo >= hi {
-				continue
-			}
-			if lo == start && hi == end && len(sels[bi]) == 0 && !covered[bi] {
-				sels[bi] = nil
-				covered[bi] = true
-				continue
-			}
-			if covered[bi] {
-				continue // already whole-batch
-			}
-			for ri := lo; ri < hi; ri++ {
-				sels[bi] = append(sels[bi], int32(ri-start))
+// rangeSels keeps, of the rows sels selects over an n-row base (nil:
+// all of them), those whose position among the selected rows lies in
+// one of the ascending disjoint ranges, as per-batch selection vectors
+// on the FragmentRows grid. A batch whose selected rows one range
+// covers keeps its selection (nil stays the whole batch).
+func rangeSels(n int, sels [][]int32, ranges []table.RowRange) [][]int32 {
+	out := make([][]int32, (n+table.FragmentRows-1)/table.FragmentRows)
+	pos := 0 // the position of batch bi's first selected row
+	for bi := range out {
+		var sel []int32
+		if sels != nil {
+			sel = sels[bi]
+		}
+		m := selLen(sel, gridLen(n, bi))
+		out[bi] = []int32{}
+		for _, r := range ranges {
+			lo, hi := max(r.Start, pos), min(r.End, pos+m)
+			switch {
+			case lo >= hi:
+			case lo == pos && hi == pos+m:
+				out[bi] = sel
+			default:
+				for j := lo; j < hi; j++ {
+					out[bi] = append(out[bi], int32(selRow(sel, j-pos)))
+				}
 			}
 		}
+		pos += m
 	}
-	return sels
+	return out
 }
 
 // ---- filter ----
@@ -800,15 +787,16 @@ func asciiString(s string) bool {
 
 // ---- project ----
 
-// project composes a column selection onto the stream without copying
-// any rows; materialization applies it exactly like table.Project.
-func (v *vecRun) project(s *vstream, proj, aliases []string) (*vstream, error) {
+// project composes a column selection onto the stream's column mapping
+// without copying any rows; materialization applies it exactly like
+// table.Project.
+func (s *vstream) project(proj, aliases []string) error {
 	cols := make([]int, len(proj))
 	schema := make(table.Schema, len(proj))
 	for i, c := range proj {
 		idx := s.schema.ColIndex(c)
 		if idx < 0 {
-			return nil, fmt.Errorf("%w: %s", table.ErrNoColumn, c)
+			return fmt.Errorf("%w: %s", table.ErrNoColumn, c)
 		}
 		cols[i] = s.baseCol(idx)
 		schema[i] = s.schema[idx]
@@ -818,10 +806,8 @@ func (v *vecRun) project(s *vstream, proj, aliases []string) (*vstream, error) {
 			schema[i].Name = alias
 		}
 	}
-	return &vstream{
-		name: s.name, schema: schema, base: s.base,
-		fr: s.fr, cols: cols, bs: s.bs, sels: s.sels,
-	}, nil
+	s.cols, s.schema = cols, schema
+	return nil
 }
 
 // ---- sort ----
@@ -944,7 +930,7 @@ func (v *vecRun) topK(s *vstream, keys []table.SortKey, k int) (*vstream, error)
 	// with k = math.MaxInt), no row is ever compared with the heap's
 	// top: the rows are kept in input order and the final sort orders
 	// them.
-	n := s.selCount()
+	n := selCount(s.sels, s.base.Len())
 	fits := n <= k
 	size := min(k, n)
 	t := &topKHeap{keys: keys, h: make([]topRow, 0, size), spare: int32(size)}
@@ -1007,7 +993,7 @@ func (v *vecRun) topK(s *vstream, keys []table.SortKey, k int) (*vstream, error)
 	for i, r := range t.h {
 		out.Rows[i] = rows.copy(s.base.Rows[int(r.bi)*table.FragmentRows+int(r.ri)])
 	}
-	return passthrough(out, nil), nil
+	return passthrough(out), nil
 }
 
 // topKHeap is topK's state: a max-heap of rows under after, and the
@@ -1177,7 +1163,7 @@ func (v *vecRun) compareStream(n *Node, s *vstream) (*vstream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return passthrough(out, nil), nil
+	return passthrough(out), nil
 }
 
 // ---- aggregate ----
@@ -1311,52 +1297,80 @@ type FragmentOps struct {
 
 // VecFragment runs one scan fragment — filter (ops.Preds, restricted to
 // ops.Ranges when non-nil), then aggregate, then top-k, then project —
-// over candidate table t as a single stream: the ranges and predicates
-// refine selection vectors, the aggregate and the top-k read them in
-// place over the columnar fragments (fr caches them for exactly t; nil
-// extracts on the fly), the projection is a column mapping, and rows
-// materialize once at the end — only the top-k's k rows when there is
-// one. Bit-identical to table.Filter over the ranges' rows →
-// table.Aggregate → table.Limit∘table.Sort → table.Project over the same
-// input, errors included. lead counts the rows the leading stage keeps:
-// those inside the ranges that pass Preds[0] (all of them without
-// predicates).
-func VecFragment(t *table.Table, fr *table.Frags, ops FragmentOps) (out *table.Table, lead int, err error) {
-	v := &vecRun{env: VecEnv{Workers: 1}}
-	s, err := v.stream(VecLeaf{Table: t, Frags: fr}, nil, ops.Ranges)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The first predicate runs alone so its survivors can be counted; a
-	// predicate only errors on a row that reaches it, so splitting the
-	// conjunction changes no error.
-	preds := ops.Preds
-	if len(preds) > 0 {
-		if s, err = v.filter(s, preds[:1]); err != nil {
-			return nil, 0, err
+// over the leaf in as a single stream, and returns the stream it ends
+// in without materializing it: the ranges and predicates refine in's
+// selection vectors, the aggregate and the top-k read them in place over
+// the columnar fragments and are the only stages whose output is a new
+// table (the top-k's k rows), and the projection is left pending as
+// names (validated here, so an unknown column fails the fragment). With
+// nothing to run but a projection, the result is in with the names
+// pending. Bit-identical to table.Filter over the ranges' rows →
+// table.Aggregate → table.Limit∘table.Sort → table.Project over in's
+// rows, errors included; ranges are positions among in's rows. lead
+// counts the rows the leading stage keeps: those inside the ranges that
+// pass Preds[0] (all of them without predicates).
+func VecFragment(in VecLeaf, ops FragmentOps) (out VecLeaf, lead int, err error) {
+	out, lead = in, in.Len()
+	if ops.Ranges != nil || len(ops.Preds) > 0 || len(ops.Aggs) > 0 || ops.Sort != nil {
+		v := &vecRun{env: VecEnv{Workers: 1}}
+		st, err := stream(in, nil, ops.Ranges)
+		if err != nil {
+			return VecLeaf{}, 0, err
 		}
-	}
-	lead = s.selCount()
-	if len(preds) > 1 {
-		if s, err = v.filter(s, preds[1:]); err != nil {
-			return nil, 0, err
+		s := &st
+		// The first predicate runs alone so its survivors can be counted;
+		// a predicate only errors on a row that reaches it, so splitting
+		// the conjunction changes no error.
+		if len(ops.Preds) > 0 {
+			if s, err = v.filter(s, ops.Preds[:1]); err != nil {
+				return VecLeaf{}, 0, err
+			}
 		}
-	}
-	if len(ops.Aggs) > 0 {
-		if t, err = v.aggregate(s, ops.GroupBy, ops.Aggs); err != nil {
-			return nil, 0, err
+		lead = selCount(s.sels, s.base.Len())
+		if len(ops.Preds) > 1 {
+			if s, err = v.filter(s, ops.Preds[1:]); err != nil {
+				return VecLeaf{}, 0, err
+			}
 		}
-		s = passthrough(t, nil)
-	}
-	if ops.Sort != nil {
-		if s, err = v.topK(s, ops.Sort, max(ops.Limit, 0)); err != nil {
-			return nil, 0, err
+		out.Sels = s.sels
+		if len(ops.Aggs) > 0 {
+			t, err := v.aggregate(s, ops.GroupBy, ops.Aggs)
+			if err != nil {
+				return VecLeaf{}, 0, err
+			}
+			s, out = passthrough(t), VecLeaf{Table: t}
+		}
+		if ops.Sort != nil {
+			if s, err = v.topK(s, ops.Sort, max(ops.Limit, 0)); err != nil {
+				return VecLeaf{}, 0, err
+			}
+			out = VecLeaf{Table: s.base}
 		}
 	}
 	if len(ops.Cols) > 0 {
-		if s, err = v.project(s, ops.Cols, nil); err != nil {
-			return nil, 0, err
+		out.Cols, err = pendingCols(out, ops.Cols)
+	}
+	return out, lead, err
+}
+
+// pendingCols is the projection cols composed onto the one l leaves
+// pending, as names over l.Table; each name must be a column of l.
+func pendingCols(l VecLeaf, cols []string) ([]string, error) {
+	out := cols
+	if l.Cols != nil {
+		out = make([]string, len(cols))
+	}
+	for i, c := range cols {
+		j := l.Table.Schema.ColIndex(c)
+		if l.Cols != nil {
+			j = slices.IndexFunc(l.Cols, func(p string) bool { return strings.EqualFold(p, c) })
+		}
+		if j < 0 {
+			return nil, fmt.Errorf("%w: %s", table.ErrNoColumn, c)
+		}
+		if l.Cols != nil {
+			out[i] = l.Cols[j]
 		}
 	}
-	return s.materialize(), lead, nil
+	return out, nil
 }

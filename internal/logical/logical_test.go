@@ -684,8 +684,8 @@ func TestVecFilterNoPredsKeepsSelections(t *testing.T) {
 		base.MustAppend([]table.Value{table.I(int64(r))})
 	}
 	v := &vecRun{env: VecEnv{Workers: 1}}
-	s := passthrough(base, nil)
-	s.sels = rangeSels(v.batches(s), []table.RowRange{{Start: 100, End: 600}})
+	s := passthrough(base)
+	s.sels = rangeSels(base.Len(), nil, []table.RowRange{{Start: 100, End: 600}})
 	out, err := v.filter(s, nil)
 	if err != nil {
 		t.Fatal(err)
