@@ -1,24 +1,33 @@
 package unisem
 
 import (
+	"bytes"
+	"io"
 	"runtime"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/index"
 	"repro/internal/logical"
 	"repro/internal/semop"
+	"repro/internal/table"
 )
 
 // TestAllocCeilings holds the engine's hot paths to allocation
 // ceilings: allocs/op and B/op of each sql_analytic statement through
-// System.Query, of BenchmarkAskEndToEnd's Ask, and of three federated
-// executions, each measured over its benchmark's set-up. Allocation
-// counts do not depend on the machine, so a change that adds one
-// allocation on any of these paths fails here, where a timing gate on a
-// small box cannot resolve it.
+// System.Query, of BenchmarkAskEndToEnd's Ask, of three federated
+// executions, of a one-worker AnswerAll batch, of both catalog.json
+// codecs, of graph.json's reader and of a one-worker index build over
+// the facts table, each measured over its benchmark's set-up.
+// Allocation counts do not depend on the machine, so a change that adds
+// one allocation on any of these paths fails here, where a timing gate
+// on a small box cannot resolve it.
 //
 // Each ceiling is the maximum of ten runs of this test on Go 1.24.0
-// (amd64). Allocation counts did not vary across the ten; bytes varied
-// by at most 2 B, under 0.1 % everywhere, so bytes get 0.1 % of slack.
+// (amd64). Allocation counts did not vary across the ten but for
+// AnswerAll (by 1) and IndexBuildFacts (by 10: the tagger's sync.Pool
+// scratch is dropped when a collection falls inside the build); bytes
+// varied by under 0.1 % everywhere, so bytes get 0.1 % of slack.
 // A change that lowers a count re-records its ceiling, so a saving is
 // not spent silently; one that raises a count re-records it and says
 // why.
@@ -50,6 +59,11 @@ func TestAllocCeilings(t *testing.T) {
 		"FederatedTopK":          {31, 28145},
 		"FederatedFilteredTopK":  {297, 99904},
 		"FederatedJoinAggregate": {98, 63504},
+		"AnswerAll":              {2019, 148029},
+		"CatalogWriteJSON":       {11, 211523},
+		"CatalogReadJSON":        {7887, 21945379},
+		"GraphReadJSON":          {9147, 15847024},
+		"IndexBuildFacts":        {344299, 51128144},
 	}
 	check := func(name string, runs int, f func()) {
 		t.Helper()
@@ -94,6 +108,84 @@ func TestAllocCeilings(t *testing.T) {
 	h, plan := joinAggPlan(t)
 	opt := logical.Optimize(semop.Compile(plan), logical.CatalogStats(h.Catalog()))
 	check("FederatedJoinAggregate", 300, func() { scannedBy(t, h.Federation(), opt) })
+
+	batch, questions := answerAllHybrid(t)
+	check("AnswerAll", 5, func() {
+		if ans := batch.AnswerAll(questions, 1); len(ans) != len(questions) {
+			t.Fatal("short batch")
+		}
+	})
+
+	cat := snapshotBenchCatalog(t)
+	check("CatalogWriteJSON", 5, func() {
+		if err := cat.WriteJSON(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var catJSON bytes.Buffer
+	if err := cat.WriteJSON(&catJSON); err != nil {
+		t.Fatal(err)
+	}
+	check("CatalogReadJSON", 5, func() {
+		if _, err := table.ReadCatalogJSON(bytes.NewReader(catJSON.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cat, catJSON = nil, bytes.Buffer{}
+
+	var graphJSON bytes.Buffer
+	if err := snapshotBenchGraph(t).WriteJSON(&graphJSON); err != nil {
+		t.Fatal(err)
+	}
+	check("GraphReadJSON", 5, func() {
+		if _, err := graph.ReadJSON(bytes.NewReader(graphJSON.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	graphJSON = bytes.Buffer{}
+
+	opts := index.DefaultOptions()
+	opts.Workers = 1 // the builder's workers allocate as they are scheduled
+	builder, sources := indexBuildFacts(t, opts)
+	check("IndexBuildFacts", 3, func() {
+		if _, _, err := builder.Build(sources); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestHeapCeiling holds what BenchmarkBuildFacts' system keeps resident
+// to a ceiling: HeapAlloc after a collection, over what its inputs
+// already hold, which is the repository benchmark's heap_mb for
+// sql_analytic's set-up. Like the allocation ceilings it does not
+// depend on the machine; a change that lowers it re-records it.
+//
+// The ceiling is the maximum of ten runs of this test on Go 1.24.0
+// (amd64), with 0.5 % of slack over their spread.
+func TestHeapCeiling(t *testing.T) {
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("the heap is exact only without -race and coverage")
+	}
+	const ceiling = 21583928 // bytes
+	build := buildFacts(t)
+	before := heapAlloc()
+	sys := build()
+	held := heapAlloc() - before
+	runtime.KeepAlive(sys)
+	t.Logf("BuildFacts system holds %d B", held)
+	if float64(held) > ceiling*1.005 {
+		t.Errorf("BuildFacts system holds %d B; ceiling %d (+0.5 %%)", held, ceiling)
+	}
+}
+
+// heapAlloc is HeapAlloc after two collections: the second empties
+// what sync.Pool kept from the first.
+func heapAlloc() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // allocsPerRun returns f's mean allocations and allocated bytes per run

@@ -295,20 +295,28 @@ func BenchmarkRefreshAfterIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkAnswerAll measures batch query throughput with bounded
-// parallelism over the full e-commerce query workload.
-func BenchmarkAnswerAll(b *testing.B) {
+// answerAllHybrid is the batch benchmarks' system: the default
+// e-commerce corpus built by core.NewHybrid, and the corpus's questions.
+func answerAllHybrid(tb testing.TB) (*core.Hybrid, []string) {
+	tb.Helper()
 	c := workload.ECommerce(workload.DefaultECommerceOptions())
 	ner := slm.NewNER()
 	c.Register(ner)
 	h, err := core.NewHybrid(c.Sources, ner, core.DefaultHybridOptions())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	questions := make([]string, 0, len(c.Queries))
 	for _, q := range c.Queries {
 		questions = append(questions, q.Text)
 	}
+	return h, questions
+}
+
+// BenchmarkAnswerAll measures batch query throughput with bounded
+// parallelism over the full e-commerce query workload.
+func BenchmarkAnswerAll(b *testing.B) {
+	h, questions := answerAllHybrid(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ans := h.AnswerAll(questions, 0)
@@ -489,8 +497,8 @@ func BenchmarkViewExpand(b *testing.B) {
 // the repository benchmark's e-commerce corpus (48 products × 12
 // reviews) plus a 16 384-row relational table, so row nodes with field
 // attrs outnumber everything else the way they do in a saved system.
-func snapshotBenchGraph(b *testing.B) *graph.Graph {
-	b.Helper()
+func snapshotBenchGraph(tb testing.TB) *graph.Graph {
+	tb.Helper()
 	opts := workload.DefaultECommerceOptions()
 	opts.Products, opts.ReviewsPerProduct = 48, 12
 	c := workload.ECommerce(opts)
@@ -516,7 +524,7 @@ func snapshotBenchGraph(b *testing.B) *graph.Graph {
 	c.Sources.Add(store.NewRelationalStore("warehouse", cat))
 	g, _, err := index.NewBuilder(ner, index.DefaultOptions()).Build(c.Sources)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g
 }
@@ -554,8 +562,8 @@ func BenchmarkGraphReadJSON(b *testing.B) {
 // share: the e-commerce corpus's tables plus a 65 536-row table of the
 // repository benchmark's facts shape, which dominates the file the way
 // it does in a saved system.
-func snapshotBenchCatalog(b *testing.B) *table.Catalog {
-	b.Helper()
+func snapshotBenchCatalog(tb testing.TB) *table.Catalog {
+	tb.Helper()
 	cat := workload.ECommerce(workload.DefaultECommerceOptions()).NativeCatalog()
 	facts := table.New("facts", table.Schema{
 		{Name: "region", Type: table.TypeString},
@@ -610,17 +618,7 @@ func BenchmarkCatalogReadJSON(b *testing.B) {
 // BenchmarkAnswerAllSequential is the single-worker baseline for
 // BenchmarkAnswerAll.
 func BenchmarkAnswerAllSequential(b *testing.B) {
-	c := workload.ECommerce(workload.DefaultECommerceOptions())
-	ner := slm.NewNER()
-	c.Register(ner)
-	h, err := core.NewHybrid(c.Sources, ner, core.DefaultHybridOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	questions := make([]string, 0, len(c.Queries))
-	for _, q := range c.Queries {
-		questions = append(questions, q.Text)
-	}
+	h, questions := answerAllHybrid(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.AnswerAll(questions, 1)
@@ -1347,8 +1345,26 @@ func factsCSV(n int) string {
 // rendered by internal/store, tagged by internal/slm, replayed by
 // internal/index — which is where the allocations it reports are made.
 func BenchmarkBuildFacts(b *testing.B) {
+	build := buildFacts(b)
+	var rows int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows = build().Stats().Rows
+	}
+	b.StopTimer()
+	if rows < 65536 {
+		b.Fatalf("index holds %d row vertices, want the facts table's 65536 and more", rows)
+	}
+}
+
+// buildFacts renders BenchmarkBuildFacts' inputs once and returns the
+// set-up it times: a new System, the corpus vocabulary, its documents
+// and the CSV tables added, then Build.
+func buildFacts(tb testing.TB) func() *System {
+	tb.Helper()
 	c := workload.ECommerce(workload.DefaultECommerceOptions())
-	csvs := analyticCSVs(b, c)
+	csvs := analyticCSVs(tb, c)
 	var docs []store.Record
 	for _, s := range c.Sources.Sources() {
 		if s.Kind() == store.KindText {
@@ -1356,32 +1372,25 @@ func BenchmarkBuildFacts(b *testing.B) {
 		}
 	}
 	vocab := c.Vocab()
-	var rows int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() *System {
 		sys := New()
 		for kind, phrases := range vocab {
 			sys.Vocabulary(VocabKind(kind), phrases...)
 		}
 		for _, d := range docs {
 			if err := sys.AddDocument(d.Source, d.ID, d.Text); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		for _, t := range csvs {
 			if err := sys.AddCSV(t.name, strings.NewReader(t.data)); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if err := sys.Build(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		rows = sys.Stats().Rows
-	}
-	b.StopTimer()
-	if rows < 65536 {
-		b.Fatalf("index holds %d row vertices, want the facts table's 65536 and more", rows)
+		return sys
 	}
 }
 
@@ -1475,17 +1484,9 @@ func BenchmarkQueryAnalyticMix(b *testing.B) {
 // vertices it inserts are rows, so its B/op and allocs/op are the
 // graph's cost per row vertex.
 func BenchmarkIndexBuildFacts(b *testing.B) {
-	ner := slm.NewNER()
-	workload.ECommerce(workload.DefaultECommerceOptions()).Register(ner)
-	facts, err := table.ReadCSV("facts", strings.NewReader(factsCSV(65536)), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cat := table.NewCatalog()
-	cat.Put(facts)
-	sources := store.NewMulti().Add(store.NewRelationalStore("warehouse", cat))
-	builder := index.NewBuilder(ner, index.DefaultOptions())
+	builder, sources := indexBuildFacts(b, index.DefaultOptions())
 	var g *graph.Graph
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1497,6 +1498,22 @@ func BenchmarkIndexBuildFacts(b *testing.B) {
 	if rows := g.CountByType()[graph.NodeRow]; rows != 65536 {
 		b.Fatalf("index holds %d row vertices, want 65536", rows)
 	}
+}
+
+// indexBuildFacts is BenchmarkIndexBuildFacts' builder, under opts, and
+// its sources: the facts table registered in a catalog behind a
+// relational store.
+func indexBuildFacts(tb testing.TB, opts index.Options) (*index.Builder, *store.Multi) {
+	tb.Helper()
+	ner := slm.NewNER()
+	workload.ECommerce(workload.DefaultECommerceOptions()).Register(ner)
+	facts, err := table.ReadCSV("facts", strings.NewReader(factsCSV(65536)), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cat := table.NewCatalog()
+	cat.Put(facts)
+	return index.NewBuilder(ner, opts), store.NewMulti().Add(store.NewRelationalStore("warehouse", cat))
 }
 
 // BenchmarkRecognizeRowText tags one rendered facts row under the
