@@ -30,6 +30,7 @@ type FragmentRun struct {
 	// one whose scan succeeded and ended the ladder ("" when none did).
 	failed []string
 	served string
+	err    error // the scan's error, for firstScanError
 }
 
 // Run records one federated execution: the physical plan, per-fragment
@@ -117,12 +118,11 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string) (*table.Table
 	}
 
 	results := make([]Result, len(frags))
-	errs := make([]error, len(frags))
 	runs := make([]FragmentRun, len(frags))
 	par.ForEach(len(frags), e.opts.Workers, func(i int) {
 		runs[i].Fragment = frags[i]
-		results[i], errs[i] = e.scanFragment(ctx, inflight, frags[i], open, &runs[i])
-		if errs[i] != nil && abort != nil {
+		results[i], runs[i].err = e.scanFragment(ctx, inflight, frags[i], open, &runs[i])
+		if runs[i].err != nil && abort != nil {
 			abort() // first failure interrupts in-flight siblings
 		}
 	})
@@ -133,7 +133,7 @@ func (e *Executor) executeOnce(opt *logical.Optimized, key string) (*table.Table
 	if closed > 0 {
 		e.opts.Counters.Add("breaker.close", closed)
 	}
-	if err := firstScanError(errs); err != nil {
+	if err := firstScanError(runs); err != nil {
 		return nil, nil, err
 	}
 

@@ -356,9 +356,10 @@ func refragment(c Backend, f Fragment) (nf, left Fragment) {
 // outranks sibling cancellation (which fragment got cancelled is
 // scheduling noise, the deadline is the cause); cancellation only
 // surfaces when nothing else explains the abort.
-func firstScanError(errs []error) error {
+func firstScanError(runs []FragmentRun) error {
 	var deadlineErr, cancelErr error
-	for _, err := range errs {
+	for i := range runs {
+		err := runs[i].err
 		if err == nil {
 			continue
 		}

@@ -204,52 +204,47 @@ func Layout(names []string, preview [][]string, total int) string {
 
 // ReadCSV loads a table from CSV with a header row. Column types are
 // inferred from the first non-empty cell of each column unless schema
-// is non-nil, in which case it must match the header arity. Rows are
-// carved from one slab, each with its capacity capped, and a string or
-// date cell is interned per column, so no cell keeps its CSV line alive
-// and a repeated value is held once.
+// is non-nil, in which case it must match the header arity. Records are
+// read one at a time and only those read before every column's type is
+// known are held as text. Rows are carved from slabs, each with its
+// capacity capped, and a string or date cell is interned per column, so
+// no cell keeps its CSV line alive and a repeated value is held once.
 func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
-	records, err := cr.ReadAll()
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("table: csv %s has no header", name)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("table: read csv: %w", err)
 	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("table: csv %s has no header", name)
-	}
-	header := records[0]
-	body := records[1:]
+	n := len(header)
+	var untyped []int // columns whose first non-empty cell is still to come
 	if schema == nil {
-		schema = make(Schema, len(header))
+		schema = make(Schema, n)
 		for i, h := range header {
-			typ := TypeString
-			for _, rec := range body {
-				if i < len(rec) && strings.TrimSpace(rec[i]) != "" {
-					typ = Infer(rec[i])
-					break
-				}
-			}
-			schema[i] = Column{Name: strings.TrimSpace(h), Type: typ}
+			schema[i] = Column{Name: strings.TrimSpace(h), Type: TypeString}
+			untyped = append(untyped, i)
 		}
-	} else if len(schema) != len(header) {
+	} else if len(schema) != n {
 		return nil, fmt.Errorf("%w: header has %d columns, schema %d",
-			ErrSchemaMismatch, len(header), len(schema))
+			ErrSchemaMismatch, n, len(schema))
 	}
 	t := New(name, schema)
-	n := len(schema)
-	t.Rows = make([][]Value, 0, len(body))
-	slab := make([]Value, n*len(body))
+	var slab []Value
 	words := make([]jsonx.Interner, n)
-	for ln, rec := range body {
-		if len(rec) != n {
-			return nil, fmt.Errorf("table: csv %s line %d: %w", name, ln+2, ErrSchemaMismatch)
+	add := func(rec []string) error {
+		if len(slab) < n {
+			slab = make([]Value, n*min(max(len(t.Rows), 16), 1024))
 		}
-		row := slab[ln*n : (ln+1)*n : (ln+1)*n]
+		row := slab[:n:n]
+		slab = slab[n:]
 		for i, cell := range rec {
 			v, err := Parse(schema[i].Type, cell)
 			if err != nil {
-				return nil, fmt.Errorf("table: csv %s line %d: %w", name, ln+2, err)
+				return fmt.Errorf("table: csv %s line %d: %w", name, len(t.Rows)+2, err)
 			}
 			if v.kind == TypeString || v.kind == TypeDate {
 				v.s = words[i].InternString(v.s)
@@ -257,8 +252,50 @@ func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 			row[i] = v
 		}
 		if err := t.Append(row); err != nil {
-			return nil, fmt.Errorf("table: csv %s line %d: %w", name, ln+2, err)
+			return fmt.Errorf("table: csv %s line %d: %w", name, len(t.Rows)+2, err)
 		}
+		return nil
+	}
+	var held [][]string // records read while a column is untyped
+	release := func() error {
+		for _, rec := range held {
+			if err := add(rec); err != nil {
+				return err
+			}
+		}
+		held = nil
+		return nil
+	}
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("table: read csv: %w", err)
+		}
+		if len(untyped) == 0 {
+			err = add(rec)
+		} else {
+			untyped = slices.DeleteFunc(untyped, func(i int) bool {
+				if strings.TrimSpace(rec[i]) == "" {
+					return false
+				}
+				schema[i].Type = Infer(rec[i])
+				return true
+			})
+			held = append(held, slices.Clone(rec))
+			if len(untyped) == 0 {
+				err = release()
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	// A column with no non-empty cell stays a string column.
+	if err := release(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -105,6 +107,50 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV("x", strings.NewReader("a,b\n1,2"), Schema{{Name: "a", Type: TypeInt}}); !errors.Is(err, ErrSchemaMismatch) {
 		t.Error("schema arity mismatch accepted")
+	}
+}
+
+// TestReadCSVRaggedLine: a record with the wrong number of fields is
+// refused with its line, whether it comes before or after every
+// column's type is known.
+func TestReadCSVRaggedLine(t *testing.T) {
+	for _, in := range []string{"a,b\n1,2\n3\n", "a,b\n,2\n3\n", "a,b\n1,2\n3,4\n5,6,7\n"} {
+		want := "line " + strconv.Itoa(strings.Count(in, "\n"))
+		if _, err := ReadCSV("x", strings.NewReader(in), nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want one naming %s", in, err, want)
+		}
+	}
+}
+
+// TestReadCSVTypesFromFirstNonEmptyCell: a column's type comes from its
+// first non-empty cell, however many empty cells come before it, and
+// the rows read before it are parsed under that type; a column with no
+// non-empty cell is a string column.
+func TestReadCSVTypesFromFirstNonEmptyCell(t *testing.T) {
+	tbl, err := ReadCSV("x", strings.NewReader("a,b,c,d\n1,,,\n2,,x,\n3,,y,\n4,2.5,z,\n5,7,w,\n"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Schema{{Name: "a", Type: TypeInt}, {Name: "b", Type: TypeFloat}, {Name: "c", Type: TypeString}, {Name: "d", Type: TypeString}}
+	if !slices.Equal(tbl.Schema, want) {
+		t.Fatalf("schema %v, want %v", tbl.Schema, want)
+	}
+	if tbl.Len() != 5 {
+		t.Fatalf("%d rows, want 5", tbl.Len())
+	}
+	for ri, row := range tbl.Rows {
+		if row[0] != I(int64(ri+1)) {
+			t.Errorf("row %d: a = %v", ri, row[0])
+		}
+		if (ri < 3) != row[1].IsNull() || (ri < 1) != row[2].IsNull() || !row[3].IsNull() {
+			t.Errorf("row %d: NULLs %v", ri, row)
+		}
+	}
+	if tbl.Rows[3][1] != F(2.5) || tbl.Rows[4][1] != F(7) {
+		t.Errorf("b = %v, %v; want 2.5, 7", tbl.Rows[3][1], tbl.Rows[4][1])
+	}
+	if _, err := ReadCSV("x", strings.NewReader("a,b\n,1\nx,2\n"), Schema{{Name: "a", Type: TypeInt}, {Name: "b", Type: TypeInt}}); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("unparseable cell after an empty one: %v", err)
 	}
 }
 
