@@ -140,8 +140,9 @@ func EvaluateExtraction(catalog *table.Catalog, gold []workload.GoldFact) Extrac
 		if usedRow[name] == nil {
 			usedRow[name] = map[int]bool{}
 		}
+		rows := tbl.RowView()
 		for _, g := range byTable[name] {
-			for ri, row := range tbl.Rows {
+			for ri, row := range rows {
 				if usedRow[name][ri] {
 					continue
 				}

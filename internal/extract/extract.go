@@ -117,14 +117,18 @@ func Merge(c *table.Catalog, extractions []Extraction) error {
 				schema = append(slices.Clip(schema), table.Column{Name: col, Type: types[col]})
 			}
 		}
-		replace := err != nil || len(schema) > len(tbl.Schema)
+		var have []*table.Batch // the registered table's cells
+		if err == nil {
+			have = tbl.Frags().Batches
+		}
+		var pad []table.Value // a registered row's cells in the columns it lacks
+		for _, col := range schema[len(tbl.Schema):] {
+			pad = append(pad, table.Null(col.Type))
+		}
+		replace := err != nil || len(pad) > 0
 		if replace {
-			var pad []table.Value
-			for _, col := range schema[len(tbl.Schema):] {
-				pad = append(pad, table.Null(col.Type))
-			}
 			wide := table.New(name, schema)
-			for _, row := range tbl.Rows {
+			for _, row := range tbl.RowView() {
 				wide.Rows = append(wide.Rows, append(slices.Clip(row), pad...))
 			}
 			tbl = wide
@@ -141,7 +145,7 @@ func Merge(c *table.Catalog, extractions []Extraction) error {
 			}
 			rows[j] = row
 		}
-		rows = newRows(tbl.Rows, rows)
+		rows = newRows(have, pad, rows)
 		// Either way the catalog epoch advances, so epoch-keyed plan and
 		// index caches invalidate even when every row was a duplicate.
 		if replace {
@@ -212,13 +216,13 @@ func coerce(v table.Value, t table.ColType) table.Value {
 
 // newRows returns the rows of cand, in order, whose key — the cells'
 // table.AppendKey bytes, one after another — is the key of no row of
-// have and no earlier row of cand. Only the candidates' keys are kept;
-// each row of have is keyed into one reused buffer and probed, so no
-// key is stored per row of the table.
-func newRows(have, cand [][]table.Value) [][]table.Value {
+// have followed by pad and no earlier row of cand. Only the candidates'
+// keys are kept; each row of the batches have is keyed from its columns
+// (ColVec.AppendKey) into one reused buffer and probed, so no key is
+// stored per row of the table and no row is built.
+func newRows(have []*table.Batch, pad []table.Value, cand [][]table.Value) [][]table.Value {
 	var kb []byte
-	key := func(row []table.Value) []byte {
-		kb = kb[:0]
+	appendKey := func(kb []byte, row []table.Value) []byte {
 		for _, v := range row {
 			kb = table.AppendKey(kb, v)
 		}
@@ -226,16 +230,21 @@ func newRows(have, cand [][]table.Value) [][]table.Value {
 	}
 	first := make(map[string]int, len(cand)) // a kept candidate's key → its index
 	for i, row := range cand {
-		if _, dup := first[string(key(row))]; !dup {
+		kb = appendKey(kb[:0], row)
+		if _, dup := first[string(kb)]; !dup {
 			first[string(kb)] = i
 		}
 	}
-	for _, row := range have {
-		if len(first) == 0 {
-			break
-		}
-		if _, ok := first[string(key(row))]; ok {
-			delete(first, string(kb))
+	for _, b := range have {
+		for i := 0; i < b.Len && len(first) > 0; i++ {
+			kb = kb[:0]
+			for c := range b.Cols {
+				kb = b.Cols[c].AppendKey(kb, i)
+			}
+			kb = appendKey(kb, pad)
+			if _, ok := first[string(kb)]; ok {
+				delete(first, string(kb))
+			}
 		}
 	}
 	keep := make([]bool, len(cand))

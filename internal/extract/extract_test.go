@@ -252,7 +252,7 @@ func TestMergeDedupesByCellKeys(t *testing.T) {
 				}
 			}
 			got := make([][]string, tbl.Len())
-			for i, row := range tbl.Rows {
+			for i, row := range tbl.RowView() {
 				got[i] = keysOf(row)
 			}
 			if !slices.EqualFunc(got, want, slices.Equal) {
@@ -278,15 +278,15 @@ func TestMergeSchemaExtension(t *testing.T) {
 	if tbl.Schema.ColIndex("b") < 0 {
 		t.Fatalf("schema not extended: %v", tbl.Schema.Names())
 	}
-	if !tbl.Rows[0][tbl.Schema.ColIndex("b")].IsNull() {
+	if !tbl.RowView()[0][tbl.Schema.ColIndex("b")].IsNull() {
 		t.Error("backfill should be NULL")
 	}
 }
 
 // TestMergeOnlyReadsRegisteredTables: rows reach a table the catalog
-// holds through Catalog.Append (same pointer, statistics following),
-// a widened schema is a new table Put beside the old one, which keeps
-// its shape, and every Merge of a known table advances the epoch —
+// holds through Catalog.Append (statistics following), a widened schema
+// is a new table Put, a registered table read before either keeps its
+// rows and shape, and every Merge of a known table advances the epoch —
 // also one whose rows were all duplicates.
 func TestMergeOnlyReadsRegisteredTables(t *testing.T) {
 	c := table.NewCatalog()
@@ -302,8 +302,8 @@ func TestMergeOnlyReadsRegisteredTables(t *testing.T) {
 	if err := Merge(c, []Extraction{row("y"), row("x")}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c.Get("t"); got != first || first.Len() != 2 {
-		t.Fatalf("append replaced the table (%v) or left %d rows, want the same pointer with 2", got != first, first.Len())
+	if got, _ := c.Get("t"); got.Len() != 2 || first.Len() != 1 {
+		t.Fatalf("append left %d rows, and the table read before it reads %d; want 2 and 1", got.Len(), first.Len())
 	}
 	if ts := c.StatsOf("t"); ts.Rows != 2 || ts.Refutes([]table.Pred{{Col: "a", Op: table.OpEq, Val: table.S("y")}}) {
 		t.Errorf("statistics did not follow the append: %+v", ts)
@@ -315,17 +315,17 @@ func TestMergeOnlyReadsRegisteredTables(t *testing.T) {
 	if err := Merge(c, []Extraction{row("y")}); err != nil {
 		t.Fatal(err)
 	}
-	if first.Len() != 2 || c.Epoch() <= epoch {
-		t.Errorf("all-duplicate merge: %d rows, epoch %d -> %d", first.Len(), epoch, c.Epoch())
+	if got, _ := c.Get("t"); got.Len() != 2 || c.Epoch() <= epoch {
+		t.Errorf("all-duplicate merge: %d rows, epoch %d -> %d", got.Len(), epoch, c.Epoch())
 	}
 
 	wide := Extraction{Table: "t", Cells: map[string]table.Value{"a": table.S("x"), "b": table.I(1)}}
 	if err := Merge(c, []Extraction{wide}); err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Schema) != 1 || first.Len() != 2 || len(first.Rows[0]) != 1 {
+	if len(first.Schema) != 1 || first.Len() != 1 || len(first.RowView()[0]) != 1 {
 		t.Errorf("widening edited the table the catalog held: schema %v, %d rows of %d cells",
-			first.Schema.Names(), first.Len(), len(first.Rows[0]))
+			first.Schema.Names(), first.Len(), len(first.RowView()[0]))
 	}
 	if got, _ := c.Get("t"); got == first || len(got.Schema) != 2 || got.Len() != 3 {
 		t.Errorf("widened table: same pointer %v, schema %v, %d rows", got == first, got.Schema.Names(), got.Len())

@@ -61,7 +61,7 @@ func rowsOf(t *testing.T, r Result) *table.Table {
 func render(t *table.Table) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Schema.Names(), ","))
-	for _, row := range t.Rows {
+	for _, row := range t.RowView() {
 		b.WriteByte('\n')
 		for i, v := range row {
 			if i > 0 {
@@ -141,6 +141,7 @@ func TestMemoryIndexInvalidatesOnEpoch(t *testing.T) {
 	before := res.Leaf.Len()
 
 	tbl, _ := c.Get("sales")
+	tbl = tbl.Clone()
 	tbl.MustAppend([]table.Value{table.S("Alpha"), table.S("Q1"), table.I(99)})
 	c.Put(tbl) // re-derives the fragments the scan reads
 

@@ -115,9 +115,9 @@ func materialize(l logical.VecLeaf) (*table.Table, error) {
 // the stream it ended in. No row is copied unless an aggregate or a
 // top-k runs; a filter's survivors cross the boundary as selection
 // vectors over in's table and a projection as names pending over it.
-// Selecting the candidates is the caller's job; in.Frags optionally
-// carries cached columnar fragments covering exactly in.Table (without
-// them the pipeline extracts batches as it goes). Scanned counts the
+// Selecting the candidates is the caller's job; a registered in.Table
+// is read through its fragments, a result table's batches are extracted
+// as the pipeline goes. Scanned counts the
 // candidate rows visited (table.RowsVisited) — or, when driven is set,
 // only those that match f.Preds[0], the equality that drives the scan.
 func evaluate(in logical.VecLeaf, f Fragment, driven bool) (Result, error) {

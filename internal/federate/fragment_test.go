@@ -36,11 +36,12 @@ func fragmentTable(n int) *table.Table {
 	return t
 }
 
-// fragsOf is the columnar form a catalog derives for t.
-func fragsOf(t *table.Table) *table.Frags {
+// registered is t as a catalog holds it: its fragments.
+func registered(t *table.Table) *table.Table {
 	c := table.NewCatalog()
 	c.Put(t)
-	return c.FragsOf(t.Name)
+	reg, _ := c.Get(t.Name)
+	return reg
 }
 
 // rangedCatalog holds, under t's name, the rows of t inside the
@@ -81,13 +82,12 @@ func fragmentTree(f Fragment) *logical.Node {
 // stagedFragment is the composition the evaluator used before the
 // single pipeline: each stage through the vectorized kernels on its
 // own, a row table materialized between every two.
-func stagedFragment(t *table.Table, fr *table.Frags, f Fragment) (*table.Table, error) {
+func stagedFragment(t *table.Table, f Fragment) (*table.Table, error) {
 	stage := func(ops logical.FragmentOps) (err error) {
-		out, _, err := logical.VecFragment(logical.VecLeaf{Table: t, Frags: fr}, ops)
+		out, _, err := logical.VecFragment(logical.VecLeaf{Table: t}, ops)
 		if err == nil {
 			t, err = materialize(out)
 		}
-		fr = nil
 		return err
 	}
 	if f.Ranges != nil || len(f.Preds) > 0 {
@@ -140,7 +140,7 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 	}
 	for _, n := range []int{255, 256, 257, 65536} {
 		tb := fragmentTable(n)
-		cached := fragsOf(tb)
+		cached := registered(tb)
 		rangeShapes := map[string][]table.RowRange{
 			"none":  nil,
 			"empty": {},
@@ -159,10 +159,11 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 						}
 						label := fmt.Sprintf("n=%d ranges=%s preds=%s agg=%s project=%v", n, rname, pname, aname, project)
 						want, wantErr := refeval.Eval(fragmentTree(f), ref)
-						staged, stagedErr := stagedFragment(tb, cached, f)
+						staged, stagedErr := stagedFragment(cached, f)
 
-						for _, fr := range []*table.Frags{nil, cached} {
-							res, err := evaluate(logical.VecLeaf{Table: tb, Frags: fr}, f, false)
+						for _, in := range []*table.Table{tb, cached} {
+							fr := in.Frags()
+							res, err := evaluate(logical.VecLeaf{Table: in}, f, false)
 							if !sameOutcome(t, label+" evaluate", err, wantErr, stagedErr) || err != nil {
 								continue
 							}
@@ -184,8 +185,8 @@ func TestFragmentPipelineMatchesRowKernels(t *testing.T) {
 							if res.Scanned != wantScanned {
 								t.Errorf("%s cached=%v: scanned %d, the ranges cover %d", label, fr != nil, res.Scanned, wantScanned)
 							}
-							if a.aggs == nil && (res.Leaf.Table != tb || res.Leaf.Frags != fr) {
-								t.Errorf("%s cached=%v: the result is not the input table and its fragments: rows were copied", label, fr != nil)
+							if a.aggs == nil && res.Leaf.Table != in {
+								t.Errorf("%s cached=%v: the result is not the input table: rows were copied", label, fr != nil)
 							}
 						}
 
@@ -249,20 +250,21 @@ func TestUnknownOperatorFailsWhereTheReferenceDoes(t *testing.T) {
 				if fails := wantErr != nil; fails != (tname == "non_null_cell" && !lit.IsNull() && !unreached) {
 					t.Fatalf("%s: the reference fails = %v", label, fails)
 				}
-				leaf := func(fr *table.Frags) func(*logical.Node) (logical.VecLeaf, error) {
-					return func(*logical.Node) (logical.VecLeaf, error) { return logical.VecLeaf{Table: tb, Frags: fr}, nil }
+				leaf := func(in *table.Table) func(*logical.Node) (logical.VecLeaf, error) {
+					return func(*logical.Node) (logical.VecLeaf, error) { return logical.VecLeaf{Table: in}, nil }
 				}
-				_, rowErr := logical.Run(root, leaf(nil))
+				_, rowErr := logical.Run(root, leaf(tb))
 				check := func(way string, err error) {
 					if (err == nil) != (wantErr == nil) || err != nil && err.Error() != rowErr.Error() {
 						t.Errorf("%s %s: error %v, the reference's %v, the row interpreter's %v", label, way, err, wantErr, rowErr)
 					}
 				}
 				check("row", rowErr)
-				for _, fr := range []*table.Frags{c.FragsOf("u"), nil} {
+				reg, _ := c.Get("u")
+				for _, in := range []*table.Table{reg, tb} {
 					for _, workers := range []int{1, 4} {
-						_, err := logical.RunVec(root, logical.VecEnv{Leaf: leaf(fr), Workers: workers})
-						check(fmt.Sprintf("vectorized coded=%v workers=%d", fr != nil, workers), err)
+						_, err := logical.RunVec(root, logical.VecEnv{Leaf: leaf(in), Workers: workers})
+						check(fmt.Sprintf("vectorized coded=%v workers=%d", in == reg, workers), err)
 					}
 				}
 				_, err := NewMemory(c).Scan(context.Background(), Fragment{Table: "u", Preds: preds})
@@ -276,7 +278,7 @@ func TestUnknownOperatorFailsWhereTheReferenceDoes(t *testing.T) {
 // must not defer its validation past the scan.
 func TestPendingProjectionUnknownColumn(t *testing.T) {
 	tb := fragmentTable(300)
-	_, err := evaluate(logical.VecLeaf{Table: tb, Frags: fragsOf(tb)}, Fragment{Table: "ft", Columns: []string{"g", "nope"}}, false)
+	_, err := evaluate(logical.VecLeaf{Table: registered(tb)}, Fragment{Table: "ft", Columns: []string{"g", "nope"}}, false)
 	_, want := table.Project(tb, "g", "nope")
 	if err == nil || err.Error() != want.Error() {
 		t.Errorf("error %v, want %v", err, want)

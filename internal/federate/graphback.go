@@ -151,9 +151,9 @@ func (ge *GraphEvidence) Estimate(tbl string, preds []table.Pred) (Estimate, boo
 // the surviving row ranges, in ascending order — identical rows to a
 // full filtered scan, fewer rows visited.
 func (ge *GraphEvidence) Scan(_ context.Context, f Fragment) (Result, error) {
-	t, c, ok := ge.materialize(f.Table)
+	t, _, ok := ge.materialize(f.Table)
 	if !ok {
 		return Result{}, ErrNoBackend
 	}
-	return evaluate(logical.VecLeaf{Table: t, Frags: c.FragsOf(f.Table)}, f, false)
+	return evaluate(logical.VecLeaf{Table: t}, f, false)
 }

@@ -131,5 +131,5 @@ func (m *Memory) Scan(_ context.Context, f Fragment) (Result, error) {
 	if pick > 0 {
 		f.Preds = slices.Concat(f.Preds[pick:pick+1], f.Preds[:pick], f.Preds[pick+1:])
 	}
-	return evaluate(logical.VecLeaf{Table: t, Frags: m.catalog.FragsOf(f.Table)}, f, pick >= 0)
+	return evaluate(logical.VecLeaf{Table: t}, f, pick >= 0)
 }

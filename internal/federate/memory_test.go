@@ -73,7 +73,7 @@ func TestMemoryScanMatchesEvaluate(t *testing.T) {
 		"some": {{Start: 10, End: 300}, {Start: 2*table.FragmentRows + 3, End: n}},
 	}
 	m, s := NewMemory(c), NewSQL(c)
-	fr := c.FragsOf("m")
+	reg, _ := c.Get("m")
 	for cname, preds := range conjunctions {
 		for rname, ranges := range rangeShapes {
 			label := cname + " ranges=" + rname
@@ -82,7 +82,7 @@ func TestMemoryScanMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: memory: %v", label, err)
 			}
-			want, err := evaluate(logical.VecLeaf{Table: tb, Frags: fr}, f, false)
+			want, err := evaluate(logical.VecLeaf{Table: reg}, f, false)
 			if err != nil {
 				t.Fatalf("%s: evaluate: %v", label, err)
 			}
@@ -98,7 +98,7 @@ func TestMemoryScanMatchesEvaluate(t *testing.T) {
 				t.Errorf("%s: sql returns %d rows, evaluate %d", label, viaSQL.Leaf.Len(), want.Leaf.Len())
 			}
 			pick, _ := pickEq(tb, c.StatsOf("m"), preds)
-			driving, err := evaluate(logical.VecLeaf{Table: tb, Frags: fr}, Fragment{Table: "m", Preds: preds[pick : pick+1], Ranges: ranges}, false)
+			driving, err := evaluate(logical.VecLeaf{Table: reg}, Fragment{Table: "m", Preds: preds[pick : pick+1], Ranges: ranges}, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -647,7 +647,7 @@ func TestRowSlicedFailoverPreservesSlice(t *testing.T) {
 func mustSlice(t *testing.T, tbl *table.Table, start, end int) *table.Table {
 	t.Helper()
 	out := table.New(tbl.Name, tbl.Schema)
-	out.Rows = append(out.Rows, tbl.Rows[start:end]...)
+	out.Rows = append(out.Rows, tbl.RowView()[start:end]...)
 	return out
 }
 

@@ -104,7 +104,7 @@ func rowLeaf(n *Node, leaf func(*Node) (VecLeaf, error)) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.materialize(), nil
+	return v.materialize(&s), nil
 }
 
 // Exec runs the tree against a single catalog with the row interpreter,

@@ -82,16 +82,15 @@ type VecEnv struct {
 }
 
 // VecLeaf is a leaf's input to either executor, and a scan fragment's
-// output (VecFragment): the table, the cached columnar fragments
-// covering exactly it (nil = extract batches on the fly), a projection
-// still pending over it (nil = none), and per-batch selection vectors
-// over it on the FragmentRows grid (nil = all rows; a nil entry = the
-// whole batch). Both executors start the leaf's stream from it
-// (stream), so its rows are copied only when a consumer
+// output (VecFragment): the table (a registered one is read through its
+// fragments, a result table's batches are extracted on the fly), a
+// projection still pending over it (nil = none), and per-batch
+// selection vectors over it on the FragmentRows grid (nil = all rows; a
+// nil entry = the whole batch). Both executors start the leaf's stream
+// from it (stream), so its rows are copied only when a consumer
 // materializes it.
 type VecLeaf struct {
 	Table *table.Table
-	Frags *table.Frags
 	Cols  []string
 	Sels  [][]int32
 }
@@ -111,7 +110,7 @@ func RunVec(n *Node, env VecEnv) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.materialize(), nil
+	return v.materialize(s), nil
 }
 
 // ExecVec runs the tree against a single catalog with the vectorized
@@ -120,16 +119,15 @@ func ExecVec(n *Node, c *table.Catalog, workers int) (*table.Table, error) {
 	return RunVec(n, VecEnv{Leaf: catalogLeaf(c), Workers: workers})
 }
 
-// catalogLeaf resolves Scan leaves to catalog tables and their cached
-// fragment batches; an Empty leaf's folded scan table supplies its
-// schema.
+// catalogLeaf resolves Scan leaves to registered catalog tables; an
+// Empty leaf's folded scan table supplies its schema.
 func catalogLeaf(c *table.Catalog) func(*Node) (VecLeaf, error) {
 	return func(leaf *Node) (VecLeaf, error) {
 		if leaf.Op != OpScan && leaf.Op != OpEmpty {
 			return VecLeaf{}, fmt.Errorf("logical: unresolved %v leaf", leaf.Op)
 		}
 		t, err := c.Get(leaf.Table)
-		return VecLeaf{Table: t, Frags: c.FragsOf(leaf.Table)}, err
+		return VecLeaf{Table: t}, err
 	}
 }
 
@@ -138,17 +136,18 @@ type vecRun struct {
 	env VecEnv
 }
 
-// vstream is an operator's in-flight result: backing rows plus a lazy
-// columnar view, an optional column projection (schema[i] reads base
-// column cols[i]) and optional per-batch selection vectors. Filter and
-// distinct refine sels, project rewrites cols, aggregate and sort read
-// both in place; rows are copied only by materialize, once, for the
-// consumer that needs them (a join input, the final result).
+// vstream is an operator's in-flight result: a base table plus a lazy
+// columnar view of it (a registered base's fragments, or batches
+// extracted from a result base's rows), an optional column projection
+// (schema[i] reads base column cols[i]) and optional per-batch
+// selection vectors. Filter and distinct refine sels, project rewrites
+// cols, aggregate and sort read both in place; rows are copied only by
+// materialize, once, for the consumer that needs them (a join input,
+// the final result).
 type vstream struct {
 	name   string
 	schema table.Schema
 	base   *table.Table
-	fr     *table.Frags
 	cols   []int          // nil = identity projection onto base columns
 	bs     []*table.Batch // lazy columnar view of base, FragmentRows grid
 	sels   [][]int32      // per-batch selections; nil slice = all rows; nil entry = whole batch
@@ -192,51 +191,49 @@ func selCount(sels [][]int32, n int) int {
 // n-row base.
 func gridLen(n, bi int) int { return min(table.FragmentRows, n-bi*table.FragmentRows) }
 
-// materialize renders the stream as a table: shared row slices when no
-// projection is pending, projected copies otherwise — exactly the rows
-// the row interpreter's Filter/Project chain would produce.
-func (s *vstream) materialize() *table.Table {
-	if s.sels == nil && s.cols == nil {
+// materialize renders the stream as a result table: a whole result
+// base is that table, and otherwise the selected rows, under the column
+// mapping, are read from the stream's batches — exactly the rows the
+// row interpreter's Filter/Project chain would produce.
+func (v *vecRun) materialize(s *vstream) *table.Table {
+	if s.sels == nil && s.cols == nil && s.base.Frags() == nil {
 		return s.base
 	}
-	n := s.base.Len()
 	out := table.New(s.name, s.schema)
-	out.Rows = make([][]Value, 0, selCount(s.sels, n))
+	out.Rows = make([][]Value, 0, selCount(s.sels, s.base.Len()))
 	rows := s.rowCopier(cap(out.Rows))
-	for bi := 0; bi*table.FragmentRows < n; bi++ {
-		sel, start := s.sel(bi), bi*table.FragmentRows
-		for j := range selLen(sel, gridLen(n, bi)) {
-			out.Rows = append(out.Rows, rows.copy(s.base.Rows[start+selRow(sel, j)]))
+	for bi, b := range v.batches(s) {
+		sel := s.sel(bi)
+		for j := range selLen(sel, b.Len) {
+			out.Rows = append(out.Rows, rows.copy(b, selRow(sel, j)))
 		}
 	}
 	return out
 }
 
-// rowCopier renders base rows under the stream's column mapping, for
-// n rows: the row itself without a mapping, a copy of the mapped cells
-// with one, all n copies carved from one allocation.
-func (s *vstream) rowCopier(n int) rowCopier {
-	if s.cols == nil {
-		return rowCopier{}
-	}
-	return rowCopier{cols: s.cols, cells: make([]Value, 0, n*len(s.cols))}
-}
-
-// rowCopier is vstream.rowCopier's result. Each copy is a window of
-// cells capped at its own length, so appending to one row cannot write
-// into the next.
+// rowCopier renders rows of the stream's batches under its column
+// mapping (nil: every column), n rows carved from one allocation. Each
+// copy is a window of cells capped at its own length, so appending to
+// one row cannot write into the next.
 type rowCopier struct {
 	cols  []int
 	cells []Value
 }
 
-func (r *rowCopier) copy(row []Value) []Value {
-	if r.cols == nil {
-		return row
-	}
+func (s *vstream) rowCopier(n int) rowCopier {
+	return rowCopier{cols: s.cols, cells: make([]Value, 0, n*len(s.schema))}
+}
+
+// copy renders row i of batch b.
+func (r *rowCopier) copy(b *table.Batch, i int) []Value {
 	start := len(r.cells)
-	for _, ci := range r.cols {
-		r.cells = append(r.cells, row[ci])
+	if r.cols == nil {
+		for c := range b.Cols {
+			r.cells = append(r.cells, b.Cols[c].ValueAt(i))
+		}
+	}
+	for _, c := range r.cols {
+		r.cells = append(r.cells, b.Cols[c].ValueAt(i))
 	}
 	return r.cells[start:len(r.cells):len(r.cells)]
 }
@@ -244,29 +241,25 @@ func (r *rowCopier) copy(row []Value) []Value {
 // Value is re-exported locally for brevity in row emission.
 type Value = table.Value
 
-// batches resolves the stream's columnar view, reusing catalog
-// fragments when they cover the base table exactly and extracting
-// fragment-aligned batches (in parallel) otherwise.
+// batches resolves the stream's columnar view: a registered base's
+// fragments, or fragment-aligned batches extracted (in parallel) from a
+// result base's rows.
 func (v *vecRun) batches(s *vstream) []*table.Batch {
 	if s.bs != nil {
 		return s.bs
 	}
-	if s.fr != nil && s.fr.Rows == s.base.Len() {
-		s.bs = s.fr.Batches
+	if fr := s.base.Frags(); fr != nil {
+		s.bs = fr.Batches
 		return s.bs
 	}
-	n := s.base.Len()
-	nb := (n + table.FragmentRows - 1) / table.FragmentRows
-	s.bs = make([]*table.Batch, nb)
-	par.ForEach(nb, v.env.Workers, func(bi int) {
+	base, n := s.base, s.base.Len()
+	bs := make([]*table.Batch, (n+table.FragmentRows-1)/table.FragmentRows)
+	par.ForEach(len(bs), v.env.Workers, func(bi int) {
 		start := bi * table.FragmentRows
-		end := start + table.FragmentRows
-		if end > n {
-			end = n
-		}
-		s.bs[bi] = table.BatchRange(s.base, start, end)
+		bs[bi] = table.BatchRange(base, start, min(start+table.FragmentRows, n))
 	})
-	return s.bs
+	s.bs = bs
+	return bs
 }
 
 // eval recursively evaluates the tree to a stream.
@@ -287,7 +280,7 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := table.HashJoin(ls.materialize(), rs.materialize(), n.LeftCol, n.RightCol)
+		out, err := table.HashJoin(v.materialize(ls), v.materialize(rs), n.LeftCol, n.RightCol)
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +313,7 @@ func (v *vecRun) eval(n *Node) (*vstream, error) {
 	case OpSort:
 		return v.topK(s, n.Keys, math.MaxInt)
 	case OpLimit:
-		return passthrough(table.Limit(s.materialize(), n.N)), nil
+		return passthrough(table.Limit(v.materialize(s), n.N)), nil
 	case OpDistinct:
 		return v.distinctStream(s), nil
 	case OpCompare:
@@ -341,7 +334,7 @@ func (v *vecRun) leaf(n *Node) (vstream, error) {
 	var ranges []table.RowRange
 	switch {
 	case n.Op == OpEmpty:
-		in.Table, in.Frags, in.Sels = table.New(in.Table.Name, in.Table.Schema), nil, nil
+		in.Table, in.Sels = table.New(in.Table.Name, in.Table.Schema), nil
 	case n.RowEnd > 0:
 		ranges = []table.RowRange{{Start: n.RowStart, End: n.RowEnd}}
 	}
@@ -353,7 +346,7 @@ func (v *vecRun) leaf(n *Node) (vstream, error) {
 // and the ascending disjoint ranges (nil = all rows) of in's rows
 // refining the selection — no row is sliced or copied.
 func stream(in VecLeaf, cols []string, ranges []table.RowRange) (vstream, error) {
-	s := vstream{name: in.Table.Name, schema: in.Table.Schema, base: in.Table, fr: in.Frags, sels: in.Sels}
+	s := vstream{name: in.Table.Name, schema: in.Table.Schema, base: in.Table, sels: in.Sels}
 	for _, proj := range [][]string{in.Cols, cols} {
 		if len(proj) > 0 {
 			if err := s.project(proj, nil); err != nil {
@@ -474,7 +467,7 @@ func (v *vecRun) filter(s *vstream, preds []table.Pred) (*vstream, error) {
 	}
 	return &vstream{
 		name: s.name, schema: s.schema, base: s.base,
-		fr: s.fr, cols: s.cols, bs: bs, sels: nsels,
+		cols: s.cols, bs: bs, sels: nsels,
 	}, nil
 }
 
@@ -991,7 +984,7 @@ func (v *vecRun) topK(s *vstream, keys []table.SortKey, k int) (*vstream, error)
 	out.Rows = make([][]Value, len(t.h))
 	rows := s.rowCopier(len(t.h))
 	for i, r := range t.h {
-		out.Rows[i] = rows.copy(s.base.Rows[int(r.bi)*table.FragmentRows+int(r.ri)])
+		out.Rows[i] = rows.copy(bs[r.bi], int(r.ri))
 	}
 	return passthrough(out), nil
 }
@@ -1218,7 +1211,7 @@ func (v *vecRun) distinctStream(s *vstream) *vstream {
 	}
 	return &vstream{
 		name: s.name, schema: s.schema, base: s.base,
-		fr: s.fr, cols: s.cols, bs: bs, sels: nsels,
+		cols: s.cols, bs: bs, sels: nsels,
 	}
 }
 

@@ -387,15 +387,20 @@ func codedRow(i int) []table.Value {
 // over the leaf's row range, under a projection of its own column set.
 func assertCodedParity(t *testing.T, c *table.Catalog, root *logical.Node, pending []string) {
 	t.Helper()
-	base, _ := c.Get("coded")
-	env := func(fr *table.Frags, workers int) logical.VecEnv {
+	// A leaf reads the registered table (its fragments) or, extracted, a
+	// result table of its rows.
+	env := func(extracted bool, workers int) logical.VecEnv {
 		return logical.VecEnv{
 			Leaf: func(leaf *logical.Node) (logical.VecLeaf, error) {
+				name := leaf.Table
 				if pending != nil {
-					return logical.VecLeaf{Table: base, Frags: fr, Cols: pending}, nil
+					name = "coded"
 				}
-				tb, err := c.Get(leaf.Table)
-				return logical.VecLeaf{Table: tb, Frags: fr}, err
+				tb, err := c.Get(name)
+				if err == nil && extracted {
+					tb = tb.Clone()
+				}
+				return logical.VecLeaf{Table: tb, Cols: pending}, err
 			},
 			Workers: workers,
 		}
@@ -405,7 +410,7 @@ func assertCodedParity(t *testing.T, c *table.Catalog, root *logical.Node, pendi
 		ref = withPending(root, pending)
 	}
 	want, wantErr := refeval.Eval(ref, c)
-	row, rowErr := logical.Run(root, env(nil, 1).Leaf)
+	row, rowErr := logical.Run(root, env(true, 1).Leaf)
 	check := func(label string, got *table.Table, err error) {
 		t.Helper()
 		switch {
@@ -419,11 +424,11 @@ func assertCodedParity(t *testing.T, c *table.Catalog, root *logical.Node, pendi
 	}
 	check("row interpreter", row, rowErr)
 	for _, way := range []struct {
-		name string
-		fr   *table.Frags
-	}{{"fragments", c.FragsOf("coded")}, {"extracted", nil}} {
+		name      string
+		extracted bool
+	}{{"fragments", false}, {"extracted", true}} {
 		for _, workers := range []int{1, 4} {
-			got, err := logical.RunVec(root, env(way.fr, workers))
+			got, err := logical.RunVec(root, env(way.extracted, workers))
 			check(fmt.Sprintf("%s, workers=%d", way.name, workers), got, err)
 		}
 	}

@@ -176,7 +176,7 @@ func assertKernels(t *testing.T, c *table.Catalog, root *logical.Node) {
 					if !way.frags {
 						return logical.VecLeaf{Table: tb}, err
 					}
-					return logical.VecLeaf{Table: tb, Frags: c.FragsOf(leaf.Table)}, err
+					return logical.VecLeaf{Table: tb}, err
 				}})
 			label := fmt.Sprintf("%s, workers=%d", way.name, workers)
 			if (err == nil) != (wantErr == nil) {

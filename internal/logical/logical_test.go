@@ -50,7 +50,7 @@ func testCatalog() *table.Catalog {
 func render(t *table.Table) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Schema.Names(), ","))
-	for _, row := range t.Rows {
+	for _, row := range t.RowView() {
 		b.WriteByte('\n')
 		for _, v := range row {
 			fmt.Fprintf(&b, "%v:%v:%s|", v.Kind(), v.IsNull(), v)

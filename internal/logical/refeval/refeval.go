@@ -94,7 +94,7 @@ func Eval(n *logical.Node, c *table.Catalog) (*table.Table, error) {
 func Render(t *table.Table) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.Schema.Names(), ","))
-	for _, row := range t.Rows {
+	for _, row := range t.RowView() {
 		b.WriteByte('\n')
 		for _, v := range row {
 			b.WriteString(v.Kind().String() + ":" + strconv.FormatBool(v.IsNull()) + ":" + v.String() + "|")
@@ -154,7 +154,7 @@ func scan(n *logical.Node, c *table.Catalog) (rel, error) {
 	if err != nil {
 		return rel{}, err
 	}
-	rows := t.Rows
+	rows := t.RowView()
 	switch {
 	case n.Op == logical.OpEmpty:
 		rows = nil

@@ -75,7 +75,7 @@ func topKTable(seed int64, n int, nan bool) *table.Table {
 
 // prefix is the first k rows of t, none for k < 0: a LIMIT k.
 func prefix(t *table.Table, k int) *table.Table {
-	return &table.Table{Name: t.Name, Schema: t.Schema, Rows: t.Rows[:min(max(k, 0), t.Len())]}
+	return &table.Table{Name: t.Name, Schema: t.Schema, Rows: t.RowView()[:min(max(k, 0), t.Len())]}
 }
 
 // sameCells reports whether two tables agree cell for cell: schema
@@ -166,14 +166,14 @@ func TestVecTopKEqualsStableSortPrefix(t *testing.T) {
 		// The projection pending at the leaf, as an in-process backend
 		// leaves it: the leaf table is the unprojected base, and the
 		// reference scans the projected columns.
-		fr := c.FragsOf(base.Name)
+		reg, _ := c.Get(base.Name)
 		for _, withFrags := range []bool{true, false} {
 			env := logical.VecEnv{
 				Leaf: func(*logical.Node) (logical.VecLeaf, error) {
 					if withFrags {
-						return logical.VecLeaf{Table: base, Frags: fr, Cols: cols}, nil
+						return logical.VecLeaf{Table: reg, Cols: cols}, nil
 					}
-					return logical.VecLeaf{Table: base, Cols: cols}, nil
+					return logical.VecLeaf{Table: base.Clone(), Cols: cols}, nil
 				},
 				Workers: 1,
 			}

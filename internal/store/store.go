@@ -403,16 +403,18 @@ func (s *RelationalStore) Records() []Record {
 	out := make([]Record, 0, s.Len())
 	var ids, text []byte
 	var ends []int
+	var row []table.Value
 	for _, t := range s.Tables() {
 		render := newRowText(t.Schema)
 		prefix := s.name + "/" + t.Name + "/"
 		ids, ends = ids[:0], ends[:0]
-		for i := range t.Rows {
+		for i := range t.Len() {
 			ids = strconv.AppendInt(append(ids, prefix...), int64(i), 10)
 			ends = append(ends, len(ids))
 		}
 		all, start := string(ids), 0
-		for i, row := range t.Rows {
+		for i := range t.Len() {
+			row = t.AppendRow(row[:0], i)
 			text = render.appendRow(text[:0], row)
 			out = append(out, Record{ID: all[start:ends[i]], Source: s.name, Kind: KindRelational, Text: string(text)})
 			start = ends[i]

@@ -131,8 +131,8 @@ type Batch struct {
 	Cols   []ColVec
 }
 
-// BatchRange extracts rows [start, end) of t, at most FragmentRows of
-// them, into a Batch by the walk that seals a catalog fragment
+// BatchRange extracts rows [start, end) of the result table t, at most
+// FragmentRows of them, into a Batch by the walk that seals a catalog fragment
 // (sealCol), without ordinals or zone map. The range must be within
 // bounds. Extraction is pure and deterministic; the resulting batch
 // shares nothing mutable with t beyond boxed Values (which are

@@ -21,7 +21,7 @@ func TestDictCodesFitUint8(t *testing.T) {
 	}
 	c := NewCatalog()
 	c.Put(tb)
-	checkSealed(t, c, "wide", "wide")
+	checkSealed(t, c, tb, "wide")
 	fr := c.FragsOf("wide")
 	full := fr.Batches[0].Cols[0]
 	if len(full.Dict) != FragmentRows || full.Codes[FragmentRows-1] != FragmentRows-1 {
@@ -62,7 +62,7 @@ func TestDictShapes(t *testing.T) {
 	}
 	c := NewCatalog()
 	c.Put(tb)
-	checkSealed(t, c, "shapes", "shapes")
+	checkSealed(t, c, tb, "shapes")
 	fr := c.FragsOf("shapes")
 	if none := fr.Batches[0].Cols[2]; none.Codes == nil || len(none.Dict) != 0 {
 		t.Errorf("all-NULL string column: codes %v, dict %q; want zero codes and an empty dictionary", none.Codes != nil, none.Dict)
@@ -108,9 +108,11 @@ func TestDictAppendTail(t *testing.T) {
 	c.Put(tb)
 	before := c.FragsOf("sales")
 	oldTail := before.Batches[1].Cols[0]
-	if err := c.Append("sales", [][]Value{{S("Omega"), I(-1), F(1)}, {S("Alpha"), I(-2), Null(TypeFloat)}}); err != nil {
+	rows := [][]Value{{S("Omega"), I(-1), F(1)}, {S("Alpha"), I(-2), Null(TypeFloat)}}
+	if err := c.Append("sales", rows); err != nil {
 		t.Fatal(err)
 	}
+	tb.Rows = append(tb.Rows, rows...)
 	after := c.FragsOf("sales")
 	if after.Batches[0] != before.Batches[0] {
 		t.Error("the sealed batch was re-derived")
@@ -125,5 +127,5 @@ func TestDictAppendTail(t *testing.T) {
 	if len(newTail.Dict) != 4 || newTail.Dict[3] != "Omega" {
 		t.Errorf("re-derived tail dictionary = %q, want the three products then Omega", newTail.Dict)
 	}
-	checkSealed(t, c, "sales", "append")
+	checkSealed(t, c, tb, "append")
 }

@@ -108,7 +108,7 @@ func (p Pred) Match(v Value) bool {
 func Filter(t *Table, preds ...Pred) (*Table, error) {
 	out := New(t.Name, t.Schema)
 	var err error
-	if out.Rows, err = appendMatching(out.Rows, t.Schema, t.Rows, preds); err != nil {
+	if out.Rows, err = appendMatching(out.Rows, t.Schema, t.RowView(), preds); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -157,7 +157,7 @@ func Project(t *Table, cols ...string) (*Table, error) {
 		schema[i] = t.Schema[idx]
 	}
 	out := New(t.Name, schema)
-	for _, row := range t.Rows {
+	for _, row := range t.RowView() {
 		nr := make([]Value, len(idxs))
 		for i, idx := range idxs {
 			nr[i] = row[idx]
@@ -187,20 +187,20 @@ func HashJoin(left, right *Table, leftCol, rightCol string) (*Table, error) {
 	out := New(left.Name+"_join_"+right.Name, JoinedSchema(left.Schema, right.Name, right.Schema))
 
 	// Build on the smaller input, probe with the larger, both by key.
-	buildLeft := len(left.Rows) <= len(right.Rows)
-	bt, bi, pt, pi := left, li, right, ri
+	buildLeft := left.Len() <= right.Len()
+	bt, bi, pt, pi := left.RowView(), li, right.RowView(), ri
 	if !buildLeft {
-		bt, bi, pt, pi = right, ri, left, li
+		bt, bi, pt, pi = pt, ri, bt, li
 	}
-	build := make(map[string][][]Value, len(bt.Rows))
-	for _, br := range bt.Rows {
+	build := make(map[string][][]Value, len(bt))
+	for _, br := range bt {
 		if !br[bi].IsNull() {
 			k := br[bi].Key()
 			build[k] = append(build[k], br)
 		}
 	}
 	var kb []byte
-	for _, pr := range pt.Rows {
+	for _, pr := range pt {
 		if pr[pi].IsNull() {
 			continue
 		}
@@ -310,7 +310,7 @@ func Aggregate(t *Table, groupBy []string, aggs []Agg) (*Table, error) {
 	if err := acc.Init(t.Schema, nil, groupBy, aggs); err != nil {
 		return nil, err
 	}
-	acc.Fold(t.Rows)
+	acc.Fold(t.RowView())
 	return acc.Emit(t.Name + "_agg"), nil
 }
 
@@ -491,12 +491,16 @@ func (a *AggAcc) Fold(rows [][]Value) {
 // Value, carrying a group's count and sum across a run of its rows, and
 // each group's state sees its cells in row order, so its float
 // additions are the ones Fold makes.
-func (a *AggAcc) FoldBatches(bs []*Batch, sels [][]int32) {
+func (a *AggAcc) FoldBatches(bs []*Batch, sels [][]int32) { a.foldBatches(bs, sels, true) }
+
+// foldBatches is FoldBatches, grouping by ordinal only when byOrdinal
+// allows it: a fold by key leaves the accumulator open to more Folds.
+func (a *AggAcc) foldBatches(bs []*Batch, sels [][]int32, byOrdinal bool) {
 	if a.global != nil || len(a.order) > 0 {
 		panic("table: AggAcc.FoldBatches on an accumulator already folded")
 	}
 	var dense []*aggGroup // groups by ordinal, then NULL's
-	if len(a.groupIn) == 1 {
+	if byOrdinal && len(a.groupIn) == 1 {
 		if span, ok := OrdinalSpan(bs, sels, a.groupIn[0]); ok {
 			dense = make([]*aggGroup, span+1)
 			a.order = make([]keyedGroup, 0, span+1) // at most a group per slot
@@ -954,13 +958,8 @@ func Sort(t *Table, keys ...SortKey) (*Table, error) {
 // Limit returns at most n rows.
 func Limit(t *Table, n int) *Table {
 	out := New(t.Name, t.Schema)
-	if n > len(t.Rows) {
-		n = len(t.Rows)
-	}
-	if n < 0 {
-		n = 0
-	}
-	out.Rows = append(out.Rows, t.Rows[:n]...)
+	rows := t.RowView()
+	out.Rows = append(out.Rows, rows[:max(min(n, len(rows)), 0)]...)
 	return out
 }
 
@@ -969,7 +968,7 @@ func Distinct(t *Table) *Table {
 	out := New(t.Name, t.Schema)
 	seen := make(map[string]bool)
 	var kb []byte
-	for _, row := range t.Rows {
+	for _, row := range t.RowView() {
 		kb = kb[:0]
 		for _, v := range row {
 			kb = AppendKey(kb, v)

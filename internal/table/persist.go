@@ -56,22 +56,25 @@ func (c *Catalog) WriteJSON(w io.Writer) error {
 			return append(dst, '}')
 		})
 		buf = append(buf, `,"rows":`...)
-		if len(t.Rows) == 0 {
+		if t.Len() == 0 {
 			buf = append(buf, "null"...)
 		} else {
-			for r, row := range t.Rows {
-				// A row is never null: a row of no cells is [].
-				buf = append(buf, listSep(r), '[')
-				for i, v := range row {
-					if i > 0 {
-						buf = append(buf, ',')
+			// The rows, decoded from the registered table's fragments.
+			for bi, b := range t.Frags().Batches {
+				for r := range b.Len {
+					// A row is never null: a row of no cells is [].
+					buf = append(buf, listSep(bi*FragmentRows+r), '[')
+					for i := range b.Cols {
+						if i > 0 {
+							buf = append(buf, ',')
+						}
+						buf = appendCell(buf, b.Cols[i].ValueAt(r))
 					}
-					buf = appendCell(buf, v)
-				}
-				buf = append(buf, ']')
-				if len(buf) >= 32<<10 {
-					bw.Write(buf)
-					buf = buf[:0]
+					buf = append(buf, ']')
+					if len(buf) >= 32<<10 {
+						bw.Write(buf)
+						buf = buf[:0]
+					}
 				}
 			}
 			buf = append(buf, ']')
@@ -187,7 +190,7 @@ func ReadCatalogJSON(r io.Reader) (*Catalog, error) {
 	}
 	c := NewCatalog()
 	for _, t := range d.tables {
-		c.derive(t, 0)
+		c.derive(t, 0, t.Rows)
 	}
 	for _, def := range d.rollups {
 		if err := c.AddRollup(def); err != nil {

@@ -61,7 +61,7 @@ func refWriteJSON(c *Catalog, w io.Writer) error {
 			return err
 		}
 		pt := refTable{Name: t.Name, Columns: append([]Column(nil), t.Schema...)}
-		for _, row := range t.Rows {
+		for _, row := range t.RowView() {
 			pr := make([]*string, len(row))
 			for i, v := range row {
 				if v.IsNull() {
@@ -123,7 +123,7 @@ func refReadCatalogJSON(r io.Reader) (*Catalog, error) {
 				return nil, fmt.Errorf("table: read catalog %s row %d: %w", pt.Name, ri, err)
 			}
 		}
-		c.derive(t, 0)
+		c.derive(t, 0, t.Rows)
 	}
 	for _, pr := range p.Rollups {
 		def := RollupDef{Name: pr.Name, Base: pr.Base, GroupBy: append([]string(nil), pr.GroupBy...)}

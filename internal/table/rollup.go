@@ -137,8 +137,10 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 	if err := rs.acc.Init(base.table.Schema, nil, def.GroupBy, def.Aggs); err != nil {
 		return fmt.Errorf("table: rollup %s: %w", def.Name, err)
 	}
-	rs.acc.Fold(base.table.Rows)
-	mat := c.derive(rs.acc.Emit(def.Name), 0)
+	// By key, so that an Append's rows fold into the same groups later.
+	rs.acc.foldBatches(base.table.frags.Batches, nil, false)
+	out := rs.acc.Emit(def.Name)
+	mat := c.derive(out, 0, out.Rows)
 	mat.rollup, rs.epoch = rs, c.epoch
 	base.rollups = append(base.rollups, rs)
 	slices.SortFunc(base.rollups, func(a, b *rollupState) int {
@@ -148,15 +150,15 @@ func (c *Catalog) AddRollup(def RollupDef) error {
 }
 
 // maintainRollups re-materializes, in sorted name order, every rollup
-// over e's table after derive ran on it from row from: each folds the
-// rows from that one on. Folding from row 0 starts over with an empty
+// over e's table after derive ran on it with rows from row from on:
+// each folds those rows. Folding from row 0 starts over with an empty
 // accumulator made against the schema the table has now, which yields
 // the materialization an Append-grown accumulator holds bit for bit.
 // When the new schema can no longer satisfy a rollup (a group or
 // aggregate column vanished) the rollup is deregistered and its
 // materialization dropped, advancing the epoch so cached plans that
 // routed onto it are invalidated.
-func (c *Catalog) maintainRollups(e *entry, from int) {
+func (c *Catalog) maintainRollups(e *entry, rows [][]Value, from int) {
 	kept := e.rollups[:0]
 	for _, rs := range e.rollups {
 		if from == 0 {
@@ -168,8 +170,9 @@ func (c *Catalog) maintainRollups(e *entry, from int) {
 			}
 			rs.acc = acc
 		}
-		rs.acc.Fold(e.table.Rows[from:])
-		c.derive(rs.acc.Emit(rs.def.Name), 0)
+		rs.acc.Fold(rows)
+		out := rs.acc.Emit(rs.def.Name)
+		c.derive(out, 0, out.Rows)
 		rs.epoch = c.epoch
 		kept = append(kept, rs)
 	}

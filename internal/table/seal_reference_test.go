@@ -153,17 +153,21 @@ func sameBatch(a, b *Batch) bool {
 	return reflect.DeepEqual(sa, sb) && reflect.DeepEqual(ba, bb)
 }
 
-// checkSealed holds every fragment the catalog derived for the named
-// table — batch, dictionaries, ordinals and zone map — to sealByRows
-// over the catalog's own rows, and the on-the-fly BatchRange of each
-// fragment to the same batch without ordinals.
-func checkSealed(t testing.TB, c *Catalog, name, step string) {
+// checkSealed holds every fragment the catalog derived for the table
+// named as tb, whose rows are tb's — batch, dictionaries, ordinals and
+// zone map — to sealByRows over tb's rows, the on-the-fly BatchRange of
+// each fragment to the same batch without ordinals, and the registered
+// table's row view to tb's rows.
+func checkSealed(t testing.TB, c *Catalog, tb *Table, step string) {
 	t.Helper()
-	tb, err := c.Get(name)
+	reg, err := c.Get(tb.Name)
 	if err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
-	z, fr := c.ZonesOf(name), c.FragsOf(name)
+	if reg.Rows != nil || !sameRows(reg.RowView(), tb.Rows) {
+		t.Fatalf("%s: the registered table holds rows %v or its row view differs from the rows registered", step, reg.Rows != nil)
+	}
+	z, fr := c.ZonesOf(tb.Name), c.FragsOf(tb.Name)
 	nfrag := (tb.Len() + FragmentRows - 1) / FragmentRows
 	if z.Rows != tb.Len() || fr.Rows != tb.Len() || len(z.Maps) != nfrag || len(fr.Batches) != nfrag {
 		t.Fatalf("%s: %d rows sealed as zones over %d rows in %d maps, fragments over %d rows in %d batches",
@@ -237,7 +241,7 @@ func TestSealedFragmentsMatchRowWalk(t *testing.T) {
 	}
 	c := NewCatalog()
 	c.Put(edge)
-	checkSealed(t, c, "edge", "edge table")
+	checkSealed(t, c, edge, "edge table")
 	if cv := c.FragsOf("edge").Batches[1].Cols[2]; cv.Boxed == nil {
 		t.Error("the kind anomaly did not box its fragment's column")
 	}
@@ -251,7 +255,7 @@ func TestSealedFragmentsMatchRowWalk(t *testing.T) {
 	one := New("one", edge.Schema)
 	one.Rows = append(one.Rows, edge.Rows[2])
 	c.Put(one)
-	checkSealed(t, c, "one", "1-row table")
+	checkSealed(t, c, one, "1-row table")
 
 	grow := New("grow", edge.Schema)
 	grow.Rows = append(grow.Rows, edge.Rows[:FragmentRows-6]...)
@@ -264,6 +268,7 @@ func TestSealedFragmentsMatchRowWalk(t *testing.T) {
 		if err := c.Append("grow", rows); err != nil {
 			t.Fatal(err)
 		}
-		checkSealed(t, c, "grow", fmt.Sprintf("append at row %d", start))
+		grow.Rows = append(grow.Rows, rows...)
+		checkSealed(t, c, grow, fmt.Sprintf("append at row %d", start))
 	}
 }

@@ -75,26 +75,28 @@ func (ts *TableStats) Col(name string) *ColStats {
 	return nil
 }
 
-// statsFrom derives the statistics of t plus the per-column distinct
-// runs (ascending (value, count) pairs covering every non-null cell)
-// they derive from, given that the first k rows are unchanged since
-// prev and prevRuns were derived: only rows from k on are collected and
-// sorted, then merged into the retained runs — O(d log d + NDV) per
-// column for d appended rows. The full build is the k = 0 case, with no
-// prev to merge into; it counts identical cells before it sorts, so its
-// sort is over the column's distinct values and not its rows. Both
-// produce bit-equal statistics for the same final rows.
-func statsFrom(prev *TableStats, prevRuns [][]ValueCount, t *Table, k int) (*TableStats, [][]ValueCount) {
-	ts := &TableStats{Table: t.Name, Rows: len(t.Rows), Cols: make([]ColStats, len(t.Schema))}
+// statsFrom derives the statistics of a table shaped as t whose rows
+// from row k on are rows, plus the per-column distinct runs (ascending
+// (value, count) pairs covering every non-null cell) they derive from,
+// given that the first k rows are unchanged since prev and prevRuns were
+// derived: only rows is collected and sorted, then merged into the
+// retained runs — O(d log d + NDV) per column for d appended rows. The
+// full build is the k = 0 case, with no prev to merge into; it counts
+// identical cells before it sorts, so its sort is over the column's
+// distinct values and not its rows. Both produce bit-equal statistics
+// for the same final rows.
+func statsFrom(prev *TableStats, prevRuns [][]ValueCount, t *Table, k int, rows [][]Value) (*TableStats, [][]ValueCount) {
+	n := k + len(rows)
+	ts := &TableStats{Table: t.Name, Rows: n, Cols: make([]ColStats, len(t.Schema))}
 	runs := make([][]ValueCount, len(t.Schema))
 	for ci, col := range t.Schema {
 		var nulls int
-		runs[ci], nulls = colRuns(t.Rows[k:], ci, k == 0)
+		runs[ci], nulls = colRuns(rows, ci, k == 0)
 		if k > 0 {
 			runs[ci] = mergeRuns(prevRuns[ci], runs[ci])
 			nulls += prev.Cols[ci].Nulls
 		}
-		ts.Cols[ci] = finishColStats(col.Name, len(t.Rows), nulls, runs[ci])
+		ts.Cols[ci] = finishColStats(col.Name, n, nulls, runs[ci])
 	}
 	return ts, runs
 }

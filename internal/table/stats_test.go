@@ -28,7 +28,7 @@ func statsFixture() *Table {
 // fullStats is the statistics build a first Put runs: every row new,
 // nothing to merge into.
 func fullStats(t *Table) *TableStats {
-	ts, _ := statsFrom(nil, nil, t, 0)
+	ts, _ := statsFrom(nil, nil, t, 0, t.RowView())
 	return ts
 }
 

@@ -48,11 +48,15 @@ var (
 	ErrNoTable        = errors.New("table: no such table")
 )
 
-// Table is an in-memory relation.
+// Table is an in-memory relation, held one of two ways. A result
+// table — what a query, a decoder or a caller builds — is its Rows. A
+// registered table — what Catalog.Get returns — is its sealed
+// fragments and has no Rows. Len, AppendRow and RowView read either.
 type Table struct {
 	Name   string
 	Schema Schema
-	Rows   [][]Value
+	Rows   [][]Value // a result table's rows; nil on a registered table
+	frags  *Frags    // a registered table's cells; nil on a result table
 }
 
 // New returns an empty table with the given schema.
@@ -60,9 +64,13 @@ func New(name string, schema Schema) *Table {
 	return &Table{Name: name, Schema: schema}
 }
 
-// Append adds a row after validating arity and types. NULLs of any
-// declared type are accepted in any column.
+// Append adds a row to a result table after validating arity and
+// types. NULLs of any declared type are accepted in any column. A
+// registered table refuses it: its rows arrive through Catalog.Append.
 func (t *Table) Append(row []Value) error {
+	if t.frags != nil {
+		return fmt.Errorf("table: %s is registered: rows reach it through Catalog.Append", t.Name)
+	}
 	if err := t.Schema.conform(row); err != nil {
 		return err
 	}
@@ -100,14 +108,60 @@ func (t *Table) MustAppend(row []Value) {
 }
 
 // Len returns the number of rows.
-func (t *Table) Len() int { return len(t.Rows) }
+func (t *Table) Len() int {
+	if t.frags != nil {
+		return t.frags.Rows
+	}
+	return len(t.Rows)
+}
 
-// Clone returns a deep copy (rows are copied; values are immutable).
+// Frags returns a registered table's fragments, or nil for a result
+// table. They are shared and must not be mutated.
+func (t *Table) Frags() *Frags { return t.frags }
+
+// AppendRow appends the cells of row r to dst: the one reader of a
+// table's cells by row, a registered table's decoded from its
+// fragments (ColVec.ValueAt, bit for bit the cells registered).
+func (t *Table) AppendRow(dst []Value, r int) []Value {
+	if t.frags == nil {
+		return append(dst, t.Rows[r]...)
+	}
+	b, i := t.frags.Batches[r/FragmentRows], r%FragmentRows
+	for c := range b.Cols {
+		dst = append(dst, b.Cols[c].ValueAt(i))
+	}
+	return dst
+}
+
+// RowView returns the table's rows: a result table's own, or a
+// registered table's built on each call (copyRows). The rows are
+// read-only.
+func (t *Table) RowView() [][]Value {
+	if t.frags == nil {
+		return t.Rows
+	}
+	return t.copyRows(0, t.Len())
+}
+
+// copyRows returns copies of rows [start, end), every row a window of
+// one slab capped at its own length.
+func (t *Table) copyRows(start, end int) [][]Value {
+	w := len(t.Schema)
+	rows, cells := make([][]Value, end-start), make([]Value, 0, (end-start)*w)
+	for i := range rows {
+		cells = t.AppendRow(cells, start+i)
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// Clone returns a deep copy as a result table (rows are copied; values
+// are immutable).
 func (t *Table) Clone() *Table {
 	nt := New(t.Name, append(Schema(nil), t.Schema...))
-	nt.Rows = make([][]Value, len(t.Rows))
-	for i, r := range t.Rows {
-		nt.Rows[i] = append([]Value(nil), r...)
+	nt.Rows = make([][]Value, t.Len())
+	for i := range nt.Rows {
+		nt.Rows[i] = t.AppendRow(nil, i)
 	}
 	return nt
 }
@@ -118,7 +172,11 @@ const PreviewRows = 20
 // String renders the table as an aligned ASCII grid (capped at
 // PreviewRows rows) for CLI output and examples.
 func (t *Table) String() string {
-	return Layout(t.Schema.Names(), Cells(t.Rows[:min(len(t.Rows), PreviewRows)]), len(t.Rows))
+	preview := make([][]Value, min(t.Len(), PreviewRows))
+	for r := range preview {
+		preview[r] = t.AppendRow(nil, r)
+	}
+	return Layout(t.Schema.Names(), Cells(preview), t.Len())
 }
 
 // Cells renders every cell of rows once, as Value.String does, into one
@@ -306,9 +364,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := cw.Write(t.Schema.Names()); err != nil {
 		return fmt.Errorf("table: write csv: %w", err)
 	}
-	for _, r := range t.Rows {
-		cells := make([]string, len(r))
-		for i, v := range r {
+	var row []Value
+	for r := range t.Len() {
+		row = t.AppendRow(row[:0], r)
+		cells := make([]string, len(row))
+		for i, v := range row {
 			if v.IsNull() {
 				cells[i] = ""
 			} else {
@@ -329,22 +389,22 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // reads beside a table — statistics, zone maps, columnar fragments,
 // rollup materializations — always comes from the same rows by the same
 // rule, whether the table arrived by Put, grew by Append, is a rollup's
-// output or came from a snapshot. A table handed to the catalog is
-// read-only to its caller from then on: the catalog is told what
-// changes (Put replaces, Append extends), it never finds out.
+// output or came from a snapshot. derive seals the rows it is handed
+// into fragments and keeps no row: a registered table is its
+// fragments. The catalog is told what changes (Put replaces, Append
+// extends), it never finds out.
 type Catalog struct {
 	entries map[string]*entry // by lower-cased table name
 	epoch   uint64
 }
 
-// entry is everything the catalog holds for one table: the table and
-// what derive computed from its rows.
+// entry is everything the catalog holds for one table: the registered
+// table (its fragments) and what else derive computed from its rows.
 type entry struct {
 	table *Table
 	stats *TableStats
 	runs  [][]ValueCount // the per-column distinct runs stats derive from
 	zones *Zones
-	frags *Frags
 	// ords maps each coded column's values to their table-wide ordinals
 	// (ColVec.Ords), by schema column: the numbering the next Append's
 	// seal carries on from. Only the sealer reads or extends it, and it
@@ -367,9 +427,11 @@ func NewCatalog() *Catalog {
 // zone maps, columnar fragments and the rollups over it. Put always
 // means "replace", whatever pointer or rows it is handed.
 //
-// From here on t is read-only to the caller: the catalog hands the same
-// pointer to every reader. Rows are added with Append; any other change
-// is made on a table of the caller's own, which is then Put.
+// The catalog keeps t's cells as fragments, not t: Get hands every
+// reader one registered table, which has no Rows (Table.RowView builds
+// them), and t stays the caller's. Rows are added with Append; any
+// other change is made on a table of the caller's own, which is then
+// Put.
 func (c *Catalog) Put(t *Table) {
 	if e := c.entries[strings.ToLower(t.Name)]; e != nil && e.rollup != nil {
 		// The caller is reclaiming a rollup's name for an ordinary
@@ -379,7 +441,8 @@ func (c *Catalog) Put(t *Table) {
 		base.rollups = slices.DeleteFunc(base.rollups, func(rs *rollupState) bool { return rs == e.rollup })
 		e.rollup = nil
 	}
-	c.maintainRollups(c.derive(t, 0), 0)
+	rows := t.RowView()
+	c.maintainRollups(c.derive(t, 0, rows), rows, 0)
 }
 
 // Append adds rows to the named table and advances the catalog epoch.
@@ -408,64 +471,73 @@ func (c *Catalog) Append(name string, rows [][]Value) error {
 			return err
 		}
 	}
-	from := len(e.table.Rows)
-	e.table.Rows = append(e.table.Rows, rows...)
-	c.maintainRollups(c.derive(e.table, from), from)
+	from := e.table.Len()
+	c.maintainRollups(c.derive(e.table, from, rows), rows, from)
 	return nil
 }
 
 // derive is the one registration path: Put, Append, rollup
-// materializations and loaded tables all pass through it. It is told
-// the first row of t that what the catalog already holds under t's name
-// does not cover — 0 to replace, the old row count to extend — and
-// derives every per-table artifact from that row on.
-func (c *Catalog) derive(t *Table, from int) *entry {
+// materializations and loaded tables all pass through it. It is handed
+// the rows of a table named and shaped as t from row from on — from 0
+// to replace, from the old row count to extend what the catalog holds
+// under t's name — derives every per-table artifact from them, and
+// registers a new table of t's name and schema that is the fragments.
+// The rows are not kept.
+func (c *Catalog) derive(t *Table, from int, rows [][]Value) *entry {
 	key := strings.ToLower(t.Name)
 	e := c.entries[key]
 	if e == nil {
 		e = &entry{}
 		c.entries[key] = e
 	}
-	e.stats, e.runs = statsFrom(e.stats, e.runs, t, from)
-	e.zones, e.frags, e.ords = fragmentsFrom(e.zones, e.frags, e.ords, t, from)
-	e.table = t
+	e.stats, e.runs = statsFrom(e.stats, e.runs, t, from, rows)
+	var frags *Frags
+	e.zones, frags, e.ords = fragmentsFrom(e.zones, e.table, e.ords, t, from, rows)
+	e.table = &Table{Name: t.Name, Schema: t.Schema, frags: frags}
 	c.epoch++
 	e.stats.Epoch = c.epoch
 	return e
 }
 
-// fragmentsFrom walks the FragmentRows grid of t once, from the
-// fragment holding row from, and seals each fragment: one walk per
-// column (sealCol) builds its typed cells, dictionary, ordinals and
-// zone summary. Fragments wholly below from are sealed — full and
-// unchanged — and shared with the previous z and f; the value→ordinal
-// maps ords number the new rows' values on from the old ones, so the
-// open tail, derived again with the new rows, finds its earlier values
-// under the ordinals they already hold. From row 0 the maps start
-// empty. Zones and Frags are immutable once published, so the result
-// is always a fresh pair; ords is extended in place.
-func fragmentsFrom(z *Zones, f *Frags, ords []map[string]uint32, t *Table, from int) (*Zones, *Frags, []map[string]uint32) {
-	nz := &Zones{Table: t.Name, Rows: len(t.Rows)}
-	nf := &Frags{Table: t.Name, Rows: len(t.Rows)}
-	if sealed := from / FragmentRows; sealed > 0 {
-		nz.Maps, nf.Batches = z.Maps[:sealed:sealed], f.Batches[:sealed:sealed]
+// fragmentsFrom seals rows, the rows of a table shaped as t from row
+// from on, onto the FragmentRows grid: one walk per column (sealCol) of
+// each fragment builds its typed cells, dictionary, ordinals and zone
+// summary. Fragments wholly below from are sealed — full and unchanged —
+// and shared with the previous z and the registered table old; the open
+// tail old ends in, if any, is sealed again from its cells followed by
+// the new rows. The
+// value→ordinal maps ords number the new rows' values on from the old
+// ones, so the open tail finds its earlier values under the ordinals
+// they already hold. From row 0 the maps start empty. Zones and Frags
+// are immutable once published, so the result is always a fresh pair;
+// ords is extended in place.
+func fragmentsFrom(z *Zones, old *Table, ords []map[string]uint32, t *Table, from int, rows [][]Value) (*Zones, *Frags, []map[string]uint32) {
+	n := from + len(rows)
+	nz := &Zones{Table: t.Name, Rows: n}
+	nf := &Frags{Table: t.Name, Rows: n}
+	sealed := from / FragmentRows
+	if sealed > 0 {
+		nz.Maps, nf.Batches = z.Maps[:sealed:sealed], old.frags.Batches[:sealed:sealed]
 	} else {
 		ords = make([]map[string]uint32, len(t.Schema))
 	}
+	if sealed*FragmentRows < from {
+		rows = append(old.copyRows(sealed*FragmentRows, from), rows...)
+	}
 	s := sealer{ords: ords}
-	first := len(nf.Batches)
-	for start := len(nz.Maps) * FragmentRows; start < len(t.Rows); start += FragmentRows {
-		end := min(start+FragmentRows, len(t.Rows))
+	for start := sealed * FragmentRows; start < n; start += FragmentRows {
+		end := min(start+FragmentRows, n)
 		b := &Batch{Schema: t.Schema, Len: end - start, Cols: make([]ColVec, len(t.Schema))}
 		zm := ZoneMap{Start: start, End: end, Cols: make([]ZoneCol, len(t.Schema))}
+		at := start - sealed*FragmentRows
 		for ci, col := range t.Schema {
 			zm.Cols[ci] = ZoneCol{Col: col.Name, Exact: true}
-			b.Cols[ci] = sealCol(t.Rows[start:end], ci, col, &s, &zm.Cols[ci])
+			b.Cols[ci] = sealCol(rows[at:at+b.Len], ci, col, &s, &zm.Cols[ci])
 		}
 		nz.Maps = append(nz.Maps, zm)
 		nf.Batches = append(nf.Batches, b)
 	}
-	s.ordinals(nf.Batches[first:])
+	s.ordinals(nf.Batches[sealed:])
 	return nz, nf, ords
 }
 
@@ -491,21 +563,34 @@ func (c *Catalog) ZonesOf(name string) *Zones { return c.lookup(name).zones }
 // FragsOf returns the columnar fragments extracted at the named
 // table's last Put, or nil for an unknown table. The returned
 // fragments are shared and must not be mutated.
-func (c *Catalog) FragsOf(name string) *Frags { return c.lookup(name).frags }
+func (c *Catalog) FragsOf(name string) *Frags {
+	if e := c.entries[strings.ToLower(name)]; e != nil {
+		return e.table.frags
+	}
+	return nil
+}
 
 // Epoch counts catalog mutations. Anything derived from catalog
 // contents (physical plans, graph-evidence views) is valid only for the
 // epoch it was computed at.
 func (c *Catalog) Epoch() uint64 { return c.epoch }
 
-// Get returns the named table or ErrNoTable.
+// Get returns the named registered table, allocating nothing, or an
+// ErrNoTable naming it.
 func (c *Catalog) Get(name string) (*Table, error) {
 	e, ok := c.entries[strings.ToLower(name)]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+		return nil, noTable(name)
 	}
 	return e.table, nil
 }
+
+// noTable is Get's miss: ErrNoTable and the name asked for, formatted
+// only when read, since binding probes names that are not there.
+type noTable string
+
+func (e noTable) Error() string { return ErrNoTable.Error() + ": " + string(e) }
+func (e noTable) Unwrap() error { return ErrNoTable }
 
 // Names returns registered table names, sorted.
 func (c *Catalog) Names() []string {

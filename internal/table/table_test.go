@@ -90,8 +90,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.Schema[2].Type != TypeInt && back.Schema[2].Type != TypeFloat {
 		t.Errorf("revenue type = %v", back.Schema[2].Type)
 	}
-	if Compare(back.Rows[4][2], F(200)) != 0 {
-		t.Errorf("cell mismatch: %v", back.Rows[4][2])
+	if Compare(back.RowView()[4][2], F(200)) != 0 {
+		t.Errorf("cell mismatch: %v", back.RowView()[4][2])
 	}
 }
 
@@ -267,8 +267,8 @@ func TestCatalogAppend(t *testing.T) {
 		if !errors.Is(err, ErrSchemaMismatch) {
 			t.Errorf("%s: %v, want ErrSchemaMismatch", name, err)
 		}
-		if base.Len() != rows || c.Epoch() != epoch {
-			t.Fatalf("%s: refused batch left %d rows at epoch %d, want %d at %d", name, base.Len(), c.Epoch(), rows, epoch)
+		if now, _ := c.Get("sales"); now.Len() != rows || c.Epoch() != epoch {
+			t.Fatalf("%s: refused batch left %d rows at epoch %d, want %d at %d", name, now.Len(), c.Epoch(), rows, epoch)
 		}
 		now, _ := c.Get(def.Name)
 		if c.StatsOf("sales") != stats || c.ZonesOf("sales") != zones || c.FragsOf("sales") != frags || now != mat {
@@ -279,10 +279,11 @@ func TestCatalogAppend(t *testing.T) {
 	if err := c.Append("SALES", [][]Value{good, {S("east"), Null(TypeString), Null(TypeFloat), I(2)}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c.Get("sales"); got != base || base.Len() != rows+2 || c.Epoch() <= epoch {
-		t.Fatalf("append left %d rows at epoch %d (registered pointer kept: %v)", base.Len(), c.Epoch(), got == base)
+	got, _ := c.Get("sales")
+	if got.Len() != rows+2 || c.Epoch() <= epoch {
+		t.Fatalf("append left %d rows at epoch %d", got.Len(), c.Epoch())
 	}
-	if v := base.Rows[rows][2]; v.Kind() != TypeFloat || v.Float() != 300 {
+	if v := got.RowView()[rows][2]; v.Kind() != TypeFloat || v.Float() != 300 {
 		t.Errorf("int cell in a float column stored as %+v", v)
 	}
 	if ts := c.StatsOf("sales"); ts.Rows != rows+2 || ts.Epoch <= epoch || ts.Col("region").NDV != 3 {
@@ -291,7 +292,7 @@ func TestCatalogAppend(t *testing.T) {
 	if c.entries["sales"].rollups[0].acc != acc {
 		t.Error("Append rebuilt the rollup accumulator instead of folding the new rows into it")
 	}
-	assertRollupFresh(t, c, base, def, "append")
+	assertRollupFresh(t, c, got, def, "append")
 }
 
 func TestSchemaColIndexCaseInsensitive(t *testing.T) {
@@ -318,7 +319,7 @@ func TestMustAppendPanics(t *testing.T) {
 // cells padded and joined by two spaces, a rule of dashes under the
 // names, the first 20 rows, and a count line when there are more.
 func refString(t *Table) string {
-	shown := t.Rows[:min(len(t.Rows), 20)]
+	shown := t.RowView()[:min(t.Len(), 20)]
 	widths := make([]int, len(t.Schema))
 	for i, c := range t.Schema {
 		widths[i] = len(c.Name)
@@ -341,8 +342,8 @@ func refString(t *Table) string {
 	for _, r := range shown {
 		line(func(i int) string { return r[i].String() })
 	}
-	if len(t.Rows) > 20 {
-		fmt.Fprintf(&b, "... (%d rows total)\n", len(t.Rows))
+	if t.Len() > 20 {
+		fmt.Fprintf(&b, "... (%d rows total)\n", t.Len())
 	}
 	return b.String()
 }

@@ -5,15 +5,20 @@
 // pipeline feeds with SLM-generated tables (Section III.C).
 //
 // A cell is a Value of 32 bytes — a string, one payload word and a
-// one-byte kind — so the benchmark's 65 536 × 4 table holds its cells
-// in 8 MiB, and a statistics run entry (ValueCount) is 40 bytes.
+// one-byte kind — and a statistics run entry (ValueCount) is 40 bytes.
+// A table is held one of two ways. A result table (a query's output, a
+// decoder's, a caller's) is rows of Values. A registered table, one the
+// Catalog holds, is only its sealed fragments: the benchmark's
+// 65 536 × 4 table, 8 MiB as rows, is ≈ 1.6 MB of typed columns and
+// dictionaries, and a reader that needs rows builds them on demand
+// (Table.RowView, Table.AppendRow).
 //
 // Beyond the row-oriented operators, the Catalog keeps one record per
-// registered table and fills it by one rule (Catalog.Put): a single
-// snapshot of the table's row headers and schema decides whether a
-// registration extends the last one — an unchanged prefix of k rows —
-// or replaces it, and everything derived follows that one verdict from
-// row k on (k = 0 being the full build). Derived are per-column
+// registered table and fills it through one function (derive), told
+// the first row a registration does not cover — 0 for Catalog.Put,
+// which replaces, the old row count for Catalog.Append, which extends —
+// and handed the rows from there on, which it derives from and then
+// drops (k = 0 being the full build). Derived are per-column
 // statistics (TableStats — the planner's cost inputs, stamped with the
 // catalog epoch), and, from one walk per column of each 256-row
 // fragment (FragmentRows), per-fragment zone maps (Zones — plan-time
@@ -23,9 +28,10 @@
 // the table fold the same rows. Rollup materializations and tables read
 // from a snapshot register the same way.
 //
-// None of the derived state is serialized: a snapshot holds rows,
-// schemas and rollup definitions, and a load derives the rest as a Put
-// does, so it cannot disagree with the rows stored beside it ("stats"
+// None of the derived state is serialized: a snapshot holds rows
+// (written from the fragments), schemas and rollup definitions, and a
+// load derives the rest as a Put does, so it cannot disagree with the
+// rows stored beside it ("stats"
 // and "zones" keys of older files are ignored; files written now load
 // in older builds, where a missing key already meant "derive"). On the
 // benchmark's 65 536 × 4 table the statistics build is ≈ 13 ms and the

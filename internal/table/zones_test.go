@@ -18,13 +18,14 @@ import (
 // actually visited.
 func FilterRanges(t *Table, ranges []RowRange, preds ...Pred) (out *Table, scanned int, err error) {
 	out = New(t.Name, t.Schema)
-	scanned = RowsVisited(ranges, len(t.Rows))
+	rows := t.RowView()
+	scanned = RowsVisited(ranges, len(rows))
 	for _, r := range ranges {
-		end := min(r.End, len(t.Rows))
+		end := min(r.End, len(rows))
 		if r.Start >= end {
 			continue
 		}
-		if out.Rows, err = appendMatching(out.Rows, t.Schema, t.Rows[r.Start:end], preds); err != nil {
+		if out.Rows, err = appendMatching(out.Rows, t.Schema, rows[r.Start:end], preds); err != nil {
 			return nil, scanned, err
 		}
 	}
@@ -91,13 +92,13 @@ func assertMatchesFresh(t testing.TB, c *Catalog, tb *Table, def RollupDef, step
 	if got, want := c.lookup(tb.Name).ords, want.lookup(tb.Name).ords; !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: incremental ordinal maps diverge from a fresh catalog:\n%v\nvs\n%v", step, got, want)
 	}
-	checkSealed(t, c, tb.Name, step)
+	checkSealed(t, c, tb, step)
 	got, err := c.Get(def.Name)
 	if err != nil {
 		t.Fatalf("%s: materialization missing: %v", step, err)
 	}
 	mat, _ := want.Get(def.Name)
-	if !reflect.DeepEqual(got.Schema, mat.Schema) || !reflect.DeepEqual(got.Rows, mat.Rows) {
+	if !reflect.DeepEqual(got.Schema, mat.Schema) || !sameRows(got.RowView(), mat.RowView()) {
 		t.Fatalf("%s: maintained rollup diverges from a fresh catalog:\n%v\nvs\n%v", step, got, mat)
 	}
 }
@@ -270,8 +271,9 @@ func TestIntersectRanges(t *testing.T) {
 // — statistics, zone maps, fragments, a rollup — to a fresh catalog's
 // Put of the same rows: appends across the fragment-seal boundary (which
 // must share the sealed batches), then every shape of replacement,
-// including a re-Put of the registered pointer after a cell of a
-// registered row was edited in place.
+// including a re-Put of the caller's table after a cell of a row it
+// registered was edited in place. tb is the caller's table, kept equal
+// to the rows registered.
 func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 	tb := zonesFixture(FragmentRows - 5)
 	c := NewCatalog()
@@ -291,6 +293,7 @@ func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 		if err := c.Append("sales", rows); err != nil {
 			t.Fatal(err)
 		}
+		tb.Rows = append(tb.Rows, rows...)
 		for i, b := range sealed {
 			if c.FragsOf("sales").Batches[i] != b {
 				t.Errorf("append batch %d: sealed batch %d reallocated", batch, i)
@@ -347,7 +350,8 @@ func TestCatalogPutIncrementalBitEquivalence(t *testing.T) {
 // object rebuilt, the schema widened by a column — makes the next
 // registration a Put (the queued rows appended first). A save-and-load
 // op carries the sequence on against the catalog read back from a
-// snapshot. tb is the pointer the catalog holds, so check sees the final
+// snapshot. tb is the caller's table, kept equal to the rows registered
+// (an Append's rows are appended to it too), so check sees the final
 // rows in it. It returns the catalog the sequence ends on.
 func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check func(op int, c *Catalog, tb *Table)) *Catalog {
 	tb := New("fuzz", Schema{
@@ -393,11 +397,8 @@ func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check 
 			replaced = true
 		case b < 246:
 			// Save and load: what the catalog held so far it now derived
-			// from a snapshot. A tb already set aside for a Put stays.
+			// from a snapshot, whose cells are tb's.
 			c = reload(t, c)
-			if !replaced {
-				tb, _ = c.Get("fuzz")
-			}
 		case b < 254 || len(tb.Schema) > 4:
 			// Rebuild the table object wholesale (same name, copied
 			// rows): the registered pointer and headers all change.
@@ -426,6 +427,8 @@ func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check 
 			c.Put(tb)
 		} else if err := c.Append("fuzz", queued); err != nil {
 			t.Fatalf("op %d: %v", i, err)
+		} else {
+			tb.Rows = append(tb.Rows, queued...)
 		}
 		queued, replaced = nil, false
 		check(i, c, tb)
@@ -435,10 +438,11 @@ func drivePutAppend(t *testing.T, data []byte, step uint8, def RollupDef, check 
 
 // FuzzIncrementalStats pins bit-equivalence between the incremental
 // maintenance of everything derived from a table — statistics, zone
-// maps, fragments, a rollup — and the derivation from row 0 across
-// random Put/Append sequences (drivePutAppend). After every
-// registration the catalog's state must equal a fresh catalog's Put of
-// the final rows.
+// maps, fragments, a rollup, the registered table's row view — and the
+// derivation from row 0 across random Put/Append sequences
+// (drivePutAppend). After every registration the catalog's state must
+// equal a fresh catalog's Put of the final rows, and the row view must
+// be those rows (checkSealed).
 func FuzzIncrementalStats(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 251, 0, 9}, uint8(3))
 	f.Add([]byte{1, 2, 231, 3, 255, 4, 254, 5, 6, 240, 7}, uint8(0))

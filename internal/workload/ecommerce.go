@@ -215,8 +215,7 @@ func ECommerce(opts ECommerceOptions) *Corpus {
 	// read-only to its builder after Put, and statistics must describe
 	// the final data — refutation proofs (emptyfold, zone pruning) act
 	// on them, not just estimates.
-	cat.Put(productsTbl)
-	cat.Put(salesTbl)
+	c.native = newNative(cat, productsTbl, salesTbl)
 
 	c.Sources = store.NewMulti().
 		Add(store.NewRelationalStore("shop", cat)).
@@ -339,13 +338,12 @@ func abs(x int) int {
 	return x
 }
 
-// NativeCatalog returns the corpus's native relational catalog (the
-// tables that exist without extraction), for the Text-to-SQL baseline.
-func (c *Corpus) NativeCatalog() *table.Catalog {
-	for _, s := range c.Sources.Sources() {
-		if rs, ok := s.(*store.RelationalStore); ok {
-			return rs.Catalog()
-		}
+// NativeCatalog returns the corpus's native tables (those that exist
+// without extraction): as written, and as the catalog the Text-to-SQL
+// baseline runs on. A corpus without them has an empty catalog.
+func (c *Corpus) NativeCatalog() *Native {
+	if c.native == nil {
+		return newNative(table.NewCatalog())
 	}
-	return table.NewCatalog()
+	return c.native
 }

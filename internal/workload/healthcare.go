@@ -140,7 +140,7 @@ func Healthcare(opts HealthcareOptions) *Corpus {
 	// Register the trials table once it is populated: a table is
 	// read-only to its builder after Put, and refutation proofs act on
 	// the statistics Put derives.
-	cat.Put(trials)
+	c.native = newNative(cat, trials)
 
 	c.Sources = store.NewMulti().
 		Add(store.NewRelationalStore("clinic", cat)).

@@ -10,10 +10,13 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/slm"
 	"repro/internal/store"
+	"repro/internal/table"
 )
 
 // Class buckets queries by the capability they exercise — the rows of
@@ -51,6 +54,7 @@ type Corpus struct {
 	Sources   *store.Multi
 	Queries   []Query
 	GoldFacts []GoldFact
+	native    *Native
 	// Vocabulary registered into a NER gazetteer by Register.
 	products      []string
 	manufacturers []string
@@ -118,4 +122,40 @@ func NormalizeEvidence(ids []string) []string {
 		}
 	}
 	return out
+}
+
+// Native is a corpus's native tables — those that exist without
+// extraction — twice over: as its generator wrote them, result tables
+// whose rows gold is computed from, and as the catalog of its
+// relational store, which holds them as fragments.
+type Native struct {
+	catalog *table.Catalog
+	tables  []*table.Table // in catalog name order
+}
+
+// newNative registers the tables in cat and keeps them as written.
+func newNative(cat *table.Catalog, tables ...*table.Table) *Native {
+	for _, t := range tables {
+		cat.Put(t)
+	}
+	slices.SortFunc(tables, func(a, b *table.Table) int {
+		return strings.Compare(strings.ToLower(a.Name), strings.ToLower(b.Name))
+	})
+	return &Native{catalog: cat, tables: tables}
+}
+
+// Catalog returns the relational store's catalog, for execution.
+func (n *Native) Catalog() *table.Catalog { return n.catalog }
+
+// Names returns the tables' names, sorted, as Catalog.Names does.
+func (n *Native) Names() []string { return n.catalog.Names() }
+
+// Get returns the named table as the generator wrote it, rows and all.
+func (n *Native) Get(name string) (*table.Table, error) {
+	for _, t := range n.tables {
+		if strings.EqualFold(t.Name, name) {
+			return t, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %s", table.ErrNoTable, name)
 }
