@@ -82,13 +82,11 @@ type VecEnv struct {
 }
 
 // VecLeaf is a leaf's input to either executor, and a scan fragment's
-// output (VecFragment): the table (a registered one is read through its
-// fragments, a result table's batches are extracted on the fly), a
-// projection still pending over it (nil = none), and per-batch
-// selection vectors over it on the FragmentRows grid (nil = all rows; a
-// nil entry = the whole batch). Both executors start the leaf's stream
-// from it (stream), so its rows are copied only when a consumer
-// materializes it.
+// output (VecFragment): the table, a projection still pending over it
+// (nil = none), and per-batch selection vectors over it on the
+// FragmentRows grid (nil = all rows; a nil entry = the whole batch).
+// Both executors start the leaf's stream from it (stream), so its rows
+// are copied only when a consumer materializes it.
 type VecLeaf struct {
 	Table *table.Table
 	Cols  []string
@@ -136,14 +134,12 @@ type vecRun struct {
 	env VecEnv
 }
 
-// vstream is an operator's in-flight result: a base table plus a lazy
-// columnar view of it (a registered base's fragments, or batches
-// extracted from a result base's rows), an optional column projection
-// (schema[i] reads base column cols[i]) and optional per-batch
-// selection vectors. Filter and distinct refine sels, project rewrites
-// cols, aggregate and sort read both in place; rows are copied only by
-// materialize, once, for the consumer that needs them (a join input,
-// the final result).
+// vstream is an operator's in-flight result: a base table plus its lazy
+// columnar view (batches), an optional column projection (schema[i]
+// reads base column cols[i]) and optional per-batch selection vectors.
+// Filter and distinct refine sels, project rewrites cols, aggregate and
+// sort read both in place; rows are copied only by materialize, once,
+// for the consumer that needs them (a join input, the final result).
 type vstream struct {
 	name   string
 	schema table.Schema
@@ -1334,6 +1330,12 @@ func VecFragment(in VecLeaf, ops FragmentOps) (out VecLeaf, lead int, err error)
 			s, out = passthrough(t), VecLeaf{Table: t}
 		}
 		if ops.Sort != nil {
+			// A projection that keeps every sort key runs first, so the
+			// top-k copies only the columns kept.
+			if p := *s; len(ops.Cols) > 0 && p.project(ops.Cols, nil) == nil &&
+				!slices.ContainsFunc(ops.Sort, func(k table.SortKey) bool { return p.schema.ColIndex(k.Col) < 0 }) {
+				s, ops.Cols = &p, nil
+			}
 			if s, err = v.topK(s, ops.Sort, max(ops.Limit, 0)); err != nil {
 				return VecLeaf{}, 0, err
 			}

@@ -59,7 +59,6 @@ func (c *Catalog) WriteJSON(w io.Writer) error {
 		if t.Len() == 0 {
 			buf = append(buf, "null"...)
 		} else {
-			// The rows, decoded from the registered table's fragments.
 			for bi, b := range t.Frags().Batches {
 				for r := range b.Len {
 					// A row is never null: a row of no cells is [].

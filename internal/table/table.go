@@ -158,12 +158,7 @@ func (t *Table) copyRows(start, end int) [][]Value {
 // Clone returns a deep copy as a result table (rows are copied; values
 // are immutable).
 func (t *Table) Clone() *Table {
-	nt := New(t.Name, append(Schema(nil), t.Schema...))
-	nt.Rows = make([][]Value, t.Len())
-	for i := range nt.Rows {
-		nt.Rows[i] = t.AppendRow(nil, i)
-	}
-	return nt
+	return &Table{Name: t.Name, Schema: append(Schema(nil), t.Schema...), Rows: t.copyRows(0, t.Len())}
 }
 
 // PreviewRows is how many rows a rendered table shows.
@@ -172,11 +167,7 @@ const PreviewRows = 20
 // String renders the table as an aligned ASCII grid (capped at
 // PreviewRows rows) for CLI output and examples.
 func (t *Table) String() string {
-	preview := make([][]Value, min(t.Len(), PreviewRows))
-	for r := range preview {
-		preview[r] = t.AppendRow(nil, r)
-	}
-	return Layout(t.Schema.Names(), Cells(preview), t.Len())
+	return Layout(t.Schema.Names(), Cells(t.copyRows(0, min(t.Len(), PreviewRows))), t.Len())
 }
 
 // Cells renders every cell of rows once, as Value.String does, into one
@@ -309,32 +300,19 @@ func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 			}
 			row[i] = v
 		}
-		if err := t.Append(row); err != nil {
-			return fmt.Errorf("table: csv %s line %d: %w", name, len(t.Rows)+2, err)
-		}
+		t.Rows = append(t.Rows, row) // each cell is its column's kind or NULL
 		return nil
 	}
 	var held [][]string // records read while a column is untyped
-	release := func() error {
-		for _, rec := range held {
-			if err := add(rec); err != nil {
-				return err
-			}
-		}
-		held = nil
-		return nil
-	}
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, fmt.Errorf("table: read csv: %w", err)
 		}
-		if len(untyped) == 0 {
-			err = add(rec)
-		} else {
+		todo := [][]string{rec}
+		if len(untyped) > 0 {
 			untyped = slices.DeleteFunc(untyped, func(i int) bool {
 				if strings.TrimSpace(rec[i]) == "" {
 					return false
@@ -342,18 +320,21 @@ func ReadCSV(name string, r io.Reader, schema Schema) (*Table, error) {
 				schema[i].Type = Infer(rec[i])
 				return true
 			})
-			held = append(held, slices.Clone(rec))
-			if len(untyped) == 0 {
-				err = release()
+			if held = append(held, slices.Clone(rec)); len(untyped) > 0 {
+				continue
+			}
+			todo, held = held, nil
+		}
+		for _, rec := range todo {
+			if err := add(rec); err != nil {
+				return nil, err
 			}
 		}
-		if err != nil {
+	}
+	for _, rec := range held { // a column with no non-empty cell stays a string column
+		if err := add(rec); err != nil {
 			return nil, err
 		}
-	}
-	// A column with no non-empty cell stays a string column.
-	if err := release(); err != nil {
-		return nil, err
 	}
 	return t, nil
 }
@@ -427,11 +408,10 @@ func NewCatalog() *Catalog {
 // zone maps, columnar fragments and the rollups over it. Put always
 // means "replace", whatever pointer or rows it is handed.
 //
-// The catalog keeps t's cells as fragments, not t: Get hands every
-// reader one registered table, which has no Rows (Table.RowView builds
-// them), and t stays the caller's. Rows are added with Append; any
-// other change is made on a table of the caller's own, which is then
-// Put.
+// The catalog keeps t's cells as fragments, not t: Get returns a
+// registered table with no Rows, and t stays the caller's. Rows are
+// added with Append; any other change is made on a table of the
+// caller's own, which is then Put.
 func (c *Catalog) Put(t *Table) {
 	if e := c.entries[strings.ToLower(t.Name)]; e != nil && e.rollup != nil {
 		// The caller is reclaiming a rollup's name for an ordinary
@@ -478,11 +458,9 @@ func (c *Catalog) Append(name string, rows [][]Value) error {
 
 // derive is the one registration path: Put, Append, rollup
 // materializations and loaded tables all pass through it. It is handed
-// the rows of a table named and shaped as t from row from on — from 0
-// to replace, from the old row count to extend what the catalog holds
-// under t's name — derives every per-table artifact from them, and
-// registers a new table of t's name and schema that is the fragments.
-// The rows are not kept.
+// the rows of a table shaped as t from row from on — 0 to replace, the
+// old row count to extend — derives every artifact from them and
+// registers a new table that is the fragments, keeping no row.
 func (c *Catalog) derive(t *Table, from int, rows [][]Value) *entry {
 	key := strings.ToLower(t.Name)
 	e := c.entries[key]
@@ -499,18 +477,16 @@ func (c *Catalog) derive(t *Table, from int, rows [][]Value) *entry {
 	return e
 }
 
-// fragmentsFrom seals rows, the rows of a table shaped as t from row
-// from on, onto the FragmentRows grid: one walk per column (sealCol) of
-// each fragment builds its typed cells, dictionary, ordinals and zone
-// summary. Fragments wholly below from are sealed — full and unchanged —
-// and shared with the previous z and the registered table old; the open
-// tail old ends in, if any, is sealed again from its cells followed by
-// the new rows. The
-// value→ordinal maps ords number the new rows' values on from the old
-// ones, so the open tail finds its earlier values under the ordinals
-// they already hold. From row 0 the maps start empty. Zones and Frags
-// are immutable once published, so the result is always a fresh pair;
-// ords is extended in place.
+// fragmentsFrom seals rows, a table shaped as t from row from on, onto
+// the FragmentRows grid: one walk per column (sealCol) of each fragment
+// builds its typed cells, dictionary, ordinals and zone summary.
+// Fragments wholly below from are sealed — full and unchanged — and
+// shared with the previous z and registered table old, whose open tail
+// is sealed again from its cells followed by rows. The value→ordinal
+// maps ords number the new values on from the old ones, so the open
+// tail finds its earlier values under the ordinals they hold; from row
+// 0 they start empty. Zones and Frags are immutable once published, so
+// the result is always a fresh pair; ords is extended in place.
 func fragmentsFrom(z *Zones, old *Table, ords []map[string]uint32, t *Table, from int, rows [][]Value) (*Zones, *Frags, []map[string]uint32) {
 	n := from + len(rows)
 	nz := &Zones{Table: t.Name, Rows: n}
@@ -547,7 +523,7 @@ func (c *Catalog) lookup(name string) *entry {
 	if e := c.entries[strings.ToLower(name)]; e != nil {
 		return e
 	}
-	return &entry{}
+	return &entry{table: &Table{}}
 }
 
 // StatsOf returns the per-column statistics built at the named table's
@@ -563,12 +539,7 @@ func (c *Catalog) ZonesOf(name string) *Zones { return c.lookup(name).zones }
 // FragsOf returns the columnar fragments extracted at the named
 // table's last Put, or nil for an unknown table. The returned
 // fragments are shared and must not be mutated.
-func (c *Catalog) FragsOf(name string) *Frags {
-	if e := c.entries[strings.ToLower(name)]; e != nil {
-		return e.table.frags
-	}
-	return nil
-}
+func (c *Catalog) FragsOf(name string) *Frags { return c.lookup(name).table.frags }
 
 // Epoch counts catalog mutations. Anything derived from catalog
 // contents (physical plans, graph-evidence views) is valid only for the

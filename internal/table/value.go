@@ -6,12 +6,9 @@
 //
 // A cell is a Value of 32 bytes — a string, one payload word and a
 // one-byte kind — and a statistics run entry (ValueCount) is 40 bytes.
-// A table is held one of two ways. A result table (a query's output, a
-// decoder's, a caller's) is rows of Values. A registered table, one the
-// Catalog holds, is only its sealed fragments: the benchmark's
-// 65 536 × 4 table, 8 MiB as rows, is ≈ 1.6 MB of typed columns and
-// dictionaries, and a reader that needs rows builds them on demand
-// (Table.RowView, Table.AppendRow).
+// A result table is rows of Values; a table the Catalog holds is only
+// its sealed fragments (the benchmark's 65 536 × 4 table: 8 MiB as
+// rows, ≈ 1.6 MB as columns), its rows built on demand (Table.RowView).
 //
 // Beyond the row-oriented operators, the Catalog keeps one record per
 // registered table and fills it through one function (derive), told

@@ -11,7 +11,6 @@ package workload
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/slm"
@@ -124,13 +123,11 @@ func NormalizeEvidence(ids []string) []string {
 	return out
 }
 
-// Native is a corpus's native tables — those that exist without
-// extraction — twice over: as its generator wrote them, result tables
-// whose rows gold is computed from, and as the catalog of its
-// relational store, which holds them as fragments.
+// Native is a corpus's native tables as its generator wrote them (rows,
+// which gold is computed from) and the catalog of its relational store.
 type Native struct {
 	catalog *table.Catalog
-	tables  []*table.Table // in catalog name order
+	tables  []*table.Table
 }
 
 // newNative registers the tables in cat and keeps them as written.
@@ -138,16 +135,13 @@ func newNative(cat *table.Catalog, tables ...*table.Table) *Native {
 	for _, t := range tables {
 		cat.Put(t)
 	}
-	slices.SortFunc(tables, func(a, b *table.Table) int {
-		return strings.Compare(strings.ToLower(a.Name), strings.ToLower(b.Name))
-	})
 	return &Native{catalog: cat, tables: tables}
 }
 
 // Catalog returns the relational store's catalog, for execution.
 func (n *Native) Catalog() *table.Catalog { return n.catalog }
 
-// Names returns the tables' names, sorted, as Catalog.Names does.
+// Names returns the tables' names, sorted.
 func (n *Native) Names() []string { return n.catalog.Names() }
 
 // Get returns the named table as the generator wrote it, rows and all.
