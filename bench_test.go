@@ -564,7 +564,7 @@ func BenchmarkGraphReadJSON(b *testing.B) {
 // it does in a saved system.
 func snapshotBenchCatalog(tb testing.TB) *table.Catalog {
 	tb.Helper()
-	cat := workload.ECommerce(workload.DefaultECommerceOptions()).NativeCatalog().Catalog()
+	cat := workload.ECommerce(workload.DefaultECommerceOptions()).NativeCatalog().Catalog
 	facts := table.New("facts", table.Schema{
 		{Name: "region", Type: table.TypeString},
 		{Name: "sku", Type: table.TypeString},

@@ -145,7 +145,7 @@ func TestTextToSQLStructuredOnly(t *testing.T) {
 	c := workload.ECommerce(workload.DefaultECommerceOptions())
 	ner := slm.NewNER()
 	c.Register(ner)
-	ts := NewTextToSQL(c.NativeCatalog().Catalog(), ner)
+	ts := NewTextToSQL(c.NativeCatalog().Catalog, ner)
 
 	// Structured lookups succeed exactly.
 	okCount := 0
@@ -178,7 +178,7 @@ func TestEvaluateQAOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := NewTextToSQL(c.NativeCatalog().Catalog(), ner)
+	ts := NewTextToSQL(c.NativeCatalog().Catalog, ner)
 
 	cross := queriesOf(c, workload.ClassCrossModal)
 	hStats := EvaluateQA(h, cross)[workload.ClassCrossModal]
@@ -261,7 +261,7 @@ func TestPipelineNames(t *testing.T) {
 	c.Register(ner)
 	h := hybridFor(t, c)
 	r, _ := NewRAG(c.Sources, ner)
-	ts := NewTextToSQL(c.NativeCatalog().Catalog(), ner)
+	ts := NewTextToSQL(c.NativeCatalog().Catalog, ner)
 	names := map[string]bool{}
 	for _, p := range []Pipeline{h, r, ts} {
 		if p.Name() == "" || names[p.Name()] {

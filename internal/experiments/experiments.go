@@ -156,7 +156,7 @@ func buildPipelines(c *workload.Corpus) []core.Pipeline {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: rag: %v", err))
 	}
-	ts := core.NewTextToSQL(c.NativeCatalog().Catalog(), ner)
+	ts := core.NewTextToSQL(c.NativeCatalog().Catalog, ner)
 	return []core.Pipeline{h, r, ts}
 }
 

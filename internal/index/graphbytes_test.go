@@ -146,8 +146,8 @@ func TestCatalogBytesPinned(t *testing.T) {
 		cat  *table.Catalog
 		want uint64
 	}{
-		{"ecommerce", workload.ECommerce(workload.DefaultECommerceOptions()).NativeCatalog().Catalog(), 0x756ebd9a0fe26f5a},
-		{"healthcare", workload.Healthcare(workload.DefaultHealthcareOptions()).NativeCatalog().Catalog(), 0x43855303ff9ccd16},
+		{"ecommerce", workload.ECommerce(workload.DefaultECommerceOptions()).NativeCatalog().Catalog, 0x756ebd9a0fe26f5a},
+		{"healthcare", workload.Healthcare(workload.DefaultHealthcareOptions()).NativeCatalog().Catalog, 0x43855303ff9ccd16},
 		{"facts", facts, 0x7e40e7a091165cef},
 	} {
 		h := fnv.New64a()

@@ -928,7 +928,8 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort returns a copy of t ordered by the keys (stable).
+// Sort returns t's rows ordered by the keys (stable) in a new table,
+// which shares the rows' cells (Values are immutable).
 func Sort(t *Table, keys ...SortKey) (*Table, error) {
 	idxs := make([]int, len(keys))
 	for i, k := range keys {
@@ -938,7 +939,8 @@ func Sort(t *Table, keys ...SortKey) (*Table, error) {
 		}
 		idxs[i] = idx
 	}
-	out := t.Clone()
+	out := New(t.Name, t.Schema)
+	out.Rows = slices.Clone(t.RowView())
 	sort.SliceStable(out.Rows, func(a, b int) bool {
 		for i, k := range keys {
 			c := Compare(out.Rows[a][idxs[i]], out.Rows[b][idxs[i]])

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,8 +34,11 @@ import (
 // rows bit-identically.
 func (c *Catalog) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
-	buf := append(make([]byte, 0, 4<<10), `{"tables":`...)
+	buf := append(make([]byte, 0, 40<<10), `{"tables":`...) // flushed at 32 KB
 	tables := 0
+	// A batch's dictionary entries, escaped once: column ci's entry c is
+	// text[at[k]:at[k+1]], k = ci*(FragmentRows+1)+c.
+	text, at := make([]byte, 0, 4<<10), []int32(nil)
 	for _, name := range c.Names() {
 		if _, ok := c.RollupByName(name); ok {
 			continue
@@ -59,15 +63,29 @@ func (c *Catalog) WriteJSON(w io.Writer) error {
 		if t.Len() == 0 {
 			buf = append(buf, "null"...)
 		} else {
+			at = slices.Grow(at[:0], len(t.Schema)*(FragmentRows+1))[:len(t.Schema)*(FragmentRows+1)]
 			for bi, b := range t.Frags().Batches {
+				text = text[:0]
+				for ci := range b.Cols {
+					k := ci * (FragmentRows + 1)
+					for c, s := range b.Cols[ci].Dict {
+						at[k+c], text = int32(len(text)), jsonx.AppendString(text, s)
+					}
+					at[k+len(b.Cols[ci].Dict)] = int32(len(text))
+				}
 				for r := range b.Len {
 					// A row is never null: a row of no cells is [].
 					buf = append(buf, listSep(bi*FragmentRows+r), '[')
-					for i := range b.Cols {
-						if i > 0 {
+					for ci := range b.Cols {
+						if ci > 0 {
 							buf = append(buf, ',')
 						}
-						buf = appendCell(buf, b.Cols[i].ValueAt(r))
+						if cv := &b.Cols[ci]; cv.Codes == nil || cv.Nulls.Get(r) {
+							buf = appendCell(buf, cv.ValueAt(r))
+						} else {
+							k := ci*(FragmentRows+1) + int(cv.Codes[r])
+							buf = append(buf, text[at[k]:at[k+1]]...)
+						}
 					}
 					buf = append(buf, ']')
 					if len(buf) >= 32<<10 {

@@ -48,10 +48,9 @@ var (
 	ErrNoTable        = errors.New("table: no such table")
 )
 
-// Table is an in-memory relation, held one of two ways. A result
-// table — what a query, a decoder or a caller builds — is its Rows. A
-// registered table — what Catalog.Get returns — is its sealed
-// fragments and has no Rows. Len, AppendRow and RowView read either.
+// Table is an in-memory relation: a result table (a query's, a
+// decoder's or a caller's) is its Rows, a registered table (Catalog.Get)
+// is its sealed fragments. Len, AppendRow and RowView read either.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -65,8 +64,7 @@ func New(name string, schema Schema) *Table {
 }
 
 // Append adds a row to a result table after validating arity and
-// types. NULLs of any declared type are accepted in any column. A
-// registered table refuses it: its rows arrive through Catalog.Append.
+// types; NULLs of any declared type are accepted in any column.
 func (t *Table) Append(row []Value) error {
 	if t.frags != nil {
 		return fmt.Errorf("table: %s is registered: rows reach it through Catalog.Append", t.Name)
@@ -119,9 +117,8 @@ func (t *Table) Len() int {
 // table. They are shared and must not be mutated.
 func (t *Table) Frags() *Frags { return t.frags }
 
-// AppendRow appends the cells of row r to dst: the one reader of a
-// table's cells by row, a registered table's decoded from its
-// fragments (ColVec.ValueAt, bit for bit the cells registered).
+// AppendRow appends the cells of row r to dst, a registered table's
+// decoded from its fragments (ColVec.ValueAt).
 func (t *Table) AppendRow(dst []Value, r int) []Value {
 	if t.frags == nil {
 		return append(dst, t.Rows[r]...)
@@ -133,9 +130,8 @@ func (t *Table) AppendRow(dst []Value, r int) []Value {
 	return dst
 }
 
-// RowView returns the table's rows: a result table's own, or a
-// registered table's built on each call (copyRows). The rows are
-// read-only.
+// RowView returns the table's rows, read-only: a result table's own, a
+// registered table's built on each call.
 func (t *Table) RowView() [][]Value {
 	if t.frags == nil {
 		return t.Rows
@@ -155,8 +151,7 @@ func (t *Table) copyRows(start, end int) [][]Value {
 	return rows
 }
 
-// Clone returns a deep copy as a result table (rows are copied; values
-// are immutable).
+// Clone returns a deep copy as a result table.
 func (t *Table) Clone() *Table {
 	return &Table{Name: t.Name, Schema: append(Schema(nil), t.Schema...), Rows: t.copyRows(0, t.Len())}
 }
@@ -546,22 +541,15 @@ func (c *Catalog) FragsOf(name string) *Frags { return c.lookup(name).table.frag
 // epoch it was computed at.
 func (c *Catalog) Epoch() uint64 { return c.epoch }
 
-// Get returns the named registered table, allocating nothing, or an
-// ErrNoTable naming it.
+// Get returns the named registered table, allocating nothing, or
+// ErrNoTable.
 func (c *Catalog) Get(name string) (*Table, error) {
 	e, ok := c.entries[strings.ToLower(name)]
 	if !ok {
-		return nil, noTable(name)
+		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
 	return e.table, nil
 }
-
-// noTable is Get's miss: ErrNoTable and the name asked for, formatted
-// only when read, since binding probes names that are not there.
-type noTable string
-
-func (e noTable) Error() string { return ErrNoTable.Error() + ": " + string(e) }
-func (e noTable) Unwrap() error { return ErrNoTable }
 
 // Names returns registered table names, sorted.
 func (c *Catalog) Names() []string {

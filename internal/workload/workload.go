@@ -123,11 +123,12 @@ func NormalizeEvidence(ids []string) []string {
 	return out
 }
 
-// Native is a corpus's native tables as its generator wrote them (rows,
-// which gold is computed from) and the catalog of its relational store.
+// Native is a corpus's native tables: the catalog of its relational
+// store, which holds them as fragments, with Get returning each as its
+// generator wrote it (rows, which gold is computed from).
 type Native struct {
-	catalog *table.Catalog
-	tables  []*table.Table
+	*table.Catalog
+	tables []*table.Table
 }
 
 // newNative registers the tables in cat and keeps them as written.
@@ -135,16 +136,10 @@ func newNative(cat *table.Catalog, tables ...*table.Table) *Native {
 	for _, t := range tables {
 		cat.Put(t)
 	}
-	return &Native{catalog: cat, tables: tables}
+	return &Native{Catalog: cat, tables: tables}
 }
 
-// Catalog returns the relational store's catalog, for execution.
-func (n *Native) Catalog() *table.Catalog { return n.catalog }
-
-// Names returns the tables' names, sorted.
-func (n *Native) Names() []string { return n.catalog.Names() }
-
-// Get returns the named table as the generator wrote it, rows and all.
+// Get returns the named table as the generator wrote it.
 func (n *Native) Get(name string) (*table.Table, error) {
 	for _, t := range n.tables {
 		if strings.EqualFold(t.Name, name) {
