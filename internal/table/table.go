@@ -430,9 +430,9 @@ func (c *Catalog) Put(t *Table) {
 // rows — with results bit-identical to a Put of the final rows
 // (FuzzIncrementalStats, FuzzRollupMaintenance).
 //
-// The rows belong to the catalog afterwards; like a table handed to
-// Put, they are read-only to the caller. A rollup's materialization is
-// maintained by the catalog and cannot be appended to.
+// The catalog keeps none of the rows: they are sealed into fragments,
+// an int cell of a float column widened in place first. A rollup's
+// materialization is maintained by the catalog and cannot be appended to.
 func (c *Catalog) Append(name string, rows [][]Value) error {
 	e := c.entries[strings.ToLower(name)]
 	if e == nil {

@@ -211,10 +211,10 @@ func ECommerce(opts ECommerceOptions) *Corpus {
 			fmt.Sprintf("Rumors claimed sales rose %d%% last year.", 5+k))
 	}
 
-	// Register the tables once they are fully populated: a table is
-	// read-only to its builder after Put, and statistics must describe
-	// the final data — refutation proofs (emptyfold, zone pruning) act
-	// on them, not just estimates.
+	// Register the tables once they are fully populated: Put seals the
+	// rows it is handed, and statistics must describe the final data —
+	// refutation proofs (emptyfold, zone pruning) act on them, not just
+	// estimates.
 	c.native = newNative(cat, productsTbl, salesTbl)
 
 	c.Sources = store.NewMulti().

@@ -137,9 +137,9 @@ func Healthcare(opts HealthcareOptions) *Corpus {
 		panic(fmt.Sprintf("workload: xml fixture: %v", err)) // static fixture; cannot fail
 	}
 
-	// Register the trials table once it is populated: a table is
-	// read-only to its builder after Put, and refutation proofs act on
-	// the statistics Put derives.
+	// Register the trials table once it is populated: Put seals the rows
+	// it is handed, and refutation proofs act on the statistics it
+	// derives.
 	c.native = newNative(cat, trials)
 
 	c.Sources = store.NewMulti().
