@@ -6,10 +6,11 @@ import (
 	"repro/internal/table"
 )
 
-// Run interprets the tree a row at a time, resolving leaves through
-// leaf — the vectorized executor's contract (VecEnv.Leaf), applied the
-// same way (rowLeaf), so RunVec over the same resolver is bit-identical.
-// Its one production caller is the federated residual's row branch.
+// Run interprets the tree a row at a time above its leaves' Filter and
+// Project chains, resolving leaves through leaf — the vectorized
+// executor's contract (VecEnv.Leaf), applied the same way (rowLeaf), so
+// RunVec over the same resolver is bit-identical. Its one production
+// caller is the federated residual's row branch.
 func Run(n *Node, leaf func(*Node) (VecLeaf, error)) (*table.Table, error) {
 	if n == nil {
 		return nil, ErrEmptyPlan
