@@ -102,8 +102,10 @@ func keysCovered(keys []table.SortKey, cols []string) bool {
 }
 
 // materialize is the table of l's rows, built as the row interpreter
-// builds a leaf's (logical.Run over a lone Input): l.Table itself when
-// nothing is selected or pending.
+// builds a leaf's (logical.Run over a lone Input): a registered table's
+// selected rows are copied out of its fragments into a result table,
+// and only a result table with nothing selected or pending is returned
+// as it is.
 func materialize(l logical.VecLeaf) (*table.Table, error) {
 	return logical.Run(&logical.Node{Op: logical.OpInput}, func(*logical.Node) (logical.VecLeaf, error) { return l, nil })
 }

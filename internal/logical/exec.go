@@ -6,19 +6,17 @@ import (
 	"repro/internal/table"
 )
 
-// Run interprets the tree a row at a time above its leaves' Filter and
-// Project chains, resolving leaves through leaf — the vectorized
-// executor's contract (VecEnv.Leaf), applied the same way (rowLeaf), so
-// RunVec over the same resolver is bit-identical. Its one production
-// caller is the federated residual's row branch.
+// Run interprets the tree a row at a time, resolving leaves through
+// leaf — the vectorized executor's contract (VecEnv.Leaf), applied the
+// same way (rowLeaf), so RunVec over the same resolver is bit-identical.
+// Its one production caller is the federated residual's row branch.
 func Run(n *Node, leaf func(*Node) (VecLeaf, error)) (*table.Table, error) {
 	if n == nil {
 		return nil, ErrEmptyPlan
 	}
-	if overLeaf(n) {
-		return rowLeaf(n, leaf)
-	}
 	switch n.Op {
+	case OpScan, OpInput, OpEmpty:
+		return rowLeaf(n, leaf)
 	case OpJoin:
 		left, err := Run(n.In[0], leaf)
 		if err != nil {
@@ -96,34 +94,17 @@ func unionBranches(n *Node, eval func(CompareBranch) (*table.Table, error)) (*ta
 	return out, nil
 }
 
-// overLeaf reports whether n is a leaf under a chain of Filters and
-// Projects, the operators that only select a leaf's rows and map its
-// columns.
-func overLeaf(n *Node) bool {
-	for n != nil && (n.Op == OpFilter || n.Op == OpProject) {
-		n = n.Child()
-	}
-	return n != nil && (n.Op == OpScan || n.Op == OpInput || n.Op == OpEmpty)
-}
-
-// rowLeaf materializes a leaf, or a chain of Filters and Projects over
-// one (overLeaf), as RunVec evaluates it on one worker: the leaf's
-// selection, projections, column set and ROWS range, and the chain's
-// predicates, refine its stream, so only the rows and columns the chain
-// keeps are copied out of a registered table's fragments.
+// rowLeaf is vecRun.leaf materialized: the leaf's input with its
+// selection, its pending projection, the leaf's own column set and ROWS
+// range applied as RunVec applies them, and rows copied only when one of
+// them is pending.
 func rowLeaf(n *Node, leaf func(*Node) (VecLeaf, error)) (*table.Table, error) {
-	v := vecRun{env: VecEnv{Leaf: leaf, Workers: 1}}
-	var s vstream // a bare leaf's stream stays off the heap
-	sp, err := &s, error(nil)
-	if n.Op == OpFilter || n.Op == OpProject {
-		sp, err = v.eval(n)
-	} else {
-		s, err = v.leaf(n)
-	}
+	v := vecRun{env: VecEnv{Leaf: leaf}}
+	s, err := v.leaf(n)
 	if err != nil {
 		return nil, err
 	}
-	return v.materialize(sp), nil
+	return v.materialize(&s), nil
 }
 
 // Exec runs the tree against a single catalog with the row interpreter,

@@ -157,12 +157,14 @@ func Project(t *Table, cols ...string) (*Table, error) {
 		schema[i] = t.Schema[idx]
 	}
 	out := New(t.Name, schema)
-	for _, row := range t.RowView() {
-		nr := make([]Value, len(idxs))
-		for i, idx := range idxs {
-			nr[i] = row[idx]
+	rows := t.RowView()
+	out.Rows = slices.Grow(out.Rows, len(rows))
+	cells := make([]Value, 0, len(rows)*len(idxs)) // every row carved from one slab
+	for _, row := range rows {
+		for _, idx := range idxs {
+			cells = append(cells, row[idx])
 		}
-		out.Rows = append(out.Rows, nr)
+		out.Rows = append(out.Rows, cells[len(cells)-len(idxs):len(cells):len(cells)])
 	}
 	return out, nil
 }

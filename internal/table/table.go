@@ -403,10 +403,10 @@ func NewCatalog() *Catalog {
 // zone maps, columnar fragments and the rollups over it. Put always
 // means "replace", whatever pointer or rows it is handed.
 //
-// The catalog keeps t's cells as fragments, not t: Get returns a
-// registered table with no Rows, and t stays the caller's. Rows are
-// added with Append; any other change is made on a table of the
-// caller's own, which is then Put.
+// The catalog keeps t's cells as fragments and a copy of its schema,
+// not t: Get returns a registered table with no Rows, and t stays the
+// caller's. Rows are added with Append; any other change is made on
+// a table of the caller's own, which is then Put.
 func (c *Catalog) Put(t *Table) {
 	if e := c.entries[strings.ToLower(t.Name)]; e != nil && e.rollup != nil {
 		// The caller is reclaiming a rollup's name for an ordinary
@@ -417,7 +417,7 @@ func (c *Catalog) Put(t *Table) {
 		e.rollup = nil
 	}
 	rows := t.RowView()
-	c.maintainRollups(c.derive(t, 0, rows), rows, 0)
+	c.maintainRollups(c.derive(&Table{Name: t.Name, Schema: slices.Clone(t.Schema)}, 0, rows), rows, 0)
 }
 
 // Append adds rows to the named table and advances the catalog epoch.

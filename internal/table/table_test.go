@@ -232,6 +232,17 @@ func TestCatalog(t *testing.T) {
 	if c.Len() != 1 || c.Names()[0] != "sales" {
 		t.Errorf("catalog state: %d %v", c.Len(), c.Names())
 	}
+
+	// The caller's table stays the caller's: editing its schema in place
+	// after Put renames nothing in the registered table or its batches.
+	mine := salesTable(t)
+	c.Put(mine)
+	name := mine.Schema[0].Name
+	mine.Schema[0].Name = "renamed"
+	got, _ = c.Get("sales")
+	if got.Schema[0].Name != name || got.Frags().Batches[0].Schema[0].Name != name {
+		t.Errorf("registered schema follows the caller's edit: %v", got.Schema)
+	}
 }
 
 // TestCatalogAppend pins Append's contract beside the bit-equivalence
